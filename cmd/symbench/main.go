@@ -173,7 +173,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for parallel experiments (0 = all cores)")
 	procs := flag.Int("procs", 0, "worker subprocesses for allpairs-dist (0 = in-process)")
 	distWorkers := flag.String("dist-workers", "", "comma-separated host:port list of resident TCP workers (symworker -listen) for allpairs-dist and pool-scale; overrides -procs")
-	useSummaries := flag.Bool("summaries", false, "run the allpairs/allpairs-dist batches with per-element summaries (core.Options.Summaries); results are byte-identical either way, which CI pins via -stable diffs")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of paper-shaped tables")
 	stable := flag.Bool("stable", false, "strip timing from JSON output (byte-identical across runs with equal results)")
 	metrics := flag.Bool("metrics", false, "attach a metrics registry and emit its schema-versioned snapshot (JSON: {schema,rows,metrics} envelope; suppressed by -stable)")
@@ -246,10 +245,10 @@ func main() {
 		satcache(rep, *quick, *heavy, o)
 	}
 	if want("allpairs") {
-		allpairs(rep, *quick, *heavy, *workers, *useSummaries, o)
+		allpairs(rep, *quick, *heavy, *workers, o)
 	}
 	if want("allpairs-dist") {
-		allpairsDist(rep, *quick, *heavy, *procs, *workers, splitAddrs(*distWorkers), *useSummaries, o)
+		allpairsDist(rep, *quick, *heavy, *procs, *workers, splitAddrs(*distWorkers), o)
 	}
 	if want("forkheavy") {
 		forkheavy(rep, *quick)
@@ -258,7 +257,7 @@ func main() {
 		itables(rep, *quick, o)
 	}
 	if want("summaries") {
-		summaries(rep, *quick, *heavy, o)
+		summaries(rep, *quick, *heavy, *procs, *workers, o)
 	}
 	if want("churn") {
 		churnBench(rep, *quick, *heavy, *workers, o)
@@ -565,7 +564,7 @@ func allpairsBackboneSize(quick, heavy bool) (zones, perZone int) {
 	return 14, 300
 }
 
-func allpairs(rep *reporter, quick, heavy bool, workers int, summaries bool, o *obs.Obs) {
+func allpairs(rep *reporter, quick, heavy bool, workers int, o *obs.Obs) {
 	rep.printf("== All-pairs reachability: sequential vs parallel batch ==\n")
 	rep.printf("%-22s %-8s %-8s %-12s %-12s %s\n", "Dataset", "Sources", "Pairs", "Seq", fmt.Sprintf("Par(%d)", workers), "Speedup")
 
@@ -579,13 +578,13 @@ func allpairs(rep *reporter, quick, heavy bool, workers int, summaries bool, o *
 	d := datasets.NewDepartment(deptCfg)
 	deptSrcs, deptTargets := d.AllPairs()
 	allpairsRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64, Summaries: summaries}, workers, o)
+		core.Options{MaxHops: 64}, workers, o)
 
 	zones, perZone := allpairsBackboneSize(quick, heavy)
 	bb := datasets.StanfordBackbone(zones, perZone)
 	bbSrcs, bbTargets := bb.AllPairs()
 	allpairsRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-		core.Options{Summaries: summaries}, workers, o)
+		core.Options{}, workers, o)
 	rep.printf("\n")
 }
 
@@ -612,7 +611,7 @@ func splitAddrs(spec string) []string {
 // identical rows — with -stable, identical bytes — regardless of the fleet
 // shape. procs = 0 with no fleet answers in-process through the same code
 // path.
-func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, distAddrs []string, summaries bool, o *obs.Obs) {
+func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, distAddrs []string, o *obs.Obs) {
 	if len(distAddrs) > 0 {
 		rep.printf("== All-pairs reachability, distributed (tcp fleet=%d, workers/proc=%d) ==\n", len(distAddrs), workersPerProc)
 	} else {
@@ -630,7 +629,7 @@ func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, d
 	d := datasets.NewDepartment(deptCfg)
 	deptSrcs, deptTargets := d.AllPairs()
 	allpairsDistRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64, Summaries: summaries}, procs, workersPerProc, distAddrs, o)
+		core.Options{MaxHops: 64}, procs, workersPerProc, distAddrs, o)
 
 	if !heavy {
 		// The backbone row is omitted in heavy mode (the multicore
@@ -645,7 +644,7 @@ func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, d
 		bb := datasets.StanfordBackbone(zones, perZone)
 		bbSrcs, bbTargets := bb.AllPairs()
 		allpairsDistRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-			core.Options{Summaries: summaries}, procs, workersPerProc, distAddrs, o)
+			core.Options{}, procs, workersPerProc, distAddrs, o)
 	}
 	rep.printf("\n")
 }
@@ -677,11 +676,7 @@ func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.
 		}
 		matrix = append(matrix, srcs[s].String()+"->"+strings.Join(cells, ","))
 	}
-	h := fnv.New64a()
-	if err := json.NewEncoder(h).Encode(r.Summaries); err != nil {
-		fail(err)
-	}
-	fp := fmt.Sprintf("%016x", h.Sum64())
+	fp := summaryFP(r.Summaries)
 
 	rep.printf("%-22s %-8d %-8d %-10d %-18s %v\n",
 		name, len(srcs), r.Pairs(), reachable, fp, elapsed.Round(time.Millisecond))
@@ -694,6 +689,26 @@ func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.
 			"dist_ns": elapsed.Nanoseconds(),
 		},
 	})
+}
+
+// summaryFP collapses every path summary of a distributed report to one
+// fingerprint.
+func summaryFP(sums []*dist.Summary) string {
+	h := fnv.New64a()
+	if err := json.NewEncoder(h).Encode(sums); err != nil {
+		fail(err)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// distSummaryFP runs the all-pairs batch through the distributed runner in
+// the given shape and fingerprints its path summaries.
+func distSummaryFP(net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, cfg dist.Config) string {
+	r, err := verify.AllPairsReachabilityDistConfig(net, srcs, packet, targets, opts, cfg)
+	if err != nil {
+		fail(err)
+	}
+	return summaryFP(r.Summaries)
 }
 
 // poolJobs builds the department all-pairs batch the fleet benchmarks
@@ -977,17 +992,22 @@ func itablesRow(rep *reporter, name string, net *core.Network, srcs []core.PortR
 	})
 }
 
-// summaries measures compositional per-element summaries against direct IR
-// re-execution on the all-pairs batches: the same workload runs with
-// Options.Summaries off (every element visit re-executes compiled IR) and on
-// (each visit applies the element's pre-executed decision DAG), interleaved
-// best-of-N with the reachability matrices cross-checked between passes.
+// summaries measures the engine's per-element summaries against direct IR
+// re-execution on the all-pairs batches: the same workload runs under the
+// reference field Options.IRExec (every element visit re-executes compiled
+// IR) and as the engine runs by default (each visit applies the element's
+// pre-executed decision DAG), interleaved best-of-N with the reachability
+// matrices cross-checked between passes. An untimed pair of passes then
+// fingerprints every path summary of the sequential in-process reference
+// against the default engine sharded over -procs x -workers; the
+// fingerprint rides in the row, so -stable output is byte-identical across
+// fleet shapes exactly when reference and default agree on all of them.
 // Census columns report how much of each network summarizes and how large
 // the row sets get; they are deterministic and survive -stable. In -heavy
 // mode only the heavy department runs — the workload the multicore CI gate
 // holds to a >=1.2x summary speedup via benchdiff -ns-key ir_ns
 // -ns-key-new sum_ns.
-func summaries(rep *reporter, quick, heavy bool, o *obs.Obs) {
+func summaries(rep *reporter, quick, heavy bool, procs, workers int, o *obs.Obs) {
 	rep.printf("== Per-element summaries: compose transfer functions vs re-execute IR ==\n")
 	rep.printf("%-22s %-12s %-12s %-9s %-8s %-9s %-10s %s\n",
 		"Dataset", "IR", "Summaries", "Speedup", "Summar.", "Fallback", "Rows", "MaxRows")
@@ -1002,7 +1022,7 @@ func summaries(rep *reporter, quick, heavy bool, o *obs.Obs) {
 	d := datasets.NewDepartment(deptCfg)
 	deptSrcs, deptTargets := d.AllPairs()
 	summariesRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64}, quick, o)
+		core.Options{MaxHops: 64}, quick, procs, workers, o)
 
 	if !heavy {
 		// Heavy mode scopes to the department batch alone (mirroring
@@ -1013,17 +1033,17 @@ func summaries(rep *reporter, quick, heavy bool, o *obs.Obs) {
 		bb := datasets.StanfordBackbone(zones, perZone)
 		bbSrcs, bbTargets := bb.AllPairs()
 		summariesRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-			core.Options{}, quick, o)
+			core.Options{}, quick, procs, workers, o)
 	}
 	rep.printf("\n")
 }
 
-func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, quick bool, obsv *obs.Obs) {
+func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, quick bool, procs, workers int, obsv *obs.Obs) {
 	reps := 3
 	if quick {
 		reps = 2
 	}
-	// Passes interleave off/on (ABAB) so machine drift hits both sides
+	// Passes interleave IR/summaries (ABAB) so machine drift hits both sides
 	// equally; each pass gets fresh stats and memo cache so the speedup
 	// column measures summaries, not cache warmth. The summary cache itself
 	// intentionally persists across passes — it is built once per element,
@@ -1033,7 +1053,7 @@ func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.Por
 	for i := 0; i < reps; i++ {
 		for _, withSum := range []bool{false, true} {
 			o := opts
-			o.Summaries = withSum
+			o.IRExec = !withSum
 			o.Obs = obsv
 			o.Stats, o.SatMemo = &solver.Stats{}, solver.NewSatCache()
 			if obsv != nil {
@@ -1065,6 +1085,13 @@ func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.Por
 			}
 		}
 	}
+	ref := opts
+	ref.IRExec = true
+	refFP := distSummaryFP(net, srcs, packet, targets, ref, dist.Config{})
+	fp := distSummaryFP(net, srcs, packet, targets, opts, dist.Config{Procs: procs, WorkersPerProc: workers, ShareSat: true})
+	if refFP != fp {
+		fail(fmt.Errorf("summaries %s: path summaries of the default engine at procs=%d workers=%d (%s) differ from the sequential IR reference (%s)", name, procs, workers, fp, refFP))
+	}
 
 	summarized, fallbacks := 0, 0
 	var rowsTotal, rowsMax int64
@@ -1093,6 +1120,7 @@ func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.Por
 			"sources": len(srcs), "pairs": irRep.Pairs(),
 			"ir_ns": irBest.Nanoseconds(), "sum_ns": sumBest.Nanoseconds(),
 			"speedup":          float64(irBest) / float64(sumBest),
+			"summary_fp":       fp,
 			"elems_summarized": summarized, "elems_fallback": fallbacks,
 			"rows_total": rowsTotal, "rows_max": rowsMax, "rows_max_elem": rowsMaxElem,
 		},

@@ -9,7 +9,9 @@
 //	symnet -config pipeline.click -dump-ir        # compiled programs, no run
 //
 // The output always ends with a "solver" block (solver call counters plus
-// the satisfiability-cache hit/miss totals). -metrics adds a schema-versioned
+// the satisfiability-cache hit/miss totals) and a "summaries" block (how
+// many element-port programs the engine summarized, and how many fall back
+// to IR dispatch). -metrics adds a schema-versioned
 // "metrics" block (the obs registry snapshot), -trace-out writes phase spans
 // as JSONL, and -debug-addr serves expvar (live metrics) plus net/http/pprof
 // for the duration of the run. All three are observational: enabling them
@@ -33,12 +35,12 @@ import (
 	"strconv"
 	"strings"
 
+	"symnet"
 	"symnet/internal/click"
 	"symnet/internal/core"
 	"symnet/internal/dist"
 	"symnet/internal/obs"
 	"symnet/internal/prog"
-	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
 	"symnet/internal/verify"
@@ -172,7 +174,14 @@ func main() {
 		memo = solver.NewSatCache()
 		opts.SatMemo = memo
 		memo.RegisterMetrics(reg)
-		res, err := sched.Run(cfg.Net, injectRef, tmpl, opts, *workers)
+		if opts.Workers = *workers; *workers == 0 {
+			opts.Workers = -1 // a Session reads < 0 as all cores
+		}
+		sess, err := symnet.Compile(cfg.Net, opts)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := sess.Run(injectRef, tmpl)
 		if err != nil {
 			fatal(err)
 		}
@@ -201,6 +210,14 @@ func main() {
 	// never counts them during the run — see solver.Stats).
 	solverStats := stats.Solver
 	solverStats.AddCache(memo)
+	summarized, fallback := 0, 0
+	for _, c := range core.SummaryCensus(cfg.Net) {
+		if c.Summarized {
+			summarized++
+		} else {
+			fallback++
+		}
+	}
 	doc := map[string]any{
 		"paths":     out,
 		"delivered": stats.Delivered,
@@ -214,6 +231,7 @@ func main() {
 			"cache_hits":   solverStats.CacheHits,
 			"cache_misses": solverStats.CacheMisses,
 		},
+		"summaries": map[string]any{"summarized": summarized, "fallback": fallback},
 	}
 	if *metrics {
 		doc["metrics"] = reg.Snapshot()

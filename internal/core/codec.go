@@ -140,62 +140,85 @@ func DecodeNetwork(w *WireNetwork) (*Network, error) {
 	return n, nil
 }
 
-// EncodePrograms compiles (as needed) and serializes every element-port
-// program of the network, in element-instance then (in before out, port)
-// order. The coordinator calls it once per batch so workers skip
-// recompilation; compilation work is shared with subsequent local runs via
-// the per-element program cache.
-func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
+// codeRefs lists every port of the network that has code, in
+// element-instance then (in before out, port) order — the deterministic
+// order every whole-network encoder shares. Refs name ports the way the
+// per-element cache keys them: the code-map port (a specific port or
+// WildcardPort) plus direction.
+func codeRefs(n *Network) []PortRef {
 	elems := n.Elements()
 	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
-	var out []WireProgramEntry
+	var refs []PortRef
 	for _, e := range elems {
 		for _, dir := range []bool{false, true} {
 			codes := e.InCode
 			if dir {
 				codes = e.OutCode
 			}
-			ports := make([]int, 0, len(codes))
+			lo := len(refs)
 			for p := range codes {
-				ports = append(ports, p)
+				refs = append(refs, PortRef{Elem: e.Name, Port: p, Out: dir})
 			}
-			sort.Ints(ports)
-			for _, port := range ports {
-				p, ok := e.progFor(port, dir)
-				if !ok {
-					continue
-				}
-				wp, err := prog.EncodeProgram(p)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, WireProgramEntry{Elem: e.Name, Port: port, Out: dir, Prog: wp})
-			}
+			sort.Slice(refs[lo:], func(i, j int) bool { return refs[lo+i].Port < refs[lo+j].Port })
 		}
 	}
-	return out, nil
+	return refs
+}
+
+// codeAt returns the cache entry behind a ref, compiling as needed. An
+// unknown element is an error; ok is false for a port with no code.
+func codeAt(n *Network, ref PortRef) (c *portCode, ok bool, err error) {
+	e, found := n.Element(ref.Elem)
+	if !found {
+		return nil, false, fmt.Errorf("core: unknown element %q", ref.Elem)
+	}
+	c, ok, _ = e.codeFor(ref.Port, ref.Out)
+	return c, ok, nil
+}
+
+// Warm compiles and summarizes every element-port program of the network,
+// so no later run pays for either (and concurrent first runs cannot race to
+// do the same work twice). It returns how many verdicts this call built, by
+// kind — what a run would have added to summary.built and
+// summary.unsummarizable.
+func Warm(n *Network) (summarized, unsummarizable int) {
+	for _, ref := range codeRefs(n) {
+		c, _, _ := codeAt(n, ref)
+		switch sum, built := c.summary(); {
+		case !built:
+		case sum.OK():
+			summarized++
+		default:
+			unsummarizable++
+		}
+	}
+	return summarized, unsummarizable
+}
+
+// EncodePrograms compiles (as needed) and serializes every element-port
+// program of the network. The coordinator calls it once per full setup so
+// workers skip recompilation; compilation work is shared with subsequent
+// local runs via the per-element cache.
+func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
+	return EncodeProgramsFor(n, codeRefs(n))
 }
 
 // EncodeProgramsFor compiles (as needed) and serializes only the programs of
-// the named element ports, in the order given. It is the delta complement of
-// EncodePrograms: after an incremental rule change touches a handful of
-// ports, a resident coordinator re-ships just those entries instead of
-// re-walking the whole network's IR. Refs use PortRef's fields the way the
-// program cache keys them (the resolved code-map port plus direction). An
-// unknown element is an error; a ref with no code attached is skipped, as in
-// EncodePrograms.
+// the named element ports, in the order given: after an incremental rule
+// change touches a handful of ports, a resident coordinator re-ships just
+// those entries instead of re-walking the whole network's IR. An unknown
+// element is an error; a ref with no code attached is skipped.
 func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	out := make([]WireProgramEntry, 0, len(refs))
 	for _, ref := range refs {
-		e, ok := n.Element(ref.Elem)
-		if !ok {
-			return nil, fmt.Errorf("core: encode program for unknown element %q", ref.Elem)
+		c, ok, err := codeAt(n, ref)
+		if err != nil {
+			return nil, fmt.Errorf("core: encode program: %w", err)
 		}
-		p, ok := e.progFor(ref.Port, ref.Out)
 		if !ok {
 			continue
 		}
-		wp, err := prog.EncodeProgram(p)
+		wp, err := prog.EncodeProgram(c.prog)
 		if err != nil {
 			return nil, err
 		}
@@ -204,75 +227,48 @@ func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	return out, nil
 }
 
-// DropSummaries removes any cached summarization verdicts for the named
-// element ports, forcing lazy re-summarization. A worker applying a program
-// delta calls it for the delta'd ports: the resident summaries pre-executed
-// the replaced IR and must not survive it. Unknown elements and ports
-// without a verdict are ignored.
-func DropSummaries(n *Network, refs []PortRef) {
-	for _, ref := range refs {
-		if e, ok := n.Element(ref.Elem); ok {
-			e.sums.Delete(progKey{out: ref.Out, port: ref.Port})
-		}
-	}
-}
-
 // WireSummaryEntry is one summarization verdict keyed like the element's
-// summary cache: a summary (Sum non-nil), or the unsummarizable reason. Both
-// verdicts cross the wire — a worker that had to re-discover fallbacks would
-// re-run the summarizer per element, which is exactly the work the frame
-// exists to skip.
+// cache: a summary's node slab, or the unsummarizable reason. Both verdicts
+// cross the wire — a worker that had to re-discover fallbacks would re-run
+// the summarizer per element, which is exactly the work the frame exists to
+// skip.
 type WireSummaryEntry struct {
 	Elem   string
 	Port   int
 	Out    bool
-	Sum    *prog.WireSummary
+	Nodes  []prog.SumNode
 	Reason string
 }
 
-// EncodeSummaries summarizes (as needed) and serializes the summarization
-// verdict of every element-port program, in the same deterministic order as
-// EncodePrograms. Summarization work is shared with subsequent local runs
-// via the per-element summary cache.
+// EncodeSummaries serializes the summarization verdict of every
+// element-port program, in the same order as EncodePrograms.
 func EncodeSummaries(n *Network) ([]WireSummaryEntry, error) {
-	elems := n.Elements()
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
-	var out []WireSummaryEntry
-	for _, e := range elems {
-		for _, dir := range []bool{false, true} {
-			codes := e.InCode
-			if dir {
-				codes = e.OutCode
-			}
-			ports := make([]int, 0, len(codes))
-			for p := range codes {
-				ports = append(ports, p)
-			}
-			sort.Ints(ports)
-			for _, port := range ports {
-				p, ok := e.progFor(port, dir)
-				if !ok {
-					continue
-				}
-				se, _ := e.summaryForHit(p, port, dir)
-				we := WireSummaryEntry{Elem: e.Name, Port: port, Out: dir, Reason: se.reason}
-				if se.sum != nil {
-					ws, err := prog.EncodeSummary(se.sum)
-					if err != nil {
-						return nil, err
-					}
-					we.Sum = ws
-				}
-				out = append(out, we)
-			}
+	return EncodeSummariesFor(n, codeRefs(n))
+}
+
+// EncodeSummariesFor serializes the verdicts of just the named ports,
+// summarizing as needed (the work is shared with local runs via the
+// per-element cache). A worker needs a port's verdict whenever it is shipped
+// that port's program, so this takes refs exactly like EncodeProgramsFor.
+func EncodeSummariesFor(n *Network, refs []PortRef) ([]WireSummaryEntry, error) {
+	out := make([]WireSummaryEntry, 0, len(refs))
+	for _, ref := range refs {
+		c, ok, err := codeAt(n, ref)
+		if err != nil {
+			return nil, fmt.Errorf("core: encode summary: %w", err)
 		}
+		if !ok {
+			continue
+		}
+		sum, _ := c.summary()
+		out = append(out, WireSummaryEntry{Elem: ref.Elem, Port: ref.Port, Out: ref.Out, Nodes: sum.Nodes, Reason: sum.Reason})
 	}
 	return out, nil
 }
 
 // SummaryCensusRow is one element-port program's summarization verdict with
-// its row-set size, for reporting (symbench's summaries experiment prints
-// rows-per-element statistics from it).
+// its row-set size, for reporting (symbench's summaries experiment and the
+// symnet CLI print statistics from it).
 type SummaryCensusRow struct {
 	Elem       string
 	Port       int
@@ -286,48 +282,27 @@ type SummaryCensusRow struct {
 	Steps int
 }
 
-// SummaryCensus summarizes (as needed) every element-port program and
-// reports each verdict with its row-set size, in the same deterministic
-// order as EncodeSummaries. Work is shared with runs via the per-element
-// summary cache.
+// SummaryCensus reports every element-port program's verdict with its
+// row-set size, in the same order as EncodeSummaries.
 func SummaryCensus(n *Network) []SummaryCensusRow {
-	elems := n.Elements()
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
 	var out []SummaryCensusRow
-	for _, e := range elems {
-		for _, dir := range []bool{false, true} {
-			codes := e.InCode
-			if dir {
-				codes = e.OutCode
-			}
-			ports := make([]int, 0, len(codes))
-			for p := range codes {
-				ports = append(ports, p)
-			}
-			sort.Ints(ports)
-			for _, port := range ports {
-				p, ok := e.progFor(port, dir)
-				if !ok {
-					continue
-				}
-				se, _ := e.summaryForHit(p, port, dir)
-				row := SummaryCensusRow{Elem: e.Name, Port: port, Out: dir, Reason: se.reason}
-				if se.sum != nil {
-					row.Summarized = true
-					row.Rows, row.Nodes, row.Steps = se.sum.Rows, se.sum.Nodes, se.sum.Steps
-				}
-				out = append(out, row)
-			}
-		}
+	for _, ref := range codeRefs(n) {
+		c, _, _ := codeAt(n, ref)
+		sum, _ := c.summary()
+		out = append(out, SummaryCensusRow{
+			Elem: ref.Elem, Port: ref.Port, Out: ref.Out,
+			Summarized: sum.OK(), Reason: sum.Reason,
+			Rows: sum.Rows(), Nodes: len(sum.Nodes), Steps: sum.Steps(),
+		})
 	}
 	return out
 }
 
 // InstallSummaries decodes serialized summarization verdicts into the
-// network's summary caches, keyed exactly as lazy summarization would key
-// them. Each summary is rebound to the worker's installed program for its
+// network's cache entries, keyed exactly as lazy summarization would key
+// them. Each summary is bound to the worker's installed program for its
 // port (summaries reference IR, never copy it), so InstallPrograms must run
-// first for shipped programs to be the rebind targets. Ports without an
+// first for shipped programs to be the ones bound. Ports without an
 // installed verdict still summarize lazily.
 func InstallSummaries(n *Network, entries []WireSummaryEntry) error {
 	for _, we := range entries {
@@ -335,25 +310,22 @@ func InstallSummaries(n *Network, entries []WireSummaryEntry) error {
 		if !ok {
 			return fmt.Errorf("core: install summary for unknown element %q", we.Elem)
 		}
-		p, ok := e.progFor(we.Port, we.Out)
+		c, ok, _ := e.codeFor(we.Port, we.Out)
 		if !ok {
 			return fmt.Errorf("core: install summary for %s port %d: no code attached", we.Elem, we.Port)
 		}
-		se := &sumEntry{reason: we.Reason}
-		if we.Sum != nil {
-			s, err := prog.DecodeSummary(p, we.Sum)
-			if err != nil {
-				return err
-			}
-			se.sum = s
+		sum, err := prog.DecodeSummary(c.prog, we.Nodes, we.Reason)
+		if err != nil {
+			return err
 		}
-		e.sums.Store(progKey{out: we.Out, port: we.Port}, se)
+		c.sum.Store(sum)
 	}
 	return nil
 }
 
-// InstallPrograms decodes serialized programs into the network's compiled
-// caches, keyed exactly as lazy compilation would key them. Ports without an
+// InstallPrograms decodes serialized programs into the network's caches,
+// keyed exactly as lazy compilation would key them; whatever entry a port
+// held before — program and summary — is replaced. Ports without an
 // installed program still compile lazily, so a partial set degrades to local
 // compilation rather than failing.
 func InstallPrograms(n *Network, entries []WireProgramEntry) error {
@@ -366,7 +338,7 @@ func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 		if err != nil {
 			return err
 		}
-		e.progs.Store(progKey{out: we.Out, port: we.Port}, p)
+		e.code.Store(progKey{out: we.Out, port: we.Port}, &portCode{prog: p})
 	}
 	return nil
 }

@@ -11,7 +11,9 @@ import (
 
 // This file is the compiled-program executor: a small dispatch loop over the
 // flat IR of internal/prog that replaces the recursive AST walk of exec
-// (kept behind Options.ASTInterp as the reference interpreter). The loop
+// (kept behind Options.ASTInterp as the reference interpreter). It runs the
+// programs the summary layer cannot summarize (summary_exec.go), and every
+// program under the reference field Options.IRExec. The loop
 // reproduces the AST interpreter's observable behavior exactly — same
 // results, statistics, trace lines, failure messages, and the same global
 // fresh-symbol allocation order — which the differential property tests in
@@ -40,9 +42,11 @@ func (e *progEnv) MetaExists(key memory.MetaKey) bool            { return e.st.M
 func (e *progEnv) Fresh(width int, name string) expr.Lin         { return e.r.alloc.Fresh(width, name) }
 func (e *progEnv) OrTreeGuards() bool                            { return e.r.opts.OrTreeGuards }
 
-// execPort runs the code attached to a port on one state: the compiled-IR
-// dispatch loop by default, the AST interpreter behind Options.ASTInterp.
-// ok is false when the port has no code (neither specific nor wildcard).
+// execPort runs the code attached to a port on one state: the port's
+// summary when its program has one, the compiled-IR dispatch loop when it is
+// unsummarizable (or always, under the reference field Options.IRExec), the
+// AST interpreter behind Options.ASTInterp. ok is false when the port has no
+// code (neither specific nor wildcard).
 func (r *run) execPort(st *State, elem *Element, port int, out bool) ([]*State, bool) {
 	if r.opts.ASTInterp {
 		var code sefl.Instr
@@ -57,7 +61,7 @@ func (r *run) execPort(st *State, elem *Element, port int, out bool) ([]*State, 
 		}
 		return r.exec(st, elem, code), true
 	}
-	p, ok, hit := elem.progForHit(port, out)
+	c, ok, hit := elem.codeFor(port, out)
 	if !ok {
 		return nil, false
 	}
@@ -66,27 +70,27 @@ func (r *run) execPort(st *State, elem *Element, port int, out bool) ([]*State, 
 	} else {
 		r.progMisses.Inc()
 	}
-	if r.opts.Summaries {
-		se, built := elem.summaryForHit(p, port, out)
+	if !r.opts.IRExec {
+		sum, built := c.summary()
 		if built {
-			if se.sum != nil {
+			if sum.OK() {
 				r.sumBuilt.Inc()
 			} else {
 				r.sumUnsum.Inc()
 			}
 		}
-		if se.sum != nil {
+		if sum.OK() {
 			r.sumHits.Inc()
 			r.elemHits.inc(elem.Name)
 			t := r.sumApplyNs.Start()
-			states := r.applySummary(st, se.sum)
+			states := r.applySummary(st, sum)
 			t.Stop()
 			return states, true
 		}
 		r.sumFallbacks.Inc()
 	}
 	t := r.progExecNs.Start()
-	states := r.runProgram(st, p)
+	states := r.runProgram(st, c.prog)
 	t.Stop()
 	return states, true
 }

@@ -49,28 +49,27 @@ type Options struct {
 	// the calling goroutine; internal/sched and the symnet facade honor
 	// this field. Results are identical for any worker count.
 	Workers int
-	// ASTInterp selects the tree-walking AST interpreter instead of the
-	// compiled-IR dispatch loop. The two engines produce byte-identical
-	// Results (pinned by the differential property tests in internal/prog);
-	// the AST walker is kept as the executable reference semantics and for
-	// debugging suspected compiler bugs.
+	// ASTInterp, IRExec and OrTreeGuards are reference semantics for the
+	// differential suites and experiments, not modes to run in: each swaps
+	// one layer of the engine for the slower form it was derived from, and
+	// Results, statistics, traces and symbol allocation are byte-identical
+	// with any of them set (pinned by the property tests in internal/prog).
+	//
+	// ASTInterp selects the tree-walking AST interpreter instead of compiled
+	// programs — the executable reference semantics, and the debugging aid
+	// for suspected compiler bugs.
 	ASTInterp bool
+	// IRExec dispatches the compiled IR on every visit instead of applying
+	// the per-(element,port) summaries (prog.Summarize) the engine builds
+	// from it. Without it the IR loop runs only the programs that cannot be
+	// summarized (data-dependent For loops, fresh symbols minted after
+	// branch points).
+	IRExec bool
 	// OrTreeGuards evaluates interval-table-lowered guards as their
-	// original Or-tree disjuncts (reference semantics for the lowering in
-	// internal/prog). The default consumes the packed span tables; results,
-	// statistics, traces and symbol allocation are identical either way
-	// (pinned by the guard differential tests in internal/prog) — only the
+	// original Or-tree disjuncts instead of the packed span tables. Only the
 	// constraint-fingerprint chain differs, since the solver is handed a
-	// packed membership condition instead of a disjunction.
+	// disjunction instead of a packed membership condition.
 	OrTreeGuards bool
-	// Summaries applies pre-built per-(element,port) transfer-function
-	// summaries (prog.Summarize) instead of dispatching the compiled IR on
-	// every visit; elements whose code is unsummarizable (data-dependent For
-	// loops, fresh symbols minted after branch points) fall back to the IR
-	// path per visit. Results, statistics, traces and symbol allocation are
-	// byte-identical either way (pinned by the summaries differential tests
-	// in internal/prog); the IR path remains the reference semantics.
-	Summaries bool
 	// Obs attaches observability sinks (metrics registry, span tracer; see
 	// internal/obs). Telemetry is strictly observational: results, traces
 	// and statistics are byte-identical with or without it (pinned by the

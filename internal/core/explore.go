@@ -93,10 +93,10 @@ type Exploration struct {
 	progMisses *obs.Counter   // core.progcache.misses: port programs compiled
 	queueDepth *obs.Gauge     // core.queue.depth.max: pending-task high-water
 	satNs      *obs.Histogram // solver.sat.check_ns: per-Sat-check wall time
-	// Summary-layer instruments (nil without a registry; the summary.*
-	// family only moves when Options.Summaries is set, while prog.exec_ns
-	// times every IR-path visit — a summaries-off pass populates it for the
-	// apply-vs-exec comparison; see execPort).
+	// Summary-layer instruments (nil without a registry; prog.exec_ns times
+	// every IR-path visit — the fallback elements by default, all of them
+	// under Options.IRExec, which is how the summaries experiment populates
+	// it for the apply-vs-exec comparison; see execPort).
 	sumBuilt     *obs.Counter   // summary.built: programs summarized
 	sumUnsum     *obs.Counter   // summary.unsummarizable: fallback verdicts
 	sumHits      *obs.Counter   // summary.hits: visits applied via summary

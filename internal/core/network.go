@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
@@ -23,10 +24,10 @@ const WildcardPort = -1
 // input ports, so bidirectional connectivity needs two port pairs (§5).
 //
 // Port code is authored as a SEFL AST and compiled lazily to the flat IR of
-// internal/prog on first execution; the compiled program is cached per
-// (direction, port key) and shared read-only across scheduler workers and
-// batch jobs. SetInCode/SetOutCode invalidate the affected cache entry, so
-// models may be regenerated between runs.
+// internal/prog on first execution; the compiled program and its summary are
+// cached together per (direction, port key) and shared read-only across
+// scheduler workers and batch jobs. SetInCode/SetOutCode invalidate the
+// affected cache entry, so models may be regenerated between runs.
 type Element struct {
 	Name     string
 	Kind     string // descriptive: "switch", "router", "nat", ...
@@ -36,28 +37,37 @@ type Element struct {
 	InCode   map[int]sefl.Instr
 	OutCode  map[int]sefl.Instr
 
-	// progs caches compiled programs keyed by progKey. The key's port is
-	// the resolved code-map key (a specific port or WildcardPort), so all
-	// ports sharing wildcard code share one compiled program.
-	progs sync.Map // progKey -> *prog.Program
-	// sums caches summarization results (a summary, or the unsummarizable
-	// verdict) under the same keys, invalidated together with progs.
-	sums sync.Map // progKey -> *sumEntry
+	// code caches what the engine executes, keyed by progKey. The key's
+	// port is the resolved code-map key (a specific port or WildcardPort),
+	// so all ports sharing wildcard code share one entry.
+	code sync.Map // progKey -> *portCode
 }
 
-// progKey identifies one cached compiled program of an element.
+// progKey identifies one cache entry of an element.
 type progKey struct {
 	out  bool
 	port int
 }
 
-// sumEntry is one cached summarization verdict: either a summary, or the
-// reason the program is unsummarizable (sum nil). Caching the negative
-// verdict matters as much as the positive one — fallback elements are
-// visited just as often and must not re-attempt summarization per visit.
-type sumEntry struct {
-	sum    *prog.Summary
-	reason string
+// portCode is one cache entry: a compiled program and, once somebody asked
+// for it, its summarization verdict. The negative verdict is cached like the
+// positive one — fallback elements are visited just as often and must not
+// re-attempt summarization per visit.
+type portCode struct {
+	prog *prog.Program
+	sum  atomic.Pointer[prog.Summary]
+}
+
+// summary returns the program's summarization verdict, summarizing on first
+// use, plus whether this call built it. Concurrent first uses may summarize
+// twice; one wins and summarization is a pure function of the program, so
+// results do not depend on the race.
+func (c *portCode) summary() (*prog.Summary, bool) {
+	if s := c.sum.Load(); s != nil {
+		return s, false
+	}
+	built := c.sum.CompareAndSwap(nil, prog.Summarize(c.prog))
+	return c.sum.Load(), built
 }
 
 // SetInCode attaches code to an input port (WildcardPort for all).
@@ -66,8 +76,7 @@ func (e *Element) SetInCode(port int, code sefl.Instr) *Element {
 		e.InCode = make(map[int]sefl.Instr)
 	}
 	e.InCode[port] = code
-	e.progs.Delete(progKey{out: false, port: port})
-	e.sums.Delete(progKey{out: false, port: port})
+	e.code.Delete(progKey{out: false, port: port})
 	return e
 }
 
@@ -77,43 +86,53 @@ func (e *Element) SetOutCode(port int, code sefl.Instr) *Element {
 		e.OutCode = make(map[int]sefl.Instr)
 	}
 	e.OutCode[port] = code
-	e.progs.Delete(progKey{out: true, port: port})
-	e.sums.Delete(progKey{out: true, port: port})
+	e.code.Delete(progKey{out: true, port: port})
 	return e
 }
 
 // PatchedOutCode records that an output port's code was updated by an
 // in-place patch of its already-compiled program (prog.PatchGuard): the
 // source AST is replaced so a later cache invalidation recompiles the new
-// rules, and the summary entry is dropped (summaries pre-execute the guard,
-// so they must rebuild from the patched program) — but the compiled-program
-// cache entry is kept, because the cached program object is the one that was
-// just patched. Callers must not be executing the element concurrently.
+// rules, and the summary half of the cache entry is rebuilt from the patched
+// program (its cached renders print the guard) — but the program half is
+// kept, because the cached program object is the one that was just patched.
+// Callers must not be executing the element concurrently.
 func (e *Element) PatchedOutCode(port int, code sefl.Instr) {
 	if e.OutCode == nil {
 		e.OutCode = make(map[int]sefl.Instr)
 	}
 	e.OutCode[port] = code
-	e.sums.Delete(progKey{out: true, port: port})
+	if v, ok := e.code.Load(progKey{out: true, port: port}); ok {
+		c := v.(*portCode)
+		c.sum.Store(prog.Summarize(c.prog))
+	}
+}
+
+// codeKey resolves a port to the key its code is cached under: the port
+// itself, or WildcardPort when only wildcard code covers it. ok is false
+// when the port has no code.
+func (e *Element) codeKey(port int, out bool) (progKey, bool) {
+	codes := e.InCode
+	if out {
+		codes = e.OutCode
+	}
+	if _, ok := codes[port]; !ok {
+		if _, ok := codes[WildcardPort]; !ok {
+			return progKey{}, false
+		}
+		port = WildcardPort
+	}
+	return progKey{out: out, port: port}, true
 }
 
 // CachedProgram returns the compiled program cached for a port, without
 // compiling on miss — the handle an incremental updater patches in place.
 // The bool reports whether a compiled program was resident.
 func (e *Element) CachedProgram(port int, out bool) (*prog.Program, bool) {
-	codes := e.InCode
-	if out {
-		codes = e.OutCode
-	}
-	key := port
-	if _, ok := codes[key]; !ok {
-		if _, ok := codes[WildcardPort]; !ok {
-			return nil, false
+	if ck, ok := e.codeKey(port, out); ok {
+		if v, ok := e.code.Load(ck); ok {
+			return v.(*portCode).prog, true
 		}
-		key = WildcardPort
-	}
-	if v, ok := e.progs.Load(progKey{out: out, port: key}); ok {
-		return v.(*prog.Program), true
 	}
 	return nil, false
 }
@@ -134,69 +153,30 @@ func (e *Element) outCodeFor(port int) (sefl.Instr, bool) {
 	return c, ok
 }
 
-// progFor returns the compiled program for a port's code, compiling and
-// caching on first use. Concurrent first uses may compile twice; LoadOrStore
-// keeps one winner and the loser is equivalent (programs are pure
-// compilations of the same AST), so results do not depend on the race.
-func (e *Element) progFor(port int, out bool) (*prog.Program, bool) {
-	p, ok, _ := e.progForHit(port, out)
-	return p, ok
-}
-
-// progForHit is progFor plus whether the program came from the cache (hit)
-// or was compiled on this call, for the engine's telemetry counters.
-func (e *Element) progForHit(port int, out bool) (*prog.Program, bool, bool) {
-	codes := e.InCode
+// codeFor returns the cache entry for a port's code, compiling and caching
+// on first use; hit reports whether the entry came from the cache. ok is
+// false when the port has no code. Concurrent first uses may compile twice;
+// LoadOrStore keeps one winner and the loser is equivalent (programs are
+// pure compilations of the same AST), so results do not depend on the race.
+func (e *Element) codeFor(port int, out bool) (c *portCode, ok, hit bool) {
+	ck, ok := e.codeKey(port, out)
+	if !ok {
+		return nil, false, false
+	}
+	if v, ok := e.code.Load(ck); ok {
+		return v.(*portCode), true, true
+	}
+	codes, dir := e.InCode, "in"
 	if out {
-		codes = e.OutCode
+		codes, dir = e.OutCode, "out"
 	}
-	key := port
-	if _, ok := codes[key]; !ok {
-		if _, ok := codes[WildcardPort]; !ok {
-			return nil, false, false
-		}
-		key = WildcardPort
-	}
-	ck := progKey{out: out, port: key}
-	if v, ok := e.progs.Load(ck); ok {
-		return v.(*prog.Program), true, true
-	}
-	dir := "in"
-	if out {
-		dir = "out"
-	}
-	portLabel := fmt.Sprintf("%d", key)
-	if key == WildcardPort {
+	portLabel := fmt.Sprintf("%d", ck.port)
+	if ck.port == WildcardPort {
 		portLabel = "*"
 	}
-	p := prog.Compile(codes[key], e.Name, e.Instance, fmt.Sprintf("%s.%s[%s]", e.Name, dir, portLabel))
-	actual, _ := e.progs.LoadOrStore(ck, p)
-	return actual.(*prog.Program), true, false
-}
-
-// summaryForHit returns the cached summarization verdict for a port's
-// program, summarizing on first use, plus whether this call built it (for
-// the engine's summary.built/.unsummarizable counters). Key resolution
-// mirrors progForHit, so ports sharing wildcard code share one verdict.
-// Like program compilation, concurrent first uses may summarize twice;
-// LoadOrStore keeps one winner and summarization is a pure function of the
-// program, so results do not depend on the race.
-func (e *Element) summaryForHit(p *prog.Program, port int, out bool) (*sumEntry, bool) {
-	codes := e.InCode
-	if out {
-		codes = e.OutCode
-	}
-	key := port
-	if _, ok := codes[key]; !ok {
-		key = WildcardPort
-	}
-	ck := progKey{out: out, port: key}
-	if v, ok := e.sums.Load(ck); ok {
-		return v.(*sumEntry), false
-	}
-	sum, reason := prog.Summarize(p)
-	actual, loaded := e.sums.LoadOrStore(ck, &sumEntry{sum: sum, reason: reason})
-	return actual.(*sumEntry), !loaded
+	p := prog.Compile(codes[ck.port], e.Name, e.Instance, fmt.Sprintf("%s.%s[%s]", e.Name, dir, portLabel))
+	actual, _ := e.code.LoadOrStore(ck, &portCode{prog: p})
+	return actual.(*portCode), true, false
 }
 
 // Programs returns the compiled program of every port that has code,
@@ -206,9 +186,9 @@ func (e *Element) Programs() []*prog.Program {
 	var out []*prog.Program
 	seen := make(map[*prog.Program]bool)
 	add := func(port int, dir bool) {
-		if p, ok := e.progFor(port, dir); ok && !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+		if c, ok, _ := e.codeFor(port, dir); ok && !seen[c.prog] {
+			seen[c.prog] = true
+			out = append(out, c.prog)
 		}
 	}
 	for port := 0; port < e.NumIn; port++ {

@@ -16,7 +16,7 @@ import (
 // byte-identical to the IR path by construction: steps run through the same
 // evaluators and solver calls in the same per-path order and reuse
 // applyLinearRest for their semantics; the wins are the per-visit costs the
-// DAG hoists — pre-resolved successor-port slices, once-ever renders of
+// summary pays once — shared successor-port slices, once-ever renders of
 // trace lines and constraint-failure messages (the IR re-renders the
 // failing guard's full table per visit), and no segment bookkeeping.
 
@@ -24,33 +24,34 @@ import (
 // in the IR executor's canonical order.
 func (r *run) applySummary(st *State, sum *prog.Summary) []*State {
 	env := &progEnv{r: r}
-	return r.applyNode(sum.Prog, sum.Root, st, env)
+	return r.applyNode(sum, sum.Root(), st, env)
 }
 
 // applyNode walks the DAG from one node. A state that fails or sets its
 // output ports mid-row is done — the IR skips every remaining op for such
 // states, so the walk returns it as-is (position in the output order is
 // preserved by the recursion, matching runSeg's pass-through).
-func (r *run) applyNode(p *prog.Program, n *prog.SumNode, s *State, env *progEnv) []*State {
+func (r *run) applyNode(sum *prog.Summary, ni int32, s *State, env *progEnv) []*State {
 	for {
-		for _, step := range n.Steps {
+		n := &sum.Nodes[ni]
+		for i := n.Lo; i < n.Hi; i++ {
 			if s.Status == Failed || s.forwarding() {
 				return []*State{s}
 			}
-			r.applySumStep(p, step, s, env)
+			r.applySumStep(sum, i, s, env)
 		}
 		switch n.Term {
 		case prog.TermEnd:
 			return []*State{s}
 		case prog.TermJump:
-			n = n.Next
+			ni = n.Next
 		case prog.TermBranch:
 			if s.Status == Failed || s.forwarding() {
 				return []*State{s}
 			}
-			op := n.BrOp
+			op := &sum.Prog.Ops[n.Hi]
 			if s.traceOn && op.Ins != nil {
-				s.pushTrace(n.BranchTrace(p.Elem))
+				s.pushTrace(sum.TraceLine(n.Hi))
 			}
 			env.st = s
 			cond, err := prog.EvalCond(env, op.C)
@@ -62,12 +63,12 @@ func (r *run) applyNode(p *prog.Program, n *prog.SumNode, s *State, env *progEnv
 			elseSt := s
 			var out []*State
 			if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
-				out = append(out, r.applyNode(p, n.Then, thenSt, env)...)
+				out = append(out, r.applyNode(sum, n.Then, thenSt, env)...)
 			} else {
 				r.pruned++
 			}
 			if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-				out = append(out, r.applyNode(p, n.Else, elseSt, env)...)
+				out = append(out, r.applyNode(sum, n.Else, elseSt, env)...)
 			} else {
 				r.pruned++
 			}
@@ -76,13 +77,13 @@ func (r *run) applyNode(p *prog.Program, n *prog.SumNode, s *State, env *progEnv
 	}
 }
 
-// applySumStep executes one step, mutating the state in place. It mirrors
-// applyLinear exactly, with the per-visit allocations replaced by the
-// step's shared precomputations.
-func (r *run) applySumStep(p *prog.Program, step *prog.SumStep, s *State, env *progEnv) {
-	op := step.Op
+// applySumStep executes the linear op at index i, mutating the state in
+// place. It mirrors applyLinear exactly, with the per-visit allocations
+// replaced by what the program and the summary hold once for all visits.
+func (r *run) applySumStep(sum *prog.Summary, i int32, s *State, env *progEnv) {
+	op := &sum.Prog.Ops[i]
 	if s.traceOn {
-		s.pushTrace(step.TraceLine(p.Elem))
+		s.pushTrace(sum.TraceLine(i))
 	}
 	env.st = s
 	switch op.Kind {
@@ -93,18 +94,17 @@ func (r *run) applySumStep(p *prog.Program, step *prog.SumStep, s *State, env *p
 			return
 		}
 		if !s.Ctx.Add(cond) || (s.Ctx.PendingOrs() > 0 && !s.Ctx.Sat()) {
-			s.fail(step.ConstrainFailMsg())
+			s.fail(sum.ConstrainFailMsg(i))
 		}
 
 	case prog.OpForward, prog.OpFork:
-		if step.Fwd == nil {
-			// Only an empty Fork precomputes no ports.
+		if len(op.Ports) == 0 {
 			s.fail("Fork with no ports")
 			return
 		}
-		// The shared slice is safe to hand out: states never mutate outPorts
-		// in place (depart nils it, clone copies it).
-		s.outPorts = step.Fwd
+		// The program's slice is safe to hand out: states never mutate
+		// outPorts in place (depart nils it, clone copies it).
+		s.outPorts = op.Ports
 
 	default:
 		r.applyLinearRest(op, s, env)

@@ -1,13 +1,17 @@
 package core
 
-// Regression tests for the dual cache invalidation contract: SetInCode and
-// SetOutCode must drop BOTH the compiled program and the cached
-// summarization verdict for the rebound port, or a stale summary would keep
-// executing the old code after a rebind.
+// Regression tests for the invalidation contract of the merged cache entry
+// (program + summary under one key): SetInCode and SetOutCode drop the whole
+// entry, PatchedOutCode keeps the program and rebuilds the summary, and
+// every one of them is scoped to the rebound port — or a stale summary would
+// keep executing the old code after a rebind.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
 
@@ -19,23 +23,28 @@ func summaryCacheFixture() (*Network, *Element) {
 	return net, e
 }
 
-// populate compiles and summarizes one port, returning the cached entries.
-func populate(t *testing.T, e *Element, port int, out bool) (any, any) {
+// populate compiles and summarizes one port, returning its cache entry and
+// the summary it holds.
+func populate(t *testing.T, e *Element, port int, out bool) (*portCode, *prog.Summary) {
 	t.Helper()
-	p, ok := e.progFor(port, out)
+	c, ok, _ := e.codeFor(port, out)
 	if !ok {
 		t.Fatalf("no code on port %d out=%v", port, out)
 	}
-	se, _ := e.summaryForHit(p, port, out)
-	if se == nil {
-		t.Fatalf("no summary entry on port %d out=%v", port, out)
+	sum, _ := c.summary()
+	if v, _ := e.code.Load(progKey{out: out, port: port}); v != c || c.sum.Load() != sum || sum == nil {
+		t.Fatalf("cache entry not populated on port %d out=%v", port, out)
 	}
-	pv, _ := e.progs.Load(progKey{out: out, port: port})
-	sv, _ := e.sums.Load(progKey{out: out, port: port})
-	if pv == nil || sv == nil {
-		t.Fatalf("caches not populated on port %d out=%v", port, out)
+	return c, sum
+}
+
+// cached returns the entry resident under a key, nil when there is none.
+func cached(e *Element, port int, out bool) *portCode {
+	v, ok := e.code.Load(progKey{out: out, port: port})
+	if !ok {
+		return nil
 	}
-	return pv, sv
+	return v.(*portCode)
 }
 
 func TestSetInCodeInvalidatesProgramAndSummary(t *testing.T) {
@@ -43,26 +52,26 @@ func TestSetInCodeInvalidatesProgramAndSummary(t *testing.T) {
 	populate(t, e, 0, false)
 
 	e.SetInCode(0, sefl.Forward{Port: 1})
-	if _, ok := e.progs.Load(progKey{out: false, port: 0}); ok {
-		t.Error("SetInCode left the compiled program cached")
-	}
-	if _, ok := e.sums.Load(progKey{out: false, port: 0}); ok {
-		t.Error("SetInCode left the summary cached")
+	if cached(e, 0, false) != nil {
+		t.Error("SetInCode left the cache entry (program and summary) resident")
 	}
 
 	// The rebound port must recompile and re-summarize to the new code.
-	p, _ := e.progFor(0, false)
-	se, built := e.summaryForHit(p, 0, false)
+	c, _, hit := e.codeFor(0, false)
+	if hit {
+		t.Error("program not recompiled after SetInCode")
+	}
+	sum, built := c.summary()
 	if !built {
 		t.Error("summary not rebuilt after SetInCode")
 	}
-	if se.sum == nil {
-		t.Fatalf("rebound code unsummarizable: %s", se.reason)
+	if !sum.OK() {
+		t.Fatalf("rebound code unsummarizable: %s", sum.Reason)
 	}
-	root := se.sum.Root
-	last := root.Steps[len(root.Steps)-1]
-	if len(last.Fwd) != 1 || last.Fwd[0] != 1 {
-		t.Errorf("rebuilt summary forwards to %v, want [1] (the new code)", last.Fwd)
+	root := sum.Nodes[sum.Root()]
+	last := sum.Prog.Ops[root.Hi-1]
+	if last.Kind != prog.OpForward || len(last.Ports) != 1 || last.Ports[0] != 1 {
+		t.Errorf("rebuilt summary ends in %v -> %v, want a forward to [1] (the new code)", last.Kind, last.Ports)
 	}
 }
 
@@ -71,38 +80,76 @@ func TestSetOutCodeInvalidatesProgramAndSummary(t *testing.T) {
 	populate(t, e, 1, true)
 
 	e.SetOutCode(1, sefl.Constrain{C: sefl.CBool(true)})
-	if _, ok := e.progs.Load(progKey{out: true, port: 1}); ok {
-		t.Error("SetOutCode left the compiled program cached")
+	if cached(e, 1, true) != nil {
+		t.Error("SetOutCode left the cache entry (program and summary) resident")
 	}
-	if _, ok := e.sums.Load(progKey{out: true, port: 1}); ok {
-		t.Error("SetOutCode left the summary cached")
+	c, _, hit := e.codeFor(1, true)
+	if hit {
+		t.Error("program not recompiled after SetOutCode")
 	}
-	p, _ := e.progFor(1, true)
-	if _, built := e.summaryForHit(p, 1, true); !built {
+	if _, built := c.summary(); !built {
 		t.Error("summary not rebuilt after SetOutCode")
 	}
 }
 
-// TestSetCodeInvalidationIsPortScoped pins that rebinding one port leaves
-// the other ports' caches (including wildcard-keyed ones) intact.
-func TestSetCodeInvalidationIsPortScoped(t *testing.T) {
+// TestPatchedOutCodeKeepsProgramRebuildsSummary pins the one invalidation
+// that splits the entry: an in-place guard patch keeps the program object
+// (it is the thing that was patched) and replaces the summary, whose cached
+// renders print the old guard.
+func TestPatchedOutCodeKeepsProgramRebuildsSummary(t *testing.T) {
 	_, e := summaryCacheFixture()
-	e.SetInCode(1, sefl.Forward{Port: 0})
-	pv0, sv0 := populate(t, e, 0, false)
-	populate(t, e, 1, false)
+	c, sum := populate(t, e, 1, true)
+	p := c.prog
 
-	e.SetInCode(1, sefl.Forward{Port: 1})
-	if got, _ := e.progs.Load(progKey{out: false, port: 0}); got != pv0 {
-		t.Error("rebinding port 1 disturbed port 0's compiled program")
+	guard := sefl.Constrain{C: sefl.CBool(true)}
+	e.PatchedOutCode(1, guard)
+	if got := cached(e, 1, true); got != c || got.prog != p {
+		t.Error("PatchedOutCode replaced the compiled program")
 	}
-	if got, _ := e.sums.Load(progKey{out: false, port: 0}); got != sv0 {
-		t.Error("rebinding port 1 disturbed port 0's summary")
+	fresh := c.sum.Load()
+	if fresh == nil || fresh == sum {
+		t.Error("PatchedOutCode left the old summary in the entry")
+	}
+	if _, built := c.summary(); built {
+		t.Error("PatchedOutCode left the summary to be rebuilt by the next visit")
+	}
+	if e.OutCode[1] != sefl.Instr(guard) {
+		t.Error("PatchedOutCode did not record the new source AST")
 	}
 }
 
-// TestSummaryRebindBehavioral runs the engine across a rebind: results with
-// summaries on must track the new code, proving no stale summary survives
-// end-to-end.
+// TestSetCodeInvalidationIsPortScoped pins that rebinding or patching one
+// port leaves the other ports' entries intact, and that ports sharing
+// wildcard code share one entry that only a wildcard rebind drops.
+func TestSetCodeInvalidationIsPortScoped(t *testing.T) {
+	_, e := summaryCacheFixture()
+	e.SetInCode(1, sefl.Forward{Port: 0})
+	c0, s0 := populate(t, e, 0, false)
+	populate(t, e, 1, false)
+	e.SetOutCode(WildcardPort, sefl.NoOp{})
+	cw, _, _ := e.codeFor(0, true) // out[0] has only the wildcard code
+	sw, _ := cw.summary()
+	if cached(e, WildcardPort, true) != cw {
+		t.Fatal("a port covered by wildcard code is not cached under the wildcard key")
+	}
+
+	e.SetInCode(1, sefl.Forward{Port: 1})
+	e.PatchedOutCode(1, sefl.NoOp{})
+	if got := cached(e, 0, false); got != c0 || got.sum.Load() != s0 {
+		t.Error("rebinding in[1] and patching out[1] disturbed in[0]'s entry")
+	}
+	if got := cached(e, WildcardPort, true); got != cw || got.sum.Load() != sw {
+		t.Error("rebinding in[1] and patching out[1] disturbed the wildcard entry")
+	}
+
+	e.SetOutCode(WildcardPort, sefl.Constrain{C: sefl.CBool(true)})
+	if cached(e, WildcardPort, true) != nil {
+		t.Error("rebinding the wildcard code left its shared entry resident")
+	}
+}
+
+// TestSummaryRebindBehavioral runs the engine across a rebind: results must
+// track the new code, proving no stale summary survives end-to-end.
 func TestSummaryRebindBehavioral(t *testing.T) {
 	net := NewNetwork()
 	e := net.AddElement("dut", "dut", 1, 2)
@@ -114,7 +161,7 @@ func TestSummaryRebindBehavioral(t *testing.T) {
 	net.MustLink("dut", 0, "a", 0)
 	net.MustLink("dut", 1, "b", 0)
 
-	opts := Options{MaxHops: 4, Summaries: true}
+	opts := Options{MaxHops: 4}
 	inj := PortRef{Elem: "dut", Port: 0}
 	res, err := Run(net, inj, sefl.NoOp{}, opts)
 	if err != nil {
@@ -131,5 +178,54 @@ func TestSummaryRebindBehavioral(t *testing.T) {
 	}
 	if got := len(res.DeliveredAt("b", -1)); got != 1 {
 		t.Fatalf("after rebind: delivered at b = %d, want 1 — summary went stale", got)
+	}
+}
+
+// summaryBytesCap is what one summarized straight-line element-port may
+// retain beyond its compiled program and cache entry: the Summary itself
+// (64 bytes) and a one-node slab (24) come to 88; a per-step list, a second
+// per-element map or pointer-linked nodes would each blow through the cap.
+const summaryBytesCap = 128
+
+// TestSummaryResidentBytesPerStraightLinePort pins the resident cost of
+// summarizing: engines hold thousands of branch-free element-ports (every
+// hop of a chain), so a summary has to cost them next to nothing.
+func TestSummaryResidentBytesPerStraightLinePort(t *testing.T) {
+	const n = 2000
+	build := func() *Network {
+		net := NewNetwork()
+		for i := 0; i < n; i++ {
+			e := net.AddElement(fmt.Sprintf("pre%d", i), "chain", 1, 1)
+			m := sefl.Meta{Name: "m"}
+			e.SetInCode(0, sefl.Seq(
+				sefl.Allocate{LV: m, Size: 32},
+				sefl.Assign{LV: m, E: sefl.Symbolic{W: 32, Name: m.Name}},
+				sefl.Constrain{C: sefl.Ge(sefl.Ref{LV: m}, sefl.C(uint64(i%7)))},
+				sefl.Assign{LV: sefl.IPTTL, E: sefl.Sub{A: sefl.Ref{LV: sefl.IPTTL}, B: sefl.C(1)}},
+				sefl.Forward{Port: 0},
+			))
+		}
+		return net
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	net := build()
+	for _, e := range net.Elements() {
+		e.Programs() // compiled, not yet summarized
+	}
+	before := heap()
+	if summarized, unsummarizable := Warm(net); summarized != n || unsummarizable != 0 {
+		t.Fatalf("Warm summarized %d and refused %d of %d straight-line programs", summarized, unsummarizable, n)
+	}
+	after := heap()
+	runtime.KeepAlive(net)
+	per := (float64(after) - float64(before)) / n
+	t.Logf("%.1f bytes retained per summarized straight-line element-port", per)
+	if per > summaryBytesCap {
+		t.Errorf("summaries retain %.1f bytes per straight-line element-port, cap %d", per, summaryBytesCap)
 	}
 }

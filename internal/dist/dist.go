@@ -209,9 +209,9 @@ func shardBounds(jobs, k, n int) (lo, hi int) {
 	return k * jobs / n, (k + 1) * jobs / n
 }
 
-// buildSetup serializes the network and its compiled programs once per full
-// setup, plus the summarization verdicts when some job will consume them.
-func buildSetup(net *core.Network, needSummaries bool) (*setupFrame, error) {
+// buildSetup serializes the network, its compiled programs and their
+// summarization verdicts once per full setup.
+func buildSetup(net *core.Network) (*setupFrame, error) {
 	wnet, err := core.EncodeNetwork(net)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -220,13 +220,11 @@ func buildSetup(net *core.Network, needSummaries bool) (*setupFrame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	s := &setupFrame{Net: wnet, Programs: progs}
-	if needSummaries {
-		if s.Summaries, err = core.EncodeSummaries(net); err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
+	sums, err := core.EncodeSummaries(net)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	return s, nil
+	return &setupFrame{Net: wnet, Programs: progs, Summaries: sums}, nil
 }
 
 // buildShard converts one contiguous job range to wire jobs.

@@ -372,30 +372,32 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 }
 
 // TestSummariesDistByteIdentical is the distributed face of the summary
-// acceptance property: per-element summaries on or off, at procs 0 and 2,
-// every dataset batch produces the same bytes as the summaries-off
-// in-process reference — full canonical encoding, constraint fingerprints
-// included, since summaries replay the exact IR solver call sequence. It
-// also pins the summary wire crossing, since workers execute the shipped
-// encode→decode summaries.
+// acceptance property: the default engine or the IR reference
+// (Options.IRExec), at procs 0 and 2, every dataset batch produces the same
+// bytes as the IR reference in-process — full canonical encoding, constraint
+// fingerprints included, since summaries replay the exact IR solver call
+// sequence. It also pins the summary wire crossing, since workers execute
+// the shipped summaries.
 func TestSummariesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
+	withIRExec := func(jobs []dist.Job, irExec bool) []dist.Job {
+		out := append([]dist.Job(nil), jobs...)
+		for i := range out {
+			out[i].Opts.IRExec = irExec
+		}
+		return out
+	}
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			want := reference(t, tc.net, tc.jobs)
-			for _, summaries := range []bool{false, true} {
-				jobs := make([]dist.Job, len(tc.jobs))
-				for i, j := range tc.jobs {
-					jobs[i] = j
-					jobs[i].Opts.Summaries = summaries
-				}
+			want := reference(t, tc.net, withIRExec(tc.jobs, true))
+			for _, irExec := range []bool{true, false} {
 				for _, procs := range []int{0, 2} {
-					got := canonical(t, dist.RunBatch(tc.net, jobs, procs, 2))
+					got := canonical(t, dist.RunBatch(tc.net, withIRExec(tc.jobs, irExec), procs, 2))
 					if string(got) != string(want) {
-						t.Errorf("summaries=%v procs=%d: results differ from summaries-off in-process reference",
-							summaries, procs)
+						t.Errorf("IRExec=%v procs=%d: results differ from the IR reference in-process",
+							irExec, procs)
 					}
 				}
 			}
@@ -404,49 +406,71 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 }
 
 // TestSummariesDistWorkersInstallNotRebuild pins the division of labor
-// across the wire: the coordinator summarizes once and ships verdicts in the
-// setup frame, workers install them — so the absorbed worker telemetry shows
-// summary applications (hits) and IR fallbacks (the For-gated element), but
-// zero worker-side builds.
+// across the wire: the coordinator summarizes once and ships verdicts with
+// every program it ships — the full setup, and the delta after a Refresh —
+// and workers install them. No job asks for anything (zero Options), yet the
+// absorbed worker telemetry shows summary applications (hits) and IR
+// fallbacks (the For-gated element) on full, reuse and delta batches alike,
+// and zero worker-side builds on any of them.
 func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
 	net, inject := datasets.SatHeavy(8)
 	g := net.AddElement("sumgate", "gate", 1, 1)
-	g.SetInCode(0, sefl.Seq(
-		sefl.NewFor("^__none__", "dist.test.sumgate", ""),
-		sefl.Forward{Port: 0},
-	))
+	gate := func(port int) sefl.Instr {
+		return sefl.Seq(
+			sefl.NewFor("^__none__", "dist.test.sumgate", ""),
+			sefl.Forward{Port: port},
+		)
+	}
+	g.SetInCode(0, gate(0))
 	net.MustLink("sumgate", 0, inject.Elem, inject.Port)
 	gated := core.PortRef{Elem: "sumgate", Port: 0}
 
 	jobs := make([]dist.Job, 4)
 	for i := range jobs {
-		jobs[i] = dist.Job{
-			Name: fmt.Sprintf("q%d", i), Inject: gated, Packet: sefl.NewTCPPacket(),
-			Opts: core.Options{Summaries: true},
-		}
+		jobs[i] = dist.Job{Name: fmt.Sprintf("q%d", i), Inject: gated, Packet: sefl.NewTCPPacket()}
 	}
-	want := reference(t, net, jobs)
 
 	reg := obs.NewRegistry()
-	out := dist.RunBatchConfig(net, jobs, dist.Config{
-		Procs: 2, WorkersPerProc: 2, ShareSat: true, Obs: obs.New(reg, nil),
-	})
-	if got := canonical(t, out); string(got) != string(want) {
-		t.Errorf("summaries dist results differ from in-process reference:\n got: %.400s\nwant: %.400s", got, want)
+	pool, err := dist.NewPool(dist.Config{Procs: 2, WorkersPerProc: 2, ShareSat: true, Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["summary.hits"] == 0 {
-		t.Errorf("no summary applications absorbed from workers; counters: %v", snap.Counters)
+	defer pool.Close()
+	var prev obs.Snapshot
+	batch := func(mode string) {
+		t.Helper()
+		want := reference(t, net, jobs)
+		if got := canonical(t, pool.RunBatch(net, jobs)); string(got) != string(want) {
+			t.Errorf("%s batch: results differ from in-process reference:\n got: %.400s\nwant: %.400s", mode, got, want)
+		}
+		snap := reg.Snapshot()
+		grew := func(name string) int64 { return snap.Counters[name] - prev.Counters[name] }
+		if grew("dist.setup."+mode) != 2 {
+			t.Errorf("%s batch: dist.setup.%s grew by %d, want both workers", mode, mode, grew("dist.setup."+mode))
+		}
+		if grew("summary.hits") == 0 {
+			t.Errorf("%s batch: no summary applications absorbed from workers; counters: %v", mode, snap.Counters)
+		}
+		if grew("summary.fallbacks") == 0 {
+			t.Errorf("%s batch: no IR fallbacks absorbed despite the For-gated element; counters: %v", mode, snap.Counters)
+		}
+		if built := grew("summary.built") + grew("summary.unsummarizable"); built != 0 {
+			t.Errorf("%s batch: workers re-summarized %d programs; the shipped verdicts should cover all", mode, built)
+		}
+		prev = *snap
 	}
-	if snap.Counters["summary.fallbacks"] == 0 {
-		t.Errorf("no IR fallbacks absorbed despite the For-gated element; counters: %v", snap.Counters)
-	}
-	if built := snap.Counters["summary.built"] + snap.Counters["summary.unsummarizable"]; built != 0 {
-		t.Errorf("workers re-summarized %d programs; installation from the setup frame should cover all", built)
-	}
+	batch("full")
+	batch("reuse")
+	// Rebind both verdict kinds — the gate (unsummarizable) and its
+	// successor's input (summarized) — so the delta has to carry both.
+	g.SetInCode(0, gate(0))
+	succ, _ := net.Element(inject.Elem)
+	succ.SetInCode(inject.Port, succ.InCode[inject.Port])
+	pool.Refresh(gated, inject)
+	batch("delta")
 }
 
 // TestRunBatchUnserializableNetwork pins the failure mode for networks that

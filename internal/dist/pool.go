@@ -82,10 +82,9 @@ type poolWorker struct {
 	conn *conn
 	t0   time.Time
 
-	// gen/hasSummaries mirror what the worker holds installed (0: nothing);
-	// they decide full/delta/reuse setup per batch.
-	gen          uint64
-	hasSummaries bool
+	// gen mirrors the setup generation the worker holds installed (0:
+	// nothing); it decides full/delta/reuse setup per batch.
+	gen uint64
 
 	alive      bool
 	dialed     bool // at least one dial attempted (first dial gets the retry window)
@@ -280,18 +279,15 @@ type batchRun struct {
 	retries int
 	metrics bool
 
-	needSummaries bool
-	needAST       bool
+	needAST bool
 
 	// Lazily built, shared across workers within the batch.
 	setupRaw []byte
-	sums     []core.WireSummaryEntry
-	sumsOK   bool
 }
 
 func (br *batchRun) setupBlob() ([]byte, error) {
 	if br.setupRaw == nil {
-		s, err := buildSetup(br.net, br.needSummaries)
+		s, err := buildSetup(br.net)
 		if err != nil {
 			return nil, err
 		}
@@ -302,17 +298,6 @@ func (br *batchRun) setupBlob() ([]byte, error) {
 		br.setupRaw = raw
 	}
 	return br.setupRaw, nil
-}
-
-func (br *batchRun) summaries() ([]core.WireSummaryEntry, error) {
-	if !br.sumsOK {
-		sums, err := core.EncodeSummaries(br.net)
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		br.sums, br.sumsOK = sums, true
-	}
-	return br.sums, nil
 }
 
 func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) error {
@@ -353,9 +338,6 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 		br.holders[i] = make(map[int]bool, 1)
 	}
 	for _, j := range jobs {
-		if j.Opts.Summaries {
-			br.needSummaries = true
-		}
 		if j.Opts.ASTInterp {
 			br.needAST = true
 		}
@@ -509,8 +491,9 @@ func seqRange(lo, hi int) []int {
 
 // sendBatch opens the batch on one worker with the cheapest sufficient setup
 // mode: reuse (nothing changed since the generation the worker holds), delta
-// (only the changed ports' programs), or the full blob. Encode failures are
-// batch-fatal; send failures surface through the worker's reader.
+// (only the changed ports' programs and verdicts), or the full blob. Encode
+// failures are batch-fatal; send failures surface through the worker's
+// reader.
 func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 	bf := &batchFrame{
 		Seq: p.seq, Gen: p.gen,
@@ -522,20 +505,18 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 	// carries — deltas ship compiled programs only.
 	if w.gen != 0 && !br.needAST {
 		if refs, ok := p.refsSince(w.gen); ok {
-			needSums := br.needSummaries && !w.hasSummaries
-			if len(refs) == 0 && !needSums {
+			if len(refs) == 0 {
 				mode = "reuse"
 			} else {
 				progs, err := core.EncodeProgramsFor(br.net, refs)
 				if err != nil {
 					return fmt.Errorf("dist: %w", err)
 				}
-				bf.Delta = &deltaFrame{Programs: progs}
-				if needSums {
-					if bf.Delta.Summaries, err = br.summaries(); err != nil {
-						return err
-					}
+				sums, err := core.EncodeSummariesFor(br.net, refs)
+				if err != nil {
+					return fmt.Errorf("dist: %w", err)
 				}
+				bf.Delta = &deltaFrame{Programs: progs, Summaries: sums}
 				mode = "delta"
 			}
 		}
@@ -553,12 +534,6 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 		return nil
 	}
 	w.gen = p.gen
-	switch {
-	case mode == "full":
-		w.hasSummaries = br.needSummaries
-	case bf.Delta != nil && len(bf.Delta.Summaries) > 0:
-		w.hasSummaries = true
-	}
 	return nil
 }
 
@@ -917,11 +892,7 @@ func (p *Pool) handshake(w *poolWorker) error {
 	if f.HelloAck.Proto != protoVersion {
 		return fmt.Errorf("dist: worker %d speaks protocol version %d, want %d", w.id, f.HelloAck.Proto, protoVersion)
 	}
-	prevGen := w.gen
 	w.gen = f.HelloAck.Gen
-	if w.gen == 0 || w.gen != prevGen {
-		w.hasSummaries = false
-	}
 	return nil
 }
 

@@ -78,7 +78,7 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary (stdio workers are always the same binary).
-const protoVersion = 2
+const protoVersion = 3
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -137,12 +137,10 @@ type batchFrame struct {
 }
 
 // deltaFrame re-ships only what changed since the generation the worker
-// holds: the re-compiled programs of the touched ports (the worker drops its
-// cached summaries for exactly those ports and re-summarizes lazily), plus
-// the full summary set when this batch needs summaries the worker was never
-// shipped. Port ASTs do not ride deltas — workers execute installed compiled
-// programs, so delta batches are correct for every mode except ASTInterp,
-// which resident pools do not serve.
+// holds: the re-compiled programs of the touched ports and their
+// summarization verdicts, entry for entry. Port ASTs do not ride deltas —
+// workers execute installed compiled programs, so delta batches are correct
+// for every mode except ASTInterp, which resident pools do not serve.
 type deltaFrame struct {
 	Programs  []core.WireProgramEntry
 	Summaries []core.WireSummaryEntry
@@ -185,9 +183,9 @@ func decodeSetup(raw []byte) (*setupFrame, error) {
 type setupFrame struct {
 	Net      *core.WireNetwork
 	Programs []core.WireProgramEntry
-	// Summaries carries the coordinator's summarization verdicts (present
-	// only when some job runs with Options.Summaries), so workers skip
-	// re-summarization the same way Programs lets them skip recompilation.
+	// Summaries carries the coordinator's summarization verdict for every
+	// program, so workers skip re-summarization the same way Programs lets
+	// them skip recompilation.
 	Summaries []core.WireSummaryEntry
 }
 
@@ -216,21 +214,21 @@ type wireOptions struct {
 	Loop         core.LoopMode
 	Trace        bool
 	ASTInterp    bool
+	IRExec       bool
 	OrTreeGuards bool
-	Summaries    bool
 }
 
 func toWireOptions(o core.Options) wireOptions {
 	return wireOptions{
 		MaxHops: o.MaxHops, MaxPaths: o.MaxPaths, Loop: o.Loop, Trace: o.Trace,
-		ASTInterp: o.ASTInterp, OrTreeGuards: o.OrTreeGuards, Summaries: o.Summaries,
+		ASTInterp: o.ASTInterp, IRExec: o.IRExec, OrTreeGuards: o.OrTreeGuards,
 	}
 }
 
 func (w wireOptions) options() core.Options {
 	return core.Options{
 		MaxHops: w.MaxHops, MaxPaths: w.MaxPaths, Loop: w.Loop, Trace: w.Trace,
-		ASTInterp: w.ASTInterp, OrTreeGuards: w.OrTreeGuards, Summaries: w.Summaries,
+		ASTInterp: w.ASTInterp, IRExec: w.IRExec, OrTreeGuards: w.OrTreeGuards,
 	}
 }
 

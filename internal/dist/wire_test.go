@@ -7,6 +7,7 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"strings"
 	"testing"
 
@@ -128,7 +129,14 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 		{
 			name:   "version mismatch",
 			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 99, want 2",
+			want:   "protocol: coordinator speaks version 99, want 3",
+		},
+		{
+			// A v2 coordinator ships setups without verdicts unless a job
+			// asks for them; a v3 worker must not serve it.
+			name:   "v2 coordinator",
+			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 2, RunID: "r"}}},
+			want:   "protocol: coordinator speaks version 2, want 3",
 		},
 		{
 			name: "garbage stream",
@@ -153,12 +161,41 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 	}
 }
 
+// TestPoolRefusesV2Worker is the coordinator's side of the version check: a
+// fleet member that answers the hello with protocol 2 is refused with the
+// pointed mismatch error, before anything is shipped to it.
+func TestPoolRefusesV2Worker(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c := newConn(nc, nc)
+			if _, err := c.recv(); err == nil {
+				c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: 2}})
+			}
+			nc.Close()
+		}
+	}()
+	_, err = NewPool(Config{Workers: []string{ln.Addr().String()}})
+	const want = "dist: worker 0 speaks protocol version 2, want 3"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewPool against a v2 worker: error = %v, want substring %q", err, want)
+	}
+}
+
 // TestWorkerBatchProtocolErrors pins the batch loop's failure messages: a
 // delta or reuse setup against a worker holding nothing, a generation
 // mismatch on reuse, a corrupt setup blob, and a stream truncated mid-batch.
 func TestWorkerBatchProtocolErrors(t *testing.T) {
 	net, _ := testFleetNet()
-	setup, err := buildSetup(net, false)
+	setup, err := buildSetup(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +265,7 @@ func TestWorkerBatchProtocolErrors(t *testing.T) {
 // summaries byte-identical to the in-process engine's.
 func TestWorkerSessionServesBatches(t *testing.T) {
 	net, jobs := testFleetNet()
-	setup, err := buildSetup(net, false)
+	setup, err := buildSetup(net)
 	if err != nil {
 		t.Fatal(err)
 	}

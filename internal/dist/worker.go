@@ -78,12 +78,10 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 }
 
 // workerState is what a session retains across batches: the installed
-// network at a setup generation, and whether summaries were ever shipped
-// for it.
+// network at a setup generation.
 type workerState struct {
-	net          *core.Network
-	gen          uint64
-	hasSummaries bool
+	net *core.Network
+	gen uint64
 }
 
 // serveSession speaks one session: handshake, then batches until bye/EOF.
@@ -170,12 +168,12 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 		if err := core.InstallPrograms(net, setup.Programs); err != nil {
 			return err
 		}
-		// Summaries rebind to the just-installed programs, so this must
+		// Summaries bind to the just-installed programs, so this must
 		// follow InstallPrograms.
 		if err := core.InstallSummaries(net, setup.Summaries); err != nil {
 			return err
 		}
-		st.net, st.gen, st.hasSummaries = net, bf.Gen, len(setup.Summaries) > 0
+		st.net, st.gen = net, bf.Gen
 	case bf.Delta != nil:
 		if st.net == nil {
 			return fmt.Errorf("protocol: delta setup with no retained network")
@@ -183,19 +181,10 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 		if err := core.InstallPrograms(st.net, bf.Delta.Programs); err != nil {
 			return err
 		}
-		// Resident summaries pre-executed the replaced programs; drop them
-		// for exactly the delta'd ports (lazy re-summarization is correct),
-		// then install any shipped set against the fresh programs.
-		refs := make([]core.PortRef, len(bf.Delta.Programs))
-		for i, pe := range bf.Delta.Programs {
-			refs[i] = core.PortRef{Elem: pe.Elem, Port: pe.Port, Out: pe.Out}
-		}
-		core.DropSummaries(st.net, refs)
-		if len(bf.Delta.Summaries) > 0 {
-			if err := core.InstallSummaries(st.net, bf.Delta.Summaries); err != nil {
-				return err
-			}
-			st.hasSummaries = true
+		// Installing a program replaces the port's whole cache entry, so no
+		// summary of the replaced program survives to this point.
+		if err := core.InstallSummaries(st.net, bf.Delta.Summaries); err != nil {
+			return err
 		}
 		st.gen = bf.Gen
 	default:

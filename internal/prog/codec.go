@@ -137,6 +137,9 @@ func EncodeProgram(p *Program) (*WireProgram, error) {
 			Msg: op.Msg, Tag: op.Tag, Port: op.Port, Ports: op.Ports,
 			Then: op.Then, Else: op.Else, Sub: op.Sub,
 		}
+		if op.Kind == OpForward {
+			wop.Ports = nil // the decoder rebuilds it from Port
+		}
 		if op.Ins != nil {
 			ins, err := sefl.EncodeInstr(op.Ins)
 			if err != nil {
@@ -293,6 +296,9 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			Kind: wop.Kind, LV: wop.LV, Size: wop.Size, E: wop.E,
 			Msg: wop.Msg, Tag: wop.Tag, Port: wop.Port, Ports: wop.Ports,
 			Then: wop.Then, Else: wop.Else, Sub: wop.Sub,
+		}
+		if op.Kind == OpForward {
+			op.Ports = []int{op.Port}
 		}
 		if wop.Ins != nil {
 			ins, err := sefl.DecodeInstr(wop.Ins)

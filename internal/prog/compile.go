@@ -134,7 +134,7 @@ func (c *compiler) emit(buf *[]Op, ins sefl.Instr, forked, terminated *bool) {
 		*forked = true
 
 	case sefl.Forward:
-		*buf = append(*buf, Op{Kind: OpForward, Ins: ins, Port: v.Port})
+		*buf = append(*buf, Op{Kind: OpForward, Ins: ins, Port: v.Port, Ports: []int{v.Port}})
 		*terminated = true
 
 	case sefl.Fork:

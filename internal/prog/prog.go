@@ -323,7 +323,7 @@ type Op struct {
 	Msg   string // OpFail / OpCreateTag failure / OpUnknown message
 	Tag   string // OpCreateTag, OpDestroyTag
 	Port  int    // OpForward
-	Ports []int  // OpFork
+	Ports []int  // OpFork; OpForward: {Port}, the successor slice every visit shares
 	Then  SegID  // OpIf
 	Else  SegID  // OpIf
 	Sub   SegID  // OpSub

@@ -4,13 +4,13 @@
 // way, the ordered field rewrites (the linear ops) it performs, and the
 // terminator (successor ports, failure, or plain delivery). The engine then
 // applies the DAG per visit instead of dispatching the IR segment machinery:
-// one tight loop over pre-resolved steps, with the per-visit allocations the
-// IR path pays (successor-port slices, constraint-failure renders, trace
-// lines) hoisted into the summary and shared by every visit. This
-// generalizes the expr.SpanTable lowering of PR 5 — a span table is the
-// special case of a guard row set with no rewrites — to full transfer
-// functions, the compositional-summary construction the symbolic-execution
-// literature prescribes for path-explosion-by-revisit.
+// one tight loop over runs of linear ops, with the per-visit work the IR
+// path pays (successor-port slices, constraint-failure renders, trace
+// lines) done once and shared by every visit. This generalizes the
+// expr.SpanTable lowering of PR 5 — a span table is the special case of a
+// guard row set with no rewrites — to full transfer functions, the
+// compositional-summary construction the symbolic-execution literature
+// prescribes for path-explosion-by-revisit.
 //
 // Summaries are observationally identical to IR execution by construction:
 // every step executes through the same evaluators (EvalExpr/EvalCond), the
@@ -49,137 +49,127 @@ const (
 	// TermJump continues at Next — the join point where branch rows share
 	// their common continuation.
 	TermJump
-	// TermBranch forks on the guard of an OpIf: the clone takes C into Then,
-	// the original takes ¬C into Else, infeasible successors are pruned —
-	// byte-for-byte the IR's OpIf discipline.
+	// TermBranch forks on the guard of the OpIf at Hi: the clone takes C
+	// into Then, the original takes ¬C into Else, infeasible successors are
+	// pruned — byte-for-byte the IR's OpIf discipline.
 	TermBranch
 )
 
-// SumStep is one pre-resolved linear operation of a summary row. Op points
-// into the summarized program (summaries never copy IR); OpIdx is its index,
-// which is what crosses the wire. The remaining fields hoist per-visit work
-// out of the apply loop: Fwd is the successor-port slice Forward/Fork would
-// otherwise allocate per visit (states only ever read it — see State.clone),
-// and the trace/fail renders are computed once and shared by every visit,
-// where the IR path re-renders them per failing state (the dominant cost of
-// egress-guard elements, whose failure message prints the whole table).
-type SumStep struct {
-	Op    *Op
-	OpIdx int32
-	// Fwd is the shared successor-port slice of an OpForward/OpFork step
-	// (nil for other kinds, and for the degenerate empty Fork, which fails).
-	Fwd []int
-
-	trace atomic.Pointer[string]
-	fail  atomic.Pointer[string]
-}
-
-// TraceLine returns the step's trace line, rendering it on first use. The
-// render is a pure function of the instruction, so the racing-store is
-// benign: every winner writes the same bytes.
-func (s *SumStep) TraceLine(elem string) string {
-	if p := s.trace.Load(); p != nil {
-		return *p
-	}
-	line := fmt.Sprintf("%s: %s", elem, s.Op.Ins)
-	s.trace.Store(&line)
-	return line
-}
-
-// ConstrainFailMsg returns the failure message of an OpConstrain step,
-// rendering it on first use. The IR path renders this per failing visit —
-// for table-wide egress guards that is the whole forwarding table per
-// visit — so the once-per-step render is the summary layer's headline win.
-func (s *SumStep) ConstrainFailMsg() string {
-	if p := s.fail.Load(); p != nil {
-		return *p
-	}
-	msg := fmt.Sprintf("constraint unsatisfiable: %s", s.Op.Ins.(sefl.Constrain).C)
-	s.fail.Store(&msg)
-	return msg
-}
-
 // SumNode is one node of the decision DAG: a run of linear steps followed by
-// a terminator. Nodes are immutable after construction and shared read-only
-// across workers, like the programs they summarize.
+// a terminator. The steps are the ops Prog.Ops[Lo:Hi] — the walk only ever
+// collects consecutive linear ops of one segment, so a node needs no step
+// list of its own — and Then/Else/Next index Summary.Nodes. A node is plain
+// data: the slab of nodes is also the summary's wire form.
 type SumNode struct {
-	Steps []*SumStep
-	Term  TermKind
-
-	// TermBranch: the OpIf supplying guard and trace line.
-	BrOp    *Op
-	BrIdx   int32
-	Then    *SumNode
-	Else    *SumNode
-	brTrace atomic.Pointer[string]
-
-	// TermJump: the shared continuation.
-	Next *SumNode
+	Lo, Hi     int32
+	Term       TermKind
+	Then, Else int32 // TermBranch
+	Next       int32 // TermJump
 }
 
-// BranchTrace returns the branch's trace line, rendered once and shared.
-func (n *SumNode) BranchTrace(elem string) string {
-	if p := n.brTrace.Load(); p != nil {
-		return *p
-	}
-	line := fmt.Sprintf("%s: %s", elem, n.BrOp.Ins)
-	n.brTrace.Store(&line)
-	return line
-}
-
-// Summary is the compiled transfer function of one element-port program.
+// Summary is the summarization verdict of one element-port program: its
+// compiled transfer function, or the reason it has none. It is immutable
+// after construction (the render cache is a concurrency-safe memo) and
+// shared read-only across workers, like the program it summarizes.
 type Summary struct {
 	Prog *Program
-	Root *SumNode
-	// Nodes and Steps size the DAG; Rows counts the guarded update rows
-	// (root-to-leaf paths — the span-table generalization's row count).
-	Nodes int
-	Steps int
-	Rows  int64
+	// Nodes is the DAG in one slab, children before parents, so the root is
+	// the last node. It is empty when the program is unsummarizable.
+	Nodes []SumNode
+	// Reason says why an unsummarizable program has to run on the IR path.
+	Reason string
+
+	renders atomic.Pointer[[]atomic.Pointer[string]]
 }
 
-// Summarize pre-walks a compiled program into its summary. It returns
-// (nil, reason) when the program is unsummarizable: a For loop (the body
-// set depends on runtime metadata, so rows cannot be pre-expanded), a
-// fresh-symbol mint downstream of a branch point (the IR mints
-// instruction-major across sibling states; a row replay would reorder
-// symbol IDs), or a DAG over the node budget.
-func Summarize(p *Program) (*Summary, string) {
-	b := &sumBuilder{
-		p:       p,
-		memo:    make(map[sumKey]*SumNode),
-		frames:  make(map[sumKey]*sumFrame),
-		segMint: make(map[SegID]bool),
+// OK reports whether the program has a summary to apply.
+func (s *Summary) OK() bool { return len(s.Nodes) > 0 }
+
+// Root is the index of the DAG's root node.
+func (s *Summary) Root() int32 { return int32(len(s.Nodes) - 1) }
+
+// Steps counts the linear steps over all nodes.
+func (s *Summary) Steps() int {
+	n := 0
+	for i := range s.Nodes {
+		n += int(s.Nodes[i].Hi - s.Nodes[i].Lo)
 	}
-	b.buildSuffMints()
-	root := b.node(p.Entry, p.Seg(p.Entry).Lo, nil)
-	if b.reason != "" {
-		return nil, b.reason
-	}
-	s := &Summary{Prog: p, Root: root, Nodes: b.nodes, Steps: b.steps}
-	s.Rows = countRows(root, make(map[*SumNode]int64))
-	return s, ""
+	return n
 }
 
-// countRows counts root-to-leaf paths, memoized over the shared DAG.
-func countRows(n *SumNode, memo map[*SumNode]int64) int64 {
-	if n == nil {
+// Rows counts the guarded update rows: the root-to-leaf paths of the DAG
+// (the span-table generalization's row count). Children precede parents, so
+// one pass in slab order has every child's count ready.
+func (s *Summary) Rows() int64 {
+	if !s.OK() {
 		return 0
 	}
-	if v, ok := memo[n]; ok {
-		return v
+	rows := make([]int64, len(s.Nodes))
+	for i, n := range s.Nodes {
+		switch n.Term {
+		case TermEnd:
+			rows[i] = 1
+		case TermJump:
+			rows[i] = rows[n.Next]
+		case TermBranch:
+			rows[i] = rows[n.Then] + rows[n.Else]
+		}
 	}
-	var v int64
-	switch n.Term {
-	case TermEnd:
-		v = 1
-	case TermJump:
-		v = countRows(n.Next, memo)
-	case TermBranch:
-		v = countRows(n.Then, memo) + countRows(n.Else, memo)
+	return rows[s.Root()]
+}
+
+// render returns the string cached in the given slot, calling mk to fill it
+// on first use. The slots (a trace line and a failure message per op) are
+// allocated on the first render, so a summary that never traces and never
+// fails a constraint holds none. Renders are pure functions of the
+// instruction, so racing stores are benign: every winner writes the same
+// bytes.
+func (s *Summary) render(slot int, mk func() string) string {
+	if s.renders.Load() == nil {
+		fresh := make([]atomic.Pointer[string], 2*len(s.Prog.Ops))
+		s.renders.CompareAndSwap(nil, &fresh)
 	}
-	memo[n] = v
-	return v
+	cell := &(*s.renders.Load())[slot]
+	if p := cell.Load(); p != nil {
+		return *p
+	}
+	str := mk()
+	cell.Store(&str)
+	return str
+}
+
+// TraceLine returns the trace line of the op at index i (a step, or the
+// OpIf of a branch), rendered once and shared by every visit.
+func (s *Summary) TraceLine(i int32) string {
+	return s.render(2*int(i), func() string {
+		return fmt.Sprintf("%s: %s", s.Prog.Elem, s.Prog.Ops[i].Ins)
+	})
+}
+
+// ConstrainFailMsg returns the failure message of the OpConstrain at index
+// i, rendered once. The IR path renders this per failing visit — for
+// table-wide egress guards that is the whole forwarding table per visit — so
+// the once-per-op render is the summary layer's headline win.
+func (s *Summary) ConstrainFailMsg(i int32) string {
+	return s.render(2*int(i)+1, func() string {
+		return fmt.Sprintf("constraint unsatisfiable: %s", s.Prog.Ops[i].Ins.(sefl.Constrain).C)
+	})
+}
+
+// Summarize pre-walks a compiled program into its summary. The verdict is
+// unsummarizable (no nodes, Reason set) for a For loop (the body set depends
+// on runtime metadata, so rows cannot be pre-expanded), a fresh-symbol mint
+// downstream of a branch point (the IR mints instruction-major across
+// sibling states; a row replay would reorder symbol IDs), or a DAG over the
+// node budget.
+func Summarize(p *Program) *Summary {
+	b := &sumBuilder{p: p}
+	b.buildSuffMints()
+	b.node(p.Entry, p.Seg(p.Entry).Lo, nil)
+	if b.reason != "" {
+		return &Summary{Prog: p, Reason: b.reason}
+	}
+	return &Summary{Prog: p, Nodes: b.nodes}
 }
 
 // sumFrame is one continuation-stack frame of the pre-walk: execution
@@ -202,39 +192,35 @@ type sumKey struct {
 	stack *sumFrame
 }
 
+// sumBuilder carries one pre-walk. Its maps are made on first write: most
+// port programs are a single straight-line segment and never need them.
 type sumBuilder struct {
 	p      *Program
-	memo   map[sumKey]*SumNode
+	nodes  []SumNode
+	memo   map[sumKey]int32
 	frames map[sumKey]*sumFrame
 	// suffMint[i] reports whether any op at or after index i within its own
 	// segment can mint a fresh symbol; segMint memoizes whole segments.
 	suffMint []bool
 	segMint  map[SegID]bool
-	nodes    int
-	steps    int
+	started  int
 	reason   string
 }
 
 // buildSuffMints computes per-op suffix mint flags segment by segment.
 // Minting happens only through evaluation (ESym expressions, conditions
-// with HasSym); segments referenced by If/Sub ops contribute transitively.
+// with HasSym); segments referenced by If/Sub ops contribute transitively
+// through opMints -> segMints recursion (the segment graph is a DAG).
 func (b *sumBuilder) buildSuffMints() {
 	b.suffMint = make([]bool, len(b.p.Ops))
-	// Process segments so that referenced segments are computed on demand
-	// through opMints -> segMints recursion (the segment graph is a DAG).
-	for id := range b.p.Segs {
-		b.fillSeg(SegID(id))
-	}
-}
-
-func (b *sumBuilder) fillSeg(id SegID) {
-	seg := b.p.Seg(id)
-	mint := false
-	for i := seg.Hi - 1; i >= seg.Lo; i-- {
-		if b.opMints(&b.p.Ops[i]) {
-			mint = true
+	for _, seg := range b.p.Segs {
+		mint := false
+		for i := seg.Hi - 1; i >= seg.Lo; i-- {
+			if b.opMints(&b.p.Ops[i]) {
+				mint = true
+			}
+			b.suffMint[i] = mint
 		}
-		b.suffMint[i] = mint
 	}
 }
 
@@ -242,6 +228,9 @@ func (b *sumBuilder) fillSeg(id SegID) {
 func (b *sumBuilder) segMints(id SegID) bool {
 	if v, ok := b.segMint[id]; ok {
 		return v
+	}
+	if b.segMint == nil {
+		b.segMint = make(map[SegID]bool)
 	}
 	// Pre-store false to terminate on (impossible) cycles, then compute.
 	b.segMint[id] = false
@@ -304,6 +293,9 @@ func (b *sumBuilder) push(seg SegID, idx int32, next *sumFrame) *sumFrame {
 	if f, ok := b.frames[key]; ok {
 		return f
 	}
+	if b.frames == nil {
+		b.frames = make(map[sumKey]*sumFrame)
+	}
 	f := &sumFrame{seg: seg, idx: idx, next: next}
 	f.mints = b.suffAt(seg, idx) || (next != nil && next.mints)
 	b.frames[key] = f
@@ -320,73 +312,109 @@ func (b *sumBuilder) suffAt(seg SegID, idx int32) bool {
 }
 
 // node walks the program from (seg, idx) under the given continuation and
-// returns the summary node covering it, memoized so join points (the code
-// after an If, shared by both branches) build once and are shared.
-func (b *sumBuilder) node(seg SegID, idx int32, stack *sumFrame) *SumNode {
+// returns the index of the summary node covering it, memoized so join
+// points (the code after an If, shared by both branches) build once and are
+// shared. A node joins the slab after its children, which is the order the
+// wire form promises; the program is a DAG, so the walk never re-enters a
+// position it has not finished. The result is meaningless once b.reason is
+// set.
+func (b *sumBuilder) node(seg SegID, idx int32, stack *sumFrame) int32 {
 	if b.reason != "" {
-		return nil
+		return 0
 	}
 	key := sumKey{seg: seg, idx: idx, stack: stack}
 	if n, ok := b.memo[key]; ok {
 		return n
 	}
-	if b.nodes >= MaxSummaryNodes {
+	if b.started >= MaxSummaryNodes {
 		b.reason = fmt.Sprintf("decision DAG exceeds %d nodes", MaxSummaryNodes)
-		return nil
+		return 0
 	}
-	b.nodes++
-	n := &SumNode{}
-	b.memo[key] = n
-	for {
+	b.started++
+	n := SumNode{Lo: idx}
+walk:
+	for ; ; idx++ {
+		n.Hi = idx
 		if idx >= b.p.Seg(seg).Hi {
-			if stack == nil {
-				n.Term = TermEnd
-				return n
+			if stack != nil {
+				n.Term = TermJump
+				n.Next = b.node(stack.seg, stack.idx, stack.next)
 			}
-			n.Term = TermJump
-			n.Next = b.node(stack.seg, stack.idx, stack.next)
-			return n
+			break
 		}
-		op := &b.p.Ops[idx]
-		switch op.Kind {
+		switch op := &b.p.Ops[idx]; op.Kind {
 		case OpFor:
 			b.reason = "For loop with a data-dependent iteration space"
-			return nil
+			return 0
 		case OpSub:
 			n.Term = TermJump
 			n.Next = b.node(op.Sub, b.p.Seg(op.Sub).Lo, b.push(seg, idx+1, stack))
-			return n
+			break walk
 		case OpIf:
 			if b.suffAt(seg, idx+1) || (stack != nil && stack.mints) {
 				b.reason = "fresh-symbol allocation downstream of a branch point"
-				return nil
+				return 0
 			}
 			cont := b.push(seg, idx+1, stack)
 			n.Term = TermBranch
-			n.BrOp = op
-			n.BrIdx = idx
 			n.Then = b.node(op.Then, b.p.Seg(op.Then).Lo, cont)
 			n.Else = b.node(op.Else, b.p.Seg(op.Else).Lo, cont)
-			return n
-		default:
-			n.Steps = append(n.Steps, newSumStep(op, idx))
-			b.steps++
-			idx++
+			break walk
 		}
 	}
+	if b.memo == nil {
+		b.memo = make(map[sumKey]int32)
+	}
+	b.nodes = append(b.nodes, n)
+	b.memo[key] = int32(len(b.nodes) - 1)
+	return b.memo[key]
 }
 
-// newSumStep builds one step, precomputing the shared successor-port slice.
-// The builder and the wire decoder share it so step payloads cannot drift.
-func newSumStep(op *Op, idx int32) *SumStep {
-	s := &SumStep{Op: op, OpIdx: idx}
-	switch op.Kind {
-	case OpForward:
-		s.Fwd = []int{op.Port}
-	case OpFork:
-		if len(op.Ports) > 0 {
-			s.Fwd = append([]int(nil), op.Ports...)
+// DecodeSummary rebuilds a shipped verdict against the decoded program it
+// summarizes: the node slab is the wire form, so decoding is validation —
+// every step range and child index is checked (children before parents also
+// rules out cycles), because the executor indexes with them unchecked. The
+// render cache starts cold and warms on first use, like condition memos.
+func DecodeSummary(p *Program, nodes []SumNode, reason string) (*Summary, error) {
+	if len(nodes) == 0 {
+		if reason == "" {
+			return nil, fmt.Errorf("prog: decode summary %s: neither nodes nor an unsummarizable reason", p.Label)
+		}
+		return &Summary{Prog: p, Reason: reason}, nil
+	}
+	for i, n := range nodes {
+		if n.Lo < 0 || n.Hi < n.Lo || int(n.Hi) > len(p.Ops) {
+			return nil, fmt.Errorf("prog: decode summary %s: node %d references missing ops [%d,%d)", p.Label, i, n.Lo, n.Hi)
+		}
+		for oi := n.Lo; oi < n.Hi; oi++ {
+			if k := p.Ops[oi].Kind; k == OpIf || k == OpFor || k == OpSub {
+				return nil, fmt.Errorf("prog: decode summary %s: node %d steps over control op %d", p.Label, i, oi)
+			}
+		}
+		child := func(ni int32) error {
+			if ni < 0 || int(ni) >= i {
+				return fmt.Errorf("prog: decode summary %s: node %d references out-of-order child %d", p.Label, i, ni)
+			}
+			return nil
+		}
+		var err error
+		switch n.Term {
+		case TermEnd:
+		case TermJump:
+			err = child(n.Next)
+		case TermBranch:
+			if int(n.Hi) >= len(p.Ops) || p.Ops[n.Hi].Kind != OpIf {
+				return nil, fmt.Errorf("prog: decode summary %s: node %d branches on op %d, which is not an If", p.Label, i, n.Hi)
+			}
+			if err = child(n.Then); err == nil {
+				err = child(n.Else)
+			}
+		default:
+			err = fmt.Errorf("prog: decode summary %s: node %d has unknown terminator %d", p.Label, i, n.Term)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return s
+	return &Summary{Prog: p, Nodes: nodes}, nil
 }

@@ -1,12 +1,12 @@
 package prog_test
 
-// Differential property tests for per-element summaries: with
-// Options.Summaries set, every observable — path IDs, statuses, failure
-// messages, histories, traces, final memory, symbol IDs, the constraint
-// context's chained fingerprint, and run statistics — must be byte-identical
-// to the IR reference path, over random programs and the real datasets, at
-// 1/2/8 workers, with every dataset exercising both the summary fast path
-// and the IR fallback (pinned via the summary.* counters).
+// Differential property tests for per-element summaries, the engine's
+// default: every observable — path IDs, statuses, failure messages,
+// histories, traces, final memory, symbol IDs, the constraint context's
+// chained fingerprint, and run statistics — must be byte-identical to the IR
+// reference path (Options.IRExec), over random programs and the real
+// datasets, at 1/2/8 workers, with every dataset exercising both the summary
+// fast path and the IR fallback (pinned via the summary.* counters).
 
 import (
 	"strings"
@@ -43,8 +43,8 @@ func addFallbackGate(net *core.Network, inject core.PortRef) core.PortRef {
 }
 
 // TestDifferentialSummariesRandom is the core summary property over random
-// SEFL programs: summaries-on results must be byte-identical (full
-// fingerprint, ctx chain and stats included) to summaries-off. The
+// SEFL programs: the default engine's results must be byte-identical (full
+// fingerprint, ctx chain and stats included) to the IR reference's. The
 // generator's For loops and post-branch Symbolic mints make unsummarizable
 // elements common, so both verdicts are exercised across the seed set.
 func TestDifferentialSummariesRandom(t *testing.T) {
@@ -58,15 +58,15 @@ func TestDifferentialSummariesRandom(t *testing.T) {
 		init := g.inject()
 		opts := core.Options{MaxHops: 48, MaxPaths: 1 << 14, Trace: seed%4 == 0}
 
-		ref, err := core.Run(net, inj, init, opts)
+		refOpts := opts
+		refOpts.IRExec = true
+		ref, err := core.Run(net, inj, init, refOpts)
 		if err != nil {
 			t.Fatalf("seed %d: IR run: %v", seed, err)
 		}
 		want := fingerprint(ref)
 
-		sumOpts := opts
-		sumOpts.Summaries = true
-		res, err := core.Run(net, inj, init, sumOpts)
+		res, err := core.Run(net, inj, init, opts)
 		if err != nil {
 			t.Fatalf("seed %d: summaries run: %v", seed, err)
 		}
@@ -81,8 +81,8 @@ func TestDifferentialSummariesRandom(t *testing.T) {
 }
 
 // TestDifferentialSummariesWorkers is the acceptance property on the real
-// datasets: summaries-on must match summaries-off byte-for-byte at 1, 2 and
-// 8 workers, and every dataset must report at least one summarized element
+// datasets: the default engine must match the IR reference byte-for-byte at
+// 1, 2 and 8 workers, and every dataset must report at least one summarized element
 // (summary.built, summary.hits) and at least one IR fallback
 // (summary.unsummarizable, summary.fallbacks) — the fallback gate prepended
 // to each injection point guarantees the latter even on all-summarizable
@@ -109,7 +109,9 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 	for _, w := range ws {
 		inj := addFallbackGate(w.net, w.inject)
 
-		ref, err := sched.Run(w.net, inj, w.packet, w.opts, 1)
+		refOpts := w.opts
+		refOpts.IRExec = true
+		ref, err := sched.Run(w.net, inj, w.packet, refOpts, 1)
 		if err != nil {
 			t.Fatalf("%s: IR run: %v", w.name, err)
 		}
@@ -121,7 +123,6 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			reg := obs.NewRegistry()
 			opts := w.opts
-			opts.Summaries = true
 			opts.Obs = obs.New(reg, nil)
 			res, err := sched.Run(w.net, inj, w.packet, opts, workers)
 			if err != nil {
@@ -133,6 +134,66 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 			}
 			assertSummaryCounters(t, w.name, workers, reg, workers == 1)
 		}
+	}
+}
+
+// TestDifferentialDefaultDepartment pins what the zero Options run on the
+// department network, no fallback gate added: summaries carry every
+// element-port except the two ASA pipelines (their option parsing is a For
+// over runtime metadata), and results are byte-identical to the IR reference
+// (constraint chain included) and to the AST interpreter at 1, 2 and 8
+// workers.
+func TestDifferentialDefaultDepartment(t *testing.T) {
+	d := datasets.NewDepartment(datasets.DepartmentConfig{
+		NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
+	inj, packet := core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false)
+	base := core.Options{MaxHops: 64}
+
+	irOpts, astOpts := base, base
+	irOpts.IRExec, astOpts.ASTInterp = true, true
+	ir, err := core.Run(d.Net, inj, packet, irOpts)
+	if err != nil {
+		t.Fatalf("IR run: %v", err)
+	}
+	ast, err := core.Run(d.Net, inj, packet, astOpts)
+	if err != nil {
+		t.Fatalf("AST run: %v", err)
+	}
+	if ir.Stats.Paths == 0 {
+		t.Fatal("no paths explored")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		reg := obs.NewRegistry()
+		opts := base
+		opts.Obs = obs.New(reg, nil)
+		res, err := sched.Run(d.Net, inj, packet, opts, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if want, got := fingerprint(ir), fingerprint(res); want != got {
+			t.Errorf("workers=%d: default engine differs from the IR reference:\n%s", workers, diffHead(want, got))
+		}
+		if want, got := obsFingerprint(ast), obsFingerprint(res); want != got {
+			t.Errorf("workers=%d: default engine differs from the AST interpreter:\n%s", workers, diffHead(want, got))
+		}
+		snap := reg.Snapshot()
+		hits, fallbacks := snap.Counters["summary.hits"], snap.Counters["summary.fallbacks"]
+		if hits < 1 || fallbacks < 1 || fallbacks >= hits {
+			t.Errorf("workers=%d: summary.hits=%d summary.fallbacks=%d, want mostly hits and the ASA's fallbacks", workers, hits, fallbacks)
+		}
+	}
+	var fallback []string
+	for _, c := range core.SummaryCensus(d.Net) {
+		if !c.Summarized {
+			fallback = append(fallback, core.PortRef{Elem: c.Elem, Port: c.Port, Out: c.Out}.String()+": "+c.Reason)
+		}
+	}
+	want := []string{
+		"asa.in[0]: For loop with a data-dependent iteration space",
+		"asa.in[1]: For loop with a data-dependent iteration space",
+	}
+	if strings.Join(fallback, "\n") != strings.Join(want, "\n") {
+		t.Errorf("unsummarizable element-ports:\n%s\nwant:\n%s", strings.Join(fallback, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -221,14 +282,15 @@ func TestDifferentialSummariesRowSemantics(t *testing.T) {
 		inj := core.PortRef{Elem: "dut", Port: 0}
 		opts := core.Options{MaxHops: 8, Trace: true}
 
-		ref, err := core.Run(net, inj, inject, opts)
+		refOpts := opts
+		refOpts.IRExec = true
+		ref, err := core.Run(net, inj, inject, refOpts)
 		if err != nil {
 			t.Fatalf("%s: IR run: %v", tc.name, err)
 		}
 
 		reg := obs.NewRegistry()
 		sumOpts := opts
-		sumOpts.Summaries = true
 		sumOpts.Obs = obs.New(reg, nil)
 		res, err := core.Run(net, inj, inject, sumOpts)
 		if err != nil {

@@ -1,15 +1,17 @@
 package prog
 
-// White-box tests of the summary builder and its wire codec: verdicts (what
+// White-box tests of the summary builder and its wire form: verdicts (what
 // summarizes, what falls back and why — with byte-stable reasons), the
 // decision-DAG shape (rows multiply across branches while shared
 // continuations keep the node count linear), the degenerate empty row, and
-// codec round-trips plus byte-stable malformed-stream errors matching the
+// decode round-trips plus byte-stable malformed-stream errors matching the
 // program codec's conventions.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 
 	"symnet/internal/sefl"
@@ -29,19 +31,19 @@ func TestSummarizeStraightLine(t *testing.T) {
 		sefl.Assign{LV: sumF0, E: sefl.C(1)},
 		sefl.Forward{Port: 3},
 	))
-	s, reason := Summarize(p)
-	if s == nil {
-		t.Fatalf("unsummarizable: %s", reason)
+	s := Summarize(p)
+	if !s.OK() {
+		t.Fatalf("unsummarizable: %s", s.Reason)
 	}
-	if s.Rows != 1 || s.Nodes != 1 {
-		t.Fatalf("Rows=%d Nodes=%d, want 1/1", s.Rows, s.Nodes)
+	if s.Rows() != 1 || len(s.Nodes) != 1 {
+		t.Fatalf("Rows=%d Nodes=%d, want 1/1", s.Rows(), len(s.Nodes))
 	}
-	if s.Steps != 2 {
-		t.Fatalf("Steps=%d, want 2", s.Steps)
+	if s.Steps() != 2 {
+		t.Fatalf("Steps=%d, want 2", s.Steps())
 	}
-	last := s.Root.Steps[len(s.Root.Steps)-1]
-	if last.Op.Kind != OpForward || len(last.Fwd) != 1 || last.Fwd[0] != 3 {
-		t.Fatalf("terminal step: kind=%d Fwd=%v, want Forward [3]", last.Op.Kind, last.Fwd)
+	last := p.Ops[s.Nodes[s.Root()].Hi-1]
+	if last.Kind != OpForward || len(last.Ports) != 1 || last.Ports[0] != 3 {
+		t.Fatalf("terminal step: kind=%d Ports=%v, want Forward [3]", last.Kind, last.Ports)
 	}
 }
 
@@ -50,12 +52,12 @@ func TestSummarizeStraightLine(t *testing.T) {
 // row (no guards, no rewrites, no successor ports).
 func TestSummarizeEmptyRow(t *testing.T) {
 	p := compileSum(sefl.Block{})
-	s, reason := Summarize(p)
-	if s == nil {
-		t.Fatalf("unsummarizable: %s", reason)
+	s := Summarize(p)
+	if !s.OK() {
+		t.Fatalf("unsummarizable: %s", s.Reason)
 	}
-	if s.Rows != 1 || len(s.Root.Steps) != 0 || s.Root.Term != TermEnd {
-		t.Fatalf("Rows=%d Steps=%d Term=%d, want one empty TermEnd row", s.Rows, len(s.Root.Steps), s.Root.Term)
+	if root := s.Nodes[s.Root()]; s.Rows() != 1 || s.Steps() != 0 || root.Term != TermEnd {
+		t.Fatalf("Rows=%d Steps=%d Term=%d, want one empty TermEnd row", s.Rows(), s.Steps(), root.Term)
 	}
 }
 
@@ -74,15 +76,15 @@ func TestSummarizeSharedContinuations(t *testing.T) {
 		})
 	}
 	is = append(is, sefl.Forward{Port: 0})
-	s, reason := Summarize(compileSum(sefl.Seq(is...)))
-	if s == nil {
-		t.Fatalf("unsummarizable: %s", reason)
+	s := Summarize(compileSum(sefl.Seq(is...)))
+	if !s.OK() {
+		t.Fatalf("unsummarizable: %s", s.Reason)
 	}
-	if want := int64(1) << k; s.Rows != want {
-		t.Fatalf("Rows=%d, want %d", s.Rows, want)
+	if want := int64(1) << k; s.Rows() != want {
+		t.Fatalf("Rows=%d, want %d", s.Rows(), want)
 	}
-	if s.Nodes > 6*k {
-		t.Fatalf("Nodes=%d for %d sequential branches — continuations are not shared", s.Nodes, k)
+	if len(s.Nodes) > 6*k {
+		t.Fatalf("Nodes=%d for %d sequential branches — continuations are not shared", len(s.Nodes), k)
 	}
 }
 
@@ -93,12 +95,12 @@ func TestSummarizeForFallsBack(t *testing.T) {
 		}},
 		sefl.Forward{Port: 0},
 	))
-	s, reason := Summarize(p)
-	if s != nil {
+	s := Summarize(p)
+	if s.OK() {
 		t.Fatal("For loop summarized; its iteration space is runtime metadata")
 	}
-	if reason != "For loop with a data-dependent iteration space" {
-		t.Fatalf("reason = %q", reason)
+	if s.Reason != "For loop with a data-dependent iteration space" {
+		t.Fatalf("reason = %q", s.Reason)
 	}
 }
 
@@ -114,8 +116,8 @@ func TestSummarizeMintOrdering(t *testing.T) {
 		sefl.If{C: cond, Then: sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: "s"}}, Else: sefl.NoOp{}},
 		sefl.Forward{Port: 0},
 	))
-	if s, reason := Summarize(branchMint); s == nil {
-		t.Fatalf("mint inside a branch arm should summarize: %s", reason)
+	if s := Summarize(branchMint); !s.OK() {
+		t.Fatalf("mint inside a branch arm should summarize: %s", s.Reason)
 	}
 
 	contMint := compileSum(sefl.Seq(
@@ -123,12 +125,12 @@ func TestSummarizeMintOrdering(t *testing.T) {
 		sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: "s"}},
 		sefl.Forward{Port: 0},
 	))
-	s, reason := Summarize(contMint)
-	if s != nil {
+	s := Summarize(contMint)
+	if s.OK() {
 		t.Fatal("mint downstream of a branch point summarized")
 	}
-	if reason != "fresh-symbol allocation downstream of a branch point" {
-		t.Fatalf("reason = %q", reason)
+	if s.Reason != "fresh-symbol allocation downstream of a branch point" {
+		t.Fatalf("reason = %q", s.Reason)
 	}
 
 	// The same rule through a condition: constraining on a fresh symbol
@@ -138,7 +140,7 @@ func TestSummarizeMintOrdering(t *testing.T) {
 		sefl.Constrain{C: sefl.Eq(sefl.Symbolic{W: 32, Name: "s"}, sefl.C(3))},
 		sefl.Forward{Port: 0},
 	))
-	if s, _ := Summarize(condMint); s != nil {
+	if Summarize(condMint).OK() {
 		t.Fatal("condition mint downstream of a branch point summarized")
 	}
 
@@ -147,8 +149,8 @@ func TestSummarizeMintOrdering(t *testing.T) {
 		sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: "s"}},
 		sefl.If{C: cond, Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}},
 	))
-	if s, reason := Summarize(preMint); s == nil {
-		t.Fatalf("straight-line mint before the branch should summarize: %s", reason)
+	if s := Summarize(preMint); !s.OK() {
+		t.Fatalf("straight-line mint before the branch should summarize: %s", s.Reason)
 	}
 }
 
@@ -165,51 +167,40 @@ func TestSummarizeNodeBudget(t *testing.T) {
 		})
 	}
 	is = append(is, sefl.Forward{Port: 0})
-	s, reason := Summarize(compileSum(sefl.Seq(is...)))
-	if s != nil {
+	s := Summarize(compileSum(sefl.Seq(is...)))
+	if s.OK() {
 		t.Fatal("budget-busting program summarized")
 	}
-	if want := fmt.Sprintf("decision DAG exceeds %d nodes", MaxSummaryNodes); reason != want {
-		t.Fatalf("reason = %q, want %q", reason, want)
+	if want := fmt.Sprintf("decision DAG exceeds %d nodes", MaxSummaryNodes); s.Reason != want {
+		t.Fatalf("reason = %q, want %q", s.Reason, want)
 	}
 }
 
-// sumShape renders the DAG structurally (op indices, terminators, sharing
-// via node numbering) for round-trip comparison.
-func sumShape(s *Summary) string {
-	var b strings.Builder
-	ids := make(map[*SumNode]int)
-	var walk func(n *SumNode) int
-	walk = func(n *SumNode) int {
-		if id, ok := ids[n]; ok {
-			return id
-		}
-		id := len(ids)
-		ids[n] = id
-		fmt.Fprintf(&b, "n%d:", id)
-		for _, st := range n.Steps {
-			fmt.Fprintf(&b, " %d", st.OpIdx)
-		}
-		switch n.Term {
-		case TermEnd:
-			b.WriteString(" end\n")
-		case TermJump:
-			fmt.Fprintf(&b, " jump@") // resolved below; jumps print after children
-			b.WriteString("\n")
-			fmt.Fprintf(&b, "n%d.next=n%d\n", id, walk(n.Next))
-		case TermBranch:
-			fmt.Fprintf(&b, " br(%d)\n", n.BrIdx)
-			fmt.Fprintf(&b, "n%d.then=n%d\n", id, walk(n.Then))
-			fmt.Fprintf(&b, "n%d.else=n%d\n", id, walk(n.Else))
-		}
-		return id
+// TestSummaryRenderCacheIsLazy pins the resident-size design: trace lines
+// and failure messages are cached per summary, but the cache only exists
+// once something rendered.
+func TestSummaryRenderCacheIsLazy(t *testing.T) {
+	p := compileSum(sefl.Seq(
+		sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sumF0}, sefl.C(1))},
+		sefl.Forward{Port: 0},
+	))
+	s := Summarize(p)
+	if s.renders.Load() != nil {
+		t.Fatal("a fresh summary already holds a render cache")
 	}
-	walk(s.Root)
-	fmt.Fprintf(&b, "rows=%d steps=%d nodes=%d\n", s.Rows, s.Steps, s.Nodes)
-	return b.String()
+	msg := s.ConstrainFailMsg(0)
+	if want := fmt.Sprintf("constraint unsatisfiable: %s", p.Ops[0].Ins.(sefl.Constrain).C); msg != want {
+		t.Fatalf("fail message %q, want %q", msg, want)
+	}
+	if line, want := s.TraceLine(1), fmt.Sprintf("e: %s", p.Ops[1].Ins); line != want {
+		t.Fatalf("trace line %q, want %q", line, want)
+	}
+	if s.ConstrainFailMsg(0) != msg || s.renders.Load() == nil {
+		t.Fatal("renders are not cached")
+	}
 }
 
-func TestSummaryCodecRoundTrip(t *testing.T) {
+func TestSummaryDecodeRoundTrip(t *testing.T) {
 	var is []sefl.Instr
 	for i := 0; i < 4; i++ {
 		is = append(is, sefl.If{
@@ -220,53 +211,78 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 	}
 	is = append(is, sefl.Fork{Ports: []int{0, 2}})
 	p := compileSum(sefl.Seq(is...))
-	s, reason := Summarize(p)
-	if s == nil {
-		t.Fatalf("unsummarizable: %s", reason)
+	s := Summarize(p)
+	if !s.OK() {
+		t.Fatalf("unsummarizable: %s", s.Reason)
 	}
-	w, err := EncodeSummary(s)
-	if err != nil {
+	// The node slab is what crosses the wire; it must survive gob as is and
+	// decode (against the same program) to the same DAG.
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s.Nodes); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	dec, err := DecodeSummary(p, w)
+	var nodes []SumNode
+	if err := gob.NewDecoder(&buf).Decode(&nodes); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	dec, err := DecodeSummary(p, nodes, "")
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got, want := sumShape(dec), sumShape(s); got != want {
-		t.Fatalf("decoded DAG differs:\n--- local ---\n%s--- decoded ---\n%s", want, got)
+	if !reflect.DeepEqual(dec.Nodes, s.Nodes) || dec.Prog != p {
+		t.Fatalf("decoded DAG differs:\n--- local ---\n%+v\n--- decoded ---\n%+v", s.Nodes, dec.Nodes)
 	}
-	// Decoded steps must point into the program's own op array (summaries
-	// reference IR, never copies), so interned conditions stay shared.
-	if dec.Root.Steps == nil && dec.Root.Term == TermEnd {
-		t.Fatal("decoded root is empty")
+	if dec.Rows() != s.Rows() || dec.Steps() != s.Steps() {
+		t.Fatalf("decoded rows/steps %d/%d, want %d/%d", dec.Rows(), dec.Steps(), s.Rows(), s.Steps())
+	}
+
+	// The negative verdict round-trips as its reason.
+	neg, err := DecodeSummary(p, nil, "For loop with a data-dependent iteration space")
+	if err != nil || neg.OK() || neg.Reason != "For loop with a data-dependent iteration space" {
+		t.Fatalf("negative verdict decoded to %+v, %v", neg, err)
 	}
 }
 
-// TestSummaryCodecErrors pins the malformed-stream error messages
+// TestSummaryDecodeErrors pins the malformed-stream error messages
 // byte-for-byte, matching the program codec's conventions (label first,
-// then what referenced what).
-func TestSummaryCodecErrors(t *testing.T) {
-	p := compileSum(sefl.Forward{Port: 0})
+// then what referenced what). The executor indexes ops and nodes unchecked,
+// so everything it would trip over has to be refused here.
+func TestSummaryDecodeErrors(t *testing.T) {
+	p := compileSum(sefl.Seq(
+		sefl.If{C: sefl.Eq(sefl.Ref{LV: sumF0}, sefl.C(1)), Then: sefl.NoOp{}, Else: sefl.NoOp{}},
+		sefl.Forward{Port: 0},
+	))
+	// Arms first: ops 0 and 1 are the arms' NoOps, 2 is the If, 3 the Forward.
+	if len(p.Ops) != 4 || p.Ops[2].Kind != OpIf {
+		t.Fatalf("fixture: %d ops, op 2 of kind %d; want 4 with the If at 2", len(p.Ops), p.Ops[2].Kind)
+	}
+	leaf := SumNode{Lo: 3, Hi: 4}
 	cases := []struct {
-		name string
-		w    *WireSummary
-		want string
+		name  string
+		nodes []SumNode
+		want  string
 	}{
-		{"missing root", &WireSummary{Root: -1},
-			"prog: decode summary e.in[0]: root references missing node -1"},
-		{"root out of range", &WireSummary{Nodes: []WireSumNode{{Term: TermEnd}}, Root: 5},
-			"prog: decode summary e.in[0]: root references missing node 5"},
-		{"forward child reference", &WireSummary{Nodes: []WireSumNode{{Term: TermJump, Next: 0}}, Root: 0},
+		{"no verdict", nil,
+			"prog: decode summary e.in[0]: neither nodes nor an unsummarizable reason"},
+		{"forward child reference", []SumNode{{Lo: 0, Hi: 1, Term: TermJump, Next: 0}},
 			"prog: decode summary e.in[0]: node 0 references out-of-order child 0"},
-		{"missing op", &WireSummary{Nodes: []WireSumNode{{Steps: []int32{99}, Term: TermEnd}}, Root: 0},
-			"prog: decode summary e.in[0]: node 0 references missing op 99"},
-		{"missing branch op", &WireSummary{Nodes: []WireSumNode{{Term: TermEnd}, {Term: TermBranch, Br: 42, Then: 0, Else: 0}}, Root: 1},
-			"prog: decode summary e.in[0]: node 1 references missing branch op 42"},
-		{"unknown terminator", &WireSummary{Nodes: []WireSumNode{{Term: TermKind(7)}}, Root: 0},
+		{"missing op", []SumNode{{Lo: 3, Hi: 99}},
+			"prog: decode summary e.in[0]: node 0 references missing ops [3,99)"},
+		{"inverted range", []SumNode{{Lo: 2, Hi: 1}},
+			"prog: decode summary e.in[0]: node 0 references missing ops [2,1)"},
+		{"step over control op", []SumNode{{Lo: 1, Hi: 3}},
+			"prog: decode summary e.in[0]: node 0 steps over control op 2"},
+		{"branch on a linear op", []SumNode{leaf, {Lo: 3, Hi: 3, Term: TermBranch, Then: 0, Else: 0}},
+			"prog: decode summary e.in[0]: node 1 branches on op 3, which is not an If"},
+		{"branch past the program", []SumNode{leaf, {Lo: 4, Hi: 4, Term: TermBranch, Then: 0, Else: 0}},
+			"prog: decode summary e.in[0]: node 1 branches on op 4, which is not an If"},
+		{"missing else", []SumNode{leaf, {Lo: 2, Hi: 2, Term: TermBranch, Then: 0, Else: 7}},
+			"prog: decode summary e.in[0]: node 1 references out-of-order child 7"},
+		{"unknown terminator", []SumNode{{Lo: 3, Hi: 4, Term: TermKind(7)}},
 			"prog: decode summary e.in[0]: node 0 has unknown terminator 7"},
 	}
 	for _, tc := range cases {
-		_, err := DecodeSummary(p, tc.w)
+		_, err := DecodeSummary(p, tc.nodes, "")
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}

@@ -9,6 +9,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/dist"
 	"symnet/internal/models"
+	"symnet/internal/obs"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
@@ -94,9 +95,10 @@ type Session struct {
 }
 
 // Compile validates the network, warms every element's compiled programs
-// (so first-query latency excludes compilation), and pins the session's
-// run options. A nil Options.SatMemo is replaced with a fresh session-held
-// memo, so repeated queries share solver verdicts by default.
+// and their summaries (so first-query latency excludes both, and concurrent
+// first queries cannot race to build them), and pins the session's run
+// options. A nil Options.SatMemo is replaced with a fresh session-held memo,
+// so repeated queries share solver verdicts by default.
 func Compile(net *Network, opts Options) (*Session, error) {
 	if net == nil {
 		return nil, fmt.Errorf("symnet: Compile on nil network")
@@ -104,10 +106,19 @@ func Compile(net *Network, opts Options) (*Session, error) {
 	if opts.SatMemo == nil {
 		opts.SatMemo = NewSatMemo()
 	}
-	for _, e := range net.Elements() {
-		e.Programs() // warm the lazily-compiled per-port programs
-	}
+	summarized, unsummarizable := core.Warm(net)
+	reg := registry(opts) // nil without one; its instruments are nil-safe
+	reg.Counter("summary.built").Add(int64(summarized))
+	reg.Counter("summary.unsummarizable").Add(int64(unsummarizable))
 	return &Session{net: net, opts: opts}, nil
+}
+
+// registry returns the metrics registry attached to the options, if any.
+func registry(opts Options) *obs.Registry {
+	if opts.Obs == nil {
+		return nil
+	}
+	return opts.Obs.Reg
 }
 
 // Network returns the session's network. Mutating it while a Serving handle
@@ -215,6 +226,7 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 			return nil, fmt.Errorf("symnet: serve: model switch %q: %w", name, err)
 		}
 	}
+	core.Warm(s.net) // the re-modeled elements' programs and summaries
 	var pool *dist.Pool
 	var runner churn.BatchRunner
 	if cfg.DistProcs > 0 || len(cfg.DistWorkers) > 0 {
@@ -232,6 +244,10 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		runner = pool
 	}
 	svc := churn.NewService(churn.Config{
+		// The serving path's instruments (churn.*, the shared SatCache's)
+		// land beside the engine's in the caller's registry when one is
+		// attached; the service keeps a private one otherwise.
+		Reg:     registry(s.opts),
 		Net:     s.net,
 		Sources: cfg.Sources,
 		Targets: cfg.Targets,

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"symnet/internal/datasets"
+	"symnet/internal/obs"
 	"symnet/internal/sefl"
 )
 
@@ -289,5 +291,83 @@ func TestSessionServeErrors(t *testing.T) {
 		Routers: map[string]FIB{"nosuch": sessionFIB()},
 	}); err == nil {
 		t.Fatal("Serve with unknown router element succeeded")
+	}
+}
+
+// TestCompileWarmsProgramsAndSummaries pins what Compile leaves for the
+// first query to do: nothing. Every element-port program is compiled and
+// summarized (counted on the attached registry), so the first Run misses the
+// program cache nowhere and builds no summary. (The compiler still runs in
+// it: injection code is per query and For bodies are keyed by runtime
+// metadata, so prog.compile.count is not zero.)
+func TestCompileWarmsProgramsAndSummaries(t *testing.T) {
+	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 3, HostsPerSwitch: 8, Routes: 12, Seed: 5})
+	reg := obs.NewRegistry()
+	sess, err := Compile(d.Net, Options{MaxHops: 64, Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := reg.Snapshot().Counters
+	if warm["summary.built"] == 0 || warm["summary.unsummarizable"] != 2 {
+		t.Fatalf("Compile counted %d summaries built and %d unsummarizable, want most and the ASA's two",
+			warm["summary.built"], warm["summary.unsummarizable"])
+	}
+	if _, err := sess.Run(PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false)); err != nil {
+		t.Fatal(err)
+	}
+	first := reg.Snapshot().Counters
+	grew := func(name string) int64 { return first[name] - warm[name] }
+	if grew("summary.hits") == 0 || grew("core.progcache.hits") == 0 {
+		t.Fatalf("first Run applied %d summaries over %d cached programs; the engine did not run on the warmed cache",
+			grew("summary.hits"), grew("core.progcache.hits"))
+	}
+	if n := grew("summary.built") + grew("summary.unsummarizable"); n != 0 {
+		t.Errorf("first Run after Compile summarized %d programs, want 0", n)
+	}
+	if n := first["core.progcache.misses"]; n != 0 {
+		t.Errorf("first Run after Compile compiled %d port programs, want 0", n)
+	}
+}
+
+// TestSessionServeInstruments pins that a registry attached to the session
+// sees the serving path too — the engine's and the churn service's
+// instruments from an Apply land in the caller's snapshot — and that it
+// stays inert: the same deltas publish the same versions and the same report
+// bytes with and without it.
+func TestSessionServeInstruments(t *testing.T) {
+	serve := func(o *obs.Obs) *Serving {
+		sess, err := Compile(buildSessionNet(t), Options{Trace: true, Workers: 2, Obs: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sessionServe(t, sess)
+	}
+	reg := obs.NewRegistry()
+	plain, observed := serve(nil), serve(obs.New(reg, nil))
+	compareAllPairs(t, "initial report, registry vs none", observed.Current().Report, plain.Current().Report)
+
+	before := reg.Snapshot().Counters
+	delta := Delta{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1}
+	for _, srv := range []*Serving{plain, observed} {
+		if rep, err := srv.Apply(context.Background(), delta); err != nil || rep.Applied != 1 {
+			t.Fatalf("apply: %+v, %v", rep, err)
+		}
+	}
+	if plain.Version() != observed.Version() {
+		t.Fatalf("published versions diverge: %d without a registry, %d with", plain.Version(), observed.Version())
+	}
+	compareAllPairs(t, "post-delta report, registry vs none", observed.Current().Report, plain.Current().Report)
+
+	after := reg.Snapshot()
+	if grew := after.Counters["summary.hits"] - before["summary.hits"]; grew <= 0 {
+		t.Errorf("summary.hits grew by %d over one Apply, want > 0 (the serving path's engine counters are hidden)", grew)
+	}
+	for _, name := range []string{"churn.deltas.applied", "churn.batches.applied", "churn.cells.reverified"} {
+		if grew := after.Counters[name] - before[name]; grew <= 0 {
+			t.Errorf("%s grew by %d over one Apply, want > 0 (the churn service kept a private registry)", name, grew)
+		}
+	}
+	if after.Gauges["churn.version"] != int64(observed.Version()) {
+		t.Errorf("churn.version gauge = %d, want the published version %d", after.Gauges["churn.version"], observed.Version())
 	}
 }
