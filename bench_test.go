@@ -11,6 +11,7 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
+	"symnet/internal/dist"
 	"symnet/internal/experiments"
 	"symnet/internal/hsa"
 	"symnet/internal/minic"
@@ -162,7 +163,7 @@ func benchAllPairsDepartment(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets,
-			core.Options{MaxHops: 64}, workers)
+			core.Options{MaxHops: 64}, dist.InProcess(workers, nil))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func benchAllPairsStanford(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := verify.AllPairsReachability(bb.Net, srcs, sefl.NewIPPacket(), targets,
-			core.Options{}, workers); err != nil {
+			core.Options{}, dist.InProcess(workers, nil)); err != nil {
 			b.Fatal(err)
 		}
 	}

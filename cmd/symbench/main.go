@@ -652,12 +652,9 @@ func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, d
 func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, procs, workersPerProc int, distAddrs []string, o *obs.Obs) {
 	opts.Obs = o
 	t0 := time.Now()
-	r, err := verify.AllPairsReachabilityDistConfig(net, srcs, packet, targets, opts, dist.Config{
+	r := allPairsVia(net, srcs, packet, targets, opts, dist.Config{
 		Procs: procs, Workers: distAddrs, WorkersPerProc: workersPerProc, ShareSat: true,
 	})
-	if err != nil {
-		fail(err)
-	}
 	elapsed := time.Since(t0)
 
 	// The matrix rides in the row as "src->tgt:count" cells, and the
@@ -676,7 +673,7 @@ func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.
 		}
 		matrix = append(matrix, srcs[s].String()+"->"+strings.Join(cells, ","))
 	}
-	fp := summaryFP(r.Summaries)
+	fp := summaryFP(r)
 
 	rep.printf("%-22s %-8d %-8d %-10d %-18s %v\n",
 		name, len(srcs), r.Pairs(), reachable, fp, elapsed.Round(time.Millisecond))
@@ -691,9 +688,13 @@ func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.
 	})
 }
 
-// summaryFP collapses every path summary of a distributed report to one
-// fingerprint.
-func summaryFP(sums []*dist.Summary) string {
+// summaryFP collapses every path summary of a report to one fingerprint —
+// the same one whichever runner produced the report.
+func summaryFP(r *verify.AllPairsReport) string {
+	sums := make([]*dist.Summary, len(r.Sources))
+	for i := range sums {
+		sums[i] = r.Summary(i)
+	}
 	h := fnv.New64a()
 	if err := json.NewEncoder(h).Encode(sums); err != nil {
 		fail(err)
@@ -701,14 +702,21 @@ func summaryFP(sums []*dist.Summary) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// distSummaryFP runs the all-pairs batch through the distributed runner in
-// the given shape and fingerprints its path summaries.
-func distSummaryFP(net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, cfg dist.Config) string {
-	r, err := verify.AllPairsReachabilityDistConfig(net, srcs, packet, targets, opts, cfg)
+// allPairsVia runs the all-pairs batch through the runner cfg describes —
+// in-process when it names no fleet — and dismisses the runner. The runner
+// reports into opts.Obs.
+func allPairsVia(net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, cfg dist.Config) *verify.AllPairsReport {
+	cfg.Obs = opts.Obs
+	runner, err := dist.NewRunner(cfg)
 	if err != nil {
 		fail(err)
 	}
-	return summaryFP(r.Summaries)
+	defer runner.Close()
+	r, err := verify.AllPairsReachability(net, srcs, packet, targets, opts, runner)
+	if err != nil {
+		fail(err)
+	}
+	return r
 }
 
 // poolJobs builds the department all-pairs batch the fleet benchmarks
@@ -752,13 +760,19 @@ func poolBench(rep *reporter, quick bool) {
 	rep.printf("== Worker pool reuse vs cold fork/exec (procs=%d, %d jobs, %d batches) ==\n", procs, len(jobs), batches)
 	rep.printf("%-12s %-14s %-14s %s\n", "Case", "Cold/batch", "Pool/batch", "Speedup")
 
-	cold := timeBatches(batches, func() []dist.JobResult {
-		return dist.RunBatchConfig(net, jobs, dist.Config{Procs: procs, WorkersPerProc: 1, ShareSat: true})
-	})
-	pool, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1, ShareSat: true})
-	if err != nil {
-		fail(err)
+	newPool := func() *dist.Pool {
+		p, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1, ShareSat: true})
+		if err != nil {
+			fail(err)
+		}
+		return p
 	}
+	cold := timeBatches(batches, func() []dist.JobResult {
+		p := newPool()
+		defer p.Close()
+		return p.RunBatch(net, jobs)
+	})
+	pool := newPool()
 	pool.RunBatch(net, jobs) // warm: spawn + full setup land here
 	warm := timeBatches(batches, func() []dist.JobResult { return pool.RunBatch(net, jobs) })
 	pool.Close()
@@ -957,7 +971,7 @@ func itablesRow(rep *reporter, name string, net *core.Network, srcs []core.PortR
 				o.SatMemo.RegisterMetrics(obsv.Reg)
 			}
 			t0 := time.Now()
-			if _, err := verify.AllPairsReachability(net, srcs, packet, targets, o, 1); err != nil {
+			if _, err := verify.AllPairsReachability(net, srcs, packet, targets, o, dist.InProcess(1, o.Obs)); err != nil {
 				fail(err)
 			}
 			if d := time.Since(t0); best == 0 || d < best {
@@ -1060,7 +1074,7 @@ func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.Por
 				o.SatMemo.RegisterMetrics(obsv.Reg)
 			}
 			t0 := time.Now()
-			r, err := verify.AllPairsReachability(net, srcs, packet, targets, o, 1)
+			r, err := verify.AllPairsReachability(net, srcs, packet, targets, o, dist.InProcess(1, o.Obs))
 			if err != nil {
 				fail(err)
 			}
@@ -1087,8 +1101,8 @@ func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.Por
 	}
 	ref := opts
 	ref.IRExec = true
-	refFP := distSummaryFP(net, srcs, packet, targets, ref, dist.Config{})
-	fp := distSummaryFP(net, srcs, packet, targets, opts, dist.Config{Procs: procs, WorkersPerProc: workers, ShareSat: true})
+	refFP := summaryFP(allPairsVia(net, srcs, packet, targets, ref, dist.Config{}))
+	fp := summaryFP(allPairsVia(net, srcs, packet, targets, opts, dist.Config{Procs: procs, WorkersPerProc: workers, ShareSat: true}))
 	if refFP != fp {
 		fail(fmt.Errorf("summaries %s: path summaries of the default engine at procs=%d workers=%d (%s) differ from the sequential IR reference (%s)", name, procs, workers, fp, refFP))
 	}
@@ -1175,13 +1189,13 @@ func allpairsRow(rep *reporter, name string, net *core.Network, srcs []core.Port
 		parMemo.RegisterMetrics(o.Reg)
 	}
 	t0 := time.Now()
-	seqRep, err := verify.AllPairsReachability(net, srcs, packet, targets, seqOpts, 1)
+	seqRep, err := verify.AllPairsReachability(net, srcs, packet, targets, seqOpts, dist.InProcess(1, o))
 	if err != nil {
 		fail(err)
 	}
 	seq := time.Since(t0)
 	t0 = time.Now()
-	parRep, err := verify.AllPairsReachability(net, srcs, packet, targets, parOpts, workers)
+	parRep, err := verify.AllPairsReachability(net, srcs, packet, targets, parOpts, dist.InProcess(workers, o))
 	if err != nil {
 		fail(err)
 	}
@@ -1329,7 +1343,7 @@ func churnBurstRow(rep *reporter, name string, fresh func() *core.Network, regis
 	build := func() *churn.Service {
 		svc := churn.NewService(churn.Config{
 			Net: fresh(), Sources: srcs, Targets: targets,
-			Packet: packet, Opts: opts, Workers: workers, Reg: reg,
+			Packet: packet, Opts: opts, Runner: dist.InProcess(workers, opts.Obs), Reg: reg,
 		})
 		register(svc)
 		if err := svc.Init(); err != nil {
@@ -1390,7 +1404,7 @@ func churnRow(rep *reporter, name string, fresh func() *core.Network, register f
 		fo := opts
 		fo.SatMemo = solver.NewSatCache()
 		t0 := time.Now()
-		if _, err := verify.AllPairsReachability(fresh(), srcs, packet, targets, fo, workers); err != nil {
+		if _, err := verify.AllPairsReachability(fresh(), srcs, packet, targets, fo, dist.InProcess(workers, fo.Obs)); err != nil {
 			fail(err)
 		}
 		if d := time.Since(t0); fullBest == 0 || d < fullBest {
@@ -1400,7 +1414,7 @@ func churnRow(rep *reporter, name string, fresh func() *core.Network, register f
 
 	svc := churn.NewService(churn.Config{
 		Net: fresh(), Sources: srcs, Targets: targets,
-		Packet: packet, Opts: opts, Workers: workers, Reg: reg,
+		Packet: packet, Opts: opts, Runner: dist.InProcess(workers, opts.Obs), Reg: reg,
 	})
 	register(svc)
 	t0 := time.Now()

@@ -155,10 +155,15 @@ func main() {
 	var stats core.RunStats
 	var memo *solver.SatCache
 	if *procs > 0 {
+		// One exploration is one job, so one subprocess carries it whatever
+		// -procs says.
+		runner, err := dist.NewRunner(dist.Config{Procs: 1, WorkersPerProc: *workers, ShareSat: true, Obs: o})
+		if err != nil {
+			fatal(err)
+		}
 		jobs := []dist.Job{{Name: *inject, Inject: injectRef, Packet: tmpl, Opts: opts}}
-		jr := dist.RunBatchConfig(cfg.Net, jobs, dist.Config{
-			Procs: *procs, WorkersPerProc: *workers, ShareSat: true, Obs: o,
-		})[0]
+		jr := runner.RunBatch(cfg.Net, jobs)[0]
+		runner.Close()
 		if jr.Err != nil {
 			fatal(jr.Err)
 		}

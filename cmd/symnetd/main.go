@@ -30,10 +30,12 @@
 //	GET  /v1/snapshot      export the resident tables + version as JSON
 //	POST /v1/snapshot      restore a previously exported snapshot
 //
-// The pre-/v1 paths (/delta, /report) answer 301 to their /v1 successors.
+// Request bodies are capped (maxDeltaBody, maxSnapshotBody; 413 beyond) and
+// request headers must arrive within readHeaderTimeout.
 //
 // -state FILE restores a snapshot at startup (if the file exists) and
-// persists one on SIGINT/SIGTERM shutdown. -debug-addr serves expvar under
+// persists one on SIGINT/SIGTERM shutdown, atomically: the previous snapshot
+// survives a crash mid-write. -debug-addr serves expvar under
 // /debug/vars with the churn.* instruments (churn.batch_ns, churn.version,
 // churn.queue.depth, churn.watch.subscribers, ...) and the shared
 // solver.satcache.* counters, plus net/http/pprof.
@@ -42,6 +44,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -54,19 +57,22 @@ import (
 	"time"
 
 	"symnet/internal/churn"
-	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/dist"
 	"symnet/internal/obs"
 	"symnet/internal/sefl"
+	"symnet/internal/tables"
 )
 
 // buildService constructs the resident workload for a named topology. The
 // injected packet is destination-constrained (one monitored zone / the
 // department's first IP hop) so deltas stay localized — the regime the
 // incremental service is built for.
-func buildService(network string, quick, heavy bool, workers int, runner churn.BatchRunner, reg *obs.Registry) (*churn.Service, string, error) {
-	opts := core.Options{}
+func buildService(network string, quick, heavy bool, runner dist.Runner, reg *obs.Registry) (*churn.Service, string, error) {
+	cfg := churn.Config{Runner: runner, Reg: reg}
+	var fibs map[string]tables.FIB
+	var macs map[string]tables.MACTable
+	var desc string
 	switch network {
 	case "backbone":
 		zones, perZone := 8, 100
@@ -77,49 +83,41 @@ func buildService(network string, quick, heavy bool, workers int, runner churn.B
 			zones, perZone = 14, 300
 		}
 		b := datasets.StanfordBackbone(zones, perZone)
-		sources, targets := b.AllPairs()
-		packet := sefl.Seq(
+		cfg.Net, fibs = b.Net, b.FIBs
+		cfg.Sources, cfg.Targets = b.AllPairs()
+		cfg.Packet = sefl.Seq(
 			sefl.NewIPPacket(),
 			sefl.Constrain{C: sefl.Prefix{E: sefl.Ref{LV: sefl.IPDst}, Value: sefl.IPToNumber("10.0.0.0"), Len: 16}},
 		)
-		svc := churn.NewService(churn.Config{
-			Net: b.Net, Sources: sources, Targets: targets,
-			Packet: packet, Opts: opts, Workers: workers, Runner: runner, Reg: reg,
-		})
-		for name, fib := range b.FIBs {
-			svc.RegisterRouter(name, fib)
-		}
-		desc := fmt.Sprintf("stanford backbone (%d zones, %d routes/zone, %d rules)", zones, perZone, b.Rules)
-		return svc, desc, nil
+		desc = fmt.Sprintf("stanford backbone (%d zones, %d routes/zone, %d rules)", zones, perZone, b.Rules)
 	case "department":
-		cfg := datasets.DefaultDepartment()
+		dc := datasets.DefaultDepartment()
 		if quick {
-			cfg = datasets.DepartmentConfig{NumAccessSwitches: 4, HostsPerSwitch: 40, Routes: 60, Seed: 11}
+			dc = datasets.DepartmentConfig{NumAccessSwitches: 4, HostsPerSwitch: 40, Routes: 60, Seed: 11}
 		}
 		if heavy {
-			cfg = datasets.HeavyDepartment()
+			dc = datasets.HeavyDepartment()
 		}
-		d := datasets.NewDepartment(cfg)
-		sources, targets := d.AllPairs()
-		packet := sefl.Seq(
+		d := datasets.NewDepartment(dc)
+		cfg.Net, fibs, macs = d.Net, d.FIBs, d.MACTables
+		cfg.Sources, cfg.Targets = d.AllPairs()
+		cfg.Packet = sefl.Seq(
 			sefl.NewTCPPacket(),
 			sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.EtherDst}, sefl.CW(sefl.MACToNumber(d.ASAMac), sefl.MACWidth))},
 		)
-		svc := churn.NewService(churn.Config{
-			Net: d.Net, Sources: sources, Targets: targets,
-			Packet: packet, Opts: opts, Workers: workers, Runner: runner, Reg: reg,
-		})
-		for name, tbl := range d.MACTables {
-			svc.RegisterSwitch(name, tbl)
-		}
-		for name, fib := range d.FIBs {
-			svc.RegisterRouter(name, fib)
-		}
-		desc := fmt.Sprintf("department (%d access switches, %d MAC entries, %d routes)",
-			cfg.NumAccessSwitches, d.MACEntries, d.RouteEntries)
-		return svc, desc, nil
+		desc = fmt.Sprintf("department (%d access switches, %d MAC entries, %d routes)",
+			dc.NumAccessSwitches, d.MACEntries, d.RouteEntries)
+	default:
+		return nil, "", fmt.Errorf("unknown -network %q (want department|backbone)", network)
 	}
-	return nil, "", fmt.Errorf("unknown -network %q (want department|backbone)", network)
+	svc := churn.NewService(cfg)
+	for name, tbl := range macs {
+		svc.RegisterSwitch(name, tbl)
+	}
+	for name, fib := range fibs {
+		svc.RegisterRouter(name, fib)
+	}
+	return svc, desc, nil
 }
 
 // server exposes a churn.Resident over the /v1 HTTP surface. All mutations
@@ -130,15 +128,38 @@ type server struct {
 	// maxWait bounds long-poll waits (/v1/report?version=, /v1/watch?poll=1)
 	// so proxies do not reap idle connections.
 	maxWait time.Duration
+	// maxDelta and maxSnapshot cap the POST bodies (413 beyond).
+	maxDelta, maxSnapshot int64
 }
 
 func newServer(res *churn.Resident) *server {
-	return &server{res: res, maxWait: 25 * time.Second}
+	return &server{res: res, maxWait: 25 * time.Second, maxDelta: maxDeltaBody, maxSnapshot: maxSnapshotBody}
 }
+
+// Input bounds. A delta stream is a few hundred bytes per line and one
+// absorption pass takes at most -max-batch of them; a snapshot is every
+// resident table (the heavy backbone's is ~1 MB).
+const (
+	maxDeltaBody      = 8 << 20
+	maxSnapshotBody   = 64 << 20
+	readHeaderTimeout = 10 * time.Second
+)
 
 // writeErr emits the uniform error envelope.
 func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg, "code": code})
+}
+
+// writeBodyErr reports a request body that failed to decode: 413 when it ran
+// into its http.MaxBytesReader cap, 400 under the given code otherwise.
+func writeBodyErr(w http.ResponseWriter, err error, code string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	writeErr(w, http.StatusBadRequest, code, err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -173,9 +194,9 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
 		return
 	}
-	ds, bad, err := churn.DecodeDeltasLenient(r.Body)
+	ds, bad, err := churn.DecodeDeltasLenient(http.MaxBytesReader(w, r.Body, s.maxDelta))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_stream", err.Error())
+		writeBodyErr(w, err, "bad_stream")
 		return
 	}
 	if len(ds) == 0 && len(bad) == 0 {
@@ -440,9 +461,9 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, st)
 	case http.MethodPost:
-		st, err := churn.ReadState(r.Body)
+		st, err := churn.ReadState(http.MaxBytesReader(w, r.Body, s.maxSnapshot))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_snapshot", err.Error())
+			writeBodyErr(w, err, "bad_snapshot")
 			return
 		}
 		pub, err := s.res.Restore(r.Context(), st)
@@ -470,21 +491,31 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("/v1/report", s.handleReport)
 	mux.HandleFunc("/v1/watch", s.handleWatch)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	// Pre-/v1 paths moved permanently.
-	mux.Handle("/delta", redirectV1("/v1/delta"))
-	mux.Handle("/report", redirectV1("/v1/report"))
 	return mux
 }
 
-// redirectV1 301s to the /v1 path, preserving the query string.
-func redirectV1(target string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		u := target
-		if r.URL.RawQuery != "" {
-			u += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, u, http.StatusMovedPermanently)
-	})
+// saveState writes the snapshot to path+".tmp", syncs it and renames it into
+// place, so a crash mid-write leaves the previous snapshot intact.
+func saveState(path string, st *churn.State) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = st.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 func main() {
@@ -511,31 +542,23 @@ func main() {
 		log.Printf("symnetd: metrics at http://%s/debug/vars", addr)
 	}
 
-	var pool *dist.Pool
-	var runner churn.BatchRunner
-	if *distWorkers != "" || *distProcs > 0 {
-		var addrs []string
-		if *distWorkers != "" {
-			addrs = strings.Split(*distWorkers, ",")
-		}
-		var perr error
-		pool, perr = dist.NewPool(dist.Config{
-			Procs: *distProcs, Workers: addrs, WorkersPerProc: *workers,
-			ShareSat: true, Obs: obs.New(reg, nil),
-		})
-		if perr != nil {
-			log.Fatalf("symnetd: %v", perr)
-		}
-		defer pool.Close()
-		runner = pool
-		if len(addrs) > 0 {
-			log.Printf("symnetd: verification fleet: %d TCP workers (%s)", len(addrs), *distWorkers)
-		} else {
-			log.Printf("symnetd: verification fleet: %d local worker processes", *distProcs)
-		}
+	var addrs []string
+	if *distWorkers != "" {
+		addrs = strings.Split(*distWorkers, ",")
+	}
+	runner, err := dist.NewRunner(dist.Config{
+		Procs: *distProcs, Workers: addrs, WorkersPerProc: *workers,
+		ShareSat: true, Obs: obs.New(reg, nil),
+	})
+	if err != nil {
+		log.Fatalf("symnetd: %v", err)
+	}
+	defer runner.Close()
+	if pool, ok := runner.(*dist.Pool); ok {
+		log.Printf("symnetd: verification fleet: %d members", pool.Size())
 	}
 
-	svc, desc, err := buildService(*network, *quick, *heavy, *workers, runner, reg)
+	svc, desc, err := buildService(*network, *quick, *heavy, runner, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "symnetd:", err)
 		os.Exit(2)
@@ -570,7 +593,7 @@ func main() {
 	}
 
 	s := newServer(res)
-	httpSrv := &http.Server{Addr: *listen, Handler: s.mux()}
+	httpSrv := &http.Server{Addr: *listen, Handler: s.mux(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("symnetd: listening on %s", *listen)
@@ -588,18 +611,10 @@ func main() {
 	if *stateFile != "" {
 		if st, err := res.Export(ctx); err != nil {
 			log.Printf("symnetd: export on shutdown: %v", err)
-		} else if f, err := os.Create(*stateFile); err != nil {
+		} else if err := saveState(*stateFile, st); err != nil {
 			log.Printf("symnetd: write %s: %v", *stateFile, err)
 		} else {
-			_, werr := st.WriteTo(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				log.Printf("symnetd: write %s: %v", *stateFile, werr)
-			} else {
-				log.Printf("symnetd: snapshot saved to %s (version %d)", *stateFile, st.Version)
-			}
+			log.Printf("symnetd: snapshot saved to %s (version %d)", *stateFile, st.Version)
 		}
 	}
 	res.Close()

@@ -3,11 +3,14 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,13 +18,14 @@ import (
 	"time"
 
 	"symnet/internal/churn"
+	"symnet/internal/dist"
 	"symnet/internal/obs"
 )
 
 func newTestServer(t *testing.T, network string) (*server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	svc, _, err := buildService(network, true, false, 2, nil, reg)
+	svc, _, err := buildService(network, true, false, dist.InProcess(2, nil), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +54,7 @@ func deptServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	deptOnce.Do(func() {
 		reg := obs.NewRegistry()
-		svc, _, err := buildService("department", true, false, 2, nil, reg)
+		svc, _, err := buildService("department", true, false, dist.InProcess(2, nil), reg)
 		if err != nil {
 			deptErr = err
 			return
@@ -233,27 +237,67 @@ func TestDaemonDeltaStatuses(t *testing.T) {
 	}
 }
 
-func TestDaemonRedirects(t *testing.T) {
-	_, ts := deptServer(t)
-	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	for old, want := range map[string]string{
-		"/delta":            "/v1/delta",
-		"/report":           "/v1/report",
-		"/report?version=3": "/v1/report?version=3",
-	} {
-		resp, err := client.Get(ts.URL + old)
+// TestDaemonBodyCaps: a POST body past its cap is cut off by
+// http.MaxBytesReader and answered 413 in the error envelope, on both
+// body-taking endpoints, before anything reaches the absorber.
+func TestDaemonBodyCaps(t *testing.T) {
+	s, _ := deptServer(t)
+	small := *s
+	small.maxDelta, small.maxSnapshot = 64, 64
+	ts := httptest.NewServer(small.mux())
+	defer ts.Close()
+	before := s.res.Current().Version
+	for _, path := range []string{"/v1/delta", "/v1/snapshot"} {
+		body := `{"pad":"` + strings.Repeat("a", 200) + `"}`
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var env struct {
+			Code string `json:"code"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Fatalf("%s: status %d, want 301", old, resp.StatusCode)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || env.Code != "body_too_large" {
+			t.Fatalf("POST %s over the cap: status %d, envelope %+v (%v), want 413 body_too_large", path, resp.StatusCode, env, err)
 		}
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Fatalf("%s: Location %q, want %q", old, loc, want)
-		}
+	}
+	if v := s.res.Current().Version; v != before {
+		t.Fatalf("an over-cap body published version %d (was %d)", v, before)
+	}
+}
+
+// TestSaveStateReplacesAtomically: saveState goes through a temp file in the
+// target's directory and a rename, so the previous snapshot is replaced whole
+// and nothing is left beside it.
+func TestSaveStateReplacesAtomically(t *testing.T) {
+	s, _ := deptServer(t)
+	st, err := s.res.Export(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	if err := os.WriteFile(path, []byte("previous snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveState(path, st); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := churn.ReadState(f)
+	if err != nil || got.Version != st.Version {
+		t.Fatalf("state read back: %+v, %v; want version %d", got, err, st.Version)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("saveState left %d entries in the directory, want only the snapshot", len(ents))
+	}
+	if err := saveState(filepath.Join(dir, "missing", "state.json"), st); err == nil {
+		t.Fatal("saveState into a missing directory succeeded")
 	}
 }
 

@@ -19,9 +19,10 @@
 // point dist.Config.WorkerCmd at it, or run `symworker -listen` on the
 // remote machine:
 //
-//	dist.RunBatchConfig(net, jobs, dist.Config{
+//	runner, err := dist.NewRunner(dist.Config{
 //		Workers: []string{"10.0.0.2:9090", "10.0.0.3:9090"},
 //	})
+//	results := runner.RunBatch(net, jobs)
 //
 // With -debug-addr the worker serves /debug/pprof and /debug/vars for live
 // inspection of a long shard; the expvar metrics appear once the coordinator

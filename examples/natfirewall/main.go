@@ -49,7 +49,11 @@ func main() {
 	net.MustLink("NAT", 1, "FW", 1)
 	net.MustLink("FW", 1, "HOST", 0)
 
-	res, err := symnet.Run(net, symnet.PortRef{Elem: "FW", Port: 0}, sefl.NewTCPPacket(), symnet.Options{})
+	sess, err := symnet.Compile(net, symnet.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Run(symnet.PortRef{Elem: "FW", Port: 0}, sefl.NewTCPPacket())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func main() {
 	}
 
 	// Unsolicited traffic from the outside: inject at NAT's outside input.
-	res2, err := symnet.Run(net, symnet.PortRef{Elem: "NAT", Port: 1}, sefl.NewTCPPacket(), symnet.Options{})
+	res2, err := sess.Run(symnet.PortRef{Elem: "NAT", Port: 1}, sefl.NewTCPPacket())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,11 @@ func main() {
 	b.SetInCode(0, sefl.NoOp{})
 	net.MustLink("A", 1, "B", 0)
 
-	res, err := symnet.Run(net, symnet.PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), symnet.Options{})
+	sess, err := symnet.Compile(net, symnet.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Run(symnet.PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,11 @@ func main() {
 	net.MustLink("D2", 0, "D1", 0)
 	net.MustLink("D1", 0, "B", 0)
 
-	res, err := symnet.Run(net, symnet.PortRef{Elem: "E1", Port: 0}, sefl.NewTCPPacket(), symnet.Options{})
+	sess, err := symnet.Compile(net, symnet.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Run(symnet.PortRef{Elem: "E1", Port: 0}, sefl.NewTCPPacket())
 	if err != nil {
 		log.Fatal(err)
 	}

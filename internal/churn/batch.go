@@ -2,6 +2,7 @@ package churn
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"symnet/internal/core"
@@ -231,7 +232,6 @@ func (st *Stage) Commit() (*BatchResult, error) {
 	if st.deltas == 0 {
 		return res, nil
 	}
-	dirty := make(map[int]bool)
 	for _, elem := range st.order {
 		es := st.elems[elem]
 		e, ok := s.cfg.Net.Element(elem)
@@ -240,9 +240,9 @@ func (st *Stage) Commit() (*BatchResult, error) {
 		}
 		var err error
 		if es.isFIB {
-			err = s.commitFIB(e, elem, es, res, dirty)
+			err = s.commitFIB(e, elem, es, res)
 		} else {
-			err = s.commitMAC(e, elem, es, res, dirty)
+			err = s.commitMAC(e, elem, es, res)
 		}
 		if err != nil {
 			return nil, err
@@ -251,7 +251,7 @@ func (st *Stage) Commit() (*BatchResult, error) {
 	if res.Action == "" {
 		res.Action = ActionNoop
 	}
-	if err := s.reverify(dirty, res); err != nil {
+	if err := s.reverify(res); err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
@@ -274,10 +274,10 @@ func (st *Stage) Commit() (*BatchResult, error) {
 }
 
 // commitFIB reconciles one router's staged table against the resident model.
-func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *BatchResult, dirty map[int]bool) error {
+func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *BatchResult) error {
 	oldFib := s.routers[elem]
 	newFib := es.fib
-	if !equalInts(oldFib.Ports(), newFib.Ports()) {
+	if !slices.Equal(oldFib.Ports(), newFib.Ports()) {
 		// Fork list changes: regenerate the whole model. Evict the verdicts
 		// that depended on the old guards first, while the old programs are
 		// still resident.
@@ -292,7 +292,7 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 		res.ElemsRebuilt++
 		res.Action = worse(res.Action, ActionRebuilt)
 		for i := range s.visitedElem[elem] {
-			dirty[i] = true
+			s.unverified[i] = true
 		}
 	} else {
 		oldPer := models.GroupRoutes(tables.CompileLPM(oldFib))
@@ -307,9 +307,10 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			res.SatEvicted += evicted
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
-			s.noteRefresh(core.PortRef{Elem: elem, Port: p, Out: true})
-			for i := range s.visited[core.PortRef{Elem: elem, Port: p, Out: true}] {
-				dirty[i] = true
+			ref := core.PortRef{Elem: elem, Port: p, Out: true}
+			s.pendingRefresh = append(s.pendingRefresh, ref)
+			for i := range s.visited[ref] {
+				s.unverified[i] = true
 			}
 		}
 	}
@@ -318,10 +319,10 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 }
 
 // commitMAC reconciles one switch's staged table against the resident model.
-func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *BatchResult, dirty map[int]bool) error {
+func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *BatchResult) error {
 	oldTbl := s.switches[elem]
 	newTbl := es.mac
-	if !equalInts(oldTbl.Ports(), newTbl.Ports()) {
+	if !slices.Equal(oldTbl.Ports(), newTbl.Ports()) {
 		for _, p := range oldTbl.Ports() {
 			res.SatEvicted += s.evictPortTables(e, p)
 		}
@@ -333,13 +334,13 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 		res.ElemsRebuilt++
 		res.Action = worse(res.Action, ActionRebuilt)
 		for i := range s.visitedElem[elem] {
-			dirty[i] = true
+			s.unverified[i] = true
 		}
 	} else {
 		oldBy := oldTbl.ByPort()
 		newBy := newTbl.ByPort()
 		for _, p := range newTbl.Ports() {
-			if equalU64s(oldBy[p], newBy[p]) {
+			if slices.Equal(oldBy[p], newBy[p]) {
 				continue
 			}
 			rows := macRows(newBy[p])
@@ -348,9 +349,10 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 			res.SatEvicted += evicted
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
-			s.noteRefresh(core.PortRef{Elem: elem, Port: p, Out: true})
-			for i := range s.visited[core.PortRef{Elem: elem, Port: p, Out: true}] {
-				dirty[i] = true
+			ref := core.PortRef{Elem: elem, Port: p, Out: true}
+			s.pendingRefresh = append(s.pendingRefresh, ref)
+			for i := range s.visited[ref] {
+				s.unverified[i] = true
 			}
 		}
 	}

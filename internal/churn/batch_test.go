@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/dist"
 	"symnet/internal/sefl"
 	"symnet/internal/verify"
 )
@@ -17,7 +18,7 @@ func newDiffService(t *testing.T, workers int) *Service {
 		Targets: []string{"hosts", "net0", "net1", "net2"},
 		Packet:  sefl.NewTCPPacket(),
 		Opts:    core.Options{Trace: true},
-		Workers: workers,
+		Runner:  dist.InProcess(workers, nil),
 	})
 	svc.RegisterRouter("rt", diffFIB())
 	svc.RegisterSwitch("sw", diffMACs())
@@ -62,7 +63,7 @@ func TestBatchDifferentialVersions(t *testing.T) {
 		tbl, _ := svcs[0].CurrentMACTable("sw")
 		fresh, err := verify.AllPairsReachability(
 			buildDiffNet(t, fib, tbl),
-			svcs[0].cfg.Sources, svcs[0].cfg.Packet, svcs[0].cfg.Targets, svcs[0].cfg.Opts, 2)
+			svcs[0].cfg.Sources, svcs[0].cfg.Packet, svcs[0].cfg.Targets, svcs[0].cfg.Opts, dist.InProcess(2, nil))
 		if err != nil {
 			t.Fatalf("%s: fresh verification: %v", step, err)
 		}
@@ -157,7 +158,7 @@ func TestBatchCoalescingSameTable(t *testing.T) {
 	tbl, _ := bat.CurrentMACTable("sw")
 	fresh, err := verify.AllPairsReachability(
 		buildDiffNet(t, fib, tbl),
-		bat.cfg.Sources, bat.cfg.Packet, bat.cfg.Targets, bat.cfg.Opts, 2)
+		bat.cfg.Sources, bat.cfg.Packet, bat.cfg.Targets, bat.cfg.Opts, dist.InProcess(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

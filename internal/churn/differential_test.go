@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/dist"
 	"symnet/internal/models"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
@@ -135,7 +136,7 @@ func TestServiceDifferential(t *testing.T) {
 			Targets: targets,
 			Packet:  packet,
 			Opts:    opts,
-			Workers: w,
+			Runner:  dist.InProcess(w, nil),
 		})
 		svc.RegisterRouter("rt", diffFIB())
 		svc.RegisterSwitch("sw", diffMACs())
@@ -148,7 +149,7 @@ func TestServiceDifferential(t *testing.T) {
 	check := func(step string) {
 		fib, _ := svcs[0].CurrentFIB("rt")
 		tbl, _ := svcs[0].CurrentMACTable("sw")
-		fresh, err := verify.AllPairsReachability(buildDiffNet(t, fib, tbl), sources, packet, targets, opts, 2)
+		fresh, err := verify.AllPairsReachability(buildDiffNet(t, fib, tbl), sources, packet, targets, opts, dist.InProcess(2, nil))
 		if err != nil {
 			t.Fatalf("%s: fresh verification: %v", step, err)
 		}

@@ -1,10 +1,13 @@
 package churn
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/dist"
 	"symnet/internal/models"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
@@ -75,11 +78,12 @@ func starTables() (map[string]tables.MACTable, tables.MACTable) {
 	return asw, starAggTable()
 }
 
-// TestServiceLocalizedDeltas pins the dependency tracker's precision: with a
-// destination-constrained workload, a MAC delta on one access switch dirties
-// only that switch's own source, so churn.cells.reverified stays strictly
-// below the total cell count — the tentpole's localization claim.
-func TestServiceLocalizedDeltas(t *testing.T) {
+// starService stands up the resident star workload on the given runner — one
+// source per access switch, the packet's EtherDst pinned to the upstream MAC —
+// and returns it with a check that compares the resident report, byte for
+// byte, against a from-scratch verification of the service's current tables.
+func starService(t *testing.T, runner dist.Runner) (*Service, func(step string)) {
+	t.Helper()
 	asw, agg := starTables()
 	var sources []core.PortRef
 	var targets []string
@@ -100,7 +104,7 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 		Targets: targets,
 		Packet:  packet,
 		Opts:    opts,
-		Workers: 2,
+		Runner:  runner,
 	})
 	for name, tbl := range asw {
 		svc.RegisterSwitch(name, tbl)
@@ -122,12 +126,21 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 			cur[name] = tbl
 		}
 		aggCur, _ := svc.CurrentMACTable("agg")
-		fresh, err := verify.AllPairsReachability(buildStarNet(t, cur, aggCur), sources, packet, targets, opts, 2)
+		fresh, err := verify.AllPairsReachability(buildStarNet(t, cur, aggCur), sources, packet, targets, opts, dist.InProcess(2, nil))
 		if err != nil {
 			t.Fatalf("%s: fresh verification: %v", step, err)
 		}
 		compareReports(t, step, svc.Report(), fresh)
 	}
+	return svc, check
+}
+
+// TestServiceLocalizedDeltas pins the dependency tracker's precision: with a
+// destination-constrained workload, a MAC delta on one access switch dirties
+// only that switch's own source, so churn.cells.reverified stays strictly
+// below the total cell count — the tentpole's localization claim.
+func TestServiceLocalizedDeltas(t *testing.T) {
+	svc, check := starService(t, dist.InProcess(2, nil))
 	check("init")
 
 	// Insert a fresh host MAC on asw2 port 1: its 4-row guard is lowered, so
@@ -187,5 +200,62 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 	}
 	if snap.Counters["churn.ports.patched"] == 0 || snap.Counters["churn.deltas.applied"] != 3 {
 		t.Fatalf("unexpected churn counters: %v", snap.Counters)
+	}
+}
+
+// failingRunner is the in-process runner with one batch made to fail the way
+// a fleet with no live member does: every job answers Err. It can exist only
+// because the service reaches its engine through the dist.Runner seam — the
+// in-process path used to be hard-wired to sched and could not be made to
+// fail.
+type failingRunner struct {
+	dist.Runner
+	failOn  int // 1-based number of the batch to fail
+	batches int
+}
+
+func (r *failingRunner) RunBatch(net *core.Network, jobs []dist.Job) []dist.JobResult {
+	r.batches++
+	if r.batches != r.failOn {
+		return r.Runner.RunBatch(net, jobs)
+	}
+	out := make([]dist.JobResult, len(jobs))
+	for i, j := range jobs {
+		out[i] = dist.JobResult{Name: j.Name, Err: errors.New("no live fleet member")}
+	}
+	return out
+}
+
+// TestFailedReverifyKeepsDirtySet pins that a commit whose re-verification
+// batch fails does not lose its dirty sources. The commit has already updated
+// the tables and guards, so the next commit diffs against the new tables and
+// would never look at those sources again; they must ride its batch. Here the
+// failed delta reroutes asw2's upstream traffic and the following delta
+// touches only asw1, so without the carry-over asw2's row stays stale.
+func TestFailedReverifyKeepsDirtySet(t *testing.T) {
+	runner := &failingRunner{Runner: dist.InProcess(2, nil), failOn: 2} // batch 1 is Init
+	svc, check := starService(t, runner)
+	before := svc.Report().Reachable[2]
+
+	if _, err := svc.Apply(Delta{Elem: "asw2", Op: OpModify, MAC: sefl.NumberToMAC(starUpMAC), Port: 1}); err == nil {
+		t.Fatal("Apply over a failing batch succeeded")
+	}
+	if v := svc.Version(); v != 1 {
+		t.Fatalf("failed commit published version %d", v)
+	}
+
+	res, err := svc.Apply(Delta{Elem: "asw1", Op: OpInsert, MAC: "06:00:00:00:00:99", Port: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DirtySources != 2 {
+		t.Errorf("commit after a failed one re-verified %d sources, want asw1's own and the carried-over asw2", res.DirtySources)
+	}
+	if v := svc.Version(); v != 2 {
+		t.Fatalf("version after the recovered commit = %d, want 2", v)
+	}
+	check("after failed batch")
+	if reflect.DeepEqual(svc.Report().Reachable[2], before) {
+		t.Fatal("the failed delta did not change asw2's row; the test cannot see a stale cell")
 	}
 }

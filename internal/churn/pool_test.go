@@ -44,14 +44,13 @@ func TestServiceDifferentialPool(t *testing.T) {
 	packet := sefl.NewTCPPacket()
 	opts := core.Options{Trace: true}
 
-	mk := func(runner BatchRunner) *Service {
+	mk := func(runner dist.Runner) *Service {
 		svc := NewService(Config{
 			Net:     buildDiffNet(t, diffFIB(), diffMACs()),
 			Sources: sources,
 			Targets: targets,
 			Packet:  packet,
 			Opts:    opts,
-			Workers: 2,
 			Runner:  runner,
 		})
 		svc.RegisterRouter("rt", diffFIB())
@@ -61,7 +60,7 @@ func TestServiceDifferentialPool(t *testing.T) {
 		}
 		return svc
 	}
-	pooled, local := mk(pool), mk(nil)
+	pooled, local := mk(pool), mk(dist.InProcess(2, nil))
 
 	check := func(step string) {
 		t.Helper()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"symnet/internal/dist"
 	"symnet/internal/verify"
 )
 
@@ -77,7 +78,7 @@ func TestResidentCoalesces(t *testing.T) {
 	tbl, _ := svc.CurrentMACTable("sw")
 	fresh, err := verify.AllPairsReachability(
 		buildDiffNet(t, fib, tbl),
-		svc.cfg.Sources, svc.cfg.Packet, svc.cfg.Targets, svc.cfg.Opts, 2)
+		svc.cfg.Sources, svc.cfg.Packet, svc.cfg.Targets, svc.cfg.Opts, dist.InProcess(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestResidentConcurrentReaders(t *testing.T) {
 	tbl, _ := svc.CurrentMACTable("sw")
 	fresh, err := verify.AllPairsReachability(
 		buildDiffNet(t, fib, tbl),
-		svc.cfg.Sources, svc.cfg.Packet, svc.cfg.Targets, svc.cfg.Opts, 2)
+		svc.cfg.Sources, svc.cfg.Packet, svc.cfg.Targets, svc.cfg.Opts, dist.InProcess(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

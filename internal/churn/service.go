@@ -2,6 +2,7 @@ package churn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -11,51 +12,30 @@ import (
 	"symnet/internal/expr"
 	"symnet/internal/obs"
 	"symnet/internal/prog"
-	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
 	"symnet/internal/tables"
 	"symnet/internal/verify"
 )
 
-// BatchRunner abstracts the verification engine a service re-verifies dirty
-// sources through. dist.Pool implements it: a persistent worker fleet that
-// keeps the compiled network installed across batches, absorbing guard churn
-// as program deltas (Refresh) or a full re-ship (Invalidate) instead of
-// re-encoding everything per pass. The in-process scheduler is the nil-Runner
-// default.
-type BatchRunner interface {
-	RunBatch(net *core.Network, jobs []dist.Job) []dist.JobResult
-	// Refresh marks the named port programs changed since the last batch, so
-	// the next RunBatch ships workers just those programs.
-	Refresh(refs ...core.PortRef)
-	// Invalidate marks everything changed (model rebuilds, restores); the
-	// next RunBatch ships workers a full setup.
-	Invalidate()
-}
-
 // Config describes the resident verification workload: the network, the
-// all-pairs query (sources, packet, targets), run options, and batch
-// parallelism for re-verification.
+// all-pairs query (sources, packet, targets), run options, and the runner
+// that executes verification batches.
 type Config struct {
 	Net     *core.Network
 	Sources []core.PortRef
 	Targets []string
 	Packet  sefl.Instr
 	Opts    core.Options
-	// Workers bounds the re-verification batch pool (<= 0: GOMAXPROCS).
-	// Ignored when Runner is set (the runner owns its parallelism).
-	Workers int
-	// Runner, when set, carries every verification pass — the initial
-	// all-pairs run and each re-verification — through a distributed batch
-	// runner (typically a dist.Pool spanning worker processes or machines)
-	// instead of the in-process scheduler. The service keeps the fleet's
-	// installed IR current: each absorbed batch Refreshes the patched or
-	// recompiled ports and Invalidates on model rebuilds and restores.
-	// Published observables (reachability, path counts, transitions) are
-	// byte-identical either way; report Results entries are nil in runner
-	// mode, since live paths stay in the workers (summaries cross the wire).
-	Runner BatchRunner
+	// Runner carries every verification pass — the initial all-pairs run and
+	// each re-verification. Nil selects dist.InProcess at GOMAXPROCS width.
+	// The service keeps a fleet's installed IR current: each absorbed batch
+	// Refreshes the patched or recompiled ports and Invalidates on model
+	// rebuilds and restores. Published observables (reachability, path
+	// counts, transitions) are byte-identical across runners; a fleet's
+	// report carries Summaries where an in-process one carries Results.
+	// The caller owns the runner and closes it after the service is done.
+	Runner dist.Runner
 	// Reg receives the churn.* instruments and the shared SatCache's
 	// counters; nil allocates a private registry (see Service.Registry).
 	Reg *obs.Registry
@@ -118,11 +98,18 @@ type Service struct {
 	visited     map[core.PortRef]map[int]bool
 	visitedElem map[string]map[int]bool
 
+	// unverified is the set of source indices whose rows may be stale: a
+	// commit adds the sources its reconciled ports dirty, and only a
+	// re-verification that succeeds clears it. A commit whose batch fails (a
+	// fleet with no live member) has already updated the tables and guards,
+	// so its sources stay here and ride the next commit's batch.
+	unverified map[int]bool
+
 	// pendingRefresh collects the output ports whose guards the current
 	// commit patched or recompiled; pendingInvalidate is set by the rebuild
 	// tier. Both flush to the Runner (Refresh/Invalidate) before the commit's
-	// re-verification pass, keeping the fleet's installed IR in lockstep with
-	// the resident model. Unused when Runner is nil.
+	// re-verification pass, keeping a fleet's installed IR in lockstep with
+	// the resident model.
 	pendingRefresh    []core.PortRef
 	pendingInvalidate bool
 
@@ -151,12 +138,16 @@ func NewService(cfg Config) *Service {
 	memo.EnableTracking()
 	memo.RegisterMetrics(reg)
 	cfg.Opts.SatMemo = memo
+	if cfg.Runner == nil {
+		cfg.Runner = dist.InProcess(0, cfg.Opts.Obs)
+	}
 	s := &Service{
 		cfg:             cfg,
 		memo:            memo,
 		reg:             reg,
 		routers:         make(map[string]tables.FIB),
 		switches:        make(map[string]tables.MACTable),
+		unverified:      make(map[int]bool),
 		visited:         make(map[core.PortRef]map[int]bool),
 		visitedElem:     make(map[string]map[int]bool),
 		hub:             newHub(reg),
@@ -211,8 +202,8 @@ func (s *Service) CurrentMACTable(elem string) (tables.MACTable, bool) {
 	return append(tables.MACTable(nil), t...), ok
 }
 
-// Init runs the full all-pairs verification (through the Runner when one is
-// configured), builds the dependency index, and publishes report version 1.
+// Init runs the full all-pairs verification, builds the dependency index, and
+// publishes report version 1.
 func (s *Service) Init() error {
 	rep, err := s.runFull()
 	if err != nil {
@@ -224,59 +215,20 @@ func (s *Service) Init() error {
 	return nil
 }
 
-// runFull computes the full all-pairs report through the configured engine
-// and rebuilds the dependency index. In runner mode the report is assembled
-// from worker summaries (Results entries stay nil; reachability, path counts
-// and the index come from the summarized histories, which the dist property
-// tests pin byte-identical to in-process runs).
+// runFull computes the full all-pairs report through the runner and rebuilds
+// the dependency index from it. Every source is fresh afterwards.
 func (s *Service) runFull() (*verify.AllPairsReport, error) {
-	if s.cfg.Runner == nil {
-		rep, err := verify.AllPairsReachability(s.cfg.Net, s.cfg.Sources, s.cfg.Packet, s.cfg.Targets, s.cfg.Opts, s.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		s.reindex(rep)
-		return rep, nil
+	rep, err := verify.AllPairsReachability(s.cfg.Net, s.cfg.Sources, s.cfg.Packet, s.cfg.Targets, s.cfg.Opts, s.cfg.Runner)
+	if err != nil {
+		return nil, err
 	}
-	jobs := make([]dist.Job, len(s.cfg.Sources))
-	for i, src := range s.cfg.Sources {
-		jobs[i] = dist.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
-	}
-	results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
-	rep := &verify.AllPairsReport{
-		Sources:   s.cfg.Sources,
-		Targets:   s.cfg.Targets,
-		Reachable: make([][]bool, len(s.cfg.Sources)),
-		PathCount: make([][]int, len(s.cfg.Sources)),
-		Results:   make([]*core.Result, len(s.cfg.Sources)),
-	}
+	clear(s.unverified)
 	s.visited = make(map[core.PortRef]map[int]bool)
 	s.visitedElem = make(map[string]map[int]bool)
-	for i, jr := range results {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("churn: verify source %s: %w", jr.Name, jr.Err)
-		}
-		row := make([]bool, len(s.cfg.Targets))
-		cnt := make([]int, len(s.cfg.Targets))
-		for t, target := range s.cfg.Targets {
-			n := jr.Summary.DeliveredAt(target, -1)
-			row[t] = n > 0
-			cnt[t] = n
-		}
-		rep.Reachable[i] = row
-		rep.PathCount[i] = cnt
-		s.indexSummary(i, jr.Summary)
+	for i := range rep.Sources {
+		s.indexSource(i, &dist.JobResult{Result: rep.Results[i], Summary: rep.Summaries[i]})
 	}
 	return rep, nil
-}
-
-// reindex rebuilds the dependency index from scratch for a full report.
-func (s *Service) reindex(rep *verify.AllPairsReport) {
-	s.visited = make(map[core.PortRef]map[int]bool)
-	s.visitedElem = make(map[string]map[int]bool)
-	for i, res := range rep.Results {
-		s.indexSource(i, res)
-	}
 }
 
 // Apply absorbs one rule delta: update the authoritative table, patch or
@@ -361,76 +313,57 @@ func (s *Service) evictPortTables(e *core.Element, port int) int {
 	return n
 }
 
-// noteRefresh records a reconciled output port for the pre-reverify Runner
-// flush (no-op without a Runner).
-func (s *Service) noteRefresh(ref core.PortRef) {
-	if s.cfg.Runner != nil {
-		s.pendingRefresh = append(s.pendingRefresh, ref)
-	}
-}
-
 // flushRunner ships the commit's accumulated guard churn to the Runner —
 // Invalidate when a rebuild regenerated whole models, Refresh with the
-// reconciled ports otherwise — so the next batch patches the fleet's
-// installed IR instead of re-shipping the network. It runs even when the
-// dirty set is empty: a guard no current path attempts is still stale on the
-// workers and must not survive into a later batch.
+// reconciled ports otherwise — so a fleet's next batch patches its installed
+// IR instead of re-shipping the network. It runs even when the dirty set is
+// empty: a guard no current path attempts is still stale on the workers and
+// must not survive into a later batch.
 func (s *Service) flushRunner() {
-	if s.cfg.Runner == nil {
-		return
-	}
 	if s.pendingInvalidate {
 		s.cfg.Runner.Invalidate()
-	} else if len(s.pendingRefresh) > 0 {
+	} else {
 		s.cfg.Runner.Refresh(s.pendingRefresh...)
 	}
 	s.pendingInvalidate = false
 	s.pendingRefresh = nil
 }
 
-// reverify re-runs the dirty sources, splices their rows into a
+// reverify re-runs the unverified sources, splices their rows into a
 // copy-on-write clone of the resident report, and installs the clone as the
 // writer's working report (publication happens in Commit). Unchanged rows
 // stay shared with the previously published snapshot, which concurrent
-// readers keep traversing untouched.
-func (s *Service) reverify(dirty map[int]bool, res *BatchResult) error {
+// readers keep traversing untouched. On error nothing is installed and the
+// set is kept for the next commit.
+func (s *Service) reverify(res *BatchResult) error {
 	s.flushRunner()
-	res.DirtySources = len(dirty)
-	s.cellsDirty.Add(int64(len(dirty) * len(s.cfg.Targets)))
-	if len(dirty) == 0 {
+	res.DirtySources = len(s.unverified)
+	s.cellsDirty.Add(int64(len(s.unverified) * len(s.cfg.Targets)))
+	if len(s.unverified) == 0 {
 		return nil
 	}
-	idx := make([]int, 0, len(dirty))
-	for i := range dirty {
+	idx := make([]int, 0, len(s.unverified))
+	for i := range s.unverified {
 		idx = append(idx, i)
 	}
 	sort.Ints(idx)
-	jobs := make([]sched.Job, len(idx))
+	jobs := make([]dist.Job, len(idx))
 	for k, i := range idx {
 		src := s.cfg.Sources[i]
-		jobs[k] = sched.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
+		jobs[k] = dist.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
+	}
+	results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
+	for k := range results {
+		if jr := &results[k]; jr.Err != nil {
+			return fmt.Errorf("churn: re-verify source %s: %w", jr.Name, jr.Err)
+		}
 	}
 	next := s.report.CloneShallow()
-	if s.cfg.Runner != nil {
-		results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
-		for k, i := range idx {
-			jr := results[k]
-			if jr.Err != nil {
-				return fmt.Errorf("churn: re-verify source %s: %w", jr.Name, jr.Err)
-			}
-			s.spliceSummary(next, i, jr.Summary)
-		}
-	} else {
-		results := sched.RunBatch(s.cfg.Net, jobs, s.cfg.Workers)
-		for k, i := range idx {
-			jr := results[k]
-			if jr.Err != nil {
-				return fmt.Errorf("churn: re-verify source %s: %w", jr.Name, jr.Err)
-			}
-			s.spliceSource(next, i, jr.Result)
-		}
+	for k, i := range idx {
+		s.spliceSource(next, i, &results[k])
 	}
 	s.report = next
+	clear(s.unverified)
 	res.CellsReverified = len(idx) * len(s.cfg.Targets)
 	s.cellsReverified.Add(int64(res.CellsReverified))
 	return nil
@@ -438,37 +371,10 @@ func (s *Service) reverify(dirty map[int]bool, res *BatchResult) error {
 
 // spliceSource replaces one source's row in the given report clone and
 // refreshes the dependency index for it.
-func (s *Service) spliceSource(rep *verify.AllPairsReport, i int, res *core.Result) {
-	rep.Results[i] = res
-	row := make([]bool, len(s.cfg.Targets))
-	cnt := make([]int, len(s.cfg.Targets))
-	for t, target := range s.cfg.Targets {
-		paths := res.DeliveredAt(target, -1)
-		row[t] = len(paths) > 0
-		cnt[t] = len(paths)
-	}
-	rep.Reachable[i] = row
-	rep.PathCount[i] = cnt
+func (s *Service) spliceSource(rep *verify.AllPairsReport, i int, jr *dist.JobResult) {
+	rep.Splice(i, jr)
 	s.dropFromIndex(i)
-	s.indexSource(i, res)
-}
-
-// spliceSummary is spliceSource for runner mode: the source's row and index
-// entries come from the worker summary, and the live-result slot goes nil
-// (the paths stayed in the worker).
-func (s *Service) spliceSummary(rep *verify.AllPairsReport, i int, sum *dist.Summary) {
-	rep.Results[i] = nil
-	row := make([]bool, len(s.cfg.Targets))
-	cnt := make([]int, len(s.cfg.Targets))
-	for t, target := range s.cfg.Targets {
-		n := sum.DeliveredAt(target, -1)
-		row[t] = n > 0
-		cnt[t] = n
-	}
-	rep.Reachable[i] = row
-	rep.PathCount[i] = cnt
-	s.dropFromIndex(i)
-	s.indexSummary(i, sum)
+	s.indexSource(i, jr)
 }
 
 // dropFromIndex removes source i from every dependency set ahead of its
@@ -486,38 +392,24 @@ func (s *Service) dropFromIndex(i int) {
 // traversed. Every path counts, whatever its status: the engine pushes the
 // output-port visit before executing the guard, so failed paths carry the
 // port whose guard killed them — exactly the dependency that matters.
-func (s *Service) indexSource(i int, res *core.Result) {
-	for _, p := range res.Paths {
-		s.indexHistory(i, p.History())
-	}
-}
-
-// indexSummary indexes source i from a worker summary's port histories —
-// the same histories indexSource reads from live paths, carried over the
-// wire.
-func (s *Service) indexSummary(i int, sum *dist.Summary) {
-	for k := range sum.Paths {
-		s.indexHistory(i, sum.Paths[k].Ports)
-	}
-}
-
-// indexHistory folds one path history into the dependency index.
-func (s *Service) indexHistory(i int, hist []core.PortRef) {
-	for _, pr := range hist {
-		if pr.Out {
-			set := s.visited[pr]
-			if set == nil {
-				set = make(map[int]bool)
-				s.visited[pr] = set
+func (s *Service) indexSource(i int, jr *dist.JobResult) {
+	for hist := range jr.Histories() {
+		for _, pr := range hist {
+			if pr.Out {
+				set := s.visited[pr]
+				if set == nil {
+					set = make(map[int]bool)
+					s.visited[pr] = set
+				}
+				set[i] = true
 			}
-			set[i] = true
+			es := s.visitedElem[pr.Elem]
+			if es == nil {
+				es = make(map[int]bool)
+				s.visitedElem[pr.Elem] = es
+			}
+			es[i] = true
 		}
-		es := s.visitedElem[pr.Elem]
-		if es == nil {
-			es = make(map[int]bool)
-			s.visitedElem[pr.Elem] = es
-		}
-		es[i] = true
 	}
 }
 
@@ -557,51 +449,28 @@ func hostBits(plen, w int) uint64 {
 	return expr.Mask(w) &^ expr.PrefixMask(plen, w)
 }
 
+// worse returns the more expensive of two absorption tiers.
 func worse(a, b Action) Action {
-	rank := map[Action]int{"": 0, ActionNoop: 0, ActionPatched: 1, ActionRecompiled: 2, ActionRebuilt: 3}
-	if rank[b] > rank[a] {
+	if tier(b) > tier(a) {
 		return b
 	}
 	return a
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+func tier(a Action) int {
+	switch a {
+	case ActionPatched:
+		return 1
+	case ActionRecompiled:
+		return 2
+	case ActionRebuilt:
+		return 3
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalU64s(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return 0 // ActionNoop and the unset zero value
 }
 
 func equalCompiled(a, b []tables.CompiledRoute) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Route != b[i].Route || len(a[i].Exclusions) != len(b[i].Exclusions) {
-			return false
-		}
-		for j := range a[i].Exclusions {
-			if a[i].Exclusions[j] != b[i].Exclusions[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y tables.CompiledRoute) bool {
+		return x.Route == y.Route && slices.Equal(x.Exclusions, y.Exclusions)
+	})
 }

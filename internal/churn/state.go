@@ -115,12 +115,9 @@ func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
 		}
 		s.switches[name] = append(tables.MACTable(nil), tbl...)
 	}
-	if s.cfg.Runner != nil {
-		// The regenerated models orphan whatever IR the fleet holds.
-		s.cfg.Runner.Invalidate()
-		s.pendingInvalidate = false
-		s.pendingRefresh = nil
-	}
+	// The regenerated models orphan whatever IR a fleet holds.
+	s.pendingInvalidate = true
+	s.flushRunner()
 	rep, err := s.runFull()
 	if err != nil {
 		return nil, err

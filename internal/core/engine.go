@@ -44,8 +44,8 @@ type Options struct {
 	SatMemo *solver.SatCache
 	// Workers requests parallel exploration when > 1; 0 and 1 mean
 	// sequential, so the zero Options value never spawns goroutines.
-	// (symnet.RunParallel is the parallel-by-default entry point: there,
-	// <= 0 selects all cores.) The core engine itself always explores on
+	// (A symnet.Session additionally reads < 0 as all cores.) The core
+	// engine itself always explores on
 	// the calling goroutine; internal/sched and the symnet facade honor
 	// this field. Results are identical for any worker count.
 	Workers int

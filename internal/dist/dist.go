@@ -7,10 +7,10 @@
 // The determinism stack built by the in-process engine carries over intact:
 // per-job results are interleaving-independent (frontier-order merge,
 // per-task symbol bands) and Sat-cache hits replay the original
-// computation's statistics, so dist.RunBatch(net, jobs, procs, workers) is
-// byte-identical to sched.RunBatch(net, jobs, w) for every (procs, workers)
-// pair — the property tests in this package pin it on the department,
-// Stanford-backbone and fork-heavy datasets.
+// computation's statistics, so a batch through any Runner — in-process at
+// any width, a stdio pool, a TCP fleet — is byte-identical (as summaries) to
+// sched.RunBatch(net, jobs, w); the property tests in this package pin it on
+// the department, Stanford-backbone and fork-heavy datasets.
 //
 // Results cross the process boundary as Summaries: per-path status, failure
 // message, port history, trace, and the solver context's chained structural
@@ -22,11 +22,12 @@
 // Worker processes are fork/exec'd: cmd/symworker is the standalone worker
 // binary, and any binary that calls MaybeWorker() early in main (the
 // symnet/symbench CLIs, the test binaries) can serve as its own worker,
-// which is the default — RunBatch re-executes the current binary.
+// which is the default — a Pool re-executes the current binary.
 package dist
 
 import (
 	"fmt"
+	"iter"
 
 	"symnet/internal/core"
 	"symnet/internal/expr"
@@ -63,11 +64,119 @@ type Summary struct {
 	Stats core.RunStats
 }
 
-// JobResult pairs a job with its distributed outcome.
+// JobResult pairs a job with its outcome. Exactly one of Result and Summary
+// is set on success: Result by the in-process runner (live paths, solver
+// contexts, lazy histories — never summarized eagerly), Summary by a fleet
+// (what crossed the wire). DeliveredAt and Histories read either; callers
+// that need live paths read Result and accept nil from a fleet.
 type JobResult struct {
 	Name    string
+	Result  *core.Result
 	Summary *Summary
 	Err     error
+}
+
+// DeliveredAt counts the paths that ended Delivered at the given element
+// (any port when port < 0).
+func (r *JobResult) DeliveredAt(elem string, port int) int {
+	n := 0
+	count := func(status core.Status, last core.PortRef) {
+		if status == core.Delivered && last.Elem == elem && (port < 0 || last.Port == port) {
+			n++
+		}
+	}
+	if r.Summary != nil {
+		for i := range r.Summary.Paths {
+			if p := &r.Summary.Paths[i]; len(p.Ports) > 0 {
+				count(p.Status, p.Ports[len(p.Ports)-1])
+			}
+		}
+		return n
+	}
+	for _, p := range r.Result.Paths {
+		count(p.Status, p.Last())
+	}
+	return n
+}
+
+// Histories yields every path's port-visit history, oldest port first, in
+// path order and whatever the path's status.
+func (r *JobResult) Histories() iter.Seq[[]core.PortRef] {
+	return func(yield func([]core.PortRef) bool) {
+		if r.Summary != nil {
+			for i := range r.Summary.Paths {
+				if !yield(r.Summary.Paths[i].Ports) {
+					return
+				}
+			}
+			return
+		}
+		for _, p := range r.Result.Paths {
+			if !yield(p.History()) {
+				return
+			}
+		}
+	}
+}
+
+// Runner is the batch seam: everything above a batch — all-pairs reports,
+// the churn service, the CLIs — runs jobs through one of these and reads the
+// JobResults, whichever engine sits behind it. InProcess and NewPool build
+// the two implementations; NewRunner picks between them.
+type Runner interface {
+	// RunBatch runs every job against the network and returns results in job
+	// order.
+	RunBatch(net *core.Network, jobs []Job) []JobResult
+	// Refresh marks the named port programs changed since the last batch, so
+	// a fleet's next RunBatch ships workers just those programs.
+	Refresh(refs ...core.PortRef)
+	// Invalidate marks everything changed (model rebuilds, restores); a
+	// fleet's next RunBatch ships workers a full setup.
+	Invalidate()
+	// Close releases the runner's workers. The runner is unusable afterwards.
+	Close() error
+}
+
+var _ Runner = (*Pool)(nil)
+
+// inProcess is the Runner over the in-process scheduler. It reads the network
+// it is handed on every batch, so Refresh, Invalidate and Close have nothing
+// to do.
+type inProcess struct {
+	workers int
+	o       *obs.Obs
+}
+
+// InProcess returns the Runner over the in-process scheduler: sched.RunBatch
+// semantics (workers <= 0 selects GOMAXPROCS; o attaches scheduler telemetry,
+// see sched.RunBatchStream) and live Results.
+func InProcess(workers int, o *obs.Obs) Runner { return inProcess{workers, o} }
+
+func (r inProcess) RunBatch(net *core.Network, jobs []Job) []JobResult {
+	out := make([]JobResult, len(jobs))
+	for i, jr := range sched.RunBatchObs(net, jobs, r.workers, r.o) {
+		out[i] = JobResult{Name: jr.Name, Result: jr.Result, Err: jr.Err}
+	}
+	return out
+}
+
+func (inProcess) Refresh(...core.PortRef) {}
+func (inProcess) Invalidate()             {}
+func (inProcess) Close() error            { return nil }
+
+// NewRunner is where the pool-or-in-process decision lives: a Config that
+// names no fleet (Procs <= 0 and no Workers addresses) yields InProcess at
+// WorkersPerProc width — the zero Config never forks — and anything else a
+// Pool. Close the runner when done.
+func NewRunner(cfg Config) (Runner, error) {
+	if cfg.Procs <= 0 && len(cfg.Workers) == 0 {
+		return InProcess(cfg.WorkersPerProc, cfg.Obs), nil
+	}
+	p, err := NewPool(cfg)
+	if err != nil {
+		return nil, err // not a nil *Pool in a non-nil Runner
+	}
+	return p, nil
 }
 
 // Summarize reduces a Result to its wire summary. Distributed and
@@ -88,31 +197,13 @@ func Summarize(res *core.Result) *Summary {
 	return s
 }
 
-// DeliveredAt counts the paths that ended Delivered at the given element
-// (any port when port < 0), mirroring core.Result.DeliveredAt.
-func (s *Summary) DeliveredAt(elem string, port int) int {
-	n := 0
-	for i := range s.Paths {
-		p := &s.Paths[i]
-		if p.Status != core.Delivered || len(p.Ports) == 0 {
-			continue
-		}
-		last := p.Ports[len(p.Ports)-1]
-		if last.Elem == elem && (port < 0 || last.Port == port) {
-			n++
-		}
-	}
-	return n
-}
-
-// Config tunes a distributed batch.
+// Config describes a Runner: which fleet, if any, and how it is driven.
 type Config struct {
-	// Procs is the number of worker subprocesses. <= 0 runs the batch
-	// in-process (sched.RunBatch semantics, summarized) — the zero Config
-	// never forks.
+	// Procs is the number of worker subprocesses; <= 0 with no Workers
+	// addresses means no fleet (see NewRunner).
 	Procs int
-	// WorkersPerProc sizes each worker's in-process pool (<= 0 selects the
-	// worker's GOMAXPROCS).
+	// WorkersPerProc sizes each worker's in-process pool — or, without a
+	// fleet, the in-process runner's (<= 0 selects GOMAXPROCS).
 	WorkersPerProc int
 	// ShareSat enables the coordinator-mediated Sat-verdict exchange, so
 	// workers benefit from each other's solver work exactly as jobs in one
@@ -145,63 +236,6 @@ type Config struct {
 	// Telemetry never crosses into job execution: results are byte-identical
 	// with Obs set or nil.
 	Obs *obs.Obs
-}
-
-// RunBatch runs every job against the network across procs worker
-// subprocesses of workersPerProc pool threads each, with the Sat-verdict
-// exchange on. Results are in job order and byte-identical (as summaries)
-// to sched.RunBatch. procs <= 0 runs in-process.
-func RunBatch(net *core.Network, jobs []Job, procs, workersPerProc int) []JobResult {
-	return RunBatchConfig(net, jobs, Config{Procs: procs, WorkersPerProc: workersPerProc, ShareSat: true})
-}
-
-// RunBatchConfig is RunBatch with explicit configuration: it stands up an
-// ephemeral Pool for the one batch and dismisses it. Callers with more than
-// one batch (the churn service, benchmarks) should hold a Pool instead — the
-// fleet then outlives batches and repeated setup shipping collapses to
-// reuse/delta.
-//
-// In distributed mode, per-job Options.Stats collectors and Options.SatMemo
-// caches cannot cross the process boundary and are ignored; per-job solver
-// statistics are in each Summary.Stats.Solver, deterministic either way.
-func RunBatchConfig(net *core.Network, jobs []Job, cfg Config) []JobResult {
-	out := make([]JobResult, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	if cfg.Procs <= 0 && len(cfg.Workers) == 0 {
-		runLocal(net, jobs, cfg.WorkersPerProc, cfg.Obs, out)
-		return out
-	}
-	if cfg.Procs > len(jobs) && len(cfg.Workers) == 0 {
-		// Never fork more processes than jobs for a one-shot batch (resident
-		// TCP workers cost nothing extra, so the fleet is used as given).
-		cfg.Procs = len(jobs)
-	}
-	p, err := NewPool(cfg)
-	if err != nil {
-		for i := range out {
-			out[i] = JobResult{Name: jobs[i].Name, Err: err}
-		}
-		return out
-	}
-	defer p.Close()
-	return p.RunBatch(net, jobs)
-}
-
-// runLocal is the in-process reference path: sched.RunBatch, summarized.
-func runLocal(net *core.Network, jobs []Job, workers int, o *obs.Obs, out []JobResult) {
-	for i, jr := range sched.RunBatchObs(net, jobs, workers, o) {
-		out[i] = fromSched(jr)
-	}
-}
-
-func fromSched(jr sched.JobResult) JobResult {
-	r := JobResult{Name: jr.Name, Err: jr.Err}
-	if jr.Result != nil {
-		r.Summary = Summarize(jr.Result)
-	}
-	return r
 }
 
 // shardBounds returns the contiguous job range of shard k of n.

@@ -38,8 +38,9 @@ func init() {
 	})
 }
 
-// canonical renders distributed results to comparable bytes. Errors compare
-// by message.
+// canonical renders batch results to comparable bytes, whichever runner
+// produced them: a fleet's summary as received, an in-process result
+// summarized here. Errors compare by message.
 func canonical(t *testing.T, results []dist.JobResult) []byte {
 	t.Helper()
 	type row struct {
@@ -50,6 +51,9 @@ func canonical(t *testing.T, results []dist.JobResult) []byte {
 	rows := make([]row, len(results))
 	for i, r := range results {
 		rows[i] = row{Name: r.Name, Summary: r.Summary}
+		if r.Result != nil {
+			rows[i].Summary = dist.Summarize(r.Result)
+		}
 		if r.Err != nil {
 			rows[i].Err = r.Err.Error()
 		}
@@ -67,12 +71,28 @@ func reference(t *testing.T, net *core.Network, jobs []dist.Job) []byte {
 	t.Helper()
 	out := make([]dist.JobResult, len(jobs))
 	for i, jr := range sched.RunBatch(net, jobs, 1) {
-		out[i] = dist.JobResult{Name: jr.Name, Err: jr.Err}
-		if jr.Result != nil {
-			out[i].Summary = dist.Summarize(jr.Result)
-		}
+		out[i] = dist.JobResult{Name: jr.Name, Result: jr.Result, Err: jr.Err}
 	}
 	return canonical(t, out)
+}
+
+// runVia runs one batch through the runner cfg describes — NewRunner, the
+// constructor every caller uses, so procs 0 is the in-process runner and
+// anything else a pool — and dismisses it.
+func runVia(t *testing.T, net *core.Network, jobs []dist.Job, cfg dist.Config) []dist.JobResult {
+	t.Helper()
+	r, err := dist.NewRunner(cfg)
+	if err != nil {
+		t.Fatalf("NewRunner(%+v): %v", cfg, err)
+	}
+	defer r.Close()
+	return r.RunBatch(net, jobs)
+}
+
+// runGrid is runVia at one (procs, workersPerProc) point, verdict exchange on.
+func runGrid(t *testing.T, net *core.Network, jobs []dist.Job, procs, workers int) []dist.JobResult {
+	t.Helper()
+	return runVia(t, net, jobs, dist.Config{Procs: procs, WorkersPerProc: workers, ShareSat: true})
 }
 
 type batchCase struct {
@@ -119,9 +139,9 @@ func batchCases(t *testing.T) []batchCase {
 	return cases
 }
 
-// TestRunBatchByteIdentical is the tentpole property: dist.RunBatch over any
-// (procs, workersPerProc) grid — including the in-process procs=0 path — is
-// byte-identical to sched.RunBatch, on all three datasets. It also pins the
+// TestRunBatchByteIdentical is the tentpole property: a batch through
+// NewRunner over any (procs, workersPerProc) grid — including the in-process
+// procs=0 runner — is byte-identical to sched.RunBatch, on all three datasets. It also pins the
 // compiled-IR round trip, since workers execute the shipped encode→decode IR.
 func TestRunBatchByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -132,7 +152,7 @@ func TestRunBatchByteIdentical(t *testing.T) {
 			want := reference(t, tc.net, tc.jobs)
 			for _, procs := range []int{0, 1, 2, 4} {
 				for _, workers := range []int{1, 2} {
-					got := canonical(t, dist.RunBatch(tc.net, tc.jobs, procs, workers))
+					got := canonical(t, runGrid(t, tc.net, tc.jobs, procs, workers))
 					if string(got) != string(want) {
 						t.Errorf("procs=%d workers=%d: distributed results differ from sched.RunBatch\n got: %.400s\nwant: %.400s",
 							procs, workers, got, want)
@@ -152,10 +172,14 @@ func canonicalNoCtx(t *testing.T, results []dist.JobResult) []byte {
 	t.Helper()
 	stripped := make([]dist.JobResult, len(results))
 	for i, r := range results {
-		stripped[i] = r
-		if r.Summary != nil {
-			s := *r.Summary
-			s.Paths = append([]dist.PathSummary(nil), r.Summary.Paths...)
+		stripped[i] = dist.JobResult{Name: r.Name, Err: r.Err}
+		sum := r.Summary
+		if r.Result != nil {
+			sum = dist.Summarize(r.Result)
+		}
+		if sum != nil {
+			s := *sum
+			s.Paths = append([]dist.PathSummary(nil), sum.Paths...)
 			for j := range s.Paths {
 				s.Paths[j].CtxFp = expr.Fp{}
 			}
@@ -184,7 +208,7 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 				}
 				var wantFull []byte
 				for _, procs := range []int{0, 2} {
-					out := dist.RunBatch(tc.net, jobs, procs, 2)
+					out := runGrid(t, tc.net, jobs, procs, 2)
 					if procs == 0 {
 						wantFull = canonical(t, out)
 						if orTree {
@@ -211,7 +235,7 @@ func TestRunBatchSharedSatCacheIdentical(t *testing.T) {
 	tc := batchCases(t)[0]
 	want := reference(t, tc.net, tc.jobs)
 	for _, share := range []bool{false, true} {
-		got := canonical(t, dist.RunBatchConfig(tc.net, tc.jobs, dist.Config{
+		got := canonical(t, runVia(t, tc.net, tc.jobs, dist.Config{
 			Procs: 2, WorkersPerProc: 2, ShareSat: share,
 		}))
 		if string(got) != string(want) {
@@ -257,7 +281,7 @@ func TestDistributedPanicIsolation(t *testing.T) {
 	net, jobs := poisonedCase()
 	want := reference(t, net, jobs)
 	for _, procs := range []int{1, 2} {
-		out := dist.RunBatch(net, jobs, procs, 2)
+		out := runGrid(t, net, jobs, procs, 2)
 		if string(canonical(t, out)) != string(want) {
 			t.Errorf("procs=%d: poisoned batch differs from in-process reference", procs)
 		}
@@ -292,7 +316,7 @@ func TestWorkerCrashDoesNotPoisonOtherShards(t *testing.T) {
 		t.Fatalf("need >= 3 jobs, have %d", len(jobs))
 	}
 	// Shard 0 of 2 holds the first half; crash its worker on the first job.
-	out := dist.RunBatchConfig(d.Net, jobs, dist.Config{
+	out := runVia(t, d.Net, jobs, dist.Config{
 		Procs: 2, WorkersPerProc: 1, ShareSat: true, Retries: -1, NoSteal: true,
 		WorkerEnv: []string{"SYMNET_DIST_TEST_EXIT_ON=" + jobs[0].Name},
 	})
@@ -340,11 +364,11 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 	}
 	net, jobs := satHeavyJobs(8, 6)
 	cfg := dist.Config{Procs: 2, WorkersPerProc: 2, ShareSat: true}
-	want := canonical(t, dist.RunBatchConfig(net, jobs, cfg))
+	want := canonical(t, runVia(t, net, jobs, cfg))
 
 	reg := obs.NewRegistry()
 	cfg.Obs = obs.New(reg, nil)
-	got := canonical(t, dist.RunBatchConfig(net, jobs, cfg))
+	got := canonical(t, runVia(t, net, jobs, cfg))
 	if string(got) != string(want) {
 		t.Errorf("metrics-on results differ from metrics-off:\n got: %.400s\nwant: %.400s", got, want)
 	}
@@ -394,7 +418,7 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 			want := reference(t, tc.net, withIRExec(tc.jobs, true))
 			for _, irExec := range []bool{true, false} {
 				for _, procs := range []int{0, 2} {
-					got := canonical(t, dist.RunBatch(tc.net, withIRExec(tc.jobs, irExec), procs, 2))
+					got := canonical(t, runGrid(t, tc.net, withIRExec(tc.jobs, irExec), procs, 2))
 					if string(got) != string(want) {
 						t.Errorf("IRExec=%v procs=%d: results differ from the IR reference in-process",
 							irExec, procs)
@@ -486,8 +510,24 @@ func TestRunBatchUnserializableNetwork(t *testing.T) {
 		sefl.For{Pattern: "^x", Body: func(sefl.Meta) sefl.Instr { return sefl.NoOp{} }},
 	))
 	jobs := []dist.Job{{Name: "j", Inject: core.PortRef{Elem: "dut", Port: 0}, Packet: sefl.NewTCPPacket()}}
-	out := dist.RunBatch(net, jobs, 2, 1)
+	out := runGrid(t, net, jobs, 2, 1)
 	if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), "NewFor") {
 		t.Fatalf("want serialization error, got %+v", out[0])
+	}
+}
+
+// TestNewRunnerPicksByFleet pins the one pool-or-in-process decision: a
+// Config that names no fleet yields the in-process runner, forking nothing,
+// and NewPool refuses it outright.
+func TestNewRunnerPicksByFleet(t *testing.T) {
+	r, err := dist.NewRunner(dist.Config{WorkersPerProc: 3, ShareSat: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != dist.InProcess(3, nil) {
+		t.Fatalf("NewRunner without a fleet = %#v, want dist.InProcess(3, nil)", r)
+	}
+	if _, err := dist.NewPool(dist.Config{WorkersPerProc: 3}); err == nil {
+		t.Fatal("NewPool without a fleet succeeded")
 	}
 }

@@ -77,7 +77,7 @@ func TestTCPFleetByteIdentical(t *testing.T) {
 				name    string
 				noSteal bool
 			}{{"steal", false}, {"nosteal", true}} {
-				out := dist.RunBatchConfig(bc.net, bc.jobs, dist.Config{
+				out := runVia(t, bc.net, bc.jobs, dist.Config{
 					Workers: addrs, WorkersPerProc: 2, ShareSat: true, NoSteal: sub.noSteal,
 				})
 				if got := canonical(t, out); !bytes.Equal(got, want) {
@@ -99,7 +99,7 @@ func TestCrashRedispatchZeroLoss(t *testing.T) {
 	bc := batchCases(t)[0] // department
 	want := reference(t, bc.net, bc.jobs)
 	marker := filepath.Join(t.TempDir(), "crash-once")
-	out := dist.RunBatchConfig(bc.net, bc.jobs, dist.Config{
+	out := runVia(t, bc.net, bc.jobs, dist.Config{
 		Procs: 3, WorkersPerProc: 1, ShareSat: true,
 		WorkerEnv: []string{
 			"SYMNET_DIST_TEST_EXIT_ON=" + bc.jobs[1].Name,
@@ -134,7 +134,7 @@ func TestTCPWorkerDeathRedispatch(t *testing.T) {
 	)
 	healthy := startResidentWorker(t)
 	want := reference(t, bc.net, bc.jobs)
-	out := dist.RunBatchConfig(bc.net, bc.jobs, dist.Config{
+	out := runVia(t, bc.net, bc.jobs, dist.Config{
 		Workers: []string{crashy, healthy}, WorkersPerProc: 1, ShareSat: true,
 	})
 	if got := canonical(t, out); !bytes.Equal(got, want) {

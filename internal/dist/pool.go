@@ -40,9 +40,6 @@ type Pool struct {
 	o     *obs.Obs
 	reg   *obs.Registry
 	runID string
-	// local marks a pool with no workers at all (Procs <= 0 and no
-	// addresses): RunBatch runs in-process and setup tracking is inert.
-	local bool
 	seq   uint64
 
 	// gen is the setup generation of the coordinator's network; genLog
@@ -107,12 +104,11 @@ type wEvent struct {
 
 // NewPool builds the fleet: dials cfg.Workers addresses when given (one pool
 // worker per address; cfg.Procs is ignored), else fork/execs cfg.Procs
-// subprocesses. With neither, the pool is local — RunBatch runs in-process
-// with sched semantics, which keeps callers transport-agnostic. Each remote
-// worker completes the session handshake before NewPool returns; TCP
-// addresses that refuse the dial join the pool dead (batches shard over the
-// survivors and retry the redial), and construction fails only when no
-// member at all is reachable.
+// subprocesses. A Config naming neither is an error here — NewRunner is the
+// constructor that falls back to in-process. Each remote worker completes
+// the session handshake before NewPool returns; TCP addresses that refuse the
+// dial join the pool dead (batches shard over the survivors and retry the
+// redial), and construction fails only when no member at all is reachable.
 func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg: cfg, o: cfg.Obs, gen: 1,
@@ -126,8 +122,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		n = len(cfg.Workers)
 	}
 	if n <= 0 {
-		p.local = true
-		return p, nil
+		return nil, fmt.Errorf("dist: NewPool: config names no fleet (Procs <= 0, no Workers)")
 	}
 	p.events = make(chan wEvent, 4*n+16)
 	spawned := p.reg.Counter("dist.worker.spawned")
@@ -170,7 +165,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Size reports the number of fleet members (0 for a local pool).
+// Size reports the number of fleet members.
 func (p *Pool) Size() int { return len(p.workers) }
 
 // Refresh records that the programs behind the given ports changed (the
@@ -178,7 +173,7 @@ func (p *Pool) Size() int { return len(p.workers) }
 // setup generation and the next batch ships workers just those ports'
 // re-compiled IR. No refs is a no-op.
 func (p *Pool) Refresh(refs ...core.PortRef) {
-	if p.local || len(refs) == 0 {
+	if len(refs) == 0 {
 		return
 	}
 	p.gen++
@@ -192,9 +187,6 @@ func (p *Pool) Refresh(refs ...core.PortRef) {
 // rebuilt, state restored): the next batch re-ships the full setup to every
 // worker.
 func (p *Pool) Invalidate() {
-	if p.local {
-		return
-	}
 	p.gen++
 	p.genLog = append(p.genLog, genDelta{gen: p.gen, full: true})
 	if len(p.genLog) > genLogCap {
@@ -240,14 +232,12 @@ func (p *Pool) refsSince(g uint64) ([]core.PortRef, bool) {
 // byte-identical (as summaries) to sched.RunBatch regardless of transport,
 // fleet size, steal schedule or crashes. A batch-wide setup failure poisons
 // every job; per-worker failures poison only jobs that exhausted their retry
-// budget.
+// budget. Per-job Options.Stats collectors and Options.SatMemo caches cannot
+// cross the process boundary and are ignored; per-job solver statistics are
+// in each Summary.Stats.Solver, deterministic either way.
 func (p *Pool) RunBatch(network *core.Network, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
 	if len(jobs) == 0 {
-		return out
-	}
-	if p.local {
-		runLocal(network, jobs, p.cfg.WorkersPerProc, p.o, out)
 		return out
 	}
 	if err := p.runBatch(network, jobs, out); err != nil {
@@ -926,7 +916,7 @@ func (w *poolWorker) closeTransport() {
 // resident TCP workers drop the session and serve others), readers drain,
 // processes are reclaimed. Safe to call twice.
 func (p *Pool) Close() error {
-	if p.closed || p.local {
+	if p.closed {
 		p.closed = true
 		return nil
 	}

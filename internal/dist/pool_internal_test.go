@@ -14,7 +14,6 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/obs"
-	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
 
@@ -43,9 +42,9 @@ func resultsJSON(t *testing.T, out []JobResult) string {
 // inProcessJSON is the engine-of-record reference for the same jobs.
 func inProcessJSON(t *testing.T, network *core.Network, jobs []Job) string {
 	t.Helper()
-	out := make([]JobResult, len(jobs))
-	for i, jr := range sched.RunBatch(network, jobs, 1) {
-		out[i] = fromSched(jr)
+	out := InProcess(1, nil).RunBatch(network, jobs)
+	for i := range out {
+		out[i].Summary, out[i].Result = Summarize(out[i].Result), nil
 	}
 	return resultsJSON(t, out)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"slices"
 
 	"symnet/internal/core"
 	"symnet/internal/obs"
@@ -93,7 +94,10 @@ func RunBatchObs(net *core.Network, jobs []Job, workers int, o *obs.Obs) []JobRe
 // "job" span per job) and becomes each job's Options.Obs unless the job
 // brought its own; nil disables instrumentation.
 func RunBatchStream(net *core.Network, jobs []Job, workers int, memo *solver.SatCache, o *obs.Obs, done func(i int, jr JobResult)) {
-	if memo == nil {
+	// The batch-shared cache exists only for jobs that bring none. A resident
+	// caller (a Session, the churn service) hands every job its own, and a
+	// cache registered here per batch would pile up in its registry.
+	if memo == nil && slices.ContainsFunc(jobs, func(j Job) bool { return j.Opts.SatMemo == nil }) {
 		memo = solver.NewSatCache()
 	}
 	if o != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"symnet/internal/core"
-	"symnet/internal/sched"
+	"symnet/internal/dist"
 	"symnet/internal/sefl"
 )
 
@@ -21,55 +21,81 @@ type AllPairsReport struct {
 	// PathCount[s][t] is the number of such paths.
 	PathCount [][]int
 	// Results holds the per-source run results, aligned with Sources, for
-	// follow-up queries (ConcretePacket, FieldEndToEnd, ...).
+	// follow-up queries (ConcretePacket, FieldEndToEnd, ...). An entry is
+	// nil when the source ran on a fleet: live paths (solver contexts,
+	// packet memory) stay in the worker processes.
 	Results []*core.Result
+	// Summaries holds what crossed the wire for a source that ran on a fleet
+	// (statuses, histories, solver statistics, constraint fingerprints); nil
+	// for a source that ran in-process. See Summary for either.
+	Summaries []*dist.Summary
 }
 
-// ReachedPaths returns the delivered paths from Sources[s] to Targets[t].
-func (r *AllPairsReport) ReachedPaths(s, t int) []*core.Path {
-	return r.Results[s].DeliveredAt(r.Targets[t], -1)
+// Summary returns the wire summary of Sources[s]'s run: the fleet's as
+// received, or the live result summarized on demand. The two are
+// byte-identical for the same job — the property internal/dist pins.
+func (r *AllPairsReport) Summary(s int) *dist.Summary {
+	if sum := r.Summaries[s]; sum != nil {
+		return sum
+	}
+	return dist.Summarize(r.Results[s])
 }
 
 // Pairs returns the number of (source, target) pairs answered.
 func (r *AllPairsReport) Pairs() int { return len(r.Sources) * len(r.Targets) }
 
+// Splice installs one source's finished run: its result (or summary) and a
+// freshly allocated matrix row. On a CloneShallow copy this replaces the row
+// without disturbing readers of the original.
+func (r *AllPairsReport) Splice(s int, jr *dist.JobResult) {
+	r.splice(s, jr, pairMetrics{})
+}
+
+func (r *AllPairsReport) splice(s int, jr *dist.JobResult, pm pairMetrics) {
+	r.Results[s], r.Summaries[s] = jr.Result, jr.Summary
+	row := make([]bool, len(r.Targets))
+	cnt := make([]int, len(r.Targets))
+	for t, target := range r.Targets {
+		pt := pm.pairNs.Start()
+		n := jr.DeliveredAt(target, -1)
+		pt.Stop()
+		row[t], cnt[t] = n > 0, n
+		pm.count(n > 0)
+	}
+	r.Reachable[s], r.PathCount[s] = row, cnt
+}
+
 // AllPairsReachability injects the packet at every source and reports, for
 // each (source, target) pair, whether the target is reachable. One symbolic
-// run per source answers all targets for that source; runs are fanned across
-// a bounded worker pool (workers <= 0 selects GOMAXPROCS). The report is
-// deterministic: results are merged in source order, and each run is
-// identical to a standalone core.Run.
-func AllPairsReachability(net *core.Network, sources []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, workers int) (*AllPairsReport, error) {
+// run per source answers all targets for that source; the runs are one batch
+// through the given runner — in-process at any width, a stdio pool, a TCP
+// fleet. The report is deterministic: results are merged in source order,
+// each run is identical to a standalone core.Run, and the matrix is
+// byte-identical across runners (per-path last-hop positions are part of the
+// summaries the property tests in internal/dist pin down).
+func AllPairsReachability(net *core.Network, sources []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, runner dist.Runner) (*AllPairsReport, error) {
 	o := opts.Obs
 	defer o.Span("solve", "allpairs", -1)()
 	pm := newPairMetrics(o)
-	jobs := make([]sched.Job, len(sources))
+	jobs := make([]dist.Job, len(sources))
 	for i, src := range sources {
-		jobs[i] = sched.Job{Name: src.String(), Inject: src, Packet: packet, Opts: opts}
+		jobs[i] = dist.Job{Name: src.String(), Inject: src, Packet: packet, Opts: opts}
 	}
-	results := sched.RunBatchObs(net, jobs, workers, o)
+	results := runner.RunBatch(net, jobs)
 	rep := &AllPairsReport{
 		Sources:   sources,
 		Targets:   targets,
 		Reachable: make([][]bool, len(sources)),
 		PathCount: make([][]int, len(sources)),
 		Results:   make([]*core.Result, len(sources)),
+		Summaries: make([]*dist.Summary, len(sources)),
 	}
-	for i, jr := range results {
+	for i := range results {
+		jr := &results[i]
 		if jr.Err != nil {
 			return nil, fmt.Errorf("verify: all-pairs source %s: %w", jr.Name, jr.Err)
 		}
-		rep.Results[i] = jr.Result
-		rep.Reachable[i] = make([]bool, len(targets))
-		rep.PathCount[i] = make([]int, len(targets))
-		for t, target := range targets {
-			pt := pm.pairNs.Start()
-			paths := jr.Result.DeliveredAt(target, -1)
-			pt.Stop()
-			rep.Reachable[i][t] = len(paths) > 0
-			rep.PathCount[i][t] = len(paths)
-			pm.count(len(paths) > 0)
-		}
+		rep.splice(i, jr, pm)
 	}
 	return rep, nil
 }

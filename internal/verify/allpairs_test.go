@@ -5,6 +5,7 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
+	"symnet/internal/dist"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/verify"
@@ -27,7 +28,7 @@ func TestAllPairsReachabilityDepartment(t *testing.T) {
 		d := datasets.NewDepartment(cfg)
 		srcs := deptSources(d)
 		rep, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets,
-			core.Options{MaxHops: 64}, 8)
+			core.Options{MaxHops: 64}, dist.InProcess(8, nil))
 		if err != nil {
 			t.Fatalf("fixed=%v: %v", fixed, err)
 		}
@@ -57,7 +58,7 @@ func TestAllPairsAgreesWithSingleRuns(t *testing.T) {
 	srcs := deptSources(d)
 	targets := []string{"internet", "mgmt", "labs"}
 	opts := core.Options{MaxHops: 64}
-	rep, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets, opts, 4)
+	rep, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets, opts, dist.InProcess(4, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

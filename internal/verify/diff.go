@@ -1,6 +1,9 @@
 package verify
 
-import "symnet/internal/core"
+import (
+	"symnet/internal/core"
+	"symnet/internal/dist"
+)
 
 // Report diffing: the churn serving layer publishes a new immutable
 // AllPairsReport per absorbed delta batch, and watch clients consume the
@@ -25,10 +28,9 @@ type CellDelta struct {
 func (d CellDelta) Flipped() bool { return d.FromReachable != d.ToReachable }
 
 // CloneShallow returns a copy-on-write snapshot of the report: fresh outer
-// slices whose rows alias the original's. A writer may replace whole rows
-// (Results[i], Reachable[i], PathCount[i]) on the clone without disturbing
-// readers of the original; rows themselves must be treated as immutable
-// after publication.
+// slices whose rows alias the original's. A writer may replace whole rows on
+// the clone (Splice) without disturbing readers of the original; rows
+// themselves must be treated as immutable after publication.
 func (r *AllPairsReport) CloneShallow() *AllPairsReport {
 	return &AllPairsReport{
 		Sources:   r.Sources,
@@ -36,6 +38,7 @@ func (r *AllPairsReport) CloneShallow() *AllPairsReport {
 		Reachable: append([][]bool(nil), r.Reachable...),
 		PathCount: append([][]int(nil), r.PathCount...),
 		Results:   append([]*core.Result(nil), r.Results...),
+		Summaries: append([]*dist.Summary(nil), r.Summaries...),
 	}
 }
 

@@ -9,47 +9,24 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
+	"symnet/internal/dist"
 	"symnet/internal/obs"
 	"symnet/internal/sefl"
 	"symnet/internal/verify"
 )
 
-// canonInProcess renders an in-process all-pairs report to comparable bytes:
-// the reachability matrix plus every path's status, failure message, and
-// port history.
-func canonInProcess(t *testing.T, rep *verify.AllPairsReport) string {
+// canon renders an all-pairs report to comparable bytes, whichever runner
+// produced it: the reachability matrix plus every source's wire summary
+// (path IDs, statuses, failure messages, port histories, traces, constraint
+// fingerprints, run statistics).
+func canon(t *testing.T, rep *verify.AllPairsReport) string {
 	t.Helper()
-	type pathRow struct {
-		ID      int
-		Status  string
-		FailMsg string
-		Ports   []string
-	}
-	var paths []pathRow
-	for _, res := range rep.Results {
-		for _, p := range res.Paths {
-			row := pathRow{ID: p.ID, Status: p.Status.String(), FailMsg: p.FailMsg}
-			for _, h := range p.History() {
-				row.Ports = append(row.Ports, h.String())
-			}
-			paths = append(paths, row)
-		}
+	sums := make([]*dist.Summary, len(rep.Sources))
+	for i := range sums {
+		sums[i] = rep.Summary(i)
 	}
 	b, err := json.Marshal(map[string]any{
-		"reachable": rep.Reachable, "counts": rep.PathCount, "paths": paths,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// canonDist renders a distributed all-pairs report to comparable bytes via
-// the summaries that crossed the wire.
-func canonDist(t *testing.T, rep *verify.AllPairsDistReport) string {
-	t.Helper()
-	b, err := json.Marshal(map[string]any{
-		"reachable": rep.Reachable, "counts": rep.PathCount, "summaries": rep.Summaries,
+		"reachable": rep.Reachable, "counts": rep.PathCount, "summaries": sums,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,29 +50,40 @@ func withObs(t *testing.T, opts core.Options) (core.Options, *obs.Registry, stri
 }
 
 // TestObservabilityDoesNotPerturbResults is the inertness property the obs
-// package promises: attaching a metrics registry and a span tracer changes
-// no result bytes, at any worker count and on both the in-process and
-// distributed all-pairs paths. It is the test-suite twin of the CI step that
-// diffs symbench -stable output with and without -metrics/-trace-out.
+// package promises: attaching a metrics registry and a span tracer — to the
+// jobs and to the runner — changes no result bytes, at any in-process worker
+// count and across a worker-subprocess pool. It is the test-suite twin of the
+// CI step that diffs symbench -stable output with and without
+// -metrics/-trace-out.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 3, HostsPerSwitch: 8, Routes: 12, Seed: 5})
 	srcs, targets := d.AllPairs()
 	opts := core.Options{MaxHops: 64}
 
-	base, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets, opts, 1)
+	base, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets, opts, dist.InProcess(1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonInProcess(t, base)
+	want := canon(t, base)
 
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	cfgs := []dist.Config{{WorkersPerProc: 1}, {WorkersPerProc: 2}, {WorkersPerProc: 8}}
+	if !testing.Short() {
+		cfgs = append(cfgs, dist.Config{Procs: 2, WorkersPerProc: 2, ShareSat: true})
+	}
+	for _, cfg := range cfgs {
+		t.Run(fmt.Sprintf("procs=%d/workers=%d", cfg.Procs, cfg.WorkersPerProc), func(t *testing.T) {
 			oopts, reg, tracePath := withObs(t, opts)
-			rep, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets, oopts, workers)
+			cfg.Obs = oopts.Obs
+			runner, err := dist.NewRunner(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := canonInProcess(t, rep); got != want {
+			defer runner.Close()
+			rep, err := verify.AllPairsReachability(d.Net, srcs, sefl.NewTCPPacket(), targets, oopts, runner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canon(t, rep); got != want {
 				t.Errorf("results with obs attached differ from baseline\n got: %.300s\nwant: %.300s", got, want)
 			}
 			// Sanity that observability was actually live, not silently nil:
@@ -107,28 +95,6 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 			}
 			if info, err := os.Stat(tracePath); err != nil || info.Size() == 0 {
 				t.Errorf("trace file empty (err=%v)", err)
-			}
-		})
-	}
-
-	distBase, err := verify.AllPairsReachabilityDist(d.Net, srcs, sefl.NewTCPPacket(), targets, opts, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distWant := canonDist(t, distBase)
-	procsGrid := []int{0, 2}
-	if testing.Short() {
-		procsGrid = []int{0}
-	}
-	for _, procs := range procsGrid {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			oopts, _, _ := withObs(t, opts)
-			rep, err := verify.AllPairsReachabilityDist(d.Net, srcs, sefl.NewTCPPacket(), targets, oopts, procs, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := canonDist(t, rep); got != distWant {
-				t.Errorf("procs=%d with obs differs from procs=0 baseline", procs)
 			}
 		})
 	}

@@ -82,7 +82,8 @@ func EncodeDeltas(w io.Writer, ds []Delta) error { return churn.EncodeDeltas(w, 
 // satisfiability memo. Build one with Compile, then issue queries with Run,
 // RunBatch and AllPairs, or start a churn-serving handle with Serve.
 //
-// Worker semantics (Options.Workers) are uniform across the session:
+// Worker semantics (Options.Workers) are uniform across the session — Run,
+// RunBatch, AllPairs and Serve all resolve the field through one rule:
 //
 //	> 1  — parallel exploration/fan-out with that many workers
 //	  0,1 — sequential (the zero value never spawns goroutines)
@@ -128,19 +129,33 @@ func (s *Session) Network() *Network { return s.net }
 // Options returns the session's pinned run options.
 func (s *Session) Options() Options { return s.opts }
 
+// workers resolves Options.Workers under the session rule into the width
+// sched and dist take, where <= 0 means all cores: 1 for sequential (0 and
+// 1), the count itself above that, 0 for all cores (< 0).
+func (s *Session) workers() int {
+	switch w := s.opts.Workers; {
+	case w < 0:
+		return 0
+	case w <= 1:
+		return 1
+	default:
+		return w
+	}
+}
+
 // Run injects a symbolic packet built by init at an input port and explores
 // every feasible path, honoring the session's worker semantics.
 func (s *Session) Run(inject PortRef, init sefl.Instr) (*Result, error) {
-	if w := s.opts.Workers; w > 1 || w < 0 {
+	if w := s.workers(); w != 1 {
 		return sched.Run(s.net, inject, init, s.opts, w)
 	}
 	return core.Run(s.net, inject, init, s.opts)
 }
 
 // RunBatch runs independent queries against the network, fanning jobs
-// across the session's worker pool (Workers <= 0 selects all cores, as in
-// the package-level RunBatch). Jobs with a nil Opts.SatMemo share the
-// session memo; results are identical with or without sharing.
+// across the session's worker pool (see the type comment for Workers). Jobs
+// with a nil Opts.SatMemo share the session memo; results are identical with
+// or without sharing.
 func (s *Session) RunBatch(jobs []BatchJob) []BatchResult {
 	shared := make([]BatchJob, len(jobs))
 	for i, j := range jobs {
@@ -149,13 +164,15 @@ func (s *Session) RunBatch(jobs []BatchJob) []BatchResult {
 		}
 		shared[i] = j
 	}
-	return sched.RunBatch(s.net, shared, s.opts.Workers)
+	return sched.RunBatchObs(s.net, shared, s.workers(), s.opts.Obs)
 }
 
 // AllPairs computes the sources x targets reachability matrix under the
-// session options (Workers <= 0 selects all cores).
+// session options, one in-process run per source across the session's worker
+// pool (see the type comment for Workers).
 func (s *Session) AllPairs(sources []PortRef, packet sefl.Instr, targets []string) (*AllPairsReport, error) {
-	return verify.AllPairsReachability(s.net, sources, packet, targets, s.opts, s.opts.Workers)
+	runner := dist.InProcess(s.workers(), s.opts.Obs)
+	return verify.AllPairsReachability(s.net, sources, packet, targets, s.opts, runner)
 }
 
 // ServeConfig describes a resident churn-serving workload: the monitored
@@ -199,14 +216,16 @@ type ServeConfig struct {
 // published report is byte-identical to a from-scratch verification of the
 // same rules (pinned by the differential tests in internal/churn).
 type Serving struct {
-	svc  *churn.Service
-	res  *churn.Resident
-	pool *dist.Pool
+	svc    *churn.Service
+	res    *churn.Resident
+	runner dist.Runner
 }
 
 // Serve models the configured elements from their tables, runs the initial
 // all-pairs verification (published as version 1), and starts the absorber.
-// Close the handle when done.
+// Verification passes fan across the session's worker pool (see the type
+// comment for Workers) — in-process, or per fleet member when the config
+// names a fleet. Close the handle when done.
 func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 	for name, fib := range cfg.Routers {
 		e, ok := s.net.Element(name)
@@ -227,21 +246,15 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		}
 	}
 	core.Warm(s.net) // the re-modeled elements' programs and summaries
-	var pool *dist.Pool
-	var runner churn.BatchRunner
-	if cfg.DistProcs > 0 || len(cfg.DistWorkers) > 0 {
-		var err error
-		pool, err = dist.NewPool(dist.Config{
-			Procs:          cfg.DistProcs,
-			Workers:        cfg.DistWorkers,
-			WorkersPerProc: s.opts.Workers,
-			ShareSat:       true,
-			Obs:            s.opts.Obs,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("symnet: serve: %w", err)
-		}
-		runner = pool
+	runner, err := dist.NewRunner(dist.Config{
+		Procs:          cfg.DistProcs,
+		Workers:        cfg.DistWorkers,
+		WorkersPerProc: s.workers(),
+		ShareSat:       true,
+		Obs:            s.opts.Obs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("symnet: serve: %w", err)
 	}
 	svc := churn.NewService(churn.Config{
 		// The serving path's instruments (churn.*, the shared SatCache's)
@@ -253,7 +266,6 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		Targets: cfg.Targets,
 		Packet:  cfg.Packet,
 		Opts:    s.opts,
-		Workers: s.opts.Workers,
 		Runner:  runner,
 	})
 	for name, fib := range cfg.Routers {
@@ -263,9 +275,7 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		svc.RegisterSwitch(name, tbl)
 	}
 	if err := svc.Init(); err != nil {
-		if pool != nil {
-			pool.Close()
-		}
+		runner.Close()
 		return nil, fmt.Errorf("symnet: serve: initial verification: %w", err)
 	}
 	res := churn.NewResident(svc, churn.ResidentConfig{
@@ -273,12 +283,10 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		MaxBatch:   cfg.MaxBatch,
 	})
 	if err := res.Start(); err != nil {
-		if pool != nil {
-			pool.Close()
-		}
+		runner.Close()
 		return nil, err
 	}
-	return &Serving{svc: svc, res: res, pool: pool}, nil
+	return &Serving{svc: svc, res: res, runner: runner}, nil
 }
 
 // Apply submits deltas for absorption and blocks until their pass commits
@@ -325,11 +333,8 @@ func (v *Serving) Restore(ctx context.Context, st *ServingState) (*PublishedRepo
 func (v *Serving) Barrier(ctx context.Context) error { return v.res.Barrier(ctx) }
 
 // Close stops the absorber, closes watch subscriptions, and dismisses the
-// distributed worker pool when one is configured. Queued Apply calls are
-// failed.
+// runner's workers. Queued Apply calls are failed.
 func (v *Serving) Close() {
 	v.res.Close()
-	if v.pool != nil {
-		v.pool.Close()
-	}
+	v.runner.Close()
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,71 +113,96 @@ func compareAllPairs(t *testing.T, label string, got, want *AllPairsReport) {
 	}
 }
 
-// TestSessionShimIdentity pins the deprecated shims against the session
-// API: for every worker setting, Session.Run and Session.RunBatch must be
-// byte-identical to the package-level Run/RunParallel/RunBatch.
-func TestSessionShimIdentity(t *testing.T) {
+// TestSessionWorkerSemantics pins the rule in Session's type comment on
+// every entry point: Options.Workers 0 and 1 are sequential, > 1 is that many
+// workers, < 0 is all cores — for Run, RunBatch, AllPairs and Serve alike.
+// The width is read off the scheduler's per-worker instruments
+// (sched.w<k>.task_ns): a sequential Run never reaches the scheduler (width
+// 0), a sequential batch is a pool of one. The fixture forks four ways and
+// has four sources, so neither the frontier nor the job count caps the width
+// below the widest case (GOMAXPROCS, pinned to 4 here).
+func TestSessionWorkerSemantics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const fan = 4
+	var sources []PortRef
+	var targets []string
+	ports := make([]int, fan)
 	build := func() *Network {
 		net := NewNetwork()
-		fw := net.AddElement("fw", "firewall", 1, 2)
-		fw.SetInCode(WildcardPort, sefl.Seq(
-			sefl.If{
-				C:    sefl.Eq(sefl.Ref{LV: sefl.TcpDst}, sefl.C(80)),
-				Then: sefl.Forward{Port: 0},
-				Else: sefl.Forward{Port: 1},
-			},
-		))
-		web := net.AddElement("web", "sink", 1, 0)
-		web.SetInCode(0, sefl.NoOp{})
-		other := net.AddElement("other", "sink", 1, 0)
-		other.SetInCode(0, sefl.NoOp{})
-		net.MustLink("fw", 0, "web", 0)
-		net.MustLink("fw", 1, "other", 0)
+		net.AddElement("fan", "fan", fan, fan).SetInCode(WildcardPort, sefl.Fork{Ports: ports})
+		for p := 0; p < fan; p++ {
+			sink := net.AddElement(fmt.Sprintf("sink%d", p), "sink", 1, 0)
+			sink.SetInCode(0, sefl.NoOp{})
+			net.MustLink("fan", p, sink.Name, 0)
+		}
 		return net
 	}
-	inject := PortRef{Elem: "fw", Port: 0}
-
-	for _, w := range []int{0, 1, 2, -1} {
-		opts := Options{Trace: true, Workers: w}
-		sess, err := Compile(build(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sess.Run(inject, sefl.NewTCPPacket())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want *Result
-		if w < 0 {
-			want, err = RunParallel(build(), inject, sefl.NewTCPPacket(), opts)
-		} else {
-			want, err = Run(build(), inject, sefl.NewTCPPacket(), opts)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, fmt.Sprintf("workers=%d", w), got, want)
+	for p := 0; p < fan; p++ {
+		ports[p] = p
+		sources = append(sources, PortRef{Elem: "fan", Port: p})
+		targets = append(targets, fmt.Sprintf("sink%d", p))
 	}
-
-	// RunBatch shim vs Session.RunBatch, same jobs.
-	jobs := []BatchJob{
-		{Name: "web", Inject: inject, Packet: sefl.NewTCPPacket(), Opts: Options{Trace: true}},
-		{Name: "dup", Inject: inject, Packet: sefl.NewTCPPacket(), Opts: Options{Trace: true}},
+	entries := []struct {
+		name string
+		call func(*Session) error
+	}{
+		{"Run", func(s *Session) error {
+			_, err := s.Run(sources[0], sefl.NewTCPPacket())
+			return err
+		}},
+		{"RunBatch", func(s *Session) error {
+			var jobs []BatchJob
+			for _, src := range sources {
+				jobs = append(jobs, BatchJob{Name: src.String(), Inject: src, Packet: sefl.NewTCPPacket()})
+			}
+			for _, jr := range s.RunBatch(jobs) {
+				if jr.Err != nil {
+					return jr.Err
+				}
+			}
+			return nil
+		}},
+		{"AllPairs", func(s *Session) error {
+			_, err := s.AllPairs(sources, sefl.NewTCPPacket(), targets)
+			return err
+		}},
+		{"Serve", func(s *Session) error {
+			srv, err := s.Serve(ServeConfig{Sources: sources, Targets: targets, Packet: sefl.NewTCPPacket()})
+			if err == nil {
+				srv.Close()
+			}
+			return err
+		}},
 	}
-	sess, err := Compile(build(), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sess.RunBatch(jobs)
-	want := RunBatch(build(), jobs, 2)
-	if len(got) != len(want) {
-		t.Fatalf("batch result count %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Err != nil || want[i].Err != nil {
-			t.Fatalf("job %d errors: %v / %v", i, got[i].Err, want[i].Err)
+	for _, tc := range []struct{ workers, run, batch int }{
+		{workers: -1, run: 4, batch: 4},
+		{workers: 0, run: 0, batch: 1},
+		{workers: 1, run: 0, batch: 1},
+		{workers: 3, run: 3, batch: 3},
+	} {
+		for _, e := range entries {
+			reg := obs.NewRegistry()
+			sess, err := Compile(build(), Options{Workers: tc.workers, Obs: obs.New(reg, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.call(sess); err != nil {
+				t.Fatalf("Workers=%d %s: %v", tc.workers, e.name, err)
+			}
+			width := 0
+			for name := range reg.Snapshot().Hists {
+				if strings.HasPrefix(name, "sched.w") && strings.HasSuffix(name, ".task_ns") {
+					width++
+				}
+			}
+			want := tc.batch
+			if e.name == "Run" {
+				want = tc.run
+			}
+			if width != want {
+				t.Errorf("Workers=%d %s: scheduler width %d, want %d", tc.workers, e.name, width, want)
+			}
 		}
-		compareResults(t, fmt.Sprintf("job %d", i), got[i].Result, want[i].Result)
 	}
 }
 

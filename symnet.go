@@ -33,13 +33,12 @@
 // A Session pins the run options, warms compiled programs, and shares a
 // satisfiability memo across queries; Session.Serve starts a resident
 // churn-serving handle (versioned reports, delta batching, watch feed).
-// The package-level Run/RunParallel/RunBatch remain as deprecated shims.
+// Compile is the only way in: there are no package-level run functions.
 package symnet
 
 import (
 	"symnet/internal/core"
 	"symnet/internal/sched"
-	"symnet/internal/sefl"
 	"symnet/internal/solver"
 )
 
@@ -91,40 +90,3 @@ func NewSatMemo() *SatMemo { return solver.NewSatCache() }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network { return core.NewNetwork() }
-
-// Run injects a symbolic packet built by init at an input port and explores
-// every feasible path. When opts.Workers > 1, exploration is fanned across
-// that many workers; 0 and 1 stay sequential (the zero Options value never
-// spawns goroutines). The Result is identical either way.
-//
-// Deprecated: use Compile and Session.Run, which additionally warm compiled
-// programs and share a satisfiability memo across queries. This shim
-// remains for compatibility and produces byte-identical results.
-func Run(net *Network, inject PortRef, init sefl.Instr, opts Options) (*Result, error) {
-	if opts.Workers > 1 {
-		return sched.Run(net, inject, init, opts, opts.Workers)
-	}
-	return core.Run(net, inject, init, opts)
-}
-
-// RunParallel is Run with parallel exploration: opts.Workers selects the
-// worker count (<= 0 selects all cores). Results are identical to a
-// sequential Run — same paths, same statuses, same IDs.
-//
-// Deprecated: use Compile with Options.Workers < 0 (all cores) and
-// Session.Run; the session folds the all-cores default into the Workers
-// field instead of a separate entry point.
-func RunParallel(net *Network, inject PortRef, init sefl.Instr, opts Options) (*Result, error) {
-	return sched.Run(net, inject, init, opts, opts.Workers)
-}
-
-// RunBatch runs independent queries against the network, fanning jobs
-// across a bounded worker pool (workers <= 0 selects GOMAXPROCS). Results
-// are returned in job order.
-//
-// Deprecated: use Compile and Session.RunBatch, which take the worker count
-// from Options.Workers and share the session memo across jobs. This shim
-// remains for compatibility and produces byte-identical results.
-func RunBatch(net *Network, jobs []BatchJob, workers int) []BatchResult {
-	return sched.RunBatch(net, jobs, workers)
-}

@@ -18,7 +18,11 @@ func TestFacadeQuickstart(t *testing.T) {
 	host.SetInCode(0, sefl.NoOp{})
 	net.MustLink("fw", 0, "host", 0)
 
-	res, err := Run(net, PortRef{Elem: "fw", Port: 0}, sefl.NewTCPPacket(), Options{})
+	sess, err := Compile(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(PortRef{Elem: "fw", Port: 0}, sefl.NewTCPPacket())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,11 @@ func TestFacadeLoopModes(t *testing.T) {
 	}
 	net.MustLink("A", 0, "B", 0)
 	net.MustLink("B", 0, "A", 0)
-	res, err := Run(net, PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), Options{Loop: LoopFull})
+	sess, err := Compile(net, Options{Loop: LoopFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket())
 	if err != nil {
 		t.Fatal(err)
 	}
