@@ -5,7 +5,6 @@
 // ports visited).
 //
 //	symnet -config pipeline.click -inject dut:0 [-loop addr|full|off] [-workers N]
-//	symnet -config pipeline.click -inject dut:0 -procs 4   # run in a worker subprocess
 //	symnet -config pipeline.click -dump-ir        # compiled programs, no run
 //
 // The output always ends with a "solver" block (solver call counters plus
@@ -16,15 +15,6 @@
 // as JSONL, and -debug-addr serves expvar (live metrics) plus net/http/pprof
 // for the duration of the run. All three are observational: enabling them
 // changes no path, status, or solver counter.
-//
-// With -procs N >= 1 the run executes on a distributed worker subprocess
-// (internal/dist): the network and compiled IR are serialized, shipped, and
-// explored remotely, and the output is built from the returned summary —
-// identical paths, statuses, ports and traces, minus the per-path field
-// domains, which need live solver contexts and are only printed for
-// in-process runs. One exploration is one job, so -procs mainly exercises
-// the distributed path end to end; batch workloads fan wider (see
-// symbench -run allpairs-dist).
 package main
 
 import (
@@ -38,7 +28,6 @@ import (
 	"symnet"
 	"symnet/internal/click"
 	"symnet/internal/core"
-	"symnet/internal/dist"
 	"symnet/internal/obs"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
@@ -56,15 +45,12 @@ type pathJSON struct {
 }
 
 func main() {
-	dist.MaybeWorker() // spawned as a distributed worker: never returns
-
 	cfgPath := flag.String("config", "", "Click configuration file")
 	inject := flag.String("inject", "", "injection point: element:port")
 	loopMode := flag.String("loop", "full", "loop detection: off|full|addr")
 	trace := flag.Bool("trace", false, "record executed instructions per path")
 	packet := flag.String("packet", "tcp", "packet template: tcp|udp|ip|ether")
 	workers := flag.Int("workers", 1, "exploration workers (0 = all cores); results are identical for any count")
-	procs := flag.Int("procs", 0, "run on a distributed worker subprocess (0 = in-process; field domains print only in-process)")
 	dumpIR := flag.Bool("dump-ir", false, "print the compiled IR of every element-port program and exit")
 	metrics := flag.Bool("metrics", false, "attach a metrics registry and add a schema-versioned \"metrics\" block to the JSON output")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars (expvar incl. live metrics) and /debug/pprof on this address during the run")
@@ -137,10 +123,8 @@ func main() {
 		defer tf.Close()
 		trc = obs.NewTracer(tf)
 	}
-	var o *obs.Obs
 	if reg != nil || trc != nil {
-		o = obs.New(reg, trc)
-		opts.Obs = o
+		opts.Obs = obs.New(reg, trc)
 	}
 	if *debugAddr != "" {
 		bound, err := obs.ServeDebug(*debugAddr, reg)
@@ -150,64 +134,42 @@ func main() {
 		fmt.Fprintln(os.Stderr, "symnet: debug server on http://"+bound+"/debug/vars")
 	}
 
-	injectRef := core.PortRef{Elem: elem, Port: port}
+	// An explicit SatCache (core.Run would make an anonymous one) so the
+	// solver block below can fold the cache's lifetime hit/miss counters
+	// into the printed stats — see solver.Stats.AddCache.
+	memo := solver.NewSatCache()
+	opts.SatMemo = memo
+	memo.RegisterMetrics(reg)
+	if opts.Workers = *workers; *workers == 0 {
+		opts.Workers = -1 // a Session reads < 0 as all cores
+	}
+	sess, err := symnet.Compile(cfg.Net, opts)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := sess.Run(core.PortRef{Elem: elem, Port: port}, tmpl)
+	if err != nil {
+		fatal(err)
+	}
+	stats := res.Stats
+	fields := []sefl.Hdr{sefl.EtherDst, sefl.EtherSrc, sefl.IPSrc, sefl.IPDst, sefl.IPTTL, sefl.TcpSrc, sefl.TcpDst}
 	out := []pathJSON{}
-	var stats core.RunStats
-	var memo *solver.SatCache
-	if *procs > 0 {
-		// One exploration is one job, so one subprocess carries it whatever
-		// -procs says.
-		runner, err := dist.NewRunner(dist.Config{Procs: 1, WorkersPerProc: *workers, ShareSat: true, Obs: o})
-		if err != nil {
-			fatal(err)
+	for _, p := range res.Paths {
+		pj := pathJSON{ID: p.ID, Status: p.Status.String(), FailMessage: p.FailMsg, Trace: p.Trace}
+		for _, h := range p.History() {
+			pj.Ports = append(pj.Ports, h.String())
 		}
-		jobs := []dist.Job{{Name: *inject, Inject: injectRef, Packet: tmpl, Opts: opts}}
-		jr := runner.RunBatch(cfg.Net, jobs)[0]
-		runner.Close()
-		if jr.Err != nil {
-			fatal(jr.Err)
-		}
-		stats = jr.Summary.Stats
-		for i := range jr.Summary.Paths {
-			p := &jr.Summary.Paths[i]
-			out = append(out, newPathJSON(p.ID, p.Status, p.FailMsg, p.Trace, p.Ports))
-		}
-	} else {
-		// An explicit SatCache (core.Run would make an anonymous one) so the
-		// solver block below can fold the cache's lifetime hit/miss counters
-		// into the printed stats — see solver.Stats.AddCache.
-		memo = solver.NewSatCache()
-		opts.SatMemo = memo
-		memo.RegisterMetrics(reg)
-		if opts.Workers = *workers; *workers == 0 {
-			opts.Workers = -1 // a Session reads < 0 as all cores
-		}
-		sess, err := symnet.Compile(cfg.Net, opts)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := sess.Run(injectRef, tmpl)
-		if err != nil {
-			fatal(err)
-		}
-		stats = res.Stats
-		fields := []sefl.Hdr{sefl.EtherDst, sefl.EtherSrc, sefl.IPSrc, sefl.IPDst, sefl.IPTTL, sefl.TcpSrc, sefl.TcpDst}
-		for _, p := range res.Paths {
-			pj := newPathJSON(p.ID, p.Status, p.FailMsg, p.Trace, p.History())
-			// Field domains need the path's live solver context, so they are
-			// an in-process-only enrichment.
-			if p.Status == core.Delivered {
-				pj.Fields = map[string]string{}
-				for _, h := range fields {
-					d, err := verify.FieldDomain(p, h)
-					if err != nil {
-						continue
-					}
-					pj.Fields[h.Name] = d.String()
+		if p.Status == core.Delivered {
+			pj.Fields = map[string]string{}
+			for _, h := range fields {
+				d, err := verify.FieldDomain(p, h)
+				if err != nil {
+					continue
 				}
+				pj.Fields[h.Name] = d.String()
 			}
-			out = append(out, pj)
 		}
+		out = append(out, pj)
 	}
 	// The solver block carries the run's deterministic solver counters plus
 	// the SatCache's lifetime hit/miss totals, folded in here at the
@@ -246,14 +208,6 @@ func main() {
 	if err := enc.Encode(doc); err != nil {
 		fatal(err)
 	}
-}
-
-func newPathJSON(id int, status core.Status, failMsg string, trace []string, ports []core.PortRef) pathJSON {
-	pj := pathJSON{ID: id, Status: status.String(), FailMessage: failMsg, Trace: trace}
-	for _, h := range ports {
-		pj.Ports = append(pj.Ports, h.String())
-	}
-	return pj
 }
 
 func parseInject(s string) (string, int, error) {

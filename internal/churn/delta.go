@@ -141,29 +141,14 @@ func EncodeDeltas(w io.Writer, ds []Delta) error {
 }
 
 // DecodeDeltas reads a JSON-lines delta stream, skipping blank and '#'
-// comment lines, and validates every record.
+// comment lines, and validates every record; the first bad line is the error.
 func DecodeDeltas(r io.Reader) ([]Delta, error) {
-	var out []Delta
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		var d Delta
-		if err := json.Unmarshal([]byte(s), &d); err != nil {
-			return nil, fmt.Errorf("churn: delta line %d: %v", line, err)
-		}
-		if err := d.Validate(); err != nil {
-			return nil, fmt.Errorf("churn: delta line %d: %v", line, err)
-		}
-		out = append(out, d)
-	}
-	if err := sc.Err(); err != nil {
+	out, bad, err := DecodeDeltasLenient(r)
+	if err != nil {
 		return nil, err
+	}
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("churn: delta line %d: %s", bad[0].Line, bad[0].Err)
 	}
 	return out, nil
 }
@@ -176,10 +161,11 @@ type LineError struct {
 	Err string `json:"error"`
 }
 
-// DecodeDeltasLenient reads a JSON-lines delta stream like DecodeDeltas but
-// collects malformed or invalid lines instead of failing the whole stream,
-// so a serving endpoint can apply the good lines and report the bad ones
-// per-line. The error return is reserved for stream-level I/O failures.
+// DecodeDeltasLenient reads a JSON-lines delta stream, skipping blank and
+// '#' comment lines, and collects malformed or invalid lines instead of
+// failing the whole stream, so a serving endpoint can apply the good lines
+// and report the bad ones per-line. The error return is reserved for
+// stream-level I/O failures.
 func DecodeDeltasLenient(r io.Reader) ([]Delta, []LineError, error) {
 	var out []Delta
 	var bad []LineError

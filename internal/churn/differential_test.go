@@ -161,7 +161,7 @@ func TestServiceDifferential(t *testing.T) {
 
 	seen := map[Action]bool{}
 	for di, d := range deltas {
-		var first *DeltaResult
+		var first *BatchResult
 		for k := range svcs {
 			res, err := svcs[k].Apply(d)
 			if err != nil {
@@ -181,7 +181,7 @@ func TestServiceDifferential(t *testing.T) {
 	// router's fork list shrinks, then verify the resident state still
 	// matches a fresh build.
 	fib, _ := svcs[0].CurrentFIB("rt")
-	var last *DeltaResult
+	var last *BatchResult
 	for _, r := range fib {
 		if r.Port != 2 {
 			continue

@@ -104,10 +104,6 @@ func NewResident(svc *Service, cfg ResidentConfig) *Resident {
 	}
 }
 
-// Service exposes the wrapped single-writer service. Mutating it directly
-// while the absorber runs is a data race; use Submit.
-func (r *Resident) Service() *Service { return r.svc }
-
 // Current returns the latest published report version, lock-free.
 func (r *Resident) Current() *PublishedReport { return r.svc.Current() }
 

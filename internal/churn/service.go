@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"symnet/internal/core"
 	"symnet/internal/dist"
@@ -56,16 +55,6 @@ const (
 	// regeneration (new fork list, all guards).
 	ActionRebuilt Action = "rebuilt"
 )
-
-// DeltaResult reports how one delta was absorbed.
-type DeltaResult struct {
-	Delta           Delta
-	Action          Action
-	DirtySources    int
-	CellsReverified int
-	SatEvicted      int
-	Elapsed         time.Duration
-}
 
 // Service is a resident incremental verifier: Init runs the full all-pairs
 // query once; Apply (or a coalescing Stage/Commit batch) absorbs rule
@@ -237,23 +226,12 @@ func (s *Service) runFull() (*verify.AllPairsReport, error) {
 // ports, and publish the next report version. It is a batch of one — see
 // NewStage/ApplyBatch for coalescing several deltas into one re-verification
 // pass.
-func (s *Service) Apply(d Delta) (*DeltaResult, error) {
+func (s *Service) Apply(d Delta) (*BatchResult, error) {
 	st := s.NewStage()
 	if err := st.Add(d); err != nil {
 		return nil, err
 	}
-	br, err := st.Commit()
-	if err != nil {
-		return nil, err
-	}
-	return &DeltaResult{
-		Delta:           d,
-		Action:          br.Action,
-		DirtySources:    br.DirtySources,
-		CellsReverified: br.CellsReverified,
-		SatEvicted:      br.SatEvicted,
-		Elapsed:         br.Elapsed,
-	}, nil
+	return st.Commit()
 }
 
 // reconcilePort installs a changed port guard by the cheapest sound means:

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"symnet/internal/models"
 	"symnet/internal/tables"
@@ -81,10 +82,10 @@ func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
 	if st.Schema != StateSchema {
 		return nil, fmt.Errorf("churn: snapshot schema %d, want %d", st.Schema, StateSchema)
 	}
-	if err := keySetsMatch("router", keysFIB(s.routers), keysFIB(st.Routers)); err != nil {
+	if err := keySetsMatch("router", s.routers, st.Routers); err != nil {
 		return nil, err
 	}
-	if err := keySetsMatch("switch", keysMAC(s.switches), keysMAC(st.Switches)); err != nil {
+	if err := keySetsMatch("switch", s.switches, st.Switches); err != nil {
 		return nil, err
 	}
 	// Evict resident verdicts while the old programs are still installed,
@@ -132,32 +133,12 @@ func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
 	return s.publishAs(rep, ver, st.DeltasApplied), nil
 }
 
-func keysFIB(m map[string]tables.FIB) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func keysMAC(m map[string]tables.MACTable) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func keySetsMatch(kind string, have, want []string) error {
-	if len(have) != len(want) {
+// keySetsMatch checks that a snapshot covers exactly the registered elements
+// of one kind.
+func keySetsMatch[V any](kind string, registered, snapshot map[string]V) error {
+	have, want := slices.Sorted(maps.Keys(registered)), slices.Sorted(maps.Keys(snapshot))
+	if !slices.Equal(have, want) {
 		return fmt.Errorf("churn: snapshot %s set %v does not match registered %v", kind, want, have)
-	}
-	for i := range have {
-		if have[i] != want[i] {
-			return fmt.Errorf("churn: snapshot %s set %v does not match registered %v", kind, want, have)
-		}
 	}
 	return nil
 }

@@ -21,7 +21,7 @@
 //
 // Worker processes are fork/exec'd: cmd/symworker is the standalone worker
 // binary, and any binary that calls MaybeWorker() early in main (the
-// symnet/symbench CLIs, the test binaries) can serve as its own worker,
+// symnetd/symbench CLIs, the test binaries) can serve as its own worker,
 // which is the default — a Pool re-executes the current binary.
 package dist
 

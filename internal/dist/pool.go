@@ -165,9 +165,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Size reports the number of fleet members.
-func (p *Pool) Size() int { return len(p.workers) }
-
 // Refresh records that the programs behind the given ports changed (the
 // churn service calls it after reconciling a rule delta): the pool bumps its
 // setup generation and the next batch ships workers just those ports'

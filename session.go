@@ -216,7 +216,6 @@ type ServeConfig struct {
 // published report is byte-identical to a from-scratch verification of the
 // same rules (pinned by the differential tests in internal/churn).
 type Serving struct {
-	svc    *churn.Service
 	res    *churn.Resident
 	runner dist.Runner
 }
@@ -286,7 +285,7 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		runner.Close()
 		return nil, err
 	}
-	return &Serving{svc: svc, res: res, runner: runner}, nil
+	return &Serving{res: res, runner: runner}, nil
 }
 
 // Apply submits deltas for absorption and blocks until their pass commits
@@ -301,7 +300,7 @@ func (v *Serving) Apply(ctx context.Context, ds ...Delta) (*ApplyReport, error) 
 func (v *Serving) Current() *PublishedReport { return v.res.Current() }
 
 // Version returns the latest published version number.
-func (v *Serving) Version() uint64 { return v.svc.Version() }
+func (v *Serving) Version() uint64 { return v.res.Current().Version }
 
 // Watch subscribes to published versions. Events carry the reachability
 // transitions vs the previous version; a subscriber that falls more than

@@ -18,6 +18,8 @@
 //	internal/hsa      — Header Space Analysis baseline
 //	internal/minic    — naive symbolic execution baseline ("Klee")
 //	internal/datasets — synthetic evaluation workloads
+//	internal/churn    — incremental re-verification behind Session.Serve
+//	internal/httpapi  — the /v1 HTTP surface over a Serving handle
 //
 // Quickstart:
 //
@@ -33,7 +35,9 @@
 // A Session pins the run options, warms compiled programs, and shares a
 // satisfiability memo across queries; Session.Serve starts a resident
 // churn-serving handle (versioned reports, delta batching, watch feed).
-// Compile is the only way in: there are no package-level run functions.
+// Compile is the only way in: there are no package-level run functions, and
+// Serve is the only place the serving stack is assembled — cmd/symnetd is
+// Compile -> Serve -> httpapi.Handler plus process lifecycle.
 package symnet
 
 import (
