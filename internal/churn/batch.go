@@ -139,9 +139,9 @@ func (st *Stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
 }
 
 func (st *Stage) addFIB(d Delta) error {
-	pfx, plen, err := ParsePrefixSafe(d.Prefix)
+	pfx, plen, err := tables.ParsePrefix(d.Prefix)
 	if err != nil {
-		return err
+		return fmt.Errorf("churn: %w", err)
 	}
 	es, err := st.elemFor(d.Elem, true)
 	if err != nil {
@@ -178,9 +178,9 @@ func (st *Stage) addFIB(d Delta) error {
 }
 
 func (st *Stage) addMAC(d Delta) error {
-	mac, err := ParseMAC(d.MAC)
+	mac, err := tables.ParseMAC(d.MAC)
 	if err != nil {
-		return err
+		return fmt.Errorf("churn: %w", err)
 	}
 	es, err := st.elemFor(d.Elem, false)
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 	"strings"
 
 	"symnet/internal/expr"
@@ -53,8 +52,7 @@ func (d Delta) String() string {
 
 // Validate checks the delta's shape without applying it: a known op, exactly
 // one of Prefix/MAC, and a parseable rule. It is the daemon's first line of
-// defense against malformed wire input (the address parsers in sefl panic on
-// bad literals, which must not tear down a resident service).
+// defense against malformed wire input.
 func (d Delta) Validate() error {
 	switch d.Op {
 	case OpInsert, OpDelete, OpModify:
@@ -68,64 +66,19 @@ func (d Delta) Validate() error {
 		return fmt.Errorf("churn: delta needs exactly one of prefix, mac")
 	}
 	if d.Prefix != "" {
-		if _, _, err := ParsePrefixSafe(d.Prefix); err != nil {
-			return err
+		if _, _, err := tables.ParsePrefix(d.Prefix); err != nil {
+			return fmt.Errorf("churn: %w", err)
 		}
 	}
 	if d.MAC != "" {
-		if _, err := ParseMAC(d.MAC); err != nil {
-			return err
+		if _, err := tables.ParseMAC(d.MAC); err != nil {
+			return fmt.Errorf("churn: %w", err)
 		}
 	}
 	if d.Port < 0 {
 		return fmt.Errorf("churn: negative port %d", d.Port)
 	}
 	return nil
-}
-
-// ParsePrefixSafe parses "a.b.c.d/len" without panicking on malformed input.
-func ParsePrefixSafe(s string) (pfx uint64, plen int, err error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return 0, 0, fmt.Errorf("churn: missing / in prefix %q", s)
-	}
-	if _, perr := parseDotted(s[:slash]); perr != nil {
-		return 0, 0, perr
-	}
-	return tables.ParsePrefix(s)
-}
-
-func parseDotted(s string) (uint64, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("churn: bad IPv4 literal %q", s)
-	}
-	var v uint64
-	for _, p := range parts {
-		b, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("churn: bad IPv4 literal %q", s)
-		}
-		v = v<<8 | b
-	}
-	return v, nil
-}
-
-// ParseMAC parses a colon-separated MAC without panicking on malformed input.
-func ParseMAC(s string) (uint64, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return 0, fmt.Errorf("churn: bad MAC literal %q", s)
-	}
-	var v uint64
-	for _, p := range parts {
-		b, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return 0, fmt.Errorf("churn: bad MAC literal %q", s)
-		}
-		v = v<<8 | b
-	}
-	return v, nil
 }
 
 // EncodeDeltas writes deltas as JSON lines (one object per line), the format
@@ -204,9 +157,9 @@ func DecodeDeltasLenient(r io.Reader) ([]Delta, []LineError, error) {
 // patchable tier). Same (fib, carrier, n, seed) always yields the same
 // stream.
 func GenFIBDeltas(elem string, fib tables.FIB, carrier string, n int, seed int64) ([]Delta, error) {
-	cpfx, clen, err := ParsePrefixSafe(carrier)
+	cpfx, clen, err := tables.ParsePrefix(carrier)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("churn: carrier: %w", err)
 	}
 	if clen > 24 {
 		return nil, fmt.Errorf("churn: carrier %s too small for /24 inserts", carrier)

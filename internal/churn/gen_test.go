@@ -78,7 +78,7 @@ func TestGenDeltasApplicable(t *testing.T) {
 		live[key{r.Prefix, r.Len}] = r.Port
 	}
 	for i, d := range ds {
-		pfx, plen, err := ParsePrefixSafe(d.Prefix)
+		pfx, plen, err := tables.ParsePrefix(d.Prefix)
 		if err != nil {
 			t.Fatalf("delta %d: %v", i, err)
 		}

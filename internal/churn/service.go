@@ -252,13 +252,12 @@ func (s *Service) reconcilePort(e *core.Element, port int, rows []prog.ITRow, w 
 	// non-grouped table: itMinEntries gates lowering at 4 rows.
 	if len(its) == 1 && !its[0].Grouped && its[0].Table != nil && its[0].W == w && len(rows) >= 4 {
 		oldFp := its[0].Table.Fp()
-		window := solver.FromRange(lo, hi, w)
-		var repl []expr.Span
+		var repl []expr.Span // PatchWindow clips it to [lo, hi]
 		for _, r := range rows {
 			if r.V > hi || r.V|rowSpread(r, w) < lo {
 				continue
 			}
-			repl = append(repl, prog.RowSolutionSet(r, w).Intersect(window).Intervals()...)
+			repl = append(repl, prog.RowSolutionSet(r, w)...)
 		}
 		table := its[0].Table.PatchWindow(lo, hi, repl)
 		if n := prog.PatchGuard(cp, prog.PatchSpec{OldFp: oldFp, Rows: rows, Table: table, Ins: guard}); n > 0 {

@@ -13,7 +13,9 @@ package expr
 // analysis, which the SymNet paper compares against).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,7 +52,7 @@ func NewSpanTable(width int, spans []Span) *SpanTable {
 		}
 		ivs = append(ivs, s)
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
+	slices.SortFunc(ivs, func(a, b Span) int { return cmp.Compare(a.Lo, b.Lo) })
 	return canonSorted(width, ivs)
 }
 

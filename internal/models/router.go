@@ -84,28 +84,47 @@ func RouterEgressGuard(rs []tables.CompiledRoute) sefl.Instr {
 }
 
 // groupRoutes splits compiled routes by output port, preserving the
-// most-specific-first order within each port.
+// most-specific-first order within each port (counted, then filled: the
+// groups are slices of one array).
 func groupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
-	out := make(map[int][]tables.CompiledRoute)
-	for _, c := range cs {
-		out[c.Port] = append(out[c.Port], c)
+	n := make(map[int]int)
+	for i := range cs {
+		n[cs[i].Port]++
+	}
+	all := make([]tables.CompiledRoute, len(cs))
+	out := make(map[int][]tables.CompiledRoute, len(n))
+	at := 0
+	for i := range cs {
+		p := cs[i].Port
+		if _, ok := out[p]; !ok {
+			out[p] = all[at : at : at+n[p]]
+			at += n[p]
+		}
+		out[p] = append(out[p], cs[i])
 	}
 	return out
 }
 
 // routeDisjunction builds OR over "prefix & !exclusion1 & !exclusion2 ..."
-// for a port's routes.
+// for a port's routes. The conjunctions are slices of one array.
 func routeDisjunction(dst sefl.Expr, rs []tables.CompiledRoute) sefl.Cond {
+	terms := 0
+	for i := range rs {
+		if k := len(rs[i].Exclusions); k > 0 {
+			terms += k + 1
+		}
+	}
+	all := make([]sefl.Cond, 0, terms)
 	cs := make([]sefl.Cond, len(rs))
 	for i, r := range rs {
 		match := sefl.Cond(sefl.Prefix{E: dst, Value: r.Prefix, Len: r.Len})
 		if len(r.Exclusions) > 0 {
-			conj := make([]sefl.Cond, 0, len(r.Exclusions)+1)
-			conj = append(conj, match)
+			from := len(all)
+			all = append(all, match)
 			for _, ex := range r.Exclusions {
-				conj = append(conj, sefl.NotC(sefl.Prefix{E: dst, Value: ex.Prefix, Len: ex.Len}))
+				all = append(all, sefl.NotC(sefl.Prefix{E: dst, Value: ex.Prefix, Len: ex.Len}))
 			}
-			match = sefl.AndC(conj...)
+			match = sefl.AndC(all[from:len(all):len(all)]...)
 		}
 		cs[i] = match
 	}

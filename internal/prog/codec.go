@@ -86,10 +86,9 @@ type WireOp struct {
 // (And/Or members, Not operand) are table indices. A CIntervalTable node
 // ships no child indices: its disjuncts cross the wire as the packed row
 // stream (ITRows) — the frame-size win this lowering exists for — and the
-// decoder rebuilds children and span tables through the same construction
-// the compiler uses, so the decoded node is byte-identical. (A child shared
-// between a table and an unrelated op decodes into two equal nodes instead
-// of one shared node; behavior is unaffected.)
+// decoder rebuilds the span tables through the same construction the
+// compiler uses, so the decoded node is byte-identical; like the compiler's
+// it has no children until somebody asks for the Or-tree view.
 type WireCCond struct {
 	Kind       CondKind
 	FP         expr.Fp
@@ -199,7 +198,8 @@ func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
 		idx[c] = i
 		return i, nil
 	}
-	for _, sub := range c.Cs {
+	// Tree form builds a lowered guard's Or-tree view to ship it.
+	for _, sub := range c.children() {
 		si, err := encodeCond(w, idx, sub)
 		if err != nil {
 			return 0, err
@@ -234,10 +234,6 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		Ops:       make([]Op, len(w.Ops)),
 	}
 	conds := make([]*CCond, len(w.CondTab))
-	// Lowered-guard children are rebuilt from row streams; one builder per
-	// program so equal disjuncts across tables share nodes like compiler
-	// output does.
-	itb := &itBuilder{conds: make(map[expr.Fp][]*CCond)}
 	for i := range w.CondTab {
 		wc := &w.CondTab[i]
 		c := &CCond{
@@ -257,7 +253,6 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			}
 			buildITable(it)
 			c.IT = it
-			c.Cs = itb.children(it)
 		}
 		if wc.Static != nil {
 			st, err := expr.DecodeCond(wc.Static)
@@ -280,13 +275,18 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		}
 		if c.Kind == CIntervalTable && c.IT == nil {
 			// Tree-form wire (PackedWire disabled on the encoder): re-derive
-			// the table from the decoded disjuncts.
-			it := detectIntervalTable(c.Cs)
+			// the table from the decoded disjuncts, which become its view.
+			cs := make([]sefl.Cond, len(c.Cs))
+			for j, sub := range c.Cs {
+				cs[j] = seflOf(sub)
+			}
+			it := detectIntervalTable(cs)
 			if it == nil {
 				return nil, fmt.Errorf("prog: decode %s: cond %d marked interval-table but disjuncts do not form one", w.Label, i)
 			}
 			buildITable(it)
-			c.IT = it
+			it.viewOnce.Do(func() { it.view = c.Cs })
+			c.IT, c.Cs = it, nil
 		}
 		conds[i] = c
 	}

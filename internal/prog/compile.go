@@ -1,7 +1,9 @@
 package prog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"symnet/internal/expr"
@@ -163,7 +165,7 @@ func allocSize(lv sefl.LValue, size int) int {
 func (c *compiler) compileLV(lv sefl.LValue) LV {
 	switch v := lv.(type) {
 	case sefl.Hdr:
-		return LV{IsHdr: true, Tag: v.Off.Tag, Rel: v.Off.Rel, Size: v.Size}
+		return hdrLV(v)
 	case sefl.Meta:
 		inst := memory.GlobalScope
 		if v.Pinned {
@@ -174,6 +176,10 @@ func (c *compiler) compileLV(lv sefl.LValue) LV {
 		return LV{Key: memory.MetaKey{Name: v.Name, Instance: inst}}
 	}
 	return LV{Err: fmt.Sprintf("unknown l-value %T", lv)}
+}
+
+func hdrLV(h sefl.Hdr) LV {
+	return LV{IsHdr: true, Tag: h.Off.Tag, Rel: h.Off.Rel, Size: h.Size}
 }
 
 // compileExpr lowers an expression, folding subtrees whose value is
@@ -276,11 +282,7 @@ func (c *compiler) compileCond(sc sefl.Cond) *CCond {
 	case sefl.Cmp:
 		cc = &CCond{Kind: CCmp, Op: v.Op, L: c.compileExpr(v.L), R: c.compileExpr(v.R)}
 	case sefl.Prefix:
-		w := v.Width
-		if w == 0 {
-			w = 32
-		}
-		cc = &CCond{Kind: CPrefix, L: c.compileExpr(v.E), Val: v.Value, PLen: v.Len, PW: w}
+		cc = &CCond{Kind: CPrefix, L: c.compileExpr(v.E), Val: v.Value, PLen: v.Len, PW: cmp.Or(v.Width, 32)}
 	case sefl.Masked:
 		cc = &CCond{Kind: CMasked, L: c.compileExpr(v.E), Mask: v.Mask, Val: v.Val}
 	case sefl.MetaPresent:
@@ -293,6 +295,13 @@ func (c *compiler) compileCond(sc sefl.Cond) *CCond {
 		}
 		cc = &CCond{Kind: CAnd, Cs: cs}
 	case sefl.COr:
+		// Egress-shaped disjunctions lower to interval tables straight from
+		// the AST: none of their disjuncts is compiled.
+		if it := detectIntervalTable(v.Cs); it != nil {
+			cc = &CCond{Kind: CIntervalTable, IT: it}
+			itableLowered.Add(1)
+			break
+		}
 		cs := make([]*CCond, len(v.Cs))
 		for i, sub := range v.Cs {
 			cs[i] = c.compileCond(sub)
@@ -312,11 +321,11 @@ func (c *compiler) compileCond(sc sefl.Cond) *CCond {
 	}
 	cc.FP = fpCond(cc)
 	c.p.CondsSeen++
-	// Egress-shaped disjunctions lower to interval tables before dedup, so
-	// structurally equal guards compare with matching kinds.
-	lowerIntervalTable(cc)
 	if cand := findCond(c.conds, cc); cand != nil {
 		return cand
+	}
+	if cc.Kind == CIntervalTable {
+		buildITable(cc.IT)
 	}
 	finishCond(cc)
 	c.conds[cc.FP] = append(c.conds[cc.FP], cc)
@@ -375,11 +384,13 @@ func condSize(cc *CCond) (int, bool) {
 		w, s := exprSize(cc.L)
 		words += w
 		sym = sym || s
-	case CAnd, COr, CIntervalTable:
+	case CAnd, COr:
 		for _, sub := range cc.Cs {
 			words += sub.Words
 			sym = sym || sub.HasSym
 		}
+	case CIntervalTable:
+		words = cc.IT.words()
 	case CNot:
 		words += cc.C.Words
 		sym = cc.C.HasSym
@@ -419,9 +430,15 @@ func collectInputs(cc *CCond, seen map[CondInput]bool, out *[]CondInput) {
 		collectExprInputs(cc.L, seen, out)
 	case CMetaPresent:
 		add(CondInput{Kind: InMetaPresent, Key: cc.Key})
-	case CAnd, COr, CIntervalTable:
+	case CAnd, COr:
 		for _, sub := range cc.Cs {
 			collectInputs(sub, seen, out)
+		}
+	case CIntervalTable:
+		// What the Or-tree would read: every disjunct its one or two fields.
+		add(CondInput{Kind: InRef, LV: cc.IT.F})
+		if cc.IT.Grouped {
+			add(CondInput{Kind: InRef, LV: cc.IT.F2})
 		}
 	case CNot:
 		collectInputs(cc.C, seen, out)
@@ -462,9 +479,10 @@ func condStatic(cc *CCond) bool {
 		return exprStatic(cc.L) && exprStatic(cc.R)
 	case CPrefix, CMasked:
 		return exprStatic(cc.L)
-	case CMetaPresent:
+	case CMetaPresent, CIntervalTable:
+		// Every row of a table reads its field.
 		return false
-	case CAnd, COr, CIntervalTable:
+	case CAnd, COr:
 		for _, sub := range cc.Cs {
 			if !sub.HasStatic {
 				return false
@@ -497,11 +515,11 @@ func fpExpr(e *CExpr) expr.Fp {
 	f := fpWord(uint64(e.Kind) + 0x11)
 	switch e.Kind {
 	case ENum:
-		f = f.Chain(fpWord(e.V)).Chain(fpWord(uint64(e.W)))
+		f = fpNum(e.V, e.W)
 	case ESym:
 		f = f.Chain(fpWord(uint64(e.W))).Chain(fpString(e.Name))
 	case ERef:
-		f = f.Chain(fpLV(e.LV))
+		f = fpRef(e.LV)
 	case ETagVal:
 		f = f.Chain(fpString(e.Tag)).Chain(fpWord(uint64(e.Rel)))
 	case EArith:
@@ -516,6 +534,12 @@ func fpExpr(e *CExpr) expr.Fp {
 	return f
 }
 
+func fpNum(v uint64, w int) expr.Fp {
+	return fpWord(uint64(ENum) + 0x11).Chain(fpWord(v)).Chain(fpWord(uint64(w)))
+}
+
+func fpRef(lv LV) expr.Fp { return fpWord(uint64(ERef) + 0x11).Chain(fpLV(lv)) }
+
 func fpLV(lv LV) expr.Fp {
 	f := fpWord(uint64(lv.Rel))
 	if lv.IsHdr {
@@ -529,36 +553,50 @@ func fpLV(lv LV) expr.Fp {
 	return f
 }
 
+// The formulas of the node kinds a lowered guard's rows stand for are
+// functions of their own, so ITable.fp applies them without the nodes.
+
+func fpCmp(op expr.CmpOp, l, r expr.Fp) expr.Fp {
+	return fpWord(uint64(CCmp) + 0x29).Chain(fpWord(uint64(op))).Chain(l).Chain(r)
+}
+
+func fpPrefix(l expr.Fp, val uint64, plen, pw int) expr.Fp {
+	return fpWord(uint64(CPrefix) + 0x29).Chain(l).Chain(fpWord(val)).
+		Chain(fpWord(uint64(plen))).Chain(fpWord(uint64(pw)))
+}
+
+func fpNot(c expr.Fp) expr.Fp { return fpWord(uint64(CNot) + 0x29).Chain(c) }
+
+// fpJunction starts an n-ary And or Or; the children's are chained onto it.
+func fpJunction(kind CondKind, n int) expr.Fp {
+	return fpWord(uint64(kind) + 0x29).Chain(fpWord(uint64(n)))
+}
+
 func fpCond(cc *CCond) expr.Fp {
-	kind := cc.Kind
-	if kind == CIntervalTable {
-		// Lowering is a representation change: a lowered guard keeps the
-		// fingerprint of the Or-tree it was built from, so guards dedup and
-		// memoize identically whichever form a node is in.
-		kind = COr
-	}
-	f := fpWord(uint64(kind) + 0x29)
+	f := fpWord(uint64(cc.Kind) + 0x29)
 	switch cc.Kind {
 	case CBool:
 		if cc.B {
 			f = f.Chain(fpWord(1))
 		}
 	case CCmp:
-		f = f.Chain(fpWord(uint64(cc.Op))).Chain(fpExpr(cc.L)).Chain(fpExpr(cc.R))
+		f = fpCmp(cc.Op, fpExpr(cc.L), fpExpr(cc.R))
 	case CPrefix:
-		f = f.Chain(fpExpr(cc.L)).Chain(fpWord(cc.Val)).
-			Chain(fpWord(uint64(cc.PLen))).Chain(fpWord(uint64(cc.PW)))
+		f = fpPrefix(fpExpr(cc.L), cc.Val, cc.PLen, cc.PW)
 	case CMasked:
 		f = f.Chain(fpExpr(cc.L)).Chain(fpWord(cc.Mask)).Chain(fpWord(cc.Val))
 	case CMetaPresent:
 		f = f.Chain(fpString(cc.Key.Name)).Chain(fpWord(uint64(int64(cc.Key.Instance))))
-	case CAnd, COr, CIntervalTable:
-		f = f.Chain(fpWord(uint64(len(cc.Cs))))
+	case CAnd, COr:
+		f = fpJunction(cc.Kind, len(cc.Cs))
 		for _, sub := range cc.Cs {
 			f = f.Chain(sub.FP)
 		}
+	case CIntervalTable:
+		// A lowered guard keeps the fingerprint of the Or-tree it stands for.
+		f = cc.IT.fp()
 	case CNot:
-		f = f.Chain(cc.C.FP)
+		f = fpNot(cc.C.FP)
 	}
 	return f
 }
@@ -578,7 +616,11 @@ func equalCCond(a, b *CCond) bool {
 		return a.Mask == b.Mask && a.Val == b.Val && equalCExpr(a.L, b.L)
 	case CMetaPresent:
 		return a.Key == b.Key
-	case CAnd, COr, CIntervalTable:
+	case CIntervalTable:
+		return a.IT.F == b.IT.F && a.IT.F2 == b.IT.F2 && slices.EqualFunc(a.IT.Rows, b.IT.Rows, func(x, y ITRow) bool {
+			return x.Kind == y.Kind && x.V == y.V && x.Len == y.Len && x.V2 == y.V2 && slices.Equal(x.Excl, y.Excl)
+		})
+	case CAnd, COr:
 		if len(a.Cs) != len(b.Cs) {
 			return false
 		}

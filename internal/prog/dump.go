@@ -129,11 +129,11 @@ func condString(c *CCond) string {
 		if c.Kind != CAnd {
 			sep = " | "
 		}
-		if len(c.Cs) > 8 {
-			s = fmt.Sprintf("(%s%s... %d terms)", condString(c.Cs[0]), sep, len(c.Cs))
+		if cs := c.children(); len(cs) > 8 {
+			s = fmt.Sprintf("(%s%s... %d terms)", condString(cs[0]), sep, len(cs))
 		} else {
-			parts := make([]string, len(c.Cs))
-			for i, sub := range c.Cs {
+			parts := make([]string, len(cs))
+			for i, sub := range cs {
 				parts[i] = condString(sub)
 			}
 			s = "(" + strings.Join(parts, sep) + ")"

@@ -269,8 +269,9 @@ func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
 		}
 		return expr.NewAnd(out...), nil
 	case COr, CIntervalTable:
-		out := make([]expr.Cond, 0, len(c.Cs))
-		for _, sub := range c.Cs {
+		cs := c.children()
+		out := make([]expr.Cond, 0, len(cs))
+		for _, sub := range cs {
 			lc, err := EvalCond(env, sub)
 			if err != nil {
 				return nil, err

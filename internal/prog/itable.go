@@ -19,17 +19,24 @@ package prog
 // prefix exclusions (the LPM compilation shape), or an equality pair over
 // two shared header fields, with constant widths equal to the field's
 // declared size. Anything else keeps the Or-tree, whose semantics are
-// unchanged. The lowered node retains the original disjuncts as children:
-// Env.OrTreeGuards selects them as executable reference semantics, and
-// evaluation falls back to them whenever the runtime value shapes are not
-// the ones the table was compiled for, so lowering can never change
-// observable behavior.
+// unchanged.
+//
+// The rows are the guard. The compiler reads them straight off the SEFL Or,
+// before any disjunct is compiled, and everything a condition node carries —
+// fingerprint, size, memo gating, inputs, the span table — is computed from
+// them. The Or-tree they stand for is a derived view, not retained state:
+// CCond.children builds it on first use for the readers that want the
+// reference semantics — Env.OrTreeGuards, the fallback evaluation takes when
+// the runtime value shapes are not the ones the table was compiled for, the
+// IR dump, the tree-form wire — so lowering can never change observable
+// behavior, and a program that stays on the table path never pays for it.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"symnet/internal/expr"
-	"symnet/internal/solver"
+	"symnet/internal/sefl"
 )
 
 // itMinEntries gates lowering: a 2-entry Or gains nothing measurable, but
@@ -44,133 +51,80 @@ const itMinEntries = 4
 // enabled in production. Decoding accepts both forms regardless.
 var PackedWire = true
 
-// lowerIntervalTable inspects a freshly compiled COr node and, when its
-// disjuncts form an interval-table shape, lowers it in place to
-// CIntervalTable. The node's fingerprint is already computed (and stays the
-// Or fingerprint — lowering is a representation change, not a semantic one).
-func lowerIntervalTable(cc *CCond) {
-	if cc.Kind != COr || len(cc.Cs) < itMinEntries {
-		return
-	}
-	it := detectIntervalTable(cc.Cs)
-	if it == nil {
-		return
-	}
-	buildITable(it)
-	cc.Kind = CIntervalTable
-	cc.IT = it
-	itableLowered.Add(1)
-}
+// --- Detection ---
 
-// itField accepts a compiled expression as a table field: a direct read of a
+// seflField accepts an expression as a table field: a direct read of a
 // header l-value with a usable declared width.
-func itField(e *CExpr) (LV, bool) {
-	if e == nil || e.Kind != ERef || e.Err != "" {
-		return LV{}, false
-	}
-	lv := e.LV
-	if !lv.IsHdr || lv.Err != "" || lv.Size < 1 || lv.Size > 64 {
-		return LV{}, false
-	}
-	return lv, true
+func seflField(e sefl.Expr) (LV, bool) {
+	r, _ := e.(sefl.Ref)
+	h, ok := r.LV.(sefl.Hdr)
+	return hdrLV(h), ok && h.Size >= 1 && h.Size <= 64
 }
 
-// itConst accepts a compiled expression as a table constant of width w: a
-// fixed-width literal whose declared width equals the field width, so
+// itEqAtom matches Eq(field, constant of the field's declared width), so
 // runtime width coercion can never fire on it.
-func itConst(e *CExpr, w int) (uint64, bool) {
-	if e == nil || e.Kind != ENum || e.Err != "" || e.W != w {
-		return 0, false
-	}
-	return e.V, true
-}
-
-// itEqAtom matches Eq(field, const-of-field-width).
-func itEqAtom(c *CCond) (LV, uint64, bool) {
-	if c.Kind != CCmp || c.Op != expr.Eq {
-		return LV{}, 0, false
-	}
-	f, ok := itField(c.L)
-	if !ok {
-		return LV{}, 0, false
-	}
-	v, ok := itConst(c.R, f.Size)
-	if !ok {
-		return LV{}, 0, false
-	}
-	return f, v, true
+func itEqAtom(c sefl.Cond) (LV, uint64, bool) {
+	eq, _ := c.(sefl.Cmp)
+	f, ok := seflField(eq.L)
+	n, isNum := eq.R.(sefl.Num)
+	return f, n.V, ok && isNum && eq.Op == expr.Eq && n.W == f.Size
 }
 
 // itPrefixAtom matches Prefix(field, V/Len) evaluated at the field's width.
-func itPrefixAtom(c *CCond) (LV, uint64, int, bool) {
-	if c.Kind != CPrefix {
-		return LV{}, 0, 0, false
+func itPrefixAtom(c sefl.Cond) (LV, uint64, int, bool) {
+	p, _ := c.(sefl.Prefix)
+	f, ok := seflField(p.E)
+	return f, p.Value, p.Len, ok && cmp.Or(p.Width, 32) == f.Size
+}
+
+// itHead matches an equality or prefix atom as the head of a row.
+func itHead(c sefl.Cond) (ITRow, LV, bool) {
+	if f, v, ok := itEqAtom(c); ok {
+		return ITRow{Kind: ITEq, V: v}, f, true
 	}
-	f, ok := itField(c.L)
-	if !ok || c.PW != f.Size {
-		return LV{}, 0, 0, false
-	}
-	return f, c.Val, c.PLen, true
+	f, v, plen, ok := itPrefixAtom(c)
+	return ITRow{Kind: ITPrefix, V: v, Len: plen}, f, ok
 }
 
 // itParseRow classifies one disjunct, returning its row plus the field
 // (and, for pair rows, second field) it constrains.
-func itParseRow(c *CCond) (ITRow, LV, LV, bool) {
-	none := ITRow{}
-	if f, v, ok := itEqAtom(c); ok {
-		return ITRow{Kind: ITEq, V: v}, f, LV{}, true
+func itParseRow(c sefl.Cond) (ITRow, LV, LV, bool) {
+	if row, f, ok := itHead(c); ok {
+		return row, f, LV{}, true
 	}
-	if f, v, plen, ok := itPrefixAtom(c); ok {
-		return ITRow{Kind: ITPrefix, V: v, Len: plen}, f, LV{}, true
-	}
-	if c.Kind != CAnd || len(c.Cs) < 2 {
-		return none, LV{}, LV{}, false
-	}
-	// Exclusion shape: head atom followed by only prefix negations on the
-	// same field.
-	head := c.Cs[0]
-	var row ITRow
-	var f LV
-	var headOK bool
-	if hf, v, ok := itEqAtom(head); ok {
-		row, f, headOK = ITRow{Kind: ITEq, V: v}, hf, true
-	} else if hf, v, plen, ok := itPrefixAtom(head); ok {
-		row, f, headOK = ITRow{Kind: ITPrefix, V: v, Len: plen}, hf, true
-	}
-	if headOK {
-		excl := make([]ITExcl, 0, len(c.Cs)-1)
-		for _, sub := range c.Cs[1:] {
-			if sub.Kind != CNot {
-				excl = nil
-				break
-			}
-			ef, v, plen, ok := itPrefixAtom(sub.C)
-			if !ok || ef != f {
-				excl = nil
-				break
-			}
-			excl = append(excl, ITExcl{V: v, Len: plen})
-		}
-		if excl != nil {
-			row.Excl = excl
-			return row, f, LV{}, true
-		}
+	and, _ := c.(sefl.CAnd)
+	if len(and.Cs) < 2 {
+		return ITRow{}, LV{}, LV{}, false
 	}
 	// Pair shape: exactly two equalities on two distinct fields.
-	if len(c.Cs) == 2 {
-		f1, v1, ok1 := itEqAtom(c.Cs[0])
-		f2, v2, ok2 := itEqAtom(c.Cs[1])
+	if len(and.Cs) == 2 {
+		f1, v1, ok1 := itEqAtom(and.Cs[0])
+		f2, v2, ok2 := itEqAtom(and.Cs[1])
 		if ok1 && ok2 && f1 != f2 {
 			return ITRow{Kind: ITPair, V: v1, V2: v2}, f1, f2, true
 		}
 	}
-	return none, LV{}, LV{}, false
+	// Exclusion shape: head atom followed by only prefix negations on the
+	// same field.
+	row, f, ok := itHead(and.Cs[0])
+	row.Excl = make([]ITExcl, 0, len(and.Cs)-1)
+	for _, sub := range and.Cs[1:] {
+		not, _ := sub.(sefl.CNot)
+		ef, v, plen, isPrefix := itPrefixAtom(not.C)
+		ok = ok && isPrefix && ef == f
+		row.Excl = append(row.Excl, ITExcl{V: v, Len: plen})
+	}
+	return row, f, LV{}, ok
 }
 
-// detectIntervalTable parses every disjunct and checks shape uniformity:
-// all rows over one shared field, or all pair rows over one shared ordered
-// field pair. It returns nil when the Or is not a table.
-func detectIntervalTable(cs []*CCond) *ITable {
+// detectIntervalTable parses every disjunct of a SEFL Or, before any of
+// them is compiled, and checks shape uniformity: all rows over one shared
+// field, or all pair rows over one shared ordered field pair. It returns
+// nil when the Or is not a table.
+func detectIntervalTable(cs []sefl.Cond) *ITable {
+	if len(cs) < itMinEntries {
+		return nil
+	}
 	it := &ITable{Rows: make([]ITRow, 0, len(cs))}
 	for i, c := range cs {
 		row, f, f2, ok := itParseRow(c)
@@ -192,36 +146,94 @@ func detectIntervalTable(cs []*CCond) *ITable {
 	return it
 }
 
-// itRowSet returns one row's solution set over the field's value space,
-// computed with the same interval-set operations the solver's disjunction
-// compression applies at assertion time, so the merged table is exactly the
-// set a reference-mode assertion would have produced.
-func itRowSet(r ITRow, w int) *solver.IntervalSet {
-	var s *solver.IntervalSet
-	switch r.Kind {
-	case ITEq, ITPair:
-		s = solver.Singleton(r.V, w)
-	case ITPrefix:
-		s = solver.FromMask(expr.PrefixMask(r.Len, w), r.V, w)
+// seflOf reads a decoded disjunct back as the SEFL it was compiled from (nil
+// for what a table cannot contain), so that a guard that crossed the wire in
+// tree form is detected by the rules above and no others.
+func seflOf(c *CCond) sefl.Cond {
+	field := func(e *CExpr) sefl.Expr {
+		if e == nil || e.Kind != ERef || e.Err != "" || !e.LV.IsHdr || e.LV.Err != "" {
+			return nil
+		}
+		return sefl.Ref{LV: sefl.Hdr{Off: sefl.Off{Tag: e.LV.Tag, Rel: e.LV.Rel}, Size: e.LV.Size}}
 	}
+	switch {
+	case c == nil:
+	case c.Kind == CCmp && c.R != nil && c.R.Kind == ENum && c.R.Err == "":
+		return sefl.Cmp{Op: c.Op, L: field(c.L), R: sefl.Num{V: c.R.V, W: c.R.W}}
+	case c.Kind == CPrefix:
+		return sefl.Prefix{E: field(c.L), Value: c.Val, Len: c.PLen, Width: c.PW}
+	case c.Kind == CNot:
+		return sefl.CNot{C: seflOf(c.C)}
+	case c.Kind == CAnd:
+		and := sefl.CAnd{Cs: make([]sefl.Cond, len(c.Cs))}
+		for i, sub := range c.Cs {
+			and.Cs[i] = seflOf(sub)
+		}
+		return and
+	}
+	return nil
+}
+
+// --- Span tables ---
+
+// appendRowSpans appends one row's solution set over a w-bit field — the
+// head range minus its exclusions — as ascending disjoint spans: the set the
+// solver's disjunction compression reaches by subtracting the exclusions
+// from the head one at a time, so the merged table is exactly what a
+// reference-mode assertion would have produced. Exclusions are prefix
+// ranges, so ordered by address one sweep visits them, skips the ones an
+// earlier one already covers and emits the gaps. scratch is reused between
+// rows.
+func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []expr.Span {
+	m := expr.Mask(w)
+	lo, hi := r.V&m, r.V&m
+	if r.Kind == ITPrefix {
+		mask := expr.PrefixMask(r.Len, w)
+		lo, hi = r.V&mask, r.V&mask|m&^mask
+	}
+	ex := (*scratch)[:0]
 	for _, e := range r.Excl {
-		s = s.Subtract(solver.FromMask(expr.PrefixMask(e.Len, w), e.V, w))
+		mask := expr.PrefixMask(e.Len, w)
+		ex = append(ex, expr.Span{Lo: e.V & mask, Hi: e.V&mask | m&^mask})
 	}
-	return s
+	*scratch = ex
+	slices.SortFunc(ex, func(a, b expr.Span) int { return cmp.Compare(a.Lo, b.Lo) })
+	for _, e := range ex {
+		if e.Hi < lo {
+			continue
+		}
+		if e.Lo > hi {
+			break
+		}
+		if e.Lo > lo {
+			dst = append(dst, expr.Span{Lo: lo, Hi: e.Lo - 1})
+		}
+		if e.Hi >= hi {
+			return dst
+		}
+		lo = e.Hi + 1
+	}
+	return append(dst, expr.Span{Lo: lo, Hi: hi})
 }
 
 // buildITable computes the packed span tables from the rows: the merged
 // single-field table, or the per-group tables of a grouped guard (groups
 // sorted by key). It is shared by the compiler and the wire decoder, so a
-// decoded table is identical to the coordinator's.
+// decoded table is identical to the coordinator's. Every row's spans go
+// into one buffer that is normalised once.
 func buildITable(it *ITable) {
 	if !it.Grouped {
-		sets := make([]*solver.IntervalSet, len(it.Rows))
-		for i, r := range it.Rows {
-			sets[i] = itRowSet(r, it.W)
+		total, deepest := len(it.Rows), 0
+		for i := range it.Rows {
+			total += len(it.Rows[i].Excl)
+			deepest = max(deepest, len(it.Rows[i].Excl))
 		}
-		u := solver.UnionAll(it.W, sets)
-		it.Table = expr.NewSpanTable(it.W, u.Intervals())
+		spans := make([]expr.Span, 0, total)
+		scratch := make([]expr.Span, 0, deepest)
+		for i := range it.Rows {
+			spans = appendRowSpans(spans, &it.Rows[i], it.W, &scratch)
+		}
+		it.Table = expr.NewSpanTable(it.W, spans)
 		return
 	}
 	m := expr.Mask(it.W)
@@ -239,7 +251,7 @@ func buildITable(it *ITable) {
 		groups = append(groups, ITGroup{Key: k, Table: expr.NewSpanTable(it.W2, byKey[k])})
 	}
 	// Sorted by key for binary search (model order need not be sorted).
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
+	slices.SortFunc(groups, func(a, b ITGroup) int { return cmp.Compare(a.Key, b.Key) })
 	it.Groups = groups
 }
 
@@ -260,16 +272,77 @@ func (it *ITable) group(key uint64) *ITGroup {
 	return nil
 }
 
-// --- Child reconstruction (wire decode) ---
+// --- What a condition node carries, from the rows ---
 
-// Rows cross the wire as the flat word stream of expr.PackGuardRows instead
-// of per-disjunct tree nodes; this is what shrinks the distributed setup
-// frame for table-heavy networks.
+// A lowered node is fingerprinted, sized and memo-gated as the Or-tree its
+// rows stand for (lowering is a representation change, so guards dedup and
+// memoize identically in either form). fp, words and collectInputs compute
+// that state with the tree's formulas, without the tree; TestRowsMatchTree
+// pins the two equal.
+
+// fp is fpCond of the Or-tree.
+func (it *ITable) fp() expr.Fp {
+	ref, ref2 := fpRef(it.F), fpRef(it.F2)
+	f := fpJunction(COr, len(it.Rows))
+	for i := range it.Rows {
+		r := &it.Rows[i]
+		var row expr.Fp
+		switch r.Kind {
+		case ITPair:
+			row = fpJunction(CAnd, 2).
+				Chain(fpCmp(expr.Eq, ref, fpNum(r.V, it.W))).
+				Chain(fpCmp(expr.Eq, ref2, fpNum(r.V2, it.W2)))
+		case ITEq:
+			row = fpCmp(expr.Eq, ref, fpNum(r.V, it.W))
+		case ITPrefix:
+			row = fpPrefix(ref, r.V, r.Len, it.W)
+		}
+		if len(r.Excl) > 0 {
+			row = fpJunction(CAnd, len(r.Excl)+1).Chain(row)
+			for _, e := range r.Excl {
+				row = row.Chain(fpNot(fpPrefix(ref, e.V, e.Len, it.W)))
+			}
+		}
+		f = f.Chain(row)
+	}
+	return f
+}
+
+// words is condSize of the Or-tree: an equality is three nodes (comparison,
+// reference, literal), a prefix two, a negated prefix three, and every And
+// and the Or itself one more.
+func (it *ITable) words() int {
+	n := 1
+	for i := range it.Rows {
+		n += [...]int{ITEq: 3, ITPrefix: 2, ITPair: 1 + 3 + 3}[it.Rows[i].Kind]
+		if k := len(it.Rows[i].Excl); k > 0 {
+			n += 1 + 3*k
+		}
+	}
+	return n
+}
+
+// --- The Or-tree view ---
+
+// children returns the operands of an And or an Or, in either form an Or
+// can take: a lowered guard builds the Or-tree its rows stand for on first
+// use. Programs are shared across workers, hence the Once.
+func (c *CCond) children() []*CCond {
+	it := c.IT
+	if it == nil {
+		return c.Cs
+	}
+	it.viewOnce.Do(func() {
+		b := &itBuilder{conds: make(map[expr.Fp][]*CCond)}
+		it.view = b.children(it)
+	})
+	return it.view
+}
 
 // itBuilder rebuilds the original Or-tree disjuncts of a lowered guard from
-// its rows, hash-consing within the builder exactly as the compiler did, so
-// the decoded children are byte-identical (fingerprints, flags, sharing) to
-// the coordinator's.
+// its rows, hash-consing within the builder exactly as the compiler does for
+// an Or it cannot lower, so the view is byte-identical (fingerprints, flags,
+// sharing) to compiler-built children.
 type itBuilder struct {
 	conds map[expr.Fp][]*CCond
 }

@@ -303,11 +303,12 @@ func TestITableCodecRoundTrip(t *testing.T) {
 			if oc.IT.Table != nil && !dc.IT.Table.Equal(oc.IT.Table) {
 				t.Fatalf("packed=%v op %d: span table drifted", packed, i)
 			}
-			if len(dc.Cs) != len(oc.Cs) {
+			ocs, dcs := oc.children(), dc.children()
+			if len(dcs) != len(ocs) || len(ocs) != len(oc.IT.Rows) {
 				t.Fatalf("packed=%v op %d: children count drifted", packed, i)
 			}
-			for j := range oc.Cs {
-				if dc.Cs[j].FP != oc.Cs[j].FP {
+			for j := range ocs {
+				if dcs[j].FP != ocs[j].FP {
 					t.Fatalf("packed=%v op %d child %d: fingerprint drifted", packed, i, j)
 				}
 			}

@@ -12,14 +12,14 @@ package prog
 // patched program is indistinguishable from a fresh compile of the updated
 // guard: same table fingerprint (the caller built the new table with
 // expr.SpanTable patching, whose canonical form is construction-order
-// independent), same rebuilt fallback children, same memo gating and inputs,
-// and the same lazily-rendered source instruction for traces and failure
-// messages.
+// independent), same node fingerprint, memo gating and inputs (all computed
+// from the new rows; the Or-tree view of the old rows goes with the old
+// table and the new one is built if and when somebody asks), and the same
+// lazily-rendered source instruction for traces and failure messages.
 
 import (
 	"symnet/internal/expr"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 )
 
 // PatchSpec describes one guard-table replacement inside a compiled program.
@@ -29,7 +29,8 @@ type PatchSpec struct {
 	OldFp expr.Fp
 	// Rows is the guard's new row list, in the order a fresh model build
 	// would emit (table order for MACs, CompileLPM order for routes) — the
-	// rebuilt fallback children must match a from-scratch compile exactly.
+	// node fingerprint and the Or-tree view must match a from-scratch
+	// compile exactly.
 	Rows []ITRow
 	// Table is the new merged span table, typically produced by patching the
 	// old one (expr.SpanTable.PatchWindow) rather than re-merging all rows.
@@ -75,11 +76,14 @@ func GuardTables(p *Program) []*ITable {
 	return out
 }
 
-// RowSolutionSet returns one guard row's solution set over a w-bit field —
-// the same set construction lowering merges into the span table. Exported so
-// delta application can compute a changed rule's replacement spans without
-// re-merging the whole table.
-func RowSolutionSet(r ITRow, w int) *solver.IntervalSet { return itRowSet(r, w) }
+// RowSolutionSet returns one guard row's solution set over a w-bit field as
+// ascending disjoint spans — the same sweep lowering merges into the span
+// table. Exported so delta application can compute a changed rule's
+// replacement spans without re-merging the whole table.
+func RowSolutionSet(r ITRow, w int) []expr.Span {
+	var scratch []expr.Span
+	return appendRowSpans(nil, &r, w, &scratch)
+}
 
 // BuildGuardTable merges a full row list into its span table (the from-
 // scratch construction lowering performs). Incremental callers use it only
@@ -95,11 +99,10 @@ func BuildGuardTable(rows []ITRow, w int) *expr.SpanTable {
 // patched (0 when no non-grouped lowered guard carries spec.OldFp — grouped
 // two-field tables are not patchable and must be recompiled). The program
 // must not be executing concurrently. For each matched node it installs the
-// new rows and table, rebuilds the fallback Or-tree children with the same
-// hash-consing construction the compiler and wire decoder use, recomputes
-// the node fingerprint and derived state (static fold, size, memo gating,
-// input set), clears the evaluation memo, and swaps the rendered source
-// instruction on every OpConstrain guarded by the node.
+// new rows and table, recomputes from the rows the node fingerprint and
+// derived state (size, memo gating, input set), clears the evaluation memo,
+// and swaps the rendered source instruction on every OpConstrain guarded by
+// the node.
 func PatchGuard(p *Program, spec PatchSpec) int {
 	patched := make(map[*CCond]bool)
 	forEachCond(p, func(cc *CCond) {
@@ -109,10 +112,7 @@ func PatchGuard(p *Program, spec PatchSpec) int {
 		if cc.IT.Table == nil || cc.IT.Table.Fp() != spec.OldFp {
 			return
 		}
-		it := &ITable{F: cc.IT.F, W: cc.IT.W, Rows: spec.Rows, Table: spec.Table}
-		cc.IT = it
-		b := &itBuilder{conds: make(map[expr.Fp][]*CCond)}
-		cc.Cs = b.children(it)
+		cc.IT = &ITable{F: cc.IT.F, W: cc.IT.W, Rows: spec.Rows, Table: spec.Table}
 		cc.FP = fpCond(cc)
 		cc.Inputs = nil
 		cc.memo.Store(nil)

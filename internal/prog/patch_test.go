@@ -6,7 +6,6 @@ import (
 
 	"symnet/internal/expr"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 )
 
 func patchMACGuard(macs []uint64) sefl.Instr {
@@ -80,11 +79,13 @@ func deepEqualCond(a, b *CCond) bool {
 		a.PLen != b.PLen || a.PW != b.PW || a.B != b.B || a.Key != b.Key {
 		return false
 	}
-	if len(a.Cs) != len(b.Cs) {
+	// A lowered guard's children are its Or-tree view, built here.
+	ac, bc := a.children(), b.children()
+	if len(ac) != len(bc) {
 		return false
 	}
-	for i := range a.Cs {
-		if !deepEqualCond(a.Cs[i], b.Cs[i]) {
+	for i := range ac {
+		if !deepEqualCond(ac[i], bc[i]) {
 			return false
 		}
 	}
@@ -180,10 +181,9 @@ func TestPatchGuardPrefixDeleteWithExclusions(t *testing.T) {
 	// does: replacement spans = union of the new rows' sets clipped to it.
 	lo := uint64(0x0A010000)
 	hi := lo | (uint64(1)<<16 - 1)
-	window := solver.FromRange(lo, hi, w)
 	var repl []expr.Span
 	for _, r := range itRows {
-		repl = append(repl, RowSolutionSet(r, w).Intersect(window).Intervals()...)
+		repl = append(repl, RowSolutionSet(r, w)...) // PatchWindow clips to the window
 	}
 	table := node.IT.Table.PatchWindow(lo, hi, repl)
 	if !table.Equal(BuildGuardTable(itRows, w)) || table.Fp() != BuildGuardTable(itRows, w).Fp() {

@@ -159,11 +159,12 @@ const (
 	// CIntervalTable is a lowered egress-style guard: an Or whose disjuncts
 	// are equality/prefix constraints over one header field (optionally
 	// grouped by an equality on a second field) compiled into sorted,
-	// merged value ranges. The node keeps the original disjuncts in Cs —
-	// they are the reference semantics, selected by Env.OrTreeGuards and
-	// used as the fallback when runtime value shapes fall outside the
-	// table — and carries the packed table in IT. A lowered node keeps the
-	// structural fingerprint of the Or it was built from.
+	// merged value ranges. The node carries the rows and the packed table
+	// in IT and no children: the original disjuncts — the reference
+	// semantics, selected by Env.OrTreeGuards and used as the fallback when
+	// runtime value shapes fall outside the table — are a view built from
+	// the rows on first use (children). A lowered node keeps the structural
+	// fingerprint of the Or it stands for.
 	CIntervalTable
 )
 
@@ -204,16 +205,16 @@ type CCond struct {
 	Val, Mask uint64     // CPrefix value / CMasked pair
 	PLen, PW  int        // CPrefix length and width
 	Key       memory.MetaKey
-	Cs        []*CCond // CAnd/COr/CIntervalTable children
+	Cs        []*CCond // CAnd/COr children (see children for CIntervalTable)
 	C         *CCond   // CNot child
 	IT        *ITable  // CIntervalTable payload
 }
 
 // ITable is the payload of a CIntervalTable node: the guarded field(s), the
-// original disjuncts as flat rows (the exact information needed to rebuild
-// the Or-tree children on the far side of the wire), and the precomputed
-// span tables evaluation consumes. Tables are immutable after construction
-// and shared by every path visiting the guard.
+// original disjuncts as flat rows (the exact information the Or-tree view is
+// built from, on either side of the wire), and the precomputed span tables
+// evaluation consumes. Tables are immutable after construction and shared
+// by every path visiting the guard.
 type ITable struct {
 	F LV  // primary field l-value (a header field)
 	W int // primary field width (== F.Size)
@@ -229,6 +230,10 @@ type ITable struct {
 	// Key for binary search.
 	Table  *expr.SpanTable
 	Groups []ITGroup
+
+	// view is the Or-tree the rows stand for; see CCond.children.
+	viewOnce sync.Once
+	view     []*CCond
 }
 
 // ITGroup is one F-value group of a grouped table.
@@ -341,7 +346,9 @@ type Program struct {
 	Segs     []Seg
 	Entry    SegID
 	// Conds is the number of distinct condition nodes after dedup, and
-	// CondsSeen the number before (for -dump-ir and tests).
+	// CondsSeen the number before. They are diagnostics for -dump-ir and
+	// tests; a lowered guard counts as one node, whatever the number of
+	// disjuncts its view would have.
 	Conds, CondsSeen int
 }
 

@@ -1,0 +1,149 @@
+package tables
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"symnet/internal/expr"
+)
+
+// compileLPMMaps is CompileLPM as it was before the sort-and-stack sweep:
+// routes indexed by (length, prefix) in hash maps, one lookup per shorter
+// length per route, every list sorted afterwards. It is kept as the oracle
+// the sweep must agree with, element for element and in order.
+func compileLPMMaps(f FIB) []CompiledRoute {
+	type pfxKey struct {
+		pfx uint64
+		ln  int
+	}
+	seen := make(map[pfxKey]bool, len(f))
+	routes := make([]Route, 0, len(f))
+	for _, r := range f {
+		k := pfxKey{r.Prefix, r.Len}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		routes = append(routes, r)
+	}
+	byLen := make(map[int]map[uint64]Route)
+	for _, r := range routes {
+		m := byLen[r.Len]
+		if m == nil {
+			m = make(map[uint64]Route)
+			byLen[r.Len] = m
+		}
+		m[r.Prefix] = r
+	}
+	exclusions := make(map[pfxKey][]Route)
+	for _, r := range routes {
+		for l := r.Len - 1; l >= 0; l-- {
+			m := byLen[l]
+			if m == nil {
+				continue
+			}
+			parent := r.Prefix & expr.PrefixMask(l, 32)
+			if _, ok := m[parent]; ok {
+				k := pfxKey{parent, l}
+				exclusions[k] = append(exclusions[k], r)
+			}
+		}
+	}
+	out := make([]CompiledRoute, 0, len(routes))
+	for _, r := range routes {
+		ex := exclusions[pfxKey{r.Prefix, r.Len}]
+		sort.Slice(ex, func(i, j int) bool {
+			if ex[i].Len != ex[j].Len {
+				return ex[i].Len > ex[j].Len
+			}
+			return ex[i].Prefix < ex[j].Prefix
+		})
+		out = append(out, CompiledRoute{Route: r, Exclusions: ex})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Len != out[j].Len {
+			return out[i].Len > out[j].Len // most specific first
+		}
+		if out[i].Prefix != out[j].Prefix {
+			return out[i].Prefix < out[j].Prefix
+		}
+		return out[i].Port < out[j].Port
+	})
+	return out
+}
+
+// nestedFIB draws a FIB that exercises what the sweep has to get right:
+// chains five deep, siblings, /0 and /32, and duplicates of a prefix under a
+// different port, all in shuffled order.
+func nestedFIB(rng *rand.Rand) FIB {
+	var f FIB
+	add := func(addr uint64, plen int) {
+		f = append(f, Route{Prefix: addr & expr.PrefixMask(plen, 32), Len: plen, Port: rng.Intn(4)})
+	}
+	if rng.Intn(2) == 0 {
+		add(0, 0)
+	}
+	for roots := 1 + rng.Intn(6); roots > 0; roots-- {
+		// Few distinct high bits, so that roots nest and collide too.
+		addr := uint64(rng.Intn(4))<<30 | uint64(rng.Uint32())&0x3fffffff
+		plen := rng.Intn(12)
+		for depth := 1 + rng.Intn(5); depth > 0 && plen <= 32; depth-- {
+			add(addr, plen)
+			if plen < 32 && rng.Intn(2) == 0 {
+				add(addr^1<<(31-plen), plen+1) // the sibling of the next link
+			}
+			if rng.Intn(3) == 0 {
+				add(addr, 32)
+			}
+			plen += 1 + rng.Intn(8)
+		}
+	}
+	for dups := rng.Intn(4); dups > 0 && len(f) > 0; dups-- {
+		r := f[rng.Intn(len(f))]
+		r.Port = 7 // a port no original carries: the first occurrence must win
+		f = append(f, r)
+	}
+	rng.Shuffle(len(f), func(i, j int) { f[i], f[j] = f[j], f[i] })
+	return f
+}
+
+func TestCompileLPMAgainstPredecessor(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	deepest, dups := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		f := nestedFIB(rng)
+		in := append(FIB(nil), f...)
+		got, want := CompileLPM(f), compileLPMMaps(f)
+		if !reflect.DeepEqual(f, in) {
+			t.Fatalf("trial %d: CompileLPM reordered its input", trial)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: fib %v\n got %v\nwant %v", trial, f, got, want)
+		}
+		dups += len(f) - len(got)
+		for _, c := range got {
+			deepest = max(deepest, len(c.Exclusions))
+		}
+	}
+	if deepest < 8 || dups == 0 {
+		t.Fatalf("generator too tame: deepest list %d, %d duplicates dropped", deepest, dups)
+	}
+}
+
+// TestCompileLPMListsAreIndependent: the lists share one backing array, so
+// appending to one must not write into its neighbour.
+func TestCompileLPMListsAreIndependent(t *testing.T) {
+	f := FIB{{Prefix: 10 << 24, Len: 8}, {Prefix: 10<<24 | 1<<16, Len: 16}, {Prefix: 11 << 24, Len: 8}, {Prefix: 11<<24 | 1<<16, Len: 16}}
+	cs := CompileLPM(f)
+	want := compileLPMMaps(f)
+	for i := range cs {
+		cs[i].Exclusions = append(cs[i].Exclusions, Route{Port: 99})
+	}
+	for i := range cs {
+		if n := len(want[i].Exclusions); n > 0 && !reflect.DeepEqual(cs[i].Exclusions[:n], want[i].Exclusions) {
+			t.Fatalf("route %v: list clobbered by a neighbour's append: %v", cs[i].Route, cs[i].Exclusions)
+		}
+	}
+}

@@ -7,8 +7,10 @@ package tables
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,36 +34,27 @@ type MACTable []MACEntry
 //
 //	<vlan> <mac> <port>
 //
-// e.g. "302 00:1a:2b:3c:4d:5e 7". '#' starts a comment.
+// e.g. "302 00:1a:2b:3c:4d:5e 7". '#' starts a comment. Malformed input —
+// a bad address, a negative VLAN or port — is an error naming the line.
 func ParseMACTable(r io.Reader) (MACTable, error) {
 	var t MACTable
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		fields, ok := splitLine(sc.Text())
-		if !ok {
-			continue
-		}
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("tables: mac table line %d: want 3 fields, got %d", line, len(fields))
-		}
-		vlan, err := strconv.Atoi(fields[0])
+	err := scanLines(r, "mac table", 3, func(f []string) error {
+		vlan, err := strconv.ParseUint(f[0], 10, 31)
 		if err != nil {
-			return nil, fmt.Errorf("tables: mac table line %d: bad vlan: %v", line, err)
+			return fmt.Errorf("bad vlan: %v", err)
 		}
-		mac := sefl.MACToNumber(fields[1])
-		port, err := strconv.Atoi(fields[2])
+		mac, err := ParseMAC(f[1])
 		if err != nil {
-			return nil, fmt.Errorf("tables: mac table line %d: bad port: %v", line, err)
+			return err
 		}
-		t = append(t, MACEntry{MAC: mac, VLAN: vlan, Port: port})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
+		port, err := strconv.ParseUint(f[2], 10, 31)
+		if err != nil {
+			return fmt.Errorf("bad port: %v", err)
+		}
+		t = append(t, MACEntry{MAC: mac, VLAN: int(vlan), Port: int(port)})
+		return nil
+	})
+	return t, err
 }
 
 // Ports returns the sorted set of output ports used by the table.
@@ -109,35 +102,22 @@ type FIB []Route
 //
 //	<prefix>/<len> <port>
 //
-// e.g. "10.0.0.0/8 0".
+// e.g. "10.0.0.0/8 0". Malformed input is an error naming the line.
 func ParseFIB(r io.Reader) (FIB, error) {
 	var f FIB
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		fields, ok := splitLine(sc.Text())
-		if !ok {
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("tables: fib line %d: want 2 fields, got %d", line, len(fields))
-		}
-		pfx, plen, err := ParsePrefix(fields[0])
+	err := scanLines(r, "fib", 2, func(fs []string) error {
+		pfx, plen, err := ParsePrefix(fs[0])
 		if err != nil {
-			return nil, fmt.Errorf("tables: fib line %d: %v", line, err)
+			return err
 		}
-		port, err := strconv.Atoi(fields[1])
+		port, err := strconv.ParseUint(fs[1], 10, 31)
 		if err != nil {
-			return nil, fmt.Errorf("tables: fib line %d: bad port: %v", line, err)
+			return fmt.Errorf("bad port: %v", err)
 		}
-		f = append(f, Route{Prefix: pfx, Len: plen, Port: port})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return f, nil
+		f = append(f, Route{Prefix: pfx, Len: plen, Port: int(port)})
+		return nil
+	})
+	return f, err
 }
 
 // ParsePrefix parses "a.b.c.d/len" into a masked network address and length.
@@ -150,8 +130,44 @@ func ParsePrefix(s string) (uint64, int, error) {
 	if err != nil || plen < 0 || plen > 32 {
 		return 0, 0, fmt.Errorf("bad prefix length in %q", s)
 	}
-	addr := sefl.IPToNumber(s[:slash])
+	addr, ok := parseOctets(s[:slash], 4, '.', 10)
+	if !ok {
+		return 0, 0, fmt.Errorf("bad IPv4 literal %q", s[:slash])
+	}
 	return addr & expr.PrefixMask(plen, 32), plen, nil
+}
+
+// ParseMAC parses a colon-separated MAC address ("00:1a:2b:3c:4d:5e").
+func ParseMAC(s string) (uint64, error) {
+	v, ok := parseOctets(s, 6, ':', 16)
+	if !ok {
+		return 0, fmt.Errorf("bad MAC literal %q", s)
+	}
+	return v, nil
+}
+
+// parseOctets reads n groups of base-10 or base-16 digits, each worth at
+// most 255 and separated by sep, into one number: the dotted quad and the
+// colon-separated MAC are the same grammar. It allocates nothing.
+func parseOctets(s string, n int, sep byte, base uint64) (uint64, bool) {
+	var v, b uint64
+	digits, groups := 0, 1
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == sep && digits > 0 {
+			v, b, digits, groups = v<<8|b, 0, 0, groups+1
+			continue
+		}
+		d := uint64(c - '0')
+		if d > 9 {
+			d = uint64(c|0x20-'a') + 10 // 10..15 for a-f and A-F only
+		}
+		if b = b*base + d; d >= base || b > 255 {
+			return 0, false
+		}
+		digits++
+	}
+	return v<<8 | b, digits > 0 && groups == n
 }
 
 // Ports returns the sorted set of output ports used by the FIB.
@@ -178,76 +194,92 @@ type CompiledRoute struct {
 
 // CompileLPM computes, for every route, its covering exclusions: all strictly
 // more-specific routes contained in it. Duplicate (prefix, len) entries keep
-// the first occurrence, matching typical FIB snapshot semantics.
+// the first occurrence, matching typical FIB snapshot semantics. Routes come
+// out most specific first (length descending, then prefix ascending), and so
+// does every route's exclusion list. Prefixes have their host bits zero, as
+// ParsePrefix leaves them.
 //
-// The algorithm indexes routes by (length, prefix) and, for each route,
-// looks up each shorter length once — O(N * 32) hash lookups overall, which
-// handles the paper's 188,500-prefix table comfortably.
+// It is one sort and two sweeps. Sorted by (prefix, length) a route follows
+// every route that contains it, so the routes still open form a stack, kept
+// as each route's link to its nearest container, and a route is an exclusion
+// of every link in its chain. The first sweep counts; the second visits the
+// routes in output order and files each with its containers, which leaves
+// every list in output order unsorted. The lists share one backing array.
 func CompileLPM(f FIB) []CompiledRoute {
-	// Deduplicate, keeping first occurrence.
-	type pfxKey struct {
-		pfx uint64
-		ln  int
+	// By (prefix, length, position): of duplicates the first comes first.
+	type slot struct {
+		key uint64 // prefix, then length
+		at  int32  // position in f
 	}
-	seen := make(map[pfxKey]bool, len(f))
-	routes := make([]Route, 0, len(f))
-	for _, r := range f {
-		k := pfxKey{r.Prefix, r.Len}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		routes = append(routes, r)
+	slots := make([]slot, len(f))
+	for i, r := range f {
+		slots[i] = slot{key: r.Prefix<<8 | uint64(r.Len), at: int32(i)}
 	}
-	// Index by length.
-	byLen := make(map[int]map[uint64]Route)
-	for _, r := range routes {
-		m := byLen[r.Len]
-		if m == nil {
-			m = make(map[uint64]Route)
-			byLen[r.Len] = m
+	slices.SortFunc(slots, func(a, b slot) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
 		}
-		m[r.Prefix] = r
-	}
-	// For each route, find all more-specific routes it contains by scanning
-	// longer lengths; attach the exclusion to the containing route.
-	// Equivalent, cheaper direction: for each route, for each *shorter*
-	// length, find its container and register this route as the container's
-	// exclusion.
-	exclusions := make(map[pfxKey][]Route)
-	for _, r := range routes {
-		for l := r.Len - 1; l >= 0; l-- {
-			m := byLen[l]
-			if m == nil {
-				continue
-			}
-			parent := r.Prefix & expr.PrefixMask(l, 32)
-			if _, ok := m[parent]; ok {
-				k := pfxKey{parent, l}
-				exclusions[k] = append(exclusions[k], r)
-			}
-		}
-	}
-	out := make([]CompiledRoute, 0, len(routes))
-	for _, r := range routes {
-		ex := exclusions[pfxKey{r.Prefix, r.Len}]
-		sort.Slice(ex, func(i, j int) bool {
-			if ex[i].Len != ex[j].Len {
-				return ex[i].Len > ex[j].Len
-			}
-			return ex[i].Prefix < ex[j].Prefix
-		})
-		out = append(out, CompiledRoute{Route: r, Exclusions: ex})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Len != out[j].Len {
-			return out[i].Len > out[j].Len // most specific first
-		}
-		if out[i].Prefix != out[j].Prefix {
-			return out[i].Prefix < out[j].Prefix
-		}
-		return out[i].Port < out[j].Port
+		return int(a.at - b.at)
 	})
+	rs := make([]Route, 0, len(f))
+	for i, s := range slots {
+		if i == 0 || s.key != slots[i-1].key {
+			rs = append(rs, f[s.at])
+		}
+	}
+
+	parent := make([]int32, len(rs)) // nearest container of rs[i], -1 for none
+	pos := make([]int32, len(rs))    // how many routes rs[i] contains
+	var bucket [34]int32             // bucket[33-l]: routes of length l
+	for i, r := range rs {
+		// The stack's top is the previous route; pop what has closed.
+		a := int32(i) - 1
+		for a >= 0 && r.Prefix > rs[a].Prefix|(expr.Mask(32)&^expr.PrefixMask(rs[a].Len, 32)) {
+			a = parent[a]
+		}
+		parent[i] = a
+		for ; a >= 0; a = parent[a] {
+			pos[a]++
+		}
+		bucket[33-r.Len]++
+	}
+
+	// Output order: rs is prefix-ascending already, so dealing it out by
+	// length, longest first, is all the sorting that is left.
+	for b := 1; b < len(bucket); b++ {
+		bucket[b] += bucket[b-1]
+	}
+	order := make([]int32, len(rs))
+	for i, r := range rs {
+		order[bucket[32-r.Len]] = int32(i)
+		bucket[32-r.Len]++
+	}
+
+	// pos turns from a count into the next free slot of rs[i]'s list, so in
+	// the end that list stops at pos[i] and starts where its predecessor's
+	// stops.
+	total := int32(0)
+	for i, n := range pos {
+		pos[i], total = total, total+n
+	}
+	excl := make([]Route, total)
+	for _, i := range order {
+		for a := parent[i]; a >= 0; a = parent[a] {
+			excl[pos[a]] = rs[i]
+			pos[a]++
+		}
+	}
+	out := make([]CompiledRoute, len(rs))
+	for k, i := range order {
+		out[k].Route = rs[i]
+		lo := int32(0)
+		if i > 0 {
+			lo = pos[i-1]
+		}
+		if hi := pos[i]; hi > lo {
+			out[k].Exclusions = excl[lo:hi:hi]
+		}
+	}
 	return out
 }
 
@@ -262,10 +294,32 @@ func NumExclusions(cs []CompiledRoute) int {
 	return n
 }
 
-func splitLine(s string) ([]string, bool) {
-	if i := strings.IndexByte(s, '#'); i >= 0 {
-		s = s[:i]
+// scanLines feeds the want whitespace-separated fields of every non-comment
+// line to row, and wraps what row (or a wrong field count) reports with the
+// table kind and the line number. The fields alias one reused array.
+func scanLines(r io.Reader, what string, want int, row func(fields []string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	fields := make([]string, 0, want)
+	for line := 1; sc.Scan(); line++ {
+		s, _, _ := strings.Cut(sc.Text(), "#")
+		fields = fields[:0]
+		for s = strings.TrimLeft(s, " \t\r"); s != ""; s = strings.TrimLeft(s, " \t\r") {
+			end := strings.IndexAny(s, " \t\r")
+			if end < 0 {
+				end = len(s)
+			}
+			fields, s = append(fields, s[:end]), s[end:]
+		}
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) != want {
+			return fmt.Errorf("tables: %s line %d: want %d fields, got %d", what, line, want, len(fields))
+		}
+		if err := row(fields); err != nil {
+			return fmt.Errorf("tables: %s line %d: %v", what, line, err)
+		}
 	}
-	fields := strings.Fields(s)
-	return fields, len(fields) > 0
+	return sc.Err()
 }

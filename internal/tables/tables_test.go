@@ -37,6 +37,62 @@ func TestParseMACTableErrors(t *testing.T) {
 	}
 }
 
+// TestParsersRejectBadInput: malformed addresses used to panic inside
+// sefl.IPToNumber/MACToNumber and negative ports parsed; both are errors
+// that name the line.
+func TestParsersRejectBadInput(t *testing.T) {
+	fibs := []string{
+		"10.0.0/8 1", "10.0.0.0.0/8 1", "10.0.0.256/8 1", "10..0.0/8 1", "10.0.0.x/8 1", "/8 1",
+		"10.0.0.0/33 1", "10.0.0.0 1", "10.0.0.0/8 -1", "10.0.0.0/8 x", "10.0.0.0/8",
+	}
+	for _, in := range fibs {
+		_, err := ParseFIB(strings.NewReader("0.0.0.0/0 0\n# comment\n" + in + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "fib line 3") {
+			t.Errorf("ParseFIB(%q) = %v, want an error naming line 3", in, err)
+		}
+	}
+	macs := []string{
+		"1 00:1a:2b:3c:4d 7", "1 00:1a:2b:3c:4d:5e:6f 7", "1 00:1a:2b:3c:4d:5g 7", "1 00:1a:2b:3c:4d:100 7",
+		"1 00:1a::3c:4d:5e 7", "-1 00:1a:2b:3c:4d:5e 7", "1 00:1a:2b:3c:4d:5e -7", "1 00:1a:2b:3c:4d:5e",
+	}
+	for _, in := range macs {
+		_, err := ParseMACTable(strings.NewReader("\n" + in + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "mac table line 2") {
+			t.Errorf("ParseMACTable(%q) = %v, want an error naming line 2", in, err)
+		}
+	}
+	// What the panicking parsers accepted still parses: leading zeros, upper
+	// case, tabs and trailing comments.
+	fib, err := ParseFIB(strings.NewReader("\t010.001.0.0/16\t 3 # core\r\n"))
+	if err != nil || len(fib) != 1 || fib[0] != (Route{Prefix: 10<<24 | 1<<16, Len: 16, Port: 3}) {
+		t.Fatalf("lenient FIB line: %v %v", fib, err)
+	}
+	mt, err := ParseMACTable(strings.NewReader("302 00:1A:2b:3:4d:5E 7"))
+	if err != nil || len(mt) != 1 || mt[0].MAC != 0x001a2b034d5e {
+		t.Fatalf("lenient MAC line: %v %v", mt, err)
+	}
+}
+
+// TestParseFIBAllocations: the parser allocates per line only the line
+// itself (no field slices, no octet slices).
+func TestParseFIBAllocations(t *testing.T) {
+	var sb strings.Builder
+	const lines = 1000
+	for i := 0; i < lines; i++ {
+		sb.WriteString("10.1.2.0/24 5\n")
+	}
+	in := sb.String()
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := ParseFIB(strings.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One string per line, the growth of the result, the scanner's buffer.
+	if avg > lines+40 {
+		t.Fatalf("ParseFIB allocated %.0f times for %d lines", avg, lines)
+	}
+}
+
 func TestParseFIB(t *testing.T) {
 	in := `10.0.0.0/8 0
 192.168.0.0/24 1
