@@ -653,7 +653,7 @@ func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.
 	opts.Obs = o
 	t0 := time.Now()
 	r := allPairsVia(net, srcs, packet, targets, opts, dist.Config{
-		Procs: procs, Workers: distAddrs, WorkersPerProc: workersPerProc, ShareSat: true,
+		Procs: procs, Workers: distAddrs, WorkersPerProc: workersPerProc,
 	})
 	elapsed := time.Since(t0)
 
@@ -761,7 +761,7 @@ func poolBench(rep *reporter, quick bool) {
 	rep.printf("%-12s %-14s %-14s %s\n", "Case", "Cold/batch", "Pool/batch", "Speedup")
 
 	newPool := func() *dist.Pool {
-		p, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1, ShareSat: true})
+		p, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1})
 		if err != nil {
 			fail(err)
 		}
@@ -788,7 +788,7 @@ func poolBench(rep *reporter, quick bool) {
 
 	onOff := map[bool]time.Duration{}
 	for _, noSteal := range []bool{true, false} {
-		p, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1, ShareSat: true, NoSteal: noSteal})
+		p, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1, NoSteal: noSteal})
 		if err != nil {
 			fail(err)
 		}
@@ -861,7 +861,7 @@ func poolScale(rep *reporter, quick bool, distAddrs []string) {
 		if n > len(addrs) {
 			break
 		}
-		p, err := dist.NewPool(dist.Config{Workers: addrs[:n], WorkersPerProc: 1, ShareSat: true})
+		p, err := dist.NewPool(dist.Config{Workers: addrs[:n], WorkersPerProc: 1})
 		if err != nil {
 			fail(err)
 		}
@@ -1102,7 +1102,7 @@ func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.Por
 	ref := opts
 	ref.IRExec = true
 	refFP := summaryFP(allPairsVia(net, srcs, packet, targets, ref, dist.Config{}))
-	fp := summaryFP(allPairsVia(net, srcs, packet, targets, opts, dist.Config{Procs: procs, WorkersPerProc: workers, ShareSat: true}))
+	fp := summaryFP(allPairsVia(net, srcs, packet, targets, opts, dist.Config{Procs: procs, WorkersPerProc: workers}))
 	if refFP != fp {
 		fail(fmt.Errorf("summaries %s: path summaries of the default engine at procs=%d workers=%d (%s) differ from the sequential IR reference (%s)", name, procs, workers, fp, refFP))
 	}

@@ -1,32 +1,27 @@
-// Command symworker is the standalone distributed-verification worker. It
-// speaks the internal/dist frame protocol (a stream of gob frames; gob is
-// self-delimiting, there are no explicit length prefixes) over one of two
-// transports:
-//
-//   - stdio (default): one session on stdin/stdout, for coordinators that
-//     fork/exec workers locally. Logs go to stderr; stdout is reserved for
-//     frames.
-//   - TCP (-listen host:port): a resident fleet member. The worker binds the
-//     address, prints the bound address on stdout (useful with :0), and
-//     serves one session per accepted connection until killed. Coordinators
-//     name it in dist.Config.Workers; sessions whose connection drops park
-//     their installed state so a reconnecting coordinator resumes with a
-//     delta instead of a full re-ship.
-//
-// Coordinators normally re-execute themselves as local workers (any binary
-// calling dist.MaybeWorker early in main can serve), so symworker is only
-// needed when the shard runs where the coordinator binary is not installed —
-// point dist.Config.WorkerCmd at it, or run `symworker -listen` on the
-// remote machine:
+// Command symworker is the resident distributed-verification worker: a
+// fleet member on another machine. `symworker -listen host:port` binds the
+// address, prints the bound address on stdout (useful with :0), and serves
+// one session of the internal/dist frame protocol (a stream of gob frames;
+// gob is self-delimiting, there are no explicit length prefixes) per
+// accepted connection until killed. Coordinators name it in
+// dist.Config.Workers; sessions whose connection drops park their installed
+// state so a reconnecting coordinator resumes with a delta instead of a full
+// re-ship. The protocol is versioned: a coordinator and a worker built from
+// different protocol versions refuse each other at the handshake.
 //
 //	runner, err := dist.NewRunner(dist.Config{
 //		Workers: []string{"10.0.0.2:9090", "10.0.0.3:9090"},
 //	})
 //	results := runner.RunBatch(net, jobs)
 //
+// There is no stdio mode: a coordinator that wants local worker processes
+// (dist.Config.Procs) re-executes its own binary, which serves as its own
+// worker through dist.MaybeWorker. Without -listen, symworker prints its
+// usage and exits 2.
+//
 // With -debug-addr the worker serves /debug/pprof and /debug/vars for live
 // inspection of a long shard; the expvar metrics appear once the coordinator
-// enables metrics collection in the setup frame (pprof works regardless).
+// enables metrics collection in the batch frame (pprof works regardless).
 package main
 
 import (
@@ -46,9 +41,13 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "", "serve the frame protocol over TCP on this address (host:port; :0 picks a port, printed on stdout) instead of stdio")
+	listen := flag.String("listen", "", "serve the frame protocol over TCP on this address (host:port; :0 picks a port, printed on stdout); required")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address for the worker's lifetime")
 	flag.Parse()
+	if *listen == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *debugAddr != "" {
 		bound, err := obs.ServeDebug(*debugAddr, nil)
 		if err != nil {
@@ -58,20 +57,13 @@ func main() {
 		// The worker swaps the live registry in once a batch enables metrics.
 		fmt.Fprintln(os.Stderr, "symworker: debug server on http://"+bound+"/debug/vars")
 	}
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "symworker:", err)
-			os.Exit(1)
-		}
-		fmt.Println(ln.Addr())
-		if err := dist.ServeListener(ln); err != nil {
-			fmt.Fprintln(os.Stderr, "symworker:", err)
-			os.Exit(1)
-		}
-		return
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "symworker:", err)
+		os.Exit(1)
 	}
-	if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
+	fmt.Println(ln.Addr())
+	if err := dist.ServeListener(ln); err != nil {
 		fmt.Fprintln(os.Stderr, "symworker:", err)
 		os.Exit(1)
 	}

@@ -28,8 +28,6 @@ type BatchResult struct {
 	DirtySources int `json:"dirty_sources"`
 	// CellsReverified counts report cells recomputed by this batch.
 	CellsReverified int `json:"cells_reverified"`
-	// SatEvicted counts satisfiability-cache verdicts evicted.
-	SatEvicted int `json:"sat_evicted"`
 	// PortsPatched/PortsRecompiled/ElemsRebuilt break the reconcile down by
 	// tier (ports, not deltas: coalesced deltas share a port's single patch).
 	PortsPatched    int `json:"ports_patched"`
@@ -218,10 +216,10 @@ func (st *Stage) addMAC(d Delta) error {
 
 // Commit absorbs the staged batch into the resident service: per element,
 // reconcile its changed port guards once (patch inside the union window
-// where possible, recompile or rebuild otherwise), evict dependent solver
-// verdicts, then run one re-verification pass over the union dirty set and
-// publish the next report version. Commit on an empty stage publishes
-// nothing and returns an empty result.
+// where possible, recompile or rebuild otherwise), then run one
+// re-verification pass over the union dirty set and publish the next report
+// version. Commit on an empty stage publishes nothing and returns an empty
+// result.
 func (st *Stage) Commit() (*BatchResult, error) {
 	s := st.svc
 	if s.report == nil {
@@ -278,12 +276,7 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 	oldFib := s.routers[elem]
 	newFib := es.fib
 	if !slices.Equal(oldFib.Ports(), newFib.Ports()) {
-		// Fork list changes: regenerate the whole model. Evict the verdicts
-		// that depended on the old guards first, while the old programs are
-		// still resident.
-		for _, p := range oldFib.Ports() {
-			res.SatEvicted += s.evictPortTables(e, p)
-		}
+		// Fork list changes: regenerate the whole model.
 		if err := models.Router(e, newFib, models.Egress); err != nil {
 			return err
 		}
@@ -303,8 +296,7 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			}
 			rows := routeRows(newPer[p])
 			guard := models.RouterEgressGuard(newPer[p])
-			action, evicted := s.reconcilePort(e, p, rows, 32, es.win.lo, es.win.hi, guard)
-			res.SatEvicted += evicted
+			action := s.reconcilePort(e, p, rows, 32, es.win.lo, es.win.hi, guard)
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}
@@ -323,9 +315,6 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 	oldTbl := s.switches[elem]
 	newTbl := es.mac
 	if !slices.Equal(oldTbl.Ports(), newTbl.Ports()) {
-		for _, p := range oldTbl.Ports() {
-			res.SatEvicted += s.evictPortTables(e, p)
-		}
 		if err := models.Switch(e, newTbl, models.Egress); err != nil {
 			return err
 		}
@@ -345,8 +334,7 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 			}
 			rows := macRows(newBy[p])
 			guard := models.SwitchEgressGuard(newBy[p])
-			action, evicted := s.reconcilePort(e, p, rows, sefl.MACWidth, es.win.lo, es.win.hi, guard)
-			res.SatEvicted += evicted
+			action := s.reconcilePort(e, p, rows, sefl.MACWidth, es.win.lo, es.win.hi, guard)
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}

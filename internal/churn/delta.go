@@ -3,11 +3,10 @@
 // reachability report, accepts rule-level deltas (FIB route or MAC entry
 // insert/delete/modify), patches the affected egress guard's span table in
 // place (expr.SpanTable.PatchWindow + prog.PatchGuard) instead of
-// recompiling, evicts only the satisfiability-cache entries that depended on
-// the replaced table (solver.SatCache.EvictByFp), and re-runs only the
-// sources whose explorations actually traversed the touched port. The
-// resident report stays byte-identical to a from-scratch verification of the
-// updated network (pinned by the differential tests in this package).
+// recompiling, and re-runs only the sources whose explorations actually
+// traversed the touched port. The resident report stays byte-identical to a
+// from-scratch verification of the updated network (pinned by the
+// differential tests in this package).
 package churn
 
 import (

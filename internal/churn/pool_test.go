@@ -31,7 +31,7 @@ func TestServiceDifferentialPool(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	pool, err := dist.NewPool(dist.Config{
-		Workers: []string{ln.Addr().String()}, WorkersPerProc: 2, ShareSat: true,
+		Workers: []string{ln.Addr().String()}, WorkersPerProc: 2,
 		Obs: obs.New(reg, nil),
 	})
 	if err != nil {

@@ -70,7 +70,6 @@ const (
 // from any goroutine and never blocks on the writer.
 type Service struct {
 	cfg      Config
-	memo     *solver.SatCache
 	reg      *obs.Registry
 	routers  map[string]tables.FIB
 	switches map[string]tables.MACTable
@@ -124,7 +123,6 @@ func NewService(cfg Config) *Service {
 		reg = obs.NewRegistry()
 	}
 	memo := solver.NewSatCache()
-	memo.EnableTracking()
 	memo.RegisterMetrics(reg)
 	cfg.Opts.SatMemo = memo
 	if cfg.Runner == nil {
@@ -132,7 +130,6 @@ func NewService(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:             cfg,
-		memo:            memo,
 		reg:             reg,
 		routers:         make(map[string]tables.FIB),
 		switches:        make(map[string]tables.MACTable),
@@ -221,11 +218,10 @@ func (s *Service) runFull() (*verify.AllPairsReport, error) {
 }
 
 // Apply absorbs one rule delta: update the authoritative table, patch or
-// rebuild the affected guards, evict dependent satisfiability verdicts,
-// re-verify exactly the sources whose explorations traversed the touched
-// ports, and publish the next report version. It is a batch of one — see
-// NewStage/ApplyBatch for coalescing several deltas into one re-verification
-// pass.
+// rebuild the affected guards, re-verify exactly the sources whose
+// explorations traversed the touched ports, and publish the next report
+// version. It is a batch of one — see NewStage/ApplyBatch for coalescing
+// several deltas into one re-verification pass.
 func (s *Service) Apply(d Delta) (*BatchResult, error) {
 	st := s.NewStage()
 	if err := st.Add(d); err != nil {
@@ -237,15 +233,15 @@ func (s *Service) Apply(d Delta) (*BatchResult, error) {
 // reconcilePort installs a changed port guard by the cheapest sound means:
 // patch the resident compiled program's span table inside the delta's
 // address window when the guard is lowered and stays lowerable, otherwise
-// fall back to recompilation (with targeted verdict eviction either way).
-func (s *Service) reconcilePort(e *core.Element, port int, rows []prog.ITRow, w int, lo, hi uint64, guard sefl.Instr) (Action, int) {
+// fall back to recompilation.
+func (s *Service) reconcilePort(e *core.Element, port int, rows []prog.ITRow, w int, lo, hi uint64, guard sefl.Instr) Action {
 	cp, ok := e.CachedProgram(port, true)
 	if !ok {
 		// Never compiled (or already invalidated): the next run compiles the
-		// new guard lazily; there is nothing resident to patch or evict.
+		// new guard lazily; there is nothing resident to patch.
 		e.SetOutCode(port, guard)
 		s.recompiledPorts.Inc()
-		return ActionRecompiled, 0
+		return ActionRecompiled
 	}
 	its := prog.GuardTables(cp)
 	// The patch tier needs the fresh compile's shape to be one lowered
@@ -263,31 +259,12 @@ func (s *Service) reconcilePort(e *core.Element, port int, rows []prog.ITRow, w 
 		if n := prog.PatchGuard(cp, prog.PatchSpec{OldFp: oldFp, Rows: rows, Table: table, Ins: guard}); n > 0 {
 			e.PatchedOutCode(port, guard)
 			s.patchedPorts.Inc()
-			return ActionPatched, s.memo.EvictByFp(oldFp)
+			return ActionPatched
 		}
 	}
-	evicted := s.evictPortTables(e, port)
 	e.SetOutCode(port, guard)
 	s.recompiledPorts.Inc()
-	return ActionRecompiled, evicted
-}
-
-// evictPortTables drops every cached satisfiability verdict that consulted a
-// span table of the port's resident compiled program (no-op when none is
-// resident). Eviction is hygiene, not correctness: replacement guards carry
-// new table fingerprints, so stale entries could never be consulted again.
-func (s *Service) evictPortTables(e *core.Element, port int) int {
-	cp, ok := e.CachedProgram(port, true)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, it := range prog.GuardTables(cp) {
-		if it.Table != nil {
-			n += s.memo.EvictByFp(it.Table.Fp())
-		}
-	}
-	return n
+	return ActionRecompiled
 }
 
 // flushRunner ships the commit's accumulated guard churn to the Runner —

@@ -88,15 +88,11 @@ func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
 	if err := keySetsMatch("switch", s.switches, st.Switches); err != nil {
 		return nil, err
 	}
-	// Evict resident verdicts while the old programs are still installed,
-	// then regenerate every model from the snapshot tables.
+	// Regenerate every model from the snapshot tables.
 	for name, fib := range st.Routers {
 		e, ok := s.cfg.Net.Element(name)
 		if !ok {
 			return nil, fmt.Errorf("churn: unknown element %q in snapshot", name)
-		}
-		for _, p := range s.routers[name].Ports() {
-			s.evictPortTables(e, p)
 		}
 		if err := models.Router(e, fib, models.Egress); err != nil {
 			return nil, err
@@ -107,9 +103,6 @@ func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
 		e, ok := s.cfg.Net.Element(name)
 		if !ok {
 			return nil, fmt.Errorf("churn: unknown element %q in snapshot", name)
-		}
-		for _, p := range s.switches[name].Ports() {
-			s.evictPortTables(e, p)
 		}
 		if err := models.Switch(e, tbl, models.Egress); err != nil {
 			return nil, err

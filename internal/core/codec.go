@@ -111,8 +111,14 @@ func encodePortCodes(elem, dir string, codes map[int]sefl.Instr) ([]WirePortCode
 // verified to round-trip: they are baked into compiled metadata keys, so a
 // mismatch would silently change semantics.
 func DecodeNetwork(w *WireNetwork) (*Network, error) {
+	if w == nil {
+		return nil, fmt.Errorf("core: decode network: no network in the setup")
+	}
 	n := NewNetwork()
 	for _, we := range w.Elems {
+		if _, dup := n.Element(we.Name); dup {
+			return nil, fmt.Errorf("core: decode element %s: duplicate name", we.Name)
+		}
 		e := n.AddElement(we.Name, we.Kind, we.NumIn, we.NumOut)
 		if e.Instance != we.Instance {
 			return nil, fmt.Errorf("core: decode element %s: instance %d != wire instance %d (elements must arrive in instance order)", we.Name, e.Instance, we.Instance)

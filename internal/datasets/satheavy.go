@@ -20,8 +20,8 @@ import (
 // assertion chains, so with a shared SatCache all but the first query answer
 // every check from cache: exactly rules misses for the whole batch, and
 // (queries-1) * rules hits when run sequentially. That makes the workload
-// the natural probe for the cache telemetry (hit/miss counters, relay counts
-// in the distributed verdict exchange) and for per-check latency histograms.
+// the natural probe for the cache telemetry (hit/miss counters) and for
+// per-check latency histograms.
 func SatHeavy(rules int) (*core.Network, core.PortRef) {
 	net := core.NewNetwork()
 	for i := 0; i < rules; i++ {

@@ -19,10 +19,12 @@
 // the worker — follow-up queries that need them (field domains, concrete
 // packets) belong on the worker side or in in-process runs.
 //
-// Worker processes are fork/exec'd: cmd/symworker is the standalone worker
-// binary, and any binary that calls MaybeWorker() early in main (the
-// symnetd/symbench CLIs, the test binaries) can serve as its own worker,
-// which is the default — a Pool re-executes the current binary.
+// A fleet member is one of two things, and there is no third: a subprocess
+// of the coordinator's own binary (Config.Procs — a Pool re-executes the
+// current executable, which must call MaybeWorker() early in main, as the
+// symnetd/symbench CLIs and the test binaries do) speaking frames on stdio,
+// or a resident `symworker -listen` process dialled over TCP
+// (Config.Workers).
 package dist
 
 import (
@@ -34,7 +36,6 @@ import (
 	"symnet/internal/obs"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 )
 
 // Job is one independent verification query (shared with the in-process
@@ -199,32 +200,21 @@ func Summarize(res *core.Result) *Summary {
 
 // Config describes a Runner: which fleet, if any, and how it is driven.
 type Config struct {
-	// Procs is the number of worker subprocesses; <= 0 with no Workers
-	// addresses means no fleet (see NewRunner).
+	// Procs is the number of worker subprocesses, each a re-execution of the
+	// current binary (which must call MaybeWorker early in main); <= 0 with
+	// no Workers addresses means no fleet (see NewRunner).
 	Procs int
 	// WorkersPerProc sizes each worker's in-process pool — or, without a
 	// fleet, the in-process runner's (<= 0 selects GOMAXPROCS).
 	WorkersPerProc int
-	// ShareSat enables the coordinator-mediated Sat-verdict exchange, so
-	// workers benefit from each other's solver work exactly as jobs in one
-	// process share a SatCache. Results are identical either way.
-	ShareSat bool
-	// WorkerCmd is the argv of the worker subprocess. Empty re-executes the
-	// current binary (which must call MaybeWorker early in main);
-	// cmd/symworker is the standalone alternative.
-	WorkerCmd []string
-	// WorkerEnv appends extra environment entries to spawned workers.
+	// WorkerEnv appends extra environment entries to spawned workers (the
+	// crash suites inject faults through it).
 	WorkerEnv []string
 	// Workers lists resident worker addresses (host:port of `symworker
 	// -listen` processes). When non-empty the fleet is one TCP session per
-	// address and Procs is ignored; WorkerCmd/WorkerEnv do not apply (the
-	// remote process was started by whoever runs that machine).
+	// address and Procs is ignored; WorkerEnv does not apply (the remote
+	// process was started by whoever runs that machine).
 	Workers []string
-	// Retries is each job's crash re-dispatch budget: a job lost to a dying
-	// worker is re-sent to a survivor up to Retries times before failing
-	// with a per-job error. 0 selects the default (2); negative disables
-	// recovery — the first crash loses the job, as before the fleet runner.
-	Retries int
 	// NoSteal disables work stealing and the held-back tail, restoring
 	// static contiguous shards. Results are byte-identical either way; the
 	// switch exists for measurement and for pinning schedule-independence.
@@ -279,22 +269,4 @@ func buildShard(jobs []Job, lo, hi int) ([]wireJob, error) {
 		})
 	}
 	return out, nil
-}
-
-// satSeen tracks which verdict keys the coordinator has already relayed, so
-// broadcasts carry only news (verdicts for a key are deterministic, so only
-// membership matters).
-type satSeen map[solver.SatKey]struct{}
-
-// filterNew returns the records not yet seen, recording them.
-func (s satSeen) filterNew(recs []solver.SatRecord) []solver.SatRecord {
-	out := recs[:0]
-	for _, r := range recs {
-		if _, dup := s[r.Key]; dup {
-			continue
-		}
-		s[r.Key] = struct{}{}
-		out = append(out, r)
-	}
-	return out
 }

@@ -89,10 +89,10 @@ func runVia(t *testing.T, net *core.Network, jobs []dist.Job, cfg dist.Config) [
 	return r.RunBatch(net, jobs)
 }
 
-// runGrid is runVia at one (procs, workersPerProc) point, verdict exchange on.
+// runGrid is runVia at one (procs, workersPerProc) point.
 func runGrid(t *testing.T, net *core.Network, jobs []dist.Job, procs, workers int) []dist.JobResult {
 	t.Helper()
-	return runVia(t, net, jobs, dist.Config{Procs: procs, WorkersPerProc: workers, ShareSat: true})
+	return runVia(t, net, jobs, dist.Config{Procs: procs, WorkersPerProc: workers})
 }
 
 type batchCase struct {
@@ -225,25 +225,6 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharedSatCacheIdentical pins that the coordinator-mediated
-// verdict exchange cannot perturb results: ShareSat on and off produce the
-// same bytes.
-func TestRunBatchSharedSatCacheIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	tc := batchCases(t)[0]
-	want := reference(t, tc.net, tc.jobs)
-	for _, share := range []bool{false, true} {
-		got := canonical(t, runVia(t, tc.net, tc.jobs, dist.Config{
-			Procs: 2, WorkersPerProc: 2, ShareSat: share,
-		}))
-		if string(got) != string(want) {
-			t.Errorf("ShareSat=%v: results differ from in-process reference", share)
-		}
-	}
-}
-
 // poisonedCase builds a batch whose middle job panics the exploration (a
 // registered For body, so it also crosses the wire).
 func poisonedCase() (*core.Network, []dist.Job) {
@@ -296,47 +277,58 @@ func TestDistributedPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestWorkerCrashDoesNotPoisonOtherShards kills one worker process mid-shard
-// (via the fault-injection env hook) and checks that only that worker's
-// unreported jobs error while the other shard completes. Retries < 0 plus
-// NoSteal pins the pre-fleet semantics — static contiguous shards, a crash
-// loses exactly the dead worker's unreported jobs, no re-dispatch — which
-// remain reachable behind the config switches.
+// TestWorkerCrashDoesNotPoisonOtherShards runs a poison job — one that kills
+// every worker that executes it (the fault-injection env hook without the
+// once-marker) — through a four-member fleet as production drives it:
+// stealing on, the fixed re-dispatch budget. The job must fail alone, after
+// exactly jobRetries re-dispatches, with the dead worker's last words in its
+// error; every sibling is delivered byte-identical to the in-process
+// reference, by the members the poison job did not reach.
 func TestWorkerCrashDoesNotPoisonOtherShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 2, HostsPerSwitch: 8, Routes: 12, Seed: 5})
+	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 4, HostsPerSwitch: 8, Routes: 12, Seed: 5})
 	srcs, _ := d.AllPairs()
 	var jobs []dist.Job
 	for _, s := range srcs {
 		jobs = append(jobs, dist.Job{Name: s.String(), Inject: s, Packet: sefl.NewTCPPacket(), Opts: core.Options{MaxHops: 64}})
 	}
-	if len(jobs) < 3 {
-		t.Fatalf("need >= 3 jobs, have %d", len(jobs))
+	// More jobs than members, so siblings are still in the coordinator's
+	// tail while members die; fewer than 2×4×2, so initial shares are one job
+	// each and no sibling ever queues behind the poison job.
+	if len(jobs) <= 4 || len(jobs) >= 16 {
+		t.Fatalf("need 5..15 jobs, have %d", len(jobs))
 	}
-	// Shard 0 of 2 holds the first half; crash its worker on the first job.
+	reg := obs.NewRegistry()
 	out := runVia(t, d.Net, jobs, dist.Config{
-		Procs: 2, WorkersPerProc: 1, ShareSat: true, Retries: -1, NoSteal: true,
+		Procs: 4, WorkersPerProc: 1, Obs: obs.New(reg, nil),
 		WorkerEnv: []string{"SYMNET_DIST_TEST_EXIT_ON=" + jobs[0].Name},
 	})
-	half := len(jobs) / 2
-	for i, r := range out {
-		if i < half {
-			if r.Err == nil || !strings.Contains(r.Err.Error(), "worker 0") {
-				t.Errorf("job %d (%s) on crashed shard: err = %v", i, r.Name, r.Err)
-				continue
-			}
-			// The lost-job error must carry the crashed worker's stderr tail —
-			// the injected-crash hook announces itself there before exiting, so
-			// the diagnosis names the cause instead of just "exited".
-			msg := r.Err.Error()
-			if !strings.Contains(msg, "stderr:") || !strings.Contains(msg, "injected crash") {
-				t.Errorf("job %d (%s): lost-job error lacks the stderr tail: %v", i, r.Name, r.Err)
-			}
-		} else if r.Err != nil || r.Summary == nil {
-			t.Errorf("job %d (%s) on healthy shard: %+v", i, r.Name, r)
+	if err := out[0].Err; err == nil || out[0].Summary != nil {
+		t.Errorf("poison job %s: %+v, want a lost-job error", out[0].Name, out[0])
+	} else {
+		// The lost-job error must carry the crashed worker's stderr tail —
+		// the injected-crash hook announces itself there before exiting, so
+		// the diagnosis names the cause instead of just "exited".
+		msg := err.Error()
+		if !strings.Contains(msg, "worker ") || !strings.Contains(msg, " died") {
+			t.Errorf("poison job %s: err = %v, want \"worker N died…\"", out[0].Name, err)
 		}
+		if !strings.Contains(msg, "stderr:") || !strings.Contains(msg, "injected crash") {
+			t.Errorf("poison job %s: lost-job error lacks the stderr tail: %v", out[0].Name, err)
+		}
+	}
+	for i, r := range out[1:] {
+		if r.Err != nil || r.Summary == nil {
+			t.Errorf("sibling %d (%s): %+v", i+1, r.Name, r)
+		}
+	}
+	if got, want := canonical(t, out[1:]), reference(t, d.Net, jobs[1:]); string(got) != string(want) {
+		t.Errorf("siblings of the poison job differ from the in-process reference")
+	}
+	if n := reg.Snapshot().Counters["dist.jobs.redispatched"]; n != 2 {
+		t.Errorf("dist.jobs.redispatched = %d, want the budget of 2 and nothing else re-dispatched", n)
 	}
 }
 
@@ -363,7 +355,7 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 		t.Skip("spawns worker subprocesses")
 	}
 	net, jobs := satHeavyJobs(8, 6)
-	cfg := dist.Config{Procs: 2, WorkersPerProc: 2, ShareSat: true}
+	cfg := dist.Config{Procs: 2, WorkersPerProc: 2}
 	want := canonical(t, runVia(t, net, jobs, cfg))
 
 	reg := obs.NewRegistry()
@@ -373,9 +365,18 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 		t.Errorf("metrics-on results differ from metrics-off:\n got: %.400s\nwant: %.400s", got, want)
 	}
 
+	// Every Sat() call is one memo lookup, so the fleet's absorbed
+	// hits+misses must equal the in-process SatChecks total for the same jobs
+	// (no job runs twice here: a member never holds more than WorkersPerProc
+	// jobs, so nothing is stolen) — however the hit/miss split falls. A memo
+	// registered twice on a worker's registry would read double.
+	var satChecks int64
+	for _, jr := range sched.RunBatch(net, jobs, 1) {
+		satChecks += int64(jr.Result.Stats.Solver.SatChecks)
+	}
 	snap := reg.Snapshot()
-	if traffic := snap.Counters["solver.satcache.hits"] + snap.Counters["solver.satcache.misses"]; traffic == 0 {
-		t.Errorf("no SatCache traffic absorbed from workers; counters: %v", snap.Counters)
+	if traffic := snap.Counters["solver.satcache.hits"] + snap.Counters["solver.satcache.misses"]; traffic != satChecks || traffic == 0 {
+		t.Errorf("absorbed SatCache traffic = %d, want the in-process SatChecks total %d; counters: %v", traffic, satChecks, snap.Counters)
 	}
 	if spawned := snap.Counters["dist.worker.spawned"]; spawned != 2 {
 		t.Errorf("dist.worker.spawned = %d, want 2", spawned)
@@ -458,7 +459,7 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	pool, err := dist.NewPool(dist.Config{Procs: 2, WorkersPerProc: 2, ShareSat: true, Obs: obs.New(reg, nil)})
+	pool, err := dist.NewPool(dist.Config{Procs: 2, WorkersPerProc: 2, Obs: obs.New(reg, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +521,7 @@ func TestRunBatchUnserializableNetwork(t *testing.T) {
 // Config that names no fleet yields the in-process runner, forking nothing,
 // and NewPool refuses it outright.
 func TestNewRunnerPicksByFleet(t *testing.T) {
-	r, err := dist.NewRunner(dist.Config{WorkersPerProc: 3, ShareSat: true})
+	r, err := dist.NewRunner(dist.Config{WorkersPerProc: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

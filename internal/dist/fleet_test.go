@@ -78,7 +78,7 @@ func TestTCPFleetByteIdentical(t *testing.T) {
 				noSteal bool
 			}{{"steal", false}, {"nosteal", true}} {
 				out := runVia(t, bc.net, bc.jobs, dist.Config{
-					Workers: addrs, WorkersPerProc: 2, ShareSat: true, NoSteal: sub.noSteal,
+					Workers: addrs, WorkersPerProc: 2, NoSteal: sub.noSteal,
 				})
 				if got := canonical(t, out); !bytes.Equal(got, want) {
 					t.Errorf("%s: TCP fleet output differs from in-process run", sub.name)
@@ -100,7 +100,7 @@ func TestCrashRedispatchZeroLoss(t *testing.T) {
 	want := reference(t, bc.net, bc.jobs)
 	marker := filepath.Join(t.TempDir(), "crash-once")
 	out := runVia(t, bc.net, bc.jobs, dist.Config{
-		Procs: 3, WorkersPerProc: 1, ShareSat: true,
+		Procs: 3, WorkersPerProc: 1,
 		WorkerEnv: []string{
 			"SYMNET_DIST_TEST_EXIT_ON=" + bc.jobs[1].Name,
 			"SYMNET_DIST_TEST_EXIT_ONCE=" + marker,
@@ -135,7 +135,7 @@ func TestTCPWorkerDeathRedispatch(t *testing.T) {
 	healthy := startResidentWorker(t)
 	want := reference(t, bc.net, bc.jobs)
 	out := runVia(t, bc.net, bc.jobs, dist.Config{
-		Workers: []string{crashy, healthy}, WorkersPerProc: 1, ShareSat: true,
+		Workers: []string{crashy, healthy}, WorkersPerProc: 1,
 	})
 	if got := canonical(t, out); !bytes.Equal(got, want) {
 		for i, r := range out {
@@ -170,7 +170,7 @@ func TestDeadFleetMemberTolerated(t *testing.T) {
 	bc := batchCases(t)[0] // department
 	want := reference(t, bc.net, bc.jobs)
 	pool, err := dist.NewPool(dist.Config{
-		Workers: []string{dead, startResidentWorker(t)}, WorkersPerProc: 2, ShareSat: true,
+		Workers: []string{dead, startResidentWorker(t)}, WorkersPerProc: 2,
 	})
 	if err != nil {
 		t.Fatalf("NewPool with one dead member: %v", err)
@@ -188,7 +188,7 @@ func TestDeadFleetMemberTolerated(t *testing.T) {
 		}
 	}
 
-	if _, err := dist.NewPool(dist.Config{Workers: []string{dead}, ShareSat: true}); err == nil {
+	if _, err := dist.NewPool(dist.Config{Workers: []string{dead}}); err == nil {
 		t.Fatal("NewPool with no reachable member: want error, got nil")
 	} else if !strings.Contains(err.Error(), "no fleet member reachable") {
 		t.Fatalf("NewPool all-dead error = %q, want mention of no reachable member", err)

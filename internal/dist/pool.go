@@ -25,7 +25,7 @@ import (
 // most-recently-dispatched half of the slowest worker's queue (the victim is
 // asked to hand the jobs back; jobs it already started simply finish there,
 // and the first result per job wins). A worker that dies mid-batch has its
-// exclusively-held jobs re-dispatched to survivors up to Config.Retries times
+// exclusively-held jobs re-dispatched to survivors up to jobRetries times
 // each, then they fail with a pointed per-job error; TCP workers get one
 // redial per batch first, and a reconnecting pool ships a setup delta instead
 // of the full re-encode. None of this affects results: each job is
@@ -145,9 +145,9 @@ func NewPool(cfg Config) (*Pool, error) {
 				continue
 			}
 		} else {
-			// Local fork/exec failing is a configuration error (bad
-			// WorkerCmd, fd exhaustion), not a fleet-availability one:
-			// fail construction outright.
+			// Local fork/exec failing is an environment error (fd
+			// exhaustion, a vanished executable), not a fleet-availability
+			// one: fail construction outright.
 			if w, err = p.spawnProc(k); err != nil {
 				p.closeAbandoned()
 				return nil, err
@@ -260,10 +260,11 @@ type batchRun struct {
 	// is re-dispatched on a crash only when the dead worker held it alone.
 	holders []map[int]bool
 	crashes []int
-	tail    []int
+	// lostTo is, per job, the last worker death it was caught in ("worker N
+	// died: …"): the reason its error carries if the budget runs out.
+	lostTo []string
+	tail   []int
 
-	seen    satSeen
-	retries int
 	metrics bool
 
 	needAST bool
@@ -317,8 +318,7 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 		done:    make([]bool, n),
 		holders: make([]map[int]bool, n),
 		crashes: make([]int, n),
-		seen:    satSeen{},
-		retries: retryBudget(p.cfg.Retries),
+		lostTo:  make([]string, n),
 		metrics: p.reg != nil,
 	}
 	for i := range br.holders {
@@ -387,26 +387,17 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 			}
 			// The victim acknowledges exactly the jobs it handed back; they
 			// are no longer its — the thief (already dispatched) owns them.
+			// Unless the thief died before this ack arrived: its death left
+			// the job alone because the victim still held it then, so the job
+			// is lost now, to that death.
 			for _, idx := range ev.f.Cancel.Indexes {
 				removeOutstanding(ev.w, idx)
 				if idx >= 0 && idx < n {
 					delete(br.holders[idx], ev.w.id)
+					if !br.done[idx] && len(br.holders[idx]) == 0 {
+						p.lose(br, idx)
+					}
 				}
-			}
-		case frameVerdicts:
-			if !p.cfg.ShareSat || len(ev.f.Verdicts) == 0 {
-				continue
-			}
-			fresh := br.seen.filterNew(ev.f.Verdicts)
-			if len(fresh) == 0 {
-				continue
-			}
-			for _, other := range p.workers {
-				if other == ev.w || !other.alive {
-					continue
-				}
-				// Best-effort: a worker lost mid-broadcast just misses news.
-				other.conn.send(&frame{Kind: frameVerdicts, Verdicts: fresh})
 			}
 		}
 	}
@@ -450,23 +441,17 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 			}
 		}
 		// Anything else here is a late duplicate (result of a stolen job the
-		// victim had already started, trailing verdicts) — drop.
+		// victim had already started) — drop.
 	}
 	return nil
 }
 
-// retryBudget maps Config.Retries onto a re-dispatch count: 0 selects the
-// default, negative disables recovery entirely (a crash loses the job at
-// once — the pre-fleet semantics, still pinned by a test).
-func retryBudget(retries int) int {
-	switch {
-	case retries == 0:
-		return 2
-	case retries < 0:
-		return 0
-	}
-	return retries
-}
+// jobRetries is each job's crash re-dispatch budget: a job lost to a dying
+// worker is re-sent to a survivor this many times before it fails with a
+// per-job error, so a job that kills every worker it lands on (a poison job)
+// costs the fleet jobRetries+1 members — one more for each steal that had it
+// running on victim and thief at once.
+const jobRetries = 2
 
 func seqRange(lo, hi int) []int {
 	out := make([]int, 0, hi-lo)
@@ -485,7 +470,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 	bf := &batchFrame{
 		Seq: p.seq, Gen: p.gen,
 		Workers: p.cfg.WorkersPerProc, Shard: w.id,
-		ShareSat: p.cfg.ShareSat, Metrics: br.metrics,
+		Metrics: br.metrics,
 	}
 	mode := "full"
 	// ASTInterp jobs execute the port ASTs, which only the full setup
@@ -632,7 +617,7 @@ func (p *Pool) handleDown(w *poolWorker, br *batchRun, readErr error) {
 	if !w.alive {
 		return
 	}
-	detail := p.reap(w, readErr, false)
+	why := fmt.Sprintf("worker %d %s", w.id, p.reap(w, readErr, false))
 	if w.addr != "" && !w.redialed {
 		w.redialed = true
 		if err := p.revive(w); err == nil {
@@ -641,6 +626,7 @@ func (p *Pool) handleDown(w *poolWorker, br *batchRun, readErr error) {
 			w.outstanding = nil
 			for _, idx := range redo {
 				delete(br.holders[idx], w.id)
+				br.lostTo[idx] = why
 			}
 			if err := p.sendBatch(w, br); err == nil && w.alive {
 				var again []int
@@ -658,34 +644,48 @@ func (p *Pool) handleDown(w *poolWorker, br *batchRun, readErr error) {
 	w.outstanding = nil
 	for _, idx := range outs {
 		delete(br.holders[idx], w.id)
-		if br.done[idx] || len(br.holders[idx]) > 0 {
+		if br.done[idx] {
 			continue
 		}
-		br.crashes[idx]++
-		tgt := p.leastLoaded()
-		if br.crashes[idx] > br.retries || tgt == nil {
-			br.out[idx] = JobResult{Name: br.jobs[idx].Name, Err: fmt.Errorf("dist: worker %d %s (job %q lost)", w.id, detail, br.jobs[idx].Name)}
-			br.done[idx] = true
-			br.doneCount++
-			continue
+		br.lostTo[idx] = why
+		if len(br.holders[idx]) == 0 {
+			p.lose(br, idx)
 		}
-		p.reg.Counter("dist.jobs.redispatched").Inc()
-		p.dispatch(tgt, br, []int{idx})
 	}
 	if p.liveCount() == 0 {
 		// Nobody left to run anything: the tail and every co-held job die
 		// with this worker.
 		for idx := range br.done {
-			if br.done[idx] {
-				continue
+			if !br.done[idx] {
+				br.lostTo[idx] = why
+				br.fail(idx)
 			}
-			br.out[idx] = JobResult{Name: br.jobs[idx].Name, Err: fmt.Errorf("dist: worker %d %s (job %q lost)", w.id, detail, br.jobs[idx].Name)}
-			br.done[idx] = true
-			br.doneCount++
 		}
 		return
 	}
 	p.feed(br)
+}
+
+// lose handles a job whose last holder is gone (br.lostTo says to which
+// death): re-dispatch it to the least-loaded survivor while its budget lasts,
+// fail it otherwise.
+func (p *Pool) lose(br *batchRun, idx int) {
+	br.crashes[idx]++
+	tgt := p.leastLoaded()
+	if br.crashes[idx] > jobRetries || tgt == nil {
+		br.fail(idx)
+		return
+	}
+	p.reg.Counter("dist.jobs.redispatched").Inc()
+	p.dispatch(tgt, br, []int{idx})
+}
+
+// fail resolves a job as lost to the worker death br.lostTo names.
+func (br *batchRun) fail(idx int) {
+	name := br.jobs[idx].Name
+	br.out[idx] = JobResult{Name: name, Err: fmt.Errorf("dist: %s (job %q lost)", br.lostTo[idx], name)}
+	br.done[idx] = true
+	br.doneCount++
 }
 
 // reap marks a worker down, closes its transport, reclaims the subprocess,
@@ -819,7 +819,7 @@ func (p *Pool) startReader(w *poolWorker) {
 
 // spawnProc fork/execs one fleet member and completes the handshake.
 func (p *Pool) spawnProc(id int) (*poolWorker, error) {
-	cmd, stdin, stdout, tail, err := spawnWorkerProc(p.cfg)
+	cmd, stdin, stdout, tail, err := spawnWorkerProc(p.cfg.WorkerEnv)
 	if err != nil {
 		return nil, fmt.Errorf("dist: spawn worker %d: %w", id, err)
 	}

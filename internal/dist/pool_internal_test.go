@@ -9,6 +9,7 @@ package dist
 import (
 	"encoding/json"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func TestPoolSetupModesAndReconnect(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	o := obs.New(reg, nil)
-	p, err := NewPool(Config{Workers: []string{ln.Addr().String()}, WorkersPerProc: 1, ShareSat: true, Obs: o})
+	p, err := NewPool(Config{Workers: []string{ln.Addr().String()}, WorkersPerProc: 1, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,5 +164,128 @@ func TestRefsSince(t *testing.T) {
 	}
 	if _, ok := p.refsSince(2); ok {
 		t.Fatal("delta beyond the trimmed log must be refused")
+	}
+}
+
+// scriptedMember is a fleet member played by the test: it accepts one TCP
+// session, answers the handshake, and hands every later frame to serve.
+// serve returning ends the member — connection and listener close, so the
+// pool's redial finds nobody.
+func scriptedMember(t *testing.T, serve func(c *conn, f *frame) (alive bool)) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer ln.Close()
+		defer nc.Close()
+		c := newConn(nc, nc)
+		if _, err := c.recv(); err != nil {
+			return
+		}
+		c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion}})
+		for {
+			f, err := c.recv()
+			if err != nil || !serve(c, f) {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestStolenJobSurvivesThiefDyingBeforeAck pins the one ordering of a steal
+// in which nobody is left holding the job: the thief dies first (the job is
+// spared, the victim still holds it), then the victim's hand-back arrives.
+// The job must be re-dispatched: orphaned, it leaves the batch waiting for a
+// result nobody will send.
+func TestStolenJobSurvivesThiefDyingBeforeAck(t *testing.T) {
+	network, two := testFleetNet()
+	jobs := make([]Job, 8) // initial shares of two: victim [0 1], thief [2 3], tail [4..7]
+	for i := range jobs {
+		jobs[i] = two[i%2]
+		jobs[i].Name = string(rune('a' + i))
+	}
+	report := func(c *conn, wj wireJob) {
+		c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: wj.Index, Name: wj.Name}})
+	}
+	reg := obs.NewRegistry()
+
+	// The victim sits on its share until it is asked to hand jobs back, waits
+	// for the coordinator to have buried the thief, hands them back, and from
+	// then on reports whatever it holds or is sent.
+	var held []wireJob
+	handedBack := false
+	victim := scriptedMember(t, func(c *conn, f *frame) bool {
+		switch f.Kind {
+		case frameJobs:
+			held = append(held, f.Jobs.Jobs...)
+		case frameCancel:
+			for deadline := time.Now().Add(10 * time.Second); reg.Counter("dist.worker.crashed").Value() == 0; {
+				if time.Now().After(deadline) {
+					return false
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for _, idx := range f.Cancel.Indexes {
+				held = slices.DeleteFunc(held, func(wj wireJob) bool { return wj.Index == idx })
+			}
+			c.send(&frame{Kind: frameCancel, Cancel: f.Cancel})
+			handedBack = true
+		case frameEnd:
+			c.send(&frame{Kind: frameDone, Done: &doneFrame{}})
+		case frameBye:
+			return false
+		}
+		if handedBack {
+			for _, wj := range held {
+				report(c, wj)
+			}
+			held = nil
+		}
+		return true
+	})
+	// The thief reports everything at once, runs the tail dry, steals — and
+	// dies on the stolen job (the first it is sent from the victim's share).
+	thief := scriptedMember(t, func(c *conn, f *frame) bool {
+		if f.Kind == frameJobs {
+			for _, wj := range f.Jobs.Jobs {
+				if wj.Index < 2 {
+					return false
+				}
+				report(c, wj)
+			}
+		}
+		return true
+	})
+
+	p, err := NewPool(Config{Workers: []string{victim, thief}, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	done := make(chan []JobResult, 1)
+	go func() { done <- p.RunBatch(network, jobs) }()
+	select {
+	case out := <-done:
+		for i, r := range out {
+			if r.Err != nil || r.Name != jobs[i].Name {
+				t.Errorf("job %d: %+v", i, r)
+			}
+		}
+		if n := reg.Counter("dist.jobs.stolen").Value(); n != 1 {
+			t.Errorf("dist.jobs.stolen = %d, want 1 (the scenario did not happen)", n)
+		}
+		if n := reg.Counter("dist.jobs.redispatched").Value(); n != 1 {
+			t.Errorf("dist.jobs.redispatched = %d, want 1", n)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("batch never returned: the stolen job was orphaned")
 	}
 }

@@ -13,8 +13,8 @@ package dist
 //	worker → coordinator:  helloAck                  (what it still holds)
 //	per batch:
 //	  coordinator → worker:  batch                   (setup full|delta|reuse)
-//	  coordinator → worker:  (jobs | cancel | verdicts)*
-//	  worker → coordinator:  (result | cancel | verdicts)*
+//	  coordinator → worker:  (jobs | cancel)*
+//	  worker → coordinator:  (result | cancel)*
 //	  coordinator → worker:  end                     (all results accounted)
 //	  worker → coordinator:  done                    (+ metrics snapshot)
 //	coordinator → worker:  bye
@@ -33,34 +33,28 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/obs"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 )
 
 type frameKind uint8
 
 const (
-	// frameSetup is retired (the v1 one-shot setup); its slot is kept so the
-	// numbering of the kinds below — which error messages cite — is stable.
-	frameSetup frameKind = iota + 1
-	// frameJobs ships jobs to a worker: the initial chunk of a batch, then
-	// one-at-a-time top-ups as results come back.
-	frameJobs
-	// frameResult delivers one finished job (worker → coordinator).
-	frameResult
-	// frameVerdicts exchanges newly learned satisfiability verdicts in both
-	// directions (only when the batch shares its Sat cache).
-	frameVerdicts
-	// frameMetrics is retired (worker snapshots ride frameDone); slot kept.
-	frameMetrics
 	// frameHello opens a session (coordinator → worker): names the
 	// coordinator's run so a reconnecting worker can report retained state.
-	frameHello
+	// The two handshake kinds are numbered first so that a later re-cut of
+	// the frame set never moves them: peers of different versions then still
+	// read each other's hello and fail on the version, by name.
+	frameHello frameKind = iota + 1
 	// frameHelloAck answers the hello (worker → coordinator) with the setup
 	// generation the worker still holds for that run (0: nothing).
 	frameHelloAck
 	// frameBatch starts one batch: setup (full blob, delta entries, or reuse
 	// of retained state) plus per-batch configuration.
 	frameBatch
+	// frameJobs ships jobs to a worker: the initial chunk of a batch, then
+	// one-at-a-time top-ups as results come back.
+	frameJobs
+	// frameResult delivers one finished job (worker → coordinator).
+	frameResult
 	// frameCancel revokes queued jobs. Coordinator → worker it asks the
 	// worker to hand back not-yet-started jobs (work stealing); worker →
 	// coordinator it acknowledges exactly the ids handed back, so the
@@ -77,20 +71,19 @@ const (
 )
 
 // protoVersion guards against mixed coordinator/worker builds across the
-// TCP boundary (stdio workers are always the same binary).
-const protoVersion = 3
+// TCP boundary (stdio workers are always the same binary). Any change to the
+// frame set or the kind numbering bumps it.
+const protoVersion = 4
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
 type frame struct {
 	Kind     frameKind
-	Jobs     *jobsFrame
-	Result   *resultFrame
-	Verdicts []solver.SatRecord
-	Metrics  *obs.Snapshot
 	Hello    *helloFrame
 	HelloAck *helloAckFrame
 	Batch    *batchFrame
+	Jobs     *jobsFrame
+	Result   *resultFrame
 	Cancel   *cancelFrame
 	Done     *doneFrame
 }
@@ -130,10 +123,9 @@ type batchFrame struct {
 	// and trace spans with the worker's pool index.
 	Workers int
 	Shard   int
-	// ShareSat and Metrics configure the batch (moved here from the v1
-	// setup frame so reuse/delta batches can set them without one).
-	ShareSat bool
-	Metrics  bool
+	// Metrics asks the worker to collect a per-batch registry and ship its
+	// snapshot in the done frame.
+	Metrics bool
 }
 
 // deltaFrame re-ships only what changed since the generation the worker
@@ -178,7 +170,7 @@ func decodeSetup(raw []byte) (*setupFrame, error) {
 // setupFrame carries everything a worker needs before any job: the network
 // spec (elements, port code ASTs, links) and the coordinator's compiled IR
 // for every element-port program, so workers skip recompilation. Per-batch
-// configuration (ShareSat, Metrics, queue width) lives on batchFrame — a
+// configuration (Metrics, queue width) lives on batchFrame — a
 // setup outlives batches in a resident pool.
 type setupFrame struct {
 	Net      *core.WireNetwork
@@ -241,7 +233,7 @@ type resultFrame struct {
 }
 
 // conn wraps one side of a frame stream: buffered gob encoding with a mutex
-// so result frames and verdict broadcasts (written from different
+// so result frames and cancel acknowledgements (written from different
 // goroutines) never interleave mid-frame. A conn can be instrumented to
 // count raw frame bytes and encode/decode wall time; uninstrumented, the
 // telemetry hooks are nil-pointer branches.
@@ -332,56 +324,4 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.c.Add(int64(n))
 	return n, err
-}
-
-// exchangeStore is the worker-side solver.SatStore of the shared-cache mode:
-// a local verdict table plus an outbox of locally computed verdicts awaiting
-// shipment to the coordinator. Remote verdicts merge into the table without
-// re-entering the outbox (they would bounce between processes forever
-// otherwise).
-type exchangeStore struct {
-	mu      sync.Mutex
-	m       map[solver.SatKey]solver.SatVerdict
-	pending []solver.SatRecord
-}
-
-func newExchangeStore() *exchangeStore {
-	return &exchangeStore{m: make(map[solver.SatKey]solver.SatVerdict)}
-}
-
-func (s *exchangeStore) Lookup(key solver.SatKey) (solver.SatVerdict, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	return v, ok
-}
-
-func (s *exchangeStore) Store(key solver.SatKey, v solver.SatVerdict) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.m[key]; dup {
-		return
-	}
-	s.m[key] = v
-	s.pending = append(s.pending, solver.SatRecord{Key: key, V: v})
-}
-
-// injectRemote merges verdicts learned by other workers.
-func (s *exchangeStore) injectRemote(recs []solver.SatRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range recs {
-		if _, dup := s.m[r.Key]; !dup {
-			s.m[r.Key] = r.V
-		}
-	}
-}
-
-// drain empties the outbox.
-func (s *exchangeStore) drain() []solver.SatRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.pending
-	s.pending = nil
-	return out
 }

@@ -38,7 +38,7 @@ func testFleetNet() (*core.Network, []Job) {
 
 // encodeInput renders a frame sequence (plus optional trailing raw bytes)
 // the way a coordinator would put them on the wire.
-func encodeInput(t *testing.T, frames []*frame, trailing []byte) *bytes.Buffer {
+func encodeInput(t testing.TB, frames []*frame, trailing []byte) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	c := newConn(&buf, &buf)
@@ -66,7 +66,7 @@ func jsonEq(t *testing.T, a, b interface{}) bool {
 	return bytes.Equal(ja, jb)
 }
 
-// TestSessionFramesRoundTrip pushes every v2 session frame through a conn
+// TestSessionFramesRoundTrip pushes every session frame through a conn
 // pair and checks the decoded payloads field-for-field — including a real
 // delta (re-encoded programs of one port), the frame a reconnecting pool
 // depends on.
@@ -82,7 +82,7 @@ func TestSessionFramesRoundTrip(t *testing.T) {
 	frames := []*frame{
 		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "run-42"}},
 		{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion, Gen: 7}},
-		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 8, Workers: 2, Shard: 1, ShareSat: true, Metrics: true, Delta: &deltaFrame{Programs: progs}}},
+		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 8, Workers: 2, Shard: 1, Metrics: true, Delta: &deltaFrame{Programs: progs}}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 4, Gen: 8, SetupRaw: []byte{1, 2, 3}}},
 		{Kind: frameCancel, Cancel: &cancelFrame{Indexes: []int{4, 9, 2}}},
 		{Kind: frameEnd},
@@ -110,48 +110,56 @@ func TestSessionFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkerSessionHandshakeErrors pins the handshake's failure messages:
-// wrong first frame, protocol-version mismatch, and garbage or truncation on
-// the wire each produce a distinct, stable error.
-func TestWorkerSessionHandshakeErrors(t *testing.T) {
+// streamCase is one coordinator-side byte stream fed to a worker session —
+// frames as a coordinator would encode them, then optional raw trailing bytes
+// — and the error substring serveSession must answer it with ("" for a clean
+// session). The error tests below assert want; FuzzServeSession's committed
+// seed corpus is every case's stream (see TestFuzzSeedCorpusCurrent).
+type streamCase struct {
+	name     string
+	frames   []*frame
+	trailing []byte
+	want     string
+}
+
+func handshakeErrorCases(t testing.TB) []streamCase {
 	validHello := encodeInput(t, []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "r"}}}, nil).Bytes()
-	cases := []struct {
-		name   string
-		frames []*frame
-		raw    []byte
-		want   string
-	}{
+	return []streamCase{
 		{
 			name:   "first frame not hello",
 			frames: []*frame{{Kind: frameJobs, Jobs: &jobsFrame{}}},
-			want:   "protocol: first frame is 2, want hello",
+			want:   "protocol: first frame is 4, want hello",
 		},
 		{
 			name:   "version mismatch",
 			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 99, want 3",
+			want:   "protocol: coordinator speaks version 99, want 4",
 		},
 		{
-			// A v2 coordinator ships setups without verdicts unless a job
-			// asks for them; a v3 worker must not serve it.
-			name:   "v2 coordinator",
-			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 2, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 2, want 3",
+			// A v3 coordinator numbers every other kind differently and may
+			// send verdict frames; a v4 worker must not serve it.
+			name:   "v3 coordinator",
+			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 3, RunID: "r"}}},
+			want:   "protocol: coordinator speaks version 3, want 4",
 		},
 		{
-			name: "garbage stream",
-			raw:  []byte("definitely not a gob stream"),
-			want: "reading hello:",
+			name:     "garbage stream",
+			trailing: []byte("definitely not a gob stream"),
+			want:     "reading hello:",
 		},
 		{
-			name: "truncated hello",
-			raw:  validHello[:len(validHello)-3],
-			want: "reading hello:",
+			name:     "truncated hello",
+			trailing: validHello[:len(validHello)-3],
+			want:     "reading hello:",
 		},
 	}
+}
+
+// runStreamCases serves each stream and checks its pinned error.
+func runStreamCases(t *testing.T, cases []streamCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			in := encodeInput(t, tc.frames, tc.raw)
+			in := encodeInput(t, tc.frames, tc.trailing)
 			var out bytes.Buffer
 			err := serveSession(newConn(in, &out), nil, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -161,10 +169,17 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 	}
 }
 
-// TestPoolRefusesV2Worker is the coordinator's side of the version check: a
-// fleet member that answers the hello with protocol 2 is refused with the
+// TestWorkerSessionHandshakeErrors pins the handshake's failure messages:
+// wrong first frame, protocol-version mismatch, and garbage or truncation on
+// the wire each produce a distinct, stable error.
+func TestWorkerSessionHandshakeErrors(t *testing.T) {
+	runStreamCases(t, handshakeErrorCases(t))
+}
+
+// TestPoolRefusesV3Worker is the coordinator's side of the version check: a
+// fleet member that answers the hello with protocol 3 is refused with the
 // pointed mismatch error, before anything is shipped to it.
-func TestPoolRefusesV2Worker(t *testing.T) {
+func TestPoolRefusesV3Worker(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -178,38 +193,63 @@ func TestPoolRefusesV2Worker(t *testing.T) {
 			}
 			c := newConn(nc, nc)
 			if _, err := c.recv(); err == nil {
-				c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: 2}})
+				c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: 3}})
 			}
 			nc.Close()
 		}
 	}()
 	_, err = NewPool(Config{Workers: []string{ln.Addr().String()}})
-	const want = "dist: worker 0 speaks protocol version 2, want 3"
+	const want = "dist: worker 0 speaks protocol version 3, want 4"
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("NewPool against a v2 worker: error = %v, want substring %q", err, want)
+		t.Fatalf("NewPool against a v3 worker: error = %v, want substring %q", err, want)
 	}
 }
 
-// TestWorkerBatchProtocolErrors pins the batch loop's failure messages: a
-// delta or reuse setup against a worker holding nothing, a generation
-// mismatch on reuse, a corrupt setup blob, and a stream truncated mid-batch.
-func TestWorkerBatchProtocolErrors(t *testing.T) {
-	net, _ := testFleetNet()
+// testSetupRaw is the full setup blob of a network, as mutate (when non-nil)
+// left it.
+func testSetupRaw(t testing.TB, net *core.Network, mutate func(*setupFrame)) []byte {
+	t.Helper()
 	setup, err := buildSetup(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setupRaw, err := encodeSetup(setup)
+	if mutate != nil {
+		mutate(setup)
+	}
+	raw, err := encodeSetup(setup)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return raw
+}
+
+func batchErrorCases(t testing.TB) []streamCase {
+	net, _ := testFleetNet()
+	setupRaw := testSetupRaw(t, net, nil)
 	hello := &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "r"}}
-	cases := []struct {
-		name     string
-		frames   []*frame
-		trailing []byte
-		want     string
-	}{
+	// fullBatch opens a batch with a full setup mutated from the valid one
+	// (the three cases built with it are crashers FuzzServeSession found).
+	fullBatch := func(mutate func(*setupFrame)) *frame {
+		return &frame{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: testSetupRaw(t, net, mutate), Workers: 1}}
+	}
+	return []streamCase{
+		{
+			name:   "setup without a network",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Net = nil })},
+			want:   "core: decode network: no network in the setup",
+		},
+		{
+			name: "setup with a duplicate element",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
+				s.Net.Elems = append(s.Net.Elems, s.Net.Elems[0])
+			})},
+			want: "core: decode element SW: duplicate name",
+		},
+		{
+			name:   "program entry without a program",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog = nil })},
+			want:   "prog: decode: program entry without a program",
+		},
 		{
 			name:   "reuse without retained state",
 			frames: []*frame{hello, {Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1}}},
@@ -247,46 +287,58 @@ func TestWorkerBatchProtocolErrors(t *testing.T) {
 			want:     "reading frame:",
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			in := encodeInput(t, tc.frames, tc.trailing)
-			var out bytes.Buffer
-			err := serveSession(newConn(in, &out), nil, nil)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error = %v, want substring %q", err, tc.want)
-			}
-		})
-	}
 }
 
-// TestWorkerSessionServesBatches drives a full two-batch session (full setup
-// then reuse) through a worker on in-memory buffers and checks the reply
-// stream frame-for-frame: hello ack, in-order results, a done per batch, and
-// summaries byte-identical to the in-process engine's.
-func TestWorkerSessionServesBatches(t *testing.T) {
+// TestWorkerBatchProtocolErrors pins the batch loop's failure messages: a
+// delta or reuse setup against a worker holding nothing, a generation
+// mismatch on reuse, a corrupt setup blob, and a stream truncated mid-batch.
+func TestWorkerBatchProtocolErrors(t *testing.T) {
+	runStreamCases(t, batchErrorCases(t))
+}
+
+// servedSession is a clean session that exercises every frame a coordinator
+// sends: a full setup with both jobs, a reuse batch with one job and a cancel
+// (of a job the worker never held, so nothing is acknowledged), a delta batch
+// re-shipping one port's program, and the bye.
+func servedSession(t testing.TB) streamCase {
 	net, jobs := testFleetNet()
-	setup, err := buildSetup(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setupRaw, err := encodeSetup(setup)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wire, err := buildShard(jobs, 0, len(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := encodeInput(t, []*frame{
+	ref := core.PortRef{Elem: "SW", Port: 0, Out: true}
+	progs, err := core.EncodeProgramsFor(net, []core.PortRef{ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := core.EncodeSummariesFor(net, []core.PortRef{ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return streamCase{name: "served session", frames: []*frame{
 		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "r"}},
-		{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: setupRaw, Workers: 1}},
+		{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: testSetupRaw(t, net, nil), Workers: 1}},
 		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire}},
 		{Kind: frameEnd},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 2, Gen: 1, Workers: 1}},
 		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire[:1]}},
+		{Kind: frameCancel, Cancel: &cancelFrame{Indexes: []int{7}}},
+		{Kind: frameEnd},
+		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 2, Workers: 1, Delta: &deltaFrame{Programs: progs, Summaries: sums}}},
+		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire[1:]}},
 		{Kind: frameEnd},
 		{Kind: frameBye},
-	}, nil)
+	}}
+}
+
+// TestWorkerSessionServesBatches drives a full three-batch session (full
+// setup, reuse, delta) through a worker on in-memory buffers and checks the
+// reply stream frame-for-frame: hello ack, in-order results, a done per
+// batch, and summaries byte-identical to the in-process engine's.
+func TestWorkerSessionServesBatches(t *testing.T) {
+	net, jobs := testFleetNet()
+	sc := servedSession(t)
+	in := encodeInput(t, sc.frames, sc.trailing)
 	var out bytes.Buffer
 	if err := serveSession(newConn(in, &out), nil, nil); err != nil {
 		t.Fatalf("serveSession: %v", err)
@@ -310,6 +362,7 @@ func TestWorkerSessionServesBatches(t *testing.T) {
 		{frameHelloAck, 0},
 		{frameResult, 0}, {frameResult, 1}, {frameDone, 1},
 		{frameResult, 0}, {frameDone, 2},
+		{frameResult, 1}, {frameDone, 3},
 	}
 	for i, e := range expect {
 		f, err := c.recv()

@@ -13,7 +13,6 @@ import (
 	"symnet/internal/prog"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 )
 
 // workerEnvMarker is the environment variable that turns a binary invoking
@@ -59,22 +58,11 @@ func MaybeWorker() {
 		fmt.Fprintln(os.Stderr, "symnet-dist-worker:", err)
 		os.Exit(1)
 	}
-	if err := WorkerMain(os.Stdin, os.Stdout); err != nil {
+	if err := serveSession(newConn(os.Stdin, os.Stdout), nil, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "symnet-dist-worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
-}
-
-// WorkerMain runs the worker side of the frame protocol on a byte stream:
-// answer the session handshake, then serve batches — install (or patch, or
-// reuse) the setup, execute jobs from a dynamic queue as the coordinator
-// streams and revokes them, send each result as it finishes, and exchange
-// Sat verdicts when the batch shares its cache. It returns when the
-// coordinator says bye or the stream ends. cmd/symworker calls it directly
-// for stdio; ServeListener wraps it per TCP connection with reconnect state.
-func WorkerMain(in io.Reader, out io.Writer) error {
-	return serveSession(newConn(in, out), nil, nil)
 }
 
 // workerState is what a session retains across batches: the installed
@@ -84,10 +72,13 @@ type workerState struct {
 	gen uint64
 }
 
-// serveSession speaks one session: handshake, then batches until bye/EOF.
-// nc (nil on stdio) scopes the handshake read deadline; cache (nil on
-// stdio) parks state across dropped TCP connections, keyed by the
-// coordinator's run ID.
+// serveSession runs the worker side of the frame protocol on one stream:
+// answer the handshake, then serve batches — install (or patch, or reuse)
+// the setup, execute jobs from a dynamic queue as the coordinator streams
+// and revokes them, send each result as it finishes — until bye or EOF.
+// MaybeWorker calls it on stdio, ServeListener per TCP connection. nc (nil
+// on stdio) scopes the handshake read deadline; cache (nil on stdio) parks
+// state across dropped TCP connections, keyed by the coordinator's run ID.
 func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 	if nc != nil {
 		nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
@@ -140,8 +131,6 @@ func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 			if err := runWorkerBatch(c, st, f.Batch); err != nil {
 				return err
 			}
-		case frameVerdicts:
-			// A broadcast that raced the previous batch's end; stale, drop.
 		default:
 			return fmt.Errorf("protocol: unexpected frame %d, want batch", f.Kind)
 		}
@@ -149,8 +138,8 @@ func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 }
 
 // runWorkerBatch serves one batch: apply the setup mode, run the dynamic
-// job queue against incoming jobs/cancel/verdict frames until the
-// coordinator's end frame, then drain and report done.
+// job queue against incoming jobs/cancel frames until the coordinator's end
+// frame, then drain and report done.
 func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 	if bf == nil {
 		return fmt.Errorf("protocol: batch frame without payload")
@@ -213,34 +202,14 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 		c.instrument(reg)
 	}
 
-	// The shared-cache mode backs the batch's SatCache with an exchange
-	// store; inbound verdict frames are merged by the frame loop below. The
-	// cache is per batch, mirroring sched.RunBatch's per-call cache.
-	var store *exchangeStore
-	var memo *solver.SatCache
-	if bf.ShareSat {
-		store = newExchangeStore()
-		memo = solver.NewSatCacheWith(store)
-	} else if reg != nil {
-		// Without verdict sharing the batch still wants one cache it can
-		// report on (the queue would otherwise make an anonymous one).
-		memo = solver.NewSatCache()
-	}
-	memo.RegisterMetrics(reg)
-
 	crashOn := os.Getenv(testExitEnv)
 	t0 := time.Now()
-	q := sched.NewQueue(st.net, bf.Workers, memo, o, func(id int, jr sched.JobResult) {
+	q := sched.NewQueue(st.net, bf.Workers, o, func(id int, jr sched.JobResult) {
 		if crashOn != "" && (crashOn == "*" || jr.Name == crashOn) && claimInjectedCrash() {
 			// Real crashes usually leave last words on stderr; emit some so
 			// the crash tests can pin the coordinator's stderr-tail capture.
 			fmt.Fprintf(os.Stderr, "symnet-dist-worker: injected crash on job %q\n", jr.Name)
 			os.Exit(3)
-		}
-		if store != nil {
-			if recs := store.drain(); len(recs) > 0 {
-				c.send(&frame{Kind: frameVerdicts, Verdicts: recs})
-			}
 		}
 		rf := &resultFrame{Index: id, Name: jr.Name}
 		if jr.Err != nil {
@@ -297,18 +266,9 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 				// attributed to this worker until then.
 				c.send(&frame{Kind: frameCancel, Cancel: &cancelFrame{Indexes: revoked}})
 			}
-		case frameVerdicts:
-			if store != nil {
-				store.injectRemote(f.Verdicts)
-			}
 		case frameEnd:
 			q.Close()
 			q.Wait()
-			if store != nil {
-				if recs := store.drain(); len(recs) > 0 {
-					c.send(&frame{Kind: frameVerdicts, Verdicts: recs})
-				}
-			}
 			df := &doneFrame{Seq: bf.Seq}
 			if reg != nil {
 				// Batch wall time rides the snapshot under a per-worker name,

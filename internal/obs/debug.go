@@ -32,8 +32,8 @@ var (
 // the network is trusted.
 // SetDebugRegistry swaps the registry behind the expvar endpoint. Worker
 // processes call it when their registry is created after the debug server is
-// already listening (symworker parses -debug-addr before WorkerMain learns
-// from the setup frame whether metrics are on). Harmless when no server is
+// already listening (symworker parses -debug-addr before a session learns
+// from its batch frame whether metrics are on). Harmless when no server is
 // running.
 func SetDebugRegistry(reg *Registry) {
 	publishMu.Lock()

@@ -223,6 +223,9 @@ func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
 // is immutable and concurrency-safe exactly like a freshly compiled program;
 // evaluation memos and For-body caches start empty and warm up on first use.
 func DecodeProgram(w *WireProgram) (*Program, error) {
+	if w == nil {
+		return nil, fmt.Errorf("prog: decode: program entry without a program")
+	}
 	p := &Program{
 		Elem:      w.Elem,
 		Instance:  w.Instance,

@@ -58,7 +58,7 @@ func RunBatch(net *core.Network, jobs []Job, workers int) []JobResult {
 // a nil o is exactly RunBatch.
 func RunBatchObs(net *core.Network, jobs []Job, workers int, o *obs.Obs) []JobResult {
 	out := make([]JobResult, len(jobs))
-	RunBatchStream(net, jobs, workers, nil, o, func(i int, jr JobResult) {
+	RunBatchStream(net, jobs, workers, o, func(i int, jr JobResult) {
 		out[i] = jr
 	})
 	// Jobs routinely share one Options value, so a caller-supplied stats
@@ -82,22 +82,20 @@ func RunBatchObs(net *core.Network, jobs []Job, workers int, o *obs.Obs) []JobRe
 // RunBatchStream is RunBatch with streaming delivery: done(i, result) is
 // invoked once per job as it finishes, from the finishing worker's
 // goroutine and in completion (not job) order — the callback must be safe
-// for concurrent invocation. memo overrides the batch-shared satisfiability
-// cache when non-nil (the distributed runner passes a store-backed cache so
-// worker processes exchange verdicts mid-batch). Caller-supplied Opts.Stats
-// collectors are not consulted (a shared collector would race across
-// workers); streaming callers read each Result's own Stats, and RunBatch
-// folds them after the pool drains. RunBatchStream returns after every job
-// has been delivered.
+// for concurrent invocation. Caller-supplied Opts.Stats collectors are not
+// consulted (a shared collector would race across workers); streaming
+// callers read each Result's own Stats, and RunBatch folds them after the
+// pool drains. RunBatchStream returns after every job has been delivered.
 //
 // o attaches scheduler telemetry (per-worker task latencies, steals, one
 // "job" span per job) and becomes each job's Options.Obs unless the job
 // brought its own; nil disables instrumentation.
-func RunBatchStream(net *core.Network, jobs []Job, workers int, memo *solver.SatCache, o *obs.Obs, done func(i int, jr JobResult)) {
+func RunBatchStream(net *core.Network, jobs []Job, workers int, o *obs.Obs, done func(i int, jr JobResult)) {
 	// The batch-shared cache exists only for jobs that bring none. A resident
 	// caller (a Session, the churn service) hands every job its own, and a
 	// cache registered here per batch would pile up in its registry.
-	if memo == nil && slices.ContainsFunc(jobs, func(j Job) bool { return j.Opts.SatMemo == nil }) {
+	var memo *solver.SatCache
+	if slices.ContainsFunc(jobs, func(j Job) bool { return j.Opts.SatMemo == nil }) {
 		memo = solver.NewSatCache()
 	}
 	if o != nil {

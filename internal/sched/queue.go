@@ -45,17 +45,15 @@ type queuedJob struct {
 
 // NewQueue starts a queue of the given width (workers <= 0 selects
 // GOMAXPROCS). done is invoked once per executed job, from the finishing
-// worker's goroutine — it must be safe for concurrent invocation. memo
-// overrides the queue-shared satisfiability cache when non-nil; o attaches
-// the same scheduler telemetry as RunBatchStream (per-worker task
-// histograms, one "job" span per job) and is optional.
-func NewQueue(net *core.Network, workers int, memo *solver.SatCache, o *obs.Obs, done func(id int, jr JobResult)) *Queue {
+// worker's goroutine — it must be safe for concurrent invocation. o
+// attaches the same scheduler telemetry as RunBatchStream (per-worker task
+// histograms, one "job" span per job, the queue's satisfiability memo
+// counters) and is optional.
+func NewQueue(net *core.Network, workers int, o *obs.Obs, done func(id int, jr JobResult)) *Queue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if memo == nil {
-		memo = solver.NewSatCache()
-	}
+	memo := solver.NewSatCache()
 	if o != nil {
 		memo.RegisterMetrics(o.Reg)
 	}

@@ -10,10 +10,7 @@ import (
 
 // SatKey identifies one memoizable satisfiability decision: the chained
 // structural fingerprint of a Context's Add sequence plus the sequence
-// length (cheap extra discrimination). Keys are pure functions of condition
-// structure, so the same assertion sequence produces the same key in every
-// process — which is what lets a distributed runner share verdicts across
-// workers.
+// length (cheap extra discrimination).
 type SatKey struct {
 	Fp expr.Fp
 	N  int32
@@ -27,32 +24,11 @@ type SatVerdict struct {
 	Branches int
 }
 
-// SatRecord pairs a key with its verdict — the unit a backing store
-// exchanges.
-type SatRecord struct {
-	Key SatKey
-	V   SatVerdict
-}
-
-// SatStore is a pluggable second-level store behind a SatCache. The
-// in-process cache consults it on local misses and writes every new verdict
-// through, so independent caches sharing one store converge on each other's
-// work. Implementations must be safe for concurrent use. Verdicts are
-// deterministic facts (equal keys imply equal verdicts), so a store may
-// drop, reorder or duplicate records freely — sharing affects only how much
-// solving is repeated, never results.
-type SatStore interface {
-	Lookup(key SatKey) (SatVerdict, bool)
-	Store(key SatKey, v SatVerdict)
-}
-
 // SatCache memoizes satisfiability decisions across paths, workers, and
-// whole queries. Keys are chained structural fingerprints of a Context's
-// Add sequence (see Context.Fingerprint): equal keys identify identical
-// assertion sequences, which the deterministic solver maps to identical
-// verdicts. Forked paths share their common prefix of assertions, and batch
-// workloads (all-pairs reachability, repair-and-verify loops) re-issue
-// near-identical queries, so hit rates climb quickly.
+// whole queries of one process. Keys are chained structural fingerprints of
+// a Context's Add sequence (see Context.Fingerprint): equal keys identify
+// identical assertion sequences, which the deterministic solver maps to
+// identical verdicts.
 //
 // Determinism: a hit must leave the same statistics trail as a recompute,
 // or parallel runs would diverge from sequential ones in their (compared)
@@ -62,29 +38,11 @@ type SatStore interface {
 // hit or missed. Hit/miss telemetry lives on the cache itself, outside the
 // per-run deterministic statistics.
 //
-// A cache may carry a backing SatStore (NewSatCacheWith): local misses fall
-// through to it, and new verdicts write through. The distributed runner
-// backs worker caches with a coordinator-mediated store so workers benefit
-// from each other's Sat verdicts; in-process use needs no backing.
-//
 // SatCache is safe for concurrent use; a nil *SatCache disables memoization.
 type SatCache struct {
-	shards  [satShards]satShard
-	backing SatStore
-	hits    atomic.Int64
-	misses  atomic.Int64
-	relays  atomic.Int64
-	evicted atomic.Int64
-
-	// Dependency tracking for targeted eviction under rule churn (opt-in,
-	// EnableTracking): table fingerprint → the keys whose Add sequences
-	// asserted a membership test against that table. A long-lived service
-	// patches a span table, then evicts exactly the verdicts that consulted
-	// the old table instead of dropping the whole cache. Off by default —
-	// batch runs never pay the index.
-	tracking atomic.Bool
-	trackMu  sync.Mutex
-	track    map[expr.Fp][]SatKey
+	shards [satShards]satShard
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 const satShards = 64
@@ -94,25 +52,14 @@ type satShard struct {
 	m  map[SatKey]SatVerdict
 }
 
-// NewSatCache returns an empty cache with no backing store.
+// NewSatCache returns an empty cache.
 func NewSatCache() *SatCache { return &SatCache{} }
-
-// NewSatCacheWith returns an empty cache backed by store (nil behaves like
-// NewSatCache).
-func NewSatCacheWith(store SatStore) *SatCache { return &SatCache{backing: store} }
 
 func (c *SatCache) lookup(key SatKey) (SatVerdict, bool) {
 	sh := &c.shards[key.Fp.Hi&(satShards-1)]
 	sh.mu.RLock()
 	e, ok := sh.m[key]
 	sh.mu.RUnlock()
-	if !ok && c.backing != nil {
-		if e, ok = c.backing.Lookup(key); ok {
-			c.relays.Add(1)
-			// Promote to the local shard so the next lookup is one RLock.
-			c.storeLocal(key, e)
-		}
-	}
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -122,13 +69,6 @@ func (c *SatCache) lookup(key SatKey) (SatVerdict, bool) {
 }
 
 func (c *SatCache) store(key SatKey, e SatVerdict) {
-	c.storeLocal(key, e)
-	if c.backing != nil {
-		c.backing.Store(key, e)
-	}
-}
-
-func (c *SatCache) storeLocal(key SatKey, e SatVerdict) {
 	sh := &c.shards[key.Fp.Hi&(satShards-1)]
 	sh.mu.Lock()
 	if sh.m == nil {
@@ -138,95 +78,26 @@ func (c *SatCache) storeLocal(key SatKey, e SatVerdict) {
 	sh.mu.Unlock()
 }
 
-// Hits reports how many lookups were answered from the cache (local shard
-// or backing store).
+// Hits reports how many lookups were answered from the cache.
 func (c *SatCache) Hits() int64 { return c.hits.Load() }
 
 // Misses reports how many lookups fell through to the solver.
 func (c *SatCache) Misses() int64 { return c.misses.Load() }
 
-// Relays reports how many hits were answered by the backing store rather
-// than a local shard — verdicts relayed from other workers in a distributed
-// run. Relays are a subset of Hits.
-func (c *SatCache) Relays() int64 { return c.relays.Load() }
-
-// Evicted reports how many memoized decisions EvictByFp has dropped.
-func (c *SatCache) Evicted() int64 { return c.evicted.Load() }
-
-// EnableTracking turns on the table-fingerprint dependency index. Contexts
-// attached to this cache start recording which span tables each Add sequence
-// consulted, and every stored verdict is indexed under those tables'
-// fingerprints so EvictByFp can find it. Enable before the runs whose
-// verdicts should be evictable; there is no way to turn it back off.
-func (c *SatCache) EnableTracking() { c.tracking.Store(true) }
-
-// TrackingEnabled reports whether the dependency index is on.
-func (c *SatCache) TrackingEnabled() bool { return c.tracking.Load() }
-
-// registerDeps indexes key under each table fingerprint it depends on.
-// Called at store time: every context asserting the same Add sequence
-// consults the same tables, so indexing once per stored verdict covers all
-// future hits on it.
-func (c *SatCache) registerDeps(key SatKey, fps []expr.Fp) {
-	if len(fps) == 0 || !c.tracking.Load() {
-		return
-	}
-	c.trackMu.Lock()
-	if c.track == nil {
-		c.track = make(map[expr.Fp][]SatKey)
-	}
-	for _, fp := range fps {
-		c.track[fp] = append(c.track[fp], key)
-	}
-	c.trackMu.Unlock()
-}
-
-// EvictByFp drops every memoized decision whose Add sequence consulted the
-// span table with the given fingerprint, returning how many entries were
-// removed. Requires EnableTracking to have been on when the verdicts were
-// stored; with tracking off it removes nothing. Eviction is hygiene, not
-// correctness: verdicts are pure functions of the assertion chain, and a
-// patched table has a new fingerprint, so stale entries could never be
-// looked up again — but a long-lived daemon must not grow its cache with
-// every delta, and the evicted count makes invalidation observable.
-func (c *SatCache) EvictByFp(fp expr.Fp) int {
-	if c == nil {
-		return 0
-	}
-	c.trackMu.Lock()
-	keys := c.track[fp]
-	delete(c.track, fp)
-	c.trackMu.Unlock()
-	n := 0
-	for _, key := range keys {
-		sh := &c.shards[key.Fp.Hi&(satShards-1)]
-		sh.mu.Lock()
-		if _, ok := sh.m[key]; ok {
-			delete(sh.m, key)
-			n++
-		}
-		sh.mu.Unlock()
-	}
-	c.evicted.Add(int64(n))
-	return n
-}
-
 // RegisterMetrics exposes the cache's telemetry counters on reg as
-// snapshot-time counter funcs (solver.satcache.hits / .misses / .relays).
-// The cache's own atomics stay the source of truth, so the hot path pays
-// nothing extra and the live debug endpoint always sees current values.
-// No-op when either receiver or registry is nil.
+// snapshot-time counter funcs (solver.satcache.hits / .misses). The cache's
+// own atomics stay the source of truth, so the hot path pays nothing extra
+// and the live debug endpoint always sees current values. No-op when either
+// receiver or registry is nil.
 func (c *SatCache) RegisterMetrics(reg *obs.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
 	reg.CounterFunc("solver.satcache.hits", c.Hits)
 	reg.CounterFunc("solver.satcache.misses", c.Misses)
-	reg.CounterFunc("solver.satcache.relays", c.Relays)
-	reg.CounterFunc("solver.satcache.evicted", c.Evicted)
 }
 
-// Len reports the number of locally memoized decisions.
+// Len reports the number of memoized decisions.
 func (c *SatCache) Len() int {
 	n := 0
 	for i := range c.shards {

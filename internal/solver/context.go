@@ -100,7 +100,6 @@ const (
 	ownDiseqs uint8 = 1 << iota
 	ownRels
 	ownPending
-	ownTableFps
 )
 
 func symHash(s expr.SymID) uint64 { return persist.Mix64(uint64(s)) }
@@ -123,18 +122,12 @@ type Context struct {
 	diseqs  []diseq
 	rels    []relCmp
 	pending []expr.Cond // unresolved Or conditions
-	// tableFps records the fingerprints of span tables consulted by the Add
-	// sequence, in order, when the attached cache has dependency tracking on
-	// (see SatCache.EnableTracking). Sat registers them with each stored
-	// verdict so churn-time eviction can target exactly the decisions a
-	// table patch invalidates. Empty (and never appended) otherwise.
-	tableFps []expr.Fp
-	owns     uint8
-	unsat    bool
-	fp       expr.Fp // chained fingerprint of the Add sequence
-	nAdds    int32   // conditions chained into fp
-	stats    *Stats
-	cache    *SatCache
+	owns    uint8
+	unsat   bool
+	fp      expr.Fp // chained fingerprint of the Add sequence
+	nAdds   int32   // conditions chained into fp
+	stats   *Stats
+	cache   *SatCache
 	// satNs, when attached, observes the wall time of every full Sat
 	// decision (hits and misses alike — a hit's latency is the lookup).
 	// It is telemetry only and nil by default: the disabled path costs one
@@ -179,9 +172,6 @@ func (c *Context) SetCache(sc *SatCache) { c.cache = sc }
 // Purely observational: it never affects verdicts, statistics, or
 // fingerprints.
 func (c *Context) SetSatHistogram(h *obs.Histogram) { c.satNs = h }
-
-// Cache returns the attached memo cache (nil when memoization is off).
-func (c *Context) Cache() *SatCache { return c.cache }
 
 // Fingerprint returns the chained structural fingerprint of the conditions
 // asserted so far; equal fingerprints identify identical Add sequences.
@@ -233,43 +223,6 @@ func (c *Context) appendPending(cond expr.Cond) {
 		c.owns |= ownPending
 	}
 	c.pending = append(c.pending, cond)
-}
-
-func (c *Context) appendTableFp(fp expr.Fp) {
-	// Egress guards re-assert the same table along a path (loop bodies,
-	// repeated visits); one index entry per table per chain is enough.
-	for _, have := range c.tableFps {
-		if have == fp {
-			return
-		}
-	}
-	if c.owns&ownTableFps == 0 {
-		nf := make([]expr.Fp, len(c.tableFps), len(c.tableFps)+4)
-		copy(nf, c.tableFps)
-		c.tableFps = nf
-		c.owns |= ownTableFps
-	}
-	c.tableFps = append(c.tableFps, fp)
-}
-
-// collectTableFps records every span table the condition tests membership
-// against, wherever the InSet sits in the structure (negations, And/Or
-// combinations — the compiled guard shapes models emit).
-func (c *Context) collectTableFps(cond expr.Cond) {
-	switch v := cond.(type) {
-	case expr.InSet:
-		c.appendTableFp(v.T.Fp())
-	case expr.Not:
-		c.collectTableFps(v.C)
-	case expr.And:
-		for _, sub := range v.Cs {
-			c.collectTableFps(sub)
-		}
-	case expr.Or:
-		for _, sub := range v.Cs {
-			c.collectTableFps(sub)
-		}
-	}
 }
 
 // find returns the root of s and the offset such that
@@ -369,9 +322,6 @@ func (c *Context) Add(cond expr.Cond) bool {
 	cond, h := expr.Intern(cond)
 	c.fp = c.fp.Chain(h)
 	c.nAdds++
-	if c.cache != nil && c.cache.TrackingEnabled() {
-		c.collectTableFps(cond)
-	}
 	c.assert(cond, false)
 	return !c.unsat
 }
@@ -684,7 +634,6 @@ func (c *Context) Sat() bool {
 	before := c.stats.Branches
 	_, ok := c.solve(false, 0)
 	c.cache.store(key, SatVerdict{Sat: ok, Branches: c.stats.Branches - before})
-	c.cache.registerDeps(key, c.tableFps)
 	return ok
 }
 

@@ -68,7 +68,7 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 
 	cfgs := []dist.Config{{WorkersPerProc: 1}, {WorkersPerProc: 2}, {WorkersPerProc: 8}}
 	if !testing.Short() {
-		cfgs = append(cfgs, dist.Config{Procs: 2, WorkersPerProc: 2, ShareSat: true})
+		cfgs = append(cfgs, dist.Config{Procs: 2, WorkersPerProc: 2})
 	}
 	for _, cfg := range cfgs {
 		t.Run(fmt.Sprintf("procs=%d/workers=%d", cfg.Procs, cfg.WorkersPerProc), func(t *testing.T) {

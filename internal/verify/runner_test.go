@@ -45,7 +45,7 @@ func TestAllPairsAcrossRunners(t *testing.T) {
 	}
 	runners := []dist.Config{{WorkersPerProc: 1}, {WorkersPerProc: 2}, {WorkersPerProc: 8}}
 	if !testing.Short() {
-		runners = append(runners, dist.Config{Procs: 2, WorkersPerProc: 1, ShareSat: true})
+		runners = append(runners, dist.Config{Procs: 2, WorkersPerProc: 1})
 	}
 	for _, ds := range datasets {
 		var want *verify.AllPairsReport

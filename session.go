@@ -249,7 +249,6 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		Procs:          cfg.DistProcs,
 		Workers:        cfg.DistWorkers,
 		WorkersPerProc: s.workers(),
-		ShareSat:       true,
 		Obs:            s.opts.Obs,
 	})
 	if err != nil {
