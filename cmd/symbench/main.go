@@ -751,9 +751,8 @@ func timeBatches(n int, run func() []dist.JobResult) time.Duration {
 
 // poolBench measures what the persistent fleet buys over per-batch fork/exec
 // — the cold path spawns, handshakes and ships a full setup every batch,
-// the pool does it once and reuses — plus the steal scheduler's effect on an
-// unevenly-sized shard mix. cold_ns and pool_ns share a row so benchdiff
-// -ns-key cold_ns -ns-key-new pool_ns gates the reuse speedup in CI.
+// the pool does it once and reuses. cold_ns and pool_ns share a row so
+// benchdiff -ns-key cold_ns -ns-key-new pool_ns gates the reuse speedup in CI.
 func poolBench(rep *reporter, quick bool) {
 	net, jobs := poolJobs(quick)
 	procs, batches := 2, 4
@@ -782,28 +781,6 @@ func poolBench(rep *reporter, quick bool) {
 		Name:       "reuse",
 		Extra: map[string]any{
 			"cold_ns": cold.Nanoseconds(), "pool_ns": warm.Nanoseconds(),
-			"procs": procs, "jobs": len(jobs), "batches": batches,
-		},
-	})
-
-	onOff := map[bool]time.Duration{}
-	for _, noSteal := range []bool{true, false} {
-		p, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1, NoSteal: noSteal})
-		if err != nil {
-			fail(err)
-		}
-		p.RunBatch(net, jobs)
-		onOff[noSteal] = timeBatches(batches, func() []dist.JobResult { return p.RunBatch(net, jobs) })
-		p.Close()
-	}
-	rep.printf("%-12s %-14v %-14v %.2fx\n", "steal",
-		onOff[true].Round(time.Millisecond), onOff[false].Round(time.Millisecond),
-		float64(onOff[true])/float64(onOff[false]))
-	rep.add(jsonRow{
-		Experiment: "pool",
-		Name:       "steal",
-		Extra: map[string]any{
-			"steal_off_ns": onOff[true].Nanoseconds(), "steal_on_ns": onOff[false].Nanoseconds(),
 			"procs": procs, "jobs": len(jobs), "batches": batches,
 		},
 	})

@@ -44,16 +44,15 @@ func (t *tailBuffer) tail() string {
 
 // spawnWorkerProc re-executes the current binary as one worker subprocess
 // (MaybeWorker turns it into one) with its stdio wired for the frame protocol
-// and stderr passed through (tail retained for crash diagnostics). env is
-// appended to the inherited environment.
-func spawnWorkerProc(env []string) (cmd *exec.Cmd, stdin io.WriteCloser, stdout io.ReadCloser, tail *tailBuffer, err error) {
+// and stderr passed through (tail retained for crash diagnostics). The member
+// inherits the coordinator's environment.
+func spawnWorkerProc() (cmd *exec.Cmd, stdin io.WriteCloser, stdout io.ReadCloser, tail *tailBuffer, err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	cmd = exec.Command(exe)
 	cmd.Env = append(os.Environ(), workerEnvMarker+"=1")
-	cmd.Env = append(cmd.Env, env...)
 	// Stderr passes through live and the tail is retained, so a crashed
 	// worker's last words can be folded into its jobs' errors.
 	tail = newTailBuffer(2048)

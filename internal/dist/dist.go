@@ -207,18 +207,10 @@ type Config struct {
 	// WorkersPerProc sizes each worker's in-process pool — or, without a
 	// fleet, the in-process runner's (<= 0 selects GOMAXPROCS).
 	WorkersPerProc int
-	// WorkerEnv appends extra environment entries to spawned workers (the
-	// crash suites inject faults through it).
-	WorkerEnv []string
 	// Workers lists resident worker addresses (host:port of `symworker
 	// -listen` processes). When non-empty the fleet is one TCP session per
-	// address and Procs is ignored; WorkerEnv does not apply (the remote
-	// process was started by whoever runs that machine).
+	// address and Procs is ignored.
 	Workers []string
-	// NoSteal disables work stealing and the held-back tail, restoring
-	// static contiguous shards. Results are byte-identical either way; the
-	// switch exists for measurement and for pinning schedule-independence.
-	NoSteal bool
 	// Obs attaches coordinator-side observability. With a registry present,
 	// workers are asked to collect metrics too and their end-of-shard
 	// snapshots are absorbed into it, so the coordinator's registry reports

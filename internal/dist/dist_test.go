@@ -141,8 +141,9 @@ func batchCases(t *testing.T) []batchCase {
 
 // TestRunBatchByteIdentical is the tentpole property: a batch through
 // NewRunner over any (procs, workersPerProc) grid — including the in-process
-// procs=0 runner — is byte-identical to sched.RunBatch, on all three datasets. It also pins the
-// compiled-IR round trip, since workers execute the shipped encode→decode IR.
+// procs=0 runner — is byte-identical to sched.RunBatch, on all three datasets.
+// It also pins the compiled-IR round trip, since workers execute the shipped
+// encode→decode IR.
 func TestRunBatchByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
@@ -158,6 +159,12 @@ func TestRunBatchByteIdentical(t *testing.T) {
 							procs, workers, got, want)
 					}
 				}
+			}
+			// A batch smaller than the fleet: two of three members get an
+			// empty shard and only open and close the batch.
+			one := tc.jobs[:1]
+			if got := canonical(t, runGrid(t, tc.net, one, 3, 1)); string(got) != string(reference(t, tc.net, one)) {
+				t.Errorf("procs=3, one job: distributed result differs from sched.RunBatch")
 			}
 		})
 	}
@@ -279,11 +286,12 @@ func TestDistributedPanicIsolation(t *testing.T) {
 
 // TestWorkerCrashDoesNotPoisonOtherShards runs a poison job — one that kills
 // every worker that executes it (the fault-injection env hook without the
-// once-marker) — through a four-member fleet as production drives it:
-// stealing on, the fixed re-dispatch budget. The job must fail alone, after
-// exactly jobRetries re-dispatches, with the dead worker's last words in its
-// error; every sibling is delivered byte-identical to the in-process
-// reference, by the members the poison job did not reach.
+// once-marker) — through a four-member fleet as production drives it, the
+// fixed re-dispatch budget included. The job must fail alone, after exactly
+// jobRetries re-dispatches, with the dead worker's last words in its error;
+// every sibling is delivered byte-identical to the in-process reference, by
+// the members the poison job reached only after they had finished their own
+// shard (a member's queue is FIFO) or did not reach at all.
 func TestWorkerCrashDoesNotPoisonOtherShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
@@ -294,17 +302,17 @@ func TestWorkerCrashDoesNotPoisonOtherShards(t *testing.T) {
 	for _, s := range srcs {
 		jobs = append(jobs, dist.Job{Name: s.String(), Inject: s, Packet: sefl.NewTCPPacket(), Opts: core.Options{MaxHops: 64}})
 	}
-	// More jobs than members, so siblings are still in the coordinator's
-	// tail while members die; fewer than 2×4×2, so initial shares are one job
-	// each and no sibling ever queues behind the poison job.
-	if len(jobs) <= 4 || len(jobs) >= 16 {
-		t.Fatalf("need 5..15 jobs, have %d", len(jobs))
+	// Four to seven jobs over four members is a one-job first shard, and a
+	// re-dispatched job queues last: no sibling is ever behind the poison job
+	// when it kills a member, so its re-dispatches are the only ones.
+	if len(jobs) < 4 || len(jobs) >= 8 {
+		t.Fatalf("need 4..7 jobs, have %d", len(jobs))
 	}
+	// Spawned members inherit the environment; nothing in this process reads
+	// the hook (the in-process reference does not go through a worker).
+	t.Setenv("SYMNET_DIST_TEST_EXIT_ON", jobs[0].Name)
 	reg := obs.NewRegistry()
-	out := runVia(t, d.Net, jobs, dist.Config{
-		Procs: 4, WorkersPerProc: 1, Obs: obs.New(reg, nil),
-		WorkerEnv: []string{"SYMNET_DIST_TEST_EXIT_ON=" + jobs[0].Name},
-	})
+	out := runVia(t, d.Net, jobs, dist.Config{Procs: 4, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
 	if err := out[0].Err; err == nil || out[0].Summary != nil {
 		t.Errorf("poison job %s: %+v, want a lost-job error", out[0].Name, out[0])
 	} else {
@@ -367,9 +375,8 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 
 	// Every Sat() call is one memo lookup, so the fleet's absorbed
 	// hits+misses must equal the in-process SatChecks total for the same jobs
-	// (no job runs twice here: a member never holds more than WorkersPerProc
-	// jobs, so nothing is stolen) — however the hit/miss split falls. A memo
-	// registered twice on a worker's registry would read double.
+	// (no member dies, so no job runs twice) — however the hit/miss split
+	// falls. A memo registered twice on a worker's registry would read double.
 	var satChecks int64
 	for _, jr := range sched.RunBatch(net, jobs, 1) {
 		satChecks += int64(jr.Result.Stats.Solver.SatChecks)

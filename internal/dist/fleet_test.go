@@ -1,8 +1,8 @@
 package dist_test
 
-// Fleet-level property tests: the TCP transport, work stealing, and crash
+// Fleet-level property tests: the TCP transport, the fleet's shape and crash
 // re-dispatch must all be invisible in the bytes — RunBatch output equals
-// the in-process engine's for every transport, schedule and crash pattern.
+// the in-process engine's for every transport, shard map and crash pattern.
 
 import (
 	"bufio"
@@ -62,27 +62,31 @@ func startWorkerProcess(t *testing.T, extraEnv ...string) string {
 }
 
 // TestTCPFleetByteIdentical is the transport half of the determinism
-// property: a two-worker TCP fleet — stealing on and off — produces the
-// exact bytes of the in-process engine on all three datasets.
+// property: TCP fleets of one, two and three members — every shard map the
+// batch sizes here produce — give the exact bytes of the in-process engine on
+// all three datasets, and so does a batch smaller than the fleet: one job over
+// three members leaves two shards empty, and those members, sent a batch and
+// its end and nothing between, must still answer done.
 func TestTCPFleetByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
 	for _, bc := range batchCases(t) {
-		bc := bc
 		t.Run(bc.name, func(t *testing.T) {
-			addrs := []string{startResidentWorker(t), startResidentWorker(t)}
-			want := reference(t, bc.net, bc.jobs)
-			for _, sub := range []struct {
-				name    string
-				noSteal bool
-			}{{"steal", false}, {"nosteal", true}} {
-				out := runVia(t, bc.net, bc.jobs, dist.Config{
-					Workers: addrs, WorkersPerProc: 2, NoSteal: sub.noSteal,
-				})
-				if got := canonical(t, out); !bytes.Equal(got, want) {
-					t.Errorf("%s: TCP fleet output differs from in-process run", sub.name)
+			addrs := []string{startResidentWorker(t), startResidentWorker(t), startResidentWorker(t)}
+			batches := [][]dist.Job{bc.jobs, bc.jobs[:1]}
+			want := [][]byte{reference(t, bc.net, batches[0]), reference(t, bc.net, batches[1])}
+			for size := 1; size <= len(addrs); size++ {
+				pool, err := dist.NewPool(dist.Config{Workers: addrs[:size], WorkersPerProc: 2})
+				if err != nil {
+					t.Fatal(err)
 				}
+				for i, jobs := range batches {
+					if got := canonical(t, pool.RunBatch(bc.net, jobs)); !bytes.Equal(got, want[i]) {
+						t.Errorf("%d members, %d jobs: TCP fleet output differs from in-process run", size, len(jobs))
+					}
+				}
+				pool.Close()
 			}
 		})
 	}
@@ -99,13 +103,9 @@ func TestCrashRedispatchZeroLoss(t *testing.T) {
 	bc := batchCases(t)[0] // department
 	want := reference(t, bc.net, bc.jobs)
 	marker := filepath.Join(t.TempDir(), "crash-once")
-	out := runVia(t, bc.net, bc.jobs, dist.Config{
-		Procs: 3, WorkersPerProc: 1,
-		WorkerEnv: []string{
-			"SYMNET_DIST_TEST_EXIT_ON=" + bc.jobs[1].Name,
-			"SYMNET_DIST_TEST_EXIT_ONCE=" + marker,
-		},
-	})
+	t.Setenv("SYMNET_DIST_TEST_EXIT_ON", bc.jobs[1].Name)
+	t.Setenv("SYMNET_DIST_TEST_EXIT_ONCE", marker)
+	out := runVia(t, bc.net, bc.jobs, dist.Config{Procs: 3, WorkersPerProc: 1})
 	if got := canonical(t, out); !bytes.Equal(got, want) {
 		for i, r := range out {
 			if r.Err != nil {

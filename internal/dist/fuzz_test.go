@@ -29,8 +29,7 @@ func FuzzServeSession(f *testing.F) {
 // sessionStreams is every coordinator-side stream the wire tests serve: the
 // handshake and batch error cases (wrong first frame, wrong versions,
 // garbage, truncations, setups against a worker holding nothing) and the
-// clean three-batch session (hello, full/reuse/delta batch, jobs, cancel,
-// end, bye).
+// clean three-batch session (hello, full/reuse/delta batch, jobs, end, bye).
 func sessionStreams(t testing.TB) []streamCase {
 	return append(append(handshakeErrorCases(t), batchErrorCases(t)...), servedSession(t))
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"time"
 
 	"symnet/internal/core"
@@ -19,19 +20,19 @@ import (
 // re-verification loop above all — pay the setup encode once and then ship
 // only deltas (Refresh) or nothing (unchanged network).
 //
-// Within a batch, dispatch is dynamic: every worker starts with a contiguous
-// half-share, the coordinator holds the rest back as a tail and tops workers
-// up one job per result, and when the tail runs dry an idle worker steals the
-// most-recently-dispatched half of the slowest worker's queue (the victim is
-// asked to hand the jobs back; jobs it already started simply finish there,
-// and the first result per job wins). A worker that dies mid-batch has its
-// exclusively-held jobs re-dispatched to survivors up to jobRetries times
-// each, then they fail with a pointed per-job error; TCP workers get one
-// redial per batch first, and a reconnecting pool ships a setup delta instead
-// of the full re-encode. None of this affects results: each job is
-// deterministic in isolation, so RunBatch output is byte-identical across
-// every transport, pool size, steal schedule and crash pattern — the property
-// tests in this package pin that.
+// A batch is a shard map and a crash path. Dispatch is static: the live
+// members split the batch into contiguous shards (shardBounds), one jobs frame
+// each, and a job has exactly one holder from then until its result arrives —
+// jobs share nothing but the immutable network, so there is nothing to
+// coordinate between healthy members, and moving work between them never
+// measured faster than leaving it (BENCH_10.json). The one dynamic
+// step is a death: a worker that dies mid-batch has its jobs re-dispatched to
+// the least-loaded survivor up to jobRetries times each, then they fail with
+// a pointed per-job error; TCP workers get one redial per batch first, and a
+// reconnecting pool ships a setup delta instead of the full re-encode. None
+// of this affects results: each job is deterministic in isolation, so
+// RunBatch output is byte-identical across every transport, pool size and
+// crash pattern — the property tests in this package pin that.
 //
 // A Pool is not safe for concurrent use; serialize RunBatch/Refresh/Close
 // calls (Session.Serve does, via the churn service's single apply goroutine).
@@ -90,7 +91,9 @@ type poolWorker struct {
 	batchDone  bool // done frame seen for the current batch
 
 	// outstanding is the dispatch-ordered list of job indices this worker
-	// has been sent and not yet resolved (result, cancel-ack, or death).
+	// has been sent and not yet resolved (result or death). A job is in at
+	// most one worker's list: its holder, the only member whose result for it
+	// is accepted.
 	outstanding []int
 }
 
@@ -227,9 +230,8 @@ func (p *Pool) refsSince(g uint64) ([]core.PortRef, bool) {
 
 // RunBatch runs every job across the fleet, returning results in job order —
 // byte-identical (as summaries) to sched.RunBatch regardless of transport,
-// fleet size, steal schedule or crashes. A batch-wide setup failure poisons
-// every job; per-worker failures poison only jobs that exhausted their retry
-// budget. Per-job Options.Stats collectors and Options.SatMemo caches cannot
+// fleet size or crashes. A batch-wide setup failure poisons every job;
+// per-worker failures poison only jobs that exhausted their retry budget. Per-job Options.Stats collectors and Options.SatMemo caches cannot
 // cross the process boundary and are ignored; per-job solver statistics are
 // in each Summary.Stats.Solver, deterministic either way.
 func (p *Pool) RunBatch(network *core.Network, jobs []Job) []JobResult {
@@ -254,16 +256,13 @@ type batchRun struct {
 	wire []wireJob
 	out  []JobResult
 
-	done      []bool
+	// doneCount counts resolved jobs (result accepted, or failed for good);
+	// an unresolved job is in exactly one live worker's outstanding list.
 	doneCount int
-	// holders tracks which workers currently hold each unresolved job; a job
-	// is re-dispatched on a crash only when the dead worker held it alone.
-	holders []map[int]bool
-	crashes []int
+	crashes   []int
 	// lostTo is, per job, the last worker death it was caught in ("worker N
 	// died: …"): the reason its error carries if the budget runs out.
 	lostTo []string
-	tail   []int
 
 	metrics bool
 
@@ -315,14 +314,9 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 	n := len(jobs)
 	br := &batchRun{
 		net: network, jobs: jobs, out: out,
-		done:    make([]bool, n),
-		holders: make([]map[int]bool, n),
 		crashes: make([]int, n),
 		lostTo:  make([]string, n),
 		metrics: p.reg != nil,
-	}
-	for i := range br.holders {
-		br.holders[i] = make(map[int]bool, 1)
 	}
 	for _, j := range jobs {
 		if j.Opts.ASTInterp {
@@ -342,63 +336,21 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 			return err
 		}
 	}
-	// Initial shares: half of an even split each, at least one job; the rest
-	// is the tail the top-up/steal loop draws from. NoSteal reproduces the
-	// static contiguous shards of the one-shot protocol.
-	if p.cfg.NoSteal {
-		for k, w := range live {
-			lo, hi := shardBounds(n, k, len(live))
-			p.dispatch(w, br, seqRange(lo, hi))
-		}
-	} else {
-		chunk := n / (2 * len(live))
-		if chunk < 1 {
-			chunk = 1
-		}
-		next := 0
-		for _, w := range live {
-			if next >= n {
-				break
-			}
-			hi := next + chunk
-			if hi > n {
-				hi = n
-			}
-			p.dispatch(w, br, seqRange(next, hi))
-			next = hi
-		}
-		br.tail = seqRange(next, n)
+	// The shard map: contiguous, over the members alive now. A batch smaller
+	// than the fleet leaves some shards empty; those members still opened the
+	// batch and answer its end with done.
+	for k, w := range live {
+		lo, hi := shardBounds(n, k, len(live))
+		p.dispatch(w, br, seqRange(lo, hi))
 	}
 	finDispatch()
-	p.feed(br)
 
 	for br.doneCount < n {
 		ev := <-p.events
 		if ev.err != nil {
 			p.handleDown(ev.w, br, ev.err)
-			continue
-		}
-		switch ev.f.Kind {
-		case frameResult:
+		} else if ev.f.Kind == frameResult {
 			p.handleResult(ev.w, br, ev.f.Result)
-		case frameCancel:
-			if ev.f.Cancel == nil {
-				continue
-			}
-			// The victim acknowledges exactly the jobs it handed back; they
-			// are no longer its — the thief (already dispatched) owns them.
-			// Unless the thief died before this ack arrived: its death left
-			// the job alone because the victim still held it then, so the job
-			// is lost now, to that death.
-			for _, idx := range ev.f.Cancel.Indexes {
-				removeOutstanding(ev.w, idx)
-				if idx >= 0 && idx < n {
-					delete(br.holders[idx], ev.w.id)
-					if !br.done[idx] && len(br.holders[idx]) == 0 {
-						p.lose(br, idx)
-					}
-				}
-			}
 		}
 	}
 
@@ -440,8 +392,7 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 				waiting--
 			}
 		}
-		// Anything else here is a late duplicate (result of a stolen job the
-		// victim had already started) — drop.
+		// Anything else here is a frame no job is waiting for — drop.
 	}
 	return nil
 }
@@ -449,8 +400,7 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 // jobRetries is each job's crash re-dispatch budget: a job lost to a dying
 // worker is re-sent to a survivor this many times before it fails with a
 // per-job error, so a job that kills every worker it lands on (a poison job)
-// costs the fleet jobRetries+1 members — one more for each steal that had it
-// running on victim and thief at once.
+// costs the fleet jobRetries+1 members.
 const jobRetries = 2
 
 func seqRange(lo, hi int) []int {
@@ -509,7 +459,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 	return nil
 }
 
-// dispatch ships the given jobs to a worker and records it as a holder.
+// dispatch ships the given jobs to a worker, which holds them from here on.
 func (p *Pool) dispatch(w *poolWorker, br *batchRun, idxs []int) {
 	if len(idxs) == 0 {
 		return
@@ -517,7 +467,6 @@ func (p *Pool) dispatch(w *poolWorker, br *batchRun, idxs []int) {
 	wj := make([]wireJob, len(idxs))
 	for i, idx := range idxs {
 		wj[i] = br.wire[idx]
-		br.holders[idx][w.id] = true
 		w.outstanding = append(w.outstanding, idx)
 	}
 	if err := w.conn.send(&frame{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wj}}); err != nil {
@@ -526,93 +475,25 @@ func (p *Pool) dispatch(w *poolWorker, br *batchRun, idxs []int) {
 	}
 }
 
-// feed gives every idle live worker something to do: the next tail job, or a
-// steal from the most-loaded worker.
-func (p *Pool) feed(br *batchRun) {
-	for _, w := range p.workers {
-		if !w.alive || len(w.outstanding) > 0 {
-			continue
-		}
-		for len(br.tail) > 0 && len(w.outstanding) == 0 {
-			idx := br.tail[0]
-			br.tail = br.tail[1:]
-			if br.done[idx] {
-				continue
-			}
-			p.dispatch(w, br, []int{idx})
-		}
-		if len(w.outstanding) == 0 && !p.cfg.NoSteal && br.doneCount < len(br.jobs) {
-			p.trySteal(w, br)
-		}
-	}
-}
-
-// trySteal moves the most-recently-dispatched half of the slowest worker's
-// exclusively-held queue to an idle one. The victim is told to hand the jobs
-// back (it acks what it actually revoked); jobs it already started finish
-// there too, and the first result per job wins — duplicated work, identical
-// bytes.
-func (p *Pool) trySteal(thief *poolWorker, br *batchRun) {
-	threshold := p.cfg.WorkersPerProc
-	if threshold < 1 {
-		threshold = 1
-	}
-	var victim *poolWorker
-	for _, w := range p.workers {
-		if !w.alive || w == thief || len(w.outstanding) <= threshold {
-			continue
-		}
-		if victim == nil || len(w.outstanding) > len(victim.outstanding) {
-			victim = w
-		}
-	}
-	if victim == nil {
-		return
-	}
-	var cands []int
-	for _, idx := range victim.outstanding {
-		if !br.done[idx] && len(br.holders[idx]) == 1 {
-			cands = append(cands, idx)
-		}
-	}
-	if len(cands) == 0 {
-		return
-	}
-	k := len(cands) / 2
-	if k < 1 {
-		k = 1
-	}
-	stolen := append([]int(nil), cands[len(cands)-k:]...)
-	if err := victim.conn.send(&frame{Kind: frameCancel, Cancel: &cancelFrame{Indexes: stolen}}); err != nil {
-		victim.closeTransport()
-		return
-	}
-	p.reg.Counter("dist.jobs.stolen").Add(int64(len(stolen)))
-	p.dispatch(thief, br, stolen)
-}
-
+// handleResult records a job's result — from its holder. A result naming a
+// job the sender does not hold (another member's, one already resolved, an
+// index outside the batch) is dropped: a resident symworker is a remote
+// process whose bytes the coordinator did not write.
 func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
-	if r == nil || r.Index < 0 || r.Index >= len(br.out) {
+	if r == nil || !removeOutstanding(w, r.Index) {
 		return
 	}
-	removeOutstanding(w, r.Index)
-	delete(br.holders[r.Index], w.id)
-	if br.done[r.Index] {
-		return // duplicate of a stolen job the victim had already started
-	}
-	br.done[r.Index] = true
 	br.doneCount++
 	jr := JobResult{Name: r.Name, Summary: r.Summary}
 	if r.Err != "" {
 		jr.Err = fmt.Errorf("%s", r.Err)
 	}
 	br.out[r.Index] = jr
-	p.feed(br)
 }
 
 // handleDown processes a worker's terminal reader event mid-batch: reap it,
-// optionally redial (TCP, once per batch), and re-dispatch or fail its
-// exclusively-held jobs.
+// optionally redial (TCP, once per batch), and re-dispatch or fail the jobs
+// it held.
 func (p *Pool) handleDown(w *poolWorker, br *batchRun, readErr error) {
 	if !w.alive {
 		return
@@ -622,20 +503,13 @@ func (p *Pool) handleDown(w *poolWorker, br *batchRun, readErr error) {
 		w.redialed = true
 		if err := p.revive(w); err == nil {
 			p.reg.Counter("dist.worker.reconnects").Inc()
-			redo := w.outstanding
-			w.outstanding = nil
-			for _, idx := range redo {
-				delete(br.holders[idx], w.id)
-				br.lostTo[idx] = why
-			}
-			if err := p.sendBatch(w, br); err == nil && w.alive {
-				var again []int
+			if err := p.sendBatch(w, br); err == nil {
+				redo := w.outstanding
+				w.outstanding = nil
 				for _, idx := range redo {
-					if !br.done[idx] && len(br.holders[idx]) == 0 {
-						again = append(again, idx)
-					}
+					br.lostTo[idx] = why
 				}
-				p.dispatch(w, br, again)
+				p.dispatch(w, br, redo)
 				return
 			}
 		}
@@ -643,32 +517,14 @@ func (p *Pool) handleDown(w *poolWorker, br *batchRun, readErr error) {
 	outs := w.outstanding
 	w.outstanding = nil
 	for _, idx := range outs {
-		delete(br.holders[idx], w.id)
-		if br.done[idx] {
-			continue
-		}
 		br.lostTo[idx] = why
-		if len(br.holders[idx]) == 0 {
-			p.lose(br, idx)
-		}
+		p.lose(br, idx)
 	}
-	if p.liveCount() == 0 {
-		// Nobody left to run anything: the tail and every co-held job die
-		// with this worker.
-		for idx := range br.done {
-			if !br.done[idx] {
-				br.lostTo[idx] = why
-				br.fail(idx)
-			}
-		}
-		return
-	}
-	p.feed(br)
 }
 
-// lose handles a job whose last holder is gone (br.lostTo says to which
-// death): re-dispatch it to the least-loaded survivor while its budget lasts,
-// fail it otherwise.
+// lose handles a job whose holder is gone (br.lostTo says to which death):
+// re-dispatch it to the least-loaded survivor while its budget lasts, fail it
+// otherwise.
 func (p *Pool) lose(br *batchRun, idx int) {
 	br.crashes[idx]++
 	tgt := p.leastLoaded()
@@ -684,7 +540,6 @@ func (p *Pool) lose(br *batchRun, idx int) {
 func (br *batchRun) fail(idx int) {
 	name := br.jobs[idx].Name
 	br.out[idx] = JobResult{Name: name, Err: fmt.Errorf("dist: %s (job %q lost)", br.lostTo[idx], name)}
-	br.done[idx] = true
 	br.doneCount++
 }
 
@@ -744,15 +599,14 @@ func (p *Pool) reap(w *poolWorker, readErr error, expected bool) string {
 }
 
 // removeOutstanding drops one job index from a worker's dispatch-ordered
-// outstanding list (first occurrence; a job is dispatched to a worker at
-// most once per batch).
-func removeOutstanding(w *poolWorker, idx int) {
-	for i, v := range w.outstanding {
-		if v == idx {
-			w.outstanding = append(w.outstanding[:i], w.outstanding[i+1:]...)
-			return
-		}
+// outstanding list, reporting whether the worker held it.
+func removeOutstanding(w *poolWorker, idx int) bool {
+	i := slices.Index(w.outstanding, idx)
+	if i < 0 {
+		return false
 	}
+	w.outstanding = slices.Delete(w.outstanding, i, i+1)
+	return true
 }
 
 func (p *Pool) leastLoaded() *poolWorker {
@@ -819,7 +673,7 @@ func (p *Pool) startReader(w *poolWorker) {
 
 // spawnProc fork/execs one fleet member and completes the handshake.
 func (p *Pool) spawnProc(id int) (*poolWorker, error) {
-	cmd, stdin, stdout, tail, err := spawnWorkerProc(p.cfg.WorkerEnv)
+	cmd, stdin, stdout, tail, err := spawnWorkerProc()
 	if err != nil {
 		return nil, fmt.Errorf("dist: spawn worker %d: %w", id, err)
 	}

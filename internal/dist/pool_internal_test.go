@@ -9,7 +9,6 @@ package dist
 import (
 	"encoding/json"
 	"net"
-	"slices"
 	"testing"
 	"time"
 
@@ -200,92 +199,61 @@ func scriptedMember(t *testing.T, serve func(c *conn, f *frame) (alive bool)) (a
 	return ln.Addr().String()
 }
 
-// TestStolenJobSurvivesThiefDyingBeforeAck pins the one ordering of a steal
-// in which nobody is left holding the job: the thief dies first (the job is
-// spared, the victim still holds it), then the victim's hand-back arrives.
-// The job must be re-dispatched: orphaned, it leaves the batch waiting for a
-// result nobody will send.
-func TestStolenJobSurvivesThiefDyingBeforeAck(t *testing.T) {
+// TestResultFromNonHolderDropped pins single ownership: a member can resolve
+// only the jobs it holds. Member A answers one of its own two jobs, forges a
+// result for B's first job under a wrong name, and dies holding its other job.
+// That job's re-dispatch reaches B strictly after the coordinator has read the
+// forgery (same connection, earlier frame), and only then does B report — so
+// the forgery is always first, and the batch's entry must still be B's.
+func TestResultFromNonHolderDropped(t *testing.T) {
 	network, two := testFleetNet()
-	jobs := make([]Job, 8) // initial shares of two: victim [0 1], thief [2 3], tail [4..7]
+	jobs := make([]Job, 4) // shards: A [0 1], B [2 3]
 	for i := range jobs {
 		jobs[i] = two[i%2]
 		jobs[i].Name = string(rune('a' + i))
 	}
-	report := func(c *conn, wj wireJob) {
-		c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: wj.Index, Name: wj.Name}})
+	report := func(c *conn, idx int, name string) {
+		c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: idx, Name: name}})
 	}
-	reg := obs.NewRegistry()
-
-	// The victim sits on its share until it is asked to hand jobs back, waits
-	// for the coordinator to have buried the thief, hands them back, and from
-	// then on reports whatever it holds or is sent.
+	a := scriptedMember(t, func(c *conn, f *frame) bool {
+		if f.Kind != frameJobs {
+			return true
+		}
+		report(c, 2, "forged")
+		report(c, 0, jobs[0].Name)
+		return false
+	})
 	var held []wireJob
-	handedBack := false
-	victim := scriptedMember(t, func(c *conn, f *frame) bool {
+	b := scriptedMember(t, func(c *conn, f *frame) bool {
 		switch f.Kind {
 		case frameJobs:
+			first := held == nil
 			held = append(held, f.Jobs.Jobs...)
-		case frameCancel:
-			for deadline := time.Now().Add(10 * time.Second); reg.Counter("dist.worker.crashed").Value() == 0; {
-				if time.Now().After(deadline) {
-					return false
+			if !first {
+				for _, wj := range held {
+					report(c, wj.Index, wj.Name)
 				}
-				time.Sleep(time.Millisecond)
 			}
-			for _, idx := range f.Cancel.Indexes {
-				held = slices.DeleteFunc(held, func(wj wireJob) bool { return wj.Index == idx })
-			}
-			c.send(&frame{Kind: frameCancel, Cancel: f.Cancel})
-			handedBack = true
 		case frameEnd:
 			c.send(&frame{Kind: frameDone, Done: &doneFrame{}})
 		case frameBye:
 			return false
 		}
-		if handedBack {
-			for _, wj := range held {
-				report(c, wj)
-			}
-			held = nil
-		}
-		return true
-	})
-	// The thief reports everything at once, runs the tail dry, steals — and
-	// dies on the stolen job (the first it is sent from the victim's share).
-	thief := scriptedMember(t, func(c *conn, f *frame) bool {
-		if f.Kind == frameJobs {
-			for _, wj := range f.Jobs.Jobs {
-				if wj.Index < 2 {
-					return false
-				}
-				report(c, wj)
-			}
-		}
 		return true
 	})
 
-	p, err := NewPool(Config{Workers: []string{victim, thief}, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
+	reg := obs.NewRegistry()
+	p, err := NewPool(Config{Workers: []string{a, b}, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	done := make(chan []JobResult, 1)
-	go func() { done <- p.RunBatch(network, jobs) }()
-	select {
-	case out := <-done:
-		for i, r := range out {
-			if r.Err != nil || r.Name != jobs[i].Name {
-				t.Errorf("job %d: %+v", i, r)
-			}
+	for i, r := range p.RunBatch(network, jobs) {
+		if r.Err != nil || r.Name != jobs[i].Name {
+			t.Errorf("job %d: %+v, want %q resolved by its holder", i, r, jobs[i].Name)
 		}
-		if n := reg.Counter("dist.jobs.stolen").Value(); n != 1 {
-			t.Errorf("dist.jobs.stolen = %d, want 1 (the scenario did not happen)", n)
-		}
-		if n := reg.Counter("dist.jobs.redispatched").Value(); n != 1 {
-			t.Errorf("dist.jobs.redispatched = %d, want 1", n)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("batch never returned: the stolen job was orphaned")
+	}
+	if n := reg.Counter("dist.jobs.redispatched").Value(); n != 1 {
+		t.Errorf("dist.jobs.redispatched = %d, want 1 (the job A died holding)", n)
 	}
 }

@@ -13,8 +13,8 @@ package dist
 //	worker → coordinator:  helloAck                  (what it still holds)
 //	per batch:
 //	  coordinator → worker:  batch                   (setup full|delta|reuse)
-//	  coordinator → worker:  (jobs | cancel)*
-//	  worker → coordinator:  (result | cancel)*
+//	  coordinator → worker:  jobs*                   (its shard; re-dispatches)
+//	  worker → coordinator:  result*                 (one per job, as it finishes)
 //	  coordinator → worker:  end                     (all results accounted)
 //	  worker → coordinator:  done                    (+ metrics snapshot)
 //	coordinator → worker:  bye
@@ -50,16 +50,11 @@ const (
 	// frameBatch starts one batch: setup (full blob, delta entries, or reuse
 	// of retained state) plus per-batch configuration.
 	frameBatch
-	// frameJobs ships jobs to a worker: the initial chunk of a batch, then
-	// one-at-a-time top-ups as results come back.
+	// frameJobs ships jobs to a worker: its shard of the batch, then one frame
+	// per job re-dispatched to it after another member died.
 	frameJobs
 	// frameResult delivers one finished job (worker → coordinator).
 	frameResult
-	// frameCancel revokes queued jobs. Coordinator → worker it asks the
-	// worker to hand back not-yet-started jobs (work stealing); worker →
-	// coordinator it acknowledges exactly the ids handed back, so the
-	// coordinator knows which jobs the worker no longer owns.
-	frameCancel
 	// frameEnd tells the worker the batch is over (every job is accounted
 	// for); the worker drains its queue and answers with frameDone.
 	frameEnd
@@ -73,7 +68,7 @@ const (
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary (stdio workers are always the same binary). Any change to the
 // frame set or the kind numbering bumps it.
-const protoVersion = 4
+const protoVersion = 5
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -84,7 +79,6 @@ type frame struct {
 	Batch    *batchFrame
 	Jobs     *jobsFrame
 	Result   *resultFrame
-	Cancel   *cancelFrame
 	Done     *doneFrame
 }
 
@@ -138,12 +132,6 @@ type deltaFrame struct {
 	Summaries []core.WireSummaryEntry
 }
 
-// cancelFrame revokes (or acknowledges revocation of) queued jobs by their
-// batch indices.
-type cancelFrame struct {
-	Indexes []int
-}
-
 // doneFrame ends a worker's batch.
 type doneFrame struct {
 	Seq     uint64
@@ -181,7 +169,8 @@ type setupFrame struct {
 	Summaries []core.WireSummaryEntry
 }
 
-// jobsFrame ships jobs: a batch's initial contiguous chunk, or a top-up.
+// jobsFrame ships jobs: a member's contiguous shard of the batch, or a
+// re-dispatched job.
 type jobsFrame struct {
 	Jobs []wireJob
 }
@@ -233,8 +222,8 @@ type resultFrame struct {
 }
 
 // conn wraps one side of a frame stream: buffered gob encoding with a mutex
-// so result frames and cancel acknowledgements (written from different
-// goroutines) never interleave mid-frame. A conn can be instrumented to
+// so result frames (written from the worker's queue goroutines) never
+// interleave mid-frame. A conn can be instrumented to
 // count raw frame bytes and encode/decode wall time; uninstrumented, the
 // telemetry hooks are nil-pointer branches.
 type conn struct {

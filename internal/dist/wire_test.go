@@ -7,6 +7,7 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -84,7 +85,6 @@ func TestSessionFramesRoundTrip(t *testing.T) {
 		{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion, Gen: 7}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 8, Workers: 2, Shard: 1, Metrics: true, Delta: &deltaFrame{Programs: progs}}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 4, Gen: 8, SetupRaw: []byte{1, 2, 3}}},
-		{Kind: frameCancel, Cancel: &cancelFrame{Indexes: []int{4, 9, 2}}},
 		{Kind: frameEnd},
 		{Kind: frameDone, Done: &doneFrame{Seq: 3}},
 		{Kind: frameBye},
@@ -133,14 +133,15 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 		{
 			name:   "version mismatch",
 			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 99, want 4",
+			want:   "protocol: coordinator speaks version 99, want 5",
 		},
 		{
-			// A v3 coordinator numbers every other kind differently and may
-			// send verdict frames; a v4 worker must not serve it.
-			name:   "v3 coordinator",
-			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 3, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 3, want 4",
+			// A v4 coordinator numbers the kinds after result differently and
+			// may send cancel frames; the hello kept its number, so a v5 worker
+			// refuses it by version, not as an unknown first frame.
+			name:   "v4 coordinator",
+			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 4, RunID: "r"}}},
+			want:   "protocol: coordinator speaks version 4, want 5",
 		},
 		{
 			name:     "garbage stream",
@@ -177,31 +178,34 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 }
 
 // TestPoolRefusesV3Worker is the coordinator's side of the version check: a
-// fleet member that answers the hello with protocol 3 is refused with the
-// pointed mismatch error, before anything is shipped to it.
+// fleet member that answers the hello with an older protocol — 3, or 4, whose
+// helloAck kept its kind number so that this is what a v4 symworker gets — is
+// refused with the pointed mismatch error, before anything is shipped to it.
 func TestPoolRefusesV3Worker(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c := newConn(nc, nc)
-			if _, err := c.recv(); err == nil {
-				c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: 3}})
-			}
-			nc.Close()
+	for _, proto := range []int{3, 4} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	_, err = NewPool(Config{Workers: []string{ln.Addr().String()}})
-	const want = "dist: worker 0 speaks protocol version 3, want 4"
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("NewPool against a v3 worker: error = %v, want substring %q", err, want)
+		defer ln.Close()
+		go func() {
+			for {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				c := newConn(nc, nc)
+				if _, err := c.recv(); err == nil {
+					c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: proto}})
+				}
+				nc.Close()
+			}
+		}()
+		_, err = NewPool(Config{Workers: []string{ln.Addr().String()}})
+		want := fmt.Sprintf("dist: worker 0 speaks protocol version %d, want 5", proto)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("NewPool against a v%d worker: error = %v, want substring %q", proto, err, want)
+		}
 	}
 }
 
@@ -297,9 +301,8 @@ func TestWorkerBatchProtocolErrors(t *testing.T) {
 }
 
 // servedSession is a clean session that exercises every frame a coordinator
-// sends: a full setup with both jobs, a reuse batch with one job and a cancel
-// (of a job the worker never held, so nothing is acknowledged), a delta batch
-// re-shipping one port's program, and the bye.
+// sends: a full setup with both jobs, a reuse batch with one job, a delta
+// batch re-shipping one port's program, and the bye.
 func servedSession(t testing.TB) streamCase {
 	net, jobs := testFleetNet()
 	wire, err := buildShard(jobs, 0, len(jobs))
@@ -322,7 +325,6 @@ func servedSession(t testing.TB) streamCase {
 		{Kind: frameEnd},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 2, Gen: 1, Workers: 1}},
 		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire[:1]}},
-		{Kind: frameCancel, Cancel: &cancelFrame{Indexes: []int{7}}},
 		{Kind: frameEnd},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 2, Workers: 1, Delta: &deltaFrame{Programs: progs, Summaries: sums}}},
 		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire[1:]}},

@@ -74,8 +74,8 @@ type workerState struct {
 
 // serveSession runs the worker side of the frame protocol on one stream:
 // answer the handshake, then serve batches — install (or patch, or reuse)
-// the setup, execute jobs from a dynamic queue as the coordinator streams
-// and revokes them, send each result as it finishes — until bye or EOF.
+// the setup, execute jobs from a queue as the coordinator sends them, send
+// each result as it finishes — until bye or EOF.
 // MaybeWorker calls it on stdio, ServeListener per TCP connection. nc (nil
 // on stdio) scopes the handshake read deadline; cache (nil on stdio) parks
 // state across dropped TCP connections, keyed by the coordinator's run ID.
@@ -137,9 +137,9 @@ func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 	}
 }
 
-// runWorkerBatch serves one batch: apply the setup mode, run the dynamic
-// job queue against incoming jobs/cancel frames until the coordinator's end
-// frame, then drain and report done.
+// runWorkerBatch serves one batch: apply the setup mode, run the job queue
+// against incoming jobs frames until the coordinator's end frame, then drain
+// and report done.
 func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 	if bf == nil {
 		return fmt.Errorf("protocol: batch frame without payload")
@@ -219,70 +219,56 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 			rf.Summary = Summarize(jr.Result)
 		}
 		// A send failure means the coordinator (or the connection) is gone;
-		// the frame loop's next read surfaces it — jobs already queued are
-		// revoked there, and the coordinator re-dispatches everything this
+		// the frame loop's next read surfaces it — jobs still queued are
+		// discarded there, and the coordinator re-dispatches everything this
 		// worker never reported.
 		c.send(&frame{Kind: frameResult, Result: rf})
 	})
 
-	// abort tears the queue down on a mid-batch failure: pending jobs are
-	// handed back (nobody will read their results) and running ones — which
-	// cannot be interrupted — are drained.
-	var added []int
-	abort := func() {
-		q.Revoke(added)
-		q.Close()
-		q.Wait()
+	if err := recvJobs(c, q); err != nil {
+		// Nobody will read the results of the jobs still pending; the running
+		// ones cannot be interrupted and are drained.
+		q.Abort()
+		return err
 	}
+	q.Close()
+	df := &doneFrame{Seq: bf.Seq}
+	if reg != nil {
+		// Batch wall time rides the snapshot under a per-worker name, so the
+		// coordinator's merged view keeps each worker's wall clock (gauges
+		// merge by max, and the names are distinct).
+		reg.Gauge(fmt.Sprintf("dist.shard%d.wall_ns", bf.Shard)).Set(time.Since(t0).Nanoseconds())
+		df.Metrics = reg.Snapshot()
+	}
+	if err := c.send(&frame{Kind: frameDone, Done: df}); err != nil {
+		return fmt.Errorf("sending done: %w", err)
+	}
+	return nil
+}
 
+// recvJobs feeds the queue from the batch's jobs frames until the
+// coordinator's end frame.
+func recvJobs(c *conn, q *sched.Queue) error {
 	for {
 		f, err := c.recv()
 		if err != nil {
-			abort()
 			return fmt.Errorf("reading frame: %w", err)
 		}
 		switch f.Kind {
 		case frameJobs:
 			if f.Jobs == nil {
-				abort()
 				return fmt.Errorf("protocol: jobs frame without payload")
 			}
 			for _, wj := range f.Jobs.Jobs {
 				pkt, err := sefl.DecodeInstr(wj.Packet)
 				if err != nil {
-					abort()
 					return fmt.Errorf("job %q: %w", wj.Name, err)
 				}
-				added = append(added, wj.Index)
 				q.Add(wj.Index, sched.Job{Name: wj.Name, Inject: wj.Inject, Packet: pkt, Opts: wj.Opts.options()})
 			}
-		case frameCancel:
-			if f.Cancel == nil {
-				continue
-			}
-			if revoked := q.Revoke(f.Cancel.Indexes); len(revoked) > 0 {
-				// Acknowledge exactly what was handed back: jobs already
-				// started will still report, and the coordinator keeps them
-				// attributed to this worker until then.
-				c.send(&frame{Kind: frameCancel, Cancel: &cancelFrame{Indexes: revoked}})
-			}
 		case frameEnd:
-			q.Close()
-			q.Wait()
-			df := &doneFrame{Seq: bf.Seq}
-			if reg != nil {
-				// Batch wall time rides the snapshot under a per-worker name,
-				// so the coordinator's merged view keeps each worker's wall
-				// clock (gauges merge by max, and the names are distinct).
-				reg.Gauge(fmt.Sprintf("dist.shard%d.wall_ns", bf.Shard)).Set(time.Since(t0).Nanoseconds())
-				df.Metrics = reg.Snapshot()
-			}
-			if err := c.send(&frame{Kind: frameDone, Done: df}); err != nil {
-				return fmt.Errorf("sending done: %w", err)
-			}
 			return nil
 		default:
-			abort()
 			return fmt.Errorf("protocol: unexpected frame %d in batch", f.Kind)
 		}
 	}

@@ -102,28 +102,30 @@ func RunBatchStream(net *core.Network, jobs []Job, workers int, o *obs.Obs, done
 		memo.RegisterMetrics(o.Reg)
 	}
 	NewPool(workers).MapObs(len(jobs), o, func(w, i int) {
-		j := jobs[i]
-		opts := j.Opts
-		opts.Workers = 0
-		if opts.SatMemo == nil {
-			opts.SatMemo = memo
-		}
-		opts.Stats = nil
-		if opts.Obs == nil {
-			opts.Obs = o
-		}
-		fin := o.Span("job", j.Name, w)
-		res, err := runJob(net, j, opts)
-		fin()
-		done(i, JobResult{Name: j.Name, Result: res, Err: err})
+		done(i, runJob(net, jobs[i], memo, o, w))
 	})
 }
 
-// runJob executes one job, converting a panic anywhere under the
-// exploration into that job's error. Without the recover, one poisoned
+// runJob executes one job on scheduler worker w, the same way under
+// RunBatchStream and under a Queue: exploration is sequential (parallelism is
+// across jobs), a job without its own SatMemo shares memo, a caller's Stats
+// collector is not consulted, o becomes the job's Options.Obs unless it
+// brought one, and the run is one "job" span. A panic anywhere under the
+// exploration becomes that job's error: without the recover, one poisoned
 // query would tear down the whole batch (and, distributed, the whole worker
 // process with every sibling job on it).
-func runJob(net *core.Network, j Job, opts core.Options) (res *core.Result, err error) {
+func runJob(net *core.Network, j Job, memo *solver.SatCache, o *obs.Obs, w int) (jr JobResult) {
+	opts := j.Opts
+	opts.Workers = 0
+	if opts.SatMemo == nil {
+		opts.SatMemo = memo
+	}
+	opts.Stats = nil
+	if opts.Obs == nil {
+		opts.Obs = o
+	}
+	jr.Name = j.Name
+	defer o.Span("job", j.Name, w)()
 	defer func() {
 		if p := recover(); p != nil {
 			// The stack goes to stderr (which distributed workers pass
@@ -132,8 +134,9 @@ func runJob(net *core.Network, j Job, opts core.Options) (res *core.Result, err 
 			// must stay deterministic — they are part of the byte-identical
 			// results contract, and stacks differ across processes.
 			fmt.Fprintf(os.Stderr, "sched: job %q panicked: %v\n%s", j.Name, p, debug.Stack())
-			res, err = nil, fmt.Errorf("sched: job %q panicked: %v", j.Name, p)
+			jr.Result, jr.Err = nil, fmt.Errorf("sched: job %q panicked: %v", j.Name, p)
 		}
 	}()
-	return core.Run(net, j.Inject, j.Packet, opts)
+	jr.Result, jr.Err = core.Run(net, j.Inject, j.Packet, opts)
+	return jr
 }

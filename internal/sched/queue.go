@@ -10,19 +10,18 @@ import (
 	"symnet/internal/solver"
 )
 
-// Queue is a dynamic batch runner: jobs stream in through Add while a fixed
-// worker pool drains them, and jobs that have not started yet can be revoked
-// — handed back to the caller, who is then free to run them elsewhere. It is
-// the worker-side engine of the distributed runner's dynamic dispatch: the
-// coordinator tops a worker's queue up one job at a time and, when it steals
-// a slow worker's tail for an idle one, revokes the stolen jobs here.
+// Queue is a streaming batch runner: jobs arrive through Add while a fixed
+// worker pool drains them in arrival order. It is the worker-side engine of
+// the distributed runner — a fleet member adds its shard as the jobs frames
+// arrive (one per batch, plus one per job re-dispatched to it after another
+// member died) and reports each result as it finishes.
 //
-// Execution semantics per job are exactly RunBatchStream's: Opts.Workers is
-// forced to 0 (parallelism is across jobs), a nil Opts.SatMemo shares the
-// queue-wide cache, caller Stats collectors are not consulted, and panics
-// become per-job errors. Scheduling never affects results — each job is
-// deterministic in isolation, so any interleaving of Add/Revoke produces the
-// same JobResult for every job that runs here.
+// Execution semantics per job are exactly RunBatchStream's (see runJob):
+// Opts.Workers is forced to 0 (parallelism is across jobs), a nil
+// Opts.SatMemo shares the queue-wide cache, caller Stats collectors are not
+// consulted, and panics become per-job errors. Scheduling never affects
+// results — each job is deterministic in isolation, so any arrival order
+// produces the same JobResult for every job that runs here.
 type Queue struct {
 	net  *core.Network
 	memo *solver.SatCache
@@ -66,8 +65,9 @@ func NewQueue(net *core.Network, workers int, o *obs.Obs, done func(id int, jr J
 	return q
 }
 
-// Add enqueues one job. Panics after Close (the queue's workers may already
-// have exited; a silently dropped job would deadlock the coordinator).
+// Add enqueues one job. Panics after Close or Abort (the queue's workers may
+// already have exited; a silently dropped job would deadlock the
+// coordinator).
 func (q *Queue) Add(id int, j Job) {
 	q.mu.Lock()
 	if q.closed {
@@ -79,46 +79,26 @@ func (q *Queue) Add(id int, j Job) {
 	q.cond.Signal()
 }
 
-// Revoke removes the identified jobs from the pending queue, returning the
-// ids actually removed. Ids that already started (or finished, or were never
-// added) are not in the returned set — those jobs will still report through
-// done, and the caller must reconcile duplicates itself.
-func (q *Queue) Revoke(ids []int) []int {
-	if len(ids) == 0 {
-		return nil
-	}
-	want := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var revoked []int
-	kept := q.pending[:0]
-	for _, qj := range q.pending {
-		if want[qj.id] {
-			revoked = append(revoked, qj.id)
-			continue
-		}
-		kept = append(kept, qj)
-	}
-	q.pending = kept
-	return revoked
-}
-
-// Close marks the queue complete: workers drain the remaining pending jobs
-// and exit. Add must not be called afterwards; Revoke is still safe.
+// Close ends the queue the normal way: no job may be added afterwards, the
+// workers run everything still pending, and Close returns once every job has
+// been delivered through done.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
 	q.cond.Broadcast()
+	q.wg.Wait()
 }
 
-// Wait blocks until Close has been called and every remaining job has been
-// delivered through done.
-func (q *Queue) Wait() {
-	q.wg.Wait()
+// Abort ends the queue early: jobs that have not started are discarded (done
+// is never invoked for them — nobody is left to read their results), and
+// Abort returns once the jobs already running, which cannot be interrupted,
+// have been delivered.
+func (q *Queue) Abort() {
+	q.mu.Lock()
+	q.pending = nil
+	q.mu.Unlock()
+	q.Close()
 }
 
 func (q *Queue) run(w int) {
@@ -140,21 +120,9 @@ func (q *Queue) run(w int) {
 		q.pending = q.pending[1:]
 		q.mu.Unlock()
 
-		j := qj.job
-		opts := j.Opts
-		opts.Workers = 0
-		if opts.SatMemo == nil {
-			opts.SatMemo = q.memo
-		}
-		opts.Stats = nil
-		if opts.Obs == nil {
-			opts.Obs = q.o
-		}
 		t := taskNs.Start()
-		fin := q.o.Span("job", j.Name, w)
-		res, err := runJob(q.net, j, opts)
-		fin()
+		jr := runJob(q.net, qj.job, q.memo, q.o, w)
 		t.Stop()
-		q.done(qj.id, JobResult{Name: j.Name, Result: res, Err: err})
+		q.done(qj.id, jr)
 	}
 }
