@@ -6,6 +6,8 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/models"
+	"symnet/internal/sefl"
+	"symnet/internal/tables"
 )
 
 // coldAllocsPerRoute is the committed budget of TestColdCompileAllocBudget:
@@ -34,5 +36,52 @@ func TestColdCompileAllocBudget(t *testing.T) {
 	t.Logf("cold model + Compile: %.0f allocations for %d routes, %.2f per route (budget %.2f)", avg, routes, perRoute, coldAllocsPerRoute)
 	if perRoute > coldAllocsPerRoute {
 		t.Fatalf("%.2f allocations per route, budget %.2f", perRoute, coldAllocsPerRoute)
+	}
+}
+
+// defaultPortSlack bounds how many more allocations TestDefaultRouteRunFlat
+// lets a Run make at 4,096 exclusions than at 64. A guard asserted one
+// negated prefix at a time costs at least three per exclusion (over 12,000
+// here); a lowered one costs the same at any size.
+const defaultPortSlack = 64
+
+// TestDefaultRouteRunFlat keeps the hot path flat in the size of a
+// default-route port's exclusion list, without reading a clock: one warm
+// Session.Run through a router whose default port excludes k more-specific
+// prefixes must allocate within a constant of the k = 64 run.
+func TestDefaultRouteRunFlat(t *testing.T) {
+	allocs := func(k int) float64 {
+		fib := tables.FIB{{Prefix: 0, Len: 0, Port: 1}}
+		for i := 0; i < k; i++ {
+			fib = append(fib, tables.Route{Prefix: uint64(10)<<24 | uint64(i)<<8, Len: 24, Port: 0})
+		}
+		net := core.NewNetwork()
+		if err := models.Router(net.AddElement("R", "router", 1, 2), fib, models.Egress); err != nil {
+			t.Fatal(err)
+		}
+		for p, name := range []string{"H0", "H1"} {
+			net.AddElement(name, "sink", 1, 0).SetInCode(0, sefl.NoOp{})
+			net.MustLink("R", p, name, 0)
+		}
+		sess, err := Compile(net, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			res, err := sess.Run(core.PortRef{Elem: "R", Port: 0}, sefl.NewIPPacket())
+			if err != nil || res.Stats.Delivered != 2 {
+				t.Fatalf("k=%d: %v, delivered %d, want 2", k, err, res.Stats.Delivered)
+			}
+		}
+		run() // compile and summarize outside the count
+		return testing.AllocsPerRun(5, run)
+	}
+	base := allocs(64)
+	for _, k := range []int{512, 4096} {
+		n := allocs(k)
+		t.Logf("warm Run, default port excluding %d prefixes: %.0f allocations (%.0f at 64)", k, n, base)
+		if n > base+defaultPortSlack {
+			t.Fatalf("k=%d: %.0f allocations against %.0f at k=64, slack %d", k, n, base, defaultPortSlack)
+		}
 	}
 }

@@ -298,6 +298,15 @@ func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State, env *progEnv)
 			s.fail(err.Error())
 			return []*State{s}
 		}
+		if b, ok := cond.(expr.Bool); ok {
+			if !r.constBranch(s) {
+				return nil
+			}
+			if b {
+				return r.runSeg(p, op.Then, []*State{s}, env)
+			}
+			return r.runSeg(p, op.Else, []*State{s}, env)
+		}
 		thenSt := s.clone()
 		elseSt := s
 		var out []*State
@@ -339,4 +348,23 @@ func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State, env *progEnv)
 	}
 	s.fail(fmt.Sprintf("unknown control op kind %d", op.Kind))
 	return []*State{s}
+}
+
+// constBranch settles a branch whose guard evaluated to a constant (a
+// MetaPresent test, say) on s itself instead of on a clone: it counts and
+// prunes the dead side exactly as asserting the false constant on a clone
+// would, then asserts the true constant — what the live side's Add would be,
+// whichever side it is — on s. Stats, pruned counts and the context
+// fingerprint come out as the cloning path's. It reports whether s survives
+// to run the live side. Both executors (applyControl, applyNode) use it.
+func (r *run) constBranch(s *State) bool {
+	if !s.Ctx.Unsat() {
+		s.Ctx.Stats().Adds++ // the dead side's Add, refuted on its own context
+	}
+	r.pruned++
+	if s.Ctx.Add(expr.Bool(true)) && (s.Ctx.PendingOrs() == 0 || s.Ctx.Sat()) {
+		return true
+	}
+	r.pruned++
+	return false
 }

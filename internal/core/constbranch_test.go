@@ -1,0 +1,108 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"symnet/internal/obs"
+	"symnet/internal/sefl"
+)
+
+// resultBytes renders every observable of a run: path IDs, statuses,
+// messages, histories, traces, memory, the constraint context's chained
+// fingerprint and pending disjunctions, and the run statistics.
+func resultBytes(res *Result) string {
+	var b strings.Builder
+	for _, p := range res.Paths {
+		fmt.Fprintf(&b, "#%d %s %q", p.ID, p.Status, p.FailMsg)
+		for _, h := range p.History() {
+			fmt.Fprintf(&b, " %s", h)
+		}
+		for _, line := range p.Trace {
+			fmt.Fprintf(&b, " T:%s", line)
+		}
+		for _, f := range p.Mem.Fields() {
+			fmt.Fprintf(&b, " @%d/%d=%v:%v", f.Off, f.Size, f.Val, f.Set)
+		}
+		for _, me := range p.Mem.MetaEntries() {
+			fmt.Fprintf(&b, " m[%s]=%v:%v", me.Key, me.Val, me.Set)
+		}
+		fp := p.Ctx.Fingerprint()
+		fmt.Fprintf(&b, " ctx=%x.%x pend=%d\n", fp.Hi, fp.Lo, p.Ctx.PendingOrs())
+	}
+	fmt.Fprintf(&b, "stats %+v\n", res.Stats)
+	return b.String()
+}
+
+// TestConstantBranchMatchesClone pins the no-clone settlement of a branch on
+// a constant guard: a MetaPresent If, with the key present and with it
+// absent (and once more under a pending disjunction, so the live side's Sat
+// runs), gives byte-identical results, Stats and Pruned under the summary
+// executor, the IR executor and the AST interpreter, which still clones and
+// refutes the dead side.
+func TestConstantBranchMatchesClone(t *testing.T) {
+	flag := sefl.Meta{Name: "flag"}
+	dst := sefl.Ref{LV: sefl.IPDst}
+	code := sefl.If{
+		C: sefl.MetaPresent{M: flag},
+		Then: sefl.Seq(
+			sefl.Assign{LV: sefl.TcpDst, E: sefl.C(22)},
+			sefl.If{C: sefl.Lt(dst, sefl.C(10)), Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}},
+		),
+		Else: sefl.If{
+			C:    sefl.MetaPresent{M: sefl.Meta{Name: "other"}},
+			Then: sefl.Fail{Msg: "unreachable"},
+			Else: sefl.Forward{Port: 1},
+		},
+	}
+	present := sefl.Seq(sefl.Allocate{LV: flag, Size: 8}, sefl.Assign{LV: flag, E: sefl.CW(1, 8)})
+	pendingOr := sefl.Constrain{C: sefl.OrC(
+		sefl.Eq(dst, sefl.IP("10.0.0.1")),
+		sefl.Eq(sefl.Ref{LV: sefl.TcpSrc}, sefl.C(80)),
+	)}
+	cases := []struct {
+		name   string
+		inject sefl.Instr
+	}{
+		{"present", sefl.Seq(sefl.NewTCPPacket(), present)},
+		{"absent", sefl.NewTCPPacket()},
+		{"present, pending Or", sefl.Seq(sefl.NewTCPPacket(), present, pendingOr)},
+		{"absent, pending Or", sefl.Seq(sefl.NewTCPPacket(), pendingOr)},
+	}
+	for _, tc := range cases {
+		net := NewNetwork()
+		net.AddElement("dut", "dut", 1, 2).SetInCode(0, code)
+		sink(net, "s0")
+		sink(net, "s1")
+		net.MustLink("dut", 0, "s0", 0)
+		net.MustLink("dut", 1, "s1", 0)
+		inj := PortRef{Elem: "dut", Port: 0}
+
+		run := func(opts Options) *Result {
+			opts.Trace = true
+			res, err := Run(net, inj, tc.inject, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return res
+		}
+		ast := run(Options{ASTInterp: true})
+		ir := run(Options{IRExec: true})
+		reg := obs.NewRegistry()
+		sum := run(Options{Obs: obs.New(reg, nil)})
+		if hits := reg.Snapshot().Counters["summary.elem_hits.dut"]; hits < 1 {
+			t.Fatalf("%s: dut not executed via its summary", tc.name)
+		}
+		want := resultBytes(ast)
+		if got := resultBytes(ir); got != want {
+			t.Errorf("%s: IR executor differs from the cloning reference:\n%s\nwant\n%s", tc.name, got, want)
+		}
+		if got := resultBytes(sum); got != want {
+			t.Errorf("%s: summary executor differs from the cloning reference:\n%s\nwant\n%s", tc.name, got, want)
+		}
+		if ast.Stats.Pruned < 1 || ast.Stats.Delivered < 1 {
+			t.Errorf("%s: stats %+v, want a pruned constant side and a delivery", tc.name, ast.Stats)
+		}
+	}
+}

@@ -59,6 +59,17 @@ func (r *run) applyNode(sum *prog.Summary, ni int32, s *State, env *progEnv) []*
 				s.fail(err.Error())
 				return []*State{s}
 			}
+			if b, ok := cond.(expr.Bool); ok {
+				if !r.constBranch(s) {
+					return nil
+				}
+				if b {
+					ni = n.Then
+				} else {
+					ni = n.Else
+				}
+				continue
+			}
 			thenSt := s.clone()
 			elseSt := s
 			var out []*State

@@ -42,6 +42,21 @@ type GuardExcl struct {
 	Len int
 }
 
+// TableSized reports whether a guard with these rows is worth a table: the
+// one gate the compiler (lowering to a span table), the SEFL wire (packing
+// the Or) and churn (patching a lowered guard in place) all apply, so they
+// agree on which guards are tables. It counts atoms — rows plus exclusions —
+// not rows: a lone default route excluding hundreds of more-specifics is as
+// table-wide as hundreds of routes, while below four atoms the tree form is
+// just as small and as cheap to assert.
+func TableSized(rows []GuardRow) bool {
+	atoms := len(rows)
+	for i := range rows {
+		atoms += len(rows[i].Excl)
+	}
+	return atoms >= 4
+}
+
 // stream word tags.
 const (
 	packEq uint64 = iota

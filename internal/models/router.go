@@ -106,7 +106,10 @@ func groupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
 }
 
 // routeDisjunction builds OR over "prefix & !exclusion1 & !exclusion2 ..."
-// for a port's routes. The conjunctions are slices of one array.
+// for a port's routes. The conjunctions are slices of one array. Only a lone
+// route without exclusions is returned bare: a port carrying just the
+// default route still excludes every more-specific prefix, and as a
+// one-row Or it lowers to a span table like any other port guard.
 func routeDisjunction(dst sefl.Expr, rs []tables.CompiledRoute) sefl.Cond {
 	terms := 0
 	for i := range rs {
@@ -128,7 +131,7 @@ func routeDisjunction(dst sefl.Expr, rs []tables.CompiledRoute) sefl.Cond {
 		}
 		cs[i] = match
 	}
-	if len(cs) == 1 {
+	if len(rs) == 1 && len(rs[0].Exclusions) == 0 {
 		return cs[0]
 	}
 	return sefl.OrC(cs...)

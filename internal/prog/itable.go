@@ -39,11 +39,6 @@ import (
 	"symnet/internal/sefl"
 )
 
-// itMinEntries gates lowering: a 2-entry Or gains nothing measurable, but
-// lowering it costs compile time and a table per node. The real targets are
-// table-wide guards with hundreds to hundreds of thousands of entries.
-const itMinEntries = 4
-
 // PackedWire toggles the packed (row-stream) wire encoding of lowered
 // guards; disabled, their disjuncts ship as ordinary condition-table nodes.
 // It exists for measurement and debugging (cmd/symbench's interval-table
@@ -120,11 +115,9 @@ func itParseRow(c sefl.Cond) (ITRow, LV, LV, bool) {
 // detectIntervalTable parses every disjunct of a SEFL Or, before any of
 // them is compiled, and checks shape uniformity: all rows over one shared
 // field, or all pair rows over one shared ordered field pair. It returns
-// nil when the Or is not a table.
+// nil when the Or is not a table, or too small to be worth one
+// (expr.TableSized: a single route with exclusions can be).
 func detectIntervalTable(cs []sefl.Cond) *ITable {
-	if len(cs) < itMinEntries {
-		return nil
-	}
 	it := &ITable{Rows: make([]ITRow, 0, len(cs))}
 	for i, c := range cs {
 		row, f, f2, ok := itParseRow(c)
@@ -142,6 +135,9 @@ func detectIntervalTable(cs []sefl.Cond) *ITable {
 			return nil
 		}
 		it.Rows = append(it.Rows, row)
+	}
+	if !expr.TableSized(it.Rows) {
+		return nil
 	}
 	return it
 }

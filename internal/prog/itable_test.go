@@ -85,9 +85,25 @@ func TestLoweringDetection(t *testing.T) {
 		t.Fatalf("vlan guard not lowered/grouped: kind=%d", c.Kind)
 	}
 
-	// Below the entry threshold: stays an Or.
-	if c := guardCond(t, macGuard(itMinEntries-1)); c.Kind != COr {
+	// Below the atom threshold (expr.TableSized): stays an Or.
+	if c := guardCond(t, macGuard(3)); c.Kind != COr {
 		t.Fatalf("tiny guard lowered: kind=%d", c.Kind)
+	}
+	// The gate counts atoms, not disjuncts: one route with three exclusions
+	// is a table, one with two is not.
+	dst := sefl.Ref{LV: itIP}
+	oneRoute := func(k int) sefl.Cond {
+		conj := []sefl.Cond{sefl.Prefix{E: dst, Value: 0, Len: 0, Width: 32}}
+		for i := 0; i < k; i++ {
+			conj = append(conj, sefl.NotC(sefl.Prefix{E: dst, Value: uint64(10+i) << 24, Len: 8, Width: 32}))
+		}
+		return sefl.OrC(sefl.AndC(conj...))
+	}
+	if c := guardCond(t, oneRoute(3)); c.Kind != CIntervalTable || len(c.IT.Rows) != 1 {
+		t.Fatalf("one route, three exclusions not lowered: kind=%d", c.Kind)
+	}
+	if c := guardCond(t, oneRoute(2)); c.Kind != COr {
+		t.Fatalf("one route, two exclusions lowered: kind=%d", c.Kind)
 	}
 	// Mixed fields in a single-field shape: stays an Or.
 	mixed := sefl.OrC(

@@ -13,9 +13,6 @@ import (
 	"symnet/internal/expr"
 )
 
-// packMinEntries gates packing; below it the tree form is just as small.
-const packMinEntries = 4
-
 // PackedWire toggles the packed encoding of table-shaped Or conditions.
 // It exists for measurement and debugging (cmd/symbench's interval-table
 // experiment reports the wire-size delta by encoding both ways); leave it
@@ -187,16 +184,18 @@ func (p *orPacker) add(c Cond) bool {
 	return true
 }
 
-// packOr returns the packed wire node for a table-shaped Or, or nil.
+// packOr returns the packed wire node for a table-shaped Or, or nil — also
+// when the Or is too small for a table (expr.TableSized, the compiler's gate),
+// where the tree form is just as small.
 func packOr(cs []Cond) *WireCond {
-	if len(cs) < packMinEntries {
-		return nil
-	}
 	p := &orPacker{}
 	for _, c := range cs {
 		if !p.add(c) {
 			return nil
 		}
+	}
+	if !expr.TableSized(p.rows) {
+		return nil
 	}
 	w := &WireCond{Kind: wCOrPacked, W: p.eqW, W2: p.w2, PW: p.pw, Rows: expr.PackGuardRows(p.rows)}
 	fw, err := EncodeExpr(Ref{LV: p.f})

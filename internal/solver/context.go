@@ -287,9 +287,17 @@ func (c *Context) domainOf(root expr.SymID, width int) *IntervalSet {
 }
 
 // constrainRoot intersects the root's domain with set; flags unsat on empty.
+// A tracked domain the intersection leaves unchanged (Intersect returns it
+// as is) is not written back, so a redundant assertion copies no map spine.
 func (c *Context) constrainRoot(root expr.SymID, width int, set *IntervalSet) {
-	d := c.domainOf(root, width).Intersect(set)
-	c.domains = c.domains.Set(root, d)
+	old, tracked := c.domains.Get(root)
+	if !tracked {
+		old = Full(width)
+	}
+	d := old.Intersect(set)
+	if !tracked || d != old {
+		c.domains = c.domains.Set(root, d)
+	}
 	if d.IsEmpty() {
 		c.unsat = true
 	}

@@ -205,34 +205,38 @@ func (s *IntervalSet) Union(o *IntervalSet) *IntervalSet {
 	return normalize(s.Width, merged)
 }
 
-// Intersect returns s ∩ o.
+// Intersect returns s ∩ o. Sets are immutable, so the result shares what it
+// can: intersecting the full universe returns the other operand (the first
+// table-guard assertion on a fresh symbol is O(1) instead of an O(entries)
+// copy), and a result equal to s is s itself — the output is copied out only
+// from the first interval where it departs from s, so an assertion that
+// changes nothing allocates nothing.
 func (s *IntervalSet) Intersect(o *IntervalSet) *IntervalSet {
-	if s.IsEmpty() || o.IsEmpty() {
+	switch {
+	case s.IsEmpty() || o.IsFull():
+		return s
+	case o.IsEmpty():
 		return Empty(s.Width)
-	}
-	// Sets are immutable, so intersecting with the full universe can return
-	// the other operand unchanged; this makes the first table-guard
-	// assertion on a fresh symbol O(1) instead of an O(entries) copy.
-	if s.IsFull() {
+	case s.IsFull():
 		return o
 	}
-	if o.IsFull() {
-		return s
-	}
-	var out []Interval
+	var out []Interval // nil while the result is s.ivs[:n]
+	n := 0
 	i, j := 0, 0
 	for i < len(s.ivs) && j < len(o.ivs) {
 		a, b := s.ivs[i], o.ivs[j]
-		lo := a.Lo
-		if b.Lo > lo {
-			lo = b.Lo
-		}
-		hi := a.Hi
-		if b.Hi < hi {
-			hi = b.Hi
-		}
+		lo := max(a.Lo, b.Lo)
+		hi := min(a.Hi, b.Hi)
 		if lo <= hi {
-			out = append(out, Interval{Lo: lo, Hi: hi})
+			iv := Interval{Lo: lo, Hi: hi}
+			switch {
+			case out != nil:
+				out = append(out, iv)
+			case iv != s.ivs[n]:
+				out = append(make([]Interval, 0, n+1), s.ivs[:n]...)
+				out = append(out, iv)
+			}
+			n++
 		}
 		if a.Hi < b.Hi {
 			i++
@@ -240,7 +244,13 @@ func (s *IntervalSet) Intersect(o *IntervalSet) *IntervalSet {
 			j++
 		}
 	}
-	return &IntervalSet{Width: s.Width, ivs: out}
+	switch {
+	case out != nil:
+		return &IntervalSet{Width: s.Width, ivs: out}
+	case n == len(s.ivs):
+		return s
+	}
+	return &IntervalSet{Width: s.Width, ivs: s.ivs[:n:n]}
 }
 
 // Complement returns the universe minus s.

@@ -185,6 +185,75 @@ func TestIntervalSetQuickSetSemantics(t *testing.T) {
 	}
 }
 
+// fromBits builds the canonical set of a 6-bit universe's membership mask.
+func fromBits(m uint64) *IntervalSet {
+	var ivs []Interval
+	for v := uint64(0); v < 64; v++ {
+		if m>>v&1 == 0 {
+			continue
+		}
+		if n := len(ivs); n > 0 && ivs[n-1].Hi == v-1 {
+			ivs[n-1].Hi = v
+		} else {
+			ivs = append(ivs, Interval{Lo: v, Hi: v})
+		}
+	}
+	return &IntervalSet{Width: 6, ivs: ivs}
+}
+
+// bitsOf reads a 6-bit set back into its membership mask.
+func bitsOf(s *IntervalSet) uint64 {
+	var m uint64
+	for v := uint64(0); v < 64; v++ {
+		if s.Contains(v) {
+			m |= 1 << v
+		}
+	}
+	return m
+}
+
+// TestIntersectBruteForce checks Intersect against a brute-force set over
+// 6-bit universes, with the second operand a subset, superset, disjoint
+// set, equal set or unrelated set of the first: the result is the canonical
+// set of the bitwise and, and whenever it equals the receiver it is the
+// receiver — the pointer constrainRoot relies on to skip its write-back.
+func TestIntersectBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 5000; trial++ {
+		a := rng.Uint64()
+		if trial%7 == 0 {
+			a &= rng.Uint64() & rng.Uint64() // sparse
+		}
+		if trial%11 == 0 {
+			a = ^uint64(0)
+		}
+		var b uint64
+		switch shape := trial % 5; shape {
+		case 0: // subset of a
+			b = a & rng.Uint64()
+		case 1: // superset of a
+			b = a | rng.Uint64()
+		case 2: // disjoint from a
+			b = ^a & rng.Uint64()
+		case 3: // equal to a, a distinct pointer
+			b = a
+		default:
+			b = rng.Uint64()
+		}
+		sa, sb := fromBits(a), fromBits(b)
+		got := sa.Intersect(sb)
+		if want := fromBits(a & b); !got.Equal(want) || bitsOf(got) != a&b || got.Width != 6 {
+			t.Fatalf("trial %d: %v ∩ %v = %v, want %v", trial, sa, sb, got, want)
+		}
+		if a&b == a && got != sa {
+			t.Fatalf("trial %d: %v ∩ %v equals the receiver but is a new set", trial, sa, sb)
+		}
+		if bitsOf(sa) != a || bitsOf(sb) != b {
+			t.Fatalf("trial %d: Intersect mutated an operand", trial)
+		}
+	}
+}
+
 func TestPrefixMask(t *testing.T) {
 	if got := expr.PrefixMask(24, 32); got != 0xffffff00 {
 		t.Fatalf("PrefixMask(24,32) = %#x", got)
