@@ -85,3 +85,37 @@ func TestDefaultRouteRunFlat(t *testing.T) {
 		}
 	}
 }
+
+// deptAllocsPerHop is the committed budget of TestDepartmentRunAllocsPerHop.
+// A warm department Run allocated 60.2 per hop while the ASA's For pipelines
+// ran on the IR, a field write cost two allocations and every visit built
+// successor slices; 42.7 once none of that was left.
+const deptAllocsPerHop = 48
+
+// TestDepartmentRunAllocsPerHop keeps the hot path lean without reading a
+// clock: one warm Session.Run of the office packet from asw0.in[1] must stay
+// under a fixed number of allocations per port visit. A visit that goes back
+// to allocating scaffolding — an IR fallback, a per-visit evaluator, a
+// successor slice per hop, a history node per write — shows here.
+func TestDepartmentRunAllocsPerHop(t *testing.T) {
+	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 3, HostsPerSwitch: 8, Routes: 12, Seed: 5})
+	sess, err := Compile(d.Net, Options{MaxHops: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packet := d.OfficePacket(false)
+	hops := 0
+	run := func() {
+		res, err := sess.Run(PortRef{Elem: "asw0", Port: 1}, packet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops = res.Stats.Hops
+	}
+	run() // compile the injection-time For bodies outside the count
+	perHop := testing.AllocsPerRun(5, run) / float64(hops)
+	t.Logf("warm department Run: %.1f allocations per hop over %d hops (budget %d)", perHop, hops, deptAllocsPerHop)
+	if perHop > deptAllocsPerHop {
+		t.Fatalf("%.1f allocations per hop, budget %d", perHop, deptAllocsPerHop)
+	}
+}

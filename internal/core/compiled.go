@@ -27,9 +27,9 @@ import (
 // ops mutate states in place, so the hot path allocates nothing — the AST
 // walker allocated a successor slice per instruction per state.
 
-// progEnv adapts one path state to the evaluator's Env interface. A single
-// instance per program run is re-pointed at the current state, so
-// evaluation costs no allocation.
+// progEnv adapts one path state to the evaluator's Env interface. Each run
+// owns one (run.env), re-pointed at the current state before every
+// evaluation, so evaluation costs no allocation.
 type progEnv struct {
 	st *State
 	r  *run
@@ -42,68 +42,68 @@ func (e *progEnv) MetaExists(key memory.MetaKey) bool            { return e.st.M
 func (e *progEnv) Fresh(width int, name string) expr.Lin         { return e.r.alloc.Fresh(width, name) }
 func (e *progEnv) OrTreeGuards() bool                            { return e.r.opts.OrTreeGuards }
 
-// execPort runs the code attached to a port on one state: the port's
-// summary when its program has one, the compiled-IR dispatch loop when it is
-// unsummarizable (or always, under the reference field Options.IRExec), the
-// AST interpreter behind Options.ASTInterp. ok is false when the port has no
-// code (neither specific nor wildcard).
-func (r *run) execPort(st *State, elem *Element, port int, out bool) ([]*State, bool) {
+// execPort runs the code attached to a port on one state, appending the
+// successor states to out: the port's summary when its program has one, the
+// compiled-IR dispatch loop when it is unsummarizable (or always, under the
+// reference field Options.IRExec), the AST interpreter behind
+// Options.ASTInterp. ok is false when the port has no code (neither
+// specific nor wildcard).
+func (r *run) execPort(out []*State, st *State, elem *Element, port int, outSide bool) ([]*State, bool) {
 	if r.opts.ASTInterp {
 		var code sefl.Instr
 		var ok bool
-		if out {
+		if outSide {
 			code, ok = elem.outCodeFor(port)
 		} else {
 			code, ok = elem.inCodeFor(port)
 		}
 		if !ok {
-			return nil, false
+			return out, false
 		}
-		return r.exec(st, elem, code), true
+		return append(out, r.exec(st, elem, code)...), true
 	}
-	c, ok, hit := elem.codeFor(port, out)
+	c, ok, hit := elem.codeFor(port, outSide)
 	if !ok {
-		return nil, false
+		return out, false
 	}
 	if hit {
-		r.progHits.Inc()
+		r.inst.progHits.Inc()
 	} else {
-		r.progMisses.Inc()
+		r.inst.progMisses.Inc()
 	}
 	if !r.opts.IRExec {
 		sum, built := c.summary()
 		if built {
 			if sum.OK() {
-				r.sumBuilt.Inc()
+				r.inst.sumBuilt.Inc()
 			} else {
-				r.sumUnsum.Inc()
+				r.inst.sumUnsum.Inc()
 			}
 		}
 		if sum.OK() {
-			r.sumHits.Inc()
-			r.elemHits.inc(elem.Name)
-			t := r.sumApplyNs.Start()
-			states := r.applySummary(st, sum)
+			r.inst.sumHits.Inc()
+			r.inst.elemHits.inc(elem.Name)
+			t := r.inst.sumApplyNs.Start()
+			out = r.applyNode(out, sum, sum.Root(), st)
 			t.Stop()
-			return states, true
+			return out, true
 		}
-		r.sumFallbacks.Inc()
+		r.inst.sumFallbacks.Inc()
 	}
-	t := r.progExecNs.Start()
-	states := r.runProgram(st, c.prog)
+	t := r.inst.progExecNs.Start()
+	out = append(out, r.runProgram(st, c.prog)...)
 	t.Stop()
-	return states, true
+	return out, true
 }
 
 // runProgram executes a compiled program on one state, returning successor
 // states in the same canonical order as the AST interpreter.
 func (r *run) runProgram(st *State, p *prog.Program) []*State {
-	env := &progEnv{r: r}
-	return r.runSeg(p, p.Entry, []*State{st}, env)
+	return r.runSeg(p, p.Entry, []*State{st})
 }
 
 // runSeg applies a segment's ops instruction-major over the live states.
-func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State, env *progEnv) []*State {
+func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State) []*State {
 	seg := p.Seg(id)
 	for i := seg.Lo; i < seg.Hi; i++ {
 		op := &p.Ops[i]
@@ -115,7 +115,7 @@ func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State, env *progE
 					out = append(out, s)
 					continue
 				}
-				out = append(out, r.applyControl(p, op, s, env)...)
+				out = append(out, r.applyControl(p, op, s)...)
 			}
 			states = out
 		default:
@@ -123,7 +123,7 @@ func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State, env *progE
 				if s.Status == Failed || s.forwarding() {
 					continue
 				}
-				r.applyLinear(p, op, s, env)
+				r.applyLinear(p, op, s)
 			}
 		}
 	}
@@ -135,14 +135,14 @@ func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State, env *progE
 // failure render, Forward/Fork's port-slice allocation) are handled inline;
 // everything else shares applyLinearRest with the summary executor
 // (summary_exec.go), so linear-op semantics live in exactly one place.
-func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State, env *progEnv) {
+func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State) {
 	if s.traceOn {
 		s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
 	}
-	env.st = s
+	r.env.st = s
 	switch op.Kind {
 	case prog.OpConstrain:
-		cond, err := prog.EvalCond(env, op.C)
+		cond, err := prog.EvalCond(&r.env, op.C)
 		if err != nil {
 			s.fail(err.Error())
 			return
@@ -164,13 +164,14 @@ func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State, env *progEnv) 
 		s.outPorts = append([]int(nil), op.Ports...)
 
 	default:
-		r.applyLinearRest(op, s, env)
+		r.applyLinearRest(op, s)
 	}
 }
 
 // applyLinearRest executes the linear op kinds whose semantics the IR and
-// summary executors share verbatim.
-func (r *run) applyLinearRest(op *prog.Op, s *State, env *progEnv) {
+// summary executors share verbatim, on the state r.env points at.
+func (r *run) applyLinearRest(op *prog.Op, s *State) {
+	env := &r.env
 	switch op.Kind {
 	case prog.OpNoOp:
 
@@ -211,7 +212,7 @@ func (r *run) applyLinearRest(op *prog.Op, s *State, env *progEnv) {
 		}
 
 	case prog.OpAssign:
-		r.applyAssign(op, s, env)
+		r.applyAssign(op, s)
 
 	case prog.OpCreateTag:
 		val, err := prog.EvalExpr(env, op.E, 64)
@@ -244,7 +245,8 @@ func (r *run) applyLinearRest(op *prog.Op, s *State, env *progEnv) {
 
 // applyAssign mirrors the AST interpreter's Assign: resolve the l-value,
 // evaluate under the width hint, adapt constant widths, store.
-func (r *run) applyAssign(op *prog.Op, s *State, env *progEnv) {
+func (r *run) applyAssign(op *prog.Op, s *State) {
+	env := &r.env
 	if op.LV.Err != "" {
 		s.fail(op.LV.Err)
 		return
@@ -286,14 +288,14 @@ func (r *run) applyAssign(op *prog.Op, s *State, env *progEnv) {
 
 // applyControl executes one forking op for one state, running nested
 // segments to completion (the AST recursion's order).
-func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State, env *progEnv) []*State {
+func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State) []*State {
 	if s.traceOn && op.Ins != nil {
 		s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
 	}
 	switch op.Kind {
 	case prog.OpIf:
-		env.st = s
-		cond, err := prog.EvalCond(env, op.C)
+		r.env.st = s
+		cond, err := prog.EvalCond(&r.env, op.C)
 		if err != nil {
 			s.fail(err.Error())
 			return []*State{s}
@@ -303,51 +305,67 @@ func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State, env *progEnv)
 				return nil
 			}
 			if b {
-				return r.runSeg(p, op.Then, []*State{s}, env)
+				return r.runSeg(p, op.Then, []*State{s})
 			}
-			return r.runSeg(p, op.Else, []*State{s}, env)
+			return r.runSeg(p, op.Else, []*State{s})
 		}
 		thenSt := s.clone()
 		elseSt := s
 		var out []*State
 		if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
-			out = append(out, r.runSeg(p, op.Then, []*State{thenSt}, env)...)
+			out = append(out, r.runSeg(p, op.Then, []*State{thenSt})...)
 		} else {
 			r.pruned++
 		}
 		if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-			out = append(out, r.runSeg(p, op.Else, []*State{elseSt}, env)...)
+			out = append(out, r.runSeg(p, op.Else, []*State{elseSt})...)
 		} else {
 			r.pruned++
 		}
 		return out
 
 	case prog.OpFor:
-		if op.For.Re == nil {
-			s.fail(op.For.Err)
-			return []*State{s}
-		}
-		keys := s.Mem.MetaKeysMatching(op.For.Re, p.Instance)
-		states := []*State{s}
-		for _, k := range keys {
-			bp := p.ForBody(op.For, k)
-			var out []*State
-			for _, s2 := range states {
-				if s2.Status == Failed || s2.forwarding() {
-					out = append(out, s2)
-					continue
-				}
-				out = append(out, r.runSeg(bp, bp.Entry, []*State{s2}, env)...)
-			}
-			states = out
-		}
-		return states
+		return r.runFor(p, op, s)
 
 	case prog.OpSub:
-		return r.runSeg(p, op.Sub, []*State{s}, env)
+		return r.runSeg(p, op.Sub, []*State{s})
 	}
 	s.fail(fmt.Sprintf("unknown control op kind %d", op.Kind))
 	return []*State{s}
+}
+
+// runFor runs a For loop on one state: the metadata keys matching the
+// pattern are snapshot, then each key's compiled body runs on every live
+// state, key-major, each state's body to completion before the next state's
+// (the AST recursion's order). Both executors use it: the IR's applyControl
+// and the summary's TermFor node.
+func (r *run) runFor(p *prog.Program, op *prog.Op, s *State) []*State {
+	if op.For.Re == nil {
+		s.fail(op.For.Err)
+		return []*State{s}
+	}
+	keys := s.Mem.MetaKeysMatching(op.For.Re, p.Instance)
+	states := []*State{s}
+	for _, k := range keys {
+		bp := p.ForBody(op.For, k)
+		if len(states) == 1 {
+			// One state: the body over the list is the body on the state
+			// (runSeg passes a finished state through, as the loop below
+			// does), and a body that does not fork hands the list back.
+			states = r.runSeg(bp, bp.Entry, states)
+			continue
+		}
+		var out []*State
+		for _, s2 := range states {
+			if s2.Status == Failed || s2.forwarding() {
+				out = append(out, s2)
+				continue
+			}
+			out = append(out, r.runSeg(bp, bp.Entry, []*State{s2})...)
+		}
+		states = out
+	}
+	return states
 }
 
 // constBranch settles a branch whose guard evaluated to a constant (a

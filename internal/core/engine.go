@@ -62,8 +62,10 @@ type Options struct {
 	// IRExec dispatches the compiled IR on every visit instead of applying
 	// the per-(element,port) summaries (prog.Summarize) the engine builds
 	// from it. Without it the IR loop runs only the programs that cannot be
-	// summarized (data-dependent For loops, fresh symbols minted after
-	// branch points).
+	// summarized: an If or For with more than one fresh-symbol mint site in
+	// its continuation, or an If with one whose Else arm mints too. For
+	// loops themselves summarize, so none of the department's element-ports
+	// falls back.
 	IRExec bool
 	// OrTreeGuards evaluates interval-table-lowered guards as their
 	// original Or-tree disjuncts instead of the packed span tables. Only the
@@ -90,32 +92,22 @@ func (o Options) withDefaults() Options {
 }
 
 // run carries the state one worker needs while stepping a single task: the
-// immutable run configuration plus task-private collectors. It never touches
+// immutable run configuration and instruments (shared by pointer with every
+// task of the exploration) plus task-private collectors. It never touches
 // shared mutable state, which is what makes tasks schedulable on any
 // goroutine (see explore.go).
 type run struct {
 	net      *Network
-	opts     Options
+	opts     *Options
 	alloc    *expr.Alloc
 	stats    *solver.Stats
 	memo     *solver.SatCache
+	inst     *instruments
 	finished []*State
 	pruned   int
-	// Pre-resolved telemetry instruments (nil when observability is off, so
-	// the hot path pays one branch and no map lookups; see internal/obs).
-	progHits   *obs.Counter
-	progMisses *obs.Counter
-	satNs      *obs.Histogram
-	// Summary-layer instruments (see execPort): build outcomes, per-visit
-	// path taken, and the apply-vs-exec timing pair the summaries experiment
-	// compares. elemHits is shared across tasks (counters are atomic).
-	sumBuilt     *obs.Counter
-	sumUnsum     *obs.Counter
-	sumHits      *obs.Counter
-	sumFallbacks *obs.Counter
-	sumApplyNs   *obs.Histogram
-	progExecNs   *obs.Histogram
-	elemHits     *elemHits
+	// env is the evaluator adapter of every program this run executes,
+	// re-pointed at the current state before each evaluation.
+	env progEnv
 }
 
 // Run injects a packet built by init at the given input port and explores
@@ -175,7 +167,10 @@ func (r *run) step(st *State) ([]*State, error) {
 		}
 	}
 
-	states, ok := r.execPort(st, elem, st.Here.Port, false)
+	// The visit's successors live only until they depart: a buffer on the
+	// stack holds them (a visit rarely forks more than a few ways).
+	var buf [4]*State
+	states, ok := r.execPort(buf[:0], st, elem, st.Here.Port, false)
 	if !ok {
 		// No code: the packet stops here.
 		st.Status = Delivered
@@ -194,21 +189,17 @@ func (r *run) step(st *State) ([]*State, error) {
 			r.finish(s)
 			continue
 		}
-		outs, err := r.depart(s, elem)
-		if err != nil {
-			return nil, err
-		}
-		next = append(next, outs...)
+		next = r.depart(next, s, elem)
 	}
 	return next, nil
 }
 
 // depart runs output-port code for each pending output port and follows
-// links. A state leaving through k ports becomes k independent paths.
-func (r *run) depart(st *State, elem *Element) ([]*State, error) {
+// links, appending the states that cross one to next. A state leaving
+// through k ports becomes k independent paths.
+func (r *run) depart(next []*State, st *State, elem *Element) []*State {
 	ports := st.outPorts
 	st.outPorts = nil
-	var next []*State
 	for i, p := range ports {
 		s := st
 		if i < len(ports)-1 {
@@ -221,50 +212,48 @@ func (r *run) depart(st *State, elem *Element) ([]*State, error) {
 		outRef := PortRef{Elem: elem.Name, Port: p, Out: true}
 		s.Here = outRef
 		s.pushHistory(outRef)
-		if states, ok := r.execPort(s, elem, p, true); ok {
-			for _, os := range states {
-				if os.Status == Failed {
-					r.finish(os)
-					continue
-				}
-				if os.forwarding() {
-					r.finish(failWith(os, "output-port code must not forward"))
-					continue
-				}
-				ns, err := r.follow(os, outRef)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, ns...)
+		n := len(next)
+		out, ok := r.execPort(next, s, elem, p, true)
+		if !ok {
+			next = r.follow(next, s, outRef)
+			continue
+		}
+		// Settle the appended states in place: each one is kept (at an
+		// index no later than its own) only if it crosses the link.
+		next = out[:n]
+		for _, os := range out[n:] {
+			switch {
+			case os.Status == Failed:
+				r.finish(os)
+			case os.forwarding():
+				r.finish(failWith(os, "output-port code must not forward"))
+			default:
+				next = r.follow(next, os, outRef)
 			}
-		} else {
-			ns, err := r.follow(s, outRef)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, ns...)
 		}
 	}
-	return next, nil
+	return next
 }
 
-// follow moves a state across the link leaving outRef, or finishes it when
-// the port is unconnected ("a path finishes ... when it reaches a port with
-// no outgoing links").
-func (r *run) follow(st *State, outRef PortRef) ([]*State, error) {
+// follow moves a state across the link leaving outRef and appends it to
+// next, or finishes it when the port is unconnected ("a path finishes ...
+// when it reaches a port with no outgoing links").
+func (r *run) follow(next []*State, st *State, outRef PortRef) []*State {
 	in, ok := r.net.Follow(outRef)
 	if !ok {
 		st.Status = Delivered
 		r.finish(st)
-		return nil, nil
+		return next
 	}
 	st.Here = in
-	return []*State{st}, nil
+	return append(next, st)
 }
 
 // finish records a completed state; Exploration.Merge turns it into a Path
-// with a deterministic ID.
+// with a deterministic ID. The path's memory is sealed: it is read-only from
+// here on, so concurrent clones of it write nothing (see memory.Mem.Seal).
 func (r *run) finish(st *State) {
+	st.Mem.Seal()
 	r.finished = append(r.finished, st)
 }
 

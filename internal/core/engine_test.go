@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"symnet/internal/sefl"
@@ -474,5 +475,51 @@ func TestDeliveredAtUnconnectedOutputPort(t *testing.T) {
 	last := res.Paths[0].Last()
 	if !last.Out || last.Elem != "A" {
 		t.Fatalf("path must end at A's output port, got %v", last)
+	}
+}
+
+// TestFinishedPathsCloneConcurrently pins the clone-concurrency rule of the
+// memory edit tokens: finish seals a path's memory, so any number of
+// goroutines may clone a finished path's Mem, and write to their clones, at
+// once. Under -race, an unsealed Mem shows as Clone's token write racing.
+func TestFinishedPathsCloneConcurrently(t *testing.T) {
+	net := NewNetwork()
+	net.AddElement("A", "a", 1, 2).SetInCode(0, sefl.Seq(
+		sefl.Assign{LV: sefl.TcpDst, E: sefl.C(80)},
+		sefl.If{
+			C:    sefl.Eq(sefl.Ref{LV: sefl.IPDst}, sefl.IP("10.0.0.1")),
+			Then: sefl.Forward{Port: 0},
+			Else: sefl.Forward{Port: 1},
+		},
+	))
+	for _, name := range []string{"B0", "B1"} {
+		// A write after the last fork: the path's Mem holds a token until
+		// the path finishes.
+		sink(net, name).SetInCode(0, sefl.Assign{LV: sefl.TcpSrc, E: sefl.C(1)})
+	}
+	net.MustLink("A", 0, "B0", 0)
+	net.MustLink("A", 1, "B1", 0)
+	res, err := Run(net, PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Delivered != 2 {
+		t.Fatalf("want 2 delivered paths, got %+v", res.Stats)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range res.Paths {
+				p.Mem.Clone().CreateTag("scratch", 1)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range res.Paths {
+		if _, ok := p.Mem.Tag("scratch"); ok {
+			t.Fatalf("path %d: a clone's write reached the finished path's memory", p.ID)
+		}
 	}
 }

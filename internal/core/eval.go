@@ -183,6 +183,9 @@ func (r *run) evalCond(st *State, elem *Element, c sefl.Cond) (expr.Cond, error)
 		if err != nil {
 			return nil, err
 		}
+		if err := expr.CheckMatch(l, v.Mask); err != nil {
+			return nil, err
+		}
 		return expr.NewMatch(l, v.Mask, v.Val), nil
 	case sefl.MetaPresent:
 		loc, err := r.resolveLV(st, elem, v.M)

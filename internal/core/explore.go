@@ -87,23 +87,29 @@ type Exploration struct {
 	stats   RunStats
 	names   *expr.Alloc
 	err     error
-	// Telemetry instruments, resolved once per exploration (all nil when
-	// Options.Obs carries no registry — the disabled fast path).
+	inst    instruments
+}
+
+// instruments are an exploration's telemetry instruments, resolved once
+// and shared by pointer with every task's run. All are nil when Options.Obs
+// carries no registry — the disabled fast path: the hot path pays one branch
+// and no map lookups (see internal/obs).
+type instruments struct {
 	progHits   *obs.Counter   // core.progcache.hits: compiled-program cache hits
 	progMisses *obs.Counter   // core.progcache.misses: port programs compiled
 	queueDepth *obs.Gauge     // core.queue.depth.max: pending-task high-water
 	satNs      *obs.Histogram // solver.sat.check_ns: per-Sat-check wall time
-	// Summary-layer instruments (nil without a registry; prog.exec_ns times
-	// every IR-path visit — the fallback elements by default, all of them
-	// under Options.IRExec, which is how the summaries experiment populates
-	// it for the apply-vs-exec comparison; see execPort).
+	// Summary-layer instruments (see execPort): build outcomes, per-visit
+	// path taken, and the apply-vs-exec timing pair the summaries experiment
+	// compares (prog.exec_ns times every IR-path visit — the fallback
+	// elements by default, all of them under Options.IRExec).
 	sumBuilt     *obs.Counter   // summary.built: programs summarized
 	sumUnsum     *obs.Counter   // summary.unsummarizable: fallback verdicts
 	sumHits      *obs.Counter   // summary.hits: visits applied via summary
 	sumFallbacks *obs.Counter   // summary.fallbacks: visits on the IR path
 	sumApplyNs   *obs.Histogram // summary.apply_ns: per-visit summary apply
 	progExecNs   *obs.Histogram // prog.exec_ns: per-visit IR execution
-	elemHits     *elemHits      // summary.elem_hits.<elem>: per-element applies
+	elemHits     *elemHits      // summary.elem_hits.<elem>: per-element applies (atomic counters)
 }
 
 // NewExploration validates the injection point and prepares the first wave
@@ -130,17 +136,19 @@ func NewExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 	}
 	if opts.Obs != nil && opts.Obs.Reg != nil {
 		reg := opts.Obs.Reg
-		e.progHits = reg.Counter("core.progcache.hits")
-		e.progMisses = reg.Counter("core.progcache.misses")
-		e.queueDepth = reg.Gauge("core.queue.depth.max")
-		e.satNs = reg.Histogram("solver.sat.check_ns")
-		e.sumBuilt = reg.Counter("summary.built")
-		e.sumUnsum = reg.Counter("summary.unsummarizable")
-		e.sumHits = reg.Counter("summary.hits")
-		e.sumFallbacks = reg.Counter("summary.fallbacks")
-		e.sumApplyNs = reg.Histogram("summary.apply_ns")
-		e.progExecNs = reg.Histogram("prog.exec_ns")
-		e.elemHits = &elemHits{reg: reg}
+		e.inst = instruments{
+			progHits:     reg.Counter("core.progcache.hits"),
+			progMisses:   reg.Counter("core.progcache.misses"),
+			queueDepth:   reg.Gauge("core.queue.depth.max"),
+			satNs:        reg.Histogram("solver.sat.check_ns"),
+			sumBuilt:     reg.Counter("summary.built"),
+			sumUnsum:     reg.Counter("summary.unsummarizable"),
+			sumHits:      reg.Counter("summary.hits"),
+			sumFallbacks: reg.Counter("summary.fallbacks"),
+			sumApplyNs:   reg.Histogram("summary.apply_ns"),
+			progExecNs:   reg.Histogram("prog.exec_ns"),
+			elemHits:     &elemHits{reg: reg},
+		}
 	}
 	if !opts.ASTInterp && init != nil {
 		// Injection code runs once per exploration but compiles in
@@ -180,23 +188,14 @@ func (e *Exploration) Frontier() []*Task {
 func (e *Exploration) RunTask(t *Task) TaskResult {
 	stats := &solver.Stats{}
 	r := &run{
-		net:        e.net,
-		opts:       e.opts,
-		alloc:      expr.NewAllocBand(t.seq),
-		stats:      stats,
-		memo:       e.satMemo,
-		progHits:   e.progHits,
-		progMisses: e.progMisses,
-		satNs:      e.satNs,
-
-		sumBuilt:     e.sumBuilt,
-		sumUnsum:     e.sumUnsum,
-		sumHits:      e.sumHits,
-		sumFallbacks: e.sumFallbacks,
-		sumApplyNs:   e.sumApplyNs,
-		progExecNs:   e.progExecNs,
-		elemHits:     e.elemHits,
+		net:   e.net,
+		opts:  &e.opts,
+		alloc: expr.NewAllocBand(t.seq),
+		stats: stats,
+		memo:  e.satMemo,
+		inst:  &e.inst,
 	}
+	r.env.r = r
 	var res TaskResult
 	if t.init != nil {
 		res.next = r.runInjection(t.st, e.inject, t.init, e.injProg)
@@ -220,7 +219,7 @@ func (r *run) runInjection(st *State, elem *Element, init sefl.Instr, injProg *p
 	st.Ctx.SetCache(r.memo)
 	// Clones inherit the histogram, so every path of the run reports its Sat
 	// latencies (no-op when telemetry is off).
-	st.Ctx.SetSatHistogram(r.satNs)
+	st.Ctx.SetSatHistogram(r.inst.satNs)
 	var states []*State
 	if injProg != nil {
 		states = r.runProgram(st, injProg)
@@ -279,7 +278,7 @@ func (e *Exploration) Merge(results []TaskResult) error {
 			return e.err
 		}
 	}
-	e.queueDepth.SetMax(int64(len(e.queue)))
+	e.inst.queueDepth.SetMax(int64(len(e.queue)))
 	return nil
 }
 

@@ -12,7 +12,8 @@ import (
 // segment-by-segment per visit, it walks the element's pre-built decision
 // DAG (prog.Summarize) — each root-to-leaf path is one guarded update row,
 // and the walk applies exactly the row the state's constraints select,
-// forking at branch nodes just like the IR's OpIf. Observable behavior is
+// forking at branch nodes just like the IR's OpIf and running a For node's
+// loop through the IR's own loop (runFor). Observable behavior is
 // byte-identical to the IR path by construction: steps run through the same
 // evaluators and solver calls in the same per-path order and reuse
 // applyLinearRest for their semantics; the wins are the per-visit costs the
@@ -20,48 +21,48 @@ import (
 // trace lines and constraint-failure messages (the IR re-renders the
 // failing guard's full table per visit), and no segment bookkeeping.
 
-// applySummary executes a summary on one state, returning successor states
-// in the IR executor's canonical order.
-func (r *run) applySummary(st *State, sum *prog.Summary) []*State {
-	env := &progEnv{r: r}
-	return r.applyNode(sum, sum.Root(), st, env)
-}
-
-// applyNode walks the DAG from one node. A state that fails or sets its
+// applyNode walks the DAG from one node, appending the successor states to
+// out in the IR executor's canonical order. A state that fails or sets its
 // output ports mid-row is done — the IR skips every remaining op for such
-// states, so the walk returns it as-is (position in the output order is
+// states, so the walk appends it as-is (position in the output order is
 // preserved by the recursion, matching runSeg's pass-through).
-func (r *run) applyNode(sum *prog.Summary, ni int32, s *State, env *progEnv) []*State {
+func (r *run) applyNode(out []*State, sum *prog.Summary, ni int32, s *State) []*State {
 	for {
 		n := &sum.Nodes[ni]
 		for i := n.Lo; i < n.Hi; i++ {
 			if s.Status == Failed || s.forwarding() {
-				return []*State{s}
+				return append(out, s)
 			}
-			r.applySumStep(sum, i, s, env)
+			r.applySumStep(sum, i, s)
+		}
+		if n.Term == prog.TermEnd || s.Status == Failed || s.forwarding() {
+			return append(out, s)
 		}
 		switch n.Term {
-		case prog.TermEnd:
-			return []*State{s}
 		case prog.TermJump:
 			ni = n.Next
-		case prog.TermBranch:
-			if s.Status == Failed || s.forwarding() {
-				return []*State{s}
+		case prog.TermFor:
+			if s.traceOn {
+				s.pushTrace(sum.TraceLine(n.Hi))
 			}
+			for _, fs := range r.runFor(sum.Prog, &sum.Prog.Ops[n.Hi], s) {
+				out = r.applyNode(out, sum, n.Next, fs)
+			}
+			return out
+		case prog.TermBranch:
 			op := &sum.Prog.Ops[n.Hi]
 			if s.traceOn && op.Ins != nil {
 				s.pushTrace(sum.TraceLine(n.Hi))
 			}
-			env.st = s
-			cond, err := prog.EvalCond(env, op.C)
+			r.env.st = s
+			cond, err := prog.EvalCond(&r.env, op.C)
 			if err != nil {
 				s.fail(err.Error())
-				return []*State{s}
+				return append(out, s)
 			}
 			if b, ok := cond.(expr.Bool); ok {
 				if !r.constBranch(s) {
-					return nil
+					return out
 				}
 				if b {
 					ni = n.Then
@@ -72,14 +73,13 @@ func (r *run) applyNode(sum *prog.Summary, ni int32, s *State, env *progEnv) []*
 			}
 			thenSt := s.clone()
 			elseSt := s
-			var out []*State
 			if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
-				out = append(out, r.applyNode(sum, n.Then, thenSt, env)...)
+				out = r.applyNode(out, sum, n.Then, thenSt)
 			} else {
 				r.pruned++
 			}
 			if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-				out = append(out, r.applyNode(sum, n.Else, elseSt, env)...)
+				out = r.applyNode(out, sum, n.Else, elseSt)
 			} else {
 				r.pruned++
 			}
@@ -91,15 +91,15 @@ func (r *run) applyNode(sum *prog.Summary, ni int32, s *State, env *progEnv) []*
 // applySumStep executes the linear op at index i, mutating the state in
 // place. It mirrors applyLinear exactly, with the per-visit allocations
 // replaced by what the program and the summary hold once for all visits.
-func (r *run) applySumStep(sum *prog.Summary, i int32, s *State, env *progEnv) {
+func (r *run) applySumStep(sum *prog.Summary, i int32, s *State) {
 	op := &sum.Prog.Ops[i]
 	if s.traceOn {
 		s.pushTrace(sum.TraceLine(i))
 	}
-	env.st = s
+	r.env.st = s
 	switch op.Kind {
 	case prog.OpConstrain:
-		cond, err := prog.EvalCond(env, op.C)
+		cond, err := prog.EvalCond(&r.env, op.C)
 		if err != nil {
 			s.fail(err.Error())
 			return
@@ -118,7 +118,7 @@ func (r *run) applySumStep(sum *prog.Summary, i int32, s *State, env *progEnv) {
 		s.outPorts = op.Ports
 
 	default:
-		r.applyLinearRest(op, s, env)
+		r.applyLinearRest(op, s)
 	}
 }
 

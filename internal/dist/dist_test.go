@@ -30,12 +30,6 @@ func init() {
 			panic("dist test: poisoned model at " + k.Name)
 		}
 	})
-	// The summaries tests gate injection behind a runtime-no-op For loop
-	// (unsummarizable by construction, so every batch exercises the IR
-	// fallback); the body must be registered to cross the wire.
-	sefl.RegisterForBody("dist.test.sumgate", func(string) func(sefl.Meta) sefl.Instr {
-		return func(sefl.Meta) sefl.Instr { return sefl.NoOp{} }
-	})
 }
 
 // canonical renders batch results to comparable bytes, whichever runner
@@ -442,7 +436,7 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 // every program it ships — the full setup, and the delta after a Refresh —
 // and workers install them. No job asks for anything (zero Options), yet the
 // absorbed worker telemetry shows summary applications (hits) and IR
-// fallbacks (the For-gated element) on full, reuse and delta batches alike,
+// fallbacks (the gate element) on full, reuse and delta batches alike,
 // and zero worker-side builds on any of them.
 func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	if testing.Short() {
@@ -450,9 +444,17 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	}
 	net, inject := datasets.SatHeavy(8)
 	g := net.AddElement("sumgate", "gate", 1, 1)
+	// Two fresh-symbol mints downstream of a branch point (one that never
+	// forks): unsummarizable by construction, so every batch exercises the
+	// IR fallback.
 	gate := func(port int) sefl.Instr {
+		m := sefl.Meta{Name: "sumgate", Local: true}
 		return sefl.Seq(
-			sefl.NewFor("^__none__", "dist.test.sumgate", ""),
+			sefl.If{C: sefl.MetaPresent{M: m}, Then: sefl.NoOp{}, Else: sefl.NoOp{}},
+			sefl.Allocate{LV: m, Size: 8},
+			sefl.Assign{LV: m, E: sefl.Symbolic{W: 8, Name: "gate-a"}},
+			sefl.Assign{LV: m, E: sefl.Symbolic{W: 8, Name: "gate-b"}},
+			sefl.Deallocate{LV: m, Size: 8},
 			sefl.Forward{Port: port},
 		)
 	}
@@ -487,7 +489,7 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 			t.Errorf("%s batch: no summary applications absorbed from workers; counters: %v", mode, snap.Counters)
 		}
 		if grew("summary.fallbacks") == 0 {
-			t.Errorf("%s batch: no IR fallbacks absorbed despite the For-gated element; counters: %v", mode, snap.Counters)
+			t.Errorf("%s batch: no IR fallbacks absorbed despite the gate element; counters: %v", mode, snap.Counters)
 		}
 		if built := grew("summary.built") + grew("summary.unsummarizable"); built != 0 {
 			t.Errorf("%s batch: workers re-summarized %d programs; the shipped verdicts should cover all", mode, built)

@@ -67,8 +67,9 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary (stdio workers are always the same binary). Any change to the
-// frame set or the kind numbering bumps it.
-const protoVersion = 5
+// frame set, the kind numbering or what a frame may carry bumps it (v6:
+// summary slabs carry For nodes, which a v5 worker would refuse mid-batch).
+const protoVersion = 6
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.

@@ -133,15 +133,23 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 		{
 			name:   "version mismatch",
 			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 99, want 5",
+			want:   "protocol: coordinator speaks version 99, want 6",
 		},
 		{
 			// A v4 coordinator numbers the kinds after result differently and
-			// may send cancel frames; the hello kept its number, so a v5 worker
+			// may send cancel frames; the hello kept its number, so a worker
 			// refuses it by version, not as an unknown first frame.
 			name:   "v4 coordinator",
 			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 4, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 4, want 5",
+			want:   "protocol: coordinator speaks version 4, want 6",
+		},
+		{
+			// A v5 coordinator frames exactly as v6 does, but the two ends
+			// disagree on what a summary slab may carry: refused up front,
+			// not mid-batch.
+			name:   "v5 coordinator",
+			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 5, RunID: "r"}}},
+			want:   "protocol: coordinator speaks version 5, want 6",
 		},
 		{
 			name:     "garbage stream",
@@ -178,11 +186,13 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 }
 
 // TestPoolRefusesV3Worker is the coordinator's side of the version check: a
-// fleet member that answers the hello with an older protocol — 3, or 4, whose
-// helloAck kept its kind number so that this is what a v4 symworker gets — is
-// refused with the pointed mismatch error, before anything is shipped to it.
+// fleet member that answers the hello with an older protocol — 3, 4 or 5,
+// whose helloAck kept its kind number so that this is what an older
+// symworker gets — is refused with the pointed mismatch error, before
+// anything is shipped to it (a v5 member would die mid-batch on the first
+// summary slab carrying a For node).
 func TestPoolRefusesV3Worker(t *testing.T) {
-	for _, proto := range []int{3, 4} {
+	for _, proto := range []int{3, 4, 5} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +212,7 @@ func TestPoolRefusesV3Worker(t *testing.T) {
 			}
 		}()
 		_, err = NewPool(Config{Workers: []string{ln.Addr().String()}})
-		want := fmt.Sprintf("dist: worker 0 speaks protocol version %d, want 5", proto)
+		want := fmt.Sprintf("dist: worker 0 speaks protocol version %d, want 6", proto)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("NewPool against a v%d worker: error = %v, want substring %q", proto, err, want)
 		}

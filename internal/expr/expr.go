@@ -11,6 +11,7 @@ package expr
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -320,6 +321,28 @@ func NewMatch(l Lin, mask, val uint64) Cond {
 		return NewCmp(Eq, l, Const(val, l.Width))
 	}
 	return Match{L: l, Mask: mask, Val: val}
+}
+
+// MaxMatchFreeBits bounds how sparse the mask of a symbolic masked match may
+// be: the solver expands x & mask == val into one interval per combination
+// of the free bits above the mask's lowest free run (solver.FromMask), 2^n
+// intervals for n such bits.
+const MaxMatchFreeBits = 20
+
+// CheckMatch refuses a masked match on a symbolic value whose mask leaves
+// more than MaxMatchFreeBits free bits above its lowest free run. Every
+// evaluator calls it before NewMatch, so such a match fails the path with
+// the same message in every engine instead of reaching the solver.
+func CheckMatch(l Lin, mask uint64) error {
+	if l.IsConst() {
+		return nil
+	}
+	free := Mask(l.Width) &^ mask
+	lowRun := free &^ (free + 1) // the free run starting at bit 0, if any
+	if n := bits.OnesCount64(free &^ lowRun); n > MaxMatchFreeBits {
+		return fmt.Errorf("masked match too sparse: mask %#x leaves %d free high bits of a %d-bit value (limit %d)", mask, n, l.Width, MaxMatchFreeBits)
+	}
+	return nil
 }
 
 // NewAnd flattens nested Ands and folds constants.

@@ -55,30 +55,32 @@ func accessErr(op, format string, args ...any) *AccessError {
 	return &AccessError{Op: op, Detail: fmt.Sprintf(format, args...)}
 }
 
-// layer is one allocation of a field. Layers are immutable; assignment
-// replaces the top layer with a copy carrying the new value and extended
-// history.
+// layer is one allocation of a field, and its own history node. Layers are
+// immutable; assignment replaces the top layer with a new one carrying the
+// new value and pointing at the layer it replaced, so a write is one
+// allocation and the chain of set layers down to the allocation is the
+// field's assignment history.
 type layer struct {
-	size int      // width in bits
-	val  expr.Lin // current value (valid when set)
-	set  bool
-	hist *histNode // most recent assignment first
-	prev *layer    // masked layer beneath this allocation
+	size  int      // width in bits
+	val   expr.Lin // current value (valid when set)
+	set   bool
+	older *layer // the layer this assignment replaced (history), nil for an allocation
+	prev  *layer // masked layer beneath this allocation
 }
 
-type histNode struct {
-	val  expr.Lin
-	prev *histNode
+// assign returns the layer holding v on top of l's allocation.
+func (l *layer) assign(v expr.Lin) *layer {
+	return &layer{size: l.size, val: v, set: true, older: l, prev: l.prev}
 }
 
-// values returns the assignment history, oldest first.
-func (h *histNode) values() []expr.Lin {
+// history returns the assignment history of l's allocation, oldest first.
+func (l *layer) history() []expr.Lin {
 	var n int
-	for p := h; p != nil; p = p.prev {
+	for p := l; p != nil && p.set; p = p.older {
 		n++
 	}
 	out := make([]expr.Lin, n)
-	for p := h; p != nil; p = p.prev {
+	for p := l; p != nil && p.set; p = p.older {
 		n--
 		out[n] = p.val
 	}
@@ -90,11 +92,16 @@ func (h *histNode) values() []expr.Lin {
 // All three stores are persistent structure-sharing maps, so Clone is a
 // constant-size header copy regardless of how many fields, metadata entries
 // and tags have accumulated — the true copy-on-write packet replication the
-// paper describes.
+// paper describes. Between forks a Mem edits its own structure in place
+// (persist.Map.SetOwned under the Mem's edit token), so a run of writes
+// copies each touched slice or trie spine once, not once per write.
 type Mem struct {
 	hdr  persist.Map[int64, *layer]
 	meta persist.Map[MetaKey, *layer]
 	tags persist.Map[string, *tagNode]
+	// edit is the token the stores' in-place edits are stamped with; 0
+	// until the first write after New, Clone or Seal.
+	edit uint64
 }
 
 func hashOff(o int64) uint64 { return persist.Mix64(uint64(o)) }
@@ -120,10 +127,33 @@ func New() *Mem {
 
 // Clone returns an independent copy in O(1): the persistent stores are
 // shared wholesale and diverge by path copying on the first mutation of
-// either side.
+// either side. Both sides give up the edit token, so neither edits the
+// shared structure in place. Clone writes to the receiver only when it holds
+// a token, so concurrent Clones of a sealed Mem are race-free.
 func (m *Mem) Clone() *Mem {
+	if m.edit != 0 {
+		m.edit = 0
+	}
 	n := *m
 	return &n
+}
+
+// Seal makes m read-only in place: its next write, if any, copies what it
+// touches. The engine seals a path's memory when the path finishes, so the
+// finished path's Mem may be cloned from any number of goroutines.
+func (m *Mem) Seal() {
+	if m.edit != 0 {
+		m.edit = 0
+	}
+}
+
+// owner returns m's edit token, minting one on the first write since New,
+// Clone or Seal.
+func (m *Mem) owner() uint64 {
+	if m.edit == 0 {
+		m.edit = persist.NewOwner()
+	}
+	return m.edit
 }
 
 // --- Header fields ---
@@ -139,13 +169,13 @@ func (m *Mem) AllocateHdr(off int64, size int) error {
 		if l.size != size {
 			return accessErr("allocate", "field at offset %d re-allocated with size %d, existing size %d", off, size, l.size)
 		}
-		m.hdr = m.hdr.Set(off, &layer{size: size, prev: l})
+		m.hdr = m.hdr.SetOwned(off, &layer{size: size, prev: l}, m.owner())
 		return nil
 	}
 	if err := m.checkOverlap(off, size); err != nil {
 		return err
 	}
-	m.hdr = m.hdr.Set(off, &layer{size: size})
+	m.hdr = m.hdr.SetOwned(off, &layer{size: size}, m.owner())
 	return nil
 }
 
@@ -181,7 +211,7 @@ func (m *Mem) DeallocateHdr(off int64, size int) error {
 	if l.prev == nil {
 		m.hdr = m.hdr.Delete(off)
 	} else {
-		m.hdr = m.hdr.Set(off, l.prev)
+		m.hdr = m.hdr.SetOwned(off, l.prev, m.owner())
 	}
 	return nil
 }
@@ -229,7 +259,7 @@ func (m *Mem) AssignHdr(off int64, size int, v expr.Lin) error {
 	if err != nil {
 		return err
 	}
-	m.hdr = m.hdr.Set(off, &layer{size: l.size, val: v, set: true, hist: &histNode{val: v, prev: l.hist}, prev: l.prev})
+	m.hdr = m.hdr.SetOwned(off, l.assign(v), m.owner())
 	return nil
 }
 
@@ -246,7 +276,7 @@ func (m *Mem) HdrHistory(off int64, size int) ([]expr.Lin, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.hist.values(), nil
+	return l.history(), nil
 }
 
 // HdrStackDepth returns how many allocations are stacked at off (0 if none).
@@ -284,7 +314,7 @@ func (m *Mem) Fields() []HdrField {
 // temporarily override (e.g. an inner L3 masked by an outer L3).
 func (m *Mem) CreateTag(name string, val int64) {
 	prev, _ := m.tags.Get(name)
-	m.tags = m.tags.Set(name, &tagNode{val: val, prev: prev})
+	m.tags = m.tags.SetOwned(name, &tagNode{val: val, prev: prev}, m.owner())
 }
 
 // DestroyTag pops the top value of a tag.
@@ -296,7 +326,7 @@ func (m *Mem) DestroyTag(name string) error {
 	if t.prev == nil {
 		m.tags = m.tags.Delete(name)
 	} else {
-		m.tags = m.tags.Set(name, t.prev)
+		m.tags = m.tags.SetOwned(name, t.prev, m.owner())
 	}
 	return nil
 }
@@ -328,7 +358,7 @@ func (m *Mem) AllocateMeta(key MetaKey, width int) error {
 		return accessErr("allocate", "invalid metadata width %d for %s", width, key)
 	}
 	prev, _ := m.meta.Get(key)
-	m.meta = m.meta.Set(key, &layer{size: width, prev: prev})
+	m.meta = m.meta.SetOwned(key, &layer{size: width, prev: prev}, m.owner())
 	return nil
 }
 
@@ -345,7 +375,7 @@ func (m *Mem) DeallocateMeta(key MetaKey, width int) error {
 	if l.prev == nil {
 		m.meta = m.meta.Delete(key)
 	} else {
-		m.meta = m.meta.Set(key, l.prev)
+		m.meta = m.meta.SetOwned(key, l.prev, m.owner())
 	}
 	return nil
 }
@@ -368,7 +398,7 @@ func (m *Mem) AssignMeta(key MetaKey, v expr.Lin) error {
 	if !ok {
 		return accessErr("assign", "no metadata %s", key)
 	}
-	m.meta = m.meta.Set(key, &layer{size: l.size, val: v, set: true, hist: &histNode{val: v, prev: l.hist}, prev: l.prev})
+	m.meta = m.meta.SetOwned(key, l.assign(v), m.owner())
 	return nil
 }
 
@@ -439,5 +469,5 @@ func (m *Mem) MetaHistory(key MetaKey) ([]expr.Lin, error) {
 	if !ok {
 		return nil, accessErr("history", "no metadata %s", key)
 	}
-	return l.hist.values(), nil
+	return l.history(), nil
 }

@@ -12,7 +12,10 @@
 // contract (byte-identical results at any worker count) relies on.
 package persist
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 const (
 	bitsPerLevel = 5
@@ -48,8 +51,11 @@ type entry[K comparable, V any] struct {
 // node is one trie node: a bitmap of occupied slots and the dense slice of
 // entries for the set bits, ordered by slot index. A node with coll != nil
 // is a collision bucket holding keys whose full 64-bit hashes are equal.
+// edit is the token of the writer that built the node (0: none); SetOwned
+// updates it in place for that writer only.
 type node[K comparable, V any] struct {
 	bitmap  uint32
+	edit    uint64
 	entries []entry[K, V]
 	coll    []kv[K, V]
 }
@@ -57,7 +63,8 @@ type node[K comparable, V any] struct {
 // Map is an immutable hash map. The zero value is NOT usable; construct with
 // NewMap. Map values are freely copyable headers: Set and Delete return new
 // Maps sharing structure with the receiver, which remains valid and
-// unchanged.
+// unchanged. SetOwned is the one exception, for a single writer that holds
+// an edit token (see NewOwner).
 //
 // Maps holding at most smallMax entries use an inline hash-sorted slice
 // (linear scan, no trie walk); larger maps are HAMTs. Iteration order is
@@ -68,9 +75,17 @@ type node[K comparable, V any] struct {
 type Map[K comparable, V any] struct {
 	root  *node[K, V]
 	small []entry[K, V] // inline form: hash-sorted, child fields unused
+	edit  uint64        // token of the writer that built small (0: none)
 	size  int
 	hash  func(K) uint64
 }
+
+// owners mints edit tokens; 0 is never handed out, so it owns nothing.
+var owners atomic.Uint64
+
+// NewOwner mints a fresh edit token for SetOwned. Minting allocates
+// nothing, and no two calls in a process return the same token.
+func NewOwner() uint64 { return owners.Add(1) }
 
 // NewMap returns an empty map using the given deterministic hash function.
 func NewMap[K comparable, V any](hash func(K) uint64) Map[K, V] {
@@ -122,13 +137,27 @@ func (m Map[K, V]) Get(k K) (V, bool) {
 }
 
 // Set returns a map with k bound to v; the receiver is unchanged.
-func (m Map[K, V]) Set(k K, v V) Map[K, V] {
+func (m Map[K, V]) Set(k K, v V) Map[K, V] { return m.set(k, v, 0) }
+
+// SetOwned is Set for a writer holding the edit token owner (from NewOwner):
+// structure stamped with owner — built by an earlier SetOwned with the same
+// token — is updated in place, and everything else is copied and stamped.
+// So consecutive writes by one owner path-copy once, not once per write.
+// The receiver, and every copy of it, may change: the caller must be the
+// only writer holding the token, and must drop the token (write with a fresh
+// one) before another copy of the map may be read or written independently,
+// as a snapshot or a fork. Structure stamped with a token nobody holds is
+// immutable again.
+func (m Map[K, V]) SetOwned(k K, v V, owner uint64) Map[K, V] { return m.set(k, v, owner) }
+
+// set is Set (owner 0) and SetOwned.
+func (m Map[K, V]) set(k K, v V, owner uint64) Map[K, V] {
 	h := m.hash(k)
 	if m.root == nil {
-		return m.setSmall(h, kv[K, V]{key: k, val: v})
+		return m.setSmall(h, kv[K, V]{key: k, val: v}, owner)
 	}
 	added := false
-	root := setNode(m.root, 0, h, kv[K, V]{key: k, val: v}, &added)
+	root := setNode(m.root, 0, h, kv[K, V]{key: k, val: v}, &added, owner)
 	size := m.size
 	if added {
 		size++
@@ -136,15 +165,24 @@ func (m Map[K, V]) Set(k K, v V) Map[K, V] {
 	return Map[K, V]{root: root, size: size, hash: m.hash}
 }
 
-// setSmall is Set on the inline form: replace in place (copied), insert in
-// hash order, or promote to a trie when the bound is exceeded.
-func (m Map[K, V]) setSmall(h uint64, p kv[K, V]) Map[K, V] {
+// owns reports whether structure stamped edit may be updated in place by the
+// writer holding owner.
+func owns(edit, owner uint64) bool { return owner != 0 && edit == owner }
+
+// setSmall is set on the inline form: replace (in place when owned, else
+// in a copy), insert in hash order, or promote to a trie when the bound is
+// exceeded.
+func (m Map[K, V]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V] {
 	for i := range m.small {
 		if m.small[i].hash == h && m.small[i].kv.key == p.key {
+			if owns(m.edit, owner) {
+				m.small[i].kv = p
+				return m
+			}
 			out := make([]entry[K, V], len(m.small))
 			copy(out, m.small)
 			out[i].kv = p
-			return Map[K, V]{small: out, size: m.size, hash: m.hash}
+			return Map[K, V]{small: out, edit: owner, size: m.size, hash: m.hash}
 		}
 	}
 	if m.size < smallMax {
@@ -161,7 +199,7 @@ func (m Map[K, V]) setSmall(h uint64, p kv[K, V]) Map[K, V] {
 		copy(out, m.small[:pos])
 		out[pos] = entry[K, V]{hash: h, kv: p}
 		copy(out[pos+1:], m.small[pos:])
-		return Map[K, V]{small: out, size: m.size + 1, hash: m.hash}
+		return Map[K, V]{small: out, edit: owner, size: m.size + 1, hash: m.hash}
 	}
 	// Promote: build the canonical trie from the inline entries plus the
 	// new pair in one pass (grouping by hash chunk), so crossing the
@@ -173,20 +211,20 @@ func (m Map[K, V]) setSmall(h uint64, p kv[K, V]) Map[K, V] {
 	all := make([]entry[K, V], len(m.small)+1)
 	copy(all, m.small)
 	all[len(m.small)] = entry[K, V]{hash: h, kv: p}
-	return Map[K, V]{root: buildNode(all, 0), size: m.size + 1, hash: m.hash}
+	return Map[K, V]{root: buildNode(all, 0, owner), size: m.size + 1, hash: m.hash}
 }
 
 // buildNode builds the canonical trie node for a set of entries in one
-// pass. Entries are regrouped by the hash chunk at shift; groups of one
-// become leaves, larger groups recurse. The result is identical to
-// inserting the entries one by one.
-func buildNode[K comparable, V any](entries []entry[K, V], shift uint) *node[K, V] {
+// pass, stamped edit. Entries are regrouped by the hash chunk at shift;
+// groups of one become leaves, larger groups recurse. The result is
+// identical to inserting the entries one by one.
+func buildNode[K comparable, V any](entries []entry[K, V], shift uint, edit uint64) *node[K, V] {
 	if shift > maxShift {
 		coll := make([]kv[K, V], len(entries))
 		for i := range entries {
 			coll[i] = entries[i].kv
 		}
-		return &node[K, V]{coll: coll}
+		return &node[K, V]{coll: coll, edit: edit}
 	}
 	// Stable insertion sort by slot index: n is tiny (promotion passes
 	// smallMax+1 entries) and equal full hashes must keep their order.
@@ -209,30 +247,39 @@ func buildNode[K comparable, V any](entries []entry[K, V], shift uint) *node[K, 
 		} else {
 			group := make([]entry[K, V], j-i)
 			copy(group, entries[i:j])
-			out = append(out, entry[K, V]{child: buildNode(group, shift+bitsPerLevel)})
+			out = append(out, entry[K, V]{child: buildNode(group, shift+bitsPerLevel, edit)})
 		}
 		i = j
 	}
-	return &node[K, V]{bitmap: bitmap, entries: out}
+	return &node[K, V]{bitmap: bitmap, entries: out, edit: edit}
 }
 
-func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V], added *bool) *node[K, V] {
+// setNode binds p below n, returning the node to store in n's place: n
+// itself, updated in place, when owner owns it; otherwise a copy stamped
+// owner.
+func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V], added *bool, owner uint64) *node[K, V] {
 	if n == nil {
 		*added = true
 		bit := uint32(1) << (uint32(h>>shift) & levelMask)
-		return &node[K, V]{bitmap: bit, entries: []entry[K, V]{{hash: h, kv: p}}}
+		return &node[K, V]{bitmap: bit, entries: []entry[K, V]{{hash: h, kv: p}}, edit: owner}
 	}
 	if n.coll != nil {
-		out := make([]kv[K, V], len(n.coll), len(n.coll)+1)
-		copy(out, n.coll)
-		for i := range out {
-			if out[i].key == p.key {
+		for i := range n.coll {
+			if n.coll[i].key == p.key {
+				if owns(n.edit, owner) {
+					n.coll[i].val = p.val
+					return n
+				}
+				out := make([]kv[K, V], len(n.coll))
+				copy(out, n.coll)
 				out[i].val = p.val
-				return &node[K, V]{coll: out}
+				return &node[K, V]{coll: out, edit: owner}
 			}
 		}
 		*added = true
-		return &node[K, V]{coll: append(out, p)}
+		out := make([]kv[K, V], len(n.coll), len(n.coll)+1)
+		copy(out, n.coll)
+		return &node[K, V]{coll: append(out, p), edit: owner}
 	}
 	bit := uint32(1) << (uint32(h>>shift) & levelMask)
 	pos := bits.OnesCount32(n.bitmap & (bit - 1))
@@ -242,43 +289,54 @@ func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V
 		copy(out, n.entries[:pos])
 		out[pos] = entry[K, V]{hash: h, kv: p}
 		copy(out[pos+1:], n.entries[pos:])
-		return &node[K, V]{bitmap: n.bitmap | bit, entries: out}
+		if owns(n.edit, owner) {
+			n.bitmap |= bit
+			n.entries = out
+			return n
+		}
+		return &node[K, V]{bitmap: n.bitmap | bit, entries: out, edit: owner}
 	}
-	out := make([]entry[K, V], len(n.entries))
-	copy(out, n.entries)
-	e := &out[pos]
+	nn := n
+	if !owns(n.edit, owner) {
+		out := make([]entry[K, V], len(n.entries))
+		copy(out, n.entries)
+		nn = &node[K, V]{bitmap: n.bitmap, entries: out, edit: owner}
+	}
+	e := &nn.entries[pos]
 	switch {
 	case e.child != nil:
-		e.child = setNode(e.child, shift+bitsPerLevel, h, p, added)
+		e.child = setNode(e.child, shift+bitsPerLevel, h, p, added, owner)
 	case e.hash == h && e.kv.key == p.key:
 		e.kv.val = p.val
 	default:
-		e.child = mergeLeaves(shift+bitsPerLevel, *e, entry[K, V]{hash: h, kv: p})
+		e.child = mergeLeaves(shift+bitsPerLevel, *e, entry[K, V]{hash: h, kv: p}, owner)
 		e.kv = kv[K, V]{}
 		e.hash = 0
 		*added = true
 	}
-	return &node[K, V]{bitmap: n.bitmap, entries: out}
+	return nn
 }
 
-// mergeLeaves builds the minimal subtree holding two distinct leaves.
-func mergeLeaves[K comparable, V any](shift uint, a, b entry[K, V]) *node[K, V] {
+// mergeLeaves builds the minimal subtree holding two distinct leaves,
+// stamped edit.
+func mergeLeaves[K comparable, V any](shift uint, a, b entry[K, V], edit uint64) *node[K, V] {
 	if shift > maxShift {
-		return &node[K, V]{coll: []kv[K, V]{a.kv, b.kv}}
+		return &node[K, V]{coll: []kv[K, V]{a.kv, b.kv}, edit: edit}
 	}
 	ia := uint32(a.hash>>shift) & levelMask
 	ib := uint32(b.hash>>shift) & levelMask
 	if ia == ib {
 		return &node[K, V]{
 			bitmap:  1 << ia,
-			entries: []entry[K, V]{{child: mergeLeaves(shift+bitsPerLevel, a, b)}},
+			entries: []entry[K, V]{{child: mergeLeaves(shift+bitsPerLevel, a, b, edit)}},
+			edit:    edit,
 		}
 	}
 	if ia > ib {
 		a, b = b, a
 		ia, ib = ib, ia
 	}
-	return &node[K, V]{bitmap: 1<<ia | 1<<ib, entries: []entry[K, V]{a, b}}
+	return &node[K, V]{bitmap: 1<<ia | 1<<ib, entries: []entry[K, V]{a, b}, edit: edit}
 }
 
 // Delete returns a map without k; the receiver is unchanged.

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -240,6 +241,104 @@ func TestMapIterationDeterministic(t *testing.T) {
 	for i := range orderA {
 		if orderA[i] != orderB[i] {
 			t.Fatalf("iteration order differs at %d: %d vs %d", i, orderA[i], orderB[i])
+		}
+	}
+}
+
+// TestMapSetOwnedKeepsSnapshots is the edit-token property: a writer applies
+// random SetOwned/Delete sequences under one token, and now and then takes a
+// snapshot (a copy of the map header) and drops its token, as memory.Mem
+// does at a fork; later it may also resume writing from an old snapshot
+// under a fresh token, as the other side of a fork does. No snapshot may
+// ever change, in the inline form, the trie, across promotion, or in
+// collision buckets.
+func TestMapSetOwnedKeepsSnapshots(t *testing.T) {
+	hashes := []struct {
+		name string
+		hash func(uint64) uint64
+	}{{"mix", Mix64}, {"colliding", func(k uint64) uint64 { return Mix64(k % 3) }}}
+	for _, h := range hashes {
+		for _, keySpace := range []int{smallMax - 2, smallMax + 4, 300} {
+			for seed := int64(0); seed < 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				type snapshot struct {
+					m   Map[uint64, int]
+					ref map[uint64]int
+				}
+				copyRef := func(ref map[uint64]int) map[uint64]int {
+					out := make(map[uint64]int, len(ref))
+					for k, v := range ref {
+						out[k] = v
+					}
+					return out
+				}
+				check := func(when string, m Map[uint64, int], ref map[uint64]int) {
+					t.Helper()
+					if m.Len() != len(ref) {
+						t.Fatalf("%s keys=%d seed %d %s: Len=%d want %d", h.name, keySpace, seed, when, m.Len(), len(ref))
+					}
+					for k := uint64(0); k < uint64(keySpace); k++ {
+						got, ok := m.Get(k)
+						want, wantOK := ref[k]
+						if ok != wantOK || (ok && got != want) {
+							t.Fatalf("%s keys=%d seed %d %s: Get(%d)=%d,%v want %d,%v", h.name, keySpace, seed, when, k, got, ok, want, wantOK)
+						}
+					}
+				}
+				m, ref := NewMap[uint64, int](h.hash), map[uint64]int{}
+				var owner uint64
+				var snaps []snapshot
+				for op := 0; op < 600; op++ {
+					k := uint64(rng.Intn(keySpace))
+					switch r := rng.Intn(20); {
+					case r < 14:
+						if owner == 0 {
+							owner = NewOwner()
+						}
+						v := rng.Int()
+						m = m.SetOwned(k, v, owner)
+						ref[k] = v
+					case r < 16:
+						m = m.Delete(k)
+						delete(ref, k)
+					case r < 19:
+						snaps = append(snaps, snapshot{m: m, ref: copyRef(ref)})
+						owner = 0
+					default:
+						if len(snaps) > 0 {
+							s := snaps[rng.Intn(len(snaps))]
+							m, ref, owner = s.m, copyRef(s.ref), 0
+						}
+					}
+					check("live", m, ref)
+				}
+				for i, s := range snaps {
+					check(fmt.Sprintf("snapshot %d", i), s.m, s.ref)
+				}
+			}
+		}
+	}
+}
+
+// TestMapSetOwnedEditsInPlace pins what the token buys: once a writer has
+// copied a path under its token, overwriting a key on it allocates nothing,
+// inline and in the trie — and a plain Set still copies.
+func TestMapSetOwnedEditsInPlace(t *testing.T) {
+	for _, n := range []uint64{smallMax, 100} {
+		m := NewMap[uint64, int](Mix64)
+		for i := uint64(0); i < n; i++ {
+			m = m.Set(i, int(i))
+		}
+		owner := NewOwner()
+		m = m.SetOwned(3, -1, owner)
+		if allocs := testing.AllocsPerRun(10, func() { m = m.SetOwned(3, 7, owner) }); allocs != 0 {
+			t.Errorf("%d keys: an owned overwrite allocated %.0f times, want 0", n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { m = m.Set(3, 7) }); allocs == 0 {
+			t.Errorf("%d keys: Set wrote in place", n)
+		}
+		if v, _ := m.Get(3); v != 7 || m.Len() != int(n) {
+			t.Errorf("%d keys: Get(3)=%d Len=%d", n, v, m.Len())
 		}
 	}
 }

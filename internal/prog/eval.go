@@ -255,6 +255,9 @@ func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := expr.CheckMatch(l, c.Mask); err != nil {
+			return nil, err
+		}
 		return expr.NewMatch(l, c.Mask, c.Val), nil
 	case CMetaPresent:
 		return expr.Bool(env.MetaExists(c.Key)), nil

@@ -10,19 +10,27 @@
 // expr.SpanTable lowering of PR 5 — a span table is the special case of a
 // guard row set with no rewrites — to full transfer functions, the
 // compositional-summary construction the symbolic-execution literature
-// prescribes for path-explosion-by-revisit.
+// prescribes for path-explosion-by-revisit. A For loop, whose iteration
+// space is runtime metadata, is a node of its own (TermFor): it runs its
+// bodies exactly as the IR does and continues every state it yields.
 //
 // Summaries are observationally identical to IR execution by construction:
 // every step executes through the same evaluators (EvalExpr/EvalCond), the
 // same solver calls in the same per-path order, and renders the same
-// strings. The one discipline the DAG cannot reproduce is the IR's
-// instruction-major interleaving of fresh-symbol mints across sibling
-// states, so Summarize refuses (verdict "unsummarizable") any program where
-// that interleaving is observable — a fresh-symbol mint downstream of a
-// branch point — and any program whose iteration space is data-dependent (a
-// For loop, whose body set depends on runtime metadata). Unsummarizable
-// programs fall back to the IR path, preserving exact semantics; the
-// differential property tests pin byte-identity across both verdicts.
+// strings. What differs is the order across sibling states: the IR runs the
+// continuation of an If or For op-major over the siblings it forked, the
+// DAG runs it state-major. Only fresh-symbol mints can observe that order,
+// and they agree exactly when the continuation (the rest of the segment plus
+// every frame below it) holds at most one op that can mint — every sibling
+// then mints at that op, in sibling order, under both disciplines — and,
+// when it holds one, the If's Else arm mints nothing (an Else-arm mint lands
+// before the Then sibling's continuation mint in the IR, after it in the
+// DAG; a Then-arm mint precedes both orders). A For counts as a mint site
+// and as a branch point, since its bodies are unknown until runtime.
+// Summarize refuses (verdict "unsummarizable") any program that breaks the
+// rule or overflows the node budget; those programs fall back to the IR
+// path, preserving exact semantics, and the differential property tests pin
+// byte-identity across both verdicts.
 package prog
 
 import (
@@ -53,6 +61,10 @@ const (
 	// into Then, the original takes ¬C into Else, infeasible successors are
 	// pruned — byte-for-byte the IR's OpIf discipline.
 	TermBranch
+	// TermFor runs the OpFor at Hi exactly as the IR does — key-major over
+	// the states its bodies fork, each body through the IR — then continues
+	// every resulting state, in order, at Next.
+	TermFor
 )
 
 // SumNode is one node of the decision DAG: a run of linear steps followed by
@@ -64,7 +76,7 @@ type SumNode struct {
 	Lo, Hi     int32
 	Term       TermKind
 	Then, Else int32 // TermBranch
-	Next       int32 // TermJump
+	Next       int32 // TermJump, TermFor
 }
 
 // Summary is the summarization verdict of one element-port program: its
@@ -109,7 +121,7 @@ func (s *Summary) Rows() int64 {
 		switch n.Term {
 		case TermEnd:
 			rows[i] = 1
-		case TermJump:
+		case TermJump, TermFor:
 			rows[i] = rows[n.Next]
 		case TermBranch:
 			rows[i] = rows[n.Then] + rows[n.Else]
@@ -139,7 +151,7 @@ func (s *Summary) render(slot int, mk func() string) string {
 }
 
 // TraceLine returns the trace line of the op at index i (a step, or the
-// OpIf of a branch), rendered once and shared by every visit.
+// OpIf or OpFor a node ends with), rendered once and shared by every visit.
 func (s *Summary) TraceLine(i int32) string {
 	return s.render(2*int(i), func() string {
 		return fmt.Sprintf("%s: %s", s.Prog.Elem, s.Prog.Ops[i].Ins)
@@ -157,11 +169,10 @@ func (s *Summary) ConstrainFailMsg(i int32) string {
 }
 
 // Summarize pre-walks a compiled program into its summary. The verdict is
-// unsummarizable (no nodes, Reason set) for a For loop (the body set depends
-// on runtime metadata, so rows cannot be pre-expanded), a fresh-symbol mint
-// downstream of a branch point (the IR mints instruction-major across
-// sibling states; a row replay would reorder symbol IDs), or a DAG over the
-// node budget.
+// unsummarizable (no nodes, Reason set) when an If or For has more than one
+// op that can mint in its continuation, when an If with one has an Else arm
+// that can mint (see the package comment for why both would reorder symbol
+// IDs), or when the DAG overflows the node budget.
 func Summarize(p *Program) *Summary {
 	b := &sumBuilder{p: p}
 	b.buildSuffMints()
@@ -172,17 +183,23 @@ func Summarize(p *Program) *Summary {
 	return &Summary{Prog: p, Nodes: b.nodes}
 }
 
+// The unsummarizable verdicts of the mint rule.
+const (
+	reasonContMints = "more than one fresh-symbol mint downstream of a branch point"
+	reasonElseMint  = "fresh-symbol mints in a branch's Else arm and downstream of it"
+)
+
 // sumFrame is one continuation-stack frame of the pre-walk: execution
 // resumes at (seg, idx) when the nested segment below it finishes. Frames
 // are hash-consed (same resume point + same tail = same frame), which is
 // what lets the node memo share join points by pointer identity. mints
-// caches whether anything at or after the resume point can mint a fresh
-// symbol.
+// caches how many ops at or after the resume point, through every frame
+// below, can mint a fresh symbol.
 type sumFrame struct {
 	seg   SegID
 	idx   int32
 	next  *sumFrame
-	mints bool
+	mints int
 }
 
 // sumKey identifies a walk position: program counter plus continuation.
@@ -199,27 +216,27 @@ type sumBuilder struct {
 	nodes  []SumNode
 	memo   map[sumKey]int32
 	frames map[sumKey]*sumFrame
-	// suffMint[i] reports whether any op at or after index i within its own
-	// segment can mint a fresh symbol; segMint memoizes whole segments.
-	suffMint []bool
-	segMint  map[SegID]bool
-	started  int
-	reason   string
+	// suffMints[i] counts the ops at or after index i within its own
+	// segment that can mint a fresh symbol; segMint memoizes whole segments.
+	suffMints []int32
+	segMint   map[SegID]bool
+	started   int
+	reason    string
 }
 
-// buildSuffMints computes per-op suffix mint flags segment by segment.
+// buildSuffMints computes per-op suffix mint counts segment by segment.
 // Minting happens only through evaluation (ESym expressions, conditions
 // with HasSym); segments referenced by If/Sub ops contribute transitively
 // through opMints -> segMints recursion (the segment graph is a DAG).
 func (b *sumBuilder) buildSuffMints() {
-	b.suffMint = make([]bool, len(b.p.Ops))
+	b.suffMints = make([]int32, len(b.p.Ops))
 	for _, seg := range b.p.Segs {
-		mint := false
+		var n int32
 		for i := seg.Hi - 1; i >= seg.Lo; i-- {
 			if b.opMints(&b.p.Ops[i]) {
-				mint = true
+				n++
 			}
-			b.suffMint[i] = mint
+			b.suffMints[i] = n
 		}
 	}
 }
@@ -258,8 +275,7 @@ func (b *sumBuilder) opMints(op *Op) bool {
 	case OpSub:
 		return b.segMints(op.Sub)
 	case OpFor:
-		// Bodies are unknown until runtime; irrelevant in practice, since
-		// any For is unsummarizable on its own.
+		// Bodies are unknown until runtime.
 		return true
 	}
 	return false
@@ -296,19 +312,22 @@ func (b *sumBuilder) push(seg SegID, idx int32, next *sumFrame) *sumFrame {
 	if b.frames == nil {
 		b.frames = make(map[sumKey]*sumFrame)
 	}
-	f := &sumFrame{seg: seg, idx: idx, next: next}
-	f.mints = b.suffAt(seg, idx) || (next != nil && next.mints)
+	f := &sumFrame{seg: seg, idx: idx, next: next, mints: b.contMints(seg, idx, next)}
 	b.frames[key] = f
 	return f
 }
 
-// suffAt reports whether anything at or after (seg, idx) in that segment
-// can mint.
-func (b *sumBuilder) suffAt(seg SegID, idx int32) bool {
-	if idx >= b.p.Seg(seg).Hi {
-		return false
+// contMints counts the ops that can mint from (seg, idx) to the end of the
+// program under the given continuation.
+func (b *sumBuilder) contMints(seg SegID, idx int32, stack *sumFrame) int {
+	n := 0
+	if idx < b.p.Seg(seg).Hi {
+		n = int(b.suffMints[idx])
 	}
-	return b.suffMint[idx]
+	if stack != nil {
+		n += stack.mints
+	}
+	return n
 }
 
 // node walks the program from (seg, idx) under the given continuation and
@@ -344,15 +363,27 @@ walk:
 		}
 		switch op := &b.p.Ops[idx]; op.Kind {
 		case OpFor:
-			b.reason = "For loop with a data-dependent iteration space"
-			return 0
+			if b.contMints(seg, idx+1, stack) > 1 {
+				b.reason = reasonContMints
+				return 0
+			}
+			n.Term = TermFor
+			n.Next = b.node(seg, idx+1, stack)
+			break walk
 		case OpSub:
 			n.Term = TermJump
 			n.Next = b.node(op.Sub, b.p.Seg(op.Sub).Lo, b.push(seg, idx+1, stack))
 			break walk
 		case OpIf:
-			if b.suffAt(seg, idx+1) || (stack != nil && stack.mints) {
-				b.reason = "fresh-symbol allocation downstream of a branch point"
+			switch b.contMints(seg, idx+1, stack) {
+			case 0:
+			case 1:
+				if b.segMints(op.Else) {
+					b.reason = reasonElseMint
+					return 0
+				}
+			default:
+				b.reason = reasonContMints
 				return 0
 			}
 			cont := b.push(seg, idx+1, stack)
@@ -409,6 +440,11 @@ func DecodeSummary(p *Program, nodes []SumNode, reason string) (*Summary, error)
 			if err = child(n.Then); err == nil {
 				err = child(n.Else)
 			}
+		case TermFor:
+			if int(n.Hi) >= len(p.Ops) || p.Ops[n.Hi].Kind != OpFor {
+				return nil, fmt.Errorf("prog: decode summary %s: node %d loops on op %d, which is not a For", p.Label, i, n.Hi)
+			}
+			err = child(n.Next)
 		default:
 			err = fmt.Errorf("prog: decode summary %s: node %d has unknown terminator %d", p.Label, i, n.Term)
 		}

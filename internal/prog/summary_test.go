@@ -88,69 +88,116 @@ func TestSummarizeSharedContinuations(t *testing.T) {
 	}
 }
 
-func TestSummarizeForFallsBack(t *testing.T) {
-	p := compileSum(sefl.Seq(
-		sefl.For{Pattern: "^m", Body: func(k sefl.Meta) sefl.Instr {
-			return sefl.Assign{LV: k, E: sefl.C(1)}
-		}},
-		sefl.Forward{Port: 0},
-	))
+// TestSummarizeFor pins the For node: a For loop is a TermFor node at its
+// op, continuing at the code after it, and counts as a mint site and a branch
+// point — so a For followed by two more mint sites is refused.
+func TestSummarizeFor(t *testing.T) {
+	loop := sefl.For{Pattern: "^m", Body: func(k sefl.Meta) sefl.Instr {
+		return sefl.Assign{LV: k, E: sefl.C(1)}
+	}}
+	p := compileSum(sefl.Seq(loop, sefl.Forward{Port: 0}))
 	s := Summarize(p)
-	if s.OK() {
-		t.Fatal("For loop summarized; its iteration space is runtime metadata")
+	if !s.OK() {
+		t.Fatalf("For loop unsummarizable: %s", s.Reason)
 	}
-	if s.Reason != "For loop with a data-dependent iteration space" {
+	root := s.Nodes[s.Root()]
+	if root.Term != TermFor || p.Ops[root.Hi].Kind != OpFor || root.Lo != root.Hi {
+		t.Fatalf("root %+v, want a TermFor node on the For op", root)
+	}
+	if next := s.Nodes[root.Next]; next.Term != TermEnd || p.Ops[next.Lo].Kind != OpForward {
+		t.Fatalf("continuation %+v, want the Forward as a TermEnd row", next)
+	}
+	if s.Rows() != 1 {
+		t.Fatalf("Rows=%d, want 1", s.Rows())
+	}
+
+	// One mint after the For replays in sibling order either way...
+	mint := func(name string) sefl.Instr { return sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: name}} }
+	if s := Summarize(compileSum(sefl.Seq(loop, mint("a"), sefl.Forward{Port: 0}))); !s.OK() {
+		t.Fatalf("For with one mint site after it should summarize: %s", s.Reason)
+	}
+	// ...two do not.
+	s = Summarize(compileSum(sefl.Seq(loop, mint("a"), mint("b"), sefl.Forward{Port: 0})))
+	if s.OK() {
+		t.Fatal("For followed by two mint sites summarized")
+	}
+	if s.Reason != reasonContMints {
 		t.Fatalf("reason = %q", s.Reason)
 	}
 }
 
-// TestSummarizeMintOrdering pins the fresh-symbol discipline: a mint inside
-// a branch arm is fine (one state executes it, in the same position either
-// way), but any mint downstream of a branch point is refused — the IR mints
-// instruction-major across the branch's sibling states, an interleaving a
-// row-at-a-time replay cannot reproduce.
+// TestSummarizeMintOrdering pins the fresh-symbol rule. The IR runs a
+// branch's continuation op-major over the sibling states, a summary runs it
+// state-major: the two mint in the same order when the continuation has at
+// most one mint site and, if it has one, the Else arm mints nothing.
 func TestSummarizeMintOrdering(t *testing.T) {
 	cond := sefl.Eq(sefl.Ref{LV: sumF0}, sefl.C(7))
+	mint := func(name string) sefl.Instr { return sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: name}} }
 
-	branchMint := compileSum(sefl.Seq(
-		sefl.If{C: cond, Then: sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: "s"}}, Else: sefl.NoOp{}},
-		sefl.Forward{Port: 0},
-	))
-	if s := Summarize(branchMint); !s.OK() {
-		t.Fatalf("mint inside a branch arm should summarize: %s", s.Reason)
+	accept := []struct {
+		name string
+		code sefl.Instr
+	}{
+		// One state executes an arm's mint, in the same position either way.
+		{"mint inside a branch arm", sefl.Seq(
+			sefl.If{C: cond, Then: mint("s"), Else: sefl.NoOp{}},
+			sefl.Forward{Port: 0},
+		)},
+		// Straight-line mints before any branch replay in order.
+		{"mint before the branch", sefl.Seq(
+			mint("s"),
+			sefl.If{C: cond, Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}},
+		)},
+		// One site downstream: every sibling mints there, in sibling order.
+		{"one mint site downstream", sefl.Seq(
+			sefl.If{C: cond, Then: sefl.Assign{LV: sumF1, E: sefl.C(1)}, Else: sefl.NoOp{}},
+			mint("s"),
+			sefl.Forward{Port: 0},
+		)},
+		// The same through a condition: constraining on a fresh symbol mints.
+		{"one condition mint downstream", sefl.Seq(
+			sefl.If{C: cond, Then: sefl.NoOp{}, Else: sefl.NoOp{}},
+			sefl.Constrain{C: sefl.Eq(sefl.Symbolic{W: 32, Name: "s"}, sefl.C(3))},
+			sefl.Forward{Port: 0},
+		)},
+		// A Then-arm mint precedes the continuation's in both orders.
+		{"then-arm mint and one downstream", sefl.Seq(
+			sefl.If{C: cond, Then: mint("t"), Else: sefl.NoOp{}},
+			mint("s"),
+			sefl.Forward{Port: 0},
+		)},
+	}
+	for _, tc := range accept {
+		if s := Summarize(compileSum(tc.code)); !s.OK() {
+			t.Errorf("%s: should summarize: %s", tc.name, s.Reason)
+		}
 	}
 
-	contMint := compileSum(sefl.Seq(
-		sefl.If{C: cond, Then: sefl.Assign{LV: sumF1, E: sefl.C(1)}, Else: sefl.NoOp{}},
-		sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: "s"}},
-		sefl.Forward{Port: 0},
-	))
-	s := Summarize(contMint)
-	if s.OK() {
-		t.Fatal("mint downstream of a branch point summarized")
+	refuse := []struct {
+		name, reason string
+		code         sefl.Instr
+	}{
+		{"two mint sites downstream", reasonContMints, sefl.Seq(
+			sefl.If{C: cond, Then: sefl.Assign{LV: sumF1, E: sefl.C(1)}, Else: sefl.NoOp{}},
+			mint("a"),
+			mint("b"),
+			sefl.Forward{Port: 0},
+		)},
+		// The IR mints the Else arm's symbol before the Then sibling reaches
+		// the continuation's site; a summary mints it after.
+		{"else-arm mint and one downstream", reasonElseMint, sefl.Seq(
+			sefl.If{C: cond, Then: sefl.NoOp{}, Else: mint("e")},
+			mint("s"),
+			sefl.Forward{Port: 0},
+		)},
 	}
-	if s.Reason != "fresh-symbol allocation downstream of a branch point" {
-		t.Fatalf("reason = %q", s.Reason)
-	}
-
-	// The same rule through a condition: constraining on a fresh symbol
-	// mints during evaluation.
-	condMint := compileSum(sefl.Seq(
-		sefl.If{C: cond, Then: sefl.NoOp{}, Else: sefl.NoOp{}},
-		sefl.Constrain{C: sefl.Eq(sefl.Symbolic{W: 32, Name: "s"}, sefl.C(3))},
-		sefl.Forward{Port: 0},
-	))
-	if Summarize(condMint).OK() {
-		t.Fatal("condition mint downstream of a branch point summarized")
-	}
-
-	// Straight-line mints before any branch replay in order and summarize.
-	preMint := compileSum(sefl.Seq(
-		sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: "s"}},
-		sefl.If{C: cond, Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}},
-	))
-	if s := Summarize(preMint); !s.OK() {
-		t.Fatalf("straight-line mint before the branch should summarize: %s", s.Reason)
+	for _, tc := range refuse {
+		s := Summarize(compileSum(tc.code))
+		if s.OK() {
+			t.Errorf("%s: summarized", tc.name)
+		} else if s.Reason != tc.reason {
+			t.Errorf("%s: reason = %q, want %q", tc.name, s.Reason, tc.reason)
+		}
 	}
 }
 
@@ -237,8 +284,8 @@ func TestSummaryDecodeRoundTrip(t *testing.T) {
 	}
 
 	// The negative verdict round-trips as its reason.
-	neg, err := DecodeSummary(p, nil, "For loop with a data-dependent iteration space")
-	if err != nil || neg.OK() || neg.Reason != "For loop with a data-dependent iteration space" {
+	neg, err := DecodeSummary(p, nil, reasonContMints)
+	if err != nil || neg.OK() || neg.Reason != reasonContMints {
 		t.Fatalf("negative verdict decoded to %+v, %v", neg, err)
 	}
 }
@@ -283,6 +330,32 @@ func TestSummaryDecodeErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		_, err := DecodeSummary(p, tc.nodes, "")
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	// A For node must sit on a For op and continue at an earlier node.
+	loop := compileSum(sefl.Seq(
+		sefl.For{Pattern: "^m", Body: func(sefl.Meta) sefl.Instr { return sefl.NoOp{} }},
+		sefl.Forward{Port: 0},
+	))
+	if len(loop.Ops) != 2 || loop.Ops[0].Kind != OpFor {
+		t.Fatalf("fixture: %d ops, op 0 of kind %d; want 2 with the For at 0", len(loop.Ops), loop.Ops[0].Kind)
+	}
+	tail := SumNode{Lo: 1, Hi: 2}
+	forCases := []struct {
+		name  string
+		nodes []SumNode
+		want  string
+	}{
+		{"loop on a non-For op", []SumNode{tail, {Lo: 1, Hi: 1, Term: TermFor, Next: 0}},
+			"prog: decode summary e.in[0]: node 1 loops on op 1, which is not a For"},
+		{"loop continuing forward", []SumNode{{Lo: 0, Hi: 0, Term: TermFor, Next: 1}, tail},
+			"prog: decode summary e.in[0]: node 0 references out-of-order child 1"},
+	}
+	for _, tc := range forCases {
+		_, err := DecodeSummary(loop, tc.nodes, "")
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}

@@ -410,7 +410,8 @@ func FromMask(mask, val uint64, width int) *IntervalSet {
 	// General mask: enumerate combinations of free bits above the low run.
 	highFree := free &^ lowRun
 	n := bits.OnesCount64(highFree)
-	if n > 20 {
+	if n > expr.MaxMatchFreeBits {
+		// The evaluators refuse such matches (expr.CheckMatch).
 		panic(fmt.Sprintf("solver: mask %#x too sparse to expand (%d free high bits)", mask, n))
 	}
 	// Collect the positions of high free bits.
