@@ -8,6 +8,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"symnet/internal/core"
@@ -117,5 +118,57 @@ func TestInstallProgramsSkipsRecompilation(t *testing.T) {
 	bogus := []core.WireProgramEntry{{Elem: "nope", Port: 0, Prog: progs[0].Prog}}
 	if err := core.InstallPrograms(net2, bogus); err == nil {
 		t.Fatal("install onto unknown element must fail")
+	}
+}
+
+// TestHistoryTreeRebuildsHistories pins core.HistoryTree, the shape a fleet
+// ships histories in: parents precede children, every path's parent chain
+// reads back exactly its History(), forks share their prefix as one run of
+// nodes, and an empty history is leaf -1.
+func TestHistoryTreeRebuildsHistories(t *testing.T) {
+	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 2, HostsPerSwitch: 8, Routes: 12, Seed: 5})
+	fnet, finj := datasets.ForkHeavy(6, 2, 4)
+	for _, tc := range []struct {
+		name   string
+		net    *core.Network
+		inject core.PortRef
+	}{
+		{"department", d.Net, core.PortRef{Elem: d.AccessSwitches[0], Port: 1}},
+		{"forkheavy", fnet, finj},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := core.Run(tc.net, tc.inject, sefl.NewTCPPacket(), core.Options{MaxHops: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths := append(res.Paths, &core.Path{}) // and one with no history
+			parent, port, leaf := core.HistoryTree(paths)
+			if len(parent) != len(port) || len(leaf) != len(paths) {
+				t.Fatalf("%d parents, %d ports, %d leaves for %d paths", len(parent), len(port), len(leaf), len(paths))
+			}
+			for k, up := range parent {
+				if up < -1 || up >= int32(k) {
+					t.Fatalf("node %d: parent %d does not precede it", k, up)
+				}
+			}
+			visits := 0
+			for i, p := range paths {
+				var h []core.PortRef
+				for k := leaf[i]; k >= 0; k = parent[k] {
+					h = append(h, port[k])
+				}
+				slices.Reverse(h)
+				if want := p.History(); !slices.Equal(h, want) {
+					t.Fatalf("path %d: tree reads back %v, History() is %v", i, h, want)
+				}
+				visits += len(h)
+			}
+			if leaf[len(paths)-1] != -1 {
+				t.Errorf("empty history: leaf %d, want -1", leaf[len(paths)-1])
+			}
+			if len(res.Paths) > 1 && len(port) >= visits {
+				t.Errorf("%d nodes for %d visits: forked paths do not share their prefix", len(port), visits)
+			}
+		})
 	}
 }

@@ -189,6 +189,41 @@ func (p *Path) Last() PortRef {
 	return p.hist.v
 }
 
+// HistoryTree numbers the distinct port visits of paths — the nodes of the
+// history trail their forks share — so the histories can be shipped or
+// stored at the size of the tree rather than the sum of their lengths.
+// Node k is a visit to port[k] after node parent[k] (-1: a first visit),
+// with parent[k] < k. leaf[i] is the node paths[i] ended on (-1: an empty
+// history), and the ports on the parent chain from it, read root first, are
+// paths[i].History(). No history is materialized along the way.
+func HistoryTree(paths []*Path) (parent []int32, port []PortRef, leaf []int32) {
+	ids := make(map[*trail[PortRef]]int32)
+	leaf = make([]int32, len(paths))
+	var fresh []*trail[PortRef]
+	for i, p := range paths {
+		// Climb to the first node already numbered (or past the root),
+		// then number the climbed nodes root side first.
+		fresh = fresh[:0]
+		up := int32(-1)
+		for t := p.hist; t != nil; t = t.prev {
+			if id, ok := ids[t]; ok {
+				up = id
+				break
+			}
+			fresh = append(fresh, t)
+		}
+		for j := len(fresh) - 1; j >= 0; j-- {
+			id := int32(len(port))
+			ids[fresh[j]] = id
+			parent = append(parent, up)
+			port = append(port, fresh[j].v)
+			up = id
+		}
+		leaf[i] = up
+	}
+	return parent, port, leaf
+}
+
 // RunStats summarizes a run.
 type RunStats struct {
 	Paths     int

@@ -15,9 +15,13 @@
 // Results cross the process boundary as Summaries: per-path status, failure
 // message, port history, trace, and the solver context's chained structural
 // fingerprint (a 128-bit digest of the path's entire assertion sequence),
-// plus the full RunStats. Live solver contexts and packet memory stay in
-// the worker — follow-up queries that need them (field domains, concrete
-// packets) belong on the worker side or in in-process runs.
+// plus the full RunStats. On the wire a Summary is a string table plus the
+// history tree the paths' forks share (each failure message, trace line and
+// element name once, each port visit once), which the coordinator checks
+// and expands into the very Summary that Summarize builds in-process. Live
+// solver contexts and packet memory stay in the worker — follow-up queries
+// that need them (field domains, concrete packets) belong on the worker
+// side or in in-process runs.
 //
 // A fleet member is one of two things, and there is no third: a subprocess
 // of the coordinator's own binary (Config.Procs — a Pool re-executes the

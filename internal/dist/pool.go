@@ -477,16 +477,24 @@ func (p *Pool) dispatch(w *poolWorker, br *batchRun, idxs []int) {
 
 // handleResult records a job's result — from its holder. A result naming a
 // job the sender does not hold (another member's, one already resolved, an
-// index outside the batch) is dropped: a resident symworker is a remote
-// process whose bytes the coordinator did not write.
+// index outside the batch) is dropped, and a summary that does not unpack
+// fails its job: a resident symworker is a remote process whose bytes the
+// coordinator did not write.
 func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
 	if r == nil || !removeOutstanding(w, r.Index) {
 		return
 	}
 	br.doneCount++
-	jr := JobResult{Name: r.Name, Summary: r.Summary}
+	jr := JobResult{Name: r.Name}
 	if r.Err != "" {
 		jr.Err = fmt.Errorf("%s", r.Err)
+	}
+	if r.Summary != nil {
+		s, err := r.Summary.unpack()
+		if err != nil {
+			jr.Err = fmt.Errorf("dist: worker %d sent a malformed result for job %q: %w", w.id, br.jobs[r.Index].Name, err)
+		}
+		jr.Summary = s
 	}
 	br.out[r.Index] = jr
 }

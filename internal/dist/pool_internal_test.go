@@ -257,3 +257,39 @@ func TestResultFromNonHolderDropped(t *testing.T) {
 		t.Errorf("dist.jobs.redispatched = %d, want 1 (the job A died holding)", n)
 	}
 }
+
+// TestMalformedResultFailsItsJob pins the coordinator's answer to a summary
+// that does not unpack: that job fails with an error naming the member, the
+// job and the fault, and the batch goes on — the member's next result is
+// accepted as usual.
+func TestMalformedResultFailsItsJob(t *testing.T) {
+	network, jobs := testFleetNet()
+	bad := packSummary(mustRun(t, network, jobs[0].Inject, jobs[0].Packet, jobs[0].Opts))
+	bad.Hops[0].Parent = 0
+	good := packSummary(mustRun(t, network, jobs[1].Inject, jobs[1].Packet, jobs[1].Opts))
+	member := scriptedMember(t, func(c *conn, f *frame) bool {
+		switch f.Kind {
+		case frameJobs:
+			c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: 0, Name: jobs[0].Name, Summary: bad}})
+			c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: 1, Name: jobs[1].Name, Summary: good}})
+		case frameEnd:
+			c.send(&frame{Kind: frameDone, Done: &doneFrame{}})
+		case frameBye:
+			return false
+		}
+		return true
+	})
+	p, err := NewPool(Config{Workers: []string{member}, WorkersPerProc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	out := p.RunBatch(network, jobs)
+	want := `dist: worker 0 sent a malformed result for job "q0": hop 0: parent 0 is not an earlier hop`
+	if out[0].Err == nil || out[0].Err.Error() != want || out[0].Summary != nil {
+		t.Errorf("malformed result: %+v, want error %q", out[0], want)
+	}
+	if got, want := resultsJSON(t, out[1:]), inProcessJSON(t, network, jobs[1:]); got != want {
+		t.Errorf("the member's next result differs from the in-process run:\n got %s\nwant %s", got, want)
+	}
+}

@@ -67,9 +67,10 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary (stdio workers are always the same binary). Any change to the
-// frame set, the kind numbering or what a frame may carry bumps it (v6:
-// summary slabs carry For nodes, which a v5 worker would refuse mid-batch).
-const protoVersion = 6
+// frame set, the kind numbering or what a frame may carry bumps it (v7: a
+// result carries a wireSummary — string table plus history tree — which a
+// v6 coordinator could not decode).
+const protoVersion = 7
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -219,7 +220,7 @@ type resultFrame struct {
 	Index   int
 	Name    string
 	Err     string
-	Summary *Summary
+	Summary *wireSummary
 }
 
 // conn wraps one side of a frame stream: buffered gob encoding with a mutex

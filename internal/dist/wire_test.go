@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
 
@@ -124,7 +125,7 @@ type streamCase struct {
 
 func handshakeErrorCases(t testing.TB) []streamCase {
 	validHello := encodeInput(t, []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "r"}}}, nil).Bytes()
-	return []streamCase{
+	cases := []streamCase{
 		{
 			name:   "first frame not hello",
 			frames: []*frame{{Kind: frameJobs, Jobs: &jobsFrame{}}},
@@ -133,23 +134,7 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 		{
 			name:   "version mismatch",
 			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 99, want 6",
-		},
-		{
-			// A v4 coordinator numbers the kinds after result differently and
-			// may send cancel frames; the hello kept its number, so a worker
-			// refuses it by version, not as an unknown first frame.
-			name:   "v4 coordinator",
-			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 4, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 4, want 6",
-		},
-		{
-			// A v5 coordinator frames exactly as v6 does, but the two ends
-			// disagree on what a summary slab may carry: refused up front,
-			// not mid-batch.
-			name:   "v5 coordinator",
-			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 5, RunID: "r"}}},
-			want:   "protocol: coordinator speaks version 5, want 6",
+			want:   fmt.Sprintf("protocol: coordinator speaks version 99, want %d", protoVersion),
 		},
 		{
 			name:     "garbage stream",
@@ -162,6 +147,18 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 			want:     "reading hello:",
 		},
 	}
+	// Every older coordinator is refused by version, up front, not as an
+	// unknown first frame or mid-batch: the hello has kept its kind number,
+	// while v4 numbers the kinds after result differently, v5 cannot read a
+	// summary slab's For nodes and v6 expects full Summaries in results.
+	for v := 3; v < protoVersion; v++ {
+		cases = append(cases, streamCase{
+			name:   fmt.Sprintf("v%d coordinator", v),
+			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: v, RunID: "r"}}},
+			want:   fmt.Sprintf("protocol: coordinator speaks version %d, want %d", v, protoVersion),
+		})
+	}
+	return cases
 }
 
 // runStreamCases serves each stream and checks its pinned error.
@@ -185,37 +182,39 @@ func TestWorkerSessionHandshakeErrors(t *testing.T) {
 	runStreamCases(t, handshakeErrorCases(t))
 }
 
-// TestPoolRefusesV3Worker is the coordinator's side of the version check: a
-// fleet member that answers the hello with an older protocol — 3, 4 or 5,
-// whose helloAck kept its kind number so that this is what an older
-// symworker gets — is refused with the pointed mismatch error, before
-// anything is shipped to it (a v5 member would die mid-batch on the first
-// summary slab carrying a For node).
-func TestPoolRefusesV3Worker(t *testing.T) {
-	for _, proto := range []int{3, 4, 5} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			for {
-				nc, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				c := newConn(nc, nc)
-				if _, err := c.recv(); err == nil {
-					c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: proto}})
-				}
-				nc.Close()
+// TestPoolRefusesOlderWorker is the coordinator's side of the version check:
+// a fleet member that answers the hello with any older protocol — whose
+// helloAck kept its kind number, so this is what an older symworker sends —
+// is refused with the pointed mismatch error before anything is shipped to
+// it (a v6 member would answer every job with a result this coordinator
+// cannot decode).
+func TestPoolRefusesOlderWorker(t *testing.T) {
+	for proto := 3; proto < protoVersion; proto++ {
+		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		_, err = NewPool(Config{Workers: []string{ln.Addr().String()}})
-		want := fmt.Sprintf("dist: worker 0 speaks protocol version %d, want 6", proto)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("NewPool against a v%d worker: error = %v, want substring %q", proto, err, want)
-		}
+			defer ln.Close()
+			go func() {
+				for {
+					nc, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					c := newConn(nc, nc)
+					if _, err := c.recv(); err == nil {
+						c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: proto}})
+					}
+					nc.Close()
+				}
+			}()
+			_, err = NewPool(Config{Workers: []string{ln.Addr().String()}})
+			want := fmt.Sprintf("dist: worker 0 speaks protocol version %d, want %d", proto, protoVersion)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("NewPool against a v%d worker: error = %v, want substring %q", proto, err, want)
+			}
+		})
 	}
 }
 
@@ -250,19 +249,30 @@ func batchErrorCases(t testing.TB) []streamCase {
 		{
 			name:   "setup without a network",
 			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Net = nil })},
-			want:   "core: decode network: no network in the setup",
+			want:   "decoding setup: core: decode network: no network in the setup",
 		},
 		{
 			name: "setup with a duplicate element",
 			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
 				s.Net.Elems = append(s.Net.Elems, s.Net.Elems[0])
 			})},
-			want: "core: decode element SW: duplicate name",
+			want: "decoding setup: core: decode element SW: duplicate name",
 		},
 		{
 			name:   "program entry without a program",
 			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog = nil })},
-			want:   "prog: decode: program entry without a program",
+			want:   "decoding setup: prog: decode: program entry without a program",
+		},
+		{
+			// An If whose arm is its own segment: installed and run, it
+			// recursed until the stack overflowed, which no recover catches.
+			name: "setup with a cyclic segment",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
+				w := s.Programs[0].Prog
+				op := &w.Ops[w.Segs[w.Entry].Lo]
+				op.Kind, op.Then, op.Else = prog.OpIf, w.Entry, w.Entry
+			})},
+			want: "decoding setup: prog: decode SW.in[0]: op 0 in segment 0 enters segment 0; want an earlier one",
 		},
 		{
 			name:   "reuse without retained state",
@@ -390,10 +400,14 @@ func TestWorkerSessionServesBatches(t *testing.T) {
 				t.Fatalf("fresh worker acked generation %d", f.HelloAck.Gen)
 			}
 		case frameResult:
-			if f.Result.Index != e.idx || f.Result.Err != "" {
+			if f.Result.Index != e.idx || f.Result.Err != "" || f.Result.Summary == nil {
 				t.Fatalf("reply %d: result %+v, want index %d", i, f.Result, e.idx)
 			}
-			if !jsonEq(t, f.Result.Summary, want[e.idx]) {
+			got, err := f.Result.Summary.unpack()
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			if !jsonEq(t, got, want[e.idx]) {
 				t.Errorf("reply %d: summary for job %d differs from in-process run", i, e.idx)
 			}
 		case frameDone:

@@ -152,15 +152,15 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 		}
 		net, err := core.DecodeNetwork(setup.Net)
 		if err != nil {
-			return err
+			return fmt.Errorf("decoding setup: %w", err)
 		}
 		if err := core.InstallPrograms(net, setup.Programs); err != nil {
-			return err
+			return fmt.Errorf("decoding setup: %w", err)
 		}
 		// Summaries bind to the just-installed programs, so this must
 		// follow InstallPrograms.
 		if err := core.InstallSummaries(net, setup.Summaries); err != nil {
-			return err
+			return fmt.Errorf("decoding setup: %w", err)
 		}
 		st.net, st.gen = net, bf.Gen
 	case bf.Delta != nil:
@@ -168,12 +168,12 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 			return fmt.Errorf("protocol: delta setup with no retained network")
 		}
 		if err := core.InstallPrograms(st.net, bf.Delta.Programs); err != nil {
-			return err
+			return fmt.Errorf("decoding delta: %w", err)
 		}
 		// Installing a program replaces the port's whole cache entry, so no
 		// summary of the replaced program survives to this point.
 		if err := core.InstallSummaries(st.net, bf.Delta.Summaries); err != nil {
-			return err
+			return fmt.Errorf("decoding delta: %w", err)
 		}
 		st.gen = bf.Gen
 	default:
@@ -216,7 +216,7 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 			rf.Err = jr.Err.Error()
 		}
 		if jr.Result != nil {
-			rf.Summary = Summarize(jr.Result)
+			rf.Summary = packSummary(jr.Result)
 		}
 		// A send failure means the coordinator (or the connection) is gone;
 		// the frame loop's next read surfaces it — jobs still queued are

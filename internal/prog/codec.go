@@ -226,6 +226,9 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 	if w == nil {
 		return nil, fmt.Errorf("prog: decode: program entry without a program")
 	}
+	if err := checkSegs(w); err != nil {
+		return nil, fmt.Errorf("prog: decode %s: %w", w.Label, err)
+	}
 	p := &Program{
 		Elem:      w.Elem,
 		Instance:  w.Instance,
@@ -326,4 +329,39 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		p.Ops[i] = op
 	}
 	return p, nil
+}
+
+// checkSegs holds a shipped program to what compileSeg guarantees of a
+// compiled one: segments lie in the op array in ID order without
+// overlapping (so this check is linear), Entry names one, and the segments
+// an op enters (an If's arms, a Sub's block) were emitted before the segment
+// holding it. Execution then only ever descends to lower segment IDs, so no
+// bytes can make it recurse forever — a stack overflow is fatal, not a panic
+// any per-job recover catches.
+func checkSegs(w *WireProgram) error {
+	if w.Entry < 0 || int(w.Entry) >= len(w.Segs) {
+		return fmt.Errorf("entry segment %d out of range [0, %d)", w.Entry, len(w.Segs))
+	}
+	end := int32(0) // the previous segment's Hi
+	for id, s := range w.Segs {
+		if s.Lo < end || s.Hi < s.Lo || int(s.Hi) > len(w.Ops) {
+			return fmt.Errorf("segment %d spans ops [%d,%d): not within [%d,%d)", id, s.Lo, s.Hi, end, len(w.Ops))
+		}
+		end = s.Hi
+		for i := s.Lo; i < s.Hi; i++ {
+			var enters []SegID
+			switch op := &w.Ops[i]; op.Kind {
+			case OpIf:
+				enters = []SegID{op.Then, op.Else}
+			case OpSub:
+				enters = []SegID{op.Sub}
+			}
+			for _, to := range enters {
+				if to < 0 || int(to) >= id {
+					return fmt.Errorf("op %d in segment %d enters segment %d; want an earlier one", i, id, to)
+				}
+			}
+		}
+	}
+	return nil
 }

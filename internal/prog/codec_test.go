@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -145,5 +146,60 @@ func TestProgramCodecBadForPatternMessageStable(t *testing.T) {
 	}
 	if q.Ops[0].For.Err != p.Ops[0].For.Err {
 		t.Fatalf("bad-pattern message drifted: %q != %q", q.Ops[0].For.Err, p.Ops[0].For.Err)
+	}
+}
+
+// TestProgramCodecRejectsMalformedSegments pins the decoder's segment checks:
+// a shipped program whose segments leave the op array, overlap, or let an op
+// enter its own or a later segment is refused with a pointed error — run, a
+// cyclic one would recurse until the stack overflows, which kills the
+// process outright.
+func TestProgramCodecRejectsMalformedSegments(t *testing.T) {
+	p := Compile(codecProgram(), "e1", 4, "e1.in[0]")
+	// holder finds the first op of a kind and the segment holding it.
+	holder := func(kind OpKind) (op int, seg SegID) {
+		for id, s := range p.Segs {
+			for i := s.Lo; i < s.Hi; i++ {
+				if p.Ops[i].Kind == kind {
+					return int(i), SegID(id)
+				}
+			}
+		}
+		t.Fatalf("test premise: no op of kind %d", kind)
+		return 0, 0
+	}
+	ifOp, ifSeg := holder(OpIf)
+	for _, tc := range []struct {
+		name   string
+		mutate func(w *WireProgram)
+		want   string
+	}{
+		{"entry out of range", func(w *WireProgram) { w.Entry = SegID(len(w.Segs)) }, "entry segment"},
+		{"negative entry", func(w *WireProgram) { w.Entry = -1 }, "entry segment -1 out of range"},
+		{"segment past the ops", func(w *WireProgram) { w.Segs[len(w.Segs)-1].Hi = int32(len(w.Ops) + 1) }, "spans ops"},
+		{"segment ending before it starts", func(w *WireProgram) { w.Segs[0].Hi = w.Segs[0].Lo - 1 }, "segment 0 spans ops"},
+		{"overlapping segments", func(w *WireProgram) { w.Segs[1].Lo = w.Segs[0].Lo }, "segment 1 spans ops"},
+		{"then arm enters its own segment", func(w *WireProgram) { w.Ops[ifOp].Then = ifSeg },
+			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, ifSeg)},
+		{"else arm out of range", func(w *WireProgram) { w.Ops[ifOp].Else = SegID(len(w.Segs)) },
+			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, len(p.Segs))},
+		{"negative arm", func(w *WireProgram) { w.Ops[ifOp].Then = -1 }, "enters segment -1"},
+		{"block enters its own segment", func(w *WireProgram) { w.Ops[ifOp].Kind, w.Ops[ifOp].Sub = OpSub, ifSeg },
+			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, ifSeg)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := EncodeProgram(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The wire form aliases the program's slices; mutate copies.
+			w.Segs = append([]Seg(nil), w.Segs...)
+			w.Ops = append([]WireOp(nil), w.Ops...)
+			tc.mutate(w)
+			_, err = DecodeProgram(w)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "prog: decode e1.in[0]: ") {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
