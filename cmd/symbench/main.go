@@ -14,17 +14,17 @@
 //	symbench -run dept        # §8.5 department network
 //	symbench -run satcache    # shared Sat-cache hit rate on a cross-field policy chain
 //	symbench -run allpairs    # batch all-pairs reachability, sequential vs -workers
-//	symbench -run allpairs-dist  # all-pairs across -procs worker subprocesses
+//	symbench -run allpairs-dist  # all-pairs through dist.NewRunner (in-process, or -dist-workers)
 //	symbench -run forkheavy   # fork-heavy state replication (engine microbench)
 //	symbench -run summaries   # per-element summaries vs IR re-execution (all-pairs on/off)
 //	symbench -run churn       # incremental re-verification per rule delta vs full recompute
 //	symbench -run all
 //
-// With -procs N the allpairs-dist experiment shards across N worker
-// subprocesses (symbench re-executes itself as the workers; 0 = in-process).
-// -stable strips timing from JSON output so two runs that computed the same
-// results emit identical bytes — CI diffs a -procs 2 run against a -procs 0
-// run to pin distributed determinism.
+// With -dist-workers host:port,... the allpairs-dist experiment shards
+// across that TCP fleet (symworker -listen); without it the same code path
+// answers in-process. -stable strips timing from JSON output so two runs
+// that computed the same results emit identical bytes — CI diffs a TCP fleet
+// run against an in-process run to pin distributed determinism.
 package main
 
 import (
@@ -165,14 +165,13 @@ func parseRuns(spec string) (map[string]bool, error) {
 }
 
 func main() {
-	dist.MaybeWorker() // spawned as a distributed worker: never returns
+	dist.MaybeWorker() // started as a fleet member (spawnListenWorkers): never returns
 
 	run := flag.String("run", "all", "comma-separated experiments to run (table1|fig8|table2|table3|table4|table5|splittcp|dept|satcache|allpairs|allpairs-dist|forkheavy|itables|summaries|churn|pool|pool-scale|all; pool and pool-scale fork worker processes and only run when named explicitly)")
 	quick := flag.Bool("quick", false, "smaller workloads for a fast pass")
 	heavy := flag.Bool("heavy", false, "larger workloads for allpairs/allpairs-dist (amortizes distributed setup; used by the multicore CI gate)")
 	workers := flag.Int("workers", 0, "worker pool size for parallel experiments (0 = all cores)")
-	procs := flag.Int("procs", 0, "worker subprocesses for allpairs-dist (0 = in-process)")
-	distWorkers := flag.String("dist-workers", "", "comma-separated host:port list of resident TCP workers (symworker -listen) for allpairs-dist and pool-scale; overrides -procs")
+	distWorkers := flag.String("dist-workers", "", "comma-separated host:port list of resident TCP workers (symworker -listen) for allpairs-dist and pool-scale")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of paper-shaped tables")
 	stable := flag.Bool("stable", false, "strip timing from JSON output (byte-identical across runs with equal results)")
 	metrics := flag.Bool("metrics", false, "attach a metrics registry and emit its schema-versioned snapshot (JSON: {schema,rows,metrics} envelope; suppressed by -stable)")
@@ -248,7 +247,7 @@ func main() {
 		allpairs(rep, *quick, *heavy, *workers, o)
 	}
 	if want("allpairs-dist") {
-		allpairsDist(rep, *quick, *heavy, *procs, *workers, splitAddrs(*distWorkers), o)
+		allpairsDist(rep, *quick, *heavy, *workers, splitAddrs(*distWorkers), o)
 	}
 	if want("forkheavy") {
 		forkheavy(rep, *quick)
@@ -257,13 +256,13 @@ func main() {
 		itables(rep, *quick, o)
 	}
 	if want("summaries") {
-		summaries(rep, *quick, *heavy, *procs, *workers, o)
+		summaries(rep, *quick, *heavy, *workers, o)
 	}
 	if want("churn") {
 		churnBench(rep, *quick, *heavy, *workers, o)
 	}
-	// The fleet benchmarks fork worker processes per batch, so they only run
-	// when named explicitly — "all" stays cheap and deterministic.
+	// The fleet benchmarks fork worker processes, so they only run when named
+	// explicitly — "all" stays cheap and deterministic.
 	if sel["pool"] {
 		poolBench(rep, *quick)
 	}
@@ -602,21 +601,15 @@ func splitAddrs(spec string) []string {
 	return out
 }
 
-// allpairsDist runs all-pairs reachability through the distributed runner
-// (internal/dist): jobs shard across worker processes — procs fork/exec'd
-// subprocesses over stdio, or the distAddrs TCP fleet when given — each
-// running a workersPerProc pool, with the network and compiled IR shipped
-// once per batch. Rows carry the full reachability matrix and a fingerprint
-// of every path summary, so two runs that computed the same results emit
-// identical rows — with -stable, identical bytes — regardless of the fleet
-// shape. procs = 0 with no fleet answers in-process through the same code
-// path.
-func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, distAddrs []string, o *obs.Obs) {
-	if len(distAddrs) > 0 {
-		rep.printf("== All-pairs reachability, distributed (tcp fleet=%d, workers/proc=%d) ==\n", len(distAddrs), workersPerProc)
-	} else {
-		rep.printf("== All-pairs reachability, distributed (procs=%d, workers/proc=%d) ==\n", procs, workersPerProc)
-	}
+// allpairsDist runs all-pairs reachability through the batch seam
+// (internal/dist): jobs shard across the distAddrs TCP fleet when given, each
+// member running a workersPerProc pool, with the network and compiled IR
+// shipped once per batch. Rows carry the full reachability matrix and a
+// fingerprint of every path summary, so two runs that computed the same
+// results emit identical rows — with -stable, identical bytes — regardless of
+// the fleet shape. With no fleet the same code path answers in-process.
+func allpairsDist(rep *reporter, quick, heavy bool, workersPerProc int, distAddrs []string, o *obs.Obs) {
+	rep.printf("== All-pairs reachability, distributed (tcp fleet=%d, workers/proc=%d) ==\n", len(distAddrs), workersPerProc)
 	rep.printf("%-22s %-8s %-8s %-10s %-18s %s\n", "Dataset", "Sources", "Pairs", "Reachable", "SummaryFP", "Time")
 
 	deptCfg := datasets.DefaultDepartment()
@@ -629,7 +622,7 @@ func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, d
 	d := datasets.NewDepartment(deptCfg)
 	deptSrcs, deptTargets := d.AllPairs()
 	allpairsDistRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64}, procs, workersPerProc, distAddrs, o)
+		core.Options{MaxHops: 64}, workersPerProc, distAddrs, o)
 
 	if !heavy {
 		// The backbone row is omitted in heavy mode (the multicore
@@ -644,17 +637,15 @@ func allpairsDist(rep *reporter, quick, heavy bool, procs, workersPerProc int, d
 		bb := datasets.StanfordBackbone(zones, perZone)
 		bbSrcs, bbTargets := bb.AllPairs()
 		allpairsDistRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-			core.Options{}, procs, workersPerProc, distAddrs, o)
+			core.Options{}, workersPerProc, distAddrs, o)
 	}
 	rep.printf("\n")
 }
 
-func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, procs, workersPerProc int, distAddrs []string, o *obs.Obs) {
+func allpairsDistRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, workersPerProc int, distAddrs []string, o *obs.Obs) {
 	opts.Obs = o
 	t0 := time.Now()
-	r := allPairsVia(net, srcs, packet, targets, opts, dist.Config{
-		Procs: procs, Workers: distAddrs, WorkersPerProc: workersPerProc,
-	})
+	r := allPairsVia(net, srcs, packet, targets, opts, dist.Config{Workers: distAddrs, WorkersPerProc: workersPerProc})
 	elapsed := time.Since(t0)
 
 	// The matrix rides in the row as "src->tgt:count" cells, and the
@@ -749,18 +740,22 @@ func timeBatches(n int, run func() []dist.JobResult) time.Duration {
 	return time.Since(t0) / time.Duration(n)
 }
 
-// poolBench measures what the persistent fleet buys over per-batch fork/exec
-// — the cold path spawns, handshakes and ships a full setup every batch,
-// the pool does it once and reuses. cold_ns and pool_ns share a row so
-// benchdiff -ns-key cold_ns -ns-key-new pool_ns gates the reuse speedup in CI.
+// poolBench measures what the persistent fleet buys over a pool per batch,
+// on two loopback TCP members — the cold path dials, handshakes and ships a
+// full setup every batch, the pool does it once and reuses. A new pool is a
+// new run to the members, so nothing they installed for an earlier one is
+// reused. cold_ns and pool_ns share a row so benchdiff -ns-key cold_ns
+// -ns-key-new pool_ns gates the reuse speedup in CI.
 func poolBench(rep *reporter, quick bool) {
 	net, jobs := poolJobs(quick)
-	procs, batches := 2, 4
-	rep.printf("== Worker pool reuse vs cold fork/exec (procs=%d, %d jobs, %d batches) ==\n", procs, len(jobs), batches)
+	addrs, stop := spawnListenWorkers(2)
+	defer stop()
+	batches := 4
+	rep.printf("== Worker pool reuse vs a pool per batch (tcp fleet=%d, %d jobs, %d batches) ==\n", len(addrs), len(jobs), batches)
 	rep.printf("%-12s %-14s %-14s %s\n", "Case", "Cold/batch", "Pool/batch", "Speedup")
 
 	newPool := func() *dist.Pool {
-		p, err := dist.NewPool(dist.Config{Procs: procs, WorkersPerProc: 1})
+		p, err := dist.NewPool(dist.Config{Workers: addrs, WorkersPerProc: 1})
 		if err != nil {
 			fail(err)
 		}
@@ -772,7 +767,7 @@ func poolBench(rep *reporter, quick bool) {
 		return p.RunBatch(net, jobs)
 	})
 	pool := newPool()
-	pool.RunBatch(net, jobs) // warm: spawn + full setup land here
+	pool.RunBatch(net, jobs) // warm: handshake + full setup land here
 	warm := timeBatches(batches, func() []dist.JobResult { return pool.RunBatch(net, jobs) })
 	pool.Close()
 	rep.printf("%-12s %-14v %-14v %.2fx\n", "reuse", cold.Round(time.Millisecond), warm.Round(time.Millisecond), float64(cold)/float64(warm))
@@ -781,7 +776,7 @@ func poolBench(rep *reporter, quick bool) {
 		Name:       "reuse",
 		Extra: map[string]any{
 			"cold_ns": cold.Nanoseconds(), "pool_ns": warm.Nanoseconds(),
-			"procs": procs, "jobs": len(jobs), "batches": batches,
+			"fleet": len(addrs), "jobs": len(jobs), "batches": batches,
 		},
 	})
 	rep.printf("\n")
@@ -990,15 +985,15 @@ func itablesRow(rep *reporter, name string, net *core.Network, srcs []core.PortR
 // pre-executed decision DAG), interleaved best-of-N with the reachability
 // matrices cross-checked between passes. An untimed pair of passes then
 // fingerprints every path summary of the sequential in-process reference
-// against the default engine sharded over -procs x -workers; the
-// fingerprint rides in the row, so -stable output is byte-identical across
-// fleet shapes exactly when reference and default agree on all of them.
+// against the default engine at -workers; the fingerprint rides in the row,
+// so -stable output is byte-identical across worker counts exactly when
+// reference and default agree on all of them.
 // Census columns report how much of each network summarizes and how large
 // the row sets get; they are deterministic and survive -stable. In -heavy
 // mode only the heavy department runs — the workload the multicore CI gate
 // holds to a >=1.2x summary speedup via benchdiff -ns-key ir_ns
 // -ns-key-new sum_ns.
-func summaries(rep *reporter, quick, heavy bool, procs, workers int, o *obs.Obs) {
+func summaries(rep *reporter, quick, heavy bool, workers int, o *obs.Obs) {
 	rep.printf("== Per-element summaries: compose transfer functions vs re-execute IR ==\n")
 	rep.printf("%-22s %-12s %-12s %-9s %-8s %-9s %-10s %s\n",
 		"Dataset", "IR", "Summaries", "Speedup", "Summar.", "Fallback", "Rows", "MaxRows")
@@ -1013,7 +1008,7 @@ func summaries(rep *reporter, quick, heavy bool, procs, workers int, o *obs.Obs)
 	d := datasets.NewDepartment(deptCfg)
 	deptSrcs, deptTargets := d.AllPairs()
 	summariesRow(rep, "department", d.Net, deptSrcs, sefl.NewTCPPacket(), deptTargets,
-		core.Options{MaxHops: 64}, quick, procs, workers, o)
+		core.Options{MaxHops: 64}, quick, workers, o)
 
 	if !heavy {
 		// Heavy mode scopes to the department batch alone (mirroring
@@ -1024,12 +1019,12 @@ func summaries(rep *reporter, quick, heavy bool, procs, workers int, o *obs.Obs)
 		bb := datasets.StanfordBackbone(zones, perZone)
 		bbSrcs, bbTargets := bb.AllPairs()
 		summariesRow(rep, "stanford backbone", bb.Net, bbSrcs, sefl.NewIPPacket(), bbTargets,
-			core.Options{}, quick, procs, workers, o)
+			core.Options{}, quick, workers, o)
 	}
 	rep.printf("\n")
 }
 
-func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, quick bool, procs, workers int, obsv *obs.Obs) {
+func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, quick bool, workers int, obsv *obs.Obs) {
 	reps := 3
 	if quick {
 		reps = 2
@@ -1079,9 +1074,9 @@ func summariesRow(rep *reporter, name string, net *core.Network, srcs []core.Por
 	ref := opts
 	ref.IRExec = true
 	refFP := summaryFP(allPairsVia(net, srcs, packet, targets, ref, dist.Config{}))
-	fp := summaryFP(allPairsVia(net, srcs, packet, targets, opts, dist.Config{Procs: procs, WorkersPerProc: workers}))
+	fp := summaryFP(allPairsVia(net, srcs, packet, targets, opts, dist.Config{WorkersPerProc: workers}))
 	if refFP != fp {
-		fail(fmt.Errorf("summaries %s: path summaries of the default engine at procs=%d workers=%d (%s) differ from the sequential IR reference (%s)", name, procs, workers, fp, refFP))
+		fail(fmt.Errorf("summaries %s: path summaries of the default engine at workers=%d (%s) differ from the sequential IR reference (%s)", name, workers, fp, refFP))
 	}
 
 	summarized, fallbacks := 0, 0

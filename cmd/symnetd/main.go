@@ -41,7 +41,6 @@ import (
 
 	"symnet"
 	"symnet/internal/datasets"
-	"symnet/internal/dist"
 	"symnet/internal/httpapi"
 	"symnet/internal/obs"
 	"symnet/internal/sefl"
@@ -203,13 +202,11 @@ func (d *daemon) shutdown(stateFile string) {
 }
 
 func main() {
-	dist.MaybeWorker() // spawned as a distributed worker: never returns
 	network := flag.String("network", "department", "resident topology: department|backbone")
 	quick := flag.Bool("quick", false, "small topology (CI smoke)")
 	heavy := flag.Bool("heavy", false, "paper-scale-plus topology")
 	workers := flag.Int("workers", 0, "re-verification worker pool (0: GOMAXPROCS)")
 	distWorkers := flag.String("dist-workers", "", "comma-separated host:port list of resident TCP workers (symworker -listen); verification passes shard across the fleet")
-	distProcs := flag.Int("dist-procs", 0, "shard verification passes across this many persistent local worker subprocesses (ignored when -dist-workers is set)")
 	listen := flag.String("listen", "127.0.0.1:7080", "HTTP listen address")
 	debugAddr := flag.String("debug-addr", "", "serve expvar metrics and pprof on this address")
 	stateFile := flag.String("state", "", "snapshot file: restored at startup if present, written on shutdown")
@@ -233,7 +230,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "symnetd:", err)
 		os.Exit(2)
 	}
-	cfg.QueueDepth, cfg.MaxBatch, cfg.DistProcs = *queueDepth, *maxBatch, *distProcs
+	cfg.QueueDepth, cfg.MaxBatch = *queueDepth, *maxBatch
 	if *distWorkers != "" {
 		cfg.DistWorkers = strings.Split(*distWorkers, ",")
 	}

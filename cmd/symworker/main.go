@@ -1,5 +1,5 @@
-// Command symworker is the resident distributed-verification worker: a
-// fleet member on another machine. `symworker -listen host:port` binds the
+// Command symworker is the distributed-verification worker: a fleet member,
+// and the only kind there is. `symworker -listen host:port` binds the
 // address, prints the bound address on stdout (useful with :0), and serves
 // one session of the internal/dist frame protocol (a stream of gob frames;
 // gob is self-delimiting, there are no explicit length prefixes) per
@@ -14,10 +14,10 @@
 //	})
 //	results := runner.RunBatch(net, jobs)
 //
-// There is no stdio mode: a coordinator that wants local worker processes
-// (dist.Config.Procs) re-executes its own binary, which serves as its own
-// worker through dist.MaybeWorker. Without -listen, symworker prints its
-// usage and exits 2.
+// Coordinators spawn no workers of their own: on one machine the in-process
+// scheduler (dist.Config.WorkersPerProc) is faster than any local fleet, so
+// a member is started once per machine and dialled. Without -listen,
+// symworker prints its usage and exits 2.
 //
 // With -debug-addr the worker serves /debug/pprof and /debug/vars for live
 // inspection of a long shard; the expvar metrics appear once the coordinator

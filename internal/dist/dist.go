@@ -1,5 +1,5 @@
 // Package dist distributes batch verification across worker processes: a
-// coordinator shards a batch of independent jobs onto N subprocesses (each
+// coordinator shards a batch of independent jobs onto N fleet members (each
 // running its own in-process worker pool), ships the network spec plus the
 // compiled IR of every element-port program so workers skip recompilation,
 // and collects results in job order.
@@ -8,7 +8,7 @@
 // per-job results are interleaving-independent (frontier-order merge,
 // per-task symbol bands) and Sat-cache hits replay the original
 // computation's statistics, so a batch through any Runner — in-process at
-// any width, a stdio pool, a TCP fleet — is byte-identical (as summaries) to
+// any width or a TCP fleet of any size — is byte-identical (as summaries) to
 // sched.RunBatch(net, jobs, w); the property tests in this package pin it on
 // the department, Stanford-backbone and fork-heavy datasets.
 //
@@ -23,12 +23,13 @@
 // that need them (field domains, concrete packets) belong on the worker
 // side or in in-process runs.
 //
-// A fleet member is one of two things, and there is no third: a subprocess
-// of the coordinator's own binary (Config.Procs — a Pool re-executes the
-// current executable, which must call MaybeWorker() early in main, as the
-// symnetd/symbench CLIs and the test binaries do) speaking frames on stdio,
-// or a resident `symworker -listen` process dialled over TCP
-// (Config.Workers).
+// A fleet member is a resident process serving ServeListener — `symworker
+// -listen`, or a binary that calls MaybeWorker under
+// SYMNET_DIST_WORKER=listen=addr — dialled over TCP at one of
+// Config.Workers' addresses. The coordinator spawns no workers of its own:
+// a local worker process re-runs the engine the in-process scheduler
+// already runs and pays encode, ship and decode on top, so one machine's
+// cores are Config.WorkersPerProc's to use.
 package dist
 
 import (
@@ -170,11 +171,10 @@ func (inProcess) Invalidate()             {}
 func (inProcess) Close() error            { return nil }
 
 // NewRunner is where the pool-or-in-process decision lives: a Config that
-// names no fleet (Procs <= 0 and no Workers addresses) yields InProcess at
-// WorkersPerProc width — the zero Config never forks — and anything else a
-// Pool. Close the runner when done.
+// names no fleet (no Workers addresses) yields InProcess at WorkersPerProc
+// width, and one that does a Pool. Close the runner when done.
 func NewRunner(cfg Config) (Runner, error) {
-	if cfg.Procs <= 0 && len(cfg.Workers) == 0 {
+	if len(cfg.Workers) == 0 {
 		return InProcess(cfg.WorkersPerProc, cfg.Obs), nil
 	}
 	p, err := NewPool(cfg)
@@ -204,16 +204,12 @@ func Summarize(res *core.Result) *Summary {
 
 // Config describes a Runner: which fleet, if any, and how it is driven.
 type Config struct {
-	// Procs is the number of worker subprocesses, each a re-execution of the
-	// current binary (which must call MaybeWorker early in main); <= 0 with
-	// no Workers addresses means no fleet (see NewRunner).
-	Procs int
 	// WorkersPerProc sizes each worker's in-process pool — or, without a
 	// fleet, the in-process runner's (<= 0 selects GOMAXPROCS).
 	WorkersPerProc int
 	// Workers lists resident worker addresses (host:port of `symworker
-	// -listen` processes). When non-empty the fleet is one TCP session per
-	// address and Procs is ignored.
+	// -listen` processes), one TCP session each; empty means no fleet (see
+	// NewRunner).
 	Workers []string
 	// Obs attaches coordinator-side observability. With a registry present,
 	// workers are asked to collect metrics too and their end-of-shard

@@ -16,9 +16,9 @@ import (
 	"symnet/internal/sefl"
 )
 
-// TestMain lets the test binary serve as its own dist worker: when the
-// coordinator (a test in this same binary) re-executes it with the worker
-// marker set, MaybeWorker hijacks the process before any test runs.
+// TestMain lets the test binary serve as its own fleet member: when a test
+// re-executes it in listen mode (startWorkerProcess), MaybeWorker hijacks the
+// process before any test runs.
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
 	os.Exit(m.Run())
@@ -71,8 +71,8 @@ func reference(t *testing.T, net *core.Network, jobs []dist.Job) []byte {
 }
 
 // runVia runs one batch through the runner cfg describes — NewRunner, the
-// constructor every caller uses, so procs 0 is the in-process runner and
-// anything else a pool — and dismisses it.
+// constructor every caller uses, so a Config without Workers is the
+// in-process runner and one with them a pool — and dismisses it.
 func runVia(t *testing.T, net *core.Network, jobs []dist.Job, cfg dist.Config) []dist.JobResult {
 	t.Helper()
 	r, err := dist.NewRunner(cfg)
@@ -83,10 +83,11 @@ func runVia(t *testing.T, net *core.Network, jobs []dist.Job, cfg dist.Config) [
 	return r.RunBatch(net, jobs)
 }
 
-// runGrid is runVia at one (procs, workersPerProc) point.
-func runGrid(t *testing.T, net *core.Network, jobs []dist.Job, procs, workers int) []dist.JobResult {
+// runGrid is runVia at one (members, workersPerProc) point: members 0 is the
+// in-process runner, anything more a fleet of that many loopback members.
+func runGrid(t *testing.T, net *core.Network, jobs []dist.Job, members, workers int) []dist.JobResult {
 	t.Helper()
-	return runVia(t, net, jobs, dist.Config{Procs: procs, WorkersPerProc: workers})
+	return runVia(t, net, jobs, dist.Config{Workers: residentFleet(t, members), WorkersPerProc: workers})
 }
 
 type batchCase struct {
@@ -134,23 +135,23 @@ func batchCases(t *testing.T) []batchCase {
 }
 
 // TestRunBatchByteIdentical is the tentpole property: a batch through
-// NewRunner over any (procs, workersPerProc) grid — including the in-process
-// procs=0 runner — is byte-identical to sched.RunBatch, on all three datasets.
-// It also pins the compiled-IR round trip, since workers execute the shipped
-// encode→decode IR.
+// NewRunner over any (members, workersPerProc) grid — including the
+// in-process runner at members 0 — is byte-identical to sched.RunBatch, on
+// all three datasets. It also pins the compiled-IR round trip, since workers
+// execute the shipped encode→decode IR.
 func TestRunBatchByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+		t.Skip("opens TCP sessions")
 	}
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := reference(t, tc.net, tc.jobs)
-			for _, procs := range []int{0, 1, 2, 4} {
+			for _, members := range []int{0, 1, 2, 4} {
 				for _, workers := range []int{1, 2} {
-					got := canonical(t, runGrid(t, tc.net, tc.jobs, procs, workers))
+					got := canonical(t, runGrid(t, tc.net, tc.jobs, members, workers))
 					if string(got) != string(want) {
-						t.Errorf("procs=%d workers=%d: distributed results differ from sched.RunBatch\n got: %.400s\nwant: %.400s",
-							procs, workers, got, want)
+						t.Errorf("members=%d workers=%d: distributed results differ from sched.RunBatch\n got: %.400s\nwant: %.400s",
+							members, workers, got, want)
 					}
 				}
 			}
@@ -158,7 +159,7 @@ func TestRunBatchByteIdentical(t *testing.T) {
 			// empty shard and only open and close the batch.
 			one := tc.jobs[:1]
 			if got := canonical(t, runGrid(t, tc.net, one, 3, 1)); string(got) != string(reference(t, tc.net, one)) {
-				t.Errorf("procs=3, one job: distributed result differs from sched.RunBatch")
+				t.Errorf("members=3, one job: distributed result differs from sched.RunBatch")
 			}
 		})
 	}
@@ -191,12 +192,13 @@ func canonicalNoCtx(t *testing.T, results []dist.JobResult) []byte {
 }
 
 // TestGuardModesDistByteIdentical is the distributed face of the
-// interval-table acceptance property: at procs 0 and 2, interval-table
-// execution matches the Or-tree reference on every observable, and each
-// mode is procs-count deterministic including its constraint fingerprints.
+// interval-table acceptance property: in-process and on a two-member fleet,
+// interval-table execution matches the Or-tree reference on every
+// observable, and each mode is fleet-size deterministic including its
+// constraint fingerprints.
 func TestGuardModesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+		t.Skip("opens TCP sessions")
 	}
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,9 +210,9 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 					jobs[i].Opts.OrTreeGuards = orTree
 				}
 				var wantFull []byte
-				for _, procs := range []int{0, 2} {
-					out := runGrid(t, tc.net, jobs, procs, 2)
-					if procs == 0 {
+				for _, members := range []int{0, 2} {
+					out := runGrid(t, tc.net, jobs, members, 2)
+					if members == 0 {
 						wantFull = canonical(t, out)
 						if orTree {
 							wantObs = canonicalNoCtx(t, out)
@@ -218,7 +220,7 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 							t.Errorf("interval-table observables differ from Or-tree reference")
 						}
 					} else if got := canonical(t, out); string(got) != string(wantFull) {
-						t.Errorf("ortree=%v: procs=%d differs from procs=0", orTree, procs)
+						t.Errorf("ortree=%v: members=%d differs from in-process", orTree, members)
 					}
 				}
 			}
@@ -258,21 +260,21 @@ func poisonedCase() (*core.Network, []dist.Job) {
 // complete, and the distributed error matches the in-process one.
 func TestDistributedPanicIsolation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+		t.Skip("opens TCP sessions")
 	}
 	net, jobs := poisonedCase()
 	want := reference(t, net, jobs)
-	for _, procs := range []int{1, 2} {
-		out := runGrid(t, net, jobs, procs, 2)
+	for _, members := range []int{1, 2} {
+		out := runGrid(t, net, jobs, members, 2)
 		if string(canonical(t, out)) != string(want) {
-			t.Errorf("procs=%d: poisoned batch differs from in-process reference", procs)
+			t.Errorf("members=%d: poisoned batch differs from in-process reference", members)
 		}
 		if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "panicked") {
-			t.Errorf("procs=%d: poisoned job error = %v", procs, out[1].Err)
+			t.Errorf("members=%d: poisoned job error = %v", members, out[1].Err)
 		}
 		for _, i := range []int{0, 2} {
 			if out[i].Err != nil || out[i].Summary == nil || out[i].Summary.Stats.Delivered != 1 {
-				t.Errorf("procs=%d: sibling %q poisoned: %+v", procs, out[i].Name, out[i])
+				t.Errorf("members=%d: sibling %q poisoned: %+v", members, out[i].Name, out[i])
 			}
 		}
 	}
@@ -280,12 +282,13 @@ func TestDistributedPanicIsolation(t *testing.T) {
 
 // TestWorkerCrashDoesNotPoisonOtherShards runs a poison job — one that kills
 // every worker that executes it (the fault-injection env hook without the
-// once-marker) — through a four-member fleet as production drives it, the
-// fixed re-dispatch budget included. The job must fail alone, after exactly
-// jobRetries re-dispatches, with the dead worker's last words in its error;
-// every sibling is delivered byte-identical to the in-process reference, by
-// the members the poison job reached only after they had finished their own
-// shard (a member's queue is FIFO) or did not reach at all.
+// once-marker) — through a fleet of four member processes as production
+// drives it, the fixed re-dispatch budget included. The job must fail alone,
+// after exactly jobRetries re-dispatches, with the lost connection in its
+// error; every sibling is delivered byte-identical to the in-process
+// reference, by the members the poison job reached only after they had
+// finished their own shard (a member's queue is FIFO) or did not reach at
+// all.
 func TestWorkerCrashDoesNotPoisonOtherShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
@@ -302,24 +305,17 @@ func TestWorkerCrashDoesNotPoisonOtherShards(t *testing.T) {
 	if len(jobs) < 4 || len(jobs) >= 8 {
 		t.Fatalf("need 4..7 jobs, have %d", len(jobs))
 	}
-	// Spawned members inherit the environment; nothing in this process reads
-	// the hook (the in-process reference does not go through a worker).
-	t.Setenv("SYMNET_DIST_TEST_EXIT_ON", jobs[0].Name)
+	poison := "SYMNET_DIST_TEST_EXIT_ON=" + jobs[0].Name
+	var fleet []string
+	for range 4 {
+		fleet = append(fleet, startWorkerProcess(t, poison))
+	}
 	reg := obs.NewRegistry()
-	out := runVia(t, d.Net, jobs, dist.Config{Procs: 4, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
+	out := runVia(t, d.Net, jobs, dist.Config{Workers: fleet, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
 	if err := out[0].Err; err == nil || out[0].Summary != nil {
 		t.Errorf("poison job %s: %+v, want a lost-job error", out[0].Name, out[0])
-	} else {
-		// The lost-job error must carry the crashed worker's stderr tail —
-		// the injected-crash hook announces itself there before exiting, so
-		// the diagnosis names the cause instead of just "exited".
-		msg := err.Error()
-		if !strings.Contains(msg, "worker ") || !strings.Contains(msg, " died") {
-			t.Errorf("poison job %s: err = %v, want \"worker N died…\"", out[0].Name, err)
-		}
-		if !strings.Contains(msg, "stderr:") || !strings.Contains(msg, "injected crash") {
-			t.Errorf("poison job %s: lost-job error lacks the stderr tail: %v", out[0].Name, err)
-		}
+	} else if msg := err.Error(); !strings.Contains(msg, "worker ") || !strings.Contains(msg, "connection lost") {
+		t.Errorf("poison job %s: err = %v, want \"worker N connection lost…\"", out[0].Name, err)
 	}
 	for i, r := range out[1:] {
 		if r.Err != nil || r.Summary == nil {
@@ -354,10 +350,10 @@ func satHeavyJobs(rules, queries int) (*core.Network, []dist.Job) {
 // frame-size counters recorded coordinator-side).
 func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+		t.Skip("opens TCP sessions")
 	}
 	net, jobs := satHeavyJobs(8, 6)
-	cfg := dist.Config{Procs: 2, WorkersPerProc: 2}
+	cfg := dist.Config{Workers: residentFleet(t, 2), WorkersPerProc: 2}
 	want := canonical(t, runVia(t, net, jobs, cfg))
 
 	reg := obs.NewRegistry()
@@ -399,14 +395,14 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 
 // TestSummariesDistByteIdentical is the distributed face of the summary
 // acceptance property: the default engine or the IR reference
-// (Options.IRExec), at procs 0 and 2, every dataset batch produces the same
-// bytes as the IR reference in-process — full canonical encoding, constraint
-// fingerprints included, since summaries replay the exact IR solver call
-// sequence. It also pins the summary wire crossing, since workers execute
-// the shipped summaries.
+// (Options.IRExec), in-process and on a two-member fleet, every dataset batch
+// produces the same bytes as the IR reference in-process — full canonical
+// encoding, constraint fingerprints included, since summaries replay the
+// exact IR solver call sequence. It also pins the summary wire crossing,
+// since workers execute the shipped summaries.
 func TestSummariesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+		t.Skip("opens TCP sessions")
 	}
 	withIRExec := func(jobs []dist.Job, irExec bool) []dist.Job {
 		out := append([]dist.Job(nil), jobs...)
@@ -419,11 +415,11 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := reference(t, tc.net, withIRExec(tc.jobs, true))
 			for _, irExec := range []bool{true, false} {
-				for _, procs := range []int{0, 2} {
-					got := canonical(t, runGrid(t, tc.net, withIRExec(tc.jobs, irExec), procs, 2))
+				for _, members := range []int{0, 2} {
+					got := canonical(t, runGrid(t, tc.net, withIRExec(tc.jobs, irExec), members, 2))
 					if string(got) != string(want) {
-						t.Errorf("IRExec=%v procs=%d: results differ from the IR reference in-process",
-							irExec, procs)
+						t.Errorf("IRExec=%v members=%d: results differ from the IR reference in-process",
+							irExec, members)
 					}
 				}
 			}
@@ -440,7 +436,7 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 // and zero worker-side builds on any of them.
 func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+		t.Skip("opens TCP sessions")
 	}
 	net, inject := datasets.SatHeavy(8)
 	g := net.AddElement("sumgate", "gate", 1, 1)
@@ -468,7 +464,7 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	pool, err := dist.NewPool(dist.Config{Procs: 2, WorkersPerProc: 2, Obs: obs.New(reg, nil)})
+	pool, err := dist.NewPool(dist.Config{Workers: residentFleet(t, 2), WorkersPerProc: 2, Obs: obs.New(reg, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +508,7 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 // error instead of hanging or crashing.
 func TestRunBatchUnserializableNetwork(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+		t.Skip("opens TCP sessions")
 	}
 	net := core.NewNetwork()
 	e := net.AddElement("dut", "test", 1, 0)
@@ -527,7 +523,7 @@ func TestRunBatchUnserializableNetwork(t *testing.T) {
 }
 
 // TestNewRunnerPicksByFleet pins the one pool-or-in-process decision: a
-// Config that names no fleet yields the in-process runner, forking nothing,
+// Config that names no fleet yields the in-process runner, dialling nothing,
 // and NewPool refuses it outright.
 func TestNewRunnerPicksByFleet(t *testing.T) {
 	r, err := dist.NewRunner(dist.Config{WorkersPerProc: 3})

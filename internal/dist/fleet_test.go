@@ -1,8 +1,8 @@
 package dist_test
 
-// Fleet-level property tests: the TCP transport, the fleet's shape and crash
-// re-dispatch must all be invisible in the bytes — RunBatch output equals
-// the in-process engine's for every transport, shard map and crash pattern.
+// Fleet-level property tests: the fleet's shape and crash re-dispatch must
+// be invisible in the bytes — RunBatch output equals the in-process engine's
+// for every fleet size, shard map and crash pattern.
 
 import (
 	"bufio"
@@ -28,6 +28,17 @@ func startResidentWorker(t *testing.T) string {
 	t.Cleanup(func() { ln.Close() })
 	go dist.ServeListener(ln)
 	return ln.Addr().String()
+}
+
+// residentFleet is n startResidentWorker members' addresses (nil for 0: no
+// fleet, so NewRunner answers in-process).
+func residentFleet(t *testing.T, n int) []string {
+	t.Helper()
+	var addrs []string
+	for range n {
+		addrs = append(addrs, startResidentWorker(t))
+	}
+	return addrs
 }
 
 // startWorkerProcess re-executes the test binary as a `listen`-mode fleet
@@ -73,7 +84,7 @@ func TestTCPFleetByteIdentical(t *testing.T) {
 	}
 	for _, bc := range batchCases(t) {
 		t.Run(bc.name, func(t *testing.T) {
-			addrs := []string{startResidentWorker(t), startResidentWorker(t), startResidentWorker(t)}
+			addrs := residentFleet(t, 3)
 			batches := [][]dist.Job{bc.jobs, bc.jobs[:1]}
 			want := [][]byte{reference(t, bc.net, batches[0]), reference(t, bc.net, batches[1])}
 			for size := 1; size <= len(addrs); size++ {
@@ -93,9 +104,9 @@ func TestTCPFleetByteIdentical(t *testing.T) {
 }
 
 // TestCrashRedispatchZeroLoss injects a one-shot crash (the first worker to
-// reach the named job dies before reporting it) into a fork/exec fleet and
-// requires zero job loss and byte-identical output: the dead worker's jobs
-// re-dispatch to survivors inside the default retry budget.
+// reach the named job dies before reporting it) into a fleet of three member
+// processes and requires zero job loss and byte-identical output: the dead
+// worker's jobs re-dispatch to survivors inside the default retry budget.
 func TestCrashRedispatchZeroLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
@@ -103,9 +114,14 @@ func TestCrashRedispatchZeroLoss(t *testing.T) {
 	bc := batchCases(t)[0] // department
 	want := reference(t, bc.net, bc.jobs)
 	marker := filepath.Join(t.TempDir(), "crash-once")
-	t.Setenv("SYMNET_DIST_TEST_EXIT_ON", bc.jobs[1].Name)
-	t.Setenv("SYMNET_DIST_TEST_EXIT_ONCE", marker)
-	out := runVia(t, bc.net, bc.jobs, dist.Config{Procs: 3, WorkersPerProc: 1})
+	var fleet []string
+	for range 3 {
+		fleet = append(fleet, startWorkerProcess(t,
+			"SYMNET_DIST_TEST_EXIT_ON="+bc.jobs[1].Name,
+			"SYMNET_DIST_TEST_EXIT_ONCE="+marker,
+		))
+	}
+	out := runVia(t, bc.net, bc.jobs, dist.Config{Workers: fleet, WorkersPerProc: 1})
 	if got := canonical(t, out); !bytes.Equal(got, want) {
 		for i, r := range out {
 			if r.Err != nil {

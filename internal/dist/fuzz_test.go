@@ -27,11 +27,12 @@ func FuzzServeSession(f *testing.F) {
 }
 
 // FuzzResultFrame feeds arbitrary bytes to the coordinator's side of a
-// result: decoded as a frame, its summary unpacked. A pool faces bytes it did
-// not write — any peer that completes the handshake is a fleet member — so
-// unpack must answer a Summary or an error and never panic, and a Summary it
-// answers holds each path's whole history. The seed corpus under
-// testdata/fuzz/FuzzResultFrame is every frame resultCases builds.
+// result: decoded as a frame, its summary unpacked at the default hop budget.
+// A pool faces bytes it did not write — any peer that completes the
+// handshake is a fleet member — so unpack must answer a Summary or an error
+// and never panic, and a Summary it answers holds each path's whole history.
+// The seed corpus under testdata/fuzz/FuzzResultFrame is every frame
+// resultCases builds.
 func FuzzResultFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := newConn(bytes.NewReader(data), io.Discard).recv()
@@ -39,7 +40,7 @@ func FuzzResultFrame(f *testing.F) {
 			return
 		}
 		w := fr.Result.Summary
-		s, err := w.unpack()
+		s, err := w.unpack(0)
 		if err != nil {
 			return // any error is an acceptable answer
 		}

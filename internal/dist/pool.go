@@ -2,10 +2,8 @@ package dist
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"os"
-	"os/exec"
 	"slices"
 	"time"
 
@@ -13,12 +11,11 @@ import (
 	"symnet/internal/obs"
 )
 
-// Pool is a persistent fleet of workers reused across batches. Workers are
-// fork/exec'd subprocesses (Config.Procs) or resident `symworker -listen`
-// processes reached over TCP (Config.Workers); either way each holds the
-// installed network between RunBatch calls, so repeated batches — the churn
-// re-verification loop above all — pay the setup encode once and then ship
-// only deltas (Refresh) or nothing (unchanged network).
+// Pool is a persistent fleet of workers reused across batches: resident
+// `symworker -listen` processes reached over TCP (Config.Workers), each
+// holding the installed network between RunBatch calls, so repeated batches
+// — the churn re-verification loop above all — pay the setup encode once and
+// then ship only deltas (Refresh) or nothing (unchanged network).
 //
 // A batch is a shard map and a crash path. Dispatch is static: the live
 // members split the batch into contiguous shards (shardBounds), one jobs frame
@@ -28,11 +25,11 @@ import (
 // measured faster than leaving it (BENCH_10.json). The one dynamic
 // step is a death: a worker that dies mid-batch has its jobs re-dispatched to
 // the least-loaded survivor up to jobRetries times each, then they fail with
-// a pointed per-job error; TCP workers get one redial per batch first, and a
-// reconnecting pool ships a setup delta instead of the full re-encode. None
+// a pointed per-job error; a dead member gets one redial per batch first, and
+// a reconnecting pool ships a setup delta instead of the full re-encode. None
 // of this affects results: each job is deterministic in isolation, so
-// RunBatch output is byte-identical across every transport, pool size and
-// crash pattern — the property tests in this package pin that.
+// RunBatch output is byte-identical across every pool size and crash
+// pattern — the property tests in this package pin that.
 //
 // A Pool is not safe for concurrent use; serialize RunBatch/Refresh/Close
 // calls (Session.Serve does, via the churn service's single apply goroutine).
@@ -70,13 +67,9 @@ type genDelta struct {
 // poolWorker is the coordinator's handle on one fleet member.
 type poolWorker struct {
 	id   int
-	addr string // non-empty: TCP; empty: subprocess
+	addr string
 
-	cmd    *exec.Cmd
-	stdin  io.WriteCloser
-	stderr *tailBuffer
-	nc     net.Conn
-
+	nc   net.Conn
 	conn *conn
 	t0   time.Time
 
@@ -105,13 +98,12 @@ type wEvent struct {
 	err error
 }
 
-// NewPool builds the fleet: dials cfg.Workers addresses when given (one pool
-// worker per address; cfg.Procs is ignored), else fork/execs cfg.Procs
-// subprocesses. A Config naming neither is an error here — NewRunner is the
-// constructor that falls back to in-process. Each remote worker completes
-// the session handshake before NewPool returns; TCP addresses that refuse the
-// dial join the pool dead (batches shard over the survivors and retry the
-// redial), and construction fails only when no member at all is reachable.
+// NewPool builds the fleet: one pool worker per cfg.Workers address. A
+// Config naming no address is an error here — NewRunner is the constructor
+// that falls back to in-process. Each member completes the session handshake
+// before NewPool returns; addresses that refuse the dial join the pool dead
+// (batches shard over the survivors and retry the redial), and construction
+// fails only when no member at all is reachable.
 func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg: cfg, o: cfg.Obs, gen: 1,
@@ -120,49 +112,32 @@ func NewPool(cfg Config) (*Pool, error) {
 	if p.o != nil {
 		p.reg = p.o.Reg
 	}
-	n := cfg.Procs
-	if len(cfg.Workers) > 0 {
-		n = len(cfg.Workers)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("dist: NewPool: config names no fleet (Procs <= 0, no Workers)")
+	n := len(cfg.Workers)
+	if n == 0 {
+		return nil, fmt.Errorf("dist: NewPool: config names no fleet (no Workers)")
 	}
 	p.events = make(chan wEvent, 4*n+16)
 	spawned := p.reg.Counter("dist.worker.spawned")
 	var firstDial error
-	for k := 0; k < n; k++ {
-		var w *poolWorker
-		var err error
-		if len(cfg.Workers) > 0 {
-			w = &poolWorker{id: k, addr: cfg.Workers[k]}
-			if err = p.connectTCP(w); err != nil {
-				// A fleet member that is down at construction joins the
-				// pool dead: batches shard over the survivors, and every
-				// batch start retries the redial in case it comes back.
-				// Construction fails only when nobody answers.
-				if firstDial == nil {
-					firstDial = err
-				}
-				w.readerDone = true
-				p.workers = append(p.workers, w)
-				continue
+	for k, addr := range cfg.Workers {
+		w := &poolWorker{id: k, addr: addr}
+		p.workers = append(p.workers, w)
+		if err := p.connect(w); err != nil {
+			// A fleet member that is down at construction joins the pool
+			// dead: batches shard over the survivors, and every batch start
+			// retries the redial in case it comes back. Construction fails
+			// only when nobody answers.
+			if firstDial == nil {
+				firstDial = err
 			}
-		} else {
-			// Local fork/exec failing is an environment error (fd
-			// exhaustion, a vanished executable), not a fleet-availability
-			// one: fail construction outright.
-			if w, err = p.spawnProc(k); err != nil {
-				p.closeAbandoned()
-				return nil, err
-			}
+			w.readerDone = true
+			continue
 		}
 		spawned.Inc()
 		w.alive = true
-		p.workers = append(p.workers, w)
 		p.startReader(w)
 	}
 	if p.liveCount() == 0 {
-		p.closeAbandoned()
 		return nil, fmt.Errorf("dist: no fleet member reachable: %w", firstDial)
 	}
 	return p, nil
@@ -229,8 +204,8 @@ func (p *Pool) refsSince(g uint64) ([]core.PortRef, bool) {
 }
 
 // RunBatch runs every job across the fleet, returning results in job order —
-// byte-identical (as summaries) to sched.RunBatch regardless of transport,
-// fleet size or crashes. A batch-wide setup failure poisons every job;
+// byte-identical (as summaries) to sched.RunBatch regardless of fleet size
+// or crashes. A batch-wide setup failure poisons every job;
 // per-worker failures poison only jobs that exhausted their retry budget. Per-job Options.Stats collectors and Options.SatMemo caches cannot
 // cross the process boundary and are ignored; per-job solver statistics are
 // in each Summary.Stats.Solver, deterministic either way.
@@ -297,10 +272,10 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 		w.redialed, w.batchDone = false, false
 	}
 	p.drainPending()
-	// Dead TCP members get one revival attempt per batch (the resident
-	// process may have restarted, or the drop was transient).
+	// Dead members get one revival attempt per batch (the resident process
+	// may have restarted, or the drop was transient).
 	for _, w := range p.workers {
-		if !w.alive && w.addr != "" {
+		if !w.alive {
 			if err := p.revive(w); err == nil {
 				p.reg.Counter("dist.worker.reconnects").Inc()
 			}
@@ -478,8 +453,8 @@ func (p *Pool) dispatch(w *poolWorker, br *batchRun, idxs []int) {
 // handleResult records a job's result — from its holder. A result naming a
 // job the sender does not hold (another member's, one already resolved, an
 // index outside the batch) is dropped, and a summary that does not unpack
-// fails its job: a resident symworker is a remote process whose bytes the
-// coordinator did not write.
+// within the job's own hop budget fails its job: every member is a remote
+// process whose bytes the coordinator did not write.
 func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
 	if r == nil || !removeOutstanding(w, r.Index) {
 		return
@@ -490,7 +465,7 @@ func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
 		jr.Err = fmt.Errorf("%s", r.Err)
 	}
 	if r.Summary != nil {
-		s, err := r.Summary.unpack()
+		s, err := r.Summary.unpack(br.jobs[r.Index].Opts.MaxHops)
 		if err != nil {
 			jr.Err = fmt.Errorf("dist: worker %d sent a malformed result for job %q: %w", w.id, br.jobs[r.Index].Name, err)
 		}
@@ -500,14 +475,13 @@ func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
 }
 
 // handleDown processes a worker's terminal reader event mid-batch: reap it,
-// optionally redial (TCP, once per batch), and re-dispatch or fail the jobs
-// it held.
+// redial it (once per batch), and re-dispatch or fail the jobs it held.
 func (p *Pool) handleDown(w *poolWorker, br *batchRun, readErr error) {
 	if !w.alive {
 		return
 	}
 	why := fmt.Sprintf("worker %d %s", w.id, p.reap(w, readErr, false))
-	if w.addr != "" && !w.redialed {
+	if !w.redialed {
 		w.redialed = true
 		if err := p.revive(w); err == nil {
 			p.reg.Counter("dist.worker.reconnects").Inc()
@@ -551,48 +525,25 @@ func (br *batchRun) fail(idx int) {
 	br.doneCount++
 }
 
-// reap marks a worker down, closes its transport, reclaims the subprocess,
-// and emits the lifetime telemetry. It returns the crash-detail string used
-// in lost-job errors. expected distinguishes a post-bye exit from a crash.
+// reap marks a worker down, closes its connection and emits the lifetime
+// telemetry. It returns the crash-detail string used in lost-job errors.
+// expected distinguishes a post-bye hang-up from a crash.
 func (p *Pool) reap(w *poolWorker, readErr error, expected bool) string {
 	w.alive = false
 	w.readerDone = true
-	var detail string
-	crashed := false
-	if w.cmd != nil {
-		if w.stdin != nil {
-			w.stdin.Close()
-		}
-		werr := w.cmd.Wait()
-		w.cmd, w.stdin = nil, nil
-		detail = "exited before reporting"
-		if werr != nil {
-			detail = fmt.Sprintf("died: %v", werr)
-			crashed = true
-		}
-	} else {
-		if w.nc != nil {
-			w.nc.Close()
-			w.nc = nil
-		}
-		detail = fmt.Sprintf("connection lost: %v", readErr)
-		crashed = !expected
+	if w.nc != nil {
+		w.nc.Close()
+		w.nc = nil
 	}
-	if tail := w.stderr.tail(); tail != "" {
-		// A crashed worker's last stderr lines usually name the cause (panic
-		// value, fatal log); carry them into the job errors so the failure is
-		// diagnosable from the coordinator alone.
-		detail += "; stderr: " + tail
-	}
-	if crashed {
-		p.reg.Counter("dist.worker.crashed").Inc()
-	} else {
+	if expected {
 		p.reg.Counter("dist.worker.exited").Inc()
+	} else {
+		p.reg.Counter("dist.worker.crashed").Inc()
 	}
 	if p.o.Enabled() {
 		dur := time.Since(w.t0)
 		status := "exited"
-		if crashed {
+		if !expected {
 			status = fmt.Sprintf("crashed: %v", readErr)
 		}
 		if p.o.Trc != nil {
@@ -603,7 +554,7 @@ func (p *Pool) reap(w *poolWorker, readErr error, expected bool) string {
 		}
 		p.reg.Histogram("phase.worker_ns").Observe(dur.Nanoseconds())
 	}
-	return detail
+	return fmt.Sprintf("connection lost: %v", readErr)
 }
 
 // removeOutstanding drops one job index from a worker's dispatch-ordered
@@ -679,29 +630,12 @@ func (p *Pool) startReader(w *poolWorker) {
 	}()
 }
 
-// spawnProc fork/execs one fleet member and completes the handshake.
-func (p *Pool) spawnProc(id int) (*poolWorker, error) {
-	cmd, stdin, stdout, tail, err := spawnWorkerProc()
-	if err != nil {
-		return nil, fmt.Errorf("dist: spawn worker %d: %w", id, err)
-	}
-	w := &poolWorker{id: id, cmd: cmd, stdin: stdin, stderr: tail, conn: newConn(stdout, stdin), t0: time.Now()}
-	w.conn.instrument(p.reg)
-	if err := p.handshake(w); err != nil {
-		stdin.Close()
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, err
-	}
-	return w, nil
-}
-
-// connectTCP dials one fleet member's address and completes the handshake,
+// connect dials one fleet member's address and completes the handshake,
 // (re)initializing the worker handle in place. The first-ever dial retries
 // inside a window (the fleet may still be binding); every later attempt gets
 // one shot, so a member that stays down costs each batch one refused connect
 // rather than a full retry window.
-func (p *Pool) connectTCP(w *poolWorker) error {
+func (p *Pool) connect(w *poolWorker) error {
 	window := time.Duration(0)
 	if !w.dialed {
 		window = dialRetryWindow
@@ -745,9 +679,9 @@ func (p *Pool) handshake(w *poolWorker) error {
 	return nil
 }
 
-// revive redials a dead TCP member and restarts its reader.
+// revive redials a dead member and restarts its reader.
 func (p *Pool) revive(w *poolWorker) error {
-	if err := p.connectTCP(w); err != nil {
+	if err := p.connect(w); err != nil {
 		return err
 	}
 	w.alive = true
@@ -763,20 +697,12 @@ func (w *poolWorker) closeTransport() {
 	if w.nc != nil {
 		w.nc.Close()
 	}
-	if w.stdin != nil {
-		w.stdin.Close()
-	}
-	if w.cmd != nil && w.cmd.Process != nil {
-		w.cmd.Process.Kill()
-	}
 }
 
-// Close dismisses the fleet: live workers get a bye (subprocesses exit,
-// resident TCP workers drop the session and serve others), readers drain,
-// processes are reclaimed. Safe to call twice.
+// Close dismisses the fleet: live workers get a bye (each drops the session
+// and goes on serving others) and the readers drain. Safe to call twice.
 func (p *Pool) Close() error {
 	if p.closed {
-		p.closed = true
 		return nil
 	}
 	p.closed = true
@@ -804,15 +730,4 @@ func (p *Pool) Close() error {
 		}
 	}
 	return nil
-}
-
-// closeAbandoned kills whatever NewPool had spawned before failing.
-func (p *Pool) closeAbandoned() {
-	p.closed = true
-	for _, w := range p.workers {
-		w.closeTransport()
-		if w.cmd != nil {
-			w.cmd.Wait()
-		}
-	}
 }

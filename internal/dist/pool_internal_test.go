@@ -293,3 +293,33 @@ func TestMalformedResultFailsItsJob(t *testing.T) {
 		t.Errorf("the member's next result differs from the in-process run:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestOverBudgetResultFailsItsJob pins that the pool holds a result to the
+// job it answers: a member that follows a looping packet for more hops than
+// the job's MaxHops allows has that job failed with the budget error.
+func TestOverBudgetResultFailsItsJob(t *testing.T) {
+	network, inject := loopNet()
+	jobs := []Job{{Name: "loop", Inject: inject, Packet: sefl.NewTCPPacket(), Opts: core.Options{MaxHops: 2}}}
+	deeper := packSummary(mustRun(t, network, inject, sefl.NewTCPPacket(), core.Options{MaxHops: 3}))
+	member := scriptedMember(t, func(c *conn, f *frame) bool {
+		switch f.Kind {
+		case frameJobs:
+			c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: 0, Name: jobs[0].Name, Summary: deeper}})
+		case frameEnd:
+			c.send(&frame{Kind: frameDone, Done: &doneFrame{}})
+		case frameBye:
+			return false
+		}
+		return true
+	})
+	p, err := NewPool(Config{Workers: []string{member}, WorkersPerProc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	out := p.RunBatch(network, jobs)
+	want := `dist: worker 0 sent a malformed result for job "loop": path 0: history of 7 port visits exceeds the job's budget of 5`
+	if out[0].Err == nil || out[0].Err.Error() != want || out[0].Summary != nil {
+		t.Errorf("over-budget result: %+v, want error %q", out[0], want)
+	}
+}

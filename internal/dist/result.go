@@ -86,13 +86,29 @@ func packSummary(res *core.Result) *wireSummary {
 // asking the allocator for the impossible.
 const maxUnpackedPorts = 1 << 28
 
+// defaultMaxHops is core.Options' MaxHops when a job leaves it 0.
+const defaultMaxHops = 4096
+
+// historyBudget is the most port visits one path of a job run at maxHops can
+// record: each of its hops pushes the input port and at most one output port
+// (core's step and depart), and the hop that trips the budget pushes its
+// input port and fails, so a path ends with at most 2×maxHops+1 visits.
+func historyBudget(maxHops int) int {
+	if maxHops == 0 {
+		maxHops = defaultMaxHops
+	}
+	return 2*max(maxHops, 0) + 1
+}
+
 // unpack expands a wire summary into the Summary that Summarize builds from
-// the same Result. Every index is checked first — a resident symworker is a
-// remote process whose bytes the coordinator did not write — so a malformed
-// summary is an error, never a panic. Strings are shared between paths, and
-// all paths' Ports (and Traces) are cut from one backing array, each capped
-// at its own length so an append to one cannot reach its neighbour.
-func (w *wireSummary) unpack() (*Summary, error) {
+// the same Result of a job run at maxHops. Every index is checked first, and
+// every path's history against the job's budget — the member is a remote
+// process whose bytes the coordinator did not write — so a malformed summary
+// is an error, never a panic. Strings are shared between paths, and all
+// paths' Ports (and Traces) are cut from one backing array, each capped at
+// its own length so an append to one cannot reach its neighbour.
+func (w *wireSummary) unpack(maxHops int) (*Summary, error) {
+	budget := historyBudget(maxHops)
 	nstr := int32(len(w.Strs))
 	depth := make([]int32, len(w.Hops))
 	refs := make([]core.PortRef, len(w.Hops))
@@ -123,6 +139,9 @@ func (w *wireSummary) unpack() (*Summary, error) {
 			}
 		}
 		if p.Leaf >= 0 {
+			if d := int(depth[p.Leaf]); d > budget {
+				return nil, fmt.Errorf("path %d: history of %d port visits exceeds the job's budget of %d", i, d, budget)
+			}
 			if nports += int(depth[p.Leaf]); nports > maxUnpackedPorts {
 				return nil, fmt.Errorf("path %d: histories exceed %d port visits", i, maxUnpackedPorts)
 			}

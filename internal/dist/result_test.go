@@ -84,23 +84,24 @@ func recvResult(t *testing.T, frames []*frame, trailing []byte) *wireSummary {
 // their length, so appending to one never writes into its neighbour.
 func TestResultFrameMatchesSummarize(t *testing.T) {
 	type run struct {
-		name string
-		res  *core.Result
+		name    string
+		res     *core.Result
+		maxHops int
 	}
 	var runs []run
 	names, results := departmentResults(t)
 	for i, res := range results {
-		runs = append(runs, run{"department " + names[i], res})
+		runs = append(runs, run{"department " + names[i], res, 64})
 	}
 	bb := datasets.StanfordBackbone(5, 40)
 	srcs, _ := bb.AllPairs()
 	for _, s := range srcs {
-		runs = append(runs, run{"backbone " + s.String(), mustRun(t, bb.Net, s, sefl.NewIPPacket(), core.Options{})})
+		runs = append(runs, run{"backbone " + s.String(), mustRun(t, bb.Net, s, sefl.NewIPPacket(), core.Options{}), 0})
 	}
 	fnet, finj := datasets.ForkHeavy(6, 2, 4)
 	runs = append(runs,
-		run{"forkheavy", mustRun(t, fnet, finj, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12})},
-		run{"forkheavy traced", mustRun(t, fnet, finj, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12, Trace: true})})
+		run{"forkheavy", mustRun(t, fnet, finj, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12}), 1 << 12},
+		run{"forkheavy traced", mustRun(t, fnet, finj, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12, Trace: true}), 1 << 12})
 	// Half the packets fail in their injection code, before the first port.
 	net, jobs := testFleetNet()
 	dropAA := sefl.Seq(sefl.NewEthernetPacket(), sefl.If{
@@ -109,14 +110,14 @@ func TestResultFrameMatchesSummarize(t *testing.T) {
 		Else: sefl.NoOp{},
 	})
 	empty := mustRun(t, net, jobs[0].Inject, dropAA, core.Options{})
-	runs = append(runs, run{"empty history", empty})
+	runs = append(runs, run{"empty history", empty, 0})
 	if empty.Paths[0].HistoryLen() != 0 || len(empty.Paths) < 2 {
 		t.Fatalf("test premise: want an empty-history path among others, got %d paths, first %v", len(empty.Paths), empty.Paths[0].History())
 	}
 
 	for _, r := range runs {
 		want := Summarize(r.res)
-		got, err := recvResult(t, resultFrames(packSummary(r.res)), nil).unpack()
+		got, err := recvResult(t, resultFrames(packSummary(r.res)), nil).unpack(r.maxHops)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -186,8 +187,18 @@ func resultCases(t testing.TB) []streamCase {
 		want := mutate(w)
 		return streamCase{name: name, frames: resultFrames(w), want: want}
 	}
+	// overBudget grows path 0's history by one visit past what a job at
+	// MaxHops 1 can record: its 3 visits (SW in, SW out, host in) are exactly
+	// historyBudget(1).
+	overBudget := malformed("history one visit over the budget", func(w *wireSummary) string {
+		leaf := w.Paths[0].Leaf
+		w.Hops = append(w.Hops, wireHop{Parent: leaf, Elem: w.Hops[leaf].Elem})
+		w.Paths[0].Leaf = int32(len(w.Hops) - 1)
+		return "path 0: history of 4 port visits exceeds the job's budget of 3"
+	})
+	overBudget.maxHops = 1
 	return []streamCase{
-		{name: "department result", frames: resultFrames(packSummary(dept))},
+		{name: "department result", frames: resultFrames(packSummary(dept)), maxHops: 64},
 		malformed("hop parent is the hop itself", func(w *wireSummary) string {
 			w.Hops[1].Parent = 1 // a cycle
 			return "hop 1: parent 1 is not an earlier hop"
@@ -212,6 +223,7 @@ func resultCases(t testing.TB) []streamCase {
 			w.Paths[0].Leaf = int32(len(w.Hops))
 			return fmt.Sprintf("path 0: leaf hop %d out of range [-1, %d)", len(w.Hops), len(w.Hops))
 		}),
+		overBudget,
 	}
 }
 
@@ -221,7 +233,7 @@ func resultCases(t testing.TB) []streamCase {
 func TestResultDecodeErrors(t *testing.T) {
 	for _, tc := range resultCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := recvResult(t, tc.frames, tc.trailing).unpack()
+			_, err := recvResult(t, tc.frames, tc.trailing).unpack(tc.maxHops)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unpack: %v", err)
@@ -230,5 +242,45 @@ func TestResultDecodeErrors(t *testing.T) {
 				t.Fatalf("error = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// loopNet is two elements forwarding into each other: every packet injected
+// at the returned port runs until the engine's hop budget stops it.
+func loopNet() (*core.Network, core.PortRef) {
+	net := core.NewNetwork()
+	for _, name := range []string{"a", "b"} {
+		net.AddElement(name, "loop", 1, 1).SetInCode(0, sefl.Forward{Port: 0})
+	}
+	net.MustLink("a", 0, "b", 0)
+	net.MustLink("b", 0, "a", 0)
+	return net, core.PortRef{Elem: "a", Port: 0}
+}
+
+// TestHopBudgetPathUnpacks pins historyBudget to the engine: a packet caught
+// in a forwarding loop runs until the engine stops it for exceeding its hop
+// budget, which is the longest history a job can record. That path has
+// exactly historyBudget(MaxHops) port visits and unpacks — at an explicit
+// MaxHops and at core's default (MaxHops 0) — and one hop less of budget
+// refuses it.
+func TestHopBudgetPathUnpacks(t *testing.T) {
+	net, inject := loopNet()
+	for _, maxHops := range []int{5, 0} {
+		res := mustRun(t, net, inject, sefl.NewTCPPacket(), core.Options{MaxHops: maxHops})
+		if len(res.Paths) != 1 || !strings.HasPrefix(res.Paths[0].FailMsg, "hop budget exceeded") {
+			t.Fatalf("MaxHops %d: want one path stopped by the hop budget, got %d paths, first %q", maxHops, len(res.Paths), res.Paths[0].FailMsg)
+		}
+		if n, budget := res.Paths[0].HistoryLen(), historyBudget(maxHops); n != budget {
+			t.Errorf("MaxHops %d: the hop-budget path has %d port visits, historyBudget says %d", maxHops, n, budget)
+		}
+		w := recvResult(t, resultFrames(packSummary(res)), nil)
+		if _, err := w.unpack(maxHops); err != nil {
+			t.Errorf("MaxHops %d: %v", maxHops, err)
+		}
+		if maxHops > 1 {
+			if _, err := w.unpack(maxHops - 1); err == nil {
+				t.Errorf("MaxHops %d: unpacked against a budget of %d hops", maxHops, maxHops-1)
+			}
+		}
 	}
 }

@@ -1,9 +1,8 @@
 package dist
 
-// TCP transport: the same gob-frame protocol the fork/exec path speaks over
-// stdio, carried over sockets so workers can live on other machines.
-// `symworker -listen addr` serves sessions via ServeListener; a coordinator
-// dials Config.Workers addresses. Deadlines cover only the connection-scoped
+// TCP transport: the gob-frame protocol carried over sockets, so workers can
+// live on other machines. `symworker -listen addr` serves sessions via
+// ServeListener; a coordinator dials Config.Workers addresses. Deadlines cover only the connection-scoped
 // exchanges (dial, handshake) — mid-batch reads block indefinitely, since a
 // symbolic-execution job has no useful upper bound; OS keepalives detect a
 // dead peer instead.

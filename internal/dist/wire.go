@@ -2,10 +2,8 @@ package dist
 
 // The coordinator/worker wire protocol: a bidirectional stream of gob-framed
 // messages (gob is self-delimiting, so the stream needs no explicit length
-// prefixes) over either the worker subprocess's stdin/stdout or a TCP
-// connection to a resident `symworker -listen` process. On stdio, stdout is
-// reserved for frames — workers log to stderr, which the coordinator passes
-// through.
+// prefixes) over a TCP connection to a resident `symworker -listen` process.
+// Workers log to their own stderr.
 //
 // A session is a handshake followed by any number of batches:
 //
@@ -66,7 +64,7 @@ const (
 )
 
 // protoVersion guards against mixed coordinator/worker builds across the
-// TCP boundary (stdio workers are always the same binary). Any change to the
+// TCP boundary. Any change to the
 // frame set, the kind numbering or what a frame may carry bumps it (v7: a
 // result carries a wireSummary — string table plus history tree — which a
 // v6 coordinator could not decode).

@@ -16,11 +16,11 @@ import (
 )
 
 // workerEnvMarker is the environment variable that turns a binary invoking
-// MaybeWorker into a dist worker speaking the frame protocol on stdio.
+// MaybeWorker into a fleet member: SYMNET_DIST_WORKER=listen=addr.
 const workerEnvMarker = "SYMNET_DIST_WORKER"
 
 // testExitEnv is a fault-injection hook for the worker-crash tests and the
-// CI fault-injection gate: a worker whose environment names a job here ("*"
+// CI kill-one-worker smoke: a worker whose environment names a job here ("*"
 // matches any job) exits hard (simulating a crash) instead of reporting that
 // job.
 const testExitEnv = "SYMNET_DIST_TEST_EXIT_ON"
@@ -32,37 +32,26 @@ const testExitEnv = "SYMNET_DIST_TEST_EXIT_ON"
 // is the "poison job" scenario rather than the "machine died" one.
 const testExitOnceEnv = "SYMNET_DIST_TEST_EXIT_ONCE"
 
-// MaybeWorker turns the current process into a dist worker when it was
-// spawned by a coordinator (detected via the environment marker), never
-// returning in that case. Binaries that may coordinate distributed batches
-// call it first thing in main, which makes every such binary its own worker
-// — no separate worker binary needs to be installed next to it. Outside a
-// worker environment it is a no-op.
-//
-// A marker of the form "listen=addr" serves the TCP transport instead of
-// stdio: the process binds addr, prints the bound address on stdout ("addr"
+// MaybeWorker turns the current process into a fleet member when its
+// environment says SYMNET_DIST_WORKER=listen=addr, never returning in that
+// case: the process binds addr, prints the bound address on stdout ("addr"
 // may end in :0; the parent reads the line to learn the port), and serves
-// sessions until killed. The crash/reconnect tests and the CI two-machine
-// smoke job run fleet members this way without building cmd/symworker.
+// sessions until killed — what `symworker -listen addr` does. Test binaries
+// and symbench call it first thing so they can start separate-process
+// members of themselves without building cmd/symworker. Without the marker
+// it is a no-op.
 func MaybeWorker() {
-	v := os.Getenv(workerEnvMarker)
-	if v == "" {
+	addr, ok := strings.CutPrefix(os.Getenv(workerEnvMarker), "listen=")
+	if !ok {
 		return
 	}
-	if addr, ok := strings.CutPrefix(v, "listen="); ok {
-		ln, err := net.Listen("tcp", addr)
-		if err == nil {
-			fmt.Println(ln.Addr())
-			err = ServeListener(ln)
-		}
-		fmt.Fprintln(os.Stderr, "symnet-dist-worker:", err)
-		os.Exit(1)
+	ln, err := net.Listen("tcp", addr)
+	if err == nil {
+		fmt.Println(ln.Addr())
+		err = ServeListener(ln)
 	}
-	if err := serveSession(newConn(os.Stdin, os.Stdout), nil, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "symnet-dist-worker:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
+	fmt.Fprintln(os.Stderr, "symnet-dist-worker:", err)
+	os.Exit(1)
 }
 
 // workerState is what a session retains across batches: the installed
@@ -76,9 +65,10 @@ type workerState struct {
 // answer the handshake, then serve batches — install (or patch, or reuse)
 // the setup, execute jobs from a queue as the coordinator sends them, send
 // each result as it finishes — until bye or EOF.
-// MaybeWorker calls it on stdio, ServeListener per TCP connection. nc (nil
-// on stdio) scopes the handshake read deadline; cache (nil on stdio) parks
-// state across dropped TCP connections, keyed by the coordinator's run ID.
+// ServeListener calls it per accepted connection: nc scopes the handshake
+// read deadline, and cache parks state across dropped connections, keyed by
+// the coordinator's run ID. The wire and fuzz tests feed it a plain byte
+// stream with both nil.
 func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 	if nc != nil {
 		nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
@@ -105,7 +95,7 @@ func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 		return fmt.Errorf("sending hello ack: %w", err)
 	}
 
-	// Anything but a clean bye parks the session state (TCP only): the same
+	// Anything but a clean bye parks the session state: the same
 	// coordinator redialing after a connection drop resumes at st.gen and
 	// ships a delta instead of the full setup.
 	clean := false
@@ -207,7 +197,7 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 	q := sched.NewQueue(st.net, bf.Workers, o, func(id int, jr sched.JobResult) {
 		if crashOn != "" && (crashOn == "*" || jr.Name == crashOn) && claimInjectedCrash() {
 			// Real crashes usually leave last words on stderr; emit some so
-			// the crash tests can pin the coordinator's stderr-tail capture.
+			// the kill-one-worker smoke can find them in the member's log.
 			fmt.Fprintf(os.Stderr, "symnet-dist-worker: injected crash on job %q\n", jr.Name)
 			os.Exit(3)
 		}

@@ -52,7 +52,7 @@ func withObs(t *testing.T, opts core.Options) (core.Options, *obs.Registry, stri
 // TestObservabilityDoesNotPerturbResults is the inertness property the obs
 // package promises: attaching a metrics registry and a span tracer — to the
 // jobs and to the runner — changes no result bytes, at any in-process worker
-// count and across a worker-subprocess pool. It is the test-suite twin of the
+// count and across a two-member fleet. It is the test-suite twin of the
 // CI step that diffs symbench -stable output with and without
 // -metrics/-trace-out.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
@@ -68,10 +68,14 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 
 	cfgs := []dist.Config{{WorkersPerProc: 1}, {WorkersPerProc: 2}, {WorkersPerProc: 8}}
 	if !testing.Short() {
-		cfgs = append(cfgs, dist.Config{Procs: 2, WorkersPerProc: 2})
+		cfgs = append(cfgs, dist.Config{Workers: loopbackFleet(t, 2), WorkersPerProc: 2})
 	}
 	for _, cfg := range cfgs {
-		t.Run(fmt.Sprintf("procs=%d/workers=%d", cfg.Procs, cfg.WorkersPerProc), func(t *testing.T) {
+		name := fmt.Sprintf("procs=0/workers=%d", cfg.WorkersPerProc)
+		if len(cfg.Workers) > 0 {
+			name = fmt.Sprintf("fleet=%d/workers=%d", len(cfg.Workers), cfg.WorkersPerProc)
+		}
+		t.Run(name, func(t *testing.T) {
 			oopts, reg, tracePath := withObs(t, opts)
 			cfg.Obs = oopts.Obs
 			runner, err := dist.NewRunner(cfg)

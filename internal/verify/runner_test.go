@@ -3,7 +3,7 @@ package verify_test
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"net"
 	"reflect"
 	"testing"
 
@@ -14,11 +14,21 @@ import (
 	"symnet/internal/verify"
 )
 
-// TestMain lets this test binary serve as its own dist worker (see
-// internal/dist).
-func TestMain(m *testing.M) {
-	dist.MaybeWorker()
-	os.Exit(m.Run())
+// loopbackFleet serves n fleet members in-process on loopback listeners and
+// returns their addresses.
+func loopbackFleet(t *testing.T, n int) []string {
+	t.Helper()
+	var addrs []string
+	for range n {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go dist.ServeListener(ln)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	return addrs
 }
 
 // TestAllPairsAcrossRunners pins the batch seam from above: the one
@@ -45,13 +55,13 @@ func TestAllPairsAcrossRunners(t *testing.T) {
 	}
 	runners := []dist.Config{{WorkersPerProc: 1}, {WorkersPerProc: 2}, {WorkersPerProc: 8}}
 	if !testing.Short() {
-		runners = append(runners, dist.Config{Procs: 2, WorkersPerProc: 1})
+		runners = append(runners, dist.Config{Workers: loopbackFleet(t, 2), WorkersPerProc: 1})
 	}
 	for _, ds := range datasets {
 		var want *verify.AllPairsReport
 		var wantSums []string
 		for _, cfg := range runners {
-			name := fmt.Sprintf("%s/procs=%d/workers=%d", ds.name, cfg.Procs, cfg.WorkersPerProc)
+			name := fmt.Sprintf("%s/fleet=%d/workers=%d", ds.name, len(cfg.Workers), cfg.WorkersPerProc)
 			runner, err := dist.NewRunner(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -63,7 +73,7 @@ func TestAllPairsAcrossRunners(t *testing.T) {
 			}
 			sums := make([]string, len(ds.srcs))
 			for i := range ds.srcs {
-				fleet := cfg.Procs > 0
+				fleet := len(cfg.Workers) > 0
 				if (got.Summaries[i] != nil) != fleet || (got.Results[i] != nil) == fleet {
 					t.Fatalf("%s: source %d has Result %v and Summary %v; a fleet sets only Summary, in-process only Result",
 						name, i, got.Results[i] != nil, got.Summaries[i] != nil)

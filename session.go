@@ -195,16 +195,14 @@ type ServeConfig struct {
 	// MaxBatch caps how many deltas one absorption pass coalesces
 	// (default 128).
 	MaxBatch int
-	// DistProcs > 0 shards every verification pass (the initial all-pairs run
-	// and each churn re-verification) across that many persistent local
-	// worker subprocesses instead of the in-process scheduler. The pool
-	// outlives batches: workers keep the compiled network installed, and rule
-	// churn reaches them as per-port program deltas. Published observables
-	// are byte-identical to in-process serving.
-	DistProcs int
 	// DistWorkers lists resident TCP worker addresses (host:port of
 	// `symworker -listen` processes, possibly on other machines). When
-	// non-empty it selects the fleet and DistProcs is ignored.
+	// non-empty, every verification pass (the initial all-pairs run and each
+	// churn re-verification) shards across that fleet instead of the
+	// in-process scheduler. The pool outlives batches: workers keep the
+	// compiled network installed, and rule churn reaches them as per-port
+	// program deltas. Published observables are byte-identical to in-process
+	// serving.
 	DistWorkers []string
 }
 
@@ -246,7 +244,6 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 	}
 	core.Warm(s.net) // the re-modeled elements' programs and summaries
 	runner, err := dist.NewRunner(dist.Config{
-		Procs:          cfg.DistProcs,
 		Workers:        cfg.DistWorkers,
 		WorkersPerProc: s.workers(),
 		Obs:            s.opts.Obs,
