@@ -273,8 +273,8 @@ func EncodeSummariesFor(n *Network, refs []PortRef) ([]WireSummaryEntry, error) 
 }
 
 // SummaryCensusRow is one element-port program's summarization verdict with
-// its row-set size, for reporting (symbench's summaries experiment and the
-// symnet CLI print statistics from it).
+// its row-set size, for reporting (the symnet CLI prints statistics from it,
+// and the summary differential tests census the datasets with it).
 type SummaryCensusRow struct {
 	Elem       string
 	Port       int

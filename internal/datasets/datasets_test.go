@@ -112,9 +112,9 @@ func TestSplitTCPTopologyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSatHeavyCacheTraffic pins the property the observability smoke and the
-// cache telemetry rest on: the cross-field disjunction chain issues full Sat
-// checks (not compressible to interval sets), and a sequential batch of
+// TestSatHeavyCacheTraffic pins the property the cache telemetry tests rest
+// on: the cross-field disjunction chain issues full Sat checks (not
+// compressible to interval sets), and a sequential batch of
 // identical queries over a shared cache misses exactly once per rule and
 // hits on every replay.
 func TestSatHeavyCacheTraffic(t *testing.T) {

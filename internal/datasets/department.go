@@ -60,10 +60,11 @@ func DefaultDepartment() DepartmentConfig {
 	return DepartmentConfig{NumAccessSwitches: 15, HostsPerSwitch: 400, Routes: 400, Seed: 11}
 }
 
-// HeavyDepartment doubles the paper's switch count and MAC/route tables.
-// The multicore CI gate uses it (symbench -heavy) so per-job compute
-// dominates distributed spawn and setup-encode overhead, making wall-clock
-// speedup assertions meaningful on small runners.
+// HeavyDepartment quadruples the paper's switch count and doubles its route
+// table. The parallel all-pairs benchmark pair (BenchmarkAllPairsDepartment
+// Seq/Par, which CI's multicore gate reads) uses it so a batch has enough
+// sources to spread over the workers; symnetd -network department -heavy
+// serves it.
 func HeavyDepartment() DepartmentConfig {
 	return DepartmentConfig{NumAccessSwitches: 60, HostsPerSwitch: 400, Routes: 800, Seed: 11}
 }
@@ -238,8 +239,8 @@ tcp-options strip-sack-http
 // AllPairs returns the canonical batch-verification scenario for the
 // department network: one source per access switch (an office host port)
 // plus the Internet-facing exit router, against the Internet, management,
-// labs and access-switch targets. cmd/symbench and the benchmarks share
-// this so they measure the same pair set.
+// labs and access-switch targets. The benchmarks, the daemon and the tests
+// share this so they measure the same pair set.
 func (d *Department) AllPairs() (sources []core.PortRef, targets []string) {
 	for _, asw := range d.AccessSwitches {
 		sources = append(sources, core.PortRef{Elem: asw, Port: 1})

@@ -7,8 +7,8 @@ import (
 	"symnet/internal/sefl"
 )
 
-// ForkHeavy builds the fork-heavy state-replication workload used by the
-// BenchmarkForkHeavy* benchmarks and the symbench "forkheavy" experiment:
+// ForkHeavy builds the fork-heavy state-replication workload the benchmark's
+// forkheavy workload and the differential tests run:
 // inject -> pre0..pre{prefix-1} -> f0..f{depth-1} -> sink, where each pre
 // element adds one metadata binding plus one constraint (growing per-path
 // state without branching) and each f element forks the packet through fan

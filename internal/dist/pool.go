@@ -22,7 +22,7 @@ import (
 // each, and a job has exactly one holder from then until its result arrives —
 // jobs share nothing but the immutable network, so there is nothing to
 // coordinate between healthy members, and moving work between them never
-// measured faster than leaving it (BENCH_10.json). The one dynamic
+// measured faster than leaving it (ROADMAP, Settled). The one dynamic
 // step is a death: a worker that dies mid-batch has its jobs re-dispatched to
 // the least-loaded survivor up to jobRetries times each, then they fail with
 // a pointed per-job error; a dead member gets one redial per batch first, and

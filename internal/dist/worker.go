@@ -37,9 +37,9 @@ const testExitOnceEnv = "SYMNET_DIST_TEST_EXIT_ONCE"
 // case: the process binds addr, prints the bound address on stdout ("addr"
 // may end in :0; the parent reads the line to learn the port), and serves
 // sessions until killed — what `symworker -listen addr` does. Test binaries
-// and symbench call it first thing so they can start separate-process
-// members of themselves without building cmd/symworker. Without the marker
-// it is a no-op.
+// call it first thing so they can start separate-process members of
+// themselves without building cmd/symworker. Without the marker it is a
+// no-op.
 func MaybeWorker() {
 	addr, ok := strings.CutPrefix(os.Getenv(workerEnvMarker), "listen=")
 	if !ok {

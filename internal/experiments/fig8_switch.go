@@ -53,27 +53,33 @@ func RunSwitchModel(entries, numPorts int, style models.Style, seed int64) (Swit
 	}, nil
 }
 
-// Fig8Sizes is the sweep of MAC-table sizes, following the paper's 440 to
+// fig8Sizes is the sweep of MAC-table sizes, following the paper's 440 to
 // 500,000 range.
-var Fig8Sizes = []int{440, 1000, 5000, 20000, 100000, 480000}
+var fig8Sizes = []int{440, 1000, 5000, 20000, 100000, 480000}
 
-// Fig8Limits bounds the workload per style: the Basic model explodes (one
+// fig8Limit bounds the workload per style: the Basic model explodes (one
 // path per entry — the paper ran out of 8 GB of RAM beyond 1,000 entries)
 // and Ingress grows quadratically in constraints (2 minutes at 480k in the
 // paper), so the sweep caps them to keep the benchmark finite, mirroring
-// the paper's DNF entries.
-var Fig8Limits = map[models.Style]int{
-	models.Basic:   5000,
-	models.Ingress: 100000,
-	models.Egress:  480000,
+// the paper's DNF entries. Egress scales to the whole sweep; its cap is the
+// caller's.
+func fig8Limit(style models.Style, egressMax int) int {
+	switch style {
+	case models.Basic:
+		return 5000
+	case models.Ingress:
+		return 100000
+	}
+	return egressMax
 }
 
-// Fig8 runs the full sweep and returns rows grouped per style.
-func Fig8(numPorts int, seed int64) ([]SwitchRow, error) {
+// Fig8 runs the sweep and returns rows grouped per style, Egress up to
+// egressMax entries (480000 covers the paper's range).
+func Fig8(numPorts int, seed int64, egressMax int) ([]SwitchRow, error) {
 	var rows []SwitchRow
 	for _, style := range []models.Style{models.Basic, models.Ingress, models.Egress} {
-		for _, n := range Fig8Sizes {
-			if n > Fig8Limits[style] {
+		for _, n := range fig8Sizes {
+			if n > fig8Limit(style, egressMax) {
 				continue
 			}
 			row, err := RunSwitchModel(n, numPorts, style, seed)

@@ -34,9 +34,8 @@ import (
 )
 
 // SchemaVersion identifies the metrics snapshot layout. Bump it when a
-// metric is renamed or its semantics change; cmd/benchdiff refuses to diff
-// snapshots of different schemas rather than comparing renamed keys as
-// added/removed noise.
+// metric is renamed or its semantics change; Merge refuses snapshots of
+// different schemas rather than folding renamed keys together.
 const SchemaVersion = 1
 
 // Counter is a monotonically increasing atomic counter. The nil Counter is
@@ -258,7 +257,7 @@ type Snapshot struct {
 // maximum. Merge is commutative and associative, so per-worker snapshots
 // combined in any order produce identical totals (property-tested). Merging
 // snapshots of different schemas is a programming error and panics — the
-// caller (benchdiff, the dist coordinator) must reject mismatches first.
+// caller (the dist coordinator) must reject mismatches first.
 func (s *Snapshot) Merge(o *Snapshot) {
 	if s == nil || o == nil {
 		return

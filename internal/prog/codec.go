@@ -188,18 +188,14 @@ func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
 		}
 		wc.Static = st
 	}
-	if c.Kind == CIntervalTable && PackedWire {
+	if c.Kind == CIntervalTable {
+		// A lowered guard ships its rows, never its Or-tree view.
 		wc.ITF = c.IT.F
 		wc.ITF2 = c.IT.F2
 		wc.ITGrouped = c.IT.Grouped
 		wc.ITRows = expr.PackGuardRows(c.IT.Rows)
-		i := int32(len(w.CondTab))
-		w.CondTab = append(w.CondTab, wc)
-		idx[c] = i
-		return i, nil
 	}
-	// Tree form builds a lowered guard's Or-tree view to ship it.
-	for _, sub := range c.children() {
+	for _, sub := range c.Cs {
 		si, err := encodeCond(w, idx, sub)
 		if err != nil {
 			return 0, err
@@ -248,7 +244,10 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			Inputs: wc.Inputs, B: wc.B, Op: wc.Op, L: wc.L, R: wc.R,
 			Val: wc.Val, Mask: wc.Mask, PLen: wc.PLen, PW: wc.PW, Key: wc.Key,
 		}
-		if wc.Kind == CIntervalTable && wc.ITRows != nil {
+		if wc.Kind == CIntervalTable {
+			if len(wc.ITRows) == 0 {
+				return nil, fmt.Errorf("prog: decode %s: interval-table cond %d without rows", w.Label, i)
+			}
 			rows, err := expr.UnpackGuardRows(wc.ITRows)
 			if err != nil {
 				return nil, fmt.Errorf("prog: decode %s cond %d: %w", w.Label, i, err)
@@ -278,21 +277,6 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 				return nil, fmt.Errorf("prog: decode %s: cond %d references out-of-order child %d", w.Label, i, wc.C)
 			}
 			c.C = conds[wc.C]
-		}
-		if c.Kind == CIntervalTable && c.IT == nil {
-			// Tree-form wire (PackedWire disabled on the encoder): re-derive
-			// the table from the decoded disjuncts, which become its view.
-			cs := make([]sefl.Cond, len(c.Cs))
-			for j, sub := range c.Cs {
-				cs[j] = seflOf(sub)
-			}
-			it := detectIntervalTable(cs)
-			if it == nil {
-				return nil, fmt.Errorf("prog: decode %s: cond %d marked interval-table but disjuncts do not form one", w.Label, i)
-			}
-			buildITable(it)
-			it.viewOnce.Do(func() { it.view = c.Cs })
-			c.IT, c.Cs = it, nil
 		}
 		conds[i] = c
 	}

@@ -186,6 +186,9 @@ func TestProgramCodecRejectsMalformedSegments(t *testing.T) {
 		{"negative arm", func(w *WireProgram) { w.Ops[ifOp].Then = -1 }, "enters segment -1"},
 		{"block enters its own segment", func(w *WireProgram) { w.Ops[ifOp].Kind, w.Ops[ifOp].Sub = OpSub, ifSeg },
 			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, ifSeg)},
+		// A lowered guard crosses the wire as its rows only.
+		{"interval table without rows", func(w *WireProgram) { w.CondTab[0].Kind, w.CondTab[0].ITRows = CIntervalTable, nil },
+			"interval-table cond 0 without rows"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := EncodeProgram(p)

@@ -28,8 +28,9 @@ package prog
 // CCond.children builds it on first use for the readers that want the
 // reference semantics — Env.OrTreeGuards, the fallback evaluation takes when
 // the runtime value shapes are not the ones the table was compiled for, the
-// IR dump, the tree-form wire — so lowering can never change observable
-// behavior, and a program that stays on the table path never pays for it.
+// IR dump — so lowering can never change observable behavior, and a program
+// that stays on the table path never pays for it. The wire carries the rows
+// alone.
 
 import (
 	"cmp"
@@ -38,13 +39,6 @@ import (
 	"symnet/internal/expr"
 	"symnet/internal/sefl"
 )
-
-// PackedWire toggles the packed (row-stream) wire encoding of lowered
-// guards; disabled, their disjuncts ship as ordinary condition-table nodes.
-// It exists for measurement and debugging (cmd/symbench's interval-table
-// experiment reports the wire-size delta by encoding both ways); leave it
-// enabled in production. Decoding accepts both forms regardless.
-var PackedWire = true
 
 // --- Detection ---
 
@@ -140,34 +134,6 @@ func detectIntervalTable(cs []sefl.Cond) *ITable {
 		return nil
 	}
 	return it
-}
-
-// seflOf reads a decoded disjunct back as the SEFL it was compiled from (nil
-// for what a table cannot contain), so that a guard that crossed the wire in
-// tree form is detected by the rules above and no others.
-func seflOf(c *CCond) sefl.Cond {
-	field := func(e *CExpr) sefl.Expr {
-		if e == nil || e.Kind != ERef || e.Err != "" || !e.LV.IsHdr || e.LV.Err != "" {
-			return nil
-		}
-		return sefl.Ref{LV: sefl.Hdr{Off: sefl.Off{Tag: e.LV.Tag, Rel: e.LV.Rel}, Size: e.LV.Size}}
-	}
-	switch {
-	case c == nil:
-	case c.Kind == CCmp && c.R != nil && c.R.Kind == ENum && c.R.Err == "":
-		return sefl.Cmp{Op: c.Op, L: field(c.L), R: sefl.Num{V: c.R.V, W: c.R.W}}
-	case c.Kind == CPrefix:
-		return sefl.Prefix{E: field(c.L), Value: c.Val, Len: c.PLen, Width: c.PW}
-	case c.Kind == CNot:
-		return sefl.CNot{C: seflOf(c.C)}
-	case c.Kind == CAnd:
-		and := sefl.CAnd{Cs: make([]sefl.Cond, len(c.Cs))}
-		for i, sub := range c.Cs {
-			and.Cs[i] = seflOf(sub)
-		}
-		return and
-	}
-	return nil
 }
 
 // --- Span tables ---

@@ -280,7 +280,7 @@ func TestITRowsPackRoundTrip(t *testing.T) {
 
 // TestITableCodecRoundTrip: a program with lowered guards (single-field,
 // exclusions, grouped) survives the wire with identical fingerprints,
-// tables, children and dump — in both packed and tree wire forms.
+// tables, children and dump.
 func TestITableCodecRoundTrip(t *testing.T) {
 	prog := sefl.Seq(
 		sefl.Constrain{C: macGuard(8)},
@@ -293,59 +293,54 @@ func TestITableCodecRoundTrip(t *testing.T) {
 	if p.Ops[0].C != p.Ops[3].C {
 		t.Fatal("premise: equal lowered guards must share one node")
 	}
-	for _, packed := range []bool{true, false} {
-		old := PackedWire
-		PackedWire = packed
-		w, err := EncodeProgram(p)
-		PackedWire = old
-		if err != nil {
-			t.Fatalf("packed=%v encode: %v", packed, err)
+	w, err := EncodeProgram(p)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	q, err := DecodeProgram(w)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if q.String() != p.String() {
+		t.Fatal("decoded dump differs")
+	}
+	for i := range []int{0, 1, 2} {
+		oc, dc := p.Ops[i].C, q.Ops[i].C
+		if dc.Kind != CIntervalTable || dc.FP != oc.FP || dc.Words != oc.Words || dc.Memoizable != oc.Memoizable {
+			t.Fatalf("op %d: node drifted: %+v", i, dc)
 		}
-		q, err := DecodeProgram(w)
-		if err != nil {
-			t.Fatalf("packed=%v decode: %v", packed, err)
+		if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {
+			t.Fatalf("op %d: rows drifted", i)
 		}
-		if q.String() != p.String() {
-			t.Fatalf("packed=%v: decoded dump differs", packed)
+		if oc.IT.Table != nil && !dc.IT.Table.Equal(oc.IT.Table) {
+			t.Fatalf("op %d: span table drifted", i)
 		}
-		for i := range []int{0, 1, 2} {
-			oc, dc := p.Ops[i].C, q.Ops[i].C
-			if dc.Kind != CIntervalTable || dc.FP != oc.FP || dc.Words != oc.Words || dc.Memoizable != oc.Memoizable {
-				t.Fatalf("packed=%v op %d: node drifted: %+v", packed, i, dc)
-			}
-			if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {
-				t.Fatalf("packed=%v op %d: rows drifted", packed, i)
-			}
-			if oc.IT.Table != nil && !dc.IT.Table.Equal(oc.IT.Table) {
-				t.Fatalf("packed=%v op %d: span table drifted", packed, i)
-			}
-			ocs, dcs := oc.children(), dc.children()
-			if len(dcs) != len(ocs) || len(ocs) != len(oc.IT.Rows) {
-				t.Fatalf("packed=%v op %d: children count drifted", packed, i)
-			}
-			for j := range ocs {
-				if dcs[j].FP != ocs[j].FP {
-					t.Fatalf("packed=%v op %d child %d: fingerprint drifted", packed, i, j)
-				}
+		ocs, dcs := oc.children(), dc.children()
+		if len(dcs) != len(ocs) || len(ocs) != len(oc.IT.Rows) {
+			t.Fatalf("op %d: children count drifted", i)
+		}
+		for j := range ocs {
+			if dcs[j].FP != ocs[j].FP {
+				t.Fatalf("op %d child %d: fingerprint drifted", i, j)
 			}
 		}
-		if q.Ops[0].C != q.Ops[3].C {
-			t.Fatalf("packed=%v: decoded equal guards no longer share one node", packed)
-		}
-		gq, gp := q.Ops[2].C.IT, p.Ops[2].C.IT
-		if len(gq.Groups) != len(gp.Groups) {
-			t.Fatalf("packed=%v: group count drifted", packed)
-		}
-		for gi := range gp.Groups {
-			if gq.Groups[gi].Key != gp.Groups[gi].Key || !gq.Groups[gi].Table.Equal(gp.Groups[gi].Table) {
-				t.Fatalf("packed=%v: group %d drifted", packed, gi)
-			}
+	}
+	if q.Ops[0].C != q.Ops[3].C {
+		t.Fatal("decoded equal guards no longer share one node")
+	}
+	gq, gp := q.Ops[2].C.IT, p.Ops[2].C.IT
+	if len(gq.Groups) != len(gp.Groups) {
+		t.Fatal("group count drifted")
+	}
+	for gi := range gp.Groups {
+		if gq.Groups[gi].Key != gp.Groups[gi].Key || !gq.Groups[gi].Table.Equal(gp.Groups[gi].Table) {
+			t.Fatalf("group %d drifted", gi)
 		}
 	}
 }
 
-// TestPackedWireShrinksCondTab: the packed form must actually drop the
-// per-disjunct nodes from the wire condition table.
+// TestPackedWireShrinksCondTab: a lowered guard ships as one wire
+// condition-table entry carrying its rows, not one node per disjunct.
 func TestPackedWireShrinksCondTab(t *testing.T) {
 	p := Compile(sefl.Seq(sefl.Constrain{C: macGuard(64)}, sefl.Forward{Port: 0}), "e", 0, "t")
 	w, err := EncodeProgram(p)
@@ -353,16 +348,9 @@ func TestPackedWireShrinksCondTab(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(w.CondTab) != 1 {
-		t.Fatalf("packed cond table has %d entries, want 1", len(w.CondTab))
+		t.Fatalf("cond table has %d entries, want 1", len(w.CondTab))
 	}
-	old := PackedWire
-	PackedWire = false
-	wt, err := EncodeProgram(p)
-	PackedWire = old
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wt.CondTab) <= 64 {
-		t.Fatalf("tree cond table has %d entries, expected > 64", len(wt.CondTab))
+	if wc := w.CondTab[0]; len(wc.Cs) != 0 || len(wc.ITRows) == 0 {
+		t.Fatalf("lowered guard shipped %d children and %d row words, want rows only", len(wc.Cs), len(wc.ITRows))
 	}
 }

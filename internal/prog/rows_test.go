@@ -176,12 +176,9 @@ func eagerOr(cs []sefl.Cond) *CCond {
 	return or
 }
 
-func wireBytes(t *testing.T, p *Program, packed bool) ([]byte, *WireProgram) {
+func wireBytes(t *testing.T, p *Program) ([]byte, *WireProgram) {
 	t.Helper()
-	old := PackedWire
-	PackedWire = packed
 	w, err := EncodeProgram(p)
-	PackedWire = old
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,19 +233,17 @@ func TestRowsMatchTree(t *testing.T) {
 		}
 
 		// The wire, before anything has asked for the view: stable under a
-		// round trip, in both forms.
-		for _, packed := range []bool{true, false} {
-			b1, w1 := wireBytes(t, p, packed)
-			q, err := DecodeProgram(w1)
-			if err != nil {
-				t.Fatalf("trial %d packed=%v: %v", trial, packed, err)
-			}
-			if b2, _ := wireBytes(t, q, packed); !bytes.Equal(b1, b2) {
-				t.Fatalf("trial %d packed=%v: encode → decode → encode changed %d bytes into %d", trial, packed, len(b1), len(b2))
-			}
-			if !deepEqualCond(q.Ops[0].C, node) || !reflect.DeepEqual(q.Ops[0].C.IT.Rows, rows) {
-				t.Fatalf("trial %d packed=%v: decoded guard differs", trial, packed)
-			}
+		// round trip.
+		b1, w1 := wireBytes(t, p)
+		q, err := DecodeProgram(w1)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if b2, _ := wireBytes(t, q); !bytes.Equal(b1, b2) {
+			t.Fatalf("trial %d: encode → decode → encode changed %d bytes into %d", trial, len(b1), len(b2))
+		}
+		if !deepEqualCond(q.Ops[0].C, node) || !reflect.DeepEqual(q.Ops[0].C.IT.Rows, rows) {
+			t.Fatalf("trial %d: decoded guard differs", trial)
 		}
 
 		// The lazily built children against compiler-built ones.

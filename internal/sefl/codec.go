@@ -453,10 +453,8 @@ func EncodeCond(c Cond) (*WireCond, error) {
 		}
 		return &WireCond{Kind: wCAnd, Cs: cs}, nil
 	case COr:
-		if PackedWire {
-			if w := packOr(v.Cs); w != nil {
-				return w, nil
-			}
+		if w := packOr(v.Cs); w != nil {
+			return w, nil
 		}
 		cs, err := encodeConds(v.Cs)
 		if err != nil {

@@ -13,12 +13,6 @@ import (
 	"symnet/internal/expr"
 )
 
-// PackedWire toggles the packed encoding of table-shaped Or conditions.
-// It exists for measurement and debugging (cmd/symbench's interval-table
-// experiment reports the wire-size delta by encoding both ways); leave it
-// enabled in production. Decoding accepts both forms regardless.
-var PackedWire = true
-
 // packField accepts an expression as a shared table field: a reference to a
 // header l-value.
 func packField(e Expr) (Hdr, bool) {

@@ -84,23 +84,6 @@ func TestPackedOrRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedOrDisabled: with the measurement knob off, the same guards take
-// the tree form and still round-trip.
-func TestPackedOrDisabled(t *testing.T) {
-	old := PackedWire
-	PackedWire = false
-	defer func() { PackedWire = old }()
-	for _, c := range []Cond{packMACOr(12), packRouteOr(), packVLANOr()} {
-		d, w := roundTrip(t, c)
-		if w.Kind != wCOr {
-			t.Fatalf("wire kind = %d, want plain COr", w.Kind)
-		}
-		if !reflect.DeepEqual(d, c) {
-			t.Fatalf("tree-form round trip differs")
-		}
-	}
-}
-
 // TestPackedOrRejectsNonTableShapes: conditions that are not uniform table
 // guards keep the tree form (and still round-trip exactly).
 func TestPackedOrRejectsNonTableShapes(t *testing.T) {

@@ -52,9 +52,7 @@ func withObs(t *testing.T, opts core.Options) (core.Options, *obs.Registry, stri
 // TestObservabilityDoesNotPerturbResults is the inertness property the obs
 // package promises: attaching a metrics registry and a span tracer — to the
 // jobs and to the runner — changes no result bytes, at any in-process worker
-// count and across a two-member fleet. It is the test-suite twin of the
-// CI step that diffs symbench -stable output with and without
-// -metrics/-trace-out.
+// count and across a two-member fleet.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 3, HostsPerSwitch: 8, Routes: 12, Seed: 5})
 	srcs, targets := d.AllPairs()
