@@ -4,7 +4,7 @@
 // (the paper's output format: per-path variables, constraints, and the
 // ports visited).
 //
-//	symnet -config pipeline.click -inject dut:0 [-loop addr|full|off] [-workers N]
+//	symnet -config pipeline.click -inject dut:0 [-loop addr|full|off]
 //	symnet -config pipeline.click -dump-ir        # compiled programs, no run
 //
 // The output always ends with a "solver" block (solver call counters plus
@@ -50,7 +50,6 @@ func main() {
 	loopMode := flag.String("loop", "full", "loop detection: off|full|addr")
 	trace := flag.Bool("trace", false, "record executed instructions per path")
 	packet := flag.String("packet", "tcp", "packet template: tcp|udp|ip|ether")
-	workers := flag.Int("workers", 1, "exploration workers (0 = all cores); results are identical for any count")
 	dumpIR := flag.Bool("dump-ir", false, "print the compiled IR of every element-port program and exit")
 	metrics := flag.Bool("metrics", false, "attach a metrics registry and add a schema-versioned \"metrics\" block to the JSON output")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars (expvar incl. live metrics) and /debug/pprof on this address during the run")
@@ -140,9 +139,6 @@ func main() {
 	memo := solver.NewSatCache()
 	opts.SatMemo = memo
 	memo.RegisterMetrics(reg)
-	if opts.Workers = *workers; *workers == 0 {
-		opts.Workers = -1 // a Session reads < 0 as all cores
-	}
 	sess, err := symnet.Compile(cfg.Net, opts)
 	if err != nil {
 		fatal(err)

@@ -42,12 +42,11 @@ type Options struct {
 	// Results and statistics are identical either way — cache hits replay
 	// the original computation's counters (see solver.SatCache).
 	SatMemo *solver.SatCache
-	// Workers requests parallel exploration when > 1; 0 and 1 mean
-	// sequential, so the zero Options value never spawns goroutines.
-	// (A symnet.Session additionally reads < 0 as all cores.) The core
-	// engine itself always explores on
-	// the calling goroutine; internal/sched and the symnet facade honor
-	// this field. Results are identical for any worker count.
+	// Workers sizes a symnet.Session's batch fan-out (RunBatch, AllPairs,
+	// Serve): > 1 runs that many jobs side by side, 0 and 1 one at a time,
+	// < 0 one per core. A single Run always explores on the calling
+	// goroutine, so core reads nothing here. Results are identical at every
+	// width.
 	Workers int
 	// ASTInterp, IRExec and OrTreeGuards are reference semantics for the
 	// differential suites and experiments, not modes to run in: each swaps
@@ -91,11 +90,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// run carries the state one worker needs while stepping a single task: the
-// immutable run configuration and instruments (shared by pointer with every
-// task of the exploration) plus task-private collectors. It never touches
-// shared mutable state, which is what makes tasks schedulable on any
-// goroutine (see explore.go).
+// run carries what stepping a single task needs: the run configuration and
+// instruments (shared by pointer with every task of the exploration) plus
+// the task's own symbol band and collectors, which the exploration merges
+// once the step returns (see explore.go).
 type run struct {
 	net      *Network
 	opts     *Options
@@ -114,30 +112,26 @@ type run struct {
 // all execution paths. init executes before the packet enters the port (it
 // is the paper's "code to create a symbolic packet of the given type").
 //
-// Run explores on the calling goroutine; internal/sched runs the same
-// exploration across a worker pool with identical results.
-//
-// Exploration proceeds in bounded depth-first waves (the canonical order
-// shared with the parallel engine): each wave takes up to maxWave of the
-// most recently created tasks, so peak live-state memory stays near the
-// classic DFS profile while still exposing wave-wide parallelism, and the
-// MaxPaths budget is overshot by at most one wave on exploding runs.
+// Run explores on the calling goroutine, in bounded depth-first waves: each
+// wave takes up to maxWave of the most recently created tasks, so peak
+// live-state memory stays near the classic DFS profile (see explore.go for
+// the order and why it stays). A run stops at the first task that takes it
+// past MaxPaths. Parallelism lives one level up: a batch runs independent
+// Runs side by side (internal/sched).
 func Run(net *Network, inject PortRef, init sefl.Instr, opts Options) (*Result, error) {
-	e, err := NewExploration(net, inject, init, opts)
+	e, err := newExploration(net, inject, init, opts)
 	if err != nil {
 		return nil, err
 	}
-	for !e.Done() {
-		tasks := e.Frontier()
-		results := make([]TaskResult, len(tasks))
-		for i, t := range tasks {
-			results[i] = e.RunTask(t)
+	for len(e.queue) > 0 {
+		for _, t := range e.frontier() {
+			if err := e.stepTask(t); err != nil {
+				return nil, err
+			}
 		}
-		if err := e.Merge(results); err != nil {
-			return nil, err
-		}
+		e.inst.queueDepth.SetMax(int64(len(e.queue)))
 	}
-	return e.Finish(), nil
+	return e.finish(), nil
 }
 
 func failWith(st *State, msg string) *State {
@@ -249,9 +243,10 @@ func (r *run) follow(next []*State, st *State, outRef PortRef) []*State {
 	return append(next, st)
 }
 
-// finish records a completed state; Exploration.Merge turns it into a Path
-// with a deterministic ID. The path's memory is sealed: it is read-only from
-// here on, so concurrent clones of it write nothing (see memory.Mem.Seal).
+// finish records a completed state; the exploration turns it into a Path
+// with a deterministic ID when it merges the task. The path's memory is
+// sealed: it is read-only from here on, so concurrent clones of it write
+// nothing (see memory.Mem.Seal).
 func (r *run) finish(st *State) {
 	st.Mem.Seal()
 	r.finished = append(r.finished, st)

@@ -11,82 +11,50 @@ import (
 	"symnet/internal/solver"
 )
 
-// This file is the shardable heart of the engine. Exploration splits a run
-// into Tasks — one port-visit step of one state — that are pure with respect
-// to everything except the task's own state, so independent tasks can run on
-// any goroutine in any order. Determinism is re-imposed at the merge:
+// This file is Run's driver loop. A run is a queue of tasks — the injection
+// step, then one port-visit step per state — stepped in a canonical order
+// that fixes every ID a Result carries:
 //
-//   - every task carries a sequence number assigned in frontier order, and
-//     fresh symbols allocated while stepping it come from the band
-//     [seq<<expr.BandBits, (seq+1)<<expr.BandBits), so symbol IDs do not
-//     depend on worker interleaving;
-//   - finished paths receive their IDs in Merge, which walks task results in
-//     wave order;
-//   - statistics are counter sums, which commute.
+//   - tasks are stepped in waves of at most maxWave, cut from the tail of
+//     the pending queue, each wave in order;
+//   - every task carries a sequence number assigned when it is queued, and
+//     the fresh symbols minted while stepping it come from the band
+//     [seq<<expr.BandBits, (seq+1)<<expr.BandBits);
+//   - a task's finished paths receive their IDs when the task is merged,
+//     right after it is stepped.
 //
-// A sequential run (core.Run) and a parallel run (internal/sched) drive the
-// same Frontier/RunTask/Merge cycle, so they produce identical Results by
-// construction.
+// Changing the wave size or the bands renumbers the symbols and paths of
+// every Result (the golden digests in internal/sched pin them), so both stay
+// until a change that needs a new baseline anyway.
 
-// Task is one schedulable unit of exploration: the injection step (init
-// non-nil, carrying the injection code to run on st) or one port-visit step
-// of a state.
-type Task struct {
+// task is one unit of exploration: the injection step (init non-nil,
+// carrying the injection code to run on st) or one port-visit step of a
+// state.
+type task struct {
 	seq  int64
 	st   *State
 	init sefl.Instr // injection code (injection task only)
-}
-
-// TaskResult is everything stepping one task produced. Values are merged
-// back into the Exploration in frontier order by Merge.
-type TaskResult struct {
-	finished []*State // completed paths, canonical order
-	next     []*State // successor states, canonical order
-	err      error
-	pruned   int
-	hops     int
-	solver   solver.Stats
-	alloc    *expr.Alloc // per-task allocator, for diagnostic names
 }
 
 // maxWave bounds how many tasks one wave may contain. Waves are taken from
 // the tail of the pending-task queue, so exploration is depth-first in
 // blocks: peak live-state memory stays near the classic DFS engine's
 // O(depth x branching) plus one wave, instead of materializing the full
-// breadth-first frontier, and a run that explodes overshoots the MaxPaths
-// budget by at most one wave of steps. The constant is part of the
-// canonical exploration order — every driver goes through Frontier(), so
-// path IDs are identical for any worker count.
+// breadth-first frontier.
 const maxWave = 1024
 
-// Exploration is an in-progress run decomposed into waves of tasks. The
-// Frontier/RunTask/Merge methods form the driver loop:
-//
-//	e, err := NewExploration(net, inject, init, opts)
-//	for !e.Done() {
-//		tasks := e.Frontier()
-//		results := make([]TaskResult, len(tasks))
-//		for i, t := range tasks { // or in parallel, any order
-//			results[i] = e.RunTask(t)
-//		}
-//		if err := e.Merge(results); err != nil { ... }
-//	}
-//	res := e.Finish()
-//
-// RunTask is safe to call concurrently for distinct tasks of the same wave;
-// all other methods must be called from a single driver goroutine.
-type Exploration struct {
+// exploration is one Run in progress.
+type exploration struct {
 	net     *Network
 	opts    Options
 	inject  *Element
 	injProg *prog.Program // compiled injection code (nil under ASTInterp)
 	satMemo *solver.SatCache
-	queue   []*Task // pending tasks; waves are cut from the tail
+	queue   []*task // pending tasks; waves are cut from the tail
 	nextSeq int64
 	paths   []*Path
 	stats   RunStats
 	names   *expr.Alloc
-	err     error
 	inst    instruments
 }
 
@@ -109,12 +77,12 @@ type instruments struct {
 	sumFallbacks *obs.Counter   // summary.fallbacks: visits on the IR path
 	sumApplyNs   *obs.Histogram // summary.apply_ns: per-visit summary apply
 	progExecNs   *obs.Histogram // prog.exec_ns: per-visit IR execution
-	elemHits     *elemHits      // summary.elem_hits.<elem>: per-element applies (atomic counters)
+	elemHits     *elemHits      // summary.elem_hits.<elem>: per-element applies
 }
 
-// NewExploration validates the injection point and prepares the first wave
-// (the injection task).
-func NewExploration(net *Network, inject PortRef, init sefl.Instr, opts Options) (*Exploration, error) {
+// newExploration validates the injection point and queues the injection
+// task.
+func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options) (*exploration, error) {
 	opts = opts.withDefaults()
 	elem, ok := net.Element(inject.Elem)
 	if !ok {
@@ -127,7 +95,7 @@ func NewExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 	if memo == nil {
 		memo = solver.NewSatCache()
 	}
-	e := &Exploration{
+	e := &exploration{
 		net:     net,
 		opts:    opts,
 		inject:  elem,
@@ -147,7 +115,7 @@ func NewExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 			sumFallbacks: reg.Counter("summary.fallbacks"),
 			sumApplyNs:   reg.Histogram("summary.apply_ns"),
 			progExecNs:   reg.Histogram("prog.exec_ns"),
-			elemHits:     &elemHits{reg: reg},
+			elemHits:     &elemHits{reg: reg, m: make(map[string]*obs.Counter)},
 		}
 	}
 	if !opts.ASTInterp && init != nil {
@@ -162,30 +130,27 @@ func NewExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 		seen:    newSeen(),
 		traceOn: opts.Trace,
 	}
-	e.queue = []*Task{{seq: 0, st: st, init: init}}
+	e.queue = []*task{{seq: 0, st: st, init: init}}
 	e.nextSeq = 1
 	return e, nil
 }
 
-// Done reports whether the run has finished (no tasks left, or aborted).
-func (e *Exploration) Done() bool { return e.err != nil || len(e.queue) == 0 }
-
-// Frontier removes and returns the next wave: up to maxWave tasks from the
-// tail of the pending queue. The caller must step every task and hand Merge
-// a results slice aligned with the returned one.
-func (e *Exploration) Frontier() []*Task {
-	k := len(e.queue) - maxWave
-	if k < 0 {
-		k = 0
-	}
-	wave := append([]*Task(nil), e.queue[k:]...)
+// frontier removes and returns the next wave: up to maxWave tasks from the
+// tail of the pending queue. The wave is a copy, because stepping it queues
+// successors into the slots it vacated.
+func (e *exploration) frontier() []*task {
+	k := max(len(e.queue)-maxWave, 0)
+	wave := append([]*task(nil), e.queue[k:]...)
 	e.queue = e.queue[:k]
 	return wave
 }
 
-// RunTask steps one task. It reads only immutable run configuration and the
-// task's own state, so distinct tasks may be stepped concurrently.
-func (e *Exploration) RunTask(t *Task) TaskResult {
+// stepTask steps one task and merges what it produced: its finished paths
+// take the next IDs, its successors are queued behind the current wave, and
+// its statistics are folded into the run's and the caller's collector. A
+// step error, or a path count past MaxPaths, aborts the run; the failing
+// task's statistics are not folded.
+func (e *exploration) stepTask(t *task) error {
 	stats := &solver.Stats{}
 	r := &run{
 		net:   e.net,
@@ -196,19 +161,37 @@ func (e *Exploration) RunTask(t *Task) TaskResult {
 		inst:  &e.inst,
 	}
 	r.env.r = r
-	var res TaskResult
+	var next []*State
 	if t.init != nil {
-		res.next = r.runInjection(t.st, e.inject, t.init, e.injProg)
+		next = r.runInjection(t.st, e.inject, t.init, e.injProg)
 	} else {
 		t.st.Ctx.SetStats(stats)
-		res.next, res.err = r.step(t.st)
-		res.hops = 1
+		var err error
+		if next, err = r.step(t.st); err != nil {
+			return err
+		}
+		e.stats.Hops++
 	}
-	res.finished = r.finished
-	res.pruned = r.pruned
-	res.solver = *stats
-	res.alloc = r.alloc
-	return res
+	for _, st := range r.finished {
+		e.appendPath(st)
+	}
+	e.stats.Pruned += r.pruned
+	e.stats.Symbols += r.alloc.Count()
+	e.stats.Solver.Add(*stats)
+	if e.opts.Stats != nil {
+		// Fold into the caller's collector task by task, so a run that
+		// aborts mid-way still reports the solver work it did.
+		e.opts.Stats.Add(*stats)
+	}
+	e.names.MergeNames(r.alloc)
+	for _, st := range next {
+		e.queue = append(e.queue, &task{seq: e.nextSeq, st: st})
+		e.nextSeq++
+	}
+	if len(e.paths) > e.opts.MaxPaths {
+		return fmt.Errorf("core: path budget exceeded (%d)", e.opts.MaxPaths)
+	}
+	return nil
 }
 
 // runInjection builds the symbolic packet: injection code runs in the
@@ -241,50 +224,9 @@ func (r *run) runInjection(st *State, elem *Element, init sefl.Instr, injProg *p
 	return next
 }
 
-// Merge folds one wave of results — aligned with the slice Frontier
-// returned — back into the run and builds the next frontier. It returns the
-// first error in frontier order (deterministic regardless of which worker
-// hit it); a non-nil error aborts the run.
-func (e *Exploration) Merge(results []TaskResult) error {
-	if e.err != nil {
-		return e.err
-	}
-	for i := range results {
-		res := &results[i]
-		if res.err != nil {
-			e.err = res.err
-			return e.err
-		}
-		for _, st := range res.finished {
-			e.appendPath(st)
-		}
-		e.stats.Pruned += res.pruned
-		e.stats.Hops += res.hops
-		e.stats.Symbols += res.alloc.Count()
-		e.stats.Solver.Add(res.solver)
-		if e.opts.Stats != nil {
-			// Fold into the caller's collector wave by wave, so a run
-			// that aborts mid-way still reports the solver work it did
-			// (matching the old engine's live accumulation).
-			e.opts.Stats.Add(res.solver)
-		}
-		e.names.MergeNames(res.alloc)
-		for _, st := range res.next {
-			e.queue = append(e.queue, &Task{seq: e.nextSeq, st: st})
-			e.nextSeq++
-		}
-		if len(e.paths) > e.opts.MaxPaths {
-			e.err = fmt.Errorf("core: path budget exceeded (%d)", e.opts.MaxPaths)
-			return e.err
-		}
-	}
-	e.inst.queueDepth.SetMax(int64(len(e.queue)))
-	return nil
-}
-
 // appendPath finalizes a completed state as the next path in canonical
 // order.
-func (e *Exploration) appendPath(st *State) {
+func (e *exploration) appendPath(st *State) {
 	p := &Path{
 		ID:      len(e.paths),
 		Status:  st.Status,
@@ -306,14 +248,14 @@ func (e *Exploration) appendPath(st *State) {
 	}
 }
 
-// Finish assembles the Result. Call only after Done with no error.
+// finish assembles the Result of a run that ran out of tasks.
 //
 // When the caller supplied a Stats collector, every finished path's context
 // is rebound to it, so post-run follow-up queries (verify domain reads,
 // conformance Model calls) keep counting toward the caller's "time spent in
 // and calls to the solver" totals, as in the original engine. Result.Stats
 // itself is already final and unaffected.
-func (e *Exploration) Finish() *Result {
+func (e *exploration) finish() *Result {
 	if e.opts.Stats != nil {
 		for _, p := range e.paths {
 			p.Ctx.SetStats(e.opts.Stats)

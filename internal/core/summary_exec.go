@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"symnet/internal/expr"
 	"symnet/internal/obs"
 	"symnet/internal/prog"
@@ -124,22 +122,21 @@ func (r *run) applySumStep(sum *prog.Summary, i int32, s *State) {
 
 // elemHits maintains the per-element summary-hit counters
 // ("summary.elem_hits.<element>"), resolved lazily since element names are
-// only known at visit time. Shared read-mostly across tasks and workers;
-// counters themselves are atomic.
+// only known at visit time. One exploration owns it; the counters are the
+// registry's, shared with concurrent batch jobs, and atomic.
 type elemHits struct {
 	reg *obs.Registry
-	m   sync.Map // element name -> *obs.Counter
+	m   map[string]*obs.Counter
 }
 
 func (h *elemHits) inc(elem string) {
 	if h == nil {
 		return
 	}
-	if v, ok := h.m.Load(elem); ok {
-		v.(*obs.Counter).Inc()
-		return
+	c, ok := h.m[elem]
+	if !ok {
+		c = h.reg.Counter("summary.elem_hits." + elem)
+		h.m[elem] = c
 	}
-	c := h.reg.Counter("summary.elem_hits." + elem)
-	actual, _ := h.m.LoadOrStore(elem, c)
-	actual.(*obs.Counter).Inc()
+	c.Inc()
 }

@@ -4,12 +4,12 @@
 // compiled IR of every element-port program so workers skip recompilation,
 // and collects results in job order.
 //
-// The determinism stack built by the in-process engine carries over intact:
-// per-job results are interleaving-independent (frontier-order merge,
-// per-task symbol bands) and Sat-cache hits replay the original
-// computation's statistics, so a batch through any Runner — in-process at
-// any width or a TCP fleet of any size — is byte-identical (as summaries) to
-// sched.RunBatch(net, jobs, w); the property tests in this package pin it on
+// The in-process determinism carries over intact: each job is one core.Run
+// on one goroutine, independent of its siblings, and Sat-cache hits replay
+// the original computation's statistics, so a batch through any Runner —
+// in-process at any width or a TCP fleet of any size — is byte-identical (as
+// summaries) to sched.RunBatch(net, jobs, w); the property tests in this
+// package pin it on
 // the department, Stanford-backbone and fork-heavy datasets.
 //
 // Results cross the process boundary as Summaries: per-path status, failure
@@ -155,7 +155,7 @@ type inProcess struct {
 
 // InProcess returns the Runner over the in-process scheduler: sched.RunBatch
 // semantics (workers <= 0 selects GOMAXPROCS; o attaches scheduler telemetry,
-// see sched.RunBatchStream) and live Results.
+// see sched.RunBatchObs) and live Results.
 func InProcess(workers int, o *obs.Obs) Runner { return inProcess{workers, o} }
 
 func (r inProcess) RunBatch(net *core.Network, jobs []Job) []JobResult {

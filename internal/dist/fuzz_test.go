@@ -27,7 +27,8 @@ func FuzzServeSession(f *testing.F) {
 }
 
 // FuzzResultFrame feeds arbitrary bytes to the coordinator's side of a
-// result: decoded as a frame, its summary unpacked at the default hop budget.
+// result: decoded as a frame, its summary unpacked at the default hop and
+// path budgets.
 // A pool faces bytes it did not write — any peer that completes the
 // handshake is a fleet member — so unpack must answer a Summary or an error
 // and never panic, and a Summary it answers holds each path's whole history.
@@ -40,7 +41,7 @@ func FuzzResultFrame(f *testing.F) {
 			return
 		}
 		w := fr.Result.Summary
-		s, err := w.unpack(0)
+		s, err := w.unpack(0, 0)
 		if err != nil {
 			return // any error is an acceptable answer
 		}

@@ -453,8 +453,8 @@ func (p *Pool) dispatch(w *poolWorker, br *batchRun, idxs []int) {
 // handleResult records a job's result — from its holder. A result naming a
 // job the sender does not hold (another member's, one already resolved, an
 // index outside the batch) is dropped, and a summary that does not unpack
-// within the job's own hop budget fails its job: every member is a remote
-// process whose bytes the coordinator did not write.
+// within the job's own hop and path budgets fails its job: every member is a
+// remote process whose bytes the coordinator did not write.
 func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
 	if r == nil || !removeOutstanding(w, r.Index) {
 		return
@@ -465,7 +465,8 @@ func (p *Pool) handleResult(w *poolWorker, br *batchRun, r *resultFrame) {
 		jr.Err = fmt.Errorf("%s", r.Err)
 	}
 	if r.Summary != nil {
-		s, err := r.Summary.unpack(br.jobs[r.Index].Opts.MaxHops)
+		opts := br.jobs[r.Index].Opts
+		s, err := r.Summary.unpack(opts.MaxHops, opts.MaxPaths)
 		if err != nil {
 			jr.Err = fmt.Errorf("dist: worker %d sent a malformed result for job %q: %w", w.id, br.jobs[r.Index].Name, err)
 		}

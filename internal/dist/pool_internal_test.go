@@ -323,3 +323,39 @@ func TestOverBudgetResultFailsItsJob(t *testing.T) {
 		t.Errorf("over-budget result: %+v, want error %q", out[0], want)
 	}
 }
+
+// TestOverPathBudgetResultFailsItsJob pins that the pool holds a result to
+// its job's MaxPaths too: a member that answers with more paths than the job
+// allows has that job failed with the budget error, and its result for the
+// batch's other job is accepted as usual.
+func TestOverPathBudgetResultFailsItsJob(t *testing.T) {
+	network, jobs := testFleetNet()
+	jobs[0].Opts.MaxPaths = 1
+	both := packSummary(mustRun(t, network, jobs[0].Inject, jobs[0].Packet, core.Options{}))
+	good := packSummary(mustRun(t, network, jobs[1].Inject, jobs[1].Packet, jobs[1].Opts))
+	member := scriptedMember(t, func(c *conn, f *frame) bool {
+		switch f.Kind {
+		case frameJobs:
+			c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: 0, Name: jobs[0].Name, Summary: both}})
+			c.send(&frame{Kind: frameResult, Result: &resultFrame{Index: 1, Name: jobs[1].Name, Summary: good}})
+		case frameEnd:
+			c.send(&frame{Kind: frameDone, Done: &doneFrame{}})
+		case frameBye:
+			return false
+		}
+		return true
+	})
+	p, err := NewPool(Config{Workers: []string{member}, WorkersPerProc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	out := p.RunBatch(network, jobs)
+	want := `dist: worker 0 sent a malformed result for job "q0": 2 paths exceed the job's budget of 1`
+	if out[0].Err == nil || out[0].Err.Error() != want || out[0].Summary != nil {
+		t.Errorf("over-budget result: %+v, want error %q", out[0], want)
+	}
+	if got, want := resultsJSON(t, out[1:]), inProcessJSON(t, network, jobs[1:]); got != want {
+		t.Errorf("the member's other result differs from the in-process run:\n got %s\nwant %s", got, want)
+	}
+}

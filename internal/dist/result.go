@@ -86,8 +86,12 @@ func packSummary(res *core.Result) *wireSummary {
 // asking the allocator for the impossible.
 const maxUnpackedPorts = 1 << 28
 
-// defaultMaxHops is core.Options' MaxHops when a job leaves it 0.
-const defaultMaxHops = 4096
+// defaultMaxHops and defaultMaxPaths are core.Options' MaxHops and MaxPaths
+// when a job leaves them 0.
+const (
+	defaultMaxHops  = 4096
+	defaultMaxPaths = 1 << 20
+)
 
 // historyBudget is the most port visits one path of a job run at maxHops can
 // record: each of its hops pushes the input port and at most one output port
@@ -101,13 +105,20 @@ func historyBudget(maxHops int) int {
 }
 
 // unpack expands a wire summary into the Summary that Summarize builds from
-// the same Result of a job run at maxHops. Every index is checked first, and
-// every path's history against the job's budget — the member is a remote
-// process whose bytes the coordinator did not write — so a malformed summary
-// is an error, never a panic. Strings are shared between paths, and all
-// paths' Ports (and Traces) are cut from one backing array, each capped at
-// its own length so an append to one cannot reach its neighbour.
-func (w *wireSummary) unpack(maxHops int) (*Summary, error) {
+// the same Result of a job run at maxHops and maxPaths. The path count is
+// checked against the job's budget before anything is allocated, then every
+// index, then every path's history against the hop budget — the member is a
+// remote process whose bytes the coordinator did not write — so a malformed
+// summary is an error, never a panic. Strings are shared between paths, and
+// all paths' Ports (and Traces) are cut from one backing array, each capped
+// at its own length so an append to one cannot reach its neighbour.
+func (w *wireSummary) unpack(maxHops, maxPaths int) (*Summary, error) {
+	if maxPaths == 0 {
+		maxPaths = defaultMaxPaths
+	}
+	if len(w.Paths) > maxPaths {
+		return nil, fmt.Errorf("%d paths exceed the job's budget of %d", len(w.Paths), maxPaths)
+	}
 	budget := historyBudget(maxHops)
 	nstr := int32(len(w.Strs))
 	depth := make([]int32, len(w.Hops))

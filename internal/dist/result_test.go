@@ -117,7 +117,7 @@ func TestResultFrameMatchesSummarize(t *testing.T) {
 
 	for _, r := range runs {
 		want := Summarize(r.res)
-		got, err := recvResult(t, resultFrames(packSummary(r.res)), nil).unpack(r.maxHops)
+		got, err := recvResult(t, resultFrames(packSummary(r.res)), nil).unpack(r.maxHops, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -197,6 +197,15 @@ func resultCases(t testing.TB) []streamCase {
 		return "path 0: history of 4 port visits exceeds the job's budget of 3"
 	})
 	overBudget.maxHops = 1
+	// overPaths is the traced result unchanged, answering a job that allowed
+	// one path fewer than it has.
+	n := len(traced.Paths)
+	overPaths := streamCase{
+		name:     "paths one over the budget",
+		frames:   resultFrames(packSummary(traced)),
+		maxPaths: n - 1,
+		want:     fmt.Sprintf("%d paths exceed the job's budget of %d", n, n-1),
+	}
 	return []streamCase{
 		{name: "department result", frames: resultFrames(packSummary(dept)), maxHops: 64},
 		malformed("hop parent is the hop itself", func(w *wireSummary) string {
@@ -224,6 +233,7 @@ func resultCases(t testing.TB) []streamCase {
 			return fmt.Sprintf("path 0: leaf hop %d out of range [-1, %d)", len(w.Hops), len(w.Hops))
 		}),
 		overBudget,
+		overPaths,
 	}
 }
 
@@ -233,7 +243,7 @@ func resultCases(t testing.TB) []streamCase {
 func TestResultDecodeErrors(t *testing.T) {
 	for _, tc := range resultCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := recvResult(t, tc.frames, tc.trailing).unpack(tc.maxHops)
+			_, err := recvResult(t, tc.frames, tc.trailing).unpack(tc.maxHops, tc.maxPaths)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unpack: %v", err)
@@ -274,11 +284,11 @@ func TestHopBudgetPathUnpacks(t *testing.T) {
 			t.Errorf("MaxHops %d: the hop-budget path has %d port visits, historyBudget says %d", maxHops, n, budget)
 		}
 		w := recvResult(t, resultFrames(packSummary(res)), nil)
-		if _, err := w.unpack(maxHops); err != nil {
+		if _, err := w.unpack(maxHops, 0); err != nil {
 			t.Errorf("MaxHops %d: %v", maxHops, err)
 		}
 		if maxHops > 1 {
-			if _, err := w.unpack(maxHops - 1); err == nil {
+			if _, err := w.unpack(maxHops-1, 0); err == nil {
 				t.Errorf("MaxHops %d: unpacked against a budget of %d hops", maxHops, maxHops-1)
 			}
 		}

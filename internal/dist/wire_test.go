@@ -121,9 +121,9 @@ type streamCase struct {
 	frames   []*frame
 	trailing []byte
 	want     string
-	// maxHops is, for a result case, the MaxHops of the job the result
-	// answers: unpack holds its histories to that budget.
-	maxHops int
+	// maxHops and maxPaths are, for a result case, the MaxHops and MaxPaths
+	// of the job the result answers: unpack holds it to those budgets.
+	maxHops, maxPaths int
 }
 
 func handshakeErrorCases(t testing.TB) []streamCase {
@@ -406,7 +406,7 @@ func TestWorkerSessionServesBatches(t *testing.T) {
 			if f.Result.Index != e.idx || f.Result.Err != "" || f.Result.Summary == nil {
 				t.Fatalf("reply %d: result %+v, want index %d", i, f.Result, e.idx)
 			}
-			got, err := f.Result.Summary.unpack(jobs[e.idx].Opts.MaxHops)
+			got, err := f.Result.Summary.unpack(jobs[e.idx].Opts.MaxHops, jobs[e.idx].Opts.MaxPaths)
 			if err != nil {
 				t.Fatalf("reply %d: %v", i, err)
 			}

@@ -23,11 +23,10 @@ type SymID int64
 // NoSym marks the absence of a symbolic part in a Lin term.
 const NoSym SymID = -1
 
-// BandBits sizes the per-task symbol bands used by the parallel engine: a
-// banded Alloc hands out IDs [band<<BandBits, (band+1)<<BandBits). Bands make
+// BandBits sizes the per-task symbol bands of the core engine: a banded
+// Alloc hands out IDs [band<<BandBits, (band+1)<<BandBits). Bands make
 // fresh-symbol IDs a function of a task's deterministic sequence number
-// rather than of worker interleaving, which is what keeps a parallel run
-// byte-identical to a sequential one.
+// rather than of the order tasks are stepped in.
 const BandBits = 21
 
 // Alloc hands out fresh symbolic values. The zero value is ready to use and

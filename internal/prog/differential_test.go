@@ -2,7 +2,7 @@ package prog_test
 
 // Differential property tests: randomly generated SEFL programs executed by
 // the compiled-IR engine must produce Results byte-identical to the AST
-// reference interpreter, sequentially and at 1/2/8 workers. The generator
+// reference interpreter. The generator
 // deliberately produces the constructs whose compilation is delicate —
 // Symbolic allocations after forks (global allocation order), nested blocks
 // behind Ifs (splice analysis), dead code behind terminators, error paths
@@ -18,7 +18,6 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
-	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
 
@@ -314,9 +313,10 @@ func TestDifferentialCompiledVsAST(t *testing.T) {
 	}
 }
 
-// TestDifferentialWorkers runs the same random programs across worker
-// counts: compiled results must stay byte-identical to the sequential AST
-// reference at 1, 2 and 8 workers.
+// TestDifferentialWorkers runs a second seed set of random programs without
+// tracing: compiled results must stay byte-identical to the AST reference on
+// every observable, and repeating a run on the same network must reproduce
+// its full fingerprint, constraint chain included.
 func TestDifferentialWorkers(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -334,23 +334,19 @@ func TestDifferentialWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: AST run: %v", seed, err)
 		}
-		wantObs := obsFingerprint(ast)
-		var wantFull string
-		for _, workers := range []int{1, 2, 8} {
-			res, err := sched.Run(net, inj, init, opts, workers)
-			if err != nil {
-				t.Fatalf("seed %d: %d-worker run: %v", seed, workers, err)
-			}
-			if got := obsFingerprint(res); got != wantObs {
-				t.Errorf("seed %d: %d-worker compiled result differs from sequential AST", seed, workers)
-			}
-			// Within one guard mode the full fingerprint (ctx chain included)
-			// must also be worker-count independent.
-			if workers == 1 {
-				wantFull = fingerprint(res)
-			} else if got := fingerprint(res); got != wantFull {
-				t.Errorf("seed %d: %d-worker full fingerprint differs from 1-worker", seed, workers)
-			}
+		res, err := core.Run(net, inj, init, opts)
+		if err != nil {
+			t.Fatalf("seed %d: compiled run: %v", seed, err)
+		}
+		if got, want := obsFingerprint(res), obsFingerprint(ast); got != want {
+			t.Errorf("seed %d: compiled result differs from the AST reference:\n%s", seed, diffHead(want, got))
+		}
+		again, err := core.Run(net, inj, init, opts)
+		if err != nil {
+			t.Fatalf("seed %d: repeated compiled run: %v", seed, err)
+		}
+		if got, want := fingerprint(again), fingerprint(res); got != want {
+			t.Errorf("seed %d: repeated run's full fingerprint differs:\n%s", seed, diffHead(want, got))
 		}
 	}
 }
@@ -411,10 +407,10 @@ func TestDifferentialDatasets(t *testing.T) {
 }
 
 // TestDifferentialGuardModesWorkers is the interval-table acceptance
-// property over the real datasets: at 1, 2 and 8 workers, interval-table
-// execution must match the Or-tree reference on every observable (results,
-// stats, traces, symbol IDs), and each mode must be worker-count
-// deterministic including its constraint-fingerprint chain.
+// property over the real datasets: interval-table execution must match the
+// Or-tree reference on every observable (results, stats, traces, symbol
+// IDs), and each mode must reproduce its own full fingerprint, constraint
+// chain included, when run again.
 func TestDifferentialGuardModesWorkers(t *testing.T) {
 	type workload struct {
 		name   string
@@ -437,23 +433,22 @@ func TestDifferentialGuardModesWorkers(t *testing.T) {
 		for _, orTree := range []bool{true, false} {
 			opts := w.opts
 			opts.OrTreeGuards = orTree
-			var wantFull string
-			for _, workers := range []int{1, 2, 8} {
-				res, err := sched.Run(w.net, w.inject, w.packet, opts, workers)
+			var runs [2]*core.Result
+			for i := range runs {
+				res, err := core.Run(w.net, w.inject, w.packet, opts)
 				if err != nil {
-					t.Fatalf("%s ortree=%v workers=%d: %v", w.name, orTree, workers, err)
+					t.Fatalf("%s ortree=%v: %v", w.name, orTree, err)
 				}
-				if workers == 1 {
-					wantFull = fingerprint(res)
-					if orTree {
-						wantObs = obsFingerprint(res)
-					} else if got := obsFingerprint(res); got != wantObs {
-						t.Errorf("%s: interval-table observables differ from Or-tree reference:\n%s",
-							w.name, diffHead(wantObs, got))
-					}
-				} else if got := fingerprint(res); got != wantFull {
-					t.Errorf("%s ortree=%v: %d-worker full fingerprint differs from 1-worker", w.name, orTree, workers)
-				}
+				runs[i] = res
+			}
+			if orTree {
+				wantObs = obsFingerprint(runs[0])
+			} else if got := obsFingerprint(runs[0]); got != wantObs {
+				t.Errorf("%s: interval-table observables differ from Or-tree reference:\n%s",
+					w.name, diffHead(wantObs, got))
+			}
+			if want, got := fingerprint(runs[0]), fingerprint(runs[1]); got != want {
+				t.Errorf("%s ortree=%v: repeated run's full fingerprint differs:\n%s", w.name, orTree, diffHead(want, got))
 			}
 		}
 	}

@@ -5,7 +5,7 @@ package prog_test
 // histories, traces, final memory, symbol IDs, the constraint context's
 // chained fingerprint, and run statistics — must be byte-identical to the IR
 // reference path (Options.IRExec), over random programs and the real
-// datasets, at 1/2/8 workers, with every dataset exercising both the summary
+// datasets, with every dataset exercising both the summary
 // fast path and the IR fallback (pinned via the summary.* counters; the
 // fallback gate supplies the latter, as the real models all summarize).
 
@@ -17,7 +17,6 @@ import (
 	"symnet/internal/datasets"
 	"symnet/internal/obs"
 	"symnet/internal/prog"
-	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
 
@@ -137,8 +136,8 @@ func TestDifferentialMaskedTooSparse(t *testing.T) {
 }
 
 // TestDifferentialSummariesWorkers is the acceptance property on the real
-// datasets: the default engine must match the IR reference byte-for-byte at
-// 1, 2 and 8 workers, and every dataset must report at least one summarized element
+// datasets: the default engine must match the IR reference byte-for-byte,
+// and every dataset must report at least one summarized element
 // (summary.built, summary.hits) and at least one IR fallback
 // (summary.unsummarizable, summary.fallbacks) — the fallback gate prepended
 // to each injection point guarantees the latter even on all-summarizable
@@ -167,7 +166,7 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 
 		refOpts := w.opts
 		refOpts.IRExec = true
-		ref, err := sched.Run(w.net, inj, w.packet, refOpts, 1)
+		ref, err := core.Run(w.net, inj, w.packet, refOpts)
 		if err != nil {
 			t.Fatalf("%s: IR run: %v", w.name, err)
 		}
@@ -176,20 +175,17 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 			t.Fatalf("%s: no paths explored", w.name)
 		}
 
-		for _, workers := range []int{1, 2, 8} {
-			reg := obs.NewRegistry()
-			opts := w.opts
-			opts.Obs = obs.New(reg, nil)
-			res, err := sched.Run(w.net, inj, w.packet, opts, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: summaries run: %v", w.name, workers, err)
-			}
-			if got := fingerprint(res); got != want {
-				t.Errorf("%s workers=%d: summaries result differs from IR:\n%s",
-					w.name, workers, diffHead(want, got))
-			}
-			assertSummaryCounters(t, w.name, workers, reg, workers == 1)
+		reg := obs.NewRegistry()
+		opts := w.opts
+		opts.Obs = obs.New(reg, nil)
+		res, err := core.Run(w.net, inj, w.packet, opts)
+		if err != nil {
+			t.Fatalf("%s: summaries run: %v", w.name, err)
 		}
+		if got := fingerprint(res); got != want {
+			t.Errorf("%s: summaries result differs from IR:\n%s", w.name, diffHead(want, got))
+		}
+		assertSummaryCounters(t, w.name, reg)
 	}
 }
 
@@ -198,7 +194,7 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 // element-port, the ASA's two pipelines (their option parsing is a For over
 // runtime metadata) included, so nothing falls back to the IR, and results
 // are byte-identical to the IR reference (constraint chain included) and to
-// the AST interpreter at 1, 2 and 8 workers.
+// the AST interpreter.
 func TestDifferentialDefaultDepartment(t *testing.T) {
 	d := datasets.NewDepartment(datasets.DepartmentConfig{
 		NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
@@ -218,26 +214,24 @@ func TestDifferentialDefaultDepartment(t *testing.T) {
 	if ir.Stats.Paths == 0 {
 		t.Fatal("no paths explored")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		reg := obs.NewRegistry()
-		opts := base
-		opts.Obs = obs.New(reg, nil)
-		res, err := sched.Run(d.Net, inj, packet, opts, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want, got := fingerprint(ir), fingerprint(res); want != got {
-			t.Errorf("workers=%d: default engine differs from the IR reference:\n%s", workers, diffHead(want, got))
-		}
-		if want, got := obsFingerprint(ast), obsFingerprint(res); want != got {
-			t.Errorf("workers=%d: default engine differs from the AST interpreter:\n%s", workers, diffHead(want, got))
-		}
-		snap := reg.Snapshot()
-		hits, fallbacks := snap.Counters["summary.hits"], snap.Counters["summary.fallbacks"]
-		if hits < 1 || fallbacks != 0 || snap.Counters["summary.elem_hits.asa"] < 1 {
-			t.Errorf("workers=%d: summary.hits=%d (asa %d) summary.fallbacks=%d, want every visit, the ASA's included, summarized",
-				workers, hits, snap.Counters["summary.elem_hits.asa"], fallbacks)
-		}
+	reg := obs.NewRegistry()
+	opts := base
+	opts.Obs = obs.New(reg, nil)
+	res, err := core.Run(d.Net, inj, packet, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := fingerprint(ir), fingerprint(res); want != got {
+		t.Errorf("default engine differs from the IR reference:\n%s", diffHead(want, got))
+	}
+	if want, got := obsFingerprint(ast), obsFingerprint(res); want != got {
+		t.Errorf("default engine differs from the AST interpreter:\n%s", diffHead(want, got))
+	}
+	snap := reg.Snapshot()
+	hits, fallbacks := snap.Counters["summary.hits"], snap.Counters["summary.fallbacks"]
+	if hits < 1 || fallbacks != 0 || snap.Counters["summary.elem_hits.asa"] < 1 {
+		t.Errorf("summary.hits=%d (asa %d) summary.fallbacks=%d, want every visit, the ASA's included, summarized",
+			hits, snap.Counters["summary.elem_hits.asa"], fallbacks)
 	}
 	var fallback []string
 	for _, c := range core.SummaryCensus(d.Net) {
@@ -253,18 +247,14 @@ func TestDifferentialDefaultDepartment(t *testing.T) {
 // assertSummaryCounters pins that a run exercised both execution paths and
 // attributed hits per element. Build counters (summary.built,
 // summary.unsummarizable) move only on the run that first populates the
-// element caches — later runs on the same network reuse them — so they are
-// asserted only on the first run per workload.
-func assertSummaryCounters(t *testing.T, name string, workers int, reg *obs.Registry, first bool) {
+// element caches, which the IR reference run does not, so the summaries run
+// is that run.
+func assertSummaryCounters(t *testing.T, name string, reg *obs.Registry) {
 	t.Helper()
 	snap := reg.Snapshot()
-	want := []string{"summary.hits", "summary.fallbacks"}
-	if first {
-		want = append(want, "summary.built", "summary.unsummarizable")
-	}
-	for _, c := range want {
+	for _, c := range []string{"summary.hits", "summary.fallbacks", "summary.built", "summary.unsummarizable"} {
 		if snap.Counters[c] < 1 {
-			t.Errorf("%s workers=%d: counter %s = %d, want >= 1", name, workers, c, snap.Counters[c])
+			t.Errorf("%s: counter %s = %d, want >= 1", name, c, snap.Counters[c])
 		}
 	}
 	perElem := int64(0)
@@ -274,8 +264,8 @@ func assertSummaryCounters(t *testing.T, name string, workers int, reg *obs.Regi
 		}
 	}
 	if perElem != snap.Counters["summary.hits"] {
-		t.Errorf("%s workers=%d: per-element hits sum to %d, summary.hits = %d",
-			name, workers, perElem, snap.Counters["summary.hits"])
+		t.Errorf("%s: per-element hits sum to %d, summary.hits = %d",
+			name, perElem, snap.Counters["summary.hits"])
 	}
 }
 

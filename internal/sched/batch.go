@@ -1,8 +1,18 @@
+// Package sched runs batches of independent verification queries. A Queue
+// is a fixed set of workers draining jobs in arrival order, each job one
+// core.Run on the worker's goroutine; RunBatch puts a whole batch through a
+// Queue, and a fleet member runs its shard on one as the jobs arrive.
+//
+// Batches are deterministic at any width: jobs share the immutable network
+// and at most a satisfiability memo, whose hits replay the original
+// computation's statistics, so every job's Result is the standalone
+// core.Run's whichever worker ran it and in whatever order.
 package sched
 
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"slices"
 
@@ -23,8 +33,8 @@ type Job struct {
 	// Packet builds the symbolic packet (sefl instruction trees are
 	// immutable, so one value may be shared across jobs).
 	Packet sefl.Instr
-	// Opts configures the run. Opts.Workers is ignored: batch parallelism
-	// is across jobs, each of which explores sequentially.
+	// Opts configures the run. Opts.Workers is not read: every job explores
+	// on one goroutine, and the batch's width is RunBatch's argument.
 	Opts core.Options
 }
 
@@ -35,18 +45,18 @@ type JobResult struct {
 	Err    error
 }
 
-// RunBatch runs every job against the network, fanning jobs across a
-// bounded work-stealing pool (workers <= 0 selects GOMAXPROCS). Results are
+// RunBatch runs every job against the network on a Queue of the given width
+// (workers <= 0 selects GOMAXPROCS; never wider than the batch). Results are
 // returned in job order regardless of scheduling, and each job's Result is
 // identical to a standalone core.Run: jobs share the immutable network but
 // no mutable state — every run has its own solver contexts, symbol
 // namespace, and statistics.
 //
-// All jobs share one satisfiability memo cache (unless a job brings its
-// own via Opts.SatMemo): batch queries re-issue near-identical constraint
-// sequences, so later jobs answer most Sat checks from earlier jobs' work.
-// Sharing is safe across workers and does not perturb results — cache hits
-// replay the original computation's statistics (see solver.SatCache).
+// Jobs that bring no Opts.SatMemo share one memo created for the batch:
+// batch queries re-issue near-identical constraint sequences, so later jobs
+// answer most Sat checks from earlier jobs' work. Sharing is safe across
+// workers and does not perturb results — cache hits replay the original
+// computation's statistics (see solver.SatCache).
 //
 // A job whose exploration panics (a buggy model or engine defect) is
 // reported as that job's error; sibling jobs are unaffected.
@@ -54,23 +64,42 @@ func RunBatch(net *core.Network, jobs []Job, workers int) []JobResult {
 	return RunBatchObs(net, jobs, workers, nil)
 }
 
-// RunBatchObs is RunBatch with observability attached (see RunBatchStream);
-// a nil o is exactly RunBatch.
+// RunBatchObs is RunBatch with observability attached: o carries the queue's
+// telemetry (per-worker task latencies, one "job" span per job, the batch
+// memo's counters) and becomes each job's Options.Obs unless the job brought
+// its own. A nil o is exactly RunBatch.
 func RunBatchObs(net *core.Network, jobs []Job, workers int, o *obs.Obs) []JobResult {
 	out := make([]JobResult, len(jobs))
-	RunBatchStream(net, jobs, workers, o, func(i int, jr JobResult) {
+	// The batch-shared memo exists only for jobs that bring none. A resident
+	// caller (a Session, the churn service) hands every job its own, and a
+	// memo registered here per batch would pile up in its registry.
+	var memo *solver.SatCache
+	if slices.ContainsFunc(jobs, func(j Job) bool { return j.Opts.SatMemo == nil }) {
+		memo = solver.NewSatCache()
+		if o != nil {
+			memo.RegisterMetrics(o.Reg)
+		}
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	q := newQueue(net, min(workers, len(jobs)), memo, o, func(i int, jr JobResult) {
 		out[i] = jr
 	})
+	for i, j := range jobs {
+		q.Add(i, j)
+	}
+	q.Close()
 	// Jobs routinely share one Options value, so a caller-supplied stats
 	// collector would be hammered from every worker; fold per-job stats in
-	// here after the pool has drained (counter sums commute, so totals match
+	// here after the queue has drained (counter sums commute, so totals match
 	// a sequential run).
 	for i, j := range jobs {
 		if j.Opts.Stats != nil && out[i].Result != nil {
 			j.Opts.Stats.Add(out[i].Result.Stats.Solver)
 			// Rebind finished paths to the caller's collector so post-batch
 			// follow-up queries keep counting, exactly as a standalone
-			// core.Run with the same Options would (see Exploration.Finish).
+			// core.Run with the same Options would.
 			for _, p := range out[i].Result.Paths {
 				p.Ctx.SetStats(j.Opts.Stats)
 			}
@@ -79,44 +108,15 @@ func RunBatchObs(net *core.Network, jobs []Job, workers int, o *obs.Obs) []JobRe
 	return out
 }
 
-// RunBatchStream is RunBatch with streaming delivery: done(i, result) is
-// invoked once per job as it finishes, from the finishing worker's
-// goroutine and in completion (not job) order — the callback must be safe
-// for concurrent invocation. Caller-supplied Opts.Stats collectors are not
-// consulted (a shared collector would race across workers); streaming
-// callers read each Result's own Stats, and RunBatch folds them after the
-// pool drains. RunBatchStream returns after every job has been delivered.
-//
-// o attaches scheduler telemetry (per-worker task latencies, steals, one
-// "job" span per job) and becomes each job's Options.Obs unless the job
-// brought its own; nil disables instrumentation.
-func RunBatchStream(net *core.Network, jobs []Job, workers int, o *obs.Obs, done func(i int, jr JobResult)) {
-	// The batch-shared cache exists only for jobs that bring none. A resident
-	// caller (a Session, the churn service) hands every job its own, and a
-	// cache registered here per batch would pile up in its registry.
-	var memo *solver.SatCache
-	if slices.ContainsFunc(jobs, func(j Job) bool { return j.Opts.SatMemo == nil }) {
-		memo = solver.NewSatCache()
-	}
-	if o != nil {
-		memo.RegisterMetrics(o.Reg)
-	}
-	NewPool(workers).MapObs(len(jobs), o, func(w, i int) {
-		done(i, runJob(net, jobs[i], memo, o, w))
-	})
-}
-
-// runJob executes one job on scheduler worker w, the same way under
-// RunBatchStream and under a Queue: exploration is sequential (parallelism is
-// across jobs), a job without its own SatMemo shares memo, a caller's Stats
-// collector is not consulted, o becomes the job's Options.Obs unless it
-// brought one, and the run is one "job" span. A panic anywhere under the
-// exploration becomes that job's error: without the recover, one poisoned
-// query would tear down the whole batch (and, distributed, the whole worker
-// process with every sibling job on it).
+// runJob executes one job on queue worker w: a job without its own SatMemo
+// shares memo (nil: a fresh one per run), a caller's Stats collector is not
+// consulted, o becomes the job's Options.Obs unless it brought one, and the
+// run is one "job" span. A panic anywhere under the exploration becomes that
+// job's error: without the recover, one poisoned query would tear down the
+// whole batch (and, on a fleet member, the whole process with every sibling
+// job on it).
 func runJob(net *core.Network, j Job, memo *solver.SatCache, o *obs.Obs, w int) (jr JobResult) {
 	opts := j.Opts
-	opts.Workers = 0
 	if opts.SatMemo == nil {
 		opts.SatMemo = memo
 	}
@@ -128,11 +128,11 @@ func runJob(net *core.Network, j Job, memo *solver.SatCache, o *obs.Obs, w int) 
 	defer o.Span("job", j.Name, w)()
 	defer func() {
 		if p := recover(); p != nil {
-			// The stack goes to stderr (which distributed workers pass
-			// through to the coordinator), not into the error: a one-line
-			// panic value cannot locate an engine defect, but error strings
-			// must stay deterministic — they are part of the byte-identical
-			// results contract, and stacks differ across processes.
+			// The stack goes to stderr (which fleet members log), not into
+			// the error: a one-line panic value cannot locate an engine
+			// defect, but error strings must stay deterministic — they are
+			// part of the byte-identical results contract, and stacks differ
+			// across processes.
 			fmt.Fprintf(os.Stderr, "sched: job %q panicked: %v\n%s", j.Name, p, debug.Stack())
 			jr.Result, jr.Err = nil, fmt.Errorf("sched: job %q panicked: %v", j.Name, p)
 		}

@@ -11,17 +11,16 @@ import (
 )
 
 // Queue is a streaming batch runner: jobs arrive through Add while a fixed
-// worker pool drains them in arrival order. It is the worker-side engine of
-// the distributed runner — a fleet member adds its shard as the jobs frames
-// arrive (one per batch, plus one per job re-dispatched to it after another
-// member died) and reports each result as it finishes.
+// set of workers drains them in arrival order. RunBatch puts a whole batch
+// through one, and a fleet member adds its shard as the jobs frames arrive
+// (one per batch, plus one per job re-dispatched to it after another member
+// died) and reports each result as it finishes.
 //
-// Execution semantics per job are exactly RunBatchStream's (see runJob):
-// Opts.Workers is forced to 0 (parallelism is across jobs), a nil
-// Opts.SatMemo shares the queue-wide cache, caller Stats collectors are not
-// consulted, and panics become per-job errors. Scheduling never affects
-// results — each job is deterministic in isolation, so any arrival order
-// produces the same JobResult for every job that runs here.
+// Execution semantics per job are runJob's: a nil Opts.SatMemo shares the
+// queue's memo, caller Stats collectors are not consulted, and panics become
+// per-job errors. Scheduling never affects results — each job is
+// deterministic in isolation, so any arrival order produces the same
+// JobResult for every job that runs here.
 type Queue struct {
 	net  *core.Network
 	memo *solver.SatCache
@@ -43,11 +42,11 @@ type queuedJob struct {
 }
 
 // NewQueue starts a queue of the given width (workers <= 0 selects
-// GOMAXPROCS). done is invoked once per executed job, from the finishing
-// worker's goroutine — it must be safe for concurrent invocation. o
-// attaches the same scheduler telemetry as RunBatchStream (per-worker task
-// histograms, one "job" span per job, the queue's satisfiability memo
-// counters) and is optional.
+// GOMAXPROCS) with a satisfiability memo of its own for jobs that bring
+// none. done is invoked once per executed job, from the finishing worker's
+// goroutine — it must be safe for concurrent invocation. o attaches the
+// same telemetry as RunBatchObs (per-worker task histograms, one "job" span
+// per job, the memo's counters) and is optional.
 func NewQueue(net *core.Network, workers int, o *obs.Obs, done func(id int, jr JobResult)) *Queue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -56,6 +55,12 @@ func NewQueue(net *core.Network, workers int, o *obs.Obs, done func(id int, jr J
 	if o != nil {
 		memo.RegisterMetrics(o.Reg)
 	}
+	return newQueue(net, workers, memo, o, done)
+}
+
+// newQueue starts workers (> 0) goroutines draining a queue whose jobs
+// without a SatMemo share memo (nil: a fresh one per run).
+func newQueue(net *core.Network, workers int, memo *solver.SatCache, o *obs.Obs, done func(id int, jr JobResult)) *Queue {
 	q := &Queue{net: net, memo: memo, o: o, done: done}
 	q.cond = sync.NewCond(&q.mu)
 	for w := 0; w < workers; w++ {

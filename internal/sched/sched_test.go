@@ -1,18 +1,28 @@
 package sched_test
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/models"
-	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
 	"symnet/internal/verify"
 )
+
+var update = flag.Bool("update", false, "rewrite "+digestFile+" from core.Run's current results")
+
+// digestFile holds one line per golden case: its name, a tab, and the SHA-256
+// of its fingerprint.
+const digestFile = "testdata/run_digests.txt"
 
 // fingerprint serializes a Result completely enough that two equal
 // fingerprints mean byte-identical path sets: IDs, statuses, fail messages,
@@ -43,28 +53,75 @@ func fingerprint(res *core.Result) string {
 	return b.String()
 }
 
-// checkDeterministic runs the same query sequentially and with 1, 2 and 8
-// workers and demands byte-identical results.
-func checkDeterministic(t *testing.T, name string, net *core.Network, inject core.PortRef, packet sefl.Instr, opts core.Options) {
+// readDigests loads digestFile (empty when it does not exist yet).
+func readDigests(t *testing.T) map[string]string {
 	t.Helper()
-	seq, err := core.Run(net, inject, packet, opts)
+	digests := make(map[string]string)
+	f, err := os.Open(digestFile)
+	if os.IsNotExist(err) {
+		return digests
+	}
 	if err != nil {
-		t.Fatalf("%s: sequential run: %v", name, err)
+		t.Fatal(err)
 	}
-	want := fingerprint(seq)
-	if seq.Stats.Paths == 0 {
-		t.Fatalf("%s: sequential run explored no paths", name)
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, sum, ok := strings.Cut(sc.Text(), "\t")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", digestFile, sc.Text())
+		}
+		digests[name] = sum
 	}
-	for _, workers := range []int{1, 2, 8} {
-		par, err := sched.Run(net, inject, packet, opts, workers)
-		if err != nil {
-			t.Fatalf("%s: %d-worker run: %v", name, workers, err)
-		}
-		got := fingerprint(par)
-		if got != want {
-			t.Errorf("%s: %d-worker result differs from sequential:\n--- sequential ---\n%s--- %d workers ---\n%s",
-				name, workers, want, workers, got)
-		}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return digests
+}
+
+func writeDigests(t *testing.T, digests map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	names := make([]string, 0, len(digests))
+	for name := range digests {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s\t%s\n", name, digests[name])
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(digestFile, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkGolden runs one query through core.Run and demands the Result whose
+// fingerprint digestFile records under name: the same path IDs, statuses,
+// histories, symbol IDs, domains and statistics as when the file was
+// written. -update rewrites the case's line instead.
+func checkGolden(t *testing.T, name string, net *core.Network, inject core.PortRef, packet sefl.Instr, opts core.Options) {
+	t.Helper()
+	res, err := core.Run(net, inject, packet, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if res.Stats.Paths == 0 {
+		t.Fatalf("%s: explored no paths", name)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(fingerprint(res))))
+	digests := readDigests(t)
+	if *update {
+		digests[name] = got
+		writeDigests(t, digests)
+		return
+	}
+	if want, ok := digests[name]; !ok {
+		t.Errorf("%s: no digest in %s (run with -update)", name, digestFile)
+	} else if got != want {
+		t.Errorf("%s: result digest %s, want %s: path IDs, symbols, domains or stats changed", name, got, want)
 	}
 }
 
@@ -107,9 +164,9 @@ func smallDepartment(fixed bool) *datasets.Department {
 func TestRunDeterministicDepartment(t *testing.T) {
 	d := smallDepartment(false)
 	opts := core.Options{MaxHops: 64}
-	checkDeterministic(t, "department office",
+	checkGolden(t, "department office",
 		d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false), opts)
-	checkDeterministic(t, "department inbound",
+	checkGolden(t, "department inbound",
 		d.Net, core.PortRef{Elem: "exit", Port: 1}, sefl.NewTCPPacket(), opts)
 }
 
@@ -124,68 +181,72 @@ func TestRunDeterministicSplitTCP(t *testing.T) {
 		{"dhcp", datasets.SplitTCPConfig{DHCPAppliance: true, ProxyRewritesMAC: true}},
 	} {
 		net := datasets.NewSplitTCP(tc.cfg)
-		checkDeterministic(t, "splittcp/"+tc.name,
+		checkGolden(t, "splittcp/"+tc.name,
 			net, core.PortRef{Elem: "ap", Port: 0}, datasets.SplitTCPClientPacket(),
 			core.Options{MaxHops: 64})
 	}
 }
 
 // TestRunDeterministicNATFirewall covers mid-path fresh-symbol allocation
-// (the NAT's rewritten source port), the case banded allocation exists for.
+// (the NAT's rewritten source port), which the per-task symbol bands number.
 func TestRunDeterministicNATFirewall(t *testing.T) {
-	net := natFirewallNet(t)
-	checkDeterministic(t, "nat+firewall roundtrip",
-		net, core.PortRef{Elem: "FW", Port: 0}, sefl.NewTCPPacket(), core.Options{})
-	checkDeterministic(t, "nat+firewall unsolicited",
-		net, core.PortRef{Elem: "NAT", Port: 1}, sefl.NewTCPPacket(), core.Options{})
+	checkGolden(t, "nat+firewall roundtrip",
+		natFirewallNet(t), core.PortRef{Elem: "FW", Port: 0}, sefl.NewTCPPacket(), core.Options{})
+	checkGolden(t, "nat+firewall unsolicited",
+		natFirewallNet(t), core.PortRef{Elem: "NAT", Port: 1}, sefl.NewTCPPacket(), core.Options{})
 }
 
 func TestRunDeterministicStanford(t *testing.T) {
 	bb := datasets.StanfordBackbone(4, 30)
-	checkDeterministic(t, "stanford zone inject",
+	checkGolden(t, "stanford zone inject",
 		bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{})
 }
 
 func TestRunDeterministicWithLoopDetection(t *testing.T) {
 	d := smallDepartment(false)
-	checkDeterministic(t, "department loop-full",
+	checkGolden(t, "department loop-full",
 		d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false),
 		core.Options{MaxHops: 64, Loop: core.LoopFull})
 }
 
 // TestRunDeterministicWideFrontier drives a Basic-style switch whose single
-// ingress step fans out into ~1500 branch states — more than one wave
-// (maxWave=1024) can hold — so the wave-cutting rule itself is exercised.
+// ingress step fans out into ~1500 branch states, each crossing a link to a
+// host — more tasks than one wave (maxWave=1024) can hold — so the
+// wave-cutting rule itself is exercised.
 func TestRunDeterministicWideFrontier(t *testing.T) {
-	tbl := datasets.SwitchTable(1500, 20, 42)
+	const ports = 20
+	tbl := datasets.SwitchTable(1500, ports, 42)
 	net := core.NewNetwork()
-	sw := net.AddElement("SW", "switch", 1, 20)
+	sw := net.AddElement("SW", "switch", 1, ports)
 	if err := models.Switch(sw, tbl, models.Basic); err != nil {
 		t.Fatal(err)
 	}
-	checkDeterministic(t, "wide basic switch",
+	for p := 0; p < ports; p++ {
+		host := net.AddElement(fmt.Sprintf("H%d", p), "host", 1, 0)
+		host.SetInCode(0, sefl.NoOp{})
+		net.MustLink("SW", p, host.Name, 0)
+	}
+	checkGolden(t, "wide basic switch",
 		net, core.PortRef{Elem: "SW", Port: 0}, sefl.NewEthernetPacket(), core.Options{})
 }
 
+// TestRunErrorsMatchSequential pins core.Run's two run-level errors: an
+// invalid injection port, and a path budget exceeded — after which a
+// caller-supplied stats collector still reports the solver work done before
+// the abort.
 func TestRunErrorsMatchSequential(t *testing.T) {
 	d := smallDepartment(false)
-	// Invalid injection port.
-	_, seqErr := core.Run(d.Net, core.PortRef{Elem: "nosuch", Port: 0}, sefl.NewTCPPacket(), core.Options{})
-	_, parErr := sched.Run(d.Net, core.PortRef{Elem: "nosuch", Port: 0}, sefl.NewTCPPacket(), core.Options{}, 4)
-	if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
-		t.Fatalf("inject errors differ: seq=%v par=%v", seqErr, parErr)
+	_, err := core.Run(d.Net, core.PortRef{Elem: "nosuch", Port: 0}, sefl.NewTCPPacket(), core.Options{})
+	if want := `core: inject element "nosuch" not found`; err == nil || err.Error() != want {
+		t.Fatalf("inject error = %v, want %q", err, want)
 	}
-	// Path budget exceeded. A caller-supplied stats collector must still
-	// report the solver work done before the abort.
 	collector := &solver.Stats{}
 	opts := core.Options{MaxHops: 64, MaxPaths: 2, Stats: collector}
-	_, seqErr = core.Run(d.Net, core.PortRef{Elem: "exit", Port: 1}, sefl.NewTCPPacket(), opts)
+	_, err = core.Run(d.Net, core.PortRef{Elem: "exit", Port: 1}, sefl.NewTCPPacket(), opts)
+	if want := "core: path budget exceeded (2)"; err == nil || err.Error() != want {
+		t.Fatalf("budget error = %v, want %q", err, want)
+	}
 	if collector.Adds == 0 {
 		t.Fatal("aborted run reported no solver work to the caller's collector")
-	}
-	opts.Stats = &solver.Stats{}
-	_, parErr = sched.Run(d.Net, core.PortRef{Elem: "exit", Port: 1}, sefl.NewTCPPacket(), opts, 4)
-	if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
-		t.Fatalf("budget errors differ: seq=%v par=%v", seqErr, parErr)
 	}
 }

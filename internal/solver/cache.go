@@ -31,8 +31,8 @@ type SatVerdict struct {
 // identical verdicts.
 //
 // Determinism: a hit must leave the same statistics trail as a recompute,
-// or parallel runs would diverge from sequential ones in their (compared)
-// counters depending on which worker warmed the cache first. Entries
+// or a batch's jobs would report different (compared) counters at different
+// widths, depending on which worker warmed the cache first. Entries
 // therefore record the DPLL branch count of the original computation and
 // Sat replays it on hit — counters end up identical whether a given check
 // hit or missed. Hit/miss telemetry lives on the cache itself, outside the

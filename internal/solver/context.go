@@ -151,9 +151,9 @@ func NewContext(stats *Stats) *Context {
 // Stats returns the shared stats collector.
 func (c *Context) Stats() *Stats { return c.stats }
 
-// SetStats repoints the context at a different collector. The parallel
-// engine calls this when a state created on one worker is stepped by
-// another, so each worker only ever increments its own counters.
+// SetStats repoints the context at a different collector. The engine calls
+// this when it steps a state, so each exploration step counts into its own
+// collector, and when a run ends, to hand finished paths to the caller's.
 func (c *Context) SetStats(s *Stats) {
 	if s == nil {
 		s = &Stats{}

@@ -68,11 +68,11 @@ func (r *AllPairsReport) splice(s int, jr *dist.JobResult, pm pairMetrics) {
 // AllPairsReachability injects the packet at every source and reports, for
 // each (source, target) pair, whether the target is reachable. One symbolic
 // run per source answers all targets for that source; the runs are one batch
-// through the given runner — in-process at any width, a stdio pool, a TCP
-// fleet. The report is deterministic: results are merged in source order,
-// each run is identical to a standalone core.Run, and the matrix is
-// byte-identical across runners (per-path last-hop positions are part of the
-// summaries the property tests in internal/dist pin down).
+// through the given runner — in-process at any width or a TCP fleet. The
+// report is deterministic: results are merged in source order, each run is
+// identical to a standalone core.Run, and the matrix is byte-identical across
+// runners (per-path last-hop positions are part of the summaries the
+// property tests in internal/dist pin down).
 func AllPairsReachability(net *core.Network, sources []core.PortRef, packet sefl.Instr, targets []string, opts core.Options, runner dist.Runner) (*AllPairsReport, error) {
 	o := opts.Obs
 	defer o.Span("solve", "allpairs", -1)()

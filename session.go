@@ -82,13 +82,14 @@ func EncodeDeltas(w io.Writer, ds []Delta) error { return churn.EncodeDeltas(w, 
 // satisfiability memo. Build one with Compile, then issue queries with Run,
 // RunBatch and AllPairs, or start a churn-serving handle with Serve.
 //
-// Worker semantics (Options.Workers) are uniform across the session — Run,
-// RunBatch, AllPairs and Serve all resolve the field through one rule:
+// Options.Workers sizes batch fan-out — RunBatch, AllPairs and Serve
+// resolve it through one rule:
 //
-//	> 1  — parallel exploration/fan-out with that many workers
-//	  0,1 — sequential (the zero value never spawns goroutines)
-//	< 0  — all cores
+//	> 1  — that many jobs side by side
+//	  0,1 — one job at a time
+//	< 0  — one per core
 //
+// Run explores its one query on the calling goroutine at every setting.
 // Results are byte-identical at every worker count.
 type Session struct {
 	net  *Network
@@ -144,11 +145,8 @@ func (s *Session) workers() int {
 }
 
 // Run injects a symbolic packet built by init at an input port and explores
-// every feasible path, honoring the session's worker semantics.
+// every feasible path on the calling goroutine.
 func (s *Session) Run(inject PortRef, init sefl.Instr) (*Result, error) {
-	if w := s.workers(); w != 1 {
-		return sched.Run(s.net, inject, init, s.opts, w)
-	}
 	return core.Run(s.net, inject, init, s.opts)
 }
 

@@ -114,13 +114,13 @@ func compareAllPairs(t *testing.T, label string, got, want *AllPairsReport) {
 }
 
 // TestSessionWorkerSemantics pins the rule in Session's type comment on
-// every entry point: Options.Workers 0 and 1 are sequential, > 1 is that many
-// workers, < 0 is all cores — for Run, RunBatch, AllPairs and Serve alike.
-// The width is read off the scheduler's per-worker instruments
-// (sched.w<k>.task_ns): a sequential Run never reaches the scheduler (width
-// 0), a sequential batch is a pool of one. The fixture forks four ways and
-// has four sources, so neither the frontier nor the job count caps the width
-// below the widest case (GOMAXPROCS, pinned to 4 here).
+// every entry point: for RunBatch, AllPairs and Serve alike Options.Workers 0
+// and 1 are one job at a time, > 1 is that many workers, < 0 is all cores,
+// and Run never reaches the scheduler. The width is read off the scheduler's
+// per-worker instruments (sched.w<k>.task_ns): Run's is 0 at every setting, a
+// one-at-a-time batch is a queue of one. The fixture has four sources, so the
+// job count does not cap the width below the widest case (GOMAXPROCS, pinned
+// to 4 here).
 func TestSessionWorkerSemantics(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const fan = 4
@@ -175,10 +175,10 @@ func TestSessionWorkerSemantics(t *testing.T) {
 		}},
 	}
 	for _, tc := range []struct{ workers, run, batch int }{
-		{workers: -1, run: 4, batch: 4},
+		{workers: -1, run: 0, batch: 4},
 		{workers: 0, run: 0, batch: 1},
 		{workers: 1, run: 0, batch: 1},
-		{workers: 3, run: 3, batch: 3},
+		{workers: 3, run: 0, batch: 3},
 	} {
 		for _, e := range entries {
 			reg := obs.NewRegistry()
@@ -203,6 +203,42 @@ func TestSessionWorkerSemantics(t *testing.T) {
 				t.Errorf("Workers=%d %s: scheduler width %d, want %d", tc.workers, e.name, width, want)
 			}
 		}
+	}
+}
+
+// registeredFuncs counts the counter funcs registered on reg. The registry
+// exposes no count, so the test reads its private map through reflection.
+func registeredFuncs(reg *obs.Registry) int {
+	n := 0
+	for it := reflect.ValueOf(reg).Elem().FieldByName("funcs").MapRange(); it.Next(); {
+		n += it.Value().Len()
+	}
+	return n
+}
+
+// TestAllPairsRegistryDoesNotGrow: a resident session queries the same
+// registry batch after batch, so a batch must leave nothing registered
+// behind — counter funcs append and are never removed. Twenty AllPairs calls
+// leave exactly as many funcs as one.
+func TestAllPairsRegistryDoesNotGrow(t *testing.T) {
+	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 3, HostsPerSwitch: 12, Routes: 20, Seed: 5})
+	sources, targets := d.AllPairs()
+	reg := obs.NewRegistry()
+	sess, err := Compile(d.Net, Options{MaxHops: 64, Workers: 2, Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once int
+	for i := 1; i <= 20; i++ {
+		if _, err := sess.AllPairs(sources, sefl.NewTCPPacket(), targets); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			once = registeredFuncs(reg)
+		}
+	}
+	if got := registeredFuncs(reg); got != once {
+		t.Fatalf("20 AllPairs calls left %d registered counter funcs, one call %d", got, once)
 	}
 }
 
