@@ -4,9 +4,9 @@
 // one session of the internal/dist frame protocol (a stream of gob frames;
 // gob is self-delimiting, there are no explicit length prefixes) per
 // accepted connection until killed. Coordinators name it in
-// dist.Config.Workers; sessions whose connection drops park their installed
-// state so a reconnecting coordinator resumes with a delta instead of a full
-// re-ship. The protocol is versioned: a coordinator and a worker built from
+// dist.Config.Workers; a session's installed network lives as long as its
+// connection, so a coordinator that redials ships the full setup again. The
+// protocol is versioned: a coordinator and a worker built from
 // different protocol versions refuse each other at the handshake.
 //
 //	runner, err := dist.NewRunner(dist.Config{

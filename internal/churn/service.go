@@ -245,8 +245,8 @@ func (s *Service) reconcilePort(e *core.Element, port int, rows []prog.ITRow, w 
 	}
 	its := prog.GuardTables(cp)
 	// The patch tier needs the fresh compile's shape to be one lowered
-	// non-grouped table: expr.TableSized is the compiler's lowering gate.
-	if len(its) == 1 && !its[0].Grouped && its[0].Table != nil && its[0].W == w && expr.TableSized(rows) {
+	// table: expr.TableSized is the compiler's lowering gate.
+	if len(its) == 1 && its[0].Table != nil && its[0].W == w && expr.TableSized(rows) {
 		oldFp := its[0].Table.Fp()
 		var repl []expr.Span // PatchWindow clips it to [lo, hi]
 		for _, r := range rows {

@@ -299,15 +299,6 @@ func (n *Network) MustLink(fromElem string, fromPort int, toElem string, toPort 
 	}
 }
 
-// LinkBi connects a<->b with two unidirectional links using matching port
-// numbers on both sides.
-func (n *Network) LinkBi(a string, aOut, aIn int, b string, bOut, bIn int) error {
-	if err := n.Link(a, aOut, b, bIn); err != nil {
-		return err
-	}
-	return n.Link(b, bOut, a, aIn)
-}
-
 // Follow returns the input port linked to an output port.
 func (n *Network) Follow(out PortRef) (PortRef, bool) {
 	in, ok := n.links[out]
@@ -328,7 +319,3 @@ func (n *Network) Links() [][2]PortRef {
 	})
 	return out
 }
-
-// NumPorts returns the total number of connected ports (for reporting, cf.
-// the department network's "235 connected network ports").
-func (n *Network) NumPorts() int { return len(n.links) * 2 }

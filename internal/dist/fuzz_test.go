@@ -22,7 +22,7 @@ var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite the committ
 // crasher the fuzzer finds is committed there beside them.
 func FuzzServeSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = serveSession(newConn(bytes.NewReader(data), io.Discard), nil, nil) // any error is an acceptable answer
+		_ = serveSession(newConn(bytes.NewReader(data), io.Discard), nil) // any error is an acceptable answer
 	})
 }
 

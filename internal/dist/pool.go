@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"net"
-	"os"
 	"slices"
 	"time"
 
@@ -13,9 +12,10 @@ import (
 
 // Pool is a persistent fleet of workers reused across batches: resident
 // `symworker -listen` processes reached over TCP (Config.Workers), each
-// holding the installed network between RunBatch calls, so repeated batches
-// — the churn re-verification loop above all — pay the setup encode once and
-// then ship only deltas (Refresh) or nothing (unchanged network).
+// connection holding the installed network between RunBatch calls, so
+// repeated batches — the churn re-verification loop above all — pay the setup
+// encode once per connection and then ship only deltas (Refresh) or nothing
+// (unchanged network).
 //
 // A batch is a shard map and a crash path. Dispatch is static: the live
 // members split the batch into contiguous shards (shardBounds), one jobs frame
@@ -26,7 +26,7 @@ import (
 // step is a death: a worker that dies mid-batch has its jobs re-dispatched to
 // the least-loaded survivor up to jobRetries times each, then they fail with
 // a pointed per-job error; a dead member gets one redial per batch first, and
-// a reconnecting pool ships a setup delta instead of the full re-encode. None
+// a redialed member starts from the full setup like any new connection. None
 // of this affects results: each job is deterministic in isolation, so
 // RunBatch output is byte-identical across every pool size and crash
 // pattern — the property tests in this package pin that.
@@ -34,34 +34,23 @@ import (
 // A Pool is not safe for concurrent use; serialize RunBatch/Refresh/Close
 // calls (Session.Serve does, via the churn service's single apply goroutine).
 type Pool struct {
-	cfg   Config
-	o     *obs.Obs
-	reg   *obs.Registry
-	runID string
-	seq   uint64
+	cfg Config
+	o   *obs.Obs
+	reg *obs.Registry
+	seq uint64
 
-	// gen is the setup generation of the coordinator's network; genLog
-	// records, per generation bump, which ports changed (or that everything
-	// did), so a worker holding an older generation can be caught up with a
-	// delta instead of a full setup.
-	gen    uint64
-	genLog []genDelta
+	// gen is the setup generation of the coordinator's network, bumped by
+	// every Refresh and Invalidate. Every live member is sent every batch, so
+	// a member that held the last batch's setup needs only what changed
+	// since: changed lists the ports refreshed since the last batch shipped
+	// (first-change order, no repeats), and full records an Invalidate.
+	gen     uint64
+	changed []core.PortRef
+	full    bool
 
 	workers []*poolWorker
 	events  chan wEvent
 	closed  bool
-}
-
-// genLogCap bounds the delta log; a worker further behind than the log
-// reaches simply gets a full setup (always correct, never wrong — the log is
-// an optimization, not a ledger).
-const genLogCap = 64
-
-// genDelta records what changed to produce generation gen.
-type genDelta struct {
-	gen  uint64
-	refs []core.PortRef
-	full bool
 }
 
 // poolWorker is the coordinator's handle on one fleet member.
@@ -73,8 +62,8 @@ type poolWorker struct {
 	conn *conn
 	t0   time.Time
 
-	// gen mirrors the setup generation the worker holds installed (0:
-	// nothing); it decides full/delta/reuse setup per batch.
+	// gen is the setup generation the member holds installed on this
+	// connection: the last batch's, or 0 (nothing yet) on a new connection.
 	gen uint64
 
 	alive      bool
@@ -105,10 +94,7 @@ type wEvent struct {
 // (batches shard over the survivors and retry the redial), and construction
 // fails only when no member at all is reachable.
 func NewPool(cfg Config) (*Pool, error) {
-	p := &Pool{
-		cfg: cfg, o: cfg.Obs, gen: 1,
-		runID: fmt.Sprintf("symnet-%d-%d", os.Getpid(), time.Now().UnixNano()),
-	}
+	p := &Pool{cfg: cfg, o: cfg.Obs, gen: 1}
 	if p.o != nil {
 		p.reg = p.o.Reg
 	}
@@ -152,9 +138,10 @@ func (p *Pool) Refresh(refs ...core.PortRef) {
 		return
 	}
 	p.gen++
-	p.genLog = append(p.genLog, genDelta{gen: p.gen, refs: append([]core.PortRef(nil), refs...)})
-	if len(p.genLog) > genLogCap {
-		p.genLog = p.genLog[len(p.genLog)-genLogCap:]
+	for _, r := range refs {
+		if !slices.Contains(p.changed, r) {
+			p.changed = append(p.changed, r)
+		}
 	}
 }
 
@@ -163,52 +150,17 @@ func (p *Pool) Refresh(refs ...core.PortRef) {
 // worker.
 func (p *Pool) Invalidate() {
 	p.gen++
-	p.genLog = append(p.genLog, genDelta{gen: p.gen, full: true})
-	if len(p.genLog) > genLogCap {
-		p.genLog = p.genLog[len(p.genLog)-genLogCap:]
-	}
-}
-
-// refsSince returns the union of ports changed after generation g, in first-
-// change order, or ok=false when a delta cannot be assembled (a full
-// invalidation intervened, or the log no longer reaches back to g).
-func (p *Pool) refsSince(g uint64) ([]core.PortRef, bool) {
-	if g == p.gen {
-		return nil, true
-	}
-	if g > p.gen {
-		return nil, false
-	}
-	var out []core.PortRef
-	seen := make(map[core.PortRef]bool)
-	next := g + 1
-	for _, e := range p.genLog {
-		if e.gen <= g {
-			continue
-		}
-		if e.gen != next || e.full {
-			return nil, false
-		}
-		next++
-		for _, r := range e.refs {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-	}
-	if next != p.gen+1 {
-		return nil, false
-	}
-	return out, true
+	p.full = true
 }
 
 // RunBatch runs every job across the fleet, returning results in job order —
-// byte-identical (as summaries) to sched.RunBatch regardless of fleet size
-// or crashes. A batch-wide setup failure poisons every job;
-// per-worker failures poison only jobs that exhausted their retry budget. Per-job Options.Stats collectors and Options.SatMemo caches cannot
-// cross the process boundary and are ignored; per-job solver statistics are
-// in each Summary.Stats.Solver, deterministic either way.
+// byte-identical (as summaries) to sched.RunBatch regardless of fleet size or
+// crashes. A batch-wide setup failure poisons every job; per-worker failures
+// poison only jobs that exhausted their retry budget.
+//
+// Per-job Options.Stats collectors and Options.SatMemo caches cannot cross
+// the process boundary and are ignored; per-job solver statistics are in
+// each Summary.Stats.Solver, deterministic either way.
 func (p *Pool) RunBatch(network *core.Network, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
 	if len(jobs) == 0 {
@@ -311,6 +263,9 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 			return err
 		}
 	}
+	// Every live member now holds generation gen; a member that joins later
+	// is a new connection and gets the full setup.
+	p.changed, p.full = nil, false
 	// The shard map: contiguous, over the members alive now. A batch smaller
 	// than the fleet leaves some shards empty; those members still opened the
 	// batch and answer its end with done.
@@ -387,8 +342,9 @@ func seqRange(lo, hi int) []int {
 }
 
 // sendBatch opens the batch on one worker with the cheapest sufficient setup
-// mode: reuse (nothing changed since the generation the worker holds), delta
-// (only the changed ports' programs and verdicts), or the full blob. Encode
+// mode. A member holding the last batch's setup gets reuse (nothing changed
+// since) or a delta (only the changed ports' programs and verdicts); a new
+// connection, or any member after an Invalidate, gets the full blob. Encode
 // failures are batch-fatal; send failures surface through the worker's
 // reader.
 func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
@@ -400,22 +356,20 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 	mode := "full"
 	// ASTInterp jobs execute the port ASTs, which only the full setup
 	// carries — deltas ship compiled programs only.
-	if w.gen != 0 && !br.needAST {
-		if refs, ok := p.refsSince(w.gen); ok {
-			if len(refs) == 0 {
-				mode = "reuse"
-			} else {
-				progs, err := core.EncodeProgramsFor(br.net, refs)
-				if err != nil {
-					return fmt.Errorf("dist: %w", err)
-				}
-				sums, err := core.EncodeSummariesFor(br.net, refs)
-				if err != nil {
-					return fmt.Errorf("dist: %w", err)
-				}
-				bf.Delta = &deltaFrame{Programs: progs, Summaries: sums}
-				mode = "delta"
+	if w.gen != 0 && !p.full && !br.needAST {
+		if len(p.changed) == 0 {
+			mode = "reuse"
+		} else {
+			progs, err := core.EncodeProgramsFor(br.net, p.changed)
+			if err != nil {
+				return fmt.Errorf("dist: %w", err)
 			}
+			sums, err := core.EncodeSummariesFor(br.net, p.changed)
+			if err != nil {
+				return fmt.Errorf("dist: %w", err)
+			}
+			bf.Delta = &deltaFrame{Programs: progs, Summaries: sums}
+			mode = "delta"
 		}
 	}
 	if mode == "full" {
@@ -660,10 +614,11 @@ func (p *Pool) connect(w *poolWorker) error {
 	return nil
 }
 
-// handshake runs hello/helloAck on a fresh connection, seeding w.gen with
-// whatever setup the worker still retains for this pool's run.
+// handshake runs hello/helloAck on a fresh connection, which holds no setup
+// yet.
 func (p *Pool) handshake(w *poolWorker) error {
-	if err := w.conn.send(&frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: p.runID}}); err != nil {
+	w.gen = 0
+	if err := w.conn.send(&frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion}}); err != nil {
 		return fmt.Errorf("dist: worker %d hello: %w", w.id, err)
 	}
 	f, err := w.conn.recv()
@@ -676,7 +631,6 @@ func (p *Pool) handshake(w *poolWorker) error {
 	if f.HelloAck.Proto != protoVersion {
 		return fmt.Errorf("dist: worker %d speaks protocol version %d, want %d", w.id, f.HelloAck.Proto, protoVersion)
 	}
-	w.gen = f.HelloAck.Gen
 	return nil
 }
 

@@ -3,8 +3,8 @@ package dist
 // Pool lifecycle tests that reach into coordinator internals: setup-mode
 // accounting across batches (full once, then reuse), delta shipping after
 // Refresh, full re-ship after Invalidate, and the reconnect path — a TCP
-// connection dropped under the pool redials, the worker reports its parked
-// generation, and the next batch reuses instead of re-encoding.
+// connection dropped under the pool redials, and the new connection starts
+// from the full setup.
 
 import (
 	"encoding/json"
@@ -86,9 +86,9 @@ func TestPoolSetupModesAndReconnect(t *testing.T) {
 		t.Fatalf("batch 2: dist.setup.reuse = %d, want 1 (resident worker must not be re-shipped)", count("dist.setup.reuse"))
 	}
 
-	// Drop the connection out from under the pool; the worker parks its
-	// installed state, the pool redials on the next batch and the handshake
-	// recovers the generation — still no re-encode.
+	// Drop the connection out from under the pool; the pool redials on the
+	// next batch, and the new connection holds nothing, so it gets the full
+	// setup — with the same results.
 	p.workers[0].nc.Close()
 	time.Sleep(300 * time.Millisecond)
 	if got := resultsJSON(t, p.RunBatch(network, jobs)); got != want {
@@ -97,8 +97,9 @@ func TestPoolSetupModesAndReconnect(t *testing.T) {
 	if count("dist.worker.reconnects") != 1 {
 		t.Fatalf("dist.worker.reconnects = %d, want 1", count("dist.worker.reconnects"))
 	}
-	if count("dist.setup.reuse") != 2 {
-		t.Fatalf("post-reconnect: dist.setup.reuse = %d, want 2 (parked state must survive the drop)", count("dist.setup.reuse"))
+	if count("dist.setup.full") != 2 || count("dist.setup.reuse") != 1 {
+		t.Fatalf("post-reconnect: dist.setup.full = %d, reuse = %d, want 2 and 1 (a new connection starts from the full setup)",
+			count("dist.setup.full"), count("dist.setup.reuse"))
 	}
 
 	// Mutate one port and Refresh: the next batch ships a delta, and the
@@ -125,44 +126,107 @@ func TestPoolSetupModesAndReconnect(t *testing.T) {
 	if got := resultsJSON(t, p.RunBatch(network, jobs)); got != mutated {
 		t.Fatalf("post-Invalidate batch differs from in-process reference")
 	}
-	if count("dist.setup.full") != 2 {
-		t.Fatalf("post-Invalidate: dist.setup.full = %d, want 2", count("dist.setup.full"))
+	if count("dist.setup.full") != 3 {
+		t.Fatalf("post-Invalidate: dist.setup.full = %d, want 3", count("dist.setup.full"))
 	}
 	if count("dist.pool.batches") != 5 {
 		t.Fatalf("dist.pool.batches = %d, want 5", count("dist.pool.batches"))
 	}
 }
 
-// TestRefsSince pins the generation-log algebra the delta decisions rest on.
-func TestRefsSince(t *testing.T) {
-	p := &Pool{gen: 1}
-	r1 := core.PortRef{Elem: "a", Port: 0, Out: true}
-	r2 := core.PortRef{Elem: "b", Port: 1, Out: true}
+// listenWorker starts an in-process fleet member on a loopback listener and
+// returns its address.
+func listenWorker(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go ServeListener(ln)
+	return ln.Addr().String()
+}
 
-	if refs, ok := p.refsSince(1); !ok || len(refs) != 0 {
-		t.Fatalf("same gen: refs=%v ok=%v, want empty/true", refs, ok)
+// mutateSW rewrites SW's first egress guard to a MAC no job's results had
+// before, returning the changed port.
+func mutateSW(t *testing.T, network *core.Network, mac uint64) core.PortRef {
+	t.Helper()
+	sw, ok := network.Element("SW")
+	if !ok {
+		t.Fatal("no SW element")
 	}
-	p.Refresh(r1)
-	p.Refresh(r2, r1)
-	if refs, ok := p.refsSince(1); !ok || len(refs) != 2 {
-		t.Fatalf("after two refreshes: refs=%v ok=%v, want [a b]/true", refs, ok)
+	sw.SetOutCode(0, sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.EtherDst}, sefl.CW(mac, 48))})
+	return core.PortRef{Elem: "SW", Port: 0, Out: true}
+}
+
+// TestDeltaSurvivesEmptyBatch: a batch with no jobs ships nothing, so the
+// ports refreshed before it still reach the member as a delta with the next
+// batch that runs.
+func TestDeltaSurvivesEmptyBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens TCP sessions")
 	}
-	if refs, ok := p.refsSince(2); !ok || len(refs) != 2 || refs[0] != r2 {
-		t.Fatalf("from gen 2: refs=%v ok=%v", refs, ok)
+	network, jobs := testFleetNet()
+	reg := obs.NewRegistry()
+	p, err := NewPool(Config{Workers: []string{listenWorker(t)}, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.Invalidate()
-	if _, ok := p.refsSince(1); ok {
-		t.Fatal("delta across an Invalidate must be refused")
+	defer p.Close()
+	count := func(name string) int64 { return reg.Counter(name).Value() }
+
+	if got, want := resultsJSON(t, p.RunBatch(network, jobs)), inProcessJSON(t, network, jobs); got != want {
+		t.Fatalf("batch 1 differs from in-process reference:\n got %s\nwant %s", got, want)
 	}
-	if refs, ok := p.refsSince(p.gen); !ok || len(refs) != 0 {
-		t.Fatalf("current gen after invalidate: refs=%v ok=%v", refs, ok)
+	p.Refresh(mutateSW(t, network, 0xcc))
+	if out := p.RunBatch(network, nil); len(out) != 0 {
+		t.Fatalf("zero-job batch returned %d results", len(out))
 	}
-	// A worker behind a trimmed log gets a full setup.
-	for i := 0; i < genLogCap+5; i++ {
-		p.Refresh(r1)
+	if got, want := resultsJSON(t, p.RunBatch(network, jobs)), inProcessJSON(t, network, jobs); got != want {
+		t.Fatalf("batch after the zero-job batch differs from in-process reference on the mutated network:\n got %s\nwant %s", got, want)
 	}
-	if _, ok := p.refsSince(2); ok {
-		t.Fatal("delta beyond the trimmed log must be refused")
+	if full, delta, reuse := count("dist.setup.full"), count("dist.setup.delta"), count("dist.setup.reuse"); full != 1 || delta != 1 || reuse != 0 {
+		t.Fatalf("setups full/delta/reuse = %d/%d/%d, want 1/1/0", full, delta, reuse)
+	}
+}
+
+// TestReconnectGetsFullOthersDelta: of two members, one loses its connection
+// while the coordinator refreshes a port. On the next batch the redialed
+// member gets the full setup, the one that stayed connected a delta, and the
+// results are byte-identical to the in-process engine's on the mutated
+// network.
+func TestReconnectGetsFullOthersDelta(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens TCP sessions")
+	}
+	network, two := testFleetNet()
+	jobs := append(append([]Job(nil), two...), two...) // two per member
+	for i := range jobs {
+		jobs[i].Name = string(rune('a' + i))
+	}
+	reg := obs.NewRegistry()
+	p, err := NewPool(Config{Workers: []string{listenWorker(t), listenWorker(t)}, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	count := func(name string) int64 { return reg.Counter(name).Value() }
+
+	if got, want := resultsJSON(t, p.RunBatch(network, jobs)), inProcessJSON(t, network, jobs); got != want {
+		t.Fatalf("batch 1 differs from in-process reference:\n got %s\nwant %s", got, want)
+	}
+	p.workers[1].nc.Close()
+	time.Sleep(300 * time.Millisecond)
+	p.Refresh(mutateSW(t, network, 0xcc))
+	want := inProcessJSON(t, network, jobs)
+	if got := resultsJSON(t, p.RunBatch(network, jobs)); got != want {
+		t.Fatalf("post-reconnect batch differs from in-process reference on the mutated network:\n got %s\nwant %s", got, want)
+	}
+	if n := count("dist.worker.reconnects"); n != 1 {
+		t.Fatalf("dist.worker.reconnects = %d, want 1", n)
+	}
+	if full, delta := count("dist.setup.full"), count("dist.setup.delta"); full != 3 || delta != 1 {
+		t.Fatalf("setups full/delta = %d/%d, want 3/1 (two at start, one for the redialed member; a delta for the other)", full, delta)
 	}
 }
 

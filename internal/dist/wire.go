@@ -8,7 +8,7 @@ package dist
 // A session is a handshake followed by any number of batches:
 //
 //	coordinator → worker:  hello
-//	worker → coordinator:  helloAck                  (what it still holds)
+//	worker → coordinator:  helloAck                  (its protocol version)
 //	per batch:
 //	  coordinator → worker:  batch                   (setup full|delta|reuse)
 //	  coordinator → worker:  jobs*                   (its shard; re-dispatches)
@@ -16,6 +16,9 @@ package dist
 //	  coordinator → worker:  end                     (all results accounted)
 //	  worker → coordinator:  done                    (+ metrics snapshot)
 //	coordinator → worker:  bye
+//
+// A worker keeps its installed network for the life of the connection only:
+// a new connection's first batch carries the full setup.
 //
 // Every type that crosses the wire is a concrete struct of exported fields
 // (the sefl/prog/core wire codecs strip interfaces and closures first), so
@@ -36,17 +39,17 @@ import (
 type frameKind uint8
 
 const (
-	// frameHello opens a session (coordinator → worker): names the
-	// coordinator's run so a reconnecting worker can report retained state.
-	// The two handshake kinds are numbered first so that a later re-cut of
-	// the frame set never moves them: peers of different versions then still
-	// read each other's hello and fail on the version, by name.
+	// frameHello opens a session (coordinator → worker) with the
+	// coordinator's protocol version. The two handshake kinds are numbered
+	// first so that a later re-cut of the frame set never moves them: peers
+	// of different versions then still read each other's hello and fail on
+	// the version, by name.
 	frameHello frameKind = iota + 1
-	// frameHelloAck answers the hello (worker → coordinator) with the setup
-	// generation the worker still holds for that run (0: nothing).
+	// frameHelloAck answers the hello (worker → coordinator) with the
+	// worker's protocol version.
 	frameHelloAck
 	// frameBatch starts one batch: setup (full blob, delta entries, or reuse
-	// of retained state) plus per-batch configuration.
+	// of the session's installed network) plus per-batch configuration.
 	frameBatch
 	// frameJobs ships jobs to a worker: its shard of the batch, then one frame
 	// per job re-dispatched to it after another member died.
@@ -59,16 +62,16 @@ const (
 	// frameDone ends the worker's participation in a batch (worker →
 	// coordinator), carrying its metrics snapshot when metrics are on.
 	frameDone
-	// frameBye ends the session cleanly; the worker discards retained state.
+	// frameBye ends the session cleanly; the worker discards its network.
 	frameBye
 )
 
 // protoVersion guards against mixed coordinator/worker builds across the
-// TCP boundary. Any change to the
-// frame set, the kind numbering or what a frame may carry bumps it (v7: a
-// result carries a wireSummary — string table plus history tree — which a
-// v6 coordinator could not decode).
-const protoVersion = 7
+// TCP boundary. Any change to the frame set, the kind numbering or what a
+// frame may carry bumps it (v8: the handshake carries the version alone — no
+// run ID, no retained generation — because a worker keeps nothing across
+// connections).
+const protoVersion = 8
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -87,29 +90,23 @@ type helloFrame struct {
 	// Proto is the sender's protocol version; a mismatch fails the
 	// handshake on the worker side with a pointed error.
 	Proto int
-	// RunID identifies the coordinator run (a Pool lifetime). A worker that
-	// retains state from a broken connection keys it by RunID, so the same
-	// pool reconnecting gets delta setup instead of a full re-encode.
-	RunID string
 }
 
-// helloAckFrame answers a hello.
+// helloAckFrame answers a hello with the worker's protocol version, which
+// the coordinator checks in turn.
 type helloAckFrame struct {
 	Proto int
-	// Gen is the setup generation the worker retains for the hello's RunID;
-	// 0 means nothing retained (fresh worker, or state for another run) and
-	// the first batch must carry a full setup.
-	Gen uint64
 }
 
 // batchFrame starts one batch. Exactly one of SetupRaw (full setup blob),
-// Delta (changed entries over retained state), or neither (reuse retained
-// state unchanged) describes the worker's setup for this batch.
+// Delta (changed entries over the installed network), or neither (reuse it
+// unchanged) describes the worker's setup for this batch.
 type batchFrame struct {
 	// Seq numbers batches within the session; frameDone echoes it.
 	Seq uint64
-	// Gen is the setup generation this batch runs at; the worker records it
-	// and reports it in later handshakes.
+	// Gen is the setup generation this batch runs at. The worker records it,
+	// and a reuse batch must name the generation the worker holds: the check
+	// that coordinator and worker agree on the installed network.
 	Gen      uint64
 	SetupRaw []byte
 	Delta    *deltaFrame
@@ -122,8 +119,8 @@ type batchFrame struct {
 	Metrics bool
 }
 
-// deltaFrame re-ships only what changed since the generation the worker
-// holds: the re-compiled programs of the touched ports and their
+// deltaFrame re-ships only what changed since the last batch: the
+// re-compiled programs of the touched ports and their
 // summarization verdicts, entry for entry. Port ASTs do not ride deltas —
 // workers execute installed compiled programs, so delta batches are correct
 // for every mode except ASTInterp, which resident pools do not serve.

@@ -70,8 +70,7 @@ func jsonEq(t *testing.T, a, b interface{}) bool {
 
 // TestSessionFramesRoundTrip pushes every session frame through a conn
 // pair and checks the decoded payloads field-for-field — including a real
-// delta (re-encoded programs of one port), the frame a reconnecting pool
-// depends on.
+// delta (re-encoded programs of one port), the frame a Refresh ships.
 func TestSessionFramesRoundTrip(t *testing.T) {
 	net, _ := testFleetNet()
 	progs, err := core.EncodeProgramsFor(net, []core.PortRef{{Elem: "SW", Port: 0, Out: true}})
@@ -82,8 +81,8 @@ func TestSessionFramesRoundTrip(t *testing.T) {
 		t.Fatalf("expected 1 program entry for SW.out[0], got %d", len(progs))
 	}
 	frames := []*frame{
-		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "run-42"}},
-		{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion, Gen: 7}},
+		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion}},
+		{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 8, Workers: 2, Shard: 1, Metrics: true, Delta: &deltaFrame{Programs: progs}}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 4, Gen: 8, SetupRaw: []byte{1, 2, 3}}},
 		{Kind: frameEnd},
@@ -127,7 +126,7 @@ type streamCase struct {
 }
 
 func handshakeErrorCases(t testing.TB) []streamCase {
-	validHello := encodeInput(t, []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "r"}}}, nil).Bytes()
+	validHello := encodeInput(t, []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion}}}, nil).Bytes()
 	cases := []streamCase{
 		{
 			name:   "first frame not hello",
@@ -136,7 +135,7 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 		},
 		{
 			name:   "version mismatch",
-			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99, RunID: "r"}}},
+			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: 99}}},
 			want:   fmt.Sprintf("protocol: coordinator speaks version 99, want %d", protoVersion),
 		},
 		{
@@ -153,11 +152,12 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 	// Every older coordinator is refused by version, up front, not as an
 	// unknown first frame or mid-batch: the hello has kept its kind number,
 	// while v4 numbers the kinds after result differently, v5 cannot read a
-	// summary slab's For nodes and v6 expects full Summaries in results.
+	// summary slab's For nodes, v6 expects full Summaries in results and v7
+	// expects a reconnect to find the network it installed before.
 	for v := 3; v < protoVersion; v++ {
 		cases = append(cases, streamCase{
 			name:   fmt.Sprintf("v%d coordinator", v),
-			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: v, RunID: "r"}}},
+			frames: []*frame{{Kind: frameHello, Hello: &helloFrame{Proto: v}}},
 			want:   fmt.Sprintf("protocol: coordinator speaks version %d, want %d", v, protoVersion),
 		})
 	}
@@ -170,7 +170,7 @@ func runStreamCases(t *testing.T, cases []streamCase) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := encodeInput(t, tc.frames, tc.trailing)
 			var out bytes.Buffer
-			err := serveSession(newConn(in, &out), nil, nil)
+			err := serveSession(newConn(in, &out), nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
 			}
@@ -242,7 +242,7 @@ func testSetupRaw(t testing.TB, net *core.Network, mutate func(*setupFrame)) []b
 func batchErrorCases(t testing.TB) []streamCase {
 	net, _ := testFleetNet()
 	setupRaw := testSetupRaw(t, net, nil)
-	hello := &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "r"}}
+	hello := &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion}}
 	// fullBatch opens a batch with a full setup mutated from the valid one
 	// (the three cases built with it are crashers FuzzServeSession found).
 	fullBatch := func(mutate func(*setupFrame)) *frame {
@@ -342,7 +342,7 @@ func servedSession(t testing.TB) streamCase {
 		t.Fatal(err)
 	}
 	return streamCase{name: "served session", frames: []*frame{
-		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, RunID: "r"}},
+		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: testSetupRaw(t, net, nil), Workers: 1}},
 		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire}},
 		{Kind: frameEnd},
@@ -365,7 +365,7 @@ func TestWorkerSessionServesBatches(t *testing.T) {
 	sc := servedSession(t)
 	in := encodeInput(t, sc.frames, sc.trailing)
 	var out bytes.Buffer
-	if err := serveSession(newConn(in, &out), nil, nil); err != nil {
+	if err := serveSession(newConn(in, &out), nil); err != nil {
 		t.Fatalf("serveSession: %v", err)
 	}
 
@@ -399,8 +399,8 @@ func TestWorkerSessionServesBatches(t *testing.T) {
 		}
 		switch e.kind {
 		case frameHelloAck:
-			if f.HelloAck.Gen != 0 {
-				t.Fatalf("fresh worker acked generation %d", f.HelloAck.Gen)
+			if f.HelloAck.Proto != protoVersion {
+				t.Fatalf("worker acked protocol %d, want %d", f.HelloAck.Proto, protoVersion)
 			}
 		case frameResult:
 			if f.Result.Index != e.idx || f.Result.Err != "" || f.Result.Summary == nil {

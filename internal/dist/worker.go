@@ -54,8 +54,8 @@ func MaybeWorker() {
 	os.Exit(1)
 }
 
-// workerState is what a session retains across batches: the installed
-// network at a setup generation.
+// workerState is what a session keeps across its batches: the installed
+// network at a setup generation. It lives and dies with the connection.
 type workerState struct {
 	net *core.Network
 	gen uint64
@@ -64,12 +64,10 @@ type workerState struct {
 // serveSession runs the worker side of the frame protocol on one stream:
 // answer the handshake, then serve batches — install (or patch, or reuse)
 // the setup, execute jobs from a queue as the coordinator sends them, send
-// each result as it finishes — until bye or EOF.
-// ServeListener calls it per accepted connection: nc scopes the handshake
-// read deadline, and cache parks state across dropped connections, keyed by
-// the coordinator's run ID. The wire and fuzz tests feed it a plain byte
-// stream with both nil.
-func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
+// each result as it finishes — until bye or EOF. ServeListener calls it per
+// accepted connection, with nc scoping the handshake read deadline; the wire
+// and fuzz tests feed it a plain byte stream with nc nil.
+func serveSession(c *conn, nc net.Conn) error {
 	if nc != nil {
 		nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	}
@@ -86,25 +84,11 @@ func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 	if nc != nil {
 		nc.SetReadDeadline(time.Time{})
 	}
-	runID := f.Hello.RunID
-	st := cache.take(runID)
-	if st == nil {
-		st = &workerState{}
-	}
-	if err := c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion, Gen: st.gen}}); err != nil {
+	if err := c.send(&frame{Kind: frameHelloAck, HelloAck: &helloAckFrame{Proto: protoVersion}}); err != nil {
 		return fmt.Errorf("sending hello ack: %w", err)
 	}
 
-	// Anything but a clean bye parks the session state: the same
-	// coordinator redialing after a connection drop resumes at st.gen and
-	// ships a delta instead of the full setup.
-	clean := false
-	defer func() {
-		if !clean && cache != nil {
-			cache.park(runID, st)
-		}
-	}()
-
+	st := &workerState{}
 	for {
 		f, err := c.recv()
 		if err != nil {
@@ -115,7 +99,6 @@ func serveSession(c *conn, nc net.Conn, cache *residentCache) error {
 		}
 		switch f.Kind {
 		case frameBye:
-			clean = true
 			return nil
 		case frameBatch:
 			if err := runWorkerBatch(c, st, f.Batch); err != nil {

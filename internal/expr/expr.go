@@ -307,9 +307,6 @@ func NewCmp(op CmpOp, l, r Lin) Cond {
 	return Cmp{Op: op, L: l, R: r}
 }
 
-// NewEq is shorthand for NewCmp(Eq, l, r).
-func NewEq(l, r Lin) Cond { return NewCmp(Eq, l, r) }
-
 // NewMatch builds a masked-equality constraint, constant-folding concretes.
 func NewMatch(l Lin, mask, val uint64) Cond {
 	val &= mask

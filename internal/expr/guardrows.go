@@ -11,7 +11,6 @@ package expr
 //	GuardPrefix without exclusions: 1 V Len
 //	GuardEq with exclusions:        2 V K (V Len)*K
 //	GuardPrefix with exclusions:    3 V Len K (V Len)*K
-//	GuardPair:                      4 V V2
 
 import "fmt"
 
@@ -21,18 +20,15 @@ const (
 	GuardEq uint8 = iota
 	// GuardPrefix is Prefix(field, V/Len).
 	GuardPrefix
-	// GuardPair is And(Eq(field, V), Eq(field2, V2)).
-	GuardPair
 )
 
 // GuardRow is one disjunct of a table-shaped guard. Excl lists the prefix
 // exclusions of an And-shaped disjunct (longest-prefix-match compilation
-// emits "prefix & !more-specific..." rows); it is empty for GuardPair rows.
+// emits "prefix & !more-specific..." rows).
 type GuardRow struct {
 	Kind uint8
 	V    uint64
-	Len  int    // GuardPrefix length
-	V2   uint64 // GuardPair second-field value
+	Len  int // GuardPrefix length
 	Excl []GuardExcl
 }
 
@@ -63,7 +59,6 @@ const (
 	packPrefix
 	packEqExcl
 	packPrefixExcl
-	packPair
 )
 
 // PackGuardRows flattens rows to the wire stream.
@@ -71,8 +66,6 @@ func PackGuardRows(rows []GuardRow) []uint64 {
 	var out []uint64
 	for _, r := range rows {
 		switch {
-		case r.Kind == GuardPair:
-			out = append(out, packPair, r.V, r.V2)
 		case r.Kind == GuardEq && len(r.Excl) == 0:
 			out = append(out, packEq, r.V)
 		case r.Kind == GuardEq:
@@ -158,16 +151,6 @@ func UnpackGuardRows(words []uint64) ([]GuardRow, error) {
 				}
 			}
 			rows = append(rows, row)
-		case packPair:
-			v, err := next()
-			if err != nil {
-				return nil, err
-			}
-			v2, err := next()
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, GuardRow{Kind: GuardPair, V: v, V2: v2})
 		default:
 			return nil, fmt.Errorf("expr: unknown guard-row tag %d", tag)
 		}

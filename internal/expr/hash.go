@@ -13,9 +13,6 @@ package expr
 // of the empty sequence.
 type Fp struct{ Hi, Lo uint64 }
 
-// IsZero reports whether f is the zero (empty-sequence) fingerprint.
-func (f Fp) IsZero() bool { return f == Fp{} }
-
 // Chain combines f with the next element's fingerprint, order-dependently:
 // Chain(a).Chain(b) differs from Chain(b).Chain(a). The solver chains the
 // fingerprints of asserted conditions so equal chain values identify (with

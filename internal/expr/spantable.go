@@ -146,18 +146,6 @@ func (t *SpanTable) PatchWindow(lo, hi uint64, repl []Span) *SpanTable {
 	return canonSorted(t.width, out)
 }
 
-// InsertValue returns t with the single value v added (a MAC-table row
-// insert): a one-value window patch that re-merges with any adjacent spans.
-func (t *SpanTable) InsertValue(v uint64) *SpanTable {
-	return t.PatchWindow(v, v, []Span{{Lo: v, Hi: v}})
-}
-
-// DeleteValue returns t with the single value v removed (a MAC-table row
-// delete), splitting the span containing it when necessary.
-func (t *SpanTable) DeleteValue(v uint64) *SpanTable {
-	return t.PatchWindow(v, v, nil)
-}
-
 // Width returns the bit width of the table's universe.
 func (t *SpanTable) Width() int { return t.width }
 

@@ -33,14 +33,14 @@ func TestPatchWindowInsertAtBoundaries(t *testing.T) {
 	base := NewSpanTable(16, []Span{{Lo: 10, Hi: 20}, {Lo: 40, Hi: 50}})
 
 	// Insert immediately below an existing span: must merge into it.
-	got := base.InsertValue(9)
+	got := base.PatchWindow(9, 9, []Span{{Lo: 9, Hi: 9}})
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 9, Hi: 20}, {Lo: 40, Hi: 50}}))
 	if got.Len() != 2 {
 		t.Fatalf("adjacent insert did not re-merge: %v", got)
 	}
 
 	// Insert immediately above: same.
-	got = base.InsertValue(21)
+	got = base.PatchWindow(21, 21, []Span{{Lo: 21, Hi: 21}})
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 10, Hi: 21}, {Lo: 40, Hi: 50}}))
 
 	// Insert bridging two spans (the window replaces the gap).
@@ -51,23 +51,23 @@ func TestPatchWindowInsertAtBoundaries(t *testing.T) {
 	}
 
 	// Insert already-present value: no-op, identical table and fingerprint.
-	got = base.InsertValue(15)
+	got = base.PatchWindow(15, 15, []Span{{Lo: 15, Hi: 15}})
 	requireCanonEqual(t, got, base)
 }
 
 func TestPatchWindowDeleteSplitsSpan(t *testing.T) {
 	base := NewSpanTable(16, []Span{{Lo: 10, Hi: 20}})
 
-	got := base.DeleteValue(15)
+	got := base.PatchWindow(15, 15, nil)
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 10, Hi: 14}, {Lo: 16, Hi: 20}}))
 	if got.Len() != 2 {
 		t.Fatalf("mid-span delete did not split: %v", got)
 	}
 
 	// Delete at the edges narrows instead of splitting.
-	got = base.DeleteValue(10)
+	got = base.PatchWindow(10, 10, nil)
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 11, Hi: 20}}))
-	got = base.DeleteValue(20)
+	got = base.PatchWindow(20, 20, nil)
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 10, Hi: 19}}))
 
 	// Delete a window spanning several spans, keeping the outside parts.
@@ -76,7 +76,7 @@ func TestPatchWindowDeleteSplitsSpan(t *testing.T) {
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 0, Hi: 3}, {Lo: 17, Hi: 30}}))
 
 	// Delete of an absent value: no-op.
-	got = base.DeleteValue(99)
+	got = base.PatchWindow(99, 99, nil)
 	requireCanonEqual(t, got, base)
 }
 
@@ -119,7 +119,7 @@ func TestPatchWindowImmutableReceiver(t *testing.T) {
 	before := base.String()
 	fpBefore := base.Fp()
 	_ = base.PatchWindow(0, 100, []Span{{Lo: 1, Hi: 2}})
-	_ = base.DeleteValue(15)
+	_ = base.PatchWindow(15, 15, nil)
 	if base.String() != before || base.Fp() != fpBefore {
 		t.Fatalf("receiver mutated by patch: %v (fp %v)", base, base.Fp())
 	}

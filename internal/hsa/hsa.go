@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"symnet/internal/expr"
 	"symnet/internal/tables"
@@ -142,16 +141,6 @@ func emptyRec(base Cube, minus []Cube, width, depth int) bool {
 
 // Space is a union of regions.
 type Space []Region
-
-// EmptySpace reports whether every region is empty.
-func (s Space) EmptySpace(width int) bool {
-	for _, r := range s {
-		if !r.Empty(width) {
-			return false
-		}
-	}
-	return true
-}
 
 // PortFilter is one output of a box's transfer function: the header region
 // forwarded to OutPort. Plain routers do not rewrite, so the transfer is a
@@ -290,17 +279,4 @@ func (n *Network) Reach(start PortRef, hdr Space, width, maxHops int) []ReachedS
 		}
 	}
 	return out
-}
-
-// DescribeSpace renders a space compactly for reports.
-func DescribeSpace(s Space) string {
-	parts := make([]string, 0, len(s))
-	for _, r := range s {
-		d := r.Base.String()
-		if len(r.Minus) > 0 {
-			d += fmt.Sprintf("-%d", len(r.Minus))
-		}
-		parts = append(parts, d)
-	}
-	return strings.Join(parts, ",")
 }

@@ -462,12 +462,3 @@ func (m *Mem) MetaEntries() []MetaEntry {
 	})
 	return out
 }
-
-// MetaHistory returns the assignment history (oldest first) for key.
-func (m *Mem) MetaHistory(key MetaKey) ([]expr.Lin, error) {
-	l, ok := m.meta.Get(key)
-	if !ok {
-		return nil, accessErr("history", "no metadata %s", key)
-	}
-	return l.history(), nil
-}

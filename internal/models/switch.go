@@ -7,7 +7,6 @@ package models
 
 import (
 	"fmt"
-	"sort"
 
 	"symnet/internal/core"
 	"symnet/internal/sefl"
@@ -107,45 +106,4 @@ func macDisjunction(ref sefl.Expr, macs []uint64) sefl.Cond {
 		return cs[0]
 	}
 	return sefl.OrC(cs...)
-}
-
-// VLANAwareSwitch installs an egress-style switch that matches (VLAN, MAC)
-// pairs: used for the department network where trunk links carry several
-// VLANs. Frames are matched on EtherDst per port with a VLAN guard.
-func VLANAwareSwitch(e *core.Element, t tables.MACTable) error {
-	if len(t) == 0 {
-		return fmt.Errorf("models: switch %s: empty MAC table", e.Name)
-	}
-	// Group (vlan, mac) by port.
-	type vm struct {
-		vlan int
-		mac  uint64
-	}
-	byPort := make(map[int][]vm)
-	for _, en := range t {
-		byPort[en.Port] = append(byPort[en.Port], vm{en.VLAN, en.MAC})
-	}
-	ports := t.Ports()
-	if max := ports[len(ports)-1]; max >= e.NumOut {
-		return fmt.Errorf("models: switch %s: table uses port %d but element has %d output ports", e.Name, max, e.NumOut)
-	}
-	e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
-	for _, p := range ports {
-		entries := byPort[p]
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].vlan != entries[j].vlan {
-				return entries[i].vlan < entries[j].vlan
-			}
-			return entries[i].mac < entries[j].mac
-		})
-		cs := make([]sefl.Cond, len(entries))
-		for i, en := range entries {
-			cs[i] = sefl.AndC(
-				sefl.Eq(sefl.Ref{LV: sefl.VlanID}, sefl.CW(uint64(en.vlan), 16)),
-				sefl.Eq(sefl.Ref{LV: sefl.EtherDst}, sefl.CW(en.mac, sefl.MACWidth)),
-			)
-		}
-		e.SetOutCode(p, sefl.Constrain{C: sefl.OrC(cs...)})
-	}
-	return nil
 }

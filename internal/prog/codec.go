@@ -108,10 +108,8 @@ type WireCCond struct {
 	Cs         []int32
 	C          int32
 	// Interval-table payload (Kind == CIntervalTable).
-	ITF       LV
-	ITF2      LV
-	ITGrouped bool
-	ITRows    []uint64
+	ITF    LV
+	ITRows []uint64
 }
 
 // EncodeProgram converts a compiled program to its wire form. It fails only
@@ -191,8 +189,6 @@ func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
 	if c.Kind == CIntervalTable {
 		// A lowered guard ships its rows, never its Or-tree view.
 		wc.ITF = c.IT.F
-		wc.ITF2 = c.IT.F2
-		wc.ITGrouped = c.IT.Grouped
 		wc.ITRows = expr.PackGuardRows(c.IT.Rows)
 	}
 	for _, sub := range c.Cs {
@@ -252,10 +248,7 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			if err != nil {
 				return nil, fmt.Errorf("prog: decode %s cond %d: %w", w.Label, i, err)
 			}
-			it := &ITable{
-				F: wc.ITF, W: wc.ITF.Size, Grouped: wc.ITGrouped,
-				F2: wc.ITF2, W2: wc.ITF2.Size, Rows: rows,
-			}
+			it := &ITable{F: wc.ITF, W: wc.ITF.Size, Rows: rows}
 			buildITable(it)
 			c.IT = it
 		}

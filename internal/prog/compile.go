@@ -435,11 +435,8 @@ func collectInputs(cc *CCond, seen map[CondInput]bool, out *[]CondInput) {
 			collectInputs(sub, seen, out)
 		}
 	case CIntervalTable:
-		// What the Or-tree would read: every disjunct its one or two fields.
+		// What the Or-tree would read: every disjunct its one field.
 		add(CondInput{Kind: InRef, LV: cc.IT.F})
-		if cc.IT.Grouped {
-			add(CondInput{Kind: InRef, LV: cc.IT.F2})
-		}
 	case CNot:
 		collectInputs(cc.C, seen, out)
 	}
@@ -617,8 +614,8 @@ func equalCCond(a, b *CCond) bool {
 	case CMetaPresent:
 		return a.Key == b.Key
 	case CIntervalTable:
-		return a.IT.F == b.IT.F && a.IT.F2 == b.IT.F2 && slices.EqualFunc(a.IT.Rows, b.IT.Rows, func(x, y ITRow) bool {
-			return x.Kind == y.Kind && x.V == y.V && x.Len == y.Len && x.V2 == y.V2 && slices.Equal(x.Excl, y.Excl)
+		return a.IT.F == b.IT.F && slices.EqualFunc(a.IT.Rows, b.IT.Rows, func(x, y ITRow) bool {
+			return x.Kind == y.Kind && x.V == y.V && x.Len == y.Len && slices.Equal(x.Excl, y.Excl)
 		})
 	case CAnd, COr:
 		if len(a.Cs) != len(b.Cs) {

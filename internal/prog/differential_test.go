@@ -10,8 +10,11 @@ package prog_test
 // and tracing.
 
 import (
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -451,6 +454,107 @@ func TestDifferentialGuardModesWorkers(t *testing.T) {
 				t.Errorf("%s ortree=%v: repeated run's full fingerprint differs:\n%s", w.name, orTree, diffHead(want, got))
 			}
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite "+vlanPairDigestFile+" from the current results")
+
+// vlanPairDigestFile holds the SHA-256 of TestVLANPairGuardObservables'
+// observable fingerprint.
+const vlanPairDigestFile = "testdata/vlan_pair_digest.txt"
+
+// vlanPairNetwork is a two-switch fabric whose egress guards match (VLAN,
+// MAC) pairs, Or(And(VlanID == v, EtherDst == m), ...) per output port: the
+// shape a VLAN-aware MAC table yields. sw0 forwards to hosts h0, h1 and, on
+// port 2, to sw1, which forwards to h2 and h3.
+func vlanPairNetwork() *core.Network {
+	type pair struct{ vlan, mac uint64 }
+	guard := func(ps ...pair) sefl.Instr {
+		cs := make([]sefl.Cond, len(ps))
+		for i, p := range ps {
+			cs[i] = sefl.AndC(
+				sefl.Eq(sefl.Ref{LV: sefl.VlanID}, sefl.CW(p.vlan, 16)),
+				sefl.Eq(sefl.Ref{LV: sefl.EtherDst}, sefl.CW(p.mac, sefl.MACWidth)),
+			)
+		}
+		return sefl.Constrain{C: sefl.OrC(cs...)}
+	}
+	net := core.NewNetwork()
+	sw0 := net.AddElement("sw0", "switch", 1, 3)
+	sw0.SetInCode(core.WildcardPort, sefl.Fork{Ports: []int{0, 1, 2}})
+	sw0.SetOutCode(0, guard(pair{10, 0xa0}, pair{10, 0xa1}, pair{20, 0xa0}, pair{30, 0xa2}))
+	sw0.SetOutCode(1, guard(pair{10, 0xb0}, pair{20, 0xb1}, pair{20, 0xb2}, pair{30, 0xb3}))
+	sw0.SetOutCode(2, guard(pair{10, 0xc0}, pair{10, 0xc1}, pair{20, 0xc0}, pair{20, 0xc2}, pair{30, 0xc3}))
+	sw1 := net.AddElement("sw1", "switch", 1, 2)
+	sw1.SetInCode(core.WildcardPort, sefl.Fork{Ports: []int{0, 1}})
+	sw1.SetOutCode(0, guard(pair{10, 0xc0}, pair{10, 0xc1}, pair{20, 0xc0}, pair{20, 0xd0}))
+	sw1.SetOutCode(1, guard(pair{20, 0xc2}, pair{30, 0xc3}, pair{30, 0xc4}, pair{40, 0xc2}))
+	for i := 0; i < 4; i++ {
+		net.AddElement(fmt.Sprintf("h%d", i), "host", 1, 0).SetInCode(0, sefl.NoOp{})
+	}
+	net.MustLink("sw0", 0, "h0", 0)
+	net.MustLink("sw0", 1, "h1", 0)
+	net.MustLink("sw0", 2, "sw1", 0)
+	net.MustLink("sw1", 0, "h2", 0)
+	net.MustLink("sw1", 1, "h3", 0)
+	return net
+}
+
+// vlanPacket is a tagged L2 frame with a symbolic destination MAC and the
+// given VLAN ID.
+func vlanPacket(vlan sefl.Expr) sefl.Instr {
+	field := func(h sefl.Hdr, e sefl.Expr) sefl.Instr {
+		return sefl.Seq(sefl.Allocate{LV: h, Size: h.Size}, sefl.Assign{LV: h, E: e})
+	}
+	return sefl.Seq(
+		sefl.CreateTag{Name: sefl.TagStart, E: sefl.C(0)},
+		sefl.CreateTag{Name: sefl.TagL2, E: sefl.TagVal{Tag: sefl.TagStart}},
+		sefl.CreateTag{Name: sefl.TagVLAN, E: sefl.TagVal{Tag: sefl.TagL2, Rel: sefl.L2Bits}},
+		sefl.CreateTag{Name: sefl.TagEnd, E: sefl.TagVal{Tag: sefl.TagVLAN, Rel: sefl.VLANBits}},
+		field(sefl.EtherDst, sefl.Symbolic{W: sefl.MACWidth, Name: "EtherDst"}),
+		field(sefl.EtherSrc, sefl.Symbolic{W: sefl.MACWidth, Name: "EtherSrc"}),
+		field(sefl.EtherProto, sefl.CW(sefl.EtherTypeVLAN, 16)),
+		field(sefl.VlanID, vlan),
+		field(sefl.VlanProto, sefl.CW(sefl.EtherTypeIPv4, 16)),
+	)
+}
+
+// TestVLANPairGuardObservables pins what a (VLAN, MAC) pair guard yields,
+// with the VLAN symbolic, concrete, and concrete but in no row, under the
+// split TestDifferentialGuardModesWorkers uses: both guard modes agree on
+// every observable, and those observables match the committed digest.
+func TestVLANPairGuardObservables(t *testing.T) {
+	var b strings.Builder
+	for _, vlan := range []sefl.Expr{sefl.Symbolic{W: 16, Name: "VlanID"}, sefl.CW(20, 16), sefl.CW(40, 16)} {
+		var wantObs string
+		for _, orTree := range []bool{true, false} {
+			res, err := core.Run(vlanPairNetwork(), core.PortRef{Elem: "sw0", Port: 0}, vlanPacket(vlan),
+				core.Options{MaxHops: 16, OrTreeGuards: orTree})
+			if err != nil {
+				t.Fatalf("vlan %v ortree=%v: %v", vlan, orTree, err)
+			}
+			got := obsFingerprint(res)
+			if orTree {
+				wantObs = got
+				b.WriteString(got)
+			} else if got != wantObs {
+				t.Errorf("vlan %v: interval-table observables differ from Or-tree reference:\n%s", vlan, diffHead(wantObs, got))
+			}
+		}
+	}
+	sum := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+	if *update {
+		if err := os.WriteFile(vlanPairDigestFile, []byte(sum+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(vlanPairDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.TrimSpace(string(want)) != sum {
+		t.Errorf("observable digest %s, committed %s:\n%s", sum, strings.TrimSpace(string(want)), b.String())
 	}
 }
 

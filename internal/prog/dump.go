@@ -139,11 +139,7 @@ func condString(c *CCond) string {
 			s = "(" + strings.Join(parts, sep) + ")"
 		}
 		if it := c.IT; it != nil {
-			if it.Grouped {
-				s += fmt.Sprintf(" [itable %d rows, %d groups]", len(it.Rows), len(it.Groups))
-			} else {
-				s += fmt.Sprintf(" [itable %d rows, %d spans]", len(it.Rows), it.Table.Len())
-			}
+			s += fmt.Sprintf(" [itable %d rows, %d spans]", len(it.Rows), it.Table.Len())
 		}
 	case CNot:
 		s = "!(" + condString(c.C) + ")"

@@ -162,10 +162,10 @@ func EvalCond(env Env, c *CCond) (expr.Cond, error) {
 		if cond, ok, err := evalTable(env, c.IT); ok {
 			return cond, err
 		}
-		// The runtime value shapes are not the ones the table was compiled
-		// for (width drift, symbolic group field): fall through to the
-		// reference Or-tree evaluation, which handles every case. The atomic
-		// is noise next to the tree walk it precedes.
+		// The runtime value shape is not the one the table was compiled for
+		// (width drift): fall through to the reference Or-tree evaluation,
+		// which handles every case. The atomic is noise next to the tree walk
+		// it precedes.
 		itableFallbacks.Add(1)
 	}
 	if c.Memoizable {
@@ -303,31 +303,10 @@ func evalTable(env Env, it *ITable) (expr.Cond, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	if !it.Grouped {
-		if v.Width != it.W {
-			return nil, false, nil
-		}
-		return expr.NewInSet(v, it.Table), true, nil
-	}
-	v2, err := ReadLV(env, it.F2)
-	if err != nil {
-		return nil, true, err
-	}
-	if v.Width != it.W || v2.Width != it.W2 {
+	if v.Width != it.W {
 		return nil, false, nil
 	}
-	key, konst := v.ConstVal()
-	if !konst {
-		// A symbolic group field would need a relational encoding; the
-		// Or-tree reference handles it (it is not a shape the egress models
-		// produce).
-		return nil, false, nil
-	}
-	g := it.group(key)
-	if g == nil {
-		return expr.Bool(false), true, nil
-	}
-	return expr.NewInSet(v2, g.Table), true, nil
+	return expr.NewInSet(v, it.Table), true, nil
 }
 
 // coerceWidths reconciles operand widths exactly as the AST interpreter

@@ -4,22 +4,20 @@ package prog
 //
 // The egress switch/router models of the paper re-assert, at every output
 // port, a disjunction spanning the whole forwarding table: "EtherDst == MAC1
-// | MAC2 | ...", "IPDst in P1 | (P2 & !more-specific) | ...", or the
-// VLAN-aware "Or((vlan==V, mac==M)...)". The solver already compresses such
-// an Or into one interval-set union per assertion, but it does that work —
-// atom walk, set construction, k-way merge, structural hashing — on every
-// path visit, and the serialized Or-tree dominates the distributed setup
-// frame. Lowering detects the shape once at compile time and attaches the
-// merged span table to the condition node, so each visit costs one field
-// read plus one packed-set assertion (expr.InSet), and the wire carries
-// packed ranges instead of a tree.
+// | MAC2 | ..." or "IPDst in P1 | (P2 & !more-specific) | ...". The solver
+// already compresses such an Or into one interval-set union per assertion,
+// but it does that work — atom walk, set construction, k-way merge,
+// structural hashing — on every path visit, and the serialized Or-tree
+// dominates the distributed setup frame. Lowering detects the shape once at
+// compile time and attaches the merged span table to the condition node, so
+// each visit costs one field read plus one packed-set assertion
+// (expr.InSet), and the wire carries packed ranges instead of a tree.
 //
 // Detection is deliberately conservative: every disjunct must be an
 // equality/prefix constraint on one shared header field, optionally with
-// prefix exclusions (the LPM compilation shape), or an equality pair over
-// two shared header fields, with constant widths equal to the field's
-// declared size. Anything else keeps the Or-tree, whose semantics are
-// unchanged.
+// prefix exclusions (the LPM compilation shape), with constant widths equal
+// to the field's declared size. Anything else — a disjunct over two fields
+// included — keeps the Or-tree, whose semantics are unchanged.
 //
 // The rows are the guard. The compiler reads them straight off the SEFL Or,
 // before any disjunct is compiled, and everything a condition node carries —
@@ -75,23 +73,15 @@ func itHead(c sefl.Cond) (ITRow, LV, bool) {
 	return ITRow{Kind: ITPrefix, V: v, Len: plen}, f, ok
 }
 
-// itParseRow classifies one disjunct, returning its row plus the field
-// (and, for pair rows, second field) it constrains.
-func itParseRow(c sefl.Cond) (ITRow, LV, LV, bool) {
+// itParseRow classifies one disjunct, returning its row plus the field it
+// constrains.
+func itParseRow(c sefl.Cond) (ITRow, LV, bool) {
 	if row, f, ok := itHead(c); ok {
-		return row, f, LV{}, true
+		return row, f, true
 	}
 	and, _ := c.(sefl.CAnd)
 	if len(and.Cs) < 2 {
-		return ITRow{}, LV{}, LV{}, false
-	}
-	// Pair shape: exactly two equalities on two distinct fields.
-	if len(and.Cs) == 2 {
-		f1, v1, ok1 := itEqAtom(and.Cs[0])
-		f2, v2, ok2 := itEqAtom(and.Cs[1])
-		if ok1 && ok2 && f1 != f2 {
-			return ITRow{Kind: ITPair, V: v1, V2: v2}, f1, f2, true
-		}
+		return ITRow{}, LV{}, false
 	}
 	// Exclusion shape: head atom followed by only prefix negations on the
 	// same field.
@@ -103,29 +93,23 @@ func itParseRow(c sefl.Cond) (ITRow, LV, LV, bool) {
 		ok = ok && isPrefix && ef == f
 		row.Excl = append(row.Excl, ITExcl{V: v, Len: plen})
 	}
-	return row, f, LV{}, ok
+	return row, f, ok
 }
 
 // detectIntervalTable parses every disjunct of a SEFL Or, before any of
-// them is compiled, and checks shape uniformity: all rows over one shared
-// field, or all pair rows over one shared ordered field pair. It returns
-// nil when the Or is not a table, or too small to be worth one
+// them is compiled, and checks that all rows constrain one shared field. It
+// returns nil when the Or is not a table, or too small to be worth one
 // (expr.TableSized: a single route with exclusions can be).
 func detectIntervalTable(cs []sefl.Cond) *ITable {
 	it := &ITable{Rows: make([]ITRow, 0, len(cs))}
 	for i, c := range cs {
-		row, f, f2, ok := itParseRow(c)
+		row, f, ok := itParseRow(c)
 		if !ok {
 			return nil
 		}
-		grouped := row.Kind == ITPair
 		if i == 0 {
 			it.F, it.W = f, f.Size
-			it.Grouped = grouped
-			if grouped {
-				it.F2, it.W2 = f2, f2.Size
-			}
-		} else if grouped != it.Grouped || f != it.F || (grouped && f2 != it.F2) {
+		} else if f != it.F {
 			return nil
 		}
 		it.Rows = append(it.Rows, row)
@@ -178,60 +162,22 @@ func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []ex
 	return append(dst, expr.Span{Lo: lo, Hi: hi})
 }
 
-// buildITable computes the packed span tables from the rows: the merged
-// single-field table, or the per-group tables of a grouped guard (groups
-// sorted by key). It is shared by the compiler and the wire decoder, so a
-// decoded table is identical to the coordinator's. Every row's spans go
-// into one buffer that is normalised once.
+// buildITable computes the merged span table from the rows. It is shared by
+// the compiler and the wire decoder, so a decoded table is identical to the
+// coordinator's. Every row's spans go into one buffer that is normalised
+// once.
 func buildITable(it *ITable) {
-	if !it.Grouped {
-		total, deepest := len(it.Rows), 0
-		for i := range it.Rows {
-			total += len(it.Rows[i].Excl)
-			deepest = max(deepest, len(it.Rows[i].Excl))
-		}
-		spans := make([]expr.Span, 0, total)
-		scratch := make([]expr.Span, 0, deepest)
-		for i := range it.Rows {
-			spans = appendRowSpans(spans, &it.Rows[i], it.W, &scratch)
-		}
-		it.Table = expr.NewSpanTable(it.W, spans)
-		return
+	total, deepest := len(it.Rows), 0
+	for i := range it.Rows {
+		total += len(it.Rows[i].Excl)
+		deepest = max(deepest, len(it.Rows[i].Excl))
 	}
-	m := expr.Mask(it.W)
-	byKey := make(map[uint64][]expr.Span)
-	var order []uint64
-	for _, r := range it.Rows {
-		k := r.V & m
-		if _, seen := byKey[k]; !seen {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], expr.Span{Lo: r.V2 & expr.Mask(it.W2), Hi: r.V2 & expr.Mask(it.W2)})
+	spans := make([]expr.Span, 0, total)
+	scratch := make([]expr.Span, 0, deepest)
+	for i := range it.Rows {
+		spans = appendRowSpans(spans, &it.Rows[i], it.W, &scratch)
 	}
-	groups := make([]ITGroup, 0, len(order))
-	for _, k := range order {
-		groups = append(groups, ITGroup{Key: k, Table: expr.NewSpanTable(it.W2, byKey[k])})
-	}
-	// Sorted by key for binary search (model order need not be sorted).
-	slices.SortFunc(groups, func(a, b ITGroup) int { return cmp.Compare(a.Key, b.Key) })
-	it.Groups = groups
-}
-
-// group returns the span table for one primary-field value, or nil.
-func (it *ITable) group(key uint64) *ITGroup {
-	lo, hi := 0, len(it.Groups)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch g := &it.Groups[mid]; {
-		case key < g.Key:
-			hi = mid - 1
-		case key > g.Key:
-			lo = mid + 1
-		default:
-			return g
-		}
-	}
-	return nil
+	it.Table = expr.NewSpanTable(it.W, spans)
 }
 
 // --- What a condition node carries, from the rows ---
@@ -244,16 +190,12 @@ func (it *ITable) group(key uint64) *ITGroup {
 
 // fp is fpCond of the Or-tree.
 func (it *ITable) fp() expr.Fp {
-	ref, ref2 := fpRef(it.F), fpRef(it.F2)
+	ref := fpRef(it.F)
 	f := fpJunction(COr, len(it.Rows))
 	for i := range it.Rows {
 		r := &it.Rows[i]
 		var row expr.Fp
 		switch r.Kind {
-		case ITPair:
-			row = fpJunction(CAnd, 2).
-				Chain(fpCmp(expr.Eq, ref, fpNum(r.V, it.W))).
-				Chain(fpCmp(expr.Eq, ref2, fpNum(r.V2, it.W2)))
 		case ITEq:
 			row = fpCmp(expr.Eq, ref, fpNum(r.V, it.W))
 		case ITPrefix:
@@ -276,7 +218,7 @@ func (it *ITable) fp() expr.Fp {
 func (it *ITable) words() int {
 	n := 1
 	for i := range it.Rows {
-		n += [...]int{ITEq: 3, ITPrefix: 2, ITPair: 1 + 3 + 3}[it.Rows[i].Kind]
+		n += [...]int{ITEq: 3, ITPrefix: 2}[it.Rows[i].Kind]
 		if k := len(it.Rows[i].Excl); k > 0 {
 			n += 1 + 3*k
 		}
@@ -344,9 +286,6 @@ func (b *itBuilder) children(it *ITable) []*CCond {
 	for _, r := range it.Rows {
 		var head *CCond
 		switch r.Kind {
-		case ITPair:
-			cs = append(cs, b.seal(&CCond{Kind: CAnd, Cs: []*CCond{b.eq(it.F, r.V), b.eq(it.F2, r.V2)}}))
-			continue
 		case ITEq:
 			head = b.eq(it.F, r.V)
 		case ITPrefix:

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"symnet/internal/expr"
@@ -75,14 +76,11 @@ func (e *itEnv) OrTreeGuards() bool             { return e.orTree }
 
 // TestLoweringDetection: the egress shapes lower, near-miss shapes do not.
 func TestLoweringDetection(t *testing.T) {
-	if c := guardCond(t, macGuard(8)); c.Kind != CIntervalTable || c.IT == nil || c.IT.Grouped {
+	if c := guardCond(t, macGuard(8)); c.Kind != CIntervalTable || c.IT == nil {
 		t.Fatalf("mac guard not lowered: kind=%d", c.Kind)
 	}
-	if c := guardCond(t, prefixGuard()); c.Kind != CIntervalTable || c.IT.Grouped {
+	if c := guardCond(t, prefixGuard()); c.Kind != CIntervalTable {
 		t.Fatalf("prefix guard not lowered: kind=%d", c.Kind)
-	}
-	if c := guardCond(t, vlanGuard([][2]uint64{{1, 10}, {1, 12}, {2, 10}, {2, 14}})); c.Kind != CIntervalTable || !c.IT.Grouped {
-		t.Fatalf("vlan guard not lowered/grouped: kind=%d", c.Kind)
 	}
 
 	// Below the atom threshold (expr.TableSized): stays an Or.
@@ -167,8 +165,8 @@ func TestLoweredSpansMerge(t *testing.T) {
 }
 
 // TestEvalTableModes: table evaluation matches the Or-tree reference on
-// concrete hits/misses, produces InSet on symbolic fields, falls back on
-// width drift, and handles group misses and single-entry groups.
+// concrete hits/misses, produces InSet on symbolic fields, and falls back on
+// width drift.
 func TestEvalTableModes(t *testing.T) {
 	mac := guardCond(t, macGuard(8))
 	env := &itEnv{hdrs: map[int64]expr.Lin{0: expr.Const(6, 48)}}
@@ -216,32 +214,34 @@ func TestEvalTableModes(t *testing.T) {
 	if gotErr == nil || !errEqual(gotErr, wantErr) {
 		t.Fatalf("read error: %v vs %v", gotErr, wantErr)
 	}
+}
 
-	// Grouped: group hit (single-entry group), group miss (empty table for
-	// that key), symbolic group field falls back.
-	vl := guardCond(t, vlanGuard([][2]uint64{{1, 10}, {2, 20}, {2, 22}, {3, 30}}))
-	genv := &itEnv{hdrs: map[int64]expr.Lin{48: expr.Const(1, 16), 0: expr.Lin{Sym: 7, Width: 48}}}
-	gref := &itEnv{hdrs: genv.hdrs, orTree: true}
-	got, err = EvalCond(genv, vl)
+// TestPairGuardStaysOrTree: a (VLAN, MAC) pair Or constrains two fields per
+// disjunct, so it is no interval table: it compiles to an Or-tree that
+// GuardTables does not report, and the SEFL codec ships it as a tree that
+// decodes back to the same condition.
+func TestPairGuardStaysOrTree(t *testing.T) {
+	vl := vlanGuard([][2]uint64{{1, 10}, {1, 12}, {2, 10}, {2, 14}, {3, 30}})
+	p := Compile(sefl.Seq(sefl.Constrain{C: vl}, sefl.Forward{Port: 0}), "e", 0, "t")
+	if c := p.Ops[0].C; c.Kind != COr || c.IT != nil {
+		t.Fatalf("pair guard lowered: kind=%d", c.Kind)
+	}
+	if its := GuardTables(p); len(its) != 0 {
+		t.Fatalf("GuardTables reports %d tables for a pair guard", len(its))
+	}
+	w, err := sefl.EncodeCond(vl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if is, ok := got.(expr.InSet); !ok || is.T.Len() != 1 || !is.T.Contains(10) {
-		t.Fatalf("single-entry group = %#v", got)
+	if len(w.Cs) != 5 || len(w.Rows) != 0 {
+		t.Fatalf("pair guard shipped %d child nodes and %d row words, want a 5-disjunct tree", len(w.Cs), len(w.Rows))
 	}
-	genv.hdrs[48] = expr.Const(9, 16) // no such vlan: empty table
-	got, _ = EvalCond(genv, vl)
-	want, _ = EvalCond(gref, vl)
-	if got != expr.Bool(false) || want != got {
-		t.Fatalf("group miss = %v, reference %v", got, want)
-	}
-	genv.hdrs[48] = expr.Lin{Sym: 8, Width: 16} // symbolic group field
-	got, err = EvalCond(genv, vl)
+	d, err := sefl.DecodeCond(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := got.(expr.Or); !ok {
-		t.Fatalf("symbolic group field should fall back to the Or-tree, got %#v", got)
+	if !reflect.DeepEqual(d, vl) {
+		t.Fatalf("pair guard round trip differs:\n got %v\nwant %v", d, vl)
 	}
 }
 
@@ -253,14 +253,13 @@ func errEqual(a, b error) bool {
 }
 
 // TestITRowsPackRoundTrip: the flat row stream is the exact inverse of the
-// row list, including exclusions and pairs.
+// row list, including exclusions.
 func TestITRowsPackRoundTrip(t *testing.T) {
 	rows := []ITRow{
 		{Kind: ITEq, V: 42},
 		{Kind: ITPrefix, V: 0x0a000000, Len: 24},
 		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []ITExcl{{V: 0x0a010200, Len: 24}, {V: 0x0a010300, Len: 24}}},
 		{Kind: ITEq, V: 7, Excl: []ITExcl{{V: 0x0a, Len: 8}}},
-		{Kind: ITPair, V: 3, V2: 99},
 	}
 	got, err := expr.UnpackGuardRows(expr.PackGuardRows(rows))
 	if err != nil {
@@ -276,21 +275,26 @@ func TestITRowsPackRoundTrip(t *testing.T) {
 			t.Errorf("truncated stream (%d words) decoded without error", cut)
 		}
 	}
+	// Unknown tags error; 4 was the retired two-field pair row.
+	for _, tag := range []uint64{4, 5, 1 << 63} {
+		if _, err := expr.UnpackGuardRows([]uint64{tag, 3, 99}); err == nil || !strings.Contains(err.Error(), "unknown guard-row tag") {
+			t.Errorf("tag %d: err = %v, want an unknown-tag error", tag, err)
+		}
+	}
 }
 
-// TestITableCodecRoundTrip: a program with lowered guards (single-field,
-// exclusions, grouped) survives the wire with identical fingerprints,
+// TestITableCodecRoundTrip: a program with lowered guards (equalities,
+// prefixes with exclusions) survives the wire with identical fingerprints,
 // tables, children and dump.
 func TestITableCodecRoundTrip(t *testing.T) {
 	prog := sefl.Seq(
 		sefl.Constrain{C: macGuard(8)},
 		sefl.Constrain{C: prefixGuard()},
-		sefl.Constrain{C: vlanGuard([][2]uint64{{1, 10}, {1, 12}, {2, 20}, {3, 30}})},
 		sefl.Constrain{C: macGuard(8)}, // dedup: same node as op 0
 		sefl.Forward{Port: 0},
 	)
 	p := Compile(prog, "e1", 4, "e1.in[0]")
-	if p.Ops[0].C != p.Ops[3].C {
+	if p.Ops[0].C != p.Ops[2].C {
 		t.Fatal("premise: equal lowered guards must share one node")
 	}
 	w, err := EncodeProgram(p)
@@ -304,7 +308,7 @@ func TestITableCodecRoundTrip(t *testing.T) {
 	if q.String() != p.String() {
 		t.Fatal("decoded dump differs")
 	}
-	for i := range []int{0, 1, 2} {
+	for i := range []int{0, 1} {
 		oc, dc := p.Ops[i].C, q.Ops[i].C
 		if dc.Kind != CIntervalTable || dc.FP != oc.FP || dc.Words != oc.Words || dc.Memoizable != oc.Memoizable {
 			t.Fatalf("op %d: node drifted: %+v", i, dc)
@@ -312,7 +316,7 @@ func TestITableCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {
 			t.Fatalf("op %d: rows drifted", i)
 		}
-		if oc.IT.Table != nil && !dc.IT.Table.Equal(oc.IT.Table) {
+		if !dc.IT.Table.Equal(oc.IT.Table) {
 			t.Fatalf("op %d: span table drifted", i)
 		}
 		ocs, dcs := oc.children(), dc.children()
@@ -325,17 +329,8 @@ func TestITableCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if q.Ops[0].C != q.Ops[3].C {
+	if q.Ops[0].C != q.Ops[2].C {
 		t.Fatal("decoded equal guards no longer share one node")
-	}
-	gq, gp := q.Ops[2].C.IT, p.Ops[2].C.IT
-	if len(gq.Groups) != len(gp.Groups) {
-		t.Fatal("group count drifted")
-	}
-	for gi := range gp.Groups {
-		if gq.Groups[gi].Key != gp.Groups[gi].Key || !gq.Groups[gi].Table.Equal(gp.Groups[gi].Table) {
-			t.Fatalf("group %d drifted", gi)
-		}
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // PatchSpec describes one guard-table replacement inside a compiled program.
 type PatchSpec struct {
 	// OldFp is the fingerprint of the span table being replaced; every
-	// non-grouped lowered guard currently carrying it is patched.
+	// lowered guard currently carrying it is patched.
 	OldFp expr.Fp
 	// Rows is the guard's new row list, in the order a fresh model build
 	// would emit (table order for MACs, CompileLPM order for routes) — the
@@ -96,9 +96,8 @@ func BuildGuardTable(rows []ITRow, w int) *expr.SpanTable {
 }
 
 // PatchGuard applies spec to p in place, returning the number of guard nodes
-// patched (0 when no non-grouped lowered guard carries spec.OldFp — grouped
-// two-field tables are not patchable and must be recompiled). The program
-// must not be executing concurrently. For each matched node it installs the
+// patched (0 when no lowered guard carries spec.OldFp). The program must not
+// be executing concurrently. For each matched node it installs the
 // new rows and table, recomputes from the rows the node fingerprint and
 // derived state (size, memo gating, input set), clears the evaluation memo,
 // and swaps the rendered source instruction on every OpConstrain guarded by
@@ -106,7 +105,7 @@ func BuildGuardTable(rows []ITRow, w int) *expr.SpanTable {
 func PatchGuard(p *Program, spec PatchSpec) int {
 	patched := make(map[*CCond]bool)
 	forEachCond(p, func(cc *CCond) {
-		if cc.Kind != CIntervalTable || cc.IT == nil || cc.IT.Grouped {
+		if cc.Kind != CIntervalTable || cc.IT == nil {
 			return
 		}
 		if cc.IT.Table == nil || cc.IT.Table.Fp() != spec.OldFp {

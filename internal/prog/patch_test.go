@@ -137,7 +137,7 @@ func TestPatchGuardMACInsert(t *testing.T) {
 	for i, m := range newMacs {
 		rows[i] = ITRow{Kind: ITEq, V: m}
 	}
-	table := node.IT.Table.InsertValue(0x25)
+	table := node.IT.Table.PatchWindow(0x25, 0x25, []expr.Span{{Lo: 0x25, Hi: 0x25}})
 	if !table.Equal(BuildGuardTable(rows, sefl.MACWidth)) {
 		t.Fatal("incrementally patched table differs from full rebuild")
 	}

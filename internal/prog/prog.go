@@ -157,9 +157,8 @@ const (
 	COr
 	CNot
 	// CIntervalTable is a lowered egress-style guard: an Or whose disjuncts
-	// are equality/prefix constraints over one header field (optionally
-	// grouped by an equality on a second field) compiled into sorted,
-	// merged value ranges. The node carries the rows and the packed table
+	// are equality/prefix constraints over one header field compiled into
+	// sorted, merged value ranges. The node carries the rows and the packed table
 	// in IT and no children: the original disjuncts — the reference
 	// semantics, selected by Env.OrTreeGuards and used as the fallback when
 	// runtime value shapes fall outside the table — are a view built from
@@ -210,41 +209,26 @@ type CCond struct {
 	IT        *ITable  // CIntervalTable payload
 }
 
-// ITable is the payload of a CIntervalTable node: the guarded field(s), the
+// ITable is the payload of a CIntervalTable node: the guarded field, the
 // original disjuncts as flat rows (the exact information the Or-tree view is
-// built from, on either side of the wire), and the precomputed span tables
+// built from, on either side of the wire), and the precomputed span table
 // evaluation consumes. Tables are immutable after construction and shared
 // by every path visiting the guard.
 type ITable struct {
-	F LV  // primary field l-value (a header field)
-	W int // primary field width (== F.Size)
-	// Grouped marks two-field tables (the VLAN-aware switch shape): rows
-	// pair an equality on F with an equality on F2, and evaluation selects
-	// the F-value's group then consults its span table over F2.
-	Grouped bool
-	F2      LV
-	W2      int
-	Rows    []ITRow
-	// Table is the merged span table of a single-field guard (nil when
-	// Grouped); Groups are the per-key tables of a grouped guard, sorted by
-	// Key for binary search.
-	Table  *expr.SpanTable
-	Groups []ITGroup
+	F    LV  // field l-value (a header field)
+	W    int // field width (== F.Size)
+	Rows []ITRow
+	// Table is the rows' merged span table.
+	Table *expr.SpanTable
 
 	// view is the Or-tree the rows stand for; see CCond.children.
 	viewOnce sync.Once
 	view     []*CCond
 }
 
-// ITGroup is one F-value group of a grouped table.
-type ITGroup struct {
-	Key   uint64
-	Table *expr.SpanTable
-}
-
 // ITRow is one disjunct of a lowered guard, in the shared packed-guard
 // vocabulary of internal/expr (one wire grammar for the SEFL and IR
-// codecs); ITEq/ITPrefix/ITPair name the row kinds.
+// codecs); ITEq/ITPrefix name the row kinds.
 type ITRow = expr.GuardRow
 
 // ITExcl is one prefix exclusion of a row.
@@ -254,7 +238,6 @@ type ITExcl = expr.GuardExcl
 const (
 	ITEq     = expr.GuardEq
 	ITPrefix = expr.GuardPrefix
-	ITPair   = expr.GuardPair
 )
 
 // condMemo is one memoized evaluation of a Memoizable condition: the

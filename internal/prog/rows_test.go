@@ -26,7 +26,7 @@ import (
 func rowSetBySubtraction(r ITRow, w int) *solver.IntervalSet {
 	var s *solver.IntervalSet
 	switch r.Kind {
-	case ITEq, ITPair:
+	case ITEq:
 		s = solver.Singleton(r.V, w)
 	case ITPrefix:
 		s = solver.FromMask(expr.PrefixMask(r.Len, w), r.V, w)
@@ -37,7 +37,7 @@ func rowSetBySubtraction(r ITRow, w int) *solver.IntervalSet {
 	return s
 }
 
-// tableBySubtraction is the non-grouped half of buildITable as it was.
+// tableBySubtraction is buildITable as it was.
 func tableBySubtraction(rows []ITRow, w int) *expr.SpanTable {
 	sets := make([]*solver.IntervalSet, len(rows))
 	for i, r := range rows {
@@ -133,8 +133,8 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 }
 
 // rowsGuard is the SEFL Or a model would write for the rows.
-func rowsGuard(f, f2 sefl.Hdr, rows []ITRow) []sefl.Cond {
-	ref, ref2 := sefl.Ref{LV: f}, sefl.Ref{LV: f2}
+func rowsGuard(f sefl.Hdr, rows []ITRow) []sefl.Cond {
+	ref := sefl.Ref{LV: f}
 	prefix := func(v uint64, plen int) sefl.Cond {
 		return sefl.Prefix{E: ref, Value: v, Len: plen, Width: f.Size}
 	}
@@ -142,9 +142,6 @@ func rowsGuard(f, f2 sefl.Hdr, rows []ITRow) []sefl.Cond {
 	for i, r := range rows {
 		var head sefl.Cond
 		switch r.Kind {
-		case ITPair:
-			cs[i] = sefl.AndC(sefl.Eq(ref, sefl.CW(r.V, f.Size)), sefl.Eq(ref2, sefl.CW(r.V2, f2.Size)))
-			continue
 		case ITEq:
 			head = sefl.Eq(ref, sefl.CW(r.V, f.Size))
 		case ITPrefix:
@@ -191,26 +188,16 @@ func wireBytes(t *testing.T, p *Program) ([]byte, *WireProgram) {
 
 func TestRowsMatchTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	f2 := sefl.Hdr{Off: sefl.At(64), Size: 16, Name: "G"}
 	memoizable, small := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		w := []int{8, 32, 48, 64}[trial%4]
 		f := sefl.Hdr{Off: sefl.At(0), Size: w, Name: "F"}
-		n := 4 + rng.Intn(12) // four rows are a table (expr.TableSized) whatever their exclusions
-		var rows []ITRow
-		grouped := trial%5 == 4
-		if grouped {
-			for i := 0; i < n; i++ {
-				rows = append(rows, ITRow{Kind: ITPair, V: uint64(rng.Intn(3)) & expr.Mask(w), V2: uint64(rng.Intn(40))})
-			}
-		} else {
-			rows = randRows(rng, w, n)
-		}
-		cs := rowsGuard(f, f2, rows)
+		rows := randRows(rng, w, 4+rng.Intn(12)) // four rows are a table (expr.TableSized) whatever their exclusions
+		cs := rowsGuard(f, rows)
 		guard := sefl.Constrain{C: sefl.OrC(cs...)}
 		p := Compile(sefl.Seq(guard, sefl.Forward{Port: 0}), "el", 0, "el.out[1]")
 		node := p.Ops[0].C
-		if node.Kind != CIntervalTable || node.IT.Grouped != grouped || !reflect.DeepEqual(node.IT.Rows, rows) {
+		if node.Kind != CIntervalTable || !reflect.DeepEqual(node.IT.Rows, rows) {
 			t.Fatalf("trial %d: rows not read back off the Or: %+v", trial, node.IT)
 		}
 		if p.Conds != 1 || p.CondsSeen != 1 {
@@ -258,16 +245,14 @@ func TestRowsMatchTree(t *testing.T) {
 		}
 
 		// PatchGuard to another row list == a fresh compile of that list.
-		if !grouped {
-			next := randRows(rng, w, 4+rng.Intn(12))
-			nextGuard := sefl.Constrain{C: sefl.OrC(rowsGuard(f, f2, next)...)}
-			patched := Compile(guard, "el", 0, "el.out[1]")
-			spec := PatchSpec{OldFp: node.IT.Table.Fp(), Rows: next, Table: BuildGuardTable(next, w), Ins: nextGuard}
-			if n := PatchGuard(patched, spec); n != 1 {
-				t.Fatalf("trial %d: PatchGuard patched %d nodes", trial, n)
-			}
-			requireSameAsFresh(t, patched, nextGuard)
+		next := randRows(rng, w, 4+rng.Intn(12))
+		nextGuard := sefl.Constrain{C: sefl.OrC(rowsGuard(f, next)...)}
+		patched := Compile(guard, "el", 0, "el.out[1]")
+		spec := PatchSpec{OldFp: node.IT.Table.Fp(), Rows: next, Table: BuildGuardTable(next, w), Ins: nextGuard}
+		if n := PatchGuard(patched, spec); n != 1 {
+			t.Fatalf("trial %d: PatchGuard patched %d nodes", trial, n)
 		}
+		requireSameAsFresh(t, patched, nextGuard)
 	}
 	if memoizable == 0 || small == 0 {
 		t.Fatalf("generator too tame: %d memoizable guards, %d below the memo gate", memoizable, small)

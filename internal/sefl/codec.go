@@ -96,9 +96,9 @@ const (
 	wMeta
 
 	// wCOrPacked is a COr whose disjuncts form an interval-table shape
-	// (equality/prefix constraints over one or two shared header fields —
-	// the egress-model guards): it crosses the wire as the shared field
-	// expression(s) plus a flat word stream of rows instead of a tree of
+	// (equality/prefix constraints over one shared header field — the
+	// egress-model guards): it crosses the wire as the shared field
+	// expression plus a flat word stream of rows instead of a tree of
 	// per-entry nodes. Decoding rebuilds the exact original COr, so the
 	// packing is invisible to everything downstream; it exists because these
 	// guards dominate the distributed setup frame for table-heavy networks.
@@ -139,7 +139,7 @@ type WireExpr struct {
 type WireCond struct {
 	Kind uint8
 	Op   uint8       // Cmp operator
-	L, R *WireExpr   // Cmp operands; Prefix/Masked subject (L); packed fields (L, R)
+	L, R *WireExpr   // Cmp operands; Prefix/Masked subject (L); packed field (L)
 	Val  uint64      // Prefix value / Masked value
 	Mask uint64      // Masked mask
 	Len  int         // Prefix length
@@ -148,10 +148,9 @@ type WireCond struct {
 	Cs   []*WireCond // CAnd, COr
 	C    *WireCond   // CNot
 	B    bool        // CBool
-	// Packed-Or payload (Kind == wCOrPacked): W2 is the second field's
-	// equality-constant width, PW the shared Prefix width (raw — models
-	// leave it 0 for the 32-bit default), Rows the flat row stream.
-	W2   int
+	// Packed-Or payload (Kind == wCOrPacked): PW is the shared Prefix width
+	// (raw — models leave it 0 for the 32-bit default), Rows the flat row
+	// stream.
 	PW   int
 	Rows []uint64
 }

@@ -28,12 +28,8 @@ const (
 	PayBits  = 64 // payload modeled as one opaque 64-bit value
 )
 
-// Field widths.
-const (
-	MACWidth  = 48
-	IPWidth   = 32
-	PortWidth = 16
-)
+// MACWidth is the width of an Ethernet address field.
+const MACWidth = 48
 
 // EtherType and IP protocol constants used across models.
 const (

@@ -24,17 +24,15 @@ func packField(e Expr) (Hdr, bool) {
 	return h, ok
 }
 
-// packOr attempts to parse a disjunct list into packed rows. It returns the
-// shared field(s), the shared widths, the rows, and whether every disjunct
-// matched. have* distinguish "no constraint of this kind yet" from a
-// zero-valued shared width.
+// orPacker parses a disjunct list into packed rows: the shared field, the
+// shared widths and the rows. have* distinguish "no constraint of this kind
+// yet" from a zero-valued shared width.
 type orPacker struct {
-	f, f2            Hdr
-	haveF            bool
-	eqW, pw, w2      int
-	haveEqW, havePW  bool
-	grouped, started bool
-	rows             []expr.GuardRow
+	f               Hdr
+	haveF           bool
+	eqW, pw         int
+	haveEqW, havePW bool
+	rows            []expr.GuardRow
 }
 
 func (p *orPacker) field(h Hdr) bool {
@@ -93,10 +91,6 @@ func (p *orPacker) sharedPW(w int) bool {
 // add parses one disjunct; false aborts packing.
 func (p *orPacker) add(c Cond) bool {
 	if h, v, w, ok := p.eqAtom(c); ok {
-		if p.started && p.grouped {
-			return false
-		}
-		p.started = true
 		if !p.field(h) || !p.sharedEqW(w) {
 			return false
 		}
@@ -104,44 +98,16 @@ func (p *orPacker) add(c Cond) bool {
 		return true
 	}
 	if h, pf, ok := p.prefixAtom(c); ok {
-		if p.started && p.grouped {
-			return false
-		}
-		p.started = true
 		if !p.field(h) || !p.sharedPW(pf.Width) {
 			return false
 		}
 		p.rows = append(p.rows, expr.GuardRow{Kind: expr.GuardPrefix, V: pf.Value, Len: pf.Len})
 		return true
 	}
-	and, ok := c.(CAnd)
-	if !ok || len(and.Cs) < 2 {
-		return false
-	}
-	// Pair shape first: exactly two equalities over two distinct fields.
-	if len(and.Cs) == 2 {
-		h1, v1, w1, ok1 := p.eqAtom(and.Cs[0])
-		h2, v2, w2, ok2 := p.eqAtom(and.Cs[1])
-		if ok1 && ok2 && h1 != h2 {
-			if p.started && !p.grouped {
-				return false
-			}
-			if !p.started {
-				p.started, p.grouped = true, true
-				p.f, p.haveF = h1, true
-				p.f2 = h2
-				p.eqW, p.haveEqW = w1, true
-				p.w2 = w2
-			} else if h1 != p.f || h2 != p.f2 || w1 != p.eqW || w2 != p.w2 {
-				return false
-			}
-			p.rows = append(p.rows, expr.GuardRow{Kind: expr.GuardPair, V: v1, V2: v2})
-			return true
-		}
-	}
 	// Exclusion shape: equality/prefix head plus prefix negations on the
 	// same field.
-	if p.started && p.grouped {
+	and, ok := c.(CAnd)
+	if !ok || len(and.Cs) < 2 {
 		return false
 	}
 	var row expr.GuardRow
@@ -159,7 +125,6 @@ func (p *orPacker) add(c Cond) bool {
 	} else {
 		return false
 	}
-	p.started = true
 	if !p.field(h) {
 		return false
 	}
@@ -191,19 +156,12 @@ func packOr(cs []Cond) *WireCond {
 	if !expr.TableSized(p.rows) {
 		return nil
 	}
-	w := &WireCond{Kind: wCOrPacked, W: p.eqW, W2: p.w2, PW: p.pw, Rows: expr.PackGuardRows(p.rows)}
+	w := &WireCond{Kind: wCOrPacked, W: p.eqW, PW: p.pw, Rows: expr.PackGuardRows(p.rows)}
 	fw, err := EncodeExpr(Ref{LV: p.f})
 	if err != nil {
 		return nil
 	}
 	w.L = fw
-	if p.grouped {
-		f2w, err := EncodeExpr(Ref{LV: p.f2})
-		if err != nil {
-			return nil
-		}
-		w.R = f2w
-	}
 	return w
 }
 
@@ -213,18 +171,9 @@ func unpackOr(w *WireCond) (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f2e Expr
-	if w.R != nil {
-		if f2e, err = DecodeExpr(w.R); err != nil {
-			return nil, err
-		}
-	}
 	rows, err := expr.UnpackGuardRows(w.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("sefl: packed Or: %w", err)
-	}
-	eq := func(field Expr, v uint64, width int) Cond {
-		return Cmp{Op: expr.Eq, L: field, R: Num{V: v, W: width}}
 	}
 	prefix := func(v uint64, plen int) Cond {
 		return Prefix{E: fe, Value: v, Len: plen, Width: w.PW}
@@ -233,14 +182,8 @@ func unpackOr(w *WireCond) (Cond, error) {
 	for _, r := range rows {
 		var head Cond
 		switch r.Kind {
-		case expr.GuardPair:
-			if f2e == nil {
-				return nil, fmt.Errorf("sefl: packed-Or pair row without a second field")
-			}
-			cs = append(cs, CAnd{Cs: []Cond{eq(fe, r.V, w.W), eq(f2e, r.V2, w.W2)}})
-			continue
 		case expr.GuardEq:
-			head = eq(fe, r.V, w.W)
+			head = Cmp{Op: expr.Eq, L: fe, R: Num{V: r.V, W: w.W}}
 		case expr.GuardPrefix:
 			head = prefix(r.V, r.Len)
 		}

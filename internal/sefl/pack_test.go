@@ -69,7 +69,6 @@ func TestPackedOrRoundTrip(t *testing.T) {
 	}{
 		{"mac", packMACOr(12)},
 		{"routes", packRouteOr()},
-		{"vlan-pairs", packVLANOr()},
 	} {
 		d, w := roundTrip(t, tc.cond)
 		if w.Kind != wCOrPacked {
@@ -110,6 +109,8 @@ func TestPackedOrRejectsNonTableShapes(t *testing.T) {
 		// Metadata field.
 		OrC(Eq(Ref{LV: Meta{Name: "m"}}, CW(1, 16)), Eq(Ref{LV: Meta{Name: "m"}}, CW(2, 16)),
 			Eq(Ref{LV: Meta{Name: "m"}}, CW(3, 16)), Eq(Ref{LV: Meta{Name: "m"}}, CW(4, 16))),
+		// Two-field (VLAN, MAC) pairs.
+		packVLANOr(),
 	}
 	for i, c := range cases {
 		d, w := roundTrip(t, c)

@@ -125,17 +125,6 @@ func FieldEndToEnd(p *core.Path, h sefl.Hdr) (bool, error) {
 	return !ctx.Sat(), nil
 }
 
-// Visible reports whether the current value of field h on path p is the
-// same term the source wrote (the paper's header-visibility test: do
-// firewalls and endhosts see the same headers?).
-func Visible(p *core.Path, h sefl.Hdr, source expr.Lin) (bool, error) {
-	v, err := FieldValue(p, h)
-	if err != nil {
-		return false, err
-	}
-	return v.Equal(source), nil
-}
-
 // Loops returns the looped paths of a result.
 func Loops(res *core.Result) []*core.Path { return res.ByStatus(core.Looped) }
 
