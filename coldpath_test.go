@@ -89,8 +89,11 @@ func TestDefaultRouteRunFlat(t *testing.T) {
 // deptAllocsPerHop is the committed budget of TestDepartmentRunAllocsPerHop.
 // A warm department Run allocated 60.2 per hop while the ASA's For pipelines
 // ran on the IR, a field write cost two allocations and every visit built
-// successor slices; 42.7 once none of that was left.
-const deptAllocsPerHop = 48
+// successor slices; 42.7 once none of that was left. 27.8 once a task's
+// scaffolding (run, allocator, collector, task, successor slice) lived per
+// exploration, a fork allocated one box for its memory and solver headers,
+// and the solver narrowed domains without building a set per assertion.
+const deptAllocsPerHop = 34
 
 // TestDepartmentRunAllocsPerHop keeps the hot path lean without reading a
 // clock: one warm Session.Run of the office packet from asw0.in[1] must stay
@@ -117,5 +120,41 @@ func TestDepartmentRunAllocsPerHop(t *testing.T) {
 	t.Logf("warm department Run: %.1f allocations per hop over %d hops (budget %d)", perHop, hops, deptAllocsPerHop)
 	if perHop > deptAllocsPerHop {
 		t.Fatalf("%.1f allocations per hop, budget %d", perHop, deptAllocsPerHop)
+	}
+}
+
+// forkAllocsPerPath is the committed budget of TestForkHeavyAllocsPerPath. A
+// warm fork-heavy Run allocated 14.7 per delivered path while a fork cost
+// three objects (State, Mem, Context) and every task its own scaffolding;
+// 7.0 once a fork was a State and one box.
+const forkAllocsPerPath = 9
+
+// TestForkHeavyAllocsPerPath keeps forking cheap without reading a clock: one
+// warm Session.Run over the fork-heavy network (64 bindings, 4 forks of fan
+// 8) must stay under a fixed number of allocations per delivered path. A fork
+// that goes back to allocating its headers one by one, or a task that goes
+// back to allocating its own scaffolding, shows here.
+func TestForkHeavyAllocsPerPath(t *testing.T) {
+	net, inject := datasets.ForkHeavy(64, 4, 8)
+	sess, err := Compile(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	run := func() {
+		res, err := sess.Run(inject, sefl.NewIPPacket())
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered = res.Stats.Delivered
+	}
+	run() // compile and summarize outside the count
+	if delivered != 4096 {
+		t.Fatalf("%d delivered paths, want 4096", delivered)
+	}
+	perPath := testing.AllocsPerRun(5, run) / float64(delivered)
+	t.Logf("warm fork-heavy Run: %.1f allocations per delivered path over %d paths (budget %d)", perPath, delivered, forkAllocsPerPath)
+	if perPath > forkAllocsPerPath {
+		t.Fatalf("%.1f allocations per delivered path, budget %d", perPath, forkAllocsPerPath)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"symnet/internal/memory"
 	"symnet/internal/minic"
 	"symnet/internal/sefl"
+	"symnet/internal/solver"
 )
 
 func metaVal(p *core.Path, name string) (expr.Lin, error) {
@@ -118,7 +119,7 @@ func TestAllowedCombinations(t *testing.T) {
 	// Some delivered path must admit all four options simultaneously.
 	found := false
 	for _, p := range res.ByStatus(core.Delivered) {
-		ctx := p.Ctx.Clone()
+		ctx := p.Ctx.CloneInto(new(solver.Context))
 		sat := true
 		for _, name := range []string{"OPT2", "OPT3", "OPT4", "OPT8"} {
 			v, err := metaVal(p, name)

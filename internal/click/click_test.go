@@ -7,6 +7,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/expr"
 	"symnet/internal/sefl"
+	"symnet/internal/solver"
 	"symnet/internal/verify"
 )
 
@@ -129,7 +130,7 @@ func TestFig9RewriterLoop(t *testing.T) {
 			break
 		}
 	}
-	ctx := loopPath.Ctx.Clone()
+	ctx := loopPath.Ctx.CloneInto(new(solver.Context))
 	src, err1 := verify.FieldValue(loopPath, sefl.IPSrc)
 	dst, err2 := verify.FieldValue(loopPath, sefl.IPDst)
 	if err1 != nil || err2 != nil {

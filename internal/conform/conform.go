@@ -19,6 +19,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/expr"
 	"symnet/internal/sefl"
+	"symnet/internal/solver"
 )
 
 // Harness couples a model network with its concrete twin.
@@ -329,7 +330,7 @@ func (h Harness) testRandomPacket(rep *Report, res *core.Result, pkt *click.Pack
 // pathAdmits checks whether a path's constraints are consistent with the
 // packet's initial field values.
 func pathAdmits(p *core.Path, pkt *click.Packet, fields []templField) bool {
-	ctx := p.Ctx.Clone()
+	ctx := p.Ctx.CloneInto(new(solver.Context))
 	for _, f := range fields {
 		v, ok := f.get(pkt)
 		if !ok {

@@ -90,19 +90,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// run carries what stepping a single task needs: the run configuration and
-// instruments (shared by pointer with every task of the exploration) plus
-// the task's own symbol band and collectors, which the exploration merges
-// once the step returns (see explore.go).
+// run carries what stepping a task needs: the run configuration and
+// instruments plus the task's symbol band and collectors, which the
+// exploration merges once the step returns. One run steps every task of an
+// exploration in turn, reset between tasks (see explore.go).
 type run struct {
-	net      *Network
-	opts     *Options
-	alloc    *expr.Alloc
+	net   *Network
+	opts  *Options
+	alloc expr.Alloc
+	// stats is the solver collector every path of the exploration counts
+	// into; the exploration folds and zeroes it after each task.
 	stats    *solver.Stats
 	memo     *solver.SatCache
 	inst     *instruments
 	finished []*State
 	pruned   int
+	// next holds the successors of the step in progress; the exploration
+	// queues them before the next step reuses it.
+	next []*State
 	// env is the evaluator adapter of every program this run executes,
 	// re-pointed at the current state before each evaluation.
 	env progEnv
@@ -123,15 +128,7 @@ func Run(net *Network, inject PortRef, init sefl.Instr, opts Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	for len(e.queue) > 0 {
-		for _, t := range e.frontier() {
-			if err := e.stepTask(t); err != nil {
-				return nil, err
-			}
-		}
-		e.inst.queueDepth.SetMax(int64(len(e.queue)))
-	}
-	return e.finish(), nil
+	return e.explore()
 }
 
 func failWith(st *State, msg string) *State {
@@ -140,24 +137,24 @@ func failWith(st *State, msg string) *State {
 }
 
 // step processes one state positioned at an input port: loop check, input
-// code, output codes, link traversal. It returns the states to keep
-// exploring; finished paths are recorded on the result.
-func (r *run) step(st *State) ([]*State, error) {
+// code, output codes, link traversal. It appends the states to keep
+// exploring to next; finished paths are recorded on the result.
+func (r *run) step(next []*State, st *State) ([]*State, error) {
 	elem, ok := r.net.Element(st.Here.Elem)
 	if !ok {
-		return nil, fmt.Errorf("core: element %q vanished", st.Here.Elem)
+		return next, fmt.Errorf("core: element %q vanished", st.Here.Elem)
 	}
 	st.pushHistory(st.Here)
 	st.hops++
 	if st.hops > r.opts.MaxHops {
 		r.finish(failWith(st, fmt.Sprintf("hop budget exceeded (%d)", r.opts.MaxHops)))
-		return nil, nil
+		return next, nil
 	}
 	if r.opts.Loop != LoopOff {
 		if looped := r.loopCheck(st); looped {
 			st.Status = Looped
 			r.finish(st)
-			return nil, nil
+			return next, nil
 		}
 	}
 
@@ -169,10 +166,9 @@ func (r *run) step(st *State) ([]*State, error) {
 		// No code: the packet stops here.
 		st.Status = Delivered
 		r.finish(st)
-		return nil, nil
+		return next, nil
 	}
 
-	var next []*State
 	for _, s := range states {
 		if s.Status == Failed {
 			r.finish(s)

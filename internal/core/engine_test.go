@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"symnet/internal/memory"
 	"symnet/internal/sefl"
 )
 
@@ -512,7 +513,7 @@ func TestFinishedPathsCloneConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, p := range res.Paths {
-				p.Mem.Clone().CreateTag("scratch", 1)
+				p.Mem.CloneInto(new(memory.Mem)).CreateTag("scratch", 1)
 			}
 		}()
 	}

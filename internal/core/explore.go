@@ -16,7 +16,8 @@ import (
 // that fixes every ID a Result carries:
 //
 //   - tasks are stepped in waves of at most maxWave, cut from the tail of
-//     the pending queue, each wave in order;
+//     the pending queue, each wave in order; the wave is a copy, so the
+//     successors it queues take the slots it vacated;
 //   - every task carries a sequence number assigned when it is queued, and
 //     the fresh symbols minted while stepping it come from the band
 //     [seq<<expr.BandBits, (seq+1)<<expr.BandBits);
@@ -43,23 +44,25 @@ type task struct {
 // breadth-first frontier.
 const maxWave = 1024
 
-// exploration is one Run in progress.
+// exploration is one Run in progress. Its task scaffolding lives as long as
+// the exploration, not the task: one run steps every task in turn, tasks are
+// queued by value, and the wave buffer is reused.
 type exploration struct {
-	net     *Network
 	opts    Options
 	inject  *Element
 	injProg *prog.Program // compiled injection code (nil under ASTInterp)
-	satMemo *solver.SatCache
-	queue   []*task // pending tasks; waves are cut from the tail
+	queue   []task        // pending tasks; waves are cut from the tail
+	wave    []task        // the wave being stepped (see frontier)
 	nextSeq int64
 	paths   []*Path
 	stats   RunStats
 	names   *expr.Alloc
 	inst    instruments
+	r       run
 }
 
 // instruments are an exploration's telemetry instruments, resolved once
-// and shared by pointer with every task's run. All are nil when Options.Obs
+// and shared by pointer with its run. All are nil when Options.Obs
 // carries no registry — the disabled fast path: the hot path pays one branch
 // and no map lookups (see internal/obs).
 type instruments struct {
@@ -95,13 +98,12 @@ func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 	if memo == nil {
 		memo = solver.NewSatCache()
 	}
-	e := &exploration{
-		net:     net,
-		opts:    opts,
-		inject:  elem,
-		satMemo: memo,
-		names:   &expr.Alloc{},
-	}
+	e := &exploration{opts: opts, inject: elem, names: &expr.Alloc{}}
+	// The collector is allocated on its own because every path's context
+	// points at it: inside the exploration, it would keep the queue and the
+	// wave reachable from the Result.
+	e.r = run{net: net, opts: &e.opts, stats: &solver.Stats{}, memo: memo, inst: &e.inst}
+	e.r.env.r = &e.r
 	if opts.Obs != nil && opts.Obs.Reg != nil {
 		reg := opts.Obs.Reg
 		e.inst = instruments{
@@ -130,19 +132,34 @@ func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 		seen:    newSeen(),
 		traceOn: opts.Trace,
 	}
-	e.queue = []*task{{seq: 0, st: st, init: init}}
+	e.queue = []task{{seq: 0, st: st, init: init}}
 	e.nextSeq = 1
 	return e, nil
 }
 
+// explore steps waves until no task is left.
+func (e *exploration) explore() (*Result, error) {
+	for len(e.queue) > 0 {
+		wave := e.frontier()
+		for i := range wave {
+			if err := e.stepTask(&wave[i]); err != nil {
+				return nil, err
+			}
+		}
+		e.inst.queueDepth.SetMax(int64(len(e.queue)))
+	}
+	return e.finish(), nil
+}
+
 // frontier removes and returns the next wave: up to maxWave tasks from the
-// tail of the pending queue. The wave is a copy, because stepping it queues
-// successors into the slots it vacated.
-func (e *exploration) frontier() []*task {
+// tail of the pending queue. The wave is a copy, into a buffer reused from
+// wave to wave, because stepping it queues successors into the slots it
+// vacated.
+func (e *exploration) frontier() []task {
 	k := max(len(e.queue)-maxWave, 0)
-	wave := append([]*task(nil), e.queue[k:]...)
+	e.wave = append(e.wave[:0], e.queue[k:]...)
 	e.queue = e.queue[:k]
-	return wave
+	return e.wave
 }
 
 // stepTask steps one task and merges what it produced: its finished paths
@@ -151,23 +168,17 @@ func (e *exploration) frontier() []*task {
 // step error, or a path count past MaxPaths, aborts the run; the failing
 // task's statistics are not folded.
 func (e *exploration) stepTask(t *task) error {
-	stats := &solver.Stats{}
-	r := &run{
-		net:   e.net,
-		opts:  &e.opts,
-		alloc: expr.NewAllocBand(t.seq),
-		stats: stats,
-		memo:  e.satMemo,
-		inst:  &e.inst,
-	}
-	r.env.r = r
-	var next []*State
+	r := &e.r
+	r.alloc.ResetBand(t.seq)
+	*r.stats = solver.Stats{}
+	r.finished = r.finished[:0]
+	r.pruned = 0
+	next := r.next[:0]
 	if t.init != nil {
-		next = r.runInjection(t.st, e.inject, t.init, e.injProg)
+		next = r.runInjection(next, t.st, e.inject, t.init, e.injProg)
 	} else {
-		t.st.Ctx.SetStats(stats)
 		var err error
-		if next, err = r.step(t.st); err != nil {
+		if next, err = r.step(next, t.st); err != nil {
 			return err
 		}
 		e.stats.Hops++
@@ -177,17 +188,18 @@ func (e *exploration) stepTask(t *task) error {
 	}
 	e.stats.Pruned += r.pruned
 	e.stats.Symbols += r.alloc.Count()
-	e.stats.Solver.Add(*stats)
+	e.stats.Solver.Add(*r.stats)
 	if e.opts.Stats != nil {
 		// Fold into the caller's collector task by task, so a run that
 		// aborts mid-way still reports the solver work it did.
-		e.opts.Stats.Add(*stats)
+		e.opts.Stats.Add(*r.stats)
 	}
-	e.names.MergeNames(r.alloc)
+	e.names.MergeNames(&r.alloc)
 	for _, st := range next {
-		e.queue = append(e.queue, &task{seq: e.nextSeq, st: st})
+		e.queue = append(e.queue, task{seq: e.nextSeq, st: st})
 		e.nextSeq++
 	}
+	r.next = next
 	if len(e.paths) > e.opts.MaxPaths {
 		return fmt.Errorf("core: path budget exceeded (%d)", e.opts.MaxPaths)
 	}
@@ -197,7 +209,7 @@ func (e *exploration) stepTask(t *task) error {
 // runInjection builds the symbolic packet: injection code runs in the
 // context of the target element (so local metadata in templates scopes
 // sensibly) before the packet enters the port.
-func (r *run) runInjection(st *State, elem *Element, init sefl.Instr, injProg *prog.Program) []*State {
+func (r *run) runInjection(next []*State, st *State, elem *Element, init sefl.Instr, injProg *prog.Program) []*State {
 	st.Ctx = solver.NewContext(r.stats)
 	st.Ctx.SetCache(r.memo)
 	// Clones inherit the histogram, so every path of the run reports its Sat
@@ -209,7 +221,6 @@ func (r *run) runInjection(st *State, elem *Element, init sefl.Instr, injProg *p
 	} else {
 		states = r.exec(st, elem, init)
 	}
-	var next []*State
 	for _, s := range states {
 		if s.Status == Failed {
 			r.finish(s)

@@ -1,11 +1,88 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"symnet/internal/expr"
+	"symnet/internal/memory"
 	"symnet/internal/sefl"
+	"symnet/internal/solver"
 )
+
+// collected reports whether the finalizer that closes freed runs within a
+// few collections.
+func collected(freed <-chan struct{}) bool {
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
+}
+
+// TestResultDoesNotPinExploration keeps a resident Result from holding its
+// exploration alive. Every path's solver context points at the statistics
+// collector the exploration's tasks count into, so the collector is
+// allocated on its own: as a field of the exploration it would let each
+// finished Path keep the queue, the wave buffer and the run reachable for as
+// long as a report holds the Path.
+func TestResultDoesNotPinExploration(t *testing.T) {
+	net := NewNetwork()
+	a := net.AddElement("A", "branch", 1, 2)
+	a.SetInCode(0, sefl.If{
+		C:    sefl.Eq(sefl.Ref{LV: sefl.TcpDst}, sefl.C(80)),
+		Then: sefl.Forward{Port: 0},
+		Else: sefl.Forward{Port: 1},
+	})
+	sink(net, "B0")
+	sink(net, "B1")
+	net.MustLink("A", 0, "B0", 0)
+	net.MustLink("A", 1, "B1", 0)
+
+	freed := make(chan struct{})
+	res := func() *Result {
+		e, err := newExploration(net, PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(e, func(*exploration) { close(freed) })
+		res, err := e.explore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}()
+	if !collected(freed) {
+		t.Fatal("the exploration is still reachable from its Result")
+	}
+	if res.Stats.Delivered != 2 {
+		t.Fatalf("want 2 delivered paths, got %+v", res.Stats)
+	}
+}
+
+// TestForkBoxDoesNotPinState keeps the State out of the box a fork
+// allocates for its memory and solver headers. A finished Path keeps both
+// headers, so the box lives as long as the Path; with the State inside it,
+// every resident Path would also keep a State it no longer needs.
+func TestForkBoxDoesNotPinState(t *testing.T) {
+	st := &State{Mem: memory.New(), Ctx: solver.NewContext(nil)}
+	freed := make(chan struct{})
+	mem, ctx := func() (*memory.Mem, *solver.Context) {
+		n := st.clone()
+		runtime.SetFinalizer(n, func(*State) { close(freed) })
+		return n.Mem, n.Ctx
+	}()
+	if !collected(freed) {
+		t.Fatal("a forked State is still reachable from its memory and solver headers")
+	}
+	runtime.KeepAlive(mem)
+	runtime.KeepAlive(ctx)
+}
 
 // TestResultAllocFreshAfterRun guards the post-run allocator contract:
 // symbols minted from Result.Alloc for follow-up queries must not collide

@@ -133,12 +133,22 @@ func (st *State) pushTrace(line string) {
 	}
 }
 
+// forkBox is the storage one fork allocates for the two headers it copies.
+// A finished Path keeps both, so one box costs it nothing extra. The State
+// stays outside: it dies when its path finishes, and inside the box it would
+// live on as long as the Path.
+type forkBox struct {
+	mem memory.Mem
+	ctx solver.Context
+}
+
 // clone duplicates the path state: a constant-size header copy, since every
 // component is persistent or copy-on-write.
 func (st *State) clone() *State {
 	n := *st
-	n.Mem = st.Mem.Clone()
-	n.Ctx = st.Ctx.Clone()
+	b := new(forkBox)
+	n.Mem = st.Mem.CloneInto(&b.mem)
+	n.Ctx = st.Ctx.CloneInto(&b.ctx)
 	if st.outPorts != nil {
 		n.outPorts = append([]int(nil), st.outPorts...)
 	}

@@ -30,7 +30,7 @@ const NoSym SymID = -1
 const BandBits = 21
 
 // Alloc hands out fresh symbolic values. The zero value is ready to use and
-// unbounded; NewAllocBand returns an Alloc restricted to one band.
+// unbounded; ResetBand restricts an Alloc to one band.
 type Alloc struct {
 	base  SymID
 	next  SymID
@@ -38,12 +38,15 @@ type Alloc struct {
 	names map[SymID]string
 }
 
-// NewAllocBand returns an allocator confined to the given band. Exhausting a
-// band (2^BandBits symbols from a single exploration step) panics: no
-// realistic SEFL step allocates millions of symbols.
-func NewAllocBand(band int64) *Alloc {
-	base := SymID(band) << BandBits
-	return &Alloc{base: base, next: base, limit: base + (1 << BandBits)}
+// ResetBand empties a and confines it to the given band, so one Alloc can
+// serve every task of an exploration in turn. Exhausting a band (2^BandBits
+// symbols from a single exploration step) panics: no realistic SEFL step
+// allocates millions of symbols.
+func (a *Alloc) ResetBand(band int64) {
+	a.base = SymID(band) << BandBits
+	a.next = a.base
+	a.limit = a.base + (1 << BandBits)
+	clear(a.names)
 }
 
 // Fresh returns a new symbol of the given bit width. The name is only used

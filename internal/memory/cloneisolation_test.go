@@ -196,7 +196,7 @@ func TestMemCloneIsolationRandomized(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			forkA, forkB := m.Clone(), m.Clone()
+			forkA, forkB := m.CloneInto(new(Mem)), m.CloneInto(new(Mem))
 			shadowA, shadowB := s.clone(), s.clone()
 			var wg sync.WaitGroup
 			wg.Add(2)

@@ -125,17 +125,19 @@ func New() *Mem {
 	}
 }
 
-// Clone returns an independent copy in O(1): the persistent stores are
-// shared wholesale and diverge by path copying on the first mutation of
-// either side. Both sides give up the edit token, so neither edits the
-// shared structure in place. Clone writes to the receiver only when it holds
-// a token, so concurrent Clones of a sealed Mem are race-free.
-func (m *Mem) Clone() *Mem {
+// CloneInto makes n an independent copy of m in O(1) and returns n: the
+// persistent stores are shared wholesale and diverge by path copying on the
+// first mutation of either side. Both sides give up the edit token, so
+// neither edits the shared structure in place. CloneInto writes to the
+// receiver only when it holds a token, so concurrent clones of a sealed Mem
+// are race-free. The caller owns n's storage, so a fork can place the copy
+// beside the rest of its path state (core's State.clone does).
+func (m *Mem) CloneInto(n *Mem) *Mem {
 	if m.edit != 0 {
 		m.edit = 0
 	}
-	n := *m
-	return &n
+	*n = *m
+	return n
 }
 
 // Seal makes m read-only in place: its next write, if any, copies what it

@@ -129,7 +129,7 @@ func TestCloneIsolation(t *testing.T) {
 	m.AllocateMeta(MetaKey{Name: "k", Instance: GlobalScope}, 16)
 	m.AssignMeta(MetaKey{Name: "k", Instance: GlobalScope}, lin(9, 16))
 
-	c := m.Clone()
+	c := m.CloneInto(new(Mem))
 	c.AssignHdr(0, 8, lin(2, 8))
 	c.CreateTag("L3", 999)
 	c.AssignMeta(MetaKey{Name: "k", Instance: GlobalScope}, lin(10, 16))

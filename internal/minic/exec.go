@@ -98,7 +98,7 @@ func (st *mstate) clone() *mstate {
 	n := &mstate{
 		vars:   make(map[string]expr.Lin, len(st.vars)),
 		arrays: make(map[string][]expr.Lin, len(st.arrays)),
-		ctx:    st.ctx.Clone(),
+		ctx:    st.ctx.CloneInto(new(solver.Context)),
 		steps:  st.steps,
 	}
 	for k, v := range st.vars {

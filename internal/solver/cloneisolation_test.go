@@ -95,7 +95,7 @@ func TestCloneIsolationRandomized(t *testing.T) {
 					break
 				}
 			}
-			ctxA, ctxB := base.Clone(), base.Clone()
+			ctxA, ctxB := base.CloneInto(new(Context)), base.CloneInto(new(Context))
 			// Branches run concurrently: give each its own stats collector,
 			// as the parallel engine does with SetStats.
 			ctxA.SetStats(nil)
@@ -123,7 +123,7 @@ func TestCloneIsolationRandomized(t *testing.T) {
 					case 1:
 						// Interior fork: keep stepping the clone, exactly
 						// like the engine's If.
-						c = c.Clone()
+						c = c.CloneInto(new(Context))
 					}
 				}
 			}
@@ -167,8 +167,8 @@ func TestCloneIsolationPendingOrs(t *testing.T) {
 	if !base.Add(expr.NewCmp(expr.Le, x, expr.Const(10, 8))) {
 		t.Fatal("prefix refuted")
 	}
-	a := base.Clone()
-	b := base.Clone()
+	a := base.CloneInto(new(Context))
+	b := base.CloneInto(new(Context))
 	// a gets a two-symbol disjunction that stays pending.
 	or := expr.NewOr(
 		expr.NewCmp(expr.Eq, x, y),

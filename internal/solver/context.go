@@ -184,14 +184,16 @@ func (c *Context) Unsat() bool { return c.unsat }
 // diagnostics).
 func (c *Context) PendingOrs() int { return len(c.pending) }
 
-// Clone returns an independent copy in O(1); the stats collector and memo
-// cache stay shared. Clone is a pure read of the receiver (concurrent
-// clones of a frozen context are safe); the clone starts without backing
-// ownership, so its first append to any slice-backed store copies.
-func (c *Context) Clone() *Context {
-	n := *c
+// CloneInto makes n an independent copy of c in O(1) and returns n; the
+// stats collector and memo cache stay shared. It is a pure read of the
+// receiver (concurrent clones of a frozen context are safe); the clone
+// starts without backing ownership, so its first append to any slice-backed
+// store copies. The caller owns n's storage, so a fork can place the copy
+// beside the rest of its path state (core's State.clone does).
+func (c *Context) CloneInto(n *Context) *Context {
+	*n = *c
 	n.owns = 0
-	return &n
+	return n
 }
 
 // appendDiseq appends with copy-on-append semantics (see owns).
@@ -287,14 +289,22 @@ func (c *Context) domainOf(root expr.SymID, width int) *IntervalSet {
 }
 
 // constrainRoot intersects the root's domain with set; flags unsat on empty.
-// A tracked domain the intersection leaves unchanged (Intersect returns it
-// as is) is not written back, so a redundant assertion copies no map spine.
-func (c *Context) constrainRoot(root expr.SymID, width int, set *IntervalSet) {
+// An untracked root's domain is the universe, so it becomes set itself.
+func (c *Context) constrainRoot(root expr.SymID, set *IntervalSet) {
 	old, tracked := c.domains.Get(root)
-	if !tracked {
-		old = Full(width)
+	d := set
+	if tracked {
+		d = old.Intersect(set)
 	}
-	d := old.Intersect(set)
+	c.setDomain(root, old, tracked, d)
+}
+
+// setDomain records d, the root's domain narrowed from old (tracked false:
+// from the universe); flags unsat on empty. A tracked domain the narrowing
+// leaves unchanged (the intersection returns it as is) is not written back,
+// so a redundant assertion copies no map spine; an untracked root is always
+// written.
+func (c *Context) setDomain(root expr.SymID, old *IntervalSet, tracked bool, d *IntervalSet) {
 	if !tracked || d != old {
 		c.domains = c.domains.Set(root, d)
 	}
@@ -382,17 +392,26 @@ func (c *Context) assert(cond expr.Cond, neg bool) {
 		}
 		c.assertCmp(op, v.L, v.R)
 	case expr.Match:
-		if neg {
-			// ¬(x & m == v): complement of the match set; single-symbol, so
-			// it folds into the domain directly.
-			c.assertTermInSet(v.L, FromMask(v.Mask, v.Val, v.L.Width).Complement())
+		// A prefix match is a range, and its negation the rest of the
+		// cycle; single-symbol either way, so it folds into the domain
+		// directly.
+		if lo, hi, ok := prefixArc(v.Mask, v.Val, v.L.Width); ok && !v.L.IsConst() {
+			c.assertArc(v.L, lo, hi, neg)
 			return
 		}
-		c.assertTermInSet(v.L, FromMask(v.Mask, v.Val, v.L.Width))
+		set := FromMask(v.Mask, v.Val, v.L.Width)
+		if neg {
+			set = set.Complement()
+		}
+		c.assertTermInSet(v.L, set)
 	case expr.InSet:
 		// A compiled interval-table guard: the disjuncts' solution sets were
 		// merged once at compile time, so the whole table-wide guard is one
 		// domain intersection here — no per-atom walk, no pending Or.
+		if !neg && !v.L.IsConst() {
+			c.assertInTable(v.L, v.T)
+			return
+		}
 		set := FromSpanTable(v.T)
 		if neg {
 			set = set.Complement()
@@ -414,7 +433,39 @@ func (c *Context) assertTermInSet(l expr.Lin, set *IntervalSet) {
 	root, off := c.find(l.Sym, l.Width)
 	// value(l) = value(root) + off + l.Add must be in set
 	// => value(root) ∈ set shifted by -(off + l.Add).
-	c.constrainRoot(root, l.Width, set.Shift(-(off + l.Add)))
+	c.constrainRoot(root, set.Shift(-(off + l.Add)))
+}
+
+// assertArc constrains the symbolic term l to the arc [lo, hi] of its value
+// cycle, or to the rest of the cycle when out is set: assertTermInSet of
+// that set, with the same domains and map writes, but a tracked root's
+// domain is intersected with the shifted arc's intervals straight from the
+// stack. Only an untracked root allocates, for the set it is given.
+func (c *Context) assertArc(l expr.Lin, lo, hi uint64, out bool) {
+	root, off := c.find(l.Sym, l.Width)
+	k := -(off + l.Add)
+	old, tracked := c.domains.Get(root)
+	if !tracked {
+		c.setDomain(root, nil, false, fromArc(lo, hi, k, out, l.Width))
+		return
+	}
+	var buf [2]Interval
+	c.setDomain(root, old, true, old.intersect(arcIntervals(&buf, lo, hi, k, out, l.Width)))
+}
+
+// assertInTable constrains the symbolic term l to the table t:
+// assertTermInSet of FromSpanTable(t), with the same domains and map writes,
+// but when no offset shifts the table a tracked root's domain is intersected
+// with the table's spans without a set wrapping them. A full domain becomes
+// the table itself, so that case takes the wrapper.
+func (c *Context) assertInTable(l expr.Lin, t *expr.SpanTable) {
+	root, off := c.find(l.Sym, l.Width)
+	k := -(off + l.Add) & expr.Mask(l.Width)
+	if old, tracked := c.domains.Get(root); tracked && k == 0 && !old.IsFull() {
+		c.setDomain(root, old, true, old.intersect(t.Spans()))
+		return
+	}
+	c.constrainRoot(root, FromSpanTable(t).Shift(k))
 }
 
 func (c *Context) assertCmp(op expr.CmpOp, l, r expr.Lin) {
@@ -429,8 +480,8 @@ func (c *Context) assertCmp(op expr.CmpOp, l, r expr.Lin) {
 		c.assertCmp(op.Flip(), r, l)
 	case rConst:
 		// (sym + add) op const  =>  sym ∈ shift(solutions(op, const), -add)
-		set := FromCmp(op, rv, l.Width).Shift(-l.Add)
-		c.assertTermInSet(expr.Lin{Sym: l.Sym, Width: l.Width}, set)
+		lo, hi, out := cmpArc(op, rv, l.Width)
+		c.assertArc(l, lo, hi, out)
 	default:
 		c.assertSymSym(op, l, r)
 	}
@@ -484,7 +535,7 @@ func (c *Context) union(a, b expr.SymID, off uint64, width int) {
 		c.uf = c.uf.Set(b, ufEntry{parent: b, width: width})
 	}
 	// value(a) ∈ domA  =>  value(b) ∈ domA - off.
-	c.constrainRoot(b, width, domA.Shift(-off))
+	c.constrainRoot(b, domA.Shift(-off))
 	c.checkDiseqs()
 }
 
@@ -684,7 +735,7 @@ func (c *Context) solve(wantModel bool, salt uint64) (map[expr.SymID]uint64, boo
 	or := c.pending[0].(expr.Or)
 	for _, choice := range or.Cs {
 		c.stats.Branches++
-		br := c.Clone()
+		br := c.CloneInto(new(Context))
 		br.pending = br.pending[1:]
 		br.assert(choice, false)
 		if br.unsat {

@@ -250,7 +250,7 @@ func TestContextClone(t *testing.T) {
 	c, a := newTestCtx()
 	x := a.Fresh(8, "x")
 	c.Add(expr.NewCmp(expr.Gt, x, expr.Const(10, 8)))
-	c2 := c.Clone()
+	c2 := c.CloneInto(new(Context))
 	c2.Add(expr.NewCmp(expr.Lt, x, expr.Const(5, 8)))
 	if c2.Sat() {
 		t.Fatal("clone with conflicting constraint must be unsat")

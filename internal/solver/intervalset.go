@@ -212,19 +212,28 @@ func (s *IntervalSet) Union(o *IntervalSet) *IntervalSet {
 // from the first interval where it departs from s, so an assertion that
 // changes nothing allocates nothing.
 func (s *IntervalSet) Intersect(o *IntervalSet) *IntervalSet {
-	switch {
-	case s.IsEmpty() || o.IsFull():
-		return s
-	case o.IsEmpty():
-		return Empty(s.Width)
-	case s.IsFull():
+	if s.IsFull() && !o.IsFull() && !o.IsEmpty() {
 		return o
+	}
+	return s.intersect(o.ivs)
+}
+
+// intersect is Intersect with the other operand given as canonical intervals
+// over s's universe, so a caller can intersect with intervals it never
+// wrapped in a set. Where Intersect returns a full s's operand as is,
+// intersect copies the intervals out.
+func (s *IntervalSet) intersect(o []Interval) *IntervalSet {
+	switch {
+	case s.IsEmpty() || (len(o) == 1 && o[0].Lo == 0 && o[0].Hi == expr.Mask(s.Width)):
+		return s
+	case len(o) == 0:
+		return Empty(s.Width)
 	}
 	var out []Interval // nil while the result is s.ivs[:n]
 	n := 0
 	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		a, b := s.ivs[i], o.ivs[j]
+	for i < len(s.ivs) && j < len(o) {
+		a, b := s.ivs[i], o[j]
 		lo := max(a.Lo, b.Lo)
 		hi := min(a.Hi, b.Hi)
 		if lo <= hi {
@@ -353,37 +362,14 @@ func (s *IntervalSet) String() string {
 
 // FromCmp returns the solution set {x : x op c} over a width-bit universe.
 func FromCmp(op expr.CmpOp, c uint64, width int) *IntervalSet {
-	m := expr.Mask(width)
-	if c > m {
-		// Comparisons against out-of-universe constants degenerate.
-		switch op {
-		case expr.Lt, expr.Le, expr.Ne:
-			return Full(width)
-		default:
-			return Empty(width)
-		}
-	}
-	switch op {
-	case expr.Eq:
-		return Singleton(c, width)
-	case expr.Ne:
-		return Singleton(c, width).Complement()
-	case expr.Lt:
-		if c == 0 {
-			return Empty(width)
-		}
-		return FromRange(0, c-1, width)
-	case expr.Le:
-		return FromRange(0, c, width)
-	case expr.Gt:
-		if c == m {
-			return Empty(width)
-		}
-		return FromRange(c+1, m, width)
-	case expr.Ge:
-		return FromRange(c, m, width)
-	}
-	panic("solver: unknown CmpOp")
+	lo, hi, out := cmpArc(op, c, width)
+	return fromArc(lo, hi, 0, out, width)
+}
+
+// fromArc builds the set of the intervals arcIntervals returns.
+func fromArc(lo, hi, k uint64, out bool, width int) *IntervalSet {
+	var buf [2]Interval
+	return &IntervalSet{Width: width, ivs: append([]Interval(nil), arcIntervals(&buf, lo, hi, k, out, width)...)}
 }
 
 // FromMask returns the solution set {x : x & mask == val} over width bits.
@@ -395,19 +381,12 @@ func FromMask(mask, val uint64, width int) *IntervalSet {
 	m := expr.Mask(width)
 	mask &= m
 	val &= mask
-	if mask == 0 {
-		return Full(width)
-	}
-	free := m &^ mask
-	if free == 0 {
-		return Singleton(val, width)
-	}
-	// Prefix mask: free bits are one low contiguous run.
-	lowRun := lowContiguous(free)
-	if free == lowRun {
-		return FromRange(val, val|free, width)
+	if lo, hi, ok := prefixArc(mask, val, width); ok {
+		return FromRange(lo, hi, width)
 	}
 	// General mask: enumerate combinations of free bits above the low run.
+	free := m &^ mask
+	lowRun := lowContiguous(free)
 	highFree := free &^ lowRun
 	n := bits.OnesCount64(highFree)
 	if n > expr.MaxMatchFreeBits {
@@ -431,6 +410,85 @@ func FromMask(mask, val uint64, width int) *IntervalSet {
 		out = append(out, Interval{Lo: v, Hi: v | lowRun})
 	}
 	return normalize(width, out)
+}
+
+// cmpArc returns the solutions of x op c over width bits as an arc of the
+// value cycle: x ∈ [lo, hi], or x ∉ [lo, hi] when out is set, with
+// lo <= hi <= Mask(width); no solution at all is out of the whole
+// universe. FromCmp is the same set, built.
+func cmpArc(op expr.CmpOp, c uint64, width int) (lo, hi uint64, out bool) {
+	m := expr.Mask(width)
+	if c > m {
+		// Comparisons against out-of-universe constants degenerate.
+		switch op {
+		case expr.Lt, expr.Le, expr.Ne:
+			return 0, m, false
+		}
+		return 0, m, true
+	}
+	switch op {
+	case expr.Eq:
+		return c, c, false
+	case expr.Ne:
+		return c, c, true
+	case expr.Lt:
+		if c == 0 {
+			return 0, m, true
+		}
+		return 0, c - 1, false
+	case expr.Le:
+		return 0, c, false
+	case expr.Gt:
+		if c == m {
+			return 0, m, true
+		}
+		return c + 1, m, false
+	case expr.Ge:
+		return c, m, false
+	}
+	panic("solver: unknown CmpOp")
+}
+
+// prefixArc returns the solutions of x & mask == val over width bits as the
+// range [lo, hi] when the mask is a prefix mask (its free bits one low run,
+// or none); ok is false for a sparser mask, whose solutions FromMask
+// enumerates.
+func prefixArc(mask, val uint64, width int) (lo, hi uint64, ok bool) {
+	m := expr.Mask(width)
+	mask &= m
+	val &= mask
+	free := m &^ mask
+	if free != lowContiguous(free) {
+		return 0, 0, false
+	}
+	return val, val | free, true
+}
+
+// arcIntervals writes the canonical intervals of the arc [lo, hi] shifted by
+// k around the width-bit value cycle — or of the rest of the cycle when out
+// is set — into buf, and returns them: none, one interval, or two when the
+// arc wraps past the top. The whole universe is the one arc no shift moves.
+func arcIntervals(buf *[2]Interval, lo, hi, k uint64, out bool, width int) []Interval {
+	m := expr.Mask(width)
+	if lo == 0 && hi == m {
+		if out {
+			return buf[:0]
+		}
+		buf[0] = Interval{Lo: 0, Hi: m}
+		return buf[:1]
+	}
+	lo, hi = (lo+k)&m, (hi+k)&m
+	if out {
+		// The rest of the cycle after a proper arc is the arc between its
+		// ends.
+		lo, hi = (hi+1)&m, (lo-1)&m
+	}
+	if lo <= hi {
+		buf[0] = Interval{Lo: lo, Hi: hi}
+		return buf[:1]
+	}
+	buf[0], buf[1] = Interval{Lo: 0, Hi: hi}, Interval{Lo: lo, Hi: m}
+	return buf[:2]
 }
 
 // lowContiguous returns the maximal run of set bits of v starting at bit 0,

@@ -68,8 +68,8 @@ func TestFindChainClonesIndependent(t *testing.T) {
 			expr.Lin{Sym: expr.SymID(i), Width: w},
 			expr.Lin{Sym: expr.SymID(i + 1), Add: 1, Width: w}))
 	}
-	a := c.Clone()
-	b := c.Clone()
+	a := c.CloneInto(new(Context))
+	b := c.CloneInto(new(Context))
 	// Compress on a only.
 	if r, _ := a.find(0, w); r != expr.SymID(n) {
 		t.Fatalf("clone a root = %d", r)

@@ -118,7 +118,7 @@ func FieldEndToEnd(p *core.Path, h sefl.Hdr) (bool, error) {
 	}
 	// Ask the solver whether first != last is satisfiable under the path
 	// constraints; if not, the values are provably equal end to end.
-	ctx := p.Ctx.Clone()
+	ctx := p.Ctx.CloneInto(new(solver.Context))
 	if !ctx.Add(expr.NewCmp(expr.Ne, first, last)) {
 		return true, nil
 	}
