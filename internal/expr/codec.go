@@ -5,8 +5,8 @@ package expr
 // expressions); shipping programs to distributed workers needs a concrete
 // form for both. Lin is already a flat value type; conditions become tagged
 // WireExprCond nodes. Fingerprints are structural (HashCond is stable across
-// processes), so a decoded condition hashes and memoizes identically to the
-// original.
+// processes), so a decoded condition chains into a solver context's
+// fingerprint exactly as the original does.
 
 import "fmt"
 
@@ -85,26 +85,11 @@ func encodeCondSlice(cs []Cond) ([]*WireExprCond, error) {
 	return out, nil
 }
 
-// DecodeCond rebuilds a condition from its wire form. The result is interned
-// (And/Or/Not trees canonicalize to shared instances), so repeated decodes of
-// the same guard across programs share storage exactly like repeated
-// compiles do.
+// DecodeCond rebuilds a condition from its wire form (nil stays nil).
 func DecodeCond(w *WireExprCond) (Cond, error) {
 	if w == nil {
 		return nil, nil
 	}
-	c, err := decodeCond(w)
-	if err != nil {
-		return nil, err
-	}
-	switch c.(type) {
-	case And, Or, Not:
-		c, _ = Intern(c)
-	}
-	return c, nil
-}
-
-func decodeCond(w *WireExprCond) (Cond, error) {
 	switch w.Kind {
 	case wireBool:
 		return Bool(w.B), nil
@@ -115,7 +100,7 @@ func decodeCond(w *WireExprCond) (Cond, error) {
 	case wireAnd, wireOr:
 		cs := make([]Cond, len(w.Cs))
 		for i, sub := range w.Cs {
-			d, err := decodeCond(sub)
+			d, err := DecodeCond(sub)
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +111,10 @@ func decodeCond(w *WireExprCond) (Cond, error) {
 		}
 		return Or{Cs: cs}, nil
 	case wireNot:
-		sub, err := decodeCond(w.C)
+		if w.C == nil {
+			return nil, fmt.Errorf("expr: wire Not without an operand")
+		}
+		sub, err := DecodeCond(w.C)
 		if err != nil {
 			return nil, err
 		}

@@ -2,12 +2,11 @@ package expr
 
 // Structural fingerprints for the condition algebra. A fingerprint is a
 // 128-bit hash of the syntactic structure of a condition — stable across
-// processes and independent of where the condition was built — so the solver
-// can key memoization tables on "the same constraint" without walking trees,
-// and chained fingerprints identify entire Add sequences (see
-// solver.Context). 128 bits keep accidental collisions out of reach for any
-// realistic query volume, which matters because the satisfiability memo
-// cache trusts fingerprint equality.
+// processes and independent of where the condition was built. solver.Context
+// chains the fingerprint of every condition it is asked to Add, so equal
+// chains identify entire Add sequences. 128 bits keep accidental collisions
+// out of reach for any realistic query volume, which matters because the
+// satisfiability memo cache trusts fingerprint equality.
 
 // Fp is a 128-bit structural fingerprint. The zero value is the fingerprint
 // of the empty sequence.
@@ -35,18 +34,12 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// fpState accumulates two independent 64-bit hash streams, counting the
-// words consumed (a cheap structural-size measure the interner uses to
-// skip retaining very large trees).
-type fpState struct {
-	hi, lo uint64
-	n      int
-}
+// fpState accumulates two independent 64-bit hash streams.
+type fpState struct{ hi, lo uint64 }
 
 func (s *fpState) word(x uint64) {
 	s.hi = (s.hi ^ fmix64(x+0x9e3779b97f4a7c15)) * 0x100000001b3
 	s.lo = (s.lo ^ fmix64(x+0x2545f4914f6cdd1d)) * 0xc6a4a7935bd1e995
-	s.n++
 }
 
 func (s *fpState) lin(l Lin) {
@@ -115,66 +108,7 @@ func (s *fpState) cond(c Cond) {
 
 // HashCond returns the structural fingerprint of a condition.
 func HashCond(c Cond) Fp {
-	fp, _ := hashCondSized(c)
-	return fp
-}
-
-// hashCondSized returns the fingerprint plus the number of hashed words, a
-// proxy for the tree's structural size.
-func hashCondSized(c Cond) (Fp, int) {
 	s := fpState{hi: 0xcbf29ce484222325, lo: 0x84222325cbf29ce4}
 	s.cond(c)
-	return Fp{Hi: fmix64(s.hi), Lo: fmix64(s.lo)}, s.n
-}
-
-// HashLin returns the structural fingerprint of a linear term.
-func HashLin(l Lin) Fp {
-	s := fpState{hi: 0xcbf29ce484222325, lo: 0x84222325cbf29ce4}
-	s.lin(l)
 	return Fp{Hi: fmix64(s.hi), Lo: fmix64(s.lo)}
-}
-
-// EqualCond reports structural equality of two conditions. Interned
-// conditions (see Intern) hit the shared-backing fast path for And/Or, so
-// equality of deep trees is cheap after interning.
-func EqualCond(a, b Cond) bool {
-	switch va := a.(type) {
-	case Bool:
-		vb, ok := b.(Bool)
-		return ok && va == vb
-	case Cmp:
-		vb, ok := b.(Cmp)
-		return ok && va == vb
-	case Match:
-		vb, ok := b.(Match)
-		return ok && va == vb
-	case Not:
-		vb, ok := b.(Not)
-		return ok && EqualCond(va.C, vb.C)
-	case And:
-		vb, ok := b.(And)
-		return ok && equalSlices(va.Cs, vb.Cs)
-	case Or:
-		vb, ok := b.(Or)
-		return ok && equalSlices(va.Cs, vb.Cs)
-	case InSet:
-		vb, ok := b.(InSet)
-		return ok && va.L == vb.L && va.T.Equal(vb.T)
-	}
-	return false
-}
-
-func equalSlices(a, b []Cond) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) > 0 && &a[0] == &b[0] {
-		return true // interned: same backing array
-	}
-	for i := range a {
-		if !EqualCond(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

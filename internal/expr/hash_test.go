@@ -1,9 +1,6 @@
 package expr
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestHashCondStableAndDiscriminating(t *testing.T) {
 	x := Lin{Sym: 1, Width: 32}
@@ -44,68 +41,4 @@ func TestChainOrderDependent(t *testing.T) {
 	if z.Chain(a) == z.Chain(b) {
 		t.Fatal("Chain must discriminate inputs")
 	}
-}
-
-func TestEqualCond(t *testing.T) {
-	x := Lin{Sym: 1, Width: 16}
-	c1 := Or{Cs: []Cond{NewCmp(Eq, x, Const(1, 16)), NewCmp(Eq, x, Const(2, 16))}}
-	c2 := Or{Cs: []Cond{NewCmp(Eq, x, Const(1, 16)), NewCmp(Eq, x, Const(2, 16))}}
-	c3 := Or{Cs: []Cond{NewCmp(Eq, x, Const(1, 16)), NewCmp(Eq, x, Const(3, 16))}}
-	if !EqualCond(c1, c2) {
-		t.Fatal("structurally equal Or trees must compare equal")
-	}
-	if EqualCond(c1, c3) {
-		t.Fatal("different Or trees must not compare equal")
-	}
-	if !EqualCond(Not{C: c1}, Not{C: c2}) || EqualCond(Not{C: c1}, Not{C: c3}) {
-		t.Fatal("Not comparison wrong")
-	}
-}
-
-func TestInternCanonicalizes(t *testing.T) {
-	x := Lin{Sym: 7, Width: 32}
-	mk := func() Cond {
-		return Or{Cs: []Cond{NewCmp(Eq, x, Const(1, 32)), NewCmp(Eq, x, Const(2, 32))}}
-	}
-	var in Interner
-	a, fpA := in.Intern(mk())
-	b, fpB := in.Intern(mk())
-	if fpA != fpB {
-		t.Fatal("equal conditions must get equal fingerprints")
-	}
-	ao, bo := a.(Or), b.(Or)
-	if &ao.Cs[0] != &bo.Cs[0] {
-		t.Fatal("interning must return the canonical instance (shared backing)")
-	}
-	if !EqualCond(a, b) {
-		t.Fatal("EqualCond must hold for interned pair")
-	}
-}
-
-func TestInternConcurrent(t *testing.T) {
-	var in Interner
-	x := Lin{Sym: 3, Width: 32}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c := And{Cs: []Cond{
-					NewCmp(Eq, x, Const(uint64(i%50), 32)),
-					NewCmp(Ne, x, Const(uint64(g%2), 32)),
-				}}
-				got, fp := in.Intern(c)
-				if fp != HashCond(c) {
-					t.Error("fingerprint mismatch")
-					return
-				}
-				if !EqualCond(got, c) {
-					t.Error("interned value not structurally equal")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

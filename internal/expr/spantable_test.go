@@ -1,6 +1,9 @@
 package expr
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func spansEqual(a, b []Span) bool {
 	if len(a) != len(b) {
@@ -106,26 +109,18 @@ func TestNewInSetFolding(t *testing.T) {
 }
 
 // TestInSetHashEqualIntern: the InSet fingerprint is O(1) via the table's
-// cached fingerprint, stable across structurally equal instances, and the
-// interner treats InSet as an atom.
+// cached fingerprint and stable across structurally equal instances.
 func TestInSetHashEqualIntern(t *testing.T) {
 	t1 := NewSpanTable(48, []Span{{Lo: 1, Hi: 1}, {Lo: 9, Hi: 12}})
 	t2 := NewSpanTable(48, []Span{{Lo: 9, Hi: 12}, {Lo: 1, Hi: 1}})
 	a := InSet{L: Lin{Sym: 5, Width: 48}, T: t1}
 	b := InSet{L: Lin{Sym: 5, Width: 48}, T: t2}
-	if HashCond(a) != HashCond(b) || !EqualCond(a, b) {
+	if HashCond(a) != HashCond(b) || !reflect.DeepEqual(a, b) {
 		t.Error("equal InSets must hash and compare equal")
 	}
 	c := InSet{L: Lin{Sym: 6, Width: 48}, T: t1}
 	if HashCond(a) == HashCond(c) {
 		t.Error("different terms must hash differently")
-	}
-	in, fp := Intern(a)
-	if fp != HashCond(a) {
-		t.Error("Intern fingerprint mismatch")
-	}
-	if _, ok := in.(InSet); !ok {
-		t.Error("interned InSet changed type")
 	}
 }
 
@@ -145,7 +140,7 @@ func TestInSetCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !EqualCond(orig, dec) || HashCond(orig) != HashCond(dec) {
+	if !reflect.DeepEqual(orig, dec) || HashCond(orig) != HashCond(dec) {
 		t.Fatalf("decoded InSet differs: %v vs %v", orig, dec)
 	}
 	// Nested inside a Not and an And, through the same codec.
@@ -158,7 +153,11 @@ func TestInSetCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode nested: %v", err)
 	}
-	if !EqualCond(nested, dn) {
+	if !reflect.DeepEqual(nested, dn) || HashCond(nested) != HashCond(dn) {
 		t.Fatalf("nested round trip differs: %v vs %v", nested, dn)
+	}
+	// A Not whose operand gob left out is malformed, not a nil condition.
+	if _, err := DecodeCond(&WireExprCond{Kind: wireNot}); err == nil {
+		t.Fatal("a wire Not without an operand decoded")
 	}
 }

@@ -1,14 +1,13 @@
 // Wire codec for compiled programs. The distributed runner ships each
 // element-port program to worker processes so they execute the exact IR the
 // coordinator compiled instead of recompiling from the AST. Most IR nodes
-// (Op scalars, LV, CExpr, CondInput, Seg) are concrete exported structs and
+// (Op scalars, LV, CExpr, Seg) are concrete exported structs and
 // travel as-is; the three non-concrete pieces are handled explicitly:
 //
 //   - Op.Ins (a sefl.Instr interface, needed for lazy trace lines and
 //     failure messages) crosses as a sefl.WireInstr;
 //   - condition nodes are hash-consed within a program (structurally equal
-//     guards share one *CCond, and with it one evaluation memo), so the
-//     codec flattens the unique nodes into an indexed table — children
+//     guards share one *CCond), so the codec flattens the unique nodes into an indexed table — children
 //     before parents — and ops reference indices, restoring the exact
 //     sharing on decode;
 //   - For ops carry their pattern plus the serialized body reference of the
@@ -90,23 +89,20 @@ type WireOp struct {
 // compiler uses, so the decoded node is byte-identical; like the compiler's
 // it has no children until somebody asks for the Or-tree view.
 type WireCCond struct {
-	Kind       CondKind
-	FP         expr.Fp
-	HasStatic  bool
-	Static     *expr.WireExprCond
-	StaticErr  string
-	Words      int
-	HasSym     bool
-	Memoizable bool
-	Inputs     []CondInput
-	B          bool
-	Op         expr.CmpOp
-	L, R       *CExpr
-	Val, Mask  uint64
-	PLen, PW   int
-	Key        memory.MetaKey
-	Cs         []int32
-	C          int32
+	Kind      CondKind
+	FP        expr.Fp
+	HasStatic bool
+	Static    *expr.WireExprCond
+	StaticErr string
+	HasSym    bool
+	B         bool
+	Op        expr.CmpOp
+	L, R      *CExpr
+	Val, Mask uint64
+	PLen, PW  int
+	Key       memory.MetaKey
+	Cs        []int32
+	C         int32
 	// Interval-table payload (Kind == CIntervalTable).
 	ITF    LV
 	ITRows []uint64
@@ -174,8 +170,7 @@ func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
 	}
 	wc := WireCCond{
 		Kind: c.Kind, FP: c.FP, HasStatic: c.HasStatic, StaticErr: c.StaticErr,
-		Words: c.Words, HasSym: c.HasSym, Memoizable: c.Memoizable,
-		Inputs: c.Inputs, B: c.B, Op: c.Op, L: c.L, R: c.R,
+		HasSym: c.HasSym, B: c.B, Op: c.Op, L: c.L, R: c.R,
 		Val: c.Val, Mask: c.Mask, PLen: c.PLen, PW: c.PW, Key: c.Key,
 		C: -1,
 	}
@@ -213,7 +208,7 @@ func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
 
 // DecodeProgram rebuilds a compiled program from its wire form. The result
 // is immutable and concurrency-safe exactly like a freshly compiled program;
-// evaluation memos and For-body caches start empty and warm up on first use.
+// For-body caches start empty and warm up on first use.
 func DecodeProgram(w *WireProgram) (*Program, error) {
 	if w == nil {
 		return nil, fmt.Errorf("prog: decode: program entry without a program")
@@ -236,8 +231,7 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		wc := &w.CondTab[i]
 		c := &CCond{
 			Kind: wc.Kind, FP: wc.FP, HasStatic: wc.HasStatic, StaticErr: wc.StaticErr,
-			Words: wc.Words, HasSym: wc.HasSym, Memoizable: wc.Memoizable,
-			Inputs: wc.Inputs, B: wc.B, Op: wc.Op, L: wc.L, R: wc.R,
+			HasSym: wc.HasSym, B: wc.B, Op: wc.Op, L: wc.L, R: wc.R,
 			Val: wc.Val, Mask: wc.Mask, PLen: wc.PLen, PW: wc.PW, Key: wc.Key,
 		}
 		if wc.Kind == CIntervalTable {

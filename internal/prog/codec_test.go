@@ -59,8 +59,7 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 }
 
 // TestProgramCodecPreservesCondSharing pins that structurally equal guards,
-// hash-consed to one node at compile time, decode back to one shared node
-// (sharing carries the single-slot evaluation memo).
+// hash-consed to one node at compile time, decode back to one shared node.
 func TestProgramCodecPreservesCondSharing(t *testing.T) {
 	p := Compile(codecProgram(), "e1", 4, "t")
 	var orig []*CCond

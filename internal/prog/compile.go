@@ -343,9 +343,9 @@ func findCond(conds map[expr.Fp][]*CCond, cc *CCond) *CCond {
 	return nil
 }
 
-// finishCond computes a node's derived state — static fold, structural
-// size, memo gating — shared between the compiler and the wire decoder's
-// reconstruction of lowered-guard children.
+// finishCond computes a node's derived state — static fold and fresh-symbol
+// check — shared between the compiler and the wire decoder's reconstruction
+// of lowered-guard children.
 func finishCond(cc *CCond) {
 	if !cc.HasStatic && condStatic(cc) {
 		cond, err := evalCondDynamic(nil, cc)
@@ -356,113 +356,38 @@ func finishCond(cc *CCond) {
 			cc.Static = cond
 		}
 	}
-	cc.Words, cc.HasSym = condSize(cc)
-	cc.Memoizable = !cc.HasStatic && !cc.HasSym && cc.Words >= memoMinWords
-	if cc.Memoizable {
-		seen := make(map[CondInput]bool)
-		collectInputs(cc, seen, &cc.Inputs)
-	}
+	cc.HasSym = condHasSym(cc)
 }
 
-// memoMinWords gates the evaluation memo: small guards rebuild faster than
-// they hash, large ones (table-wide disjunctions) amortize enormously.
-const memoMinWords = 32
-
-// condSize returns the structural node count and whether the condition can
-// allocate fresh symbols.
-func condSize(cc *CCond) (int, bool) {
-	words, sym := 1, false
+// condHasSym reports whether evaluating the condition can allocate fresh
+// symbols. Children are already finished, so composite nodes consult their
+// children's HasSym; a lowered guard compares one field with constants.
+func condHasSym(cc *CCond) bool {
 	switch cc.Kind {
 	case CCmp:
-		w, s := exprSize(cc.L)
-		words += w
-		sym = sym || s
-		w, s = exprSize(cc.R)
-		words += w
-		sym = sym || s
+		return exprHasSym(cc.L) || exprHasSym(cc.R)
 	case CPrefix, CMasked:
-		w, s := exprSize(cc.L)
-		words += w
-		sym = sym || s
+		return exprHasSym(cc.L)
 	case CAnd, COr:
 		for _, sub := range cc.Cs {
-			words += sub.Words
-			sym = sym || sub.HasSym
+			if sub.HasSym {
+				return true
+			}
 		}
-	case CIntervalTable:
-		words = cc.IT.words()
 	case CNot:
-		words += cc.C.Words
-		sym = cc.C.HasSym
+		return cc.C.HasSym
 	}
-	return words, sym
+	return false
 }
 
-func exprSize(e *CExpr) (int, bool) {
+func exprHasSym(e *CExpr) bool {
 	switch e.Kind {
 	case ESym:
-		return 1, true
+		return true
 	case EArith:
-		wa, sa := exprSize(e.A)
-		wb, sb := exprSize(e.B)
-		return 1 + wa + wb, sa || sb
+		return exprHasSym(e.A) || exprHasSym(e.B)
 	}
-	return 1, false
-}
-
-// collectInputs walks a memoizable condition in evaluation order and
-// records each distinct dynamic read once. Static subtrees read nothing.
-func collectInputs(cc *CCond, seen map[CondInput]bool, out *[]CondInput) {
-	if cc.HasStatic {
-		return
-	}
-	add := func(in CondInput) {
-		if !seen[in] {
-			seen[in] = true
-			*out = append(*out, in)
-		}
-	}
-	switch cc.Kind {
-	case CCmp:
-		collectExprInputs(cc.L, seen, out)
-		collectExprInputs(cc.R, seen, out)
-	case CPrefix, CMasked:
-		collectExprInputs(cc.L, seen, out)
-	case CMetaPresent:
-		add(CondInput{Kind: InMetaPresent, Key: cc.Key})
-	case CAnd, COr:
-		for _, sub := range cc.Cs {
-			collectInputs(sub, seen, out)
-		}
-	case CIntervalTable:
-		// What the Or-tree would read: every disjunct its one field.
-		add(CondInput{Kind: InRef, LV: cc.IT.F})
-	case CNot:
-		collectInputs(cc.C, seen, out)
-	}
-}
-
-func collectExprInputs(e *CExpr, seen map[CondInput]bool, out *[]CondInput) {
-	if e.Folded != nil {
-		return
-	}
-	switch e.Kind {
-	case ERef:
-		in := CondInput{Kind: InRef, LV: e.LV}
-		if !seen[in] {
-			seen[in] = true
-			*out = append(*out, in)
-		}
-	case ETagVal:
-		in := CondInput{Kind: InTag, Tag: e.Tag}
-		if !seen[in] {
-			seen[in] = true
-			*out = append(*out, in)
-		}
-	case EArith:
-		collectExprInputs(e.A, seen, out)
-		collectExprInputs(e.B, seen, out)
-	}
+	return false
 }
 
 // condStatic reports whether evaluating the condition is a pure function:

@@ -216,36 +216,3 @@ func TestSpliceAnalysis(t *testing.T) {
 		t.Fatalf("symbol-free block may splice behind a fork:\n%s", p)
 	}
 }
-
-// TestMemoGating: only large, symbol-free, non-static guards get the
-// evaluation memo, and their distinct inputs are collected once.
-func TestMemoGating(t *testing.T) {
-	ref := sefl.Ref{LV: sefl.Hdr{Off: sefl.At(0), Size: 32}}
-	var big []sefl.Cond
-	for i := 0; i < 64; i++ {
-		big = append(big, sefl.Eq(ref, sefl.C(uint64(i))))
-	}
-	p := Compile(sefl.Seq(
-		sefl.Constrain{C: sefl.OrC(big...)},
-		sefl.Constrain{C: sefl.Eq(ref, sefl.C(1))},
-		sefl.Constrain{C: sefl.Eq(sefl.Symbolic{W: 32}, ref)},
-		sefl.Forward{Port: 0},
-	), "e", 0, "t")
-	bigC, smallC, symC := p.Ops[0].C, p.Ops[1].C, p.Ops[2].C
-	if !bigC.Memoizable {
-		t.Fatalf("table-wide guard not memoizable: words=%d", bigC.Words)
-	}
-	if len(bigC.Inputs) != 1 {
-		t.Fatalf("distinct inputs = %d, want 1 (one field read %d times)", len(bigC.Inputs), 64)
-	}
-	if smallC.Memoizable {
-		t.Fatal("small guard should not pay memo overhead")
-	}
-	if symC.HasSym || symC.Memoizable {
-		// The Eq's left side allocates a fresh symbol; HasSym is computed
-		// on the root Cmp node.
-		if symC.Memoizable {
-			t.Fatal("symbol-allocating guard must not be memoized")
-		}
-	}
-}

@@ -143,14 +143,8 @@ func evalArith(env Env, a, b *CExpr, hint int, sub bool) (expr.Lin, error) {
 }
 
 // EvalCond lowers a compiled condition to a solver condition. Conditions
-// evaluated at compile time replay their precomputed value or error; large
-// symbol-free conditions memoize their last evaluation keyed by the exact
-// dynamic inputs (packet reads), so re-asserting a table-wide guard along
-// thousands of paths builds its condition tree once per distinct input
-// vector instead of once per visit. A memo hit returns a condition
-// structurally identical to what a fresh build would produce (evaluation of
-// a symbol-free condition is a pure function of its reads), so results are
-// byte-identical with or without hits.
+// evaluated at compile time replay their precomputed value or error, and a
+// lowered guard is evaluated against its packed span table.
 func EvalCond(env Env, c *CCond) (expr.Cond, error) {
 	if c.HasStatic {
 		if c.StaticErr != "" {
@@ -168,59 +162,7 @@ func EvalCond(env Env, c *CCond) (expr.Cond, error) {
 		// it precedes.
 		itableFallbacks.Add(1)
 	}
-	if c.Memoizable {
-		if key, ok := gatherInputs(env, c); ok {
-			if m := c.memo.Load(); m != nil && m.key == key {
-				if m.err != "" {
-					return nil, errors.New(m.err)
-				}
-				return m.cond, nil
-			}
-			cond, err := evalCondDynamic(env, c)
-			nm := &condMemo{key: key, cond: cond}
-			if err != nil {
-				nm.err = err.Error()
-				nm.cond = nil
-			}
-			c.memo.Store(nm)
-			return cond, err
-		}
-	}
 	return evalCondDynamic(env, c)
-}
-
-// gatherInputs performs the condition's distinct dynamic reads (collected
-// at compile time) and chains their fingerprints into the memo key. It
-// reports false when a read is unavailable (it would error during
-// evaluation): the caller falls back to the uncached path, which reproduces
-// the error in evaluation order. Reads are pure, so reading them here and
-// again on a memo miss is safe.
-func gatherInputs(env Env, c *CCond) (expr.Fp, bool) {
-	f := expr.Fp{Hi: 0x9e3779b97f4a7c15, Lo: 0x517cc1b727220a95}
-	for i := range c.Inputs {
-		in := &c.Inputs[i]
-		switch in.Kind {
-		case InRef:
-			v, err := ReadLV(env, in.LV)
-			if err != nil {
-				return f, false
-			}
-			f = f.Chain(expr.HashLin(v))
-		case InTag:
-			base, ok := env.Tag(in.Tag)
-			if !ok {
-				return f, false
-			}
-			f = f.Chain(expr.Fp{Hi: uint64(base), Lo: uint64(base) ^ 0xa5a5a5a5})
-		case InMetaPresent:
-			if env.MetaExists(in.Key) {
-				f = f.Chain(expr.Fp{Hi: 1, Lo: 1})
-			} else {
-				f = f.Chain(expr.Fp{Hi: 2, Lo: 2})
-			}
-		}
-	}
-	return f, true
 }
 
 // evalCondDynamic evaluates a condition node ignoring its own static

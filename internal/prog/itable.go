@@ -21,7 +21,7 @@ package prog
 //
 // The rows are the guard. The compiler reads them straight off the SEFL Or,
 // before any disjunct is compiled, and everything a condition node carries —
-// fingerprint, size, memo gating, inputs, the span table — is computed from
+// its fingerprint, its fresh-symbol flag, the span table — is computed from
 // them. The Or-tree they stand for is a derived view, not retained state:
 // CCond.children builds it on first use for the readers that want the
 // reference semantics — Env.OrTreeGuards, the fallback evaluation takes when
@@ -182,11 +182,10 @@ func buildITable(it *ITable) {
 
 // --- What a condition node carries, from the rows ---
 
-// A lowered node is fingerprinted, sized and memo-gated as the Or-tree its
-// rows stand for (lowering is a representation change, so guards dedup and
-// memoize identically in either form). fp, words and collectInputs compute
-// that state with the tree's formulas, without the tree; TestRowsMatchTree
-// pins the two equal.
+// A lowered node is fingerprinted as the Or-tree its rows stand for
+// (lowering is a representation change, so guards dedup identically in
+// either form). fp computes that fingerprint with the tree's formulas,
+// without the tree; TestRowsMatchTree pins the two equal.
 
 // fp is fpCond of the Or-tree.
 func (it *ITable) fp() expr.Fp {
@@ -210,20 +209,6 @@ func (it *ITable) fp() expr.Fp {
 		f = f.Chain(row)
 	}
 	return f
-}
-
-// words is condSize of the Or-tree: an equality is three nodes (comparison,
-// reference, literal), a prefix two, a negated prefix three, and every And
-// and the Or itself one more.
-func (it *ITable) words() int {
-	n := 1
-	for i := range it.Rows {
-		n += [...]int{ITEq: 3, ITPrefix: 2}[it.Rows[i].Kind]
-		if k := len(it.Rows[i].Excl); k > 0 {
-			n += 1 + 3*k
-		}
-	}
-	return n
 }
 
 // --- The Or-tree view ---

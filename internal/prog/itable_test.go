@@ -310,7 +310,7 @@ func TestITableCodecRoundTrip(t *testing.T) {
 	}
 	for i := range []int{0, 1} {
 		oc, dc := p.Ops[i].C, q.Ops[i].C
-		if dc.Kind != CIntervalTable || dc.FP != oc.FP || dc.Words != oc.Words || dc.Memoizable != oc.Memoizable {
+		if dc.Kind != CIntervalTable || dc.FP != oc.FP || dc.HasSym != oc.HasSym {
 			t.Fatalf("op %d: node drifted: %+v", i, dc)
 		}
 		if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {

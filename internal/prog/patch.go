@@ -12,7 +12,7 @@ package prog
 // patched program is indistinguishable from a fresh compile of the updated
 // guard: same table fingerprint (the caller built the new table with
 // expr.SpanTable patching, whose canonical form is construction-order
-// independent), same node fingerprint, memo gating and inputs (all computed
+// independent), same node fingerprint and derived state (all computed
 // from the new rows; the Or-tree view of the old rows goes with the old
 // table and the new one is built if and when somebody asks), and the same
 // lazily-rendered source instruction for traces and failure messages.
@@ -99,9 +99,8 @@ func BuildGuardTable(rows []ITRow, w int) *expr.SpanTable {
 // patched (0 when no lowered guard carries spec.OldFp). The program must not
 // be executing concurrently. For each matched node it installs the
 // new rows and table, recomputes from the rows the node fingerprint and
-// derived state (size, memo gating, input set), clears the evaluation memo,
-// and swaps the rendered source instruction on every OpConstrain guarded by
-// the node.
+// derived state, and swaps the rendered source instruction on every
+// OpConstrain guarded by the node.
 func PatchGuard(p *Program, spec PatchSpec) int {
 	patched := make(map[*CCond]bool)
 	forEachCond(p, func(cc *CCond) {
@@ -113,8 +112,6 @@ func PatchGuard(p *Program, spec PatchSpec) int {
 		}
 		cc.IT = &ITable{F: cc.IT.F, W: cc.IT.W, Rows: spec.Rows, Table: spec.Table}
 		cc.FP = fpCond(cc)
-		cc.Inputs = nil
-		cc.memo.Store(nil)
 		finishCond(cc)
 		patched[cc] = true
 	})

@@ -23,10 +23,9 @@
 //   - structurally equal guard conditions are deduplicated via 128-bit
 //     structural fingerprints (expr.Fp), so a guard repeated across a
 //     program compiles to one shared node;
-//   - For-loop patterns are compiled to regexps once, and large symbol-free
-//     guards carry a single-slot evaluation memo keyed by their distinct
-//     packet reads (trace lines and failure messages stay lazy, rendered
-//     only when the AST interpreter would render them).
+//   - For-loop patterns are compiled to regexps once (trace lines and
+//     failure messages stay lazy, rendered only when the AST interpreter
+//     would render them).
 //
 // The compiled program must be observationally identical to the AST
 // interpreter it replaces — same results, same statistics, same trace lines,
@@ -40,7 +39,6 @@ package prog
 import (
 	"regexp"
 	"sync"
-	"sync/atomic"
 
 	"symnet/internal/expr"
 	"symnet/internal/memory"
@@ -180,23 +178,9 @@ type CCond struct {
 	Static    expr.Cond
 	StaticErr string
 
-	// Words is the structural node count, HasSym marks fresh-symbol
-	// allocation anywhere below, and Memoizable gates the single-slot
-	// evaluation memo: large guards without fresh symbols evaluate to a
-	// pure function of their packet reads, so the built condition is cached
-	// keyed by those reads (see EvalCond). The paper's egress-style models
-	// re-assert guards spanning the whole forwarding table at every port
-	// visit; the memo builds them once per distinct input instead.
-	Words      int
-	HasSym     bool
-	Memoizable bool
-	// Inputs is the deduplicated set of dynamic reads evaluation performs
-	// (set only on Memoizable roots, in first-occurrence evaluation order).
-	// A table-wide guard mentions one or two header fields thousands of
-	// times; keying the memo on the distinct reads makes the lookup O(1)
-	// in the guard size.
-	Inputs []CondInput
-	memo   atomic.Pointer[condMemo]
+	// HasSym marks fresh-symbol allocation anywhere below: a summary
+	// treats such a guard as a mint site.
+	HasSym bool
 
 	B         bool       // CBool value
 	Op        expr.CmpOp // CCmp operator
@@ -239,37 +223,6 @@ const (
 	ITEq     = expr.GuardEq
 	ITPrefix = expr.GuardPrefix
 )
-
-// condMemo is one memoized evaluation of a Memoizable condition: the
-// chained fingerprint of every dynamic input (packet reads, tag lookups,
-// metadata presence) plus the condition — or exact error message — that
-// evaluation produced. Entries are immutable; the slot swaps atomically.
-type condMemo struct {
-	key  expr.Fp
-	cond expr.Cond
-	err  string
-}
-
-// InputKind enumerates the dynamic-read kinds a condition evaluation can
-// perform.
-type InputKind uint8
-
-const (
-	// InRef reads an l-value.
-	InRef InputKind = iota
-	// InTag reads a tag's concrete value.
-	InTag
-	// InMetaPresent tests metadata existence.
-	InMetaPresent
-)
-
-// CondInput is one distinct dynamic read of a memoizable condition.
-type CondInput struct {
-	Kind InputKind
-	LV   LV     // InRef
-	Tag  string // InTag
-	Key  memory.MetaKey
-}
 
 // ForOp is the payload of an OpFor: the pattern compiled once, the body
 // constructor, and a concurrency-safe memo of compiled body programs keyed

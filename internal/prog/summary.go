@@ -405,7 +405,7 @@ walk:
 // summarizes: the node slab is the wire form, so decoding is validation —
 // every step range and child index is checked (children before parents also
 // rules out cycles), because the executor indexes with them unchecked. The
-// render cache starts cold and warms on first use, like condition memos.
+// render cache starts cold and warms on first use.
 func DecodeSummary(p *Program, nodes []SumNode, reason string) (*Summary, error) {
 	if len(nodes) == 0 {
 		if reason == "" {

@@ -329,16 +329,14 @@ func (c *Context) Domain(l expr.Lin) *IntervalSet {
 // unsatisfiable. A true return means "not yet refuted": if disjunctions are
 // pending, call Sat for the authoritative answer.
 //
-// The condition is interned (hash-consed) and its structural fingerprint is
-// chained into the context's fingerprint, which keys the satisfiability
-// memo cache.
+// The condition's structural fingerprint is chained into the context's
+// fingerprint, which keys the satisfiability memo cache.
 func (c *Context) Add(cond expr.Cond) bool {
 	if c.unsat {
 		return false
 	}
 	c.stats.Adds++
-	cond, h := expr.Intern(cond)
-	c.fp = c.fp.Chain(h)
+	c.fp = c.fp.Chain(expr.HashCond(cond))
 	c.nAdds++
 	c.assert(cond, false)
 	return !c.unsat

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -250,6 +252,125 @@ func TestIntersectBruteForce(t *testing.T) {
 		}
 		if bitsOf(sa) != a || bitsOf(sb) != b {
 			t.Fatalf("trial %d: Intersect mutated an operand", trial)
+		}
+	}
+}
+
+// setAlgebraMasks returns 6-bit membership masks: the edge shapes (empty,
+// full, every single point, alternating bits, low and high halves) followed
+// by random masks, some of them sparse.
+func setAlgebraMasks(rng *rand.Rand) []uint64 {
+	masks := []uint64{0, ^uint64(0), 0x5555555555555555, 0xaaaaaaaaaaaaaaaa,
+		0x00000000ffffffff, 0xffffffff00000000, 0x8000000000000001}
+	for v := 0; v < 64; v++ {
+		masks = append(masks, 1<<v)
+	}
+	for i := 0; i < 120; i++ {
+		m := rng.Uint64()
+		if i%3 == 0 {
+			m &= rng.Uint64() & rng.Uint64()
+		}
+		masks = append(masks, m)
+	}
+	return masks
+}
+
+// requireCanonical fails unless s is a 6-bit set in canonical form: sorted
+// intervals inside the universe, none overlapping or adjacent.
+func requireCanonical(t *testing.T, what string, s *IntervalSet) {
+	t.Helper()
+	if s.Width != 6 {
+		t.Fatalf("%s: width %d, want 6", what, s.Width)
+	}
+	for i, iv := range s.ivs {
+		if iv.Lo > iv.Hi || iv.Hi > 63 {
+			t.Fatalf("%s: interval %d [%d,%d] invalid in %v", what, i, iv.Lo, iv.Hi, s)
+		}
+		if i > 0 && iv.Lo <= s.ivs[i-1].Hi+1 {
+			t.Fatalf("%s: interval %d overlaps or touches its predecessor in %v", what, i, s)
+		}
+	}
+}
+
+// TestSetAlgebraBruteForce checks the rest of the set algebra against
+// bitwise arithmetic on 6-bit membership masks: every result is the canonical
+// set of the expected mask, every query agrees with the mask, and no
+// operation touches its operands' intervals.
+func TestSetAlgebraBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	masks := setAlgebraMasks(rng)
+	check := func(what string, got *IntervalSet, want uint64) {
+		t.Helper()
+		requireCanonical(t, what, got)
+		if bitsOf(got) != want || !got.Equal(fromBits(want)) {
+			t.Fatalf("%s = %v, want %v", what, got, fromBits(want))
+		}
+	}
+	for _, a := range masks {
+		sa := fromBits(a)
+		before := slices.Clone(sa.ivs)
+		requireCanonical(t, "fromBits", sa)
+
+		check("Complement", sa.Complement(), ^a)
+		if got := sa.Size(); got != uint64(bits.OnesCount64(a)) {
+			t.Fatalf("%v.Size() = %d, want %d", sa, got, bits.OnesCount64(a))
+		}
+		lo, okLo := sa.Min()
+		hi, okHi := sa.Max()
+		if okLo != (a != 0) || okHi != (a != 0) {
+			t.Fatalf("%v: Min/Max ok = %v/%v on mask %#x", sa, okLo, okHi, a)
+		}
+		if a != 0 && (lo != uint64(bits.TrailingZeros64(a)) || hi != uint64(63-bits.LeadingZeros64(a))) {
+			t.Fatalf("%v: Min/Max = %d/%d", sa, lo, hi)
+		}
+		for v := uint64(0); v < 64; v++ {
+			if sa.Contains(v) != (a>>v&1 == 1) {
+				t.Fatalf("%v.Contains(%d) wrong", sa, v)
+			}
+			check("Remove", sa.Remove(v), a&^(1<<v))
+		}
+		for _, k := range []uint64{1, 5, 31, 63, 64, 65, rng.Uint64()} {
+			check("Shift", sa.Shift(k), bits.RotateLeft64(a, int(k%64)))
+		}
+
+		// A second operand: a subset, superset, disjoint set, equal set,
+		// edge shape or unrelated set of the first.
+		for _, b := range []uint64{a & rng.Uint64(), a | rng.Uint64(), ^a & rng.Uint64(), a, masks[rng.Intn(len(masks))], rng.Uint64()} {
+			sb := fromBits(b)
+			beforeB := slices.Clone(sb.ivs)
+			check("Union", sa.Union(sb), a|b)
+			check("Subtract", sa.Subtract(sb), a&^b)
+			if sa.SubsetOf(sb) != (a&^b == 0) {
+				t.Fatalf("%v ⊆ %v = %v", sa, sb, sa.SubsetOf(sb))
+			}
+			if sa.Equal(sb) != (a == b) {
+				t.Fatalf("%v == %v = %v", sa, sb, sa.Equal(sb))
+			}
+			if !slices.Equal(sb.ivs, beforeB) {
+				t.Fatalf("an operation mutated its operand %v", sb)
+			}
+		}
+
+		// UnionAll over one to four sets, the first of them sa.
+		sets := []*IntervalSet{sa}
+		want := a
+		for n := 1 + rng.Intn(4); len(sets) < n; {
+			m := masks[rng.Intn(len(masks))]
+			sets = append(sets, fromBits(m))
+			want |= m
+		}
+		snap := make([][]Interval, len(sets))
+		for j, s := range sets {
+			snap[j] = slices.Clone(s.ivs)
+		}
+		check("UnionAll", UnionAll(6, sets), want)
+		for j, s := range sets {
+			if !slices.Equal(s.ivs, snap[j]) {
+				t.Fatalf("UnionAll mutated operand %d", j)
+			}
+		}
+		if !slices.Equal(sa.ivs, before) {
+			t.Fatalf("an operation mutated its receiver %v", sa)
 		}
 	}
 }

@@ -77,8 +77,7 @@ func addViaSets(c *Context, cond expr.Cond) bool {
 		return false
 	}
 	c.stats.Adds++
-	cond, h := expr.Intern(cond)
-	c.fp = c.fp.Chain(h)
+	c.fp = c.fp.Chain(expr.HashCond(cond))
 	c.nAdds++
 	assertViaSets(c, cond, false)
 	return !c.unsat
