@@ -10,16 +10,19 @@ import (
 	"symnet/internal/tables"
 )
 
-// coldAllocsPerRoute is the committed budget of TestColdCompileAllocBudget:
-// 1.25 times the 2.80 allocations per route measured when the cold path
-// became a sweep (it was 19.98 before). Most of what is left is the SEFL
-// Or the router model still writes: one object per route, two per exclusion.
-const coldAllocsPerRoute = 3.5
+// coldAllocBudget is the committed budget of TestColdCompileAllocBudget. The
+// 20,000-route model and Compile made 2.79 allocations per route (55,800)
+// while the router wrote its port guards as SEFL Or-trees — one object per
+// route, two per exclusion — and the compiler parsed them back into rows;
+// 557 once the model wrote tables and the compiler lowered their rows
+// as they are. What is left is per port and per program, not per route.
+const coldAllocBudget = 1000
 
-// TestColdCompileAllocBudget keeps the cold path linear without reading a
-// clock: modelling a 20,000-route egress router and compiling it must stay
-// under a fixed number of allocations per route. Anything that goes back to
-// a set, a map entry or a condition node per exclusion shows here.
+// TestColdCompileAllocBudget keeps the cold path flat in the number of routes
+// without reading a clock: modelling a 20,000-route egress router and
+// compiling it must stay under a fixed number of allocations. Anything that
+// goes back to an object per route — a tree node, a set, a map entry, a
+// condition node — shows here.
 func TestColdCompileAllocBudget(t *testing.T) {
 	const routes = 20000
 	fib := datasets.CoreFIB(routes, 16, 1)
@@ -32,10 +35,9 @@ func TestColdCompileAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	perRoute := avg / routes
-	t.Logf("cold model + Compile: %.0f allocations for %d routes, %.2f per route (budget %.2f)", avg, routes, perRoute, coldAllocsPerRoute)
-	if perRoute > coldAllocsPerRoute {
-		t.Fatalf("%.2f allocations per route, budget %.2f", perRoute, coldAllocsPerRoute)
+	t.Logf("cold model + Compile: %.0f allocations for %d routes (budget %d)", avg, routes, coldAllocBudget)
+	if avg > coldAllocBudget {
+		t.Fatalf("%.0f allocations, budget %d", avg, coldAllocBudget)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/models"
-	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
 
@@ -294,9 +293,7 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			if equalCompiled(oldPer[p], newPer[p]) {
 				continue
 			}
-			rows := routeRows(newPer[p])
-			guard := models.RouterEgressGuard(newPer[p])
-			action := s.reconcilePort(e, p, rows, 32, es.win.lo, es.win.hi, guard)
+			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.RouterEgressGuard(newPer[p]))
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}
@@ -332,9 +329,7 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 			if slices.Equal(oldBy[p], newBy[p]) {
 				continue
 			}
-			rows := macRows(newBy[p])
-			guard := models.SwitchEgressGuard(newBy[p])
-			action := s.reconcilePort(e, p, rows, sefl.MACWidth, es.win.lo, es.win.hi, guard)
+			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.SwitchEgressGuard(newBy[p]))
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}

@@ -230,11 +230,12 @@ func (s *Service) Apply(d Delta) (*BatchResult, error) {
 	return st.Commit()
 }
 
-// reconcilePort installs a changed port guard by the cheapest sound means:
-// patch the resident compiled program's span table inside the delta's
-// address window when the guard is lowered and stays lowerable, otherwise
-// fall back to recompilation.
-func (s *Service) reconcilePort(e *core.Element, port int, rows []prog.ITRow, w int, lo, hi uint64, guard sefl.Instr) Action {
+// reconcilePort installs a changed port guard — the Constrain of a table
+// the models rebuilt — by the cheapest sound means: patch the resident
+// compiled program's span table inside the delta's address window with the
+// table's rows when the guard is lowered and stays lowerable, otherwise fall
+// back to recompilation.
+func (s *Service) reconcilePort(e *core.Element, port int, lo, hi uint64, guard sefl.Constrain) Action {
 	cp, ok := e.CachedProgram(port, true)
 	if !ok {
 		// Never compiled (or already invalidated): the next run compiles the
@@ -244,6 +245,8 @@ func (s *Service) reconcilePort(e *core.Element, port int, rows []prog.ITRow, w 
 		return ActionRecompiled
 	}
 	its := prog.GuardTables(cp)
+	table, _ := guard.C.(sefl.Table)
+	rows, w := table.Rows, table.F.Size
 	// The patch tier needs the fresh compile's shape to be one lowered
 	// table: expr.TableSized is the compiler's lowering gate.
 	if len(its) == 1 && its[0].Table != nil && its[0].W == w && expr.TableSized(rows) {
@@ -365,29 +368,6 @@ func (s *Service) indexSource(i int, jr *dist.JobResult) {
 			es[i] = true
 		}
 	}
-}
-
-// routeRows converts compiled routes (CompileLPM order) to guard rows, the
-// shape a fresh compile of the egress guard lowers.
-func routeRows(rs []tables.CompiledRoute) []prog.ITRow {
-	rows := make([]prog.ITRow, len(rs))
-	for i, r := range rs {
-		row := prog.ITRow{Kind: prog.ITPrefix, V: r.Prefix, Len: r.Len}
-		for _, ex := range r.Exclusions {
-			row.Excl = append(row.Excl, prog.ITExcl{V: ex.Prefix, Len: ex.Len})
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
-// macRows converts a port's sorted MAC list to guard rows.
-func macRows(macs []uint64) []prog.ITRow {
-	rows := make([]prog.ITRow, len(macs))
-	for i, m := range macs {
-		rows[i] = prog.ITRow{Kind: prog.ITEq, V: m}
-	}
-	return rows
 }
 
 // rowSpread returns the host-bits mask of a row's base match (its reach

@@ -213,6 +213,8 @@ func (r *run) evalCond(st *State, elem *Element, c sefl.Cond) (expr.Cond, error)
 			out = append(out, lc)
 		}
 		return expr.NewOr(out...), nil
+	case sefl.Table:
+		return r.evalCond(st, elem, v.Or())
 	case sefl.CNot:
 		lc, err := r.evalCond(st, elem, v.C)
 		if err != nil {

@@ -68,10 +68,9 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v8: the handshake carries the version alone — no
-// run ID, no retained generation — because a worker keeps nothing across
-// connections).
-const protoVersion = 8
+// frame may carry bumps it (v9: a table guard's wire node decodes to a
+// sefl.Table, not to the Or-tree a v8 peer rebuilds from it).
+const protoVersion = 9
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.

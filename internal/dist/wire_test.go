@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/expr"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
@@ -152,8 +153,9 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 	// Every older coordinator is refused by version, up front, not as an
 	// unknown first frame or mid-batch: the hello has kept its kind number,
 	// while v4 numbers the kinds after result differently, v5 cannot read a
-	// summary slab's For nodes, v6 expects full Summaries in results and v7
-	// expects a reconnect to find the network it installed before.
+	// summary slab's For nodes, v6 expects full Summaries in results, v7
+	// expects a reconnect to find the network it installed before and v8
+	// ships table guards for the worker to rebuild as Or-trees.
 	for v := 3; v < protoVersion; v++ {
 		cases = append(cases, streamCase{
 			name:   fmt.Sprintf("v%d coordinator", v),
@@ -276,6 +278,21 @@ func batchErrorCases(t testing.TB) []streamCase {
 				op.Kind, op.Then, op.Else = prog.OpIf, w.Entry, w.Entry
 			})},
 			want: "decoding setup: prog: decode SW.in[0]: op 0 in segment 0 enters segment 0; want an earlier one",
+		},
+		{
+			// The compiler trusts a table's rows, so the decoder refuses a
+			// row no model writes.
+			name: "setup with a malformed table",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
+				ins, err := sefl.EncodeInstr(sefl.Constrain{C: sefl.Table{F: sefl.EtherDst, Rows: []expr.GuardRow{
+					{Kind: expr.GuardEq, V: 0xaa}, {Kind: expr.GuardPrefix, Len: 49},
+				}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Programs[0].Prog.Ops[0].Ins = ins
+			})},
+			want: "decoding setup: prog: decode SW.in[0] op 0: sefl: table row 1: prefix length 49 outside the 48-bit field",
 		},
 		{
 			name:   "reuse without retained state",

@@ -1,10 +1,9 @@
 package expr
 
-// Packed guard rows: the shared wire grammar for table-shaped disjunctions.
-// Both the SEFL codec (internal/sefl, packing Or-trees in shipped ASTs) and
-// the IR codec (internal/prog, packing lowered CIntervalTable nodes)
-// describe each disjunct of an egress-style guard as one GuardRow and ship
-// the list as a flat word stream; keeping the grammar here means it exists
+// Packed guard rows: the shared vocabulary of table guards. A sefl.Table
+// holds its rows as GuardRows, the compiled CIntervalTable node
+// (internal/prog) aliases them, and both the SEFL codec and the IR codec
+// ship them as a flat word stream; keeping the grammar here means it exists
 // — and is bounds-checked — exactly once. Stream grammar, per row:
 //
 //	GuardEq without exclusions:     0 V
@@ -39,9 +38,9 @@ type GuardExcl struct {
 }
 
 // TableSized reports whether a guard with these rows is worth a table: the
-// one gate the compiler (lowering to a span table), the SEFL wire (packing
-// the Or) and churn (patching a lowered guard in place) all apply, so they
-// agree on which guards are tables. It counts atoms — rows plus exclusions —
+// one gate the compiler (lowering to a span table) and churn (patching a
+// lowered guard in place) both apply, so they agree on which guards are
+// tables. It counts atoms — rows plus exclusions —
 // not rows: a lone default route excluding hundreds of more-specifics is as
 // table-wide as hundreds of routes, while below four atoms the tree form is
 // just as small and as cheap to assert.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"symnet/internal/core"
+	"symnet/internal/expr"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -27,6 +28,8 @@ func GroupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
 // Egress: fork to all used ports, with each output port constraining the
 // disjunction of its routes (optimal branching AND minimal constraints —
 // Table 2's winner).
+//
+// Ingress and Egress write each port's disjunction as a sefl.Table on IPDst.
 func Router(e *core.Element, fib tables.FIB, style Style) error {
 	if len(fib) == 0 {
 		return fmt.Errorf("models: router %s: empty FIB", e.Name)
@@ -35,10 +38,10 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 	if max := ports[len(ports)-1]; max >= e.NumOut {
 		return fmt.Errorf("models: router %s: FIB uses port %d but element has %d output ports", e.Name, max, e.NumOut)
 	}
-	dst := sefl.Ref{LV: sefl.IPDst}
 	compiled := tables.CompileLPM(fib)
 	switch style {
 	case Basic:
+		dst := sefl.Ref{LV: sefl.IPDst}
 		// compiled is sorted most-specific-first; ordered Ifs implement LPM
 		// without exclusion constraints, at the cost of per-prefix branching.
 		code := sefl.Instr(sefl.Fail{Msg: "no route"})
@@ -57,7 +60,7 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 		for i := len(ports) - 1; i >= 0; i-- {
 			p := ports[i]
 			code = sefl.If{
-				C:    routeDisjunction(dst, perPort[p]),
+				C:    routeTable(perPort[p]),
 				Then: sefl.Forward{Port: p},
 				Else: code,
 			}
@@ -67,7 +70,7 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 		perPort := groupRoutes(compiled)
 		e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
 		for _, p := range ports {
-			e.SetOutCode(p, sefl.Constrain{C: routeDisjunction(dst, perPort[p])})
+			e.SetOutCode(p, sefl.Constrain{C: routeTable(perPort[p])})
 		}
 	default:
 		return fmt.Errorf("models: unknown router style %v", style)
@@ -79,8 +82,8 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 // router style installs for one port's compiled routes — exported so an
 // incremental updater can rebuild a single port's guard after a FIB delta
 // without re-running the whole model construction.
-func RouterEgressGuard(rs []tables.CompiledRoute) sefl.Instr {
-	return sefl.Constrain{C: routeDisjunction(sefl.Ref{LV: sefl.IPDst}, rs)}
+func RouterEgressGuard(rs []tables.CompiledRoute) sefl.Constrain {
+	return sefl.Constrain{C: routeTable(rs)}
 }
 
 // groupRoutes splits compiled routes by output port, preserving the
@@ -105,34 +108,26 @@ func groupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
 	return out
 }
 
-// routeDisjunction builds OR over "prefix & !exclusion1 & !exclusion2 ..."
-// for a port's routes. The conjunctions are slices of one array. Only a lone
-// route without exclusions is returned bare: a port carrying just the
-// default route still excludes every more-specific prefix, and as a
-// one-row Or it lowers to a span table like any other port guard.
-func routeDisjunction(dst sefl.Expr, rs []tables.CompiledRoute) sefl.Cond {
-	terms := 0
+// routeTable is one port's routes as a table on IPDst: a prefix row per
+// route, in CompileLPM order, minus its exclusions. The rows are one array
+// and so are the exclusions.
+func routeTable(rs []tables.CompiledRoute) sefl.Table {
+	n := 0
 	for i := range rs {
-		if k := len(rs[i].Exclusions); k > 0 {
-			terms += k + 1
-		}
+		n += len(rs[i].Exclusions)
 	}
-	all := make([]sefl.Cond, 0, terms)
-	cs := make([]sefl.Cond, len(rs))
+	excl := make([]expr.GuardExcl, 0, n)
+	rows := make([]expr.GuardRow, len(rs))
 	for i, r := range rs {
-		match := sefl.Cond(sefl.Prefix{E: dst, Value: r.Prefix, Len: r.Len})
-		if len(r.Exclusions) > 0 {
-			from := len(all)
-			all = append(all, match)
-			for _, ex := range r.Exclusions {
-				all = append(all, sefl.NotC(sefl.Prefix{E: dst, Value: ex.Prefix, Len: ex.Len}))
-			}
-			match = sefl.AndC(all[from:len(all):len(all)]...)
+		rows[i] = expr.GuardRow{Kind: expr.GuardPrefix, V: r.Prefix, Len: r.Len}
+		if len(r.Exclusions) == 0 {
+			continue
 		}
-		cs[i] = match
+		from := len(excl)
+		for _, ex := range r.Exclusions {
+			excl = append(excl, expr.GuardExcl{V: ex.Prefix, Len: ex.Len})
+		}
+		rows[i].Excl = excl[from:len(excl):len(excl)]
 	}
-	if len(rs) == 1 && len(rs[0].Exclusions) == 0 {
-		return cs[0]
-	}
-	return sefl.OrC(cs...)
+	return sefl.Table{F: sefl.IPDst, Rows: rows}
 }

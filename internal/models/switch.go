@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"symnet/internal/core"
+	"symnet/internal/expr"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -53,9 +54,9 @@ func Switch(e *core.Element, t tables.MACTable, style Style) error {
 	if max := ports[len(ports)-1]; max >= e.NumOut {
 		return fmt.Errorf("models: switch %s: table uses port %d but element has %d output ports", e.Name, max, e.NumOut)
 	}
-	ref := sefl.Ref{LV: sefl.EtherDst}
 	switch style {
 	case Basic:
+		ref := sefl.Ref{LV: sefl.EtherDst}
 		// One If per table entry, most recently learned first is irrelevant
 		// for MAC tables (no overlap), so keep table order.
 		code := sefl.Instr(sefl.Fail{Msg: "Mac unknown"})
@@ -72,7 +73,7 @@ func Switch(e *core.Element, t tables.MACTable, style Style) error {
 		for i := len(ports) - 1; i >= 0; i-- {
 			p := ports[i]
 			code = sefl.If{
-				C:    macDisjunction(ref, byPort[p]),
+				C:    macTable(byPort[p]),
 				Then: sefl.Forward{Port: p},
 				Else: code,
 			}
@@ -81,7 +82,7 @@ func Switch(e *core.Element, t tables.MACTable, style Style) error {
 	case Egress:
 		e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
 		for _, p := range ports {
-			e.SetOutCode(p, sefl.Constrain{C: macDisjunction(ref, byPort[p])})
+			e.SetOutCode(p, sefl.Constrain{C: macTable(byPort[p])})
 		}
 	default:
 		return fmt.Errorf("models: unknown switch style %v", style)
@@ -93,17 +94,16 @@ func Switch(e *core.Element, t tables.MACTable, style Style) error {
 // switch style installs for one port's sorted MAC list — exported so an
 // incremental updater can rebuild a single port's guard after a MAC-table
 // delta without re-running the whole model construction.
-func SwitchEgressGuard(macs []uint64) sefl.Instr {
-	return sefl.Constrain{C: macDisjunction(sefl.Ref{LV: sefl.EtherDst}, macs)}
+func SwitchEgressGuard(macs []uint64) sefl.Constrain {
+	return sefl.Constrain{C: macTable(macs)}
 }
 
-func macDisjunction(ref sefl.Expr, macs []uint64) sefl.Cond {
-	cs := make([]sefl.Cond, len(macs))
+// macTable is one port's sorted MACs as a table on EtherDst, an equality
+// row each.
+func macTable(macs []uint64) sefl.Table {
+	rows := make([]expr.GuardRow, len(macs))
 	for i, m := range macs {
-		cs[i] = sefl.Eq(ref, sefl.CW(m, sefl.MACWidth))
+		rows[i] = expr.GuardRow{Kind: expr.GuardEq, V: m}
 	}
-	if len(cs) == 1 {
-		return cs[0]
-	}
-	return sefl.OrC(cs...)
+	return sefl.Table{F: sefl.EtherDst, Rows: rows}
 }

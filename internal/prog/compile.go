@@ -294,14 +294,16 @@ func (c *compiler) compileCond(sc sefl.Cond) *CCond {
 			cs[i] = c.compileCond(sub)
 		}
 		cc = &CCond{Kind: CAnd, Cs: cs}
-	case sefl.COr:
-		// Egress-shaped disjunctions lower to interval tables straight from
-		// the AST: none of their disjuncts is compiled.
-		if it := detectIntervalTable(v.Cs); it != nil {
-			cc = &CCond{Kind: CIntervalTable, IT: it}
-			itableLowered.Add(1)
-			break
+	case sefl.Table:
+		// A table guard lowers straight from its rows, which the node
+		// aliases; one that is malformed or too small to be worth a span
+		// table (expr.TableSized) compiles as the Or-tree it stands for.
+		if v.Check() != nil || !expr.TableSized(v.Rows) {
+			return c.compileCond(v.Or())
 		}
+		cc = &CCond{Kind: CIntervalTable, IT: &ITable{F: hdrLV(v.F), W: v.F.Size, Rows: v.Rows}}
+		itableLowered.Add(1)
+	case sefl.COr:
 		cs := make([]*CCond, len(v.Cs))
 		for i, sub := range v.Cs {
 			cs[i] = c.compileCond(sub)

@@ -7,7 +7,7 @@ package prog_test
 // Symbolic allocations after forks (global allocation order), nested blocks
 // behind Ifs (splice analysis), dead code behind terminators, error paths
 // (unset tags, unallocated reads, unsatisfiable constraints), For loops,
-// and tracing.
+// table guards (lowered, too small, malformed), and tracing.
 
 import (
 	"crypto/sha256"
@@ -21,6 +21,7 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
+	"symnet/internal/expr"
 	"symnet/internal/sefl"
 )
 
@@ -151,7 +152,9 @@ func (g *gen) expr(depth int) sefl.Expr {
 
 func (g *gen) cond(depth int) sefl.Cond {
 	if depth <= 0 || g.intn(4) == 0 {
-		switch g.intn(5) {
+		switch g.intn(6) {
+		case 5:
+			return g.table()
 		case 0:
 			ops := []func(l, r sefl.Expr) sefl.Cond{sefl.Eq, sefl.Ne, sefl.Lt, sefl.Le, sefl.Gt, sefl.Ge}
 			return ops[g.intn(len(ops))](g.expr(1), g.expr(1))
@@ -173,6 +176,27 @@ func (g *gen) cond(depth int) sefl.Cond {
 	default:
 		return sefl.NotC(g.cond(depth - 1))
 	}
+}
+
+// table draws a table guard on one header field: equality or prefix rows
+// with up to two exclusions, sometimes too small to lower and now and then
+// malformed (a prefix one bit longer than the field), which compiles as its
+// Or-tree.
+func (g *gen) table() sefl.Table {
+	f := g.hdrs[g.intn(len(g.hdrs))]
+	high := func() uint64 { return uint64(g.intn(256)) << (f.Size - 8) }
+	t := sefl.Table{F: f}
+	for n := 1 + g.intn(6); n > 0; n-- {
+		r := expr.GuardRow{Kind: expr.GuardEq, V: uint64(g.intn(200))}
+		if g.intn(2) == 0 {
+			r = expr.GuardRow{Kind: expr.GuardPrefix, V: high(), Len: g.intn(f.Size + 2)}
+		}
+		for k := g.intn(3); k > 0; k-- {
+			r.Excl = append(r.Excl, expr.GuardExcl{V: high(), Len: 8 + g.intn(f.Size-7)})
+		}
+		t.Rows = append(t.Rows, r)
+	}
+	return t
 }
 
 func (g *gen) instr(depth int, numOut int) sefl.Instr {

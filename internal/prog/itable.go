@@ -1,27 +1,19 @@
 package prog
 
-// Interval-table lowering of egress-style guards.
+// Interval-table lowering of table guards.
 //
 // The egress switch/router models of the paper re-assert, at every output
-// port, a disjunction spanning the whole forwarding table: "EtherDst == MAC1
-// | MAC2 | ..." or "IPDst in P1 | (P2 & !more-specific) | ...". The solver
-// already compresses such an Or into one interval-set union per assertion,
-// but it does that work — atom walk, set construction, k-way merge,
-// structural hashing — on every path visit, and the serialized Or-tree
-// dominates the distributed setup frame. Lowering detects the shape once at
-// compile time and attaches the merged span table to the condition node, so
-// each visit costs one field read plus one packed-set assertion
-// (expr.InSet), and the wire carries packed ranges instead of a tree.
+// port, a guard spanning the whole forwarding table: "EtherDst == MAC1 |
+// MAC2 | ..." or "IPDst in P1 | (P2 & !more-specific) | ...". The models
+// write it as a sefl.Table, one row per entry, and the compiler lowers a
+// well-formed table worth one (expr.TableSized) to a CIntervalTable node
+// holding those rows plus their merged span table, so each visit costs one
+// field read plus one packed-set assertion (expr.InSet) instead of an
+// Or-tree the solver compresses to the same set on every visit. A
+// hand-written Or stays an Or-tree: nothing parses trees back into rows.
 //
-// Detection is deliberately conservative: every disjunct must be an
-// equality/prefix constraint on one shared header field, optionally with
-// prefix exclusions (the LPM compilation shape), with constant widths equal
-// to the field's declared size. Anything else — a disjunct over two fields
-// included — keeps the Or-tree, whose semantics are unchanged.
-//
-// The rows are the guard. The compiler reads them straight off the SEFL Or,
-// before any disjunct is compiled, and everything a condition node carries —
-// its fingerprint, its fresh-symbol flag, the span table — is computed from
+// The rows are the guard. Everything a condition node carries — its
+// fingerprint, its fresh-symbol flag, the span table — is computed from
 // them. The Or-tree they stand for is a derived view, not retained state:
 // CCond.children builds it on first use for the readers that want the
 // reference semantics — Env.OrTreeGuards, the fallback evaluation takes when
@@ -35,90 +27,7 @@ import (
 	"slices"
 
 	"symnet/internal/expr"
-	"symnet/internal/sefl"
 )
-
-// --- Detection ---
-
-// seflField accepts an expression as a table field: a direct read of a
-// header l-value with a usable declared width.
-func seflField(e sefl.Expr) (LV, bool) {
-	r, _ := e.(sefl.Ref)
-	h, ok := r.LV.(sefl.Hdr)
-	return hdrLV(h), ok && h.Size >= 1 && h.Size <= 64
-}
-
-// itEqAtom matches Eq(field, constant of the field's declared width), so
-// runtime width coercion can never fire on it.
-func itEqAtom(c sefl.Cond) (LV, uint64, bool) {
-	eq, _ := c.(sefl.Cmp)
-	f, ok := seflField(eq.L)
-	n, isNum := eq.R.(sefl.Num)
-	return f, n.V, ok && isNum && eq.Op == expr.Eq && n.W == f.Size
-}
-
-// itPrefixAtom matches Prefix(field, V/Len) evaluated at the field's width.
-func itPrefixAtom(c sefl.Cond) (LV, uint64, int, bool) {
-	p, _ := c.(sefl.Prefix)
-	f, ok := seflField(p.E)
-	return f, p.Value, p.Len, ok && cmp.Or(p.Width, 32) == f.Size
-}
-
-// itHead matches an equality or prefix atom as the head of a row.
-func itHead(c sefl.Cond) (ITRow, LV, bool) {
-	if f, v, ok := itEqAtom(c); ok {
-		return ITRow{Kind: ITEq, V: v}, f, true
-	}
-	f, v, plen, ok := itPrefixAtom(c)
-	return ITRow{Kind: ITPrefix, V: v, Len: plen}, f, ok
-}
-
-// itParseRow classifies one disjunct, returning its row plus the field it
-// constrains.
-func itParseRow(c sefl.Cond) (ITRow, LV, bool) {
-	if row, f, ok := itHead(c); ok {
-		return row, f, true
-	}
-	and, _ := c.(sefl.CAnd)
-	if len(and.Cs) < 2 {
-		return ITRow{}, LV{}, false
-	}
-	// Exclusion shape: head atom followed by only prefix negations on the
-	// same field.
-	row, f, ok := itHead(and.Cs[0])
-	row.Excl = make([]ITExcl, 0, len(and.Cs)-1)
-	for _, sub := range and.Cs[1:] {
-		not, _ := sub.(sefl.CNot)
-		ef, v, plen, isPrefix := itPrefixAtom(not.C)
-		ok = ok && isPrefix && ef == f
-		row.Excl = append(row.Excl, ITExcl{V: v, Len: plen})
-	}
-	return row, f, ok
-}
-
-// detectIntervalTable parses every disjunct of a SEFL Or, before any of
-// them is compiled, and checks that all rows constrain one shared field. It
-// returns nil when the Or is not a table, or too small to be worth one
-// (expr.TableSized: a single route with exclusions can be).
-func detectIntervalTable(cs []sefl.Cond) *ITable {
-	it := &ITable{Rows: make([]ITRow, 0, len(cs))}
-	for i, c := range cs {
-		row, f, ok := itParseRow(c)
-		if !ok {
-			return nil
-		}
-		if i == 0 {
-			it.F, it.W = f, f.Size
-		} else if f != it.F {
-			return nil
-		}
-		it.Rows = append(it.Rows, row)
-	}
-	if !expr.TableSized(it.Rows) {
-		return nil
-	}
-	return it
-}
 
 // --- Span tables ---
 

@@ -16,12 +16,12 @@ var (
 	itIP   = sefl.Hdr{Off: sefl.At(64), Size: 32, Name: "Ip"}
 )
 
-func macGuard(n int) sefl.Cond {
-	cs := make([]sefl.Cond, n)
-	for i := range cs {
-		cs[i] = sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(uint64(i*2), 48))
+func macGuard(n int) sefl.Table {
+	rows := make([]ITRow, n)
+	for i := range rows {
+		rows[i] = ITRow{Kind: ITEq, V: uint64(i * 2)}
 	}
-	return sefl.OrC(cs...)
+	return sefl.Table{F: itMAC, Rows: rows}
 }
 
 func vlanGuard(pairs [][2]uint64) sefl.Cond {
@@ -35,17 +35,13 @@ func vlanGuard(pairs [][2]uint64) sefl.Cond {
 	return sefl.OrC(cs...)
 }
 
-func prefixGuard() sefl.Cond {
-	dst := sefl.Ref{LV: itIP}
-	return sefl.OrC(
-		sefl.Prefix{E: dst, Value: 0x0a000000, Len: 24, Width: 32},
-		sefl.Prefix{E: dst, Value: 0x0a000100, Len: 24, Width: 32},
-		sefl.AndC(
-			sefl.Prefix{E: dst, Value: 0x0a010000, Len: 16, Width: 32},
-			sefl.NotC(sefl.Prefix{E: dst, Value: 0x0a010200, Len: 24, Width: 32}),
-		),
-		sefl.Prefix{E: dst, Value: 0x0b000000, Len: 8, Width: 32},
-	)
+func prefixGuard() sefl.Table {
+	return sefl.Table{F: itIP, Rows: []ITRow{
+		{Kind: ITPrefix, V: 0x0a000000, Len: 24},
+		{Kind: ITPrefix, V: 0x0a000100, Len: 24},
+		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []ITExcl{{V: 0x0a010200, Len: 24}}},
+		{Kind: ITPrefix, V: 0x0b000000, Len: 8},
+	}}
 }
 
 func guardCond(t *testing.T, c sefl.Cond) *CCond {
@@ -74,7 +70,8 @@ func (e *itEnv) MetaExists(memory.MetaKey) bool { return false }
 func (e *itEnv) Fresh(w int, n string) expr.Lin { return expr.Lin{Sym: 99, Width: w} }
 func (e *itEnv) OrTreeGuards() bool             { return e.orTree }
 
-// TestLoweringDetection: the egress shapes lower, near-miss shapes do not.
+// TestLoweringDetection: table guards worth a span table lower; small or
+// malformed ones, and every hand-written Or, compile as trees.
 func TestLoweringDetection(t *testing.T) {
 	if c := guardCond(t, macGuard(8)); c.Kind != CIntervalTable || c.IT == nil {
 		t.Fatalf("mac guard not lowered: kind=%d", c.Kind)
@@ -82,20 +79,27 @@ func TestLoweringDetection(t *testing.T) {
 	if c := guardCond(t, prefixGuard()); c.Kind != CIntervalTable {
 		t.Fatalf("prefix guard not lowered: kind=%d", c.Kind)
 	}
+	// The node aliases the table's rows.
+	g := macGuard(8)
+	if c := guardCond(t, g); &c.IT.Rows[0] != &g.Rows[0] {
+		t.Fatal("lowered guard copied the table's rows")
+	}
 
-	// Below the atom threshold (expr.TableSized): stays an Or.
+	// Below the atom threshold (expr.TableSized): the Or-tree.
 	if c := guardCond(t, macGuard(3)); c.Kind != COr {
 		t.Fatalf("tiny guard lowered: kind=%d", c.Kind)
 	}
-	// The gate counts atoms, not disjuncts: one route with three exclusions
-	// is a table, one with two is not.
-	dst := sefl.Ref{LV: itIP}
-	oneRoute := func(k int) sefl.Cond {
-		conj := []sefl.Cond{sefl.Prefix{E: dst, Value: 0, Len: 0, Width: 32}}
+	if c := guardCond(t, macGuard(1)); c.Kind != CCmp {
+		t.Fatalf("one-row guard: kind=%d, want the bare atom", c.Kind)
+	}
+	// The gate counts atoms, not rows: one route with three exclusions is a
+	// table, one with two is not.
+	oneRoute := func(k int) sefl.Table {
+		row := ITRow{Kind: ITPrefix}
 		for i := 0; i < k; i++ {
-			conj = append(conj, sefl.NotC(sefl.Prefix{E: dst, Value: uint64(10+i) << 24, Len: 8, Width: 32}))
+			row.Excl = append(row.Excl, ITExcl{V: uint64(10+i) << 24, Len: 8})
 		}
-		return sefl.OrC(sefl.AndC(conj...))
+		return sefl.Table{F: itIP, Rows: []ITRow{row}}
 	}
 	if c := guardCond(t, oneRoute(3)); c.Kind != CIntervalTable || len(c.IT.Rows) != 1 {
 		t.Fatalf("one route, three exclusions not lowered: kind=%d", c.Kind)
@@ -103,34 +107,41 @@ func TestLoweringDetection(t *testing.T) {
 	if c := guardCond(t, oneRoute(2)); c.Kind != COr {
 		t.Fatalf("one route, two exclusions lowered: kind=%d", c.Kind)
 	}
-	// Mixed fields in a single-field shape: stays an Or.
-	mixed := sefl.OrC(
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(1, 48)),
-		sefl.Eq(sefl.Ref{LV: itVLAN}, sefl.CW(2, 16)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(3, 48)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(4, 48)),
-	)
-	if c := guardCond(t, mixed); c.Kind != COr {
-		t.Fatalf("mixed-field guard lowered: kind=%d", c.Kind)
+
+	// A malformed table compiles as its Or-tree, to the node the tree
+	// compiles to.
+	long := prefixGuard()
+	long.Rows = append(long.Rows, ITRow{Kind: ITPrefix, Len: 40})
+	if c := guardCond(t, long); c.Kind != COr || c.FP != guardCond(t, long.Or()).FP {
+		t.Fatalf("malformed table: kind=%d, want its Or-tree", c.Kind)
 	}
-	// Adaptive-width constants (W == 0) cannot pin coercion: stays an Or.
-	loose := sefl.OrC(
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.C(1)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.C(2)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.C(3)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.C(4)),
-	)
-	if c := guardCond(t, loose); c.Kind != COr {
-		t.Fatalf("adaptive-width guard lowered: kind=%d", c.Kind)
-	}
-	// Metadata reads are not table fields.
+
+	// Hand-written Ors are trees whatever their shape — the tree a table
+	// stands for included; GuardTables reports nothing.
+	mac := sefl.Ref{LV: itMAC}
 	meta := sefl.Ref{LV: sefl.Meta{Name: "m"}}
-	metaOr := sefl.OrC(
-		sefl.Eq(meta, sefl.CW(1, 16)), sefl.Eq(meta, sefl.CW(2, 16)),
-		sefl.Eq(meta, sefl.CW(3, 16)), sefl.Eq(meta, sefl.CW(4, 16)),
-	)
-	if c := guardCond(t, metaOr); c.Kind != COr {
-		t.Fatalf("metadata guard lowered: kind=%d", c.Kind)
+	for name, or := range map[string]sefl.Cond{
+		"table-shaped": macGuard(8).Or(),
+		"mixed fields": sefl.OrC(
+			sefl.Eq(mac, sefl.CW(1, 48)), sefl.Eq(sefl.Ref{LV: itVLAN}, sefl.CW(2, 16)),
+			sefl.Eq(mac, sefl.CW(3, 48)), sefl.Eq(mac, sefl.CW(4, 48)),
+		),
+		"metadata field": sefl.OrC(
+			sefl.Eq(meta, sefl.CW(1, 16)), sefl.Eq(meta, sefl.CW(2, 16)),
+			sefl.Eq(meta, sefl.CW(3, 16)), sefl.Eq(meta, sefl.CW(4, 16)),
+		),
+		"wrong width": sefl.OrC(
+			sefl.Eq(mac, sefl.CW(1, 32)), sefl.Eq(mac, sefl.CW(2, 32)),
+			sefl.Eq(mac, sefl.CW(3, 32)), sefl.Eq(mac, sefl.CW(4, 32)),
+		),
+	} {
+		p := Compile(sefl.Seq(sefl.Constrain{C: or}, sefl.Forward{Port: 0}), "e", 0, "t")
+		if c := p.Ops[0].C; c.Kind != COr || c.IT != nil {
+			t.Errorf("%s: hand-written Or compiled to kind %d", name, c.Kind)
+		}
+		if its := GuardTables(p); len(its) != 0 {
+			t.Errorf("%s: GuardTables reports %d tables", name, len(its))
+		}
 	}
 }
 
@@ -153,12 +164,7 @@ func TestLoweredSpansMerge(t *testing.T) {
 	}
 
 	// Duplicate equalities collapse.
-	dup := sefl.OrC(
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(5, 48)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(5, 48)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(6, 48)),
-		sefl.Eq(sefl.Ref{LV: itMAC}, sefl.CW(7, 48)),
-	)
+	dup := sefl.Table{F: itMAC, Rows: []ITRow{{Kind: ITEq, V: 5}, {Kind: ITEq, V: 5}, {Kind: ITEq, V: 6}, {Kind: ITEq, V: 7}}}
 	if c := guardCond(t, dup); c.IT.Table.Len() != 1 || !c.IT.Table.Contains(5) || !c.IT.Table.Contains(7) {
 		t.Fatalf("duplicate/adjacent spans = %v", c.IT.Table)
 	}

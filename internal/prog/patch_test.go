@@ -9,12 +9,11 @@ import (
 )
 
 func patchMACGuard(macs []uint64) sefl.Instr {
-	ref := sefl.Ref{LV: sefl.EtherDst}
-	cs := make([]sefl.Cond, len(macs))
+	rows := make([]ITRow, len(macs))
 	for i, m := range macs {
-		cs[i] = sefl.Eq(ref, sefl.CW(m, sefl.MACWidth))
+		rows[i] = ITRow{Kind: ITEq, V: m}
 	}
-	return sefl.Constrain{C: sefl.OrC(cs...)}
+	return sefl.Constrain{C: sefl.Table{F: sefl.EtherDst, Rows: rows}}
 }
 
 type patchPrefixRow struct {
@@ -24,20 +23,11 @@ type patchPrefixRow struct {
 }
 
 func patchPrefixGuard(rows []patchPrefixRow) sefl.Instr {
-	dst := sefl.Ref{LV: sefl.IPDst}
-	cs := make([]sefl.Cond, len(rows))
+	its := make([]ITRow, len(rows))
 	for i, r := range rows {
-		match := sefl.Cond(sefl.Prefix{E: dst, Value: r.v, Len: r.len})
-		if len(r.excl) > 0 {
-			conj := []sefl.Cond{match}
-			for _, e := range r.excl {
-				conj = append(conj, sefl.NotC(sefl.Prefix{E: dst, Value: e.V, Len: e.Len}))
-			}
-			match = sefl.AndC(conj...)
-		}
-		cs[i] = match
+		its[i] = ITRow{Kind: ITPrefix, V: r.v, Len: r.len, Excl: r.excl}
 	}
-	return sefl.Constrain{C: sefl.OrC(cs...)}
+	return sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: its}}
 }
 
 func guardNode(t *testing.T, p *Program) *CCond {

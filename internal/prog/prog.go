@@ -154,10 +154,10 @@ const (
 	CAnd
 	COr
 	CNot
-	// CIntervalTable is a lowered egress-style guard: an Or whose disjuncts
-	// are equality/prefix constraints over one header field compiled into
-	// sorted, merged value ranges. The node carries the rows and the packed table
-	// in IT and no children: the original disjuncts — the reference
+	// CIntervalTable is a lowered table guard (sefl.Table): equality/prefix
+	// rows over one header field compiled into sorted, merged value ranges.
+	// The node carries the rows and the packed table in IT and no children:
+	// the Or-tree's disjuncts — the reference
 	// semantics, selected by Env.OrTreeGuards and used as the fallback when
 	// runtime value shapes fall outside the table — are a view built from
 	// the rows on first use (children). A lowered node keeps the structural
@@ -194,8 +194,8 @@ type CCond struct {
 }
 
 // ITable is the payload of a CIntervalTable node: the guarded field, the
-// original disjuncts as flat rows (the exact information the Or-tree view is
-// built from, on either side of the wire), and the precomputed span table
+// table's rows (aliased, not copied: the exact information the Or-tree view
+// is built from, on either side of the wire), and the precomputed span table
 // evaluation consumes. Tables are immutable after construction and shared
 // by every path visiting the guard.
 type ITable struct {

@@ -132,7 +132,7 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 	}
 }
 
-// rowsGuard is the SEFL Or a model would write for the rows.
+// rowsGuard is the SEFL Or a model would write for the rows by hand.
 func rowsGuard(f sefl.Hdr, rows []ITRow) []sefl.Cond {
 	ref := sefl.Ref{LV: f}
 	prefix := func(v uint64, plen int) sefl.Cond {
@@ -186,28 +186,43 @@ func wireBytes(t *testing.T, p *Program) ([]byte, *WireProgram) {
 	return buf.Bytes(), w
 }
 
+// TestRowsMatchTree: a lowered table against the Or-tree it stands for,
+// both the hand-written tree (rowsGuard) and the table's own Or: same
+// fingerprint and derived state, the span table the per-exclusion
+// subtraction gives, children equal to the compiled disjuncts, the same
+// rendering, a stable wire, and PatchGuard equal to a fresh compile.
 func TestRowsMatchTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 400; trial++ {
 		w := []int{8, 32, 48, 64}[trial%4]
 		f := sefl.Hdr{Off: sefl.At(0), Size: w, Name: "F"}
 		rows := randRows(rng, w, 4+rng.Intn(12)) // four rows are a table (expr.TableSized) whatever their exclusions
-		cs := rowsGuard(f, rows)
-		guard := sefl.Constrain{C: sefl.OrC(cs...)}
+		tb := sefl.Table{F: f, Rows: rows}
+		guard := sefl.Constrain{C: tb}
 		p := Compile(sefl.Seq(guard, sefl.Forward{Port: 0}), "el", 0, "el.out[1]")
 		node := p.Ops[0].C
 		if node.Kind != CIntervalTable || !reflect.DeepEqual(node.IT.Rows, rows) {
-			t.Fatalf("trial %d: rows not read back off the Or: %+v", trial, node.IT)
+			t.Fatalf("trial %d: table not lowered from its rows: %+v", trial, node.IT)
 		}
 		if p.Conds != 1 || p.CondsSeen != 1 {
 			t.Fatalf("trial %d: a lowered guard counts as one node, got %d/%d", trial, p.Conds, p.CondsSeen)
 		}
+		if !node.IT.Table.Equal(tableBySubtraction(rows, w)) {
+			t.Fatalf("trial %d: span table differs from the subtraction oracle", trial)
+		}
 
-		// Fingerprint and derived state, rows versus the eagerly compiled Or.
-		or := eagerOr(cs)
-		if node.FP != or.FP || node.HasSym != or.HasSym || node.HasStatic != or.HasStatic {
-			t.Fatalf("trial %d: from rows fp=%v sym=%v static=%v\nfrom tree fp=%v sym=%v static=%v",
-				trial, node.FP, node.HasSym, node.HasStatic, or.FP, or.HasSym, or.HasStatic)
+		// Fingerprint and derived state against the eagerly compiled
+		// hand-written Or and against the table's Or compiled as a tree.
+		or := eagerOr(rowsGuard(f, rows))
+		tree := Compile(sefl.Seq(sefl.Constrain{C: tb.Or()}, sefl.Forward{Port: 0}), "el", 0, "el.out[1]").Ops[0].C
+		for name, ref := range map[string]*CCond{"hand-written": or, "Or()": tree} {
+			if ref.Kind != COr || node.FP != ref.FP || node.HasSym != ref.HasSym || node.HasStatic != ref.HasStatic {
+				t.Fatalf("trial %d: from rows fp=%v sym=%v static=%v\n%s tree kind=%d fp=%v sym=%v static=%v",
+					trial, node.FP, node.HasSym, node.HasStatic, name, ref.Kind, ref.FP, ref.HasSym, ref.HasStatic)
+			}
+		}
+		if got, want := guard.String(), (sefl.Constrain{C: tb.Or()}).String(); got != want {
+			t.Fatalf("trial %d: the table renders\n %s\nits tree\n %s", trial, got, want)
 		}
 
 		// The wire, before anything has asked for the view: stable under a
@@ -226,18 +241,18 @@ func TestRowsMatchTree(t *testing.T) {
 
 		// The lazily built children against compiler-built ones.
 		view := node.children()
-		if len(view) != len(or.Cs) {
-			t.Fatalf("trial %d: view has %d children, tree %d", trial, len(view), len(or.Cs))
+		if len(view) != len(or.Cs) || len(view) != len(tree.Cs) {
+			t.Fatalf("trial %d: view has %d children, trees %d and %d", trial, len(view), len(or.Cs), len(tree.Cs))
 		}
 		for i := range view {
-			if !deepEqualCond(view[i], or.Cs[i]) {
+			if !deepEqualCond(view[i], or.Cs[i]) || !deepEqualCond(view[i], tree.Cs[i]) {
 				t.Fatalf("trial %d child %d: view differs from the compiled disjunct", trial, i)
 			}
 		}
 
 		// PatchGuard to another row list == a fresh compile of that list.
 		next := randRows(rng, w, 4+rng.Intn(12))
-		nextGuard := sefl.Constrain{C: sefl.OrC(rowsGuard(f, next)...)}
+		nextGuard := sefl.Constrain{C: sefl.Table{F: f, Rows: next}}
 		patched := Compile(guard, "el", 0, "el.out[1]")
 		spec := PatchSpec{OldFp: node.IT.Table.Fp(), Rows: next, Table: BuildGuardTable(next, w), Ins: nextGuard}
 		if n := PatchGuard(patched, spec); n != 1 {

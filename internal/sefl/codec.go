@@ -95,14 +95,10 @@ const (
 	wHdr
 	wMeta
 
-	// wCOrPacked is a COr whose disjuncts form an interval-table shape
-	// (equality/prefix constraints over one shared header field — the
-	// egress-model guards): it crosses the wire as the shared field
-	// expression plus a flat word stream of rows instead of a tree of
-	// per-entry nodes. Decoding rebuilds the exact original COr, so the
-	// packing is invisible to everything downstream; it exists because these
-	// guards dominate the distributed setup frame for table-heavy networks.
-	wCOrPacked
+	// wCTable is a Table: the field expression plus the flat word stream of
+	// its rows (see table.go). Table guards dominate the distributed setup
+	// frame for table-heavy networks.
+	wCTable
 )
 
 // WireInstr is the concrete form of one Instr (a tagged union; the fields
@@ -139,18 +135,17 @@ type WireExpr struct {
 type WireCond struct {
 	Kind uint8
 	Op   uint8       // Cmp operator
-	L, R *WireExpr   // Cmp operands; Prefix/Masked subject (L); packed field (L)
+	L, R *WireExpr   // Cmp operands; Prefix/Masked subject (L); Table field (L)
 	Val  uint64      // Prefix value / Masked value
 	Mask uint64      // Masked mask
 	Len  int         // Prefix length
-	W    int         // Prefix width; packed equality-constant width
+	W    int         // Prefix width; Table equality-constant width
 	M    *WireLValue // MetaPresent
 	Cs   []*WireCond // CAnd, COr
 	C    *WireCond   // CNot
 	B    bool        // CBool
-	// Packed-Or payload (Kind == wCOrPacked): PW is the shared Prefix width
-	// (raw — models leave it 0 for the 32-bit default), Rows the flat row
-	// stream.
+	// Table payload (Kind == wCTable): PW is the Prefix width of its tree
+	// (0 for the 32-bit default), Rows the flat row stream.
 	PW   int
 	Rows []uint64
 }
@@ -451,10 +446,9 @@ func EncodeCond(c Cond) (*WireCond, error) {
 			return nil, err
 		}
 		return &WireCond{Kind: wCAnd, Cs: cs}, nil
+	case Table:
+		return encodeTable(v)
 	case COr:
-		if w := packOr(v.Cs); w != nil {
-			return w, nil
-		}
 		cs, err := encodeConds(v.Cs)
 		if err != nil {
 			return nil, err
@@ -543,8 +537,8 @@ func DecodeCond(w *WireCond) (Cond, error) {
 		return CNot{C: sub}, nil
 	case wCBool:
 		return CBool(w.B), nil
-	case wCOrPacked:
-		return unpackOr(w)
+	case wCTable:
+		return decodeTable(w)
 	}
 	return nil, fmt.Errorf("sefl: unknown wire condition kind %d", w.Kind)
 }

@@ -7,13 +7,13 @@ package tables
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"symnet/internal/expr"
 	"symnet/internal/sefl"
@@ -37,9 +37,9 @@ type MACTable []MACEntry
 // e.g. "302 00:1a:2b:3c:4d:5e 7". '#' starts a comment. Malformed input —
 // a bad address, a negative VLAN or port — is an error naming the line.
 func ParseMACTable(r io.Reader) (MACTable, error) {
-	var t MACTable
-	err := scanLines(r, "mac table", 3, func(f []string) error {
-		vlan, err := strconv.ParseUint(f[0], 10, 31)
+	var t chunks[MACEntry]
+	err := scanLines(r, "mac table", 3, func(f [][]byte) error {
+		vlan, err := parseUint31(f[0])
 		if err != nil {
 			return fmt.Errorf("bad vlan: %v", err)
 		}
@@ -47,14 +47,14 @@ func ParseMACTable(r io.Reader) (MACTable, error) {
 		if err != nil {
 			return err
 		}
-		port, err := strconv.ParseUint(f[2], 10, 31)
+		port, err := parseUint31(f[2])
 		if err != nil {
 			return fmt.Errorf("bad port: %v", err)
 		}
-		t = append(t, MACEntry{MAC: mac, VLAN: int(vlan), Port: int(port)})
+		t.add(MACEntry{MAC: mac, VLAN: int(vlan), Port: int(port)})
 		return nil
 	})
-	return t, err
+	return t.slice(), err
 }
 
 // Ports returns the sorted set of output ports used by the table.
@@ -104,30 +104,34 @@ type FIB []Route
 //
 // e.g. "10.0.0.0/8 0". Malformed input is an error naming the line.
 func ParseFIB(r io.Reader) (FIB, error) {
-	var f FIB
-	err := scanLines(r, "fib", 2, func(fs []string) error {
+	var f chunks[Route]
+	err := scanLines(r, "fib", 2, func(fs [][]byte) error {
 		pfx, plen, err := ParsePrefix(fs[0])
 		if err != nil {
 			return err
 		}
-		port, err := strconv.ParseUint(fs[1], 10, 31)
+		port, err := parseUint31(fs[1])
 		if err != nil {
 			return fmt.Errorf("bad port: %v", err)
 		}
-		f = append(f, Route{Prefix: pfx, Len: plen, Port: int(port)})
+		f.add(Route{Prefix: pfx, Len: plen, Port: int(port)})
 		return nil
 	})
-	return f, err
+	return f.slice(), err
 }
 
+// The parsers are generic over the text's type so that a snapshot's lines
+// are parsed in the scanner's buffer, without a string per field; %q renders
+// bytes as it renders the string, so the errors read the same.
+
 // ParsePrefix parses "a.b.c.d/len" into a masked network address and length.
-func ParsePrefix(s string) (uint64, int, error) {
-	slash := strings.IndexByte(s, '/')
+func ParsePrefix[S string | []byte](s S) (uint64, int, error) {
+	slash := indexByte(s, '/')
 	if slash < 0 {
 		return 0, 0, fmt.Errorf("missing / in prefix %q", s)
 	}
-	plen, err := strconv.Atoi(s[slash+1:])
-	if err != nil || plen < 0 || plen > 32 {
+	plen, ok := atoiSmall(s[slash+1:])
+	if !ok || plen > 32 {
 		return 0, 0, fmt.Errorf("bad prefix length in %q", s)
 	}
 	addr, ok := parseOctets(s[:slash], 4, '.', 10)
@@ -138,7 +142,7 @@ func ParsePrefix(s string) (uint64, int, error) {
 }
 
 // ParseMAC parses a colon-separated MAC address ("00:1a:2b:3c:4d:5e").
-func ParseMAC(s string) (uint64, error) {
+func ParseMAC[S string | []byte](s S) (uint64, error) {
 	v, ok := parseOctets(s, 6, ':', 16)
 	if !ok {
 		return 0, fmt.Errorf("bad MAC literal %q", s)
@@ -146,10 +150,52 @@ func ParseMAC(s string) (uint64, error) {
 	return v, nil
 }
 
+func indexByte[S string | []byte](s S, c byte) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// atoiSmall accepts what strconv.Atoi accepts — an optional sign, then
+// decimal digits — when the value is not negative; it stops counting at
+// 1024, past any prefix length.
+func atoiSmall[S string | []byte](s S) (int, bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
+		s = s[1:]
+	}
+	v := 0
+	for i := 0; i < len(s); i++ {
+		d := int(s[i]) - '0'
+		if d < 0 || d > 9 {
+			return 0, false
+		}
+		v = min(v*10+d, 1<<10)
+	}
+	return v, len(s) > 0 && (!neg || v == 0)
+}
+
+// parseUint31 is strconv.ParseUint(string(b), 10, 31), which it calls only
+// to report an error.
+func parseUint31(b []byte) (uint64, error) {
+	v, ok := uint64(0), len(b) > 0
+	for _, c := range b {
+		ok = ok && c >= '0' && c <= '9' && v < 1<<31
+		v = v*10 + uint64(c-'0')
+	}
+	if ok && v < 1<<31 {
+		return v, nil
+	}
+	return strconv.ParseUint(string(b), 10, 31)
+}
+
 // parseOctets reads n groups of base-10 or base-16 digits, each worth at
 // most 255 and separated by sep, into one number: the dotted quad and the
 // colon-separated MAC are the same grammar. It allocates nothing.
-func parseOctets(s string, n int, sep byte, base uint64) (uint64, bool) {
+func parseOctets[S string | []byte](s S, n int, sep byte, base uint64) (uint64, bool) {
 	var v, b uint64
 	digits, groups := 0, 1
 	for i := 0; i < len(s); i++ {
@@ -296,16 +342,17 @@ func NumExclusions(cs []CompiledRoute) int {
 
 // scanLines feeds the want whitespace-separated fields of every non-comment
 // line to row, and wraps what row (or a wrong field count) reports with the
-// table kind and the line number. The fields alias one reused array.
-func scanLines(r io.Reader, what string, want int, row func(fields []string) error) error {
+// table kind and the line number. The fields alias the scanner's buffer and
+// one reused array, so they are only valid during the call.
+func scanLines(r io.Reader, what string, want int, row func(fields [][]byte) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	fields := make([]string, 0, want)
+	sc.Buffer(make([]byte, 64<<10), 1<<24)
+	fields := make([][]byte, 0, want)
 	for line := 1; sc.Scan(); line++ {
-		s, _, _ := strings.Cut(sc.Text(), "#")
+		s, _, _ := bytes.Cut(sc.Bytes(), []byte{'#'})
 		fields = fields[:0]
-		for s = strings.TrimLeft(s, " \t\r"); s != ""; s = strings.TrimLeft(s, " \t\r") {
-			end := strings.IndexAny(s, " \t\r")
+		for s = bytes.TrimLeft(s, " \t\r"); len(s) > 0; s = bytes.TrimLeft(s, " \t\r") {
+			end := bytes.IndexAny(s, " \t\r")
 			if end < 0 {
 				end = len(s)
 			}
@@ -322,4 +369,37 @@ func scanLines(r io.Reader, what string, want int, row func(fields []string) err
 		}
 	}
 	return sc.Err()
+}
+
+// chunks collects parsed rows in blocks that never move and copies them into
+// one exact slice at the end: appending to one slice instead copies every
+// row several times over as it grows and leaves up to a fifth of the last
+// array unused.
+type chunks[T any] struct {
+	full [][]T
+	cur  []T
+	n    int
+}
+
+func (c *chunks[T]) add(v T) {
+	if len(c.cur) == cap(c.cur) {
+		if c.cur != nil {
+			c.full = append(c.full, c.cur)
+		}
+		c.cur = make([]T, 0, 64<<min(len(c.full), 7)) // 64, 128, ..., 8192
+	}
+	c.cur = append(c.cur, v)
+	c.n++
+}
+
+// slice returns the rows in order, nil when there are none.
+func (c *chunks[T]) slice() []T {
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]T, 0, c.n)
+	for _, b := range c.full {
+		out = append(out, b...)
+	}
+	return append(out, c.cur...)
 }
