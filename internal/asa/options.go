@@ -158,11 +158,11 @@ func optionsPassBody(p OptionsPolicy) func(sefl.Meta) sefl.Instr {
 	}
 }
 
-// OptionsModel generates the Fig. 7 SEFL code: TCP options live in packet
+// optionsModel generates the Fig. 7 SEFL code: TCP options live in packet
 // metadata ("OPTx" presence flags, "SIZEx" lengths, "VALx" bodies), so
 // stripping is a branch-free assignment and the model is cheap to execute
 // symbolically.
-func OptionsModel(p OptionsPolicy) sefl.Instr {
+func optionsModel(p OptionsPolicy) sefl.Instr {
 	var is []sefl.Instr
 	// One pass over the present options (a snapshot iteration — bounded and
 	// branch-free, unlike the C loop in Fig. 1). The body is built through
@@ -235,14 +235,14 @@ func WithOptions(kinds []uint64) sefl.Instr {
 // element (the Click "TCPOptions" element of §7.2).
 func OptionsElement(e *core.Element, p OptionsPolicy) {
 	e.SetInCode(core.WildcardPort, sefl.Seq(
-		OptionsModel(p),
+		optionsModel(p),
 		sefl.Forward{Port: 0},
 	))
 }
 
-// ParseOptionKinds parses "mss,wscale,sackok,sack,timestamp,md5,mptcp" or
+// parseOptionKinds parses "mss,wscale,sackok,sack,timestamp,md5,mptcp" or
 // numeric kinds into option numbers.
-func ParseOptionKinds(s string) ([]uint64, error) {
+func parseOptionKinds(s string) ([]uint64, error) {
 	var out []uint64
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(strings.ToLower(part))

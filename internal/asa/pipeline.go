@@ -46,8 +46,8 @@ type ACLRule struct {
 	DstPort *uint64
 }
 
-// Cond lowers the rule's match to a SEFL condition.
-func (r ACLRule) Cond() sefl.Cond {
+// cond lowers the rule's match to a SEFL condition.
+func (r ACLRule) cond() sefl.Cond {
 	var cs []sefl.Cond
 	if r.Proto != nil {
 		cs = append(cs, sefl.Eq(sefl.Ref{LV: sefl.IPProto}, sefl.CW(*r.Proto, 8)))
@@ -155,7 +155,7 @@ func (cfg *Config) parseLine(f []string) error {
 			if len(f) != 3 {
 				return fmt.Errorf("tcp-options %s needs kinds", f[1])
 			}
-			kinds, err := ParseOptionKinds(f[2])
+			kinds, err := parseOptionKinds(f[2])
 			if err != nil {
 				return err
 			}
@@ -237,7 +237,7 @@ func aclCode(rules []ACLRule, cont sefl.Instr) sefl.Instr {
 		} else {
 			hit = sefl.Fail{Msg: "ACL: denied"}
 		}
-		code = sefl.If{C: r.Cond(), Then: hit, Else: code}
+		code = sefl.If{C: r.cond(), Then: hit, Else: code}
 	}
 	return code
 }
@@ -286,7 +286,7 @@ func Build(e *core.Element, cfg *Config) {
 			Else: sefl.NoOp{},
 		})
 	}
-	out = append(out, OptionsModel(cfg.Options), sefl.Forward{Port: 0})
+	out = append(out, optionsModel(cfg.Options), sefl.Forward{Port: 0})
 	e.SetInCode(0, aclCode(cfg.OutboundACL, sefl.Seq(out...)))
 
 	// --- Inbound (outside -> inside), input port 1 ---
@@ -300,7 +300,7 @@ func Build(e *core.Element, cfg *Config) {
 			sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.TcpDst}, sefl.Ref{LV: local("asa-new-port")})},
 			sefl.Assign{LV: sefl.IPDst, E: sefl.Ref{LV: local("asa-orig-ip")}},
 			sefl.Assign{LV: sefl.TcpDst, E: sefl.Ref{LV: local("asa-orig-port")}},
-			OptionsModel(cfg.Options),
+			optionsModel(cfg.Options),
 			sefl.Forward{Port: 1},
 		)
 		// The mapping metadata exists only for flows the ASA saw outbound;
@@ -328,7 +328,7 @@ func buildInboundFresh(cfg *Config, local func(string) sefl.Meta) sefl.Instr {
 			Else: sefl.NoOp{},
 		})
 	}
-	tail := sefl.Seq(OptionsModel(cfg.Options), sefl.Forward{Port: 1})
+	tail := sefl.Seq(optionsModel(cfg.Options), sefl.Forward{Port: 1})
 	// The inbound ACL matches the public (pre-rewrite) addresses; the
 	// static rewrite and options inspection run after admission.
 	return aclCode(cfg.InboundACL, sefl.Seq(append(is, tail)...))

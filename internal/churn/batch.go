@@ -68,31 +68,31 @@ type elemStage struct {
 	n     int // deltas staged against this element
 }
 
-// Stage accumulates rule deltas against copies of the authoritative tables
+// stage accumulates rule deltas against copies of the authoritative tables
 // without touching resident state. Add is atomic per delta — an inapplicable
 // delta (unknown element, duplicate insert, delete of a missing rule) leaves
-// the stage unchanged, so a caller can skip it and keep staging. Commit
+// the stage unchanged, so a caller can skip it and keep staging. commit
 // reconciles every staged table against the network in one pass: one guard
 // patch per changed port, one re-verification of the union dirty set, one
 // published report version.
-type Stage struct {
+type stage struct {
 	svc    *Service
 	elems  map[string]*elemStage
 	order  []string
 	deltas int
 }
 
-// NewStage opens an empty delta batch against the service's current tables.
-func (s *Service) NewStage() *Stage {
-	return &Stage{svc: s, elems: make(map[string]*elemStage)}
+// newStage opens an empty delta batch against the service's current tables.
+func (s *Service) newStage() *stage {
+	return &stage{svc: s, elems: make(map[string]*elemStage)}
 }
 
 // Deltas returns the number of deltas staged so far.
-func (st *Stage) Deltas() int { return st.deltas }
+func (st *stage) Deltas() int { return st.deltas }
 
 // Add stages one delta: validates it and applies it to the staged copy of
 // its element's table. On error the stage is unchanged.
-func (st *Stage) Add(d Delta) error {
+func (st *stage) Add(d Delta) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func (st *Stage) Add(d Delta) error {
 
 // elemFor returns the element's stage, creating it from the authoritative
 // table on first touch.
-func (st *Stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
+func (st *stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
 	if es, ok := st.elems[elem]; ok {
 		if es.isFIB != isFIB {
 			// Cannot happen through Validate (an element is registered as
@@ -135,7 +135,7 @@ func (st *Stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
 	return es, nil
 }
 
-func (st *Stage) addFIB(d Delta) error {
+func (st *stage) addFIB(d Delta) error {
 	pfx, plen, err := tables.ParsePrefix(d.Prefix)
 	if err != nil {
 		return fmt.Errorf("churn: %w", err)
@@ -174,7 +174,7 @@ func (st *Stage) addFIB(d Delta) error {
 	return nil
 }
 
-func (st *Stage) addMAC(d Delta) error {
+func (st *stage) addMAC(d Delta) error {
 	mac, err := tables.ParseMAC(d.MAC)
 	if err != nil {
 		return fmt.Errorf("churn: %w", err)
@@ -213,13 +213,13 @@ func (st *Stage) addMAC(d Delta) error {
 	return nil
 }
 
-// Commit absorbs the staged batch into the resident service: per element,
+// commit absorbs the staged batch into the resident service: per element,
 // reconcile its changed port guards once (patch inside the union window
 // where possible, recompile or rebuild otherwise), then run one
 // re-verification pass over the union dirty set and publish the next report
-// version. Commit on an empty stage publishes nothing and returns an empty
+// version. commit on an empty stage publishes nothing and returns an empty
 // result.
-func (st *Stage) Commit() (*BatchResult, error) {
+func (st *stage) commit() (*BatchResult, error) {
 	s := st.svc
 	if s.report == nil {
 		return nil, fmt.Errorf("churn: Apply before Init")
@@ -246,7 +246,7 @@ func (st *Stage) Commit() (*BatchResult, error) {
 		}
 	}
 	if res.Action == "" {
-		res.Action = ActionNoop
+		res.Action = actionNoop
 	}
 	if err := s.reverify(res); err != nil {
 		return nil, err
@@ -282,7 +282,7 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 		s.rebuiltElems.Inc()
 		s.pendingInvalidate = true
 		res.ElemsRebuilt++
-		res.Action = worse(res.Action, ActionRebuilt)
+		res.Action = worse(res.Action, actionRebuilt)
 		for i := range s.visitedElem[elem] {
 			s.unverified[i] = true
 		}
@@ -318,7 +318,7 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 		s.rebuiltElems.Inc()
 		s.pendingInvalidate = true
 		res.ElemsRebuilt++
-		res.Action = worse(res.Action, ActionRebuilt)
+		res.Action = worse(res.Action, actionRebuilt)
 		for i := range s.visitedElem[elem] {
 			s.unverified[i] = true
 		}
@@ -345,25 +345,25 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 
 func (r *BatchResult) countPort(a Action) {
 	switch a {
-	case ActionPatched:
+	case actionPatched:
 		r.PortsPatched++
-	case ActionRecompiled:
+	case actionRecompiled:
 		r.PortsRecompiled++
 	}
 }
 
-// ApplyBatch stages ds in order and commits them as one coalesced batch:
+// applyBatch stages ds in order and commits them as one coalesced batch:
 // table updates collapse per element, changed guards patch once per port,
 // and a single re-verification pass covers the union dirty set. Staging is
 // all-or-nothing — any inapplicable delta fails the whole call before
 // resident state is touched (per-delta skip semantics live in
 // Resident.Submit).
-func (s *Service) ApplyBatch(ds []Delta) (*BatchResult, error) {
-	st := s.NewStage()
+func (s *Service) applyBatch(ds []Delta) (*BatchResult, error) {
+	st := s.newStage()
 	for i, d := range ds {
 		if err := st.Add(d); err != nil {
 			return nil, fmt.Errorf("churn: batch delta %d (%s): %w", i, d, err)
 		}
 	}
-	return st.Commit()
+	return st.commit()
 }

@@ -2,6 +2,7 @@ package churn
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"symnet/internal/core"
@@ -10,7 +11,7 @@ import (
 	"symnet/internal/verify"
 )
 
-func newDiffService(t *testing.T, workers int) *Service {
+func newDiffService(t testing.TB, workers int) *Service {
 	t.Helper()
 	svc := NewService(Config{
 		Net:     buildDiffNet(t, diffFIB(), diffMACs()),
@@ -52,15 +53,15 @@ func TestBatchDifferentialVersions(t *testing.T) {
 	svcs := make([]*Service, len(workerCounts))
 	for k, w := range workerCounts {
 		svcs[k] = newDiffService(t, w)
-		if got := svcs[k].Version(); got != 1 {
+		if got := svcs[k].current().Version; got != 1 {
 			t.Fatalf("workers=%d: Init published version %d, want 1", w, got)
 		}
 	}
 
 	check := func(step string) {
 		t.Helper()
-		fib, _ := svcs[0].CurrentFIB("rt")
-		tbl, _ := svcs[0].CurrentMACTable("sw")
+		fib := slices.Clone(svcs[0].routers["rt"])
+		tbl := slices.Clone(svcs[0].switches["sw"])
 		fresh, err := verify.AllPairsReachability(
 			buildDiffNet(t, fib, tbl),
 			svcs[0].cfg.Sources, svcs[0].cfg.Packet, svcs[0].cfg.Targets, svcs[0].cfg.Opts, dist.InProcess(2, nil))
@@ -68,7 +69,7 @@ func TestBatchDifferentialVersions(t *testing.T) {
 			t.Fatalf("%s: fresh verification: %v", step, err)
 		}
 		for k, w := range workerCounts {
-			compareReports(t, fmt.Sprintf("%s workers=%d", step, w), svcs[k].Current().Report, fresh)
+			compareReports(t, fmt.Sprintf("%s workers=%d", step, w), svcs[k].current().Report, fresh)
 		}
 	}
 
@@ -83,7 +84,7 @@ func TestBatchDifferentialVersions(t *testing.T) {
 		chunk := deltas[off:end]
 		var first *BatchResult
 		for k, w := range workerCounts {
-			br, err := svcs[k].ApplyBatch(chunk)
+			br, err := svcs[k].applyBatch(chunk)
 			if err != nil {
 				t.Fatalf("batch [%d:%d) workers=%d: %v", off, end, w, err)
 			}
@@ -98,11 +99,11 @@ func TestBatchDifferentialVersions(t *testing.T) {
 		}
 		wantVersion++
 		for k, w := range workerCounts {
-			pr := svcs[k].Current()
+			pr := svcs[k].current()
 			if pr.Version != wantVersion {
 				t.Fatalf("batch [%d:%d) workers=%d: version %d, want %d", off, end, w, pr.Version, wantVersion)
 			}
-			if svcs[k].Report() != pr.Report {
+			if svcs[k].report != pr.Report {
 				t.Fatalf("batch [%d:%d) workers=%d: Report() diverges from Current().Report", off, end, w)
 			}
 		}
@@ -127,23 +128,23 @@ func TestBatchCoalescingSameTable(t *testing.T) {
 	seq := newDiffService(t, 2)
 	var seqDirty int
 	for _, d := range fds {
-		res, err := seq.Apply(d)
+		res, err := seq.apply(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqDirty += res.DirtySources
 	}
-	if got := seq.Version(); got != uint64(1+len(fds)) {
+	if got := seq.current().Version; got != uint64(1+len(fds)) {
 		t.Fatalf("sequential: version %d after %d deltas, want %d", got, len(fds), 1+len(fds))
 	}
 
 	bat := newDiffService(t, 2)
-	br, err := bat.ApplyBatch(fds)
+	br, err := bat.applyBatch(fds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bat.Version() != 2 {
-		t.Fatalf("batched: version %d, want 2 (one publish per batch)", bat.Version())
+	if bat.current().Version != 2 {
+		t.Fatalf("batched: version %d, want 2 (one publish per batch)", bat.current().Version)
 	}
 	if br.Elems != 1 || br.Deltas != len(fds) {
 		t.Fatalf("batched: elems=%d deltas=%d, want 1/%d", br.Elems, br.Deltas, len(fds))
@@ -151,25 +152,25 @@ func TestBatchCoalescingSameTable(t *testing.T) {
 	if br.DirtySources > seqDirty {
 		t.Fatalf("batched dirty %d exceeds sequential total %d", br.DirtySources, seqDirty)
 	}
-	compareReports(t, "batched vs sequential", bat.Current().Report, seq.Current().Report)
+	compareReports(t, "batched vs sequential", bat.current().Report, seq.current().Report)
 
 	// And byte-identical to a from-scratch run of the final rule set.
-	fib, _ := bat.CurrentFIB("rt")
-	tbl, _ := bat.CurrentMACTable("sw")
+	fib := slices.Clone(bat.routers["rt"])
+	tbl := slices.Clone(bat.switches["sw"])
 	fresh, err := verify.AllPairsReachability(
 		buildDiffNet(t, fib, tbl),
 		bat.cfg.Sources, bat.cfg.Packet, bat.cfg.Targets, bat.cfg.Opts, dist.InProcess(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, "batched vs fresh", bat.Current().Report, fresh)
+	compareReports(t, "batched vs fresh", bat.current().Report, fresh)
 }
 
 // TestStagePerDeltaAtomicity: an inapplicable delta fails Add without
 // corrupting the stage; the remaining deltas still stage and commit.
 func TestStagePerDeltaAtomicity(t *testing.T) {
 	svc := newDiffService(t, 1)
-	st := svc.NewStage()
+	st := svc.newStage()
 	if err := st.Add(Delta{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +189,14 @@ func TestStagePerDeltaAtomicity(t *testing.T) {
 	if st.Deltas() != 2 {
 		t.Fatalf("staged %d deltas, want 2", st.Deltas())
 	}
-	br, err := st.Commit()
+	br, err := st.commit()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if br.Deltas != 2 {
 		t.Fatalf("committed %d deltas, want 2", br.Deltas)
 	}
-	fib, _ := svc.CurrentFIB("rt")
+	fib := slices.Clone(svc.routers["rt"])
 	found := false
 	for _, r := range fib {
 		if r.Prefix == 0x63000000 && r.Len == 8 {
@@ -207,32 +208,32 @@ func TestStagePerDeltaAtomicity(t *testing.T) {
 	}
 
 	// Empty commit publishes nothing.
-	before := svc.Version()
-	if br, err := svc.NewStage().Commit(); err != nil || br.Deltas != 0 {
+	before := svc.current().Version
+	if br, err := svc.newStage().commit(); err != nil || br.Deltas != 0 {
 		t.Fatalf("empty commit: %+v, %v", br, err)
 	}
-	if svc.Version() != before {
-		t.Fatalf("empty commit bumped version %d -> %d", before, svc.Version())
+	if svc.current().Version != before {
+		t.Fatalf("empty commit bumped version %d -> %d", before, svc.current().Version)
 	}
 }
 
-// TestApplyBatchAllOrNothing: ApplyBatch (unlike Resident.Submit) rejects
+// TestApplyBatchAllOrNothing: applyBatch (unlike Resident.Submit) rejects
 // the whole batch when any delta fails to stage, leaving state untouched.
 func TestApplyBatchAllOrNothing(t *testing.T) {
 	svc := newDiffService(t, 1)
-	before := svc.Version()
-	fibBefore, _ := svc.CurrentFIB("rt")
-	_, err := svc.ApplyBatch([]Delta{
+	before := svc.current().Version
+	fibBefore := slices.Clone(svc.routers["rt"])
+	_, err := svc.applyBatch([]Delta{
 		{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1},
 		{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"}, // not present
 	})
 	if err == nil {
 		t.Fatal("batch with inapplicable delta committed")
 	}
-	if svc.Version() != before {
+	if svc.current().Version != before {
 		t.Fatal("failed batch bumped the version")
 	}
-	fibAfter, _ := svc.CurrentFIB("rt")
+	fibAfter := slices.Clone(svc.routers["rt"])
 	if len(fibAfter) != len(fibBefore) {
 		t.Fatal("failed batch mutated the FIB")
 	}

@@ -3,6 +3,7 @@ package churn
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"symnet/internal/core"
@@ -46,7 +47,7 @@ func diffMACs() tables.MACTable {
 // fronting three host segments and an upstream router with three networks
 // behind it. Rebuilding it from the service's current tables must reproduce
 // the resident state byte for byte.
-func buildDiffNet(t *testing.T, fib tables.FIB, tbl tables.MACTable) *core.Network {
+func buildDiffNet(t testing.TB, fib tables.FIB, tbl tables.MACTable) *core.Network {
 	t.Helper()
 	n := core.NewNetwork()
 	sw := n.AddElement("sw", "switch", 4, 4)
@@ -147,14 +148,14 @@ func TestServiceDifferential(t *testing.T) {
 	}
 
 	check := func(step string) {
-		fib, _ := svcs[0].CurrentFIB("rt")
-		tbl, _ := svcs[0].CurrentMACTable("sw")
+		fib := slices.Clone(svcs[0].routers["rt"])
+		tbl := slices.Clone(svcs[0].switches["sw"])
 		fresh, err := verify.AllPairsReachability(buildDiffNet(t, fib, tbl), sources, packet, targets, opts, dist.InProcess(2, nil))
 		if err != nil {
 			t.Fatalf("%s: fresh verification: %v", step, err)
 		}
 		for k, w := range workerCounts {
-			compareReports(t, fmt.Sprintf("%s workers=%d", step, w), svcs[k].Report(), fresh)
+			compareReports(t, fmt.Sprintf("%s workers=%d", step, w), svcs[k].report, fresh)
 		}
 	}
 	check("init")
@@ -163,7 +164,7 @@ func TestServiceDifferential(t *testing.T) {
 	for di, d := range deltas {
 		var first *BatchResult
 		for k := range svcs {
-			res, err := svcs[k].Apply(d)
+			res, err := svcs[k].apply(d)
 			if err != nil {
 				t.Fatalf("delta %d (%s) workers=%d: %v", di, d, workerCounts[k], err)
 			}
@@ -180,7 +181,7 @@ func TestServiceDifferential(t *testing.T) {
 	// Force the rebuild tier: delete every remaining port-2 route so the
 	// router's fork list shrinks, then verify the resident state still
 	// matches a fresh build.
-	fib, _ := svcs[0].CurrentFIB("rt")
+	fib := slices.Clone(svcs[0].routers["rt"])
 	var last *BatchResult
 	for _, r := range fib {
 		if r.Port != 2 {
@@ -188,7 +189,7 @@ func TestServiceDifferential(t *testing.T) {
 		}
 		d := Delta{Elem: "rt", Op: OpDelete, Prefix: fmt.Sprintf("%s/%d", sefl.NumberToIP(r.Prefix), r.Len)}
 		for k := range svcs {
-			res, err := svcs[k].Apply(d)
+			res, err := svcs[k].apply(d)
 			if err != nil {
 				t.Fatalf("rebuild delta %s workers=%d: %v", d, workerCounts[k], err)
 			}
@@ -199,10 +200,10 @@ func TestServiceDifferential(t *testing.T) {
 		seen[last.Action] = true
 		check(fmt.Sprintf("rebuild delta %s", d))
 	}
-	if last == nil || last.Action != ActionRebuilt {
+	if last == nil || last.Action != actionRebuilt {
 		t.Fatalf("port-emptying delete did not hit the rebuild tier: %+v", last)
 	}
-	if !seen[ActionPatched] || !seen[ActionRecompiled] {
+	if !seen[actionPatched] || !seen[actionRecompiled] {
 		t.Fatalf("delta stream did not exercise both patch and recompile tiers: %v", seen)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"symnet/internal/tables"
 )
 
 // FuzzDecodeDeltas feeds arbitrary bytes to the delta intake parser. Whatever
@@ -61,6 +63,55 @@ func FuzzDecodeDeltas(f *testing.F) {
 		}
 		if !slices.Equal(back, got) {
 			t.Fatalf("round trip changed the accepted deltas:\n got %+v\nwant %+v", back, got)
+		}
+	})
+}
+
+// FuzzReadState feeds arbitrary bytes to the snapshot decoder behind POST
+// /v1/snapshot and restores whatever it accepts onto a fresh differential
+// service. Nothing may panic; a refused restore must leave the service's
+// tables and published version as they were, and an accepted one must
+// install the snapshot's tables under a version past both the service's and
+// the snapshot's.
+//
+//	go test -run '^$' -fuzz FuzzReadState -fuzztime 30s ./internal/churn/
+func FuzzReadState(f *testing.F) {
+	seed := func(edit func(*State)) []byte {
+		st := newDiffService(f, 1).exportState()
+		edit(st)
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	export := seed(func(*State) {})
+	f.Add(export)
+	f.Add(export[:len(export)/2])
+	f.Add(seed(func(st *State) { st.Routers["rt"] = tables.FIB{{Prefix: 0x0A000000, Len: 40, Port: 0}} }))
+	f.Add(seed(func(st *State) {
+		st.Routers["rt"] = st.Routers["rt"][:1]
+		st.Switches["sw"] = tables.MACTable{}
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := ReadState(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		svc := newDiffService(t, 1)
+		fib, macs, pub := slices.Clone(svc.routers["rt"]), slices.Clone(svc.switches["sw"]), svc.current()
+		got, err := svc.restoreState(st)
+		if err != nil {
+			if !slices.Equal(svc.routers["rt"], fib) || !slices.Equal(svc.switches["sw"], macs) || svc.current() != pub {
+				t.Fatalf("refused restore (%v) changed the service", err)
+			}
+			return
+		}
+		if got.Version <= pub.Version || got.Version <= st.Version || svc.current() != got {
+			t.Fatalf("restore published version %d after %d from a version-%d snapshot", got.Version, pub.Version, st.Version)
+		}
+		if !slices.Equal(svc.routers["rt"], st.Routers["rt"]) || !slices.Equal(svc.switches["sw"], st.Switches["sw"]) {
+			t.Fatal("accepted restore did not install the snapshot's tables")
 		}
 	})
 }

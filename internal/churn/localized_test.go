@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"symnet/internal/core"
@@ -119,18 +120,18 @@ func starService(t *testing.T, runner dist.Runner) (*Service, func(step string))
 		cur := make(map[string]tables.MACTable, starAsws)
 		for k := 0; k < starAsws; k++ {
 			name := fmt.Sprintf("asw%d", k)
-			tbl, ok := svc.CurrentMACTable(name)
+			tbl, ok := svc.switches[name]
 			if !ok {
 				t.Fatalf("%s: %s not registered", step, name)
 			}
-			cur[name] = tbl
+			cur[name] = slices.Clone(tbl)
 		}
-		aggCur, _ := svc.CurrentMACTable("agg")
+		aggCur := slices.Clone(svc.switches["agg"])
 		fresh, err := verify.AllPairsReachability(buildStarNet(t, cur, aggCur), sources, packet, targets, opts, dist.InProcess(2, nil))
 		if err != nil {
 			t.Fatalf("%s: fresh verification: %v", step, err)
 		}
-		compareReports(t, step, svc.Report(), fresh)
+		compareReports(t, step, svc.report, fresh)
 	}
 	return svc, check
 }
@@ -146,30 +147,30 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 	// Insert a fresh host MAC on asw2 port 1: its 4-row guard is lowered, so
 	// the delta lands in the patch tier, and only asw2's own source ever
 	// attempted that guard.
-	res, err := svc.Apply(Delta{Elem: "asw2", Op: OpInsert, MAC: "06:00:00:00:00:99", Port: 1})
+	res, err := svc.apply(Delta{Elem: "asw2", Op: OpInsert, MAC: "06:00:00:00:00:99", Port: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Action != ActionPatched {
-		t.Fatalf("insert on lowered guard: action %s, want %s", res.Action, ActionPatched)
+	if res.Action != actionPatched {
+		t.Fatalf("insert on lowered guard: action %s, want %s", res.Action, actionPatched)
 	}
 	if res.DirtySources != 1 {
 		t.Fatalf("asw2 delta dirtied %d sources, want 1", res.DirtySources)
 	}
-	if res.CellsReverified >= svc.TotalCells() {
-		t.Fatalf("reverified %d cells, want < total %d", res.CellsReverified, svc.TotalCells())
+	if res.CellsReverified >= svc.totalCells() {
+		t.Fatalf("reverified %d cells, want < total %d", res.CellsReverified, svc.totalCells())
 	}
 	check("asw2 insert")
 
 	// Move a host MAC across asw1's ports: the shrinking guard drops below
 	// the lowering threshold (recompile) while the growing one patches; the
 	// dirty set is still just asw1's source.
-	res, err = svc.Apply(Delta{Elem: "asw1", Op: OpModify, MAC: sefl.NumberToMAC(starHostMAC(1, 0)), Port: 2})
+	res, err = svc.apply(Delta{Elem: "asw1", Op: OpModify, MAC: sefl.NumberToMAC(starHostMAC(1, 0)), Port: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Action != ActionRecompiled {
-		t.Fatalf("mixed-tier modify: action %s, want %s", res.Action, ActionRecompiled)
+	if res.Action != actionRecompiled {
+		t.Fatalf("mixed-tier modify: action %s, want %s", res.Action, actionRecompiled)
 	}
 	if res.DirtySources != 1 {
 		t.Fatalf("asw1 delta dirtied %d sources, want 1", res.DirtySources)
@@ -178,7 +179,7 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 
 	// An aggregation-layer delta is attempted by every source's fork, so the
 	// whole column goes dirty — precision degrades exactly with dependency.
-	res, err = svc.Apply(Delta{Elem: "agg", Op: OpInsert, MAC: "06:00:00:00:00:aa", Port: 0})
+	res, err = svc.apply(Delta{Elem: "agg", Op: OpInsert, MAC: "06:00:00:00:00:aa", Port: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 	}
 	check("agg insert")
 
-	snap := svc.Registry().Snapshot()
+	snap := svc.registry().Snapshot()
 	reverified := snap.Counters["churn.cells.reverified"]
 	total := snap.Gauges["churn.cells.total"]
 	if total == 0 || reverified == 0 {
@@ -235,27 +236,27 @@ func (r *failingRunner) RunBatch(net *core.Network, jobs []dist.Job) []dist.JobR
 func TestFailedReverifyKeepsDirtySet(t *testing.T) {
 	runner := &failingRunner{Runner: dist.InProcess(2, nil), failOn: 2} // batch 1 is Init
 	svc, check := starService(t, runner)
-	before := svc.Report().Reachable[2]
+	before := svc.report.Reachable[2]
 
-	if _, err := svc.Apply(Delta{Elem: "asw2", Op: OpModify, MAC: sefl.NumberToMAC(starUpMAC), Port: 1}); err == nil {
+	if _, err := svc.apply(Delta{Elem: "asw2", Op: OpModify, MAC: sefl.NumberToMAC(starUpMAC), Port: 1}); err == nil {
 		t.Fatal("Apply over a failing batch succeeded")
 	}
-	if v := svc.Version(); v != 1 {
+	if v := svc.current().Version; v != 1 {
 		t.Fatalf("failed commit published version %d", v)
 	}
 
-	res, err := svc.Apply(Delta{Elem: "asw1", Op: OpInsert, MAC: "06:00:00:00:00:99", Port: 1})
+	res, err := svc.apply(Delta{Elem: "asw1", Op: OpInsert, MAC: "06:00:00:00:00:99", Port: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.DirtySources != 2 {
 		t.Errorf("commit after a failed one re-verified %d sources, want asw1's own and the carried-over asw2", res.DirtySources)
 	}
-	if v := svc.Version(); v != 2 {
+	if v := svc.current().Version; v != 2 {
 		t.Fatalf("version after the recovered commit = %d, want 2", v)
 	}
 	check("after failed batch")
-	if reflect.DeepEqual(svc.Report().Reachable[2], before) {
+	if reflect.DeepEqual(svc.report.Reachable[2], before) {
 		t.Fatal("the failed delta did not change asw2's row; the test cannot see a stale cell")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"symnet/internal/core"
@@ -64,11 +65,11 @@ func TestServiceDifferentialPool(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		if !reflect.DeepEqual(pooled.Report().Reachable, local.Report().Reachable) {
-			t.Fatalf("%s: reachability matrix diverged:\n pool %v\nlocal %v", step, pooled.Report().Reachable, local.Report().Reachable)
+		if !reflect.DeepEqual(pooled.report.Reachable, local.report.Reachable) {
+			t.Fatalf("%s: reachability matrix diverged:\n pool %v\nlocal %v", step, pooled.report.Reachable, local.report.Reachable)
 		}
-		if !reflect.DeepEqual(pooled.Report().PathCount, local.Report().PathCount) {
-			t.Fatalf("%s: path count matrix diverged:\n pool %v\nlocal %v", step, pooled.Report().PathCount, local.Report().PathCount)
+		if !reflect.DeepEqual(pooled.report.PathCount, local.report.PathCount) {
+			t.Fatalf("%s: path count matrix diverged:\n pool %v\nlocal %v", step, pooled.report.PathCount, local.report.PathCount)
 		}
 	}
 	check("init")
@@ -89,11 +90,11 @@ func TestServiceDifferentialPool(t *testing.T) {
 		deltas = append(deltas, fds[i], mds[i])
 	}
 	for di, d := range deltas {
-		pr, err := pooled.Apply(d)
+		pr, err := pooled.apply(d)
 		if err != nil {
 			t.Fatalf("delta %d (%s) pool: %v", di, d, err)
 		}
-		lr, err := local.Apply(d)
+		lr, err := local.apply(d)
 		if err != nil {
 			t.Fatalf("delta %d (%s) local: %v", di, d, err)
 		}
@@ -114,21 +115,21 @@ func TestServiceDifferentialPool(t *testing.T) {
 
 	// Empty port 2 of the router: the fork list shrinks, the element model is
 	// rebuilt, and the pool must take the Invalidate barrier (full re-ship).
-	fib, _ := pooled.CurrentFIB("rt")
+	fib := slices.Clone(pooled.routers["rt"])
 	var rebuilt bool
 	for _, r := range fib {
 		if r.Port != 2 {
 			continue
 		}
 		d := Delta{Elem: "rt", Op: OpDelete, Prefix: fmt.Sprintf("%s/%d", sefl.NumberToIP(r.Prefix), r.Len)}
-		pr, err := pooled.Apply(d)
+		pr, err := pooled.apply(d)
 		if err != nil {
 			t.Fatalf("rebuild delta %s pool: %v", d, err)
 		}
-		if _, err := local.Apply(d); err != nil {
+		if _, err := local.apply(d); err != nil {
 			t.Fatalf("rebuild delta %s local: %v", d, err)
 		}
-		rebuilt = rebuilt || pr.Action == ActionRebuilt
+		rebuilt = rebuilt || pr.Action == actionRebuilt
 		check(fmt.Sprintf("rebuild delta %s", d))
 	}
 	if !rebuilt {

@@ -64,7 +64,7 @@ type submitReply struct {
 
 // Resident wraps a Service for concurrent serving: all mutations funnel
 // through a bounded intake queue drained by a single absorber goroutine,
-// which coalesces everything queued into one Stage/Commit pass — N deltas to
+// which coalesces everything queued into one stage/commit pass — N deltas to
 // the same table collapse into one patch and one re-verification. Reads
 // (Current, Watch, TransitionsSince) go straight to the service's lock-free
 // published snapshots.
@@ -91,7 +91,7 @@ func NewResident(svc *Service, cfg ResidentConfig) *Resident {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 128
 	}
-	reg := svc.Registry()
+	reg := svc.registry()
 	return &Resident{
 		svc:        svc,
 		cfg:        cfg,
@@ -105,19 +105,19 @@ func NewResident(svc *Service, cfg ResidentConfig) *Resident {
 }
 
 // Current returns the latest published report version, lock-free.
-func (r *Resident) Current() *PublishedReport { return r.svc.Current() }
+func (r *Resident) Current() *PublishedReport { return r.svc.current() }
 
-// Watch subscribes to published versions (see Service.Watch).
-func (r *Resident) Watch(buffer int) *Subscription { return r.svc.Watch(buffer) }
+// Watch subscribes to published versions (see Service.watch).
+func (r *Resident) Watch(buffer int) *Subscription { return r.svc.watch(buffer) }
 
-// TransitionsSince replays retained events (see Service.TransitionsSince).
+// TransitionsSince replays retained events (see Service.transitionsSince).
 func (r *Resident) TransitionsSince(since uint64) ([]VersionEvent, bool) {
-	return r.svc.TransitionsSince(since)
+	return r.svc.transitionsSince(since)
 }
 
 // Start launches the absorber goroutine. The service must be Init'ed.
 func (r *Resident) Start() error {
-	if r.svc.Current() == nil {
+	if r.svc.current() == nil {
 		return fmt.Errorf("churn: Resident.Start before Service.Init")
 	}
 	r.wg.Add(1)
@@ -255,7 +255,7 @@ func (r *Resident) absorb(batch []*submission) {
 		batch = batch[:len(batch)-1]
 	}
 	if len(batch) > 0 {
-		st := r.svc.NewStage()
+		st := r.svc.newStage()
 		results := make([]*SubmitResult, len(batch))
 		for i, sub := range batch {
 			res := &SubmitResult{Statuses: make([]DeltaStatus, len(sub.ds))}
@@ -277,7 +277,7 @@ func (r *Resident) absorb(batch []*submission) {
 		var br *BatchResult
 		var err error
 		if st.Deltas() > 0 {
-			br, err = st.Commit()
+			br, err = st.commit()
 		}
 		for i, sub := range batch {
 			if err != nil {
@@ -296,10 +296,10 @@ func (r *Resident) absorb(batch []*submission) {
 func (r *Resident) handleControl(sub *submission) {
 	switch sub.kind {
 	case kindRestore:
-		pub, err := r.svc.RestoreState(sub.state)
+		pub, err := r.svc.restoreState(sub.state)
 		sub.reply <- submitReply{pub: pub, err: err}
 	case kindExport:
-		sub.reply <- submitReply{state: r.svc.ExportState()}
+		sub.reply <- submitReply{state: r.svc.exportState()}
 	case kindBarrier:
 		sub.reply <- submitReply{}
 	case kindDeltas:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestResidentCoalesces(t *testing.T) {
 	}
 	// All 10 queued submissions must have coalesced into a single pass: one
 	// version bump past Init, one shared BatchResult.
-	if got := svc.Version(); got != 2 {
+	if got := svc.current().Version; got != 2 {
 		t.Fatalf("version %d after coalesced burst, want 2", got)
 	}
 	for i := 1; i < len(results); i++ {
@@ -65,7 +66,7 @@ func TestResidentCoalesces(t *testing.T) {
 	if b := results[0].Batch; b.Deltas != len(fds) || b.Elems != 1 {
 		t.Fatalf("batch absorbed %d deltas over %d elems, want %d/1", b.Deltas, b.Elems, len(fds))
 	}
-	snap := svc.Registry().Snapshot()
+	snap := svc.registry().Snapshot()
 	if got := snap.Gauges["churn.batch.max_size"]; got != int64(len(fds)) {
 		t.Fatalf("churn.batch.max_size = %d, want %d", got, len(fds))
 	}
@@ -74,27 +75,27 @@ func TestResidentCoalesces(t *testing.T) {
 	}
 
 	// The coalesced result must be byte-identical to a from-scratch run.
-	fib, _ := svc.CurrentFIB("rt")
-	tbl, _ := svc.CurrentMACTable("sw")
+	fib := slices.Clone(svc.routers["rt"])
+	tbl := slices.Clone(svc.switches["sw"])
 	fresh, err := verify.AllPairsReachability(
 		buildDiffNet(t, fib, tbl),
 		svc.cfg.Sources, svc.cfg.Packet, svc.cfg.Targets, svc.cfg.Opts, dist.InProcess(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, "coalesced burst vs fresh", svc.Current().Report, fresh)
+	compareReports(t, "coalesced burst vs fresh", svc.current().Report, fresh)
 }
 
 func waitGauge(t *testing.T, svc *Service, name string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if svc.Registry().Snapshot().Gauges[name] == want {
+		if svc.registry().Snapshot().Gauges[name] == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("gauge %s never reached %d (now %d)", name, want, svc.Registry().Snapshot().Gauges[name])
+	t.Fatalf("gauge %s never reached %d (now %d)", name, want, svc.registry().Snapshot().Gauges[name])
 }
 
 // TestResidentMixedSuccess: one submission carrying both applicable and
@@ -130,7 +131,7 @@ func TestResidentMixedSuccess(t *testing.T) {
 	}
 
 	// All-rejected submission: no commit, nil Batch, no version bump.
-	before := svc.Version()
+	before := svc.current().Version
 	res, err = r.Submit(context.Background(), []Delta{
 		{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"},
 	})
@@ -140,7 +141,7 @@ func TestResidentMixedSuccess(t *testing.T) {
 	if res.Applied != 0 || res.Batch != nil {
 		t.Fatalf("all-rejected submission: %+v", res)
 	}
-	if svc.Version() != before {
+	if svc.current().Version != before {
 		t.Fatal("all-rejected submission bumped the version")
 	}
 }
@@ -264,15 +265,15 @@ func TestResidentConcurrentReaders(t *testing.T) {
 		t.Fatalf("final version %d: no deltas were absorbed", finalV)
 	}
 	// The final resident state matches a from-scratch run.
-	fib, _ := svc.CurrentFIB("rt")
-	tbl, _ := svc.CurrentMACTable("sw")
+	fib := slices.Clone(svc.routers["rt"])
+	tbl := slices.Clone(svc.switches["sw"])
 	fresh, err := verify.AllPairsReachability(
 		buildDiffNet(t, fib, tbl),
 		svc.cfg.Sources, svc.cfg.Packet, svc.cfg.Targets, svc.cfg.Opts, dist.InProcess(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, "post-churn vs fresh", svc.Current().Report, fresh)
+	compareReports(t, "post-churn vs fresh", svc.current().Report, fresh)
 }
 
 // TestResidentCloseFailsPending: submissions still queued at Close are

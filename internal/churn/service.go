@@ -36,7 +36,7 @@ type Config struct {
 	// The caller owns the runner and closes it after the service is done.
 	Runner dist.Runner
 	// Reg receives the churn.* instruments and the shared SatCache's
-	// counters; nil allocates a private registry (see Service.Registry).
+	// counters; nil allocates a private registry (see Service.registry).
 	Reg *obs.Registry
 }
 
@@ -44,30 +44,30 @@ type Config struct {
 type Action string
 
 const (
-	// ActionNoop: the delta changed nothing (e.g. modify to the same port).
-	ActionNoop Action = "noop"
-	// ActionPatched: every affected guard's span table was patched in place.
-	ActionPatched Action = "patched"
-	// ActionRecompiled: at least one affected port's guard was recompiled
+	// actionNoop: the delta changed nothing (e.g. modify to the same port).
+	actionNoop Action = "noop"
+	// actionPatched: every affected guard's span table was patched in place.
+	actionPatched Action = "patched"
+	// actionRecompiled: at least one affected port's guard was recompiled
 	// from the rebuilt rule list (guard not lowered, or not yet compiled).
-	ActionRecompiled Action = "recompiled"
-	// ActionRebuilt: the element's port set changed, forcing a full model
+	actionRecompiled Action = "recompiled"
+	// actionRebuilt: the element's port set changed, forcing a full model
 	// regeneration (new fork list, all guards).
-	ActionRebuilt Action = "rebuilt"
+	actionRebuilt Action = "rebuilt"
 )
 
 // Service is a resident incremental verifier: Init runs the full all-pairs
-// query once; Apply (or a coalescing Stage/Commit batch) absorbs rule
+// query once; apply (or a coalescing stage/commit batch) absorbs rule
 // deltas, patching the affected compiled guards in place and re-running only
 // the sources whose explorations traversed the touched ports. Every
 // absorption publishes a fresh copy-on-write report snapshot under a
 // monotonically increasing version; each published version is byte-identical
 // to a from-scratch verification of the rule set at that point.
 //
-// Mutations (Apply, Stage.Commit, RestoreState) are single-writer and not
+// Mutations (apply, stage.commit, restoreState) are single-writer and not
 // safe for concurrent use — Resident serializes them behind a bounded intake
-// queue. The read side (Current, Version, Watch, TransitionsSince) is safe
-// from any goroutine and never blocks on the writer.
+// queue. The read side (current, watch, transitionsSince) is safe from any
+// goroutine and never blocks on the writer.
 type Service struct {
 	cfg      Config
 	reg      *obs.Registry
@@ -165,28 +165,12 @@ func (s *Service) RegisterSwitch(elem string, tbl tables.MACTable) {
 	s.switches[elem] = append(tables.MACTable(nil), tbl...)
 }
 
-// Registry returns the registry carrying the churn.* and solver.satcache.*
+// registry returns the registry carrying the churn.* and solver.satcache.*
 // instruments (the configured one, or the private fallback).
-func (s *Service) Registry() *obs.Registry { return s.reg }
+func (s *Service) registry() *obs.Registry { return s.reg }
 
-// Report returns the latest published all-pairs report (the writer's view;
-// concurrent readers should prefer Current, which also carries the version).
-func (s *Service) Report() *verify.AllPairsReport { return s.report }
-
-// TotalCells returns the report's (source, target) pair count.
-func (s *Service) TotalCells() int { return len(s.cfg.Sources) * len(s.cfg.Targets) }
-
-// CurrentFIB returns a copy of a registered router's current table.
-func (s *Service) CurrentFIB(elem string) (tables.FIB, bool) {
-	f, ok := s.routers[elem]
-	return append(tables.FIB(nil), f...), ok
-}
-
-// CurrentMACTable returns a copy of a registered switch's current table.
-func (s *Service) CurrentMACTable(elem string) (tables.MACTable, bool) {
-	t, ok := s.switches[elem]
-	return append(tables.MACTable(nil), t...), ok
-}
+// totalCells returns the report's (source, target) pair count.
+func (s *Service) totalCells() int { return len(s.cfg.Sources) * len(s.cfg.Targets) }
 
 // Init runs the full all-pairs verification, builds the dependency index, and
 // publishes report version 1.
@@ -196,7 +180,7 @@ func (s *Service) Init() error {
 		return err
 	}
 	s.report = rep
-	s.reg.Gauge("churn.cells.total").Set(int64(s.TotalCells()))
+	s.reg.Gauge("churn.cells.total").Set(int64(s.totalCells()))
 	s.publish(rep, 0)
 	return nil
 }
@@ -217,17 +201,17 @@ func (s *Service) runFull() (*verify.AllPairsReport, error) {
 	return rep, nil
 }
 
-// Apply absorbs one rule delta: update the authoritative table, patch or
+// apply absorbs one rule delta: update the authoritative table, patch or
 // rebuild the affected guards, re-verify exactly the sources whose
 // explorations traversed the touched ports, and publish the next report
-// version. It is a batch of one — see NewStage/ApplyBatch for coalescing
+// version. It is a batch of one — see newStage/applyBatch for coalescing
 // several deltas into one re-verification pass.
-func (s *Service) Apply(d Delta) (*BatchResult, error) {
-	st := s.NewStage()
+func (s *Service) apply(d Delta) (*BatchResult, error) {
+	st := s.newStage()
 	if err := st.Add(d); err != nil {
 		return nil, err
 	}
-	return st.Commit()
+	return st.commit()
 }
 
 // reconcilePort installs a changed port guard — the Constrain of a table
@@ -242,7 +226,7 @@ func (s *Service) reconcilePort(e *core.Element, port int, lo, hi uint64, guard 
 		// new guard lazily; there is nothing resident to patch.
 		e.SetOutCode(port, guard)
 		s.recompiledPorts.Inc()
-		return ActionRecompiled
+		return actionRecompiled
 	}
 	its := prog.GuardTables(cp)
 	table, _ := guard.C.(sefl.Table)
@@ -262,12 +246,12 @@ func (s *Service) reconcilePort(e *core.Element, port int, lo, hi uint64, guard 
 		if n := prog.PatchGuard(cp, prog.PatchSpec{OldFp: oldFp, Rows: rows, Table: table, Ins: guard}); n > 0 {
 			e.PatchedOutCode(port, guard)
 			s.patchedPorts.Inc()
-			return ActionPatched
+			return actionPatched
 		}
 	}
 	e.SetOutCode(port, guard)
 	s.recompiledPorts.Inc()
-	return ActionRecompiled
+	return actionRecompiled
 }
 
 // flushRunner ships the commit's accumulated guard churn to the Runner —
@@ -288,7 +272,7 @@ func (s *Service) flushRunner() {
 
 // reverify re-runs the unverified sources, splices their rows into a
 // copy-on-write clone of the resident report, and installs the clone as the
-// writer's working report (publication happens in Commit). Unchanged rows
+// writer's working report (publication happens in commit). Unchanged rows
 // stay shared with the previously published snapshot, which concurrent
 // readers keep traversing untouched. On error nothing is installed and the
 // set is kept for the next commit.
@@ -393,14 +377,14 @@ func worse(a, b Action) Action {
 
 func tier(a Action) int {
 	switch a {
-	case ActionPatched:
+	case actionPatched:
 		return 1
-	case ActionRecompiled:
+	case actionRecompiled:
 		return 2
-	case ActionRebuilt:
+	case actionRebuilt:
 		return 3
 	}
-	return 0 // ActionNoop and the unset zero value
+	return 0 // actionNoop and the unset zero value
 }
 
 func equalCompiled(a, b []tables.CompiledRoute) bool {

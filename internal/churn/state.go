@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 
 	"symnet/internal/models"
 	"symnet/internal/tables"
 )
 
-// StateSchema versions the snapshot wire format.
-const StateSchema = 1
+// stateSchema versions the snapshot wire format.
+const stateSchema = 1
 
 // State is a serializable snapshot of the resident state: the authoritative
 // tables plus the published version. It deliberately omits the report — a
@@ -27,15 +28,15 @@ type State struct {
 	Switches      map[string]tables.MACTable `json:"switches,omitempty"`
 }
 
-// ExportState captures the current tables and version. Single-writer; the
+// exportState captures the current tables and version. Single-writer; the
 // Resident serializes it with absorption (Resident.Export).
-func (s *Service) ExportState() *State {
+func (s *Service) exportState() *State {
 	st := &State{
-		Schema:   StateSchema,
+		Schema:   stateSchema,
 		Routers:  make(map[string]tables.FIB, len(s.routers)),
 		Switches: make(map[string]tables.MACTable, len(s.switches)),
 	}
-	if pr := s.Current(); pr != nil {
+	if pr := s.current(); pr != nil {
 		st.Version = pr.Version
 		st.DeltasApplied = pr.DeltasApplied
 	}
@@ -65,22 +66,50 @@ func ReadState(r io.Reader) (*State, error) {
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("churn: snapshot decode: %w", err)
 	}
-	if st.Schema != StateSchema {
-		return nil, fmt.Errorf("churn: snapshot schema %d, want %d", st.Schema, StateSchema)
+	if err := st.validate(); err != nil {
+		return nil, err
 	}
 	return &st, nil
 }
 
-// RestoreState replaces the resident tables with the snapshot's, regenerates
+// validate checks the schema, that a version can follow the snapshot's, and
+// that every row is one the FIB and MAC-table text parsers could yield.
+func (st *State) validate() error {
+	if st.Schema != stateSchema {
+		return fmt.Errorf("churn: snapshot schema %d, want %d", st.Schema, stateSchema)
+	}
+	if st.Version == math.MaxUint64 {
+		return fmt.Errorf("churn: snapshot version %d leaves no version to restore as", st.Version)
+	}
+	for _, name := range slices.Sorted(maps.Keys(st.Routers)) {
+		for i, r := range st.Routers[name] {
+			if !r.Valid() {
+				return fmt.Errorf("churn: snapshot router %s: route %d (prefix %#x, len %d, port %d) is not a masked IPv4 prefix to a port",
+					name, i, r.Prefix, r.Len, r.Port)
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(st.Switches)) {
+		for i, e := range st.Switches[name] {
+			if !e.Valid() {
+				return fmt.Errorf("churn: snapshot switch %s: entry %d (mac %#x, vlan %d, port %d) is not a 48-bit MAC to a port",
+					name, i, e.MAC, e.VLAN, e.Port)
+			}
+		}
+	}
+	return nil
+}
+
+// restoreState replaces the resident tables with the snapshot's, regenerates
 // every affected element model, re-runs the full verification, and publishes
 // the restored report as the next version. The snapshot must cover exactly
 // the elements registered with the service (same topology, different rules).
 // Versions stay monotone: the published version is one past the maximum of
 // the current and snapshot versions, and watchers see the real transitions
 // between the pre- and post-restore reports.
-func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
-	if st.Schema != StateSchema {
-		return nil, fmt.Errorf("churn: snapshot schema %d, want %d", st.Schema, StateSchema)
+func (s *Service) restoreState(st *State) (*PublishedReport, error) {
+	if err := st.validate(); err != nil {
+		return nil, err
 	}
 	if err := keySetsMatch("router", s.routers, st.Routers); err != nil {
 		return nil, err
@@ -88,22 +117,29 @@ func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
 	if err := keySetsMatch("switch", s.switches, st.Switches); err != nil {
 		return nil, err
 	}
+	// Refuse what the models would refuse before touching any element, so a
+	// refused snapshot leaves the tables, the models and the version as they
+	// were.
+	for name, fib := range st.Routers {
+		if err := s.checkTable("router", name, fib.Ports()); err != nil {
+			return nil, err
+		}
+	}
+	for name, tbl := range st.Switches {
+		if err := s.checkTable("switch", name, tbl.Ports()); err != nil {
+			return nil, err
+		}
+	}
 	// Regenerate every model from the snapshot tables.
 	for name, fib := range st.Routers {
-		e, ok := s.cfg.Net.Element(name)
-		if !ok {
-			return nil, fmt.Errorf("churn: unknown element %q in snapshot", name)
-		}
+		e, _ := s.cfg.Net.Element(name)
 		if err := models.Router(e, fib, models.Egress); err != nil {
 			return nil, err
 		}
 		s.routers[name] = append(tables.FIB(nil), fib...)
 	}
 	for name, tbl := range st.Switches {
-		e, ok := s.cfg.Net.Element(name)
-		if !ok {
-			return nil, fmt.Errorf("churn: unknown element %q in snapshot", name)
-		}
+		e, _ := s.cfg.Net.Element(name)
 		if err := models.Switch(e, tbl, models.Egress); err != nil {
 			return nil, err
 		}
@@ -124,6 +160,19 @@ func (s *Service) RestoreState(st *State) (*PublishedReport, error) {
 		ver = cur.Version + 1
 	}
 	return s.publishAs(rep, ver, st.DeltasApplied), nil
+}
+
+// checkTable refuses a snapshot table for an unknown element, or one
+// models.Router or models.Switch would refuse (ports sorted ascending).
+func (s *Service) checkTable(kind, name string, ports []int) error {
+	e, ok := s.cfg.Net.Element(name)
+	if !ok {
+		return fmt.Errorf("churn: unknown element %q in snapshot", name)
+	}
+	if err := models.CheckTable(e, kind, ports); err != nil {
+		return fmt.Errorf("churn: snapshot: %w", err)
+	}
+	return nil
 }
 
 // keySetsMatch checks that a snapshot covers exactly the registered elements

@@ -2,8 +2,13 @@ package churn
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"symnet/internal/dist"
+	"symnet/internal/tables"
+	"symnet/internal/verify"
 )
 
 // TestStateRoundTrip: export after churn, restore into a fresh service of the
@@ -16,13 +21,13 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := donor.ApplyBatch(fds); err != nil {
+	if _, err := donor.applyBatch(fds); err != nil {
 		t.Fatal(err)
 	}
 
-	st := donor.ExportState()
-	if st.Schema != StateSchema || st.Version != donor.Version() {
-		t.Fatalf("export: %+v vs version %d", st, donor.Version())
+	st := donor.exportState()
+	if st.Schema != stateSchema || st.Version != donor.current().Version {
+		t.Fatalf("export: %+v vs version %d", st, donor.current().Version)
 	}
 	var buf bytes.Buffer
 	if _, err := st.WriteTo(&buf); err != nil {
@@ -34,7 +39,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	fresh := newDiffService(t, 2) // still at the seed tables, version 1
-	pub, err := fresh.RestoreState(rt)
+	pub, err := fresh.restoreState(rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +47,14 @@ func TestStateRoundTrip(t *testing.T) {
 	if pub.Version != st.Version+1 {
 		t.Fatalf("restored version %d, want %d", pub.Version, st.Version+1)
 	}
-	if fresh.Current() != pub {
+	if fresh.current() != pub {
 		t.Fatal("restore did not publish")
 	}
-	compareReports(t, "restored vs donor", pub.Report, donor.Current().Report)
+	compareReports(t, "restored vs donor", pub.Report, donor.current().Report)
 
 	// Tables round-tripped exactly.
-	df, _ := donor.CurrentFIB("rt")
-	ff, _ := fresh.CurrentFIB("rt")
+	df := slices.Clone(donor.routers["rt"])
+	ff := slices.Clone(fresh.routers["rt"])
 	if len(df) != len(ff) {
 		t.Fatalf("restored FIB has %d routes, donor %d", len(ff), len(df))
 	}
@@ -57,25 +62,25 @@ func TestStateRoundTrip(t *testing.T) {
 	// Restore keeps versions monotone even when the snapshot is older than
 	// the target's current version.
 	for i := 0; i < 4; i++ {
-		if _, err := fresh.Apply(Delta{Elem: "rt", Op: OpInsert, Prefix: "200.0.0.0/8", Port: 0}); err != nil {
+		if _, err := fresh.apply(Delta{Elem: "rt", Op: OpInsert, Prefix: "200.0.0.0/8", Port: 0}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fresh.Apply(Delta{Elem: "rt", Op: OpDelete, Prefix: "200.0.0.0/8"}); err != nil {
+		if _, err := fresh.apply(Delta{Elem: "rt", Op: OpDelete, Prefix: "200.0.0.0/8"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := fresh.Version()
-	pub2, err := fresh.RestoreState(rt)
+	before := fresh.current().Version
+	pub2, err := fresh.restoreState(rt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pub2.Version != before+1 {
 		t.Fatalf("restore rewound version: %d after %d", pub2.Version, before)
 	}
-	compareReports(t, "re-restored vs donor", pub2.Report, donor.Current().Report)
+	compareReports(t, "re-restored vs donor", pub2.Report, donor.current().Report)
 
 	// Deltas keep applying after a restore.
-	if _, err := fresh.Apply(Delta{Elem: "rt", Op: OpInsert, Prefix: "201.0.0.0/8", Port: 1}); err != nil {
+	if _, err := fresh.apply(Delta{Elem: "rt", Op: OpInsert, Prefix: "201.0.0.0/8", Port: 1}); err != nil {
 		t.Fatalf("apply after restore: %v", err)
 	}
 }
@@ -90,14 +95,80 @@ func TestStateValidation(t *testing.T) {
 		t.Fatal("malformed snapshot accepted")
 	}
 
-	st := svc.ExportState()
+	st := svc.exportState()
 	delete(st.Routers, "rt")
-	if _, err := svc.RestoreState(st); err == nil || !strings.Contains(err.Error(), "does not match") {
+	if _, err := svc.restoreState(st); err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("router set mismatch accepted: %v", err)
 	}
-	st2 := svc.ExportState()
+	st2 := svc.exportState()
 	st2.Schema = 7
-	if _, err := svc.RestoreState(st2); err == nil {
+	if _, err := svc.restoreState(st2); err == nil {
 		t.Fatal("wrong-schema restore accepted")
+	}
+
+	// Rows the text parsers refuse are refused on read and on restore; a
+	// length-40 route reaching tables.CompileLPM would panic it.
+	for _, bad := range []func(*State){
+		func(st *State) { st.Routers["rt"] = tables.FIB{{Prefix: 0x0A000000, Len: 40, Port: 0}} },
+		func(st *State) { st.Routers["rt"] = tables.FIB{{Prefix: 0x0A000001, Len: 8, Port: 0}} },
+		func(st *State) { st.Routers["rt"] = tables.FIB{{Prefix: 0x0A000000, Len: 8, Port: -1}} },
+		func(st *State) { st.Switches["sw"] = tables.MACTable{{MAC: 1 << 48, Port: 0}} },
+		func(st *State) { st.Switches["sw"] = tables.MACTable{{MAC: 1, VLAN: -1, Port: 0}} },
+	} {
+		st := svc.exportState()
+		bad(st)
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadState(&buf); err == nil || !strings.Contains(err.Error(), "snapshot") {
+			t.Fatalf("malformed row read: %v", err)
+		}
+		if _, err := svc.restoreState(st); err == nil {
+			t.Fatal("malformed row restored")
+		}
+	}
+
+	// A snapshot the models refuse in part — rt shortened to one route,
+	// sw's table empty, or a route to a port rt does not have — is refused
+	// whole: tables, models, version and report stay as they were.
+	fib, macs, pub := slices.Clone(svc.routers["rt"]), slices.Clone(svc.switches["sw"]), svc.current()
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*State)
+	}{
+		{"half valid", "empty table", func(st *State) {
+			st.Routers["rt"] = st.Routers["rt"][:1]
+			st.Switches["sw"] = tables.MACTable{}
+		}},
+		{"port out of range", "output ports", func(st *State) {
+			st.Routers["rt"] = append(st.Routers["rt"][:1:1], tables.Route{Prefix: 0x5A000000, Len: 8, Port: 3})
+		}},
+	} {
+		st := svc.exportState()
+		tc.edit(st)
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadState(&buf)
+		if err != nil {
+			t.Fatalf("%s: rows are valid, read refused: %v", tc.name, err)
+		}
+		if _, err := svc.restoreState(read); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: restore = %v, want an error about %q", tc.name, err, tc.want)
+		}
+		if !slices.Equal(svc.routers["rt"], fib) || !slices.Equal(svc.switches["sw"], macs) {
+			t.Fatalf("%s: refused restore changed the tables: rt %d routes (was %d), sw %d entries (was %d)",
+				tc.name, len(svc.routers["rt"]), len(fib), len(svc.switches["sw"]), len(macs))
+		}
+		if svc.current() != pub {
+			t.Fatalf("%s: refused restore published version %d (was %d)", tc.name, svc.current().Version, pub.Version)
+		}
+		live, err := verify.AllPairsReachability(svc.cfg.Net, svc.cfg.Sources, svc.cfg.Packet, svc.cfg.Targets, svc.cfg.Opts, dist.InProcess(1, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareReports(t, tc.name+": live models after a refused restore", live, pub.Report)
 	}
 }

@@ -21,18 +21,10 @@ type PublishedReport struct {
 	Report *verify.AllPairsReport
 }
 
-// Current returns the latest published report version, lock-free. It is nil
+// current returns the latest published report version, lock-free. It is nil
 // until Init has run.
-func (s *Service) Current() *PublishedReport {
+func (s *Service) current() *PublishedReport {
 	return s.cur.Load()
-}
-
-// Version returns the latest published version number (0 before Init).
-func (s *Service) Version() uint64 {
-	if pr := s.cur.Load(); pr != nil {
-		return pr.Version
-	}
-	return 0
 }
 
 // publish installs rep as the next report version and fans the transitions
@@ -48,7 +40,7 @@ func (s *Service) publish(rep *verify.AllPairsReport, deltas int) *PublishedRepo
 }
 
 // publishAs is publish with an explicit version and cumulative delta count
-// (RestoreState lifts the version past the snapshot's to keep the counter
+// (restoreState lifts the version past the snapshot's to keep the counter
 // monotone).
 func (s *Service) publishAs(rep *verify.AllPairsReport, ver, deltasTotal uint64) *PublishedReport {
 	prev := s.cur.Load()

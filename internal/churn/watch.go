@@ -111,22 +111,23 @@ func newHub(reg *obs.Registry) *hub {
 	}
 }
 
-// Watch subscribes to published versions. buffer bounds how far the
+// watch subscribes to published versions. buffer bounds how far the
 // subscriber may lag before it is dropped (minimum 1).
-func (s *Service) Watch(buffer int) *Subscription {
+func (s *Service) watch(buffer int) *Subscription {
 	return s.hub.subscribe(buffer)
 }
 
-// TransitionsSince returns the retained events with Version > since, oldest
+// transitionsSince returns the retained events with Version > since, oldest
 // first, and reports whether the history back to since is complete. A false
 // second return means the client is beyond the replay ring (or predates it)
 // and must re-read the full report instead.
-func (s *Service) TransitionsSince(since uint64) ([]VersionEvent, bool) {
+func (s *Service) transitionsSince(since uint64) ([]VersionEvent, bool) {
 	s.hub.mu.Lock()
 	defer s.hub.mu.Unlock()
 	ring := s.hub.ring
 	if len(ring) == 0 {
-		return nil, s.Version() <= since
+		cur := s.cur.Load()
+		return nil, cur == nil || cur.Version <= since
 	}
 	if ring[0].Version > since+1 {
 		return nil, false

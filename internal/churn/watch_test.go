@@ -13,7 +13,7 @@ import (
 // reachability flip for watch tests.
 func port2Deletes(t *testing.T, svc *Service) []Delta {
 	t.Helper()
-	fib, ok := svc.CurrentFIB("rt")
+	fib, ok := svc.routers["rt"]
 	if !ok {
 		t.Fatal("no resident FIB for rt")
 	}
@@ -35,7 +35,7 @@ func port2Deletes(t *testing.T, svc *Service) []Delta {
 // publish (with no transitions), and versions arrive in order.
 func TestWatchEventsMatchDiffs(t *testing.T) {
 	svc := newDiffService(t, 2)
-	sub := svc.Watch(64)
+	sub := svc.watch(64)
 	defer sub.Cancel()
 
 	fds, err := GenFIBDeltas("rt", diffFIB(), "10.128.0.0/9", 6, 7)
@@ -43,14 +43,14 @@ func TestWatchEventsMatchDiffs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prev := svc.Current()
+	prev := svc.current()
 	sawFlip := false
 	step := func(di int, d Delta) {
 		t.Helper()
-		if _, err := svc.Apply(d); err != nil {
+		if _, err := svc.apply(d); err != nil {
 			t.Fatalf("delta %d (%s): %v", di, d, err)
 		}
-		cur := svc.Current()
+		cur := svc.current()
 		if cur.Version != prev.Version+1 {
 			t.Fatalf("delta %d: version %d after %d", di, cur.Version, prev.Version)
 		}
@@ -115,20 +115,20 @@ func TestWatchEventsMatchDiffs(t *testing.T) {
 func TestTransitionsSince(t *testing.T) {
 	svc := newDiffService(t, 1)
 	// Ring holds the Init publish (version 1): since=0 is complete.
-	if evs, ok := svc.TransitionsSince(0); !ok || len(evs) != 1 || evs[0].Version != 1 {
+	if evs, ok := svc.transitionsSince(0); !ok || len(evs) != 1 || evs[0].Version != 1 {
 		t.Fatalf("since=0 after init: %+v, %v", evs, ok)
 	}
-	if evs, ok := svc.TransitionsSince(1); !ok || len(evs) != 0 {
+	if evs, ok := svc.transitionsSince(1); !ok || len(evs) != 0 {
 		t.Fatalf("since=current: %+v, %v (want empty, complete)", evs, ok)
 	}
 
 	for _, d := range port2Deletes(t, svc) {
-		if _, err := svc.Apply(d); err != nil {
+		if _, err := svc.apply(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cur := svc.Version()
-	evs, ok := svc.TransitionsSince(1)
+	cur := svc.current().Version
+	evs, ok := svc.transitionsSince(1)
 	if !ok || len(evs) != int(cur-1) {
 		t.Fatalf("since=1: %d events, ok=%v, want %d", len(evs), ok, cur-1)
 	}
@@ -149,10 +149,10 @@ func TestTransitionsSince(t *testing.T) {
 	for i := 0; i < ringSize; i++ {
 		svc.hub.broadcast(VersionEvent{Version: cur + uint64(i) + 1})
 	}
-	if _, ok := svc.TransitionsSince(1); ok {
+	if _, ok := svc.transitionsSince(1); ok {
 		t.Fatal("since beyond the replay ring reported complete history")
 	}
-	if evs, ok := svc.TransitionsSince(cur + ringSize - 4); !ok || len(evs) != 4 {
+	if evs, ok := svc.transitionsSince(cur + ringSize - 4); !ok || len(evs) != 4 {
 		t.Fatalf("tail replay: %d events, ok=%v", len(evs), ok)
 	}
 }
@@ -161,13 +161,13 @@ func TestTransitionsSince(t *testing.T) {
 // blocking the publisher, and fresh subscribers are unaffected.
 func TestWatchSlowSubscriberDropped(t *testing.T) {
 	svc := newDiffService(t, 1)
-	slow := svc.Watch(1)
-	fast := svc.Watch(16)
+	slow := svc.watch(1)
+	fast := svc.watch(16)
 	defer fast.Cancel()
 
 	ds := port2Deletes(t, svc)
 	for _, d := range ds {
-		if _, err := svc.Apply(d); err != nil {
+		if _, err := svc.apply(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestWatchSlowSubscriberDropped(t *testing.T) {
 		}
 		last = ev.Version
 	}
-	if got := verify.DiffReports(svc.Current().Report, svc.Current().Report); len(got) != 0 {
+	if got := verify.DiffReports(svc.current().Report, svc.current().Report); len(got) != 0 {
 		t.Fatalf("self-diff not empty: %+v", got)
 	}
 	slow.Cancel() // idempotent after drop

@@ -58,14 +58,14 @@ func TestParseConfigErrors(t *testing.T) {
 }
 
 func TestParseFilter(t *testing.T) {
-	f, err := ParseFilter("tcp and dst port 80 and src host 10.0.0.1")
+	f, err := parseFilter("tcp and dst port 80 and src host 10.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Proto == nil || *f.Proto != 6 || f.DstPort == nil || *f.DstPort != 80 || f.SrcHost == nil {
 		t.Fatalf("filter %+v", f)
 	}
-	if _, err := ParseFilter("tcp dst frobnicate 80"); err == nil {
+	if _, err := parseFilter("tcp dst frobnicate 80"); err == nil {
 		t.Fatal("bad filter must error")
 	}
 }
@@ -104,7 +104,7 @@ func TestIPClassifierModelAndConcreteAgree(t *testing.T) {
 func TestFig9RewriterLoop(t *testing.T) {
 	build := func() *core.Network {
 		net := core.NewNetwork()
-		Instantiate(net, "rw", IPRewriter())
+		Instantiate(net, "rw", ipRewriter())
 		Instantiate(net, "mirror", IPMirror())
 		sink := net.AddElement("src", "sink", 1, 0)
 		sink.SetInCode(0, sefl.NoOp{})
@@ -159,8 +159,8 @@ func TestFig9RewriterLoop(t *testing.T) {
 
 func TestTunnelElementsRoundTrip(t *testing.T) {
 	net := core.NewNetwork()
-	_, encC := Instantiate(net, "enc", IPEncap("1.0.0.1", "2.0.0.1"))
-	_, decC := Instantiate(net, "dec", IPDecap())
+	_, encC := Instantiate(net, "enc", ipEncap("1.0.0.1", "2.0.0.1"))
+	_, decC := Instantiate(net, "dec", ipDecap())
 	sink := net.AddElement("out", "sink", 1, 0)
 	sink.SetInCode(0, sefl.NoOp{})
 	net.MustLink("enc", 0, "dec", 0)
@@ -175,7 +175,7 @@ func TestTunnelElementsRoundTrip(t *testing.T) {
 	// Concrete twin agrees.
 	p := &Packet{IP: []*IPHdr{{Src: 1, Dst: 2, TTL: 10, Len: 40, Proto: 6}}, TCP: &TCPHdr{Src: 1, Dst: 2}}
 	_, mid, ok := encC.Process(0, p)
-	if !ok || len(mid.IP) != 2 || mid.OuterIP().Proto != 4 {
+	if !ok || len(mid.IP) != 2 || mid.outerIP().Proto != 4 {
 		t.Fatalf("concrete encap: %v ok=%v", mid, ok)
 	}
 	_, out, ok := decC.Process(0, mid)

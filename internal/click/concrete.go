@@ -79,8 +79,8 @@ func (p *Packet) InnerIP() *IPHdr {
 	return p.IP[len(p.IP)-1]
 }
 
-// OuterIP returns the outermost IP header.
-func (p *Packet) OuterIP() *IPHdr {
+// outerIP returns the outermost IP header.
+func (p *Packet) outerIP() *IPHdr {
 	if len(p.IP) == 0 {
 		return nil
 	}

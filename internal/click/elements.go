@@ -182,8 +182,8 @@ type Filter struct {
 	DstPort *uint64
 }
 
-// Cond lowers the filter to a SEFL condition.
-func (f Filter) Cond() sefl.Cond {
+// cond lowers the filter to a SEFL condition.
+func (f Filter) cond() sefl.Cond {
 	var cs []sefl.Cond
 	if f.Proto != nil {
 		cs = append(cs, sefl.Eq(ref(sefl.IPProto), sefl.CW(*f.Proto, 8)))
@@ -206,8 +206,8 @@ func (f Filter) Cond() sefl.Cond {
 	return sefl.AndC(cs...)
 }
 
-// Matches evaluates the filter on a concrete packet.
-func (f Filter) Matches(p *Packet) bool {
+// matches evaluates the filter on a concrete packet.
+func (f Filter) matches(p *Packet) bool {
 	ip := p.InnerIP()
 	if ip == nil {
 		return false
@@ -239,7 +239,7 @@ func IPClassifier(filters []Filter) Def {
 			code := sefl.Instr(sefl.Fail{Msg: "IPClassifier: no filter matched"})
 			for i := len(filters) - 1; i >= 0; i-- {
 				code = sefl.If{
-					C:    filters[i].Cond(),
+					C:    filters[i].cond(),
 					Then: sefl.Forward{Port: i},
 					Else: code,
 				}
@@ -249,7 +249,7 @@ func IPClassifier(filters []Filter) Def {
 		NewConcrete: func() Concrete {
 			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				for i, f := range filters {
-					if f.Matches(p) {
+					if f.matches(p) {
 						return i, p.Clone(), true
 					}
 				}
@@ -261,13 +261,13 @@ func IPClassifier(filters []Filter) Def {
 
 // --- IPRewriter (stateful firewall / NAT core) ---
 
-// IPRewriter models the Click element behind stateful functionality: the
+// ipRewriter models the Click element behind stateful functionality: the
 // forward direction (input 0) records the flow and passes it to output 0;
 // the reverse direction (input 1) checks the packet against both mapping
 // directions — traffic matching the *forward* mapping exits output 0 again
 // (this is what creates the Fig. 9 cycle when src==dst), traffic matching
 // the reverse mapping exits output 1, anything else is dropped.
-func IPRewriter() Def {
+func ipRewriter() Def {
 	fwd := func(n string) sefl.Meta { return sefl.Meta{Name: n, Local: true} }
 	return Def{
 		Kind: "IPRewriter", NumIn: 2, NumOut: 2,
@@ -345,8 +345,8 @@ func (r *concreteRewriter) Process(in int, p *Packet) (int, *Packet, bool) {
 
 // --- Framing and encapsulation elements ---
 
-// EtherEncap adds an Ethernet header.
-func EtherEncap(etherType uint64, src, dst string) Def {
+// etherEncap adds an Ethernet header.
+func etherEncap(etherType uint64, src, dst string) Def {
 	return Def{
 		Kind: "EtherEncap", NumIn: 1, NumOut: 1,
 		Model: func(e *core.Element) {
@@ -366,9 +366,9 @@ func EtherEncap(etherType uint64, src, dst string) Def {
 	}
 }
 
-// StripEther removes the Ethernet header (Click's Strip(14) on an Ethernet
+// stripEther removes the Ethernet header (Click's Strip(14) on an Ethernet
 // frame).
-func StripEther() Def {
+func stripEther() Def {
 	return Def{
 		Kind: "Strip", NumIn: 1, NumOut: 1,
 		Model: func(e *core.Element) {
@@ -387,9 +387,9 @@ func StripEther() Def {
 	}
 }
 
-// CheckIPHeader validates basic IPv4 header sanity (modeled as a minimum
+// checkIPHeader validates basic IPv4 header sanity (modeled as a minimum
 // length check).
-func CheckIPHeader() Def {
+func checkIPHeader() Def {
 	return Def{
 		Kind: "CheckIPHeader", NumIn: 1, NumOut: 1,
 		Model: func(e *core.Element) {
@@ -410,8 +410,8 @@ func CheckIPHeader() Def {
 	}
 }
 
-// Discard drops every packet.
-func Discard() Def {
+// discard drops every packet.
+func discard() Def {
 	return Def{
 		Kind: "Discard", NumIn: 1, NumOut: 0,
 		Model: func(e *core.Element) {
@@ -425,8 +425,8 @@ func Discard() Def {
 	}
 }
 
-// Queue passes packets through unchanged (timing is irrelevant statically).
-func Queue() Def {
+// queue passes packets through unchanged (timing is irrelevant statically).
+func queue() Def {
 	return Def{
 		Kind: "Queue", NumIn: 1, NumOut: 1,
 		Model: func(e *core.Element) {
@@ -447,10 +447,10 @@ const (
 	tunnelMACDst = "02:00:00:00:00:02"
 )
 
-// IPEncap performs IP-in-IP encapsulation with the given endpoints. Like
+// ipEncap performs IP-in-IP encapsulation with the given endpoints. Like
 // real tunnel ingress, the element re-frames the packet: the old Ethernet
 // header is stripped and a fresh one pushed below the new outer IP header.
-func IPEncap(src, dst string) Def {
+func ipEncap(src, dst string) Def {
 	return Def{
 		Kind: "IPEncap", NumIn: 1, NumOut: 1,
 		Model: func(e *core.Element) {
@@ -476,9 +476,9 @@ func IPEncap(src, dst string) Def {
 	}
 }
 
-// IPDecap removes one layer of IP-in-IP encapsulation, re-framing like
-// IPEncap.
-func IPDecap() Def {
+// ipDecap removes one layer of IP-in-IP encapsulation, re-framing like
+// ipEncap.
+func ipDecap() Def {
 	return Def{
 		Kind: "IPDecap", NumIn: 1, NumOut: 1,
 		Model: func(e *core.Element) {
@@ -486,7 +486,7 @@ func IPDecap() Def {
 		},
 		NewConcrete: func() Concrete {
 			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
-				if len(p.IP) < 2 || p.OuterIP().Proto != models.ProtoIPIP {
+				if len(p.IP) < 2 || p.outerIP().Proto != models.ProtoIPIP {
 					return 0, nil, false
 				}
 				q := p.Clone()

@@ -81,7 +81,7 @@ func (cfg *Config) parseDecl(line string) error {
 		class = strings.TrimSpace(rest[:i])
 		args = rest[i+1 : len(rest)-1]
 	}
-	def, err := BuildElement(class, args)
+	def, err := buildElement(class, args)
 	if err != nil {
 		return err
 	}
@@ -92,9 +92,9 @@ func (cfg *Config) parseDecl(line string) error {
 	return nil
 }
 
-// BuildElement constructs an element Def from a Click class name and its
+// buildElement constructs an element Def from a Click class name and its
 // argument string.
-func BuildElement(class, args string) (Def, error) {
+func buildElement(class, args string) (Def, error) {
 	argList := splitArgs(args)
 	switch class {
 	case "IPMirror":
@@ -118,7 +118,7 @@ func BuildElement(class, args string) (Def, error) {
 	case "IPClassifier":
 		var filters []Filter
 		for _, a := range argList {
-			f, err := ParseFilter(a)
+			f, err := parseFilter(a)
 			if err != nil {
 				return Def{}, err
 			}
@@ -129,7 +129,7 @@ func BuildElement(class, args string) (Def, error) {
 		}
 		return IPClassifier(filters), nil
 	case "IPRewriter":
-		return IPRewriter(), nil
+		return ipRewriter(), nil
 	case "EtherEncap":
 		if len(argList) != 3 {
 			return Def{}, fmt.Errorf("EtherEncap needs TYPE, SRC, DST")
@@ -138,30 +138,30 @@ func BuildElement(class, args string) (Def, error) {
 		if err != nil {
 			return Def{}, fmt.Errorf("EtherEncap type: %v", err)
 		}
-		return EtherEncap(t, argList[1], argList[2]), nil
+		return etherEncap(t, argList[1], argList[2]), nil
 	case "Strip":
-		return StripEther(), nil
+		return stripEther(), nil
 	case "CheckIPHeader":
-		return CheckIPHeader(), nil
+		return checkIPHeader(), nil
 	case "Discard":
-		return Discard(), nil
+		return discard(), nil
 	case "Queue", "Unqueue", "SimpleQueue":
-		return Queue(), nil
+		return queue(), nil
 	case "IPEncap":
 		if len(argList) != 2 {
 			return Def{}, fmt.Errorf("IPEncap needs SRC, DST")
 		}
-		return IPEncap(argList[0], argList[1]), nil
+		return ipEncap(argList[0], argList[1]), nil
 	case "IPDecap":
-		return IPDecap(), nil
+		return ipDecap(), nil
 	}
 	return Def{}, fmt.Errorf("unknown element class %q", class)
 }
 
-// ParseFilter parses a tcpdump-flavored classifier pattern: a conjunction
+// parseFilter parses a tcpdump-flavored classifier pattern: a conjunction
 // of "tcp", "udp", "ip proto N", "src host A.B.C.D", "dst host A.B.C.D",
 // "src port N", "dst port N".
-func ParseFilter(s string) (Filter, error) {
+func parseFilter(s string) (Filter, error) {
 	var f Filter
 	tok := strings.Fields(s)
 	i := 0

@@ -272,10 +272,10 @@ func EncodeSummariesFor(n *Network, refs []PortRef) ([]WireSummaryEntry, error) 
 	return out, nil
 }
 
-// SummaryCensusRow is one element-port program's summarization verdict with
+// summaryCensusRow is one element-port program's summarization verdict with
 // its row-set size, for reporting (the symnet CLI prints statistics from it,
 // and the summary differential tests census the datasets with it).
-type SummaryCensusRow struct {
+type summaryCensusRow struct {
 	Elem       string
 	Port       int
 	Out        bool
@@ -290,12 +290,12 @@ type SummaryCensusRow struct {
 
 // SummaryCensus reports every element-port program's verdict with its
 // row-set size, in the same order as EncodeSummaries.
-func SummaryCensus(n *Network) []SummaryCensusRow {
-	var out []SummaryCensusRow
+func SummaryCensus(n *Network) []summaryCensusRow {
+	var out []summaryCensusRow
 	for _, ref := range codeRefs(n) {
 		c, _, _ := codeAt(n, ref)
 		sum, _ := c.summary()
-		out = append(out, SummaryCensusRow{
+		out = append(out, summaryCensusRow{
 			Elem: ref.Elem, Port: ref.Port, Out: ref.Out,
 			Summarized: sum.OK(), Reason: sum.Reason,
 			Rows: sum.Rows(), Nodes: len(sum.Nodes), Steps: sum.Steps(),

@@ -31,7 +31,7 @@ import (
 // owns one (run.env), re-pointed at the current state before every
 // evaluation, so evaluation costs no allocation.
 type progEnv struct {
-	st *State
+	st *state
 	r  *run
 }
 
@@ -48,7 +48,7 @@ func (e *progEnv) OrTreeGuards() bool                            { return e.r.op
 // reference field Options.IRExec), the AST interpreter behind
 // Options.ASTInterp. ok is false when the port has no code (neither
 // specific nor wildcard).
-func (r *run) execPort(out []*State, st *State, elem *Element, port int, outSide bool) ([]*State, bool) {
+func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide bool) ([]*state, bool) {
 	if r.opts.ASTInterp {
 		var code sefl.Instr
 		var ok bool
@@ -98,18 +98,18 @@ func (r *run) execPort(out []*State, st *State, elem *Element, port int, outSide
 
 // runProgram executes a compiled program on one state, returning successor
 // states in the same canonical order as the AST interpreter.
-func (r *run) runProgram(st *State, p *prog.Program) []*State {
-	return r.runSeg(p, p.Entry, []*State{st})
+func (r *run) runProgram(st *state, p *prog.Program) []*state {
+	return r.runSeg(p, p.Entry, []*state{st})
 }
 
 // runSeg applies a segment's ops instruction-major over the live states.
-func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State) []*State {
+func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*state) []*state {
 	seg := p.Seg(id)
 	for i := seg.Lo; i < seg.Hi; i++ {
 		op := &p.Ops[i]
 		switch op.Kind {
 		case prog.OpIf, prog.OpFor, prog.OpSub:
-			var out []*State
+			var out []*state
 			for _, s := range states {
 				if s.Status == Failed || s.forwarding() {
 					out = append(out, s)
@@ -135,7 +135,7 @@ func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*State) []*State {
 // failure render, Forward/Fork's port-slice allocation) are handled inline;
 // everything else shares applyLinearRest with the summary executor
 // (summary_exec.go), so linear-op semantics live in exactly one place.
-func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State) {
+func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *state) {
 	if s.traceOn {
 		s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
 	}
@@ -170,7 +170,7 @@ func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *State) {
 
 // applyLinearRest executes the linear op kinds whose semantics the IR and
 // summary executors share verbatim, on the state r.env points at.
-func (r *run) applyLinearRest(op *prog.Op, s *State) {
+func (r *run) applyLinearRest(op *prog.Op, s *state) {
 	env := &r.env
 	switch op.Kind {
 	case prog.OpNoOp:
@@ -245,7 +245,7 @@ func (r *run) applyLinearRest(op *prog.Op, s *State) {
 
 // applyAssign mirrors the AST interpreter's Assign: resolve the l-value,
 // evaluate under the width hint, adapt constant widths, store.
-func (r *run) applyAssign(op *prog.Op, s *State) {
+func (r *run) applyAssign(op *prog.Op, s *state) {
 	env := &r.env
 	if op.LV.Err != "" {
 		s.fail(op.LV.Err)
@@ -288,7 +288,7 @@ func (r *run) applyAssign(op *prog.Op, s *State) {
 
 // applyControl executes one forking op for one state, running nested
 // segments to completion (the AST recursion's order).
-func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State) []*State {
+func (r *run) applyControl(p *prog.Program, op *prog.Op, s *state) []*state {
 	if s.traceOn && op.Ins != nil {
 		s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
 	}
@@ -298,27 +298,27 @@ func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State) []*State {
 		cond, err := prog.EvalCond(&r.env, op.C)
 		if err != nil {
 			s.fail(err.Error())
-			return []*State{s}
+			return []*state{s}
 		}
 		if b, ok := cond.(expr.Bool); ok {
 			if !r.constBranch(s) {
 				return nil
 			}
 			if b {
-				return r.runSeg(p, op.Then, []*State{s})
+				return r.runSeg(p, op.Then, []*state{s})
 			}
-			return r.runSeg(p, op.Else, []*State{s})
+			return r.runSeg(p, op.Else, []*state{s})
 		}
 		thenSt := s.clone()
 		elseSt := s
-		var out []*State
+		var out []*state
 		if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
-			out = append(out, r.runSeg(p, op.Then, []*State{thenSt})...)
+			out = append(out, r.runSeg(p, op.Then, []*state{thenSt})...)
 		} else {
 			r.pruned++
 		}
 		if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-			out = append(out, r.runSeg(p, op.Else, []*State{elseSt})...)
+			out = append(out, r.runSeg(p, op.Else, []*state{elseSt})...)
 		} else {
 			r.pruned++
 		}
@@ -328,10 +328,10 @@ func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State) []*State {
 		return r.runFor(p, op, s)
 
 	case prog.OpSub:
-		return r.runSeg(p, op.Sub, []*State{s})
+		return r.runSeg(p, op.Sub, []*state{s})
 	}
 	s.fail(fmt.Sprintf("unknown control op kind %d", op.Kind))
-	return []*State{s}
+	return []*state{s}
 }
 
 // runFor runs a For loop on one state: the metadata keys matching the
@@ -339,13 +339,13 @@ func (r *run) applyControl(p *prog.Program, op *prog.Op, s *State) []*State {
 // state, key-major, each state's body to completion before the next state's
 // (the AST recursion's order). Both executors use it: the IR's applyControl
 // and the summary's TermFor node.
-func (r *run) runFor(p *prog.Program, op *prog.Op, s *State) []*State {
+func (r *run) runFor(p *prog.Program, op *prog.Op, s *state) []*state {
 	if op.For.Re == nil {
 		s.fail(op.For.Err)
-		return []*State{s}
+		return []*state{s}
 	}
 	keys := s.Mem.MetaKeysMatching(op.For.Re, p.Instance)
-	states := []*State{s}
+	states := []*state{s}
 	for _, k := range keys {
 		bp := p.ForBody(op.For, k)
 		if len(states) == 1 {
@@ -355,13 +355,13 @@ func (r *run) runFor(p *prog.Program, op *prog.Op, s *State) []*State {
 			states = r.runSeg(bp, bp.Entry, states)
 			continue
 		}
-		var out []*State
+		var out []*state
 		for _, s2 := range states {
 			if s2.Status == Failed || s2.forwarding() {
 				out = append(out, s2)
 				continue
 			}
-			out = append(out, r.runSeg(bp, bp.Entry, []*State{s2})...)
+			out = append(out, r.runSeg(bp, bp.Entry, []*state{s2})...)
 		}
 		states = out
 	}
@@ -375,7 +375,7 @@ func (r *run) runFor(p *prog.Program, op *prog.Op, s *State) []*State {
 // whichever side it is — on s. Stats, pruned counts and the context
 // fingerprint come out as the cloning path's. It reports whether s survives
 // to run the live side. Both executors (applyControl, applyNode) use it.
-func (r *run) constBranch(s *State) bool {
+func (r *run) constBranch(s *state) bool {
 	if !s.Ctx.Unsat() {
 		s.Ctx.Stats().Adds++ // the dead side's Add, refuted on its own context
 	}

@@ -103,11 +103,11 @@ type run struct {
 	stats    *solver.Stats
 	memo     *solver.SatCache
 	inst     *instruments
-	finished []*State
+	finished []*state
 	pruned   int
 	// next holds the successors of the step in progress; the exploration
 	// queues them before the next step reuses it.
-	next []*State
+	next []*state
 	// env is the evaluator adapter of every program this run executes,
 	// re-pointed at the current state before each evaluation.
 	env progEnv
@@ -131,7 +131,7 @@ func Run(net *Network, inject PortRef, init sefl.Instr, opts Options) (*Result, 
 	return e.explore()
 }
 
-func failWith(st *State, msg string) *State {
+func failWith(st *state, msg string) *state {
 	st.fail(msg)
 	return st
 }
@@ -139,7 +139,7 @@ func failWith(st *State, msg string) *State {
 // step processes one state positioned at an input port: loop check, input
 // code, output codes, link traversal. It appends the states to keep
 // exploring to next; finished paths are recorded on the result.
-func (r *run) step(next []*State, st *State) ([]*State, error) {
+func (r *run) step(next []*state, st *state) ([]*state, error) {
 	elem, ok := r.net.Element(st.Here.Elem)
 	if !ok {
 		return next, fmt.Errorf("core: element %q vanished", st.Here.Elem)
@@ -160,7 +160,7 @@ func (r *run) step(next []*State, st *State) ([]*State, error) {
 
 	// The visit's successors live only until they depart: a buffer on the
 	// stack holds them (a visit rarely forks more than a few ways).
-	var buf [4]*State
+	var buf [4]*state
 	states, ok := r.execPort(buf[:0], st, elem, st.Here.Port, false)
 	if !ok {
 		// No code: the packet stops here.
@@ -187,7 +187,7 @@ func (r *run) step(next []*State, st *State) ([]*State, error) {
 // depart runs output-port code for each pending output port and follows
 // links, appending the states that cross one to next. A state leaving
 // through k ports becomes k independent paths.
-func (r *run) depart(next []*State, st *State, elem *Element) []*State {
+func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 	ports := st.outPorts
 	st.outPorts = nil
 	for i, p := range ports {
@@ -228,7 +228,7 @@ func (r *run) depart(next []*State, st *State, elem *Element) []*State {
 // follow moves a state across the link leaving outRef and appends it to
 // next, or finishes it when the port is unconnected ("a path finishes ...
 // when it reaches a port with no outgoing links").
-func (r *run) follow(next []*State, st *State, outRef PortRef) []*State {
+func (r *run) follow(next []*state, st *state, outRef PortRef) []*state {
 	in, ok := r.net.Follow(outRef)
 	if !ok {
 		st.Status = Delivered
@@ -243,7 +243,7 @@ func (r *run) follow(next []*State, st *State, outRef PortRef) []*State {
 // with a deterministic ID when it merges the task. The path's memory is
 // sealed: it is read-only from here on, so concurrent clones of it write
 // nothing (see memory.Mem.Seal).
-func (r *run) finish(st *State) {
+func (r *run) finish(st *state) {
 	st.Mem.Seal()
 	r.finished = append(r.finished, st)
 }
@@ -259,9 +259,9 @@ func (r *run) finish(st *State) {
 // by Options.ASTInterp; the default execution path compiles port programs
 // to the flat IR of internal/prog and dispatches over it (compiled.go),
 // with byte-identical observable behavior.
-func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
+func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
 	if st.Status == Failed || st.forwarding() {
-		return []*State{st}
+		return []*state{st}
 	}
 	if st.traceOn {
 		if _, isBlock := ins.(sefl.Block); !isBlock {
@@ -270,12 +270,12 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 	}
 	switch v := ins.(type) {
 	case sefl.NoOp:
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.Block:
-		states := []*State{st}
+		states := []*state{st}
 		for _, sub := range v.Is {
-			var out []*State
+			var out []*state
 			for _, s := range states {
 				out = append(out, r.exec(s, elem, sub)...)
 			}
@@ -286,7 +286,7 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 	case sefl.Allocate:
 		loc, err := r.resolveLV(st, elem, v.LV)
 		if err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
 		size := v.Size
 		if size == 0 {
@@ -296,17 +296,17 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 		}
 		if loc.isHdr {
 			if err := st.Mem.AllocateHdr(loc.off, size); err != nil {
-				return []*State{failWith(st, err.Error())}
+				return []*state{failWith(st, err.Error())}
 			}
 		} else if err := st.Mem.AllocateMeta(loc.key, size); err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.Deallocate:
 		loc, err := r.resolveLV(st, elem, v.LV)
 		if err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
 		size := v.Size
 		if size == 0 {
@@ -316,17 +316,17 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 		}
 		if loc.isHdr {
 			if err := st.Mem.DeallocateHdr(loc.off, size); err != nil {
-				return []*State{failWith(st, err.Error())}
+				return []*state{failWith(st, err.Error())}
 			}
 		} else if err := st.Mem.DeallocateMeta(loc.key, size); err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.Assign:
 		loc, err := r.resolveLV(st, elem, v.LV)
 		if err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
 		hint := 0
 		if loc.isHdr {
@@ -336,63 +336,63 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 		}
 		val, err := r.evalExpr(st, elem, v.E, hint)
 		if err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
 		if hint != 0 && val.Width != hint {
 			if cv, isConst := val.ConstVal(); isConst {
 				val = expr.Const(cv, hint)
 			} else {
-				return []*State{failWith(st, fmt.Sprintf("assign width mismatch: %d-bit value into %d-bit field", val.Width, hint))}
+				return []*state{failWith(st, fmt.Sprintf("assign width mismatch: %d-bit value into %d-bit field", val.Width, hint))}
 			}
 		}
 		if loc.isHdr {
 			if err := st.Mem.AssignHdr(loc.off, loc.size, val); err != nil {
-				return []*State{failWith(st, err.Error())}
+				return []*state{failWith(st, err.Error())}
 			}
 		} else if err := st.Mem.AssignMeta(loc.key, val); err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.CreateTag:
 		val, err := r.evalExpr(st, elem, v.E, 64)
 		if err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
 		cv, ok := val.ConstVal()
 		if !ok {
-			return []*State{failWith(st, fmt.Sprintf("CreateTag(%q): tag value must be concrete", v.Name))}
+			return []*state{failWith(st, fmt.Sprintf("CreateTag(%q): tag value must be concrete", v.Name))}
 		}
 		st.Mem.CreateTag(v.Name, int64(cv))
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.DestroyTag:
 		if err := st.Mem.DestroyTag(v.Name); err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.Constrain:
 		cond, err := r.evalCond(st, elem, v.C)
 		if err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
 		if !st.Ctx.Add(cond) || (st.Ctx.PendingOrs() > 0 && !st.Ctx.Sat()) {
-			return []*State{failWith(st, fmt.Sprintf("constraint unsatisfiable: %s", v.C))}
+			return []*state{failWith(st, fmt.Sprintf("constraint unsatisfiable: %s", v.C))}
 		}
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.Fail:
-		return []*State{failWith(st, v.Msg)}
+		return []*state{failWith(st, v.Msg)}
 
 	case sefl.If:
 		cond, err := r.evalCond(st, elem, v.C)
 		if err != nil {
-			return []*State{failWith(st, err.Error())}
+			return []*state{failWith(st, err.Error())}
 		}
 		thenSt := st.clone()
 		elseSt := st
-		var out []*State
+		var out []*state
 		if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
 			out = append(out, r.exec(thenSt, elem, v.Then)...)
 		} else {
@@ -408,13 +408,13 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 	case sefl.For:
 		re, err := regexp.Compile(v.Pattern)
 		if err != nil {
-			return []*State{failWith(st, fmt.Sprintf("For: bad pattern %q: %v", v.Pattern, err))}
+			return []*state{failWith(st, fmt.Sprintf("For: bad pattern %q: %v", v.Pattern, err))}
 		}
 		keys := st.Mem.MetaKeysMatching(re, elem.Instance)
-		states := []*State{st}
+		states := []*state{st}
 		for _, k := range keys {
 			body := v.Body(sefl.Meta{Name: k.Name, Instance: k.Instance, Pinned: true})
-			var out []*State
+			var out []*state
 			for _, s := range states {
 				out = append(out, r.exec(s, elem, body)...)
 			}
@@ -424,16 +424,16 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 
 	case sefl.Forward:
 		st.outPorts = []int{v.Port}
-		return []*State{st}
+		return []*state{st}
 
 	case sefl.Fork:
 		if len(v.Ports) == 0 {
-			return []*State{failWith(st, "Fork with no ports")}
+			return []*state{failWith(st, "Fork with no ports")}
 		}
 		st.outPorts = append([]int(nil), v.Ports...)
-		return []*State{st}
+		return []*state{st}
 	}
-	return []*State{failWith(st, fmt.Sprintf("unknown instruction %T", ins))}
+	return []*state{failWith(st, fmt.Sprintf("unknown instruction %T", ins))}
 }
 
 // --- Loop detection (§6, Fig. 5) ---
@@ -442,7 +442,7 @@ func (r *run) exec(st *State, elem *Element, ins sefl.Instr) []*State {
 // reports whether an earlier snapshot is contained in the current one
 // ("a loop exists only when the new state contains all possible values in
 // the old state").
-func (r *run) loopCheck(st *State) bool {
+func (r *run) loopCheck(st *state) bool {
 	snap := r.takeSnapshot(st)
 	old, _ := st.seen.Get(st.Here)
 	for _, o := range old {
@@ -459,7 +459,7 @@ func (r *run) loopCheck(st *State) bool {
 }
 
 // takeSnapshot projects the current domains of the tracked variables.
-func (r *run) takeSnapshot(st *State) snapshot {
+func (r *run) takeSnapshot(st *state) snapshot {
 	snap := make(snapshot)
 	switch r.opts.Loop {
 	case LoopAddrOnly:

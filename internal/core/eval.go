@@ -28,7 +28,7 @@ type location struct {
 
 // resolveOff turns a sefl.Off into an absolute bit offset using the packet's
 // current tags.
-func (r *run) resolveOff(st *State, o sefl.Off) (int64, error) {
+func (r *run) resolveOff(st *state, o sefl.Off) (int64, error) {
 	if o.Tag == "" {
 		return o.Rel, nil
 	}
@@ -40,7 +40,7 @@ func (r *run) resolveOff(st *State, o sefl.Off) (int64, error) {
 }
 
 // resolveLV resolves an l-value against the current state and element.
-func (r *run) resolveLV(st *State, elem *Element, lv sefl.LValue) (location, error) {
+func (r *run) resolveLV(st *state, elem *Element, lv sefl.LValue) (location, error) {
 	switch v := lv.(type) {
 	case sefl.Hdr:
 		off, err := r.resolveOff(st, v.Off)
@@ -61,7 +61,7 @@ func (r *run) resolveLV(st *State, elem *Element, lv sefl.LValue) (location, err
 }
 
 // readLV reads the current value of an l-value.
-func (r *run) readLV(st *State, elem *Element, lv sefl.LValue) (expr.Lin, error) {
+func (r *run) readLV(st *state, elem *Element, lv sefl.LValue) (expr.Lin, error) {
 	loc, err := r.resolveLV(st, elem, lv)
 	if err != nil {
 		return expr.Lin{}, err
@@ -75,7 +75,7 @@ func (r *run) readLV(st *State, elem *Element, lv sefl.LValue) (expr.Lin, error)
 // evalExpr lowers a SEFL expression to a linear term. hint supplies a width
 // for adaptable-width literals (0 when unknown; such literals default to
 // 64 bits).
-func (r *run) evalExpr(st *State, elem *Element, e sefl.Expr, hint int) (expr.Lin, error) {
+func (r *run) evalExpr(st *state, elem *Element, e sefl.Expr, hint int) (expr.Lin, error) {
 	switch v := e.(type) {
 	case sefl.Num:
 		w := v.W
@@ -112,7 +112,7 @@ func (r *run) evalExpr(st *State, elem *Element, e sefl.Expr, hint int) (expr.Li
 }
 
 // evalArith handles A+B and A-B under SEFL's linearity restriction.
-func (r *run) evalArith(st *State, elem *Element, a, b sefl.Expr, hint int, sub bool) (expr.Lin, error) {
+func (r *run) evalArith(st *state, elem *Element, a, b sefl.Expr, hint int, sub bool) (expr.Lin, error) {
 	la, err := r.evalExpr(st, elem, a, hint)
 	if err != nil {
 		return expr.Lin{}, err
@@ -150,7 +150,7 @@ func (r *run) evalArith(st *State, elem *Element, a, b sefl.Expr, hint int, sub 
 }
 
 // evalCond lowers a SEFL condition to a solver condition.
-func (r *run) evalCond(st *State, elem *Element, c sefl.Cond) (expr.Cond, error) {
+func (r *run) evalCond(st *state, elem *Element, c sefl.Cond) (expr.Cond, error) {
 	switch v := c.(type) {
 	case sefl.CBool:
 		return expr.Bool(v), nil

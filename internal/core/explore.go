@@ -33,7 +33,7 @@ import (
 // state.
 type task struct {
 	seq  int64
-	st   *State
+	st   *state
 	init sefl.Instr // injection code (injection task only)
 }
 
@@ -126,7 +126,7 @@ func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 		// (compiled) execution path.
 		e.injProg = prog.Compile(init, elem.Name, elem.Instance, elem.Name+".inject")
 	}
-	st := &State{
+	st := &state{
 		Mem:     memory.New(),
 		Here:    PortRef{Elem: inject.Elem, Port: inject.Port},
 		seen:    newSeen(),
@@ -209,13 +209,13 @@ func (e *exploration) stepTask(t *task) error {
 // runInjection builds the symbolic packet: injection code runs in the
 // context of the target element (so local metadata in templates scopes
 // sensibly) before the packet enters the port.
-func (r *run) runInjection(next []*State, st *State, elem *Element, init sefl.Instr, injProg *prog.Program) []*State {
+func (r *run) runInjection(next []*state, st *state, elem *Element, init sefl.Instr, injProg *prog.Program) []*state {
 	st.Ctx = solver.NewContext(r.stats)
 	st.Ctx.SetCache(r.memo)
 	// Clones inherit the histogram, so every path of the run reports its Sat
 	// latencies (no-op when telemetry is off).
 	st.Ctx.SetSatHistogram(r.inst.satNs)
-	var states []*State
+	var states []*state
 	if injProg != nil {
 		states = r.runProgram(st, injProg)
 	} else {
@@ -237,7 +237,7 @@ func (r *run) runInjection(next []*State, st *State, elem *Element, init sefl.In
 
 // appendPath finalizes a completed state as the next path in canonical
 // order.
-func (e *exploration) appendPath(st *State) {
+func (e *exploration) appendPath(st *state) {
 	p := &Path{
 		ID:      len(e.paths),
 		Status:  st.Status,

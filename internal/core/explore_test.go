@@ -65,16 +65,16 @@ func TestResultDoesNotPinExploration(t *testing.T) {
 	}
 }
 
-// TestForkBoxDoesNotPinState keeps the State out of the box a fork
+// TestForkBoxDoesNotPinState keeps the state out of the box a fork
 // allocates for its memory and solver headers. A finished Path keeps both
-// headers, so the box lives as long as the Path; with the State inside it,
-// every resident Path would also keep a State it no longer needs.
+// headers, so the box lives as long as the Path; with the state inside it,
+// every resident Path would also keep a state it no longer needs.
 func TestForkBoxDoesNotPinState(t *testing.T) {
-	st := &State{Mem: memory.New(), Ctx: solver.NewContext(nil)}
+	st := &state{Mem: memory.New(), Ctx: solver.NewContext(nil)}
 	freed := make(chan struct{})
 	mem, ctx := func() (*memory.Mem, *solver.Context) {
 		n := st.clone()
-		runtime.SetFinalizer(n, func(*State) { close(freed) })
+		runtime.SetFinalizer(n, func(*state) { close(freed) })
 		return n.Mem, n.Ctx
 	}()
 	if !collected(freed) {

@@ -11,8 +11,8 @@ import (
 type Status uint8
 
 const (
-	// Active paths are still executing (never visible in results).
-	Active Status = iota
+	// active paths are still executing (never visible in results).
+	active Status = iota
 	// Delivered paths stopped normally: they reached a port with no
 	// outgoing link (or no code consuming them).
 	Delivered
@@ -25,7 +25,7 @@ const (
 
 func (s Status) String() string {
 	switch s {
-	case Active:
+	case active:
 		return "active"
 	case Delivered:
 		return "delivered"
@@ -93,12 +93,12 @@ func newSeen() persist.Map[PortRef, []snapshot] {
 	return persist.NewMap[PortRef, []snapshot](hashPortRef)
 }
 
-// State is one execution path: a symbolic packet plus its constraint
+// state is one execution path: a symbolic packet plus its constraint
 // context, location and history. The engine clones states on If and Fork;
 // every component — packet memory, solver context, history, trace,
 // loop-detection snapshots — is a persistent structure, so clone is O(1)
 // no matter how much state the path has accumulated.
-type State struct {
+type state struct {
 	Mem  *memory.Mem
 	Ctx  *solver.Context
 	Here PortRef
@@ -124,17 +124,17 @@ type State struct {
 }
 
 // pushHistory appends a port visit in O(1).
-func (st *State) pushHistory(p PortRef) { st.hist = st.hist.push(p) }
+func (st *state) pushHistory(p PortRef) { st.hist = st.hist.push(p) }
 
 // pushTrace appends a trace line in O(1) (no-op unless tracing).
-func (st *State) pushTrace(line string) {
+func (st *state) pushTrace(line string) {
 	if st.traceOn {
 		st.trace = st.trace.push(line)
 	}
 }
 
 // forkBox is the storage one fork allocates for the two headers it copies.
-// A finished Path keeps both, so one box costs it nothing extra. The State
+// A finished Path keeps both, so one box costs it nothing extra. The state
 // stays outside: it dies when its path finishes, and inside the box it would
 // live on as long as the Path.
 type forkBox struct {
@@ -144,7 +144,7 @@ type forkBox struct {
 
 // clone duplicates the path state: a constant-size header copy, since every
 // component is persistent or copy-on-write.
-func (st *State) clone() *State {
+func (st *state) clone() *state {
 	n := *st
 	b := new(forkBox)
 	n.Mem = st.Mem.CloneInto(&b.mem)
@@ -155,12 +155,12 @@ func (st *State) clone() *State {
 	return &n
 }
 
-func (st *State) fail(msg string) {
+func (st *state) fail(msg string) {
 	st.Status = Failed
 	st.FailMsg = msg
 }
 
-func (st *State) forwarding() bool { return len(st.outPorts) > 0 }
+func (st *state) forwarding() bool { return len(st.outPorts) > 0 }
 
 // Path is a finished execution path as reported to callers.
 type Path struct {
@@ -179,17 +179,9 @@ type Path struct {
 }
 
 // History returns the port-visit history, oldest first. The slice is built
-// per call (callers that iterate repeatedly should hold on to it); Last and
-// HistoryLen answer the common questions without materializing.
+// per call (callers that iterate repeatedly should hold on to it); Last
+// answers the common question without materializing.
 func (p *Path) History() []PortRef { return p.hist.slice() }
-
-// HistoryLen returns the number of port visits in O(1).
-func (p *Path) HistoryLen() int {
-	if p.hist == nil {
-		return 0
-	}
-	return p.hist.n
-}
 
 // Last returns the final port the path visited, in O(1).
 func (p *Path) Last() PortRef {

@@ -24,7 +24,7 @@ import (
 // output ports mid-row is done — the IR skips every remaining op for such
 // states, so the walk appends it as-is (position in the output order is
 // preserved by the recursion, matching runSeg's pass-through).
-func (r *run) applyNode(out []*State, sum *prog.Summary, ni int32, s *State) []*State {
+func (r *run) applyNode(out []*state, sum *prog.Summary, ni int32, s *state) []*state {
 	for {
 		n := &sum.Nodes[ni]
 		for i := n.Lo; i < n.Hi; i++ {
@@ -89,7 +89,7 @@ func (r *run) applyNode(out []*State, sum *prog.Summary, ni int32, s *State) []*
 // applySumStep executes the linear op at index i, mutating the state in
 // place. It mirrors applyLinear exactly, with the per-visit allocations
 // replaced by what the program and the summary hold once for all visits.
-func (r *run) applySumStep(sum *prog.Summary, i int32, s *State) {
+func (r *run) applySumStep(sum *prog.Summary, i int32, s *state) {
 	op := &sum.Prog.Ops[i]
 	if s.traceOn {
 		s.pushTrace(sum.TraceLine(i))

@@ -28,10 +28,10 @@ type SplitTCPConfig struct {
 
 // Element and address names used by the Split-TCP scenario.
 const (
-	SplitClientMAC = "02:0c:00:00:00:01"
-	SplitProxyMAC  = "02:0c:00:00:00:99"
-	SplitR1MAC     = "02:0c:00:00:00:11"
-	SplitR2MAC     = "02:0c:00:00:00:22"
+	splitClientMAC = "02:0c:00:00:00:01"
+	splitProxyMAC  = "02:0c:00:00:00:99"
+	splitR1MAC     = "02:0c:00:00:00:11"
+	splitR2MAC     = "02:0c:00:00:00:22"
 )
 
 // NewSplitTCP builds the topology: C -> AP -> R1 -> P -> R2 -> Internet,
@@ -56,13 +56,13 @@ func NewSplitTCP(cfg SplitTCPConfig) *core.Network {
 		fwd = append(fwd,
 			models.StripEthernet(),
 			models.IPinIPEncap("10.9.0.1", "10.9.0.2"),
-			models.PushEthernet(SplitR1MAC, SplitProxyMAC, sefl.EtherTypeIPv4),
+			models.PushEthernet(splitR1MAC, splitProxyMAC, sefl.EtherTypeIPv4),
 		)
 	case cfg.ProxyStripsVLAN:
 		// The deployment carries VLAN-tagged frames between R1 and P.
-		fwd = append(fwd, models.VLANWrap(100, SplitR1MAC, SplitProxyMAC))
+		fwd = append(fwd, models.VLANWrap(100, splitR1MAC, splitProxyMAC))
 	default:
-		fwd = append(fwd, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(SplitProxyMAC)})
+		fwd = append(fwd, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(splitProxyMAC)})
 	}
 	if cfg.MTUDrop {
 		fwd = append(fwd, sefl.Constrain{C: sefl.Lt(sefl.Ref{LV: sefl.IPLen}, sefl.C(1536))})
@@ -73,7 +73,7 @@ func NewSplitTCP(cfg SplitTCPConfig) *core.Network {
 	// when VLAN tagging is expected.
 	var ret []sefl.Instr
 	if cfg.ProxyStripsVLAN {
-		ret = append(ret, models.VLANUnwrap(SplitR1MAC, SplitClientMAC))
+		ret = append(ret, models.VLANUnwrap(splitR1MAC, splitClientMAC))
 	}
 	ret = append(ret, sefl.Forward{Port: 1})
 	r1.SetInCode(1, sefl.Seq(ret...))
@@ -87,24 +87,24 @@ func NewSplitTCP(cfg SplitTCPConfig) *core.Network {
 		pFwd = append(pFwd,
 			models.StripEthernet(),
 			models.IPinIPDecap(),
-			models.PushEthernet(SplitProxyMAC, SplitR2MAC, sefl.EtherTypeIPv4),
+			models.PushEthernet(splitProxyMAC, splitR2MAC, sefl.EtherTypeIPv4),
 		)
 	}
 	if cfg.ProxyStripsVLAN {
 		// Bug: remove the tag before processing, do NOT restore it.
-		pFwd = append(pFwd, models.VLANUnwrap(SplitProxyMAC, SplitR2MAC))
+		pFwd = append(pFwd, models.VLANUnwrap(splitProxyMAC, splitR2MAC))
 	}
 	if cfg.ProxyRewritesMAC {
-		pFwd = append(pFwd, sefl.Assign{LV: sefl.EtherSrc, E: sefl.MAC(SplitProxyMAC)})
+		pFwd = append(pFwd, sefl.Assign{LV: sefl.EtherSrc, E: sefl.MAC(splitProxyMAC)})
 	}
-	pFwd = append(pFwd, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(SplitR2MAC)}, sefl.Forward{Port: 0})
+	pFwd = append(pFwd, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(splitR2MAC)}, sefl.Forward{Port: 0})
 	p.SetInCode(0, sefl.Seq(pFwd...))
 	var pRet []sefl.Instr
 	if cfg.ProxyStripsVLAN {
 		// Return frames towards R1 are pushed back *untagged* — the bug.
-		pRet = append(pRet, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(SplitR1MAC)})
+		pRet = append(pRet, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(splitR1MAC)})
 	} else {
-		pRet = append(pRet, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(SplitR1MAC)})
+		pRet = append(pRet, sefl.Assign{LV: sefl.EtherDst, E: sefl.MAC(splitR1MAC)})
 	}
 	pRet = append(pRet, sefl.Forward{Port: 1})
 	p.SetInCode(1, sefl.Seq(pRet...))
@@ -163,7 +163,7 @@ func SplitTCPClientPacket() sefl.Instr {
 		// tunnel's +20 and defeat the MTU constraint.
 		sefl.Constrain{C: sefl.Ge(sefl.Ref{LV: sefl.IPLen}, sefl.C(40))},
 		sefl.Constrain{C: sefl.Le(sefl.Ref{LV: sefl.IPLen}, sefl.C(9000))},
-		sefl.Assign{LV: sefl.EtherSrc, E: sefl.MAC(SplitClientMAC)},
+		sefl.Assign{LV: sefl.EtherSrc, E: sefl.MAC(splitClientMAC)},
 		sefl.Allocate{LV: sefl.Meta{Name: "origIP"}, Size: 32},
 		sefl.Assign{LV: sefl.Meta{Name: "origIP"}, E: sefl.Ref{LV: sefl.IPSrc}},
 		sefl.Allocate{LV: sefl.Meta{Name: "origEther"}, Size: 48},

@@ -24,7 +24,7 @@
 // side or in in-process runs.
 //
 // A fleet member is a resident process serving ServeListener — `symworker
-// -listen`, or a binary that calls MaybeWorker under
+// -listen`, or this package's test binary re-executed under
 // SYMNET_DIST_WORKER=listen=addr — dialled over TCP at one of
 // Config.Workers' addresses. The coordinator spawns no workers of its own:
 // a local worker process re-runs the engine the in-process scheduler
@@ -214,7 +214,7 @@ type Config struct {
 	// Obs attaches coordinator-side observability. With a registry present,
 	// workers are asked to collect metrics too and their end-of-shard
 	// snapshots are absorbed into it, so the coordinator's registry reports
-	// batch-wide totals (merge order cannot matter — see obs.Snapshot.Merge).
+	// batch-wide totals (absorb order cannot matter — see obs.Registry.Absorb).
 	// Telemetry never crosses into job execution: results are byte-identical
 	// with Obs set or nil.
 	Obs *obs.Obs

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"testing"
@@ -17,11 +18,31 @@ import (
 )
 
 // TestMain lets the test binary serve as its own fleet member: when a test
-// re-executes it in listen mode (startWorkerProcess), MaybeWorker hijacks the
+// re-executes it in listen mode (startWorkerProcess), maybeWorker hijacks the
 // process before any test runs.
 func TestMain(m *testing.M) {
-	dist.MaybeWorker()
+	maybeWorker()
 	os.Exit(m.Run())
+}
+
+// maybeWorker turns the current process into a fleet member when its
+// environment says SYMNET_DIST_WORKER=listen=addr, never returning in that
+// case: the process binds addr, prints the bound address on stdout ("addr"
+// may end in :0; the parent reads the line to learn the port), and serves
+// sessions until killed — what `symworker -listen addr` does. Without the
+// marker it is a no-op.
+func maybeWorker() {
+	addr, ok := strings.CutPrefix(os.Getenv("SYMNET_DIST_WORKER"), "listen=")
+	if !ok {
+		return
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err == nil {
+		fmt.Println(ln.Addr())
+		err = dist.ServeListener(ln)
+	}
+	fmt.Fprintln(os.Stderr, "symnet-dist-worker:", err)
+	os.Exit(1)
 }
 
 func init() {

@@ -111,7 +111,7 @@ func TestResultFrameMatchesSummarize(t *testing.T) {
 	})
 	empty := mustRun(t, net, jobs[0].Inject, dropAA, core.Options{})
 	runs = append(runs, run{"empty history", empty, 0})
-	if empty.Paths[0].HistoryLen() != 0 || len(empty.Paths) < 2 {
+	if len(empty.Paths[0].History()) != 0 || len(empty.Paths) < 2 {
 		t.Fatalf("test premise: want an empty-history path among others, got %d paths, first %v", len(empty.Paths), empty.Paths[0].History())
 	}
 
@@ -280,7 +280,7 @@ func TestHopBudgetPathUnpacks(t *testing.T) {
 		if len(res.Paths) != 1 || !strings.HasPrefix(res.Paths[0].FailMsg, "hop budget exceeded") {
 			t.Fatalf("MaxHops %d: want one path stopped by the hop budget, got %d paths, first %q", maxHops, len(res.Paths), res.Paths[0].FailMsg)
 		}
-		if n, budget := res.Paths[0].HistoryLen(), historyBudget(maxHops); n != budget {
+		if n, budget := len(res.Paths[0].History()), historyBudget(maxHops); n != budget {
 			t.Errorf("MaxHops %d: the hop-budget path has %d port visits, historyBudget says %d", maxHops, n, budget)
 		}
 		w := recvResult(t, resultFrames(packSummary(res)), nil)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"symnet/internal/core"
@@ -14,10 +13,6 @@ import (
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
-
-// workerEnvMarker is the environment variable that turns a binary invoking
-// MaybeWorker into a fleet member: SYMNET_DIST_WORKER=listen=addr.
-const workerEnvMarker = "SYMNET_DIST_WORKER"
 
 // testExitEnv is a fault-injection hook for the worker-crash tests and the
 // CI kill-one-worker smoke: a worker whose environment names a job here ("*"
@@ -31,28 +26,6 @@ const testExitEnv = "SYMNET_DIST_TEST_EXIT_ON"
 // crashes — including the survivors the coordinator re-dispatches to, which
 // is the "poison job" scenario rather than the "machine died" one.
 const testExitOnceEnv = "SYMNET_DIST_TEST_EXIT_ONCE"
-
-// MaybeWorker turns the current process into a fleet member when its
-// environment says SYMNET_DIST_WORKER=listen=addr, never returning in that
-// case: the process binds addr, prints the bound address on stdout ("addr"
-// may end in :0; the parent reads the line to learn the port), and serves
-// sessions until killed — what `symworker -listen addr` does. Test binaries
-// call it first thing so they can start separate-process members of
-// themselves without building cmd/symworker. Without the marker it is a
-// no-op.
-func MaybeWorker() {
-	addr, ok := strings.CutPrefix(os.Getenv(workerEnvMarker), "listen=")
-	if !ok {
-		return
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err == nil {
-		fmt.Println(ln.Addr())
-		err = ServeListener(ln)
-	}
-	fmt.Fprintln(os.Stderr, "symnet-dist-worker:", err)
-	os.Exit(1)
-}
 
 // workerState is what a session keeps across its batches: the installed
 // network at a setup generation. It lives and dies with the connection.

@@ -15,8 +15,8 @@ import (
 
 // --- Table 1: Klee-style symbolic execution of the options code ---
 
-// Table1Row is one row of Table 1.
-type Table1Row struct {
+// table1Row is one row of Table 1.
+type table1Row struct {
 	Length     int
 	Paths      int
 	PaperPaths int
@@ -26,13 +26,13 @@ type Table1Row struct {
 
 // Table1 runs the naive symbolic executor over the Fig. 1 program for
 // lengths 1..maxLen.
-func Table1(maxLen int) []Table1Row {
+func Table1(maxLen int) []table1Row {
 	paper := map[int]int{1: 3, 2: 8, 3: 19, 4: 45, 5: 106, 6: 248, 7: 510}
-	var rows []Table1Row
+	var rows []table1Row
 	for l := 1; l <= maxLen; l++ {
 		start := time.Now()
 		res := minic.Run(minic.OptionsProgram(l, minic.DefaultASAConfig()), minic.Limits{}, nil)
-		rows = append(rows, Table1Row{
+		rows = append(rows, table1Row{
 			Length:     l,
 			Paths:      len(res.Paths),
 			PaperPaths: paper[l],
@@ -45,8 +45,8 @@ func Table1(maxLen int) []Table1Row {
 
 // --- Table 3: HSA vs SymNet on the Stanford-like backbone ---
 
-// Table3Row is one tool's measurement.
-type Table3Row struct {
+// table3Row is one tool's measurement.
+type table3Row struct {
 	Tool    string
 	GenTime time.Duration
 	RunTime time.Duration
@@ -55,7 +55,7 @@ type Table3Row struct {
 
 // Table3 builds the backbone once per tool (generation time) and measures
 // reachability from zone0's host port.
-func Table3(nZones, perZone int) ([]Table3Row, error) {
+func Table3(nZones, perZone int) ([]table3Row, error) {
 	// SymNet.
 	genStart := time.Now()
 	b := datasets.StanfordBackbone(nZones, perZone)
@@ -84,7 +84,7 @@ func Table3(nZones, perZone int) ([]Table3Row, error) {
 			hsaEndpoints++
 		}
 	}
-	return []Table3Row{
+	return []table3Row{
 		{Tool: "HSA", GenTime: hsaGen, RunTime: hsaRun, Reached: hsaEndpoints},
 		{Tool: "SymNet", GenTime: symGen, RunTime: symRun, Reached: res.Stats.Delivered},
 	}, nil
@@ -92,8 +92,8 @@ func Table3(nZones, perZone int) ([]Table3Row, error) {
 
 // --- Table 4: property coverage, Klee vs SymNet on the options code ---
 
-// Table4Row is one property comparison.
-type Table4Row struct {
+// table4Row is one property comparison.
+type table4Row struct {
 	Property string
 	Klee     string
 	SymNet   string
@@ -102,8 +102,8 @@ type Table4Row struct {
 // Table4 reproduces the qualitative comparison by actually running both
 // sides: the mini-C program under the naive executor (budgeted, like Klee's
 // one-hour cap) and the Fig. 7 SEFL model under the engine.
-func Table4() ([]Table4Row, error) {
-	var rows []Table4Row
+func Table4() ([]table4Row, error) {
+	var rows []table4Row
 	budget := minic.Limits{TotalSteps: 200000}
 
 	// Klee side, length 6 (the paper's tractability frontier).
@@ -136,21 +136,21 @@ func Table4() ([]Table4Row, error) {
 		return badMsg
 	}
 	rows = append(rows,
-		Table4Row{"Bounded execution", kleeVerdict(!res6.Exhausted, "yes up to 6B", "no"), "by construction"},
-		Table4Row{"Memory safety", kleeVerdict(memSafe && !res6.Exhausted, "yes up to 6B", "no"), "by construction (model)"},
-		Table4Row{"Full-size options field", kleeVerdict(!res40.Exhausted, "yes", "budget exhausted (DNF)"), "1 run, seconds"},
+		table4Row{"Bounded execution", kleeVerdict(!res6.Exhausted, "yes up to 6B", "no"), "by construction"},
+		table4Row{"Memory safety", kleeVerdict(memSafe && !res6.Exhausted, "yes up to 6B", "no"), "by construction (model)"},
+		table4Row{"Full-size options field", kleeVerdict(!res40.Exhausted, "yes", "budget exhausted (DNF)"), "1 run, seconds"},
 	)
 
 	// Timestamp (kind 8, 10 bytes): cannot fit in 6 bytes, so the Klee-side
 	// verdict at 6B is "not allowed" — incorrect.
-	rows = append(rows, Table4Row{
+	rows = append(rows, table4Row{
 		Property: "Timestamp allowed",
 		Klee:     kleeVerdict(allowed[minic.OptTimestamp], "yes", "incorrect (not observable at 6B)"),
 		SymNet:   "yes",
 	})
 	// MSS+WScale+SackOK together need 9 bytes: pairwise visible at 6B only.
 	all3 := allowed[minic.OptMSS] && allowed[minic.OptWScale] && allowed[minic.OptSackOK]
-	rows = append(rows, Table4Row{
+	rows = append(rows, table4Row{
 		Property: "SackOK,MSS,WScale combinations",
 		Klee:     kleeVerdict(all3, "pairwise at 6B", "incorrect"),
 		SymNet:   "yes (any combination)",
@@ -161,7 +161,7 @@ func Table4() ([]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Table4Row{
+	rows = append(rows, table4Row{
 		Property: "Multipath always stripped",
 		Klee:     "incorrect (unobservable at 6B)",
 		SymNet:   kleeVerdict(symOK, "yes (verified)", "FAILED"),
@@ -203,9 +203,9 @@ func table4SymNetChecks() (bool, error) {
 
 // --- Table 5: capability matrix, validated by runnable scenarios ---
 
-// Table5Row is one capability with the SymNet column verified by running
+// table5Row is one capability with the SymNet column verified by running
 // the corresponding scenario in this repository.
-type Table5Row struct {
+type table5Row struct {
 	Capability string
 	HSA        string // from the paper
 	NOD        string // from the paper
@@ -214,17 +214,17 @@ type Table5Row struct {
 }
 
 // Table5 exercises each capability scenario.
-func Table5() []Table5Row {
-	check := func(name string, f func() bool) Table5Row {
+func Table5() []table5Row {
+	check := func(name string, f func() bool) table5Row {
 		ok := f()
 		v := "yes"
 		if !ok {
 			v = "FAILED"
 		}
-		return Table5Row{Capability: name, SymNet: v, Verified: ok}
+		return table5Row{Capability: name, SymNet: v, Verified: ok}
 	}
-	rows := []Table5Row{}
-	add := func(r Table5Row, hsaCol, nod string) {
+	rows := []table5Row{}
+	add := func(r table5Row, hsaCol, nod string) {
 		r.HSA, r.NOD = hsaCol, nod
 		rows = append(rows, r)
 	}
@@ -235,23 +235,23 @@ func Table5() []Table5Row {
 	add(check("Dynamic NATs", scenarioNAT), "no", "yes")
 	add(check("Encryption", scenarioEncryption), "no", "no")
 	add(check("TCP options", scenarioTCPOptions), "no", "yes")
-	rows = append(rows, Table5Row{Capability: "TCP segment splitting", HSA: "no", NOD: "no", SymNet: "no (limitation, §10)", Verified: true})
-	rows = append(rows, Table5Row{Capability: "IP fragmentation", HSA: "no", NOD: "no", SymNet: "no (limitation, §10)", Verified: true})
+	rows = append(rows, table5Row{Capability: "TCP segment splitting", HSA: "no", NOD: "no", SymNet: "no (limitation, §10)", Verified: true})
+	rows = append(rows, table5Row{Capability: "IP fragmentation", HSA: "no", NOD: "no", SymNet: "no (limitation, §10)", Verified: true})
 	return rows
 }
 
 // --- Split-TCP scenarios (§8.4 / Fig. 10) ---
 
-// SplitTCPFinding is one scenario outcome.
-type SplitTCPFinding struct {
+// splitTCPFinding is one scenario outcome.
+type splitTCPFinding struct {
 	Scenario string
 	Detail   string
 	OK       bool
 }
 
 // SplitTCP runs the four documented scenarios.
-func SplitTCP() ([]SplitTCPFinding, error) {
-	var out []SplitTCPFinding
+func SplitTCP() ([]splitTCPFinding, error) {
+	var out []splitTCPFinding
 
 	// 1. Asymmetric routing: every round-trip path crosses the proxy twice.
 	net := datasets.NewSplitTCP(datasets.SplitTCPConfig{ProxyRewritesMAC: true})
@@ -272,7 +272,7 @@ func SplitTCP() ([]SplitTCPFinding, error) {
 			viaProxy = false
 		}
 	}
-	out = append(out, SplitTCPFinding{"asymmetric routing", fmt.Sprintf("%d round-trip paths, all via proxy", len(paths)), viaProxy && len(paths) > 0})
+	out = append(out, splitTCPFinding{"asymmetric routing", fmt.Sprintf("%d round-trip paths, all via proxy", len(paths)), viaProxy && len(paths) > 0})
 
 	// 2. MTU: without the tunnel, length < 1536; with it, length < 1516.
 	limit, err := splitTCPMTULimit(datasets.SplitTCPConfig{MTUDrop: true, ProxyRewritesMAC: true})
@@ -283,8 +283,8 @@ func SplitTCP() ([]SplitTCPFinding, error) {
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, SplitTCPFinding{"MTU without tunnel", fmt.Sprintf("max IP length %d", limit), limit == 1535})
-	out = append(out, SplitTCPFinding{"MTU with IP-in-IP", fmt.Sprintf("max IP length %d (20-byte overhead)", limitTun), limitTun == 1515})
+	out = append(out, splitTCPFinding{"MTU without tunnel", fmt.Sprintf("max IP length %d", limit), limit == 1535})
+	out = append(out, splitTCPFinding{"MTU with IP-in-IP", fmt.Sprintf("max IP length %d (20-byte overhead)", limitTun), limitTun == 1515})
 
 	// 3. Missing VLAN tagging: proxy pushes untagged frames, R1 drops them.
 	netV := datasets.NewSplitTCP(datasets.SplitTCPConfig{ProxyStripsVLAN: true, ProxyRewritesMAC: true})
@@ -299,7 +299,7 @@ func SplitTCP() ([]SplitTCPFinding, error) {
 			vlanFail = true
 		}
 	}
-	out = append(out, SplitTCPFinding{"missing VLAN tagging", "untagged return frames dropped at R1", dropped && vlanFail})
+	out = append(out, splitTCPFinding{"missing VLAN tagging", "untagged return frames dropped at R1", dropped && vlanFail})
 
 	// 4. Security appliance: the proxy's MAC rewrite breaks the DHCP lease
 	// check at R2.
@@ -309,7 +309,7 @@ func SplitTCP() ([]SplitTCPFinding, error) {
 		return nil, err
 	}
 	allDropped := len(resD.DeliveredAt("client", 0)) == 0
-	out = append(out, SplitTCPFinding{"DHCP-lease appliance", "all packets dropped at R2 (source MAC rewritten)", allDropped})
+	out = append(out, splitTCPFinding{"DHCP-lease appliance", "all packets dropped at R2 (source MAC rewritten)", allDropped})
 	return out, nil
 }
 
@@ -340,8 +340,8 @@ func splitTCPMTULimit(cfg datasets.SplitTCPConfig) (uint64, error) {
 
 // --- Department network (§8.5 / Fig. 11) ---
 
-// DeptFinding is one §8.5 result.
-type DeptFinding struct {
+// deptFinding is one §8.5 result.
+type deptFinding struct {
 	Name   string
 	Detail string
 	OK     bool
@@ -350,8 +350,8 @@ type DeptFinding struct {
 // Department runs the §8.5 verification queries on a scaled-down department
 // network (sizes configurable; defaults mirror the paper's element counts
 // with smaller MAC tables for test speed).
-func Department(cfg datasets.DepartmentConfig) ([]DeptFinding, *core.Result, error) {
-	var out []DeptFinding
+func Department(cfg datasets.DepartmentConfig) ([]deptFinding, *core.Result, error) {
+	var out []deptFinding
 	d := datasets.NewDepartment(cfg)
 
 	// (a) Office packet reaches the Internet via the ASA.
@@ -370,7 +370,7 @@ func Department(cfg datasets.DepartmentConfig) ([]DeptFinding, *core.Result, err
 		}
 		viaASA = viaASA && through
 	}
-	out = append(out, DeptFinding{"office->Internet via ASA",
+	out = append(out, deptFinding{"office->Internet via ASA",
 		fmt.Sprintf("%d total paths, %d reach the Internet", res.Stats.Paths, len(toInternet)), viaASA})
 
 	// (b) TCP options tampering: MPTCP removed on delivered paths.
@@ -384,7 +384,7 @@ func Department(cfg datasets.DepartmentConfig) ([]DeptFinding, *core.Result, err
 			optOK = false
 		}
 	}
-	out = append(out, DeptFinding{"ASA strips MPTCP options", "OPT30 forced to 0 on all Internet paths", optOK})
+	out = append(out, deptFinding{"ASA strips MPTCP options", "OPT30 forced to 0 on all Internet paths", optOK})
 
 	// (c) Inbound: management VLAN reachable via M1 (the hole).
 	resIn, err := core.Run(d.Net, core.PortRef{Elem: "exit", Port: 1}, sefl.NewTCPPacket(), core.Options{MaxHops: 64})
@@ -395,9 +395,9 @@ func Department(cfg datasets.DepartmentConfig) ([]DeptFinding, *core.Result, err
 	hole := len(mgmtPaths) > 0
 	detail := fmt.Sprintf("%d inbound paths, %d reach the management VLAN", resIn.Stats.Paths, len(mgmtPaths))
 	if cfg.Fixed {
-		out = append(out, DeptFinding{"management VLAN unreachable after fix", detail, !hole})
+		out = append(out, deptFinding{"management VLAN unreachable after fix", detail, !hole})
 	} else {
-		out = append(out, DeptFinding{"management VLAN reachable from outside (hole)", detail, hole})
+		out = append(out, deptFinding{"management VLAN reachable from outside (hole)", detail, hole})
 	}
 
 	// (d) Cluster can reach switch management interfaces.
@@ -406,7 +406,7 @@ func Department(cfg datasets.DepartmentConfig) ([]DeptFinding, *core.Result, err
 		return nil, nil, err
 	}
 	telnet := len(resCl.DeliveredAt("mgmt", -1)) > 0
-	out = append(out, DeptFinding{"cluster->switch management (telnet)", "", telnet})
+	out = append(out, deptFinding{"cluster->switch management (telnet)", "", telnet})
 	return out, res, nil
 }
 

@@ -15,9 +15,9 @@ import (
 	"symnet/internal/solver"
 )
 
-// SwitchRow is one measurement of Fig. 8: symbolic execution of a switch
+// switchRow is one measurement of Fig. 8: symbolic execution of a switch
 // model at a given table size.
-type SwitchRow struct {
+type switchRow struct {
 	Style     models.Style
 	Entries   int
 	Paths     int
@@ -26,24 +26,24 @@ type SwitchRow struct {
 	SatChecks int
 }
 
-// RunSwitchModel builds a switch with the given MAC-table size and style,
+// runSwitchModel builds a switch with the given MAC-table size and style,
 // injects a packet with a symbolic destination MAC, and measures wall-clock
 // verification time and path counts — one point of Fig. 8.
-func RunSwitchModel(entries, numPorts int, style models.Style, seed int64) (SwitchRow, error) {
+func runSwitchModel(entries, numPorts int, style models.Style, seed int64) (switchRow, error) {
 	tbl := datasets.SwitchTable(entries, numPorts, seed)
 	net := core.NewNetwork()
 	sw := net.AddElement("SW", "switch", 1, numPorts)
 	if err := models.Switch(sw, tbl, style); err != nil {
-		return SwitchRow{}, err
+		return switchRow{}, err
 	}
 	stats := &solver.Stats{}
 	start := time.Now()
 	res, err := core.Run(net, core.PortRef{Elem: "SW", Port: 0}, sefl.NewEthernetPacket(), core.Options{Stats: stats})
 	if err != nil {
-		return SwitchRow{}, err
+		return switchRow{}, err
 	}
 	elapsed := time.Since(start)
-	return SwitchRow{
+	return switchRow{
 		Style:     style,
 		Entries:   entries,
 		Paths:     res.Stats.Paths,
@@ -75,14 +75,14 @@ func fig8Limit(style models.Style, egressMax int) int {
 
 // Fig8 runs the sweep and returns rows grouped per style, Egress up to
 // egressMax entries (480000 covers the paper's range).
-func Fig8(numPorts int, seed int64, egressMax int) ([]SwitchRow, error) {
-	var rows []SwitchRow
+func Fig8(numPorts int, seed int64, egressMax int) ([]switchRow, error) {
+	var rows []switchRow
 	for _, style := range []models.Style{models.Basic, models.Ingress, models.Egress} {
 		for _, n := range fig8Sizes {
 			if n > fig8Limit(style, egressMax) {
 				continue
 			}
-			row, err := RunSwitchModel(n, numPorts, style, seed)
+			row, err := runSwitchModel(n, numPorts, style, seed)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %v/%d: %w", style, n, err)
 			}

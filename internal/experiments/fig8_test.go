@@ -10,15 +10,15 @@ func TestFig8ShapeSmall(t *testing.T) {
 	// At a modest size all three styles terminate; path counts must follow
 	// the paper: Basic ≈ one path per entry, Ingress/Egress ≈ one per port.
 	const entries, ports = 1000, 20
-	basic, err := RunSwitchModel(entries, ports, models.Basic, 1)
+	basic, err := runSwitchModel(entries, ports, models.Basic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingress, err := RunSwitchModel(entries, ports, models.Ingress, 1)
+	ingress, err := runSwitchModel(entries, ports, models.Ingress, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	egress, err := RunSwitchModel(entries, ports, models.Egress, 1)
+	egress, err := runSwitchModel(entries, ports, models.Egress, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFig8EgressScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large sweep")
 	}
-	row, err := RunSwitchModel(480000, 20, models.Egress, 1)
+	row, err := runSwitchModel(480000, 20, models.Egress, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,6 @@ func (a *Alloc) Fresh(width int, name string) Lin {
 // Count reports how many symbols have been allocated.
 func (a *Alloc) Count() int { return int(a.next - a.base) }
 
-// Name returns the diagnostic name registered for id, or "".
-func (a *Alloc) Name(id SymID) string { return a.names[id] }
-
 // NewAllocAt returns an unbounded allocator whose first Fresh symbol is
 // start. The engine uses it to build a run's result allocator positioned
 // past every band the run handed out, so post-run Fresh symbols (follow-up

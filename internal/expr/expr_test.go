@@ -110,8 +110,8 @@ func TestNewNotPushesThroughCmp(t *testing.T) {
 func TestAllocNames(t *testing.T) {
 	var a Alloc
 	s := a.Fresh(32, "IPDst")
-	if a.Name(s.Sym) != "IPDst" {
-		t.Fatalf("name %q", a.Name(s.Sym))
+	if a.names[s.Sym] != "IPDst" {
+		t.Fatalf("name %q", a.names[s.Sym])
 	}
 	if a.Count() != 1 {
 		t.Fatalf("count %d", a.Count())

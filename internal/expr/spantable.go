@@ -152,9 +152,6 @@ func (t *SpanTable) Width() int { return t.width }
 // Spans returns the canonical spans (shared; do not mutate).
 func (t *SpanTable) Spans() []Span { return t.spans }
 
-// Len returns the number of canonical spans.
-func (t *SpanTable) Len() int { return len(t.spans) }
-
 // Fp returns the precomputed structural fingerprint of the table.
 func (t *SpanTable) Fp() Fp { return t.fp }
 
@@ -174,22 +171,6 @@ func (t *SpanTable) Contains(v uint64) bool {
 		}
 	}
 	return false
-}
-
-// Equal reports canonical-form equality.
-func (t *SpanTable) Equal(o *SpanTable) bool {
-	if t == o {
-		return true
-	}
-	if t.width != o.width || len(t.spans) != len(o.spans) {
-		return false
-	}
-	for i := range t.spans {
-		if t.spans[i] != o.spans[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (t *SpanTable) String() string {

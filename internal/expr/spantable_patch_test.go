@@ -21,7 +21,7 @@ func spansOf(t *SpanTable, max uint64) map[uint64]bool {
 // table rebuilt from scratch with the same membership.
 func requireCanonEqual(t *testing.T, got, want *SpanTable) {
 	t.Helper()
-	if !got.Equal(want) {
+	if !tablesEqual(got, want) {
 		t.Fatalf("canonical mismatch: got %v want %v", got, want)
 	}
 	if got.Fp() != want.Fp() {
@@ -35,7 +35,7 @@ func TestPatchWindowInsertAtBoundaries(t *testing.T) {
 	// Insert immediately below an existing span: must merge into it.
 	got := base.PatchWindow(9, 9, []Span{{Lo: 9, Hi: 9}})
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 9, Hi: 20}, {Lo: 40, Hi: 50}}))
-	if got.Len() != 2 {
+	if len(got.Spans()) != 2 {
 		t.Fatalf("adjacent insert did not re-merge: %v", got)
 	}
 
@@ -46,7 +46,7 @@ func TestPatchWindowInsertAtBoundaries(t *testing.T) {
 	// Insert bridging two spans (the window replaces the gap).
 	got = base.PatchWindow(21, 39, []Span{{Lo: 21, Hi: 39}})
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 10, Hi: 50}}))
-	if got.Len() != 1 {
+	if len(got.Spans()) != 1 {
 		t.Fatalf("bridging insert did not merge to one span: %v", got)
 	}
 
@@ -60,7 +60,7 @@ func TestPatchWindowDeleteSplitsSpan(t *testing.T) {
 
 	got := base.PatchWindow(15, 15, nil)
 	requireCanonEqual(t, got, NewSpanTable(16, []Span{{Lo: 10, Hi: 14}, {Lo: 16, Hi: 20}}))
-	if got.Len() != 2 {
+	if len(got.Spans()) != 2 {
 		t.Fatalf("mid-span delete did not split: %v", got)
 	}
 
@@ -84,7 +84,7 @@ func TestPatchWindowToEmptyAndFromEmpty(t *testing.T) {
 	base := NewSpanTable(8, []Span{{Lo: 3, Hi: 7}, {Lo: 100, Hi: 120}})
 
 	got := base.PatchWindow(0, 255, nil)
-	if got.Len() != 0 {
+	if len(got.Spans()) != 0 {
 		t.Fatalf("patch-to-empty left spans: %v", got)
 	}
 	requireCanonEqual(t, got, NewSpanTable(8, nil))
@@ -163,7 +163,7 @@ func TestPatchWindowFingerprintStability(t *testing.T) {
 			}
 		}
 		rebuilt := NewSpanTable(width, spans)
-		if !cur.Equal(rebuilt) || cur.Fp() != rebuilt.Fp() {
+		if !tablesEqual(cur, rebuilt) || cur.Fp() != rebuilt.Fp() {
 			t.Fatalf("step %d: patch diverged from rebuild: %v vs %v", step, cur, rebuilt)
 		}
 	}

@@ -28,15 +28,15 @@ type Cube struct {
 // FullCube matches everything.
 var FullCube = Cube{}
 
-// FromPrefix builds the cube of an IP prefix.
-func FromPrefix(prefix uint64, plen, width int) Cube {
+// fromPrefix builds the cube of an IP prefix.
+func fromPrefix(prefix uint64, plen, width int) Cube {
 	m := expr.PrefixMask(plen, width)
 	return Cube{Mask: m, Val: prefix & m}
 }
 
-// Intersect returns the cube common to c and o; ok is false when they are
+// intersect returns the cube common to c and o; ok is false when they are
 // disjoint (they disagree on a commonly-fixed bit).
-func (c Cube) Intersect(o Cube) (Cube, bool) {
+func (c Cube) intersect(o Cube) (Cube, bool) {
 	common := c.Mask & o.Mask
 	if (c.Val^o.Val)&common != 0 {
 		return Cube{}, false
@@ -44,16 +44,13 @@ func (c Cube) Intersect(o Cube) (Cube, bool) {
 	return Cube{Mask: c.Mask | o.Mask, Val: (c.Val & c.Mask) | (o.Val & o.Mask)}, true
 }
 
-// Contains reports whether o ⊆ c.
-func (c Cube) Contains(o Cube) bool {
+// contains reports whether o ⊆ c.
+func (c Cube) contains(o Cube) bool {
 	if c.Mask&^o.Mask != 0 {
 		return false // c fixes a bit o leaves free
 	}
 	return (c.Val^o.Val)&c.Mask == 0
 }
-
-// Sample returns one concrete header in the cube (wildcards as zero).
-func (c Cube) Sample() uint64 { return c.Val & c.Mask }
 
 func (c Cube) String() string {
 	if c.Mask == 0 {
@@ -72,36 +69,36 @@ type Region struct {
 // NewRegion builds a region from a base cube.
 func NewRegion(base Cube) Region { return Region{Base: base} }
 
-// Subtract adds cubes to the difference list (intersected with the base;
+// subtract adds cubes to the difference list (intersected with the base;
 // disjoint subtrahends are dropped).
-func (r Region) Subtract(cs ...Cube) Region {
+func (r Region) subtract(cs ...Cube) Region {
 	out := Region{Base: r.Base, Minus: append([]Cube(nil), r.Minus...)}
 	for _, c := range cs {
-		if i, ok := r.Base.Intersect(c); ok {
+		if i, ok := r.Base.intersect(c); ok {
 			out.Minus = append(out.Minus, i)
 		}
 	}
 	return out
 }
 
-// Intersect returns r ∩ cube.
-func (r Region) Intersect(c Cube) (Region, bool) {
-	base, ok := r.Base.Intersect(c)
+// intersect returns r ∩ cube.
+func (r Region) intersect(c Cube) (Region, bool) {
+	base, ok := r.Base.intersect(c)
 	if !ok {
 		return Region{}, false
 	}
 	out := Region{Base: base}
 	for _, m := range r.Minus {
-		if i, ok := base.Intersect(m); ok {
+		if i, ok := base.intersect(m); ok {
 			out.Minus = append(out.Minus, i)
 		}
 	}
 	return out, true
 }
 
-// Empty decides whether base \ minus is empty, by recursive bit splitting
+// empty decides whether base \ minus is empty, by recursive bit splitting
 // (the standard lazy-subtraction emptiness check).
-func (r Region) Empty(width int) bool {
+func (r Region) empty(width int) bool {
 	return emptyRec(r.Base, r.Minus, width, 0)
 }
 
@@ -110,10 +107,10 @@ func emptyRec(base Cube, minus []Cube, width, depth int) bool {
 	// region is empty.
 	live := minus[:0:0]
 	for _, m := range minus {
-		if _, ok := base.Intersect(m); !ok {
+		if _, ok := base.intersect(m); !ok {
 			continue
 		}
-		if m.Contains(base) {
+		if m.contains(base) {
 			return true
 		}
 		live = append(live, m)
@@ -126,7 +123,7 @@ func emptyRec(base Cube, minus []Cube, width, depth int) bool {
 	freeFixed := m0.Mask &^ base.Mask & expr.Mask(width)
 	if freeFixed == 0 {
 		// m0 fixes no extra bit yet doesn't contain base: impossible after
-		// the Contains check unless width exhausted.
+		// the contains check unless width exhausted.
 		return false
 	}
 	bit := uint64(1) << uint(bits.TrailingZeros64(freeFixed))
@@ -151,14 +148,14 @@ type PortFilter struct {
 }
 
 // Box is a network element with a transfer function per input port;
-// Wildcard (-1) applies to all inputs.
+// wildcard (-1) applies to all inputs.
 type Box struct {
 	Name     string
 	Transfer map[int][]PortFilter
 }
 
-// Wildcard input port.
-const Wildcard = -1
+// wildcard input port.
+const wildcard = -1
 
 // FromFIB compiles a router FIB into a transfer function with the same
 // longest-prefix-match semantics as the SymNet model: each route's region
@@ -167,9 +164,9 @@ func FromFIB(name string, fib tables.FIB) *Box {
 	compiled := tables.CompileLPM(fib)
 	perPort := make(map[int][]Region)
 	for _, c := range compiled {
-		r := NewRegion(FromPrefix(c.Prefix, c.Len, 32))
+		r := NewRegion(fromPrefix(c.Prefix, c.Len, 32))
 		for _, ex := range c.Exclusions {
-			r = r.Subtract(FromPrefix(ex.Prefix, ex.Len, 32))
+			r = r.subtract(fromPrefix(ex.Prefix, ex.Len, 32))
 		}
 		perPort[c.Port] = append(perPort[c.Port], r)
 	}
@@ -182,7 +179,7 @@ func FromFIB(name string, fib tables.FIB) *Box {
 	for _, p := range ports {
 		filters = append(filters, PortFilter{OutPort: p, Allow: perPort[p]})
 	}
-	return &Box{Name: name, Transfer: map[int][]PortFilter{Wildcard: filters}}
+	return &Box{Name: name, Transfer: map[int][]PortFilter{wildcard: filters}}
 }
 
 // PortRef names a box port.
@@ -250,19 +247,19 @@ func (n *Network) Reach(start PortRef, hdr Space, width, maxHops int) []ReachedS
 		}
 		filters, ok := box.Transfer[it.at.Port]
 		if !ok {
-			filters = box.Transfer[Wildcard]
+			filters = box.Transfer[wildcard]
 		}
 		for _, f := range filters {
 			var forwarded Space
 			for _, inR := range it.space {
 				for _, allowR := range f.Allow {
 					// inR ∩ allowR: intersect bases, merge difference lists.
-					merged, ok := inR.Intersect(allowR.Base)
+					merged, ok := inR.intersect(allowR.Base)
 					if !ok {
 						continue
 					}
-					merged = merged.Subtract(allowR.Minus...)
-					if !merged.Empty(width) {
+					merged = merged.subtract(allowR.Minus...)
+					if !merged.empty(width) {
 						forwarded = append(forwarded, merged)
 					}
 				}

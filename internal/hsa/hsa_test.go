@@ -9,37 +9,37 @@ import (
 )
 
 func TestCubeIntersect(t *testing.T) {
-	a := FromPrefix(0x0a000000, 8, 32)  // 10/8
-	b := FromPrefix(0x0a0a0000, 16, 32) // 10.10/16
-	i, ok := a.Intersect(b)
-	if !ok || !a.Contains(b) || i != b {
+	a := fromPrefix(0x0a000000, 8, 32)  // 10/8
+	b := fromPrefix(0x0a0a0000, 16, 32) // 10.10/16
+	i, ok := a.intersect(b)
+	if !ok || !a.contains(b) || i != b {
 		t.Fatalf("nested prefixes: %v ∩ %v = %v ok=%v", a, b, i, ok)
 	}
-	c := FromPrefix(0x0b000000, 8, 32) // 11/8
-	if _, ok := a.Intersect(c); ok {
+	c := fromPrefix(0x0b000000, 8, 32) // 11/8
+	if _, ok := a.intersect(c); ok {
 		t.Fatal("disjoint prefixes must not intersect")
 	}
-	if _, ok := FullCube.Intersect(a); !ok {
+	if _, ok := FullCube.intersect(a); !ok {
 		t.Fatal("full cube intersects everything")
 	}
 }
 
 func TestRegionEmptiness(t *testing.T) {
 	// 10/8 minus 10/8 is empty.
-	r := NewRegion(FromPrefix(0x0a000000, 8, 32)).Subtract(FromPrefix(0x0a000000, 8, 32))
-	if !r.Empty(32) {
+	r := NewRegion(fromPrefix(0x0a000000, 8, 32)).subtract(fromPrefix(0x0a000000, 8, 32))
+	if !r.empty(32) {
 		t.Fatal("x - x must be empty")
 	}
 	// 10/8 minus 10.10/16 is not empty.
-	r2 := NewRegion(FromPrefix(0x0a000000, 8, 32)).Subtract(FromPrefix(0x0a0a0000, 16, 32))
-	if r2.Empty(32) {
+	r2 := NewRegion(fromPrefix(0x0a000000, 8, 32)).subtract(fromPrefix(0x0a0a0000, 16, 32))
+	if r2.empty(32) {
 		t.Fatal("/8 minus /16 must be non-empty")
 	}
 	// Splitting a /8 into its two /9 halves empties it.
-	r3 := NewRegion(FromPrefix(0x0a000000, 8, 32)).
-		Subtract(FromPrefix(0x0a000000, 9, 32)).
-		Subtract(FromPrefix(0x0a800000, 9, 32))
-	if !r3.Empty(32) {
+	r3 := NewRegion(fromPrefix(0x0a000000, 8, 32)).
+		subtract(fromPrefix(0x0a000000, 9, 32)).
+		subtract(fromPrefix(0x0a800000, 9, 32))
+	if !r3.empty(32) {
 		t.Fatal("/8 minus both /9 halves must be empty")
 	}
 }
@@ -53,8 +53,8 @@ func TestRegionEmptinessQuick(t *testing.T) {
 			return Cube{Mask: uint64(m) & 0x3f, Val: uint64(v) & 0x3f}
 		}
 		base, c1, c2 := mk(baseMask, baseVal), mk(m1, v1), mk(m2, v2)
-		r := NewRegion(base).Subtract(c1, c2)
-		got := r.Empty(w)
+		r := NewRegion(base).subtract(c1, c2)
+		got := r.empty(w)
 		want := true
 		for x := uint64(0); x < 64; x++ {
 			inBase := x&base.Mask == base.Val&base.Mask
@@ -99,8 +99,8 @@ func TestFromFIBReachability(t *testing.T) {
 	host := sefl.IPToNumber("10.10.0.1")
 	hostCube := Cube{Mask: 0xffffffff, Val: host}
 	for _, reg := range port0 {
-		inter, ok := reg.Intersect(hostCube)
-		if ok && !inter.Empty(32) {
+		inter, ok := reg.intersect(hostCube)
+		if ok && !inter.empty(32) {
 			t.Fatal("port 0 space must exclude the more-specific host route")
 		}
 	}
@@ -131,7 +131,7 @@ func TestHSACannotExpressInvariance(t *testing.T) {
 	// from any transformation that permutes the header space.
 	net := NewNetwork()
 	net.Add(&Box{Name: "id", Transfer: map[int][]PortFilter{
-		Wildcard: {{OutPort: 0, Allow: []Region{NewRegion(FullCube)}}},
+		wildcard: {{OutPort: 0, Allow: []Region{NewRegion(FullCube)}}},
 	}})
 	reached := net.Reach(PortRef{Box: "id", Port: 0}, Space{NewRegion(FullCube)}, 32, 4)
 	for _, r := range reached {

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"symnet/internal/datasets"
 	"symnet/internal/obs"
 	"symnet/internal/sefl"
+	"symnet/internal/tables"
 )
 
 // quickServing stands up symnetd's -quick topology of the given name the way
@@ -531,6 +534,86 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad snapshot: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestDaemonSnapshotRefusedWhole posts snapshots the daemon must refuse — a
+// 40-bit route, which would panic the absorber goroutine and kill the
+// process if it reached the LPM compiler, and one whose tables are half
+// valid — and requires a 4xx for each, after which GET /v1/report still
+// answers with the version and matrix it had before and GET /v1/snapshot
+// with the same tables.
+func TestDaemonSnapshotRefusedWhole(t *testing.T) {
+	s, _ := newTestServer(t, "backbone")
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", path, resp.StatusCode, b)
+		}
+		return b
+	}
+	report := func() reportPayload {
+		t.Helper()
+		var rep reportPayload
+		if err := json.Unmarshal(get("/v1/report"), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	before := report()
+	snap := get("/v1/snapshot")
+	var names []string
+	for _, tc := range []struct {
+		name string
+		code int
+		edit func(st *symnet.ServingState)
+	}{
+		{"40-bit route", http.StatusBadRequest, func(st *symnet.ServingState) {
+			st.Routers[names[0]] = tables.FIB{{Prefix: 0x0A000000, Len: 40, Port: 0}}
+		}},
+		{"half-valid tables", http.StatusUnprocessableEntity, func(st *symnet.ServingState) {
+			st.Routers[names[0]] = st.Routers[names[0]][:1]
+			st.Routers[names[1]] = tables.FIB{}
+		}},
+	} {
+		var st symnet.ServingState
+		if err := json.Unmarshal(snap, &st); err != nil {
+			t.Fatal(err)
+		}
+		names = slices.Sorted(maps.Keys(st.Routers))
+		tc.edit(&st)
+		var body bytes.Buffer
+		if _, err := st.WriteTo(&body); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("%s: POST /v1/snapshot = %d (%s), want %d", tc.name, resp.StatusCode, msg, tc.code)
+		}
+		after := report()
+		if after.Version != before.Version || !reflect.DeepEqual(after.Reachable, before.Reachable) || !reflect.DeepEqual(after.PathCount, before.PathCount) {
+			t.Fatalf("%s: the refused snapshot moved the report from version %d to %d", tc.name, before.Version, after.Version)
+		}
+		if !bytes.Equal(get("/v1/snapshot"), snap) {
+			t.Fatalf("%s: the refused snapshot changed the resident tables", tc.name)
+		}
 	}
 }
 

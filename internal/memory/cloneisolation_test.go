@@ -150,10 +150,10 @@ func verify(t *testing.T, tag string, m *Mem, s *shadowMem) {
 		}
 		live++
 		top := stack[len(stack)-1]
-		if !m.HdrAllocated(off, top.size) {
+		if !hdrAllocated(m, off, top.size) {
 			t.Fatalf("%s: hdr %d missing", tag, off)
 		}
-		if got := m.HdrStackDepth(off); got != len(stack) {
+		if got := hdrStackDepth(m, off); got != len(stack) {
 			t.Fatalf("%s: hdr %d depth=%d, shadow %d", tag, off, got, len(stack))
 		}
 	}
@@ -165,7 +165,7 @@ func verify(t *testing.T, tag string, m *Mem, s *shadowMem) {
 			t.Fatalf("%s: meta %s exists=%v, shadow %v", tag, k, exists, len(stack) > 0)
 		}
 	}
-	gotTags := m.Tags()
+	gotTags := tags(m)
 	for name, stack := range s.tags {
 		v, ok := m.Tag(name)
 		if ok != (len(stack) > 0) {
@@ -175,7 +175,7 @@ func verify(t *testing.T, tag string, m *Mem, s *shadowMem) {
 			t.Fatalf("%s: tag %s=%d, shadow %d", tag, name, v, stack[len(stack)-1])
 		}
 		if ok && gotTags[name] != v {
-			t.Fatalf("%s: Tags()[%s]=%d, Tag says %d", tag, name, gotTags[name], v)
+			t.Fatalf("%s: tags(m)[%s]=%d, Tag says %d", tag, name, gotTags[name], v)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // The paper's memory-safety guarantees are enforced here: header accesses
 // must exactly match an existing allocation's offset and size; deallocation
 // sizes are checked; reads of unallocated or unassigned fields fail the
-// path. All failure modes return *AccessError so the engine can turn them
+// path. All failure modes return *accessError so the engine can turn them
 // into failed paths with precise messages.
 //
 // Mem values are persistent: the field, metadata and tag stores are
@@ -43,16 +43,16 @@ func (k MetaKey) String() string {
 	return fmt.Sprintf("%s@%d", k.Name, k.Instance)
 }
 
-// AccessError describes a packet-memory safety violation.
-type AccessError struct {
+// accessError describes a packet-memory safety violation.
+type accessError struct {
 	Op     string
 	Detail string
 }
 
-func (e *AccessError) Error() string { return "memory: " + e.Op + ": " + e.Detail }
+func (e *accessError) Error() string { return "memory: " + e.Op + ": " + e.Detail }
 
-func accessErr(op, format string, args ...any) *AccessError {
-	return &AccessError{Op: op, Detail: fmt.Sprintf(format, args...)}
+func accessErr(op, format string, args ...any) *accessError {
+	return &accessError{Op: op, Detail: fmt.Sprintf(format, args...)}
 }
 
 // layer is one allocation of a field, and its own history node. Layers are
@@ -265,12 +265,6 @@ func (m *Mem) AssignHdr(off int64, size int, v expr.Lin) error {
 	return nil
 }
 
-// HdrAllocated reports whether a field is allocated exactly at (off, size).
-func (m *Mem) HdrAllocated(off int64, size int) bool {
-	l, ok := m.hdr.Get(off)
-	return ok && l.size == size
-}
-
 // HdrHistory returns the assignment history (oldest first) of the top
 // allocation at (off, size).
 func (m *Mem) HdrHistory(off int64, size int) ([]expr.Lin, error) {
@@ -279,16 +273,6 @@ func (m *Mem) HdrHistory(off int64, size int) ([]expr.Lin, error) {
 		return nil, err
 	}
 	return l.history(), nil
-}
-
-// HdrStackDepth returns how many allocations are stacked at off (0 if none).
-func (m *Mem) HdrStackDepth(off int64) int {
-	n := 0
-	l, _ := m.hdr.Get(off)
-	for ; l != nil; l = l.prev {
-		n++
-	}
-	return n
 }
 
 // HdrField describes one live (top-of-stack) header field.
@@ -340,16 +324,6 @@ func (m *Mem) Tag(name string) (int64, bool) {
 		return 0, false
 	}
 	return t.val, true
-}
-
-// Tags returns the current value of every tag, sorted by name.
-func (m *Mem) Tags() map[string]int64 {
-	out := make(map[string]int64, m.tags.Len())
-	m.tags.Range(func(k string, v *tagNode) bool {
-		out[k] = v.val
-		return true
-	})
-	return out
 }
 
 // --- Metadata ---

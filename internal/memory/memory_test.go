@@ -67,8 +67,8 @@ func TestHdrStacking(t *testing.T) {
 	if err := m.AllocateHdr(320, 64); err != nil {
 		t.Fatal(err)
 	}
-	if m.HdrStackDepth(320) != 2 {
-		t.Fatalf("depth = %d", m.HdrStackDepth(320))
+	if hdrStackDepth(m, 320) != 2 {
+		t.Fatalf("depth = %d", hdrStackDepth(m, 320))
 	}
 	m.AssignHdr(320, 64, lin(0xbeef, 64))
 	v, _ := m.ReadHdr(320, 64)
@@ -96,7 +96,7 @@ func TestHdrDeallocateSizeCheck(t *testing.T) {
 	if err := m.DeallocateHdr(0, 32); err != nil {
 		t.Fatal(err)
 	}
-	if m.HdrAllocated(0, 32) {
+	if hdrAllocated(m, 0, 32) {
 		t.Fatal("field must be gone")
 	}
 }
@@ -250,4 +250,30 @@ func TestFieldsEnumeration(t *testing.T) {
 	if !fs[0].Set || fs[1].Set {
 		t.Fatalf("set flags wrong: %+v", fs)
 	}
+}
+
+// hdrAllocated reports whether a field is allocated exactly at (off, size).
+func hdrAllocated(m *Mem, off int64, size int) bool {
+	l, ok := m.hdr.Get(off)
+	return ok && l.size == size
+}
+
+// hdrStackDepth returns how many allocations are stacked at off (0 if none).
+func hdrStackDepth(m *Mem, off int64) int {
+	n := 0
+	l, _ := m.hdr.Get(off)
+	for ; l != nil; l = l.prev {
+		n++
+	}
+	return n
+}
+
+// tags returns the current value of every tag.
+func tags(m *Mem) map[string]int64 {
+	out := make(map[string]int64, m.tags.Len())
+	m.tags.Range(func(k string, v *tagNode) bool {
+		out[k] = v.val
+		return true
+	})
+	return out
 }

@@ -11,169 +11,157 @@ package minic
 
 import "fmt"
 
-// Expr is a mini-C expression over 64-bit unsigned scalars and byte arrays.
-type Expr interface {
+// expression is a mini-C expression over 64-bit unsigned scalars and byte arrays.
+type expression interface {
 	isExpr()
 	String() string
 }
 
-// Const is an integer literal.
-type Const struct{ V uint64 }
+// lit is an integer literal.
+type lit struct{ V uint64 }
 
-// Var reads a scalar variable.
-type Var struct{ Name string }
+// varRef reads a scalar variable.
+type varRef struct{ Name string }
 
-// Index reads array[Idx]; a symbolic index forks per feasible value.
-type Index struct {
+// index reads array[Idx]; a symbolic index forks per feasible value.
+type index struct {
 	Array string
-	Idx   Expr
+	Idx   expression
 }
 
-// Bin is a binary arithmetic/comparison operation. Comparisons yield 0/1.
-type Bin struct {
-	Op   BinOp
-	L, R Expr
+// bin is a binary arithmetic/comparison operation. Comparisons yield 0/1.
+type bin struct {
+	Op   binOp
+	L, R expression
 }
 
-// BinOp enumerates mini-C binary operators.
-type BinOp uint8
+// binOp enumerates mini-C binary operators.
+type binOp uint8
 
 // Binary operators.
 const (
-	OpAdd BinOp = iota
-	OpSub
-	OpEq
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpAnd // logical &&, short-circuit at statement level is not modeled
-	OpOr  // logical ||
+	opAdd binOp = iota
+	opSub
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAnd // logical &&, short-circuit at statement level is not modeled
+	opOr  // logical ||
 )
 
-func (Const) isExpr() {}
-func (Var) isExpr()   {}
-func (Index) isExpr() {}
-func (Bin) isExpr()   {}
+func (lit) isExpr()    {}
+func (varRef) isExpr() {}
+func (index) isExpr()  {}
+func (bin) isExpr()    {}
 
-func (c Const) String() string { return fmt.Sprintf("%d", c.V) }
-func (v Var) String() string   { return v.Name }
-func (i Index) String() string { return fmt.Sprintf("%s[%s]", i.Array, i.Idx) }
-func (b Bin) String() string {
-	ops := map[BinOp]string{
-		OpAdd: "+", OpSub: "-", OpEq: "==", OpNe: "!=", OpLt: "<",
-		OpLe: "<=", OpGt: ">", OpGe: ">=", OpAnd: "&&", OpOr: "||",
+func (c lit) String() string    { return fmt.Sprintf("%d", c.V) }
+func (v varRef) String() string { return v.Name }
+func (i index) String() string  { return fmt.Sprintf("%s[%s]", i.Array, i.Idx) }
+func (b bin) String() string {
+	ops := map[binOp]string{
+		opAdd: "+", opSub: "-", opEq: "==", opNe: "!=", opLt: "<",
+		opLe: "<=", opGt: ">", opGe: ">=", opAnd: "&&", opOr: "||",
 	}
 	return fmt.Sprintf("(%s %s %s)", b.L, ops[b.Op], b.R)
 }
 
 // Convenience constructors.
 
-// N builds an integer literal.
-func N(v uint64) Expr { return Const{V: v} }
+// num builds an integer literal.
+func num(v uint64) expression { return lit{V: v} }
 
-// V builds a variable reference.
-func V(name string) Expr { return Var{Name: name} }
+// ref builds a variable reference.
+func ref(name string) expression { return varRef{Name: name} }
 
-// At builds an array read.
-func At(arr string, idx Expr) Expr { return Index{Array: arr, Idx: idx} }
+// at builds an array read.
+func at(arr string, idx expression) expression { return index{Array: arr, Idx: idx} }
 
-// Add builds l + r.
-func Add(l, r Expr) Expr { return Bin{Op: OpAdd, L: l, R: r} }
+// add builds l + r.
+func add(l, r expression) expression { return bin{Op: opAdd, L: l, R: r} }
 
-// Sub builds l - r.
-func Sub(l, r Expr) Expr { return Bin{Op: OpSub, L: l, R: r} }
+// sub builds l - r.
+func sub(l, r expression) expression { return bin{Op: opSub, L: l, R: r} }
 
-// Eq builds l == r.
-func Eq(l, r Expr) Expr { return Bin{Op: OpEq, L: l, R: r} }
+// eq builds l == r.
+func eq(l, r expression) expression { return bin{Op: opEq, L: l, R: r} }
 
-// Ne builds l != r.
-func Ne(l, r Expr) Expr { return Bin{Op: OpNe, L: l, R: r} }
+// lt builds l < r.
+func lt(l, r expression) expression { return bin{Op: opLt, L: l, R: r} }
 
-// Lt builds l < r.
-func Lt(l, r Expr) Expr { return Bin{Op: OpLt, L: l, R: r} }
+// gt builds l > r.
+func gt(l, r expression) expression { return bin{Op: opGt, L: l, R: r} }
 
-// Le builds l <= r.
-func Le(l, r Expr) Expr { return Bin{Op: OpLe, L: l, R: r} }
+// or builds l || r.
+func or(l, r expression) expression { return bin{Op: opOr, L: l, R: r} }
 
-// Gt builds l > r.
-func Gt(l, r Expr) Expr { return Bin{Op: OpGt, L: l, R: r} }
-
-// Ge builds l >= r.
-func Ge(l, r Expr) Expr { return Bin{Op: OpGe, L: l, R: r} }
-
-// Or builds l || r.
-func Or(l, r Expr) Expr { return Bin{Op: OpOr, L: l, R: r} }
-
-// And builds l && r.
-func And(l, r Expr) Expr { return Bin{Op: OpAnd, L: l, R: r} }
-
-// Stmt is a mini-C statement.
-type Stmt interface {
+// stmt is a mini-C statement.
+type stmt interface {
 	isStmt()
 }
 
-// Assign sets a scalar variable.
-type Assign struct {
+// assign sets a scalar variable.
+type assign struct {
 	Name string
-	E    Expr
+	E    expression
 }
 
-// Store writes array[Idx] = E.
-type Store struct {
+// store writes array[Idx] = E.
+type store struct {
 	Array string
-	Idx   Expr
-	E     Expr
+	Idx   expression
+	E     expression
 }
 
-// If branches on a (possibly symbolic) condition.
-type If struct {
-	Cond       Expr
-	Then, Else []Stmt
+// ifStmt branches on a (possibly symbolic) condition.
+type ifStmt struct {
+	Cond       expression
+	Then, Else []stmt
 }
 
-// While loops on a (possibly symbolic) condition.
-type While struct {
-	Cond Expr
-	Body []Stmt
+// while loops on a (possibly symbolic) condition.
+type while struct {
+	Cond expression
+	Body []stmt
 }
 
-// Switch dispatches on E. Cases are (value, body) pairs; Default runs when
+// switchStmt dispatches on E. Cases are (value, body) pairs; Default runs when
 // no case matches.
-type Switch struct {
-	E       Expr
-	Cases   []SwitchCase
-	Default []Stmt
+type switchStmt struct {
+	E       expression
+	Cases   []switchCase
+	Default []stmt
 }
 
-// SwitchCase is one case arm. Fallthrough is not modeled; each arm is
+// switchCase is one case arm. Fallthrough is not modeled; each arm is
 // independent (the Fig. 1 code only uses break/return/continue arms).
-type SwitchCase struct {
+type switchCase struct {
 	Val  uint64
-	Body []Stmt
+	Body []stmt
 }
 
-// Return ends the program with a result value.
-type Return struct{ E Expr }
+// returnStmt ends the program with a result value.
+type returnStmt struct{ E expression }
 
-// Break exits the innermost loop.
-type Break struct{}
+// breakStmt exits the innermost loop.
+type breakStmt struct{}
 
-// Continue restarts the innermost loop.
-type Continue struct{}
+// continueStmt restarts the innermost loop.
+type continueStmt struct{}
 
-func (Assign) isStmt()   {}
-func (Store) isStmt()    {}
-func (If) isStmt()       {}
-func (While) isStmt()    {}
-func (Switch) isStmt()   {}
-func (Return) isStmt()   {}
-func (Break) isStmt()    {}
-func (Continue) isStmt() {}
+func (assign) isStmt()       {}
+func (store) isStmt()        {}
+func (ifStmt) isStmt()       {}
+func (while) isStmt()        {}
+func (switchStmt) isStmt()   {}
+func (returnStmt) isStmt()   {}
+func (breakStmt) isStmt()    {}
+func (continueStmt) isStmt() {}
 
-// Program is a mini-C program: statements plus array declarations.
-type Program struct {
+// program is a mini-C program: statements plus array declarations.
+type program struct {
 	// Arrays maps array names to lengths; contents start symbolic or are
 	// set concrete via Init.
 	Arrays map[string]int
@@ -183,5 +171,5 @@ type Program struct {
 	Vars map[string]uint64
 	// SymbolicArrays lists arrays whose cells start as fresh symbols.
 	SymbolicArrays []string
-	Body           []Stmt
+	Body           []stmt
 }

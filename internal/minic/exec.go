@@ -14,12 +14,12 @@ type PathStatus uint8
 const (
 	// OffEnd: execution fell off the end of the program.
 	OffEnd PathStatus = iota
-	// Returned: a Return statement executed.
+	// Returned: a returnStmt executed.
 	Returned
 	// MemError: an array access was (or could be) out of bounds.
 	MemError
-	// Killed: the per-path step budget was exhausted.
-	Killed
+	// killed: the per-path step budget was exhausted.
+	killed
 )
 
 func (s PathStatus) String() string {
@@ -30,14 +30,14 @@ func (s PathStatus) String() string {
 		return "returned"
 	case MemError:
 		return "memory-error"
-	case Killed:
+	case killed:
 		return "killed"
 	}
 	return "unknown"
 }
 
-// Outcome is one finished execution path.
-type Outcome struct {
+// outcome is one finished execution path.
+type outcome struct {
 	Status PathStatus
 	Ret    expr.Lin // valid when Status == Returned
 	Vars   map[string]expr.Lin
@@ -46,9 +46,9 @@ type Outcome struct {
 	Steps  int
 }
 
-// Result aggregates a symbolic run.
-type Result struct {
-	Paths []Outcome
+// result aggregates a symbolic run.
+type result struct {
+	Paths []outcome
 	// Exhausted is set when MaxPaths or the global step budget was hit;
 	// results are then incomplete — exactly Klee's behaviour when stopped
 	// after its time budget (paper: "We stop the tools after one hour").
@@ -123,7 +123,7 @@ type branch struct {
 type executor struct {
 	alloc  *expr.Alloc
 	limits Limits
-	result *Result
+	result *result
 	stats  *solver.Stats
 }
 
@@ -131,12 +131,12 @@ type executor struct {
 // All paths of the run share a satisfiability memo cache: the naive
 // executor re-decides near-identical constraint prefixes on every fork,
 // which is exactly the redundancy the cache collapses.
-func Run(prog *Program, limits Limits, stats *solver.Stats) *Result {
+func Run(prog *program, limits Limits, stats *solver.Stats) *result {
 	limits = limits.withDefaults()
 	if stats == nil {
 		stats = &solver.Stats{}
 	}
-	ex := &executor{alloc: &expr.Alloc{}, limits: limits, result: &Result{}, stats: stats}
+	ex := &executor{alloc: &expr.Alloc{}, limits: limits, result: &result{}, stats: stats}
 	st := &mstate{
 		vars:   make(map[string]expr.Lin),
 		arrays: make(map[string][]expr.Lin),
@@ -180,7 +180,7 @@ func Run(prog *Program, limits Limits, stats *solver.Stats) *Result {
 }
 
 func (ex *executor) finish(b branch) {
-	o := Outcome{
+	o := outcome{
 		Vars:   b.st.vars,
 		Arrays: b.st.arrays,
 		Ctx:    b.st.ctx,
@@ -216,7 +216,7 @@ func (ex *executor) stop() bool {
 }
 
 // execStmts runs a statement list, returning all resulting branches.
-func (ex *executor) execStmts(st *mstate, stmts []Stmt) []branch {
+func (ex *executor) execStmts(st *mstate, stmts []stmt) []branch {
 	states := []branch{{st: st, ctl: ctlNormal}}
 	for _, s := range stmts {
 		var next []branch
@@ -232,12 +232,12 @@ func (ex *executor) execStmts(st *mstate, stmts []Stmt) []branch {
 	return states
 }
 
-func (ex *executor) execStmt(st *mstate, s Stmt) []branch {
+func (ex *executor) execStmt(st *mstate, s stmt) []branch {
 	if !ex.budget(st) {
-		return []branch{{st: st, bad: true, err: Killed}}
+		return []branch{{st: st, bad: true, err: killed}}
 	}
 	switch v := s.(type) {
-	case Assign:
+	case assign:
 		var out []branch
 		for _, ev := range ex.evalExpr(st, v.E) {
 			if ev.bad {
@@ -249,7 +249,7 @@ func (ex *executor) execStmt(st *mstate, s Stmt) []branch {
 		}
 		return out
 
-	case Store:
+	case store:
 		var out []branch
 		for _, ev := range ex.evalExpr(st, v.E) {
 			if ev.bad {
@@ -269,7 +269,7 @@ func (ex *executor) execStmt(st *mstate, s Stmt) []branch {
 		}
 		return out
 
-	case If:
+	case ifStmt:
 		var out []branch
 		for _, cb := range ex.evalCond(st, v.Cond) {
 			if cb.bad {
@@ -280,13 +280,13 @@ func (ex *executor) execStmt(st *mstate, s Stmt) []branch {
 		}
 		return out
 
-	case While:
+	case while:
 		return ex.execWhile(st, v)
 
-	case Switch:
+	case switchStmt:
 		return ex.execSwitch(st, v)
 
-	case Return:
+	case returnStmt:
 		var out []branch
 		for _, ev := range ex.evalExpr(st, v.E) {
 			if ev.bad {
@@ -297,10 +297,10 @@ func (ex *executor) execStmt(st *mstate, s Stmt) []branch {
 		}
 		return out
 
-	case Break:
+	case breakStmt:
 		return []branch{{st: st, ctl: ctlBreak}}
 
-	case Continue:
+	case continueStmt:
 		return []branch{{st: st, ctl: ctlContinue}}
 	}
 	panic(fmt.Sprintf("minic: unknown statement %T", s))
@@ -308,7 +308,7 @@ func (ex *executor) execStmt(st *mstate, s Stmt) []branch {
 
 // forkBranch forks on cond: feasible positives run thenS, feasible
 // negatives run elseS.
-func (ex *executor) forkBranch(st *mstate, cond expr.Cond, thenS, elseS []Stmt) []branch {
+func (ex *executor) forkBranch(st *mstate, cond expr.Cond, thenS, elseS []stmt) []branch {
 	var out []branch
 	thenSt := st.clone()
 	if thenSt.ctx.Add(cond) && (thenSt.ctx.PendingOrs() == 0 || thenSt.ctx.Sat()) {
@@ -320,14 +320,14 @@ func (ex *executor) forkBranch(st *mstate, cond expr.Cond, thenS, elseS []Stmt) 
 	return out
 }
 
-func (ex *executor) execWhile(st *mstate, w While) []branch {
+func (ex *executor) execWhile(st *mstate, w while) []branch {
 	var done []branch
 	frontier := []*mstate{st}
 	for len(frontier) > 0 && !ex.stop() {
 		var next []*mstate
 		for _, s := range frontier {
 			if !ex.budget(s) {
-				done = append(done, branch{st: s, bad: true, err: Killed})
+				done = append(done, branch{st: s, bad: true, err: killed})
 				continue
 			}
 			for _, cb := range ex.evalCond(s, w.Cond) {
@@ -360,12 +360,12 @@ func (ex *executor) execWhile(st *mstate, w While) []branch {
 		frontier = next
 	}
 	for _, s := range frontier { // budget exhausted mid-loop
-		done = append(done, branch{st: s, bad: true, err: Killed})
+		done = append(done, branch{st: s, bad: true, err: killed})
 	}
 	return done
 }
 
-func (ex *executor) execSwitch(st *mstate, sw Switch) []branch {
+func (ex *executor) execSwitch(st *mstate, sw switchStmt) []branch {
 	var out []branch
 	for _, ev := range ex.evalExpr(st, sw.E) {
 		if ev.bad {
@@ -417,17 +417,17 @@ type condRes struct {
 
 // evalExpr evaluates a value expression (no comparisons) and may fork on
 // symbolic array indexes.
-func (ex *executor) evalExpr(st *mstate, e Expr) []evalRes {
+func (ex *executor) evalExpr(st *mstate, e expression) []evalRes {
 	switch v := e.(type) {
-	case Const:
+	case lit:
 		return []evalRes{{st: st, val: expr.Const(v.V, 64)}}
-	case Var:
+	case varRef:
 		val, ok := st.vars[v.Name]
 		if !ok {
 			panic("minic: undefined variable " + v.Name)
 		}
 		return []evalRes{{st: st, val: val}}
-	case Index:
+	case index:
 		var out []evalRes
 		for _, ix := range ex.resolveIndex(st, v.Array, v.Idx) {
 			if ix.bad {
@@ -437,9 +437,9 @@ func (ex *executor) evalExpr(st *mstate, e Expr) []evalRes {
 			out = append(out, evalRes{st: ix.st, val: ix.st.arrays[v.Array][ix.idx]})
 		}
 		return out
-	case Bin:
+	case bin:
 		switch v.Op {
-		case OpAdd, OpSub:
+		case opAdd, opSub:
 			var out []evalRes
 			for _, l := range ex.evalExpr(st, v.L) {
 				if l.bad {
@@ -479,21 +479,21 @@ func (ex *executor) evalExpr(st *mstate, e Expr) []evalRes {
 	panic(fmt.Sprintf("minic: unknown expression %T", e))
 }
 
-func combine(op BinOp, l, r expr.Lin) (expr.Lin, bool) {
+func combine(op binOp, l, r expr.Lin) (expr.Lin, bool) {
 	lv, lConst := l.ConstVal()
 	rv, rConst := r.ConstVal()
 	switch {
 	case lConst && rConst:
-		if op == OpAdd {
+		if op == opAdd {
 			return expr.Const(lv+rv, 64), true
 		}
 		return expr.Const(lv-rv, 64), true
 	case !lConst && rConst:
-		if op == OpAdd {
+		if op == opAdd {
 			return l.AddConst(rv), true
 		}
 		return l.SubConst(rv), true
-	case lConst && !rConst && op == OpAdd:
+	case lConst && !rConst && op == opAdd:
 		return r.AddConst(lv), true
 	}
 	return expr.Lin{}, false
@@ -503,8 +503,8 @@ func combine(op BinOp, l, r expr.Lin) (expr.Lin, bool) {
 // sub-expressions may fork (array reads); boolean structure becomes one
 // combined condition, matching how a real symbolic executor queries whole
 // branch conditions.
-func (ex *executor) evalCond(st *mstate, e Expr) []condRes {
-	b, ok := e.(Bin)
+func (ex *executor) evalCond(st *mstate, e expression) []condRes {
+	b, ok := e.(bin)
 	if !ok {
 		// Scalar condition: e != 0.
 		var out []condRes
@@ -518,7 +518,7 @@ func (ex *executor) evalCond(st *mstate, e Expr) []condRes {
 		return out
 	}
 	switch b.Op {
-	case OpAnd, OpOr:
+	case opAnd, opOr:
 		var out []condRes
 		for _, l := range ex.evalCond(st, b.L) {
 			if l.bad {
@@ -530,7 +530,7 @@ func (ex *executor) evalCond(st *mstate, e Expr) []condRes {
 					out = append(out, r)
 					continue
 				}
-				if b.Op == OpAnd {
+				if b.Op == opAnd {
 					out = append(out, condRes{st: r.st, cond: expr.NewAnd(l.cond, r.cond)})
 				} else {
 					out = append(out, condRes{st: r.st, cond: expr.NewOr(l.cond, r.cond)})
@@ -538,7 +538,7 @@ func (ex *executor) evalCond(st *mstate, e Expr) []condRes {
 			}
 		}
 		return out
-	case OpAdd, OpSub:
+	case opAdd, opSub:
 		// Arithmetic used as condition: value != 0.
 		var out []condRes
 		for _, ev := range ex.evalExpr(st, e) {
@@ -552,17 +552,17 @@ func (ex *executor) evalCond(st *mstate, e Expr) []condRes {
 	default:
 		var cmpOp expr.CmpOp
 		switch b.Op {
-		case OpEq:
+		case opEq:
 			cmpOp = expr.Eq
-		case OpNe:
+		case opNe:
 			cmpOp = expr.Ne
-		case OpLt:
+		case opLt:
 			cmpOp = expr.Lt
-		case OpLe:
+		case opLe:
 			cmpOp = expr.Le
-		case OpGt:
+		case opGt:
 			cmpOp = expr.Gt
-		case OpGe:
+		case opGe:
 			cmpOp = expr.Ge
 		}
 		var out []condRes
@@ -612,7 +612,7 @@ func (ex *executor) concretize(st *mstate, val expr.Lin) []evalRes {
 // resolveIndex concretizes an array index, forking per feasible value — the
 // naive treatment of symbolic pointers that blows up path counts, plus an
 // out-of-bounds check path (how Klee proves memory safety).
-func (ex *executor) resolveIndex(st *mstate, array string, idxE Expr) []idxRes {
+func (ex *executor) resolveIndex(st *mstate, array string, idxE expression) []idxRes {
 	cells, ok := st.arrays[array]
 	if !ok {
 		panic("minic: undefined array " + array)

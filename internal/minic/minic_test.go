@@ -8,12 +8,12 @@ import (
 
 func TestConcreteExecution(t *testing.T) {
 	// x = 3; y = x + 4; if (y > 5) r = 1 else r = 2; return r.
-	prog := &Program{
+	prog := &program{
 		Vars: map[string]uint64{"x": 3, "y": 0, "r": 0},
-		Body: []Stmt{
-			Assign{Name: "y", E: Add(V("x"), N(4))},
-			If{Cond: Gt(V("y"), N(5)), Then: []Stmt{Assign{Name: "r", E: N(1)}}, Else: []Stmt{Assign{Name: "r", E: N(2)}}},
-			Return{E: V("r")},
+		Body: []stmt{
+			assign{Name: "y", E: add(ref("x"), num(4))},
+			ifStmt{Cond: gt(ref("y"), num(5)), Then: []stmt{assign{Name: "r", E: num(1)}}, Else: []stmt{assign{Name: "r", E: num(2)}}},
+			returnStmt{E: ref("r")},
 		},
 	}
 	res := Run(prog, Limits{}, nil)
@@ -29,13 +29,13 @@ func TestConcreteExecution(t *testing.T) {
 }
 
 func TestSymbolicBranchForks(t *testing.T) {
-	prog := &Program{
+	prog := &program{
 		Arrays:         map[string]int{"a": 1},
 		SymbolicArrays: []string{"a"},
 		Vars:           map[string]uint64{"x": 0},
-		Body: []Stmt{
-			Assign{Name: "x", E: At("a", N(0))},
-			If{Cond: Gt(V("x"), N(10)), Then: []Stmt{Return{E: N(1)}}, Else: []Stmt{Return{E: N(0)}}},
+		Body: []stmt{
+			assign{Name: "x", E: at("a", num(0))},
+			ifStmt{Cond: gt(ref("x"), num(10)), Then: []stmt{returnStmt{E: num(1)}}, Else: []stmt{returnStmt{E: num(0)}}},
 		},
 	}
 	res := Run(prog, Limits{}, nil)
@@ -54,14 +54,14 @@ func TestSymbolicBranchForks(t *testing.T) {
 
 func TestConcreteLoop(t *testing.T) {
 	// sum = 0; i = 0; while (i < 5) { sum += i; i++ } — single path.
-	prog := &Program{
+	prog := &program{
 		Vars: map[string]uint64{"sum": 0, "i": 0},
-		Body: []Stmt{
-			While{Cond: Lt(V("i"), N(5)), Body: []Stmt{
-				Assign{Name: "sum", E: Add(V("sum"), V("i"))},
-				Assign{Name: "i", E: Add(V("i"), N(1))},
+		Body: []stmt{
+			while{Cond: lt(ref("i"), num(5)), Body: []stmt{
+				assign{Name: "sum", E: add(ref("sum"), ref("i"))},
+				assign{Name: "i", E: add(ref("i"), num(1))},
 			}},
-			Return{E: V("sum")},
+			returnStmt{E: ref("sum")},
 		},
 	}
 	res := Run(prog, Limits{}, nil)
@@ -74,14 +74,14 @@ func TestConcreteLoop(t *testing.T) {
 }
 
 func TestOutOfBoundsDetected(t *testing.T) {
-	prog := &Program{
+	prog := &program{
 		Arrays:         map[string]int{"a": 4},
 		SymbolicArrays: []string{"a"},
 		Vars:           map[string]uint64{"i": 0},
-		Body: []Stmt{
-			Assign{Name: "i", E: At("a", N(0))}, // i in [0,255]
-			Store{Array: "a", Idx: V("i"), E: N(7)},
-			Return{E: N(0)},
+		Body: []stmt{
+			assign{Name: "i", E: at("a", num(0))}, // i in [0,255]
+			store{Array: "a", Idx: ref("i"), E: num(7)},
+			returnStmt{E: num(0)},
 		},
 	}
 	res := Run(prog, Limits{}, nil)
@@ -103,18 +103,18 @@ func TestOutOfBoundsDetected(t *testing.T) {
 }
 
 func TestSwitchForks(t *testing.T) {
-	prog := &Program{
+	prog := &program{
 		Arrays:         map[string]int{"a": 1},
 		SymbolicArrays: []string{"a"},
 		Vars:           map[string]uint64{"x": 0},
-		Body: []Stmt{
-			Assign{Name: "x", E: At("a", N(0))},
-			Switch{E: V("x"),
-				Cases: []SwitchCase{
-					{Val: 0, Body: []Stmt{Return{E: N(10)}}},
-					{Val: 1, Body: []Stmt{Return{E: N(11)}}},
+		Body: []stmt{
+			assign{Name: "x", E: at("a", num(0))},
+			switchStmt{E: ref("x"),
+				Cases: []switchCase{
+					{Val: 0, Body: []stmt{returnStmt{E: num(10)}}},
+					{Val: 1, Body: []stmt{returnStmt{E: num(11)}}},
 				},
-				Default: []Stmt{Return{E: N(12)}},
+				Default: []stmt{returnStmt{E: num(12)}},
 			},
 		},
 	}
@@ -200,7 +200,7 @@ func TestConcreteOptionsModel(t *testing.T) {
 		if !ok {
 			t.Fatal("model generation failed on a feasible path")
 		}
-		if len(buf) != OptionsBufLen {
+		if len(buf) != optionsBufLen {
 			t.Fatalf("buffer length %d", len(buf))
 		}
 		okPaths++
@@ -212,11 +212,11 @@ func TestConcreteOptionsModel(t *testing.T) {
 
 func TestKilledOnBudget(t *testing.T) {
 	// Unbounded loop must be killed by the step budget, not hang.
-	prog := &Program{
+	prog := &program{
 		Vars: map[string]uint64{"i": 0},
-		Body: []Stmt{
-			While{Cond: Ge(V("i"), N(0)), Body: []Stmt{
-				Assign{Name: "i", E: Add(V("i"), N(1))},
+		Body: []stmt{
+			while{Cond: bin{Op: opGe, L: ref("i"), R: num(0)}, Body: []stmt{
+				assign{Name: "i", E: add(ref("i"), num(1))},
 			}},
 		},
 	}
@@ -224,13 +224,13 @@ func TestKilledOnBudget(t *testing.T) {
 	if !res.Exhausted {
 		t.Fatal("budget must be marked exhausted")
 	}
-	killed := false
+	sawKilled := false
 	for _, p := range res.Paths {
-		if p.Status == Killed {
-			killed = true
+		if p.Status == killed {
+			sawKilled = true
 		}
 	}
-	if !killed {
+	if !sawKilled {
 		t.Fatal("some path must be killed")
 	}
 }

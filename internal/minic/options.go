@@ -4,8 +4,8 @@ import "symnet/internal/expr"
 
 // TCP option kinds used by the options-parsing firewall code.
 const (
-	OptEOL       = 0
-	OptNOP       = 1
+	optEOL       = 0
+	optNOP       = 1
 	OptMSS       = 2
 	OptWScale    = 3
 	OptSackOK    = 4
@@ -15,19 +15,8 @@ const (
 	OptMultipath = 30
 )
 
-// OptionAction is what the firewall does with an option kind.
-type OptionAction uint8
-
-// Firewall actions for an option kind (the `_options[opcode]` table of the
-// paper's Fig. 1).
-const (
-	ActionStrip OptionAction = iota // replace with NOP padding
-	ActionAllow
-	ActionDrop // drop the whole packet
-)
-
-// OptionsConfig is the firewall's option policy.
-type OptionsConfig struct {
+// optionsConfig is the firewall's option policy.
+type optionsConfig struct {
 	Allow []uint64
 	Drop  []uint64
 	// Everything else is stripped.
@@ -37,16 +26,16 @@ type OptionsConfig struct {
 // analyzes: widely-used options are allowed (MSS, window scale, SACK
 // variants, timestamp), the MD5 signature option drops the packet, and
 // everything else — including multipath TCP — is stripped.
-func DefaultASAConfig() OptionsConfig {
-	return OptionsConfig{
+func DefaultASAConfig() optionsConfig {
+	return optionsConfig{
 		Allow: []uint64{OptMSS, OptWScale, OptSackOK, OptSack, OptTimestamp},
 		Drop:  []uint64{OptMD5},
 	}
 }
 
-// OptionsBufLen is the maximum TCP options length (the paper's "length
+// optionsBufLen is the maximum TCP options length (the paper's "length
 // parameter whose max value is 40").
-const OptionsBufLen = 40
+const optionsBufLen = 40
 
 // OptionsProgram builds the Fig. 1 TCP-options parsing code as a mini-C
 // program: a while loop over a symbolic `options` byte array with a
@@ -69,77 +58,77 @@ const OptionsBufLen = 40
 //	        ptr += opsize; length -= opsize;
 //	    }
 //	}
-func OptionsProgram(length int, cfg OptionsConfig) *Program {
-	opcode := V("opcode")
-	opsize := V("opsize")
-	ptr := V("ptr")
-	i := V("i")
-	lengthV := V("length")
+func OptionsProgram(length int, cfg optionsConfig) *program {
+	opcode := ref("opcode")
+	opsize := ref("opsize")
+	ptr := ref("ptr")
+	i := ref("i")
+	lengthV := ref("length")
 
-	classCond := func(kinds []uint64) Expr {
+	classCond := func(kinds []uint64) expression {
 		if len(kinds) == 0 {
 			// No kinds: impossible condition.
-			return Eq(N(1), N(0))
+			return eq(num(1), num(0))
 		}
-		c := Eq(opcode, N(kinds[0]))
+		c := eq(opcode, num(kinds[0]))
 		for _, k := range kinds[1:] {
-			c = Or(c, Eq(opcode, N(k)))
+			c = or(c, eq(opcode, num(k)))
 		}
 		return c
 	}
 
-	nopFill := func(bound Expr) []Stmt {
-		return []Stmt{
-			Assign{Name: "i", E: N(0)},
-			While{Cond: Lt(i, bound), Body: []Stmt{
-				Store{Array: "options", Idx: Add(ptr, i), E: N(1)},
-				Assign{Name: "i", E: Add(i, N(1))},
+	nopFill := func(bound expression) []stmt {
+		return []stmt{
+			assign{Name: "i", E: num(0)},
+			while{Cond: lt(i, bound), Body: []stmt{
+				store{Array: "options", Idx: add(ptr, i), E: num(1)},
+				assign{Name: "i", E: add(i, num(1))},
 			}},
 		}
 	}
 
-	defaultArm := []Stmt{
-		Assign{Name: "opsize", E: At("options", Add(ptr, N(1)))},
-		If{
-			Cond: Or(Lt(opsize, N(2)), Gt(opsize, lengthV)),
+	defaultArm := []stmt{
+		assign{Name: "opsize", E: at("options", add(ptr, num(1)))},
+		ifStmt{
+			Cond: or(lt(opsize, num(2)), gt(opsize, lengthV)),
 			Then: append(nopFill(lengthV),
-				Assign{Name: "length", E: N(0)},
-				Continue{},
+				assign{Name: "length", E: num(0)},
+				continueStmt{},
 			),
 		},
-		If{
+		ifStmt{
 			Cond: classCond(cfg.Drop),
-			Then: []Stmt{Return{E: N(0)}},
+			Then: []stmt{returnStmt{E: num(0)}},
 		},
-		If{
+		ifStmt{
 			Cond: classCond(cfg.Allow),
 			Else: nopFill(opsize), // not allowed, not dropped: strip
 		},
-		Assign{Name: "ptr", E: Add(ptr, opsize)},
-		Assign{Name: "length", E: Sub(lengthV, opsize)},
+		assign{Name: "ptr", E: add(ptr, opsize)},
+		assign{Name: "length", E: sub(lengthV, opsize)},
 	}
 
-	body := []Stmt{
-		While{Cond: Gt(lengthV, N(0)), Body: []Stmt{
-			Assign{Name: "opcode", E: At("options", ptr)},
-			Switch{
+	body := []stmt{
+		while{Cond: gt(lengthV, num(0)), Body: []stmt{
+			assign{Name: "opcode", E: at("options", ptr)},
+			switchStmt{
 				E: opcode,
-				Cases: []SwitchCase{
-					{Val: OptEOL, Body: []Stmt{Return{E: N(1)}}},
-					{Val: OptNOP, Body: []Stmt{
-						Assign{Name: "length", E: Sub(lengthV, N(1))},
-						Assign{Name: "ptr", E: Add(ptr, N(1))},
-						Continue{},
+				Cases: []switchCase{
+					{Val: optEOL, Body: []stmt{returnStmt{E: num(1)}}},
+					{Val: optNOP, Body: []stmt{
+						assign{Name: "length", E: sub(lengthV, num(1))},
+						assign{Name: "ptr", E: add(ptr, num(1))},
+						continueStmt{},
 					}},
 				},
 				Default: defaultArm,
 			},
 		}},
-		Return{E: N(1)},
+		returnStmt{E: num(1)},
 	}
 
-	return &Program{
-		Arrays:         map[string]int{"options": OptionsBufLen},
+	return &program{
+		Arrays:         map[string]int{"options": optionsBufLen},
 		SymbolicArrays: []string{"options"},
 		Vars:           map[string]uint64{"ptr": 0, "length": uint64(length), "opcode": 0, "opsize": 0, "i": 0},
 		Body:           body,
@@ -155,9 +144,9 @@ func ParseOptions(buf []uint64, length int) []uint64 {
 	for length > 0 && ptr < len(buf) {
 		op := buf[ptr]
 		switch op {
-		case OptEOL:
+		case optEOL:
 			return kinds
-		case OptNOP:
+		case optNOP:
 			ptr++
 			length--
 		default:
@@ -178,7 +167,7 @@ func ParseOptions(buf []uint64, length int) []uint64 {
 
 // ConcreteOptions extracts a concrete options buffer from a path outcome
 // using a solver model.
-func ConcreteOptions(o Outcome) ([]uint64, bool) {
+func ConcreteOptions(o outcome) ([]uint64, bool) {
 	model, ok := o.Ctx.Model()
 	if !ok {
 		return nil, false

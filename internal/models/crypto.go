@@ -10,10 +10,10 @@ import (
 // unbounded fresh symbolic value), and (2) decryption with the matching key
 // restores the original contents. The ciphertext itself is irrelevant.
 
-// Encrypt returns code encrypting the TCP payload under the given key: a
+// encrypt returns code encrypting the TCP payload under the given key: a
 // "Key" metadata entry records the key, and a fresh allocation of
 // TcpPayload masks the original value with a new symbol.
-func Encrypt(key uint64) sefl.Instr {
+func encrypt(key uint64) sefl.Instr {
 	return sefl.Seq(
 		sefl.Allocate{LV: sefl.Meta{Name: "Key"}, Size: 64},
 		sefl.Assign{LV: sefl.Meta{Name: "Key"}, E: sefl.CW(key, 64)},
@@ -22,10 +22,10 @@ func Encrypt(key uint64) sefl.Instr {
 	)
 }
 
-// Decrypt returns code decrypting the TCP payload: the path proceeds only
+// decrypt returns code decrypting the TCP payload: the path proceeds only
 // when the recorded key matches, and deallocating the ciphertext layer
 // unmasks the original payload.
-func Decrypt(key uint64) sefl.Instr {
+func decrypt(key uint64) sefl.Instr {
 	return sefl.Seq(
 		sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.Meta{Name: "Key"}}, sefl.CW(key, 64))},
 		sefl.Deallocate{LV: sefl.TcpPayload, Size: 64},
@@ -35,10 +35,10 @@ func Decrypt(key uint64) sefl.Instr {
 
 // EncryptTunnel installs a 1-in/1-out encrypting gateway.
 func EncryptTunnel(e *core.Element, key uint64) {
-	e.SetInCode(core.WildcardPort, sefl.Seq(Encrypt(key), sefl.Forward{Port: 0}))
+	e.SetInCode(core.WildcardPort, sefl.Seq(encrypt(key), sefl.Forward{Port: 0}))
 }
 
 // DecryptTunnel installs the matching decrypting gateway.
 func DecryptTunnel(e *core.Element, key uint64) {
-	e.SetInCode(core.WildcardPort, sefl.Seq(Decrypt(key), sefl.Forward{Port: 0}))
+	e.SetInCode(core.WildcardPort, sefl.Seq(decrypt(key), sefl.Forward{Port: 0}))
 }

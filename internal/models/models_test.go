@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/memory"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 	"symnet/internal/verify"
@@ -283,10 +284,14 @@ func TestTunnelPayloadInvariance(t *testing.T) {
 			t.Fatalf("%s must be invariant across the tunnel", f.Name)
 		}
 	}
-	// Exactly two encapsulation layers were added and removed: final stack
-	// depth of the (inner) L3 offset region must be 1.
-	if d := p.Mem.HdrStackDepth(112 + 96); d != 1 {
-		t.Fatalf("inner IPSrc stack depth %d", d)
+	// Exactly two encapsulation layers were added and removed: the (inner)
+	// IPSrc offset holds one allocation, so one deallocation empties it.
+	m := p.Mem.CloneInto(memory.New())
+	if err := m.DeallocateHdr(112+96, 32); err != nil {
+		t.Fatalf("inner IPSrc: %v", err)
+	}
+	if _, err := m.ReadHdr(112+96, 32); err == nil {
+		t.Fatal("inner IPSrc is stacked more than once")
 	}
 }
 

@@ -31,12 +31,9 @@ func GroupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
 //
 // Ingress and Egress write each port's disjunction as a sefl.Table on IPDst.
 func Router(e *core.Element, fib tables.FIB, style Style) error {
-	if len(fib) == 0 {
-		return fmt.Errorf("models: router %s: empty FIB", e.Name)
-	}
 	ports := fib.Ports()
-	if max := ports[len(ports)-1]; max >= e.NumOut {
-		return fmt.Errorf("models: router %s: FIB uses port %d but element has %d output ports", e.Name, max, e.NumOut)
+	if err := CheckTable(e, "router", ports); err != nil {
+		return err
 	}
 	compiled := tables.CompileLPM(fib)
 	switch style {

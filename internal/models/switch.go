@@ -46,14 +46,11 @@ func (s Style) String() string {
 // The element forwards on EtherDst; unknown MACs fail ("Mac unknown"), as in
 // the paper's ingress model.
 func Switch(e *core.Element, t tables.MACTable, style Style) error {
-	byPort := t.ByPort()
 	ports := t.Ports()
-	if len(ports) == 0 {
-		return fmt.Errorf("models: switch %s: empty MAC table", e.Name)
+	if err := CheckTable(e, "switch", ports); err != nil {
+		return err
 	}
-	if max := ports[len(ports)-1]; max >= e.NumOut {
-		return fmt.Errorf("models: switch %s: table uses port %d but element has %d output ports", e.Name, max, e.NumOut)
-	}
+	byPort := t.ByPort()
 	switch style {
 	case Basic:
 		ref := sefl.Ref{LV: sefl.EtherDst}
@@ -86,6 +83,19 @@ func Switch(e *core.Element, t tables.MACTable, style Style) error {
 		}
 	default:
 		return fmt.Errorf("models: unknown switch style %v", style)
+	}
+	return nil
+}
+
+// CheckTable returns the error Router or Switch gives for a table whose
+// sorted output ports are ports: it has no entry, or it uses a port e
+// lacks. kind names the model in the message.
+func CheckTable(e *core.Element, kind string, ports []int) error {
+	if len(ports) == 0 {
+		return fmt.Errorf("models: %s %s: empty table", kind, e.Name)
+	}
+	if max := ports[len(ports)-1]; max >= e.NumOut {
+		return fmt.Errorf("models: %s %s: table uses port %d but element has %d output ports", kind, e.Name, max, e.NumOut)
 	}
 	return nil
 }

@@ -68,11 +68,11 @@ func (t Timer) Stop() time.Duration {
 	return d
 }
 
-// Snapshot captures the histogram's current state (zero value on nil). The
+// snapshot captures the histogram's current state (zero value on nil). The
 // capture is not atomic across buckets — concurrent Observe calls may land
 // half-in — which is fine for telemetry: totals are exact once writers
 // quiesce, and merge determinism is over captured values.
-func (h *Histogram) Snapshot() HistSnapshot {
+func (h *Histogram) snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
@@ -88,9 +88,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// AddSnapshot folds a captured snapshot into the live histogram (the
+// addSnapshot folds a captured snapshot into the live histogram (the
 // coordinator absorbing a worker's buckets). No-op on nil.
-func (h *Histogram) AddSnapshot(s HistSnapshot) {
+func (h *Histogram) addSnapshot(s HistSnapshot) {
 	if h == nil {
 		return
 	}
@@ -110,54 +110,4 @@ type HistSnapshot struct {
 	Count   int64         `json:"count"`
 	Sum     int64         `json:"sum"`
 	Buckets map[int]int64 `json:"buckets,omitempty"`
-}
-
-// merge adds o into s bucket-wise.
-func (s *HistSnapshot) merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if len(o.Buckets) == 0 {
-		return
-	}
-	if s.Buckets == nil {
-		s.Buckets = make(map[int]int64, len(o.Buckets))
-	}
-	for i, n := range o.Buckets {
-		s.Buckets[i] += n
-	}
-}
-
-// Mean returns the average observation (zero when empty).
-func (s HistSnapshot) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / s.Count
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the log2 buckets,
-// returning the upper bound of the bucket the quantile falls in — a
-// factor-of-2 estimate, which is what log bucketing buys. Zero when empty.
-func (s HistSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 || q <= 0 {
-		return 0
-	}
-	rank := int64(q * float64(s.Count))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += s.Buckets[i]
-		if seen >= rank {
-			if i == 0 {
-				return 1
-			}
-			if i >= 63 {
-				return int64(^uint64(0) >> 1)
-			}
-			return int64(1) << i
-		}
-	}
-	return 0
 }

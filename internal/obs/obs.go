@@ -13,13 +13,13 @@
 //     no clock reads, and no atomic traffic.
 //
 //   - Deterministic, mergeable snapshots. A Snapshot is a pure value
-//     (sorted-key maps of int64) and Merge is commutative and associative:
-//     counters and histogram buckets add, gauges take the maximum. Per-worker
-//     collectors merged in any order therefore produce identical totals —
-//     the same discipline solver.Stats.Add established for the deterministic
-//     run statistics — which lets distributed workers ship their snapshots
-//     to the coordinator over the existing gob frames and fold them in
-//     without caring about arrival order.
+//     (sorted-key maps of int64) and Registry.Absorb folds one in
+//     commutatively: counters and histogram buckets add, gauges take the
+//     maximum. Per-worker collectors absorbed in any order therefore produce
+//     identical totals — the same discipline solver.Stats.Add established
+//     for the deterministic run statistics — which lets distributed workers
+//     ship their snapshots to the coordinator over the existing gob frames
+//     and fold them in without caring about arrival order.
 //
 // Metrics are strictly observational: nothing in this package feeds back
 // into exploration, solving, or scheduling, so enabling a registry cannot
@@ -28,14 +28,14 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // SchemaVersion identifies the metrics snapshot layout. Bump it when a
-// metric is renamed or its semantics change; Merge refuses snapshots of
-// different schemas rather than folding renamed keys together.
+// metric is renamed or its semantics change; the dist coordinator absorbs
+// only snapshots of its own schema rather than folding renamed keys
+// together.
 const SchemaVersion = 1
 
 // Counter is a monotonically increasing atomic counter. The nil Counter is
@@ -90,8 +90,8 @@ func (g *Gauge) SetMax(n int64) {
 	}
 }
 
-// Value returns the current level (zero on nil).
-func (g *Gauge) Value() int64 {
+// value returns the current level (zero on nil).
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
@@ -211,10 +211,10 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+		s.Gauges[name] = g.value()
 	}
 	for name, h := range r.hists {
-		s.Hists[name] = h.Snapshot()
+		s.Hists[name] = h.snapshot()
 	}
 	return s
 }
@@ -238,7 +238,7 @@ func (r *Registry) Absorb(s *Snapshot) {
 		r.Gauge(name).SetMax(v)
 	}
 	for name, hs := range s.Hists {
-		r.Histogram(name).AddSnapshot(hs)
+		r.Histogram(name).addSnapshot(hs)
 	}
 }
 
@@ -251,60 +251,4 @@ type Snapshot struct {
 	Counters map[string]int64        `json:"counters,omitempty"`
 	Gauges   map[string]int64        `json:"gauges,omitempty"`
 	Hists    map[string]HistSnapshot `json:"histograms,omitempty"`
-}
-
-// Merge folds o into s: counters and histogram buckets add, gauges take the
-// maximum. Merge is commutative and associative, so per-worker snapshots
-// combined in any order produce identical totals (property-tested). Merging
-// snapshots of different schemas is a programming error and panics — the
-// caller (the dist coordinator) must reject mismatches first.
-func (s *Snapshot) Merge(o *Snapshot) {
-	if s == nil || o == nil {
-		return
-	}
-	if s.Schema != o.Schema {
-		panic("obs: merging snapshots of different schemas")
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
-	for k, v := range o.Counters {
-		s.Counters[k] += v
-	}
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]int64)
-	}
-	for k, v := range o.Gauges {
-		if v > s.Gauges[k] {
-			s.Gauges[k] = v
-		}
-	}
-	if s.Hists == nil {
-		s.Hists = make(map[string]HistSnapshot)
-	}
-	for k, hs := range o.Hists {
-		cur := s.Hists[k]
-		cur.merge(hs)
-		s.Hists[k] = cur
-	}
-}
-
-// Keys returns every instrument name in the snapshot, sorted, for
-// deterministic iteration (diff output, tests).
-func (s *Snapshot) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Hists))
-	for k := range s.Counters {
-		keys = append(keys, k)
-	}
-	for k := range s.Gauges {
-		keys = append(keys, k)
-	}
-	for k := range s.Hists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -7,7 +7,7 @@
 //   - Op.Ins (a sefl.Instr interface, needed for lazy trace lines and
 //     failure messages) crosses as a sefl.WireInstr;
 //   - condition nodes are hash-consed within a program (structurally equal
-//     guards share one *CCond), so the codec flattens the unique nodes into an indexed table — children
+//     guards share one *cCond), so the codec flattens the unique nodes into an indexed table — children
 //     before parents — and ops reference indices, restoring the exact
 //     sharing on decode;
 //   - For ops carry their pattern plus the serialized body reference of the
@@ -82,7 +82,7 @@ type WireOp struct {
 }
 
 // WireCCond is the concrete form of one condition node. Child conditions
-// (And/Or members, Not operand) are table indices. A CIntervalTable node
+// (And/Or members, Not operand) are table indices. A cIntervalTable node
 // ships no child indices: its disjuncts cross the wire as the packed row
 // stream (ITRows) — the frame-size win this lowering exists for — and the
 // decoder rebuilds the span tables through the same construction the
@@ -103,7 +103,7 @@ type WireCCond struct {
 	Key       memory.MetaKey
 	Cs        []int32
 	C         int32
-	// Interval-table payload (Kind == CIntervalTable).
+	// Interval-table payload (Kind == cIntervalTable).
 	ITF    LV
 	ITRows []uint64
 }
@@ -122,7 +122,7 @@ func EncodeProgram(p *Program) (*WireProgram, error) {
 		CondsSeen: p.CondsSeen,
 		Ops:       make([]WireOp, len(p.Ops)),
 	}
-	idx := make(map[*CCond]int32)
+	idx := make(map[*cCond]int32)
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		wop := WireOp{
@@ -164,7 +164,7 @@ func EncodeProgram(p *Program) (*WireProgram, error) {
 
 // encodeCond flattens one condition node (children first) into the table,
 // deduplicating by pointer so shared nodes stay shared.
-func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
+func encodeCond(w *WireProgram, idx map[*cCond]int32, c *cCond) (int32, error) {
 	if i, ok := idx[c]; ok {
 		return i, nil
 	}
@@ -181,7 +181,7 @@ func encodeCond(w *WireProgram, idx map[*CCond]int32, c *CCond) (int32, error) {
 		}
 		wc.Static = st
 	}
-	if c.Kind == CIntervalTable {
+	if c.Kind == cIntervalTable {
 		// A lowered guard ships its rows, never its Or-tree view.
 		wc.ITF = c.IT.F
 		wc.ITRows = expr.PackGuardRows(c.IT.Rows)
@@ -226,15 +226,15 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		CondsSeen: w.CondsSeen,
 		Ops:       make([]Op, len(w.Ops)),
 	}
-	conds := make([]*CCond, len(w.CondTab))
+	conds := make([]*cCond, len(w.CondTab))
 	for i := range w.CondTab {
 		wc := &w.CondTab[i]
-		c := &CCond{
+		c := &cCond{
 			Kind: wc.Kind, FP: wc.FP, HasStatic: wc.HasStatic, StaticErr: wc.StaticErr,
 			HasSym: wc.HasSym, B: wc.B, Op: wc.Op, L: wc.L, R: wc.R,
 			Val: wc.Val, Mask: wc.Mask, PLen: wc.PLen, PW: wc.PW, Key: wc.Key,
 		}
-		if wc.Kind == CIntervalTable {
+		if wc.Kind == cIntervalTable {
 			if len(wc.ITRows) == 0 {
 				return nil, fmt.Errorf("prog: decode %s: interval-table cond %d without rows", w.Label, i)
 			}

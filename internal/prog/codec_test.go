@@ -62,7 +62,7 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 // hash-consed to one node at compile time, decode back to one shared node.
 func TestProgramCodecPreservesCondSharing(t *testing.T) {
 	p := Compile(codecProgram(), "e1", 4, "t")
-	var orig []*CCond
+	var orig []*cCond
 	for i := range p.Ops {
 		if p.Ops[i].Kind == OpConstrain && !p.Ops[i].C.HasStatic {
 			orig = append(orig, p.Ops[i].C)
@@ -79,7 +79,7 @@ func TestProgramCodecPreservesCondSharing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	var dec []*CCond
+	var dec []*cCond
 	for i := range q.Ops {
 		if q.Ops[i].Kind == OpConstrain && !q.Ops[i].C.HasStatic {
 			dec = append(dec, q.Ops[i].C)
@@ -186,7 +186,7 @@ func TestProgramCodecRejectsMalformedSegments(t *testing.T) {
 		{"block enters its own segment", func(w *WireProgram) { w.Ops[ifOp].Kind, w.Ops[ifOp].Sub = OpSub, ifSeg },
 			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, ifSeg)},
 		// A lowered guard crosses the wire as its rows only.
-		{"interval table without rows", func(w *WireProgram) { w.CondTab[0].Kind, w.CondTab[0].ITRows = CIntervalTable, nil },
+		{"interval table without rows", func(w *WireProgram) { w.CondTab[0].Kind, w.CondTab[0].ITRows = cIntervalTable, nil },
 			"interval-table cond 0 without rows"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

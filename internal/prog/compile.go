@@ -21,7 +21,7 @@ func Compile(code sefl.Instr, elem string, instance int, label string) *Program 
 	t0 := time.Now()
 	c := &compiler{
 		p:     &Program{Elem: elem, Instance: instance, Label: label},
-		conds: make(map[expr.Fp][]*CCond),
+		conds: make(map[expr.Fp][]*cCond),
 	}
 	c.p.Entry = c.compileSeg([]sefl.Instr{code})
 	compileCount.Add(1)
@@ -31,7 +31,7 @@ func Compile(code sefl.Instr, elem string, instance int, label string) *Program 
 
 type compiler struct {
 	p     *Program
-	conds map[expr.Fp][]*CCond // hash-consing table for guard dedup
+	conds map[expr.Fp][]*cCond // hash-consing table for guard dedup
 }
 
 // compileSeg compiles an instruction sequence into a new segment. Child
@@ -188,18 +188,18 @@ func hdrLV(h sefl.Hdr) LV {
 func (c *compiler) compileExpr(e sefl.Expr) *CExpr {
 	switch v := e.(type) {
 	case sefl.Num:
-		ce := &CExpr{Kind: ENum, V: v.V, W: v.W}
+		ce := &CExpr{Kind: eNum, V: v.V, W: v.W}
 		if v.W != 0 {
 			l := expr.Const(v.V, v.W)
 			ce.Folded = &l
 		}
 		return ce
 	case sefl.Symbolic:
-		return &CExpr{Kind: ESym, W: v.W, Name: v.Name}
+		return &CExpr{Kind: eSym, W: v.W, Name: v.Name}
 	case sefl.Ref:
-		return &CExpr{Kind: ERef, LV: c.compileLV(v.LV)}
+		return &CExpr{Kind: eRef, LV: c.compileLV(v.LV)}
 	case sefl.TagVal:
-		return &CExpr{Kind: ETagVal, Tag: v.Tag, Rel: v.Rel}
+		return &CExpr{Kind: eTagVal, Tag: v.Tag, Rel: v.Rel}
 	case sefl.Add:
 		return c.compileArith(v.A, v.B, false)
 	case sefl.Sub:
@@ -209,7 +209,7 @@ func (c *compiler) compileExpr(e sefl.Expr) *CExpr {
 }
 
 func (c *compiler) compileArith(a, b sefl.Expr, minus bool) *CExpr {
-	ce := &CExpr{Kind: EArith, A: c.compileExpr(a), B: c.compileExpr(b), Minus: minus}
+	ce := &CExpr{Kind: eArith, A: c.compileExpr(a), B: c.compileExpr(b), Minus: minus}
 	// Fold constant arithmetic: when the left operand folded (so its width
 	// is fixed), the right operand's hint is that width, and a literal or
 	// folded right operand makes the whole node hint-independent. The
@@ -222,7 +222,7 @@ func (c *compiler) compileArith(a, b sefl.Expr, minus bool) *CExpr {
 	switch {
 	case ce.B.Folded != nil:
 		lb = *ce.B.Folded
-	case ce.B.Kind == ENum:
+	case ce.B.Kind == eNum:
 		lb = expr.Const(ce.B.V, la.Width)
 	default:
 		return ce
@@ -263,9 +263,9 @@ func (c *compiler) foldWithHint(e *CExpr, hint int) {
 // the symbol allocator, i.e. the evaluation is a pure function of the hint.
 func exprStatic(e *CExpr) bool {
 	switch e.Kind {
-	case ENum:
+	case eNum:
 		return e.Err == ""
-	case EArith:
+	case eArith:
 		return e.Err == "" && exprStatic(e.A) && exprStatic(e.B)
 	}
 	return false
@@ -274,26 +274,26 @@ func exprStatic(e *CExpr) bool {
 // compileCond lowers a condition bottom-up, hash-consing structurally equal
 // nodes (guard dedup) and precomputing the value — or the exact evaluation
 // error — of nodes whose evaluation is static.
-func (c *compiler) compileCond(sc sefl.Cond) *CCond {
-	var cc *CCond
+func (c *compiler) compileCond(sc sefl.Cond) *cCond {
+	var cc *cCond
 	switch v := sc.(type) {
 	case sefl.CBool:
-		cc = &CCond{Kind: CBool, B: bool(v)}
+		cc = &cCond{Kind: cBool, B: bool(v)}
 	case sefl.Cmp:
-		cc = &CCond{Kind: CCmp, Op: v.Op, L: c.compileExpr(v.L), R: c.compileExpr(v.R)}
+		cc = &cCond{Kind: cCmp, Op: v.Op, L: c.compileExpr(v.L), R: c.compileExpr(v.R)}
 	case sefl.Prefix:
-		cc = &CCond{Kind: CPrefix, L: c.compileExpr(v.E), Val: v.Value, PLen: v.Len, PW: cmp.Or(v.Width, 32)}
+		cc = &cCond{Kind: cPrefix, L: c.compileExpr(v.E), Val: v.Value, PLen: v.Len, PW: cmp.Or(v.Width, 32)}
 	case sefl.Masked:
-		cc = &CCond{Kind: CMasked, L: c.compileExpr(v.E), Mask: v.Mask, Val: v.Val}
+		cc = &cCond{Kind: cMasked, L: c.compileExpr(v.E), Mask: v.Mask, Val: v.Val}
 	case sefl.MetaPresent:
 		lv := c.compileLV(v.M)
-		cc = &CCond{Kind: CMetaPresent, Key: lv.Key}
+		cc = &cCond{Kind: cMetaPresent, Key: lv.Key}
 	case sefl.CAnd:
-		cs := make([]*CCond, len(v.Cs))
+		cs := make([]*cCond, len(v.Cs))
 		for i, sub := range v.Cs {
 			cs[i] = c.compileCond(sub)
 		}
-		cc = &CCond{Kind: CAnd, Cs: cs}
+		cc = &cCond{Kind: cAnd, Cs: cs}
 	case sefl.Table:
 		// A table guard lowers straight from its rows, which the node
 		// aliases; one that is malformed or too small to be worth a span
@@ -301,21 +301,21 @@ func (c *compiler) compileCond(sc sefl.Cond) *CCond {
 		if v.Check() != nil || !expr.TableSized(v.Rows) {
 			return c.compileCond(v.Or())
 		}
-		cc = &CCond{Kind: CIntervalTable, IT: &ITable{F: hdrLV(v.F), W: v.F.Size, Rows: v.Rows}}
+		cc = &cCond{Kind: cIntervalTable, IT: &ITable{F: hdrLV(v.F), W: v.F.Size, Rows: v.Rows}}
 		itableLowered.Add(1)
 	case sefl.COr:
-		cs := make([]*CCond, len(v.Cs))
+		cs := make([]*cCond, len(v.Cs))
 		for i, sub := range v.Cs {
 			cs[i] = c.compileCond(sub)
 		}
-		cc = &CCond{Kind: COr, Cs: cs}
+		cc = &cCond{Kind: cOr, Cs: cs}
 	case sefl.CNot:
-		cc = &CCond{Kind: CNot, C: c.compileCond(v.C)}
+		cc = &cCond{Kind: cNot, C: c.compileCond(v.C)}
 	default:
 		// Unknown condition types fail at evaluation like the AST
 		// interpreter's default case.
-		cc = &CCond{
-			Kind: CBool, HasStatic: true,
+		cc = &cCond{
+			Kind: cBool, HasStatic: true,
 			StaticErr: fmt.Sprintf("unknown condition %T", sc),
 		}
 		cc.FP = fpString(cc.StaticErr)
@@ -326,7 +326,7 @@ func (c *compiler) compileCond(sc sefl.Cond) *CCond {
 	if cand := findCond(c.conds, cc); cand != nil {
 		return cand
 	}
-	if cc.Kind == CIntervalTable {
+	if cc.Kind == cIntervalTable {
 		buildITable(cc.IT)
 	}
 	finishCond(cc)
@@ -336,7 +336,7 @@ func (c *compiler) compileCond(sc sefl.Cond) *CCond {
 }
 
 // findCond looks cc up in a hash-consing table (nil on miss).
-func findCond(conds map[expr.Fp][]*CCond, cc *CCond) *CCond {
+func findCond(conds map[expr.Fp][]*cCond, cc *cCond) *cCond {
 	for _, cand := range conds[cc.FP] {
 		if equalCCond(cand, cc) {
 			return cand
@@ -348,7 +348,7 @@ func findCond(conds map[expr.Fp][]*CCond, cc *CCond) *CCond {
 // finishCond computes a node's derived state — static fold and fresh-symbol
 // check — shared between the compiler and the wire decoder's reconstruction
 // of lowered-guard children.
-func finishCond(cc *CCond) {
+func finishCond(cc *cCond) {
 	if !cc.HasStatic && condStatic(cc) {
 		cond, err := evalCondDynamic(nil, cc)
 		cc.HasStatic = true
@@ -364,19 +364,19 @@ func finishCond(cc *CCond) {
 // condHasSym reports whether evaluating the condition can allocate fresh
 // symbols. Children are already finished, so composite nodes consult their
 // children's HasSym; a lowered guard compares one field with constants.
-func condHasSym(cc *CCond) bool {
+func condHasSym(cc *cCond) bool {
 	switch cc.Kind {
-	case CCmp:
+	case cCmp:
 		return exprHasSym(cc.L) || exprHasSym(cc.R)
-	case CPrefix, CMasked:
+	case cPrefix, cMasked:
 		return exprHasSym(cc.L)
-	case CAnd, COr:
+	case cAnd, cOr:
 		for _, sub := range cc.Cs {
 			if sub.HasSym {
 				return true
 			}
 		}
-	case CNot:
+	case cNot:
 		return cc.C.HasSym
 	}
 	return false
@@ -384,9 +384,9 @@ func condHasSym(cc *CCond) bool {
 
 func exprHasSym(e *CExpr) bool {
 	switch e.Kind {
-	case ESym:
+	case eSym:
 		return true
-	case EArith:
+	case eArith:
 		return exprHasSym(e.A) || exprHasSym(e.B)
 	}
 	return false
@@ -395,25 +395,25 @@ func exprHasSym(e *CExpr) bool {
 // condStatic reports whether evaluating the condition is a pure function:
 // no packet reads, no symbol allocation. Children are already compiled, so
 // composite nodes just consult their children's HasStatic.
-func condStatic(cc *CCond) bool {
+func condStatic(cc *cCond) bool {
 	switch cc.Kind {
-	case CBool:
+	case cBool:
 		return true
-	case CCmp:
+	case cCmp:
 		return exprStatic(cc.L) && exprStatic(cc.R)
-	case CPrefix, CMasked:
+	case cPrefix, cMasked:
 		return exprStatic(cc.L)
-	case CMetaPresent, CIntervalTable:
+	case cMetaPresent, cIntervalTable:
 		// Every row of a table reads its field.
 		return false
-	case CAnd, COr:
+	case cAnd, cOr:
 		for _, sub := range cc.Cs {
 			if !sub.HasStatic {
 				return false
 			}
 		}
 		return true
-	case CNot:
+	case cNot:
 		return cc.C.HasStatic
 	}
 	return false
@@ -438,15 +438,15 @@ func fpString(s string) expr.Fp {
 func fpExpr(e *CExpr) expr.Fp {
 	f := fpWord(uint64(e.Kind) + 0x11)
 	switch e.Kind {
-	case ENum:
+	case eNum:
 		f = fpNum(e.V, e.W)
-	case ESym:
+	case eSym:
 		f = f.Chain(fpWord(uint64(e.W))).Chain(fpString(e.Name))
-	case ERef:
+	case eRef:
 		f = fpRef(e.LV)
-	case ETagVal:
+	case eTagVal:
 		f = f.Chain(fpString(e.Tag)).Chain(fpWord(uint64(e.Rel)))
-	case EArith:
+	case eArith:
 		if e.Minus {
 			f = f.Chain(fpWord(1))
 		}
@@ -459,10 +459,10 @@ func fpExpr(e *CExpr) expr.Fp {
 }
 
 func fpNum(v uint64, w int) expr.Fp {
-	return fpWord(uint64(ENum) + 0x11).Chain(fpWord(v)).Chain(fpWord(uint64(w)))
+	return fpWord(uint64(eNum) + 0x11).Chain(fpWord(v)).Chain(fpWord(uint64(w)))
 }
 
-func fpRef(lv LV) expr.Fp { return fpWord(uint64(ERef) + 0x11).Chain(fpLV(lv)) }
+func fpRef(lv LV) expr.Fp { return fpWord(uint64(eRef) + 0x11).Chain(fpLV(lv)) }
 
 func fpLV(lv LV) expr.Fp {
 	f := fpWord(uint64(lv.Rel))
@@ -481,70 +481,70 @@ func fpLV(lv LV) expr.Fp {
 // functions of their own, so ITable.fp applies them without the nodes.
 
 func fpCmp(op expr.CmpOp, l, r expr.Fp) expr.Fp {
-	return fpWord(uint64(CCmp) + 0x29).Chain(fpWord(uint64(op))).Chain(l).Chain(r)
+	return fpWord(uint64(cCmp) + 0x29).Chain(fpWord(uint64(op))).Chain(l).Chain(r)
 }
 
 func fpPrefix(l expr.Fp, val uint64, plen, pw int) expr.Fp {
-	return fpWord(uint64(CPrefix) + 0x29).Chain(l).Chain(fpWord(val)).
+	return fpWord(uint64(cPrefix) + 0x29).Chain(l).Chain(fpWord(val)).
 		Chain(fpWord(uint64(plen))).Chain(fpWord(uint64(pw)))
 }
 
-func fpNot(c expr.Fp) expr.Fp { return fpWord(uint64(CNot) + 0x29).Chain(c) }
+func fpNot(c expr.Fp) expr.Fp { return fpWord(uint64(cNot) + 0x29).Chain(c) }
 
 // fpJunction starts an n-ary And or Or; the children's are chained onto it.
 func fpJunction(kind CondKind, n int) expr.Fp {
 	return fpWord(uint64(kind) + 0x29).Chain(fpWord(uint64(n)))
 }
 
-func fpCond(cc *CCond) expr.Fp {
+func fpCond(cc *cCond) expr.Fp {
 	f := fpWord(uint64(cc.Kind) + 0x29)
 	switch cc.Kind {
-	case CBool:
+	case cBool:
 		if cc.B {
 			f = f.Chain(fpWord(1))
 		}
-	case CCmp:
+	case cCmp:
 		f = fpCmp(cc.Op, fpExpr(cc.L), fpExpr(cc.R))
-	case CPrefix:
+	case cPrefix:
 		f = fpPrefix(fpExpr(cc.L), cc.Val, cc.PLen, cc.PW)
-	case CMasked:
+	case cMasked:
 		f = f.Chain(fpExpr(cc.L)).Chain(fpWord(cc.Mask)).Chain(fpWord(cc.Val))
-	case CMetaPresent:
+	case cMetaPresent:
 		f = f.Chain(fpString(cc.Key.Name)).Chain(fpWord(uint64(int64(cc.Key.Instance))))
-	case CAnd, COr:
+	case cAnd, cOr:
 		f = fpJunction(cc.Kind, len(cc.Cs))
 		for _, sub := range cc.Cs {
 			f = f.Chain(sub.FP)
 		}
-	case CIntervalTable:
+	case cIntervalTable:
 		// A lowered guard keeps the fingerprint of the Or-tree it stands for.
 		f = cc.IT.fp()
-	case CNot:
+	case cNot:
 		f = fpNot(cc.C.FP)
 	}
 	return f
 }
 
-func equalCCond(a, b *CCond) bool {
+func equalCCond(a, b *cCond) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
 	switch a.Kind {
-	case CBool:
+	case cBool:
 		return a.B == b.B && a.StaticErr == b.StaticErr
-	case CCmp:
+	case cCmp:
 		return a.Op == b.Op && equalCExpr(a.L, b.L) && equalCExpr(a.R, b.R)
-	case CPrefix:
+	case cPrefix:
 		return a.Val == b.Val && a.PLen == b.PLen && a.PW == b.PW && equalCExpr(a.L, b.L)
-	case CMasked:
+	case cMasked:
 		return a.Mask == b.Mask && a.Val == b.Val && equalCExpr(a.L, b.L)
-	case CMetaPresent:
+	case cMetaPresent:
 		return a.Key == b.Key
-	case CIntervalTable:
+	case cIntervalTable:
 		return a.IT.F == b.IT.F && slices.EqualFunc(a.IT.Rows, b.IT.Rows, func(x, y ITRow) bool {
 			return x.Kind == y.Kind && x.V == y.V && x.Len == y.Len && slices.Equal(x.Excl, y.Excl)
 		})
-	case CAnd, COr:
+	case cAnd, cOr:
 		if len(a.Cs) != len(b.Cs) {
 			return false
 		}
@@ -555,7 +555,7 @@ func equalCCond(a, b *CCond) bool {
 			}
 		}
 		return true
-	case CNot:
+	case cNot:
 		return a.C == b.C
 	}
 	return false
@@ -566,15 +566,15 @@ func equalCExpr(a, b *CExpr) bool {
 		return false
 	}
 	switch a.Kind {
-	case ENum:
+	case eNum:
 		return a.V == b.V && a.W == b.W
-	case ESym:
+	case eSym:
 		return a.W == b.W && a.Name == b.Name
-	case ERef:
+	case eRef:
 		return a.LV == b.LV
-	case ETagVal:
+	case eTagVal:
 		return a.Tag == b.Tag && a.Rel == b.Rel
-	case EArith:
+	case eArith:
 		return a.Minus == b.Minus && equalCExpr(a.A, b.A) && equalCExpr(a.B, b.B)
 	}
 	return true

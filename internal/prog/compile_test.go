@@ -60,7 +60,7 @@ func TestDeadCodeAfterTerminators(t *testing.T) {
 func TestGuardDedup(t *testing.T) {
 	guard := func() sefl.Cond {
 		return sefl.AndC(
-			sefl.Eq(sefl.Ref{LV: sefl.Hdr{Off: sefl.At(0), Size: 32}}, sefl.C(5)),
+			sefl.Eq(sefl.Ref{LV: sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32}}, sefl.C(5)),
 			sefl.Lt(sefl.Ref{LV: sefl.Meta{Name: "m"}}, sefl.C(9)),
 		)
 	}
@@ -70,7 +70,7 @@ func TestGuardDedup(t *testing.T) {
 		sefl.Constrain{C: sefl.NotC(guard())},
 		sefl.Forward{Port: 0},
 	), "e", 0, "t")
-	var consts []*CCond
+	var consts []*cCond
 	for i := range p.Ops {
 		if p.Ops[i].Kind == OpConstrain {
 			consts = append(consts, p.Ops[i].C)
@@ -82,7 +82,7 @@ func TestGuardDedup(t *testing.T) {
 	if consts[0] != consts[1] {
 		t.Fatal("equal guards were not deduplicated to one node")
 	}
-	if consts[2].Kind != CNot || consts[2].C != consts[0] {
+	if consts[2].Kind != cNot || consts[2].C != consts[0] {
 		t.Fatal("negated guard does not share the inner node")
 	}
 	// Dedup stats: 2 And roots seen, 1 kept (plus leaves and the Not).
@@ -96,7 +96,7 @@ func TestGuardDedup(t *testing.T) {
 func TestStaticFolding(t *testing.T) {
 	p := Compile(sefl.Seq(
 		sefl.Constrain{C: sefl.Lt(sefl.CW(3, 16), sefl.CW(5, 16))},
-		sefl.Assign{LV: sefl.Hdr{Off: sefl.At(0), Size: 32}, E: sefl.Add{A: sefl.C(40), B: sefl.C(2)}},
+		sefl.Assign{LV: sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32}, E: sefl.Add{A: sefl.C(40), B: sefl.C(2)}},
 		sefl.Forward{Port: 0},
 	), "e", 0, "t")
 	c := p.Ops[0].C
@@ -132,7 +132,7 @@ func TestLValueResolution(t *testing.T) {
 		sefl.Assign{LV: sefl.Meta{Name: "g"}, E: sefl.C(1)},
 		sefl.Assign{LV: sefl.Meta{Name: "l", Local: true}, E: sefl.C(2)},
 		sefl.Assign{LV: sefl.Meta{Name: "p", Instance: 9, Pinned: true}, E: sefl.C(3)},
-		sefl.Assign{LV: sefl.Hdr{Off: sefl.At(96), Size: 32}, E: sefl.C(4)},
+		sefl.Assign{LV: sefl.Hdr{Off: sefl.Off{Rel: 96}, Size: 32}, E: sefl.C(4)},
 		sefl.Assign{LV: sefl.Hdr{Off: sefl.FromTag("L3", 16), Size: 16}, E: sefl.C(5)},
 		sefl.Forward{Port: 0},
 	), "e", 7, "t")

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -39,6 +38,9 @@ func fingerprint(res *core.Result) string { return fingerprintCtx(res, true) }
 // counts, solver statistics — must still be byte-identical.
 func obsFingerprint(res *core.Result) string { return fingerprintCtx(res, false) }
 
+// fpTags are the tags the generator and the packets here create, sorted.
+var fpTags = []string{sefl.TagEnd, sefl.TagL2, sefl.TagL3, sefl.TagL4, "PAYLOAD", sefl.TagStart, "T", "U", sefl.TagVLAN}
+
 func fingerprintCtx(res *core.Result, withCtx bool) string {
 	var b strings.Builder
 	for _, p := range res.Paths {
@@ -55,14 +57,10 @@ func fingerprintCtx(res *core.Result, withCtx bool) string {
 		for _, me := range p.Mem.MetaEntries() {
 			fmt.Fprintf(&b, " m[%s]=%v:%v", me.Key, me.Val, me.Set)
 		}
-		tags := p.Mem.Tags()
-		names := make([]string, 0, len(tags))
-		for tag := range tags {
-			names = append(names, tag)
-		}
-		sort.Strings(names)
-		for _, tag := range names {
-			fmt.Fprintf(&b, " t[%s]=%d", tag, tags[tag])
+		for _, tag := range fpTags {
+			if v, ok := p.Mem.Tag(tag); ok {
+				fmt.Fprintf(&b, " t[%s]=%d", tag, v)
+			}
 		}
 		if withCtx {
 			fp := p.Ctx.Fingerprint()
@@ -86,9 +84,9 @@ func newGen(seed int64) *gen {
 	// Header-field palette: allocated by the injection code. Distinct
 	// offsets; widths matter for fold/coerce paths.
 	g.hdrs = []sefl.Hdr{
-		{Off: sefl.At(0), Size: 32, Name: "F0"},
-		{Off: sefl.At(32), Size: 16, Name: "F1"},
-		{Off: sefl.At(48), Size: 16, Name: "F2"},
+		{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F0"},
+		{Off: sefl.Off{Rel: 32}, Size: 16, Name: "F1"},
+		{Off: sefl.Off{Rel: 48}, Size: 16, Name: "F2"},
 		{Off: sefl.FromTag("T", 0), Size: 8, Name: "F3"}, // tag-relative
 	}
 	g.meta = []sefl.Meta{

@@ -86,15 +86,15 @@ func lvString(lv LV) string {
 func exprString(e *CExpr) string {
 	var s string
 	switch e.Kind {
-	case ENum:
+	case eNum:
 		s = fmt.Sprintf("%d:w%d", e.V, e.W)
-	case ESym:
+	case eSym:
 		s = fmt.Sprintf("fresh(%s:w%d)", e.Name, e.W)
-	case ERef:
+	case eRef:
 		s = lvString(e.LV)
-	case ETagVal:
+	case eTagVal:
 		s = fmt.Sprintf("Tag(%s)%+d", e.Tag, e.Rel)
-	case EArith:
+	case eArith:
 		opc := "+"
 		if e.Minus {
 			opc = "-"
@@ -111,22 +111,22 @@ func exprString(e *CExpr) string {
 
 // condString renders a condition compactly; very wide And/Or nodes (egress
 // table guards) are elided to keep dumps readable.
-func condString(c *CCond) string {
+func condString(c *cCond) string {
 	var s string
 	switch c.Kind {
-	case CBool:
+	case cBool:
 		s = fmt.Sprintf("%v", c.B)
-	case CCmp:
+	case cCmp:
 		s = exprString(c.L) + " " + c.Op.String() + " " + exprString(c.R)
-	case CPrefix:
+	case cPrefix:
 		s = fmt.Sprintf("%s in %d/%d", exprString(c.L), c.Val, c.PLen)
-	case CMasked:
+	case cMasked:
 		s = fmt.Sprintf("(%s & %#x) == %#x", exprString(c.L), c.Mask, c.Val)
-	case CMetaPresent:
+	case cMetaPresent:
 		s = "present(" + c.Key.String() + ")"
-	case CAnd, COr, CIntervalTable:
+	case cAnd, cOr, cIntervalTable:
 		sep := " & "
-		if c.Kind != CAnd {
+		if c.Kind != cAnd {
 			sep = " | "
 		}
 		if cs := c.children(); len(cs) > 8 {
@@ -139,9 +139,9 @@ func condString(c *CCond) string {
 			s = "(" + strings.Join(parts, sep) + ")"
 		}
 		if it := c.IT; it != nil {
-			s += fmt.Sprintf(" [itable %d rows, %d spans]", len(it.Rows), it.Table.Len())
+			s += fmt.Sprintf(" [itable %d rows, %d spans]", len(it.Rows), len(it.Table.Spans()))
 		}
-	case CNot:
+	case cNot:
 		s = "!(" + condString(c.C) + ")"
 	}
 	if c.HasStatic {

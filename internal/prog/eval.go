@@ -45,8 +45,8 @@ func ResolveOff(env Env, lv LV) (int64, error) {
 	return base + lv.Rel, nil
 }
 
-// ReadLV reads the current value of a pre-resolved l-value.
-func ReadLV(env Env, lv LV) (expr.Lin, error) {
+// readLV reads the current value of a pre-resolved l-value.
+func readLV(env Env, lv LV) (expr.Lin, error) {
 	if lv.Err != "" {
 		return expr.Lin{}, errors.New(lv.Err)
 	}
@@ -71,7 +71,7 @@ func EvalExpr(env Env, e *CExpr, hint int) (expr.Lin, error) {
 		return expr.Lin{}, errors.New(e.Err)
 	}
 	switch e.Kind {
-	case ENum:
+	case eNum:
 		w := e.W
 		if w == 0 {
 			w = hint
@@ -80,7 +80,7 @@ func EvalExpr(env Env, e *CExpr, hint int) (expr.Lin, error) {
 			w = 64
 		}
 		return expr.Const(e.V, w), nil
-	case ESym:
+	case eSym:
 		w := e.W
 		if w == 0 {
 			w = hint
@@ -89,15 +89,15 @@ func EvalExpr(env Env, e *CExpr, hint int) (expr.Lin, error) {
 			w = 64
 		}
 		return env.Fresh(w, e.Name), nil
-	case ERef:
-		return ReadLV(env, e.LV)
-	case ETagVal:
+	case eRef:
+		return readLV(env, e.LV)
+	case eTagVal:
 		base, ok := env.Tag(e.Tag)
 		if !ok {
 			return expr.Lin{}, evalErrf("TagVal of unset tag %q", e.Tag)
 		}
 		return expr.Const(uint64(base+e.Rel), 64), nil
-	case EArith:
+	case eArith:
 		return evalArith(env, e.A, e.B, hint, e.Minus)
 	}
 	return expr.Lin{}, evalErrf("unknown compiled expression kind %d", e.Kind)
@@ -145,14 +145,14 @@ func evalArith(env Env, a, b *CExpr, hint int, sub bool) (expr.Lin, error) {
 // EvalCond lowers a compiled condition to a solver condition. Conditions
 // evaluated at compile time replay their precomputed value or error, and a
 // lowered guard is evaluated against its packed span table.
-func EvalCond(env Env, c *CCond) (expr.Cond, error) {
+func EvalCond(env Env, c *cCond) (expr.Cond, error) {
 	if c.HasStatic {
 		if c.StaticErr != "" {
 			return nil, errors.New(c.StaticErr)
 		}
 		return c.Static, nil
 	}
-	if c.Kind == CIntervalTable && env != nil && !env.OrTreeGuards() {
+	if c.Kind == cIntervalTable && env != nil && !env.OrTreeGuards() {
 		if cond, ok, err := evalTable(env, c.IT); ok {
 			return cond, err
 		}
@@ -168,11 +168,11 @@ func EvalCond(env Env, c *CCond) (expr.Cond, error) {
 // evalCondDynamic evaluates a condition node ignoring its own static
 // shortcut (children still use theirs); the compiler calls it to compute
 // that shortcut in the first place.
-func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
+func evalCondDynamic(env Env, c *cCond) (expr.Cond, error) {
 	switch c.Kind {
-	case CBool:
+	case cBool:
 		return expr.Bool(c.B), nil
-	case CCmp:
+	case cCmp:
 		l, err := EvalExpr(env, c.L, 0)
 		if err != nil {
 			return nil, err
@@ -186,13 +186,13 @@ func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
 			return nil, err
 		}
 		return expr.NewCmp(c.Op, l, r), nil
-	case CPrefix:
+	case cPrefix:
 		l, err := EvalExpr(env, c.L, c.PW)
 		if err != nil {
 			return nil, err
 		}
 		return expr.NewPrefix(l, c.Val, c.PLen), nil
-	case CMasked:
+	case cMasked:
 		l, err := EvalExpr(env, c.L, 0)
 		if err != nil {
 			return nil, err
@@ -201,9 +201,9 @@ func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
 			return nil, err
 		}
 		return expr.NewMatch(l, c.Mask, c.Val), nil
-	case CMetaPresent:
+	case cMetaPresent:
 		return expr.Bool(env.MetaExists(c.Key)), nil
-	case CAnd:
+	case cAnd:
 		out := make([]expr.Cond, 0, len(c.Cs))
 		for _, sub := range c.Cs {
 			lc, err := EvalCond(env, sub)
@@ -213,7 +213,7 @@ func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
 			out = append(out, lc)
 		}
 		return expr.NewAnd(out...), nil
-	case COr, CIntervalTable:
+	case cOr, cIntervalTable:
 		cs := c.children()
 		out := make([]expr.Cond, 0, len(cs))
 		for _, sub := range cs {
@@ -224,7 +224,7 @@ func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
 			out = append(out, lc)
 		}
 		return expr.NewOr(out...), nil
-	case CNot:
+	case cNot:
 		lc, err := EvalCond(env, c.C)
 		if err != nil {
 			return nil, err
@@ -241,7 +241,7 @@ func evalCondDynamic(env Env, c *CCond) (expr.Cond, error) {
 // read order matches the reference evaluation's first disjunct, so read
 // errors surface identically. ok=false requests the Or-tree fallback.
 func evalTable(env Env, it *ITable) (expr.Cond, bool, error) {
-	v, err := ReadLV(env, it.F)
+	v, err := readLV(env, it.F)
 	if err != nil {
 		return nil, true, err
 	}

@@ -6,7 +6,7 @@ package prog
 // port, a guard spanning the whole forwarding table: "EtherDst == MAC1 |
 // MAC2 | ..." or "IPDst in P1 | (P2 & !more-specific) | ...". The models
 // write it as a sefl.Table, one row per entry, and the compiler lowers a
-// well-formed table worth one (expr.TableSized) to a CIntervalTable node
+// well-formed table worth one (expr.TableSized) to a cIntervalTable node
 // holding those rows plus their merged span table, so each visit costs one
 // field read plus one packed-set assertion (expr.InSet) instead of an
 // Or-tree the solver compresses to the same set on every visit. A
@@ -15,7 +15,7 @@ package prog
 // The rows are the guard. Everything a condition node carries — its
 // fingerprint, its fresh-symbol flag, the span table — is computed from
 // them. The Or-tree they stand for is a derived view, not retained state:
-// CCond.children builds it on first use for the readers that want the
+// cCond.children builds it on first use for the readers that want the
 // reference semantics — Env.OrTreeGuards, the fallback evaluation takes when
 // the runtime value shapes are not the ones the table was compiled for, the
 // IR dump — so lowering can never change observable behavior, and a program
@@ -99,18 +99,18 @@ func buildITable(it *ITable) {
 // fp is fpCond of the Or-tree.
 func (it *ITable) fp() expr.Fp {
 	ref := fpRef(it.F)
-	f := fpJunction(COr, len(it.Rows))
+	f := fpJunction(cOr, len(it.Rows))
 	for i := range it.Rows {
 		r := &it.Rows[i]
 		var row expr.Fp
 		switch r.Kind {
-		case ITEq:
+		case itEq:
 			row = fpCmp(expr.Eq, ref, fpNum(r.V, it.W))
 		case ITPrefix:
 			row = fpPrefix(ref, r.V, r.Len, it.W)
 		}
 		if len(r.Excl) > 0 {
-			row = fpJunction(CAnd, len(r.Excl)+1).Chain(row)
+			row = fpJunction(cAnd, len(r.Excl)+1).Chain(row)
 			for _, e := range r.Excl {
 				row = row.Chain(fpNot(fpPrefix(ref, e.V, e.Len, it.W)))
 			}
@@ -125,13 +125,13 @@ func (it *ITable) fp() expr.Fp {
 // children returns the operands of an And or an Or, in either form an Or
 // can take: a lowered guard builds the Or-tree its rows stand for on first
 // use. Programs are shared across workers, hence the Once.
-func (c *CCond) children() []*CCond {
+func (c *cCond) children() []*cCond {
 	it := c.IT
 	if it == nil {
 		return c.Cs
 	}
 	it.viewOnce.Do(func() {
-		b := &itBuilder{conds: make(map[expr.Fp][]*CCond)}
+		b := &itBuilder{conds: make(map[expr.Fp][]*cCond)}
 		it.view = b.children(it)
 	})
 	return it.view
@@ -142,10 +142,10 @@ func (c *CCond) children() []*CCond {
 // an Or it cannot lower, so the view is byte-identical (fingerprints, flags,
 // sharing) to compiler-built children.
 type itBuilder struct {
-	conds map[expr.Fp][]*CCond
+	conds map[expr.Fp][]*cCond
 }
 
-func (b *itBuilder) seal(cc *CCond) *CCond {
+func (b *itBuilder) seal(cc *cCond) *cCond {
 	cc.FP = fpCond(cc)
 	if cand := findCond(b.conds, cc); cand != nil {
 		return cand
@@ -156,31 +156,31 @@ func (b *itBuilder) seal(cc *CCond) *CCond {
 }
 
 // itRef mirrors compileExpr for a header-field reference.
-func itRef(lv LV) *CExpr { return &CExpr{Kind: ERef, LV: lv} }
+func itRef(lv LV) *CExpr { return &CExpr{Kind: eRef, LV: lv} }
 
 // itNum mirrors compileExpr for a fixed-width literal.
 func itNum(v uint64, w int) *CExpr {
-	ce := &CExpr{Kind: ENum, V: v, W: w}
+	ce := &CExpr{Kind: eNum, V: v, W: w}
 	l := expr.Const(v, w)
 	ce.Folded = &l
 	return ce
 }
 
-func (b *itBuilder) eq(f LV, v uint64) *CCond {
-	return b.seal(&CCond{Kind: CCmp, Op: expr.Eq, L: itRef(f), R: itNum(v, f.Size)})
+func (b *itBuilder) eq(f LV, v uint64) *cCond {
+	return b.seal(&cCond{Kind: cCmp, Op: expr.Eq, L: itRef(f), R: itNum(v, f.Size)})
 }
 
-func (b *itBuilder) prefix(f LV, v uint64, plen int) *CCond {
-	return b.seal(&CCond{Kind: CPrefix, L: itRef(f), Val: v, PLen: plen, PW: f.Size})
+func (b *itBuilder) prefix(f LV, v uint64, plen int) *cCond {
+	return b.seal(&cCond{Kind: cPrefix, L: itRef(f), Val: v, PLen: plen, PW: f.Size})
 }
 
 // children rebuilds the disjunct list of a lowered guard.
-func (b *itBuilder) children(it *ITable) []*CCond {
-	cs := make([]*CCond, 0, len(it.Rows))
+func (b *itBuilder) children(it *ITable) []*cCond {
+	cs := make([]*cCond, 0, len(it.Rows))
 	for _, r := range it.Rows {
-		var head *CCond
+		var head *cCond
 		switch r.Kind {
-		case ITEq:
+		case itEq:
 			head = b.eq(it.F, r.V)
 		case ITPrefix:
 			head = b.prefix(it.F, r.V, r.Len)
@@ -189,12 +189,12 @@ func (b *itBuilder) children(it *ITable) []*CCond {
 			cs = append(cs, head)
 			continue
 		}
-		sub := make([]*CCond, 0, len(r.Excl)+1)
+		sub := make([]*cCond, 0, len(r.Excl)+1)
 		sub = append(sub, head)
 		for _, e := range r.Excl {
-			sub = append(sub, b.seal(&CCond{Kind: CNot, C: b.prefix(it.F, e.V, e.Len)}))
+			sub = append(sub, b.seal(&cCond{Kind: cNot, C: b.prefix(it.F, e.V, e.Len)}))
 		}
-		cs = append(cs, b.seal(&CCond{Kind: CAnd, Cs: sub}))
+		cs = append(cs, b.seal(&cCond{Kind: cAnd, Cs: sub}))
 	}
 	return cs
 }

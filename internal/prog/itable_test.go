@@ -11,15 +11,15 @@ import (
 )
 
 var (
-	itMAC  = sefl.Hdr{Off: sefl.At(0), Size: 48, Name: "Mac"}
-	itVLAN = sefl.Hdr{Off: sefl.At(48), Size: 16, Name: "Vlan"}
-	itIP   = sefl.Hdr{Off: sefl.At(64), Size: 32, Name: "Ip"}
+	itMAC  = sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 48, Name: "Mac"}
+	itVLAN = sefl.Hdr{Off: sefl.Off{Rel: 48}, Size: 16, Name: "Vlan"}
+	itIP   = sefl.Hdr{Off: sefl.Off{Rel: 64}, Size: 32, Name: "Ip"}
 )
 
 func macGuard(n int) sefl.Table {
 	rows := make([]ITRow, n)
 	for i := range rows {
-		rows[i] = ITRow{Kind: ITEq, V: uint64(i * 2)}
+		rows[i] = ITRow{Kind: itEq, V: uint64(i * 2)}
 	}
 	return sefl.Table{F: itMAC, Rows: rows}
 }
@@ -39,12 +39,12 @@ func prefixGuard() sefl.Table {
 	return sefl.Table{F: itIP, Rows: []ITRow{
 		{Kind: ITPrefix, V: 0x0a000000, Len: 24},
 		{Kind: ITPrefix, V: 0x0a000100, Len: 24},
-		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []ITExcl{{V: 0x0a010200, Len: 24}}},
+		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}}},
 		{Kind: ITPrefix, V: 0x0b000000, Len: 8},
 	}}
 }
 
-func guardCond(t *testing.T, c sefl.Cond) *CCond {
+func guardCond(t *testing.T, c sefl.Cond) *cCond {
 	t.Helper()
 	p := Compile(sefl.Seq(sefl.Constrain{C: c}, sefl.Forward{Port: 0}), "e", 0, "t")
 	return p.Ops[0].C
@@ -73,10 +73,10 @@ func (e *itEnv) OrTreeGuards() bool             { return e.orTree }
 // TestLoweringDetection: table guards worth a span table lower; small or
 // malformed ones, and every hand-written Or, compile as trees.
 func TestLoweringDetection(t *testing.T) {
-	if c := guardCond(t, macGuard(8)); c.Kind != CIntervalTable || c.IT == nil {
+	if c := guardCond(t, macGuard(8)); c.Kind != cIntervalTable || c.IT == nil {
 		t.Fatalf("mac guard not lowered: kind=%d", c.Kind)
 	}
-	if c := guardCond(t, prefixGuard()); c.Kind != CIntervalTable {
+	if c := guardCond(t, prefixGuard()); c.Kind != cIntervalTable {
 		t.Fatalf("prefix guard not lowered: kind=%d", c.Kind)
 	}
 	// The node aliases the table's rows.
@@ -86,10 +86,10 @@ func TestLoweringDetection(t *testing.T) {
 	}
 
 	// Below the atom threshold (expr.TableSized): the Or-tree.
-	if c := guardCond(t, macGuard(3)); c.Kind != COr {
+	if c := guardCond(t, macGuard(3)); c.Kind != cOr {
 		t.Fatalf("tiny guard lowered: kind=%d", c.Kind)
 	}
-	if c := guardCond(t, macGuard(1)); c.Kind != CCmp {
+	if c := guardCond(t, macGuard(1)); c.Kind != cCmp {
 		t.Fatalf("one-row guard: kind=%d, want the bare atom", c.Kind)
 	}
 	// The gate counts atoms, not rows: one route with three exclusions is a
@@ -97,14 +97,14 @@ func TestLoweringDetection(t *testing.T) {
 	oneRoute := func(k int) sefl.Table {
 		row := ITRow{Kind: ITPrefix}
 		for i := 0; i < k; i++ {
-			row.Excl = append(row.Excl, ITExcl{V: uint64(10+i) << 24, Len: 8})
+			row.Excl = append(row.Excl, expr.GuardExcl{V: uint64(10+i) << 24, Len: 8})
 		}
 		return sefl.Table{F: itIP, Rows: []ITRow{row}}
 	}
-	if c := guardCond(t, oneRoute(3)); c.Kind != CIntervalTable || len(c.IT.Rows) != 1 {
+	if c := guardCond(t, oneRoute(3)); c.Kind != cIntervalTable || len(c.IT.Rows) != 1 {
 		t.Fatalf("one route, three exclusions not lowered: kind=%d", c.Kind)
 	}
-	if c := guardCond(t, oneRoute(2)); c.Kind != COr {
+	if c := guardCond(t, oneRoute(2)); c.Kind != cOr {
 		t.Fatalf("one route, two exclusions lowered: kind=%d", c.Kind)
 	}
 
@@ -112,7 +112,7 @@ func TestLoweringDetection(t *testing.T) {
 	// compiles to.
 	long := prefixGuard()
 	long.Rows = append(long.Rows, ITRow{Kind: ITPrefix, Len: 40})
-	if c := guardCond(t, long); c.Kind != COr || c.FP != guardCond(t, long.Or()).FP {
+	if c := guardCond(t, long); c.Kind != cOr || c.FP != guardCond(t, long.Or()).FP {
 		t.Fatalf("malformed table: kind=%d, want its Or-tree", c.Kind)
 	}
 
@@ -136,7 +136,7 @@ func TestLoweringDetection(t *testing.T) {
 		),
 	} {
 		p := Compile(sefl.Seq(sefl.Constrain{C: or}, sefl.Forward{Port: 0}), "e", 0, "t")
-		if c := p.Ops[0].C; c.Kind != COr || c.IT != nil {
+		if c := p.Ops[0].C; c.Kind != cOr || c.IT != nil {
 			t.Errorf("%s: hand-written Or compiled to kind %d", name, c.Kind)
 		}
 		if its := GuardTables(p); len(its) != 0 {
@@ -164,8 +164,8 @@ func TestLoweredSpansMerge(t *testing.T) {
 	}
 
 	// Duplicate equalities collapse.
-	dup := sefl.Table{F: itMAC, Rows: []ITRow{{Kind: ITEq, V: 5}, {Kind: ITEq, V: 5}, {Kind: ITEq, V: 6}, {Kind: ITEq, V: 7}}}
-	if c := guardCond(t, dup); c.IT.Table.Len() != 1 || !c.IT.Table.Contains(5) || !c.IT.Table.Contains(7) {
+	dup := sefl.Table{F: itMAC, Rows: []ITRow{{Kind: itEq, V: 5}, {Kind: itEq, V: 5}, {Kind: itEq, V: 6}, {Kind: itEq, V: 7}}}
+	if c := guardCond(t, dup); len(c.IT.Table.Spans()) != 1 || !c.IT.Table.Contains(5) || !c.IT.Table.Contains(7) {
 		t.Fatalf("duplicate/adjacent spans = %v", c.IT.Table)
 	}
 }
@@ -229,7 +229,7 @@ func TestEvalTableModes(t *testing.T) {
 func TestPairGuardStaysOrTree(t *testing.T) {
 	vl := vlanGuard([][2]uint64{{1, 10}, {1, 12}, {2, 10}, {2, 14}, {3, 30}})
 	p := Compile(sefl.Seq(sefl.Constrain{C: vl}, sefl.Forward{Port: 0}), "e", 0, "t")
-	if c := p.Ops[0].C; c.Kind != COr || c.IT != nil {
+	if c := p.Ops[0].C; c.Kind != cOr || c.IT != nil {
 		t.Fatalf("pair guard lowered: kind=%d", c.Kind)
 	}
 	if its := GuardTables(p); len(its) != 0 {
@@ -262,10 +262,10 @@ func errEqual(a, b error) bool {
 // row list, including exclusions.
 func TestITRowsPackRoundTrip(t *testing.T) {
 	rows := []ITRow{
-		{Kind: ITEq, V: 42},
+		{Kind: itEq, V: 42},
 		{Kind: ITPrefix, V: 0x0a000000, Len: 24},
-		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []ITExcl{{V: 0x0a010200, Len: 24}, {V: 0x0a010300, Len: 24}}},
-		{Kind: ITEq, V: 7, Excl: []ITExcl{{V: 0x0a, Len: 8}}},
+		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}, {V: 0x0a010300, Len: 24}}},
+		{Kind: itEq, V: 7, Excl: []expr.GuardExcl{{V: 0x0a, Len: 8}}},
 	}
 	got, err := expr.UnpackGuardRows(expr.PackGuardRows(rows))
 	if err != nil {
@@ -316,13 +316,13 @@ func TestITableCodecRoundTrip(t *testing.T) {
 	}
 	for i := range []int{0, 1} {
 		oc, dc := p.Ops[i].C, q.Ops[i].C
-		if dc.Kind != CIntervalTable || dc.FP != oc.FP || dc.HasSym != oc.HasSym {
+		if dc.Kind != cIntervalTable || dc.FP != oc.FP || dc.HasSym != oc.HasSym {
 			t.Fatalf("op %d: node drifted: %+v", i, dc)
 		}
 		if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {
 			t.Fatalf("op %d: rows drifted", i)
 		}
-		if !dc.IT.Table.Equal(oc.IT.Table) {
+		if !tablesEqual(dc.IT.Table, oc.IT.Table) {
 			t.Fatalf("op %d: span table drifted", i)
 		}
 		ocs, dcs := oc.children(), dc.children()

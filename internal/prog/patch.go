@@ -44,10 +44,10 @@ type PatchSpec struct {
 
 // forEachCond visits every distinct condition node reachable from the
 // program's ops (conditions are hash-consed, so shared nodes visit once).
-func forEachCond(p *Program, fn func(*CCond)) {
-	seen := make(map[*CCond]bool)
-	var walk func(cc *CCond)
-	walk = func(cc *CCond) {
+func forEachCond(p *Program, fn func(*cCond)) {
+	seen := make(map[*cCond]bool)
+	var walk func(cc *cCond)
+	walk = func(cc *cCond) {
 		if cc == nil || seen[cc] {
 			return
 		}
@@ -68,8 +68,8 @@ func forEachCond(p *Program, fn func(*CCond)) {
 // each (element, port) program to the table fingerprints it depends on.
 func GuardTables(p *Program) []*ITable {
 	var out []*ITable
-	forEachCond(p, func(cc *CCond) {
-		if cc.Kind == CIntervalTable && cc.IT != nil {
+	forEachCond(p, func(cc *cCond) {
+		if cc.Kind == cIntervalTable && cc.IT != nil {
 			out = append(out, cc.IT)
 		}
 	})
@@ -85,16 +85,6 @@ func RowSolutionSet(r ITRow, w int) []expr.Span {
 	return appendRowSpans(nil, &r, w, &scratch)
 }
 
-// BuildGuardTable merges a full row list into its span table (the from-
-// scratch construction lowering performs). Incremental callers use it only
-// to cross-check or to rebuild after non-local changes; the per-delta path
-// goes through expr.SpanTable.PatchWindow.
-func BuildGuardTable(rows []ITRow, w int) *expr.SpanTable {
-	it := &ITable{W: w, Rows: rows}
-	buildITable(it)
-	return it.Table
-}
-
 // PatchGuard applies spec to p in place, returning the number of guard nodes
 // patched (0 when no lowered guard carries spec.OldFp). The program must not
 // be executing concurrently. For each matched node it installs the
@@ -102,9 +92,9 @@ func BuildGuardTable(rows []ITRow, w int) *expr.SpanTable {
 // derived state, and swaps the rendered source instruction on every
 // OpConstrain guarded by the node.
 func PatchGuard(p *Program, spec PatchSpec) int {
-	patched := make(map[*CCond]bool)
-	forEachCond(p, func(cc *CCond) {
-		if cc.Kind != CIntervalTable || cc.IT == nil {
+	patched := make(map[*cCond]bool)
+	forEachCond(p, func(cc *cCond) {
+		if cc.Kind != cIntervalTable || cc.IT == nil {
 			return
 		}
 		if cc.IT.Table == nil || cc.IT.Table.Fp() != spec.OldFp {

@@ -11,7 +11,7 @@ import (
 func patchMACGuard(macs []uint64) sefl.Instr {
 	rows := make([]ITRow, len(macs))
 	for i, m := range macs {
-		rows[i] = ITRow{Kind: ITEq, V: m}
+		rows[i] = ITRow{Kind: itEq, V: m}
 	}
 	return sefl.Constrain{C: sefl.Table{F: sefl.EtherDst, Rows: rows}}
 }
@@ -19,7 +19,7 @@ func patchMACGuard(macs []uint64) sefl.Instr {
 type patchPrefixRow struct {
 	v    uint64
 	len  int
-	excl []ITExcl
+	excl []expr.GuardExcl
 }
 
 func patchPrefixGuard(rows []patchPrefixRow) sefl.Instr {
@@ -30,11 +30,11 @@ func patchPrefixGuard(rows []patchPrefixRow) sefl.Instr {
 	return sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: its}}
 }
 
-func guardNode(t *testing.T, p *Program) *CCond {
+func guardNode(t *testing.T, p *Program) *cCond {
 	t.Helper()
-	var node *CCond
-	forEachCond(p, func(cc *CCond) {
-		if cc.Kind == CIntervalTable {
+	var node *cCond
+	forEachCond(p, func(cc *cCond) {
+		if cc.Kind == cIntervalTable {
 			node = cc
 		}
 	})
@@ -56,7 +56,7 @@ func constrainIns(p *Program) sefl.Instr {
 // deepEqualCond is structural equality across two programs' hash-consing
 // domains (equalCCond compares children by pointer, which only works within
 // one compile). Node fingerprints cover the leaf expressions.
-func deepEqualCond(a, b *CCond) bool {
+func deepEqualCond(a, b *cCond) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
@@ -92,7 +92,7 @@ func requireSameAsFresh(t *testing.T, patched *Program, freshGuard sefl.Instr) {
 	if pn.FP != fn.FP {
 		t.Fatalf("node fingerprint mismatch: %v vs %v", pn.FP, fn.FP)
 	}
-	if !pn.IT.Table.Equal(fn.IT.Table) || pn.IT.Table.Fp() != fn.IT.Table.Fp() {
+	if !tablesEqual(pn.IT.Table, fn.IT.Table) || pn.IT.Table.Fp() != fn.IT.Table.Fp() {
 		t.Fatalf("table mismatch: %v (fp %v) vs %v (fp %v)",
 			pn.IT.Table, pn.IT.Table.Fp(), fn.IT.Table, fn.IT.Table.Fp())
 	}
@@ -113,10 +113,10 @@ func TestPatchGuardMACInsert(t *testing.T) {
 	newMacs := []uint64{0x10, 0x20, 0x25, 0x30, 0x40, 0x50}
 	rows := make([]ITRow, len(newMacs))
 	for i, m := range newMacs {
-		rows[i] = ITRow{Kind: ITEq, V: m}
+		rows[i] = ITRow{Kind: itEq, V: m}
 	}
 	table := node.IT.Table.PatchWindow(0x25, 0x25, []expr.Span{{Lo: 0x25, Hi: 0x25}})
-	if !table.Equal(BuildGuardTable(rows, sefl.MACWidth)) {
+	if !tablesEqual(table, buildGuardTable(rows, sefl.MACWidth)) {
 		t.Fatal("incrementally patched table differs from full rebuild")
 	}
 	if n := PatchGuard(p, PatchSpec{OldFp: oldFp, Rows: rows, Table: table, Ins: patchMACGuard(newMacs)}); n != 1 {
@@ -133,7 +133,7 @@ func TestPatchGuardMACInsert(t *testing.T) {
 func TestPatchGuardPrefixDeleteWithExclusions(t *testing.T) {
 	const w = 32
 	oldRows := []patchPrefixRow{
-		{v: 0x0A000000, len: 8, excl: []ITExcl{{V: 0x0A010000, Len: 16}}},
+		{v: 0x0A000000, len: 8, excl: []expr.GuardExcl{{V: 0x0A010000, Len: 16}}},
 		{v: 0x0A010000, len: 16},
 		{v: 0x14000000, len: 8},
 		{v: 0x1E000000, len: 8},
@@ -164,7 +164,7 @@ func TestPatchGuardPrefixDeleteWithExclusions(t *testing.T) {
 		repl = append(repl, RowSolutionSet(r, w)...) // PatchWindow clips to the window
 	}
 	table := node.IT.Table.PatchWindow(lo, hi, repl)
-	if !table.Equal(BuildGuardTable(itRows, w)) || table.Fp() != BuildGuardTable(itRows, w).Fp() {
+	if !tablesEqual(table, buildGuardTable(itRows, w)) || table.Fp() != buildGuardTable(itRows, w).Fp() {
 		t.Fatal("windowed patch differs from full rebuild")
 	}
 	if n := PatchGuard(p, PatchSpec{OldFp: oldFp, Rows: itRows, Table: table, Ins: patchPrefixGuard(newRows)}); n != 1 {

@@ -105,16 +105,16 @@ type LV struct {
 type ExprKind uint8
 
 const (
-	// ENum is an integer literal (width 0 adapts to the evaluation hint).
-	ENum ExprKind = iota
-	// ESym mints a fresh symbolic value at evaluation time.
-	ESym
-	// ERef reads a pre-resolved l-value.
-	ERef
-	// ETagVal reads the concrete value of a tag plus an offset.
-	ETagVal
-	// EArith is A+B or A-B under SEFL's linearity restriction.
-	EArith
+	// eNum is an integer literal (width 0 adapts to the evaluation hint).
+	eNum ExprKind = iota
+	// eSym mints a fresh symbolic value at evaluation time.
+	eSym
+	// eRef reads a pre-resolved l-value.
+	eRef
+	// eTagVal reads the concrete value of a tag plus an offset.
+	eTagVal
+	// eArith is A+B or A-B under SEFL's linearity restriction.
+	eArith
 )
 
 // CExpr is a compiled expression. Folded is non-nil when the node's value is
@@ -123,14 +123,14 @@ const (
 type CExpr struct {
 	Kind   ExprKind
 	Folded *expr.Lin
-	V      uint64 // ENum value
-	W      int    // ENum/ESym declared width (0 = adaptive)
-	Name   string // ESym diagnostic name
-	LV     LV     // ERef target
-	Tag    string // ETagVal tag
-	Rel    int64  // ETagVal offset
-	A, B   *CExpr // EArith operands
-	Minus  bool   // EArith: subtraction
+	V      uint64 // eNum value
+	W      int    // eNum/eSym declared width (0 = adaptive)
+	Name   string // eSym diagnostic name
+	LV     LV     // eRef target
+	Tag    string // eTagVal tag
+	Rel    int64  // eTagVal offset
+	A, B   *CExpr // eArith operands
+	Minus  bool   // eArith: subtraction
 	// Err preserves the AST interpreter's runtime error for expression
 	// types the compiler does not know.
 	Err string
@@ -140,21 +140,21 @@ type CExpr struct {
 type CondKind uint8
 
 const (
-	// CBool is a constant condition.
-	CBool CondKind = iota
-	// CCmp compares two expressions.
-	CCmp
-	// CPrefix tests membership of a Value/Len prefix.
-	CPrefix
-	// CMasked tests (E & Mask) == Val.
-	CMasked
-	// CMetaPresent tests existence of a (pre-resolved) metadata entry.
-	CMetaPresent
-	// CAnd, COr, CNot combine conditions.
-	CAnd
-	COr
-	CNot
-	// CIntervalTable is a lowered table guard (sefl.Table): equality/prefix
+	// cBool is a constant condition.
+	cBool CondKind = iota
+	// cCmp compares two expressions.
+	cCmp
+	// cPrefix tests membership of a Value/Len prefix.
+	cPrefix
+	// cMasked tests (E & Mask) == Val.
+	cMasked
+	// cMetaPresent tests existence of a (pre-resolved) metadata entry.
+	cMetaPresent
+	// cAnd, cOr, cNot combine conditions.
+	cAnd
+	cOr
+	cNot
+	// cIntervalTable is a lowered table guard (sefl.Table): equality/prefix
 	// rows over one header field compiled into sorted, merged value ranges.
 	// The node carries the rows and the packed table in IT and no children:
 	// the Or-tree's disjuncts — the reference
@@ -162,16 +162,16 @@ const (
 	// runtime value shapes fall outside the table — are a view built from
 	// the rows on first use (children). A lowered node keeps the structural
 	// fingerprint of the Or it stands for.
-	CIntervalTable
+	cIntervalTable
 )
 
-// CCond is a compiled condition. Conditions whose evaluation cannot touch
+// cCond is a compiled condition. Conditions whose evaluation cannot touch
 // the packet are evaluated once at compile time: HasStatic marks them, and
 // Static/StaticErr replay the exact value (or the exact evaluation error)
 // the AST interpreter would produce. Structurally equal conditions within a
-// program share one canonical *CCond (hash-consed on FP), so repeated
+// program share one canonical *cCond (hash-consed on FP), so repeated
 // guards cost one node.
-type CCond struct {
+type cCond struct {
 	Kind      CondKind
 	FP        expr.Fp
 	HasStatic bool
@@ -182,18 +182,18 @@ type CCond struct {
 	// treats such a guard as a mint site.
 	HasSym bool
 
-	B         bool       // CBool value
-	Op        expr.CmpOp // CCmp operator
-	L, R      *CExpr     // CCmp operands / CPrefix, CMasked subject (L)
-	Val, Mask uint64     // CPrefix value / CMasked pair
-	PLen, PW  int        // CPrefix length and width
+	B         bool       // cBool value
+	Op        expr.CmpOp // cCmp operator
+	L, R      *CExpr     // cCmp operands / cPrefix, cMasked subject (L)
+	Val, Mask uint64     // cPrefix value / cMasked pair
+	PLen, PW  int        // cPrefix length and width
 	Key       memory.MetaKey
-	Cs        []*CCond // CAnd/COr children (see children for CIntervalTable)
-	C         *CCond   // CNot child
-	IT        *ITable  // CIntervalTable payload
+	Cs        []*cCond // cAnd/cOr children (see children for cIntervalTable)
+	C         *cCond   // cNot child
+	IT        *ITable  // cIntervalTable payload
 }
 
-// ITable is the payload of a CIntervalTable node: the guarded field, the
+// ITable is the payload of a cIntervalTable node: the guarded field, the
 // table's rows (aliased, not copied: the exact information the Or-tree view
 // is built from, on either side of the wire), and the precomputed span table
 // evaluation consumes. Tables are immutable after construction and shared
@@ -205,22 +205,19 @@ type ITable struct {
 	// Table is the rows' merged span table.
 	Table *expr.SpanTable
 
-	// view is the Or-tree the rows stand for; see CCond.children.
+	// view is the Or-tree the rows stand for; see cCond.children.
 	viewOnce sync.Once
-	view     []*CCond
+	view     []*cCond
 }
 
 // ITRow is one disjunct of a lowered guard, in the shared packed-guard
 // vocabulary of internal/expr (one wire grammar for the SEFL and IR
-// codecs); ITEq/ITPrefix name the row kinds.
+// codecs); itEq/ITPrefix name the row kinds.
 type ITRow = expr.GuardRow
-
-// ITExcl is one prefix exclusion of a row.
-type ITExcl = expr.GuardExcl
 
 // Row kinds (see expr.GuardRow).
 const (
-	ITEq     = expr.GuardEq
+	itEq     = expr.GuardEq
 	ITPrefix = expr.GuardPrefix
 )
 
@@ -260,7 +257,7 @@ type Op struct {
 	LV    LV     // OpAllocate, OpDeallocate, OpAssign
 	Size  int    // OpAllocate, OpDeallocate (pre-defaulted from the Hdr size)
 	E     *CExpr // OpAssign, OpCreateTag
-	C     *CCond // OpConstrain, OpIf
+	C     *cCond // OpConstrain, OpIf
 	Msg   string // OpFail / OpCreateTag failure / OpUnknown message
 	Tag   string // OpCreateTag, OpDestroyTag
 	Port  int    // OpForward

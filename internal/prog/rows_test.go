@@ -26,7 +26,7 @@ import (
 func rowSetBySubtraction(r ITRow, w int) *solver.IntervalSet {
 	var s *solver.IntervalSet
 	switch r.Kind {
-	case ITEq:
+	case itEq:
 		s = solver.Singleton(r.V, w)
 	case ITPrefix:
 		s = solver.FromMask(expr.PrefixMask(r.Len, w), r.V, w)
@@ -70,7 +70,7 @@ func randPrefix(rng *rand.Rand, w int) (uint64, int) {
 func randRow(rng *rand.Rand, w int) ITRow {
 	var r ITRow
 	if rng.Intn(3) == 0 {
-		r = ITRow{Kind: ITEq, V: rng.Uint64() & expr.Mask(w)}
+		r = ITRow{Kind: itEq, V: rng.Uint64() & expr.Mask(w)}
 	} else {
 		v, plen := randPrefix(rng, w)
 		r = ITRow{Kind: ITPrefix, V: v, Len: plen}
@@ -91,7 +91,7 @@ func randRow(rng *rand.Rand, w int) ITRow {
 			plen = e.Len + rng.Intn(w-e.Len+1)
 			v = e.V&expr.PrefixMask(e.Len, w) | v&^expr.PrefixMask(e.Len, w)
 		}
-		r.Excl = append(r.Excl, ITExcl{V: v, Len: plen})
+		r.Excl = append(r.Excl, expr.GuardExcl{V: v, Len: plen})
 	}
 	return r
 }
@@ -121,8 +121,8 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 					topped++
 				}
 			}
-			got, want := BuildGuardTable(rows, w), tableBySubtraction(rows, w)
-			if !got.Equal(want) || got.Fp() != want.Fp() {
+			got, want := buildGuardTable(rows, w), tableBySubtraction(rows, w)
+			if !tablesEqual(got, want) || got.Fp() != want.Fp() {
 				t.Fatalf("w=%d rows %+v:\n got %v\nwant %v", w, rows, got, want)
 			}
 		}
@@ -142,7 +142,7 @@ func rowsGuard(f sefl.Hdr, rows []ITRow) []sefl.Cond {
 	for i, r := range rows {
 		var head sefl.Cond
 		switch r.Kind {
-		case ITEq:
+		case itEq:
 			head = sefl.Eq(ref, sefl.CW(r.V, f.Size))
 		case ITPrefix:
 			head = prefix(r.V, r.Len)
@@ -162,9 +162,9 @@ func rowsGuard(f sefl.Hdr, rows []ITRow) []sefl.Cond {
 // eagerOr compiles every disjunct the way the compiler compiles an Or it
 // cannot lower and seals the Or over them: the tree a lowered guard used to
 // be built from.
-func eagerOr(cs []sefl.Cond) *CCond {
-	c := &compiler{p: &Program{}, conds: make(map[expr.Fp][]*CCond)}
-	or := &CCond{Kind: COr, Cs: make([]*CCond, len(cs))}
+func eagerOr(cs []sefl.Cond) *cCond {
+	c := &compiler{p: &Program{}, conds: make(map[expr.Fp][]*cCond)}
+	or := &cCond{Kind: cOr, Cs: make([]*cCond, len(cs))}
 	for i, sub := range cs {
 		or.Cs[i] = c.compileCond(sub)
 	}
@@ -195,19 +195,19 @@ func TestRowsMatchTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 400; trial++ {
 		w := []int{8, 32, 48, 64}[trial%4]
-		f := sefl.Hdr{Off: sefl.At(0), Size: w, Name: "F"}
+		f := sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: w, Name: "F"}
 		rows := randRows(rng, w, 4+rng.Intn(12)) // four rows are a table (expr.TableSized) whatever their exclusions
 		tb := sefl.Table{F: f, Rows: rows}
 		guard := sefl.Constrain{C: tb}
 		p := Compile(sefl.Seq(guard, sefl.Forward{Port: 0}), "el", 0, "el.out[1]")
 		node := p.Ops[0].C
-		if node.Kind != CIntervalTable || !reflect.DeepEqual(node.IT.Rows, rows) {
+		if node.Kind != cIntervalTable || !reflect.DeepEqual(node.IT.Rows, rows) {
 			t.Fatalf("trial %d: table not lowered from its rows: %+v", trial, node.IT)
 		}
 		if p.Conds != 1 || p.CondsSeen != 1 {
 			t.Fatalf("trial %d: a lowered guard counts as one node, got %d/%d", trial, p.Conds, p.CondsSeen)
 		}
-		if !node.IT.Table.Equal(tableBySubtraction(rows, w)) {
+		if !tablesEqual(node.IT.Table, tableBySubtraction(rows, w)) {
 			t.Fatalf("trial %d: span table differs from the subtraction oracle", trial)
 		}
 
@@ -215,8 +215,8 @@ func TestRowsMatchTree(t *testing.T) {
 		// hand-written Or and against the table's Or compiled as a tree.
 		or := eagerOr(rowsGuard(f, rows))
 		tree := Compile(sefl.Seq(sefl.Constrain{C: tb.Or()}, sefl.Forward{Port: 0}), "el", 0, "el.out[1]").Ops[0].C
-		for name, ref := range map[string]*CCond{"hand-written": or, "Or()": tree} {
-			if ref.Kind != COr || node.FP != ref.FP || node.HasSym != ref.HasSym || node.HasStatic != ref.HasStatic {
+		for name, ref := range map[string]*cCond{"hand-written": or, "Or()": tree} {
+			if ref.Kind != cOr || node.FP != ref.FP || node.HasSym != ref.HasSym || node.HasStatic != ref.HasStatic {
 				t.Fatalf("trial %d: from rows fp=%v sym=%v static=%v\n%s tree kind=%d fp=%v sym=%v static=%v",
 					trial, node.FP, node.HasSym, node.HasStatic, name, ref.Kind, ref.FP, ref.HasSym, ref.HasStatic)
 			}
@@ -254,7 +254,7 @@ func TestRowsMatchTree(t *testing.T) {
 		next := randRows(rng, w, 4+rng.Intn(12))
 		nextGuard := sefl.Constrain{C: sefl.Table{F: f, Rows: next}}
 		patched := Compile(guard, "el", 0, "el.out[1]")
-		spec := PatchSpec{OldFp: node.IT.Table.Fp(), Rows: next, Table: BuildGuardTable(next, w), Ins: nextGuard}
+		spec := PatchSpec{OldFp: node.IT.Table.Fp(), Rows: next, Table: buildGuardTable(next, w), Ins: nextGuard}
 		if n := PatchGuard(patched, spec); n != 1 {
 			t.Fatalf("trial %d: PatchGuard patched %d nodes", trial, n)
 		}
@@ -285,7 +285,7 @@ func TestViewBuiltOnceByConcurrentFallbacks(t *testing.T) {
 	start := make(chan struct{})
 	got := make([]expr.Cond, workers)
 	errs := make([]error, workers)
-	first := make([]*CCond, workers)
+	first := make([]*cCond, workers)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -321,17 +321,30 @@ func TestGuardTableLinear(t *testing.T) {
 	allocs := func(k int) float64 {
 		row := ITRow{Kind: ITPrefix}
 		for i := 0; i < k; i++ {
-			row.Excl = append(row.Excl, ITExcl{V: uint64(i) << 9, Len: 24}) // every other /24
+			row.Excl = append(row.Excl, expr.GuardExcl{V: uint64(i) << 9, Len: 24}) // every other /24
 		}
 		rows := []ITRow{row}
-		if got := BuildGuardTable(rows, 32).Len(); got != k {
+		if got := len(buildGuardTable(rows, 32).Spans()); got != k {
 			t.Fatalf("k=%d: table has %d spans", k, got)
 		}
-		return testing.AllocsPerRun(10, func() { BuildGuardTable(rows, 32) })
+		return testing.AllocsPerRun(10, func() { buildGuardTable(rows, 32) })
 	}
 	a, b, c := allocs(512), allocs(2048), allocs(8192)
-	t.Logf("BuildGuardTable allocations: %.0f at k=512, %.0f at k=2048, %.0f at k=8192", a, b, c)
+	t.Logf("buildGuardTable allocations: %.0f at k=512, %.0f at k=2048, %.0f at k=8192", a, b, c)
 	if a != b || b != c {
 		t.Fatalf("allocations grow with the number of exclusions: %.0f, %.0f, %.0f", a, b, c)
 	}
+}
+
+// buildGuardTable merges a full row list into its span table, the from-
+// scratch construction lowering performs.
+func buildGuardTable(rows []ITRow, w int) *expr.SpanTable {
+	it := &ITable{W: w, Rows: rows}
+	buildITable(it)
+	return it.Table
+}
+
+// tablesEqual reports canonical-form equality of two span tables.
+func tablesEqual(a, b *expr.SpanTable) bool {
+	return a.Width() == b.Width() && slices.Equal(a.Spans(), b.Spans())
 }

@@ -40,12 +40,12 @@ import (
 	"symnet/internal/sefl"
 )
 
-// MaxSummaryNodes bounds the decision DAG. Continuations are shared across
+// maxSummaryNodes bounds the decision DAG. Continuations are shared across
 // branches (memoized by program counter and continuation stack), so real
 // models stay tiny; the cap is a backstop against pathological nesting where
 // distinct continuation stacks defeat sharing. Programs over the budget get
 // the unsummarizable verdict and run on the IR path.
-const MaxSummaryNodes = 4096
+const maxSummaryNodes = 4096
 
 // TermKind is how a SumNode ends.
 type TermKind uint8
@@ -225,7 +225,7 @@ type sumBuilder struct {
 }
 
 // buildSuffMints computes per-op suffix mint counts segment by segment.
-// Minting happens only through evaluation (ESym expressions, conditions
+// Minting happens only through evaluation (eSym expressions, conditions
 // with HasSym); segments referenced by If/Sub ops contribute transitively
 // through opMints -> segMints recursion (the segment graph is a DAG).
 func (b *sumBuilder) buildSuffMints() {
@@ -288,9 +288,9 @@ func exprMints(e *CExpr) bool {
 		return false
 	}
 	switch e.Kind {
-	case ESym:
+	case eSym:
 		return true
-	case EArith:
+	case eArith:
 		return exprMints(e.A) || exprMints(e.B)
 	}
 	return false
@@ -299,7 +299,7 @@ func exprMints(e *CExpr) bool {
 // condMints reports whether evaluating the condition can mint. Static
 // conditions replay their compile-time value; HasSym marks fresh-symbol
 // nodes anywhere below (computed by the compiler).
-func condMints(c *CCond) bool {
+func condMints(c *cCond) bool {
 	return c != nil && !c.HasStatic && c.HasSym
 }
 
@@ -345,8 +345,8 @@ func (b *sumBuilder) node(seg SegID, idx int32, stack *sumFrame) int32 {
 	if n, ok := b.memo[key]; ok {
 		return n
 	}
-	if b.started >= MaxSummaryNodes {
-		b.reason = fmt.Sprintf("decision DAG exceeds %d nodes", MaxSummaryNodes)
+	if b.started >= maxSummaryNodes {
+		b.reason = fmt.Sprintf("decision DAG exceeds %d nodes", maxSummaryNodes)
 		return 0
 	}
 	b.started++

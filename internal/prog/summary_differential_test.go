@@ -106,7 +106,7 @@ func TestDifferentialSummariesRandom(t *testing.T) {
 // high bits; solver.FromMask would panic): the path fails with one pointed
 // message, byte-identical in the summaries, IR and AST engines.
 func TestDifferentialMaskedTooSparse(t *testing.T) {
-	f := sefl.Hdr{Off: sefl.At(0), Size: 32, Name: "F"}
+	f := sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F"}
 	net := core.NewNetwork()
 	net.AddElement("dut", "dut", 1, 1).SetInCode(0, sefl.Seq(
 		sefl.Constrain{C: sefl.Masked{E: sefl.Ref{LV: f}, Mask: 0xff, Val: 1}},
@@ -274,9 +274,9 @@ func assertSummaryCounters(t *testing.T, name string, reg *obs.Registry) {
 // order, and a row's rewrite must observe the value another arm of the row
 // set wrote earlier on the same path.
 func TestDifferentialSummariesRowSemantics(t *testing.T) {
-	f0 := sefl.Hdr{Off: sefl.At(0), Size: 32, Name: "F0"}
-	f1 := sefl.Hdr{Off: sefl.At(32), Size: 32, Name: "F1"}
-	f2 := sefl.Hdr{Off: sefl.At(64), Size: 32, Name: "F2"}
+	f0 := sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F0"}
+	f1 := sefl.Hdr{Off: sefl.Off{Rel: 32}, Size: 32, Name: "F1"}
+	f2 := sefl.Hdr{Off: sefl.Off{Rel: 64}, Size: 32, Name: "F2"}
 	inject := sefl.Seq(
 		sefl.Allocate{LV: f0, Size: 32},
 		sefl.Assign{LV: f0, E: sefl.Symbolic{W: 32, Name: "F0"}},

@@ -18,8 +18,8 @@ import (
 )
 
 var (
-	sumF0 = sefl.Hdr{Off: sefl.At(0), Size: 32, Name: "F0"}
-	sumF1 = sefl.Hdr{Off: sefl.At(32), Size: 32, Name: "F1"}
+	sumF0 = sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F0"}
+	sumF1 = sefl.Hdr{Off: sefl.Off{Rel: 32}, Size: 32, Name: "F1"}
 )
 
 func compileSum(ins sefl.Instr) *Program {
@@ -206,7 +206,7 @@ func TestSummarizeNodeBudget(t *testing.T) {
 	// sharing enough to stay linear but large: push past the node budget
 	// with sheer program size.
 	var is []sefl.Instr
-	for i := 0; i < MaxSummaryNodes; i++ {
+	for i := 0; i < maxSummaryNodes; i++ {
 		is = append(is, sefl.If{
 			C:    sefl.Eq(sefl.Ref{LV: sumF0}, sefl.C(uint64(i))),
 			Then: sefl.Assign{LV: sumF1, E: sefl.C(uint64(i))},
@@ -218,7 +218,7 @@ func TestSummarizeNodeBudget(t *testing.T) {
 	if s.OK() {
 		t.Fatal("budget-busting program summarized")
 	}
-	if want := fmt.Sprintf("decision DAG exceeds %d nodes", MaxSummaryNodes); s.Reason != want {
+	if want := fmt.Sprintf("decision DAG exceeds %d nodes", maxSummaryNodes); s.Reason != want {
 		t.Fatalf("reason = %q, want %q", s.Reason, want)
 	}
 }

@@ -29,9 +29,6 @@ type Off struct {
 	Rel int64
 }
 
-// At returns an absolute offset.
-func At(bits int64) Off { return Off{Rel: bits} }
-
 // FromTag returns an offset relative to a tag.
 func FromTag(tag string, rel int64) Off { return Off{Tag: tag, Rel: rel} }
 

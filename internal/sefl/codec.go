@@ -188,13 +188,13 @@ func EncodeInstr(ins Instr) (*WireInstr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := EncodeExpr(v.E)
+		e, err := encodeExpr(v.E)
 		if err != nil {
 			return nil, err
 		}
 		return &WireInstr{Kind: wAssign, LV: lv, E: e}, nil
 	case CreateTag:
-		e, err := EncodeExpr(v.E)
+		e, err := encodeExpr(v.E)
 		if err != nil {
 			return nil, err
 		}
@@ -276,13 +276,13 @@ func DecodeInstr(w *WireInstr) (Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := DecodeExpr(w.E)
+		e, err := decodeExpr(w.E)
 		if err != nil {
 			return nil, err
 		}
 		return Assign{LV: lv, E: e}, nil
 	case wCreateTag:
-		e, err := DecodeExpr(w.E)
+		e, err := decodeExpr(w.E)
 		if err != nil {
 			return nil, err
 		}
@@ -335,8 +335,8 @@ func DecodeInstr(w *WireInstr) (Instr, error) {
 	return nil, fmt.Errorf("sefl: unknown wire instruction kind %d", w.Kind)
 }
 
-// EncodeExpr converts an expression to its wire form.
-func EncodeExpr(e Expr) (*WireExpr, error) {
+// encodeExpr converts an expression to its wire form.
+func encodeExpr(e Expr) (*WireExpr, error) {
 	switch v := e.(type) {
 	case nil:
 		return nil, nil
@@ -361,19 +361,19 @@ func EncodeExpr(e Expr) (*WireExpr, error) {
 }
 
 func encodeArith(kind uint8, a, b Expr) (*WireExpr, error) {
-	wa, err := EncodeExpr(a)
+	wa, err := encodeExpr(a)
 	if err != nil {
 		return nil, err
 	}
-	wb, err := EncodeExpr(b)
+	wb, err := encodeExpr(b)
 	if err != nil {
 		return nil, err
 	}
 	return &WireExpr{Kind: kind, A: wa, B: wb}, nil
 }
 
-// DecodeExpr rebuilds an expression from its wire form.
-func DecodeExpr(w *WireExpr) (Expr, error) {
+// decodeExpr rebuilds an expression from its wire form.
+func decodeExpr(w *WireExpr) (Expr, error) {
 	if w == nil {
 		return nil, nil
 	}
@@ -389,11 +389,11 @@ func DecodeExpr(w *WireExpr) (Expr, error) {
 		}
 		return Ref{LV: lv}, nil
 	case wAdd, wSub:
-		a, err := DecodeExpr(w.A)
+		a, err := decodeExpr(w.A)
 		if err != nil {
 			return nil, err
 		}
-		b, err := DecodeExpr(w.B)
+		b, err := decodeExpr(w.B)
 		if err != nil {
 			return nil, err
 		}
@@ -413,23 +413,23 @@ func EncodeCond(c Cond) (*WireCond, error) {
 	case nil:
 		return nil, nil
 	case Cmp:
-		l, err := EncodeExpr(v.L)
+		l, err := encodeExpr(v.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := EncodeExpr(v.R)
+		r, err := encodeExpr(v.R)
 		if err != nil {
 			return nil, err
 		}
 		return &WireCond{Kind: wCmp, Op: uint8(v.Op), L: l, R: r}, nil
 	case Prefix:
-		e, err := EncodeExpr(v.E)
+		e, err := encodeExpr(v.E)
 		if err != nil {
 			return nil, err
 		}
 		return &WireCond{Kind: wPrefix, L: e, Val: v.Value, Len: v.Len, W: v.Width}, nil
 	case Masked:
-		e, err := EncodeExpr(v.E)
+		e, err := encodeExpr(v.E)
 		if err != nil {
 			return nil, err
 		}
@@ -485,23 +485,23 @@ func DecodeCond(w *WireCond) (Cond, error) {
 	}
 	switch w.Kind {
 	case wCmp:
-		l, err := DecodeExpr(w.L)
+		l, err := decodeExpr(w.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := DecodeExpr(w.R)
+		r, err := decodeExpr(w.R)
 		if err != nil {
 			return nil, err
 		}
 		return Cmp{Op: expr.CmpOp(w.Op), L: l, R: r}, nil
 	case wPrefix:
-		e, err := DecodeExpr(w.L)
+		e, err := decodeExpr(w.L)
 		if err != nil {
 			return nil, err
 		}
 		return Prefix{E: e, Value: w.Val, Len: w.Len, Width: w.W}, nil
 	case wMasked:
-		e, err := DecodeExpr(w.L)
+		e, err := decodeExpr(w.L)
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,7 @@ func init() {
 func codecSample() Instr {
 	return Seq(
 		NoOp{},
-		Allocate{LV: Hdr{Off: At(64), Size: 32, Name: "F"}, Size: 32},
+		Allocate{LV: Hdr{Off: Off{Rel: 64}, Size: 32, Name: "F"}, Size: 32},
 		Allocate{LV: Meta{Name: "m", Local: true}, Size: 16},
 		Assign{LV: Hdr{Off: FromTag("L3", 96), Size: 32}, E: Add{A: Ref{LV: Meta{Name: "g"}}, B: C(7)}},
 		Assign{LV: Meta{Name: "p", Instance: 3, Pinned: true}, E: Sub{A: Symbolic{W: 16, Name: "s"}, B: CW(2, 16)}},

@@ -15,7 +15,7 @@ const (
 	TagVLAN  = "VLAN"
 	TagL3    = "L3"
 	TagL4    = "L4"
-	TagPay   = "PAYLOAD"
+	tagPay   = "PAYLOAD"
 )
 
 // Layer sizes in bits.
@@ -23,9 +23,9 @@ const (
 	L2Bits   = 112 // dst(48) src(48) ethertype(16)
 	VLANBits = 32  // TPID-less model: id(16, low 12 significant) + inner ethertype(16)
 	L3Bits   = 160 // IPv4 without options
-	L4Bits   = 160 // TCP without options (options modeled as metadata)
-	UDPBits  = 64
-	PayBits  = 64 // payload modeled as one opaque 64-bit value
+	l4Bits   = 160 // TCP without options (options modeled as metadata)
+	udpBits  = 64
+	payBits  = 64 // payload modeled as one opaque 64-bit value
 )
 
 // MACWidth is the width of an Ethernet address field.
@@ -72,19 +72,19 @@ var (
 	TcpDst   = Hdr{Off: FromTag(TagL4, 16), Size: 16, Name: "TcpDst"}
 	TcpSeq   = Hdr{Off: FromTag(TagL4, 32), Size: 32, Name: "TcpSeq"}
 	TcpAck   = Hdr{Off: FromTag(TagL4, 64), Size: 32, Name: "TcpAck"}
-	TcpFlags = Hdr{Off: FromTag(TagL4, 96), Size: 16, Name: "TcpFlags"} // dataoff+flags
-	TcpWin   = Hdr{Off: FromTag(TagL4, 112), Size: 16, Name: "TcpWin"}
+	tcpFlags = Hdr{Off: FromTag(TagL4, 96), Size: 16, Name: "TcpFlags"} // dataoff+flags
+	tcpWin   = Hdr{Off: FromTag(TagL4, 112), Size: 16, Name: "TcpWin"}
 )
 
 // L4 (UDP) fields (relative to Tag("L4")).
 var (
-	UdpSrc = Hdr{Off: FromTag(TagL4, 0), Size: 16, Name: "UdpSrc"}
-	UdpDst = Hdr{Off: FromTag(TagL4, 16), Size: 16, Name: "UdpDst"}
-	UdpLen = Hdr{Off: FromTag(TagL4, 32), Size: 16, Name: "UdpLen"}
+	udpSrc = Hdr{Off: FromTag(TagL4, 0), Size: 16, Name: "UdpSrc"}
+	udpDst = Hdr{Off: FromTag(TagL4, 16), Size: 16, Name: "UdpDst"}
+	udpLen = Hdr{Off: FromTag(TagL4, 32), Size: 16, Name: "UdpLen"}
 )
 
 // TcpPayload is the opaque payload value (relative to Tag("PAYLOAD")).
-var TcpPayload = Hdr{Off: FromTag(TagPay, 0), Size: 64, Name: "TcpPayload"}
+var TcpPayload = Hdr{Off: FromTag(tagPay, 0), Size: 64, Name: "TcpPayload"}
 
 // IPToNumber parses a dotted-quad IPv4 address into its numeric value. It
 // panics on malformed input: model-construction code treats bad literals as
@@ -155,9 +155,9 @@ func symField(h Hdr) []Instr {
 	return allocAssign(h, Symbolic{W: h.Size, Name: h.Name})
 }
 
-// NewEthernetHeader returns code allocating symbolic L2 fields at the L2 tag
+// newEthernetHeader returns code allocating symbolic L2 fields at the L2 tag
 // (which must have been created already).
-func NewEthernetHeader() Instr {
+func newEthernetHeader() Instr {
 	var is []Instr
 	is = append(is, symField(EtherDst)...)
 	is = append(is, symField(EtherSrc)...)
@@ -165,11 +165,11 @@ func NewEthernetHeader() Instr {
 	return Seq(is...)
 }
 
-// NewIPv4Header returns code allocating symbolic L3 fields at the L3 tag.
+// newIPv4Header returns code allocating symbolic L3 fields at the L3 tag.
 // proto initializes the protocol field (pass Symbolic for a fully symbolic
 // packet); each field is assigned exactly once so its first recorded value
 // is the injected one.
-func NewIPv4Header(proto Expr) Instr {
+func newIPv4Header(proto Expr) Instr {
 	var is []Instr
 	is = append(is, symField(IPLen)...)
 	is = append(is, symField(IPID)...)
@@ -182,26 +182,26 @@ func NewIPv4Header(proto Expr) Instr {
 	return Seq(is...)
 }
 
-// NewTCPHeader returns code allocating symbolic L4 TCP fields plus the
+// newTCPHeader returns code allocating symbolic L4 TCP fields plus the
 // opaque payload.
-func NewTCPHeader() Instr {
+func newTCPHeader() Instr {
 	var is []Instr
 	is = append(is, symField(TcpSrc)...)
 	is = append(is, symField(TcpDst)...)
 	is = append(is, symField(TcpSeq)...)
 	is = append(is, symField(TcpAck)...)
-	is = append(is, symField(TcpFlags)...)
-	is = append(is, symField(TcpWin)...)
+	is = append(is, symField(tcpFlags)...)
+	is = append(is, symField(tcpWin)...)
 	is = append(is, symField(TcpPayload)...)
 	return Seq(is...)
 }
 
-// NewUDPHeader returns code allocating symbolic L4 UDP fields.
-func NewUDPHeader() Instr {
+// newUDPHeader returns code allocating symbolic L4 UDP fields.
+func newUDPHeader() Instr {
 	var is []Instr
-	is = append(is, symField(UdpSrc)...)
-	is = append(is, symField(UdpDst)...)
-	is = append(is, symField(UdpLen)...)
+	is = append(is, symField(udpSrc)...)
+	is = append(is, symField(udpDst)...)
+	is = append(is, symField(udpLen)...)
 	return Seq(is...)
 }
 
@@ -214,11 +214,11 @@ func NewTCPPacket() Instr {
 		CreateTag{Name: TagL2, E: TagVal{Tag: TagStart}},
 		CreateTag{Name: TagL3, E: TagVal{Tag: TagL2, Rel: L2Bits}},
 		CreateTag{Name: TagL4, E: TagVal{Tag: TagL3, Rel: L3Bits}},
-		CreateTag{Name: TagPay, E: TagVal{Tag: TagL4, Rel: L4Bits}},
-		CreateTag{Name: TagEnd, E: TagVal{Tag: TagPay, Rel: PayBits}},
-		NewEthernetHeader(),
-		NewIPv4Header(CW(ProtoTCP, 8)),
-		NewTCPHeader(),
+		CreateTag{Name: tagPay, E: TagVal{Tag: TagL4, Rel: l4Bits}},
+		CreateTag{Name: TagEnd, E: TagVal{Tag: tagPay, Rel: payBits}},
+		newEthernetHeader(),
+		newIPv4Header(CW(ProtoTCP, 8)),
+		newTCPHeader(),
 	)
 }
 
@@ -230,11 +230,11 @@ func NewUDPPacket() Instr {
 		CreateTag{Name: TagL2, E: TagVal{Tag: TagStart}},
 		CreateTag{Name: TagL3, E: TagVal{Tag: TagL2, Rel: L2Bits}},
 		CreateTag{Name: TagL4, E: TagVal{Tag: TagL3, Rel: L3Bits}},
-		CreateTag{Name: TagPay, E: TagVal{Tag: TagL4, Rel: UDPBits}},
-		CreateTag{Name: TagEnd, E: TagVal{Tag: TagPay, Rel: PayBits}},
-		NewEthernetHeader(),
-		NewIPv4Header(CW(ProtoUDP, 8)),
-		NewUDPHeader(),
+		CreateTag{Name: tagPay, E: TagVal{Tag: TagL4, Rel: udpBits}},
+		CreateTag{Name: TagEnd, E: TagVal{Tag: tagPay, Rel: payBits}},
+		newEthernetHeader(),
+		newIPv4Header(CW(ProtoUDP, 8)),
+		newUDPHeader(),
 	)
 }
 
@@ -247,8 +247,8 @@ func NewIPPacket() Instr {
 		CreateTag{Name: TagL2, E: TagVal{Tag: TagStart}},
 		CreateTag{Name: TagL3, E: TagVal{Tag: TagL2, Rel: L2Bits}},
 		CreateTag{Name: TagEnd, E: TagVal{Tag: TagL3, Rel: L3Bits}},
-		NewEthernetHeader(),
-		NewIPv4Header(Symbolic{W: 8, Name: "IPProto"}),
+		newEthernetHeader(),
+		newIPv4Header(Symbolic{W: 8, Name: "IPProto"}),
 	)
 }
 

@@ -48,7 +48,7 @@ func TestMACConversions(t *testing.T) {
 
 func TestLayerLayoutContiguous(t *testing.T) {
 	// The canonical layout must tile without gaps: L2 | L3 | L4 | payload.
-	if L2Bits != 112 || L3Bits != 160 || L4Bits != 160 {
+	if L2Bits != 112 || L3Bits != 160 || l4Bits != 160 {
 		t.Fatal("layer sizes changed; update Fig. 6 layout docs")
 	}
 	// Field offsets must stay inside their layer.
@@ -62,8 +62,8 @@ func TestLayerLayoutContiguous(t *testing.T) {
 			t.Errorf("%s exceeds L3", h.Name)
 		}
 	}
-	for _, h := range []Hdr{TcpSrc, TcpDst, TcpSeq, TcpAck, TcpFlags, TcpWin} {
-		if h.Off.Rel+int64(h.Size) > L4Bits {
+	for _, h := range []Hdr{TcpSrc, TcpDst, TcpSeq, TcpAck, tcpFlags, tcpWin} {
+		if h.Off.Rel+int64(h.Size) > l4Bits {
 			t.Errorf("%s exceeds L4", h.Name)
 		}
 	}
@@ -93,8 +93,8 @@ func TestOffString(t *testing.T) {
 	if FromTag("L3", 96).String() != "Tag(L3)+96" {
 		t.Errorf("got %q", FromTag("L3", 96).String())
 	}
-	if At(42).String() != "42" {
-		t.Errorf("got %q", At(42).String())
+	if (Off{Rel: 42}).String() != "42" {
+		t.Errorf("got %q", (Off{Rel: 42}).String())
 	}
 	if FromTag("L4", -160).String() != "Tag(L4)-160" {
 		t.Errorf("got %q", FromTag("L4", -160).String())

@@ -149,7 +149,7 @@ func (t Table) Check() error {
 // this node replaced did, so a table costs the wire the same bytes; the
 // decoder takes both from the field.
 func encodeTable(t Table) (*WireCond, error) {
-	f, err := EncodeExpr(Ref{LV: t.F})
+	f, err := encodeExpr(Ref{LV: t.F})
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func encodeTable(t Table) (*WireCond, error) {
 // decodeTable rebuilds a shipped table, refusing a malformed one: the
 // compiler trusts a table's rows.
 func decodeTable(w *WireCond) (Cond, error) {
-	e, err := DecodeExpr(w.L)
+	e, err := decodeExpr(w.L)
 	if err != nil {
 		return nil, err
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 var (
-	pMAC  = Hdr{Off: At(0), Size: 48, Name: "EtherDst"}
-	pVLAN = Hdr{Off: At(48), Size: 16, Name: "VlanId"}
-	pIP   = Hdr{Off: At(64), Size: 32, Name: "IpDst"}
+	pMAC  = Hdr{Off: Off{Rel: 0}, Size: 48, Name: "EtherDst"}
+	pVLAN = Hdr{Off: Off{Rel: 48}, Size: 16, Name: "VlanId"}
+	pIP   = Hdr{Off: Off{Rel: 64}, Size: 32, Name: "IpDst"}
 )
 
 func macTable(n int) Table {
@@ -147,8 +147,8 @@ func TestDecodeRejectsMalformedTable(t *testing.T) {
 		t    Table
 		want string
 	}{
-		{"zero-width field", Table{F: Hdr{Off: At(0), Name: "Z"}, Rows: macTable(4).Rows}, "table field Z is 0 bits wide"},
-		{"wide field", Table{F: Hdr{Off: At(0), Size: 65, Name: "W"}, Rows: macTable(4).Rows}, "table field W is 65 bits wide"},
+		{"zero-width field", Table{F: Hdr{Off: Off{Rel: 0}, Name: "Z"}, Rows: macTable(4).Rows}, "table field Z is 0 bits wide"},
+		{"wide field", Table{F: Hdr{Off: Off{Rel: 0}, Size: 65, Name: "W"}, Rows: macTable(4).Rows}, "table field W is 65 bits wide"},
 		{"long prefix", Table{F: pIP, Rows: []expr.GuardRow{{Kind: expr.GuardPrefix}, {Kind: expr.GuardPrefix, Len: 33}}},
 			"table row 1: prefix length 33 outside the 32-bit field"},
 		{"long exclusion", Table{F: pMAC, Rows: []expr.GuardRow{{Kind: expr.GuardEq, Excl: []expr.GuardExcl{{Len: 48}, {Len: 49}}}}},
@@ -172,7 +172,7 @@ func TestDecodeRejectsMalformedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.L, err = EncodeExpr(Ref{LV: Meta{Name: "m"}})
+	w.L, err = encodeExpr(Ref{LV: Meta{Name: "m"}})
 	if err != nil {
 		t.Fatal(err)
 	}

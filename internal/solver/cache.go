@@ -8,18 +8,18 @@ import (
 	"symnet/internal/obs"
 )
 
-// SatKey identifies one memoizable satisfiability decision: the chained
+// satKey identifies one memoizable satisfiability decision: the chained
 // structural fingerprint of a Context's Add sequence plus the sequence
 // length (cheap extra discrimination).
-type SatKey struct {
+type satKey struct {
 	Fp expr.Fp
 	N  int32
 }
 
-// SatVerdict is a memoized decision: the answer plus the DPLL branch count
+// satVerdict is a memoized decision: the answer plus the DPLL branch count
 // of the original computation, replayed on every hit so statistics stay
 // identical whether a check hit or missed.
-type SatVerdict struct {
+type satVerdict struct {
 	Sat      bool
 	Branches int
 }
@@ -49,13 +49,13 @@ const satShards = 64
 
 type satShard struct {
 	mu sync.RWMutex
-	m  map[SatKey]SatVerdict
+	m  map[satKey]satVerdict
 }
 
 // NewSatCache returns an empty cache.
 func NewSatCache() *SatCache { return &SatCache{} }
 
-func (c *SatCache) lookup(key SatKey) (SatVerdict, bool) {
+func (c *SatCache) lookup(key satKey) (satVerdict, bool) {
 	sh := &c.shards[key.Fp.Hi&(satShards-1)]
 	sh.mu.RLock()
 	e, ok := sh.m[key]
@@ -68,11 +68,11 @@ func (c *SatCache) lookup(key SatKey) (SatVerdict, bool) {
 	return e, ok
 }
 
-func (c *SatCache) store(key SatKey, e SatVerdict) {
+func (c *SatCache) store(key satKey, e satVerdict) {
 	sh := &c.shards[key.Fp.Hi&(satShards-1)]
 	sh.mu.Lock()
 	if sh.m == nil {
-		sh.m = make(map[SatKey]SatVerdict)
+		sh.m = make(map[satKey]satVerdict)
 	}
 	sh.m[key] = e
 	sh.mu.Unlock()

@@ -70,7 +70,7 @@ func sameVerdict(t *testing.T, tag string, got *Context, conds []expr.Cond) {
 	for s := expr.SymID(0); s < 6; s++ {
 		l := expr.Lin{Sym: s, Width: 8}
 		gd, wd := got.Domain(l), want.Domain(l)
-		if !gd.Equal(wd) {
+		if !setsEqual(gd, wd) {
 			t.Fatalf("%s: Domain(s%d)=%s, replay says %s (conds=%v)", tag, s, gd, wd, conds)
 		}
 	}

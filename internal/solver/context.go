@@ -280,12 +280,12 @@ func (c *Context) widthOf(s expr.SymID) int {
 	return e.width
 }
 
-// domainOf returns the current domain of a root (Full if untracked).
+// domainOf returns the current domain of a root (full if untracked).
 func (c *Context) domainOf(root expr.SymID, width int) *IntervalSet {
 	if d, ok := c.domains.Get(root); ok {
 		return d
 	}
-	return Full(width)
+	return full(width)
 }
 
 // constrainRoot intersects the root's domain with set; flags unsat on empty.
@@ -294,7 +294,7 @@ func (c *Context) constrainRoot(root expr.SymID, set *IntervalSet) {
 	old, tracked := c.domains.Get(root)
 	d := set
 	if tracked {
-		d = old.Intersect(set)
+		d = old.intersect(set)
 	}
 	c.setDomain(root, old, tracked, d)
 }
@@ -308,7 +308,7 @@ func (c *Context) setDomain(root expr.SymID, old *IntervalSet, tracked bool, d *
 	if !tracked || d != old {
 		c.domains = c.domains.Set(root, d)
 	}
-	if d.IsEmpty() {
+	if d.isEmpty() {
 		c.unsat = true
 	}
 }
@@ -322,7 +322,7 @@ func (c *Context) Domain(l expr.Lin) *IntervalSet {
 		return Singleton(v, l.Width)
 	}
 	root, off := c.find(l.Sym, l.Width)
-	return c.domainOf(root, l.Width).Shift(off + l.Add)
+	return c.domainOf(root, l.Width).shift(off + l.Add)
 }
 
 // Add asserts cond. It returns false when the context became definitely
@@ -357,7 +357,7 @@ func (c *Context) assert(cond expr.Cond, neg bool) {
 	case expr.And:
 		if neg { // ¬(a ∧ b) = ¬a ∨ ¬b
 			if l, set, ok := atomSet(v); ok {
-				c.assertTermInSet(l, set.Complement())
+				c.assertTermInSet(l, set.complement())
 				return
 			}
 			ors := make([]expr.Cond, len(v.Cs))
@@ -374,7 +374,7 @@ func (c *Context) assert(cond expr.Cond, neg bool) {
 		if neg { // ¬(a ∨ b) = ¬a ∧ ¬b — batched via the complement set when
 			// the disjunction constrains one symbol (ingress else-branches).
 			if l, set, ok := atomSet(v); ok {
-				c.assertTermInSet(l, set.Complement())
+				c.assertTermInSet(l, set.complement())
 				return
 			}
 			for _, sub := range v.Cs {
@@ -399,7 +399,7 @@ func (c *Context) assert(cond expr.Cond, neg bool) {
 		}
 		set := FromMask(v.Mask, v.Val, v.L.Width)
 		if neg {
-			set = set.Complement()
+			set = set.complement()
 		}
 		c.assertTermInSet(v.L, set)
 	case expr.InSet:
@@ -410,9 +410,9 @@ func (c *Context) assert(cond expr.Cond, neg bool) {
 			c.assertInTable(v.L, v.T)
 			return
 		}
-		set := FromSpanTable(v.T)
+		set := fromSpanTable(v.T)
 		if neg {
-			set = set.Complement()
+			set = set.complement()
 		}
 		c.assertTermInSet(v.L, set)
 	default:
@@ -431,7 +431,7 @@ func (c *Context) assertTermInSet(l expr.Lin, set *IntervalSet) {
 	root, off := c.find(l.Sym, l.Width)
 	// value(l) = value(root) + off + l.Add must be in set
 	// => value(root) ∈ set shifted by -(off + l.Add).
-	c.constrainRoot(root, set.Shift(-(off + l.Add)))
+	c.constrainRoot(root, set.shift(-(off + l.Add)))
 }
 
 // assertArc constrains the symbolic term l to the arc [lo, hi] of its value
@@ -447,23 +447,23 @@ func (c *Context) assertArc(l expr.Lin, lo, hi uint64, out bool) {
 		c.setDomain(root, nil, false, fromArc(lo, hi, k, out, l.Width))
 		return
 	}
-	var buf [2]Interval
-	c.setDomain(root, old, true, old.intersect(arcIntervals(&buf, lo, hi, k, out, l.Width)))
+	var buf [2]interval
+	c.setDomain(root, old, true, old.intersectIntervals(arcIntervals(&buf, lo, hi, k, out, l.Width)))
 }
 
 // assertInTable constrains the symbolic term l to the table t:
-// assertTermInSet of FromSpanTable(t), with the same domains and map writes,
+// assertTermInSet of fromSpanTable(t), with the same domains and map writes,
 // but when no offset shifts the table a tracked root's domain is intersected
 // with the table's spans without a set wrapping them. A full domain becomes
 // the table itself, so that case takes the wrapper.
 func (c *Context) assertInTable(l expr.Lin, t *expr.SpanTable) {
 	root, off := c.find(l.Sym, l.Width)
 	k := -(off + l.Add) & expr.Mask(l.Width)
-	if old, tracked := c.domains.Get(root); tracked && k == 0 && !old.IsFull() {
-		c.setDomain(root, old, true, old.intersect(t.Spans()))
+	if old, tracked := c.domains.Get(root); tracked && k == 0 && !old.isFull() {
+		c.setDomain(root, old, true, old.intersectIntervals(t.Spans()))
 		return
 	}
-	c.constrainRoot(root, FromSpanTable(t).Shift(k))
+	c.constrainRoot(root, fromSpanTable(t).shift(k))
 }
 
 func (c *Context) assertCmp(op expr.CmpOp, l, r expr.Lin) {
@@ -533,7 +533,7 @@ func (c *Context) union(a, b expr.SymID, off uint64, width int) {
 		c.uf = c.uf.Set(b, ufEntry{parent: b, width: width})
 	}
 	// value(a) ∈ domA  =>  value(b) ∈ domA - off.
-	c.constrainRoot(b, domA.Shift(-off))
+	c.constrainRoot(b, domA.shift(-off))
 	c.checkDiseqs()
 }
 
@@ -591,24 +591,24 @@ func atomSet(cond expr.Cond) (expr.Lin, *IntervalSet, bool) {
 		lv, lConst := v.L.ConstVal()
 		switch {
 		case !lConst && rConst:
-			return bare(v.L), FromCmp(v.Op, rv, v.L.Width).Shift(-v.L.Add), true
+			return bare(v.L), fromCmp(v.Op, rv, v.L.Width).shift(-v.L.Add), true
 		case lConst && !rConst:
-			return bare(v.R), FromCmp(v.Op.Flip(), lv, v.R.Width).Shift(-v.R.Add), true
+			return bare(v.R), fromCmp(v.Op.Flip(), lv, v.R.Width).shift(-v.R.Add), true
 		}
 		return expr.Lin{}, nil, false
 	case expr.Match:
 		if v.L.IsConst() {
 			return expr.Lin{}, nil, false
 		}
-		return bare(v.L), FromMask(v.Mask, v.Val, v.L.Width).Shift(-v.L.Add), true
+		return bare(v.L), FromMask(v.Mask, v.Val, v.L.Width).shift(-v.L.Add), true
 	case expr.InSet:
-		return bare(v.L), FromSpanTable(v.T).Shift(-v.L.Add), true
+		return bare(v.L), fromSpanTable(v.T).shift(-v.L.Add), true
 	case expr.Not:
 		l, set, ok := atomSet(v.C)
 		if !ok {
 			return expr.Lin{}, nil, false
 		}
-		return l, set.Complement(), true
+		return l, set.complement(), true
 	case expr.And:
 		return combineAtoms(v.Cs, true)
 	case expr.Or:
@@ -643,7 +643,7 @@ func combineAtoms(cs []expr.Cond, and bool) (expr.Lin, *IntervalSet, bool) {
 			return expr.Lin{}, nil, false
 		}
 		if and {
-			acc = acc.Intersect(set)
+			acc = acc.intersect(set)
 		} else {
 			pendingUnion = append(pendingUnion, set)
 		}
@@ -683,14 +683,14 @@ func (c *Context) Sat() bool {
 		_, ok := c.solve(false, 0)
 		return ok
 	}
-	key := SatKey{Fp: c.fp, N: c.nAdds}
+	key := satKey{Fp: c.fp, N: c.nAdds}
 	if e, ok := c.cache.lookup(key); ok {
 		c.stats.Branches += e.Branches
 		return e.Sat
 	}
 	before := c.stats.Branches
 	_, ok := c.solve(false, 0)
-	c.cache.store(key, SatVerdict{Sat: ok, Branches: c.stats.Branches - before})
+	c.cache.store(key, satVerdict{Sat: ok, Branches: c.stats.Branches - before})
 	return ok
 }
 
@@ -765,7 +765,7 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 		r, _ := c.find(s, w)
 		if _, ok := roots[r]; !ok {
 			d := c.domainOf(r, c.widthOf(r))
-			if d.IsEmpty() {
+			if d.isEmpty() {
 				return nil, false
 			}
 			roots[r] = &classInfo{root: r, width: c.widthOf(r), dom: d}
@@ -857,11 +857,11 @@ func assignClasses(classes []*classInfo, idx int, assign map[expr.SymID]uint64, 
 	for _, d := range ci.diseqs {
 		if d.a == ci.root {
 			if bv, ok := assign[d.b]; ok {
-				dom = dom.Remove((bv + d.off) & m)
+				dom = dom.remove((bv + d.off) & m)
 			}
 		} else if d.b == ci.root {
 			if av, ok := assign[d.a]; ok {
-				dom = dom.Remove((av - d.off) & m)
+				dom = dom.remove((av - d.off) & m)
 			}
 		}
 	}
@@ -923,14 +923,14 @@ func (c *Context) applyRel(roots map[expr.SymID]*classInfo, rel relCmp) bool {
 	bAdd := (ob + rel.bAdd) & m
 	if ra == rb {
 		sol := solveSelfRel(rel.op, aAdd, bAdd, roots[ra].dom, w)
-		if sol.IsEmpty() {
+		if sol.isEmpty() {
 			return false
 		}
 		roots[ra].dom = sol
 		return true
 	}
-	da := roots[ra].dom.Shift(aAdd)
-	db := roots[rb].dom.Shift(bAdd)
+	da := roots[ra].dom.shift(aAdd)
+	db := roots[rb].dom.shift(bAdd)
 	aMin, _ := da.Min()
 	aMax, _ := da.Max()
 	bMin, _ := db.Min()
@@ -941,28 +941,28 @@ func (c *Context) applyRel(roots map[expr.SymID]*classInfo, rel relCmp) bool {
 			return false
 		}
 		// Tighten: a < bMax and b > aMin.
-		roots[ra].dom = roots[ra].dom.Intersect(FromCmp(expr.Lt, bMax, w).Shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.Intersect(FromCmp(expr.Gt, aMin, w).Shift(-bAdd))
+		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Lt, bMax, w).shift(-aAdd))
+		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Gt, aMin, w).shift(-bAdd))
 	case expr.Le:
 		if aMin > bMax {
 			return false
 		}
-		roots[ra].dom = roots[ra].dom.Intersect(FromCmp(expr.Le, bMax, w).Shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.Intersect(FromCmp(expr.Ge, aMin, w).Shift(-bAdd))
+		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Le, bMax, w).shift(-aAdd))
+		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Ge, aMin, w).shift(-bAdd))
 	case expr.Gt:
 		if aMax <= bMin {
 			return false
 		}
-		roots[ra].dom = roots[ra].dom.Intersect(FromCmp(expr.Gt, bMin, w).Shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.Intersect(FromCmp(expr.Lt, aMax, w).Shift(-bAdd))
+		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Gt, bMin, w).shift(-aAdd))
+		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Lt, aMax, w).shift(-bAdd))
 	case expr.Ge:
 		if aMax < bMin {
 			return false
 		}
-		roots[ra].dom = roots[ra].dom.Intersect(FromCmp(expr.Ge, bMin, w).Shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.Intersect(FromCmp(expr.Le, aMax, w).Shift(-bAdd))
+		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Ge, bMin, w).shift(-aAdd))
+		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Le, aMax, w).shift(-bAdd))
 	}
-	if roots[ra].dom.IsEmpty() || roots[rb].dom.IsEmpty() {
+	if roots[ra].dom.isEmpty() || roots[rb].dom.isEmpty() {
 		return false
 	}
 	return true
@@ -977,23 +977,23 @@ func solveSelfRel(op expr.CmpOp, aAdd, bAdd uint64, dom *IntervalSet, w int) *In
 	if d == 0 {
 		switch op {
 		case expr.Le, expr.Ge:
-			uSol = Full(w)
+			uSol = full(w)
 		default:
-			uSol = Empty(w)
+			uSol = empty(w)
 		}
 	} else {
 		// Let u = x + aAdd, v = u - d. If u >= d then v = u-d < u (u > v);
 		// otherwise v wraps above u (u < v). Since d != 0, u == v never holds.
-		gt := FromRange(d, m, w)
-		lt := FromRange(0, d-1, w)
+		gt := fromRange(d, m, w)
+		lt := fromRange(0, d-1, w)
 		switch op {
 		case expr.Lt, expr.Le:
 			uSol = lt
 		case expr.Gt, expr.Ge:
 			uSol = gt
 		default:
-			uSol = Empty(w)
+			uSol = empty(w)
 		}
 	}
-	return dom.Intersect(uSol.Shift(-aAdd))
+	return dom.intersect(uSol.shift(-aAdd))
 }

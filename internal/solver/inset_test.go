@@ -40,7 +40,7 @@ func TestInSetMatchesEquivalentOr(t *testing.T) {
 			}
 			di := ci.Domain(l)
 			do := co.Domain(l)
-			if !di.Equal(do) {
+			if !setsEqual(di, do) {
 				t.Errorf("add=%d neg=%v: InSet domain %v != Or domain %v", add, neg, di, do)
 			}
 		}
@@ -76,8 +76,8 @@ func TestInSetStraddlesIntervalEdge(t *testing.T) {
 	c.Add(expr.NewAnd(
 		expr.NewCmp(expr.Ge, l, expr.Const(18, 16)),
 		expr.NewCmp(expr.Le, l, expr.Const(42, 16))))
-	want := &IntervalSet{Width: 16, ivs: []Interval{span(18, 20), span(40, 42)}}
-	if got := c.Domain(l); !got.Equal(want) {
+	want := &IntervalSet{Width: 16, ivs: []interval{span(18, 20), span(40, 42)}}
+	if got := c.Domain(l); !setsEqual(got, want) {
 		t.Errorf("straddling window domain = %v, want %v", got, want)
 	}
 	// A model lands on a boundary value (minimum-first).
@@ -109,7 +109,7 @@ func TestInSetSingleAndEmpty(t *testing.T) {
 // IntervalSet view shares the table's span slice.
 func TestFromSpanTableZeroCopy(t *testing.T) {
 	tab := expr.NewSpanTable(16, []expr.Span{span(1, 2), span(4, 6)})
-	s := FromSpanTable(tab)
+	s := fromSpanTable(tab)
 	if s.Width != 16 || len(s.Intervals()) != 2 {
 		t.Fatalf("view = %v", s)
 	}
@@ -117,8 +117,8 @@ func TestFromSpanTableZeroCopy(t *testing.T) {
 		t.Error("FromSpanTable must not copy the span slice")
 	}
 	// Operations on the view must not mutate the table.
-	_ = s.Complement()
-	_ = s.Intersect(FromRange(0, 5, 16))
+	_ = s.complement()
+	_ = s.intersect(fromRange(0, 5, 16))
 	if !tab.Contains(6) || tab.Contains(3) {
 		t.Error("table mutated by set operations on its view")
 	}

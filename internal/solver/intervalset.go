@@ -33,77 +33,77 @@ func UnionAll(width int, sets []*IntervalSet) *IntervalSet {
 	for _, s := range sets {
 		total += len(s.ivs)
 	}
-	merged := make([]Interval, 0, total)
+	merged := make([]interval, 0, total)
 	for _, s := range sets {
 		merged = append(merged, s.ivs...)
 	}
 	return normalize(width, merged)
 }
 
-// Interval is an inclusive range [Lo, Hi] of uint64 values. It is an alias
+// interval is an inclusive range [Lo, Hi] of uint64 values. It is an alias
 // of expr.Span so packed guard tables (expr.SpanTable) convert to
-// IntervalSets without copying — see FromSpanTable.
-type Interval = expr.Span
+// IntervalSets without copying — see fromSpanTable.
+type interval = expr.Span
 
 // IntervalSet is a sorted list of disjoint, non-adjacent inclusive intervals
 // within the universe [0, 2^Width-1]. The zero value is the empty set with
-// width 0; use Full/Empty/FromRange constructors. IntervalSets are immutable:
+// width 0; use full/empty/fromRange constructors. IntervalSets are immutable:
 // all operations return new sets.
 type IntervalSet struct {
 	Width int
-	ivs   []Interval
+	ivs   []interval
 }
 
-// Empty returns the empty set over a width-bit universe.
-func Empty(width int) *IntervalSet { return &IntervalSet{Width: width} }
+// empty returns the empty set over a width-bit universe.
+func empty(width int) *IntervalSet { return &IntervalSet{Width: width} }
 
-// Full returns the complete width-bit universe.
-func Full(width int) *IntervalSet {
-	return &IntervalSet{Width: width, ivs: []Interval{{Lo: 0, Hi: expr.Mask(width)}}}
+// full returns the complete width-bit universe.
+func full(width int) *IntervalSet {
+	return &IntervalSet{Width: width, ivs: []interval{{Lo: 0, Hi: expr.Mask(width)}}}
 }
 
 // Singleton returns the one-element set {v}.
 func Singleton(v uint64, width int) *IntervalSet {
 	v &= expr.Mask(width)
-	return &IntervalSet{Width: width, ivs: []Interval{{Lo: v, Hi: v}}}
+	return &IntervalSet{Width: width, ivs: []interval{{Lo: v, Hi: v}}}
 }
 
-// FromSpanTable wraps a packed guard table as an IntervalSet without
+// fromSpanTable wraps a packed guard table as an IntervalSet without
 // copying: SpanTable's canonical form (sorted, disjoint, non-adjacent,
 // clipped) is exactly this package's interval invariant, and both sides are
 // immutable, so the span slice is shared directly. This is what makes
 // asserting a compiled interval-table guard O(1) in the table size up to
 // the final domain intersection.
-func FromSpanTable(t *expr.SpanTable) *IntervalSet {
+func fromSpanTable(t *expr.SpanTable) *IntervalSet {
 	return &IntervalSet{Width: t.Width(), ivs: t.Spans()}
 }
 
-// FromRange returns [lo, hi] clipped to the universe; an empty set when
+// fromRange returns [lo, hi] clipped to the universe; an empty set when
 // lo > hi.
-func FromRange(lo, hi uint64, width int) *IntervalSet {
+func fromRange(lo, hi uint64, width int) *IntervalSet {
 	m := expr.Mask(width)
 	if lo > m {
-		return Empty(width)
+		return empty(width)
 	}
 	if hi > m {
 		hi = m
 	}
 	if lo > hi {
-		return Empty(width)
+		return empty(width)
 	}
-	return &IntervalSet{Width: width, ivs: []Interval{{Lo: lo, Hi: hi}}}
+	return &IntervalSet{Width: width, ivs: []interval{{Lo: lo, Hi: hi}}}
 }
 
-// IsEmpty reports whether the set has no elements.
-func (s *IntervalSet) IsEmpty() bool { return len(s.ivs) == 0 }
+// isEmpty reports whether the set has no elements.
+func (s *IntervalSet) isEmpty() bool { return len(s.ivs) == 0 }
 
-// IsFull reports whether the set is the whole universe.
-func (s *IntervalSet) IsFull() bool {
+// isFull reports whether the set is the whole universe.
+func (s *IntervalSet) isFull() bool {
 	return len(s.ivs) == 1 && s.ivs[0].Lo == 0 && s.ivs[0].Hi == expr.Mask(s.Width)
 }
 
 // Intervals returns the underlying intervals (shared; do not mutate).
-func (s *IntervalSet) Intervals() []Interval { return s.ivs }
+func (s *IntervalSet) Intervals() []interval { return s.ivs }
 
 // Min returns the smallest element; ok is false for the empty set.
 func (s *IntervalSet) Min() (uint64, bool) {
@@ -159,9 +159,9 @@ func (s *IntervalSet) Size() uint64 {
 
 // normalize sorts, merges overlapping/adjacent intervals in place and wraps
 // the result. Input intervals must already be individually valid (Lo<=Hi).
-func normalize(width int, ivs []Interval) *IntervalSet {
+func normalize(width int, ivs []interval) *IntervalSet {
 	if len(ivs) == 0 {
-		return Empty(width)
+		return empty(width)
 	}
 	if !sort.SliceIsSorted(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo }) {
 		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
@@ -180,56 +180,31 @@ func normalize(width int, ivs []Interval) *IntervalSet {
 	return &IntervalSet{Width: width, ivs: out}
 }
 
-// Union returns s ∪ o.
-func (s *IntervalSet) Union(o *IntervalSet) *IntervalSet {
-	if s.IsEmpty() {
-		return o
-	}
-	if o.IsEmpty() {
-		return s
-	}
-	// Merge two sorted interval lists.
-	merged := make([]Interval, 0, len(s.ivs)+len(o.ivs))
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		if s.ivs[i].Lo <= o.ivs[j].Lo {
-			merged = append(merged, s.ivs[i])
-			i++
-		} else {
-			merged = append(merged, o.ivs[j])
-			j++
-		}
-	}
-	merged = append(merged, s.ivs[i:]...)
-	merged = append(merged, o.ivs[j:]...)
-	return normalize(s.Width, merged)
-}
-
-// Intersect returns s ∩ o. Sets are immutable, so the result shares what it
+// intersect returns s ∩ o. Sets are immutable, so the result shares what it
 // can: intersecting the full universe returns the other operand (the first
 // table-guard assertion on a fresh symbol is O(1) instead of an O(entries)
 // copy), and a result equal to s is s itself — the output is copied out only
 // from the first interval where it departs from s, so an assertion that
 // changes nothing allocates nothing.
-func (s *IntervalSet) Intersect(o *IntervalSet) *IntervalSet {
-	if s.IsFull() && !o.IsFull() && !o.IsEmpty() {
+func (s *IntervalSet) intersect(o *IntervalSet) *IntervalSet {
+	if s.isFull() && !o.isFull() && !o.isEmpty() {
 		return o
 	}
-	return s.intersect(o.ivs)
+	return s.intersectIntervals(o.ivs)
 }
 
-// intersect is Intersect with the other operand given as canonical intervals
-// over s's universe, so a caller can intersect with intervals it never
-// wrapped in a set. Where Intersect returns a full s's operand as is,
-// intersect copies the intervals out.
-func (s *IntervalSet) intersect(o []Interval) *IntervalSet {
+// intersectIntervals is intersect with the other operand given as canonical
+// intervals over s's universe, so a caller can intersect with intervals it
+// never wrapped in a set. Where intersect returns a full s's operand as is,
+// intersectIntervals copies the intervals out.
+func (s *IntervalSet) intersectIntervals(o []interval) *IntervalSet {
 	switch {
-	case s.IsEmpty() || (len(o) == 1 && o[0].Lo == 0 && o[0].Hi == expr.Mask(s.Width)):
+	case s.isEmpty() || (len(o) == 1 && o[0].Lo == 0 && o[0].Hi == expr.Mask(s.Width)):
 		return s
 	case len(o) == 0:
-		return Empty(s.Width)
+		return empty(s.Width)
 	}
-	var out []Interval // nil while the result is s.ivs[:n]
+	var out []interval // nil while the result is s.ivs[:n]
 	n := 0
 	i, j := 0, 0
 	for i < len(s.ivs) && j < len(o) {
@@ -237,12 +212,12 @@ func (s *IntervalSet) intersect(o []Interval) *IntervalSet {
 		lo := max(a.Lo, b.Lo)
 		hi := min(a.Hi, b.Hi)
 		if lo <= hi {
-			iv := Interval{Lo: lo, Hi: hi}
+			iv := interval{Lo: lo, Hi: hi}
 			switch {
 			case out != nil:
 				out = append(out, iv)
 			case iv != s.ivs[n]:
-				out = append(make([]Interval, 0, n+1), s.ivs[:n]...)
+				out = append(make([]interval, 0, n+1), s.ivs[:n]...)
 				out = append(out, iv)
 			}
 			n++
@@ -262,58 +237,58 @@ func (s *IntervalSet) intersect(o []Interval) *IntervalSet {
 	return &IntervalSet{Width: s.Width, ivs: s.ivs[:n:n]}
 }
 
-// Complement returns the universe minus s.
-func (s *IntervalSet) Complement() *IntervalSet {
+// complement returns the universe minus s.
+func (s *IntervalSet) complement() *IntervalSet {
 	m := expr.Mask(s.Width)
-	if s.IsEmpty() {
-		return Full(s.Width)
+	if s.isEmpty() {
+		return full(s.Width)
 	}
-	var out []Interval
+	var out []interval
 	var next uint64
 	for _, iv := range s.ivs {
 		if iv.Lo > next {
-			out = append(out, Interval{Lo: next, Hi: iv.Lo - 1})
+			out = append(out, interval{Lo: next, Hi: iv.Lo - 1})
 		}
 		if iv.Hi == m {
 			return &IntervalSet{Width: s.Width, ivs: out}
 		}
 		next = iv.Hi + 1
 	}
-	out = append(out, Interval{Lo: next, Hi: m})
+	out = append(out, interval{Lo: next, Hi: m})
 	return &IntervalSet{Width: s.Width, ivs: out}
 }
 
 // Subtract returns s \ o.
 func (s *IntervalSet) Subtract(o *IntervalSet) *IntervalSet {
-	if o.IsEmpty() || s.IsEmpty() {
+	if o.isEmpty() || s.isEmpty() {
 		return s
 	}
-	return s.Intersect(o.Complement())
+	return s.intersect(o.complement())
 }
 
-// Remove returns s \ {v}.
-func (s *IntervalSet) Remove(v uint64) *IntervalSet {
+// remove returns s \ {v}.
+func (s *IntervalSet) remove(v uint64) *IntervalSet {
 	if !s.Contains(v) {
 		return s
 	}
 	return s.Subtract(Singleton(v, s.Width))
 }
 
-// Shift returns {(x + k) mod 2^Width : x ∈ s}; wrapping intervals split.
-func (s *IntervalSet) Shift(k uint64) *IntervalSet {
+// shift returns {(x + k) mod 2^Width : x ∈ s}; wrapping intervals split.
+func (s *IntervalSet) shift(k uint64) *IntervalSet {
 	m := expr.Mask(s.Width)
 	k &= m
-	if k == 0 || s.IsEmpty() {
+	if k == 0 || s.isEmpty() {
 		return s
 	}
-	out := make([]Interval, 0, len(s.ivs)+1)
+	out := make([]interval, 0, len(s.ivs)+1)
 	for _, iv := range s.ivs {
 		lo := (iv.Lo + k) & m
 		hi := (iv.Hi + k) & m
 		if lo <= hi {
-			out = append(out, Interval{Lo: lo, Hi: hi})
+			out = append(out, interval{Lo: lo, Hi: hi})
 		} else { // wrapped
-			out = append(out, Interval{Lo: lo, Hi: m}, Interval{Lo: 0, Hi: hi})
+			out = append(out, interval{Lo: lo, Hi: m}, interval{Lo: 0, Hi: hi})
 		}
 	}
 	return normalize(s.Width, out)
@@ -321,27 +296,14 @@ func (s *IntervalSet) Shift(k uint64) *IntervalSet {
 
 // SubsetOf reports whether s ⊆ o.
 func (s *IntervalSet) SubsetOf(o *IntervalSet) bool {
-	return s.Subtract(o).IsEmpty()
-}
-
-// Equal reports set equality.
-func (s *IntervalSet) Equal(o *IntervalSet) bool {
-	if len(s.ivs) != len(o.ivs) {
-		return false
-	}
-	for i := range s.ivs {
-		if s.ivs[i] != o.ivs[i] {
-			return false
-		}
-	}
-	return true
+	return s.Subtract(o).isEmpty()
 }
 
 func (s *IntervalSet) String() string {
-	if s.IsEmpty() {
+	if s.isEmpty() {
 		return "{}"
 	}
-	if s.IsFull() {
+	if s.isFull() {
 		return fmt.Sprintf("{*:%d}", s.Width)
 	}
 	var b strings.Builder
@@ -360,16 +322,16 @@ func (s *IntervalSet) String() string {
 	return b.String()
 }
 
-// FromCmp returns the solution set {x : x op c} over a width-bit universe.
-func FromCmp(op expr.CmpOp, c uint64, width int) *IntervalSet {
+// fromCmp returns the solution set {x : x op c} over a width-bit universe.
+func fromCmp(op expr.CmpOp, c uint64, width int) *IntervalSet {
 	lo, hi, out := cmpArc(op, c, width)
 	return fromArc(lo, hi, 0, out, width)
 }
 
 // fromArc builds the set of the intervals arcIntervals returns.
 func fromArc(lo, hi, k uint64, out bool, width int) *IntervalSet {
-	var buf [2]Interval
-	return &IntervalSet{Width: width, ivs: append([]Interval(nil), arcIntervals(&buf, lo, hi, k, out, width)...)}
+	var buf [2]interval
+	return &IntervalSet{Width: width, ivs: append([]interval(nil), arcIntervals(&buf, lo, hi, k, out, width)...)}
 }
 
 // FromMask returns the solution set {x : x & mask == val} over width bits.
@@ -382,7 +344,7 @@ func FromMask(mask, val uint64, width int) *IntervalSet {
 	mask &= m
 	val &= mask
 	if lo, hi, ok := prefixArc(mask, val, width); ok {
-		return FromRange(lo, hi, width)
+		return fromRange(lo, hi, width)
 	}
 	// General mask: enumerate combinations of free bits above the low run.
 	free := m &^ mask
@@ -399,7 +361,7 @@ func FromMask(mask, val uint64, width int) *IntervalSet {
 		pos = append(pos, uint(bits.TrailingZeros64(b)))
 	}
 	total := 1 << uint(n)
-	out := make([]Interval, 0, total)
+	out := make([]interval, 0, total)
 	for i := 0; i < total; i++ {
 		v := val
 		for j, p := range pos {
@@ -407,7 +369,7 @@ func FromMask(mask, val uint64, width int) *IntervalSet {
 				v |= 1 << p
 			}
 		}
-		out = append(out, Interval{Lo: v, Hi: v | lowRun})
+		out = append(out, interval{Lo: v, Hi: v | lowRun})
 	}
 	return normalize(width, out)
 }
@@ -415,7 +377,7 @@ func FromMask(mask, val uint64, width int) *IntervalSet {
 // cmpArc returns the solutions of x op c over width bits as an arc of the
 // value cycle: x ∈ [lo, hi], or x ∉ [lo, hi] when out is set, with
 // lo <= hi <= Mask(width); no solution at all is out of the whole
-// universe. FromCmp is the same set, built.
+// universe. fromCmp is the same set, built.
 func cmpArc(op expr.CmpOp, c uint64, width int) (lo, hi uint64, out bool) {
 	m := expr.Mask(width)
 	if c > m {
@@ -468,13 +430,13 @@ func prefixArc(mask, val uint64, width int) (lo, hi uint64, ok bool) {
 // k around the width-bit value cycle — or of the rest of the cycle when out
 // is set — into buf, and returns them: none, one interval, or two when the
 // arc wraps past the top. The whole universe is the one arc no shift moves.
-func arcIntervals(buf *[2]Interval, lo, hi, k uint64, out bool, width int) []Interval {
+func arcIntervals(buf *[2]interval, lo, hi, k uint64, out bool, width int) []interval {
 	m := expr.Mask(width)
 	if lo == 0 && hi == m {
 		if out {
 			return buf[:0]
 		}
-		buf[0] = Interval{Lo: 0, Hi: m}
+		buf[0] = interval{Lo: 0, Hi: m}
 		return buf[:1]
 	}
 	lo, hi = (lo+k)&m, (hi+k)&m
@@ -484,10 +446,10 @@ func arcIntervals(buf *[2]Interval, lo, hi, k uint64, out bool, width int) []Int
 		lo, hi = (hi+1)&m, (lo-1)&m
 	}
 	if lo <= hi {
-		buf[0] = Interval{Lo: lo, Hi: hi}
+		buf[0] = interval{Lo: lo, Hi: hi}
 		return buf[:1]
 	}
-	buf[0], buf[1] = Interval{Lo: 0, Hi: hi}, Interval{Lo: lo, Hi: m}
+	buf[0], buf[1] = interval{Lo: 0, Hi: hi}, interval{Lo: lo, Hi: m}
 	return buf[:2]
 }
 

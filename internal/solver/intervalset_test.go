@@ -11,15 +11,15 @@ import (
 )
 
 func TestIntervalSetBasics(t *testing.T) {
-	full := Full(8)
+	full := full(8)
 	if got := full.Size(); got != 256 {
 		t.Fatalf("Full(8).Size() = %d, want 256", got)
 	}
 	if !full.Contains(0) || !full.Contains(255) {
 		t.Fatal("Full(8) must contain 0 and 255")
 	}
-	e := Empty(8)
-	if !e.IsEmpty() || e.Contains(0) {
+	e := empty(8)
+	if !e.isEmpty() || e.Contains(0) {
 		t.Fatal("Empty(8) must be empty")
 	}
 	s := Singleton(42, 8)
@@ -29,52 +29,52 @@ func TestIntervalSetBasics(t *testing.T) {
 }
 
 func TestIntervalSetUnionIntersect(t *testing.T) {
-	a := FromRange(10, 20, 8)
-	b := FromRange(15, 30, 8)
-	u := a.Union(b)
+	a := fromRange(10, 20, 8)
+	b := fromRange(15, 30, 8)
+	u := UnionAll(8, []*IntervalSet{a, b})
 	if u.Size() != 21 || !u.Contains(10) || !u.Contains(30) || u.Contains(31) {
 		t.Fatalf("union: %v", u)
 	}
-	i := a.Intersect(b)
+	i := a.intersect(b)
 	if i.Size() != 6 || !i.Contains(15) || !i.Contains(20) || i.Contains(21) {
 		t.Fatalf("intersect: %v", i)
 	}
 	// Adjacent intervals merge.
-	c := FromRange(0, 4, 8).Union(FromRange(5, 9, 8))
+	c := UnionAll(8, []*IntervalSet{fromRange(0, 4, 8), fromRange(5, 9, 8)})
 	if len(c.Intervals()) != 1 {
 		t.Fatalf("adjacent intervals should merge: %v", c)
 	}
 }
 
 func TestIntervalSetComplement(t *testing.T) {
-	a := FromRange(10, 20, 8)
-	cmp := a.Complement()
+	a := fromRange(10, 20, 8)
+	cmp := a.complement()
 	if cmp.Contains(10) || cmp.Contains(20) || !cmp.Contains(9) || !cmp.Contains(21) {
 		t.Fatalf("complement: %v", cmp)
 	}
 	if got := cmp.Size(); got != 256-11 {
 		t.Fatalf("complement size = %d", got)
 	}
-	if !a.Complement().Complement().Equal(a) {
+	if !setsEqual(a.complement().complement(), a) {
 		t.Fatal("double complement must be identity")
 	}
-	if !Full(8).Complement().IsEmpty() {
+	if !full(8).complement().isEmpty() {
 		t.Fatal("complement of full must be empty")
 	}
-	if !Empty(8).Complement().IsFull() {
+	if !empty(8).complement().isFull() {
 		t.Fatal("complement of empty must be full")
 	}
 }
 
 func TestIntervalSetShiftWraps(t *testing.T) {
-	a := FromRange(250, 255, 8)
-	sh := a.Shift(10)
+	a := fromRange(250, 255, 8)
+	sh := a.shift(10)
 	// 250..255 + 10 = 260..265 mod 256 = 4..9
 	if !sh.Contains(4) || !sh.Contains(9) || sh.Contains(3) || sh.Contains(10) {
 		t.Fatalf("wrapping shift: %v", sh)
 	}
-	// Shift must be invertible.
-	if !sh.Shift(246).Equal(a) { // 246 == -10 mod 256
+	// shift must be invertible.
+	if !setsEqual(sh.shift(246), a) { // 246 == -10 mod 256
 
 		t.Fatal("shift must be invertible")
 	}
@@ -95,7 +95,7 @@ func TestFromCmp(t *testing.T) {
 		{expr.Ge, 7, []uint64{7, 255}, []uint64{6}},
 	}
 	for _, tc := range cases {
-		s := FromCmp(tc.op, tc.c, 8)
+		s := fromCmp(tc.op, tc.c, 8)
 		for _, v := range tc.has {
 			if !s.Contains(v) {
 				t.Errorf("FromCmp(%v,%d) should contain %d", tc.op, tc.c, v)
@@ -107,10 +107,10 @@ func TestFromCmp(t *testing.T) {
 			}
 		}
 	}
-	if !FromCmp(expr.Lt, 0, 8).IsEmpty() {
+	if !fromCmp(expr.Lt, 0, 8).isEmpty() {
 		t.Error("x < 0 must be empty (unsigned)")
 	}
-	if !FromCmp(expr.Gt, 255, 8).IsEmpty() {
+	if !fromCmp(expr.Gt, 255, 8).isEmpty() {
 		t.Error("x > 255 must be empty at width 8")
 	}
 }
@@ -148,7 +148,7 @@ func TestFromMaskGeneral(t *testing.T) {
 func TestIntervalSetQuickSetSemantics(t *testing.T) {
 	mk := func(seed int64) (*IntervalSet, map[uint64]bool) {
 		rng := rand.New(rand.NewSource(seed))
-		set := Empty(8)
+		set := empty(8)
 		ref := make(map[uint64]bool)
 		for i := 0; i < rng.Intn(5); i++ {
 			lo := uint64(rng.Intn(256))
@@ -156,7 +156,7 @@ func TestIntervalSetQuickSetSemantics(t *testing.T) {
 			if hi > 255 {
 				hi = 255
 			}
-			set = set.Union(FromRange(lo, hi, 8))
+			set = UnionAll(8, []*IntervalSet{set, fromRange(lo, hi, 8)})
 			for v := lo; v <= hi; v++ {
 				ref[v] = true
 			}
@@ -166,8 +166,8 @@ func TestIntervalSetQuickSetSemantics(t *testing.T) {
 	f := func(seedA, seedB int64) bool {
 		sa, ra := mk(seedA)
 		sb, rb := mk(seedB)
-		u := sa.Union(sb)
-		in := sa.Intersect(sb)
+		u := UnionAll(8, []*IntervalSet{sa, sb})
+		in := sa.intersect(sb)
 		sub := sa.Subtract(sb)
 		for v := uint64(0); v < 256; v++ {
 			if u.Contains(v) != (ra[v] || rb[v]) {
@@ -189,7 +189,7 @@ func TestIntervalSetQuickSetSemantics(t *testing.T) {
 
 // fromBits builds the canonical set of a 6-bit universe's membership mask.
 func fromBits(m uint64) *IntervalSet {
-	var ivs []Interval
+	var ivs []interval
 	for v := uint64(0); v < 64; v++ {
 		if m>>v&1 == 0 {
 			continue
@@ -197,7 +197,7 @@ func fromBits(m uint64) *IntervalSet {
 		if n := len(ivs); n > 0 && ivs[n-1].Hi == v-1 {
 			ivs[n-1].Hi = v
 		} else {
-			ivs = append(ivs, Interval{Lo: v, Hi: v})
+			ivs = append(ivs, interval{Lo: v, Hi: v})
 		}
 	}
 	return &IntervalSet{Width: 6, ivs: ivs}
@@ -214,7 +214,7 @@ func bitsOf(s *IntervalSet) uint64 {
 	return m
 }
 
-// TestIntersectBruteForce checks Intersect against a brute-force set over
+// TestIntersectBruteForce checks intersect against a brute-force set over
 // 6-bit universes, with the second operand a subset, superset, disjoint
 // set, equal set or unrelated set of the first: the result is the canonical
 // set of the bitwise and, and whenever it equals the receiver it is the
@@ -243,8 +243,8 @@ func TestIntersectBruteForce(t *testing.T) {
 			b = rng.Uint64()
 		}
 		sa, sb := fromBits(a), fromBits(b)
-		got := sa.Intersect(sb)
-		if want := fromBits(a & b); !got.Equal(want) || bitsOf(got) != a&b || got.Width != 6 {
+		got := sa.intersect(sb)
+		if want := fromBits(a & b); !setsEqual(got, want) || bitsOf(got) != a&b || got.Width != 6 {
 			t.Fatalf("trial %d: %v ∩ %v = %v, want %v", trial, sa, sb, got, want)
 		}
 		if a&b == a && got != sa {
@@ -302,7 +302,7 @@ func TestSetAlgebraBruteForce(t *testing.T) {
 	check := func(what string, got *IntervalSet, want uint64) {
 		t.Helper()
 		requireCanonical(t, what, got)
-		if bitsOf(got) != want || !got.Equal(fromBits(want)) {
+		if bitsOf(got) != want || !setsEqual(got, fromBits(want)) {
 			t.Fatalf("%s = %v, want %v", what, got, fromBits(want))
 		}
 	}
@@ -311,7 +311,7 @@ func TestSetAlgebraBruteForce(t *testing.T) {
 		before := slices.Clone(sa.ivs)
 		requireCanonical(t, "fromBits", sa)
 
-		check("Complement", sa.Complement(), ^a)
+		check("Complement", sa.complement(), ^a)
 		if got := sa.Size(); got != uint64(bits.OnesCount64(a)) {
 			t.Fatalf("%v.Size() = %d, want %d", sa, got, bits.OnesCount64(a))
 		}
@@ -327,10 +327,10 @@ func TestSetAlgebraBruteForce(t *testing.T) {
 			if sa.Contains(v) != (a>>v&1 == 1) {
 				t.Fatalf("%v.Contains(%d) wrong", sa, v)
 			}
-			check("Remove", sa.Remove(v), a&^(1<<v))
+			check("Remove", sa.remove(v), a&^(1<<v))
 		}
 		for _, k := range []uint64{1, 5, 31, 63, 64, 65, rng.Uint64()} {
-			check("Shift", sa.Shift(k), bits.RotateLeft64(a, int(k%64)))
+			check("Shift", sa.shift(k), bits.RotateLeft64(a, int(k%64)))
 		}
 
 		// A second operand: a subset, superset, disjoint set, equal set,
@@ -338,13 +338,13 @@ func TestSetAlgebraBruteForce(t *testing.T) {
 		for _, b := range []uint64{a & rng.Uint64(), a | rng.Uint64(), ^a & rng.Uint64(), a, masks[rng.Intn(len(masks))], rng.Uint64()} {
 			sb := fromBits(b)
 			beforeB := slices.Clone(sb.ivs)
-			check("Union", sa.Union(sb), a|b)
+			check("UnionAll", UnionAll(sa.Width, []*IntervalSet{sa, sb}), a|b)
 			check("Subtract", sa.Subtract(sb), a&^b)
 			if sa.SubsetOf(sb) != (a&^b == 0) {
 				t.Fatalf("%v ⊆ %v = %v", sa, sb, sa.SubsetOf(sb))
 			}
-			if sa.Equal(sb) != (a == b) {
-				t.Fatalf("%v == %v = %v", sa, sb, sa.Equal(sb))
+			if setsEqual(sa, sb) != (a == b) {
+				t.Fatalf("%v == %v = %v", sa, sb, setsEqual(sa, sb))
 			}
 			if !slices.Equal(sb.ivs, beforeB) {
 				t.Fatalf("an operation mutated its operand %v", sb)
@@ -359,7 +359,7 @@ func TestSetAlgebraBruteForce(t *testing.T) {
 			sets = append(sets, fromBits(m))
 			want |= m
 		}
-		snap := make([][]Interval, len(sets))
+		snap := make([][]interval, len(sets))
 		for j, s := range sets {
 			snap[j] = slices.Clone(s.ivs)
 		}
@@ -389,3 +389,7 @@ func TestPrefixMask(t *testing.T) {
 		t.Fatalf("PrefixMask(48,48) = %#x", got)
 	}
 }
+
+// setsEqual reports set equality: canonical sets are equal exactly when
+// their interval lists are.
+func setsEqual(a, b *IntervalSet) bool { return slices.Equal(a.ivs, b.ivs) }

@@ -53,7 +53,7 @@ func holds(cond expr.Cond, vals [2]uint64) bool {
 
 // enumSet is the set of the width-bit values in admits, by enumeration.
 func enumSet(width int, admits func(uint64) bool) *IntervalSet {
-	var ivs []Interval
+	var ivs []interval
 	for v := uint64(0); v <= expr.Mask(width); v++ {
 		if !admits(v) {
 			continue
@@ -61,7 +61,7 @@ func enumSet(width int, admits func(uint64) bool) *IntervalSet {
 		if n := len(ivs); n > 0 && ivs[n-1].Hi+1 == v {
 			ivs[n-1].Hi = v
 		} else {
-			ivs = append(ivs, Interval{Lo: v, Hi: v})
+			ivs = append(ivs, interval{Lo: v, Hi: v})
 		}
 	}
 	return &IntervalSet{Width: width, ivs: ivs}
@@ -70,7 +70,7 @@ func enumSet(width int, admits func(uint64) bool) *IntervalSet {
 // addViaSets asserts cond as Add does, except that every single-symbol
 // comparison against a constant and every masked match is narrowed through
 // its solution set, enumerated and handed to assertTermInSet, and every
-// table membership through FromSpanTable: the set-building path the direct
+// table membership through fromSpanTable: the set-building path the direct
 // narrowing (assertArc, assertInTable) replaces.
 func addViaSets(c *Context, cond expr.Cond) bool {
 	if c.unsat {
@@ -104,18 +104,18 @@ func assertViaSets(c *Context, cond expr.Cond, neg bool) {
 			return
 		}
 		sols := enumSet(l.Width, func(x uint64) bool { return expr.EvalCmp(op, x, rv) })
-		c.assertTermInSet(bare(l), sols.Shift(-l.Add))
+		c.assertTermInSet(bare(l), sols.shift(-l.Add))
 	case expr.Match:
 		m := expr.Mask(v.L.Width)
 		set := enumSet(v.L.Width, func(x uint64) bool { return x&v.Mask&m == v.Val&v.Mask&m })
 		if neg {
-			set = set.Complement()
+			set = set.complement()
 		}
 		c.assertTermInSet(v.L, set)
 	case expr.InSet:
-		set := FromSpanTable(v.T)
+		set := fromSpanTable(v.T)
 		if neg {
-			set = set.Complement()
+			set = set.complement()
 		}
 		c.assertTermInSet(v.L, set)
 	default:
@@ -218,7 +218,7 @@ func (nc *narrowCase) add(t *testing.T, cond expr.Cond) *narrowCase {
 	for i, s := range []expr.Lin{a, b}[:nc.syms] {
 		want := enumSet(nc.w, func(v uint64) bool { return seen[i][v] })
 		got, ref := next.got.Domain(s), next.ref.Domain(s)
-		if got.Width != nc.w || !got.Equal(want) || !got.Equal(ref) {
+		if got.Width != nc.w || !setsEqual(got, want) || !setsEqual(got, ref) {
 			t.Fatalf("w=%d %s: Domain(%s) = %v, enumeration %v, set path %v", nc.w, cond, s, got, want, ref)
 		}
 	}

@@ -26,6 +26,10 @@ type MACEntry struct {
 	Port int
 }
 
+// Valid reports whether e is an entry ParseMACTable could yield: a 48-bit
+// address, and a VLAN and port that are not negative.
+func (e MACEntry) Valid() bool { return e.MAC <= expr.Mask(48) && e.VLAN >= 0 && e.Port >= 0 }
+
 // MACTable is a parsed switch MAC table.
 type MACTable []MACEntry
 
@@ -88,6 +92,12 @@ type Route struct {
 	Prefix uint64 // network address, host bits zero
 	Len    int    // prefix length in bits
 	Port   int
+}
+
+// Valid reports whether r is a route ParseFIB could yield: an IPv4 prefix
+// with no host bits, to a port that is not negative.
+func (r Route) Valid() bool {
+	return r.Len >= 0 && r.Len <= 32 && r.Prefix&^expr.PrefixMask(r.Len, 32) == 0 && r.Port >= 0
 }
 
 func (r Route) String() string {

@@ -41,9 +41,6 @@ func (r *AllPairsReport) Summary(s int) *dist.Summary {
 	return dist.Summarize(r.Results[s])
 }
 
-// Pairs returns the number of (source, target) pairs answered.
-func (r *AllPairsReport) Pairs() int { return len(r.Sources) * len(r.Targets) }
-
 // Splice installs one source's finished run: its result (or summary) and a
 // freshly allocated matrix row. On a CloneShallow copy this replaces the row
 // without disturbing readers of the original.

@@ -92,8 +92,8 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 			// the per-pair counters and at least one span must have landed.
 			snap := reg.Snapshot()
 			pairs := snap.Counters["verify.pair.delivered"] + snap.Counters["verify.pair.unreachable"]
-			if pairs != int64(rep.Pairs()) {
-				t.Errorf("verify.pair counters = %d, want %d", pairs, rep.Pairs())
+			if want := int64(len(rep.Sources) * len(rep.Targets)); pairs != want {
+				t.Errorf("verify.pair counters = %d, want %d", pairs, want)
 			}
 			if info, err := os.Stat(tracePath); err != nil || info.Size() == 0 {
 				t.Errorf("trace file empty (err=%v)", err)

@@ -1,7 +1,7 @@
 // Package verify provides the network-verification queries of §6 of the
-// paper on top of the core engine: reachability, field invariance, header
-// visibility, and loop reporting. (Loop *detection* itself runs inside the
-// engine; this package interprets its results.)
+// paper on top of the core engine: the all-pairs reachability report, and
+// per-path field queries (final value, domain, invariance, end-to-end
+// equality, a concrete test packet).
 package verify
 
 import (
@@ -12,34 +12,6 @@ import (
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
 )
-
-// Reachability runs a symbolic packet from inject and reports the paths
-// that reach any port of target. It is the paper's basic query: inspect the
-// values and constraints of header variables at each reached port.
-func Reachability(net *core.Network, inject core.PortRef, packet sefl.Instr, target string, opts core.Options) (*Report, error) {
-	res, err := core.Run(net, inject, packet, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewReport(res, target), nil
-}
-
-// Report wraps a run result with a reachability target.
-type Report struct {
-	Result  *core.Result
-	Target  string
-	Reached []*core.Path
-}
-
-// NewReport extracts the delivered paths ending at the target element.
-func NewReport(res *core.Result, target string) *Report {
-	r := &Report{Result: res, Target: target}
-	r.Reached = res.DeliveredAt(target, -1)
-	return r
-}
-
-// Reachable reports whether any path reached the target.
-func (r *Report) Reachable() bool { return len(r.Reached) > 0 }
 
 // resolveHdr resolves a header shorthand against a path's final tag values.
 func resolveHdr(p *core.Path, h sefl.Hdr) (int64, error) {
@@ -124,12 +96,6 @@ func FieldEndToEnd(p *core.Path, h sefl.Hdr) (bool, error) {
 	}
 	return !ctx.Sat(), nil
 }
-
-// Loops returns the looped paths of a result.
-func Loops(res *core.Result) []*core.Path { return res.ByStatus(core.Looped) }
-
-// Failures returns the failed paths of a result.
-func Failures(res *core.Result) []*core.Path { return res.ByStatus(core.Failed) }
 
 // ConcretePacket solves a path's constraints into concrete values for the
 // listed header fields (the ATPG-style test-packet generation of §8.3).

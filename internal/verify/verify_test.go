@@ -7,7 +7,9 @@ import (
 	"symnet/internal/sefl"
 )
 
-func passthroughNet(t *testing.T) (*core.Network, core.PortRef) {
+// passthroughPath runs a TCP packet through A, which admits TcpDst 80, and
+// returns the one path delivered at B.
+func passthroughPath(t *testing.T) *core.Path {
 	t.Helper()
 	net := core.NewNetwork()
 	a := net.AddElement("A", "fwd", 1, 1)
@@ -18,27 +20,19 @@ func passthroughNet(t *testing.T) (*core.Network, core.PortRef) {
 	b := net.AddElement("B", "sink", 1, 0)
 	b.SetInCode(0, sefl.NoOp{})
 	net.MustLink("A", 0, "B", 0)
-	return net, core.PortRef{Elem: "A", Port: 0}
-}
-
-func TestReachabilityReport(t *testing.T) {
-	net, inj := passthroughNet(t)
-	rep, err := Reachability(net, inj, sefl.NewTCPPacket(), "B", core.Options{})
+	res, err := core.Run(net, core.PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Reachable() || len(rep.Reached) != 1 {
-		t.Fatalf("report: %+v", rep)
+	reached := res.DeliveredAt("B", -1)
+	if len(reached) != 1 {
+		t.Fatalf("%d paths reach B, want 1", len(reached))
 	}
+	return reached[0]
 }
 
 func TestFieldDomainAndValue(t *testing.T) {
-	net, inj := passthroughNet(t)
-	rep, err := Reachability(net, inj, sefl.NewTCPPacket(), "B", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := rep.Reached[0]
+	p := passthroughPath(t)
 	dom, err := FieldDomain(p, sefl.TcpDst)
 	if err != nil {
 		t.Fatal(err)
@@ -122,12 +116,7 @@ func TestFieldEndToEndForcedEqual(t *testing.T) {
 }
 
 func TestConcretePacket(t *testing.T) {
-	net, inj := passthroughNet(t)
-	rep, err := Reachability(net, inj, sefl.NewTCPPacket(), "B", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := ConcretePacket(rep.Reached[0], []sefl.Hdr{sefl.TcpDst, sefl.IPSrc})
+	vals, err := ConcretePacket(passthroughPath(t), []sefl.Hdr{sefl.TcpDst, sefl.IPSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +140,7 @@ func TestLoopsAndFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(Loops(res)) != 1 || len(Failures(res)) != 0 {
-		t.Fatalf("loops=%d failures=%d", len(Loops(res)), len(Failures(res)))
+	if loops, failures := res.ByStatus(core.Looped), res.ByStatus(core.Failed); len(loops) != 1 || len(failures) != 0 {
+		t.Fatalf("loops=%d failures=%d", len(loops), len(failures))
 	}
 }

@@ -13,7 +13,7 @@
 //	internal/tables   — MAC-table / FIB parsers + LPM compilation
 //	internal/click    — Click configurations and element models
 //	internal/asa      — Cisco ASA configuration -> pipeline models
-//	internal/verify   — reachability / invariance / loop queries
+//	internal/verify   — all-pairs reachability reports and per-path field queries
 //	internal/conform  — model-vs-implementation testing (§8.3)
 //	internal/hsa      — Header Space Analysis baseline
 //	internal/minic    — naive symbolic execution baseline ("Klee")
