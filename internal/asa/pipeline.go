@@ -9,6 +9,7 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/sefl"
+	"symnet/internal/tables"
 )
 
 // Config is a parsed (simplified) ASA configuration.
@@ -117,10 +118,15 @@ func (cfg *Config) parseLine(f []string) error {
 		if len(f) != 3 {
 			return fmt.Errorf("static-nat needs inside and public addresses")
 		}
-		cfg.StaticNAT = append(cfg.StaticNAT, StaticNATRule{
-			Inside: sefl.IPToNumber(f[1]),
-			Public: sefl.IPToNumber(f[2]),
-		})
+		inside, err := tables.ParseIPv4(f[1])
+		if err != nil {
+			return err
+		}
+		public, err := tables.ParseIPv4(f[2])
+		if err != nil {
+			return err
+		}
+		cfg.StaticNAT = append(cfg.StaticNAT, StaticNATRule{Inside: inside, Public: public})
 	case "dynamic-nat":
 		if len(f) != 3 {
 			return fmt.Errorf("dynamic-nat needs address and port range")
@@ -129,7 +135,11 @@ func (cfg *Config) parseLine(f []string) error {
 		if _, err := fmt.Sscanf(f[2], "%d-%d", &lo, &hi); err != nil {
 			return fmt.Errorf("bad port range %q", f[2])
 		}
-		cfg.DynamicNAT = &DynamicNATRule{Public: sefl.IPToNumber(f[1]), PortLo: lo, PortHi: hi}
+		public, err := tables.ParseIPv4(f[1])
+		if err != nil {
+			return err
+		}
+		cfg.DynamicNAT = &DynamicNATRule{Public: public, PortLo: lo, PortHi: hi}
 	case "access-list":
 		if len(f) < 3 {
 			return fmt.Errorf("access-list needs direction and action")
@@ -201,7 +211,10 @@ func parseACL(f []string) (ACLRule, error) {
 			if i+1 >= len(f) {
 				return r, fmt.Errorf("host needs an address")
 			}
-			h := sefl.IPToNumber(f[i+1])
+			h, err := tables.ParseIPv4(f[i+1])
+			if err != nil {
+				return r, err
+			}
 			r.DstHost = &h
 			i += 2
 		case "eq":

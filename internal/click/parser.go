@@ -9,6 +9,7 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/sefl"
+	"symnet/internal/tables"
 )
 
 // Config is a parsed Click configuration: the SymNet network generated from
@@ -71,6 +72,9 @@ func ParseConfig(r io.Reader) (*Config, error) {
 func (cfg *Config) parseDecl(line string) error {
 	parts := strings.SplitN(line, "::", 2)
 	name := strings.TrimSpace(parts[0])
+	if _, dup := cfg.Net.Element(name); dup {
+		return fmt.Errorf("element %q declared twice", name)
+	}
 	rest := strings.TrimSpace(parts[1])
 	class := rest
 	var args string
@@ -109,10 +113,16 @@ func buildElement(class, args string) (Def, error) {
 		if len(argList) != 1 {
 			return Def{}, fmt.Errorf("HostEtherFilter needs 1 argument")
 		}
+		if err := checkAddrs(class, tables.ParseMAC[string], argList...); err != nil {
+			return Def{}, err
+		}
 		return HostEtherFilter(argList[0]), nil
 	case "HostEtherFilterBuggy":
 		if len(argList) != 1 {
 			return Def{}, fmt.Errorf("HostEtherFilterBuggy needs 1 argument")
+		}
+		if err := checkAddrs(class, tables.ParseMAC[string], argList...); err != nil {
+			return Def{}, err
 		}
 		return HostEtherFilterBuggy(argList[0]), nil
 	case "IPClassifier":
@@ -138,6 +148,9 @@ func buildElement(class, args string) (Def, error) {
 		if err != nil {
 			return Def{}, fmt.Errorf("EtherEncap type: %v", err)
 		}
+		if err := checkAddrs(class, tables.ParseMAC[string], argList[1:]...); err != nil {
+			return Def{}, err
+		}
 		return etherEncap(t, argList[1], argList[2]), nil
 	case "Strip":
 		return stripEther(), nil
@@ -151,11 +164,27 @@ func buildElement(class, args string) (Def, error) {
 		if len(argList) != 2 {
 			return Def{}, fmt.Errorf("IPEncap needs SRC, DST")
 		}
+		if err := checkAddrs(class, tables.ParseIPv4[string], argList...); err != nil {
+			return Def{}, err
+		}
 		return ipEncap(argList[0], argList[1]), nil
 	case "IPDecap":
 		return ipDecap(), nil
 	}
 	return Def{}, fmt.Errorf("unknown element class %q", class)
+}
+
+// checkAddrs refuses an address argument that parse rejects. The element
+// constructors take addresses as text and parse them again, treating a bad
+// literal as a programming error, so a configuration's literals are checked
+// here first.
+func checkAddrs(class string, parse func(string) (uint64, error), args ...string) error {
+	for _, a := range args {
+		if _, err := parse(a); err != nil {
+			return fmt.Errorf("%s: %w", class, err)
+		}
+	}
+	return nil
 }
 
 // parseFilter parses a tcpdump-flavored classifier pattern: a conjunction
@@ -210,7 +239,10 @@ func parseFilter(s string) (Filter, error) {
 				if !ok {
 					return f, fmt.Errorf("filter %q: missing host", s)
 				}
-				addr := sefl.IPToNumber(v)
+				addr, err := tables.ParseIPv4(v)
+				if err != nil {
+					return f, fmt.Errorf("filter %q: %w", s, err)
+				}
 				if t == "src" {
 					f.SrcHost = U(addr)
 				} else {

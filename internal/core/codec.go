@@ -4,9 +4,12 @@ package core
 // runner serializes the coordinator's network — elements, port code ASTs,
 // links — plus every compiled element-port program, and workers rebuild an
 // identical network with the compiled cache pre-populated, skipping
-// recompilation. Element instance numbers are part of the semantics (local
-// metadata keys bake them in), so the wire form carries them and decoding
-// re-adds elements in instance order, reproducing them exactly.
+// recompilation. Nothing derived from a program crosses: a worker builds
+// its own summaries from the installed programs (Warm), exactly as a local
+// Session does after Compile. Element instance numbers are part of the
+// semantics (local metadata keys bake them in), so the wire form carries
+// them and decoding re-adds elements in instance order, reproducing them
+// exactly.
 
 import (
 	"fmt"
@@ -233,45 +236,6 @@ func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	return out, nil
 }
 
-// WireSummaryEntry is one summarization verdict keyed like the element's
-// cache: a summary's node slab, or the unsummarizable reason. Both verdicts
-// cross the wire — a worker that had to re-discover fallbacks would re-run
-// the summarizer per element, which is exactly the work the frame exists to
-// skip.
-type WireSummaryEntry struct {
-	Elem   string
-	Port   int
-	Out    bool
-	Nodes  []prog.SumNode
-	Reason string
-}
-
-// EncodeSummaries serializes the summarization verdict of every
-// element-port program, in the same order as EncodePrograms.
-func EncodeSummaries(n *Network) ([]WireSummaryEntry, error) {
-	return EncodeSummariesFor(n, codeRefs(n))
-}
-
-// EncodeSummariesFor serializes the verdicts of just the named ports,
-// summarizing as needed (the work is shared with local runs via the
-// per-element cache). A worker needs a port's verdict whenever it is shipped
-// that port's program, so this takes refs exactly like EncodeProgramsFor.
-func EncodeSummariesFor(n *Network, refs []PortRef) ([]WireSummaryEntry, error) {
-	out := make([]WireSummaryEntry, 0, len(refs))
-	for _, ref := range refs {
-		c, ok, err := codeAt(n, ref)
-		if err != nil {
-			return nil, fmt.Errorf("core: encode summary: %w", err)
-		}
-		if !ok {
-			continue
-		}
-		sum, _ := c.summary()
-		out = append(out, WireSummaryEntry{Elem: ref.Elem, Port: ref.Port, Out: ref.Out, Nodes: sum.Nodes, Reason: sum.Reason})
-	}
-	return out, nil
-}
-
 // summaryCensusRow is one element-port program's summarization verdict with
 // its row-set size, for reporting (the symnet CLI prints statistics from it,
 // and the summary differential tests census the datasets with it).
@@ -289,7 +253,7 @@ type summaryCensusRow struct {
 }
 
 // SummaryCensus reports every element-port program's verdict with its
-// row-set size, in the same order as EncodeSummaries.
+// row-set size, in the same order as EncodePrograms.
 func SummaryCensus(n *Network) []summaryCensusRow {
 	var out []summaryCensusRow
 	for _, ref := range codeRefs(n) {
@@ -304,34 +268,10 @@ func SummaryCensus(n *Network) []summaryCensusRow {
 	return out
 }
 
-// InstallSummaries decodes serialized summarization verdicts into the
-// network's cache entries, keyed exactly as lazy summarization would key
-// them. Each summary is bound to the worker's installed program for its
-// port (summaries reference IR, never copy it), so InstallPrograms must run
-// first for shipped programs to be the ones bound. Ports without an
-// installed verdict still summarize lazily.
-func InstallSummaries(n *Network, entries []WireSummaryEntry) error {
-	for _, we := range entries {
-		e, ok := n.Element(we.Elem)
-		if !ok {
-			return fmt.Errorf("core: install summary for unknown element %q", we.Elem)
-		}
-		c, ok, _ := e.codeFor(we.Port, we.Out)
-		if !ok {
-			return fmt.Errorf("core: install summary for %s port %d: no code attached", we.Elem, we.Port)
-		}
-		sum, err := prog.DecodeSummary(c.prog, we.Nodes, we.Reason)
-		if err != nil {
-			return err
-		}
-		c.sum.Store(sum)
-	}
-	return nil
-}
-
 // InstallPrograms decodes serialized programs into the network's caches,
 // keyed exactly as lazy compilation would key them; whatever entry a port
-// held before — program and summary — is replaced. Ports without an
+// held before — program and summary — is replaced, and the port summarizes
+// afresh on its next use (or Warm). Ports without an
 // installed program still compile lazily, so a partial set degrades to local
 // compilation rather than failing.
 func InstallPrograms(n *Network, entries []WireProgramEntry) error {

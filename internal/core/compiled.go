@@ -39,7 +39,7 @@ func (e *progEnv) ReadHdr(off int64, size int) (expr.Lin, error) { return e.st.M
 func (e *progEnv) ReadMeta(key memory.MetaKey) (expr.Lin, error) { return e.st.Mem.ReadMeta(key) }
 func (e *progEnv) Tag(name string) (int64, bool)                 { return e.st.Mem.Tag(name) }
 func (e *progEnv) MetaExists(key memory.MetaKey) bool            { return e.st.Mem.MetaExists(key) }
-func (e *progEnv) Fresh(width int, name string) expr.Lin         { return e.r.alloc.Fresh(width, name) }
+func (e *progEnv) Fresh(width int) expr.Lin                      { return e.r.alloc.Fresh(width) }
 func (e *progEnv) OrTreeGuards() bool                            { return e.r.opts.OrTreeGuards }
 
 // execPort runs the code attached to a port on one state, appending the

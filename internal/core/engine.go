@@ -34,8 +34,6 @@ type Options struct {
 	Loop LoopMode
 	// Trace records executed instructions on each path (costly; default off).
 	Trace bool
-	// Stats receives solver statistics; a fresh collector is used when nil.
-	Stats *solver.Stats
 	// SatMemo is the satisfiability memo cache shared by every path of the
 	// run. Nil selects a fresh per-run cache; passing one in shares memoized
 	// verdicts across runs (batch verification, repair-and-verify loops).
@@ -53,6 +51,8 @@ type Options struct {
 	// one layer of the engine for the slower form it was derived from, and
 	// Results, statistics, traces and symbol allocation are byte-identical
 	// with any of them set (pinned by the property tests in internal/prog).
+	// They run in-process only: a fleet (dist.Pool) refuses a job that sets
+	// one.
 	//
 	// ASTInterp selects the tree-walking AST interpreter instead of compiled
 	// programs — the executable reference semantics, and the debugging aid

@@ -94,7 +94,7 @@ func (r *run) evalExpr(st *state, elem *Element, e sefl.Expr, hint int) (expr.Li
 		if w == 0 {
 			w = 64
 		}
-		return r.alloc.Fresh(w, v.Name), nil
+		return r.alloc.Fresh(w), nil
 	case sefl.Ref:
 		return r.readLV(st, elem, v.LV)
 	case sefl.TagVal:

@@ -56,7 +56,6 @@ type exploration struct {
 	nextSeq int64
 	paths   []*Path
 	stats   RunStats
-	names   *expr.Alloc
 	inst    instruments
 	r       run
 }
@@ -98,7 +97,7 @@ func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 	if memo == nil {
 		memo = solver.NewSatCache()
 	}
-	e := &exploration{opts: opts, inject: elem, names: &expr.Alloc{}}
+	e := &exploration{opts: opts, inject: elem}
 	// The collector is allocated on its own because every path's context
 	// points at it: inside the exploration, it would keep the queue and the
 	// wave reachable from the Result.
@@ -164,7 +163,7 @@ func (e *exploration) frontier() []task {
 
 // stepTask steps one task and merges what it produced: its finished paths
 // take the next IDs, its successors are queued behind the current wave, and
-// its statistics are folded into the run's and the caller's collector. A
+// its statistics are folded into the run's. A
 // step error, or a path count past MaxPaths, aborts the run; the failing
 // task's statistics are not folded.
 func (e *exploration) stepTask(t *task) error {
@@ -189,12 +188,6 @@ func (e *exploration) stepTask(t *task) error {
 	e.stats.Pruned += r.pruned
 	e.stats.Symbols += r.alloc.Count()
 	e.stats.Solver.Add(*r.stats)
-	if e.opts.Stats != nil {
-		// Fold into the caller's collector task by task, so a run that
-		// aborts mid-way still reports the solver work it did.
-		e.opts.Stats.Add(*r.stats)
-	}
-	e.names.MergeNames(&r.alloc)
 	for _, st := range next {
 		e.queue = append(e.queue, task{seq: e.nextSeq, st: st})
 		e.nextSeq++
@@ -260,23 +253,11 @@ func (e *exploration) appendPath(st *state) {
 }
 
 // finish assembles the Result of a run that ran out of tasks.
-//
-// When the caller supplied a Stats collector, every finished path's context
-// is rebound to it, so post-run follow-up queries (verify domain reads,
-// conformance Model calls) keep counting toward the caller's "time spent in
-// and calls to the solver" totals, as in the original engine. Result.Stats
-// itself is already final and unaffected.
 func (e *exploration) finish() *Result {
-	if e.opts.Stats != nil {
-		for _, p := range e.paths {
-			p.Ctx.SetStats(e.opts.Stats)
-		}
-	}
 	// The result allocator starts past every band the run handed out, so
 	// callers minting follow-up symbols (extra query constraints) cannot
 	// collide with the run's own, and its Count tracks only those follow-up
 	// symbols (the run's total is Stats.Symbols).
 	alloc := expr.NewAllocAt(expr.SymID(e.nextSeq) << expr.BandBits)
-	alloc.MergeNames(e.names)
 	return &Result{Paths: e.paths, Stats: e.stats, Alloc: alloc}
 }

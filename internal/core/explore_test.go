@@ -116,7 +116,7 @@ func TestResultAllocFreshAfterRun(t *testing.T) {
 		t.Fatal("run allocated no symbols")
 	}
 	for i := 0; i < 4; i++ {
-		fresh := res.Alloc.Fresh(16, "probe")
+		fresh := res.Alloc.Fresh(16)
 		if used[fresh.Sym] {
 			t.Fatalf("post-run Fresh returned ID %d, already used by the run", fresh.Sym)
 		}

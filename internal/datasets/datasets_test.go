@@ -123,10 +123,11 @@ func TestSatHeavyCacheTraffic(t *testing.T) {
 	memo := solver.NewSatCache()
 	var stats solver.Stats
 	for q := 0; q < queries; q++ {
-		res, err := core.Run(net, inject, sefl.NewIPPacket(), core.Options{SatMemo: memo, Stats: &stats})
+		res, err := core.Run(net, inject, sefl.NewIPPacket(), core.Options{SatMemo: memo})
 		if err != nil {
 			t.Fatal(err)
 		}
+		stats.Add(res.Stats.Solver)
 		if res.Stats.Delivered != 1 {
 			t.Fatalf("query %d: delivered = %d, want 1", q, res.Stats.Delivered)
 		}

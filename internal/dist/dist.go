@@ -2,7 +2,11 @@
 // coordinator shards a batch of independent jobs onto N fleet members (each
 // running its own in-process worker pool), ships the network spec plus the
 // compiled IR of every element-port program so workers skip recompilation,
-// and collects results in job order.
+// and collects results in job order. A member gets programs and jobs,
+// nothing else: it builds its own summaries from the programs, and a job
+// carries only its budget (hops, paths, loop mode, trace). The reference
+// semantics (Options.ASTInterp, IRExec, OrTreeGuards) run in-process only —
+// a Pool refuses a job that sets one.
 //
 // The in-process determinism carries over intact: each job is one core.Run
 // on one goroutine, independent of its siblings, and Sat-cache hits replay
@@ -225,8 +229,8 @@ func shardBounds(jobs, k, n int) (lo, hi int) {
 	return k * jobs / n, (k + 1) * jobs / n
 }
 
-// buildSetup serializes the network, its compiled programs and their
-// summarization verdicts once per full setup.
+// buildSetup serializes the network and its compiled programs once per full
+// setup.
 func buildSetup(net *core.Network) (*setupFrame, error) {
 	wnet, err := core.EncodeNetwork(net)
 	if err != nil {
@@ -236,18 +240,19 @@ func buildSetup(net *core.Network) (*setupFrame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	sums, err := core.EncodeSummaries(net)
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
-	return &setupFrame{Net: wnet, Programs: progs, Summaries: sums}, nil
+	return &setupFrame{Net: wnet, Programs: progs}, nil
 }
 
-// buildShard converts one contiguous job range to wire jobs.
+// buildShard converts one contiguous job range to wire jobs. A job that asks
+// for a reference mode is refused: those exist to check the engine against,
+// in-process, and a member runs only the default engine.
 func buildShard(jobs []Job, lo, hi int) ([]wireJob, error) {
 	out := make([]wireJob, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		j := jobs[i]
+		if mode := referenceMode(j.Opts); mode != "" {
+			return nil, fmt.Errorf("dist: job %q: Options.%s is a reference mode; run it in-process", j.Name, mode)
+		}
 		pkt, err := sefl.EncodeInstr(j.Packet)
 		if err != nil {
 			return nil, fmt.Errorf("dist: job %q: %w", j.Name, err)
@@ -261,4 +266,17 @@ func buildShard(jobs []Job, lo, hi int) ([]wireJob, error) {
 		})
 	}
 	return out, nil
+}
+
+// referenceMode names the reference-semantics option a job sets, if any.
+func referenceMode(o core.Options) string {
+	switch {
+	case o.ASTInterp:
+		return "ASTInterp"
+	case o.IRExec:
+		return "IRExec"
+	case o.OrTreeGuards:
+		return "OrTreeGuards"
+	}
+	return ""
 }

@@ -213,40 +213,37 @@ func canonicalNoCtx(t *testing.T, results []dist.JobResult) []byte {
 }
 
 // TestGuardModesDistByteIdentical is the distributed face of the
-// interval-table acceptance property: in-process and on a two-member fleet,
-// interval-table execution matches the Or-tree reference on every
-// observable, and each mode is fleet-size deterministic including its
-// constraint fingerprints.
+// interval-table acceptance property: the default engine, in-process and on
+// a two-member fleet, matches the in-process Or-tree reference on every
+// observable, and the fleet matches the in-process default engine including
+// its constraint fingerprints. The Or-tree reference itself runs in-process
+// only (a Pool refuses it).
 func TestGuardModesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			var wantObs []byte
-			for _, orTree := range []bool{true, false} {
-				jobs := make([]dist.Job, len(tc.jobs))
-				for i, j := range tc.jobs {
-					jobs[i] = j
-					jobs[i].Opts.OrTreeGuards = orTree
-				}
-				var wantFull []byte
-				for _, members := range []int{0, 2} {
-					out := runGrid(t, tc.net, jobs, members, 2)
-					if members == 0 {
-						wantFull = canonical(t, out)
-						if orTree {
-							wantObs = canonicalNoCtx(t, out)
-						} else if got := canonicalNoCtx(t, out); string(got) != string(wantObs) {
-							t.Errorf("interval-table observables differ from Or-tree reference")
-						}
-					} else if got := canonical(t, out); string(got) != string(wantFull) {
-						t.Errorf("ortree=%v: members=%d differs from in-process", orTree, members)
-					}
-				}
+			orTree := withOpts(tc.jobs, func(o *core.Options) { o.OrTreeGuards = true })
+			wantObs := canonicalNoCtx(t, runGrid(t, tc.net, orTree, 0, 2))
+			local := runGrid(t, tc.net, tc.jobs, 0, 2)
+			if got := canonicalNoCtx(t, local); string(got) != string(wantObs) {
+				t.Errorf("interval-table observables differ from the Or-tree reference")
+			}
+			if got := canonical(t, runGrid(t, tc.net, tc.jobs, 2, 2)); string(got) != string(canonical(t, local)) {
+				t.Errorf("members=2 differs from in-process")
 			}
 		})
 	}
+}
+
+// withOpts returns a copy of jobs with set applied to each job's Options.
+func withOpts(jobs []dist.Job, set func(*core.Options)) []dist.Job {
+	out := append([]dist.Job(nil), jobs...)
+	for i := range out {
+		set(&out[i].Opts)
+	}
+	return out
 }
 
 // poisonedCase builds a batch whose middle job panics the exploration (a
@@ -415,33 +412,22 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 }
 
 // TestSummariesDistByteIdentical is the distributed face of the summary
-// acceptance property: the default engine or the IR reference
-// (Options.IRExec), in-process and on a two-member fleet, every dataset batch
-// produces the same bytes as the IR reference in-process — full canonical
-// encoding, constraint fingerprints included, since summaries replay the
-// exact IR solver call sequence. It also pins the summary wire crossing,
-// since workers execute the shipped summaries.
+// acceptance property: the default engine, in-process and on a two-member
+// fleet, produces on every dataset batch the same bytes as the IR reference
+// (Options.IRExec) in-process — full canonical encoding, constraint
+// fingerprints included, since summaries replay the exact IR solver call
+// sequence. It also pins the members' own summaries: each builds them from
+// the programs it was shipped.
 func TestSummariesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
-	withIRExec := func(jobs []dist.Job, irExec bool) []dist.Job {
-		out := append([]dist.Job(nil), jobs...)
-		for i := range out {
-			out[i].Opts.IRExec = irExec
-		}
-		return out
-	}
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			want := reference(t, tc.net, withIRExec(tc.jobs, true))
-			for _, irExec := range []bool{true, false} {
-				for _, members := range []int{0, 2} {
-					got := canonical(t, runGrid(t, tc.net, withIRExec(tc.jobs, irExec), members, 2))
-					if string(got) != string(want) {
-						t.Errorf("IRExec=%v members=%d: results differ from the IR reference in-process",
-							irExec, members)
-					}
+			want := reference(t, tc.net, withOpts(tc.jobs, func(o *core.Options) { o.IRExec = true }))
+			for _, members := range []int{0, 2} {
+				if got := canonical(t, runGrid(t, tc.net, tc.jobs, members, 2)); string(got) != string(want) {
+					t.Errorf("members=%d: results differ from the IR reference in-process", members)
 				}
 			}
 		})
@@ -449,12 +435,14 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 }
 
 // TestSummariesDistWorkersInstallNotRebuild pins the division of labor
-// across the wire: the coordinator summarizes once and ships verdicts with
-// every program it ships — the full setup, and the delta after a Refresh —
-// and workers install them. No job asks for anything (zero Options), yet the
-// absorbed worker telemetry shows summary applications (hits) and IR
-// fallbacks (the gate element) on full, reuse and delta batches alike,
-// and zero worker-side builds on any of them.
+// across the wire: members install the programs they are shipped — the
+// full setup, and the delta after a Refresh — and summarize exactly those
+// before any job runs, so the absorbed summary.built and
+// summary.unsummarizable grow by every program per member on a full batch,
+// by the refreshed ports per member on a delta, and by nothing on reuse. No
+// job asks for anything (zero Options), yet the absorbed worker telemetry
+// shows summary applications (hits) and IR fallbacks (the gate element) on
+// every batch.
 func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
@@ -478,20 +466,28 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	g.SetInCode(0, gate(0))
 	net.MustLink("sumgate", 0, inject.Elem, inject.Port)
 	gated := core.PortRef{Elem: "sumgate", Port: 0}
+	// A port no job reaches: a member summarizes it because it was shipped,
+	// not because a run visited it.
+	net.AddElement("island", "sink", 1, 0).SetInCode(0, sefl.NoOp{})
 
 	jobs := make([]dist.Job, 4)
 	for i := range jobs {
 		jobs[i] = dist.Job{Name: fmt.Sprintf("q%d", i), Inject: gated, Packet: sefl.NewTCPPacket()}
 	}
+	progs, err := core.EncodePrograms(net)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	const members = 2
 	reg := obs.NewRegistry()
-	pool, err := dist.NewPool(dist.Config{Workers: residentFleet(t, 2), WorkersPerProc: 2, Obs: obs.New(reg, nil)})
+	pool, err := dist.NewPool(dist.Config{Workers: residentFleet(t, members), WorkersPerProc: 2, Obs: obs.New(reg, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	var prev obs.Snapshot
-	batch := func(mode string) {
+	batch := func(mode string, shipped int) {
 		t.Helper()
 		want := reference(t, net, jobs)
 		if got := canonical(t, pool.RunBatch(net, jobs)); string(got) != string(want) {
@@ -499,7 +495,7 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 		}
 		snap := reg.Snapshot()
 		grew := func(name string) int64 { return snap.Counters[name] - prev.Counters[name] }
-		if grew("dist.setup."+mode) != 2 {
+		if grew("dist.setup."+mode) != members {
 			t.Errorf("%s batch: dist.setup.%s grew by %d, want both workers", mode, mode, grew("dist.setup."+mode))
 		}
 		if grew("summary.hits") == 0 {
@@ -508,20 +504,53 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 		if grew("summary.fallbacks") == 0 {
 			t.Errorf("%s batch: no IR fallbacks absorbed despite the gate element; counters: %v", mode, snap.Counters)
 		}
-		if built := grew("summary.built") + grew("summary.unsummarizable"); built != 0 {
-			t.Errorf("%s batch: workers re-summarized %d programs; the shipped verdicts should cover all", mode, built)
+		if built, want := grew("summary.built")+grew("summary.unsummarizable"), int64(members*shipped); built != want {
+			t.Errorf("%s batch: workers summarized %d programs, want the %d shipped", mode, built, want)
+		}
+		if grew("summary.unsummarizable") == 0 && shipped > 0 {
+			t.Errorf("%s batch: the gate's program was shipped but no member found it unsummarizable", mode)
 		}
 		prev = *snap
 	}
-	batch("full")
-	batch("reuse")
-	// Rebind both verdict kinds — the gate (unsummarizable) and its
-	// successor's input (summarized) — so the delta has to carry both.
+	batch("full", len(progs))
+	batch("reuse", 0)
+	// Recompile both verdict kinds — the gate (unsummarizable) and its
+	// successor's input (summarized) — so the delta ships both.
 	g.SetInCode(0, gate(0))
 	succ, _ := net.Element(inject.Elem)
 	succ.SetInCode(inject.Port, succ.InCode[inject.Port])
 	pool.Refresh(gated, inject)
-	batch("delta")
+	batch("delta", 2)
+}
+
+// TestPoolRefusesReferenceModes pins where the reference semantics run: a
+// Pool refuses a batch in which any job sets one, failing every job of it
+// with the same pointed error, while the in-process runner runs it.
+func TestPoolRefusesReferenceModes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens TCP sessions")
+	}
+	net, jobs := satHeavyJobs(4, 3)
+	fleet := residentFleet(t, 1)
+	for mode, set := range map[string]func(*core.Options){
+		"ASTInterp":    func(o *core.Options) { o.ASTInterp = true },
+		"IRExec":       func(o *core.Options) { o.IRExec = true },
+		"OrTreeGuards": func(o *core.Options) { o.OrTreeGuards = true },
+	} {
+		batch := append([]dist.Job(nil), jobs...)
+		set(&batch[1].Opts)
+		want := fmt.Sprintf("dist: job %q: Options.%s is a reference mode; run it in-process", batch[1].Name, mode)
+		for i, jr := range runVia(t, net, batch, dist.Config{Workers: fleet, WorkersPerProc: 1}) {
+			if jr.Err == nil || jr.Err.Error() != want || jr.Summary != nil {
+				t.Errorf("%s: pool job %d = %+v, want error %q", mode, i, jr, want)
+			}
+		}
+		for i, jr := range runVia(t, net, batch, dist.Config{WorkersPerProc: 1}) {
+			if jr.Err != nil || jr.Result == nil || jr.Result.Stats.Delivered != 1 {
+				t.Errorf("%s: in-process job %d = %+v, want one delivered path", mode, i, jr)
+			}
+		}
+	}
 }
 
 // TestRunBatchUnserializableNetwork pins the failure mode for networks that

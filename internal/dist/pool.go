@@ -155,12 +155,14 @@ func (p *Pool) Invalidate() {
 
 // RunBatch runs every job across the fleet, returning results in job order —
 // byte-identical (as summaries) to sched.RunBatch regardless of fleet size or
-// crashes. A batch-wide setup failure poisons every job; per-worker failures
-// poison only jobs that exhausted their retry budget.
+// crashes. A batch-wide setup failure — or a job that sets a reference mode
+// (Options.ASTInterp, IRExec, OrTreeGuards), which runs in-process only —
+// poisons every job; per-worker failures poison only jobs that exhausted
+// their retry budget.
 //
-// Per-job Options.Stats collectors and Options.SatMemo caches cannot cross
-// the process boundary and are ignored; per-job solver statistics are in
-// each Summary.Stats.Solver, deterministic either way.
+// Per-job Options.SatMemo caches cannot cross the process boundary and are
+// ignored; per-job solver statistics are in each Summary.Stats.Solver,
+// deterministic either way.
 func (p *Pool) RunBatch(network *core.Network, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
 	if len(jobs) == 0 {
@@ -192,8 +194,6 @@ type batchRun struct {
 	lostTo []string
 
 	metrics bool
-
-	needAST bool
 
 	// Lazily built, shared across workers within the batch.
 	setupRaw []byte
@@ -244,11 +244,6 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 		crashes: make([]int, n),
 		lostTo:  make([]string, n),
 		metrics: p.reg != nil,
-	}
-	for _, j := range jobs {
-		if j.Opts.ASTInterp {
-			br.needAST = true
-		}
 	}
 	wire, err := buildShard(jobs, 0, n)
 	if err != nil {
@@ -343,7 +338,7 @@ func seqRange(lo, hi int) []int {
 
 // sendBatch opens the batch on one worker with the cheapest sufficient setup
 // mode. A member holding the last batch's setup gets reuse (nothing changed
-// since) or a delta (only the changed ports' programs and verdicts); a new
+// since) or a delta (only the changed ports' programs); a new
 // connection, or any member after an Invalidate, gets the full blob. Encode
 // failures are batch-fatal; send failures surface through the worker's
 // reader.
@@ -354,9 +349,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 		Metrics: br.metrics,
 	}
 	mode := "full"
-	// ASTInterp jobs execute the port ASTs, which only the full setup
-	// carries — deltas ship compiled programs only.
-	if w.gen != 0 && !p.full && !br.needAST {
+	if w.gen != 0 && !p.full {
 		if len(p.changed) == 0 {
 			mode = "reuse"
 		} else {
@@ -364,11 +357,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 			if err != nil {
 				return fmt.Errorf("dist: %w", err)
 			}
-			sums, err := core.EncodeSummariesFor(br.net, p.changed)
-			if err != nil {
-				return fmt.Errorf("dist: %w", err)
-			}
-			bf.Delta = &deltaFrame{Programs: progs, Summaries: sums}
+			bf.Delta = &deltaFrame{Programs: progs}
 			mode = "delta"
 		}
 	}

@@ -68,9 +68,9 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v9: a table guard's wire node decodes to a
-// sefl.Table, not to the Or-tree a v8 peer rebuilds from it).
-const protoVersion = 9
+// frame may carry bumps it (v10: setups and deltas carry programs without
+// their summaries, and a job carries its budget without reference modes).
+const protoVersion = 10
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -119,13 +119,11 @@ type batchFrame struct {
 }
 
 // deltaFrame re-ships only what changed since the last batch: the
-// re-compiled programs of the touched ports and their
-// summarization verdicts, entry for entry. Port ASTs do not ride deltas —
-// workers execute installed compiled programs, so delta batches are correct
-// for every mode except ASTInterp, which resident pools do not serve.
+// re-compiled programs of the touched ports, which the worker installs and
+// summarizes. Port ASTs do not ride deltas — workers execute installed
+// compiled programs, and a fleet runs no job that reads the ASTs.
 type deltaFrame struct {
-	Programs  []core.WireProgramEntry
-	Summaries []core.WireSummaryEntry
+	Programs []core.WireProgramEntry
 }
 
 // doneFrame ends a worker's batch.
@@ -153,16 +151,13 @@ func decodeSetup(raw []byte) (*setupFrame, error) {
 
 // setupFrame carries everything a worker needs before any job: the network
 // spec (elements, port code ASTs, links) and the coordinator's compiled IR
-// for every element-port program, so workers skip recompilation. Per-batch
-// configuration (Metrics, queue width) lives on batchFrame — a
+// for every element-port program, so workers skip recompilation. Summaries
+// are a pure function of the programs, so the worker builds its own (Warm).
+// Per-batch configuration (Metrics, queue width) lives on batchFrame — a
 // setup outlives batches in a resident pool.
 type setupFrame struct {
 	Net      *core.WireNetwork
 	Programs []core.WireProgramEntry
-	// Summaries carries the coordinator's summarization verdict for every
-	// program, so workers skip re-summarization the same way Programs lets
-	// them skip recompilation.
-	Summaries []core.WireSummaryEntry
 }
 
 // jobsFrame ships jobs: a member's contiguous shard of the batch, or a
@@ -181,32 +176,25 @@ type wireJob struct {
 	Opts   wireOptions
 }
 
-// wireOptions is the serializable subset of core.Options. Stats collectors
-// and cache pointers are per-process and deliberately absent: each worker
-// runs its own, and per-job solver statistics come back inside the Summary
-// (deterministically — cache hits replay the original counters).
+// wireOptions is the job's budget: the subset of core.Options a fleet
+// member runs with. Cache pointers and telemetry are per-process and
+// deliberately absent: each worker runs its own, and per-job solver
+// statistics come back inside the Summary (deterministically — cache hits
+// replay the original counters). The reference modes never cross: buildShard
+// refuses a job that sets one.
 type wireOptions struct {
-	MaxHops      int
-	MaxPaths     int
-	Loop         core.LoopMode
-	Trace        bool
-	ASTInterp    bool
-	IRExec       bool
-	OrTreeGuards bool
+	MaxHops  int
+	MaxPaths int
+	Loop     core.LoopMode
+	Trace    bool
 }
 
 func toWireOptions(o core.Options) wireOptions {
-	return wireOptions{
-		MaxHops: o.MaxHops, MaxPaths: o.MaxPaths, Loop: o.Loop, Trace: o.Trace,
-		ASTInterp: o.ASTInterp, IRExec: o.IRExec, OrTreeGuards: o.OrTreeGuards,
-	}
+	return wireOptions{MaxHops: o.MaxHops, MaxPaths: o.MaxPaths, Loop: o.Loop, Trace: o.Trace}
 }
 
 func (w wireOptions) options() core.Options {
-	return core.Options{
-		MaxHops: w.MaxHops, MaxPaths: w.MaxPaths, Loop: w.Loop, Trace: w.Trace,
-		ASTInterp: w.ASTInterp, IRExec: w.IRExec, OrTreeGuards: w.OrTreeGuards,
-	}
+	return core.Options{MaxHops: w.MaxHops, MaxPaths: w.MaxPaths, Loop: w.Loop, Trace: w.Trace}
 }
 
 // resultFrame is one finished job.

@@ -154,8 +154,9 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 	// unknown first frame or mid-batch: the hello has kept its kind number,
 	// while v4 numbers the kinds after result differently, v5 cannot read a
 	// summary slab's For nodes, v6 expects full Summaries in results, v7
-	// expects a reconnect to find the network it installed before and v8
-	// ships table guards for the worker to rebuild as Or-trees.
+	// expects a reconnect to find the network it installed before, v8
+	// ships table guards for the worker to rebuild as Or-trees and v9 ships
+	// summaries beside the programs.
 	for v := 3; v < protoVersion; v++ {
 		cases = append(cases, streamCase{
 			name:   fmt.Sprintf("v%d coordinator", v),
@@ -354,10 +355,6 @@ func servedSession(t testing.TB) streamCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, err := core.EncodeSummariesFor(net, []core.PortRef{ref})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return streamCase{name: "served session", frames: []*frame{
 		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion}},
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: testSetupRaw(t, net, nil), Workers: 1}},
@@ -366,7 +363,7 @@ func servedSession(t testing.TB) streamCase {
 		{Kind: frameBatch, Batch: &batchFrame{Seq: 2, Gen: 1, Workers: 1}},
 		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire[:1]}},
 		{Kind: frameEnd},
-		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 2, Workers: 1, Delta: &deltaFrame{Programs: progs, Summaries: sums}}},
+		{Kind: frameBatch, Batch: &batchFrame{Seq: 3, Gen: 2, Workers: 1, Delta: &deltaFrame{Programs: progs}}},
 		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire[1:]}},
 		{Kind: frameEnd},
 		{Kind: frameBye},

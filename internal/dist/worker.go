@@ -90,47 +90,6 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 	if bf == nil {
 		return fmt.Errorf("protocol: batch frame without payload")
 	}
-	switch {
-	case len(bf.SetupRaw) > 0:
-		setup, err := decodeSetup(bf.SetupRaw)
-		if err != nil {
-			return fmt.Errorf("decoding setup: %w", err)
-		}
-		net, err := core.DecodeNetwork(setup.Net)
-		if err != nil {
-			return fmt.Errorf("decoding setup: %w", err)
-		}
-		if err := core.InstallPrograms(net, setup.Programs); err != nil {
-			return fmt.Errorf("decoding setup: %w", err)
-		}
-		// Summaries bind to the just-installed programs, so this must
-		// follow InstallPrograms.
-		if err := core.InstallSummaries(net, setup.Summaries); err != nil {
-			return fmt.Errorf("decoding setup: %w", err)
-		}
-		st.net, st.gen = net, bf.Gen
-	case bf.Delta != nil:
-		if st.net == nil {
-			return fmt.Errorf("protocol: delta setup with no retained network")
-		}
-		if err := core.InstallPrograms(st.net, bf.Delta.Programs); err != nil {
-			return fmt.Errorf("decoding delta: %w", err)
-		}
-		// Installing a program replaces the port's whole cache entry, so no
-		// summary of the replaced program survives to this point.
-		if err := core.InstallSummaries(st.net, bf.Delta.Summaries); err != nil {
-			return fmt.Errorf("decoding delta: %w", err)
-		}
-		st.gen = bf.Gen
-	default:
-		if st.net == nil {
-			return fmt.Errorf("protocol: reuse setup with no retained network")
-		}
-		if st.gen != bf.Gen {
-			return fmt.Errorf("protocol: reuse setup at generation %d, worker holds %d", bf.Gen, st.gen)
-		}
-	}
-
 	// With metrics on, the worker collects into a per-batch registry —
 	// labeled with its pool index — and ships the snapshot inside the done
 	// frame. Per-batch registries keep repeated absorption sound: a resident
@@ -147,6 +106,43 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 		obs.SetDebugRegistry(reg)
 		c.instrument(reg)
 	}
+
+	switch {
+	case len(bf.SetupRaw) > 0:
+		setup, err := decodeSetup(bf.SetupRaw)
+		if err != nil {
+			return fmt.Errorf("decoding setup: %w", err)
+		}
+		net, err := core.DecodeNetwork(setup.Net)
+		if err != nil {
+			return fmt.Errorf("decoding setup: %w", err)
+		}
+		if err := core.InstallPrograms(net, setup.Programs); err != nil {
+			return fmt.Errorf("decoding setup: %w", err)
+		}
+		st.net, st.gen = net, bf.Gen
+	case bf.Delta != nil:
+		if st.net == nil {
+			return fmt.Errorf("protocol: delta setup with no retained network")
+		}
+		if err := core.InstallPrograms(st.net, bf.Delta.Programs); err != nil {
+			return fmt.Errorf("decoding delta: %w", err)
+		}
+		st.gen = bf.Gen
+	default:
+		if st.net == nil {
+			return fmt.Errorf("protocol: reuse setup with no retained network")
+		}
+		if st.gen != bf.Gen {
+			return fmt.Errorf("protocol: reuse setup at generation %d, worker holds %d", bf.Gen, st.gen)
+		}
+	}
+	// Summarize what was just installed (nothing, on reuse) before any job
+	// runs, as a Session does after Compile: the builds land in this batch's
+	// counters whatever order the queue runs jobs in.
+	summarized, unsummarizable := core.Warm(st.net)
+	reg.Counter("summary.built").Add(int64(summarized))
+	reg.Counter("summary.unsummarizable").Add(int64(unsummarizable))
 
 	crashOn := os.Getenv(testExitEnv)
 	t0 := time.Now()

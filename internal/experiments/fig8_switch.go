@@ -12,7 +12,6 @@ import (
 	"symnet/internal/datasets"
 	"symnet/internal/models"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 )
 
 // switchRow is one measurement of Fig. 8: symbolic execution of a switch
@@ -36,9 +35,8 @@ func runSwitchModel(entries, numPorts int, style models.Style, seed int64) (swit
 	if err := models.Switch(sw, tbl, style); err != nil {
 		return switchRow{}, err
 	}
-	stats := &solver.Stats{}
 	start := time.Now()
-	res, err := core.Run(net, core.PortRef{Elem: "SW", Port: 0}, sefl.NewEthernetPacket(), core.Options{Stats: stats})
+	res, err := core.Run(net, core.PortRef{Elem: "SW", Port: 0}, sefl.NewEthernetPacket(), core.Options{})
 	if err != nil {
 		return switchRow{}, err
 	}
@@ -48,8 +46,8 @@ func runSwitchModel(entries, numPorts int, style models.Style, seed int64) (swit
 		Entries:   entries,
 		Paths:     res.Stats.Paths,
 		Time:      elapsed,
-		SolverOps: stats.Adds,
-		SatChecks: stats.SatChecks,
+		SolverOps: res.Stats.Solver.Adds,
+		SatChecks: res.Stats.Solver.SatChecks,
 	}, nil
 }
 

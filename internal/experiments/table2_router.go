@@ -8,7 +8,6 @@ import (
 	"symnet/internal/datasets"
 	"symnet/internal/models"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 	"symnet/internal/tables"
 )
 
@@ -49,9 +48,8 @@ func RunRouterModel(fib tables.FIB, n, numPorts int, style models.Style) (router
 		return routerRow{}, err
 	}
 	genTime := time.Since(genStart)
-	stats := &solver.Stats{}
 	start := time.Now()
-	res, err := core.Run(net, core.PortRef{Elem: "R", Port: 0}, sefl.NewIPPacket(), core.Options{Stats: stats})
+	res, err := core.Run(net, core.PortRef{Elem: "R", Port: 0}, sefl.NewIPPacket(), core.Options{})
 	if err != nil {
 		return routerRow{}, err
 	}

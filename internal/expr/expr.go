@@ -35,7 +35,6 @@ type Alloc struct {
 	base  SymID
 	next  SymID
 	limit SymID // exclusive; 0 means unbounded
-	names map[SymID]string
 }
 
 // ResetBand empties a and confines it to the given band, so one Alloc can
@@ -46,12 +45,10 @@ func (a *Alloc) ResetBand(band int64) {
 	a.base = SymID(band) << BandBits
 	a.next = a.base
 	a.limit = a.base + (1 << BandBits)
-	clear(a.names)
 }
 
-// Fresh returns a new symbol of the given bit width. The name is only used
-// for diagnostics.
-func (a *Alloc) Fresh(width int, name string) Lin {
+// Fresh returns a new symbol of the given bit width.
+func (a *Alloc) Fresh(width int) Lin {
 	if width <= 0 || width > 64 {
 		panic(fmt.Sprintf("expr: invalid symbol width %d", width))
 	}
@@ -60,12 +57,6 @@ func (a *Alloc) Fresh(width int, name string) Lin {
 	}
 	id := a.next
 	a.next++
-	if name != "" {
-		if a.names == nil {
-			a.names = make(map[SymID]string)
-		}
-		a.names[id] = name
-	}
 	return Lin{Sym: id, Width: width}
 }
 
@@ -78,20 +69,6 @@ func (a *Alloc) Count() int { return int(a.next - a.base) }
 // query constraints) cannot collide with the run's own.
 func NewAllocAt(start SymID) *Alloc {
 	return &Alloc{base: start, next: start}
-}
-
-// MergeNames copies o's diagnostic names into a (used when merging per-task
-// allocators into a run-level name table).
-func (a *Alloc) MergeNames(o *Alloc) {
-	if o == nil || len(o.names) == 0 {
-		return
-	}
-	if a.names == nil {
-		a.names = make(map[SymID]string, len(o.names))
-	}
-	for id, name := range o.names {
-		a.names[id] = name
-	}
 }
 
 // Mask returns the all-ones mask for a bit width in [1,64].

@@ -16,7 +16,7 @@ func TestMask(t *testing.T) {
 
 func TestLinModularArithmetic(t *testing.T) {
 	var a Alloc
-	s := a.Fresh(8, "s")
+	s := a.Fresh(8)
 	if got := s.AddConst(300).Add; got != 300&0xff {
 		t.Fatalf("AddConst wrap: %d", got)
 	}
@@ -46,7 +46,7 @@ func TestConstFolding(t *testing.T) {
 
 func TestNewAndOrFolding(t *testing.T) {
 	var a Alloc
-	x := a.Fresh(8, "x")
+	x := a.Fresh(8)
 	atom := NewCmp(Eq, x, Const(1, 8))
 	if c := NewAnd(Bool(true), atom); c != atom {
 		t.Fatalf("And(true, a) = %v", c)
@@ -96,7 +96,7 @@ func TestFlipConsistency(t *testing.T) {
 
 func TestNewNotPushesThroughCmp(t *testing.T) {
 	var a Alloc
-	x := a.Fresh(8, "x")
+	x := a.Fresh(8)
 	n := NewNot(NewCmp(Lt, x, Const(4, 8)))
 	cmp, ok := n.(Cmp)
 	if !ok || cmp.Op != Ge {
@@ -104,16 +104,5 @@ func TestNewNotPushesThroughCmp(t *testing.T) {
 	}
 	if NewNot(Bool(true)) != Bool(false) {
 		t.Fatal("NewNot(true)")
-	}
-}
-
-func TestAllocNames(t *testing.T) {
-	var a Alloc
-	s := a.Fresh(32, "IPDst")
-	if a.names[s.Sym] != "IPDst" {
-		t.Fatalf("name %q", a.names[s.Sym])
-	}
-	if a.Count() != 1 {
-		t.Fatalf("count %d", a.Count())
 	}
 }

@@ -162,7 +162,7 @@ func Run(prog *program, limits Limits, stats *solver.Stats) *result {
 			}
 		} else if symbolic[name] {
 			for i := range cells {
-				s := ex.alloc.Fresh(64, fmt.Sprintf("%s[%d]", name, i))
+				s := ex.alloc.Fresh(64)
 				st.ctx.Add(expr.NewCmp(expr.Le, s, expr.Const(255, 64)))
 				cells[i] = s
 			}

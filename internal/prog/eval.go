@@ -17,7 +17,7 @@ type Env interface {
 	ReadMeta(key memory.MetaKey) (expr.Lin, error)
 	Tag(name string) (int64, bool)
 	MetaExists(key memory.MetaKey) bool
-	Fresh(width int, name string) expr.Lin
+	Fresh(width int) expr.Lin
 	// OrTreeGuards selects the reference Or-tree evaluation for lowered
 	// interval-table guards (core.Options.OrTreeGuards). The default, false,
 	// consumes the packed span tables.
@@ -88,7 +88,7 @@ func EvalExpr(env Env, e *CExpr, hint int) (expr.Lin, error) {
 		if w == 0 {
 			w = 64
 		}
-		return env.Fresh(w, e.Name), nil
+		return env.Fresh(w), nil
 	case eRef:
 		return readLV(env, e.LV)
 	case eTagVal:

@@ -67,7 +67,7 @@ func (e *itEnv) ReadMeta(key memory.MetaKey) (expr.Lin, error) {
 }
 func (e *itEnv) Tag(name string) (int64, bool)  { return 0, false }
 func (e *itEnv) MetaExists(memory.MetaKey) bool { return false }
-func (e *itEnv) Fresh(w int, n string) expr.Lin { return expr.Lin{Sym: 99, Width: w} }
+func (e *itEnv) Fresh(w int) expr.Lin           { return expr.Lin{Sym: 99, Width: w} }
 func (e *itEnv) OrTreeGuards() bool             { return e.orTree }
 
 // TestLoweringDetection: table guards worth a span table lower; small or

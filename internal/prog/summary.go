@@ -70,8 +70,7 @@ const (
 // SumNode is one node of the decision DAG: a run of linear steps followed by
 // a terminator. The steps are the ops Prog.Ops[Lo:Hi] — the walk only ever
 // collects consecutive linear ops of one segment, so a node needs no step
-// list of its own — and Then/Else/Next index Summary.Nodes. A node is plain
-// data: the slab of nodes is also the summary's wire form.
+// list of its own — and Then/Else/Next index Summary.Nodes.
 type SumNode struct {
 	Lo, Hi     int32
 	Term       TermKind
@@ -333,8 +332,8 @@ func (b *sumBuilder) contMints(seg SegID, idx int32, stack *sumFrame) int {
 // node walks the program from (seg, idx) under the given continuation and
 // returns the index of the summary node covering it, memoized so join
 // points (the code after an If, shared by both branches) build once and are
-// shared. A node joins the slab after its children, which is the order the
-// wire form promises; the program is a DAG, so the walk never re-enters a
+// shared. A node joins the slab after its children, which is the order
+// Rows relies on; the program is a DAG, so the walk never re-enters a
 // position it has not finished. The result is meaningless once b.reason is
 // set.
 func (b *sumBuilder) node(seg SegID, idx int32, stack *sumFrame) int32 {
@@ -399,58 +398,4 @@ walk:
 	b.nodes = append(b.nodes, n)
 	b.memo[key] = int32(len(b.nodes) - 1)
 	return b.memo[key]
-}
-
-// DecodeSummary rebuilds a shipped verdict against the decoded program it
-// summarizes: the node slab is the wire form, so decoding is validation —
-// every step range and child index is checked (children before parents also
-// rules out cycles), because the executor indexes with them unchecked. The
-// render cache starts cold and warms on first use.
-func DecodeSummary(p *Program, nodes []SumNode, reason string) (*Summary, error) {
-	if len(nodes) == 0 {
-		if reason == "" {
-			return nil, fmt.Errorf("prog: decode summary %s: neither nodes nor an unsummarizable reason", p.Label)
-		}
-		return &Summary{Prog: p, Reason: reason}, nil
-	}
-	for i, n := range nodes {
-		if n.Lo < 0 || n.Hi < n.Lo || int(n.Hi) > len(p.Ops) {
-			return nil, fmt.Errorf("prog: decode summary %s: node %d references missing ops [%d,%d)", p.Label, i, n.Lo, n.Hi)
-		}
-		for oi := n.Lo; oi < n.Hi; oi++ {
-			if k := p.Ops[oi].Kind; k == OpIf || k == OpFor || k == OpSub {
-				return nil, fmt.Errorf("prog: decode summary %s: node %d steps over control op %d", p.Label, i, oi)
-			}
-		}
-		child := func(ni int32) error {
-			if ni < 0 || int(ni) >= i {
-				return fmt.Errorf("prog: decode summary %s: node %d references out-of-order child %d", p.Label, i, ni)
-			}
-			return nil
-		}
-		var err error
-		switch n.Term {
-		case TermEnd:
-		case TermJump:
-			err = child(n.Next)
-		case TermBranch:
-			if int(n.Hi) >= len(p.Ops) || p.Ops[n.Hi].Kind != OpIf {
-				return nil, fmt.Errorf("prog: decode summary %s: node %d branches on op %d, which is not an If", p.Label, i, n.Hi)
-			}
-			if err = child(n.Then); err == nil {
-				err = child(n.Else)
-			}
-		case TermFor:
-			if int(n.Hi) >= len(p.Ops) || p.Ops[n.Hi].Kind != OpFor {
-				return nil, fmt.Errorf("prog: decode summary %s: node %d loops on op %d, which is not a For", p.Label, i, n.Hi)
-			}
-			err = child(n.Next)
-		default:
-			err = fmt.Errorf("prog: decode summary %s: node %d has unknown terminator %d", p.Label, i, n.Term)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Summary{Prog: p, Nodes: nodes}, nil
 }

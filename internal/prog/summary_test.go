@@ -8,10 +8,7 @@ package prog
 // program codec's conventions.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"symnet/internal/sefl"
@@ -244,120 +241,5 @@ func TestSummaryRenderCacheIsLazy(t *testing.T) {
 	}
 	if s.ConstrainFailMsg(0) != msg || s.renders.Load() == nil {
 		t.Fatal("renders are not cached")
-	}
-}
-
-func TestSummaryDecodeRoundTrip(t *testing.T) {
-	var is []sefl.Instr
-	for i := 0; i < 4; i++ {
-		is = append(is, sefl.If{
-			C:    sefl.Eq(sefl.Ref{LV: sumF0}, sefl.C(uint64(i))),
-			Then: sefl.Assign{LV: sumF1, E: sefl.C(uint64(i))},
-			Else: sefl.NoOp{},
-		})
-	}
-	is = append(is, sefl.Fork{Ports: []int{0, 2}})
-	p := compileSum(sefl.Seq(is...))
-	s := Summarize(p)
-	if !s.OK() {
-		t.Fatalf("unsummarizable: %s", s.Reason)
-	}
-	// The node slab is what crosses the wire; it must survive gob as is and
-	// decode (against the same program) to the same DAG.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.Nodes); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var nodes []SumNode
-	if err := gob.NewDecoder(&buf).Decode(&nodes); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	dec, err := DecodeSummary(p, nodes, "")
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(dec.Nodes, s.Nodes) || dec.Prog != p {
-		t.Fatalf("decoded DAG differs:\n--- local ---\n%+v\n--- decoded ---\n%+v", s.Nodes, dec.Nodes)
-	}
-	if dec.Rows() != s.Rows() || dec.Steps() != s.Steps() {
-		t.Fatalf("decoded rows/steps %d/%d, want %d/%d", dec.Rows(), dec.Steps(), s.Rows(), s.Steps())
-	}
-
-	// The negative verdict round-trips as its reason.
-	neg, err := DecodeSummary(p, nil, reasonContMints)
-	if err != nil || neg.OK() || neg.Reason != reasonContMints {
-		t.Fatalf("negative verdict decoded to %+v, %v", neg, err)
-	}
-}
-
-// TestSummaryDecodeErrors pins the malformed-stream error messages
-// byte-for-byte, matching the program codec's conventions (label first,
-// then what referenced what). The executor indexes ops and nodes unchecked,
-// so everything it would trip over has to be refused here.
-func TestSummaryDecodeErrors(t *testing.T) {
-	p := compileSum(sefl.Seq(
-		sefl.If{C: sefl.Eq(sefl.Ref{LV: sumF0}, sefl.C(1)), Then: sefl.NoOp{}, Else: sefl.NoOp{}},
-		sefl.Forward{Port: 0},
-	))
-	// Arms first: ops 0 and 1 are the arms' NoOps, 2 is the If, 3 the Forward.
-	if len(p.Ops) != 4 || p.Ops[2].Kind != OpIf {
-		t.Fatalf("fixture: %d ops, op 2 of kind %d; want 4 with the If at 2", len(p.Ops), p.Ops[2].Kind)
-	}
-	leaf := SumNode{Lo: 3, Hi: 4}
-	cases := []struct {
-		name  string
-		nodes []SumNode
-		want  string
-	}{
-		{"no verdict", nil,
-			"prog: decode summary e.in[0]: neither nodes nor an unsummarizable reason"},
-		{"forward child reference", []SumNode{{Lo: 0, Hi: 1, Term: TermJump, Next: 0}},
-			"prog: decode summary e.in[0]: node 0 references out-of-order child 0"},
-		{"missing op", []SumNode{{Lo: 3, Hi: 99}},
-			"prog: decode summary e.in[0]: node 0 references missing ops [3,99)"},
-		{"inverted range", []SumNode{{Lo: 2, Hi: 1}},
-			"prog: decode summary e.in[0]: node 0 references missing ops [2,1)"},
-		{"step over control op", []SumNode{{Lo: 1, Hi: 3}},
-			"prog: decode summary e.in[0]: node 0 steps over control op 2"},
-		{"branch on a linear op", []SumNode{leaf, {Lo: 3, Hi: 3, Term: TermBranch, Then: 0, Else: 0}},
-			"prog: decode summary e.in[0]: node 1 branches on op 3, which is not an If"},
-		{"branch past the program", []SumNode{leaf, {Lo: 4, Hi: 4, Term: TermBranch, Then: 0, Else: 0}},
-			"prog: decode summary e.in[0]: node 1 branches on op 4, which is not an If"},
-		{"missing else", []SumNode{leaf, {Lo: 2, Hi: 2, Term: TermBranch, Then: 0, Else: 7}},
-			"prog: decode summary e.in[0]: node 1 references out-of-order child 7"},
-		{"unknown terminator", []SumNode{{Lo: 3, Hi: 4, Term: TermKind(7)}},
-			"prog: decode summary e.in[0]: node 0 has unknown terminator 7"},
-	}
-	for _, tc := range cases {
-		_, err := DecodeSummary(p, tc.nodes, "")
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
-		}
-	}
-
-	// A For node must sit on a For op and continue at an earlier node.
-	loop := compileSum(sefl.Seq(
-		sefl.For{Pattern: "^m", Body: func(sefl.Meta) sefl.Instr { return sefl.NoOp{} }},
-		sefl.Forward{Port: 0},
-	))
-	if len(loop.Ops) != 2 || loop.Ops[0].Kind != OpFor {
-		t.Fatalf("fixture: %d ops, op 0 of kind %d; want 2 with the For at 0", len(loop.Ops), loop.Ops[0].Kind)
-	}
-	tail := SumNode{Lo: 1, Hi: 2}
-	forCases := []struct {
-		name  string
-		nodes []SumNode
-		want  string
-	}{
-		{"loop on a non-For op", []SumNode{tail, {Lo: 1, Hi: 1, Term: TermFor, Next: 0}},
-			"prog: decode summary e.in[0]: node 1 loops on op 1, which is not a For"},
-		{"loop continuing forward", []SumNode{{Lo: 0, Hi: 0, Term: TermFor, Next: 1}, tail},
-			"prog: decode summary e.in[0]: node 0 references out-of-order child 1"},
-	}
-	for _, tc := range forCases {
-		_, err := DecodeSummary(loop, tc.nodes, "")
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
-		}
 	}
 }

@@ -90,37 +90,20 @@ func RunBatchObs(net *core.Network, jobs []Job, workers int, o *obs.Obs) []JobRe
 		q.Add(i, j)
 	}
 	q.Close()
-	// Jobs routinely share one Options value, so a caller-supplied stats
-	// collector would be hammered from every worker; fold per-job stats in
-	// here after the queue has drained (counter sums commute, so totals match
-	// a sequential run).
-	for i, j := range jobs {
-		if j.Opts.Stats != nil && out[i].Result != nil {
-			j.Opts.Stats.Add(out[i].Result.Stats.Solver)
-			// Rebind finished paths to the caller's collector so post-batch
-			// follow-up queries keep counting, exactly as a standalone
-			// core.Run with the same Options would.
-			for _, p := range out[i].Result.Paths {
-				p.Ctx.SetStats(j.Opts.Stats)
-			}
-		}
-	}
 	return out
 }
 
 // runJob executes one job on queue worker w: a job without its own SatMemo
-// shares memo (nil: a fresh one per run), a caller's Stats collector is not
-// consulted, o becomes the job's Options.Obs unless it brought one, and the
-// run is one "job" span. A panic anywhere under the exploration becomes that
-// job's error: without the recover, one poisoned query would tear down the
-// whole batch (and, on a fleet member, the whole process with every sibling
-// job on it).
+// shares memo (nil: a fresh one per run), o becomes the job's Options.Obs
+// unless it brought one, and the run is one "job" span. A panic anywhere
+// under the exploration becomes that job's error: without the recover, one
+// poisoned query would tear down the whole batch (and, on a fleet member,
+// the whole process with every sibling job on it).
 func runJob(net *core.Network, j Job, memo *solver.SatCache, o *obs.Obs, w int) (jr JobResult) {
 	opts := j.Opts
 	if opts.SatMemo == nil {
 		opts.SatMemo = memo
 	}
-	opts.Stats = nil
 	if opts.Obs == nil {
 		opts.Obs = o
 	}

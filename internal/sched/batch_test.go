@@ -7,7 +7,6 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
-	"symnet/internal/solver"
 )
 
 func TestRunBatchMatchesIndividualRuns(t *testing.T) {
@@ -48,36 +47,6 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 				t.Errorf("workers=%d: job %s differs from standalone run", workers, jr.Name)
 			}
 		}
-	}
-}
-
-// TestRunBatchSharedStatsCollector: jobs routinely share one Options value;
-// the batch runner must fold solver stats into the shared collector without
-// racing (this test fails under -race if jobs write it concurrently) and
-// the totals must match the per-job sums.
-func TestRunBatchSharedStatsCollector(t *testing.T) {
-	d := smallDepartment(false)
-	shared := &solver.Stats{}
-	opts := core.Options{MaxHops: 64, Stats: shared}
-	var jobs []sched.Job
-	for _, asw := range d.AccessSwitches {
-		jobs = append(jobs, sched.Job{
-			Name:   asw,
-			Inject: core.PortRef{Elem: asw, Port: 1},
-			Packet: d.OfficePacket(false),
-			Opts:   opts,
-		})
-	}
-	results := sched.RunBatch(d.Net, jobs, 8)
-	var want solver.Stats
-	for _, jr := range results {
-		if jr.Err != nil {
-			t.Fatal(jr.Err)
-		}
-		want.Add(jr.Result.Stats.Solver)
-	}
-	if *shared != want {
-		t.Fatalf("shared collector %+v, want sum of jobs %+v", *shared, want)
 	}
 }
 

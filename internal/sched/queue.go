@@ -17,8 +17,7 @@ import (
 // died) and reports each result as it finishes.
 //
 // Execution semantics per job are runJob's: a nil Opts.SatMemo shares the
-// queue's memo, caller Stats collectors are not consulted, and panics become
-// per-job errors. Scheduling never affects results — each job is
+// queue's memo and panics become per-job errors. Scheduling never affects results — each job is
 // deterministic in isolation, so any arrival order produces the same
 // JobResult for every job that runs here.
 type Queue struct {

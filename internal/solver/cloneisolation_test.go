@@ -96,10 +96,8 @@ func TestCloneIsolationRandomized(t *testing.T) {
 				}
 			}
 			ctxA, ctxB := base.CloneInto(new(Context)), base.CloneInto(new(Context))
-			// Branches run concurrently: give each its own stats collector,
-			// as the parallel engine does with SetStats.
-			ctxA.SetStats(nil)
-			ctxB.SetStats(nil)
+			// Branches run concurrently: give each its own stats collector.
+			ctxA.stats, ctxB.stats = &Stats{}, &Stats{}
 			condsA := append([]expr.Cond(nil), prefix...)
 			condsB := append([]expr.Cond(nil), prefix...)
 			// Pre-generate per-branch scripts so goroutines share no RNG.

@@ -151,16 +151,6 @@ func NewContext(stats *Stats) *Context {
 // Stats returns the shared stats collector.
 func (c *Context) Stats() *Stats { return c.stats }
 
-// SetStats repoints the context at a different collector. The engine calls
-// this when it steps a state, so each exploration step counts into its own
-// collector, and when a run ends, to hand finished paths to the caller's.
-func (c *Context) SetStats(s *Stats) {
-	if s == nil {
-		s = &Stats{}
-	}
-	c.stats = s
-}
-
 // SetCache attaches a satisfiability memo cache (nil disables memoization).
 // Clones inherit the cache, so attaching it once after NewContext covers
 // every path forked from this context.

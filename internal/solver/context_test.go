@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"fmt"
 	"testing"
 
 	"symnet/internal/expr"
@@ -13,7 +12,7 @@ func newTestCtx() (*Context, *expr.Alloc) {
 
 func TestContextBasicSat(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(32, "x")
+	x := a.Fresh(32)
 	if !c.Add(expr.NewCmp(expr.Eq, x, expr.Const(5, 32))) {
 		t.Fatal("x == 5 must be satisfiable")
 	}
@@ -27,7 +26,7 @@ func TestContextBasicSat(t *testing.T) {
 
 func TestContextRangeConflict(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(16, "x")
+	x := a.Fresh(16)
 	c.Add(expr.NewCmp(expr.Lt, x, expr.Const(10, 16)))
 	c.Add(expr.NewCmp(expr.Gt, x, expr.Const(5, 16)))
 	if !c.Sat() {
@@ -40,8 +39,8 @@ func TestContextRangeConflict(t *testing.T) {
 
 func TestContextSymSymEquality(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(32, "x")
-	y := a.Fresh(32, "y")
+	x := a.Fresh(32)
+	y := a.Fresh(32)
 	c.Add(expr.NewCmp(expr.Eq, x, y))
 	c.Add(expr.NewCmp(expr.Eq, x, expr.Const(7, 32)))
 	m, ok := c.Model()
@@ -56,8 +55,8 @@ func TestContextSymSymEquality(t *testing.T) {
 func TestContextOffsetEquality(t *testing.T) {
 	// x == y + 3, y == 10 => x == 13.
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
-	y := a.Fresh(8, "y")
+	x := a.Fresh(8)
+	y := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Eq, x, y.AddConst(3)))
 	c.Add(expr.NewCmp(expr.Eq, y, expr.Const(10, 8)))
 	m, ok := c.Model()
@@ -73,7 +72,7 @@ func TestContextWraparound(t *testing.T) {
 	// The DecIPTTL bug: ttl' = ttl - 1 with ttl == 0 wraps to 255,
 	// so constraining ttl' >= 1 stays satisfiable.
 	c, a := newTestCtx()
-	ttl := a.Fresh(8, "ttl")
+	ttl := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Eq, ttl, expr.Const(0, 8)))
 	dec := ttl.SubConst(1)
 	if !c.Add(expr.NewCmp(expr.Ge, dec, expr.Const(1, 8))) {
@@ -90,8 +89,8 @@ func TestContextWraparound(t *testing.T) {
 
 func TestContextDisequality(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
-	y := a.Fresh(8, "y")
+	x := a.Fresh(8)
+	y := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Ne, x, y))
 	c.Add(expr.NewCmp(expr.Eq, x, expr.Const(1, 8)))
 	c.Add(expr.NewCmp(expr.Eq, y, expr.Const(1, 8)))
@@ -102,10 +101,10 @@ func TestContextDisequality(t *testing.T) {
 
 func TestContextDisequalityModel(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(2, "x")
-	y := a.Fresh(2, "y")
-	z := a.Fresh(2, "z")
-	w := a.Fresh(2, "w")
+	x := a.Fresh(2)
+	y := a.Fresh(2)
+	z := a.Fresh(2)
+	w := a.Fresh(2)
 	// Four variables in a 4-value domain, all pairwise distinct: sat.
 	vars := []expr.Lin{x, y, z, w}
 	for i := range vars {
@@ -131,7 +130,7 @@ func TestContextPigeonhole(t *testing.T) {
 	// Five pairwise-distinct variables in a 4-value domain: unsat.
 	vars := make([]expr.Lin, 5)
 	for i := range vars {
-		vars[i] = a.Fresh(2, fmt.Sprintf("v%d", i))
+		vars[i] = a.Fresh(2)
 	}
 	for i := range vars {
 		for j := i + 1; j < len(vars); j++ {
@@ -145,8 +144,8 @@ func TestContextPigeonhole(t *testing.T) {
 
 func TestContextDiseqAfterUnion(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
-	y := a.Fresh(8, "y")
+	x := a.Fresh(8)
+	y := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Ne, x, y))
 	if c.Add(expr.NewCmp(expr.Eq, x, y)) && c.Sat() {
 		t.Fatal("x != y then x == y must be unsat")
@@ -155,7 +154,7 @@ func TestContextDiseqAfterUnion(t *testing.T) {
 
 func TestContextOrCompression(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(48, "mac")
+	x := a.Fresh(48)
 	ors := make([]expr.Cond, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		ors = append(ors, expr.NewCmp(expr.Eq, x, expr.Const(uint64(i*7), 48)))
@@ -175,8 +174,8 @@ func TestContextOrCompression(t *testing.T) {
 
 func TestContextOrBranching(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
-	y := a.Fresh(8, "y")
+	x := a.Fresh(8)
+	y := a.Fresh(8)
 	// (x == 1 | y == 2) & x != 1 => y == 2.
 	c.Add(expr.NewOr(
 		expr.NewCmp(expr.Eq, x, expr.Const(1, 8)),
@@ -197,7 +196,7 @@ func TestContextOrBranching(t *testing.T) {
 
 func TestContextNegatedOr(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
+	x := a.Fresh(8)
 	// !(x == 1 | x == 2) => x != 1 && x != 2.
 	c.Add(expr.NewNot(expr.NewOr(
 		expr.NewCmp(expr.Eq, x, expr.Const(1, 8)),
@@ -213,7 +212,7 @@ func TestContextNegatedOr(t *testing.T) {
 
 func TestContextPrefixMatch(t *testing.T) {
 	c, a := newTestCtx()
-	ip := a.Fresh(32, "ip")
+	ip := a.Fresh(32)
 	// ip in 192.168.0.0/16 and ip not in 192.168.1.0/24.
 	base := uint64(192)<<24 | uint64(168)<<16
 	c.Add(expr.NewPrefix(ip, base, 16))
@@ -236,7 +235,7 @@ func TestContextLPMExclusion(t *testing.T) {
 	// 10.0.0.0/8 -> If0 and 10.10.0.1/32 -> If1, the If0 rule becomes
 	// !(10.10.0.1/32) & 10.0.0.0/8.
 	c, a := newTestCtx()
-	ip := a.Fresh(32, "dst")
+	ip := a.Fresh(32)
 	host := uint64(10)<<24 | uint64(10)<<16 | 1
 	c.Add(expr.NewPrefix(ip, 10<<24, 8))
 	c.Add(expr.NewNot(expr.NewPrefix(ip, host, 32)))
@@ -248,7 +247,7 @@ func TestContextLPMExclusion(t *testing.T) {
 
 func TestContextClone(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
+	x := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Gt, x, expr.Const(10, 8)))
 	c2 := c.CloneInto(new(Context))
 	c2.Add(expr.NewCmp(expr.Lt, x, expr.Const(5, 8)))
@@ -262,7 +261,7 @@ func TestContextClone(t *testing.T) {
 
 func TestContextDomainProjection(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
+	x := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Ge, x, expr.Const(10, 8)))
 	c.Add(expr.NewCmp(expr.Le, x, expr.Const(20, 8)))
 	d := c.Domain(x)
@@ -281,8 +280,8 @@ func TestContextDomainProjection(t *testing.T) {
 
 func TestContextRelCmpSymSym(t *testing.T) {
 	c, a := newTestCtx()
-	x := a.Fresh(8, "x")
-	y := a.Fresh(8, "y")
+	x := a.Fresh(8)
+	y := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Lt, x, y))
 	c.Add(expr.NewCmp(expr.Eq, y, expr.Const(3, 8)))
 	m, ok := c.Model()
@@ -294,8 +293,8 @@ func TestContextRelCmpSymSym(t *testing.T) {
 	}
 	// x < y with y == 0 must be unsat (unsigned).
 	c2, a2 := newTestCtx()
-	x2 := a2.Fresh(8, "x")
-	y2 := a2.Fresh(8, "y")
+	x2 := a2.Fresh(8)
+	y2 := a2.Fresh(8)
 	c2.Add(expr.NewCmp(expr.Lt, x2, y2))
 	c2.Add(expr.NewCmp(expr.Eq, y2, expr.Const(0, 8)))
 	if c2.Sat() {
@@ -306,8 +305,8 @@ func TestContextRelCmpSymSym(t *testing.T) {
 func TestContextModelDeterminism(t *testing.T) {
 	build := func() (map[expr.SymID]uint64, bool) {
 		c, a := newTestCtx()
-		x := a.Fresh(16, "x")
-		y := a.Fresh(16, "y")
+		x := a.Fresh(16)
+		y := a.Fresh(16)
 		c.Add(expr.NewCmp(expr.Gt, x, expr.Const(100, 16)))
 		c.Add(expr.NewCmp(expr.Ne, x, y))
 		c.Add(expr.NewCmp(expr.Ge, y, expr.Const(100, 16)))
@@ -329,7 +328,7 @@ func TestContextStats(t *testing.T) {
 	st := &Stats{}
 	c := NewContext(st)
 	var a expr.Alloc
-	x := a.Fresh(8, "x")
+	x := a.Fresh(8)
 	c.Add(expr.NewCmp(expr.Eq, x, expr.Const(1, 8)))
 	c.Sat()
 	if st.Adds != 1 || st.SatChecks != 1 {

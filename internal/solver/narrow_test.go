@@ -23,7 +23,7 @@ import (
 // narrowSyms are the two symbols every case is over: a (ID 0) and b (ID 1).
 func narrowSyms(w int) (a, b expr.Lin) {
 	var al expr.Alloc
-	return al.Fresh(w, "a"), al.Fresh(w, "b")
+	return al.Fresh(w), al.Fresh(w)
 }
 
 // valueOf evaluates a term under the assignment vals (indexed by SymID).

@@ -15,7 +15,7 @@ func TestSolverMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var a expr.Alloc
-		syms := []expr.Lin{a.Fresh(width, "a"), a.Fresh(width, "b"), a.Fresh(width, "c")}
+		syms := []expr.Lin{a.Fresh(width), a.Fresh(width), a.Fresh(width)}
 		nConds := 1 + rng.Intn(5)
 		conds := make([]expr.Cond, 0, nConds)
 		for i := 0; i < nConds; i++ {
@@ -86,7 +86,7 @@ func TestModelsSatisfyConstraints(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var a expr.Alloc
-		syms := []expr.Lin{a.Fresh(width, "a"), a.Fresh(width, "b")}
+		syms := []expr.Lin{a.Fresh(width), a.Fresh(width)}
 		ctx := NewContext(nil)
 		var conds []expr.Cond
 		for i := 0; i < 1+rng.Intn(4); i++ {
@@ -129,7 +129,7 @@ func TestModelsSatisfyConstraints(t *testing.T) {
 // Property: Domain projection contains every model value.
 func TestDomainContainsModels(t *testing.T) {
 	var a expr.Alloc
-	x := a.Fresh(8, "x")
+	x := a.Fresh(8)
 	ctx := NewContext(nil)
 	ctx.Add(expr.NewCmp(expr.Ge, x, expr.Const(10, 8)))
 	ctx.Add(expr.NewCmp(expr.Ne, x, expr.Const(12, 8)))

@@ -144,11 +144,20 @@ func ParsePrefix[S string | []byte](s S) (uint64, int, error) {
 	if !ok || plen > 32 {
 		return 0, 0, fmt.Errorf("bad prefix length in %q", s)
 	}
-	addr, ok := parseOctets(s[:slash], 4, '.', 10)
-	if !ok {
-		return 0, 0, fmt.Errorf("bad IPv4 literal %q", s[:slash])
+	addr, err := ParseIPv4(s[:slash])
+	if err != nil {
+		return 0, 0, err
 	}
 	return addr & expr.PrefixMask(plen, 32), plen, nil
+}
+
+// ParseIPv4 parses a dotted-quad IPv4 address ("10.0.0.1").
+func ParseIPv4[S string | []byte](s S) (uint64, error) {
+	v, ok := parseOctets(s, 4, '.', 10)
+	if !ok {
+		return 0, fmt.Errorf("bad IPv4 literal %q", s)
+	}
+	return v, nil
 }
 
 // ParseMAC parses a colon-separated MAC address ("00:1a:2b:3c:4d:5e").
