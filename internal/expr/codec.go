@@ -8,7 +8,10 @@ package expr
 // processes), so a decoded condition chains into a solver context's
 // fingerprint exactly as the original does.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Wire node kinds for WireExprCond.
 const (
@@ -67,8 +70,9 @@ func EncodeCond(c Cond) (*WireExprCond, error) {
 		return &WireExprCond{Kind: wireNot, C: sub}, nil
 	case InSet:
 		// A packed guard crosses the wire as its raw spans — O(entries)
-		// words, no per-atom nodes.
-		return &WireExprCond{Kind: wireInSet, L: v.L, W: v.T.Width(), Spans: v.T.Spans()}, nil
+		// words, no per-atom nodes. They are a copy: decoding uses them as
+		// NewSpanTable's scratch, and the table is shared.
+		return &WireExprCond{Kind: wireInSet, L: v.L, W: v.T.Width(), Spans: slices.Clone(v.T.Spans())}, nil
 	}
 	return nil, fmt.Errorf("expr: cannot serialize condition type %T", c)
 }

@@ -182,6 +182,60 @@ func TestRouterPathCounts(t *testing.T) {
 	}
 }
 
+// TestModelsRefuseRowsTheyCannotCompile: a route or MAC entry the text
+// parsers would refuse is an error naming it, in every style, and never a
+// panic. A /40 used to index CompileLPM's length buckets out of range; a /8
+// with host bits set used to compile and never be excluded from 0.0.0.0/0;
+// a 34-bit prefix used to print as 0.0.0.0/32.
+func TestModelsRefuseRowsTheyCannotCompile(t *testing.T) {
+	good := tables.Route{Prefix: sefl.IPToNumber("10.0.0.0"), Len: 8, Port: 1}
+	routes := map[string]tables.Route{
+		"length 40":         {Prefix: 0, Len: 40, Port: 0},
+		"negative length":   {Prefix: 0, Len: -1, Port: 0},
+		"host bits set":     {Prefix: sefl.IPToNumber("10.0.0.1"), Len: 8, Port: 0},
+		"34-bit prefix":     {Prefix: 1 << 33, Len: 32, Port: 0},
+		"negative port":     {Prefix: sefl.IPToNumber("10.0.0.0"), Len: 8, Port: -1},
+		"default, bad port": {Prefix: 0, Len: 0, Port: -3},
+	}
+	macs := map[string]tables.MACEntry{
+		"49-bit address": {MAC: 1 << 48, VLAN: 1, Port: 0},
+		"negative vlan":  {MAC: 1, VLAN: -1, Port: 0},
+		"negative port":  {MAC: 1, VLAN: 1, Port: -1},
+	}
+	refused := func(name string, install func(e *core.Element) error) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s: panicked: %v", name, p)
+			}
+		}()
+		err := install(core.NewNetwork().AddElement("X", "box", 1, 2))
+		if err == nil || !strings.Contains(err.Error(), "X: ") || !strings.Contains(err.Error(), " 1 (") {
+			t.Errorf("%s: error %v, want one naming entry 1 of X", name, err)
+		}
+	}
+	for _, style := range []Style{Basic, Ingress, Egress} {
+		for name, r := range routes {
+			fib := tables.FIB{good, r}
+			refused("router "+style.String()+" "+name, func(e *core.Element) error { return Router(e, fib, style) })
+		}
+		for name, m := range macs {
+			tbl := tables.MACTable{{MAC: 2, VLAN: 1, Port: 1}, m}
+			refused("switch "+style.String()+" "+name, func(e *core.Element) error { return Switch(e, tbl, style) })
+		}
+	}
+	// A port the element lacks is still CheckTable's error.
+	net := core.NewNetwork()
+	if err := Router(net.AddElement("Y", "router", 1, 2), tables.FIB{good, {Port: 5}}, Egress); err == nil ||
+		!strings.Contains(err.Error(), "uses port 5 but element has 2 output ports") {
+		t.Errorf("router with a port past NumOut: %v", err)
+	}
+	if err := Switch(net.AddElement("Z", "switch", 1, 2), tables.MACTable{{MAC: 1, Port: 9}}, Egress); err == nil ||
+		!strings.Contains(err.Error(), "uses port 9 but element has 2 output ports") {
+		t.Errorf("switch with a port past NumOut: %v", err)
+	}
+}
+
 func TestNATForwardAndReverse(t *testing.T) {
 	net := core.NewNetwork()
 	nat := net.AddElement("NAT", "nat", 2, 2)

@@ -11,9 +11,13 @@ import (
 
 // GroupRoutes splits compiled routes by output port, preserving the
 // most-specific-first order within each port — the grouping the Egress
-// style's per-port guards are built from.
-func GroupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
-	return groupRoutes(cs)
+// style's per-port guards are built from. The result is indexed by port.
+func GroupRoutes(cs []tables.CompiledRoute) [][]tables.CompiledRoute {
+	top := -1
+	for i := range cs {
+		top = max(top, cs[i].Port)
+	}
+	return groupRoutes(cs, top+1)
 }
 
 // Router installs an IP longest-prefix-match router model onto e.
@@ -31,8 +35,17 @@ func GroupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
 //
 // Ingress and Egress write each port's disjunction as a sefl.Table on IPDst.
 func Router(e *core.Element, fib tables.FIB, style Style) error {
-	ports := fib.Ports()
-	if err := CheckTable(e, "router", ports); err != nil {
+	if len(fib) > tables.MaxRoutes {
+		return fmt.Errorf("models: router %s: %d routes, more than the %d CompileLPM takes", e.Name, len(fib), tables.MaxRoutes)
+	}
+	for i, r := range fib {
+		if !r.Valid() {
+			return fmt.Errorf("models: router %s: route %d (prefix %#x, len %d, port %d) is not a masked IPv4 prefix to a port",
+				e.Name, i, r.Prefix, r.Len, r.Port)
+		}
+	}
+	ports, err := usedPorts(e, "router", len(fib), func(i int) int { return fib[i].Port })
+	if err != nil {
 		return err
 	}
 	compiled := tables.CompileLPM(fib)
@@ -52,7 +65,7 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 		}
 		e.SetInCode(core.WildcardPort, code)
 	case Ingress:
-		perPort := groupRoutes(compiled)
+		perPort := groupRoutes(compiled, e.NumOut)
 		code := sefl.Instr(sefl.Fail{Msg: "no route"})
 		for i := len(ports) - 1; i >= 0; i-- {
 			p := ports[i]
@@ -64,7 +77,7 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 		}
 		e.SetInCode(core.WildcardPort, code)
 	case Egress:
-		perPort := groupRoutes(compiled)
+		perPort := groupRoutes(compiled, e.NumOut)
 		e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
 		for _, p := range ports {
 			e.SetOutCode(p, sefl.Constrain{C: routeTable(perPort[p])})
@@ -85,21 +98,22 @@ func RouterEgressGuard(rs []tables.CompiledRoute) sefl.Constrain {
 
 // groupRoutes splits compiled routes by output port, preserving the
 // most-specific-first order within each port (counted, then filled: the
-// groups are slices of one array).
-func groupRoutes(cs []tables.CompiledRoute) map[int][]tables.CompiledRoute {
-	n := make(map[int]int)
+// groups are slices of one array). Ports are below nports, so the counts and
+// the groups are indexed by port.
+func groupRoutes(cs []tables.CompiledRoute, nports int) [][]tables.CompiledRoute {
+	n := make([]int, nports)
 	for i := range cs {
 		n[cs[i].Port]++
 	}
 	all := make([]tables.CompiledRoute, len(cs))
-	out := make(map[int][]tables.CompiledRoute, len(n))
+	out := make([][]tables.CompiledRoute, nports)
 	at := 0
+	for p, k := range n {
+		out[p] = all[at : at : at+k]
+		at += k
+	}
 	for i := range cs {
 		p := cs[i].Port
-		if _, ok := out[p]; !ok {
-			out[p] = all[at : at : at+n[p]]
-			at += n[p]
-		}
 		out[p] = append(out[p], cs[i])
 	}
 	return out

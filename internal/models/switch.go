@@ -46,8 +46,14 @@ func (s Style) String() string {
 // The element forwards on EtherDst; unknown MACs fail ("Mac unknown"), as in
 // the paper's ingress model.
 func Switch(e *core.Element, t tables.MACTable, style Style) error {
-	ports := t.Ports()
-	if err := CheckTable(e, "switch", ports); err != nil {
+	for i, m := range t {
+		if !m.Valid() {
+			return fmt.Errorf("models: switch %s: entry %d (mac %#x, vlan %d, port %d) is not a 48-bit MAC to a port",
+				e.Name, i, m.MAC, m.VLAN, m.Port)
+		}
+	}
+	ports, err := usedPorts(e, "switch", len(t), func(i int) int { return t[i].Port })
+	if err != nil {
 		return err
 	}
 	byPort := t.ByPort()
@@ -98,6 +104,33 @@ func CheckTable(e *core.Element, kind string, ports []int) error {
 		return fmt.Errorf("models: %s %s: table uses port %d but element has %d output ports", kind, e.Name, max, e.NumOut)
 	}
 	return nil
+}
+
+// usedPorts returns the sorted set of ports a table's n entries use — entry
+// i's is port(i), not negative — with the error CheckTable gives for them.
+// CheckTable bounds the ports by e.NumOut, so a slice indexed by port
+// collects them; a port past it is reported, not collected.
+func usedPorts(e *core.Element, kind string, n int, port func(int) int) ([]int, error) {
+	used := make([]bool, e.NumOut)
+	top, count := -1, 0
+	for i := range n {
+		p := port(i)
+		top = max(top, p)
+		if p < len(used) && !used[p] {
+			used[p] = true
+			count++
+		}
+	}
+	ports := make([]int, 0, count+1)
+	for p, u := range used {
+		if u {
+			ports = append(ports, p)
+		}
+	}
+	if top >= e.NumOut {
+		ports = append(ports, top)
+	}
+	return ports, CheckTable(e, kind, ports)
 }
 
 // SwitchEgressGuard returns the output-port guard instruction the Egress

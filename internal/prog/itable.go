@@ -23,7 +23,6 @@ package prog
 // alone.
 
 import (
-	"cmp"
 	"slices"
 
 	"symnet/internal/expr"
@@ -37,8 +36,9 @@ import (
 // from the head one at a time, so the merged table is exactly what a
 // reference-mode assertion would have produced. Exclusions are prefix
 // ranges, so ordered by address one sweep visits them, skips the ones an
-// earlier one already covers and emits the gaps. scratch is reused between
-// rows.
+// earlier one already covers and emits the gaps. They come in CompileLPM
+// order, a few ascending runs, which expr.SortSpans merges through dst's
+// free capacity; scratch is reused between rows.
 func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []expr.Span {
 	m := expr.Mask(w)
 	lo, hi := r.V&m, r.V&m
@@ -52,7 +52,12 @@ func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []ex
 		ex = append(ex, expr.Span{Lo: e.V & mask, Hi: e.V&mask | m&^mask})
 	}
 	*scratch = ex
-	slices.SortFunc(ex, func(a, b expr.Span) int { return cmp.Compare(a.Lo, b.Lo) })
+	// The row emits at most one span per exclusion plus one, so dst's free
+	// capacity holds them. Should the sorted exclusions land there, the sweep
+	// still reads each one before an append can reach it: it has appended at
+	// most one span per exclusion read.
+	dst = slices.Grow(dst, len(ex)+1)
+	ex = expr.SortSpans(ex, dst[len(dst):len(dst)+len(ex)])
 	for _, e := range ex {
 		if e.Hi < lo {
 			continue
@@ -74,7 +79,12 @@ func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []ex
 // buildITable computes the merged span table from the rows. It is shared by
 // the compiler and the wire decoder, so a decoded table is identical to the
 // coordinator's. Every row's spans go into one buffer that is normalised
-// once.
+// once, and that buffer is NewSpanTable's scratch. No comparator sorts it:
+// the rows come in table order, and each row's spans ascend, so rows whose
+// heads ascend — a router's of one prefix length, in CompileLPM order, or a
+// switch's sorted MACs — make one ascending run, and expr.SortSpans merges
+// the few runs there are (at most 33 for a router's port, one for a
+// switch's).
 func buildITable(it *ITable) {
 	total, deepest := len(it.Rows), 0
 	for i := range it.Rows {

@@ -74,9 +74,12 @@ func compileLPMMaps(f FIB) []CompiledRoute {
 	return out
 }
 
-// nestedFIB draws a FIB that exercises what the sweep has to get right:
-// chains five deep, siblings, /0 and /32, and duplicates of a prefix under a
-// different port, all in shuffled order.
+// nestedFIB draws a FIB that exercises what the sweep and the packed sort
+// keys have to get right: chains five deep, siblings, /0 and /32 including
+// the keys' extremes 0.0.0.0 and 255.255.255.255, and duplicates of a prefix
+// under a different port, all in shuffled order — among them the route at
+// position 0 repeated at the last position, so the key's position bits
+// decide which one is kept.
 func nestedFIB(rng *rand.Rand) FIB {
 	var f FIB
 	add := func(addr uint64, plen int) {
@@ -84,6 +87,13 @@ func nestedFIB(rng *rand.Rand) FIB {
 	}
 	if rng.Intn(2) == 0 {
 		add(0, 0)
+	}
+	if rng.Intn(2) == 0 {
+		add(0, 32)
+	}
+	if rng.Intn(2) == 0 {
+		add(0xffffffff, 32)
+		add(0xffffffff, rng.Intn(32))
 	}
 	for roots := 1 + rng.Intn(6); roots > 0; roots-- {
 		// Few distinct high bits, so that roots nest and collide too.
@@ -106,7 +116,40 @@ func nestedFIB(rng *rand.Rand) FIB {
 		f = append(f, r)
 	}
 	rng.Shuffle(len(f), func(i, j int) { f[i], f[j] = f[j], f[i] })
+	if len(f) > 1 && rng.Intn(2) == 0 {
+		r := f[0]
+		r.Port = 6
+		f = append(f, r)
+	}
 	return f
+}
+
+// TestCompileLPMPackedKeyEdges: the routes whose packed keys sit at the ends
+// of the key space, and a duplicate at the first and last positions, whose
+// first occurrence must win.
+func TestCompileLPMPackedKeyEdges(t *testing.T) {
+	f := FIB{
+		{Prefix: 0, Len: 0, Port: 1},
+		{Prefix: 0xffffffff, Len: 32, Port: 2},
+		{Prefix: 0, Len: 32, Port: 3},
+		{Prefix: 0xff000000, Len: 8, Port: 4},
+		{Prefix: 0, Len: 1, Port: 5},
+		{Prefix: 0, Len: 0, Port: 9},
+	}
+	got := CompileLPM(f)
+	if want := compileLPMMaps(f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v\nwant %v", got, want)
+	}
+	if len(got) != 5 {
+		t.Fatalf("%d routes, want 5: the duplicate /0 must go", len(got))
+	}
+	def := got[len(got)-1]
+	if def.Route != f[0] || len(def.Exclusions) != 4 {
+		t.Fatalf("default route %v with %d exclusions, want %v (position 0) with 4", def.Route, len(def.Exclusions), f[0])
+	}
+	if got[0].Route != f[2] || got[1].Route != f[1] {
+		t.Fatalf("the /32s come out as %v, %v; want 0.0.0.0 then 255.255.255.255", got[0].Route, got[1].Route)
+	}
 }
 
 func TestCompileLPMAgainstPredecessor(t *testing.T) {

@@ -8,10 +8,8 @@ package tables
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -257,56 +255,65 @@ type CompiledRoute struct {
 	Exclusions []Route
 }
 
+// MaxRoutes is the most routes CompileLPM takes: it packs a route's position
+// in the FIB into 26 bits.
+const MaxRoutes = 1<<26 - 1
+
 // CompileLPM computes, for every route, its covering exclusions: all strictly
 // more-specific routes contained in it. Duplicate (prefix, len) entries keep
 // the first occurrence, matching typical FIB snapshot semantics. Routes come
 // out most specific first (length descending, then prefix ascending), and so
-// does every route's exclusion list. Prefixes have their host bits zero, as
-// ParsePrefix leaves them.
+// does every route's exclusion list. Every route must be Valid — an IPv4
+// prefix with its host bits zero, as ParsePrefix leaves it — and there must
+// be at most MaxRoutes of them; models.Router refuses a FIB that is not.
 //
-// It is one sort and two sweeps. Sorted by (prefix, length) a route follows
-// every route that contains it, so the routes still open form a stack, kept
-// as each route's link to its nearest container, and a route is an exclusion
+// It is one radix sort of packed keys and two sweeps. A route's key is
+// prefix<<32 | len<<26 | position, so the keys in ascending order are the
+// routes by (prefix, length) with the first of each duplicate ahead of the
+// rest, and key>>26 names the route. In that order a route follows every
+// route that contains it, so the routes still open form a stack, kept as
+// each route's link to its nearest container, and a route is an exclusion
 // of every link in its chain. The first sweep counts; the second visits the
 // routes in output order and files each with its containers, which leaves
 // every list in output order unsorted. The lists share one backing array.
 func CompileLPM(f FIB) []CompiledRoute {
-	// By (prefix, length, position): of duplicates the first comes first.
-	type slot struct {
-		key uint64 // prefix, then length
-		at  int32  // position in f
-	}
-	slots := make([]slot, len(f))
+	const at = 1<<26 - 1 // a key's position bits
+	length := func(k uint64) int { return int(k >> 26 & 63) }
+	// One array: the keys, then the sort's buffer, which then holds the
+	// ports of the distinct routes.
+	keys := make([]uint64, 2*len(f))
+	keys, port := keys[:len(f)], keys[len(f):]
 	for i, r := range f {
-		slots[i] = slot{key: r.Prefix<<8 | uint64(r.Len), at: int32(i)}
+		keys[i] = r.Prefix<<32 | uint64(r.Len)<<26 | uint64(i)
 	}
-	slices.SortFunc(slots, func(a, b slot) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
+	sortKeys(keys, port)
+	// Sorted, the keys visit f in no order, so f is read once, here.
+	rs := keys[:0] // the distinct routes, by (prefix, length)
+	for _, k := range keys {
+		if len(rs) == 0 || k>>26 != rs[len(rs)-1]>>26 {
+			port[len(rs)] = uint64(f[k&at].Port)
+			rs = append(rs, k)
 		}
-		return int(a.at - b.at)
-	})
-	rs := make([]Route, 0, len(f))
-	for i, s := range slots {
-		if i == 0 || s.key != slots[i-1].key {
-			rs = append(rs, f[s.at])
-		}
+	}
+	route := func(i int32) Route {
+		return Route{Prefix: rs[i] >> 32, Len: length(rs[i]), Port: int(port[i])}
 	}
 
 	parent := make([]int32, len(rs)) // nearest container of rs[i], -1 for none
 	pos := make([]int32, len(rs))    // how many routes rs[i] contains
 	var bucket [34]int32             // bucket[33-l]: routes of length l
-	for i, r := range rs {
-		// The stack's top is the previous route; pop what has closed.
+	for i, k := range rs {
+		// The stack's top is the previous route; pop what has closed: a
+		// route ends at its prefix with the host bits set.
 		a := int32(i) - 1
-		for a >= 0 && r.Prefix > rs[a].Prefix|(expr.Mask(32)&^expr.PrefixMask(rs[a].Len, 32)) {
+		for a >= 0 && k>>32 > rs[a]>>32|expr.Mask(32)>>length(rs[a]) {
 			a = parent[a]
 		}
 		parent[i] = a
 		for ; a >= 0; a = parent[a] {
 			pos[a]++
 		}
-		bucket[33-r.Len]++
+		bucket[33-length(k)]++
 	}
 
 	// Output order: rs is prefix-ascending already, so dealing it out by
@@ -315,9 +322,9 @@ func CompileLPM(f FIB) []CompiledRoute {
 		bucket[b] += bucket[b-1]
 	}
 	order := make([]int32, len(rs))
-	for i, r := range rs {
-		order[bucket[32-r.Len]] = int32(i)
-		bucket[32-r.Len]++
+	for i, k := range rs {
+		order[bucket[32-length(k)]] = int32(i)
+		bucket[32-length(k)]++
 	}
 
 	// pos turns from a count into the next free slot of rs[i]'s list, so in
@@ -329,14 +336,15 @@ func CompileLPM(f FIB) []CompiledRoute {
 	}
 	excl := make([]Route, total)
 	for _, i := range order {
+		r := route(i)
 		for a := parent[i]; a >= 0; a = parent[a] {
-			excl[pos[a]] = rs[i]
+			excl[pos[a]] = r
 			pos[a]++
 		}
 	}
 	out := make([]CompiledRoute, len(rs))
 	for k, i := range order {
-		out[k].Route = rs[i]
+		out[k].Route = route(i)
 		lo := int32(0)
 		if i > 0 {
 			lo = pos[i-1]
@@ -346,6 +354,34 @@ func CompileLPM(f FIB) []CompiledRoute {
 		}
 	}
 	return out
+}
+
+// sortKeys sorts CompileLPM's keys, through buf (as long as keys), by their
+// bits 26 to 63: an LSD radix sort of four 10-bit digits, stable, so keys
+// that enter in position order leave as if sorted whole. The fourth pass
+// writes into keys.
+func sortKeys(keys, buf []uint64) {
+	var counts [4][1 << 10]int32
+	for _, k := range keys {
+		counts[0][k>>26&1023]++
+		counts[1][k>>36&1023]++
+		counts[2][k>>46&1023]++
+		counts[3][k>>56]++
+	}
+	src, dst := keys, buf
+	for d := range counts {
+		shift, c := 26+10*d, &counts[d]
+		sum := int32(0)
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, k := range src {
+			b := k >> shift & 1023
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
 }
 
 // NumExclusions returns the total number of exclusion constraints produced
