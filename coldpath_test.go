@@ -134,7 +134,7 @@ const forkAllocsPerPath = 9
 // TestForkHeavyAllocsPerPath keeps forking cheap without reading a clock: one
 // warm Session.Run over the fork-heavy network (64 bindings, 4 forks of fan
 // 8) must stay under a fixed number of allocations per delivered path. A fork
-// that goes back to allocating its headers one by one, or a task that goes
+// that goes back to allocating its headers one by one, or a step that goes
 // back to allocating its own scaffolding, shows here.
 func TestForkHeavyAllocsPerPath(t *testing.T) {
 	net, inject := datasets.ForkHeavy(64, 4, 8)

@@ -315,12 +315,12 @@ func (r *run) applyControl(p *prog.Program, op *prog.Op, s *state) []*state {
 		if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
 			out = append(out, r.runSeg(p, op.Then, []*state{thenSt})...)
 		} else {
-			r.pruned++
+			r.stats.Pruned++
 		}
 		if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
 			out = append(out, r.runSeg(p, op.Else, []*state{elseSt})...)
 		} else {
-			r.pruned++
+			r.stats.Pruned++
 		}
 		return out
 
@@ -379,10 +379,10 @@ func (r *run) constBranch(s *state) bool {
 	if !s.Ctx.Unsat() {
 		s.Ctx.Stats().Adds++ // the dead side's Add, refuted on its own context
 	}
-	r.pruned++
+	r.stats.Pruned++
 	if s.Ctx.Add(expr.Bool(true)) && (s.Ctx.PendingOrs() == 0 || s.Ctx.Sat()) {
 		return true
 	}
-	r.pruned++
+	r.stats.Pruned++
 	return false
 }

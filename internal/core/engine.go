@@ -90,45 +90,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// run carries what stepping a task needs: the run configuration and
-// instruments plus the task's symbol band and collectors, which the
-// exploration merges once the step returns. One run steps every task of an
-// exploration in turn, reset between tasks (see explore.go).
-type run struct {
-	net   *Network
-	opts  *Options
-	alloc expr.Alloc
-	// stats is the solver collector every path of the exploration counts
-	// into; the exploration folds and zeroes it after each task.
-	stats    *solver.Stats
-	memo     *solver.SatCache
-	inst     *instruments
-	finished []*state
-	pruned   int
-	// next holds the successors of the step in progress; the exploration
-	// queues them before the next step reuses it.
-	next []*state
-	// env is the evaluator adapter of every program this run executes,
-	// re-pointed at the current state before each evaluation.
-	env progEnv
-}
-
 // Run injects a packet built by init at the given input port and explores
 // all execution paths. init executes before the packet enters the port (it
 // is the paper's "code to create a symbolic packet of the given type").
 //
-// Run explores on the calling goroutine, in bounded depth-first waves: each
-// wave takes up to maxWave of the most recently created tasks, so peak
-// live-state memory stays near the classic DFS profile (see explore.go for
-// the order and why it stays). A run stops at the first task that takes it
-// past MaxPaths. Parallelism lives one level up: a batch runs independent
-// Runs side by side (internal/sched).
+// Run explores depth-first on the calling goroutine, from one stack of
+// states and one symbol allocator: a path's ID is the order it finished in
+// (see explore.go). A run stops at the first step that takes it past
+// MaxPaths. Parallelism lives one level up: a batch runs independent Runs
+// side by side (internal/sched).
 func Run(net *Network, inject PortRef, init sefl.Instr, opts Options) (*Result, error) {
-	e, err := newExploration(net, inject, init, opts)
+	r, err := newRun(net, inject, init, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.explore()
+	return r.explore()
 }
 
 func failWith(st *state, msg string) *state {
@@ -138,7 +114,7 @@ func failWith(st *state, msg string) *state {
 
 // step processes one state positioned at an input port: loop check, input
 // code, output codes, link traversal. It appends the states to keep
-// exploring to next; finished paths are recorded on the result.
+// exploring to next; finished paths are recorded on the run.
 func (r *run) step(next []*state, st *state) ([]*state, error) {
 	elem, ok := r.net.Element(st.Here.Elem)
 	if !ok {
@@ -237,15 +213,6 @@ func (r *run) follow(next []*state, st *state, outRef PortRef) []*state {
 	}
 	st.Here = in
 	return append(next, st)
-}
-
-// finish records a completed state; the exploration turns it into a Path
-// with a deterministic ID when it merges the task. The path's memory is
-// sealed: it is read-only from here on, so concurrent clones of it write
-// nothing (see memory.Mem.Seal).
-func (r *run) finish(st *state) {
-	st.Mem.Seal()
-	r.finished = append(r.finished, st)
 }
 
 // --- AST instruction interpreter (reference semantics) ---
@@ -396,12 +363,12 @@ func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
 		if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
 			out = append(out, r.exec(thenSt, elem, v.Then)...)
 		} else {
-			r.pruned++
+			r.stats.Pruned++
 		}
 		if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
 			out = append(out, r.exec(elseSt, elem, v.Else)...)
 		} else {
-			r.pruned++
+			r.stats.Pruned++
 		}
 		return out
 

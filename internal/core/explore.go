@@ -11,63 +11,45 @@ import (
 	"symnet/internal/solver"
 )
 
-// This file is Run's driver loop. A run is a queue of tasks — the injection
-// step, then one port-visit step per state — stepped in a canonical order
-// that fixes every ID a Result carries:
-//
-//   - tasks are stepped in waves of at most maxWave, cut from the tail of
-//     the pending queue, each wave in order; the wave is a copy, so the
-//     successors it queues take the slots it vacated;
-//   - every task carries a sequence number assigned when it is queued, and
-//     the fresh symbols minted while stepping it come from the band
-//     [seq<<expr.BandBits, (seq+1)<<expr.BandBits);
-//   - a task's finished paths receive their IDs when the task is merged,
-//     right after it is stepped.
-//
-// Changing the wave size or the bands renumbers the symbols and paths of
-// every Result (the golden digests in internal/sched pin them), so both stay
-// until a change that needs a new baseline anyway.
+// This file is Run's driver loop: the injection step, then a depth-first
+// walk over one stack of states. Each iteration pops the newest state and
+// steps it, and the step pushes the state's successors in the order it
+// produced them, so the last successor is explored first. A path takes the
+// next ID when it finishes and fresh symbols are numbered in the order they
+// are minted, so that order fixes every ID a Result carries (the golden
+// digests in internal/sched pin it). The stack never holds more than
+// depth × (fan − 1) + 1 states for a tree of the given depth and fan-out.
 
-// task is one unit of exploration: the injection step (init non-nil,
-// carrying the injection code to run on st) or one port-visit step of a
-// state.
-type task struct {
-	seq  int64
-	st   *state
-	init sefl.Instr // injection code (injection task only)
-}
-
-// maxWave bounds how many tasks one wave may contain. Waves are taken from
-// the tail of the pending-task queue, so exploration is depth-first in
-// blocks: peak live-state memory stays near the classic DFS engine's
-// O(depth x branching) plus one wave, instead of materializing the full
-// breadth-first frontier.
-const maxWave = 1024
-
-// exploration is one Run in progress. Its task scaffolding lives as long as
-// the exploration, not the task: one run steps every task in turn, tasks are
-// queued by value, and the wave buffer is reused.
-type exploration struct {
+// run is one Run in progress.
+type run struct {
+	net     *Network
 	opts    Options
 	inject  *Element
+	init    sefl.Instr    // injection code
 	injProg *prog.Program // compiled injection code (nil under ASTInterp)
-	queue   []task        // pending tasks; waves are cut from the tail
-	wave    []task        // the wave being stepped (see frontier)
-	nextSeq int64
-	paths   []*Path
-	stats   RunStats
-	inst    instruments
-	r       run
+	// alloc and solverStats are allocated on their own because a Result
+	// keeps them: its Alloc continues the run's allocator, and every path's
+	// solver context counts into solverStats. As fields of the run they
+	// would keep the stack and the run reachable from the Result.
+	alloc       *expr.Alloc
+	solverStats *solver.Stats
+	memo        *solver.SatCache
+	inst        instruments
+	stack       []*state // states waiting at an input port; the top is next
+	paths       []*Path
+	stats       RunStats
+	// env is the evaluator adapter of every program this run executes,
+	// re-pointed at the current state before each evaluation.
+	env progEnv
 }
 
-// instruments are an exploration's telemetry instruments, resolved once
-// and shared by pointer with its run. All are nil when Options.Obs
-// carries no registry — the disabled fast path: the hot path pays one branch
-// and no map lookups (see internal/obs).
+// instruments are a run's telemetry instruments, resolved once. All are nil
+// when Options.Obs carries no registry — the disabled fast path: the hot
+// path pays one branch and no map lookups (see internal/obs).
 type instruments struct {
 	progHits   *obs.Counter   // core.progcache.hits: compiled-program cache hits
 	progMisses *obs.Counter   // core.progcache.misses: port programs compiled
-	queueDepth *obs.Gauge     // core.queue.depth.max: pending-task high-water
+	queueDepth *obs.Gauge     // core.queue.depth.max: state-stack high-water
 	satNs      *obs.Histogram // solver.sat.check_ns: per-Sat-check wall time
 	// Summary-layer instruments (see execPort): build outcomes, per-visit
 	// path taken, and the apply-vs-exec timing pair the summaries experiment
@@ -82,9 +64,8 @@ type instruments struct {
 	elemHits     *elemHits      // summary.elem_hits.<elem>: per-element applies
 }
 
-// newExploration validates the injection point and queues the injection
-// task.
-func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options) (*exploration, error) {
+// newRun validates the injection point and prepares a run.
+func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, error) {
 	opts = opts.withDefaults()
 	elem, ok := net.Element(inject.Elem)
 	if !ok {
@@ -97,15 +78,12 @@ func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 	if memo == nil {
 		memo = solver.NewSatCache()
 	}
-	e := &exploration{opts: opts, inject: elem}
-	// The collector is allocated on its own because every path's context
-	// points at it: inside the exploration, it would keep the queue and the
-	// wave reachable from the Result.
-	e.r = run{net: net, opts: &e.opts, stats: &solver.Stats{}, memo: memo, inst: &e.inst}
-	e.r.env.r = &e.r
+	r := &run{net: net, opts: opts, inject: elem, init: init,
+		alloc: &expr.Alloc{}, solverStats: &solver.Stats{}, memo: memo}
+	r.env.r = r
 	if opts.Obs != nil && opts.Obs.Reg != nil {
 		reg := opts.Obs.Reg
-		e.inst = instruments{
+		r.inst = instruments{
 			progHits:     reg.Counter("core.progcache.hits"),
 			progMisses:   reg.Counter("core.progcache.misses"),
 			queueDepth:   reg.Gauge("core.queue.depth.max"),
@@ -120,99 +98,58 @@ func newExploration(net *Network, inject PortRef, init sefl.Instr, opts Options)
 		}
 	}
 	if !opts.ASTInterp && init != nil {
-		// Injection code runs once per exploration but compiles in
-		// microseconds; compiling keeps every instruction on the one
-		// (compiled) execution path.
-		e.injProg = prog.Compile(init, elem.Name, elem.Instance, elem.Name+".inject")
+		// Injection code runs once per run but compiles in microseconds;
+		// compiling keeps every instruction on the one (compiled) execution
+		// path.
+		r.injProg = prog.Compile(init, elem.Name, elem.Instance, elem.Name+".inject")
 	}
-	st := &state{
+	// The stack starts as the bare packet at the injection port; explore
+	// runs the injection code on it before it steps anything.
+	r.stack = []*state{{
 		Mem:     memory.New(),
-		Here:    PortRef{Elem: inject.Elem, Port: inject.Port},
+		Here:    inject,
 		seen:    newSeen(),
 		traceOn: opts.Trace,
-	}
-	e.queue = []task{{seq: 0, st: st, init: init}}
-	e.nextSeq = 1
-	return e, nil
+	}}
+	return r, nil
 }
 
-// explore steps waves until no task is left.
-func (e *exploration) explore() (*Result, error) {
-	for len(e.queue) > 0 {
-		wave := e.frontier()
-		for i := range wave {
-			if err := e.stepTask(&wave[i]); err != nil {
-				return nil, err
-			}
-		}
-		e.inst.queueDepth.SetMax(int64(len(e.queue)))
-	}
-	return e.finish(), nil
-}
-
-// frontier removes and returns the next wave: up to maxWave tasks from the
-// tail of the pending queue. The wave is a copy, into a buffer reused from
-// wave to wave, because stepping it queues successors into the slots it
-// vacated.
-func (e *exploration) frontier() []task {
-	k := max(len(e.queue)-maxWave, 0)
-	e.wave = append(e.wave[:0], e.queue[k:]...)
-	e.queue = e.queue[:k]
-	return e.wave
-}
-
-// stepTask steps one task and merges what it produced: its finished paths
-// take the next IDs, its successors are queued behind the current wave, and
-// its statistics are folded into the run's. A
-// step error, or a path count past MaxPaths, aborts the run; the failing
-// task's statistics are not folded.
-func (e *exploration) stepTask(t *task) error {
-	r := &e.r
-	r.alloc.ResetBand(t.seq)
-	*r.stats = solver.Stats{}
-	r.finished = r.finished[:0]
-	r.pruned = 0
-	next := r.next[:0]
-	if t.init != nil {
-		next = r.runInjection(next, t.st, e.inject, t.init, e.injProg)
-	} else {
+// explore runs the injection, then steps states until the stack is empty.
+// A step error, or a path count past MaxPaths, aborts the run.
+func (r *run) explore() (*Result, error) {
+	r.stack = r.runInjection(r.stack[:0], r.stack[0])
+	for len(r.stack) > 0 {
+		r.inst.queueDepth.SetMax(int64(len(r.stack)))
+		st := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
 		var err error
-		if next, err = r.step(next, t.st); err != nil {
-			return err
+		if r.stack, err = r.step(r.stack, st); err != nil {
+			return nil, err
 		}
-		e.stats.Hops++
+		r.stats.Hops++
+		if len(r.paths) > r.opts.MaxPaths {
+			return nil, fmt.Errorf("core: path budget exceeded (%d)", r.opts.MaxPaths)
+		}
 	}
-	for _, st := range r.finished {
-		e.appendPath(st)
-	}
-	e.stats.Pruned += r.pruned
-	e.stats.Symbols += r.alloc.Count()
-	e.stats.Solver.Add(*r.stats)
-	for _, st := range next {
-		e.queue = append(e.queue, task{seq: e.nextSeq, st: st})
-		e.nextSeq++
-	}
-	r.next = next
-	if len(e.paths) > e.opts.MaxPaths {
-		return fmt.Errorf("core: path budget exceeded (%d)", e.opts.MaxPaths)
-	}
-	return nil
+	r.stats.Symbols = r.alloc.Count()
+	r.stats.Solver = *r.solverStats
+	return &Result{Paths: r.paths, Stats: r.stats, Alloc: r.alloc}, nil
 }
 
 // runInjection builds the symbolic packet: injection code runs in the
 // context of the target element (so local metadata in templates scopes
 // sensibly) before the packet enters the port.
-func (r *run) runInjection(next []*state, st *state, elem *Element, init sefl.Instr, injProg *prog.Program) []*state {
-	st.Ctx = solver.NewContext(r.stats)
+func (r *run) runInjection(next []*state, st *state) []*state {
+	st.Ctx = solver.NewContext(r.solverStats)
 	st.Ctx.SetCache(r.memo)
 	// Clones inherit the histogram, so every path of the run reports its Sat
 	// latencies (no-op when telemetry is off).
 	st.Ctx.SetSatHistogram(r.inst.satNs)
 	var states []*state
-	if injProg != nil {
-		states = r.runProgram(st, injProg)
+	if r.injProg != nil {
+		states = r.runProgram(st, r.injProg)
 	} else {
-		states = r.exec(st, elem, init)
+		states = r.exec(st, r.inject, r.init)
 	}
 	for _, s := range states {
 		if s.Status == Failed {
@@ -228,36 +165,27 @@ func (r *run) runInjection(next []*state, st *state, elem *Element, init sefl.In
 	return next
 }
 
-// appendPath finalizes a completed state as the next path in canonical
-// order.
-func (e *exploration) appendPath(st *state) {
-	p := &Path{
-		ID:      len(e.paths),
+// finish records a completed state as the run's next path. The path's
+// memory is sealed: it is read-only from here on, so clones of it write
+// nothing (see memory.Mem.Seal).
+func (r *run) finish(st *state) {
+	st.Mem.Seal()
+	r.paths = append(r.paths, &Path{
+		ID:      len(r.paths),
 		Status:  st.Status,
 		FailMsg: st.FailMsg,
 		hist:    st.hist,
 		Trace:   st.trace.slice(),
 		Mem:     st.Mem,
 		Ctx:     st.Ctx,
-	}
-	e.paths = append(e.paths, p)
-	e.stats.Paths++
+	})
+	r.stats.Paths++
 	switch st.Status {
 	case Delivered:
-		e.stats.Delivered++
+		r.stats.Delivered++
 	case Failed:
-		e.stats.Failed++
+		r.stats.Failed++
 	case Looped:
-		e.stats.Looped++
+		r.stats.Looped++
 	}
-}
-
-// finish assembles the Result of a run that ran out of tasks.
-func (e *exploration) finish() *Result {
-	// The result allocator starts past every band the run handed out, so
-	// callers minting follow-up symbols (extra query constraints) cannot
-	// collide with the run's own, and its Count tracks only those follow-up
-	// symbols (the run's total is Stats.Symbols).
-	alloc := expr.NewAllocAt(expr.SymID(e.nextSeq) << expr.BandBits)
-	return &Result{Paths: e.paths, Stats: e.stats, Alloc: alloc}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -26,11 +27,11 @@ func collected(freed <-chan struct{}) bool {
 }
 
 // TestResultDoesNotPinExploration keeps a resident Result from holding its
-// exploration alive. Every path's solver context points at the statistics
-// collector the exploration's tasks count into, so the collector is
-// allocated on its own: as a field of the exploration it would let each
-// finished Path keep the queue, the wave buffer and the run reachable for as
-// long as a report holds the Path.
+// run alive. Every path's solver context points at the statistics collector
+// the run counts into, and Result.Alloc continues the run's allocator, so
+// both are allocated on their own: as fields of the run they would let each
+// finished Path keep the stack and the run reachable for as long as a
+// report holds the Path.
 func TestResultDoesNotPinExploration(t *testing.T) {
 	net := NewNetwork()
 	a := net.AddElement("A", "branch", 1, 2)
@@ -46,19 +47,19 @@ func TestResultDoesNotPinExploration(t *testing.T) {
 
 	freed := make(chan struct{})
 	res := func() *Result {
-		e, err := newExploration(net, PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), Options{})
+		r, err := newRun(net, PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.SetFinalizer(e, func(*exploration) { close(freed) })
-		res, err := e.explore()
+		runtime.SetFinalizer(r, func(*run) { close(freed) })
+		res, err := r.explore()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}()
 	if !collected(freed) {
-		t.Fatal("the exploration is still reachable from its Result")
+		t.Fatal("the run is still reachable from its Result")
 	}
 	if res.Stats.Delivered != 2 {
 		t.Fatalf("want 2 delivered paths, got %+v", res.Stats)
@@ -86,34 +87,49 @@ func TestForkBoxDoesNotPinState(t *testing.T) {
 
 // TestResultAllocFreshAfterRun guards the post-run allocator contract:
 // symbols minted from Result.Alloc for follow-up queries must not collide
-// with any symbol the run allocated (the injection band starts at ID 0, so
-// a result allocator rewound to zero would silently alias the packet's
-// fields).
+// with any symbol the run allocated (the run's symbols start at ID 0, so a
+// result allocator rewound to zero would silently alias the packet's
+// fields). The packet forks three ways and each branch mints a fresh
+// symbol after the fork; the branches share one allocator, so the three
+// must be pairwise distinct too.
 func TestResultAllocFreshAfterRun(t *testing.T) {
 	net := NewNetwork()
-	nat := net.AddElement("N", "nat", 1, 1)
-	nat.SetInCode(0, sefl.Seq(
-		sefl.Assign{LV: sefl.TcpSrc, E: sefl.Symbolic{W: 16, Name: "rewritten"}},
-		sefl.Forward{Port: 0},
-	))
-	sink := net.AddElement("S", "sink", 1, 0)
-	sink.SetInCode(0, sefl.NoOp{})
-	net.MustLink("N", 0, "S", 0)
+	net.AddElement("F", "fork", 1, 3).SetInCode(0, sefl.Fork{Ports: []int{0, 1, 2}})
+	for p := 0; p < 3; p++ {
+		nat := fmt.Sprintf("N%d", p)
+		net.AddElement(nat, "nat", 1, 1).SetInCode(0, sefl.Seq(
+			sefl.Assign{LV: sefl.TcpSrc, E: sefl.Symbolic{W: 16, Name: "rewritten"}},
+			sefl.Forward{Port: 0},
+		))
+		sink(net, "S"+nat)
+		net.MustLink("F", p, nat, 0)
+		net.MustLink(nat, 0, "S"+nat, 0)
+	}
 
-	res, err := Run(net, PortRef{Elem: "N", Port: 0}, sefl.NewTCPPacket(), Options{})
+	res, err := Run(net, PortRef{Elem: "F", Port: 0}, sefl.NewTCPPacket(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Stats.Delivered != 3 {
+		t.Fatalf("want 3 delivered paths, got %+v", res.Stats)
+	}
 	used := make(map[expr.SymID]bool)
+	minted := make(map[expr.SymID]bool)
 	for _, p := range res.Paths {
 		for _, f := range p.Mem.Fields() {
 			if f.Set && !f.Val.IsConst() {
 				used[f.Val.Sym] = true
 			}
 		}
+		l4, _ := p.Mem.Tag(sefl.TagL4)
+		src, err := p.Mem.ReadHdr(l4, 16)
+		if err != nil || src.IsConst() {
+			t.Fatalf("path %d: TcpSrc %s (%v) is not a fresh symbol", p.ID, src, err)
+		}
+		minted[src.Sym] = true
 	}
-	if len(used) == 0 {
-		t.Fatal("run allocated no symbols")
+	if len(minted) != 3 {
+		t.Fatalf("three branches minted %d distinct symbols: %v", len(minted), minted)
 	}
 	for i := 0; i < 4; i++ {
 		fresh := res.Alloc.Fresh(16)

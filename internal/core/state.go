@@ -234,7 +234,7 @@ type RunStats struct {
 	Looped    int
 	Pruned    int // infeasible If branches discarded
 	Hops      int // total port visits
-	Symbols   int // fresh symbols allocated across all tasks
+	Symbols   int // fresh symbols the run allocated
 	Solver    solver.Stats
 }
 
@@ -242,10 +242,10 @@ type RunStats struct {
 type Result struct {
 	Paths []*Path
 	Stats RunStats
-	// Alloc carries the run's diagnostic symbol names and is positioned
-	// past every symbol the run allocated: Fresh on it mints follow-up
-	// query symbols that cannot collide with path state. The number of
-	// symbols the run itself used is Stats.Symbols.
+	// Alloc is the run's own symbol allocator, left where the run stopped:
+	// Fresh on it mints follow-up query symbols that cannot collide with
+	// path state. The number of symbols the run itself used is
+	// Stats.Symbols.
 	Alloc *expr.Alloc
 }
 

@@ -74,12 +74,12 @@ func (r *run) applyNode(out []*state, sum *prog.Summary, ni int32, s *state) []*
 			if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
 				out = r.applyNode(out, sum, n.Then, thenSt)
 			} else {
-				r.pruned++
+				r.stats.Pruned++
 			}
 			if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
 				out = r.applyNode(out, sum, n.Else, elseSt)
 			} else {
-				r.pruned++
+				r.stats.Pruned++
 			}
 			return out
 		}
@@ -122,7 +122,7 @@ func (r *run) applySumStep(sum *prog.Summary, i int32, s *state) {
 
 // elemHits maintains the per-element summary-hit counters
 // ("summary.elem_hits.<element>"), resolved lazily since element names are
-// only known at visit time. One exploration owns it; the counters are the
+// only known at visit time. One run owns it; the counters are the
 // registry's, shared with concurrent batch jobs, and atomic.
 type elemHits struct {
 	reg *obs.Registry

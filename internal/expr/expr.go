@@ -23,28 +23,10 @@ type SymID int64
 // NoSym marks the absence of a symbolic part in a Lin term.
 const NoSym SymID = -1
 
-// BandBits sizes the per-task symbol bands of the core engine: a banded
-// Alloc hands out IDs [band<<BandBits, (band+1)<<BandBits). Bands make
-// fresh-symbol IDs a function of a task's deterministic sequence number
-// rather than of the order tasks are stepped in.
-const BandBits = 21
-
-// Alloc hands out fresh symbolic values. The zero value is ready to use and
-// unbounded; ResetBand restricts an Alloc to one band.
+// Alloc hands out fresh symbolic values, numbered from 0 in the order they
+// are minted. The zero value is ready to use.
 type Alloc struct {
-	base  SymID
-	next  SymID
-	limit SymID // exclusive; 0 means unbounded
-}
-
-// ResetBand empties a and confines it to the given band, so one Alloc can
-// serve every task of an exploration in turn. Exhausting a band (2^BandBits
-// symbols from a single exploration step) panics: no realistic SEFL step
-// allocates millions of symbols.
-func (a *Alloc) ResetBand(band int64) {
-	a.base = SymID(band) << BandBits
-	a.next = a.base
-	a.limit = a.base + (1 << BandBits)
+	next SymID
 }
 
 // Fresh returns a new symbol of the given bit width.
@@ -52,24 +34,13 @@ func (a *Alloc) Fresh(width int) Lin {
 	if width <= 0 || width > 64 {
 		panic(fmt.Sprintf("expr: invalid symbol width %d", width))
 	}
-	if a.limit != 0 && a.next >= a.limit {
-		panic(fmt.Sprintf("expr: symbol band [%d,%d) exhausted", a.base, a.limit))
-	}
 	id := a.next
 	a.next++
 	return Lin{Sym: id, Width: width}
 }
 
 // Count reports how many symbols have been allocated.
-func (a *Alloc) Count() int { return int(a.next - a.base) }
-
-// NewAllocAt returns an unbounded allocator whose first Fresh symbol is
-// start. The engine uses it to build a run's result allocator positioned
-// past every band the run handed out, so post-run Fresh symbols (follow-up
-// query constraints) cannot collide with the run's own.
-func NewAllocAt(start SymID) *Alloc {
-	return &Alloc{base: start, next: start}
-}
+func (a *Alloc) Count() int { return int(a.next) }
 
 // Mask returns the all-ones mask for a bit width in [1,64].
 func Mask(width int) uint64 {

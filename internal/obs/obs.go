@@ -16,10 +16,9 @@
 //     (sorted-key maps of int64) and Registry.Absorb folds one in
 //     commutatively: counters and histogram buckets add, gauges take the
 //     maximum. Per-worker collectors absorbed in any order therefore produce
-//     identical totals — the same discipline solver.Stats.Add established
-//     for the deterministic run statistics — which lets distributed workers
-//     ship their snapshots to the coordinator over the existing gob frames
-//     and fold them in without caring about arrival order.
+//     identical totals, which lets distributed workers ship their snapshots
+//     to the coordinator over the existing gob frames and fold them in
+//     without caring about arrival order.
 //
 // Metrics are strictly observational: nothing in this package feeds back
 // into exploration, solving, or scheduling, so enabling a registry cannot

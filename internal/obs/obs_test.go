@@ -99,8 +99,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 // TestSnapshotAbsorbDeterminism is the merge-determinism property: N
 // per-worker snapshots absorbed into a registry in every permutation
-// produce identical totals, mirroring how solver.Stats.Add keeps parallel
-// statistics order-independent.
+// produce identical totals.
 func TestSnapshotAbsorbDeterminism(t *testing.T) {
 	// Deterministic pseudo-random snapshot set, no seed plumbing needed.
 	mk := func(worker int) *Snapshot {

@@ -13,6 +13,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/models"
+	"symnet/internal/obs"
 	"symnet/internal/sefl"
 	"symnet/internal/verify"
 )
@@ -26,8 +27,8 @@ const digestFile = "testdata/run_digests.txt"
 // fingerprint serializes a Result completely enough that two equal
 // fingerprints mean byte-identical path sets: IDs, statuses, fail messages,
 // port histories, final header values (including fresh-symbol IDs, so the
-// band allocator is under test too), their solver domains, and the run
-// statistics.
+// order the run mints symbols in is under test too), their solver domains,
+// and the run statistics.
 func fingerprint(res *core.Result) string {
 	var b strings.Builder
 	fields := []sefl.Hdr{sefl.EtherDst, sefl.EtherSrc, sefl.IPSrc, sefl.IPDst, sefl.IPTTL, sefl.TcpSrc, sefl.TcpDst}
@@ -187,7 +188,8 @@ func TestRunDeterministicSplitTCP(t *testing.T) {
 }
 
 // TestRunDeterministicNATFirewall covers mid-path fresh-symbol allocation
-// (the NAT's rewritten source port), which the per-task symbol bands number.
+// (the NAT's rewritten source port), numbered in the order the depth-first
+// walk mints it.
 func TestRunDeterministicNATFirewall(t *testing.T) {
 	checkGolden(t, "nat+firewall roundtrip",
 		natFirewallNet(t), core.PortRef{Elem: "FW", Port: 0}, sefl.NewTCPPacket(), core.Options{})
@@ -210,8 +212,8 @@ func TestRunDeterministicWithLoopDetection(t *testing.T) {
 
 // TestRunDeterministicWideFrontier drives a Basic-style switch whose single
 // ingress step fans out into ~1500 branch states, each crossing a link to a
-// host — more tasks than one wave (maxWave=1024) can hold — so the
-// wave-cutting rule itself is exercised.
+// host: a wide fan-out, all of it on the stack at once, explored last
+// successor first.
 func TestRunDeterministicWideFrontier(t *testing.T) {
 	const ports = 20
 	tbl := datasets.SwitchTable(1500, ports, 42)
@@ -227,6 +229,28 @@ func TestRunDeterministicWideFrontier(t *testing.T) {
 	}
 	checkGolden(t, "wide basic switch",
 		net, core.PortRef{Elem: "SW", Port: 0}, sefl.NewEthernetPacket(), core.Options{})
+}
+
+// TestExplorationIsDepthFirst keeps one query's live states at the depth-first
+// bound: a tree of depth d and fan-out f never holds more than d × (f − 1) + 1
+// states waiting on the stack, where a breadth-first frontier holds all f^d
+// leaves at once.
+func TestExplorationIsDepthFirst(t *testing.T) {
+	const depth, fan = 4, 8
+	net, inject := datasets.ForkHeavy(64, depth, fan)
+	reg := obs.NewRegistry()
+	res, err := core.Run(net, inject, sefl.NewIPPacket(), core.Options{Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Delivered != 4096 {
+		t.Fatalf("delivered %d paths, want 4096: %+v", res.Stats.Delivered, res.Stats)
+	}
+	got := reg.Snapshot().Gauges["core.queue.depth.max"]
+	t.Logf("core.queue.depth.max = %d", got)
+	if bound := int64(depth*(fan-1) + 1); got > bound {
+		t.Fatalf("core.queue.depth.max = %d, want at most depth × (fan − 1) + 1 = %d", got, bound)
+	}
 }
 
 // TestRunErrorsMatchSequential pins core.Run's two run-level errors: an

@@ -37,17 +37,6 @@ type Stats struct {
 	CacheMisses int
 }
 
-// Add accumulates o into s. Counter sums are order-independent, so merging
-// per-worker collectors yields the same totals as a sequential run.
-func (s *Stats) Add(o Stats) {
-	s.Adds += o.Adds
-	s.SatChecks += o.SatChecks
-	s.Branches += o.Branches
-	s.Models += o.Models
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-}
-
 // AddCache folds a cache's lifetime hit/miss counters into the stats. Call
 // it when reporting, after the runs sharing the cache have finished — the
 // CLIs do this before printing their solver block.
