@@ -11,21 +11,19 @@ import (
 
 // This file is the compiled-program executor: a small dispatch loop over the
 // flat IR of internal/prog that replaces the recursive AST walk of exec
-// (kept behind Options.ASTInterp as the reference interpreter). It runs the
-// programs the summary layer cannot summarize (summary_exec.go), and every
-// program under the reference field Options.IRExec. The loop
-// reproduces the AST interpreter's observable behavior exactly — same
-// results, statistics, trace lines, failure messages, and the same global
-// fresh-symbol allocation order — which the differential property tests in
-// internal/prog pin down.
+// (kept behind Options.ASTInterp as the reference interpreter). It runs For
+// bodies and the programs the summary layer cannot summarize
+// (summary_exec.go), and every program under the reference field
+// Options.IRExec. The loop reproduces the AST interpreter's observable
+// behavior exactly — same results, statistics, trace lines, failure
+// messages, and the same global fresh-symbol allocation order — which the
+// differential property tests in internal/prog pin down.
 //
-// The execution discipline mirrors the AST recursion: a segment applies
-// each op to every live state before moving to the next op
-// (instruction-major), and control ops (branch, for, sub-segment) run their
-// nested segments to completion per state (state-major across the nesting
-// boundary), exactly like exec's Block loop and If/For recursion. Linear
-// ops mutate states in place, so the hot path allocates nothing — the AST
-// walker allocated a successor slice per instruction per state.
+// The execution discipline is the AST interpreter's and the summary walk's:
+// state-major. A state runs its ops in order; at an If each successor runs
+// its arm and then the rest of the program (the continuation frames below
+// the arm) before the next sibling starts. Linear ops mutate states in
+// place, so the hot path allocates nothing.
 
 // progEnv adapts one path state to the evaluator's Env interface. Each run
 // owns one (run.env), re-pointed at the current state before every
@@ -47,7 +45,9 @@ func (e *progEnv) OrTreeGuards() bool                            { return e.r.op
 // compiled-IR dispatch loop when it is unsummarizable (or always, under the
 // reference field Options.IRExec), the AST interpreter behind
 // Options.ASTInterp. ok is false when the port has no code (neither
-// specific nor wildcard).
+// specific nor wildcard). The IR loop and the AST interpreter fill a slice
+// of their own: handing out down their recursion would move step's stack
+// buffer to the heap.
 func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide bool) ([]*state, bool) {
 	if r.opts.ASTInterp {
 		var code sefl.Instr
@@ -60,7 +60,7 @@ func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide
 		if !ok {
 			return out, false
 		}
-		return append(out, r.exec(st, elem, code)...), true
+		return append(out, r.exec(nil, st, elem, code, nil)...), true
 	}
 	c, ok, hit := elem.codeFor(port, outSide)
 	if !ok {
@@ -91,43 +91,82 @@ func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide
 		r.inst.sumFallbacks.Inc()
 	}
 	t := r.inst.progExecNs.Start()
-	out = append(out, r.runProgram(st, c.prog)...)
+	out = append(out, r.runProgram(nil, st, c.prog)...)
 	t.Stop()
 	return out, true
 }
 
-// runProgram executes a compiled program on one state, returning successor
-// states in the same canonical order as the AST interpreter.
-func (r *run) runProgram(st *state, p *prog.Program) []*state {
-	return r.runSeg(p, p.Entry, []*state{st})
+// runProgram runs a compiled program on one state, appending its successor
+// states to out in the same canonical order as the AST interpreter.
+func (r *run) runProgram(out []*state, st *state, p *prog.Program) []*state {
+	return r.runSeg(out, p, p.Entry, p.Seg(p.Entry).Lo, nil, st)
 }
 
-// runSeg applies a segment's ops instruction-major over the live states.
-func (r *run) runSeg(p *prog.Program, id prog.SegID, states []*state) []*state {
-	seg := p.Seg(id)
-	for i := seg.Lo; i < seg.Hi; i++ {
-		op := &p.Ops[i]
-		switch op.Kind {
-		case prog.OpIf, prog.OpFor, prog.OpSub:
-			var out []*state
-			for _, s := range states {
-				if s.Status == Failed || s.forwarding() {
-					out = append(out, s)
-					continue
-				}
-				out = append(out, r.applyControl(p, op, s)...)
+// segFrame is a continuation of the IR loop: where a state resumes once the
+// segment it runs (an If's arm) finishes, and the frame below that.
+type segFrame struct {
+	seg  prog.SegID
+	idx  int32
+	next *segFrame
+}
+
+// runSeg runs one state from op idx of a segment to the end of the program
+// under the continuation k, appending its successor states to out in the
+// canonical order. It is state-major, like the summary walk (applyNode):
+// each successor of an If or For runs the rest of the program before the
+// next sibling starts. Like the walk, it recurses only where a state forks.
+func (r *run) runSeg(out []*state, p *prog.Program, seg prog.SegID, idx int32, k *segFrame, s *state) []*state {
+walk:
+	for {
+		for hi := p.Seg(seg).Hi; idx < hi; idx++ {
+			if s.Status == Failed || s.forwarding() {
+				return append(out, s)
 			}
-			states = out
-		default:
-			for _, s := range states {
-				if s.Status == Failed || s.forwarding() {
-					continue
+			op := &p.Ops[idx]
+			switch op.Kind {
+			case prog.OpIf:
+				if s.traceOn && op.Ins != nil {
+					s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
 				}
+				r.env.st = s
+				cond, err := prog.EvalCond(&r.env, op.C)
+				if err != nil {
+					s.fail(err.Error())
+					return append(out, s)
+				}
+				if idx+1 < hi {
+					k = &segFrame{seg: seg, idx: idx + 1, next: k}
+				}
+				b, isConst := cond.(expr.Bool)
+				if !isConst {
+					return r.fork(out, p, op, cond, k, s)
+				}
+				if !r.constBranch(s) {
+					return out
+				}
+				seg = op.Else
+				if b {
+					seg = op.Then
+				}
+				idx = p.Seg(seg).Lo
+				continue walk
+			case prog.OpFor:
+				if s.traceOn {
+					s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
+				}
+				for _, fs := range r.runFor(p, op, s) {
+					out = r.runSeg(out, p, seg, idx+1, k, fs)
+				}
+				return out
+			default:
 				r.applyLinear(p, op, s)
 			}
 		}
+		if k == nil {
+			return append(out, s)
+		}
+		seg, idx, k = k.seg, k.idx, k.next
 	}
-	return states
 }
 
 // applyLinear executes one non-forking op, mutating the state in place. The
@@ -286,86 +325,67 @@ func (r *run) applyAssign(op *prog.Op, s *state) {
 	}
 }
 
-// applyControl executes one forking op for one state, running nested
-// segments to completion (the AST recursion's order).
-func (r *run) applyControl(p *prog.Program, op *prog.Op, s *state) []*state {
-	if s.traceOn && op.Ins != nil {
-		s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
+// fork splits s on an OpIf's symbolic guard: each feasible successor runs
+// its arm and then the continuation k (the rest of the If's segment and
+// every frame below), the Then side to completion before the Else side
+// starts.
+func (r *run) fork(out []*state, p *prog.Program, op *prog.Op, cond expr.Cond, k *segFrame, s *state) []*state {
+	thenSt := s.clone()
+	elseSt := s
+	if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
+		out = r.runSeg(out, p, op.Then, p.Seg(op.Then).Lo, k, thenSt)
+	} else {
+		r.stats.Pruned++
 	}
-	switch op.Kind {
-	case prog.OpIf:
-		r.env.st = s
-		cond, err := prog.EvalCond(&r.env, op.C)
-		if err != nil {
-			s.fail(err.Error())
-			return []*state{s}
-		}
-		if b, ok := cond.(expr.Bool); ok {
-			if !r.constBranch(s) {
-				return nil
-			}
-			if b {
-				return r.runSeg(p, op.Then, []*state{s})
-			}
-			return r.runSeg(p, op.Else, []*state{s})
-		}
-		thenSt := s.clone()
-		elseSt := s
-		var out []*state
-		if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
-			out = append(out, r.runSeg(p, op.Then, []*state{thenSt})...)
-		} else {
-			r.stats.Pruned++
-		}
-		if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-			out = append(out, r.runSeg(p, op.Else, []*state{elseSt})...)
-		} else {
-			r.stats.Pruned++
-		}
-		return out
-
-	case prog.OpFor:
-		return r.runFor(p, op, s)
-
-	case prog.OpSub:
-		return r.runSeg(p, op.Sub, []*state{s})
+	if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
+		out = r.runSeg(out, p, op.Else, p.Seg(op.Else).Lo, k, elseSt)
+	} else {
+		r.stats.Pruned++
 	}
-	s.fail(fmt.Sprintf("unknown control op kind %d", op.Kind))
-	return []*state{s}
+	return out
 }
 
-// runFor runs a For loop on one state: the metadata keys matching the
-// pattern are snapshot, then each key's compiled body runs on every live
-// state, key-major, each state's body to completion before the next state's
-// (the AST recursion's order). Both executors use it: the IR's applyControl
-// and the summary's TermFor node.
+// runFor runs a For loop on one state and returns the states it yields, in
+// order: the metadata keys matching the pattern are snapshot, then each
+// key's compiled body runs in key order, state-major — a state the body
+// forks into runs every remaining key before its next sibling starts. Both
+// executors use it: the IR's runSeg and the summary's TermFor node continue
+// each yielded state in turn. One slice per visit holds the states, reused
+// while the bodies do not fork.
 func (r *run) runFor(p *prog.Program, op *prog.Op, s *state) []*state {
 	if op.For.Re == nil {
 		s.fail(op.For.Err)
 		return []*state{s}
 	}
 	keys := s.Mem.MetaKeysMatching(op.For.Re, p.Instance)
-	states := []*state{s}
-	for _, k := range keys {
-		bp := p.ForBody(op.For, k)
-		if len(states) == 1 {
-			// One state: the body over the list is the body on the state
-			// (runSeg passes a finished state through, as the loop below
-			// does), and a body that does not fork hands the list back.
-			states = r.runSeg(bp, bp.Entry, states)
+	return r.forKeys(make([]*state, 0, 1), p, op, keys, s)
+}
+
+// forKeys runs the For op's bodies for keys on s, appending the states they
+// yield to out.
+func (r *run) forKeys(out []*state, p *prog.Program, op *prog.Op, keys []memory.MetaKey, s *state) []*state {
+	for i, key := range keys {
+		if s.Status == Failed || s.forwarding() {
+			break
+		}
+		bp := p.ForBody(op.For, key)
+		n := len(out)
+		out = r.runProgram(out, s, bp)
+		if len(out) == n+1 {
+			s = out[n]
+			out = out[:n]
 			continue
 		}
-		var out []*state
-		for _, s2 := range states {
-			if s2.Status == Failed || s2.forwarding() {
-				out = append(out, s2)
-				continue
-			}
-			out = append(out, r.runSeg(bp, bp.Entry, []*state{s2})...)
+		// The body forked (or pruned s): each successor, in order, runs the
+		// remaining keys. Their states append past the successors, which
+		// then close the gap.
+		m := len(out)
+		for j := n; j < m; j++ {
+			out = r.forKeys(out, p, op, keys[i+1:], out[j])
 		}
-		states = out
+		return append(out[:n], out[m:]...)
 	}
-	return states
+	return append(out, s)
 }
 
 // constBranch settles a branch whose guard evaluated to a constant (a
@@ -374,7 +394,7 @@ func (r *run) runFor(p *prog.Program, op *prog.Op, s *state) []*state {
 // would, then asserts the true constant — what the live side's Add would be,
 // whichever side it is — on s. Stats, pruned counts and the context
 // fingerprint come out as the cloning path's. It reports whether s survives
-// to run the live side. Both executors (applyControl, applyNode) use it.
+// to run the live side. Both executors (runSeg, applyNode) use it.
 func (r *run) constBranch(s *state) bool {
 	if !s.Ctx.Unsat() {
 		s.Ctx.Stats().Adds++ // the dead side's Add, refuted on its own context

@@ -60,11 +60,9 @@ type Options struct {
 	ASTInterp bool
 	// IRExec dispatches the compiled IR on every visit instead of applying
 	// the per-(element,port) summaries (prog.Summarize) the engine builds
-	// from it. Without it the IR loop runs only the programs that cannot be
-	// summarized: an If or For with more than one fresh-symbol mint site in
-	// its continuation, or an If with one whose Else arm mints too. For
-	// loops themselves summarize, so none of the department's element-ports
-	// falls back.
+	// from it. Without it the IR loop runs only For bodies and the programs
+	// whose summary would overflow the node budget; none of the department's
+	// element-ports falls back.
 	IRExec bool
 	// OrTreeGuards evaluates interval-table-lowered guards as their
 	// original Or-tree disjuncts instead of the packed span tables. Only the
@@ -217,18 +215,29 @@ func (r *run) follow(next []*state, st *state, outRef PortRef) []*state {
 
 // --- AST instruction interpreter (reference semantics) ---
 
-// exec runs one instruction on a state, returning successor states. States
-// that failed or that set pending output ports are returned as-is; callers
-// decide what happens next. The slice is never empty unless the state was
-// pruned as infeasible.
+// astFrame is a continuation of the AST interpreter: the instructions left
+// in an enclosing Block once the current instruction finishes, and the frame
+// below.
+type astFrame struct {
+	is   []sefl.Instr
+	next *astFrame
+}
+
+// exec runs one instruction on a state and then the continuation k on each
+// successor, appending the finished states to out. It is state-major, like
+// the IR loop and the summary walk: each successor of an If, For or Block
+// runs the rest of the program before the next sibling starts. A state that
+// failed or set pending output ports skips the rest; callers decide what
+// happens next. It appends nothing only when every successor was pruned as
+// infeasible.
 //
 // This recursive tree walk is the engine's reference interpreter, selected
 // by Options.ASTInterp; the default execution path compiles port programs
 // to the flat IR of internal/prog and dispatches over it (compiled.go),
 // with byte-identical observable behavior.
-func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
+func (r *run) exec(out []*state, st *state, elem *Element, ins sefl.Instr, k *astFrame) []*state {
 	if st.Status == Failed || st.forwarding() {
-		return []*state{st}
+		return append(out, st)
 	}
 	if st.traceOn {
 		if _, isBlock := ins.(sefl.Block); !isBlock {
@@ -237,23 +246,18 @@ func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
 	}
 	switch v := ins.(type) {
 	case sefl.NoOp:
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.Block:
-		states := []*state{st}
-		for _, sub := range v.Is {
-			var out []*state
-			for _, s := range states {
-				out = append(out, r.exec(s, elem, sub)...)
-			}
-			states = out
+		if len(v.Is) == 0 {
+			return r.cont(out, st, elem, k)
 		}
-		return states
+		return r.exec(out, st, elem, v.Is[0], &astFrame{is: v.Is[1:], next: k})
 
 	case sefl.Allocate:
 		loc, err := r.resolveLV(st, elem, v.LV)
 		if err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
 		size := v.Size
 		if size == 0 {
@@ -263,17 +267,17 @@ func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
 		}
 		if loc.isHdr {
 			if err := st.Mem.AllocateHdr(loc.off, size); err != nil {
-				return []*state{failWith(st, err.Error())}
+				return append(out, failWith(st, err.Error()))
 			}
 		} else if err := st.Mem.AllocateMeta(loc.key, size); err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.Deallocate:
 		loc, err := r.resolveLV(st, elem, v.LV)
 		if err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
 		size := v.Size
 		if size == 0 {
@@ -283,17 +287,17 @@ func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
 		}
 		if loc.isHdr {
 			if err := st.Mem.DeallocateHdr(loc.off, size); err != nil {
-				return []*state{failWith(st, err.Error())}
+				return append(out, failWith(st, err.Error()))
 			}
 		} else if err := st.Mem.DeallocateMeta(loc.key, size); err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.Assign:
 		loc, err := r.resolveLV(st, elem, v.LV)
 		if err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
 		hint := 0
 		if loc.isHdr {
@@ -303,70 +307,69 @@ func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
 		}
 		val, err := r.evalExpr(st, elem, v.E, hint)
 		if err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
 		if hint != 0 && val.Width != hint {
 			if cv, isConst := val.ConstVal(); isConst {
 				val = expr.Const(cv, hint)
 			} else {
-				return []*state{failWith(st, fmt.Sprintf("assign width mismatch: %d-bit value into %d-bit field", val.Width, hint))}
+				return append(out, failWith(st, fmt.Sprintf("assign width mismatch: %d-bit value into %d-bit field", val.Width, hint)))
 			}
 		}
 		if loc.isHdr {
 			if err := st.Mem.AssignHdr(loc.off, loc.size, val); err != nil {
-				return []*state{failWith(st, err.Error())}
+				return append(out, failWith(st, err.Error()))
 			}
 		} else if err := st.Mem.AssignMeta(loc.key, val); err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.CreateTag:
 		val, err := r.evalExpr(st, elem, v.E, 64)
 		if err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
 		cv, ok := val.ConstVal()
 		if !ok {
-			return []*state{failWith(st, fmt.Sprintf("CreateTag(%q): tag value must be concrete", v.Name))}
+			return append(out, failWith(st, fmt.Sprintf("CreateTag(%q): tag value must be concrete", v.Name)))
 		}
 		st.Mem.CreateTag(v.Name, int64(cv))
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.DestroyTag:
 		if err := st.Mem.DestroyTag(v.Name); err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.Constrain:
 		cond, err := r.evalCond(st, elem, v.C)
 		if err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
 		if !st.Ctx.Add(cond) || (st.Ctx.PendingOrs() > 0 && !st.Ctx.Sat()) {
-			return []*state{failWith(st, fmt.Sprintf("constraint unsatisfiable: %s", v.C))}
+			return append(out, failWith(st, fmt.Sprintf("constraint unsatisfiable: %s", v.C)))
 		}
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.Fail:
-		return []*state{failWith(st, v.Msg)}
+		return append(out, failWith(st, v.Msg))
 
 	case sefl.If:
 		cond, err := r.evalCond(st, elem, v.C)
 		if err != nil {
-			return []*state{failWith(st, err.Error())}
+			return append(out, failWith(st, err.Error()))
 		}
 		thenSt := st.clone()
 		elseSt := st
-		var out []*state
 		if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
-			out = append(out, r.exec(thenSt, elem, v.Then)...)
+			out = r.exec(out, thenSt, elem, v.Then, k)
 		} else {
 			r.stats.Pruned++
 		}
 		if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-			out = append(out, r.exec(elseSt, elem, v.Else)...)
+			out = r.exec(out, elseSt, elem, v.Else, k)
 		} else {
 			r.stats.Pruned++
 		}
@@ -375,32 +378,42 @@ func (r *run) exec(st *state, elem *Element, ins sefl.Instr) []*state {
 	case sefl.For:
 		re, err := regexp.Compile(v.Pattern)
 		if err != nil {
-			return []*state{failWith(st, fmt.Sprintf("For: bad pattern %q: %v", v.Pattern, err))}
+			return append(out, failWith(st, fmt.Sprintf("For: bad pattern %q: %v", v.Pattern, err)))
 		}
+		// The loop is the block of its bodies, one per key, each built once;
+		// every state it yields then continues, in order.
 		keys := st.Mem.MetaKeysMatching(re, elem.Instance)
-		states := []*state{st}
-		for _, k := range keys {
-			body := v.Body(sefl.Meta{Name: k.Name, Instance: k.Instance, Pinned: true})
-			var out []*state
-			for _, s := range states {
-				out = append(out, r.exec(s, elem, body)...)
-			}
-			states = out
+		bodies := make([]sefl.Instr, len(keys))
+		for i, key := range keys {
+			bodies[i] = v.Body(sefl.Meta{Name: key.Name, Instance: key.Instance, Pinned: true})
 		}
-		return states
+		for _, s := range r.exec(nil, st, elem, sefl.Block{Is: bodies}, nil) {
+			out = r.cont(out, s, elem, k)
+		}
+		return out
 
 	case sefl.Forward:
 		st.outPorts = []int{v.Port}
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 
 	case sefl.Fork:
 		if len(v.Ports) == 0 {
-			return []*state{failWith(st, "Fork with no ports")}
+			return append(out, failWith(st, "Fork with no ports"))
 		}
 		st.outPorts = append([]int(nil), v.Ports...)
-		return []*state{st}
+		return r.cont(out, st, elem, k)
 	}
-	return []*state{failWith(st, fmt.Sprintf("unknown instruction %T", ins))}
+	return append(out, failWith(st, fmt.Sprintf("unknown instruction %T", ins)))
+}
+
+// cont runs the continuation k on st, appending the finished states to out.
+func (r *run) cont(out []*state, st *state, elem *Element, k *astFrame) []*state {
+	for ; k != nil; k = k.next {
+		if len(k.is) > 0 {
+			return r.exec(out, st, elem, k.is[0], &astFrame{is: k.is[1:], next: k.next})
+		}
+	}
+	return append(out, st)
 }
 
 // --- Loop detection (§6, Fig. 5) ---

@@ -147,9 +147,9 @@ func (r *run) runInjection(next []*state, st *state) []*state {
 	st.Ctx.SetSatHistogram(r.inst.satNs)
 	var states []*state
 	if r.injProg != nil {
-		states = r.runProgram(st, r.injProg)
+		states = r.runProgram(nil, st, r.injProg)
 	} else {
-		states = r.exec(st, r.inject, r.init)
+		states = r.exec(nil, st, r.inject, r.init, nil)
 	}
 	for _, s := range states {
 		if s.Status == Failed {

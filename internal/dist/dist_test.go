@@ -449,19 +449,16 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	}
 	net, inject := datasets.SatHeavy(8)
 	g := net.AddElement("sumgate", "gate", 1, 1)
-	// Two fresh-symbol mints downstream of a branch point (one that never
-	// forks): unsummarizable by construction, so every batch exercises the
-	// IR fallback.
+	// More sequential branches (on metadata presence, so none forks) than
+	// the summary node budget holds: unsummarizable by construction, so
+	// every batch exercises the IR fallback.
 	gate := func(port int) sefl.Instr {
 		m := sefl.Meta{Name: "sumgate", Local: true}
-		return sefl.Seq(
-			sefl.If{C: sefl.MetaPresent{M: m}, Then: sefl.NoOp{}, Else: sefl.NoOp{}},
-			sefl.Allocate{LV: m, Size: 8},
-			sefl.Assign{LV: m, E: sefl.Symbolic{W: 8, Name: "gate-a"}},
-			sefl.Assign{LV: m, E: sefl.Symbolic{W: 8, Name: "gate-b"}},
-			sefl.Deallocate{LV: m, Size: 8},
-			sefl.Forward{Port: port},
-		)
+		is := make([]sefl.Instr, 1400, 1401)
+		for i := range is {
+			is[i] = sefl.If{C: sefl.MetaPresent{M: m}, Then: sefl.NoOp{}, Else: sefl.NoOp{}}
+		}
+		return sefl.Seq(append(is, sefl.Forward{Port: port})...)
 	}
 	g.SetInCode(0, gate(0))
 	net.MustLink("sumgate", 0, inject.Elem, inject.Port)

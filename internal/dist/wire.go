@@ -68,9 +68,9 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v10: setups and deltas carry programs without
-// their summaries, and a job carries its budget without reference modes).
-const protoVersion = 10
+// frame may carry bumps it (v11: a program carries no sub-segment ops and
+// no fresh-symbol marks on its conditions).
+const protoVersion = 11
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.

@@ -155,8 +155,8 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 	// while v4 numbers the kinds after result differently, v5 cannot read a
 	// summary slab's For nodes, v6 expects full Summaries in results, v7
 	// expects a reconnect to find the network it installed before, v8
-	// ships table guards for the worker to rebuild as Or-trees and v9 ships
-	// summaries beside the programs.
+	// ships table guards for the worker to rebuild as Or-trees, v9 ships
+	// summaries beside the programs and v10 ships sub-segment ops.
 	for v := 3; v < protoVersion; v++ {
 		cases = append(cases, streamCase{
 			name:   fmt.Sprintf("v%d coordinator", v),
@@ -279,6 +279,51 @@ func batchErrorCases(t testing.TB) []streamCase {
 				op.Kind, op.Then, op.Else = prog.OpIf, w.Entry, w.Entry
 			})},
 			want: "decoding setup: prog: decode SW.in[0]: op 0 in segment 0 enters segment 0; want an earlier one",
+		},
+		// Ops that lack what their kind reads, each of which panicked once
+		// run, and a kind past the last one.
+		{
+			name: "setup with a condition-less if",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
+				w := s.Programs[0].Prog
+				w.Segs, w.Entry = append([]prog.Seg{{}}, w.Segs...), w.Entry+1
+				op := &w.Ops[0]
+				op.Kind, op.C, op.Then, op.Else = prog.OpIf, -1, 0, 0
+			})},
+			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no condition", prog.OpIf),
+		},
+		{
+			name: "setup with a condition-less constrain",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
+				op := &s.Programs[0].Prog.Ops[0]
+				op.Kind, op.C = prog.OpConstrain, -1
+			})},
+			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no condition", prog.OpConstrain),
+		},
+		{
+			name: "setup with a constrain rendering another instruction",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
+				w := s.Programs[0].Prog
+				w.CondTab = append(w.CondTab, prog.WireCCond{C: -1})
+				op := &w.Ops[0]
+				op.Kind, op.C = prog.OpConstrain, int32(len(w.CondTab)-1)
+			})},
+			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no Constrain instruction", prog.OpConstrain),
+		},
+		{
+			name:   "setup with a loop-less for",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog.Ops[0].Kind = prog.OpFor })},
+			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no loop", prog.OpFor),
+		},
+		{
+			name:   "setup with an expression-less assign",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog.Ops[0].Kind = prog.OpAssign })},
+			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no expression", prog.OpAssign),
+		},
+		{
+			name:   "setup with an op kind past the last",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog.Ops[0].Kind = prog.OpUnknown + 1 })},
+			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d is past the last kind", prog.OpUnknown+1),
 		},
 		{
 			// The compiler trusts a table's rows, so the decoder refuses a

@@ -73,7 +73,6 @@ type WireOp struct {
 	Ports []int
 	Then  SegID
 	Else  SegID
-	Sub   SegID
 	// For ops: the loop pattern plus the registered body reference.
 	HasFor     bool
 	ForPattern string
@@ -94,7 +93,6 @@ type WireCCond struct {
 	HasStatic bool
 	Static    *expr.WireExprCond
 	StaticErr string
-	HasSym    bool
 	B         bool
 	Op        expr.CmpOp
 	L, R      *CExpr
@@ -128,7 +126,7 @@ func EncodeProgram(p *Program) (*WireProgram, error) {
 		wop := WireOp{
 			Kind: op.Kind, LV: op.LV, Size: op.Size, E: op.E, C: -1,
 			Msg: op.Msg, Tag: op.Tag, Port: op.Port, Ports: op.Ports,
-			Then: op.Then, Else: op.Else, Sub: op.Sub,
+			Then: op.Then, Else: op.Else,
 		}
 		if op.Kind == OpForward {
 			wop.Ports = nil // the decoder rebuilds it from Port
@@ -170,7 +168,7 @@ func encodeCond(w *WireProgram, idx map[*cCond]int32, c *cCond) (int32, error) {
 	}
 	wc := WireCCond{
 		Kind: c.Kind, FP: c.FP, HasStatic: c.HasStatic, StaticErr: c.StaticErr,
-		HasSym: c.HasSym, B: c.B, Op: c.Op, L: c.L, R: c.R,
+		B: c.B, Op: c.Op, L: c.L, R: c.R,
 		Val: c.Val, Mask: c.Mask, PLen: c.PLen, PW: c.PW, Key: c.Key,
 		C: -1,
 	}
@@ -231,7 +229,7 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		wc := &w.CondTab[i]
 		c := &cCond{
 			Kind: wc.Kind, FP: wc.FP, HasStatic: wc.HasStatic, StaticErr: wc.StaticErr,
-			HasSym: wc.HasSym, B: wc.B, Op: wc.Op, L: wc.L, R: wc.R,
+			B: wc.B, Op: wc.Op, L: wc.L, R: wc.R,
 			Val: wc.Val, Mask: wc.Mask, PLen: wc.PLen, PW: wc.PW, Key: wc.Key,
 		}
 		if wc.Kind == cIntervalTable {
@@ -272,7 +270,7 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		op := Op{
 			Kind: wop.Kind, LV: wop.LV, Size: wop.Size, E: wop.E,
 			Msg: wop.Msg, Tag: wop.Tag, Port: wop.Port, Ports: wop.Ports,
-			Then: wop.Then, Else: wop.Else, Sub: wop.Sub,
+			Then: wop.Then, Else: wop.Else,
 		}
 		if op.Kind == OpForward {
 			op.Ports = []int{op.Port}
@@ -297,18 +295,54 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			}
 			op.For = newForOp(wop.ForPattern, f.Body)
 		}
+		if missing := opMissing(&op); missing != "" {
+			return nil, fmt.Errorf("prog: decode %s: op %d of kind %d %s", w.Label, i, op.Kind, missing)
+		}
 		p.Ops[i] = op
 	}
 	return p, nil
 }
 
+// opMissing names what a decoded op lacks of what its kind reads ("" when
+// nothing): the executors read these without a check, as the compiler
+// always fills them.
+func opMissing(op *Op) string {
+	switch op.Kind {
+	case OpAssign, OpCreateTag:
+		if op.E == nil {
+			return "has no expression"
+		}
+	case OpConstrain:
+		if op.C == nil {
+			return "has no condition"
+		}
+		// A failed constraint renders its instruction's condition.
+		if _, ok := op.Ins.(sefl.Constrain); !ok {
+			return "has no Constrain instruction"
+		}
+	case OpIf:
+		if op.C == nil {
+			return "has no condition"
+		}
+	case OpFor:
+		if op.For == nil {
+			return "has no loop"
+		}
+	default:
+		if op.Kind > OpUnknown {
+			return "is past the last kind"
+		}
+	}
+	return ""
+}
+
 // checkSegs holds a shipped program to what compileSeg guarantees of a
 // compiled one: segments lie in the op array in ID order without
 // overlapping (so this check is linear), Entry names one, and the segments
-// an op enters (an If's arms, a Sub's block) were emitted before the segment
-// holding it. Execution then only ever descends to lower segment IDs, so no
-// bytes can make it recurse forever — a stack overflow is fatal, not a panic
-// any per-job recover catches.
+// an If enters (its arms) were emitted before the segment holding it.
+// Execution then only ever enters lower segment IDs, so no bytes can make it
+// recurse forever — a stack overflow is fatal, not a panic any per-job
+// recover catches.
 func checkSegs(w *WireProgram) error {
 	if w.Entry < 0 || int(w.Entry) >= len(w.Segs) {
 		return fmt.Errorf("entry segment %d out of range [0, %d)", w.Entry, len(w.Segs))
@@ -320,16 +354,11 @@ func checkSegs(w *WireProgram) error {
 		}
 		end = s.Hi
 		for i := s.Lo; i < s.Hi; i++ {
-			var enters []SegID
-			switch op := &w.Ops[i]; op.Kind {
-			case OpIf:
-				enters = []SegID{op.Then, op.Else}
-			case OpSub:
-				enters = []SegID{op.Sub}
-			}
-			for _, to := range enters {
-				if to < 0 || int(to) >= id {
-					return fmt.Errorf("op %d in segment %d enters segment %d; want an earlier one", i, id, to)
+			if op := &w.Ops[i]; op.Kind == OpIf {
+				for _, to := range [2]SegID{op.Then, op.Else} {
+					if to < 0 || int(to) >= id {
+						return fmt.Errorf("op %d in segment %d enters segment %d; want an earlier one", i, id, to)
+					}
 				}
 			}
 		}

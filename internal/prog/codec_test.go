@@ -93,6 +93,54 @@ func TestProgramCodecPreservesCondSharing(t *testing.T) {
 	}
 }
 
+// TestProgramCodecRejectsIncompleteOps pins the decoder's op checks: a
+// shipped op that lacks what its kind reads — run, each of these panicked on
+// the summary and the IR paths alike — or whose kind is past the last one is
+// refused with an error naming the op and its kind.
+func TestProgramCodecRejectsIncompleteOps(t *testing.T) {
+	p := Compile(codecProgram(), "e1", 4, "e1.in[0]")
+	first := func(kind OpKind) int {
+		for i := range p.Ops {
+			if p.Ops[i].Kind == kind {
+				return i
+			}
+		}
+		t.Fatalf("test premise: no op of kind %d", kind)
+		return 0
+	}
+	noop, err := sefl.EncodeInstr(sefl.NoOp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		op     int
+		mutate func(op *WireOp)
+		want   string
+	}{
+		{"if without a condition", first(OpIf), func(op *WireOp) { op.C = -1 }, "has no condition"},
+		{"constrain without a condition", first(OpConstrain), func(op *WireOp) { op.C = -1 }, "has no condition"},
+		{"constrain rendering another instruction", first(OpConstrain), func(op *WireOp) { op.Ins = noop }, "has no Constrain instruction"},
+		{"for without a loop", first(OpFor), func(op *WireOp) { op.HasFor = false }, "has no loop"},
+		{"assign without an expression", first(OpAssign), func(op *WireOp) { op.E = nil }, "has no expression"},
+		{"create-tag without an expression", first(OpCreateTag), func(op *WireOp) { op.E = nil }, "has no expression"},
+		{"kind past the last", first(OpAllocate), func(op *WireOp) { op.Kind = OpUnknown + 1 }, "is past the last kind"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := EncodeProgram(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&w.Ops[tc.op])
+			_, err = DecodeProgram(w)
+			want := fmt.Sprintf("prog: decode e1.in[0]: op %d of kind %d %s", tc.op, w.Ops[tc.op].Kind, tc.want)
+			if err == nil || err.Error() != want {
+				t.Fatalf("error = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 func TestProgramCodecStaticFold(t *testing.T) {
 	p := Compile(sefl.Constrain{C: sefl.Eq(sefl.CW(3, 8), sefl.CW(3, 8))}, "e", 0, "t")
 	w, err := EncodeProgram(p)
@@ -183,8 +231,6 @@ func TestProgramCodecRejectsMalformedSegments(t *testing.T) {
 		{"else arm out of range", func(w *WireProgram) { w.Ops[ifOp].Else = SegID(len(w.Segs)) },
 			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, len(p.Segs))},
 		{"negative arm", func(w *WireProgram) { w.Ops[ifOp].Then = -1 }, "enters segment -1"},
-		{"block enters its own segment", func(w *WireProgram) { w.Ops[ifOp].Kind, w.Ops[ifOp].Sub = OpSub, ifSeg },
-			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, ifSeg)},
 		// A lowered guard crosses the wire as its rows only.
 		{"interval table without rows", func(w *WireProgram) { w.CondTab[0].Kind, w.CondTab[0].ITRows = cIntervalTable, nil },
 			"interval-table cond 0 without rows"},

@@ -35,13 +35,12 @@ type compiler struct {
 }
 
 // compileSeg compiles an instruction sequence into a new segment. Child
-// segments (If branches, unspliced blocks) are emitted first, so a
-// segment's ops are contiguous in the program's op array.
+// segments (If branches) are emitted first, so a segment's ops are
+// contiguous in the program's op array.
 func (c *compiler) compileSeg(is []sefl.Instr) SegID {
 	var buf []Op
-	forked := false     // an If/For op was emitted into this segment
 	terminated := false // every state reaching this point has terminated
-	c.emitList(&buf, is, &forked, &terminated)
+	c.emitList(&buf, is, &terminated)
 	lo := int32(len(c.p.Ops))
 	c.p.Ops = append(c.p.Ops, buf...)
 	id := SegID(len(c.p.Segs))
@@ -53,35 +52,21 @@ func (c *compiler) compileSeg(is []sefl.Instr) SegID {
 // point where every state has terminated are dead code and dropped (the AST
 // interpreter's status guard would skip them unexecuted and untraced, so
 // dropping is observationally identical).
-func (c *compiler) emitList(buf *[]Op, is []sefl.Instr, forked, terminated *bool) {
+func (c *compiler) emitList(buf *[]Op, is []sefl.Instr, terminated *bool) {
 	for _, ins := range is {
 		if *terminated {
 			return
 		}
-		c.emit(buf, ins, forked, terminated)
+		c.emit(buf, ins, terminated)
 	}
 }
 
-func (c *compiler) emit(buf *[]Op, ins sefl.Instr, forked, terminated *bool) {
+func (c *compiler) emit(buf *[]Op, ins sefl.Instr, terminated *bool) {
 	switch v := ins.(type) {
 	case sefl.Block:
-		// Splice the block's instructions into this segment when that
-		// cannot reorder fresh-symbol allocation: with a single live state
-		// (no prior fork in this segment) instruction-major and state-major
-		// execution coincide, and without Symbolic expressions there is no
-		// allocation to reorder. Otherwise the block stays a sub-segment
-		// executed per state, exactly like the AST recursion.
-		if !*forked || !containsSymbolic(v) {
-			c.emitList(buf, v.Is, forked, terminated)
-			return
-		}
-		// Only reached with *forked already set: a spliced fork precedes
-		// this block in the segment, so it stays a per-state sub-segment.
-		sub := c.compileSeg(v.Is)
-		*buf = append(*buf, Op{Kind: OpSub, Sub: sub})
-		if c.p.Segs[sub].Terminates {
-			*terminated = true
-		}
+		// A block splices into its segment: every executor runs a sequence
+		// state-major, so a block boundary is not observable.
+		c.emitList(buf, v.Is, terminated)
 
 	case sefl.NoOp:
 		*buf = append(*buf, Op{Kind: OpNoOp, Ins: ins})
@@ -126,14 +111,12 @@ func (c *compiler) emit(buf *[]Op, ins sefl.Instr, forked, terminated *bool) {
 		thenSeg := c.compileSeg([]sefl.Instr{v.Then})
 		elseSeg := c.compileSeg([]sefl.Instr{v.Else})
 		*buf = append(*buf, Op{Kind: OpIf, Ins: ins, C: cond, Then: thenSeg, Else: elseSeg})
-		*forked = true
 		if c.p.Segs[thenSeg].Terminates && c.p.Segs[elseSeg].Terminates {
 			*terminated = true
 		}
 
 	case sefl.For:
 		*buf = append(*buf, Op{Kind: OpFor, Ins: ins, For: newForOp(v.Pattern, v.Body)})
-		*forked = true
 
 	case sefl.Forward:
 		*buf = append(*buf, Op{Kind: OpForward, Ins: ins, Port: v.Port, Ports: []int{v.Port}})
@@ -345,9 +328,8 @@ func findCond(conds map[expr.Fp][]*cCond, cc *cCond) *cCond {
 	return nil
 }
 
-// finishCond computes a node's derived state — static fold and fresh-symbol
-// check — shared between the compiler and the wire decoder's reconstruction
-// of lowered-guard children.
+// finishCond computes a node's static fold, shared between the compiler and
+// the wire decoder's reconstruction of lowered-guard children.
 func finishCond(cc *cCond) {
 	if !cc.HasStatic && condStatic(cc) {
 		cond, err := evalCondDynamic(nil, cc)
@@ -358,38 +340,6 @@ func finishCond(cc *cCond) {
 			cc.Static = cond
 		}
 	}
-	cc.HasSym = condHasSym(cc)
-}
-
-// condHasSym reports whether evaluating the condition can allocate fresh
-// symbols. Children are already finished, so composite nodes consult their
-// children's HasSym; a lowered guard compares one field with constants.
-func condHasSym(cc *cCond) bool {
-	switch cc.Kind {
-	case cCmp:
-		return exprHasSym(cc.L) || exprHasSym(cc.R)
-	case cPrefix, cMasked:
-		return exprHasSym(cc.L)
-	case cAnd, cOr:
-		for _, sub := range cc.Cs {
-			if sub.HasSym {
-				return true
-			}
-		}
-	case cNot:
-		return cc.C.HasSym
-	}
-	return false
-}
-
-func exprHasSym(e *CExpr) bool {
-	switch e.Kind {
-	case eSym:
-		return true
-	case eArith:
-		return exprHasSym(e.A) || exprHasSym(e.B)
-	}
-	return false
 }
 
 // condStatic reports whether evaluating the condition is a pure function:
@@ -578,69 +528,4 @@ func equalCExpr(a, b *CExpr) bool {
 		return a.Minus == b.Minus && equalCExpr(a.A, b.A) && equalCExpr(a.B, b.B)
 	}
 	return true
-}
-
-// --- Splice analysis ---
-
-// containsSymbolic reports whether executing ins can allocate fresh
-// symbols. For bodies are unknown until runtime, so For is conservatively
-// symbolic.
-func containsSymbolic(ins sefl.Instr) bool {
-	switch v := ins.(type) {
-	case sefl.Block:
-		for _, sub := range v.Is {
-			if containsSymbolic(sub) {
-				return true
-			}
-		}
-	case sefl.Assign:
-		return exprHasSymbolic(v.E)
-	case sefl.CreateTag:
-		return exprHasSymbolic(v.E)
-	case sefl.Constrain:
-		return condHasSymbolic(v.C)
-	case sefl.If:
-		return condHasSymbolic(v.C) || containsSymbolic(v.Then) || containsSymbolic(v.Else)
-	case sefl.For:
-		return true
-	}
-	return false
-}
-
-func exprHasSymbolic(e sefl.Expr) bool {
-	switch v := e.(type) {
-	case sefl.Symbolic:
-		return true
-	case sefl.Add:
-		return exprHasSymbolic(v.A) || exprHasSymbolic(v.B)
-	case sefl.Sub:
-		return exprHasSymbolic(v.A) || exprHasSymbolic(v.B)
-	}
-	return false
-}
-
-func condHasSymbolic(c sefl.Cond) bool {
-	switch v := c.(type) {
-	case sefl.Cmp:
-		return exprHasSymbolic(v.L) || exprHasSymbolic(v.R)
-	case sefl.Prefix:
-		return exprHasSymbolic(v.E)
-	case sefl.Masked:
-		return exprHasSymbolic(v.E)
-	case sefl.CAnd:
-		for _, sub := range v.Cs {
-			if condHasSymbolic(sub) {
-				return true
-			}
-		}
-	case sefl.COr:
-		for _, sub := range v.Cs {
-			if condHasSymbolic(sub) {
-				return true
-			}
-		}
-	case sefl.CNot:
-		return condHasSymbolic(v.C)
-	}
-	return false
 }

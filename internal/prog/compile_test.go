@@ -174,45 +174,32 @@ func TestTerminatorsAndBadPattern(t *testing.T) {
 	}
 }
 
-// TestSpliceAnalysis: blocks splice into their parent unless a preceding
-// fork and contained Symbolic would reorder allocation.
+// TestSpliceAnalysis: every block splices into its parent segment, a
+// Symbolic-bearing one behind a fork included — the executors run siblings
+// state-major, so a block boundary is not observable.
 func TestSpliceAnalysis(t *testing.T) {
-	// No fork before the nested block: spliced, one segment.
+	block := sefl.Seq(
+		sefl.Assign{LV: sefl.Meta{Name: "b"}, E: sefl.Symbolic{W: 8}},
+		sefl.Assign{LV: sefl.Meta{Name: "c"}, E: sefl.C(2)},
+	)
+	// No fork before the nested block: one segment.
 	p := Compile(sefl.Seq(
 		sefl.Assign{LV: sefl.Meta{Name: "a"}, E: sefl.C(1)},
-		sefl.Seq(
-			sefl.Assign{LV: sefl.Meta{Name: "b"}, E: sefl.Symbolic{W: 8}},
-			sefl.Assign{LV: sefl.Meta{Name: "c"}, E: sefl.C(2)},
-		),
+		block,
 		sefl.Forward{Port: 0},
 	), "e", 0, "t")
-	if n := countOps(p, OpSub); n != 0 {
+	if len(p.Segs) != 1 || len(p.Ops) != 4 {
 		t.Fatalf("block after straight-line code must splice:\n%s", p)
 	}
 
-	// Fork before a Symbolic-bearing block: must stay a sub-segment.
+	// Behind a fork: the entry segment holds the If and the spliced block,
+	// and the If's two arms are the only other segments.
 	p = Compile(sefl.Seq(
 		sefl.If{C: sefl.CBool(true), Then: sefl.NoOp{}, Else: sefl.NoOp{}},
-		sefl.Seq(
-			sefl.Assign{LV: sefl.Meta{Name: "b"}, E: sefl.Symbolic{W: 8}},
-			sefl.Assign{LV: sefl.Meta{Name: "c"}, E: sefl.C(2)},
-		),
+		block,
 		sefl.Forward{Port: 0},
 	), "e", 0, "t")
-	if n := countOps(p, OpSub); n != 1 {
-		t.Fatalf("symbolic block behind a fork must not splice:\n%s", p)
-	}
-
-	// Fork before a Symbolic-free block: splicing is safe.
-	p = Compile(sefl.Seq(
-		sefl.If{C: sefl.CBool(true), Then: sefl.NoOp{}, Else: sefl.NoOp{}},
-		sefl.Seq(
-			sefl.Assign{LV: sefl.Meta{Name: "b"}, E: sefl.C(3)},
-			sefl.Assign{LV: sefl.Meta{Name: "c"}, E: sefl.C(2)},
-		),
-		sefl.Forward{Port: 0},
-	), "e", 0, "t")
-	if n := countOps(p, OpSub); n != 0 {
-		t.Fatalf("symbol-free block may splice behind a fork:\n%s", p)
+	if entry := p.Seg(p.Entry); len(p.Segs) != 3 || entry.Hi-entry.Lo != 4 {
+		t.Fatalf("symbolic block behind a fork must splice:\n%s", p)
 	}
 }

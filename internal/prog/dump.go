@@ -62,8 +62,6 @@ func (p *Program) opString(op *Op) string {
 			parts[i] = fmt.Sprintf("%d", pt)
 		}
 		return "fork    -> {" + strings.Join(parts, ",") + "}"
-	case OpSub:
-		return fmt.Sprintf("sub     seg%d", op.Sub)
 	case OpUnknown:
 		return fmt.Sprintf("unknown %q", op.Msg)
 	}

@@ -316,7 +316,7 @@ func TestITableCodecRoundTrip(t *testing.T) {
 	}
 	for i := range []int{0, 1} {
 		oc, dc := p.Ops[i].C, q.Ops[i].C
-		if dc.Kind != cIntervalTable || dc.FP != oc.FP || dc.HasSym != oc.HasSym {
+		if dc.Kind != cIntervalTable || dc.FP != oc.FP {
 			t.Fatalf("op %d: node drifted: %+v", i, dc)
 		}
 		if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {

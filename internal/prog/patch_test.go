@@ -61,7 +61,7 @@ func deepEqualCond(a, b *cCond) bool {
 		return a == b
 	}
 	if a.Kind != b.Kind || a.FP != b.FP || a.HasStatic != b.HasStatic ||
-		a.StaticErr != b.StaticErr || a.HasSym != b.HasSym {
+		a.StaticErr != b.StaticErr {
 		return false
 	}
 	if a.Op != b.Op || a.Val != b.Val || a.Mask != b.Mask ||

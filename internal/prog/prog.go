@@ -6,10 +6,8 @@
 // A Program is an array of ops grouped into segments (basic blocks): If
 // becomes an op carrying branch-target segments instead of nested
 // instruction trees, Fork is an explicit multi-successor terminator listing
-// output ports, and nested instruction blocks either splice into their
-// parent segment or become explicit sub-segment ops when splicing would
-// reorder fresh-symbol allocation (see compile.go). Compilation runs a
-// static optimization pass:
+// output ports, and nested instruction blocks splice into their parent
+// segment. Compilation runs a static optimization pass:
 //
 //   - l-values are pre-resolved: metadata names bind to their MetaKey
 //     (element instance baked in at compile time) and tag-independent header
@@ -30,7 +28,11 @@
 // The compiled program must be observationally identical to the AST
 // interpreter it replaces — same results, same statistics, same trace lines,
 // same fresh-symbol allocation order — which is what the differential
-// property tests in this package pin down. Programs are immutable after
+// property tests in this package pin down. Fresh-symbol order is the one
+// place the order across sibling states shows, so every executor (the AST
+// interpreter, the IR loop, the summary walk) runs siblings state-major:
+// each successor of an If or For runs the rest of the program before the
+// next sibling starts. Programs are immutable after
 // compilation and shared read-only across scheduler workers and batch jobs;
 // the only mutable member is the per-For-op body-program cache, which is a
 // concurrency-safe memo.
@@ -46,7 +48,7 @@ import (
 )
 
 // OpKind enumerates the IR operations. One op corresponds to one SEFL
-// instruction (blocks splice away or become OpSub boundaries).
+// instruction (blocks splice away).
 type OpKind uint8
 
 const (
@@ -77,11 +79,9 @@ const (
 	// OpFork duplicates the packet to every listed output port: the explicit
 	// multi-successor terminator of the IR.
 	OpFork
-	// OpSub runs a nested segment (an instruction block that could not be
-	// spliced into its parent without reordering fresh-symbol allocation).
-	OpSub
 	// OpUnknown preserves the AST interpreter's behavior for instruction
-	// types the compiler does not know: the path fails with Msg.
+	// types the compiler does not know: the path fails with Msg. It is the
+	// last kind.
 	OpUnknown
 )
 
@@ -178,10 +178,6 @@ type cCond struct {
 	Static    expr.Cond
 	StaticErr string
 
-	// HasSym marks fresh-symbol allocation anywhere below: a summary
-	// treats such a guard as a mint site.
-	HasSym bool
-
 	B         bool       // cBool value
 	Op        expr.CmpOp // cCmp operator
 	L, R      *CExpr     // cCmp operands / cPrefix, cMasked subject (L)
@@ -249,8 +245,7 @@ type Seg struct {
 // original SEFL instruction: trace lines and constraint-failure messages
 // render it on demand, exactly when (and only when) the AST interpreter
 // would — precomputing them would pin huge strings for models whose guards
-// span hundreds of thousands of table entries. Ins is nil for OpSub, which
-// is not traced (the AST interpreter does not trace blocks either).
+// span hundreds of thousands of table entries.
 type Op struct {
 	Kind  OpKind
 	Ins   sefl.Instr
@@ -264,7 +259,6 @@ type Op struct {
 	Ports []int  // OpFork; OpForward: {Port}, the successor slice every visit shares
 	Then  SegID  // OpIf
 	Else  SegID  // OpIf
-	Sub   SegID  // OpSub
 	For   *ForOp // OpFor
 }
 

@@ -216,9 +216,9 @@ func TestRowsMatchTree(t *testing.T) {
 		or := eagerOr(rowsGuard(f, rows))
 		tree := Compile(sefl.Seq(sefl.Constrain{C: tb.Or()}, sefl.Forward{Port: 0}), "el", 0, "el.out[1]").Ops[0].C
 		for name, ref := range map[string]*cCond{"hand-written": or, "Or()": tree} {
-			if ref.Kind != cOr || node.FP != ref.FP || node.HasSym != ref.HasSym || node.HasStatic != ref.HasStatic {
-				t.Fatalf("trial %d: from rows fp=%v sym=%v static=%v\n%s tree kind=%d fp=%v sym=%v static=%v",
-					trial, node.FP, node.HasSym, node.HasStatic, name, ref.Kind, ref.FP, ref.HasSym, ref.HasStatic)
+			if ref.Kind != cOr || node.FP != ref.FP || node.HasStatic != ref.HasStatic {
+				t.Fatalf("trial %d: from rows fp=%v static=%v\n%s tree kind=%d fp=%v static=%v",
+					trial, node.FP, node.HasStatic, name, ref.Kind, ref.FP, ref.HasStatic)
 			}
 		}
 		if got, want := guard.String(), (sefl.Constrain{C: tb.Or()}).String(); got != want {

@@ -17,19 +17,12 @@
 // Summaries are observationally identical to IR execution by construction:
 // every step executes through the same evaluators (EvalExpr/EvalCond), the
 // same solver calls in the same per-path order, and renders the same
-// strings. What differs is the order across sibling states: the IR runs the
-// continuation of an If or For op-major over the siblings it forked, the
-// DAG runs it state-major. Only fresh-symbol mints can observe that order,
-// and they agree exactly when the continuation (the rest of the segment plus
-// every frame below it) holds at most one op that can mint — every sibling
-// then mints at that op, in sibling order, under both disciplines — and,
-// when it holds one, the If's Else arm mints nothing (an Else-arm mint lands
-// before the Then sibling's continuation mint in the IR, after it in the
-// DAG; a Then-arm mint precedes both orders). A For counts as a mint site
-// and as a branch point, since its bodies are unknown until runtime.
-// Summarize refuses (verdict "unsummarizable") any program that breaks the
-// rule or overflows the node budget; those programs fall back to the IR
-// path, preserving exact semantics, and the differential property tests pin
+// strings, and the walk runs sibling states in the IR's order, state-major
+// (each successor of an If or For runs the rest of the program before the
+// next sibling starts), so fresh symbols are minted in the same order too.
+// Summarize refuses (verdict "unsummarizable") only a program whose DAG
+// overflows the node budget; such a program falls back to the IR path,
+// preserving exact semantics, and the differential property tests pin
 // byte-identity across both verdicts.
 package prog
 
@@ -61,9 +54,9 @@ const (
 	// into Then, the original takes ¬C into Else, infeasible successors are
 	// pruned — byte-for-byte the IR's OpIf discipline.
 	TermBranch
-	// TermFor runs the OpFor at Hi exactly as the IR does — key-major over
-	// the states its bodies fork, each body through the IR — then continues
-	// every resulting state, in order, at Next.
+	// TermFor runs the OpFor at Hi exactly as the IR does — bodies through
+	// the IR, state-major over the states they fork — then continues every
+	// resulting state, in order, at Next.
 	TermFor
 )
 
@@ -168,13 +161,10 @@ func (s *Summary) ConstrainFailMsg(i int32) string {
 }
 
 // Summarize pre-walks a compiled program into its summary. The verdict is
-// unsummarizable (no nodes, Reason set) when an If or For has more than one
-// op that can mint in its continuation, when an If with one has an Else arm
-// that can mint (see the package comment for why both would reorder symbol
-// IDs), or when the DAG overflows the node budget.
+// unsummarizable (no nodes, Reason set) when the DAG overflows the node
+// budget.
 func Summarize(p *Program) *Summary {
 	b := &sumBuilder{p: p}
-	b.buildSuffMints()
 	b.node(p.Entry, p.Seg(p.Entry).Lo, nil)
 	if b.reason != "" {
 		return &Summary{Prog: p, Reason: b.reason}
@@ -182,23 +172,14 @@ func Summarize(p *Program) *Summary {
 	return &Summary{Prog: p, Nodes: b.nodes}
 }
 
-// The unsummarizable verdicts of the mint rule.
-const (
-	reasonContMints = "more than one fresh-symbol mint downstream of a branch point"
-	reasonElseMint  = "fresh-symbol mints in a branch's Else arm and downstream of it"
-)
-
 // sumFrame is one continuation-stack frame of the pre-walk: execution
 // resumes at (seg, idx) when the nested segment below it finishes. Frames
 // are hash-consed (same resume point + same tail = same frame), which is
-// what lets the node memo share join points by pointer identity. mints
-// caches how many ops at or after the resume point, through every frame
-// below, can mint a fresh symbol.
+// what lets the node memo share join points by pointer identity.
 type sumFrame struct {
-	seg   SegID
-	idx   int32
-	next  *sumFrame
-	mints int
+	seg  SegID
+	idx  int32
+	next *sumFrame
 }
 
 // sumKey identifies a walk position: program counter plus continuation.
@@ -211,95 +192,12 @@ type sumKey struct {
 // sumBuilder carries one pre-walk. Its maps are made on first write: most
 // port programs are a single straight-line segment and never need them.
 type sumBuilder struct {
-	p      *Program
-	nodes  []SumNode
-	memo   map[sumKey]int32
-	frames map[sumKey]*sumFrame
-	// suffMints[i] counts the ops at or after index i within its own
-	// segment that can mint a fresh symbol; segMint memoizes whole segments.
-	suffMints []int32
-	segMint   map[SegID]bool
-	started   int
-	reason    string
-}
-
-// buildSuffMints computes per-op suffix mint counts segment by segment.
-// Minting happens only through evaluation (eSym expressions, conditions
-// with HasSym); segments referenced by If/Sub ops contribute transitively
-// through opMints -> segMints recursion (the segment graph is a DAG).
-func (b *sumBuilder) buildSuffMints() {
-	b.suffMints = make([]int32, len(b.p.Ops))
-	for _, seg := range b.p.Segs {
-		var n int32
-		for i := seg.Hi - 1; i >= seg.Lo; i-- {
-			if b.opMints(&b.p.Ops[i]) {
-				n++
-			}
-			b.suffMints[i] = n
-		}
-	}
-}
-
-// segMints reports whether any op of the segment can mint, memoized.
-func (b *sumBuilder) segMints(id SegID) bool {
-	if v, ok := b.segMint[id]; ok {
-		return v
-	}
-	if b.segMint == nil {
-		b.segMint = make(map[SegID]bool)
-	}
-	// Pre-store false to terminate on (impossible) cycles, then compute.
-	b.segMint[id] = false
-	seg := b.p.Seg(id)
-	mint := false
-	for i := seg.Lo; i < seg.Hi; i++ {
-		if b.opMints(&b.p.Ops[i]) {
-			mint = true
-			break
-		}
-	}
-	b.segMint[id] = mint
-	return mint
-}
-
-// opMints reports whether executing the op can allocate a fresh symbol.
-func (b *sumBuilder) opMints(op *Op) bool {
-	switch op.Kind {
-	case OpAssign, OpCreateTag:
-		return exprMints(op.E)
-	case OpConstrain:
-		return condMints(op.C)
-	case OpIf:
-		return condMints(op.C) || b.segMints(op.Then) || b.segMints(op.Else)
-	case OpSub:
-		return b.segMints(op.Sub)
-	case OpFor:
-		// Bodies are unknown until runtime.
-		return true
-	}
-	return false
-}
-
-// exprMints reports whether evaluating the expression can mint. Folded
-// nodes replay their compile-time value and never evaluate children.
-func exprMints(e *CExpr) bool {
-	if e == nil || e.Folded != nil {
-		return false
-	}
-	switch e.Kind {
-	case eSym:
-		return true
-	case eArith:
-		return exprMints(e.A) || exprMints(e.B)
-	}
-	return false
-}
-
-// condMints reports whether evaluating the condition can mint. Static
-// conditions replay their compile-time value; HasSym marks fresh-symbol
-// nodes anywhere below (computed by the compiler).
-func condMints(c *cCond) bool {
-	return c != nil && !c.HasStatic && c.HasSym
+	p       *Program
+	nodes   []SumNode
+	memo    map[sumKey]int32
+	frames  map[sumKey]*sumFrame
+	started int
+	reason  string
 }
 
 // push returns the hash-consed continuation frame resuming at (seg, idx).
@@ -311,22 +209,9 @@ func (b *sumBuilder) push(seg SegID, idx int32, next *sumFrame) *sumFrame {
 	if b.frames == nil {
 		b.frames = make(map[sumKey]*sumFrame)
 	}
-	f := &sumFrame{seg: seg, idx: idx, next: next, mints: b.contMints(seg, idx, next)}
+	f := &sumFrame{seg: seg, idx: idx, next: next}
 	b.frames[key] = f
 	return f
-}
-
-// contMints counts the ops that can mint from (seg, idx) to the end of the
-// program under the given continuation.
-func (b *sumBuilder) contMints(seg SegID, idx int32, stack *sumFrame) int {
-	n := 0
-	if idx < b.p.Seg(seg).Hi {
-		n = int(b.suffMints[idx])
-	}
-	if stack != nil {
-		n += stack.mints
-	}
-	return n
 }
 
 // node walks the program from (seg, idx) under the given continuation and
@@ -362,29 +247,10 @@ walk:
 		}
 		switch op := &b.p.Ops[idx]; op.Kind {
 		case OpFor:
-			if b.contMints(seg, idx+1, stack) > 1 {
-				b.reason = reasonContMints
-				return 0
-			}
 			n.Term = TermFor
 			n.Next = b.node(seg, idx+1, stack)
 			break walk
-		case OpSub:
-			n.Term = TermJump
-			n.Next = b.node(op.Sub, b.p.Seg(op.Sub).Lo, b.push(seg, idx+1, stack))
-			break walk
 		case OpIf:
-			switch b.contMints(seg, idx+1, stack) {
-			case 0:
-			case 1:
-				if b.segMints(op.Else) {
-					b.reason = reasonElseMint
-					return 0
-				}
-			default:
-				b.reason = reasonContMints
-				return 0
-			}
 			cont := b.push(seg, idx+1, stack)
 			n.Term = TermBranch
 			n.Then = b.node(op.Then, b.p.Seg(op.Then).Lo, cont)

@@ -1,11 +1,9 @@
 package prog
 
-// White-box tests of the summary builder and its wire form: verdicts (what
-// summarizes, what falls back and why — with byte-stable reasons), the
-// decision-DAG shape (rows multiply across branches while shared
-// continuations keep the node count linear), the degenerate empty row, and
-// decode round-trips plus byte-stable malformed-stream errors matching the
-// program codec's conventions.
+// White-box tests of the summary builder: verdicts (what summarizes, and the
+// node budget's byte-stable reason for what does not), the decision-DAG
+// shape (rows multiply across branches while shared continuations keep the
+// node count linear), the degenerate empty row, and the lazy render cache.
 
 import (
 	"fmt"
@@ -86,8 +84,7 @@ func TestSummarizeSharedContinuations(t *testing.T) {
 }
 
 // TestSummarizeFor pins the For node: a For loop is a TermFor node at its
-// op, continuing at the code after it, and counts as a mint site and a branch
-// point — so a For followed by two more mint sites is refused.
+// op, continuing at the code after it.
 func TestSummarizeFor(t *testing.T) {
 	loop := sefl.For{Pattern: "^m", Body: func(k sefl.Meta) sefl.Instr {
 		return sefl.Assign{LV: k, E: sefl.C(1)}
@@ -108,94 +105,6 @@ func TestSummarizeFor(t *testing.T) {
 		t.Fatalf("Rows=%d, want 1", s.Rows())
 	}
 
-	// One mint after the For replays in sibling order either way...
-	mint := func(name string) sefl.Instr { return sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: name}} }
-	if s := Summarize(compileSum(sefl.Seq(loop, mint("a"), sefl.Forward{Port: 0}))); !s.OK() {
-		t.Fatalf("For with one mint site after it should summarize: %s", s.Reason)
-	}
-	// ...two do not.
-	s = Summarize(compileSum(sefl.Seq(loop, mint("a"), mint("b"), sefl.Forward{Port: 0})))
-	if s.OK() {
-		t.Fatal("For followed by two mint sites summarized")
-	}
-	if s.Reason != reasonContMints {
-		t.Fatalf("reason = %q", s.Reason)
-	}
-}
-
-// TestSummarizeMintOrdering pins the fresh-symbol rule. The IR runs a
-// branch's continuation op-major over the sibling states, a summary runs it
-// state-major: the two mint in the same order when the continuation has at
-// most one mint site and, if it has one, the Else arm mints nothing.
-func TestSummarizeMintOrdering(t *testing.T) {
-	cond := sefl.Eq(sefl.Ref{LV: sumF0}, sefl.C(7))
-	mint := func(name string) sefl.Instr { return sefl.Assign{LV: sumF1, E: sefl.Symbolic{W: 32, Name: name}} }
-
-	accept := []struct {
-		name string
-		code sefl.Instr
-	}{
-		// One state executes an arm's mint, in the same position either way.
-		{"mint inside a branch arm", sefl.Seq(
-			sefl.If{C: cond, Then: mint("s"), Else: sefl.NoOp{}},
-			sefl.Forward{Port: 0},
-		)},
-		// Straight-line mints before any branch replay in order.
-		{"mint before the branch", sefl.Seq(
-			mint("s"),
-			sefl.If{C: cond, Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}},
-		)},
-		// One site downstream: every sibling mints there, in sibling order.
-		{"one mint site downstream", sefl.Seq(
-			sefl.If{C: cond, Then: sefl.Assign{LV: sumF1, E: sefl.C(1)}, Else: sefl.NoOp{}},
-			mint("s"),
-			sefl.Forward{Port: 0},
-		)},
-		// The same through a condition: constraining on a fresh symbol mints.
-		{"one condition mint downstream", sefl.Seq(
-			sefl.If{C: cond, Then: sefl.NoOp{}, Else: sefl.NoOp{}},
-			sefl.Constrain{C: sefl.Eq(sefl.Symbolic{W: 32, Name: "s"}, sefl.C(3))},
-			sefl.Forward{Port: 0},
-		)},
-		// A Then-arm mint precedes the continuation's in both orders.
-		{"then-arm mint and one downstream", sefl.Seq(
-			sefl.If{C: cond, Then: mint("t"), Else: sefl.NoOp{}},
-			mint("s"),
-			sefl.Forward{Port: 0},
-		)},
-	}
-	for _, tc := range accept {
-		if s := Summarize(compileSum(tc.code)); !s.OK() {
-			t.Errorf("%s: should summarize: %s", tc.name, s.Reason)
-		}
-	}
-
-	refuse := []struct {
-		name, reason string
-		code         sefl.Instr
-	}{
-		{"two mint sites downstream", reasonContMints, sefl.Seq(
-			sefl.If{C: cond, Then: sefl.Assign{LV: sumF1, E: sefl.C(1)}, Else: sefl.NoOp{}},
-			mint("a"),
-			mint("b"),
-			sefl.Forward{Port: 0},
-		)},
-		// The IR mints the Else arm's symbol before the Then sibling reaches
-		// the continuation's site; a summary mints it after.
-		{"else-arm mint and one downstream", reasonElseMint, sefl.Seq(
-			sefl.If{C: cond, Then: sefl.NoOp{}, Else: mint("e")},
-			mint("s"),
-			sefl.Forward{Port: 0},
-		)},
-	}
-	for _, tc := range refuse {
-		s := Summarize(compileSum(tc.code))
-		if s.OK() {
-			t.Errorf("%s: summarized", tc.name)
-		} else if s.Reason != tc.reason {
-			t.Errorf("%s: reason = %q, want %q", tc.name, s.Reason, tc.reason)
-		}
-	}
 }
 
 func TestSummarizeNodeBudget(t *testing.T) {

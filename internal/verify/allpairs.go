@@ -27,18 +27,10 @@ type AllPairsReport struct {
 	Results []*core.Result
 	// Summaries holds what crossed the wire for a source that ran on a fleet
 	// (statuses, histories, solver statistics, constraint fingerprints); nil
-	// for a source that ran in-process. See Summary for either.
+	// for a source that ran in-process. dist.Summarize of the live result is
+	// byte-identical to it for the same job — the property internal/dist
+	// pins.
 	Summaries []*dist.Summary
-}
-
-// Summary returns the wire summary of Sources[s]'s run: the fleet's as
-// received, or the live result summarized on demand. The two are
-// byte-identical for the same job — the property internal/dist pins.
-func (r *AllPairsReport) Summary(s int) *dist.Summary {
-	if sum := r.Summaries[s]; sum != nil {
-		return sum
-	}
-	return dist.Summarize(r.Results[s])
 }
 
 // Splice installs one source's finished run: its result (or summary) and a

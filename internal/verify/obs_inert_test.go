@@ -21,9 +21,11 @@ import (
 // fingerprints, run statistics).
 func canon(t *testing.T, rep *verify.AllPairsReport) string {
 	t.Helper()
-	sums := make([]*dist.Summary, len(rep.Sources))
-	for i := range sums {
-		sums[i] = rep.Summary(i)
+	sums := append([]*dist.Summary(nil), rep.Summaries...)
+	for i, sum := range sums {
+		if sum == nil {
+			sums[i] = dist.Summarize(rep.Results[i])
+		}
 	}
 	b, err := json.Marshal(map[string]any{
 		"reachable": rep.Reachable, "counts": rep.PathCount, "summaries": sums,
