@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"symnet/internal/core"
+	"symnet/internal/expr"
 	"symnet/internal/models"
+	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
 
@@ -274,7 +276,8 @@ func (st *stage) commit() (*BatchResult, error) {
 func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *BatchResult) error {
 	oldFib := s.routers[elem]
 	newFib := es.fib
-	if !slices.Equal(oldFib.Ports(), newFib.Ports()) {
+	ports := newFib.Ports()
+	if !slices.Equal(oldFib.Ports(), ports) {
 		// Fork list changes: regenerate the whole model.
 		if err := models.Router(e, newFib, models.Egress); err != nil {
 			return err
@@ -287,13 +290,16 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			s.unverified[i] = true
 		}
 	} else {
-		oldPer := models.GroupRoutes(tables.CompileLPM(oldFib))
-		newPer := models.GroupRoutes(tables.CompileLPM(newFib))
-		for _, p := range newFib.Ports() {
-			if equalCompiled(oldPer[p], newPer[p]) {
+		// Each port's guard rows, as models.Router's Egress style builds
+		// and installs them.
+		oldRows := tables.LPMRows(oldFib, e.NumOut)
+		newRows := tables.LPMRows(newFib, e.NumOut)
+		for _, p := range ports {
+			if slices.EqualFunc(oldRows[p], newRows[p], equalRow) {
 				continue
 			}
-			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.RouterEgressGuard(newPer[p]))
+			guard := sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: newRows[p]}}
+			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, guard)
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}
@@ -307,11 +313,17 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 	return nil
 }
 
+// equalRow reports whether two guard rows are the same row.
+func equalRow(a, b expr.GuardRow) bool {
+	return a.Kind == b.Kind && a.V == b.V && a.Len == b.Len && slices.Equal(a.Excl, b.Excl)
+}
+
 // commitMAC reconciles one switch's staged table against the resident model.
 func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *BatchResult) error {
 	oldTbl := s.switches[elem]
 	newTbl := es.mac
-	if !slices.Equal(oldTbl.Ports(), newTbl.Ports()) {
+	ports := newTbl.Ports()
+	if !slices.Equal(oldTbl.Ports(), ports) {
 		if err := models.Switch(e, newTbl, models.Egress); err != nil {
 			return err
 		}
@@ -325,7 +337,7 @@ func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *Ba
 	} else {
 		oldBy := oldTbl.ByPort()
 		newBy := newTbl.ByPort()
-		for _, p := range newTbl.Ports() {
+		for _, p := range ports {
 			if slices.Equal(oldBy[p], newBy[p]) {
 				continue
 			}

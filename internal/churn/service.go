@@ -2,7 +2,6 @@ package churn
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -385,10 +384,4 @@ func tier(a Action) int {
 		return 3
 	}
 	return 0 // actionNoop and the unset zero value
-}
-
-func equalCompiled(a, b []tables.CompiledRoute) bool {
-	return slices.EqualFunc(a, b, func(x, y tables.CompiledRoute) bool {
-		return x.Route == y.Route && slices.Equal(x.Exclusions, y.Exclusions)
-	})
 }

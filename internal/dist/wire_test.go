@@ -251,6 +251,25 @@ func batchErrorCases(t testing.TB) []streamCase {
 	fullBatch := func(mutate func(*setupFrame)) *frame {
 		return &frame{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: testSetupRaw(t, net, mutate), Workers: 1}}
 	}
+	// broken is ins compiled as SW's input program, its wire form as mutate
+	// damaged it; install puts a program in SW's input program's place.
+	broken := func(ins sefl.Instr, mutate func(*prog.WireProgram)) *prog.WireProgram {
+		w, err := prog.EncodeProgram(prog.Compile(ins, "SW", 0, "SW.in[0]"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(w)
+		return w
+	}
+	install := func(w *prog.WireProgram) func(*setupFrame) {
+		return func(s *setupFrame) { s.Programs[0].Prog = w }
+	}
+	dst := sefl.Ref{LV: sefl.EtherDst}
+	isAA, isBB := sefl.Eq(dst, sefl.CW(0xaa, 48)), sefl.Eq(dst, sefl.CW(0xbb, 48))
+	sum := broken(sefl.Assign{LV: sefl.EtherDst, E: sefl.Add{A: dst, B: sefl.CW(1, 48)}},
+		func(w *prog.WireProgram) { w.Ops[0].E.B = nil })
+	not := broken(sefl.Constrain{C: sefl.CNot{C: isAA}}, func(w *prog.WireProgram) { w.CondTab[1].C = -1 })
+	or := broken(sefl.Constrain{C: sefl.COr{Cs: []sefl.Cond{isAA, isBB}}}, func(w *prog.WireProgram) { w.CondTab[1].R = nil })
 	return []streamCase{
 		{
 			name:   "setup without a network",
@@ -324,6 +343,25 @@ func batchErrorCases(t testing.TB) []streamCase {
 			name:   "setup with an op kind past the last",
 			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog.Ops[0].Kind = prog.OpUnknown + 1 })},
 			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d is past the last kind", prog.OpUnknown+1),
+		},
+		// Ops whose expression or condition tree lacks a node its kind
+		// reads, which the executors read without a check.
+		{
+			name:   "setup with an operand-less sum",
+			frames: []*frame{hello, fullBatch(install(sum))},
+			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has an incomplete expression: an arithmetic node lacks an operand", prog.OpAssign),
+		},
+		{
+			name:   "setup with a child-less not",
+			frames: []*frame{hello, fullBatch(install(not))},
+			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has an incomplete condition: cond 1 of kind %d has no child",
+				prog.OpConstrain, not.CondTab[1].Kind),
+		},
+		{
+			name:   "setup with an or over an incomplete child",
+			frames: []*frame{hello, fullBatch(install(or))},
+			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has an incomplete condition: cond 1 of kind %d lacks an operand",
+				prog.OpConstrain, or.CondTab[1].Kind),
 		},
 		{
 			// The compiler trusts a table's rows, so the decoder refuses a

@@ -21,6 +21,7 @@
 package prog
 
 import (
+	"cmp"
 	"fmt"
 	"regexp"
 
@@ -225,6 +226,9 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		Ops:       make([]Op, len(w.Ops)),
 	}
 	conds := make([]*cCond, len(w.CondTab))
+	// incomplete[i] names what cond i's tree lacks ("" when nothing); the
+	// conds are a DAG, so each node is checked once, after its children.
+	incomplete := make([]string, len(w.CondTab))
 	for i := range w.CondTab {
 		wc := &w.CondTab[i]
 		c := &cCond{
@@ -264,6 +268,13 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			c.C = conds[wc.C]
 		}
 		conds[i] = c
+		incomplete[i] = condMissing(i, c)
+		for _, si := range wc.Cs {
+			incomplete[i] = cmp.Or(incomplete[i], incomplete[si])
+		}
+		if wc.C >= 0 {
+			incomplete[i] = cmp.Or(incomplete[i], incomplete[wc.C])
+		}
 	}
 	for i := range w.Ops {
 		wop := &w.Ops[i]
@@ -295,7 +306,16 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 			}
 			op.For = newForOp(wop.ForPattern, f.Body)
 		}
-		if missing := opMissing(&op); missing != "" {
+		missing := opMissing(&op)
+		if missing == "" && op.E != nil {
+			if m := exprMissing(op.E); m != "" {
+				missing = "has an incomplete expression: " + m
+			}
+		}
+		if missing == "" && op.C != nil && incomplete[wop.C] != "" {
+			missing = "has an incomplete condition: " + incomplete[wop.C]
+		}
+		if missing != "" {
 			return nil, fmt.Errorf("prog: decode %s: op %d of kind %d %s", w.Label, i, op.Kind, missing)
 		}
 		p.Ops[i] = op
@@ -334,6 +354,45 @@ func opMissing(op *Op) string {
 		}
 	}
 	return ""
+}
+
+// condMissing names what cond i lacks of what its kind reads ("" when
+// nothing), leaving its children's own trees to their checks. A cAnd or cOr
+// reads nothing of its own: its children are indices the decoder bounds.
+func condMissing(i int, c *cCond) string {
+	var m string
+	switch c.Kind {
+	case cCmp:
+		if c.L == nil || c.R == nil {
+			return fmt.Sprintf("cond %d of kind %d lacks an operand", i, c.Kind)
+		}
+		m = cmp.Or(exprMissing(c.L), exprMissing(c.R))
+	case cPrefix, cMasked:
+		if c.L == nil {
+			return fmt.Sprintf("cond %d of kind %d has no subject", i, c.Kind)
+		}
+		m = exprMissing(c.L)
+	case cNot:
+		if c.C == nil {
+			return fmt.Sprintf("cond %d of kind %d has no child", i, c.Kind)
+		}
+	}
+	if m != "" {
+		return fmt.Sprintf("cond %d of kind %d: %s", i, c.Kind, m)
+	}
+	return ""
+}
+
+// exprMissing names what an expression tree lacks ("" when nothing): the
+// executors read an arithmetic node's operands without a check.
+func exprMissing(e *CExpr) string {
+	if e.Kind != eArith {
+		return ""
+	}
+	if e.A == nil || e.B == nil {
+		return "an arithmetic node lacks an operand"
+	}
+	return cmp.Or(exprMissing(e.A), exprMissing(e.B))
 }
 
 // checkSegs holds a shipped program to what compileSeg guarantees of a

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"symnet/internal/expr"
@@ -31,7 +33,8 @@ func checkRejected(t *testing.T, data []byte, what string, err error) {
 // FuzzParseFIB: ParseFIB never panics; every route it accepts is a prefix of
 // length 0 to 32 with its host bits zero and a port that is not negative;
 // what it accepts writes back (FIB.WriteTo) to text that parses to the same
-// routes; and what it rejects it rejects naming a line of the input.
+// routes; what it rejects it rejects naming a line of the input; and every
+// line the one-pass reader takes, the tokenizer reads as the same route.
 func FuzzParseFIB(f *testing.F) {
 	for _, s := range []string{
 		"10.0.0.0/8 0\n192.168.0.0/24 1\n0.0.0.0/0 2\n",
@@ -40,10 +43,36 @@ func FuzzParseFIB(f *testing.F) {
 		"10.0.0.0/8 2147483647\n10.0.0.0/8 2147483648\n",
 		"# comment only\n\n   \n",
 		"10.0.0.0/33 1", "10.0.0.256/8 1", "10.0.0.0/8", "10.0.0.0/8 +1",
+		"010.1.2.3/08 007\n",
+		"10.0.0.0/8\t1\r\n10.1.0.0/16 2\r\n",
+		"10.0.0.0/8 1 # core\n10.0.0.0/8 1#core\n",
+		"0.0.0.0/0 2147483647\n255.255.255.255/32 1234567890\n",
+		"10.0.0.0/8 9999999999\n",
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		sc.Buffer(nil, 1<<24)
+		for sc.Scan() {
+			line := sc.Bytes()
+			if f := bytes.Fields(bytes.SplitN(line, []byte{'#'}, 2)[0]); len(f) > 0 {
+				pfx, plen, err := ParsePrefix(f[0])
+				wpfx, wplen, werr := prefixOracle(string(f[0]))
+				if pfx != wpfx || plen != wplen || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("ParsePrefix(%q) = %#x/%d, %v; want %#x/%d, %v", f[0], pfx, plen, err, wpfx, wplen, werr)
+				}
+			}
+			r, ok := routeLine(line)
+			if !ok {
+				continue
+			}
+			// A leading tab sends the line to the tokenizer.
+			got, err := ParseFIB(bytes.NewReader(append([]byte{'\t'}, line...)))
+			if err != nil || len(got) != 1 || got[0] != r {
+				t.Fatalf("line %q: one pass reads %v, the tokenizer %v, %v", line, r, got, err)
+			}
+		}
 		fib, err := ParseFIB(bytes.NewReader(data))
 		if err != nil {
 			checkRejected(t, data, "fib", err)
@@ -63,6 +92,24 @@ func FuzzParseFIB(f *testing.F) {
 			t.Fatalf("WriteTo → ParseFIB: %v, %v; want %v", back, err, fib)
 		}
 	})
+}
+
+// prefixOracle is ParsePrefix read field by field with the standard library:
+// the slash, the length as strconv.Atoi reads it, then the address.
+func prefixOracle(s string) (uint64, int, error) {
+	addr, length, ok := strings.Cut(s, "/")
+	if !ok {
+		return 0, 0, fmt.Errorf("missing / in prefix %q", s)
+	}
+	plen, err := strconv.Atoi(length)
+	if err != nil || plen < 0 || plen > 32 {
+		return 0, 0, fmt.Errorf("bad prefix length in %q", s)
+	}
+	v, err := ParseIPv4(addr)
+	if err != nil {
+		return 0, 0, err
+	}
+	return v & expr.PrefixMask(plen, 32), plen, nil
 }
 
 // FuzzParseMACTable: the same four properties for MAC tables — every entry

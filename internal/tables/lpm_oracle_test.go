@@ -190,3 +190,57 @@ func TestCompileLPMListsAreIndependent(t *testing.T) {
 		}
 	}
 }
+
+// portRowsOf is what the router models built from CompileLPM before
+// LPMRows: the compiled routes grouped by port in CompileLPM order, each
+// port's as a prefix row per route minus its exclusions.
+func portRowsOf(cs []CompiledRoute, nports int) [][]expr.GuardRow {
+	out := make([][]expr.GuardRow, nports)
+	for p := range out {
+		out[p] = []expr.GuardRow{}
+	}
+	for _, c := range cs {
+		r := expr.GuardRow{Kind: expr.GuardPrefix, V: c.Prefix, Len: c.Len}
+		for _, ex := range c.Exclusions {
+			r.Excl = append(r.Excl, expr.GuardExcl{V: ex.Prefix, Len: ex.Len})
+		}
+		out[c.Port] = append(out[c.Port], r)
+	}
+	return out
+}
+
+// TestLPMRowsMatchCompileLPM: each port's rows are CompileLPM's routes to
+// it, in its order, with its exclusions in its order — on random FIBs with
+// duplicates, default routes, /32s, deep chains and ports no route uses —
+// and no port's rows or row's exclusions reach into a neighbour's.
+func TestLPMRowsMatchCompileLPM(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	fibs := []FIB{nil, {{Prefix: 0, Len: 0, Port: 2}}}
+	for range 2000 {
+		fibs = append(fibs, nestedFIB(rng))
+	}
+	unused := 0
+	for trial, f := range fibs {
+		const nports = 9 // nestedFIB's ports are 0 to 3, 6 and 7
+		got, want := LPMRows(f, nports), portRowsOf(CompileLPM(f), nports)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: fib %v\n got %v\nwant %v", trial, f, got, want)
+		}
+		for p, rows := range got {
+			if cap(rows) != len(rows) {
+				t.Fatalf("trial %d: port %d's rows have room for %d more", trial, p, cap(rows)-len(rows))
+			}
+			if len(rows) == 0 {
+				unused++
+			}
+			for _, r := range rows {
+				if cap(r.Excl) != len(r.Excl) {
+					t.Fatalf("trial %d: port %d row %v has room for more exclusions", trial, p, r)
+				}
+			}
+		}
+	}
+	if unused == 0 {
+		t.Fatal("generator too tame: every port has a route")
+	}
+}

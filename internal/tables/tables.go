@@ -7,9 +7,10 @@ package tables
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -40,7 +41,7 @@ type MACTable []MACEntry
 // a bad address, a negative VLAN or port — is an error naming the line.
 func ParseMACTable(r io.Reader) (MACTable, error) {
 	var t chunks[MACEntry]
-	err := scanLines(r, "mac table", 3, func(f [][]byte) error {
+	err := scanLines(r, "mac table", 3, nil, func(f [][]byte) error {
 		vlan, err := parseUint31(f[0])
 		if err != nil {
 			return fmt.Errorf("bad vlan: %v", err)
@@ -61,16 +62,7 @@ func ParseMACTable(r io.Reader) (MACTable, error) {
 
 // Ports returns the sorted set of output ports used by the table.
 func (t MACTable) Ports() []int {
-	seen := map[int]bool{}
-	for _, e := range t {
-		seen[e.Port] = true
-	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
+	return portSet(t, func(e *MACEntry) int { return e.Port })
 }
 
 // ByPort groups MAC addresses by output port (sorted ports, sorted MACs).
@@ -113,7 +105,13 @@ type FIB []Route
 // e.g. "10.0.0.0/8 0". Malformed input is an error naming the line.
 func ParseFIB(r io.Reader) (FIB, error) {
 	var f chunks[Route]
-	err := scanLines(r, "fib", 2, func(fs [][]byte) error {
+	err := scanLines(r, "fib", 2, func(line []byte) bool {
+		rt, ok := routeLine(line)
+		if ok {
+			f.add(rt)
+		}
+		return ok
+	}, func(fs [][]byte) error {
 		pfx, plen, err := ParsePrefix(fs[0])
 		if err != nil {
 			return err
@@ -128,25 +126,76 @@ func ParseFIB(r io.Reader) (FIB, error) {
 	return f.slice(), err
 }
 
+// routeLine reads a line as FIB.WriteTo writes it — "a.b.c.d/len port",
+// one space between, nothing around — in one pass. It refuses any other
+// line, which the tokenizer then reads or rejects.
+func routeLine(s []byte) (Route, bool) {
+	pfx, plen, _, n, ok := prefixAt(s)
+	if !ok || plen < 0 || n+1 >= len(s) || s[n] != ' ' {
+		return Route{}, false
+	}
+	port, ok := uint31(s[n+1:])
+	return Route{Prefix: pfx, Len: plen, Port: int(port)}, ok
+}
+
 // The parsers are generic over the text's type so that a snapshot's lines
 // are parsed in the scanner's buffer, without a string per field; %q renders
 // bytes as it renders the string, so the errors read the same.
 
 // ParsePrefix parses "a.b.c.d/len" into a masked network address and length.
 func ParsePrefix[S string | []byte](s S) (uint64, int, error) {
-	slash := indexByte(s, '/')
-	if slash < 0 {
+	pfx, plen, slash, n, ok := prefixAt(s)
+	switch {
+	case slash < 0:
 		return 0, 0, fmt.Errorf("missing / in prefix %q", s)
-	}
-	plen, ok := atoiSmall(s[slash+1:])
-	if !ok || plen > 32 {
+	case plen < 0 || n < len(s):
 		return 0, 0, fmt.Errorf("bad prefix length in %q", s)
+	case !ok:
+		return 0, 0, fmt.Errorf("bad IPv4 literal %q", s[:slash])
 	}
-	addr, err := ParseIPv4(s[:slash])
-	if err != nil {
-		return 0, 0, err
+	return pfx, plen, nil
+}
+
+// prefixAt reads "a.b.c.d/len" off the front of s in one pass: four decimal
+// octets of at most 255, separated by dots, up to the first slash; then a
+// length as strconv.Atoi reads it — a sign, then digits — that is 0 to 32.
+// It returns the masked address; the length, -1 when it does not read; the
+// slash's index, -1 when there is none; and n, where the length's digits
+// stop. ok is whether the octets read.
+func prefixAt[S string | []byte](s S) (pfx uint64, plen, slash, n int, ok bool) {
+	var b uint64
+	digits, dots := 0, 0
+	ok = true
+	for ; n < len(s) && s[n] != '/'; n++ {
+		switch c := s[n]; {
+		case c >= '0' && c <= '9' && b*10+uint64(c-'0') <= 255:
+			b, digits = b*10+uint64(c-'0'), digits+1
+		case c == '.' && digits > 0 && dots < 3:
+			pfx, b, digits, dots = pfx<<8|b, 0, 0, dots+1
+		default:
+			ok = false
+		}
 	}
-	return addr & expr.PrefixMask(plen, 32), plen, nil
+	if n == len(s) {
+		return 0, -1, -1, n, false
+	}
+	slash, n = n, n+1
+	ok = ok && digits > 0 && dots == 3
+	neg := n < len(s) && s[n] == '-'
+	if neg || n < len(s) && s[n] == '+' {
+		n++
+	}
+	from := n
+	for ; n < len(s) && s[n] >= '0' && s[n] <= '9'; n++ {
+		plen = min(plen*10+int(s[n]-'0'), 33)
+	}
+	if n == from || plen > 32 || neg && plen > 0 {
+		plen = -1
+	}
+	if !ok || plen < 0 {
+		return 0, plen, slash, n, ok
+	}
+	return (pfx<<8 | b) & expr.PrefixMask(plen, 32), plen, slash, n, true
 }
 
 // ParseIPv4 parses a dotted-quad IPv4 address ("10.0.0.1").
@@ -167,46 +216,24 @@ func ParseMAC[S string | []byte](s S) (uint64, error) {
 	return v, nil
 }
 
-func indexByte[S string | []byte](s S, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// atoiSmall accepts what strconv.Atoi accepts — an optional sign, then
-// decimal digits — when the value is not negative; it stops counting at
-// 1024, past any prefix length.
-func atoiSmall[S string | []byte](s S) (int, bool) {
-	neg := len(s) > 0 && s[0] == '-'
-	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
-		s = s[1:]
-	}
-	v := 0
-	for i := 0; i < len(s); i++ {
-		d := int(s[i]) - '0'
-		if d < 0 || d > 9 {
-			return 0, false
-		}
-		v = min(v*10+d, 1<<10)
-	}
-	return v, len(s) > 0 && (!neg || v == 0)
-}
-
 // parseUint31 is strconv.ParseUint(string(b), 10, 31), which it calls only
 // to report an error.
 func parseUint31(b []byte) (uint64, error) {
+	if v, ok := uint31(b); ok {
+		return v, nil
+	}
+	return strconv.ParseUint(string(b), 10, 31)
+}
+
+// uint31 reads b as strconv.ParseUint(string(b), 10, 31) does; ok is false
+// where that errs.
+func uint31(b []byte) (uint64, bool) {
 	v, ok := uint64(0), len(b) > 0
 	for _, c := range b {
 		ok = ok && c >= '0' && c <= '9' && v < 1<<31
 		v = v*10 + uint64(c-'0')
 	}
-	if ok && v < 1<<31 {
-		return v, nil
-	}
-	return strconv.ParseUint(string(b), 10, 31)
+	return v, ok && v < 1<<31
 }
 
 // parseOctets reads n groups of base-10 or base-16 digits, each worth at
@@ -235,15 +262,47 @@ func parseOctets[S string | []byte](s S, n int, sep byte, base uint64) (uint64, 
 
 // Ports returns the sorted set of output ports used by the FIB.
 func (f FIB) Ports() []int {
-	seen := map[int]bool{}
-	for _, r := range f {
-		seen[r.Port] = true
+	return portSet(f, func(r *Route) int { return r.Port })
+}
+
+// portSet returns the sorted set of the ports of a table's entries. Ports
+// are few and small next to a table, so a bitmap as long as the largest
+// marks them, on the stack when they are below 256; a negative port, or one
+// past 64 per entry, sorts a copy instead, so no port costs more than the
+// table.
+func portSet[T any](t []T, port func(*T) int) []int {
+	lo, hi := 0, -1
+	for i := range t {
+		p := port(&t[i])
+		lo, hi = min(lo, p), max(hi, p)
 	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
+	if lo < 0 || hi >= 64*len(t)+256 {
+		out := make([]int, len(t))
+		for i := range t {
+			out[i] = port(&t[i])
+		}
+		slices.Sort(out)
+		return slices.Clip(slices.Compact(out))
 	}
-	sort.Ints(out)
+	var small [4]uint64
+	seen := small[:]
+	if hi >= 256 {
+		seen = make([]uint64, hi/64+1)
+	}
+	for i := range t {
+		p := port(&t[i])
+		seen[p/64] |= 1 << (p % 64)
+	}
+	n := 0
+	for _, w := range seen {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]int, 0, n)
+	for i, w := range seen {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i*64+bits.TrailingZeros64(w))
+		}
+	}
 	return out
 }
 
@@ -266,84 +325,30 @@ const MaxRoutes = 1<<26 - 1
 // does every route's exclusion list. Every route must be Valid — an IPv4
 // prefix with its host bits zero, as ParsePrefix leaves it — and there must
 // be at most MaxRoutes of them; models.Router refuses a FIB that is not.
-//
-// It is one radix sort of packed keys and two sweeps. A route's key is
-// prefix<<32 | len<<26 | position, so the keys in ascending order are the
-// routes by (prefix, length) with the first of each duplicate ahead of the
-// rest, and key>>26 names the route. In that order a route follows every
-// route that contains it, so the routes still open form a stack, kept as
-// each route's link to its nearest container, and a route is an exclusion
-// of every link in its chain. The first sweep counts; the second visits the
-// routes in output order and files each with its containers, which leaves
-// every list in output order unsorted. The lists share one backing array.
 func CompileLPM(f FIB) []CompiledRoute {
-	const at = 1<<26 - 1 // a key's position bits
-	length := func(k uint64) int { return int(k >> 26 & 63) }
-	// One array: the keys, then the sort's buffer, which then holds the
-	// ports of the distinct routes.
-	keys := make([]uint64, 2*len(f))
-	keys, port := keys[:len(f)], keys[len(f):]
-	for i, r := range f {
-		keys[i] = r.Prefix<<32 | uint64(r.Len)<<26 | uint64(i)
-	}
-	sortKeys(keys, port)
-	// Sorted, the keys visit f in no order, so f is read once, here.
-	rs := keys[:0] // the distinct routes, by (prefix, length)
-	for _, k := range keys {
-		if len(rs) == 0 || k>>26 != rs[len(rs)-1]>>26 {
-			port[len(rs)] = uint64(f[k&at].Port)
-			rs = append(rs, k)
-		}
-	}
+	l := newLPM(f)
 	route := func(i int32) Route {
-		return Route{Prefix: rs[i] >> 32, Len: length(rs[i]), Port: int(port[i])}
+		k := l.rs[i]
+		return Route{Prefix: k >> 32, Len: keyLen(k), Port: int(l.port[i])}
 	}
-
-	parent := make([]int32, len(rs)) // nearest container of rs[i], -1 for none
-	pos := make([]int32, len(rs))    // how many routes rs[i] contains
-	var bucket [34]int32             // bucket[33-l]: routes of length l
-	for i, k := range rs {
-		// The stack's top is the previous route; pop what has closed: a
-		// route ends at its prefix with the host bits set.
-		a := int32(i) - 1
-		for a >= 0 && k>>32 > rs[a]>>32|expr.Mask(32)>>length(rs[a]) {
-			a = parent[a]
-		}
-		parent[i] = a
-		for ; a >= 0; a = parent[a] {
-			pos[a]++
-		}
-		bucket[33-length(k)]++
-	}
-
-	// Output order: rs is prefix-ascending already, so dealing it out by
-	// length, longest first, is all the sorting that is left.
-	for b := 1; b < len(bucket); b++ {
-		bucket[b] += bucket[b-1]
-	}
-	order := make([]int32, len(rs))
-	for i, k := range rs {
-		order[bucket[32-length(k)]] = int32(i)
-		bucket[32-length(k)]++
-	}
-
 	// pos turns from a count into the next free slot of rs[i]'s list, so in
 	// the end that list stops at pos[i] and starts where its predecessor's
 	// stops.
+	pos := l.count
 	total := int32(0)
 	for i, n := range pos {
 		pos[i], total = total, total+n
 	}
 	excl := make([]Route, total)
-	for _, i := range order {
+	for _, i := range l.order {
 		r := route(i)
-		for a := parent[i]; a >= 0; a = parent[a] {
+		for a := l.parent[i]; a >= 0; a = l.parent[a] {
 			excl[pos[a]] = r
 			pos[a]++
 		}
 	}
-	out := make([]CompiledRoute, len(rs))
-	for k, i := range order {
+	out := make([]CompiledRoute, len(l.rs))
+	for k, i := range l.order {
 		out[k].Route = route(i)
 		lo := int32(0)
 		if i > 0 {
@@ -354,6 +359,130 @@ func CompileLPM(f FIB) []CompiledRoute {
 		}
 	}
 	return out
+}
+
+// LPMRows is CompileLPM's output as a router model's per-port guards read
+// it, without the CompiledRoutes: for each port below nports, a prefix row
+// per route to that port, in CompileLPM order, whose exclusions are the
+// route's, in CompileLPM order too. The rows of all ports are one array and
+// their exclusions another, both laid out port after port. Every route's
+// port must be below nports; the other preconditions are CompileLPM's.
+func LPMRows(f FIB, nports int) [][]expr.GuardRow {
+	l := newLPM(f)
+	// at counts each port's rows and exclusions, then is where the next of
+	// each goes, so in the end port p's rows stop at at[p].row and start
+	// where port p-1's stop.
+	at := make([]struct{ row, excl int32 }, nports)
+	for i, p := range l.port {
+		at[p].row++
+		at[p].excl += l.count[i]
+	}
+	var nrows, nexcl int32
+	for p, n := range at {
+		at[p].row, at[p].excl = nrows, nexcl
+		nrows, nexcl = nrows+n.row, nexcl+n.excl
+	}
+	rows := make([]expr.GuardRow, nrows)
+	excl := make([]expr.GuardExcl, nexcl)
+	// Routes are dealt out to their ports in output order; count turns into
+	// the next free slot of each route's exclusions.
+	pos := l.count
+	for _, i := range l.order {
+		k, c := l.rs[i], &at[l.port[i]]
+		lo, hi := c.excl, c.excl+pos[i]
+		rows[c.row] = expr.GuardRow{Kind: expr.GuardPrefix, V: k >> 32, Len: keyLen(k)}
+		if hi > lo {
+			rows[c.row].Excl = excl[lo:hi:hi]
+		}
+		c.row, c.excl, pos[i] = c.row+1, hi, lo
+	}
+	for _, i := range l.order {
+		k := l.rs[i]
+		e := expr.GuardExcl{V: k >> 32, Len: keyLen(k)}
+		for a := l.parent[i]; a >= 0; a = l.parent[a] {
+			excl[pos[a]] = e
+			pos[a]++
+		}
+	}
+	out := make([][]expr.GuardRow, nports)
+	lo := int32(0)
+	for p, c := range at {
+		out[p], lo = rows[lo:c.row:c.row], c.row
+	}
+	return out
+}
+
+// lpm is what CompileLPM and LPMRows share: the distinct routes sorted by
+// (prefix, length), how they nest, and the order they come out in.
+//
+// It is one radix sort of packed keys and a sweep. A route's key is
+// prefix<<32 | len<<26 | position, so the keys in ascending order are the
+// routes by (prefix, length) with the first of each duplicate ahead of the
+// rest, and key>>26 names the route. In that order a route follows every
+// route that contains it, so the routes still open form a stack, kept as
+// each route's link to its nearest container, and a route is an exclusion
+// of every link in its chain. The emitters then visit the routes in output
+// order and file each with its containers, which leaves every list in
+// output order unsorted.
+type lpm struct {
+	rs     []uint64 // the distinct routes' keys, by (prefix, length)
+	port   []uint64 // port[i] is rs[i]'s port
+	parent []int32  // nearest container of rs[i], -1 for none
+	count  []int32  // how many routes rs[i] contains
+	order  []int32  // rs's indices in output order, most specific first
+}
+
+// keyLen is the prefix length a packed key holds.
+func keyLen(k uint64) int { return int(k >> 26 & 63) }
+
+// newLPM sorts f's routes, drops the duplicates and sweeps them once.
+func newLPM(f FIB) lpm {
+	const at = 1<<26 - 1 // a key's position bits
+	// One array: the keys, then the sort's buffer, which then holds the
+	// ports of the distinct routes.
+	keys := make([]uint64, 2*len(f))
+	keys, port := keys[:len(f)], keys[len(f):]
+	for i, r := range f {
+		keys[i] = r.Prefix<<32 | uint64(r.Len)<<26 | uint64(i)
+	}
+	sortKeys(keys, port)
+	// Sorted, the keys visit f in no order, so f is read once, here.
+	rs := keys[:0]
+	for _, k := range keys {
+		if len(rs) == 0 || k>>26 != rs[len(rs)-1]>>26 {
+			port[len(rs)] = uint64(f[k&at].Port)
+			rs = append(rs, k)
+		}
+	}
+
+	parent := make([]int32, len(rs))
+	count := make([]int32, len(rs))
+	var bucket [34]int32 // bucket[33-l]: routes of length l
+	for i, k := range rs {
+		// The stack's top is the previous route; pop what has closed: a
+		// route ends at its prefix with the host bits set.
+		a := int32(i) - 1
+		for a >= 0 && k>>32 > rs[a]>>32|expr.Mask(32)>>keyLen(rs[a]) {
+			a = parent[a]
+		}
+		parent[i] = a
+		for ; a >= 0; a = parent[a] {
+			count[a]++
+		}
+		bucket[33-keyLen(k)]++
+	}
+
+	// Output order: rs is prefix-ascending already, so dealing it out by
+	// length, longest first, is all the sorting that is left.
+	for b := 1; b < len(bucket); b++ {
+		bucket[b] += bucket[b-1]
+	}
+	order := make([]int32, len(rs))
+	for i, k := range rs {
+		order[bucket[32-keyLen(k)]] = int32(i)
+		bucket[32-keyLen(k)]++
+	}
+	return lpm{rs: rs, port: port[:len(rs)], parent: parent, count: count, order: order}
 }
 
 // sortKeys sorts CompileLPM's keys, through buf (as long as keys), by their
@@ -397,30 +526,47 @@ func NumExclusions(cs []CompiledRoute) int {
 
 // scanLines feeds the want whitespace-separated fields of every non-comment
 // line to row, and wraps what row (or a wrong field count) reports with the
-// table kind and the line number. The fields alias the scanner's buffer and
-// one reused array, so they are only valid during the call.
-func scanLines(r io.Reader, what string, want int, row func(fields [][]byte) error) error {
+// table kind and the line number. A fast reader, when not nil, sees each
+// line first, whole, and a line it takes goes no further. The fields alias
+// the scanner's buffer and one reused array, so they are only valid during
+// the call.
+func scanLines(r io.Reader, what string, want int, fast func(line []byte) bool, row func(fields [][]byte) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	fields := make([][]byte, 0, want)
-	for line := 1; sc.Scan(); line++ {
-		s, _, _ := bytes.Cut(sc.Bytes(), []byte{'#'})
+	for n := 1; sc.Scan(); n++ {
+		if fast != nil && fast(sc.Bytes()) {
+			continue
+		}
+		// The fields are the runs of bytes other than space, tab and '\r'
+		// before the first '#'.
+		line, start := sc.Bytes(), -1
 		fields = fields[:0]
-		for s = bytes.TrimLeft(s, " \t\r"); len(s) > 0; s = bytes.TrimLeft(s, " \t\r") {
-			end := bytes.IndexAny(s, " \t\r")
-			if end < 0 {
-				end = len(s)
+	split:
+		for i, c := range line {
+			switch {
+			case c == ' ' || c == '\t' || c == '\r' || c == '#':
+				if start >= 0 {
+					fields, start = append(fields, line[start:i]), -1
+				}
+				if c == '#' {
+					break split
+				}
+			case start < 0:
+				start = i
 			}
-			fields, s = append(fields, s[:end]), s[end:]
+		}
+		if start >= 0 {
+			fields = append(fields, line[start:])
 		}
 		if len(fields) == 0 {
 			continue
 		}
 		if len(fields) != want {
-			return fmt.Errorf("tables: %s line %d: want %d fields, got %d", what, line, want, len(fields))
+			return fmt.Errorf("tables: %s line %d: want %d fields, got %d", what, n, want, len(fields))
 		}
 		if err := row(fields); err != nil {
-			return fmt.Errorf("tables: %s line %d: %v", what, line, err)
+			return fmt.Errorf("tables: %s line %d: %v", what, n, err)
 		}
 	}
 	return sc.Err()

@@ -1,6 +1,9 @@
 package tables
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -248,6 +251,49 @@ func TestFIBRoundTrip(t *testing.T) {
 	for i := range in {
 		if out[i] != in[i] {
 			t.Fatalf("route %d: %+v, want %+v", i, out[i], in[i])
+		}
+	}
+}
+
+// portsByMap is FIB.Ports and MACTable.Ports as they were: a set in a map,
+// then sorted.
+func portsByMap(ports []int) []int {
+	seen := map[int]bool{}
+	for _, p := range ports {
+		seen[p] = true
+	}
+	out := make([]int, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestPortsMatchMapSet: Ports equals the map-and-sort set on random tables:
+// empty ones; ports below 256, in the bitmap on the stack; larger ones in a
+// bitmap of their own; and the ports the bitmap leaves to sorting, negative
+// ones and ones far past the table's size.
+func TestPortsMatchMapSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 3000 {
+		n := rng.Intn(40)
+		spread := []int{1, 4, 16, 256, 1000, 1 << 31}[rng.Intn(6)]
+		ports := make([]int, n)
+		fib, mac := make(FIB, n), make(MACTable, n)
+		for i := range ports {
+			ports[i] = rng.Intn(spread)
+			if rng.Intn(20) == 0 {
+				ports[i] = -ports[i] - 1
+			}
+			fib[i].Port, mac[i].Port = ports[i], ports[i]
+		}
+		want := portsByMap(ports)
+		if got := fib.Ports(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: FIB.Ports of %v = %v, want %v", trial, ports, got, want)
+		}
+		if got := mac.Ports(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: MACTable.Ports of %v = %v, want %v", trial, ports, got, want)
 		}
 	}
 }
