@@ -8,7 +8,6 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/expr"
 	"symnet/internal/models"
-	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
 
@@ -291,15 +290,14 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 		}
 	} else {
 		// Each port's guard rows, as models.Router's Egress style builds
-		// and installs them.
+		// them.
 		oldRows := tables.LPMRows(oldFib, e.NumOut)
 		newRows := tables.LPMRows(newFib, e.NumOut)
 		for _, p := range ports {
 			if slices.EqualFunc(oldRows[p], newRows[p], equalRow) {
 				continue
 			}
-			guard := sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: newRows[p]}}
-			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, guard)
+			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.RouterEgressGuard(newRows[p]))
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"symnet/internal/core"
+	"symnet/internal/expr"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -69,10 +70,18 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 		rows := tables.LPMRows(fib, e.NumOut)
 		e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
 		for _, p := range ports {
-			e.SetOutCode(p, sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: rows[p]}})
+			e.SetOutCode(p, RouterEgressGuard(rows[p]))
 		}
 	default:
 		return fmt.Errorf("models: unknown router style %v", style)
 	}
 	return nil
+}
+
+// RouterEgressGuard returns the output-port guard instruction the Egress
+// router style installs for one port's tables.LPMRows rows — exported so an
+// incremental updater rebuilds a single port's guard after a FIB delta as
+// the whole model construction would.
+func RouterEgressGuard(rows []expr.GuardRow) sefl.Constrain {
+	return sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: rows}}
 }

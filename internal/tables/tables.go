@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -265,45 +264,14 @@ func (f FIB) Ports() []int {
 	return portSet(f, func(r *Route) int { return r.Port })
 }
 
-// portSet returns the sorted set of the ports of a table's entries. Ports
-// are few and small next to a table, so a bitmap as long as the largest
-// marks them, on the stack when they are below 256; a negative port, or one
-// past 64 per entry, sorts a copy instead, so no port costs more than the
-// table.
+// portSet returns the sorted set of the ports of a table's entries.
 func portSet[T any](t []T, port func(*T) int) []int {
-	lo, hi := 0, -1
+	out := make([]int, len(t))
 	for i := range t {
-		p := port(&t[i])
-		lo, hi = min(lo, p), max(hi, p)
+		out[i] = port(&t[i])
 	}
-	if lo < 0 || hi >= 64*len(t)+256 {
-		out := make([]int, len(t))
-		for i := range t {
-			out[i] = port(&t[i])
-		}
-		slices.Sort(out)
-		return slices.Clip(slices.Compact(out))
-	}
-	var small [4]uint64
-	seen := small[:]
-	if hi >= 256 {
-		seen = make([]uint64, hi/64+1)
-	}
-	for i := range t {
-		p := port(&t[i])
-		seen[p/64] |= 1 << (p % 64)
-	}
-	n := 0
-	for _, w := range seen {
-		n += bits.OnesCount64(w)
-	}
-	out := make([]int, 0, n)
-	for i, w := range seen {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, i*64+bits.TrailingZeros64(w))
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Clip(slices.Compact(out))
 }
 
 // CompiledRoute is a route plus the more-specific prefixes that must NOT

@@ -271,9 +271,8 @@ func portsByMap(ports []int) []int {
 }
 
 // TestPortsMatchMapSet: Ports equals the map-and-sort set on random tables:
-// empty ones; ports below 256, in the bitmap on the stack; larger ones in a
-// bitmap of their own; and the ports the bitmap leaves to sorting, negative
-// ones and ones far past the table's size.
+// empty ones, repeated ports, small and large ports, negative ones and ones
+// far past the table's size.
 func TestPortsMatchMapSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := range 3000 {
