@@ -155,8 +155,8 @@ func BenchmarkDepartmentInbound(b *testing.B) {
 //	go test -run '^$' -bench 'AllPairsDepartment(Seq|Par)$' -count 3 .
 //
 // The heavy department gives the batch enough sources to spread over the
-// workers, and one untimed pass builds every element's summary before the
-// clock starts, so both sides time exploration alone.
+// workers, and one untimed pass compiles every element's programs before
+// the clock starts, so both sides time exploration alone.
 
 func benchAllPairsDepartment(b *testing.B, workers int) {
 	d := datasets.NewDepartment(datasets.HeavyDepartment())

@@ -8,9 +8,7 @@
 //	symnet -config pipeline.click -dump-ir        # compiled programs, no run
 //
 // The output always ends with a "solver" block (solver call counters plus
-// the satisfiability-cache hit/miss totals) and a "summaries" block (how
-// many element-port programs the engine summarized, and how many fall back
-// to IR dispatch). -metrics adds a schema-versioned
+// the satisfiability-cache hit/miss totals). -metrics adds a schema-versioned
 // "metrics" block (the obs registry snapshot), -trace-out writes phase spans
 // as JSONL, and -debug-addr serves expvar (live metrics) plus net/http/pprof
 // for the duration of the run. All three are observational: enabling them
@@ -173,14 +171,6 @@ func main() {
 	// never counts them during the run — see solver.Stats).
 	solverStats := stats.Solver
 	solverStats.AddCache(memo)
-	summarized, fallback := 0, 0
-	for _, c := range core.SummaryCensus(cfg.Net) {
-		if c.Summarized {
-			summarized++
-		} else {
-			fallback++
-		}
-	}
 	doc := map[string]any{
 		"paths":     out,
 		"delivered": stats.Delivered,
@@ -194,7 +184,6 @@ func main() {
 			"cache_hits":   solverStats.CacheHits,
 			"cache_misses": solverStats.CacheMisses,
 		},
-		"summaries": map[string]any{"summarized": summarized, "fallback": fallback},
 	}
 	if *metrics {
 		doc["metrics"] = reg.Snapshot()

@@ -22,7 +22,7 @@
 // so every delta the daemon acknowledged is in it. -debug-addr attaches a
 // metrics registry and serves it as expvar under /debug/vars (churn.batch_ns,
 // churn.version, churn.queue.depth, churn.watch.subscribers, the engine's
-// core.* and summary.* counters, solver.satcache.*, ...) plus net/http/pprof.
+// core.* counters, solver.satcache.*, ...) plus net/http/pprof.
 package main
 
 import (

@@ -75,7 +75,7 @@ func TestDefaultRouteRunFlat(t *testing.T) {
 				t.Fatalf("k=%d: %v, delivered %d, want 2", k, err, res.Stats.Delivered)
 			}
 		}
-		run() // compile and summarize outside the count
+		run() // compile outside the count
 		return testing.AllocsPerRun(5, run)
 	}
 	base := allocs(64)
@@ -150,7 +150,7 @@ func TestForkHeavyAllocsPerPath(t *testing.T) {
 		}
 		delivered = res.Stats.Delivered
 	}
-	run() // compile and summarize outside the count
+	run() // compile outside the count
 	if delivered != 4096 {
 		t.Fatalf("%d delivered paths, want 4096", delivered)
 	}

@@ -13,7 +13,7 @@ import (
 // FuzzParseASA: ParseConfig never panics on a configuration file (what
 // `symgen -asa` reads); what it rejects it rejects naming a line of the
 // input, and what it accepts builds onto a fresh element (Build) whose
-// programs compile and summarize (core.Warm) without panicking either.
+// programs compile (core.Warm) without panicking either.
 func FuzzParseASA(f *testing.F) {
 	for _, s := range []string{
 		"hostname dept-asa\nstatic-nat 10.0.0.5 141.85.37.5\ndynamic-nat 141.85.37.2 1024-65535\n" +

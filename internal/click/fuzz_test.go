@@ -12,7 +12,7 @@ import (
 
 // FuzzParseClick: ParseConfig never panics on a configuration file (what
 // `symnet -config` reads); what it rejects it rejects naming a line of the
-// input, and what it accepts compiles and summarizes (core.Warm) without
+// input, and what it accepts compiles (core.Warm) without
 // panicking either.
 func FuzzParseClick(f *testing.F) {
 	for _, s := range []string{

@@ -4,9 +4,9 @@ package core
 // runner serializes the coordinator's network — elements, port code ASTs,
 // links — plus every compiled element-port program, and workers rebuild an
 // identical network with the compiled cache pre-populated, skipping
-// recompilation. Nothing derived from a program crosses: a worker builds
-// its own summaries from the installed programs (Warm), exactly as a local
-// Session does after Compile. Element instance numbers are part of the
+// recompilation. Nothing derived from a program crosses: decoding a program
+// derives its segment continuations, exactly as compiling it does. Element
+// instance numbers are part of the
 // semantics (local metadata keys bake them in), so the wire form carries
 // them and decoding re-adds elements in instance order, reproducing them
 // exactly.
@@ -174,34 +174,24 @@ func codeRefs(n *Network) []PortRef {
 	return refs
 }
 
-// codeAt returns the cache entry behind a ref, compiling as needed. An
+// codeAt returns the compiled program behind a ref, compiling as needed. An
 // unknown element is an error; ok is false for a port with no code.
-func codeAt(n *Network, ref PortRef) (c *portCode, ok bool, err error) {
+func codeAt(n *Network, ref PortRef) (p *prog.Program, ok bool, err error) {
 	e, found := n.Element(ref.Elem)
 	if !found {
 		return nil, false, fmt.Errorf("core: unknown element %q", ref.Elem)
 	}
-	c, ok, _ = e.codeFor(ref.Port, ref.Out)
-	return c, ok, nil
+	p, ok, _ = e.codeFor(ref.Port, ref.Out)
+	return p, ok, nil
 }
 
-// Warm compiles and summarizes every element-port program of the network,
-// so no later run pays for either (and concurrent first runs cannot race to
-// do the same work twice). It returns how many verdicts this call built, by
-// kind — what a run would have added to summary.built and
-// summary.unsummarizable.
-func Warm(n *Network) (summarized, unsummarizable int) {
+// Warm compiles every element-port program of the network, so no later run
+// pays for it (and concurrent first runs cannot race to do the same work
+// twice).
+func Warm(n *Network) {
 	for _, ref := range codeRefs(n) {
-		c, _, _ := codeAt(n, ref)
-		switch sum, built := c.summary(); {
-		case !built:
-		case sum.OK():
-			summarized++
-		default:
-			unsummarizable++
-		}
+		codeAt(n, ref)
 	}
-	return summarized, unsummarizable
 }
 
 // EncodePrograms compiles (as needed) and serializes every element-port
@@ -220,14 +210,14 @@ func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
 func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	out := make([]WireProgramEntry, 0, len(refs))
 	for _, ref := range refs {
-		c, ok, err := codeAt(n, ref)
+		p, ok, err := codeAt(n, ref)
 		if err != nil {
 			return nil, fmt.Errorf("core: encode program: %w", err)
 		}
 		if !ok {
 			continue
 		}
-		wp, err := prog.EncodeProgram(c.prog)
+		wp, err := prog.EncodeProgram(p)
 		if err != nil {
 			return nil, err
 		}
@@ -236,44 +226,11 @@ func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	return out, nil
 }
 
-// summaryCensusRow is one element-port program's summarization verdict with
-// its row-set size, for reporting (the symnet CLI prints statistics from it,
-// and the summary differential tests census the datasets with it).
-type summaryCensusRow struct {
-	Elem       string
-	Port       int
-	Out        bool
-	Summarized bool
-	// Reason is the unsummarizable verdict when Summarized is false.
-	Reason string
-	// Rows/Nodes/Steps size the summary DAG (zero when unsummarizable).
-	Rows  int64
-	Nodes int
-	Steps int
-}
-
-// SummaryCensus reports every element-port program's verdict with its
-// row-set size, in the same order as EncodePrograms.
-func SummaryCensus(n *Network) []summaryCensusRow {
-	var out []summaryCensusRow
-	for _, ref := range codeRefs(n) {
-		c, _, _ := codeAt(n, ref)
-		sum, _ := c.summary()
-		out = append(out, summaryCensusRow{
-			Elem: ref.Elem, Port: ref.Port, Out: ref.Out,
-			Summarized: sum.OK(), Reason: sum.Reason,
-			Rows: sum.Rows(), Nodes: len(sum.Nodes), Steps: sum.Steps(),
-		})
-	}
-	return out
-}
-
 // InstallPrograms decodes serialized programs into the network's caches,
-// keyed exactly as lazy compilation would key them; whatever entry a port
-// held before — program and summary — is replaced, and the port summarizes
-// afresh on its next use (or Warm). Ports without an
-// installed program still compile lazily, so a partial set degrades to local
-// compilation rather than failing.
+// keyed exactly as lazy compilation would key them; whatever program a port
+// held before is replaced. Ports without an installed program still compile
+// lazily, so a partial set degrades to local compilation rather than
+// failing.
 func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 	for _, we := range entries {
 		e, ok := n.Element(we.Elem)
@@ -284,7 +241,7 @@ func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 		if err != nil {
 			return err
 		}
-		e.code.Store(progKey{out: we.Out, port: we.Port}, &portCode{prog: p})
+		e.code.Store(progKey{out: we.Out, port: we.Port}, p)
 	}
 	return nil
 }

@@ -11,19 +11,19 @@ import (
 
 // This file is the compiled-program executor: a small dispatch loop over the
 // flat IR of internal/prog that replaces the recursive AST walk of exec
-// (kept behind Options.ASTInterp as the reference interpreter). It runs For
-// bodies and the programs the summary layer cannot summarize
-// (summary_exec.go), and every program under the reference field
-// Options.IRExec. The loop reproduces the AST interpreter's observable
-// behavior exactly — same results, statistics, trace lines, failure
-// messages, and the same global fresh-symbol allocation order — which the
-// differential property tests in internal/prog pin down.
+// (kept behind Options.ASTInterp as the reference interpreter). The loop
+// reproduces the AST interpreter's observable behavior exactly — same
+// results, statistics, trace lines, failure messages, and the same global
+// fresh-symbol allocation order — which the differential property tests in
+// internal/prog pin down.
 //
-// The execution discipline is the AST interpreter's and the summary walk's:
-// state-major. A state runs its ops in order; at an If each successor runs
-// its arm and then the rest of the program (the continuation frames below
-// the arm) before the next sibling starts. Linear ops mutate states in
-// place, so the hot path allocates nothing.
+// The execution discipline is the AST interpreter's: state-major. A state
+// runs its ops in order; at an If each successor runs its arm and then the
+// rest of the program (the segment continuations, prog.Program.Cont) before
+// the next sibling starts. Linear ops mutate states in place, and what every
+// visit would otherwise build again — successor-port slices, trace lines,
+// constraint-failure messages — the program holds once, so the hot path
+// allocates nothing.
 
 // progEnv adapts one path state to the evaluator's Env interface. Each run
 // owns one (run.env), re-pointed at the current state before every
@@ -41,13 +41,9 @@ func (e *progEnv) Fresh(width int) expr.Lin                      { return e.r.al
 func (e *progEnv) OrTreeGuards() bool                            { return e.r.opts.OrTreeGuards }
 
 // execPort runs the code attached to a port on one state, appending the
-// successor states to out: the port's summary when its program has one, the
-// compiled-IR dispatch loop when it is unsummarizable (or always, under the
-// reference field Options.IRExec), the AST interpreter behind
-// Options.ASTInterp. ok is false when the port has no code (neither
-// specific nor wildcard). The IR loop and the AST interpreter fill a slice
-// of their own: handing out down their recursion would move step's stack
-// buffer to the heap.
+// successor states to out: the port's compiled program, or the AST
+// interpreter behind Options.ASTInterp. ok is false when the port has no
+// code (neither specific nor wildcard).
 func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide bool) ([]*state, bool) {
 	if r.opts.ASTInterp {
 		var code sefl.Instr
@@ -62,7 +58,7 @@ func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide
 		}
 		return append(out, r.exec(nil, st, elem, code, nil)...), true
 	}
-	c, ok, hit := elem.codeFor(port, outSide)
+	p, ok, hit := elem.codeFor(port, outSide)
 	if !ok {
 		return out, false
 	}
@@ -71,27 +67,8 @@ func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide
 	} else {
 		r.inst.progMisses.Inc()
 	}
-	if !r.opts.IRExec {
-		sum, built := c.summary()
-		if built {
-			if sum.OK() {
-				r.inst.sumBuilt.Inc()
-			} else {
-				r.inst.sumUnsum.Inc()
-			}
-		}
-		if sum.OK() {
-			r.inst.sumHits.Inc()
-			r.inst.elemHits.inc(elem.Name)
-			t := r.inst.sumApplyNs.Start()
-			out = r.applyNode(out, sum, sum.Root(), st)
-			t.Stop()
-			return out, true
-		}
-		r.inst.sumFallbacks.Inc()
-	}
 	t := r.inst.progExecNs.Start()
-	out = append(out, r.runProgram(nil, st, c.prog)...)
+	out = r.runProgram(out, st, p)
 	t.Stop()
 	return out, true
 }
@@ -99,23 +76,15 @@ func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide
 // runProgram runs a compiled program on one state, appending its successor
 // states to out in the same canonical order as the AST interpreter.
 func (r *run) runProgram(out []*state, st *state, p *prog.Program) []*state {
-	return r.runSeg(out, p, p.Entry, p.Seg(p.Entry).Lo, nil, st)
+	return r.runSeg(out, p, p.Entry, p.Seg(p.Entry).Lo, st)
 }
 
-// segFrame is a continuation of the IR loop: where a state resumes once the
-// segment it runs (an If's arm) finishes, and the frame below that.
-type segFrame struct {
-	seg  prog.SegID
-	idx  int32
-	next *segFrame
-}
-
-// runSeg runs one state from op idx of a segment to the end of the program
-// under the continuation k, appending its successor states to out in the
-// canonical order. It is state-major, like the summary walk (applyNode):
-// each successor of an If or For runs the rest of the program before the
-// next sibling starts. Like the walk, it recurses only where a state forks.
-func (r *run) runSeg(out []*state, p *prog.Program, seg prog.SegID, idx int32, k *segFrame, s *state) []*state {
+// runSeg runs one state from op idx of a segment to the end of the program,
+// appending its successor states to out in the canonical order. It is
+// state-major: each successor of an If or For runs the rest of the program
+// before the next sibling starts. It recurses only where a state forks; at
+// a segment's end it follows the segment's continuation.
+func (r *run) runSeg(out []*state, p *prog.Program, seg prog.SegID, idx int32, s *state) []*state {
 walk:
 	for {
 		for hi := p.Seg(seg).Hi; idx < hi; idx++ {
@@ -126,7 +95,7 @@ walk:
 			switch op.Kind {
 			case prog.OpIf:
 				if s.traceOn && op.Ins != nil {
-					s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
+					s.pushTrace(p.TraceLine(idx))
 				}
 				r.env.st = s
 				cond, err := prog.EvalCond(&r.env, op.C)
@@ -134,12 +103,9 @@ walk:
 					s.fail(err.Error())
 					return append(out, s)
 				}
-				if idx+1 < hi {
-					k = &segFrame{seg: seg, idx: idx + 1, next: k}
-				}
 				b, isConst := cond.(expr.Bool)
 				if !isConst {
-					return r.fork(out, p, op, cond, k, s)
+					return r.fork(out, p, op, cond, s)
 				}
 				if !r.constBranch(s) {
 					return out
@@ -152,67 +118,53 @@ walk:
 				continue walk
 			case prog.OpFor:
 				if s.traceOn {
-					s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
+					s.pushTrace(p.TraceLine(idx))
 				}
 				for _, fs := range r.runFor(p, op, s) {
-					out = r.runSeg(out, p, seg, idx+1, k, fs)
+					out = r.runSeg(out, p, seg, idx+1, fs)
 				}
 				return out
 			default:
-				r.applyLinear(p, op, s)
+				r.applyLinear(p, idx, s)
 			}
 		}
-		if k == nil {
+		var ok bool
+		if seg, idx, ok = p.Cont(seg); !ok {
 			return append(out, s)
 		}
-		seg, idx, k = k.seg, k.idx, k.next
 	}
 }
 
-// applyLinear executes one non-forking op, mutating the state in place. The
-// three op kinds whose per-visit costs the summary layer hoists (Constrain's
-// failure render, Forward/Fork's port-slice allocation) are handled inline;
-// everything else shares applyLinearRest with the summary executor
-// (summary_exec.go), so linear-op semantics live in exactly one place.
-func (r *run) applyLinear(p *prog.Program, op *prog.Op, s *state) {
+// applyLinear executes the non-forking op at index i, mutating the state in
+// place.
+func (r *run) applyLinear(p *prog.Program, i int32, s *state) {
+	op := &p.Ops[i]
 	if s.traceOn {
-		s.pushTrace(fmt.Sprintf("%s: %s", p.Elem, op.Ins))
+		s.pushTrace(p.TraceLine(i))
 	}
-	r.env.st = s
+	env := &r.env
+	env.st = s
 	switch op.Kind {
+	case prog.OpNoOp:
+
 	case prog.OpConstrain:
-		cond, err := prog.EvalCond(&r.env, op.C)
+		cond, err := prog.EvalCond(env, op.C)
 		if err != nil {
 			s.fail(err.Error())
 			return
 		}
 		if !s.Ctx.Add(cond) || (s.Ctx.PendingOrs() > 0 && !s.Ctx.Sat()) {
-			// The failure message renders the original SEFL condition, like
-			// the AST interpreter — lazily, since guards can be enormous.
-			s.fail(fmt.Sprintf("constraint unsatisfiable: %s", op.Ins.(sefl.Constrain).C))
+			s.fail(p.ConstrainFailMsg(i))
 		}
 
-	case prog.OpForward:
-		s.outPorts = []int{op.Port}
-
-	case prog.OpFork:
+	case prog.OpForward, prog.OpFork:
 		if len(op.Ports) == 0 {
 			s.fail("Fork with no ports")
 			return
 		}
-		s.outPorts = append([]int(nil), op.Ports...)
-
-	default:
-		r.applyLinearRest(op, s)
-	}
-}
-
-// applyLinearRest executes the linear op kinds whose semantics the IR and
-// summary executors share verbatim, on the state r.env points at.
-func (r *run) applyLinearRest(op *prog.Op, s *state) {
-	env := &r.env
-	switch op.Kind {
-	case prog.OpNoOp:
+		// The program's slice is safe to hand out: states never mutate
+		// outPorts in place (depart nils it, clone copies it).
+		s.outPorts = op.Ports
 
 	case prog.OpAllocate:
 		if op.LV.Err != "" {
@@ -326,19 +278,18 @@ func (r *run) applyAssign(op *prog.Op, s *state) {
 }
 
 // fork splits s on an OpIf's symbolic guard: each feasible successor runs
-// its arm and then the continuation k (the rest of the If's segment and
-// every frame below), the Then side to completion before the Else side
-// starts.
-func (r *run) fork(out []*state, p *prog.Program, op *prog.Op, cond expr.Cond, k *segFrame, s *state) []*state {
+// its arm and then the arm's continuation, the Then side to completion
+// before the Else side starts.
+func (r *run) fork(out []*state, p *prog.Program, op *prog.Op, cond expr.Cond, s *state) []*state {
 	thenSt := s.clone()
 	elseSt := s
 	if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
-		out = r.runSeg(out, p, op.Then, p.Seg(op.Then).Lo, k, thenSt)
+		out = r.runSeg(out, p, op.Then, p.Seg(op.Then).Lo, thenSt)
 	} else {
 		r.stats.Pruned++
 	}
 	if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-		out = r.runSeg(out, p, op.Else, p.Seg(op.Else).Lo, k, elseSt)
+		out = r.runSeg(out, p, op.Else, p.Seg(op.Else).Lo, elseSt)
 	} else {
 		r.stats.Pruned++
 	}
@@ -348,10 +299,9 @@ func (r *run) fork(out []*state, p *prog.Program, op *prog.Op, cond expr.Cond, k
 // runFor runs a For loop on one state and returns the states it yields, in
 // order: the metadata keys matching the pattern are snapshot, then each
 // key's compiled body runs in key order, state-major — a state the body
-// forks into runs every remaining key before its next sibling starts. Both
-// executors use it: the IR's runSeg and the summary's TermFor node continue
-// each yielded state in turn. One slice per visit holds the states, reused
-// while the bodies do not fork.
+// forks into runs every remaining key before its next sibling starts; runSeg
+// continues each yielded state in turn. One slice per visit holds the
+// states, reused while the bodies do not fork.
 func (r *run) runFor(p *prog.Program, op *prog.Op, s *state) []*state {
 	if op.For.Re == nil {
 		s.fail(op.For.Err)
@@ -394,7 +344,7 @@ func (r *run) forKeys(out []*state, p *prog.Program, op *prog.Op, keys []memory.
 // would, then asserts the true constant — what the live side's Add would be,
 // whichever side it is — on s. Stats, pruned counts and the context
 // fingerprint come out as the cloning path's. It reports whether s survives
-// to run the live side. Both executors (runSeg, applyNode) use it.
+// to run the live side.
 func (r *run) constBranch(s *state) bool {
 	if !s.Ctx.Unsat() {
 		s.Ctx.Stats().Adds++ // the dead side's Add, refuted on its own context

@@ -38,9 +38,9 @@ func resultBytes(res *Result) string {
 // TestConstantBranchMatchesClone pins the no-clone settlement of a branch on
 // a constant guard: a MetaPresent If, with the key present and with it
 // absent (and once more under a pending disjunction, so the live side's Sat
-// runs), gives byte-identical results, Stats and Pruned under the summary
-// executor, the IR executor and the AST interpreter, which still clones and
-// refutes the dead side.
+// runs), gives byte-identical results, Stats and Pruned under the compiled
+// program and the AST interpreter, which still clones and refutes the dead
+// side.
 func TestConstantBranchMatchesClone(t *testing.T) {
 	flag := sefl.Meta{Name: "flag"}
 	dst := sefl.Ref{LV: sefl.IPDst}
@@ -88,18 +88,13 @@ func TestConstantBranchMatchesClone(t *testing.T) {
 			return res
 		}
 		ast := run(Options{ASTInterp: true})
-		ir := run(Options{IRExec: true})
 		reg := obs.NewRegistry()
-		sum := run(Options{Obs: obs.New(reg, nil)})
-		if hits := reg.Snapshot().Counters["summary.elem_hits.dut"]; hits < 1 {
-			t.Fatalf("%s: dut not executed via its summary", tc.name)
+		compiled := run(Options{Obs: obs.New(reg, nil)})
+		if hits := reg.Snapshot().Counters["core.progcache.misses"]; hits < 1 {
+			t.Fatalf("%s: dut not executed as a compiled program", tc.name)
 		}
-		want := resultBytes(ast)
-		if got := resultBytes(ir); got != want {
-			t.Errorf("%s: IR executor differs from the cloning reference:\n%s\nwant\n%s", tc.name, got, want)
-		}
-		if got := resultBytes(sum); got != want {
-			t.Errorf("%s: summary executor differs from the cloning reference:\n%s\nwant\n%s", tc.name, got, want)
+		if got, want := resultBytes(compiled), resultBytes(ast); got != want {
+			t.Errorf("%s: compiled program differs from the cloning reference:\n%s\nwant\n%s", tc.name, got, want)
 		}
 		if ast.Stats.Pruned < 1 || ast.Stats.Delivered < 1 {
 			t.Errorf("%s: stats %+v, want a pruned constant side and a delivery", tc.name, ast.Stats)

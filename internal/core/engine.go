@@ -46,7 +46,7 @@ type Options struct {
 	// goroutine, so core reads nothing here. Results are identical at every
 	// width.
 	Workers int
-	// ASTInterp, IRExec and OrTreeGuards are reference semantics for the
+	// ASTInterp and OrTreeGuards are reference semantics for the
 	// differential suites and experiments, not modes to run in: each swaps
 	// one layer of the engine for the slower form it was derived from, and
 	// Results, statistics, traces and symbol allocation are byte-identical
@@ -58,12 +58,6 @@ type Options struct {
 	// programs — the executable reference semantics, and the debugging aid
 	// for suspected compiler bugs.
 	ASTInterp bool
-	// IRExec dispatches the compiled IR on every visit instead of applying
-	// the per-(element,port) summaries (prog.Summarize) the engine builds
-	// from it. Without it the IR loop runs only For bodies and the programs
-	// whose summary would overflow the node budget; none of the department's
-	// element-ports falls back.
-	IRExec bool
 	// OrTreeGuards evaluates interval-table-lowered guards as their
 	// original Or-tree disjuncts instead of the packed span tables. Only the
 	// constraint-fingerprint chain differs, since the solver is handed a
@@ -132,10 +126,9 @@ func (r *run) step(next []*state, st *state) ([]*state, error) {
 		}
 	}
 
-	// The visit's successors live only until they depart: a buffer on the
-	// stack holds them (a visit rarely forks more than a few ways).
-	var buf [4]*state
-	states, ok := r.execPort(buf[:0], st, elem, st.Here.Port, false)
+	// The visit's successors live only until they depart (a visit rarely
+	// forks more than a few ways).
+	states, ok := r.execPort(r.visit[:0], st, elem, st.Here.Port, false)
 	if !ok {
 		// No code: the packet stops here.
 		st.Status = Delivered
@@ -155,6 +148,7 @@ func (r *run) step(next []*state, st *state) ([]*state, error) {
 		}
 		next = r.depart(next, s, elem)
 	}
+	clear(r.visit[:])
 	return next, nil
 }
 
@@ -225,10 +219,10 @@ type astFrame struct {
 
 // exec runs one instruction on a state and then the continuation k on each
 // successor, appending the finished states to out. It is state-major, like
-// the IR loop and the summary walk: each successor of an If, For or Block
-// runs the rest of the program before the next sibling starts. A state that
-// failed or set pending output ports skips the rest; callers decide what
-// happens next. It appends nothing only when every successor was pruned as
+// the compiled-program walk: each successor of an If, For or Block runs the
+// rest of the program before the next sibling starts. A state that failed
+// or set pending output ports skips the rest; callers decide what happens
+// next. It appends nothing only when every successor was pruned as
 // infeasible.
 //
 // This recursive tree walk is the engine's reference interpreter, selected

@@ -36,8 +36,13 @@ type run struct {
 	memo        *solver.SatCache
 	inst        instruments
 	stack       []*state // states waiting at an input port; the top is next
-	paths       []*Path
-	stats       RunStats
+	// visit holds the successors of the input-port visit step is settling,
+	// cleared once they depart. It lives here, not on step's stack: the
+	// program walk recurses through runFor, which would move a stack
+	// buffer to the heap on every step.
+	visit [4]*state
+	paths []*Path
+	stats RunStats
 	// env is the evaluator adapter of every program this run executes,
 	// re-pointed at the current state before each evaluation.
 	env progEnv
@@ -51,17 +56,7 @@ type instruments struct {
 	progMisses *obs.Counter   // core.progcache.misses: port programs compiled
 	queueDepth *obs.Gauge     // core.queue.depth.max: state-stack high-water
 	satNs      *obs.Histogram // solver.sat.check_ns: per-Sat-check wall time
-	// Summary-layer instruments (see execPort): build outcomes, per-visit
-	// path taken, and the apply-vs-exec timing pair the summaries experiment
-	// compares (prog.exec_ns times every IR-path visit — the fallback
-	// elements by default, all of them under Options.IRExec).
-	sumBuilt     *obs.Counter   // summary.built: programs summarized
-	sumUnsum     *obs.Counter   // summary.unsummarizable: fallback verdicts
-	sumHits      *obs.Counter   // summary.hits: visits applied via summary
-	sumFallbacks *obs.Counter   // summary.fallbacks: visits on the IR path
-	sumApplyNs   *obs.Histogram // summary.apply_ns: per-visit summary apply
-	progExecNs   *obs.Histogram // prog.exec_ns: per-visit IR execution
-	elemHits     *elemHits      // summary.elem_hits.<elem>: per-element applies
+	progExecNs *obs.Histogram // prog.exec_ns: per-visit program execution
 }
 
 // newRun validates the injection point and prepares a run.
@@ -84,17 +79,11 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 	if opts.Obs != nil && opts.Obs.Reg != nil {
 		reg := opts.Obs.Reg
 		r.inst = instruments{
-			progHits:     reg.Counter("core.progcache.hits"),
-			progMisses:   reg.Counter("core.progcache.misses"),
-			queueDepth:   reg.Gauge("core.queue.depth.max"),
-			satNs:        reg.Histogram("solver.sat.check_ns"),
-			sumBuilt:     reg.Counter("summary.built"),
-			sumUnsum:     reg.Counter("summary.unsummarizable"),
-			sumHits:      reg.Counter("summary.hits"),
-			sumFallbacks: reg.Counter("summary.fallbacks"),
-			sumApplyNs:   reg.Histogram("summary.apply_ns"),
-			progExecNs:   reg.Histogram("prog.exec_ns"),
-			elemHits:     &elemHits{reg: reg, m: make(map[string]*obs.Counter)},
+			progHits:   reg.Counter("core.progcache.hits"),
+			progMisses: reg.Counter("core.progcache.misses"),
+			queueDepth: reg.Gauge("core.queue.depth.max"),
+			satNs:      reg.Histogram("solver.sat.check_ns"),
+			progExecNs: reg.Histogram("prog.exec_ns"),
 		}
 	}
 	if !opts.ASTInterp && init != nil {

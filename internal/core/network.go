@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
@@ -24,10 +23,10 @@ const WildcardPort = -1
 // input ports, so bidirectional connectivity needs two port pairs (§5).
 //
 // Port code is authored as a SEFL AST and compiled lazily to the flat IR of
-// internal/prog on first execution; the compiled program and its summary are
-// cached together per (direction, port key) and shared read-only across
-// scheduler workers and batch jobs. SetInCode/SetOutCode invalidate the
-// affected cache entry, so models may be regenerated between runs.
+// internal/prog on first execution; the compiled program is cached per
+// (direction, port key) and shared read-only across scheduler workers and
+// batch jobs. SetInCode/SetOutCode invalidate the affected cache entry, so
+// models may be regenerated between runs.
 type Element struct {
 	Name     string
 	Kind     string // descriptive: "switch", "router", "nat", ...
@@ -40,34 +39,13 @@ type Element struct {
 	// code caches what the engine executes, keyed by progKey. The key's
 	// port is the resolved code-map key (a specific port or WildcardPort),
 	// so all ports sharing wildcard code share one entry.
-	code sync.Map // progKey -> *portCode
+	code sync.Map // progKey -> *prog.Program
 }
 
 // progKey identifies one cache entry of an element.
 type progKey struct {
 	out  bool
 	port int
-}
-
-// portCode is one cache entry: a compiled program and, once somebody asked
-// for it, its summarization verdict. The negative verdict is cached like the
-// positive one — fallback elements are visited just as often and must not
-// re-attempt summarization per visit.
-type portCode struct {
-	prog *prog.Program
-	sum  atomic.Pointer[prog.Summary]
-}
-
-// summary returns the program's summarization verdict, summarizing on first
-// use, plus whether this call built it. Concurrent first uses may summarize
-// twice; one wins and summarization is a pure function of the program, so
-// results do not depend on the race.
-func (c *portCode) summary() (*prog.Summary, bool) {
-	if s := c.sum.Load(); s != nil {
-		return s, false
-	}
-	built := c.sum.CompareAndSwap(nil, prog.Summarize(c.prog))
-	return c.sum.Load(), built
 }
 
 // SetInCode attaches code to an input port (WildcardPort for all).
@@ -93,19 +71,13 @@ func (e *Element) SetOutCode(port int, code sefl.Instr) *Element {
 // PatchedOutCode records that an output port's code was updated by an
 // in-place patch of its already-compiled program (prog.PatchGuard): the
 // source AST is replaced so a later cache invalidation recompiles the new
-// rules, and the summary half of the cache entry is rebuilt from the patched
-// program (its cached renders print the guard) — but the program half is
-// kept, because the cached program object is the one that was just patched.
-// Callers must not be executing the element concurrently.
+// rules, but the cached program is kept, because it is the one that was
+// just patched. Callers must not be executing the element concurrently.
 func (e *Element) PatchedOutCode(port int, code sefl.Instr) {
 	if e.OutCode == nil {
 		e.OutCode = make(map[int]sefl.Instr)
 	}
 	e.OutCode[port] = code
-	if v, ok := e.code.Load(progKey{out: true, port: port}); ok {
-		c := v.(*portCode)
-		c.sum.Store(prog.Summarize(c.prog))
-	}
 }
 
 // codeKey resolves a port to the key its code is cached under: the port
@@ -131,7 +103,7 @@ func (e *Element) codeKey(port int, out bool) (progKey, bool) {
 func (e *Element) CachedProgram(port int, out bool) (*prog.Program, bool) {
 	if ck, ok := e.codeKey(port, out); ok {
 		if v, ok := e.code.Load(ck); ok {
-			return v.(*portCode).prog, true
+			return v.(*prog.Program), true
 		}
 	}
 	return nil, false
@@ -153,18 +125,18 @@ func (e *Element) outCodeFor(port int) (sefl.Instr, bool) {
 	return c, ok
 }
 
-// codeFor returns the cache entry for a port's code, compiling and caching
-// on first use; hit reports whether the entry came from the cache. ok is
+// codeFor returns the compiled program of a port's code, compiling and
+// caching on first use; hit reports whether it came from the cache. ok is
 // false when the port has no code. Concurrent first uses may compile twice;
 // LoadOrStore keeps one winner and the loser is equivalent (programs are
 // pure compilations of the same AST), so results do not depend on the race.
-func (e *Element) codeFor(port int, out bool) (c *portCode, ok, hit bool) {
+func (e *Element) codeFor(port int, out bool) (p *prog.Program, ok, hit bool) {
 	ck, ok := e.codeKey(port, out)
 	if !ok {
 		return nil, false, false
 	}
 	if v, ok := e.code.Load(ck); ok {
-		return v.(*portCode), true, true
+		return v.(*prog.Program), true, true
 	}
 	codes, dir := e.InCode, "in"
 	if out {
@@ -174,9 +146,9 @@ func (e *Element) codeFor(port int, out bool) (c *portCode, ok, hit bool) {
 	if ck.port == WildcardPort {
 		portLabel = "*"
 	}
-	p := prog.Compile(codes[ck.port], e.Name, e.Instance, fmt.Sprintf("%s.%s[%s]", e.Name, dir, portLabel))
-	actual, _ := e.code.LoadOrStore(ck, &portCode{prog: p})
-	return actual.(*portCode), true, false
+	p = prog.Compile(codes[ck.port], e.Name, e.Instance, fmt.Sprintf("%s.%s[%s]", e.Name, dir, portLabel))
+	actual, _ := e.code.LoadOrStore(ck, p)
+	return actual.(*prog.Program), true, false
 }
 
 // Programs returns the compiled program of every port that has code,
@@ -186,9 +158,9 @@ func (e *Element) Programs() []*prog.Program {
 	var out []*prog.Program
 	seen := make(map[*prog.Program]bool)
 	add := func(port int, dir bool) {
-		if c, ok, _ := e.codeFor(port, dir); ok && !seen[c.prog] {
-			seen[c.prog] = true
-			out = append(out, c.prog)
+		if p, ok, _ := e.codeFor(port, dir); ok && !seen[p] {
+			seen[p] = true
+			out = append(out, p)
 		}
 	}
 	for port := 0; port < e.NumIn; port++ {

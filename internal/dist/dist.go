@@ -3,10 +3,9 @@
 // running its own in-process worker pool), ships the network spec plus the
 // compiled IR of every element-port program so workers skip recompilation,
 // and collects results in job order. A member gets programs and jobs,
-// nothing else: it builds its own summaries from the programs, and a job
-// carries only its budget (hops, paths, loop mode, trace). The reference
-// semantics (Options.ASTInterp, IRExec, OrTreeGuards) run in-process only —
-// a Pool refuses a job that sets one.
+// nothing else: a job carries only its budget (hops, paths, loop mode,
+// trace). The reference semantics (Options.ASTInterp, OrTreeGuards) run
+// in-process only — a Pool refuses a job that sets one.
 //
 // The in-process determinism carries over intact: each job is one core.Run
 // on one goroutine, independent of its siblings, and Sat-cache hits replay
@@ -273,8 +272,6 @@ func referenceMode(o core.Options) string {
 	switch {
 	case o.ASTInterp:
 		return "ASTInterp"
-	case o.IRExec:
-		return "IRExec"
 	case o.OrTreeGuards:
 		return "OrTreeGuards"
 	}

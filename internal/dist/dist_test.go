@@ -411,23 +411,27 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 	}
 }
 
-// TestSummariesDistByteIdentical is the distributed face of the summary
-// acceptance property: the default engine, in-process and on a two-member
-// fleet, produces on every dataset batch the same bytes as the IR reference
-// (Options.IRExec) in-process — full canonical encoding, constraint
-// fingerprints included, since summaries replay the exact IR solver call
-// sequence. It also pins the members' own summaries: each builds them from
-// the programs it was shipped.
+// TestSummariesDistByteIdentical is the distributed face of the compiled
+// engine's acceptance property: the default engine, in-process and on a
+// two-member fleet, produces on every dataset batch the same observables as
+// the AST interpreter (Options.ASTInterp) in-process, and the Or-tree
+// compiled engine the same bytes, constraint fingerprints included. The
+// reference modes run in-process only (a Pool refuses them).
 func TestSummariesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			want := reference(t, tc.net, withOpts(tc.jobs, func(o *core.Options) { o.IRExec = true }))
+			ast := runGrid(t, tc.net, withOpts(tc.jobs, func(o *core.Options) { o.ASTInterp = true }), 0, 2)
+			orTree := withOpts(tc.jobs, func(o *core.Options) { o.OrTreeGuards = true })
+			if got, want := canonical(t, runGrid(t, tc.net, orTree, 0, 2)), canonical(t, ast); string(got) != string(want) {
+				t.Errorf("Or-tree compiled results differ from the AST reference in-process")
+			}
+			wantObs := canonicalNoCtx(t, ast)
 			for _, members := range []int{0, 2} {
-				if got := canonical(t, runGrid(t, tc.net, tc.jobs, members, 2)); string(got) != string(want) {
-					t.Errorf("members=%d: results differ from the IR reference in-process", members)
+				if got := canonicalNoCtx(t, runGrid(t, tc.net, tc.jobs, members, 2)); string(got) != string(wantObs) {
+					t.Errorf("members=%d: observables differ from the AST reference in-process", members)
 				}
 			}
 		})
@@ -436,44 +440,25 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 
 // TestSummariesDistWorkersInstallNotRebuild pins the division of labor
 // across the wire: members install the programs they are shipped — the
-// full setup, and the delta after a Refresh — and summarize exactly those
-// before any job runs, so the absorbed summary.built and
-// summary.unsummarizable grow by every program per member on a full batch,
-// by the refreshed ports per member on a delta, and by nothing on reuse. No
-// job asks for anything (zero Options), yet the absorbed worker telemetry
-// shows summary applications (hits) and IR fallbacks (the gate element) on
-// every batch.
+// full setup, and the delta after a Refresh — and run them, so the absorbed
+// worker telemetry shows every port visit served from the program cache
+// (core.progcache.hits) and none compiling a port program
+// (core.progcache.misses) on every batch. The delta changes the gate's
+// code, so a member still running the old program would change the
+// results.
 func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
 	net, inject := datasets.SatHeavy(8)
-	g := net.AddElement("sumgate", "gate", 1, 1)
-	// More sequential branches (on metadata presence, so none forks) than
-	// the summary node budget holds: unsummarizable by construction, so
-	// every batch exercises the IR fallback.
-	gate := func(port int) sefl.Instr {
-		m := sefl.Meta{Name: "sumgate", Local: true}
-		is := make([]sefl.Instr, 1400, 1401)
-		for i := range is {
-			is[i] = sefl.If{C: sefl.MetaPresent{M: m}, Then: sefl.NoOp{}, Else: sefl.NoOp{}}
-		}
-		return sefl.Seq(append(is, sefl.Forward{Port: port})...)
-	}
-	g.SetInCode(0, gate(0))
-	net.MustLink("sumgate", 0, inject.Elem, inject.Port)
-	gated := core.PortRef{Elem: "sumgate", Port: 0}
-	// A port no job reaches: a member summarizes it because it was shipped,
-	// not because a run visited it.
-	net.AddElement("island", "sink", 1, 0).SetInCode(0, sefl.NoOp{})
+	g := net.AddElement("gate", "gate", 1, 1)
+	g.SetInCode(0, sefl.Forward{Port: 0})
+	net.MustLink("gate", 0, inject.Elem, inject.Port)
+	gated := core.PortRef{Elem: "gate", Port: 0}
 
 	jobs := make([]dist.Job, 4)
 	for i := range jobs {
 		jobs[i] = dist.Job{Name: fmt.Sprintf("q%d", i), Inject: gated, Packet: sefl.NewTCPPacket()}
-	}
-	progs, err := core.EncodePrograms(net)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	const members = 2
@@ -484,7 +469,7 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 	}
 	defer pool.Close()
 	var prev obs.Snapshot
-	batch := func(mode string, shipped int) {
+	batch := func(mode string) {
 		t.Helper()
 		want := reference(t, net, jobs)
 		if got := canonical(t, pool.RunBatch(net, jobs)); string(got) != string(want) {
@@ -495,29 +480,25 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 		if grew("dist.setup."+mode) != members {
 			t.Errorf("%s batch: dist.setup.%s grew by %d, want both workers", mode, mode, grew("dist.setup."+mode))
 		}
-		if grew("summary.hits") == 0 {
-			t.Errorf("%s batch: no summary applications absorbed from workers; counters: %v", mode, snap.Counters)
+		if grew("core.progcache.hits") == 0 {
+			t.Errorf("%s batch: no program-cache hits absorbed from workers; counters: %v", mode, snap.Counters)
 		}
-		if grew("summary.fallbacks") == 0 {
-			t.Errorf("%s batch: no IR fallbacks absorbed despite the gate element; counters: %v", mode, snap.Counters)
-		}
-		if built, want := grew("summary.built")+grew("summary.unsummarizable"), int64(members*shipped); built != want {
-			t.Errorf("%s batch: workers summarized %d programs, want the %d shipped", mode, built, want)
-		}
-		if grew("summary.unsummarizable") == 0 && shipped > 0 {
-			t.Errorf("%s batch: the gate's program was shipped but no member found it unsummarizable", mode)
+		if n := grew("core.progcache.misses"); n != 0 {
+			t.Errorf("%s batch: workers compiled %d port programs, want the shipped ones run", mode, n)
 		}
 		prev = *snap
 	}
-	batch("full", len(progs))
-	batch("reuse", 0)
-	// Recompile both verdict kinds — the gate (unsummarizable) and its
-	// successor's input (summarized) — so the delta ships both.
-	g.SetInCode(0, gate(0))
-	succ, _ := net.Element(inject.Elem)
-	succ.SetInCode(inject.Port, succ.InCode[inject.Port])
-	pool.Refresh(gated, inject)
-	batch("delta", 2)
+	batch("full")
+	batch("reuse")
+	// The gate now admits well-known ports only, which every path's
+	// constraint fingerprint shows; the delta ships its program alone.
+	before := reference(t, net, jobs)
+	g.SetInCode(0, sefl.Seq(sefl.Constrain{C: sefl.Lt(sefl.Ref{LV: sefl.TcpDst}, sefl.C(1024))}, sefl.Forward{Port: 0}))
+	if string(reference(t, net, jobs)) == string(before) {
+		t.Fatal("test premise: the gate's new code does not change the results")
+	}
+	pool.Refresh(gated)
+	batch("delta")
 }
 
 // TestPoolRefusesReferenceModes pins where the reference semantics run: a
@@ -531,7 +512,6 @@ func TestPoolRefusesReferenceModes(t *testing.T) {
 	fleet := residentFleet(t, 1)
 	for mode, set := range map[string]func(*core.Options){
 		"ASTInterp":    func(o *core.Options) { o.ASTInterp = true },
-		"IRExec":       func(o *core.Options) { o.IRExec = true },
 		"OrTreeGuards": func(o *core.Options) { o.OrTreeGuards = true },
 	} {
 		batch := append([]dist.Job(nil), jobs...)

@@ -156,7 +156,7 @@ func (p *Pool) Invalidate() {
 // RunBatch runs every job across the fleet, returning results in job order —
 // byte-identical (as summaries) to sched.RunBatch regardless of fleet size or
 // crashes. A batch-wide setup failure — or a job that sets a reference mode
-// (Options.ASTInterp, IRExec, OrTreeGuards), which runs in-process only —
+// (Options.ASTInterp, OrTreeGuards), which runs in-process only —
 // poisons every job; per-worker failures poison only jobs that exhausted
 // their retry budget.
 //

@@ -119,8 +119,8 @@ type batchFrame struct {
 }
 
 // deltaFrame re-ships only what changed since the last batch: the
-// re-compiled programs of the touched ports, which the worker installs and
-// summarizes. Port ASTs do not ride deltas — workers execute installed
+// re-compiled programs of the touched ports, which the worker installs.
+// Port ASTs do not ride deltas — workers execute installed
 // compiled programs, and a fleet runs no job that reads the ASTs.
 type deltaFrame struct {
 	Programs []core.WireProgramEntry
@@ -151,8 +151,7 @@ func decodeSetup(raw []byte) (*setupFrame, error) {
 
 // setupFrame carries everything a worker needs before any job: the network
 // spec (elements, port code ASTs, links) and the coordinator's compiled IR
-// for every element-port program, so workers skip recompilation. Summaries
-// are a pure function of the programs, so the worker builds its own (Warm).
+// for every element-port program, so workers skip recompilation.
 // Per-batch configuration (Metrics, queue width) lives on batchFrame — a
 // setup outlives batches in a resident pool.
 type setupFrame struct {

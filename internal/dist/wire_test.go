@@ -270,6 +270,10 @@ func batchErrorCases(t testing.TB) []streamCase {
 		func(w *prog.WireProgram) { w.Ops[0].E.B = nil })
 	not := broken(sefl.Constrain{C: sefl.CNot{C: isAA}}, func(w *prog.WireProgram) { w.CondTab[1].C = -1 })
 	or := broken(sefl.Constrain{C: sefl.COr{Cs: []sefl.Cond{isAA, isBB}}}, func(w *prog.WireProgram) { w.CondTab[1].R = nil })
+	// An If's arms are segments 0 and 1; it is op 2, in the entry segment 2.
+	branch := sefl.If{C: isAA, Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}}
+	twice := broken(branch, func(w *prog.WireProgram) { w.Ops[2].Else = w.Ops[2].Then })
+	entered := broken(branch, func(w *prog.WireProgram) { w.Entry = w.Ops[2].Then })
 	return []streamCase{
 		{
 			name:   "setup without a network",
@@ -298,6 +302,19 @@ func batchErrorCases(t testing.TB) []streamCase {
 				op.Kind, op.Then, op.Else = prog.OpIf, w.Entry, w.Entry
 			})},
 			want: "decoding setup: prog: decode SW.in[0]: op 0 in segment 0 enters segment 0; want an earlier one",
+		},
+		// A segment resumes where the one If entering it says, and the entry
+		// resumes nowhere: two entries, or an entered entry, have no single
+		// place to resume.
+		{
+			name:   "setup with a segment two arms enter",
+			frames: []*frame{hello, fullBatch(install(twice))},
+			want:   "decoding setup: prog: decode SW.in[0]: op 2 enters segment 0, which another If arm enters",
+		},
+		{
+			name:   "setup with an arm entering the entry",
+			frames: []*frame{hello, fullBatch(install(entered))},
+			want:   "decoding setup: prog: decode SW.in[0]: op 2 enters the entry segment 0",
 		},
 		// Ops that lack what their kind reads, each of which panicked once
 		// run, and a kind past the last one.

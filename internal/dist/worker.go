@@ -137,12 +137,9 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 			return fmt.Errorf("protocol: reuse setup at generation %d, worker holds %d", bf.Gen, st.gen)
 		}
 	}
-	// Summarize what was just installed (nothing, on reuse) before any job
-	// runs, as a Session does after Compile: the builds land in this batch's
-	// counters whatever order the queue runs jobs in.
-	summarized, unsummarizable := core.Warm(st.net)
-	reg.Counter("summary.built").Add(int64(summarized))
-	reg.Counter("summary.unsummarizable").Add(int64(unsummarizable))
+	// Compile whatever was not shipped before any job runs, as a Session
+	// does after Compile.
+	core.Warm(st.net)
 
 	crashOn := os.Getenv(testExitEnv)
 	t0 := time.Now()

@@ -24,6 +24,7 @@ import (
 	"cmp"
 	"fmt"
 	"regexp"
+	"slices"
 
 	"symnet/internal/expr"
 	"symnet/internal/memory"
@@ -207,7 +208,9 @@ func encodeCond(w *WireProgram, idx map[*cCond]int32, c *cCond) (int32, error) {
 
 // DecodeProgram rebuilds a compiled program from its wire form. The result
 // is immutable and concurrency-safe exactly like a freshly compiled program;
-// For-body caches start empty and warm up on first use.
+// For-body caches start empty and warm up on first use. Decoding derives the
+// segment continuations as compiling does (link), so a shipped program that
+// is not a tree of segments is refused.
 func DecodeProgram(w *WireProgram) (*Program, error) {
 	if w == nil {
 		return nil, fmt.Errorf("prog: decode: program entry without a program")
@@ -220,7 +223,7 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		Instance:  w.Instance,
 		Label:     w.Label,
 		Entry:     w.Entry,
-		Segs:      w.Segs,
+		Segs:      slices.Clone(w.Segs), // link writes them, and w may alias a program's
 		Conds:     w.Conds,
 		CondsSeen: w.CondsSeen,
 		Ops:       make([]Op, len(w.Ops)),
@@ -320,6 +323,9 @@ func DecodeProgram(w *WireProgram) (*Program, error) {
 		}
 		p.Ops[i] = op
 	}
+	if err := link(p); err != nil {
+		return nil, fmt.Errorf("prog: decode %s: %w", w.Label, err)
+	}
 	return p, nil
 }
 
@@ -401,7 +407,7 @@ func exprMissing(e *CExpr) string {
 // an If enters (its arms) were emitted before the segment holding it.
 // Execution then only ever enters lower segment IDs, so no bytes can make it
 // recurse forever — a stack overflow is fatal, not a panic any per-job
-// recover catches.
+// recover catches — and link can settle continuations top-down.
 func checkSegs(w *WireProgram) error {
 	if w.Entry < 0 || int(w.Entry) >= len(w.Segs) {
 		return fmt.Errorf("entry segment %d out of range [0, %d)", w.Entry, len(w.Segs))

@@ -197,10 +197,11 @@ func TestProgramCodecBadForPatternMessageStable(t *testing.T) {
 }
 
 // TestProgramCodecRejectsMalformedSegments pins the decoder's segment checks:
-// a shipped program whose segments leave the op array, overlap, or let an op
-// enter its own or a later segment is refused with a pointed error — run, a
-// cyclic one would recurse until the stack overflows, which kills the
-// process outright.
+// a shipped program whose segments leave the op array, overlap, let an op
+// enter its own or a later segment, enter one segment from two If arms or
+// enter the entry segment is refused with a pointed error — run, a cyclic
+// one would recurse until the stack overflows, which kills the process
+// outright.
 func TestProgramCodecRejectsMalformedSegments(t *testing.T) {
 	p := Compile(codecProgram(), "e1", 4, "e1.in[0]")
 	// holder finds the first op of a kind and the segment holding it.
@@ -231,6 +232,11 @@ func TestProgramCodecRejectsMalformedSegments(t *testing.T) {
 		{"else arm out of range", func(w *WireProgram) { w.Ops[ifOp].Else = SegID(len(w.Segs)) },
 			fmt.Sprintf("op %d in segment %d enters segment %d; want an earlier one", ifOp, ifSeg, len(p.Segs))},
 		{"negative arm", func(w *WireProgram) { w.Ops[ifOp].Then = -1 }, "enters segment -1"},
+		// Each arm resumes at one place, and the entry at none.
+		{"arm entered twice", func(w *WireProgram) { w.Ops[ifOp].Else = w.Ops[ifOp].Then },
+			fmt.Sprintf("op %d enters segment %d, which another If arm enters", ifOp, p.Ops[ifOp].Then)},
+		{"entry entered by an arm", func(w *WireProgram) { w.Entry = w.Ops[ifOp].Then },
+			fmt.Sprintf("op %d enters the entry segment %d", ifOp, p.Ops[ifOp].Then)},
 		// A lowered guard crosses the wire as its rows only.
 		{"interval table without rows", func(w *WireProgram) { w.CondTab[0].Kind, w.CondTab[0].ITRows = cIntervalTable, nil },
 			"interval-table cond 0 without rows"},

@@ -24,6 +24,9 @@ func Compile(code sefl.Instr, elem string, instance int, label string) *Program 
 		conds: make(map[expr.Fp][]*cCond),
 	}
 	c.p.Entry = c.compileSeg([]sefl.Instr{code})
+	if err := link(c.p); err != nil {
+		panic("prog: compile " + label + ": " + err.Error()) // compileSeg emits a tree
+	}
 	compileCount.Add(1)
 	compileNs.Add(time.Since(t0).Nanoseconds())
 	return c.p

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -201,5 +202,58 @@ func TestSpliceAnalysis(t *testing.T) {
 	), "e", 0, "t")
 	if entry := p.Seg(p.Entry); len(p.Segs) != 3 || entry.Hi-entry.Lo != 4 {
 		t.Fatalf("symbolic block behind a fork must splice:\n%s", p)
+	}
+}
+
+// TestSegmentContinuations pins link on the tree of segments the compiler
+// emits: an arm resumes right after its If, the arm of an If that ends its
+// segment resumes where that segment resumes, and the entry leaves the
+// program.
+func TestSegmentContinuations(t *testing.T) {
+	f := sefl.Ref{LV: sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F"}}
+	p := Compile(sefl.Seq(
+		sefl.If{
+			C:    sefl.Eq(f, sefl.C(1)),
+			Then: sefl.If{C: sefl.Eq(f, sefl.C(2)), Then: sefl.NoOp{}, Else: sefl.NoOp{}},
+			Else: sefl.NoOp{},
+		},
+		sefl.Forward{Port: 0},
+	), "e", 0, "t")
+	if _, _, ok := p.Cont(p.Entry); ok {
+		t.Fatalf("the entry segment resumes somewhere:\n%s", p)
+	}
+	entry := p.Seg(p.Entry)
+	outer := &p.Ops[entry.Lo]
+	inner := &p.Ops[p.Seg(outer.Then).Lo]
+	if outer.Kind != OpIf || inner.Kind != OpIf || p.Seg(outer.Then).Hi != p.Seg(outer.Then).Lo+1 {
+		t.Fatalf("test premise: want an If whose Then arm is one If:\n%s", p)
+	}
+	for _, arm := range []SegID{outer.Then, outer.Else, inner.Then, inner.Else} {
+		if seg, idx, ok := p.Cont(arm); !ok || seg != p.Entry || idx != entry.Lo+1 {
+			t.Errorf("seg%d resumes at seg%d op %d (ok %v), want seg%d op %d:\n%s", arm, seg, idx, ok, p.Entry, entry.Lo+1, p)
+		}
+	}
+}
+
+// TestProgramRenderCacheIsLazy pins the resident-size design: trace lines
+// and failure messages are cached per program, but the cache only exists
+// once something rendered.
+func TestProgramRenderCacheIsLazy(t *testing.T) {
+	p := Compile(sefl.Seq(
+		sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.IPDst}, sefl.C(1))},
+		sefl.Forward{Port: 0},
+	), "e", 0, "e.in[0]")
+	if p.renders.Load() != nil {
+		t.Fatal("a fresh program already holds a render cache")
+	}
+	msg := p.ConstrainFailMsg(0)
+	if want := fmt.Sprintf("constraint unsatisfiable: %s", p.Ops[0].Ins.(sefl.Constrain).C); msg != want {
+		t.Fatalf("fail message %q, want %q", msg, want)
+	}
+	if line, want := p.TraceLine(1), fmt.Sprintf("e: %s", p.Ops[1].Ins); line != want {
+		t.Fatalf("trace line %q, want %q", line, want)
+	}
+	if p.ConstrainFailMsg(0) != msg || p.renders.Load() == nil {
+		t.Fatal("renders are not cached")
 	}
 }

@@ -90,7 +90,7 @@ func RowSolutionSet(r ITRow, w int) []expr.Span {
 // be executing concurrently. For each matched node it installs the
 // new rows and table, recomputes from the rows the node fingerprint and
 // derived state, and swaps the rendered source instruction on every
-// OpConstrain guarded by the node.
+// OpConstrain guarded by the node; the program's cached renders go with it.
 func PatchGuard(p *Program, spec PatchSpec) int {
 	patched := make(map[*cCond]bool)
 	forEachCond(p, func(cc *cCond) {
@@ -116,5 +116,6 @@ func PatchGuard(p *Program, spec PatchSpec) int {
 			}
 		}
 	}
+	p.renders.Store(nil) // they print the old guard
 	return len(patched)
 }

@@ -29,18 +29,25 @@
 // interpreter it replaces — same results, same statistics, same trace lines,
 // same fresh-symbol allocation order — which is what the differential
 // property tests in this package pin down. Fresh-symbol order is the one
-// place the order across sibling states shows, so every executor (the AST
-// interpreter, the IR loop, the summary walk) runs siblings state-major:
-// each successor of an If or For runs the rest of the program before the
-// next sibling starts. Programs are immutable after
+// place the order across sibling states shows, so both executors (the AST
+// interpreter and the IR loop) run siblings state-major: each successor of
+// an If or For runs the rest of the program before the next sibling starts.
+//
+// SEFL models branch only where the network does, so a compiled program is
+// already its element's transfer function: every segment records where a
+// state resumes when it runs off the segment's end (link), and walking the
+// IR is walking the element's summary. Programs are immutable after
 // compilation and shared read-only across scheduler workers and batch jobs;
-// the only mutable member is the per-For-op body-program cache, which is a
-// concurrency-safe memo.
+// the only mutable members are the per-For-op body-program cache and the
+// once-rendered trace lines and failure messages, both concurrency-safe
+// memos.
 package prog
 
 import (
+	"fmt"
 	"regexp"
 	"sync"
+	"sync/atomic"
 
 	"symnet/internal/expr"
 	"symnet/internal/memory"
@@ -239,6 +246,17 @@ type Seg struct {
 	// terminated (failed or set output ports) by its end — the property the
 	// dead-code elimination pass computes and relies on.
 	Terminates bool
+	// cont is where a state that runs off the segment's end resumes. link
+	// derives it from the If ops, so it never crosses the wire.
+	cont resume
+}
+
+// resume is a position in a program: op idx of segment seg, or the
+// program's end when seg < 0. The zero value, which no If yields (a state
+// resumes after its If), marks a segment link has not reached yet.
+type resume struct {
+	seg SegID
+	idx int32
 }
 
 // Op is one IR operation. The fields used depend on Kind. Ins is the
@@ -277,10 +295,100 @@ type Program struct {
 	// tests; a lowered guard counts as one node, whatever the number of
 	// disjuncts its view would have.
 	Conds, CondsSeen int
+
+	// renders caches a trace line and a Constrain failure message per op
+	// (see render); PatchGuard drops it.
+	renders atomic.Pointer[[]atomic.Pointer[string]]
 }
 
 // Seg returns the segment with the given id.
 func (p *Program) Seg(id SegID) Seg { return p.Segs[id] }
+
+// Cont returns where a state that runs off the end of segment id resumes:
+// op idx of segment seg, or ok false when it leaves the program.
+func (p *Program) Cont(id SegID) (seg SegID, idx int32, ok bool) {
+	c := p.Segs[id].cont
+	return c.seg, c.idx, c.seg >= 0
+}
+
+// link derives every segment's continuation from the If ops: an arm resumes
+// after its If, or where the If's own segment resumes when the If ends it.
+// Arms lie below the segment holding their If (compileSeg emits them first;
+// checkSegs refuses a shipped program where they do not), so walking the
+// segments from the highest ID down settles a segment's continuation before
+// its arms need it. A continuation doubles as the mark that an If entered
+// the segment, so link allocates nothing: injection code compiles per
+// query. It refuses a segment two If arms enter and an entry segment an If
+// enters. Then every segment has one continuation, and a state runs each op
+// of a program at most once.
+func link(p *Program) error {
+	for i := range p.Segs {
+		p.Segs[i].cont = resume{}
+	}
+	for id := SegID(len(p.Segs)) - 1; id >= 0; id-- {
+		s := &p.Segs[id]
+		if s.cont == (resume{}) {
+			s.cont = resume{seg: -1} // the entry, or a segment no If enters
+		}
+		for i := s.Lo; i < s.Hi; i++ {
+			op := &p.Ops[i]
+			if op.Kind != OpIf {
+				continue
+			}
+			at := resume{seg: id, idx: i + 1}
+			if i+1 == s.Hi {
+				at = s.cont
+			}
+			for _, arm := range [2]SegID{op.Then, op.Else} {
+				switch {
+				case arm == p.Entry:
+					return fmt.Errorf("op %d enters the entry segment %d", i, arm)
+				case p.Segs[arm].cont != (resume{}):
+					return fmt.Errorf("op %d enters segment %d, which another If arm enters", i, arm)
+				}
+				p.Segs[arm].cont = at
+			}
+		}
+	}
+	return nil
+}
+
+// render returns the string cached in the given slot, calling mk to fill it
+// on first use. The slots (a trace line and a failure message per op) are
+// allocated on the first render, so a program that never traces and never
+// fails a constraint holds none. Renders are pure functions of the
+// instruction, so racing stores are benign: every winner writes the same
+// bytes.
+func (p *Program) render(slot int, mk func() string) string {
+	if p.renders.Load() == nil {
+		fresh := make([]atomic.Pointer[string], 2*len(p.Ops))
+		p.renders.CompareAndSwap(nil, &fresh)
+	}
+	cell := &(*p.renders.Load())[slot]
+	if s := cell.Load(); s != nil {
+		return *s
+	}
+	str := mk()
+	cell.Store(&str)
+	return str
+}
+
+// TraceLine returns the trace line of the op at index i, rendered once and
+// shared by every visit.
+func (p *Program) TraceLine(i int32) string {
+	return p.render(2*int(i), func() string {
+		return fmt.Sprintf("%s: %s", p.Elem, p.Ops[i].Ins)
+	})
+}
+
+// ConstrainFailMsg returns the failure message of the OpConstrain at index
+// i, rendered once: for a table-wide egress guard it prints the whole
+// forwarding table, which no visit should pay for again.
+func (p *Program) ConstrainFailMsg(i int32) string {
+	return p.render(2*int(i)+1, func() string {
+		return fmt.Sprintf("constraint unsatisfiable: %s", p.Ops[i].Ins.(sefl.Constrain).C)
+	})
+}
 
 // ForBody returns the compiled body program of a For op for one metadata
 // key, compiling and memoizing on first use. The body program shares the

@@ -1,16 +1,15 @@
 package prog_test
 
-// Differential property tests for per-element summaries, the engine's
-// default: every observable — path IDs, statuses, failure messages,
-// histories, traces, final memory, symbol IDs, the constraint context's
-// chained fingerprint, and run statistics — must be byte-identical to the IR
-// reference path (Options.IRExec), over random programs and the real
-// datasets, with every dataset exercising both the summary
-// fast path and the IR fallback (pinned via the summary.* counters; the
-// fallback gate supplies the latter, as the real models all summarize).
+// Differential property tests for the compiled program as each element's
+// summary: SEFL branches only where the network does, so the compiled
+// program is the element's transfer function, and walking it must match
+// the AST reference interpreter (Options.ASTInterp) on every observable —
+// path IDs, statuses, failure messages, histories, traces, final memory,
+// symbol IDs and run statistics — and on the constraint context's chained
+// fingerprint too where the compiled side evaluates guards as Or-trees
+// (Options.OrTreeGuards), as the AST interpreter does.
 
 import (
-	"strings"
 	"testing"
 
 	"symnet/internal/core"
@@ -20,77 +19,62 @@ import (
 	"symnet/internal/sefl"
 )
 
-// addFallbackGate prepends a one-hop pass-through element whose code stays
-// unsummarizable by construction — more sequential branches than the node
-// budget holds, each on metadata presence so it never forks — guaranteeing
-// the dataset exercises the IR fallback path alongside the summary fast
-// path.
-func addFallbackGate(net *core.Network, inject core.PortRef) core.PortRef {
-	g := net.AddElement("sumgate", "gate", 1, 1)
-	g.SetInCode(0, overBudgetGate(0))
-	net.MustLink("sumgate", 0, inject.Elem, inject.Port)
-	return core.PortRef{Elem: "sumgate", Port: 0}
-}
-
-// overBudgetGate is a program just over the summary node budget (4096
-// nodes; each If costs three: its own and its two arms') that forwards to
-// port.
-func overBudgetGate(port int) sefl.Instr {
-	m := sefl.Meta{Name: "sumgate", Local: true}
-	is := make([]sefl.Instr, 1400, 1401)
-	for i := range is {
-		is[i] = sefl.If{C: sefl.MetaPresent{M: m}, Then: sefl.NoOp{}, Else: sefl.NoOp{}}
-	}
-	return sefl.Seq(append(is, sefl.Forward{Port: port})...)
-}
-
 // TestDifferentialSummariesRandom is the core summary property over random
-// SEFL programs: the default engine's results must be byte-identical (full
-// fingerprint, ctx chain and stats included) to the IR reference's. The
-// generator's For loops and post-branch Symbolic mints exercise the sibling
-// order every executor shares, and every generated element-port must
-// summarize: the node budget is the one refusal left, and no generated
-// program comes near it.
+// SEFL programs: the default engine, walking each element-port's compiled
+// program as its summary, must match the AST reference on every observable,
+// and a second run on the same network — every summary now resident — must
+// reproduce the first run's full fingerprint, ctx chain and stats included.
+// The generator's For loops and post-branch Symbolic mints exercise the
+// sibling order every executor shares.
 func TestDifferentialSummariesRandom(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
-	summarized := 0
+	resident := 0
 	for seed := 0; seed < seeds; seed++ {
 		g := newGen(int64(seed))
 		net, inj := g.network()
 		init := g.inject()
 		opts := core.Options{MaxHops: 48, MaxPaths: 1 << 14, Trace: seed%4 == 0}
 
-		refOpts := opts
-		refOpts.IRExec = true
-		ref, err := core.Run(net, inj, init, refOpts)
+		astOpts := opts
+		astOpts.ASTInterp = true
+		ast, err := core.Run(net, inj, init, astOpts)
 		if err != nil {
-			t.Fatalf("seed %d: IR run: %v", seed, err)
+			t.Fatalf("seed %d: AST run: %v", seed, err)
 		}
-		want := fingerprint(ref)
+		if ast.Stats.Paths == 0 {
+			t.Fatalf("seed %d: no paths explored", seed)
+		}
 
 		res, err := core.Run(net, inj, init, opts)
 		if err != nil {
 			t.Fatalf("seed %d: summaries run: %v", seed, err)
 		}
-		if got := fingerprint(res); got != want {
-			t.Fatalf("seed %d: summaries result differs from IR:\n--- IR ---\n%s--- summaries ---\n%s",
+		if got, want := obsFingerprint(res), obsFingerprint(ast); got != want {
+			t.Fatalf("seed %d: summaries result differs from AST:\n--- AST ---\n%s--- summaries ---\n%s",
 				seed, diffHead(want, got), diffHead(got, want))
 		}
-		if ref.Stats.Paths == 0 {
-			t.Fatalf("seed %d: no paths explored", seed)
-		}
-		for _, c := range core.SummaryCensus(net) {
-			if !c.Summarized {
-				t.Fatalf("seed %d: %s port %d (out %v) unsummarizable: %s", seed, c.Elem, c.Port, c.Out, c.Reason)
+		for _, e := range net.Elements() {
+			for port := 0; port < e.NumIn; port++ {
+				if _, ok := e.CachedProgram(port, false); ok {
+					resident++
+				}
 			}
-			summarized++
+		}
+
+		again, err := core.Run(net, inj, init, opts)
+		if err != nil {
+			t.Fatalf("seed %d: resident-summaries run: %v", seed, err)
+		}
+		if got, want := fingerprint(again), fingerprint(res); got != want {
+			t.Fatalf("seed %d: resident summaries do not reproduce the first run:\n--- first ---\n%s--- again ---\n%s",
+				seed, diffHead(want, got), diffHead(got, want))
 		}
 	}
-	t.Logf("%d seeds: %d element-ports, all summarized", seeds, summarized)
-	if summarized == 0 {
+	t.Logf("%d seeds: %d element-ports summarized", seeds, resident)
+	if resident == 0 {
 		t.Fatal("no element-port summarized")
 	}
 }
@@ -99,8 +83,7 @@ func TestDifferentialSummariesRandom(t *testing.T) {
 // shares: after a symbolic If, each path runs the rest of the program before
 // the next sibling starts, so the two Symbolic assigns that follow mint
 // contiguous symbols per path — the Then path s_k and s_k+1, the Else path
-// s_k+2 and s_k+3 — in the summaries, IR and AST engines alike, and the port
-// summarizes.
+// s_k+2 and s_k+3 — in the compiled and AST engines alike.
 func TestSiblingsRunStateMajor(t *testing.T) {
 	f0 := sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F0"}
 	f1 := sefl.Hdr{Off: sefl.Off{Rel: 32}, Size: 32, Name: "F1"}
@@ -130,8 +113,8 @@ func TestSiblingsRunStateMajor(t *testing.T) {
 		}
 		return v
 	}
-	for _, mode := range []string{"summaries", "IR", "AST"} {
-		opts := core.Options{IRExec: mode == "IR", ASTInterp: mode == "AST"}
+	for _, mode := range []string{"compiled", "AST"} {
+		opts := core.Options{ASTInterp: mode == "AST"}
 		res, err := core.Run(net, inj, sefl.Seq(packet...), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -148,17 +131,12 @@ func TestSiblingsRunStateMajor(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range core.SummaryCensus(net) {
-		if !c.Summarized {
-			t.Errorf("%s port %d unsummarizable: %s", c.Elem, c.Port, c.Reason)
-		}
-	}
 }
 
 // TestDifferentialMaskedTooSparse pins the refusal of a masked match the
 // solver cannot expand (mask 0xff on a 32-bit symbolic field leaves 24 free
 // high bits; solver.FromMask would panic): the path fails with one pointed
-// message, byte-identical in the summaries, IR and AST engines.
+// message, byte-identical in the compiled and AST engines.
 func TestDifferentialMaskedTooSparse(t *testing.T) {
 	f := sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F"}
 	net := core.NewNetwork()
@@ -170,10 +148,8 @@ func TestDifferentialMaskedTooSparse(t *testing.T) {
 	packet := sefl.Seq(sefl.Allocate{LV: f, Size: 32}, sefl.Assign{LV: f, E: sefl.Symbolic{W: 32, Name: "F"}})
 	const msg = "masked match too sparse: mask 0xff leaves 24 free high bits of a 32-bit value (limit 20)"
 	var want string
-	for _, mode := range []string{"summaries", "IR", "AST"} {
-		opts := core.Options{Trace: true}
-		opts.IRExec = mode == "IR"
-		opts.ASTInterp = mode == "AST"
+	for _, mode := range []string{"compiled", "AST"} {
+		opts := core.Options{Trace: true, ASTInterp: mode == "AST"}
 		res, err := core.Run(net, inj, packet, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -184,18 +160,17 @@ func TestDifferentialMaskedTooSparse(t *testing.T) {
 		if got := fingerprint(res); want == "" {
 			want = got
 		} else if got != want {
-			t.Errorf("%s differs from summaries:\n%s", mode, diffHead(want, got))
+			t.Errorf("%s differs from compiled:\n%s", mode, diffHead(want, got))
 		}
 	}
 }
 
 // TestDifferentialSummariesWorkers is the acceptance property on the real
-// datasets: the default engine must match the IR reference byte-for-byte,
-// and every dataset must report at least one summarized element
-// (summary.built, summary.hits) and at least one IR fallback
-// (summary.unsummarizable, summary.fallbacks) — the fallback gate prepended
-// to each injection point guarantees the latter even on all-summarizable
-// models.
+// datasets, run with a metrics registry attached: the compiled engine must
+// match the AST reference on every observable, and the Or-tree compiled
+// engine on the constraint chain too. The Or-tree run compiles the ports it
+// visits, so the metered run finds every program in the cache
+// (core.progcache.hits) and compiles none (core.progcache.misses).
 func TestDifferentialSummariesWorkers(t *testing.T) {
 	type workload struct {
 		name   string
@@ -216,56 +191,57 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 		{"satheavy", sh, shInject, sefl.NewTCPPacket(), core.Options{MaxHops: 65}},
 	}
 	for _, w := range ws {
-		inj := addFallbackGate(w.net, w.inject)
-
-		refOpts := w.opts
-		refOpts.IRExec = true
-		ref, err := core.Run(w.net, inj, w.packet, refOpts)
+		astOpts, orOpts := w.opts, w.opts
+		astOpts.ASTInterp, orOpts.OrTreeGuards = true, true
+		ast, err := core.Run(w.net, w.inject, w.packet, astOpts)
 		if err != nil {
-			t.Fatalf("%s: IR run: %v", w.name, err)
+			t.Fatalf("%s: AST run: %v", w.name, err)
 		}
-		want := fingerprint(ref)
-		if ref.Stats.Paths == 0 {
-			t.Fatalf("%s: no paths explored", w.name)
+		orTree, err := core.Run(w.net, w.inject, w.packet, orOpts)
+		if err != nil {
+			t.Fatalf("%s: Or-tree compiled run: %v", w.name, err)
 		}
-
 		reg := obs.NewRegistry()
 		opts := w.opts
 		opts.Obs = obs.New(reg, nil)
-		res, err := core.Run(w.net, inj, w.packet, opts)
+		res, err := core.Run(w.net, w.inject, w.packet, opts)
 		if err != nil {
-			t.Fatalf("%s: summaries run: %v", w.name, err)
+			t.Fatalf("%s: compiled run: %v", w.name, err)
 		}
-		if got := fingerprint(res); got != want {
-			t.Errorf("%s: summaries result differs from IR:\n%s", w.name, diffHead(want, got))
+		if ast.Stats.Paths == 0 {
+			t.Fatalf("%s: no paths explored", w.name)
 		}
-		assertSummaryCounters(t, w.name, reg)
+		if want, got := obsFingerprint(ast), obsFingerprint(res); got != want {
+			t.Errorf("%s: compiled result differs from AST:\n%s", w.name, diffHead(want, got))
+		}
+		if want, got := fingerprint(ast), fingerprint(orTree); got != want {
+			t.Errorf("%s: Or-tree compiled result differs from AST:\n%s", w.name, diffHead(want, got))
+		}
+		snap := reg.Snapshot()
+		if hits, misses := snap.Counters["core.progcache.hits"], snap.Counters["core.progcache.misses"]; hits < 1 || misses != 0 {
+			t.Errorf("%s: core.progcache.hits = %d, misses = %d; want every visit served by the programs the Or-tree run compiled", w.name, hits, misses)
+		}
 	}
 }
 
 // TestDifferentialDefaultDepartment pins what the zero Options run on the
-// department network, no fallback gate added: summaries carry every
-// element-port, the ASA's two pipelines (their option parsing is a For over
-// runtime metadata) included, so nothing falls back to the IR, and results
-// are byte-identical to the IR reference (constraint chain included) and to
-// the AST interpreter.
+// department network, the ASA's two pipelines (their option parsing is a
+// For over runtime metadata) included: results are byte-identical to the
+// AST interpreter, and prog.exec_ns times every port visit, each of which
+// the program cache served or compiled.
 func TestDifferentialDefaultDepartment(t *testing.T) {
 	d := datasets.NewDepartment(datasets.DepartmentConfig{
 		NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
 	inj, packet := core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false)
 	base := core.Options{MaxHops: 64}
 
-	irOpts, astOpts := base, base
-	irOpts.IRExec, astOpts.ASTInterp = true, true
-	ir, err := core.Run(d.Net, inj, packet, irOpts)
-	if err != nil {
-		t.Fatalf("IR run: %v", err)
-	}
+	astOpts := base
+	astOpts.ASTInterp = true
 	ast, err := core.Run(d.Net, inj, packet, astOpts)
 	if err != nil {
 		t.Fatalf("AST run: %v", err)
 	}
-	if ir.Stats.Paths == 0 {
+	if ast.Stats.Paths == 0 {
 		t.Fatal("no paths explored")
 	}
 	reg := obs.NewRegistry()
@@ -275,58 +251,20 @@ func TestDifferentialDefaultDepartment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, got := fingerprint(ir), fingerprint(res); want != got {
-		t.Errorf("default engine differs from the IR reference:\n%s", diffHead(want, got))
-	}
 	if want, got := obsFingerprint(ast), obsFingerprint(res); want != got {
 		t.Errorf("default engine differs from the AST interpreter:\n%s", diffHead(want, got))
 	}
 	snap := reg.Snapshot()
-	hits, fallbacks := snap.Counters["summary.hits"], snap.Counters["summary.fallbacks"]
-	if hits < 1 || fallbacks != 0 || snap.Counters["summary.elem_hits.asa"] < 1 {
-		t.Errorf("summary.hits=%d (asa %d) summary.fallbacks=%d, want every visit, the ASA's included, summarized",
-			hits, snap.Counters["summary.elem_hits.asa"], fallbacks)
-	}
-	var fallback []string
-	for _, c := range core.SummaryCensus(d.Net) {
-		if !c.Summarized {
-			fallback = append(fallback, core.PortRef{Elem: c.Elem, Port: c.Port, Out: c.Out}.String()+": "+c.Reason)
-		}
-	}
-	if len(fallback) != 0 {
-		t.Errorf("unsummarizable element-ports:\n%s\nwant none", strings.Join(fallback, "\n"))
-	}
-}
-
-// assertSummaryCounters pins that a run exercised both execution paths and
-// attributed hits per element. Build counters (summary.built,
-// summary.unsummarizable) move only on the run that first populates the
-// element caches, which the IR reference run does not, so the summaries run
-// is that run.
-func assertSummaryCounters(t *testing.T, name string, reg *obs.Registry) {
-	t.Helper()
-	snap := reg.Snapshot()
-	for _, c := range []string{"summary.hits", "summary.fallbacks", "summary.built", "summary.unsummarizable"} {
-		if snap.Counters[c] < 1 {
-			t.Errorf("%s: counter %s = %d, want >= 1", name, c, snap.Counters[c])
-		}
-	}
-	perElem := int64(0)
-	for k, v := range snap.Counters {
-		if strings.HasPrefix(k, "summary.elem_hits.") {
-			perElem += v
-		}
-	}
-	if perElem != snap.Counters["summary.hits"] {
-		t.Errorf("%s: per-element hits sum to %d, summary.hits = %d",
-			name, perElem, snap.Counters["summary.hits"])
+	visits := snap.Counters["core.progcache.hits"] + snap.Counters["core.progcache.misses"]
+	if timed := snap.Hists["prog.exec_ns"].Count; visits < 1 || timed != visits {
+		t.Errorf("prog.exec_ns timed %d visits, the program cache served %d; want every visit timed", timed, visits)
 	}
 }
 
 // TestDifferentialSummariesRowSemantics pins the delicate row semantics on
 // handcrafted elements: overlapping guards must apply in program (priority)
-// order, and a row's rewrite must observe the value another arm of the row
-// set wrote earlier on the same path.
+// order, and a rewrite after a branch must observe the value the branch's
+// arm wrote earlier on the same path.
 func TestDifferentialSummariesRowSemantics(t *testing.T) {
 	f0 := sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F0"}
 	f1 := sefl.Hdr{Off: sefl.Off{Rel: 32}, Size: 32, Name: "F1"}
@@ -354,8 +292,9 @@ func TestDifferentialSummariesRowSemantics(t *testing.T) {
 				Else: sefl.Forward{Port: 2},
 			},
 		}},
-		// Cross-row data flow: the shared continuation reads F1, which each
-		// arm wrote differently — rewrites must compose, not snapshot.
+		// Data flow across the join: the continuation both arms share reads
+		// F1, which each arm wrote differently — rewrites must compose, not
+		// snapshot.
 		{"rewrite reads branch-written field", sefl.Seq(
 			sefl.If{
 				C:    sefl.Eq(sefl.Ref{LV: f0}, sefl.C(5)),
@@ -379,27 +318,18 @@ func TestDifferentialSummariesRowSemantics(t *testing.T) {
 		inj := core.PortRef{Elem: "dut", Port: 0}
 		opts := core.Options{MaxHops: 8, Trace: true}
 
-		refOpts := opts
-		refOpts.IRExec = true
-		ref, err := core.Run(net, inj, inject, refOpts)
+		astOpts := opts
+		astOpts.ASTInterp = true
+		ast, err := core.Run(net, inj, inject, astOpts)
 		if err != nil {
-			t.Fatalf("%s: IR run: %v", tc.name, err)
+			t.Fatalf("%s: AST run: %v", tc.name, err)
 		}
-
-		reg := obs.NewRegistry()
-		sumOpts := opts
-		sumOpts.Obs = obs.New(reg, nil)
-		res, err := core.Run(net, inj, inject, sumOpts)
+		res, err := core.Run(net, inj, inject, opts)
 		if err != nil {
-			t.Fatalf("%s: summaries run: %v", tc.name, err)
+			t.Fatalf("%s: compiled run: %v", tc.name, err)
 		}
-		if want, got := fingerprint(ref), fingerprint(res); want != got {
-			t.Errorf("%s: summaries result differs from IR:\n%s", tc.name, diffHead(want, got))
-		}
-		// The device under test must have gone through the summary path, or
-		// the case pinned nothing.
-		if hits := reg.Snapshot().Counters["summary.elem_hits.dut"]; hits < 1 {
-			t.Errorf("%s: dut not executed via summary (hits=%d)", tc.name, hits)
+		if want, got := fingerprint(ast), fingerprint(res); want != got {
+			t.Errorf("%s: compiled result differs from AST:\n%s", tc.name, diffHead(want, got))
 		}
 	}
 }

@@ -96,11 +96,11 @@ type Session struct {
 	opts Options
 }
 
-// Compile validates the network, warms every element's compiled programs
-// and their summaries (so first-query latency excludes both, and concurrent
-// first queries cannot race to build them), and pins the session's run
-// options. A nil Options.SatMemo is replaced with a fresh session-held memo,
-// so repeated queries share solver verdicts by default.
+// Compile validates the network, compiles every element's port programs (so
+// first-query latency excludes compilation, and concurrent first queries
+// cannot race to do it), and pins the session's run options. A nil
+// Options.SatMemo is replaced with a fresh session-held memo, so repeated
+// queries share solver verdicts by default.
 func Compile(net *Network, opts Options) (*Session, error) {
 	if net == nil {
 		return nil, fmt.Errorf("symnet: Compile on nil network")
@@ -108,10 +108,7 @@ func Compile(net *Network, opts Options) (*Session, error) {
 	if opts.SatMemo == nil {
 		opts.SatMemo = NewSatMemo()
 	}
-	summarized, unsummarizable := core.Warm(net)
-	reg := registry(opts) // nil without one; its instruments are nil-safe
-	reg.Counter("summary.built").Add(int64(summarized))
-	reg.Counter("summary.unsummarizable").Add(int64(unsummarizable))
+	core.Warm(net)
 	return &Session{net: net, opts: opts}, nil
 }
 
@@ -240,7 +237,7 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 			return nil, fmt.Errorf("symnet: serve: model switch %q: %w", name, err)
 		}
 	}
-	core.Warm(s.net) // the re-modeled elements' programs and summaries
+	core.Warm(s.net) // the re-modeled elements' programs
 	runner, err := dist.NewRunner(dist.Config{
 		Workers:        cfg.DistWorkers,
 		WorkersPerProc: s.workers(),
