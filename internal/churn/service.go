@@ -329,28 +329,27 @@ func (s *Service) dropFromIndex(i int) {
 }
 
 // indexSource records which output ports and elements source i's paths
-// traversed. Every path counts, whatever its status: the engine pushes the
-// output-port visit before executing the guard, so failed paths carry the
-// port whose guard killed them — exactly the dependency that matters.
+// traversed, reading each distinct port once. Every path counts, whatever
+// its status: the engine pushes the output-port visit before executing the
+// guard, so failed paths carry the port whose guard killed them — exactly
+// the dependency that matters.
 func (s *Service) indexSource(i int, jr *dist.JobResult) {
-	for hist := range jr.Histories() {
-		for _, pr := range hist {
-			if pr.Out {
-				set := s.visited[pr]
-				if set == nil {
-					set = make(map[int]bool)
-					s.visited[pr] = set
-				}
-				set[i] = true
-			}
-			es := s.visitedElem[pr.Elem]
-			if es == nil {
-				es = make(map[int]bool)
-				s.visitedElem[pr.Elem] = es
-			}
-			es[i] = true
+	for pr := range jr.VisitedPorts() {
+		if pr.Out {
+			addSource(s.visited, pr, i)
 		}
+		addSource(s.visitedElem, pr.Elem, i)
 	}
+}
+
+// addSource adds source i to the dependency set under key k.
+func addSource[K comparable](index map[K]map[int]bool, k K, i int) {
+	set := index[k]
+	if set == nil {
+		set = make(map[int]bool)
+		index[k] = set
+	}
+	set[i] = true
 }
 
 // rowSpread returns the host-bits mask of a row's base match (its reach

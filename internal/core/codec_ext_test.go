@@ -124,7 +124,8 @@ func TestInstallProgramsSkipsRecompilation(t *testing.T) {
 // TestHistoryTreeRebuildsHistories pins core.HistoryTree, the shape a fleet
 // ships histories in: parents precede children, every path's parent chain
 // reads back exactly its History(), forks share their prefix as one run of
-// nodes, and an empty history is leaf -1.
+// nodes, and an empty history is leaf -1. core.HistoryPorts yields the
+// ports of the same nodes.
 func TestHistoryTreeRebuildsHistories(t *testing.T) {
 	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 2, HostsPerSwitch: 8, Routes: 12, Seed: 5})
 	fnet, finj := datasets.ForkHeavy(6, 2, 4)
@@ -169,6 +170,24 @@ func TestHistoryTreeRebuildsHistories(t *testing.T) {
 			if len(res.Paths) > 1 && len(port) >= visits {
 				t.Errorf("%d nodes for %d visits: forked paths do not share their prefix", len(port), visits)
 			}
+			// HistoryPorts walks the same nodes, each once, without numbering.
+			var walked []core.PortRef
+			for pr := range core.HistoryPorts(paths) {
+				walked = append(walked, pr)
+			}
+			if !slices.Equal(sortedRefs(walked), sortedRefs(port)) {
+				t.Errorf("HistoryPorts yields %d ports, the tree has %d nodes with other ports", len(walked), len(port))
+			}
 		})
 	}
+}
+
+// sortedRefs renders port visits and sorts them, a multiset to compare.
+func sortedRefs(refs []core.PortRef) []string {
+	out := make([]string, len(refs))
+	for i, r := range refs {
+		out[i] = r.String()
+	}
+	slices.Sort(out)
+	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"iter"
+
 	"symnet/internal/expr"
 	"symnet/internal/memory"
 	"symnet/internal/persist"
@@ -224,6 +226,27 @@ func HistoryTree(paths []*Path) (parent []int32, port []PortRef, leaf []int32) {
 		leaf[i] = up
 	}
 	return parent, port, leaf
+}
+
+// HistoryPorts yields the port of every node of paths' history tree once:
+// each path's history newest first, stopping where it joins a history
+// already walked. It is HistoryTree's node set without its numbering, so
+// it builds one pointer set and materializes no history.
+func HistoryPorts(paths []*Path) iter.Seq[PortRef] {
+	return func(yield func(PortRef) bool) {
+		seen := make(map[*trail[PortRef]]struct{})
+		for _, p := range paths {
+			for t := p.hist; t != nil; t = t.prev {
+				if _, ok := seen[t]; ok {
+					break
+				}
+				seen[t] = struct{}{}
+				if !yield(t.v) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // RunStats summarizes a run.

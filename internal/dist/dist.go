@@ -76,7 +76,7 @@ type Summary struct {
 // JobResult pairs a job with its outcome. Exactly one of Result and Summary
 // is set on success: Result by the in-process runner (live paths, solver
 // contexts, lazy histories — never summarized eagerly), Summary by a fleet
-// (what crossed the wire). DeliveredAt and Histories read either; callers
+// (what crossed the wire). DeliveredAt and VisitedPorts read either; callers
 // that need live paths read Result and accept nil from a fleet.
 type JobResult struct {
 	Name    string
@@ -108,20 +108,32 @@ func (r *JobResult) DeliveredAt(elem string, port int) int {
 	return n
 }
 
-// Histories yields every path's port-visit history, oldest port first, in
-// path order and whatever the path's status.
-func (r *JobResult) Histories() iter.Seq[[]core.PortRef] {
-	return func(yield func([]core.PortRef) bool) {
+// VisitedPorts yields every distinct port the job's paths visited, each
+// once, whatever the path's status. In-process it reads the nodes of the
+// paths' history tree (core.HistoryPorts), so no path's history is
+// materialized; from a fleet it reads the Summary's Ports.
+func (r *JobResult) VisitedPorts() iter.Seq[core.PortRef] {
+	return func(yield func(core.PortRef) bool) {
+		seen := make(map[core.PortRef]struct{})
+		once := func(p core.PortRef) bool {
+			if _, ok := seen[p]; ok {
+				return true
+			}
+			seen[p] = struct{}{}
+			return yield(p)
+		}
 		if r.Summary != nil {
 			for i := range r.Summary.Paths {
-				if !yield(r.Summary.Paths[i].Ports) {
-					return
+				for _, p := range r.Summary.Paths[i].Ports {
+					if !once(p) {
+						return
+					}
 				}
 			}
 			return
 		}
-		for _, p := range r.Result.Paths {
-			if !yield(p.History()) {
+		for p := range core.HistoryPorts(r.Result.Paths) {
+			if !once(p) {
 				return
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +145,43 @@ func TestResultFrameMatchesSummarize(t *testing.T) {
 		}
 		if !jsonEq(t, got, want) {
 			t.Errorf("%s: appending to one unpacked path changed another", r.name)
+		}
+	}
+}
+
+// TestVisitedPortsMatchHistories pins JobResult.VisitedPorts to the union of
+// its paths' histories, each port yielded once, whether the job's outcome is
+// a live Result or a fleet's Summary: on ForkHeavy(64,4,8), whose 4 096
+// paths share one history tree, and on every department source.
+func TestVisitedPortsMatchHistories(t *testing.T) {
+	fnet, finj := datasets.ForkHeavy(64, 4, 8)
+	runs := map[string]*core.Result{"forkheavy": mustRun(t, fnet, finj, sefl.NewIPPacket(), core.Options{})}
+	names, results := departmentResults(t)
+	for i, res := range results {
+		runs["department "+names[i]] = res
+	}
+	for name, res := range runs {
+		want := map[core.PortRef]bool{}
+		for _, p := range res.Paths {
+			for _, pr := range p.History() {
+				want[pr] = true
+			}
+		}
+		for _, jr := range []*JobResult{{Result: res}, {Summary: Summarize(res)}} {
+			got := map[core.PortRef]bool{}
+			for pr := range jr.VisitedPorts() {
+				if got[pr] {
+					t.Fatalf("%s (summary %t): %v yielded twice", name, jr.Summary != nil, pr)
+				}
+				got[pr] = true
+			}
+			if len(want) == 0 || !maps.Equal(got, want) {
+				t.Fatalf("%s (summary %t): %d visited ports, the histories' union has %d", name, jr.Summary != nil, len(got), len(want))
+			}
+			// An iterator that kept yielding after the loop broke would panic.
+			for range jr.VisitedPorts() {
+				break
+			}
 		}
 	}
 }
