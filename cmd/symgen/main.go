@@ -155,11 +155,15 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("switch model (%v): %d MAC entries, %d ports\n", style, len(tbl), len(ports))
-		for port, code := range sw.OutCode {
-			fmt.Printf("OutputPort(%d): %.120s\n", port, code.String())
+		for port := core.WildcardPort; port < sw.NumOut; port++ {
+			if code, ok := sw.Code(port, true); ok {
+				fmt.Printf("OutputPort(%d): %.120s\n", port, code.String())
+			}
 		}
-		for port, code := range sw.InCode {
-			fmt.Printf("InputPort(%d): %.120s\n", port, code.String())
+		for port := core.WildcardPort; port < sw.NumIn; port++ {
+			if code, ok := sw.Code(port, false); ok {
+				fmt.Printf("InputPort(%d): %.120s\n", port, code.String())
+			}
 		}
 
 	case *fibPath != "":

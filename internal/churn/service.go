@@ -34,9 +34,6 @@ type Config struct {
 	// report carries Summaries where an in-process one carries Results.
 	// The caller owns the runner and closes it after the service is done.
 	Runner dist.Runner
-	// Reg receives the churn.* instruments and the shared SatCache's
-	// counters; nil allocates a private registry (see Service.registry).
-	Reg *obs.Registry
 }
 
 // Action classifies how a delta was absorbed, cheapest first.
@@ -117,7 +114,12 @@ type Service struct {
 // NewService prepares a service; call RegisterRouter/RegisterSwitch for
 // every element that will receive deltas, then Init.
 func NewService(cfg Config) *Service {
-	reg := cfg.Reg
+	// The churn.* instruments and the shared SatCache's counters land in
+	// the run options' registry, beside the engine's, or in a private one.
+	var reg *obs.Registry
+	if cfg.Opts.Obs != nil {
+		reg = cfg.Opts.Obs.Reg
+	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -165,7 +167,7 @@ func (s *Service) RegisterSwitch(elem string, tbl tables.MACTable) {
 }
 
 // registry returns the registry carrying the churn.* and solver.satcache.*
-// instruments (the configured one, or the private fallback).
+// instruments (Opts.Obs's, or the private fallback).
 func (s *Service) registry() *obs.Registry { return s.reg }
 
 // totalCells returns the report's (source, target) pair count.

@@ -1,40 +1,30 @@
 package core
 
 // Wire codec for networks and their compiled programs. The distributed
-// runner serializes the coordinator's network — elements, port code ASTs,
-// links — plus every compiled element-port program, and workers rebuild an
-// identical network with the compiled cache pre-populated, skipping
-// recompilation. Nothing derived from a program crosses: decoding a program
-// derives its segment continuations, exactly as compiling it does. Element
-// instance numbers are part of the
-// semantics (local metadata keys bake them in), so the wire form carries
-// them and decoding re-adds elements in instance order, reproducing them
-// exactly.
+// runner serializes the coordinator's topology — elements and links, no
+// port source — plus every compiled element-port program, and a fleet
+// member rebuilds the topology and installs the programs as its elements'
+// code: it holds topology plus installed programs and compiles nothing.
+// Nothing derived from a program crosses: decoding a program derives its
+// segment continuations, exactly as compiling it does. Element instance
+// numbers are part of the semantics (local metadata keys bake them in), so
+// the wire form carries them and decoding re-adds elements in instance
+// order, reproducing them exactly.
 
 import (
 	"fmt"
 	"sort"
 
 	"symnet/internal/prog"
-	"symnet/internal/sefl"
 )
 
-// WirePortCode is the SEFL code attached to one port (Port may be
-// WildcardPort).
-type WirePortCode struct {
-	Port int
-	Code *sefl.WireInstr
-}
-
-// WireElement is the concrete form of one Element.
+// WireElement is the concrete form of one Element's topology.
 type WireElement struct {
 	Name     string
 	Kind     string
 	Instance int
 	NumIn    int
 	NumOut   int
-	In       []WirePortCode
-	Out      []WirePortCode
 }
 
 // WireLink is one unidirectional link.
@@ -51,9 +41,8 @@ type WireNetwork struct {
 	Links []WireLink
 }
 
-// WireProgramEntry is one compiled program keyed the way the element's
-// program cache keys it: the resolved code-map port (a specific port or
-// WildcardPort) plus the direction.
+// WireProgramEntry is one compiled program keyed the way the element's code
+// table keys it: a specific port or WildcardPort, plus the direction.
 type WireProgramEntry struct {
 	Elem string
 	Port int
@@ -61,25 +50,19 @@ type WireProgramEntry struct {
 	Prog *prog.WireProgram
 }
 
-// EncodeNetwork converts a network to its wire form. Elements are emitted in
-// instance order and port code in port order, so encoding is deterministic.
+// EncodeNetwork converts a network's topology to its wire form; port code
+// crosses as programs (EncodePrograms). Elements are emitted in instance
+// order, so encoding is deterministic. It cannot fail; the error result
+// keeps the form its callers check.
 func EncodeNetwork(n *Network) (*WireNetwork, error) {
 	elems := n.Elements()
 	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
 	w := &WireNetwork{Elems: make([]WireElement, 0, len(elems))}
 	for _, e := range elems {
-		we := WireElement{
+		w.Elems = append(w.Elems, WireElement{
 			Name: e.Name, Kind: e.Kind, Instance: e.Instance,
 			NumIn: e.NumIn, NumOut: e.NumOut,
-		}
-		var err error
-		if we.In, err = encodePortCodes(e.Name, "in", e.InCode); err != nil {
-			return nil, err
-		}
-		if we.Out, err = encodePortCodes(e.Name, "out", e.OutCode); err != nil {
-			return nil, err
-		}
-		w.Elems = append(w.Elems, we)
+		})
 	}
 	for _, l := range n.Links() {
 		w.Links = append(w.Links, WireLink{
@@ -90,29 +73,10 @@ func EncodeNetwork(n *Network) (*WireNetwork, error) {
 	return w, nil
 }
 
-func encodePortCodes(elem, dir string, codes map[int]sefl.Instr) ([]WirePortCode, error) {
-	if len(codes) == 0 {
-		return nil, nil
-	}
-	ports := make([]int, 0, len(codes))
-	for p := range codes {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
-	out := make([]WirePortCode, 0, len(ports))
-	for _, p := range ports {
-		code, err := sefl.EncodeInstr(codes[p])
-		if err != nil {
-			return nil, fmt.Errorf("core: encode %s.%s[%d]: %w", elem, dir, p, err)
-		}
-		out = append(out, WirePortCode{Port: p, Code: code})
-	}
-	return out, nil
-}
-
-// DecodeNetwork rebuilds a network from its wire form. Element instances are
-// verified to round-trip: they are baked into compiled metadata keys, so a
-// mismatch would silently change semantics.
+// DecodeNetwork rebuilds a network's topology from its wire form; its
+// elements have no code until InstallPrograms gives them some. Element
+// instances are verified to round-trip: they are baked into compiled
+// metadata keys, so a mismatch would silently change semantics.
 func DecodeNetwork(w *WireNetwork) (*Network, error) {
 	if w == nil {
 		return nil, fmt.Errorf("core: decode network: no network in the setup")
@@ -126,20 +90,6 @@ func DecodeNetwork(w *WireNetwork) (*Network, error) {
 		if e.Instance != we.Instance {
 			return nil, fmt.Errorf("core: decode element %s: instance %d != wire instance %d (elements must arrive in instance order)", we.Name, e.Instance, we.Instance)
 		}
-		for _, pc := range we.In {
-			code, err := sefl.DecodeInstr(pc.Code)
-			if err != nil {
-				return nil, fmt.Errorf("core: decode %s.in[%d]: %w", we.Name, pc.Port, err)
-			}
-			e.SetInCode(pc.Port, code)
-		}
-		for _, pc := range we.Out {
-			code, err := sefl.DecodeInstr(pc.Code)
-			if err != nil {
-				return nil, fmt.Errorf("core: decode %s.out[%d]: %w", we.Name, pc.Port, err)
-			}
-			e.SetOutCode(pc.Port, code)
-		}
 	}
 	for _, l := range w.Links {
 		if err := n.Link(l.FromElem, l.FromPort, l.ToElem, l.ToPort); err != nil {
@@ -149,27 +99,26 @@ func DecodeNetwork(w *WireNetwork) (*Network, error) {
 	return n, nil
 }
 
-// codeRefs lists every port of the network that has code, in
-// element-instance then (in before out, port) order — the deterministic
-// order every whole-network encoder shares. Refs name ports the way the
-// per-element cache keys them: the code-map port (a specific port or
-// WildcardPort) plus direction.
+// codeRefs lists every code-table entry of the network, in element-instance
+// then (in before out, port) order — the deterministic order every
+// whole-network encoder shares. Refs name entries the way the table keys
+// them: a specific port or WildcardPort, plus direction.
 func codeRefs(n *Network) []PortRef {
 	elems := n.Elements()
 	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
 	var refs []PortRef
 	for _, e := range elems {
-		for _, dir := range []bool{false, true} {
-			codes := e.InCode
-			if dir {
-				codes = e.OutCode
-			}
-			lo := len(refs)
-			for p := range codes {
-				refs = append(refs, PortRef{Elem: e.Name, Port: p, Out: dir})
-			}
-			sort.Slice(refs[lo:], func(i, j int) bool { return refs[lo+i].Port < refs[lo+j].Port })
+		lo := len(refs)
+		for k := range e.code {
+			refs = append(refs, PortRef{Elem: e.Name, Port: k.port, Out: k.out})
 		}
+		sort.Slice(refs[lo:], func(i, j int) bool {
+			a, b := refs[lo+i], refs[lo+j]
+			if a.Out != b.Out {
+				return b.Out
+			}
+			return a.Port < b.Port
+		})
 	}
 	return refs
 }
@@ -194,10 +143,9 @@ func Warm(n *Network) {
 	}
 }
 
-// EncodePrograms compiles (as needed) and serializes every element-port
-// program of the network. The coordinator calls it once per full setup so
-// workers skip recompilation; compilation work is shared with subsequent
-// local runs via the per-element cache.
+// EncodePrograms compiles (as needed) and serializes the program of every
+// code-table entry of the network. The coordinator calls it once per full
+// setup; what it compiles stays in the entries for its own later runs.
 func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
 	return EncodeProgramsFor(n, codeRefs(n))
 }
@@ -226,22 +174,39 @@ func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	return out, nil
 }
 
-// InstallPrograms decodes serialized programs into the network's caches,
-// keyed exactly as lazy compilation would key them; whatever program a port
-// held before is replaced. Ports without an installed program still compile
-// lazily, so a partial set degrades to local compilation rather than
-// failing.
+// InstallPrograms decodes serialized programs into the network's code
+// tables, keyed exactly as EncodePrograms keyed them: each entry replaces
+// whatever the port held with the program and no source. A fleet member
+// decodes a topology without code, so there a port has code exactly when its
+// program was shipped. An entry whose program was compiled for another
+// element (its Elem or Instance differs) or that names a port the element
+// lacks is refused: a member would otherwise run it silently under another
+// element's local-metadata scope.
 func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 	for _, we := range entries {
 		e, ok := n.Element(we.Elem)
 		if !ok {
 			return fmt.Errorf("core: install program for unknown element %q", we.Elem)
 		}
+		k := progKey{out: we.Out, port: we.Port}
+		ports, dir := e.NumIn, "input"
+		if k.out {
+			ports, dir = e.NumOut, "output"
+		}
+		if k.port != WildcardPort && (k.port < 0 || k.port >= ports) {
+			return fmt.Errorf("core: install program %s: %s has %d %s ports", k.label(e.Name), e.Name, ports, dir)
+		}
 		p, err := prog.DecodeProgram(we.Prog)
 		if err != nil {
 			return err
 		}
-		e.code.Store(progKey{out: we.Out, port: we.Port}, p)
+		if p.Elem != e.Name || p.Instance != e.Instance {
+			return fmt.Errorf("core: install program %s: compiled for %s instance %d, installed on %s instance %d",
+				k.label(e.Name), p.Elem, p.Instance, e.Name, e.Instance)
+		}
+		c := &portCode{}
+		c.compiled.Store(p)
+		e.setCode(k, c)
 	}
 	return nil
 }

@@ -13,6 +13,8 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
+	"symnet/internal/obs"
+	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
 
@@ -58,66 +60,157 @@ func TestNetworkCodecRoundTripDepartment(t *testing.T) {
 		t.Fatal("links differ after round trip")
 	}
 
-	// Execution round-trips: a run on the decoded network (which recompiles
-	// from the decoded ASTs) is observably identical, traces included.
-	inject := core.PortRef{Elem: d.AccessSwitches[0], Port: 1}
-	opts := core.Options{MaxHops: 64, Trace: true}
-	r1, err := core.Run(d.Net, inject, sefl.NewTCPPacket(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := core.Run(net2, inject, sefl.NewTCPPacket(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := runFingerprint(t, r1), runFingerprint(t, r2); a != b {
-		t.Fatalf("decoded network runs differently:\n--- original\n%s--- decoded\n%s", a, b)
+	// The topology crosses without code: every port of the decoded network
+	// is codeless until programs are installed.
+	for _, e := range net2.Elements() {
+		for port := core.WildcardPort; port < max(e.NumIn, e.NumOut); port++ {
+			if _, ok := e.CachedProgram(port, false); ok {
+				t.Fatalf("decoded %s.in[%d] has code", e.Name, port)
+			}
+			if _, ok := e.CachedProgram(port, true); ok {
+				t.Fatalf("decoded %s.out[%d] has code", e.Name, port)
+			}
+		}
 	}
 }
 
-func TestInstallProgramsSkipsRecompilation(t *testing.T) {
-	cfg := datasets.DepartmentConfig{NumAccessSwitches: 2, HostsPerSwitch: 8, Routes: 12, Seed: 5}
-	d := datasets.NewDepartment(cfg)
+// TestSetupRoundTripEveryDataset pins what a fleet member holds: the
+// decoded topology with EncodePrograms' programs installed resolves code at
+// exactly the coordinator's (port, direction) pairs — wildcard entries
+// included — and runs, trace on, fingerprint-identical from every source
+// without compiling anything.
+func TestSetupRoundTripEveryDataset(t *testing.T) {
+	dept := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 2, HostsPerSwitch: 8, Routes: 12, Seed: 5})
+	deptSrcs, _ := dept.AllPairs()
+	bb := datasets.StanfordBackbone(4, 24)
+	bbSrcs, _ := bb.AllPairs()
+	fnet, finj := datasets.ForkHeavy(6, 2, 4)
+	for _, ds := range []struct {
+		name   string
+		net    *core.Network
+		srcs   []core.PortRef
+		packet sefl.Instr
+	}{
+		{"department", dept.Net, deptSrcs, sefl.NewTCPPacket()},
+		{"backbone", bb.Net, bbSrcs, sefl.NewIPPacket()},
+		{"splittcp", datasets.NewSplitTCP(datasets.SplitTCPConfig{ProxyRewritesMAC: true, DHCPAppliance: true}),
+			[]core.PortRef{{Elem: "ap", Port: 0}}, datasets.SplitTCPClientPacket()},
+		{"forkheavy", fnet, []core.PortRef{finj}, sefl.NewTCPPacket()},
+	} {
+		t.Run(ds.name, func(t *testing.T) {
+			w, err := core.EncodeNetwork(ds.net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs, err := core.EncodePrograms(ds.net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			member, err := core.DecodeNetwork(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.InstallPrograms(member, progs); err != nil {
+				t.Fatal(err)
+			}
 
-	progs, err := core.EncodePrograms(d.Net)
-	if err != nil {
-		t.Fatalf("encode programs: %v", err)
-	}
-	if len(progs) == 0 {
-		t.Fatal("no programs encoded")
-	}
-	w, err := core.EncodeNetwork(d.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net2, err := core.DecodeNetwork(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.InstallPrograms(net2, progs); err != nil {
-		t.Fatalf("install: %v", err)
-	}
+			// EncodePrograms compiled every entry, so CachedProgram reads the
+			// coordinator's resolution; the label names the entry resolved.
+			for _, e := range ds.net.Elements() {
+				me, _ := member.Element(e.Name)
+				for _, out := range []bool{false, true} {
+					for port := core.WildcardPort; port < max(e.NumIn, e.NumOut); port++ {
+						p, ok := e.CachedProgram(port, out)
+						mp, mok := me.CachedProgram(port, out)
+						if ok != mok || ok && p.Label != mp.Label {
+							t.Fatalf("%s port %d out=%v: coordinator has code %v (%v), member %v (%v)",
+								e.Name, port, out, ok, label(p), mok, label(mp))
+						}
+					}
+				}
+			}
 
-	// The decoded+installed network must execute the shipped IR to the same
-	// observable result as the original's locally compiled IR.
-	inject := core.PortRef{Elem: "exit", Port: 1}
-	opts := core.Options{MaxHops: 64, Trace: true}
-	r1, err := core.Run(d.Net, inject, sefl.NewTCPPacket(), opts)
-	if err != nil {
-		t.Fatal(err)
+			reg := obs.NewRegistry()
+			for _, src := range ds.srcs {
+				opts := core.Options{MaxHops: 64, Trace: true}
+				r1, err := core.Run(ds.net, src, ds.packet, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Obs = obs.New(reg, nil)
+				r2, err := core.Run(member, src, ds.packet, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a, b := runFingerprint(t, r1), runFingerprint(t, r2); a != b {
+					t.Fatalf("from %s the member runs differently:\n--- coordinator\n%s--- member\n%s", src, a, b)
+				}
+			}
+			snap := reg.Snapshot()
+			if n := snap.Counters["core.progcache.misses"]; n != 0 {
+				t.Errorf("the member compiled %d port programs; want none", n)
+			}
+			if snap.Counters["core.progcache.hits"] == 0 {
+				t.Error("the member's runs executed no installed program")
+			}
+		})
 	}
-	r2, err := core.Run(net2, inject, sefl.NewTCPPacket(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := runFingerprint(t, r1), runFingerprint(t, r2); a != b {
-		t.Fatalf("installed programs run differently:\n--- original\n%s--- installed\n%s", a, b)
-	}
+}
 
-	// Installing onto an unknown element is an error, not a silent no-op.
-	bogus := []core.WireProgramEntry{{Elem: "nope", Port: 0, Prog: progs[0].Prog}}
-	if err := core.InstallPrograms(net2, bogus); err == nil {
-		t.Fatal("install onto unknown element must fail")
+// label is a program's label, or "-" for none.
+func label(p *prog.Program) string {
+	if p == nil {
+		return "-"
+	}
+	return p.Label
+}
+
+// TestInstallProgramsRefusesForeignEntries pins that an installed program
+// must belong where it lands: on an element the network has, compiled for
+// that element (name and instance), at a port the element has. Each refusal
+// names the entry.
+func TestInstallProgramsRefusesForeignEntries(t *testing.T) {
+	net := core.NewNetwork()
+	net.AddElement("A", "box", 1, 2)
+	net.AddElement("B", "box", 1, 2)
+	wire := func(elem string, instance int) *prog.WireProgram {
+		w, err := prog.EncodeProgram(prog.Compile(sefl.NoOp{}, elem, instance, elem+".in[0]"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		entry core.WireProgramEntry
+		want  string
+	}{
+		{core.WireProgramEntry{Elem: "nope", Port: 0, Prog: wire("A", 0)},
+			`core: install program for unknown element "nope"`},
+		{core.WireProgramEntry{Elem: "B", Port: 0, Prog: wire("A", 0)},
+			"core: install program B.in[0]: compiled for A instance 0, installed on B instance 1"},
+		{core.WireProgramEntry{Elem: "A", Port: core.WildcardPort, Out: true, Prog: wire("A", 1)},
+			"core: install program A.out[*]: compiled for A instance 1, installed on A instance 0"},
+		{core.WireProgramEntry{Elem: "A", Port: 1, Prog: wire("A", 0)},
+			"core: install program A.in[1]: A has 1 input ports"},
+		{core.WireProgramEntry{Elem: "A", Port: 2, Out: true, Prog: wire("A", 0)},
+			"core: install program A.out[2]: A has 2 output ports"},
+		{core.WireProgramEntry{Elem: "A", Port: -2, Prog: wire("A", 0)},
+			"core: install program A.in[-2]: A has 1 input ports"},
+	} {
+		err := core.InstallPrograms(net, []core.WireProgramEntry{tc.entry})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("install %s port %d out=%v: error %v, want %q", tc.entry.Elem, tc.entry.Port, tc.entry.Out, err, tc.want)
+		}
+	}
+	for _, e := range net.Elements() {
+		for port := core.WildcardPort; port < 2; port++ {
+			if _, ok := e.CachedProgram(port, false); ok {
+				t.Errorf("a refused entry left code on %s.in[%d]", e.Name, port)
+			}
+			if _, ok := e.CachedProgram(port, true); ok {
+				t.Errorf("a refused entry left code on %s.out[%d]", e.Name, port)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"symnet/internal/expr"
 	"symnet/internal/memory"
 	"symnet/internal/prog"
-	"symnet/internal/sefl"
 )
 
 // This file is the compiled-program executor: a small dispatch loop over the
@@ -46,17 +45,11 @@ func (e *progEnv) OrTreeGuards() bool                            { return e.r.op
 // code (neither specific nor wildcard).
 func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide bool) ([]*state, bool) {
 	if r.opts.ASTInterp {
-		var code sefl.Instr
-		var ok bool
-		if outSide {
-			code, ok = elem.outCodeFor(port)
-		} else {
-			code, ok = elem.inCodeFor(port)
-		}
-		if !ok {
+		_, c := elem.entry(port, outSide)
+		if c == nil {
 			return out, false
 		}
-		return append(out, r.exec(nil, st, elem, code, nil)...), true
+		return append(out, r.exec(nil, st, elem, c.src, nil)...), true
 	}
 	p, ok, hit := elem.codeFor(port, outSide)
 	if !ok {

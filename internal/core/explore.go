@@ -52,7 +52,7 @@ type run struct {
 // when Options.Obs carries no registry — the disabled fast path: the hot
 // path pays one branch and no map lookups (see internal/obs).
 type instruments struct {
-	progHits   *obs.Counter   // core.progcache.hits: compiled-program cache hits
+	progHits   *obs.Counter   // core.progcache.hits: port programs already compiled
 	progMisses *obs.Counter   // core.progcache.misses: port programs compiled
 	queueDepth *obs.Gauge     // core.queue.depth.max: state-stack high-water
 	satNs      *obs.Histogram // solver.sat.check_ns: per-Sat-check wall time

@@ -8,7 +8,7 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
@@ -19,136 +19,140 @@ import (
 const WildcardPort = -1
 
 // Element is a network box: a number of input and output ports, each with
-// optional SEFL code. Connections are unidirectional from output ports to
+// optional code. Connections are unidirectional from output ports to
 // input ports, so bidirectional connectivity needs two port pairs (§5).
 //
-// Port code is authored as a SEFL AST and compiled lazily to the flat IR of
-// internal/prog on first execution; the compiled program is cached per
-// (direction, port key) and shared read-only across scheduler workers and
-// batch jobs. SetInCode/SetOutCode invalidate the affected cache entry, so
-// models may be regenerated between runs.
+// An element keeps its port code in one table keyed by direction and port
+// (a specific port or WildcardPort). An entry holds the SEFL source a model
+// attached and the flat IR of internal/prog compiled from it at most once,
+// on first execution; the program is shared read-only across scheduler
+// workers and batch jobs. A fleet member holds topology plus installed
+// programs (InstallPrograms): its entries carry a program and no source.
+// The table is read concurrently and written only between runs, so models
+// may be regenerated between runs: SetInCode/SetOutCode replace the port's
+// entry, dropping its program.
 type Element struct {
 	Name     string
 	Kind     string // descriptive: "switch", "router", "nat", ...
 	Instance int    // unique per network; scopes local metadata
 	NumIn    int
 	NumOut   int
-	InCode   map[int]sefl.Instr
-	OutCode  map[int]sefl.Instr
 
-	// code caches what the engine executes, keyed by progKey. The key's
-	// port is the resolved code-map key (a specific port or WildcardPort),
-	// so all ports sharing wildcard code share one entry.
-	code sync.Map // progKey -> *prog.Program
+	code map[progKey]*portCode
 }
 
-// progKey identifies one cache entry of an element.
+// progKey identifies one code-table entry of an element.
 type progKey struct {
 	out  bool
 	port int
 }
 
+// label names the entry's program: "elem.in[3]", "elem.out[*]".
+func (k progKey) label(elem string) string {
+	dir, port := "in", fmt.Sprint(k.port)
+	if k.out {
+		dir = "out"
+	}
+	if k.port == WildcardPort {
+		port = "*"
+	}
+	return fmt.Sprintf("%s.%s[%s]", elem, dir, port)
+}
+
+// portCode is one code-table entry: the source and its compiled program,
+// nil until first use (and never nil on an installed entry).
+type portCode struct {
+	src      sefl.Instr
+	compiled atomic.Pointer[prog.Program]
+}
+
 // SetInCode attaches code to an input port (WildcardPort for all).
 func (e *Element) SetInCode(port int, code sefl.Instr) *Element {
-	if e.InCode == nil {
-		e.InCode = make(map[int]sefl.Instr)
-	}
-	e.InCode[port] = code
-	e.code.Delete(progKey{out: false, port: port})
+	e.setCode(progKey{out: false, port: port}, &portCode{src: code})
 	return e
 }
 
 // SetOutCode attaches code to an output port (WildcardPort for all).
 func (e *Element) SetOutCode(port int, code sefl.Instr) *Element {
-	if e.OutCode == nil {
-		e.OutCode = make(map[int]sefl.Instr)
-	}
-	e.OutCode[port] = code
-	e.code.Delete(progKey{out: true, port: port})
+	e.setCode(progKey{out: true, port: port}, &portCode{src: code})
 	return e
+}
+
+func (e *Element) setCode(k progKey, c *portCode) {
+	if e.code == nil {
+		e.code = make(map[progKey]*portCode)
+	}
+	e.code[k] = c
 }
 
 // PatchedOutCode records that an output port's code was updated by an
 // in-place patch of its already-compiled program (prog.PatchGuard): the
-// source AST is replaced so a later cache invalidation recompiles the new
-// rules, but the cached program is kept, because it is the one that was
-// just patched. Callers must not be executing the element concurrently.
+// entry's source is replaced, so the AST interpreter reads the new rules,
+// but its program is kept, because it is the one that was just patched.
+// Callers must not be executing the element concurrently.
 func (e *Element) PatchedOutCode(port int, code sefl.Instr) {
-	if e.OutCode == nil {
-		e.OutCode = make(map[int]sefl.Instr)
+	k := progKey{out: true, port: port}
+	if c := e.code[k]; c != nil {
+		c.src = code
+		return
 	}
-	e.OutCode[port] = code
+	e.setCode(k, &portCode{src: code})
 }
 
-// codeKey resolves a port to the key its code is cached under: the port
-// itself, or WildcardPort when only wildcard code covers it. ok is false
-// when the port has no code.
-func (e *Element) codeKey(port int, out bool) (progKey, bool) {
-	codes := e.InCode
-	if out {
-		codes = e.OutCode
+// Code returns the source attached to exactly this port (WildcardPort for
+// the wildcard entry), without resolving a port to wildcard code. ok is
+// false when no source is attached, as on a fleet member.
+func (e *Element) Code(port int, out bool) (sefl.Instr, bool) {
+	c := e.code[progKey{out: out, port: port}]
+	if c == nil || c.src == nil {
+		return nil, false
 	}
-	if _, ok := codes[port]; !ok {
-		if _, ok := codes[WildcardPort]; !ok {
-			return progKey{}, false
-		}
-		port = WildcardPort
-	}
-	return progKey{out: out, port: port}, true
+	return c.src, true
 }
 
-// CachedProgram returns the compiled program cached for a port, without
+// entry resolves a port to its code-table entry: the port's own, or the
+// wildcard entry when only wildcard code covers it. c is nil when the port
+// has no code.
+func (e *Element) entry(port int, out bool) (progKey, *portCode) {
+	k := progKey{out: out, port: port}
+	if c, ok := e.code[k]; ok {
+		return k, c
+	}
+	k.port = WildcardPort
+	return k, e.code[k]
+}
+
+// CachedProgram returns the compiled program resident for a port, without
 // compiling on miss — the handle an incremental updater patches in place.
 // The bool reports whether a compiled program was resident.
 func (e *Element) CachedProgram(port int, out bool) (*prog.Program, bool) {
-	if ck, ok := e.codeKey(port, out); ok {
-		if v, ok := e.code.Load(ck); ok {
-			return v.(*prog.Program), true
+	if _, c := e.entry(port, out); c != nil {
+		if p := c.compiled.Load(); p != nil {
+			return p, true
 		}
 	}
 	return nil, false
 }
 
-func (e *Element) inCodeFor(port int) (sefl.Instr, bool) {
-	if c, ok := e.InCode[port]; ok {
-		return c, true
-	}
-	c, ok := e.InCode[WildcardPort]
-	return c, ok
-}
-
-func (e *Element) outCodeFor(port int) (sefl.Instr, bool) {
-	if c, ok := e.OutCode[port]; ok {
-		return c, true
-	}
-	c, ok := e.OutCode[WildcardPort]
-	return c, ok
-}
-
-// codeFor returns the compiled program of a port's code, compiling and
-// caching on first use; hit reports whether it came from the cache. ok is
-// false when the port has no code. Concurrent first uses may compile twice;
-// LoadOrStore keeps one winner and the loser is equivalent (programs are
-// pure compilations of the same AST), so results do not depend on the race.
+// codeFor returns the compiled program of a port's code, compiling it on
+// first use; hit reports whether it was already compiled. ok is false when
+// the port has no code. Concurrent first uses may compile twice; the
+// compare-and-swap keeps one winner and the loser is equivalent (programs
+// are pure compilations of the same source), so results do not depend on
+// the race.
 func (e *Element) codeFor(port int, out bool) (p *prog.Program, ok, hit bool) {
-	ck, ok := e.codeKey(port, out)
-	if !ok {
+	k, c := e.entry(port, out)
+	if c == nil {
 		return nil, false, false
 	}
-	if v, ok := e.code.Load(ck); ok {
-		return v.(*prog.Program), true, true
+	if p := c.compiled.Load(); p != nil {
+		return p, true, true
 	}
-	codes, dir := e.InCode, "in"
-	if out {
-		codes, dir = e.OutCode, "out"
+	p = prog.Compile(c.src, e.Name, e.Instance, k.label(e.Name))
+	if !c.compiled.CompareAndSwap(nil, p) {
+		p = c.compiled.Load()
 	}
-	portLabel := fmt.Sprintf("%d", ck.port)
-	if ck.port == WildcardPort {
-		portLabel = "*"
-	}
-	p = prog.Compile(codes[ck.port], e.Name, e.Instance, fmt.Sprintf("%s.%s[%s]", e.Name, dir, portLabel))
-	actual, _ := e.code.LoadOrStore(ck, p)
-	return actual.(*prog.Program), true, false
+	return p, true, false
 }
 
 // Programs returns the compiled program of every port that has code,
@@ -216,8 +220,6 @@ func (n *Network) AddElement(name, kind string, numIn, numOut int) *Element {
 		Instance: n.nextInstance,
 		NumIn:    numIn,
 		NumOut:   numOut,
-		InCode:   make(map[int]sefl.Instr),
-		OutCode:  make(map[int]sefl.Instr),
 	}
 	n.nextInstance++
 	n.elems[name] = e

@@ -1,6 +1,6 @@
 package core
 
-// Regression tests for the invalidation contract of the program cache:
+// Regression tests for the invalidation contract of the code table:
 // SetInCode and SetOutCode drop the port's compiled program, PatchedOutCode
 // keeps it (it is the program prog.PatchGuard just patched, whose renders
 // then print the new guard), and every one of them is scoped to the rebound
@@ -40,11 +40,11 @@ func populate(t *testing.T, e *Element, port int, out bool) *prog.Program {
 
 // cached returns the program resident under a key, nil when there is none.
 func cached(e *Element, port int, out bool) *prog.Program {
-	v, ok := e.code.Load(progKey{out: out, port: port})
-	if !ok {
+	c := e.code[progKey{out: out, port: port}]
+	if c == nil {
 		return nil
 	}
-	return v.(*prog.Program)
+	return c.compiled.Load()
 }
 
 func TestSetInCodeInvalidatesProgramAndSummary(t *testing.T) {
@@ -131,7 +131,7 @@ func TestPatchedOutCodeKeepsProgramRebuildsSummary(t *testing.T) {
 	if cached(e, 1, true) != p {
 		t.Error("PatchedOutCode replaced the compiled program")
 	}
-	if fmt.Sprint(e.OutCode[1]) != fmt.Sprint(guard) {
+	if fmt.Sprint(e.code[progKey{out: true, port: 1}].src) != fmt.Sprint(guard) {
 		t.Error("PatchedOutCode did not record the new source AST")
 	}
 	failing(guard)

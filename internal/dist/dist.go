@@ -1,9 +1,10 @@
 // Package dist distributes batch verification across worker processes: a
 // coordinator shards a batch of independent jobs onto N fleet members (each
-// running its own in-process worker pool), ships the network spec plus the
-// compiled IR of every element-port program so workers skip recompilation,
-// and collects results in job order. A member gets programs and jobs,
-// nothing else: a job carries only its budget (hops, paths, loop mode,
+// running its own in-process worker pool), ships the network's topology
+// plus the compiled IR of every element-port program, and collects results
+// in job order. A member gets programs and jobs, nothing else: it holds
+// topology plus installed programs and no port source, so it compiles
+// nothing, and a job carries only its budget (hops, paths, loop mode,
 // trace). The reference semantics (Options.ASTInterp, OrTreeGuards) run
 // in-process only — a Pool refuses a job that sets one.
 //
@@ -240,8 +241,8 @@ func shardBounds(jobs, k, n int) (lo, hi int) {
 	return k * jobs / n, (k + 1) * jobs / n
 }
 
-// buildSetup serializes the network and its compiled programs once per full
-// setup.
+// buildSetup serializes the network's topology and its compiled programs
+// once per full setup.
 func buildSetup(net *core.Network) (*setupFrame, error) {
 	wnet, err := core.EncodeNetwork(net)
 	if err != nil {

@@ -68,9 +68,9 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v11: a program carries no sub-segment ops and
-// no fresh-symbol marks on its conditions).
-const protoVersion = 11
+// frame may carry bumps it (v12: a setup's network is topology only; port
+// code crosses as programs alone).
+const protoVersion = 12
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -120,8 +120,6 @@ type batchFrame struct {
 
 // deltaFrame re-ships only what changed since the last batch: the
 // re-compiled programs of the touched ports, which the worker installs.
-// Port ASTs do not ride deltas — workers execute installed
-// compiled programs, and a fleet runs no job that reads the ASTs.
 type deltaFrame struct {
 	Programs []core.WireProgramEntry
 }
@@ -149,9 +147,10 @@ func decodeSetup(raw []byte) (*setupFrame, error) {
 	return &s, nil
 }
 
-// setupFrame carries everything a worker needs before any job: the network
-// spec (elements, port code ASTs, links) and the coordinator's compiled IR
-// for every element-port program, so workers skip recompilation.
+// setupFrame carries everything a worker needs before any job: the
+// network's topology (elements and links, no port source) and the
+// coordinator's compiled program for every element-port code entry, which
+// the worker installs as its elements' only code.
 // Per-batch configuration (Metrics, queue width) lives on batchFrame — a
 // setup outlives batches in a resident pool.
 type setupFrame struct {

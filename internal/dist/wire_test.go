@@ -395,6 +395,18 @@ func batchErrorCases(t testing.TB) []streamCase {
 			})},
 			want: "decoding setup: prog: decode SW.in[0] op 0: sefl: table row 1: prefix length 49 outside the 48-bit field",
 		},
+		// An installed program is a member's only code for its port, so it
+		// must be the element's own and name a port the element has.
+		{
+			name:   "setup installing a program on another element",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Elem = "H0" })},
+			want:   "decoding setup: core: install program H0.in[0]: compiled for SW instance 0, installed on H0 instance 1",
+		},
+		{
+			name:   "setup installing a program on a missing port",
+			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Port = 1 })},
+			want:   "decoding setup: core: install program SW.in[1]: SW has 1 input ports",
+		},
 		{
 			name:   "reuse without retained state",
 			frames: []*frame{hello, {Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1}}},

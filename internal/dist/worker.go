@@ -137,10 +137,6 @@ func runWorkerBatch(c *conn, st *workerState, bf *batchFrame) error {
 			return fmt.Errorf("protocol: reuse setup at generation %d, worker holds %d", bf.Gen, st.gen)
 		}
 	}
-	// Compile whatever was not shipped before any job runs, as a Session
-	// does after Compile.
-	core.Warm(st.net)
-
 	crashOn := os.Getenv(testExitEnv)
 	t0 := time.Now()
 	q := sched.NewQueue(st.net, bf.Workers, o, func(id int, jr sched.JobResult) {

@@ -91,7 +91,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // deltaResponse is the wire shape of one absorbed POST /v1/delta stream.
 type deltaResponse struct {
-	// Version is the report version after this submission.
+	// Version is the report version the pass that absorbed this stream
+	// published, or the current one when every delta was rejected.
 	Version uint64 `json:"version"`
 	// Applied counts this stream's deltas that were absorbed; Rejected the
 	// inapplicable ones; Malformed the undecodable lines.
@@ -134,13 +135,18 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := deltaResponse{
-		Version:   s.sv.Current().Version,
 		Applied:   res.Applied,
 		Rejected:  len(ds) - res.Applied,
 		Malformed: len(bad),
 		Batch:     res.Batch,
 		Results:   res.Statuses,
 		Errors:    bad,
+	}
+	if res.Batch != nil {
+		out.Version = res.Batch.Version
+	} else {
+		// Every delta was rejected, so no pass absorbed this stream.
+		out.Version = s.sv.Current().Version
 	}
 	status := http.StatusOK
 	if res.Applied == 0 {

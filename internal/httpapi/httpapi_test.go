@@ -129,8 +129,8 @@ func TestDaemonDeltaRoundTrip(t *testing.T) {
 	if out.Applied != 2 || out.Rejected != 0 || out.Malformed != 0 {
 		t.Fatalf("applied=%d rejected=%d malformed=%d, want 2/0/0", out.Applied, out.Rejected, out.Malformed)
 	}
-	if out.Version < 2 || out.Batch == nil {
-		t.Fatalf("version=%d batch=%v", out.Version, out.Batch)
+	if out.Version < 2 || out.Batch == nil || out.Version != out.Batch.Version {
+		t.Fatalf("version=%d batch=%v; want the batch's own version", out.Version, out.Batch)
 	}
 	// Both deltas rode one submission, hence one coalesced batch: localized
 	// to a single source, re-verifying a strict subset of the matrix.

@@ -9,7 +9,6 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/dist"
 	"symnet/internal/models"
-	"symnet/internal/obs"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
@@ -110,14 +109,6 @@ func Compile(net *Network, opts Options) (*Session, error) {
 	}
 	core.Warm(net)
 	return &Session{net: net, opts: opts}, nil
-}
-
-// registry returns the metrics registry attached to the options, if any.
-func registry(opts Options) *obs.Registry {
-	if opts.Obs == nil {
-		return nil
-	}
-	return opts.Obs.Reg
 }
 
 // Network returns the session's network. Mutating it while a Serving handle
@@ -247,10 +238,6 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		return nil, fmt.Errorf("symnet: serve: %w", err)
 	}
 	svc := churn.NewService(churn.Config{
-		// The serving path's instruments (churn.*, the shared SatCache's)
-		// land beside the engine's in the caller's registry when one is
-		// attached; the service keeps a private one otherwise.
-		Reg:     registry(s.opts),
 		Net:     s.net,
 		Sources: cfg.Sources,
 		Targets: cfg.Targets,
@@ -289,9 +276,6 @@ func (v *Serving) Apply(ctx context.Context, ds ...Delta) (*ApplyReport, error) 
 
 // Current returns the latest published report snapshot, lock-free.
 func (v *Serving) Current() *PublishedReport { return v.res.Current() }
-
-// Version returns the latest published version number.
-func (v *Serving) Version() uint64 { return v.res.Current().Version }
 
 // Watch subscribes to published versions. Events carry the reachability
 // transitions vs the previous version; a subscriber that falls more than

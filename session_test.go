@@ -255,7 +255,7 @@ func TestSessionServeChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := sessionServe(t, sess)
-	if v := srv.Version(); v != 1 {
+	if v := srv.Current().Version; v != 1 {
 		t.Fatalf("version after Serve = %d, want 1", v)
 	}
 	direct, err := sess.AllPairs(sources, sefl.NewTCPPacket(), targets)
@@ -406,8 +406,8 @@ func TestSessionServeInstruments(t *testing.T) {
 			t.Fatalf("apply: %+v, %v", rep, err)
 		}
 	}
-	if plain.Version() != observed.Version() {
-		t.Fatalf("published versions diverge: %d without a registry, %d with", plain.Version(), observed.Version())
+	if plain.Current().Version != observed.Current().Version {
+		t.Fatalf("published versions diverge: %d without a registry, %d with", plain.Current().Version, observed.Current().Version)
 	}
 	compareAllPairs(t, "post-delta report, registry vs none", observed.Current().Report, plain.Current().Report)
 
@@ -420,7 +420,7 @@ func TestSessionServeInstruments(t *testing.T) {
 			t.Errorf("%s grew by %d over one Apply, want > 0 (the churn service kept a private registry)", name, grew)
 		}
 	}
-	if after.Gauges["churn.version"] != int64(observed.Version()) {
-		t.Errorf("churn.version gauge = %d, want the published version %d", after.Gauges["churn.version"], observed.Version())
+	if after.Gauges["churn.version"] != int64(observed.Current().Version) {
+		t.Errorf("churn.version gauge = %d, want the published version %d", after.Gauges["churn.version"], observed.Current().Version)
 	}
 }
