@@ -95,7 +95,10 @@ func TestDefaultRouteRunFlat(t *testing.T) {
 // scaffolding (run, allocator, collector, task, successor slice) lived per
 // exploration, a fork allocated one box for its memory and solver headers,
 // and the solver narrowed domains without building a set per assertion.
-const deptAllocsPerHop = 34
+// 24.6 once a branch or an egress port whose guard the domains refute
+// cloned nothing (solver.Context.Refutes decides first) and a departure's
+// refuted ports shared one sealed memory.
+const deptAllocsPerHop = 30
 
 // TestDepartmentRunAllocsPerHop keeps the hot path lean without reading a
 // clock: one warm Session.Run of the office packet from asw0.in[1] must stay

@@ -6,6 +6,7 @@ import (
 	"symnet/internal/expr"
 	"symnet/internal/memory"
 	"symnet/internal/prog"
+	"symnet/internal/sefl"
 )
 
 // This file is the compiled-program executor: a small dispatch loop over the
@@ -23,6 +24,14 @@ import (
 // visit would otherwise build again — successor-port slices, trace lines,
 // constraint-failure messages — the program holds once, so the hot path
 // allocates nothing.
+//
+// A clone is made only for a side that may live. At an If the walk first
+// asks solver.Context.Refutes, a read-only domain test, whether the guard or
+// its negation is refuted — most are, since egress code re-asserts table
+// guards the path already decided; then the live side runs on the state
+// itself and the dead side is only counted (oneSided). Only a guard neither
+// side of which is refuted forks. depart (engine.go) does the same for the
+// guard an output port's program opens with.
 
 // progEnv adapts one path state to the evaluator's Env interface. Each run
 // owns one (run.env), re-pointed at the current state before every
@@ -39,31 +48,40 @@ func (e *progEnv) MetaExists(key memory.MetaKey) bool            { return e.st.M
 func (e *progEnv) Fresh(width int) expr.Lin                      { return e.r.alloc.Fresh(width) }
 func (e *progEnv) OrTreeGuards() bool                            { return e.r.opts.OrTreeGuards }
 
-// execPort runs the code attached to a port on one state, appending the
-// successor states to out: the port's compiled program, or the AST
-// interpreter behind Options.ASTInterp. ok is false when the port has no
+// portCode looks up the code attached to a port once: its compiled program,
+// counted as a program-cache hit or miss, or, behind Options.ASTInterp, the
+// source the AST interpreter walks (p nil). ok is false when the port has no
 // code (neither specific nor wildcard).
-func (r *run) execPort(out []*state, st *state, elem *Element, port int, outSide bool) ([]*state, bool) {
+func (r *run) portCode(elem *Element, port int, outSide bool) (p *prog.Program, src sefl.Instr, ok bool) {
 	if r.opts.ASTInterp {
 		_, c := elem.entry(port, outSide)
 		if c == nil {
-			return out, false
+			return nil, nil, false
 		}
-		return append(out, r.exec(nil, st, elem, c.src, nil)...), true
+		return nil, c.src, true
 	}
 	p, ok, hit := elem.codeFor(port, outSide)
 	if !ok {
-		return out, false
+		return nil, nil, false
 	}
 	if hit {
 		r.inst.progHits.Inc()
 	} else {
 		r.inst.progMisses.Inc()
 	}
+	return p, nil, true
+}
+
+// execCode runs a port's code, as portCode found it, on one state,
+// appending the successor states to out.
+func (r *run) execCode(out []*state, st *state, elem *Element, p *prog.Program, src sefl.Instr) []*state {
+	if p == nil {
+		return append(out, r.exec(nil, st, elem, src, nil)...)
+	}
 	t := r.inst.progExecNs.Start()
 	out = r.runProgram(out, st, p)
 	t.Stop()
-	return out, true
+	return out
 }
 
 // runProgram runs a compiled program on one state, appending its successor
@@ -96,16 +114,17 @@ walk:
 					s.fail(err.Error())
 					return append(out, s)
 				}
-				b, isConst := cond.(expr.Bool)
-				if !isConst {
-					return r.fork(out, p, op, cond, s)
-				}
-				if !r.constBranch(s) {
-					return out
-				}
-				seg = op.Else
-				if b {
+				neg := expr.NewNot(cond)
+				switch {
+				case s.Ctx.Refutes(cond):
+					seg, cond = op.Else, neg
+				case s.Ctx.Refutes(neg):
 					seg = op.Then
+				default:
+					return r.fork(out, p, op, cond, neg, s)
+				}
+				if !r.oneSided(s, cond) {
+					return out
 				}
 				idx = p.Seg(seg).Lo
 				continue walk
@@ -142,13 +161,7 @@ func (r *run) applyLinear(p *prog.Program, i int32, s *state) {
 
 	case prog.OpConstrain:
 		cond, err := prog.EvalCond(env, op.C)
-		if err != nil {
-			s.fail(err.Error())
-			return
-		}
-		if !s.Ctx.Add(cond) || (s.Ctx.PendingOrs() > 0 && !s.Ctx.Sat()) {
-			s.fail(p.ConstrainFailMsg(i))
-		}
+		constrain(s, p, i, cond, err)
 
 	case prog.OpForward, prog.OpFork:
 		if len(op.Ports) == 0 {
@@ -227,6 +240,18 @@ func (r *run) applyLinear(p *prog.Program, i int32, s *state) {
 	}
 }
 
+// constrain finishes the Constrain op at index i on s, given what its
+// condition evaluated to: s fails when the evaluation failed or the context
+// refutes the condition.
+func constrain(s *state, p *prog.Program, i int32, cond expr.Cond, err error) {
+	switch {
+	case err != nil:
+		s.fail(err.Error())
+	case !s.Ctx.Add(cond) || (s.Ctx.PendingOrs() > 0 && !s.Ctx.Sat()):
+		s.fail(p.ConstrainFailMsg(i))
+	}
+}
+
 // applyAssign mirrors the AST interpreter's Assign: resolve the l-value,
 // evaluate under the width hint, adapt constant widths, store.
 func (r *run) applyAssign(op *prog.Op, s *state) {
@@ -270,23 +295,30 @@ func (r *run) applyAssign(op *prog.Op, s *state) {
 	}
 }
 
-// fork splits s on an OpIf's symbolic guard: each feasible successor runs
-// its arm and then the arm's continuation, the Then side to completion
-// before the Else side starts.
-func (r *run) fork(out []*state, p *prog.Program, op *prog.Op, cond expr.Cond, s *state) []*state {
+// fork splits s on an OpIf's symbolic guard, neither side of which Refutes
+// could refute: each feasible successor runs its arm and then the arm's
+// continuation, the Then side (on a clone) to completion before the Else
+// side (on s) starts. neg is the guard's negation.
+func (r *run) fork(out []*state, p *prog.Program, op *prog.Op, cond, neg expr.Cond, s *state) []*state {
 	thenSt := s.clone()
-	elseSt := s
-	if thenSt.Ctx.Add(cond) && (thenSt.Ctx.PendingOrs() == 0 || thenSt.Ctx.Sat()) {
+	if r.assume(thenSt, cond) {
 		out = r.runSeg(out, p, op.Then, p.Seg(op.Then).Lo, thenSt)
-	} else {
-		r.stats.Pruned++
 	}
-	if elseSt.Ctx.Add(expr.NewNot(cond)) && (elseSt.Ctx.PendingOrs() == 0 || elseSt.Ctx.Sat()) {
-		out = r.runSeg(out, p, op.Else, p.Seg(op.Else).Lo, elseSt)
-	} else {
-		r.stats.Pruned++
+	if r.assume(s, neg) {
+		out = r.runSeg(out, p, op.Else, p.Seg(op.Else).Lo, s)
 	}
 	return out
+}
+
+// assume asserts a branch's condition on the state that runs it, counting
+// the branch as pruned when the context refutes it. It reports whether the
+// state survives to run the branch.
+func (r *run) assume(s *state, cond expr.Cond) bool {
+	if s.Ctx.Add(cond) && (s.Ctx.PendingOrs() == 0 || s.Ctx.Sat()) {
+		return true
+	}
+	r.stats.Pruned++
+	return false
 }
 
 // runFor runs a For loop on one state and returns the states it yields, in
@@ -331,21 +363,17 @@ func (r *run) forKeys(out []*state, p *prog.Program, op *prog.Op, keys []memory.
 	return append(out, s)
 }
 
-// constBranch settles a branch whose guard evaluated to a constant (a
-// MetaPresent test, say) on s itself instead of on a clone: it counts and
-// prunes the dead side exactly as asserting the false constant on a clone
-// would, then asserts the true constant — what the live side's Add would be,
-// whichever side it is — on s. Stats, pruned counts and the context
-// fingerprint come out as the cloning path's. It reports whether s survives
-// to run the live side.
-func (r *run) constBranch(s *state) bool {
+// oneSided settles a branch one side of which Refutes refuted — a constant
+// guard (a MetaPresent test, say) or a symbolic one the domains decide — on
+// s itself instead of on a clone: it counts the dead side's Add and prune
+// exactly as the refuted Add on a clone would have, then asserts live, the
+// live side's condition, on s. Stats, pruned counts and the context
+// fingerprint come out as forking's. It reports whether s survives to run
+// the live side.
+func (r *run) oneSided(s *state, live expr.Cond) bool {
 	if !s.Ctx.Unsat() {
 		s.Ctx.Stats().Adds++ // the dead side's Add, refuted on its own context
 	}
 	r.stats.Pruned++
-	if s.Ctx.Add(expr.Bool(true)) && (s.Ctx.PendingOrs() == 0 || s.Ctx.Sat()) {
-		return true
-	}
-	r.stats.Pruned++
-	return false
+	return r.assume(s, live)
 }

@@ -5,7 +5,9 @@ import (
 	"regexp"
 
 	"symnet/internal/expr"
+	"symnet/internal/memory"
 	"symnet/internal/obs"
+	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
 )
@@ -128,13 +130,14 @@ func (r *run) step(next []*state, st *state) ([]*state, error) {
 
 	// The visit's successors live only until they depart (a visit rarely
 	// forks more than a few ways).
-	states, ok := r.execPort(r.visit[:0], st, elem, st.Here.Port, false)
+	p, src, ok := r.portCode(elem, st.Here.Port, false)
 	if !ok {
 		// No code: the packet stops here.
 		st.Status = Delivered
 		r.finish(st)
 		return next, nil
 	}
+	states := r.execCode(r.visit[:0], st, elem, p, src)
 
 	for _, s := range states {
 		if s.Status == Failed {
@@ -154,27 +157,54 @@ func (r *run) step(next []*state, st *state) ([]*state, error) {
 
 // depart runs output-port code for each pending output port and follows
 // links, appending the states that cross one to next. A state leaving
-// through k ports becomes k independent paths.
+// through k ports becomes k independent paths: the last port's runs on st,
+// every other port's on a clone of it. Each port's code is looked up once.
+//
+// An egress port's program opens with its table guard (a Constrain), and
+// most departures die there, so the guard is evaluated once on st before
+// anything is cloned. A guard st's domains refute finishes the port's path
+// without a state (departRefuted); a port that may admit the packet gets
+// its clone, asserts the evaluated guard and runs on from the next op —
+// evaluating again would mint the guard's fresh symbols twice. With tracing
+// on, or behind Options.ASTInterp, every port's code runs whole on its
+// state.
 func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 	ports := st.outPorts
 	st.outPorts = nil
-	for i, p := range ports {
-		s := st
-		if i < len(ports)-1 {
-			s = st.clone()
-		}
-		if p < 0 || p >= elem.NumOut {
-			r.finish(failWith(s, fmt.Sprintf("forward to nonexistent output port %d of %s", p, elem.Name)))
+	var refutedMem *memory.Mem // sealed, shared by every refuted port's path
+	for i, port := range ports {
+		last := i == len(ports)-1
+		if port < 0 || port >= elem.NumOut {
+			r.finish(failWith(st.leave(last), fmt.Sprintf("forward to nonexistent output port %d of %s", port, elem.Name)))
 			continue
 		}
-		outRef := PortRef{Elem: elem.Name, Port: p, Out: true}
-		s.Here = outRef
-		s.pushHistory(outRef)
-		n := len(next)
-		out, ok := r.execPort(next, s, elem, p, true)
+		outRef := PortRef{Elem: elem.Name, Port: port, Out: true}
+		p, src, ok := r.portCode(elem, port, true)
 		if !ok {
-			next = r.follow(next, s, outRef)
+			next = r.follow(next, st.leaving(last, outRef), outRef)
 			continue
+		}
+		n := len(next)
+		out := next
+		if g, guarded := entryGuard(p); guarded && !st.traceOn {
+			t := r.inst.progExecNs.Start()
+			r.env.st = st
+			cond, err := prog.EvalCond(&r.env, p.Ops[g].C)
+			if err == nil && !last && st.Ctx.Refutes(cond) {
+				if refutedMem == nil {
+					refutedMem = st.Mem.CloneInto(new(memory.Mem))
+					refutedMem.Seal()
+				}
+				r.departRefuted(st, refutedMem, outRef, cond, p.ConstrainFailMsg(g))
+				t.Stop()
+				continue
+			}
+			s := st.leaving(last, outRef)
+			constrain(s, p, g, cond, err)
+			out = r.runSeg(next, p, p.Entry, g+1, s)
+			t.Stop()
+		} else {
+			out = r.execCode(next, st.leaving(last, outRef), elem, p, src)
 		}
 		// Settle the appended states in place: each one is kept (at an
 		// index no later than its own) only if it crosses the link.
@@ -191,6 +221,42 @@ func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 		}
 	}
 	return next
+}
+
+// entryGuard returns the index of a program's first op when that op is a
+// Constrain: the table guard an egress port's code opens with. p may be nil
+// (AST-interpreted code).
+func entryGuard(p *prog.Program) (int32, bool) {
+	if p == nil {
+		return 0, false
+	}
+	seg := p.Seg(p.Entry)
+	return seg.Lo, seg.Lo < seg.Hi && p.Ops[seg.Lo].Kind == prog.OpConstrain
+}
+
+// refutedPath is what a departure whose port guard its domains refute
+// leaves behind: the Path, its solver context and its last history node,
+// allocated together because the Path keeps all three.
+type refutedPath struct {
+	path Path
+	ctx  solver.Context
+	hist trail[PortRef]
+}
+
+// departRefuted finishes the path that would leave st through outRef, whose
+// guard cond Refutes refuted, without cloning st: the Path is st's as the
+// clone's refuted Constrain would have left it. Its context is st's after a
+// real Add(cond), so its Adds, fingerprint and domains are the clone's; its
+// memory is mem, st's memory sealed once per departure and shared by every
+// refuted port's path (sealed memory is read-only, so they cannot see each
+// other's writes).
+func (r *run) departRefuted(st *state, mem *memory.Mem, outRef PortRef, cond expr.Cond, msg string) {
+	b := new(refutedPath)
+	ctx := st.Ctx.CloneInto(&b.ctx)
+	ctx.Add(cond)
+	b.hist = trail[PortRef]{v: outRef, prev: st.hist, n: st.hist.len() + 1}
+	b.path = Path{Status: Failed, FailMsg: msg, Mem: mem, Ctx: ctx, hist: &b.hist}
+	r.record(&b.path)
 }
 
 // follow moves a state across the link leaving outRef and appends it to

@@ -159,8 +159,7 @@ func (r *run) runInjection(next []*state, st *state) []*state {
 // nothing (see memory.Mem.Seal).
 func (r *run) finish(st *state) {
 	st.Mem.Seal()
-	r.paths = append(r.paths, &Path{
-		ID:      len(r.paths),
+	r.record(&Path{
 		Status:  st.Status,
 		FailMsg: st.FailMsg,
 		hist:    st.hist,
@@ -168,8 +167,14 @@ func (r *run) finish(st *state) {
 		Mem:     st.Mem,
 		Ctx:     st.Ctx,
 	})
+}
+
+// record numbers a finished path and counts it.
+func (r *run) record(p *Path) {
+	p.ID = len(r.paths)
+	r.paths = append(r.paths, p)
 	r.stats.Paths++
-	switch st.Status {
+	switch p.Status {
 	case Delivered:
 		r.stats.Delivered++
 	case Failed:

@@ -62,11 +62,15 @@ type trail[T any] struct {
 }
 
 func (t *trail[T]) push(v T) *trail[T] {
-	n := 1
-	if t != nil {
-		n += t.n
+	return &trail[T]{v: v, prev: t, n: t.len() + 1}
+}
+
+// len is the sequence's length; a nil trail is empty.
+func (t *trail[T]) len() int {
+	if t == nil {
+		return 0
 	}
-	return &trail[T]{v: v, prev: t, n: n}
+	return t.n
 }
 
 // slice materializes the sequence oldest-first; nil stays nil.
@@ -145,7 +149,9 @@ type forkBox struct {
 }
 
 // clone duplicates the path state: a constant-size header copy, since every
-// component is persistent or copy-on-write.
+// component is persistent or copy-on-write. The engine clones only for a
+// branch or an output port that Context.Refutes could not rule out; a
+// refuted one is counted (and, at a port, recorded) without a state.
 func (st *state) clone() *state {
 	n := *st
 	b := new(forkBox)
@@ -155,6 +161,23 @@ func (st *state) clone() *state {
 		n.outPorts = append([]int(nil), st.outPorts...)
 	}
 	return &n
+}
+
+// leave returns the state a departure through one of st's ports continues
+// on: st itself for the last port, a clone for every other.
+func (st *state) leave(last bool) *state {
+	if last {
+		return st
+	}
+	return st.clone()
+}
+
+// leaving is leave, positioned at the output port outRef.
+func (st *state) leaving(last bool, outRef PortRef) *state {
+	s := st.leave(last)
+	s.Here = outRef
+	s.pushHistory(outRef)
+	return s
 }
 
 func (st *state) fail(msg string) {
@@ -170,8 +193,11 @@ type Path struct {
 	Status  Status
 	FailMsg string
 	Trace   []string
-	Mem     *memory.Mem
-	Ctx     *solver.Context
+	// Mem is the packet as the path left it, sealed: clone it to write.
+	// The failed paths of output ports whose guards refuted one departure
+	// share one Mem; nothing outside core writes it.
+	Mem *memory.Mem
+	Ctx *solver.Context
 
 	// hist is the port-visit trail, newest-first and shared-prefix with
 	// sibling paths. It is materialized on demand: most callers (batch

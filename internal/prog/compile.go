@@ -41,7 +41,7 @@ type compiler struct {
 // segments (If branches) are emitted first, so a segment's ops are
 // contiguous in the program's op array.
 func (c *compiler) compileSeg(is []sefl.Instr) SegID {
-	var buf []Op
+	buf := make([]Op, 0, segOps(is))
 	terminated := false // every state reaching this point has terminated
 	c.emitList(&buf, is, &terminated)
 	lo := int32(len(c.p.Ops))
@@ -49,6 +49,22 @@ func (c *compiler) compileSeg(is []sefl.Instr) SegID {
 	id := SegID(len(c.p.Segs))
 	c.p.Segs = append(c.p.Segs, Seg{Lo: lo, Hi: int32(len(c.p.Ops)), Terminates: terminated})
 	return id
+}
+
+// segOps counts the ops emit appends for an instruction sequence: one per
+// instruction, blocks spliced, an If's arms left to their own segments. It
+// sizes a segment's buffer, so compiling never grows one by doubling (an Op
+// is a few hundred bytes).
+func segOps(is []sefl.Instr) int {
+	n := 0
+	for _, ins := range is {
+		if b, ok := ins.(sefl.Block); ok {
+			n += segOps(b.Is)
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 // emitList emits ops for an instruction sequence into buf. Ops after the

@@ -321,6 +321,101 @@ func (c *Context) Add(cond expr.Cond) bool {
 	return !c.unsat
 }
 
+// Refutes reports that Add(cond) would return false, without changing the
+// context. It answers true only where propagation alone decides and the
+// answer reads straight off the domains: a Bool; a comparison of a term
+// with a constant, on either side, or of two constants; a term's membership
+// in a table (InSet) that its root offset does not shift; the negation
+// (expr.Not) of a Bool or comparison. Every other condition answers false,
+// which says nothing about Add. A refuted context refutes everything.
+//
+// It makes no union-find insert and no path compression and allocates
+// nothing, so the engine asks it before cloning a state for a branch:
+// a refuted branch needs no clone. A caller that skips the Add counts it
+// itself (Stats.Adds counts Adds on contexts not yet refuted).
+func (c *Context) Refutes(cond expr.Cond) bool {
+	return c.unsat || c.refutes(cond, false)
+}
+
+// refutes is Refutes for cond, or for its negation when neg is set.
+func (c *Context) refutes(cond expr.Cond, neg bool) bool {
+	switch v := cond.(type) {
+	case expr.Bool:
+		return bool(v) == neg
+	case expr.Not:
+		switch v.C.(type) {
+		case expr.Bool, expr.Cmp:
+			return c.refutes(v.C, !neg)
+		}
+	case expr.Cmp:
+		op, l := v.Op, v.L
+		if neg {
+			op = op.Negate()
+		}
+		lv, lConst := v.L.ConstVal()
+		rv, rConst := v.R.ConstVal()
+		switch {
+		case lConst && rConst:
+			return !expr.EvalCmp(op, lv, rv)
+		case lConst:
+			op, l, rv = op.Flip(), v.R, lv
+		case !rConst:
+			return false
+		}
+		lo, hi, out := cmpArc(op, rv, l.Width)
+		root, off := c.root(l.Sym)
+		var buf [2]interval
+		return c.misses(root, arcIntervals(&buf, lo, hi, -(off+l.Add), out, l.Width))
+	case expr.InSet:
+		if neg || v.L.IsConst() {
+			return false
+		}
+		root, off := c.root(v.L.Sym)
+		if -(off+v.L.Add)&expr.Mask(v.L.Width) != 0 {
+			return false
+		}
+		return c.misses(root, v.T.Spans())
+	}
+	return false
+}
+
+// root is find without its writes: the root of s and the offset with
+// value(s) = value(root) + off, walking the chain without compressing it.
+// An unseen symbol is its own root.
+func (c *Context) root(s expr.SymID) (expr.SymID, uint64) {
+	var off uint64
+	for {
+		e, ok := c.uf.Get(s)
+		if !ok || e.parent == s {
+			return s, off
+		}
+		off = (off + e.off) & expr.Mask(e.width)
+		s = e.parent
+	}
+}
+
+// misses reports that narrowing the root's domain to the canonical
+// intervals ivs would leave it empty: a two-pointer overlap test, or, for
+// an untracked root (the universe), whether ivs is empty.
+func (c *Context) misses(root expr.SymID, ivs []interval) bool {
+	d, tracked := c.domains.Get(root)
+	if !tracked {
+		return len(ivs) == 0
+	}
+	for i, j := 0, 0; i < len(d.ivs) && j < len(ivs); {
+		a, b := d.ivs[i], ivs[j]
+		if max(a.Lo, b.Lo) <= min(a.Hi, b.Hi) {
+			return false
+		}
+		if a.Hi < b.Hi {
+			i++
+		} else {
+			j++
+		}
+	}
+	return true
+}
+
 // assert handles one condition; neg requests the negation.
 func (c *Context) assert(cond expr.Cond, neg bool) {
 	if c.unsat {
