@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"symnet/internal/prog"
 )
@@ -55,10 +54,8 @@ type WireProgramEntry struct {
 // order, so encoding is deterministic. It cannot fail; the error result
 // keeps the form its callers check.
 func EncodeNetwork(n *Network) (*WireNetwork, error) {
-	elems := n.Elements()
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
-	w := &WireNetwork{Elems: make([]WireElement, 0, len(elems))}
-	for _, e := range elems {
+	w := &WireNetwork{Elems: make([]WireElement, 0, len(n.order))}
+	for _, e := range n.order {
 		w.Elems = append(w.Elems, WireElement{
 			Name: e.Name, Kind: e.Kind, Instance: e.Instance,
 			NumIn: e.NumIn, NumOut: e.NumOut,
@@ -86,6 +83,10 @@ func DecodeNetwork(w *WireNetwork) (*Network, error) {
 		if _, dup := n.Element(we.Name); dup {
 			return nil, fmt.Errorf("core: decode element %s: duplicate name", we.Name)
 		}
+		// Each port costs a record and a link slot: at most 1<<24 in all.
+		if min(we.NumIn, we.NumOut) < 0 || max(we.NumIn, we.NumOut) > 1<<24 || len(n.links)+we.NumIn+we.NumOut > 1<<24 {
+			return nil, fmt.Errorf("core: decode element %s: %d input and %d output ports; a network holds at most %d", we.Name, we.NumIn, we.NumOut, 1<<24)
+		}
 		e := n.AddElement(we.Name, we.Kind, we.NumIn, we.NumOut)
 		if e.Instance != we.Instance {
 			return nil, fmt.Errorf("core: decode element %s: instance %d != wire instance %d (elements must arrive in instance order)", we.Name, e.Instance, we.Instance)
@@ -99,47 +100,12 @@ func DecodeNetwork(w *WireNetwork) (*Network, error) {
 	return n, nil
 }
 
-// codeRefs lists every code-table entry of the network, in element-instance
-// then (in before out, port) order — the deterministic order every
-// whole-network encoder shares. Refs name entries the way the table keys
-// them: a specific port or WildcardPort, plus direction.
-func codeRefs(n *Network) []PortRef {
-	elems := n.Elements()
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Instance < elems[j].Instance })
-	var refs []PortRef
-	for _, e := range elems {
-		lo := len(refs)
-		for k := range e.code {
-			refs = append(refs, PortRef{Elem: e.Name, Port: k.port, Out: k.out})
-		}
-		sort.Slice(refs[lo:], func(i, j int) bool {
-			a, b := refs[lo+i], refs[lo+j]
-			if a.Out != b.Out {
-				return b.Out
-			}
-			return a.Port < b.Port
-		})
-	}
-	return refs
-}
-
-// codeAt returns the compiled program behind a ref, compiling as needed. An
-// unknown element is an error; ok is false for a port with no code.
-func codeAt(n *Network, ref PortRef) (p *prog.Program, ok bool, err error) {
-	e, found := n.Element(ref.Elem)
-	if !found {
-		return nil, false, fmt.Errorf("core: unknown element %q", ref.Elem)
-	}
-	p, ok, _ = e.codeFor(ref.Port, ref.Out)
-	return p, ok, nil
-}
-
 // Warm compiles every element-port program of the network, so no later run
 // pays for it (and concurrent first runs cannot race to do the same work
 // twice).
 func Warm(n *Network) {
-	for _, ref := range codeRefs(n) {
-		codeAt(n, ref)
+	for _, ref := range codeRefs(n.order...) {
+		n.elems[ref.Elem].codeFor(ref.Port, ref.Out)
 	}
 }
 
@@ -147,7 +113,7 @@ func Warm(n *Network) {
 // code-table entry of the network. The coordinator calls it once per full
 // setup; what it compiles stays in the entries for its own later runs.
 func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
-	return EncodeProgramsFor(n, codeRefs(n))
+	return EncodeProgramsFor(n, codeRefs(n.order...))
 }
 
 // EncodeProgramsFor compiles (as needed) and serializes only the programs of
@@ -158,10 +124,11 @@ func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
 func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	out := make([]WireProgramEntry, 0, len(refs))
 	for _, ref := range refs {
-		p, ok, err := codeAt(n, ref)
-		if err != nil {
-			return nil, fmt.Errorf("core: encode program: %w", err)
+		e, found := n.Element(ref.Elem)
+		if !found {
+			return nil, fmt.Errorf("core: encode program: unknown element %q", ref.Elem)
 		}
+		p, ok, _ := e.codeFor(ref.Port, ref.Out)
 		if !ok {
 			continue
 		}
@@ -188,13 +155,9 @@ func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 		if !ok {
 			return fmt.Errorf("core: install program for unknown element %q", we.Elem)
 		}
-		k := progKey{out: we.Out, port: we.Port}
-		ports, dir := e.NumIn, "input"
-		if k.out {
-			ports, dir = e.NumOut, "output"
-		}
-		if k.port != WildcardPort && (k.port < 0 || k.port >= ports) {
-			return fmt.Errorf("core: install program %s: %s has %d %s ports", k.label(e.Name), e.Name, ports, dir)
+		at, err := e.checkPort(we.Port, we.Out)
+		if err != nil {
+			return fmt.Errorf("core: install program %w", err)
 		}
 		p, err := prog.DecodeProgram(we.Prog)
 		if err != nil {
@@ -202,11 +165,10 @@ func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 		}
 		if p.Elem != e.Name || p.Instance != e.Instance {
 			return fmt.Errorf("core: install program %s: compiled for %s instance %d, installed on %s instance %d",
-				k.label(e.Name), p.Elem, p.Instance, e.Name, e.Instance)
+				label(e.Name, we.Port, we.Out), p.Elem, p.Instance, e.Name, e.Instance)
 		}
-		c := &portCode{}
-		c.compiled.Store(p)
-		e.setCode(k, c)
+		at.code = new(portCode)
+		at.code.compiled.Store(p)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -58,6 +59,14 @@ func TestNetworkCodecRoundTripDepartment(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d.Net.Links(), net2.Links()) {
 		t.Fatal("links differ after round trip")
+	}
+
+	// Port counts a network cannot mint are refused, not allocated.
+	for _, counts := range [][2]int{{-1, 0}, {0, -1}, {1 << 24, 1}, {math.MaxInt, math.MaxInt}} {
+		bad := &core.WireNetwork{Elems: []core.WireElement{{Name: "X", NumIn: counts[0], NumOut: counts[1]}}}
+		if _, err := core.DecodeNetwork(bad); err == nil {
+			t.Errorf("decoded an element with %d input and %d output ports", counts[0], counts[1])
+		}
 	}
 
 	// The topology crosses without code: every port of the decoded network
@@ -130,6 +139,39 @@ func TestSetupRoundTripEveryDataset(t *testing.T) {
 				}
 			}
 
+			// Every port, and each direction's wildcard entry, has an ID
+			// that renders back to it, the IDs are dense, Follow reads the
+			// ID link table, and the member minted the coordinator's IDs
+			// and links.
+			ports, links := core.PortTable(ds.net)
+			minted := 0
+			for _, e := range ds.net.Elements() {
+				for _, out := range []bool{false, true} {
+					n := e.NumIn
+					if out {
+						n = e.NumOut
+					}
+					for i := core.WildcardPort; i < n; i++ {
+						ref := core.PortRef{Elem: e.Name, Port: i, Out: out}
+						id := core.PortIDOf(ds.net, ref)
+						if id < 0 || ports[id] != ref {
+							t.Fatalf("%s has ID %d, which renders as %v", ref, id, ports[max(id, 0)])
+						}
+						to, ok := ds.net.Follow(ref)
+						if want := links[id]; ok != (want >= 0) || ok && to != ports[want] {
+							t.Fatalf("Follow(%s) = %v, %v; the link table holds %d", ref, to, ok, want)
+						}
+						minted++
+					}
+				}
+			}
+			if minted != len(ports) {
+				t.Fatalf("%d ports minted %d IDs", minted, len(ports))
+			}
+			if mports, mlinks := core.PortTable(member); !slices.Equal(ports, mports) || !slices.Equal(links, mlinks) {
+				t.Fatal("the decoded network minted other port IDs or links than the coordinator")
+			}
+
 			reg := obs.NewRegistry()
 			for _, src := range ds.srcs {
 				opts := core.Options{MaxHops: 64, Trace: true}
@@ -168,7 +210,7 @@ func label(p *prog.Program) string {
 // TestInstallProgramsRefusesForeignEntries pins that an installed program
 // must belong where it lands: on an element the network has, compiled for
 // that element (name and instance), at a port the element has. Each refusal
-// names the entry.
+// names the entry, and the code setters refuse the same ports by panicking.
 func TestInstallProgramsRefusesForeignEntries(t *testing.T) {
 	net := core.NewNetwork()
 	net.AddElement("A", "box", 1, 2)
@@ -200,6 +242,26 @@ func TestInstallProgramsRefusesForeignEntries(t *testing.T) {
 		err := core.InstallPrograms(net, []core.WireProgramEntry{tc.entry})
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("install %s port %d out=%v: error %v, want %q", tc.entry.Elem, tc.entry.Port, tc.entry.Out, err, tc.want)
+		}
+	}
+	// The code setters refuse the same ports, so code a member would refuse
+	// cannot be attached in-process either.
+	a, _ := net.Element("A")
+	for _, tc := range []struct {
+		set  func()
+		want string
+	}{
+		{func() { a.SetInCode(3, sefl.NoOp{}) }, "core: set code A.in[3]: A has 1 input ports"},
+		{func() { a.SetOutCode(2, sefl.NoOp{}) }, "core: set code A.out[2]: A has 2 output ports"},
+		{func() { a.PatchedOutCode(-2, sefl.NoOp{}) }, "core: set code A.out[-2]: A has 2 output ports"},
+	} {
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			tc.set()
+			return nil
+		}()
+		if got != tc.want {
+			t.Errorf("setting code on a port A lacks: panic %v, want %q", got, tc.want)
 		}
 	}
 	for _, e := range net.Elements() {

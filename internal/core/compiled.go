@@ -52,15 +52,15 @@ func (e *progEnv) OrTreeGuards() bool                            { return e.r.op
 // counted as a program-cache hit or miss, or, behind Options.ASTInterp, the
 // source the AST interpreter walks (p nil). ok is false when the port has no
 // code (neither specific nor wildcard).
-func (r *run) portCode(elem *Element, port int, outSide bool) (p *prog.Program, src sefl.Instr, ok bool) {
+func (r *run) portCode(at *port) (p *prog.Program, src sefl.Instr, ok bool) {
 	if r.opts.ASTInterp {
-		_, c := elem.entry(port, outSide)
+		c := at.elem.entry(at.num, at.out).code
 		if c == nil {
 			return nil, nil, false
 		}
 		return nil, c.src, true
 	}
-	p, ok, hit := elem.codeFor(port, outSide)
+	p, ok, hit := at.elem.codeFor(at.num, at.out)
 	if !ok {
 		return nil, nil, false
 	}

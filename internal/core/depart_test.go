@@ -91,14 +91,15 @@ func TestRefutedPortsShareSealedMem(t *testing.T) {
 // state it no longer needs.
 func TestRefutedPathDoesNotPinState(t *testing.T) {
 	r := &run{}
+	e := NewNetwork().AddElement("R", "router", 1, 2)
 	freed := make(chan struct{})
 	func() {
 		st := &state{Mem: memory.New(), Ctx: solver.NewContext(nil)}
-		st.pushHistory(PortRef{Elem: "R", Port: 0})
+		st.pushHistory(e.at(0, false))
 		runtime.SetFinalizer(st, func(*state) { close(freed) })
 		mem := st.Mem.CloneInto(new(memory.Mem))
 		mem.Seal()
-		r.departRefuted(st, mem, PortRef{Elem: "R", Port: 1, Out: true}, expr.Bool(false), "refuted")
+		r.departRefuted(st, mem, e.at(1, true), expr.Bool(false), "refuted")
 	}()
 	if !collected(freed) {
 		t.Fatal("a departing State is still reachable from its refuted port's Path")

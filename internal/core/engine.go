@@ -109,33 +109,30 @@ func failWith(st *state, msg string) *state {
 // step processes one state positioned at an input port: loop check, input
 // code, output codes, link traversal. It appends the states to keep
 // exploring to next; finished paths are recorded on the run.
-func (r *run) step(next []*state, st *state) ([]*state, error) {
-	elem, ok := r.net.Element(st.Here.Elem)
-	if !ok {
-		return next, fmt.Errorf("core: element %q vanished", st.Here.Elem)
-	}
+func (r *run) step(next []*state, st *state) []*state {
+	elem := st.Here.elem
 	st.pushHistory(st.Here)
 	st.hops++
 	if st.hops > r.opts.MaxHops {
 		r.finish(failWith(st, fmt.Sprintf("hop budget exceeded (%d)", r.opts.MaxHops)))
-		return next, nil
+		return next
 	}
 	if r.opts.Loop != LoopOff {
 		if looped := r.loopCheck(st); looped {
 			st.Status = Looped
 			r.finish(st)
-			return next, nil
+			return next
 		}
 	}
 
 	// The visit's successors live only until they depart (a visit rarely
 	// forks more than a few ways).
-	p, src, ok := r.portCode(elem, st.Here.Port, false)
+	p, src, ok := r.portCode(st.Here)
 	if !ok {
 		// No code: the packet stops here.
 		st.Status = Delivered
 		r.finish(st)
-		return next, nil
+		return next
 	}
 	states := r.execCode(r.visit[:0], st, elem, p, src)
 
@@ -152,7 +149,7 @@ func (r *run) step(next []*state, st *state) ([]*state, error) {
 		next = r.depart(next, s, elem)
 	}
 	clear(r.visit[:])
-	return next, nil
+	return next
 }
 
 // depart runs output-port code for each pending output port and follows
@@ -178,10 +175,10 @@ func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 			r.finish(failWith(st.leave(last), fmt.Sprintf("forward to nonexistent output port %d of %s", port, elem.Name)))
 			continue
 		}
-		outRef := PortRef{Elem: elem.Name, Port: port, Out: true}
-		p, src, ok := r.portCode(elem, port, true)
+		outPort := elem.at(port, true)
+		p, src, ok := r.portCode(outPort)
 		if !ok {
-			next = r.follow(next, st.leaving(last, outRef), outRef)
+			next = r.follow(next, st.leaving(last, outPort), outPort)
 			continue
 		}
 		n := len(next)
@@ -195,16 +192,16 @@ func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 					refutedMem = st.Mem.CloneInto(new(memory.Mem))
 					refutedMem.Seal()
 				}
-				r.departRefuted(st, refutedMem, outRef, cond, p.ConstrainFailMsg(g))
+				r.departRefuted(st, refutedMem, outPort, cond, p.ConstrainFailMsg(g))
 				t.Stop()
 				continue
 			}
-			s := st.leaving(last, outRef)
+			s := st.leaving(last, outPort)
 			constrain(s, p, g, cond, err)
 			out = r.runSeg(next, p, p.Entry, g+1, s)
 			t.Stop()
 		} else {
-			out = r.execCode(next, st.leaving(last, outRef), elem, p, src)
+			out = r.execCode(next, st.leaving(last, outPort), elem, p, src)
 		}
 		// Settle the appended states in place: each one is kept (at an
 		// index no later than its own) only if it crosses the link.
@@ -216,7 +213,7 @@ func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 			case os.forwarding():
 				r.finish(failWith(os, "output-port code must not forward"))
 			default:
-				next = r.follow(next, os, outRef)
+				next = r.follow(next, os, outPort)
 			}
 		}
 	}
@@ -240,31 +237,31 @@ func entryGuard(p *prog.Program) (int32, bool) {
 type refutedPath struct {
 	path Path
 	ctx  solver.Context
-	hist trail[PortRef]
+	hist trail[*port]
 }
 
-// departRefuted finishes the path that would leave st through outRef, whose
+// departRefuted finishes the path that would leave st through out, whose
 // guard cond Refutes refuted, without cloning st: the Path is st's as the
 // clone's refuted Constrain would have left it. Its context is st's after a
 // real Add(cond), so its Adds, fingerprint and domains are the clone's; its
 // memory is mem, st's memory sealed once per departure and shared by every
 // refuted port's path (sealed memory is read-only, so they cannot see each
 // other's writes).
-func (r *run) departRefuted(st *state, mem *memory.Mem, outRef PortRef, cond expr.Cond, msg string) {
+func (r *run) departRefuted(st *state, mem *memory.Mem, out *port, cond expr.Cond, msg string) {
 	b := new(refutedPath)
 	ctx := st.Ctx.CloneInto(&b.ctx)
 	ctx.Add(cond)
-	b.hist = trail[PortRef]{v: outRef, prev: st.hist, n: st.hist.len() + 1}
+	b.hist = trail[*port]{v: out, prev: st.hist, n: st.hist.len() + 1}
 	b.path = Path{Status: Failed, FailMsg: msg, Mem: mem, Ctx: ctx, hist: &b.hist}
 	r.record(&b.path)
 }
 
-// follow moves a state across the link leaving outRef and appends it to
-// next, or finishes it when the port is unconnected ("a path finishes ...
-// when it reaches a port with no outgoing links").
-func (r *run) follow(next []*state, st *state, outRef PortRef) []*state {
-	in, ok := r.net.Follow(outRef)
-	if !ok {
+// follow moves a state across the link leaving out and appends it to next,
+// or finishes it when the port is unconnected ("a path finishes ... when it
+// reaches a port with no outgoing links").
+func (r *run) follow(next []*state, st *state, out *port) []*state {
+	in := r.net.links[out.id]
+	if in == nil {
 		st.Status = Delivered
 		r.finish(st)
 		return next
@@ -484,7 +481,7 @@ func (r *run) cont(out []*state, st *state, elem *Element, k *astFrame) []*state
 // the old state").
 func (r *run) loopCheck(st *state) bool {
 	snap := r.takeSnapshot(st)
-	old, _ := st.seen.Get(st.Here)
+	old, _ := st.seen.Get(st.Here.id)
 	for _, o := range old {
 		if snapshotSubsumed(o, snap) {
 			return true
@@ -494,7 +491,7 @@ func (r *run) loopCheck(st *state) bool {
 	// seen store itself is persistent, so forks share it lazily.
 	updated := make([]snapshot, len(old), len(old)+1)
 	copy(updated, old)
-	st.seen = st.seen.Set(st.Here, append(updated, snap))
+	st.seen = st.seen.Set(st.Here.id, append(updated, snap))
 	return false
 }
 

@@ -6,6 +6,7 @@ import (
 	"symnet/internal/expr"
 	"symnet/internal/memory"
 	"symnet/internal/obs"
+	"symnet/internal/persist"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
@@ -24,7 +25,6 @@ import (
 type run struct {
 	net     *Network
 	opts    Options
-	inject  *Element
 	init    sefl.Instr    // injection code
 	injProg *prog.Program // compiled injection code (nil under ASTInterp)
 	// alloc and solverStats are allocated on their own because a Result
@@ -73,7 +73,7 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 	if memo == nil {
 		memo = solver.NewSatCache()
 	}
-	r := &run{net: net, opts: opts, inject: elem, init: init,
+	r := &run{net: net, opts: opts, init: init,
 		alloc: &expr.Alloc{}, solverStats: &solver.Stats{}, memo: memo}
 	r.env.r = r
 	if opts.Obs != nil && opts.Obs.Reg != nil {
@@ -96,25 +96,22 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 	// runs the injection code on it before it steps anything.
 	r.stack = []*state{{
 		Mem:     memory.New(),
-		Here:    inject,
-		seen:    newSeen(),
+		Here:    elem.at(inject.Port, false),
+		seen:    persist.NewMap[portID, []snapshot](portID.hash),
 		traceOn: opts.Trace,
 	}}
 	return r, nil
 }
 
 // explore runs the injection, then steps states until the stack is empty.
-// A step error, or a path count past MaxPaths, aborts the run.
+// A path count past MaxPaths aborts the run.
 func (r *run) explore() (*Result, error) {
 	r.stack = r.runInjection(r.stack[:0], r.stack[0])
 	for len(r.stack) > 0 {
 		r.inst.queueDepth.SetMax(int64(len(r.stack)))
 		st := r.stack[len(r.stack)-1]
 		r.stack = r.stack[:len(r.stack)-1]
-		var err error
-		if r.stack, err = r.step(r.stack, st); err != nil {
-			return nil, err
-		}
+		r.stack = r.step(r.stack, st)
 		r.stats.Hops++
 		if len(r.paths) > r.opts.MaxPaths {
 			return nil, fmt.Errorf("core: path budget exceeded (%d)", r.opts.MaxPaths)
@@ -138,7 +135,7 @@ func (r *run) runInjection(next []*state, st *state) []*state {
 	if r.injProg != nil {
 		states = r.runProgram(nil, st, r.injProg)
 	} else {
-		states = r.exec(nil, st, r.inject, r.init, nil)
+		states = r.exec(nil, st, st.Here.elem, r.init, nil)
 	}
 	for _, s := range states {
 		if s.Status == Failed {
@@ -163,7 +160,7 @@ func (r *run) finish(st *state) {
 		Status:  st.Status,
 		FailMsg: st.FailMsg,
 		hist:    st.hist,
-		Trace:   st.trace.slice(),
+		Trace:   render(st.trace, func(line string) string { return line }),
 		Mem:     st.Mem,
 		Ctx:     st.Ctx,
 	})

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"symnet/internal/expr"
 	"symnet/internal/memory"
@@ -136,5 +137,19 @@ func TestResultAllocFreshAfterRun(t *testing.T) {
 		if used[fresh.Sym] {
 			t.Fatalf("post-run Fresh returned ID %d, already used by the run", fresh.Sym)
 		}
+	}
+}
+
+// TestHistoryNodeSize pins the layout dense port IDs buy: a state's position
+// is a pointer to its port's record, not a 32-byte PortRef, and a history
+// node — the one allocation every port visit makes — is that pointer, its
+// predecessor and its length, 24 bytes where a PortRef made it 48.
+func TestHistoryNodeSize(t *testing.T) {
+	var st state
+	if n := unsafe.Sizeof(st.Here); n > unsafe.Sizeof(uintptr(0)) {
+		t.Errorf("state.Here is %d bytes, wider than a pointer", n)
+	}
+	if n := unsafe.Sizeof(*st.hist); n != 24 {
+		t.Errorf("a history node is %d bytes, want 24", n)
 	}
 }

@@ -2,14 +2,17 @@
 // symbolic packet at a network port and explores every feasible execution
 // path through the SEFL code attached to the ports of the network's
 // elements, maintaining per-path packet memory, constraints, history, and
-// detecting network-wide loops.
+// detecting network-wide loops. Inside the engine ports are records with
+// dense IDs; callers name them by PortRef, rendered from the records.
 package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
+	"symnet/internal/persist"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
@@ -22,15 +25,15 @@ const WildcardPort = -1
 // optional code. Connections are unidirectional from output ports to
 // input ports, so bidirectional connectivity needs two port pairs (§5).
 //
-// An element keeps its port code in one table keyed by direction and port
-// (a specific port or WildcardPort). An entry holds the SEFL source a model
-// attached and the flat IR of internal/prog compiled from it at most once,
-// on first execution; the program is shared read-only across scheduler
-// workers and batch jobs. A fleet member holds topology plus installed
-// programs (InstallPrograms): its entries carry a program and no source.
-// The table is read concurrently and written only between runs, so models
-// may be regenerated between runs: SetInCode/SetOutCode replace the port's
-// entry, dropping its program.
+// Its port records (see Network) are its code table: per direction a
+// wildcard record, then one per port. An entry holds the SEFL source a
+// model attached and the flat IR of internal/prog compiled from it at most
+// once, on first execution; the program is shared read-only across
+// scheduler workers and batch jobs. A fleet member holds topology plus
+// installed programs (InstallPrograms): its entries carry a program and no
+// source. The table is read concurrently and written only between runs, so
+// models may be regenerated between runs: SetInCode/SetOutCode replace the
+// port's entry, dropping its program.
 type Element struct {
 	Name     string
 	Kind     string // descriptive: "switch", "router", "nat", ...
@@ -38,25 +41,74 @@ type Element struct {
 	NumIn    int
 	NumOut   int
 
-	code map[progKey]*portCode
+	ports []port // in[*], in[0], ..., out[*], out[0], ...
 }
 
-// progKey identifies one code-table entry of an element.
-type progKey struct {
+// portID numbers a record densely within its network: elements in instance
+// order, each one's records in table order.
+type portID int32
+
+func (id portID) hash() uint64 { return persist.Mix64(uint64(id)) }
+
+// port is the record of one (element, port, direction) and its code-table
+// entry. States and history nodes point at it; PortRefs are rendered from
+// it. A wildcard record is never a position or a link end.
+type port struct {
+	elem *Element
+	num  int
 	out  bool
-	port int
+	id   portID
+	code *portCode // nil when the record has no code of its own
 }
 
-// label names the entry's program: "elem.in[3]", "elem.out[*]".
-func (k progKey) label(elem string) string {
-	dir, port := "in", fmt.Sprint(k.port)
-	if k.out {
+func (p *port) ref() PortRef { return PortRef{Elem: p.elem.Name, Port: p.num, Out: p.out} }
+
+// at returns the record of a port (WildcardPort: the wildcard record), nil
+// when the element lacks the port.
+func (e *Element) at(num int, out bool) *port {
+	i, n := 1+num, e.NumIn
+	if out {
+		i, n = e.NumIn+2+num, e.NumOut
+	}
+	if num < WildcardPort || num >= n {
+		return nil
+	}
+	return &e.ports[i]
+}
+
+// label names a port or code-table entry: "elem.in[3]", "elem.out[*]".
+func label(elem string, port int, out bool) string {
+	dir := "in"
+	if out {
 		dir = "out"
 	}
-	if k.port == WildcardPort {
-		port = "*"
+	if port == WildcardPort {
+		return fmt.Sprintf("%s.%s[*]", elem, dir)
 	}
-	return fmt.Sprintf("%s.%s[%s]", elem, dir, port)
+	return fmt.Sprintf("%s.%s[%d]", elem, dir, port)
+}
+
+// checkPort is at refusing a port the element lacks: code there could
+// never run in-process, and a fleet member would refuse its program.
+func (e *Element) checkPort(port int, out bool) (*port, error) {
+	if p := e.at(port, out); p != nil {
+		return p, nil
+	}
+	n, dir := e.NumIn, "input"
+	if out {
+		n, dir = e.NumOut, "output"
+	}
+	return nil, fmt.Errorf("%s: %s has %d %s ports", label(e.Name, port, out), e.Name, n, dir)
+}
+
+// mustAt is checkPort for the code setters, panicking on a port the element
+// lacks.
+func (e *Element) mustAt(port int, out bool) *port {
+	p, err := e.checkPort(port, out)
+	if err != nil {
+		panic("core: set code " + err.Error())
+	}
+	return p
 }
 
 // portCode is one code-table entry: the source and its compiled program,
@@ -66,67 +118,59 @@ type portCode struct {
 	compiled atomic.Pointer[prog.Program]
 }
 
-// SetInCode attaches code to an input port (WildcardPort for all).
+// SetInCode attaches code to an input port (WildcardPort for all). It panics
+// on a port the element lacks.
 func (e *Element) SetInCode(port int, code sefl.Instr) *Element {
-	e.setCode(progKey{out: false, port: port}, &portCode{src: code})
+	e.mustAt(port, false).code = &portCode{src: code}
 	return e
 }
 
-// SetOutCode attaches code to an output port (WildcardPort for all).
+// SetOutCode attaches code to an output port (WildcardPort for all). It
+// panics on a port the element lacks.
 func (e *Element) SetOutCode(port int, code sefl.Instr) *Element {
-	e.setCode(progKey{out: true, port: port}, &portCode{src: code})
+	e.mustAt(port, true).code = &portCode{src: code}
 	return e
-}
-
-func (e *Element) setCode(k progKey, c *portCode) {
-	if e.code == nil {
-		e.code = make(map[progKey]*portCode)
-	}
-	e.code[k] = c
 }
 
 // PatchedOutCode records that an output port's code was updated by an
 // in-place patch of its already-compiled program (prog.PatchGuard): the
 // entry's source is replaced, so the AST interpreter reads the new rules,
 // but its program is kept, because it is the one that was just patched.
-// Callers must not be executing the element concurrently.
+// Callers must not be executing the element concurrently. It panics on a
+// port the element lacks.
 func (e *Element) PatchedOutCode(port int, code sefl.Instr) {
-	k := progKey{out: true, port: port}
-	if c := e.code[k]; c != nil {
-		c.src = code
-		return
+	p := e.mustAt(port, true)
+	if p.code == nil {
+		p.code = new(portCode)
 	}
-	e.setCode(k, &portCode{src: code})
+	p.code.src = code
 }
 
 // Code returns the source attached to exactly this port (WildcardPort for
 // the wildcard entry), without resolving a port to wildcard code. ok is
 // false when no source is attached, as on a fleet member.
 func (e *Element) Code(port int, out bool) (sefl.Instr, bool) {
-	c := e.code[progKey{out: out, port: port}]
-	if c == nil || c.src == nil {
-		return nil, false
+	if p := e.at(port, out); p != nil && p.code != nil && p.code.src != nil {
+		return p.code.src, true
 	}
-	return c.src, true
+	return nil, false
 }
 
-// entry resolves a port to its code-table entry: the port's own, or the
-// wildcard entry when only wildcard code covers it. c is nil when the port
-// has no code.
-func (e *Element) entry(port int, out bool) (progKey, *portCode) {
-	k := progKey{out: out, port: port}
-	if c, ok := e.code[k]; ok {
-		return k, c
+// entry resolves a port to the record whose code-table entry covers it: the
+// port's own, or the wildcard record when only wildcard code covers it. Its
+// code is nil when the port has no code.
+func (e *Element) entry(port int, out bool) *port {
+	if p := e.at(port, out); p != nil && p.code != nil {
+		return p
 	}
-	k.port = WildcardPort
-	return k, e.code[k]
+	return e.at(WildcardPort, out)
 }
 
 // CachedProgram returns the compiled program resident for a port, without
 // compiling on miss — the handle an incremental updater patches in place.
 // The bool reports whether a compiled program was resident.
 func (e *Element) CachedProgram(port int, out bool) (*prog.Program, bool) {
-	if _, c := e.entry(port, out); c != nil {
+	if c := e.entry(port, out).code; c != nil {
 		if p := c.compiled.Load(); p != nil {
 			return p, true
 		}
@@ -141,39 +185,47 @@ func (e *Element) CachedProgram(port int, out bool) (*prog.Program, bool) {
 // are pure compilations of the same source), so results do not depend on
 // the race.
 func (e *Element) codeFor(port int, out bool) (p *prog.Program, ok, hit bool) {
-	k, c := e.entry(port, out)
+	at := e.entry(port, out)
+	c := at.code
 	if c == nil {
 		return nil, false, false
 	}
 	if p := c.compiled.Load(); p != nil {
 		return p, true, true
 	}
-	p = prog.Compile(c.src, e.Name, e.Instance, k.label(e.Name))
+	p = prog.Compile(c.src, e.Name, e.Instance, label(e.Name, at.num, out))
 	if !c.compiled.CompareAndSwap(nil, p) {
 		p = c.compiled.Load()
 	}
 	return p, true, false
 }
 
-// Programs returns the compiled program of every port that has code,
-// compiling as needed — input ports first, then output ports, specific
-// ports before wildcards resolved per port. It powers cmd/symnet -dump-ir.
+// Programs returns the compiled program of every code-table entry,
+// compiling as needed, in table order. It powers cmd/symnet -dump-ir.
 func (e *Element) Programs() []*prog.Program {
 	var out []*prog.Program
-	seen := make(map[*prog.Program]bool)
-	add := func(port int, dir bool) {
-		if p, ok, _ := e.codeFor(port, dir); ok && !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for port := 0; port < e.NumIn; port++ {
-		add(port, false)
-	}
-	for port := 0; port < e.NumOut; port++ {
-		add(port, true)
+	for _, ref := range codeRefs(e) {
+		p, _, _ := e.codeFor(ref.Port, ref.Out)
+		out = append(out, p)
 	}
 	return out
+}
+
+// codeRefs lists every code-table entry of elems, each element's in table
+// order: in before out, wildcard first, port ascending. Over a network's
+// elements in instance order it is the deterministic order every
+// whole-network encoder shares. Refs name entries the way the table keys
+// them: a specific port or WildcardPort, plus direction.
+func codeRefs(elems ...*Element) []PortRef {
+	var refs []PortRef
+	for _, e := range elems {
+		for i := range e.ports {
+			if e.ports[i].code != nil {
+				refs = append(refs, e.ports[i].ref())
+			}
+		}
+	}
+	return refs
 }
 
 // PortRef names a port of an element. Out distinguishes output ports.
@@ -183,28 +235,21 @@ type PortRef struct {
 	Out  bool
 }
 
-func (p PortRef) String() string {
-	dir := "in"
-	if p.Out {
-		dir = "out"
-	}
-	return fmt.Sprintf("%s.%s[%d]", p.Elem, dir, p.Port)
-}
+func (p PortRef) String() string { return label(p.Elem, p.Port, p.Out) }
 
 // Network is the set of elements and the unidirectional links between their
-// ports.
+// ports. Adding an element mints its records and their IDs, so a network
+// decoded from its wire form, which adds elements in instance order, mints
+// its coordinator's IDs.
 type Network struct {
-	elems        map[string]*Element
-	links        map[PortRef]PortRef // from output port to input port
-	nextInstance int
+	elems map[string]*Element
+	order []*Element // by instance
+	links []*port    // by output port ID; nil where unlinked
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
-	return &Network{
-		elems: make(map[string]*Element),
-		links: make(map[PortRef]PortRef),
-	}
+	return &Network{elems: make(map[string]*Element)}
 }
 
 // AddElement creates and registers an element with the given port counts.
@@ -217,11 +262,19 @@ func (n *Network) AddElement(name, kind string, numIn, numOut int) *Element {
 	e := &Element{
 		Name:     name,
 		Kind:     kind,
-		Instance: n.nextInstance,
+		Instance: len(n.order),
 		NumIn:    numIn,
 		NumOut:   numOut,
+		ports:    make([]port, numIn+numOut+2),
 	}
-	n.nextInstance++
+	for i := range e.ports {
+		e.ports[i] = port{elem: e, num: i - 1, id: portID(len(n.links) + i)}
+		if i > numIn {
+			e.ports[i].num, e.ports[i].out = i-numIn-2, true
+		}
+	}
+	n.links = append(n.links, make([]*port, len(e.ports))...)
+	n.order = append(n.order, e)
 	n.elems[name] = e
 	return e
 }
@@ -234,11 +287,8 @@ func (n *Network) Element(name string) (*Element, bool) {
 
 // Elements returns all elements sorted by name.
 func (n *Network) Elements() []*Element {
-	out := make([]*Element, 0, len(n.elems))
-	for _, e := range n.elems {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := slices.Clone(n.order)
+	slices.SortFunc(out, func(a, b *Element) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -258,11 +308,11 @@ func (n *Network) Link(fromElem string, fromPort int, toElem string, toPort int)
 	if toPort < 0 || toPort >= te.NumIn {
 		return fmt.Errorf("core: %s has no input port %d", toElem, toPort)
 	}
-	from := PortRef{Elem: fromElem, Port: fromPort, Out: true}
-	if _, dup := n.links[from]; dup {
-		return fmt.Errorf("core: output port %s already linked", from)
+	from := fe.at(fromPort, true)
+	if n.links[from.id] != nil {
+		return fmt.Errorf("core: output port %s already linked", from.ref())
 	}
-	n.links[from] = PortRef{Elem: toElem, Port: toPort}
+	n.links[from.id] = te.at(toPort, false)
 	return nil
 }
 
@@ -275,21 +325,25 @@ func (n *Network) MustLink(fromElem string, fromPort int, toElem string, toPort 
 
 // Follow returns the input port linked to an output port.
 func (n *Network) Follow(out PortRef) (PortRef, bool) {
-	in, ok := n.links[out]
-	return in, ok
+	if e, ok := n.elems[out.Elem]; ok && out.Out && out.Port >= 0 {
+		if p := e.at(out.Port, true); p != nil && n.links[p.id] != nil {
+			return n.links[p.id].ref(), true
+		}
+	}
+	return PortRef{}, false
 }
 
-// Links returns all links sorted by source for deterministic output.
+// Links returns every linked output port with the input port it follows
+// to, sorted by source: elements by name, then output ports ascending.
 func (n *Network) Links() [][2]PortRef {
-	out := make([][2]PortRef, 0, len(n.links))
-	for f, t := range n.links {
-		out = append(out, [2]PortRef{f, t})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0].Elem != out[j][0].Elem {
-			return out[i][0].Elem < out[j][0].Elem
+	var out [][2]PortRef
+	for _, e := range n.Elements() {
+		for i := range e.NumOut {
+			from := PortRef{Elem: e.Name, Port: i, Out: true}
+			if to, ok := n.Follow(from); ok {
+				out = append(out, [2]PortRef{from, to})
+			}
 		}
-		return out[i][0].Port < out[j][0].Port
-	})
+	}
 	return out
 }

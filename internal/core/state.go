@@ -73,30 +73,18 @@ func (t *trail[T]) len() int {
 	return t.n
 }
 
-// slice materializes the sequence oldest-first; nil stays nil.
-func (t *trail[T]) slice() []T {
+// render materializes the sequence oldest-first, each value through f; nil
+// stays nil.
+func render[T, U any](t *trail[T], f func(T) U) []U {
 	if t == nil {
 		return nil
 	}
-	out := make([]T, t.n)
+	out := make([]U, t.n)
 	for i := t.n - 1; t != nil; t = t.prev {
-		out[i] = t.v
+		out[i] = f(t.v)
 		i--
 	}
 	return out
-}
-
-func hashPortRef(p PortRef) uint64 {
-	h := persist.HashString(p.Elem) ^ persist.Mix64(uint64(p.Port)<<1)
-	if p.Out {
-		h ^= 0x9e3779b97f4a7c15
-	}
-	return persist.Mix64(h)
-}
-
-// newSeen returns an empty loop-detection store.
-func newSeen() persist.Map[PortRef, []snapshot] {
-	return persist.NewMap[PortRef, []snapshot](hashPortRef)
 }
 
 // state is one execution path: a symbolic packet plus its constraint
@@ -107,13 +95,13 @@ func newSeen() persist.Map[PortRef, []snapshot] {
 type state struct {
 	Mem  *memory.Mem
 	Ctx  *solver.Context
-	Here PortRef
+	Here *port
 
 	Status  Status
 	FailMsg string
 
 	// hist is the port-visit history, shared-prefix across forks.
-	hist *trail[PortRef]
+	hist *trail[*port]
 	// trace records executed instructions when tracing is on.
 	trace   *trail[string]
 	traceOn bool
@@ -122,15 +110,15 @@ type state struct {
 	// the output ports the packet leaves through.
 	outPorts []int
 
-	// seen maps input-port keys to prior snapshots along this path
+	// seen maps input ports to prior snapshots along this path
 	// (persistent: snapshots are lazily shared across forks).
-	seen persist.Map[PortRef, []snapshot]
+	seen persist.Map[portID, []snapshot]
 
 	hops int
 }
 
 // pushHistory appends a port visit in O(1).
-func (st *state) pushHistory(p PortRef) { st.hist = st.hist.push(p) }
+func (st *state) pushHistory(p *port) { st.hist = st.hist.push(p) }
 
 // pushTrace appends a trace line in O(1) (no-op unless tracing).
 func (st *state) pushTrace(line string) {
@@ -172,11 +160,11 @@ func (st *state) leave(last bool) *state {
 	return st.clone()
 }
 
-// leaving is leave, positioned at the output port outRef.
-func (st *state) leaving(last bool, outRef PortRef) *state {
+// leaving is leave, positioned at the output port out.
+func (st *state) leaving(last bool, out *port) *state {
 	s := st.leave(last)
-	s.Here = outRef
-	s.pushHistory(outRef)
+	s.Here = out
+	s.pushHistory(out)
 	return s
 }
 
@@ -203,33 +191,34 @@ type Path struct {
 	// sibling paths. It is materialized on demand: most callers (batch
 	// reachability, benchmarks) never read full histories, and eager
 	// materialization was ~25% of fork-heavy runtime.
-	hist *trail[PortRef]
+	hist *trail[*port]
 }
 
-// History returns the port-visit history, oldest first. The slice is built
-// per call (callers that iterate repeatedly should hold on to it); Last
-// answers the common question without materializing.
-func (p *Path) History() []PortRef { return p.hist.slice() }
+// History returns the port-visit history, oldest first, rendered from the
+// port records the trail points at. The slice is built per call (callers
+// that iterate repeatedly should hold on to it); Last answers the common
+// question without materializing.
+func (p *Path) History() []PortRef { return render(p.hist, (*port).ref) }
 
 // Last returns the final port the path visited, in O(1).
 func (p *Path) Last() PortRef {
 	if p.hist == nil {
 		return PortRef{}
 	}
-	return p.hist.v
+	return p.hist.v.ref()
 }
 
 // HistoryTree numbers the distinct port visits of paths — the nodes of the
 // history trail their forks share — so the histories can be shipped or
 // stored at the size of the tree rather than the sum of their lengths.
-// Node k is a visit to port[k] after node parent[k] (-1: a first visit),
+// Node k is a visit to ports[k] after node parent[k] (-1: a first visit),
 // with parent[k] < k. leaf[i] is the node paths[i] ended on (-1: an empty
 // history), and the ports on the parent chain from it, read root first, are
 // paths[i].History(). No history is materialized along the way.
-func HistoryTree(paths []*Path) (parent []int32, port []PortRef, leaf []int32) {
-	ids := make(map[*trail[PortRef]]int32)
+func HistoryTree(paths []*Path) (parent []int32, ports []PortRef, leaf []int32) {
+	ids := make(map[*trail[*port]]int32)
 	leaf = make([]int32, len(paths))
-	var fresh []*trail[PortRef]
+	var fresh []*trail[*port]
 	for i, p := range paths {
 		// Climb to the first node already numbered (or past the root),
 		// then number the climbed nodes root side first.
@@ -243,15 +232,15 @@ func HistoryTree(paths []*Path) (parent []int32, port []PortRef, leaf []int32) {
 			fresh = append(fresh, t)
 		}
 		for j := len(fresh) - 1; j >= 0; j-- {
-			id := int32(len(port))
+			id := int32(len(ports))
 			ids[fresh[j]] = id
 			parent = append(parent, up)
-			port = append(port, fresh[j].v)
+			ports = append(ports, fresh[j].v.ref())
 			up = id
 		}
 		leaf[i] = up
 	}
-	return parent, port, leaf
+	return parent, ports, leaf
 }
 
 // HistoryPorts yields the port of every node of paths' history tree once:
@@ -260,14 +249,14 @@ func HistoryTree(paths []*Path) (parent []int32, port []PortRef, leaf []int32) {
 // it builds one pointer set and materializes no history.
 func HistoryPorts(paths []*Path) iter.Seq[PortRef] {
 	return func(yield func(PortRef) bool) {
-		seen := make(map[*trail[PortRef]]struct{})
+		seen := make(map[*trail[*port]]struct{})
 		for _, p := range paths {
 			for t := p.hist; t != nil; t = t.prev {
 				if _, ok := seen[t]; ok {
 					break
 				}
 				seen[t] = struct{}{}
-				if !yield(t.v) {
+				if !yield(t.v.ref()) {
 					return
 				}
 			}

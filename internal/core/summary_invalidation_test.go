@@ -40,7 +40,7 @@ func populate(t *testing.T, e *Element, port int, out bool) *prog.Program {
 
 // cached returns the program resident under a key, nil when there is none.
 func cached(e *Element, port int, out bool) *prog.Program {
-	c := e.code[progKey{out: out, port: port}]
+	c := e.at(port, out).code
 	if c == nil {
 		return nil
 	}
@@ -131,7 +131,7 @@ func TestPatchedOutCodeKeepsProgramRebuildsSummary(t *testing.T) {
 	if cached(e, 1, true) != p {
 		t.Error("PatchedOutCode replaced the compiled program")
 	}
-	if fmt.Sprint(e.code[progKey{out: true, port: 1}].src) != fmt.Sprint(guard) {
+	if src, _ := e.Code(1, true); fmt.Sprint(src) != fmt.Sprint(guard) {
 		t.Error("PatchedOutCode did not record the new source AST")
 	}
 	failing(guard)
