@@ -1,11 +1,16 @@
 package symnet
 
 import (
+	"bytes"
+	"encoding/gob"
+	"slices"
 	"testing"
 
 	"symnet/internal/core"
 	"symnet/internal/datasets"
+	"symnet/internal/expr"
 	"symnet/internal/models"
+	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -162,4 +167,141 @@ func TestForkHeavyAllocsPerPath(t *testing.T) {
 	if perPath > forkAllocsPerPath {
 		t.Fatalf("%.1f allocations per delivered path, budget %d", perPath, forkAllocsPerPath)
 	}
+}
+
+// TestCompileAdoptsLPMSpans: a router's table guard, compiled with the span
+// table tables.LPMRows wrote beside its rows, compiles to the program the
+// same guard gives without it. Both networks' core.EncodePrograms output
+// gob-encodes to the same bytes, cond fingerprints included. Every lowered
+// guard holds the same table, the compiler adopted the one the guard
+// carried, and a program decoded from the wire, which rebuilds its tables
+// from the rows, holds it too. That is checked on the cold-path core FIB
+// (both router styles that write tables) and on the department.
+func TestCompileAdoptsLPMSpans(t *testing.T) {
+	cold := func(style models.Style) func() *core.Network {
+		fib := datasets.CoreFIB(62500, 16, 1)
+		return func() *core.Network {
+			net := core.NewNetwork()
+			if err := models.Router(net.AddElement("R", "router", 1, 16), fib, style); err != nil {
+				t.Fatal(err)
+			}
+			return net
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() *core.Network
+	}{
+		{"cold egress", cold(models.Egress)},
+		{"cold ingress", cold(models.Ingress)},
+		{"department", func() *core.Network { return datasets.NewDepartment(datasets.DefaultDepartment()).Net }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			with, without := tc.build(), tc.build()
+			carried := map[core.PortRef][]*expr.SpanTable{}
+			for _, e := range without.Elements() {
+				for _, out := range []bool{false, true} {
+					n := e.NumIn
+					if out {
+						n = e.NumOut
+					}
+					for p := core.WildcardPort; p < n; p++ {
+						code, ok := e.Code(p, out)
+						if !ok {
+							continue
+						}
+						bare, spans := stripSpans(code, nil)
+						if len(spans) == 0 {
+							continue
+						}
+						ew, _ := with.Element(e.Name)
+						codeWith, _ := ew.Code(p, out)
+						_, carried[core.PortRef{Elem: e.Name, Port: p, Out: out}] = stripSpans(codeWith, nil)
+						if out {
+							e.SetOutCode(p, bare)
+						} else {
+							e.SetInCode(p, bare)
+						}
+					}
+				}
+			}
+			if len(carried) == 0 {
+				t.Fatal("no guard carries a span table")
+			}
+			wa, wb := encodePrograms(t, with), encodePrograms(t, without)
+			if !bytes.Equal(gobBytes(t, wa), gobBytes(t, wb)) {
+				t.Fatal("the programs' wire bytes differ with and without the carried span tables")
+			}
+			adopted := 0
+			for i, we := range wa {
+				e, _ := with.Element(we.Elem)
+				pa, _ := e.CachedProgram(we.Port, we.Out)
+				eb, _ := without.Element(we.Elem)
+				pb, _ := eb.CachedProgram(we.Port, we.Out)
+				dec, err := prog.DecodeProgram(wb[i].Prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ta, tb, td := prog.GuardTables(pa), prog.GuardTables(pb), prog.GuardTables(dec)
+				if len(ta) != len(tb) || len(ta) != len(td) {
+					t.Fatalf("%s port %d: %d, %d and %d lowered guards", we.Elem, we.Port, len(ta), len(tb), len(td))
+				}
+				for k := range ta {
+					for _, other := range []*prog.ITable{tb[k], td[k]} {
+						if !slices.Equal(ta[k].Table.Spans(), other.Table.Spans()) || ta[k].Table.Fp() != other.Table.Fp() {
+							t.Fatalf("%s port %d guard %d: tables differ: %v and %v", we.Elem, we.Port, k, ta[k].Table, other.Table)
+						}
+					}
+					if slices.Contains(carried[core.PortRef{Elem: we.Elem, Port: we.Port, Out: we.Out}], ta[k].Table) {
+						adopted++
+					}
+				}
+			}
+			if adopted == 0 {
+				t.Fatal("no lowered guard adopted the table its guard carried")
+			}
+			t.Logf("%d programs, %d lowered guards adopted their carried tables", len(wa), adopted)
+		})
+	}
+}
+
+// stripSpans returns code with the span table dropped from the table guards
+// the router models write — an egress port's Constrain, an ingress port's
+// If chain — and appends the dropped tables to spans.
+func stripSpans(code sefl.Instr, spans []*expr.SpanTable) (sefl.Instr, []*expr.SpanTable) {
+	strip := func(c sefl.Cond) sefl.Cond {
+		if tb, ok := c.(sefl.Table); ok && tb.Spans != nil {
+			spans = append(spans, tb.Spans)
+			tb.Spans = nil
+			return tb
+		}
+		return c
+	}
+	switch v := code.(type) {
+	case sefl.Constrain:
+		return sefl.Constrain{C: strip(v.C)}, spans
+	case sefl.If:
+		v.C = strip(v.C)
+		v.Else, spans = stripSpans(v.Else, spans)
+		return v, spans
+	}
+	return code, spans
+}
+
+func encodePrograms(t *testing.T, net *core.Network) []core.WireProgramEntry {
+	t.Helper()
+	w, err := core.EncodePrograms(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

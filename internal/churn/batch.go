@@ -289,15 +289,15 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			s.unverified[i] = true
 		}
 	} else {
-		// Each port's guard rows, as models.Router's Egress style builds
-		// them.
-		oldRows := tables.LPMRows(oldFib, e.NumOut)
-		newRows := tables.LPMRows(newFib, e.NumOut)
+		// Each port's guard rows and span table, as models.Router's Egress
+		// style builds them.
+		oldRows, _ := tables.LPMRows(oldFib, e.NumOut)
+		newRows, newSpans := tables.LPMRows(newFib, e.NumOut)
 		for _, p := range ports {
 			if slices.EqualFunc(oldRows[p], newRows[p], equalRow) {
 				continue
 			}
-			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.RouterEgressGuard(newRows[p]))
+			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.RouterEgressGuard(newRows[p], newSpans[p]))
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}

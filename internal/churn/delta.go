@@ -1,8 +1,9 @@
 // Package churn implements incremental re-verification under forwarding-rule
 // churn: a resident Service holds a compiled network plus its all-pairs
 // reachability report, accepts rule-level deltas (FIB route or MAC entry
-// insert/delete/modify), patches the affected egress guard's span table in
-// place (expr.SpanTable.PatchWindow + prog.PatchGuard) instead of
+// insert/delete/modify), replaces the affected egress guard's span table in
+// place (prog.PatchGuard, with the table a router's new guard carries or a
+// switch's old table patched by expr.SpanTable.PatchWindow) instead of
 // recompiling, and re-runs only the sources whose explorations actually
 // traversed the touched port. The resident report stays byte-identical to a
 // from-scratch verification of the updated network (pinned by the

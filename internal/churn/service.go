@@ -216,10 +216,12 @@ func (s *Service) apply(d Delta) (*BatchResult, error) {
 }
 
 // reconcilePort installs a changed port guard — the Constrain of a table
-// the models rebuilt — by the cheapest sound means: patch the resident
-// compiled program's span table inside the delta's address window with the
-// table's rows when the guard is lowered and stays lowerable, otherwise fall
-// back to recompilation.
+// the models rebuilt — by the cheapest sound means: when the guard is
+// lowered and stays lowerable, patch the resident compiled program's span
+// table, adopting the one the guard carries (a router's, from
+// tables.LPMRows) or else patching the old one inside the delta's address
+// window with the table's rows (a switch's); otherwise fall back to
+// recompilation.
 func (s *Service) reconcilePort(e *core.Element, port int, lo, hi uint64, guard sefl.Constrain) Action {
 	cp, ok := e.CachedProgram(port, true)
 	if !ok {
@@ -230,21 +232,23 @@ func (s *Service) reconcilePort(e *core.Element, port int, lo, hi uint64, guard 
 		return actionRecompiled
 	}
 	its := prog.GuardTables(cp)
-	table, _ := guard.C.(sefl.Table)
-	rows, w := table.Rows, table.F.Size
+	guardTable, _ := guard.C.(sefl.Table)
+	rows, w := guardTable.Rows, guardTable.F.Size
 	// The patch tier needs the fresh compile's shape to be one lowered
 	// table: expr.TableSized is the compiler's lowering gate.
 	if len(its) == 1 && its[0].Table != nil && its[0].W == w && expr.TableSized(rows) {
-		oldFp := its[0].Table.Fp()
-		var repl []expr.Span // PatchWindow clips it to [lo, hi]
-		for _, r := range rows {
-			if r.V > hi || r.V|rowSpread(r, w) < lo {
-				continue
+		table := guardTable.Spans
+		if table == nil {
+			var repl []expr.Span // PatchWindow clips it to [lo, hi]
+			for _, r := range rows {
+				if r.V > hi || r.V|rowSpread(r, w) < lo {
+					continue
+				}
+				repl = append(repl, prog.RowSolutionSet(r, w)...)
 			}
-			repl = append(repl, prog.RowSolutionSet(r, w)...)
+			table = its[0].Table.PatchWindow(lo, hi, repl)
 		}
-		table := its[0].Table.PatchWindow(lo, hi, repl)
-		if n := prog.PatchGuard(cp, prog.PatchSpec{OldFp: oldFp, Rows: rows, Table: table, Ins: guard}); n > 0 {
+		if n := prog.PatchGuard(cp, prog.PatchSpec{OldFp: its[0].Table.Fp(), Rows: rows, Table: table, Ins: guard}); n > 0 {
 			e.PatchedOutCode(port, guard)
 			s.patchedPorts.Inc()
 			return actionPatched
@@ -292,7 +296,7 @@ func (s *Service) reverify(res *BatchResult) error {
 	jobs := make([]dist.Job, len(idx))
 	for k, i := range idx {
 		src := s.cfg.Sources[i]
-		jobs[k] = dist.Job{Name: src.String(), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
+		jobs[k] = dist.Job{Name: s.cfg.Net.PortName(src), Inject: src, Packet: s.cfg.Packet, Opts: s.cfg.Opts}
 	}
 	results := s.cfg.Runner.RunBatch(s.cfg.Net, jobs)
 	for k := range results {

@@ -153,3 +153,23 @@ func TestHistoryNodeSize(t *testing.T) {
 		t.Errorf("a history node is %d bytes, want 24", n)
 	}
 }
+
+// TestPortNameRenderedOnce: Network.PortName renders a port as
+// PortRef.String does, the wildcard and a port the network lacks included,
+// and a port it has is rendered once: asking again allocates nothing.
+func TestPortNameRenderedOnce(t *testing.T) {
+	net := NewNetwork()
+	net.AddElement("sw", "switch", 2, 3)
+	for _, ref := range []PortRef{
+		{Elem: "sw", Port: 1}, {Elem: "sw", Port: 2, Out: true}, {Elem: "sw", Port: WildcardPort, Out: true},
+		{Elem: "sw", Port: 7}, {Elem: "nope", Port: 0},
+	} {
+		if got, want := net.PortName(ref), ref.String(); got != want {
+			t.Fatalf("PortName(%#v) = %q, want %q", ref, got, want)
+		}
+	}
+	ref := PortRef{Elem: "sw", Port: 1}
+	if n := testing.AllocsPerRun(10, func() { net.PortName(ref) }); n != 0 {
+		t.Fatalf("asking for a rendered name again allocates %.0f objects", n)
+	}
+}

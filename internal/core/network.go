@@ -58,7 +58,8 @@ type port struct {
 	num  int
 	out  bool
 	id   portID
-	code *portCode // nil when the record has no code of its own
+	code *portCode              // nil when the record has no code of its own
+	name atomic.Pointer[string] // the rendered PortRef, once Network.PortName asked
 }
 
 func (p *port) ref() PortRef { return PortRef{Elem: p.elem.Name, Port: p.num, Out: p.out} }
@@ -321,6 +322,24 @@ func (n *Network) MustLink(fromElem string, fromPort int, toElem string, toPort 
 	if err := n.Link(fromElem, fromPort, toElem, toPort); err != nil {
 		panic(err)
 	}
+}
+
+// PortName returns ref rendered as PortRef.String renders it, kept on the
+// port's record the first time it is asked, so a name asked for by every
+// batch — a source's job name — is rendered once per network. A port the
+// network lacks is rendered each time.
+func (n *Network) PortName(ref PortRef) string {
+	if e, ok := n.elems[ref.Elem]; ok {
+		if p := e.at(ref.Port, ref.Out); p != nil {
+			if s := p.name.Load(); s != nil {
+				return *s
+			}
+			s := ref.String()
+			p.name.Store(&s)
+			return s
+		}
+	}
+	return ref.String()
 }
 
 // Follow returns the input port linked to an output port.

@@ -56,6 +56,14 @@ func NewSpanTable(width int, spans []Span) *SpanTable {
 	return canonSorted(width, ivs)
 }
 
+// NewSortedSpanTable is NewSpanTable for spans already clipped to the
+// universe and sorted by Lo, as an ascending sweep emits them: it skips the
+// clip and the sort, so the table and its fingerprint are NewSpanTable's of
+// the same spans. The table keeps spans, merged in place, as its own.
+func NewSortedSpanTable(width int, spans []Span) *SpanTable {
+	return canonSorted(width, spans)
+}
+
 // SortSpans sorts a by Lo and returns the sorted spans: a itself, or buf
 // (which must be at least as long) when the last merge pass wrote there.
 // Both slices are scratch and neither is retained. It merges a's maximal

@@ -23,7 +23,7 @@ import (
 // Table 2's winner).
 //
 // Ingress and Egress write each port's disjunction as a sefl.Table on IPDst,
-// whose rows are tables.LPMRows' for that port.
+// whose rows and span table are tables.LPMRows' for that port.
 func Router(e *core.Element, fib tables.FIB, style Style) error {
 	if len(fib) > tables.MaxRoutes {
 		return fmt.Errorf("models: router %s: %d routes, more than the %d CompileLPM takes", e.Name, len(fib), tables.MaxRoutes)
@@ -55,22 +55,22 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 		}
 		e.SetInCode(core.WildcardPort, code)
 	case Ingress:
-		rows := tables.LPMRows(fib, e.NumOut)
+		rows, spans := tables.LPMRows(fib, e.NumOut)
 		code := sefl.Instr(sefl.Fail{Msg: "no route"})
 		for i := len(ports) - 1; i >= 0; i-- {
 			p := ports[i]
 			code = sefl.If{
-				C:    sefl.Table{F: sefl.IPDst, Rows: rows[p]},
+				C:    sefl.Table{F: sefl.IPDst, Rows: rows[p], Spans: spans[p]},
 				Then: sefl.Forward{Port: p},
 				Else: code,
 			}
 		}
 		e.SetInCode(core.WildcardPort, code)
 	case Egress:
-		rows := tables.LPMRows(fib, e.NumOut)
+		rows, spans := tables.LPMRows(fib, e.NumOut)
 		e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
 		for _, p := range ports {
-			e.SetOutCode(p, RouterEgressGuard(rows[p]))
+			e.SetOutCode(p, RouterEgressGuard(rows[p], spans[p]))
 		}
 	default:
 		return fmt.Errorf("models: unknown router style %v", style)
@@ -79,9 +79,9 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 }
 
 // RouterEgressGuard returns the output-port guard instruction the Egress
-// router style installs for one port's tables.LPMRows rows — exported so an
-// incremental updater rebuilds a single port's guard after a FIB delta as
-// the whole model construction would.
-func RouterEgressGuard(rows []expr.GuardRow) sefl.Constrain {
-	return sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: rows}}
+// router style installs for one port's tables.LPMRows rows and span table —
+// exported so an incremental updater rebuilds a single port's guard after a
+// FIB delta as the whole model construction would.
+func RouterEgressGuard(rows []expr.GuardRow, spans *expr.SpanTable) sefl.Constrain {
+	return sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: rows, Spans: spans}}
 }

@@ -298,12 +298,13 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 		cc = &cCond{Kind: cAnd, Cs: cs}
 	case sefl.Table:
 		// A table guard lowers straight from its rows, which the node
-		// aliases; one that is malformed or too small to be worth a span
-		// table (expr.TableSized) compiles as the Or-tree it stands for.
+		// aliases, and adopts the span table the rows came with, if any;
+		// one that is malformed or too small to be worth a span table
+		// (expr.TableSized) compiles as the Or-tree it stands for.
 		if v.Check() != nil || !expr.TableSized(v.Rows) {
 			return c.compileCond(v.Or())
 		}
-		cc = &cCond{Kind: cIntervalTable, IT: &ITable{F: hdrLV(v.F), W: v.F.Size, Rows: v.Rows}}
+		cc = &cCond{Kind: cIntervalTable, IT: &ITable{F: hdrLV(v.F), W: v.F.Size, Rows: v.Rows, Table: v.Spans}}
 		itableLowered.Add(1)
 	case sefl.COr:
 		cs := make([]*cCond, len(v.Cs))
@@ -328,7 +329,7 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 	if cand := findCond(c.conds, cc); cand != nil {
 		return cand
 	}
-	if cc.Kind == cIntervalTable {
+	if cc.Kind == cIntervalTable && cc.IT.Table == nil {
 		buildITable(cc.IT)
 	}
 	finishCond(cc)

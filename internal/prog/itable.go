@@ -9,8 +9,12 @@ package prog
 // well-formed table worth one (expr.TableSized) to a cIntervalTable node
 // holding those rows plus their merged span table, so each visit costs one
 // field read plus one packed-set assertion (expr.InSet) instead of an
-// Or-tree the solver compresses to the same set on every visit. A
-// hand-written Or stays an Or-tree: nothing parses trees back into rows.
+// Or-tree the solver compresses to the same set on every visit. A router's
+// table arrives with its span table already built (sefl.Table.Spans, from
+// tables.LPMRows's sweep), which the node adopts; buildITable merges one
+// from the rows for every other table — a switch's, a hand-written one, one
+// decoded from the wire. A hand-written Or stays an Or-tree: nothing parses
+// trees back into rows.
 //
 // The rows are the guard. Everything a condition node carries — its
 // fingerprint, its fresh-symbol flag, the span table — is computed from
@@ -76,15 +80,16 @@ func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []ex
 	return append(dst, expr.Span{Lo: lo, Hi: hi})
 }
 
-// buildITable computes the merged span table from the rows. It is shared by
-// the compiler and the wire decoder, so a decoded table is identical to the
-// coordinator's. Every row's spans go into one buffer that is normalised
-// once, and that buffer is NewSpanTable's scratch. No comparator sorts it:
-// the rows come in table order, and each row's spans ascend, so rows whose
-// heads ascend — a router's of one prefix length, in CompileLPM order, or a
-// switch's sorted MACs — make one ascending run, and expr.SortSpans merges
-// the few runs there are (at most 33 for a router's port, one for a
-// switch's).
+// buildITable computes the merged span table from the rows, for the tables
+// that come without one: the wire decoder's, whose result must equal the
+// table the coordinator adopted or built, and, in the compiler, any table
+// tables.LPMRows did not write. Every row's spans go into one buffer that
+// is normalised once, and that buffer is NewSpanTable's scratch. No
+// comparator sorts it: the rows come in table order, and each row's spans
+// ascend, so rows whose heads ascend — a router's of one prefix length, in
+// CompileLPM order, or a switch's sorted MACs — make one ascending run, and
+// expr.SortSpans merges the few runs there are (at most 33 for a router's
+// port, one for a switch's).
 func buildITable(it *ITable) {
 	total, deepest := len(it.Rows), 0
 	for i := range it.Rows {

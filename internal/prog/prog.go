@@ -205,7 +205,8 @@ type ITable struct {
 	F    LV  // field l-value (a header field)
 	W    int // field width (== F.Size)
 	Rows []ITRow
-	// Table is the rows' merged span table.
+	// Table is the rows' merged span table: adopted from the sefl.Table
+	// when it carries one (a router's), built by buildITable otherwise.
 	Table *expr.SpanTable
 
 	// view is the Or-tree the rows stand for; see cCond.children.

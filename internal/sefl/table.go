@@ -5,10 +5,11 @@ package sefl
 // the port's MACs, IPDst lies in one of its routes but in none of the
 // more-specific routes that win over it. Table is that condition as the
 // models hold it, one row per entry, instead of the Or-tree it stands for.
-// The compiler lowers the rows straight to a span table (internal/prog), the
-// wire ships them as a flat word stream, and a reader that wants the tree —
-// the AST interpreter, a malformed table's compile — builds it with Or. Rows
-// use the packed-guard vocabulary of internal/expr (expr.GuardRow,
+// The compiler lowers the rows straight to a span table (internal/prog), or
+// adopts the one a router's table carries (Spans), the wire ships the rows
+// as a flat word stream, and a reader that wants the tree — the AST
+// interpreter, a malformed table's compile — builds it with Or. Rows use the
+// packed-guard vocabulary of internal/expr (expr.GuardRow,
 // expr.PackGuardRows), the stream the IR codec ships too.
 import (
 	"fmt"
@@ -23,6 +24,12 @@ import (
 type Table struct {
 	F    Hdr
 	Rows []expr.GuardRow
+	// Spans, when not nil, is the rows' merged span table over F — exactly
+	// the canonical table the compiler would merge from them — which the
+	// compiler then adopts instead. It is derived: only tables.LPMRows's
+	// output sets it, the wire never carries it (a decoded table has none),
+	// and Or, String and Check ignore it.
+	Spans *expr.SpanTable
 }
 
 func (Table) isCond() {}

@@ -33,8 +33,10 @@ func checkRejected(t *testing.T, data []byte, what string, err error) {
 // FuzzParseFIB: ParseFIB never panics; every route it accepts is a prefix of
 // length 0 to 32 with its host bits zero and a port that is not negative;
 // what it accepts writes back (FIB.WriteTo) to text that parses to the same
-// routes; what it rejects it rejects naming a line of the input; and every
-// line the one-pass reader takes, the tokenizer reads as the same route.
+// routes; what it rejects it rejects naming a line of the input; every line
+// the one-pass reader takes, the tokenizer reads as the same route; and,
+// when its ports are below 64, each port's span table from LPMRows's sweep
+// is the set its rows stand for, subtracted naively (naiveRowSpans).
 func FuzzParseFIB(f *testing.F) {
 	for _, s := range []string{
 		"10.0.0.0/8 0\n192.168.0.0/24 1\n0.0.0.0/0 2\n",
@@ -48,6 +50,7 @@ func FuzzParseFIB(f *testing.F) {
 		"10.0.0.0/8 1 # core\n10.0.0.0/8 1#core\n",
 		"0.0.0.0/0 2147483647\n255.255.255.255/32 1234567890\n",
 		"10.0.0.0/8 9999999999\n",
+		"0.0.0.0/0 1\n10.0.0.0/8 2\n10.1.0.0/16 1\n10.1.2.0/24 3\n10.1.3.0/24 3\n11.0.0.0/8 2\n255.255.255.255/32 0\n",
 	} {
 		f.Add([]byte(s))
 	}
@@ -91,7 +94,52 @@ func FuzzParseFIB(f *testing.F) {
 		if err != nil || !slices.Equal(back, fib) {
 			t.Fatalf("WriteTo → ParseFIB: %v, %v; want %v", back, err, fib)
 		}
+		if ports := fib.Ports(); len(ports) == 0 || ports[len(ports)-1] < 64 {
+			nports := 1
+			if len(ports) > 0 {
+				nports = ports[len(ports)-1] + 1
+			}
+			rows, spans := LPMRows(fib, nports)
+			for p := range nports {
+				want := expr.NewSpanTable(32, naiveRowSpans(rows[p]))
+				if !slices.Equal(spans[p].Spans(), want.Spans()) || spans[p].Fp() != want.Fp() {
+					t.Fatalf("port %d of %v: the sweep's spans %v, the rows' %v", p, fib, spans[p].Spans(), want.Spans())
+				}
+			}
+		}
 	})
+}
+
+// naiveRowSpans is the address set of a port's rows: each row's head range
+// minus its exclusions, subtracted one at a time from a list of spans, the
+// rows' lists appended.
+func naiveRowSpans(rows []expr.GuardRow) []expr.Span {
+	prefix := func(v uint64, plen int) expr.Span {
+		return expr.Span{Lo: v, Hi: v | expr.Mask(32)&^expr.PrefixMask(plen, 32)}
+	}
+	var out []expr.Span
+	for _, r := range rows {
+		set := []expr.Span{prefix(r.V, r.Len)}
+		for _, e := range r.Excl {
+			x := prefix(e.V, e.Len)
+			var rest []expr.Span
+			for _, s := range set {
+				if x.Hi < s.Lo || x.Lo > s.Hi {
+					rest = append(rest, s)
+					continue
+				}
+				if s.Lo < x.Lo {
+					rest = append(rest, expr.Span{Lo: s.Lo, Hi: x.Lo - 1})
+				}
+				if x.Hi < s.Hi {
+					rest = append(rest, expr.Span{Lo: x.Hi + 1, Hi: s.Hi})
+				}
+			}
+			set = rest
+		}
+		out = append(out, set...)
+	}
+	return out
 }
 
 // prefixOracle is ParsePrefix read field by field with the standard library:

@@ -333,9 +333,14 @@ func CompileLPM(f FIB) []CompiledRoute {
 // it, without the CompiledRoutes: for each port below nports, a prefix row
 // per route to that port, in CompileLPM order, whose exclusions are the
 // route's, in CompileLPM order too. The rows of all ports are one array and
-// their exclusions another, both laid out port after port. Every route's
-// port must be below nports; the other preconditions are CompileLPM's.
-func LPMRows(f FIB, nports int) [][]expr.GuardRow {
+// their exclusions another, both laid out port after port. Beside the rows
+// it returns each port's canonical span table over the 32-bit address
+// field — the addresses whose longest match is a route to that port, which
+// is the set the port's rows stand for — from the same sort and nesting
+// sweep (lpm.portSpans), so a compiler need not merge the rows again. Every
+// route's port must be below nports; the other preconditions are
+// CompileLPM's.
+func LPMRows(f FIB, nports int) ([][]expr.GuardRow, []*expr.SpanTable) {
 	l := newLPM(f)
 	// at counts each port's rows and exclusions, then is where the next of
 	// each goes, so in the end port p's rows stop at at[p].row and start
@@ -377,11 +382,93 @@ func LPMRows(f FIB, nports int) [][]expr.GuardRow {
 	for p, c := range at {
 		out[p], lo = rows[lo:c.row:c.row], c.row
 	}
+	return out, l.portSpans(nports)
+}
+
+// portSpans returns each port's canonical span table: the addresses whose
+// longest match is a route to that port. Walked prefix-ascending with the
+// open routes on a stack (the parent links), the routes cut the address
+// space into elementary intervals in ascending order, each won by the
+// innermost open route, or by none in a gap. Each interval goes to its
+// winner's port, merged into the port's last span when it continues it, so
+// every port's spans come out sorted, disjoint and non-adjacent: no sort and
+// no merge is left to do. A first walk counts each port's spans, a second
+// writes them into one array laid out port after port.
+func (l *lpm) portSpans(nports int) []*expr.SpanTable {
+	s := spanSweep{at: make([]int32, nports), next: make([]uint64, nports)}
+	l.sweep(&s)
+	var n int32
+	for p, c := range s.at {
+		s.at[p], n = n, n+c
+	}
+	s.buf = make([]expr.Span, n)
+	l.sweep(&s)
+	out := make([]*expr.SpanTable, nports)
+	lo := int32(0)
+	for p, hi := range s.at {
+		out[p], lo = expr.NewSortedSpanTable(32, s.buf[lo:hi:hi]), hi
+	}
 	return out
 }
 
+// spanSweep is where lpm.sweep puts the intervals: counted per port while
+// buf is nil, then written there.
+type spanSweep struct {
+	buf  []expr.Span
+	at   []int32  // per port: its spans counted, then the slot past its last
+	next []uint64 // per port: the address right after its last span
+}
+
+// noSpan is a next that no interval starts at: addresses are 32 bits.
+const noSpan = ^uint64(0)
+
+// emit gives the addresses lo to hi to port p.
+func (s *spanSweep) emit(p, lo, hi uint64) {
+	if s.next[p] != lo {
+		if s.buf != nil {
+			s.buf[s.at[p]].Lo = lo
+		}
+		s.at[p]++
+	}
+	if s.buf != nil {
+		s.buf[s.at[p]-1].Hi = hi
+	}
+	s.next[p] = hi + 1
+}
+
+// sweep emits every elementary address interval a route wins, ascending.
+func (l *lpm) sweep(s *spanSweep) {
+	for p := range s.next {
+		s.next[p] = noSpan
+	}
+	end := func(i int32) uint64 { return l.rs[i]>>32 | expr.Mask(32)>>keyLen(l.rs[i]) }
+	from, top := uint64(0), int32(-1) // the first address not yet emitted; the stack's top
+	for i := 0; i <= len(l.rs); i++ {
+		// The routes that end before this one starts close: each wins what
+		// is left of it. What remains open contains this route and wins up
+		// to its start; a gap goes to no port. Past the last route every
+		// route closes.
+		lo := uint64(1) << 32
+		if i < len(l.rs) {
+			lo = l.rs[i] >> 32
+		}
+		for ; top >= 0 && end(top) < lo; top = l.parent[top] {
+			if hi := end(top); from <= hi {
+				s.emit(l.port[top], from, hi)
+				from = hi + 1
+			}
+		}
+		if top >= 0 && from < lo {
+			s.emit(l.port[top], from, lo-1)
+		}
+		from, top = lo, int32(i)
+	}
+}
+
 // lpm is what CompileLPM and LPMRows share: the distinct routes sorted by
-// (prefix, length), how they nest, and the order they come out in.
+// (prefix, length), how they nest, and the order they come out in. LPMRows
+// also walks it in (prefix, length) order for the ports' span tables
+// (portSpans).
 //
 // It is one radix sort of packed keys and a sweep. A route's key is
 // prefix<<32 | len<<26 | position, so the keys in ascending order are the

@@ -68,7 +68,7 @@ func AllPairsReachability(net *core.Network, sources []core.PortRef, packet sefl
 	pm := newPairMetrics(o)
 	jobs := make([]dist.Job, len(sources))
 	for i, src := range sources {
-		jobs[i] = dist.Job{Name: src.String(), Inject: src, Packet: packet, Opts: opts}
+		jobs[i] = dist.Job{Name: net.PortName(src), Inject: src, Packet: packet, Opts: opts}
 	}
 	results := runner.RunBatch(net, jobs)
 	rep := &AllPairsReport{
