@@ -8,6 +8,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/expr"
 	"symnet/internal/models"
+	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
 
@@ -39,43 +40,24 @@ type BatchResult struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
-// window accumulates the address region a batch's deltas can affect on one
-// element's guards. Each delta's membership changes are confined to its own
-// rule's address window, so the union window bounds the whole batch's and a
-// single span-table patch inside it is exact (the replacement spans are
-// recomputed from the element's final rule set).
-type window struct {
-	lo, hi uint64
-	set    bool
-}
-
-func (w *window) widen(lo, hi uint64) {
-	if !w.set || lo < w.lo {
-		w.lo = lo
-	}
-	if !w.set || hi > w.hi {
-		w.hi = hi
-	}
-	w.set = true
-}
-
-// elemStage is one element's staged table plus the union window of the
-// deltas staged against it.
+// elemStage is one element's staged table — a router's FIB or a switch's
+// MAC table — with the sorted output ports of the resident table it was
+// copied from and of the staged one.
 type elemStage struct {
 	isFIB bool
 	fib   tables.FIB
 	mac   tables.MACTable
-	win   window
-	n     int // deltas staged against this element
+	was   []int // the resident table's ports
+	ports []int // the staged table's ports
 }
 
 // stage accumulates rule deltas against copies of the authoritative tables
 // without touching resident state. Add is atomic per delta — an inapplicable
-// delta (unknown element, duplicate insert, delete of a missing rule) leaves
-// the stage unchanged, so a caller can skip it and keep staging. commit
-// reconciles every staged table against the network in one pass: one guard
-// patch per changed port, one re-verification of the union dirty set, one
-// published report version.
+// delta (unknown element, duplicate insert, delete of a missing rule, or a
+// table the element's model would refuse) leaves the stage unchanged, so a
+// caller can skip it and keep staging. commit reconciles every staged table
+// against the network in one pass: one guard patch per changed port, one
+// re-verification of the union dirty set, one published report version.
 type stage struct {
 	svc    *Service
 	elems  map[string]*elemStage
@@ -91,23 +73,85 @@ func (s *Service) newStage() *stage {
 // Deltas returns the number of deltas staged so far.
 func (st *stage) Deltas() int { return st.deltas }
 
-// Add stages one delta: validates it and applies it to the staged copy of
-// its element's table. On error the stage is unchanged.
+// Add stages one delta: validates it, applies it to the staged copy of its
+// element's table and checks the result as models.Router or models.Switch
+// would (models.CheckTable), so commit never meets a table its model
+// refuses. On error the stage is unchanged.
 func (st *stage) Add(d Delta) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	if _, ok := st.svc.cfg.Net.Element(d.Elem); !ok {
+	e, ok := st.svc.cfg.Net.Element(d.Elem)
+	if !ok {
 		return fmt.Errorf("churn: unknown element %q", d.Elem)
 	}
-	if d.Prefix != "" {
-		return st.addFIB(d)
+	es, err := st.elemFor(d.Elem, d.Prefix != "")
+	if err != nil {
+		return err
 	}
-	return st.addMAC(d)
+	var ports []int
+	if es.isFIB {
+		pfx, plen, _ := tables.ParsePrefix(d.Prefix) // Validate parsed it
+		i := slices.IndexFunc(es.fib, func(r tables.Route) bool { return r.Prefix == pfx && r.Len == plen })
+		ports, err = edit(e, "router", &es.fib, i, d, "route "+d.Prefix,
+			tables.Route{Prefix: pfx, Len: plen, Port: d.Port}, func(r *tables.Route) *int { return &r.Port })
+	} else {
+		mac, _ := tables.ParseMAC(d.MAC) // Validate parsed it
+		i := slices.IndexFunc(es.mac, func(m tables.MACEntry) bool { return m.MAC == mac })
+		ports, err = edit(e, "switch", &es.mac, i, d, "MAC "+d.MAC,
+			tables.MACEntry{MAC: mac, Port: d.Port}, func(m *tables.MACEntry) *int { return &m.Port })
+	}
+	if err != nil {
+		return err
+	}
+	if _, ok := st.elems[d.Elem]; !ok {
+		st.elems[d.Elem] = es
+		st.order = append(st.order, d.Elem)
+	}
+	es.ports = ports
+	st.deltas++
+	return nil
 }
 
-// elemFor returns the element's stage, creating it from the authoritative
-// table on first touch.
+// ruleTable is a forwarding table churn stages: a FIB or a MAC table.
+type ruleTable[R any] interface {
+	~[]R
+	Ports() []int
+}
+
+// edit applies d to *tbl, whose row i is the rule d names (i < 0: it has
+// none) and to which an insert appends ins, and returns the edited table's
+// ports. It refuses a duplicate insert, a missing rule, and an edited table
+// e's model would refuse (models.CheckTable), leaving *tbl's rows as they
+// were: an insert appends past their end, a delete copies them, and a
+// refused modify puts the port back.
+func edit[T ruleTable[R], R any](e *core.Element, kind string, tbl *T, i int, d Delta, rule string, ins R, port func(*R) *int) ([]int, error) {
+	t, was := *tbl, 0
+	switch {
+	case d.Op == OpInsert && i >= 0:
+		return nil, fmt.Errorf("churn: %s already has %s", d.Elem, rule)
+	case d.Op != OpInsert && i < 0:
+		return nil, fmt.Errorf("churn: %s has no %s", d.Elem, rule)
+	case d.Op == OpInsert:
+		t = append(t, ins)
+	case d.Op == OpDelete:
+		t = append(t[:i:i], t[i+1:]...)
+	default:
+		was, *port(&t[i]) = *port(&t[i]), d.Port
+	}
+	ports := t.Ports()
+	if err := models.CheckTable(e, kind, ports); err != nil {
+		if d.Op == OpModify {
+			*port(&t[i]) = was
+		}
+		return nil, err
+	}
+	*tbl = t
+	return ports, nil
+}
+
+// elemFor returns the element's stage, creating an unregistered one from the
+// authoritative table on first touch (Add registers it once a delta lands).
 func (st *stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
 	if es, ok := st.elems[elem]; ok {
 		if es.isFIB != isFIB {
@@ -123,103 +167,22 @@ func (st *stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
 		if !ok {
 			return nil, fmt.Errorf("churn: element %q is not a registered router", elem)
 		}
-		es.fib = append(tables.FIB(nil), fib...)
+		es.fib, es.was = slices.Clone(fib), fib.Ports()
 	} else {
 		tbl, ok := st.svc.switches[elem]
 		if !ok {
 			return nil, fmt.Errorf("churn: element %q is not a registered switch", elem)
 		}
-		es.mac = append(tables.MACTable(nil), tbl...)
+		es.mac, es.was = slices.Clone(tbl), tbl.Ports()
 	}
-	st.elems[elem] = es
-	st.order = append(st.order, elem)
 	return es, nil
 }
 
-func (st *stage) addFIB(d Delta) error {
-	pfx, plen, err := tables.ParsePrefix(d.Prefix)
-	if err != nil {
-		return fmt.Errorf("churn: %w", err)
-	}
-	es, err := st.elemFor(d.Elem, true)
-	if err != nil {
-		return err
-	}
-	idx := -1
-	for i, r := range es.fib {
-		if r.Prefix == pfx && r.Len == plen {
-			idx = i
-			break
-		}
-	}
-	switch d.Op {
-	case OpInsert:
-		if idx >= 0 {
-			return fmt.Errorf("churn: %s already has route %s", d.Elem, d.Prefix)
-		}
-		es.fib = append(es.fib, tables.Route{Prefix: pfx, Len: plen, Port: d.Port})
-	case OpDelete:
-		if idx < 0 {
-			return fmt.Errorf("churn: %s has no route %s", d.Elem, d.Prefix)
-		}
-		es.fib = append(es.fib[:idx:idx], es.fib[idx+1:]...)
-	case OpModify:
-		if idx < 0 {
-			return fmt.Errorf("churn: %s has no route %s", d.Elem, d.Prefix)
-		}
-		es.fib[idx].Port = d.Port
-	}
-	es.win.widen(pfx, pfx|hostBits(plen, 32))
-	es.n++
-	st.deltas++
-	return nil
-}
-
-func (st *stage) addMAC(d Delta) error {
-	mac, err := tables.ParseMAC(d.MAC)
-	if err != nil {
-		return fmt.Errorf("churn: %w", err)
-	}
-	es, err := st.elemFor(d.Elem, false)
-	if err != nil {
-		return err
-	}
-	idx := -1
-	for i, en := range es.mac {
-		if en.MAC == mac {
-			idx = i
-			break
-		}
-	}
-	switch d.Op {
-	case OpInsert:
-		if idx >= 0 {
-			return fmt.Errorf("churn: %s already has MAC %s", d.Elem, d.MAC)
-		}
-		es.mac = append(es.mac, tables.MACEntry{MAC: mac, Port: d.Port})
-	case OpDelete:
-		if idx < 0 {
-			return fmt.Errorf("churn: %s has no MAC %s", d.Elem, d.MAC)
-		}
-		es.mac = append(es.mac[:idx:idx], es.mac[idx+1:]...)
-	case OpModify:
-		if idx < 0 {
-			return fmt.Errorf("churn: %s has no MAC %s", d.Elem, d.MAC)
-		}
-		es.mac[idx].Port = d.Port
-	}
-	es.win.widen(mac, mac)
-	es.n++
-	st.deltas++
-	return nil
-}
-
 // commit absorbs the staged batch into the resident service: per element,
-// reconcile its changed port guards once (patch inside the union window
-// where possible, recompile or rebuild otherwise), then run one
-// re-verification pass over the union dirty set and publish the next report
-// version. commit on an empty stage publishes nothing and returns an empty
-// result.
+// reconcile its changed port guards once (patch in place where possible,
+// recompile or rebuild otherwise), then run one re-verification pass over
+// the union dirty set and publish the next report version. commit on an
+// empty stage publishes nothing and returns an empty result.
 func (st *stage) commit() (*BatchResult, error) {
 	s := st.svc
 	if s.report == nil {
@@ -231,18 +194,7 @@ func (st *stage) commit() (*BatchResult, error) {
 		return res, nil
 	}
 	for _, elem := range st.order {
-		es := st.elems[elem]
-		e, ok := s.cfg.Net.Element(elem)
-		if !ok {
-			return nil, fmt.Errorf("churn: unknown element %q", elem)
-		}
-		var err error
-		if es.isFIB {
-			err = s.commitFIB(e, elem, es, res)
-		} else {
-			err = s.commitMAC(e, elem, es, res)
-		}
-		if err != nil {
+		if err := s.reconcile(elem, st.elems[elem], res); err != nil {
 			return nil, err
 		}
 	}
@@ -271,14 +223,21 @@ func (st *stage) commit() (*BatchResult, error) {
 	return res, nil
 }
 
-// commitFIB reconciles one router's staged table against the resident model.
-func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *BatchResult) error {
-	oldFib := s.routers[elem]
-	newFib := es.fib
-	ports := newFib.Ports()
-	if !slices.Equal(oldFib.Ports(), ports) {
-		// Fork list changes: regenerate the whole model.
-		if err := models.Router(e, newFib, models.Egress); err != nil {
+// reconcile reconciles one element's staged table against the resident
+// model. A changed port set regenerates the whole model (a new fork list);
+// otherwise every port whose Egress guard — as models.Router or
+// models.Switch builds it from the staged table — differs from the
+// installed one gets the new guard.
+func (s *Service) reconcile(elem string, es *elemStage, res *BatchResult) error {
+	e, _ := s.cfg.Net.Element(elem) // Add found it
+	if !slices.Equal(es.was, es.ports) {
+		var err error
+		if es.isFIB {
+			err = models.Router(e, es.fib, models.Egress)
+		} else {
+			err = models.Switch(e, es.mac, models.Egress)
+		}
+		if err != nil {
 			return err
 		}
 		s.rebuiltElems.Inc()
@@ -289,15 +248,13 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			s.unverified[i] = true
 		}
 	} else {
-		// Each port's guard rows and span table, as models.Router's Egress
-		// style builds them.
-		oldRows, _ := tables.LPMRows(oldFib, e.NumOut)
-		newRows, newSpans := tables.LPMRows(newFib, e.NumOut)
-		for _, p := range ports {
-			if slices.EqualFunc(oldRows[p], newRows[p], equalRow) {
+		guard := es.egressGuards(e)
+		for _, p := range es.ports {
+			g := guard(p)
+			if installed, _ := e.Code(p, true); sameGuard(installed, g) {
 				continue
 			}
-			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.RouterEgressGuard(newRows[p], newSpans[p]))
+			action := s.reconcilePort(e, p, g)
 			res.Action = worse(res.Action, action)
 			res.countPort(action)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}
@@ -307,50 +264,40 @@ func (s *Service) commitFIB(e *core.Element, elem string, es *elemStage, res *Ba
 			}
 		}
 	}
-	s.routers[elem] = newFib
+	if es.isFIB {
+		s.routers[elem] = es.fib
+	} else {
+		s.switches[elem] = es.mac
+	}
 	return nil
+}
+
+// egressGuards returns the staged table's per-port guards as the Egress
+// style of models.Router (one tables.LPMRows sweep) or models.Switch builds
+// them.
+func (es *elemStage) egressGuards(e *core.Element) func(port int) sefl.Constrain {
+	if es.isFIB {
+		rows, spans := tables.LPMRows(es.fib, e.NumOut)
+		return func(p int) sefl.Constrain { return models.RouterEgressGuard(rows[p], spans[p]) }
+	}
+	by := es.mac.ByPort()
+	return func(p int) sefl.Constrain { return models.SwitchEgressGuard(by[p]) }
+}
+
+// sameGuard reports whether the installed port code is the table guard g,
+// row for row.
+func sameGuard(installed sefl.Instr, g sefl.Constrain) bool {
+	c, ok := installed.(sefl.Constrain)
+	if !ok {
+		return false
+	}
+	was, ok := c.C.(sefl.Table)
+	return ok && slices.EqualFunc(was.Rows, g.C.(sefl.Table).Rows, equalRow)
 }
 
 // equalRow reports whether two guard rows are the same row.
 func equalRow(a, b expr.GuardRow) bool {
 	return a.Kind == b.Kind && a.V == b.V && a.Len == b.Len && slices.Equal(a.Excl, b.Excl)
-}
-
-// commitMAC reconciles one switch's staged table against the resident model.
-func (s *Service) commitMAC(e *core.Element, elem string, es *elemStage, res *BatchResult) error {
-	oldTbl := s.switches[elem]
-	newTbl := es.mac
-	ports := newTbl.Ports()
-	if !slices.Equal(oldTbl.Ports(), ports) {
-		if err := models.Switch(e, newTbl, models.Egress); err != nil {
-			return err
-		}
-		s.rebuiltElems.Inc()
-		s.pendingInvalidate = true
-		res.ElemsRebuilt++
-		res.Action = worse(res.Action, actionRebuilt)
-		for i := range s.visitedElem[elem] {
-			s.unverified[i] = true
-		}
-	} else {
-		oldBy := oldTbl.ByPort()
-		newBy := newTbl.ByPort()
-		for _, p := range ports {
-			if slices.Equal(oldBy[p], newBy[p]) {
-				continue
-			}
-			action := s.reconcilePort(e, p, es.win.lo, es.win.hi, models.SwitchEgressGuard(newBy[p]))
-			res.Action = worse(res.Action, action)
-			res.countPort(action)
-			ref := core.PortRef{Elem: elem, Port: p, Out: true}
-			s.pendingRefresh = append(s.pendingRefresh, ref)
-			for i := range s.visited[ref] {
-				s.unverified[i] = true
-			}
-		}
-	}
-	s.switches[elem] = newTbl
-	return nil
 }
 
 func (r *BatchResult) countPort(a Action) {

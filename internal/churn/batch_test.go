@@ -218,23 +218,48 @@ func TestStagePerDeltaAtomicity(t *testing.T) {
 }
 
 // TestApplyBatchAllOrNothing: applyBatch (unlike Resident.Submit) rejects
-// the whole batch when any delta fails to stage, leaving state untouched.
+// the whole batch when any delta fails to stage — a missing rule, or a
+// table the element's model would refuse (a route to a port the router
+// lacks, deletes that empty a table) — before anything is touched: no
+// version, no table, no installed guard moves.
 func TestApplyBatchAllOrNothing(t *testing.T) {
 	svc := newDiffService(t, 1)
-	before := svc.current().Version
-	fibBefore := slices.Clone(svc.routers["rt"])
-	_, err := svc.applyBatch([]Delta{
-		{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1},
-		{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"}, // not present
-	})
-	if err == nil {
-		t.Fatal("batch with inapplicable delta committed")
+	sw, _ := svc.cfg.Net.Element("sw")
+	var emptySw []Delta
+	for _, m := range diffMACs() {
+		emptySw = append(emptySw, Delta{Elem: "sw", Op: OpDelete, MAC: sefl.NumberToMAC(m.MAC)})
 	}
-	if svc.current().Version != before {
-		t.Fatal("failed batch bumped the version")
-	}
-	fibAfter := slices.Clone(svc.routers["rt"])
-	if len(fibAfter) != len(fibBefore) {
-		t.Fatal("failed batch mutated the FIB")
+	for name, ds := range map[string][]Delta{
+		"missing rule": {
+			{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1},
+			{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"}, // not present
+		},
+		"missing port": {
+			{Elem: "sw", Op: OpModify, MAC: sefl.NumberToMAC(0x020000000100), Port: 2},
+			{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 7},
+		},
+		"empty table": emptySw,
+	} {
+		before := svc.current().Version
+		fib, macs := slices.Clone(svc.routers["rt"]), slices.Clone(svc.switches["sw"])
+		code := make([]string, sw.NumOut)
+		for p := range code {
+			c, _ := sw.Code(p, true)
+			code[p] = fmt.Sprint(c)
+		}
+		if _, err := svc.applyBatch(ds); err == nil {
+			t.Fatalf("%s: batch committed", name)
+		}
+		if svc.current().Version != before {
+			t.Fatalf("%s: refused batch bumped the version", name)
+		}
+		if !slices.Equal(svc.routers["rt"], fib) || !slices.Equal(svc.switches["sw"], macs) {
+			t.Fatalf("%s: refused batch changed a resident table", name)
+		}
+		for p := range code {
+			if c, _ := sw.Code(p, true); fmt.Sprint(c) != code[p] {
+				t.Fatalf("%s: refused batch changed sw's port %d guard", name, p)
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package churn implements incremental re-verification under forwarding-rule
 // churn: a resident Service holds a compiled network plus its all-pairs
 // reachability report, accepts rule-level deltas (FIB route or MAC entry
-// insert/delete/modify), replaces the affected egress guard's span table in
-// place (prog.PatchGuard, with the table a router's new guard carries or a
-// switch's old table patched by expr.SpanTable.PatchWindow) instead of
+// insert/delete/modify), builds each changed output port's guard as the
+// element's Egress model would and patches it into the resident program in
+// place (prog.PatchGuard, which lowers it as Compile does: a router's guard
+// brings its span table, a switch's rows are merged into one) instead of
 // recompiling, and re-runs only the sources whose explorations actually
 // traversed the touched port. The resident report stays byte-identical to a
 // from-scratch verification of the updated network (pinned by the

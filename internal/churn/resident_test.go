@@ -5,11 +5,14 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"symnet/internal/dist"
+	"symnet/internal/sefl"
+	"symnet/internal/tables"
 	"symnet/internal/verify"
 )
 
@@ -143,6 +146,48 @@ func TestResidentMixedSuccess(t *testing.T) {
 	}
 	if svc.current().Version != before {
 		t.Fatal("all-rejected submission bumped the version")
+	}
+}
+
+// TestResidentRefusesModelErrorsPerDelta: a delta whose staged table the
+// element's model would refuse — here a route inserted or modified to port
+// 7 of a router with three output ports — is refused when it is staged, per
+// delta, so it cannot fail the commit of the good deltas it rode with: the
+// good MAC modify on sw and route insert on rt publish version 2 and leave
+// no source unverified.
+func TestResidentRefusesModelErrorsPerDelta(t *testing.T) {
+	svc := newDiffService(t, 1)
+	r := NewResident(svc, ResidentConfig{})
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	res, err := r.Submit(context.Background(), []Delta{
+		{Elem: "sw", Op: OpModify, MAC: sefl.NumberToMAC(0x020000000100), Port: 2},
+		{Elem: "rt", Op: OpInsert, Prefix: "98.0.0.0/8", Port: 0},
+		{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 7},
+		{Elem: "rt", Op: OpModify, Prefix: "20.0.0.0/8", Port: 7},
+	})
+	if err != nil {
+		t.Fatalf("submission failed as a whole: %v", err)
+	}
+	if res.Applied != 2 || !res.Statuses[0].Applied || !res.Statuses[1].Applied || res.Batch == nil || res.Batch.Version != 2 {
+		t.Fatalf("good deltas not published as version 2: %+v", res)
+	}
+	for _, st := range res.Statuses[2:] {
+		if st.Applied || !strings.Contains(st.Err, "port 7") {
+			t.Fatalf("route to a missing port: %+v, want refused naming port 7", st)
+		}
+	}
+	if got := svc.current().Version; got != 2 {
+		t.Fatalf("version %d, want 2", got)
+	}
+	if len(svc.unverified) != 0 {
+		t.Fatalf("%d sources left unverified", len(svc.unverified))
+	}
+	if slices.ContainsFunc(svc.routers["rt"], func(r tables.Route) bool { return r.Port == 7 }) {
+		t.Fatal("a refused route reached the resident FIB")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/dist"
-	"symnet/internal/expr"
 	"symnet/internal/obs"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
@@ -216,44 +215,20 @@ func (s *Service) apply(d Delta) (*BatchResult, error) {
 }
 
 // reconcilePort installs a changed port guard — the Constrain of a table
-// the models rebuilt — by the cheapest sound means: when the guard is
-// lowered and stays lowerable, patch the resident compiled program's span
-// table, adopting the one the guard carries (a router's, from
-// tables.LPMRows) or else patching the old one inside the delta's address
-// window with the table's rows (a switch's); otherwise fall back to
+// the models rebuilt — by the cheapest sound means: when the resident
+// compiled program has one lowered guard and the new guard lowers too,
+// patch that guard in place (prog.PatchGuard); otherwise fall back to
 // recompilation.
-func (s *Service) reconcilePort(e *core.Element, port int, lo, hi uint64, guard sefl.Constrain) Action {
-	cp, ok := e.CachedProgram(port, true)
-	if !ok {
-		// Never compiled (or already invalidated): the next run compiles the
-		// new guard lazily; there is nothing resident to patch.
-		e.SetOutCode(port, guard)
-		s.recompiledPorts.Inc()
-		return actionRecompiled
-	}
-	its := prog.GuardTables(cp)
-	guardTable, _ := guard.C.(sefl.Table)
-	rows, w := guardTable.Rows, guardTable.F.Size
-	// The patch tier needs the fresh compile's shape to be one lowered
-	// table: expr.TableSized is the compiler's lowering gate.
-	if len(its) == 1 && its[0].Table != nil && its[0].W == w && expr.TableSized(rows) {
-		table := guardTable.Spans
-		if table == nil {
-			var repl []expr.Span // PatchWindow clips it to [lo, hi]
-			for _, r := range rows {
-				if r.V > hi || r.V|rowSpread(r, w) < lo {
-					continue
-				}
-				repl = append(repl, prog.RowSolutionSet(r, w)...)
-			}
-			table = its[0].Table.PatchWindow(lo, hi, repl)
-		}
-		if n := prog.PatchGuard(cp, prog.PatchSpec{OldFp: its[0].Table.Fp(), Rows: rows, Table: table, Ins: guard}); n > 0 {
+func (s *Service) reconcilePort(e *core.Element, port int, guard sefl.Constrain) Action {
+	if cp, ok := e.CachedProgram(port, true); ok {
+		if its := prog.GuardTables(cp); len(its) == 1 && prog.PatchGuard(cp, its[0].Table.Fp(), guard) > 0 {
 			e.PatchedOutCode(port, guard)
 			s.patchedPorts.Inc()
 			return actionPatched
 		}
 	}
+	// Never compiled (or already invalidated), or not patchable: the next
+	// run compiles the new guard lazily.
 	e.SetOutCode(port, guard)
 	s.recompiledPorts.Inc()
 	return actionRecompiled
@@ -356,19 +331,6 @@ func addSource[K comparable](index map[K]map[int]bool, k K, i int) {
 		index[k] = set
 	}
 	set[i] = true
-}
-
-// rowSpread returns the host-bits mask of a row's base match (its reach
-// above V); exclusions only shrink within it.
-func rowSpread(r prog.ITRow, w int) uint64 {
-	if r.Kind == prog.ITPrefix {
-		return hostBits(r.Len, w)
-	}
-	return 0
-}
-
-func hostBits(plen, w int) uint64 {
-	return expr.Mask(w) &^ expr.PrefixMask(plen, w)
 }
 
 // worse returns the more expensive of two absorption tiers.

@@ -122,9 +122,7 @@ func TestPatchedOutCodeKeepsProgramRebuildsSummary(t *testing.T) {
 
 	p := cached(e, 1, true)
 	guard := macGuard(0x10, 0x20, 0x40, 0x50, 0x60)
-	fresh := prog.GuardTables(prog.Compile(guard, "dut", e.Instance, "fresh"))[0]
-	spec := prog.PatchSpec{OldFp: prog.GuardTables(p)[0].Table.Fp(), Rows: fresh.Rows, Table: fresh.Table, Ins: guard}
-	if n := prog.PatchGuard(p, spec); n != 1 {
+	if n := prog.PatchGuard(p, prog.GuardTables(p)[0].Table.Fp(), guard); n != 1 {
 		t.Fatalf("PatchGuard patched %d guards, want 1", n)
 	}
 	e.PatchedOutCode(1, guard)

@@ -14,7 +14,6 @@ package expr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -119,9 +118,9 @@ func mergePass(dst, src []Span) int {
 // canonSorted finishes table construction from spans already clipped to the
 // universe and sorted by Lo: merge overlapping and adjacent neighbors in one
 // linear pass, then fingerprint. It is the shared tail of NewSpanTable and
-// PatchWindow, which is what guarantees a patched table is canonically — and
-// fingerprint- — identical to one rebuilt from scratch. The input slice is
-// consumed (merged in place).
+// NewSortedSpanTable, which is what guarantees a table swept in order (a
+// router's) is canonically — and fingerprint- — identical to one merged from
+// its rows. The input slice is consumed (merged in place).
 func canonSorted(width int, ivs []Span) *SpanTable {
 	out := ivs[:0]
 	for _, iv := range ivs {
@@ -145,65 +144,6 @@ func canonSorted(width int, ivs []Span) *SpanTable {
 	}
 	t.fp = Fp{Hi: fmix64(s.hi), Lo: fmix64(s.lo)}
 	return t
-}
-
-// PatchWindow returns a new canonical table equal to t with the inclusive
-// window [lo, hi] replaced: every value of the window is removed, then repl
-// (clipped to the window) is inserted, with canonical re-merge where the
-// replacement touches the window boundaries. Spans straddling a boundary are
-// split; the part outside the window is preserved exactly. This is the
-// incremental-update primitive for rule churn: a forwarding-rule delta with
-// prefix range [lo, hi] can only change table membership inside that range,
-// so the rest of the table is spliced through without recomputing the union
-// of its rules. The receiver is not modified (tables stay immutable and
-// shareable); the result's fingerprint equals NewSpanTable of the same set.
-func (t *SpanTable) PatchWindow(lo, hi uint64, repl []Span) *SpanTable {
-	m := Mask(t.width)
-	if lo > m || lo > hi {
-		return t
-	}
-	if hi > m {
-		hi = m
-	}
-	// Canonicalize the replacement: clip to the window, sort, merge. The
-	// replacement is the recomputed contents of one rule's range — a handful
-	// of spans — so the sort is noise.
-	rs := make([]Span, 0, len(repl))
-	for _, s := range repl {
-		if s.Lo < lo {
-			s.Lo = lo
-		}
-		if s.Hi > hi {
-			s.Hi = hi
-		}
-		if s.Lo > s.Hi || s.Lo > m {
-			continue
-		}
-		rs = append(rs, s)
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
-
-	out := make([]Span, 0, len(t.spans)+len(rs)+1)
-	var tail []Span // window-straddling remainders above hi, in order
-	for _, s := range t.spans {
-		switch {
-		case s.Hi < lo:
-			out = append(out, s)
-		case s.Lo > hi:
-			tail = append(tail, s)
-		default:
-			// Overlaps the window: keep the parts outside it.
-			if s.Lo < lo {
-				out = append(out, Span{Lo: s.Lo, Hi: lo - 1})
-			}
-			if s.Hi > hi {
-				tail = append(tail, Span{Lo: hi + 1, Hi: s.Hi})
-			}
-		}
-	}
-	out = append(out, rs...)
-	out = append(out, tail...)
-	return canonSorted(t.width, out)
 }
 
 // Width returns the bit width of the table's universe.

@@ -297,14 +297,13 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 		}
 		cc = &cCond{Kind: cAnd, Cs: cs}
 	case sefl.Table:
-		// A table guard lowers straight from its rows, which the node
-		// aliases, and adopts the span table the rows came with, if any;
-		// one that is malformed or too small to be worth a span table
-		// (expr.TableSized) compiles as the Or-tree it stands for.
-		if v.Check() != nil || !expr.TableSized(v.Rows) {
+		// A table guard that does not lower compiles as the Or-tree it
+		// stands for.
+		it := lowerTable(v)
+		if it == nil {
 			return c.compileCond(v.Or())
 		}
-		cc = &cCond{Kind: cIntervalTable, IT: &ITable{F: hdrLV(v.F), W: v.F.Size, Rows: v.Rows, Table: v.Spans}}
+		cc = &cCond{Kind: cIntervalTable, IT: it}
 		itableLowered.Add(1)
 	case sefl.COr:
 		cs := make([]*cCond, len(v.Cs))
@@ -328,9 +327,6 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 	c.p.CondsSeen++
 	if cand := findCond(c.conds, cc); cand != nil {
 		return cand
-	}
-	if cc.Kind == cIntervalTable && cc.IT.Table == nil {
-		buildITable(cc.IT)
 	}
 	finishCond(cc)
 	c.conds[cc.FP] = append(c.conds[cc.FP], cc)
@@ -511,7 +507,7 @@ func equalCCond(a, b *cCond) bool {
 	case cMetaPresent:
 		return a.Key == b.Key
 	case cIntervalTable:
-		return a.IT.F == b.IT.F && slices.EqualFunc(a.IT.Rows, b.IT.Rows, func(x, y ITRow) bool {
+		return a.IT.F == b.IT.F && slices.EqualFunc(a.IT.Rows, b.IT.Rows, func(x, y itRow) bool {
 			return x.Kind == y.Kind && x.V == y.V && x.Len == y.Len && slices.Equal(x.Excl, y.Excl)
 		})
 	case cAnd, cOr:

@@ -30,6 +30,7 @@ import (
 	"slices"
 
 	"symnet/internal/expr"
+	"symnet/internal/sefl"
 )
 
 // --- Span tables ---
@@ -43,10 +44,10 @@ import (
 // earlier one already covers and emits the gaps. They come in CompileLPM
 // order, a few ascending runs, which expr.SortSpans merges through dst's
 // free capacity; scratch is reused between rows.
-func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []expr.Span {
+func appendRowSpans(dst []expr.Span, r *itRow, w int, scratch *[]expr.Span) []expr.Span {
 	m := expr.Mask(w)
 	lo, hi := r.V&m, r.V&m
-	if r.Kind == ITPrefix {
+	if r.Kind == itPrefix {
 		mask := expr.PrefixMask(r.Len, w)
 		lo, hi = r.V&mask, r.V&mask|m&^mask
 	}
@@ -82,7 +83,7 @@ func appendRowSpans(dst []expr.Span, r *ITRow, w int, scratch *[]expr.Span) []ex
 
 // buildITable computes the merged span table from the rows, for the tables
 // that come without one: the wire decoder's, whose result must equal the
-// table the coordinator adopted or built, and, in the compiler, any table
+// table the coordinator adopted or built, and lowerTable's for any table
 // tables.LPMRows did not write. Every row's spans go into one buffer that
 // is normalised once, and that buffer is NewSpanTable's scratch. No
 // comparator sorts it: the rows come in table order, and each row's spans
@@ -104,6 +105,23 @@ func buildITable(it *ITable) {
 	it.Table = expr.NewSpanTable(it.W, spans)
 }
 
+// lowerTable returns the payload a table guard lowers to: its rows, which
+// the node aliases, and the span table they came with (a router's) or else
+// the one buildITable merges. It is nil for a table that stays an Or-tree:
+// malformed, or too small to be worth a span table (expr.TableSized).
+// Compile and PatchGuard both lower through it, so a patched node is a
+// fresh compile's.
+func lowerTable(v sefl.Table) *ITable {
+	if v.Check() != nil || !expr.TableSized(v.Rows) {
+		return nil
+	}
+	it := &ITable{F: hdrLV(v.F), W: v.F.Size, Rows: v.Rows, Table: v.Spans}
+	if it.Table == nil {
+		buildITable(it)
+	}
+	return it
+}
+
 // --- What a condition node carries, from the rows ---
 
 // A lowered node is fingerprinted as the Or-tree its rows stand for
@@ -121,7 +139,7 @@ func (it *ITable) fp() expr.Fp {
 		switch r.Kind {
 		case itEq:
 			row = fpCmp(expr.Eq, ref, fpNum(r.V, it.W))
-		case ITPrefix:
+		case itPrefix:
 			row = fpPrefix(ref, r.V, r.Len, it.W)
 		}
 		if len(r.Excl) > 0 {
@@ -197,7 +215,7 @@ func (b *itBuilder) children(it *ITable) []*cCond {
 		switch r.Kind {
 		case itEq:
 			head = b.eq(it.F, r.V)
-		case ITPrefix:
+		case itPrefix:
 			head = b.prefix(it.F, r.V, r.Len)
 		}
 		if len(r.Excl) == 0 {

@@ -17,9 +17,9 @@ var (
 )
 
 func macGuard(n int) sefl.Table {
-	rows := make([]ITRow, n)
+	rows := make([]itRow, n)
 	for i := range rows {
-		rows[i] = ITRow{Kind: itEq, V: uint64(i * 2)}
+		rows[i] = itRow{Kind: itEq, V: uint64(i * 2)}
 	}
 	return sefl.Table{F: itMAC, Rows: rows}
 }
@@ -36,11 +36,11 @@ func vlanGuard(pairs [][2]uint64) sefl.Cond {
 }
 
 func prefixGuard() sefl.Table {
-	return sefl.Table{F: itIP, Rows: []ITRow{
-		{Kind: ITPrefix, V: 0x0a000000, Len: 24},
-		{Kind: ITPrefix, V: 0x0a000100, Len: 24},
-		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}}},
-		{Kind: ITPrefix, V: 0x0b000000, Len: 8},
+	return sefl.Table{F: itIP, Rows: []itRow{
+		{Kind: itPrefix, V: 0x0a000000, Len: 24},
+		{Kind: itPrefix, V: 0x0a000100, Len: 24},
+		{Kind: itPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}}},
+		{Kind: itPrefix, V: 0x0b000000, Len: 8},
 	}}
 }
 
@@ -95,11 +95,11 @@ func TestLoweringDetection(t *testing.T) {
 	// The gate counts atoms, not rows: one route with three exclusions is a
 	// table, one with two is not.
 	oneRoute := func(k int) sefl.Table {
-		row := ITRow{Kind: ITPrefix}
+		row := itRow{Kind: itPrefix}
 		for i := 0; i < k; i++ {
 			row.Excl = append(row.Excl, expr.GuardExcl{V: uint64(10+i) << 24, Len: 8})
 		}
-		return sefl.Table{F: itIP, Rows: []ITRow{row}}
+		return sefl.Table{F: itIP, Rows: []itRow{row}}
 	}
 	if c := guardCond(t, oneRoute(3)); c.Kind != cIntervalTable || len(c.IT.Rows) != 1 {
 		t.Fatalf("one route, three exclusions not lowered: kind=%d", c.Kind)
@@ -111,7 +111,7 @@ func TestLoweringDetection(t *testing.T) {
 	// A malformed table compiles as its Or-tree, to the node the tree
 	// compiles to.
 	long := prefixGuard()
-	long.Rows = append(long.Rows, ITRow{Kind: ITPrefix, Len: 40})
+	long.Rows = append(long.Rows, itRow{Kind: itPrefix, Len: 40})
 	if c := guardCond(t, long); c.Kind != cOr || c.FP != guardCond(t, long.Or()).FP {
 		t.Fatalf("malformed table: kind=%d, want its Or-tree", c.Kind)
 	}
@@ -164,7 +164,7 @@ func TestLoweredSpansMerge(t *testing.T) {
 	}
 
 	// Duplicate equalities collapse.
-	dup := sefl.Table{F: itMAC, Rows: []ITRow{{Kind: itEq, V: 5}, {Kind: itEq, V: 5}, {Kind: itEq, V: 6}, {Kind: itEq, V: 7}}}
+	dup := sefl.Table{F: itMAC, Rows: []itRow{{Kind: itEq, V: 5}, {Kind: itEq, V: 5}, {Kind: itEq, V: 6}, {Kind: itEq, V: 7}}}
 	if c := guardCond(t, dup); len(c.IT.Table.Spans()) != 1 || !c.IT.Table.Contains(5) || !c.IT.Table.Contains(7) {
 		t.Fatalf("duplicate/adjacent spans = %v", c.IT.Table)
 	}
@@ -261,10 +261,10 @@ func errEqual(a, b error) bool {
 // TestITRowsPackRoundTrip: the flat row stream is the exact inverse of the
 // row list, including exclusions.
 func TestITRowsPackRoundTrip(t *testing.T) {
-	rows := []ITRow{
+	rows := []itRow{
 		{Kind: itEq, V: 42},
-		{Kind: ITPrefix, V: 0x0a000000, Len: 24},
-		{Kind: ITPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}, {V: 0x0a010300, Len: 24}}},
+		{Kind: itPrefix, V: 0x0a000000, Len: 24},
+		{Kind: itPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}, {V: 0x0a010300, Len: 24}}},
 		{Kind: itEq, V: 7, Excl: []expr.GuardExcl{{V: 0x0a, Len: 8}}},
 	}
 	got, err := expr.UnpackGuardRows(expr.PackGuardRows(rows))

@@ -8,10 +8,10 @@ import (
 	"symnet/internal/sefl"
 )
 
-func patchMACGuard(macs []uint64) sefl.Instr {
-	rows := make([]ITRow, len(macs))
+func patchMACGuard(macs []uint64) sefl.Constrain {
+	rows := make([]itRow, len(macs))
 	for i, m := range macs {
-		rows[i] = ITRow{Kind: itEq, V: m}
+		rows[i] = itRow{Kind: itEq, V: m}
 	}
 	return sefl.Constrain{C: sefl.Table{F: sefl.EtherDst, Rows: rows}}
 }
@@ -22,10 +22,10 @@ type patchPrefixRow struct {
 	excl []expr.GuardExcl
 }
 
-func patchPrefixGuard(rows []patchPrefixRow) sefl.Instr {
-	its := make([]ITRow, len(rows))
+func patchPrefixGuard(rows []patchPrefixRow) sefl.Constrain {
+	its := make([]itRow, len(rows))
 	for i, r := range rows {
-		its[i] = ITRow{Kind: ITPrefix, V: r.v, Len: r.len, Excl: r.excl}
+		its[i] = itRow{Kind: itPrefix, V: r.v, Len: r.len, Excl: r.excl}
 	}
 	return sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: its}}
 }
@@ -107,31 +107,21 @@ func requireSameAsFresh(t *testing.T, patched *Program, freshGuard sefl.Instr) {
 func TestPatchGuardMACInsert(t *testing.T) {
 	macs := []uint64{0x10, 0x20, 0x30, 0x40, 0x50}
 	p := Compile(patchMACGuard(macs), "el", 0, "el.out[1]")
-	node := guardNode(t, p)
-	oldFp := node.IT.Table.Fp()
+	oldFp := guardNode(t, p).IT.Table.Fp()
 
-	newMacs := []uint64{0x10, 0x20, 0x25, 0x30, 0x40, 0x50}
-	rows := make([]ITRow, len(newMacs))
-	for i, m := range newMacs {
-		rows[i] = ITRow{Kind: itEq, V: m}
-	}
-	table := node.IT.Table.PatchWindow(0x25, 0x25, []expr.Span{{Lo: 0x25, Hi: 0x25}})
-	if !tablesEqual(table, buildGuardTable(rows, sefl.MACWidth)) {
-		t.Fatal("incrementally patched table differs from full rebuild")
-	}
-	if n := PatchGuard(p, PatchSpec{OldFp: oldFp, Rows: rows, Table: table, Ins: patchMACGuard(newMacs)}); n != 1 {
+	newGuard := patchMACGuard([]uint64{0x10, 0x20, 0x25, 0x30, 0x40, 0x50})
+	if n := PatchGuard(p, oldFp, newGuard); n != 1 {
 		t.Fatalf("PatchGuard patched %d nodes, want 1", n)
 	}
-	requireSameAsFresh(t, p, patchMACGuard(newMacs))
+	requireSameAsFresh(t, p, newGuard)
 
 	// The old table fingerprint no longer matches anything.
-	if n := PatchGuard(p, PatchSpec{OldFp: oldFp, Rows: rows, Table: table}); n != 0 {
+	if n := PatchGuard(p, oldFp, newGuard); n != 0 {
 		t.Fatalf("stale-fp patch matched %d nodes, want 0", n)
 	}
 }
 
 func TestPatchGuardPrefixDeleteWithExclusions(t *testing.T) {
-	const w = 32
 	oldRows := []patchPrefixRow{
 		{v: 0x0A000000, len: 8, excl: []expr.GuardExcl{{V: 0x0A010000, Len: 16}}},
 		{v: 0x0A010000, len: 16},
@@ -140,37 +130,23 @@ func TestPatchGuardPrefixDeleteWithExclusions(t *testing.T) {
 		{v: 0x28000000, len: 8},
 	}
 	p := Compile(patchPrefixGuard(oldRows), "el", 0, "el.out[1]")
-	node := guardNode(t, p)
-	oldFp := node.IT.Table.Fp()
+	oldFp := guardNode(t, p).IT.Table.Fp()
 
 	// Delete the 10.1/16 route: the containing /8 loses its exclusion, so
-	// membership inside the deleted prefix's window is now covered by the /8.
-	newRows := []patchPrefixRow{
+	// the deleted prefix's addresses are now covered by the /8.
+	newGuard := patchPrefixGuard([]patchPrefixRow{
 		{v: 0x0A000000, len: 8},
 		{v: 0x14000000, len: 8},
 		{v: 0x1E000000, len: 8},
 		{v: 0x28000000, len: 8},
-	}
-	itRows := make([]ITRow, len(newRows))
-	for i, r := range newRows {
-		itRows[i] = ITRow{Kind: ITPrefix, V: r.v, Len: r.len, Excl: r.excl}
-	}
-	// Recompute only the deleted prefix's window, the way delta application
-	// does: replacement spans = union of the new rows' sets clipped to it.
-	lo := uint64(0x0A010000)
-	hi := lo | (uint64(1)<<16 - 1)
-	var repl []expr.Span
-	for _, r := range itRows {
-		repl = append(repl, RowSolutionSet(r, w)...) // PatchWindow clips to the window
-	}
-	table := node.IT.Table.PatchWindow(lo, hi, repl)
-	if !tablesEqual(table, buildGuardTable(itRows, w)) || table.Fp() != buildGuardTable(itRows, w).Fp() {
-		t.Fatal("windowed patch differs from full rebuild")
-	}
-	if n := PatchGuard(p, PatchSpec{OldFp: oldFp, Rows: itRows, Table: table, Ins: patchPrefixGuard(newRows)}); n != 1 {
+	})
+	if n := PatchGuard(p, oldFp, newGuard); n != 1 {
 		t.Fatalf("PatchGuard patched %d nodes, want 1", n)
 	}
-	requireSameAsFresh(t, p, patchPrefixGuard(newRows))
+	requireSameAsFresh(t, p, newGuard)
+	if node := guardNode(t, p); !node.IT.Table.Contains(0x0A010203) {
+		t.Fatalf("patched table %v misses the deleted route's addresses", node.IT.Table)
+	}
 }
 
 func TestGuardTables(t *testing.T) {

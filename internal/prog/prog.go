@@ -204,7 +204,7 @@ type cCond struct {
 type ITable struct {
 	F    LV  // field l-value (a header field)
 	W    int // field width (== F.Size)
-	Rows []ITRow
+	Rows []itRow
 	// Table is the rows' merged span table: adopted from the sefl.Table
 	// when it carries one (a router's), built by buildITable otherwise.
 	Table *expr.SpanTable
@@ -214,15 +214,15 @@ type ITable struct {
 	view     []*cCond
 }
 
-// ITRow is one disjunct of a lowered guard, in the shared packed-guard
+// itRow is one disjunct of a lowered guard, in the shared packed-guard
 // vocabulary of internal/expr (one wire grammar for the SEFL and IR
-// codecs); itEq/ITPrefix name the row kinds.
-type ITRow = expr.GuardRow
+// codecs); itEq/itPrefix name the row kinds.
+type itRow = expr.GuardRow
 
 // Row kinds (see expr.GuardRow).
 const (
 	itEq     = expr.GuardEq
-	ITPrefix = expr.GuardPrefix
+	itPrefix = expr.GuardPrefix
 )
 
 // ForOp is the payload of an OpFor: the pattern compiled once, the body

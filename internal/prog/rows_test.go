@@ -23,12 +23,12 @@ import (
 
 // rowSetBySubtraction is itRowSet as it was before the sweep: the head set
 // minus each exclusion, one Subtract (Complement + Intersect) at a time.
-func rowSetBySubtraction(r ITRow, w int) *solver.IntervalSet {
+func rowSetBySubtraction(r itRow, w int) *solver.IntervalSet {
 	var s *solver.IntervalSet
 	switch r.Kind {
 	case itEq:
 		s = solver.Singleton(r.V, w)
-	case ITPrefix:
+	case itPrefix:
 		s = solver.FromMask(expr.PrefixMask(r.Len, w), r.V, w)
 	}
 	for _, e := range r.Excl {
@@ -38,7 +38,7 @@ func rowSetBySubtraction(r ITRow, w int) *solver.IntervalSet {
 }
 
 // tableBySubtraction is buildITable as it was.
-func tableBySubtraction(rows []ITRow, w int) *expr.SpanTable {
+func tableBySubtraction(rows []itRow, w int) *expr.SpanTable {
 	sets := make([]*solver.IntervalSet, len(rows))
 	for i, r := range rows {
 		sets[i] = rowSetBySubtraction(r, w)
@@ -67,13 +67,13 @@ func randPrefix(rng *rand.Rand, w int) (uint64, int) {
 
 // randRow draws a single-field row: equality, prefix, either with
 // exclusions that nest, repeat, overlap the head's edge or miss it.
-func randRow(rng *rand.Rand, w int) ITRow {
-	var r ITRow
+func randRow(rng *rand.Rand, w int) itRow {
+	var r itRow
 	if rng.Intn(3) == 0 {
-		r = ITRow{Kind: itEq, V: rng.Uint64() & expr.Mask(w)}
+		r = itRow{Kind: itEq, V: rng.Uint64() & expr.Mask(w)}
 	} else {
 		v, plen := randPrefix(rng, w)
-		r = ITRow{Kind: ITPrefix, V: v, Len: plen}
+		r = itRow{Kind: itPrefix, V: v, Len: plen}
 	}
 	if rng.Intn(2) == 0 {
 		return r
@@ -96,8 +96,8 @@ func randRow(rng *rand.Rand, w int) ITRow {
 	return r
 }
 
-func randRows(rng *rand.Rand, w, n int) []ITRow {
-	rows := make([]ITRow, n)
+func randRows(rng *rand.Rand, w, n int) []itRow {
+	rows := make([]itRow, n)
 	for i := range rows {
 		rows[i] = randRow(rng, w)
 	}
@@ -111,7 +111,8 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 		for trial := 0; trial < 3000; trial++ {
 			rows := randRows(rng, w, 1+rng.Intn(6))
 			for _, r := range rows {
-				got, want := RowSolutionSet(r, w), rowSetBySubtraction(r, w).Intervals()
+				var scratch []expr.Span
+				got, want := appendRowSpans(nil, &r, w, &scratch), rowSetBySubtraction(r, w).Intervals()
 				if !slices.Equal(got, want) {
 					t.Fatalf("w=%d row %+v:\n got %v\nwant %v", w, r, got, want)
 				}
@@ -133,7 +134,7 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 }
 
 // rowsGuard is the SEFL Or a model would write for the rows by hand.
-func rowsGuard(f sefl.Hdr, rows []ITRow) []sefl.Cond {
+func rowsGuard(f sefl.Hdr, rows []itRow) []sefl.Cond {
 	ref := sefl.Ref{LV: f}
 	prefix := func(v uint64, plen int) sefl.Cond {
 		return sefl.Prefix{E: ref, Value: v, Len: plen, Width: f.Size}
@@ -144,7 +145,7 @@ func rowsGuard(f sefl.Hdr, rows []ITRow) []sefl.Cond {
 		switch r.Kind {
 		case itEq:
 			head = sefl.Eq(ref, sefl.CW(r.V, f.Size))
-		case ITPrefix:
+		case itPrefix:
 			head = prefix(r.V, r.Len)
 		}
 		if len(r.Excl) > 0 {
@@ -254,8 +255,7 @@ func TestRowsMatchTree(t *testing.T) {
 		next := randRows(rng, w, 4+rng.Intn(12))
 		nextGuard := sefl.Constrain{C: sefl.Table{F: f, Rows: next}}
 		patched := Compile(guard, "el", 0, "el.out[1]")
-		spec := PatchSpec{OldFp: node.IT.Table.Fp(), Rows: next, Table: buildGuardTable(next, w), Ins: nextGuard}
-		if n := PatchGuard(patched, spec); n != 1 {
+		if n := PatchGuard(patched, node.IT.Table.Fp(), nextGuard); n != 1 {
 			t.Fatalf("trial %d: PatchGuard patched %d nodes", trial, n)
 		}
 		requireSameAsFresh(t, patched, nextGuard)
@@ -319,11 +319,11 @@ func TestViewBuiltOnceByConcurrentFallbacks(t *testing.T) {
 // scaling that does not read a clock.
 func TestGuardTableLinear(t *testing.T) {
 	allocs := func(k int) float64 {
-		row := ITRow{Kind: ITPrefix}
+		row := itRow{Kind: itPrefix}
 		for i := 0; i < k; i++ {
 			row.Excl = append(row.Excl, expr.GuardExcl{V: uint64(i) << 9, Len: 24}) // every other /24
 		}
-		rows := []ITRow{row}
+		rows := []itRow{row}
 		if got := len(buildGuardTable(rows, 32).Spans()); got != k {
 			t.Fatalf("k=%d: table has %d spans", k, got)
 		}
@@ -338,7 +338,7 @@ func TestGuardTableLinear(t *testing.T) {
 
 // buildGuardTable merges a full row list into its span table, the from-
 // scratch construction lowering performs.
-func buildGuardTable(rows []ITRow, w int) *expr.SpanTable {
+func buildGuardTable(rows []itRow, w int) *expr.SpanTable {
 	it := &ITable{W: w, Rows: rows}
 	buildITable(it)
 	return it.Table
