@@ -3,7 +3,9 @@ package symnet
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"symnet/internal/core"
@@ -171,12 +173,13 @@ func TestForkHeavyAllocsPerPath(t *testing.T) {
 
 // TestCompileAdoptsLPMSpans: a router's table guard, compiled with the span
 // table tables.LPMRows wrote beside its rows, compiles to the program the
-// same guard gives without it. Both networks' core.EncodePrograms output
-// gob-encodes to the same bytes, cond fingerprints included. Every lowered
-// guard holds the same table, the compiler adopted the one the guard
-// carried, and a program decoded from the wire, which rebuilds its tables
-// from the rows, holds it too. That is checked on the cold-path core FIB
-// (both router styles that write tables) and on the department.
+// same guard gives without it (programImage: dump, tables and fingerprints,
+// trace lines and failure messages), and the compiler adopted the table the
+// guard carried. The table never crosses the wire: both networks'
+// core.EncodePrograms output gob-encodes to the same bytes, and a fleet
+// member, which merges its tables from the rows, compiles the same programs
+// too. That is checked on the cold-path core FIB (both router styles that
+// write tables) and on the department.
 func TestCompileAdoptsLPMSpans(t *testing.T) {
 	cold := func(style models.Style) func() *core.Network {
 		fib := datasets.CoreFIB(62500, 16, 1)
@@ -230,29 +233,34 @@ func TestCompileAdoptsLPMSpans(t *testing.T) {
 			}
 			wa, wb := encodePrograms(t, with), encodePrograms(t, without)
 			if !bytes.Equal(gobBytes(t, wa), gobBytes(t, wb)) {
-				t.Fatal("the programs' wire bytes differ with and without the carried span tables")
+				t.Fatal("the wire bytes differ with and without the carried span tables")
+			}
+			wnet, err := core.EncodeNetwork(with)
+			if err != nil {
+				t.Fatal(err)
+			}
+			member, err := core.DecodeNetwork(wnet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.InstallPrograms(member, wa); err != nil {
+				t.Fatal(err)
 			}
 			adopted := 0
-			for i, we := range wa {
-				e, _ := with.Element(we.Elem)
-				pa, _ := e.CachedProgram(we.Port, we.Out)
-				eb, _ := without.Element(we.Elem)
-				pb, _ := eb.CachedProgram(we.Port, we.Out)
-				dec, err := prog.DecodeProgram(wb[i].Prog)
-				if err != nil {
-					t.Fatal(err)
+			for _, we := range wa {
+				var progs [3]*prog.Program
+				for i, net := range []*core.Network{with, without, member} {
+					e, _ := net.Element(we.Elem)
+					progs[i], _ = e.CachedProgram(we.Port, we.Out)
 				}
-				ta, tb, td := prog.GuardTables(pa), prog.GuardTables(pb), prog.GuardTables(dec)
-				if len(ta) != len(tb) || len(ta) != len(td) {
-					t.Fatalf("%s port %d: %d, %d and %d lowered guards", we.Elem, we.Port, len(ta), len(tb), len(td))
-				}
-				for k := range ta {
-					for _, other := range []*prog.ITable{tb[k], td[k]} {
-						if !slices.Equal(ta[k].Table.Spans(), other.Table.Spans()) || ta[k].Table.Fp() != other.Table.Fp() {
-							t.Fatalf("%s port %d guard %d: tables differ: %v and %v", we.Elem, we.Port, k, ta[k].Table, other.Table)
-						}
+				want := programImage(progs[0])
+				for i, name := range []string{"without the carried tables", "on a member"} {
+					if got := programImage(progs[i+1]); got != want {
+						t.Fatalf("%s port %d: the program %s differs:\n--- with\n%.2000s\n--- %s\n%.2000s", we.Elem, we.Port, name, want, name, got)
 					}
-					if slices.Contains(carried[core.PortRef{Elem: we.Elem, Port: we.Port, Out: we.Out}], ta[k].Table) {
+				}
+				for _, it := range prog.GuardTables(progs[0]) {
+					if slices.Contains(carried[core.PortRef{Elem: we.Elem, Port: we.Port, Out: we.Out}], it.Table) {
 						adopted++
 					}
 				}
@@ -263,6 +271,25 @@ func TestCompileAdoptsLPMSpans(t *testing.T) {
 			t.Logf("%d programs, %d lowered guards adopted their carried tables", len(wa), adopted)
 		})
 	}
+}
+
+// programImage renders everything a run reads of a program: its IR dump,
+// each lowered guard's span table and fingerprint, and every op's trace line
+// and Constrain failure message. Two programs with equal images run
+// identically.
+func programImage(p *prog.Program) string {
+	var b strings.Builder
+	b.WriteString(p.String())
+	for _, it := range prog.GuardTables(p) {
+		fmt.Fprintf(&b, "table %v %v\n", it.Table.Fp(), it.Table.Spans())
+	}
+	for i := range p.Ops {
+		fmt.Fprintf(&b, "%d: %s\n", i, p.TraceLine(int32(i)))
+		if p.Ops[i].Kind == prog.OpConstrain {
+			fmt.Fprintf(&b, "%d: %s\n", i, p.ConstrainFailMsg(int32(i)))
+		}
+	}
+	return b.String()
 }
 
 // stripSpans returns code with the span table dropped from the table guards

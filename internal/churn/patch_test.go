@@ -1,8 +1,9 @@
 package churn
 
 import (
-	"reflect"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"symnet/internal/dist"
@@ -16,8 +17,9 @@ import (
 // department and backbone scripts, each router or switch port whose lowered
 // guard was patched holds the span table a fresh compile merges from the
 // port's new rows (rebuilt here from the table, without a carried span
-// table), and its program encodes — node fingerprints and the rendered
-// guard included — as that fresh compile does. A router's port holds the
+// table), and its program equals that fresh compile (programImage: the IR
+// dump, the guard's span table and fingerprint, the rendered trace lines and
+// failure messages). A router's port holds the
 // very table its installed guard carried (tables.LPMRows's sweep).
 func TestDeltaPatchesEqualFreshCompile(t *testing.T) {
 	for _, fx := range []indexFixture{departmentIndexFixture(), backboneIndexFixture()} {
@@ -56,8 +58,8 @@ func TestDeltaPatchesEqualFreshCompile(t *testing.T) {
 					if !slices.Equal(got.Spans(), want.Spans()) || got.Fp() != want.Fp() {
 						t.Fatalf("delta %d (%s) port %d: resident table %v, a fresh build %v", di, d, p, got, want)
 					}
-					if !reflect.DeepEqual(encode(t, cp), encode(t, fresh)) {
-						t.Fatalf("delta %d (%s) port %d: the patched program is not a fresh compile's", di, d, p)
+					if a, b := programImage(cp), programImage(fresh); a != b {
+						t.Fatalf("delta %d (%s) port %d: the patched program is not a fresh compile's:\n--- patched\n%s--- fresh\n%s", di, d, p, a, b)
 					}
 					code, _ := e.Code(p, true)
 					if isFIB && code.(sefl.Constrain).C.(sefl.Table).Spans != got {
@@ -92,11 +94,21 @@ func freshRows(svc *Service, elem string, nout int, isFIB bool) ([][]expr.GuardR
 	return rows, sefl.EtherDst
 }
 
-func encode(t *testing.T, p *prog.Program) *prog.WireProgram {
-	t.Helper()
-	w, err := prog.EncodeProgram(p)
-	if err != nil {
-		t.Fatal(err)
+// programImage renders everything a run reads of a program: its IR dump,
+// each lowered guard's span table and fingerprint, and every op's trace line
+// and Constrain failure message. Two programs with equal images run
+// identically.
+func programImage(p *prog.Program) string {
+	var b strings.Builder
+	b.WriteString(p.String())
+	for _, it := range prog.GuardTables(p) {
+		fmt.Fprintf(&b, "table %v %v\n", it.Table.Fp(), it.Table.Spans())
 	}
-	return w
+	for i := range p.Ops {
+		fmt.Fprintf(&b, "%d: %s\n", i, p.TraceLine(int32(i)))
+		if p.Ops[i].Kind == prog.OpConstrain {
+			fmt.Fprintf(&b, "%d: %s\n", i, p.ConstrainFailMsg(int32(i)))
+		}
+	}
+	return b.String()
 }

@@ -1,12 +1,11 @@
 package core
 
-// Wire codec for networks and their compiled programs. The distributed
-// runner serializes the coordinator's topology — elements and links, no
-// port source — plus every compiled element-port program, and a fleet
-// member rebuilds the topology and installs the programs as its elements'
-// code: it holds topology plus installed programs and compiles nothing.
-// Nothing derived from a program crosses: decoding a program derives its
-// segment continuations, exactly as compiling it does. Element instance
+// Wire codec for networks and their port code. The distributed runner
+// serializes the coordinator's topology — elements and links — plus the
+// SEFL source of every code-table entry, and a fleet member rebuilds the
+// topology, installs each source in its entry and compiles it there with
+// prog.Compile, as the coordinator compiled it, so the member's runs start
+// warm on the same programs. Nothing compiled crosses. Element instance
 // numbers are part of the semantics (local metadata keys bake them in), so
 // the wire form carries them and decoding re-adds elements in instance
 // order, reproducing them exactly.
@@ -15,6 +14,7 @@ import (
 	"fmt"
 
 	"symnet/internal/prog"
+	"symnet/internal/sefl"
 )
 
 // WireElement is the concrete form of one Element's topology.
@@ -40,17 +40,18 @@ type WireNetwork struct {
 	Links []WireLink
 }
 
-// WireProgramEntry is one compiled program keyed the way the element's code
-// table keys it: a specific port or WildcardPort, plus the direction.
+// WireProgramEntry is one code-table entry's SEFL source, keyed the way the
+// element's code table keys it: a specific port or WildcardPort, plus the
+// direction.
 type WireProgramEntry struct {
 	Elem string
 	Port int
 	Out  bool
-	Prog *prog.WireProgram
+	Src  *sefl.WireInstr
 }
 
 // EncodeNetwork converts a network's topology to its wire form; port code
-// crosses as programs (EncodePrograms). Elements are emitted in instance
+// crosses as source (EncodePrograms). Elements are emitted in instance
 // order, so encoding is deterministic. It cannot fail; the error result
 // keeps the form its callers check.
 func EncodeNetwork(n *Network) (*WireNetwork, error) {
@@ -109,18 +110,21 @@ func Warm(n *Network) {
 	}
 }
 
-// EncodePrograms compiles (as needed) and serializes the program of every
-// code-table entry of the network. The coordinator calls it once per full
-// setup; what it compiles stays in the entries for its own later runs.
+// EncodePrograms compiles (as needed) every code-table entry of the network
+// and serializes its source, in the order every whole-network encoder
+// shares (codeRefs). The coordinator keeps what it compiles: its own later
+// runs use the programs, and a rule delta patches them in place.
 func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
 	return EncodeProgramsFor(n, codeRefs(n.order...))
 }
 
-// EncodeProgramsFor compiles (as needed) and serializes only the programs of
-// the named element ports, in the order given: after an incremental rule
-// change touches a handful of ports, a resident coordinator re-ships just
-// those entries instead of re-walking the whole network's IR. An unknown
-// element is an error; a ref with no code attached is skipped.
+// EncodeProgramsFor compiles (as needed) and serializes only the sources of
+// the entries covering the named element ports (a port's own, else its
+// wildcard entry), in the order given: after an incremental rule change
+// touches a handful of ports, a resident coordinator re-ships just those
+// entries. An unknown element is an error; a ref with no code attached is
+// skipped. It fails on source that cannot cross the wire (a For body built
+// from a bare closure).
 func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	out := make([]WireProgramEntry, 0, len(refs))
 	for _, ref := range refs {
@@ -128,27 +132,26 @@ func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 		if !found {
 			return nil, fmt.Errorf("core: encode program: unknown element %q", ref.Elem)
 		}
-		p, ok, _ := e.codeFor(ref.Port, ref.Out)
-		if !ok {
+		if _, ok, _ := e.codeFor(ref.Port, ref.Out); !ok {
 			continue
 		}
-		wp, err := prog.EncodeProgram(p)
+		at := e.entry(ref.Port, ref.Out)
+		src, err := sefl.EncodeInstr(at.code.src)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: encode program %s: %w", label(e.Name, at.num, ref.Out), err)
 		}
-		out = append(out, WireProgramEntry{Elem: ref.Elem, Port: ref.Port, Out: ref.Out, Prog: wp})
+		out = append(out, WireProgramEntry{Elem: ref.Elem, Port: at.num, Out: ref.Out, Src: src})
 	}
 	return out, nil
 }
 
-// InstallPrograms decodes serialized programs into the network's code
-// tables, keyed exactly as EncodePrograms keyed them: each entry replaces
-// whatever the port held with the program and no source. A fleet member
+// InstallPrograms decodes serialized sources into the network's code tables,
+// keyed exactly as EncodePrograms keyed them, and compiles each one as the
+// element's own (its name and instance scope the program, as they do on the
+// coordinator): each entry replaces whatever the port held. A fleet member
 // decodes a topology without code, so there a port has code exactly when its
-// program was shipped. An entry whose program was compiled for another
-// element (its Elem or Instance differs) or that names a port the element
-// lacks is refused: a member would otherwise run it silently under another
-// element's local-metadata scope.
+// source was shipped, and its runs compile nothing. An entry that names an
+// element or port the network lacks is refused.
 func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 	for _, we := range entries {
 		e, ok := n.Element(we.Elem)
@@ -159,16 +162,12 @@ func InstallPrograms(n *Network, entries []WireProgramEntry) error {
 		if err != nil {
 			return fmt.Errorf("core: install program %w", err)
 		}
-		p, err := prog.DecodeProgram(we.Prog)
+		src, err := sefl.DecodeInstr(we.Src)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: install program %s: %w", label(e.Name, we.Port, we.Out), err)
 		}
-		if p.Elem != e.Name || p.Instance != e.Instance {
-			return fmt.Errorf("core: install program %s: compiled for %s instance %d, installed on %s instance %d",
-				label(e.Name, we.Port, we.Out), p.Elem, p.Instance, e.Name, e.Instance)
-		}
-		at.code = new(portCode)
-		at.code.compiled.Store(p)
+		at.code = &portCode{src: src}
+		at.code.compiled.Store(prog.Compile(src, e.Name, e.Instance, label(e.Name, we.Port, we.Out)))
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"symnet/internal/core"
@@ -83,11 +84,31 @@ func TestNetworkCodecRoundTripDepartment(t *testing.T) {
 	}
 }
 
+// programImage renders everything a run reads of a program: its IR dump,
+// each lowered guard's span table and fingerprint, and every op's trace line
+// and Constrain failure message. Two programs with equal images run
+// identically.
+func programImage(p *prog.Program) string {
+	var b strings.Builder
+	b.WriteString(p.String())
+	for _, it := range prog.GuardTables(p) {
+		fmt.Fprintf(&b, "table %v %v\n", it.Table.Fp(), it.Table.Spans())
+	}
+	for i := range p.Ops {
+		fmt.Fprintf(&b, "%d: %s\n", i, p.TraceLine(int32(i)))
+		if p.Ops[i].Kind == prog.OpConstrain {
+			fmt.Fprintf(&b, "%d: %s\n", i, p.ConstrainFailMsg(int32(i)))
+		}
+	}
+	return b.String()
+}
+
 // TestSetupRoundTripEveryDataset pins what a fleet member holds: the
-// decoded topology with EncodePrograms' programs installed resolves code at
+// decoded topology with EncodePrograms' sources installed resolves code at
 // exactly the coordinator's (port, direction) pairs — wildcard entries
-// included — and runs, trace on, fingerprint-identical from every source
-// without compiling anything.
+// included — each entry's program equal to the coordinator's (programImage),
+// and runs, trace on, fingerprint-identical from every source without
+// compiling anything.
 func TestSetupRoundTripEveryDataset(t *testing.T) {
 	dept := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 2, HostsPerSwitch: 8, Routes: 12, Seed: 5})
 	deptSrcs, _ := dept.AllPairs()
@@ -124,7 +145,9 @@ func TestSetupRoundTripEveryDataset(t *testing.T) {
 			}
 
 			// EncodePrograms compiled every entry, so CachedProgram reads the
-			// coordinator's resolution; the label names the entry resolved.
+			// coordinator's resolution; the label names the entry resolved,
+			// and the member compiled what the coordinator did.
+			compared := 0
 			for _, e := range ds.net.Elements() {
 				me, _ := member.Element(e.Name)
 				for _, out := range []bool{false, true} {
@@ -135,8 +158,18 @@ func TestSetupRoundTripEveryDataset(t *testing.T) {
 							t.Fatalf("%s port %d out=%v: coordinator has code %v (%v), member %v (%v)",
 								e.Name, port, out, ok, label(p), mok, label(mp))
 						}
+						if ok && programImage(p) != programImage(mp) {
+							t.Fatalf("%s: the member's program differs from the coordinator's:\n--- coordinator\n%s--- member\n%s",
+								p.Label, programImage(p), programImage(mp))
+						}
+						if ok {
+							compared++
+						}
 					}
 				}
+			}
+			if compared < len(progs) {
+				t.Fatalf("compared %d programs of %d entries", compared, len(progs))
 			}
 
 			// Every port, and each direction's wildcard entry, has an ID
@@ -207,37 +240,34 @@ func label(p *prog.Program) string {
 	return p.Label
 }
 
-// TestInstallProgramsRefusesForeignEntries pins that an installed program
-// must belong where it lands: on an element the network has, compiled for
-// that element (name and instance), at a port the element has. Each refusal
-// names the entry, and the code setters refuse the same ports by panicking.
+// TestInstallProgramsRefusesForeignEntries pins that an installed entry
+// must name where it lands: an element the network has and a port the
+// element has. Each refusal names the entry, and the code setters refuse the
+// same ports by panicking. An entry carries source, which the member
+// compiles as the element it lands on, so no entry can carry another
+// element's scope.
 func TestInstallProgramsRefusesForeignEntries(t *testing.T) {
 	net := core.NewNetwork()
 	net.AddElement("A", "box", 1, 2)
 	net.AddElement("B", "box", 1, 2)
-	wire := func(elem string, instance int) *prog.WireProgram {
-		w, err := prog.EncodeProgram(prog.Compile(sefl.NoOp{}, elem, instance, elem+".in[0]"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
+	noop, err := sefl.EncodeInstr(sefl.NoOp{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		entry core.WireProgramEntry
 		want  string
 	}{
-		{core.WireProgramEntry{Elem: "nope", Port: 0, Prog: wire("A", 0)},
+		{core.WireProgramEntry{Elem: "nope", Port: 0, Src: noop},
 			`core: install program for unknown element "nope"`},
-		{core.WireProgramEntry{Elem: "B", Port: 0, Prog: wire("A", 0)},
-			"core: install program B.in[0]: compiled for A instance 0, installed on B instance 1"},
-		{core.WireProgramEntry{Elem: "A", Port: core.WildcardPort, Out: true, Prog: wire("A", 1)},
-			"core: install program A.out[*]: compiled for A instance 1, installed on A instance 0"},
-		{core.WireProgramEntry{Elem: "A", Port: 1, Prog: wire("A", 0)},
+		{core.WireProgramEntry{Elem: "A", Port: 1, Src: noop},
 			"core: install program A.in[1]: A has 1 input ports"},
-		{core.WireProgramEntry{Elem: "A", Port: 2, Out: true, Prog: wire("A", 0)},
+		{core.WireProgramEntry{Elem: "A", Port: 2, Out: true, Src: noop},
 			"core: install program A.out[2]: A has 2 output ports"},
-		{core.WireProgramEntry{Elem: "A", Port: -2, Prog: wire("A", 0)},
+		{core.WireProgramEntry{Elem: "A", Port: -2, Src: noop},
 			"core: install program A.in[-2]: A has 1 input ports"},
+		{core.WireProgramEntry{Elem: "B", Port: 0, Src: &sefl.WireInstr{Kind: 99}},
+			"core: install program B.in[0]: sefl: unknown wire instruction kind 99"},
 	} {
 		err := core.InstallPrograms(net, []core.WireProgramEntry{tc.entry})
 		if err == nil || err.Error() != tc.want {

@@ -46,7 +46,6 @@ func (e *progEnv) ReadMeta(key memory.MetaKey) (expr.Lin, error) { return e.st.M
 func (e *progEnv) Tag(name string) (int64, bool)                 { return e.st.Mem.Tag(name) }
 func (e *progEnv) MetaExists(key memory.MetaKey) bool            { return e.st.Mem.MetaExists(key) }
 func (e *progEnv) Fresh(width int) expr.Lin                      { return e.r.alloc.Fresh(width) }
-func (e *progEnv) OrTreeGuards() bool                            { return e.r.opts.OrTreeGuards }
 
 // portCode looks up the code attached to a port once: its compiled program,
 // counted as a program-cache hit or miss, or, behind Options.ASTInterp, the

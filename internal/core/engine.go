@@ -48,23 +48,14 @@ type Options struct {
 	// goroutine, so core reads nothing here. Results are identical at every
 	// width.
 	Workers int
-	// ASTInterp and OrTreeGuards are reference semantics for the
-	// differential suites and experiments, not modes to run in: each swaps
-	// one layer of the engine for the slower form it was derived from, and
-	// Results, statistics, traces and symbol allocation are byte-identical
-	// with any of them set (pinned by the property tests in internal/prog).
-	// They run in-process only: a fleet (dist.Pool) refuses a job that sets
-	// one.
-	//
 	// ASTInterp selects the tree-walking AST interpreter instead of compiled
-	// programs — the executable reference semantics, and the debugging aid
-	// for suspected compiler bugs.
+	// programs — the executable reference semantics for the differential
+	// suites and experiments, and the debugging aid for suspected compiler
+	// bugs, not a mode to run in. Results, statistics, traces and symbol
+	// allocation are byte-identical with it set (pinned by the property
+	// tests in internal/prog). It runs in-process only: a fleet (dist.Pool)
+	// refuses a job that sets it.
 	ASTInterp bool
-	// OrTreeGuards evaluates interval-table-lowered guards as their
-	// original Or-tree disjuncts instead of the packed span tables. Only the
-	// constraint-fingerprint chain differs, since the solver is handed a
-	// disjunction instead of a packed membership condition.
-	OrTreeGuards bool
 	// Obs attaches observability sinks (metrics registry, span tracer; see
 	// internal/obs). Telemetry is strictly observational: results, traces
 	// and statistics are byte-identical with or without it (pinned by the

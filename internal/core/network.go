@@ -29,9 +29,9 @@ const WildcardPort = -1
 // wildcard record, then one per port. An entry holds the SEFL source a
 // model attached and the flat IR of internal/prog compiled from it at most
 // once, on first execution; the program is shared read-only across
-// scheduler workers and batch jobs. A fleet member holds topology plus
-// installed programs (InstallPrograms): its entries carry a program and no
-// source. The table is read concurrently and written only between runs, so
+// scheduler workers and batch jobs. A fleet member compiles each entry's
+// shipped source as it installs it (InstallPrograms). The table is read
+// concurrently and written only between runs, so
 // models may be regenerated between runs: SetInCode/SetOutCode replace the
 // port's entry, dropping its program.
 type Element struct {
@@ -90,7 +90,7 @@ func label(elem string, port int, out bool) string {
 }
 
 // checkPort is at refusing a port the element lacks: code there could
-// never run in-process, and a fleet member would refuse its program.
+// never run in-process, and a fleet member would refuse its source.
 func (e *Element) checkPort(port int, out bool) (*port, error) {
 	if p := e.at(port, out); p != nil {
 		return p, nil
@@ -113,7 +113,7 @@ func (e *Element) mustAt(port int, out bool) *port {
 }
 
 // portCode is one code-table entry: the source and its compiled program,
-// nil until first use (and never nil on an installed entry).
+// nil until first use (a fleet member's installed entry compiles at once).
 type portCode struct {
 	src      sefl.Instr
 	compiled atomic.Pointer[prog.Program]
@@ -149,7 +149,7 @@ func (e *Element) PatchedOutCode(port int, code sefl.Instr) {
 
 // Code returns the source attached to exactly this port (WildcardPort for
 // the wildcard entry), without resolving a port to wildcard code. ok is
-// false when no source is attached, as on a fleet member.
+// false when no source is attached.
 func (e *Element) Code(port int, out bool) (sefl.Instr, bool) {
 	if p := e.at(port, out); p != nil && p.code != nil && p.code.src != nil {
 		return p.code.src, true

@@ -1,12 +1,12 @@
 // Package dist distributes batch verification across worker processes: a
 // coordinator shards a batch of independent jobs onto N fleet members (each
 // running its own in-process worker pool), ships the network's topology
-// plus the compiled IR of every element-port program, and collects results
-// in job order. A member gets programs and jobs, nothing else: it holds
-// topology plus installed programs and no port source, so it compiles
+// plus the SEFL source of every element-port program, and collects results
+// in job order. A member gets port source and jobs, nothing else: it
+// compiles each port's source once, as it installs it, so its runs compile
 // nothing, and a job carries only its budget (hops, paths, loop mode,
-// trace). The reference semantics (Options.ASTInterp, OrTreeGuards) run
-// in-process only — a Pool refuses a job that sets one.
+// trace). The reference semantics (Options.ASTInterp) run in-process only —
+// a Pool refuses a job that sets it.
 //
 // The in-process determinism carries over intact: each job is one core.Run
 // on one goroutine, independent of its siblings, and Sat-cache hits replay
@@ -150,7 +150,7 @@ type Runner interface {
 	// order.
 	RunBatch(net *core.Network, jobs []Job) []JobResult
 	// Refresh marks the named port programs changed since the last batch, so
-	// a fleet's next RunBatch ships workers just those programs.
+	// a fleet's next RunBatch ships workers just those ports' source.
 	Refresh(refs ...core.PortRef)
 	// Invalidate marks everything changed (model rebuilds, restores); a
 	// fleet's next RunBatch ships workers a full setup.
@@ -241,8 +241,8 @@ func shardBounds(jobs, k, n int) (lo, hi int) {
 	return k * jobs / n, (k + 1) * jobs / n
 }
 
-// buildSetup serializes the network's topology and its compiled programs
-// once per full setup.
+// buildSetup serializes the network's topology and its port source once per
+// full setup.
 func buildSetup(net *core.Network) (*setupFrame, error) {
 	wnet, err := core.EncodeNetwork(net)
 	if err != nil {
@@ -262,8 +262,8 @@ func buildShard(jobs []Job, lo, hi int) ([]wireJob, error) {
 	out := make([]wireJob, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		j := jobs[i]
-		if mode := referenceMode(j.Opts); mode != "" {
-			return nil, fmt.Errorf("dist: job %q: Options.%s is a reference mode; run it in-process", j.Name, mode)
+		if j.Opts.ASTInterp {
+			return nil, fmt.Errorf("dist: job %q: Options.ASTInterp is a reference mode; run it in-process", j.Name)
 		}
 		pkt, err := sefl.EncodeInstr(j.Packet)
 		if err != nil {
@@ -278,15 +278,4 @@ func buildShard(jobs []Job, lo, hi int) ([]wireJob, error) {
 		})
 	}
 	return out, nil
-}
-
-// referenceMode names the reference-semantics option a job sets, if any.
-func referenceMode(o core.Options) string {
-	switch {
-	case o.ASTInterp:
-		return "ASTInterp"
-	case o.OrTreeGuards:
-		return "OrTreeGuards"
-	}
-	return ""
 }

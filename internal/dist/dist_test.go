@@ -214,18 +214,18 @@ func canonicalNoCtx(t *testing.T, results []dist.JobResult) []byte {
 
 // TestGuardModesDistByteIdentical is the distributed face of the
 // interval-table acceptance property: the default engine, in-process and on
-// a two-member fleet, matches the in-process Or-tree reference on every
-// observable, and the fleet matches the in-process default engine including
-// its constraint fingerprints. The Or-tree reference itself runs in-process
-// only (a Pool refuses it).
+// a two-member fleet, matches the in-process Or-tree reference (the same
+// network through withOrTreeGuards) on every observable, and the fleet
+// matches the in-process default engine including its constraint
+// fingerprints.
 func TestGuardModesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
-	for _, tc := range batchCases(t) {
+	ors := batchCases(t)
+	for i, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			orTree := withOpts(tc.jobs, func(o *core.Options) { o.OrTreeGuards = true })
-			wantObs := canonicalNoCtx(t, runGrid(t, tc.net, orTree, 0, 2))
+			wantObs := canonicalNoCtx(t, runGrid(t, withOrTreeGuards(ors[i].net), tc.jobs, 0, 2))
 			local := runGrid(t, tc.net, tc.jobs, 0, 2)
 			if got := canonicalNoCtx(t, local); string(got) != string(wantObs) {
 				t.Errorf("interval-table observables differ from the Or-tree reference")
@@ -235,6 +235,73 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withOrTreeGuards rewrites, in place, every table guard in the code of
+// net's ports as the Or-tree it stands for (sefl.Table.Or, which renders
+// byte for byte as the table), and returns net: the reference that interval-
+// table lowering is compared against. A hand-written Or compiles as a tree,
+// so the rewritten network runs no span table.
+func withOrTreeGuards(net *core.Network) *core.Network {
+	for _, e := range net.Elements() {
+		for _, out := range []bool{false, true} {
+			n := e.NumIn
+			if out {
+				n = e.NumOut
+			}
+			for p := core.WildcardPort; p < n; p++ {
+				code, ok := e.Code(p, out)
+				if !ok {
+					continue
+				}
+				if out {
+					e.SetOutCode(p, orTreeInstr(code))
+				} else {
+					e.SetInCode(p, orTreeInstr(code))
+				}
+			}
+		}
+	}
+	return net
+}
+
+// orTreeInstr is ins with every table guard written as its Or-tree.
+func orTreeInstr(ins sefl.Instr) sefl.Instr {
+	switch v := ins.(type) {
+	case sefl.Constrain:
+		return sefl.Constrain{C: orTreeCond(v.C)}
+	case sefl.If:
+		return sefl.If{C: orTreeCond(v.C), Then: orTreeInstr(v.Then), Else: orTreeInstr(v.Else)}
+	case sefl.Block:
+		is := make([]sefl.Instr, len(v.Is))
+		for i, sub := range v.Is {
+			is[i] = orTreeInstr(sub)
+		}
+		return sefl.Block{Is: is}
+	}
+	return ins
+}
+
+func orTreeCond(c sefl.Cond) sefl.Cond {
+	switch v := c.(type) {
+	case sefl.Table:
+		return v.Or()
+	case sefl.CAnd:
+		cs := make([]sefl.Cond, len(v.Cs))
+		for i, sub := range v.Cs {
+			cs[i] = orTreeCond(sub)
+		}
+		return sefl.CAnd{Cs: cs}
+	case sefl.COr:
+		cs := make([]sefl.Cond, len(v.Cs))
+		for i, sub := range v.Cs {
+			cs[i] = orTreeCond(sub)
+		}
+		return sefl.COr{Cs: cs}
+	case sefl.CNot:
+		return sefl.CNot{C: orTreeCond(v.C)}
+	}
+	return c
 }
 
 // withOpts returns a copy of jobs with set applied to each job's Options.
@@ -414,18 +481,19 @@ func TestDistMetricsAbsorbedAndInert(t *testing.T) {
 // TestSummariesDistByteIdentical is the distributed face of the compiled
 // engine's acceptance property: the default engine, in-process and on a
 // two-member fleet, produces on every dataset batch the same observables as
-// the AST interpreter (Options.ASTInterp) in-process, and the Or-tree
-// compiled engine the same bytes, constraint fingerprints included. The
-// reference modes run in-process only (a Pool refuses them).
+// the AST interpreter (Options.ASTInterp) in-process, and the compiled
+// engine on the Or-tree network (withOrTreeGuards) the same bytes,
+// constraint fingerprints included. The AST interpreter runs in-process
+// only (a Pool refuses it).
 func TestSummariesDistByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
-	for _, tc := range batchCases(t) {
+	ors := batchCases(t)
+	for i, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			ast := runGrid(t, tc.net, withOpts(tc.jobs, func(o *core.Options) { o.ASTInterp = true }), 0, 2)
-			orTree := withOpts(tc.jobs, func(o *core.Options) { o.OrTreeGuards = true })
-			if got, want := canonical(t, runGrid(t, tc.net, orTree, 0, 2)), canonical(t, ast); string(got) != string(want) {
+			if got, want := canonical(t, runGrid(t, withOrTreeGuards(ors[i].net), tc.jobs, 0, 2)), canonical(t, ast); string(got) != string(want) {
 				t.Errorf("Or-tree compiled results differ from the AST reference in-process")
 			}
 			wantObs := canonicalNoCtx(t, ast)
@@ -439,11 +507,11 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 }
 
 // TestSummariesDistWorkersInstallNotRebuild pins the division of labor
-// across the wire: members install the programs they are shipped — the
-// full setup, and the delta after a Refresh — and run them, so the absorbed
-// worker telemetry shows every port visit served from the program cache
-// (core.progcache.hits) and none compiling a port program
-// (core.progcache.misses) on every batch. The delta changes the gate's
+// across the wire: members compile the source they are shipped as they
+// install it — the full setup, and the delta after a Refresh — and run the
+// programs, so the absorbed worker telemetry shows every port visit served
+// from the program cache (core.progcache.hits) and none compiling a port
+// program during a run (core.progcache.misses) on every batch. The delta changes the gate's
 // code, so a member still running the old program would change the
 // results.
 func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
@@ -484,14 +552,14 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 			t.Errorf("%s batch: no program-cache hits absorbed from workers; counters: %v", mode, snap.Counters)
 		}
 		if n := grew("core.progcache.misses"); n != 0 {
-			t.Errorf("%s batch: workers compiled %d port programs, want the shipped ones run", mode, n)
+			t.Errorf("%s batch: workers compiled %d port programs while running, want the installed ones run", mode, n)
 		}
 		prev = *snap
 	}
 	batch("full")
 	batch("reuse")
 	// The gate now admits well-known ports only, which every path's
-	// constraint fingerprint shows; the delta ships its program alone.
+	// constraint fingerprint shows; the delta ships its source alone.
 	before := reference(t, net, jobs)
 	g.SetInCode(0, sefl.Seq(sefl.Constrain{C: sefl.Lt(sefl.Ref{LV: sefl.TcpDst}, sefl.C(1024))}, sefl.Forward{Port: 0}))
 	if string(reference(t, net, jobs)) == string(before) {
@@ -502,30 +570,25 @@ func TestSummariesDistWorkersInstallNotRebuild(t *testing.T) {
 }
 
 // TestPoolRefusesReferenceModes pins where the reference semantics run: a
-// Pool refuses a batch in which any job sets one, failing every job of it
-// with the same pointed error, while the in-process runner runs it.
+// Pool refuses a batch in which any job sets Options.ASTInterp, failing
+// every job of it with the same pointed error, while the in-process runner
+// runs it.
 func TestPoolRefusesReferenceModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
 	net, jobs := satHeavyJobs(4, 3)
-	fleet := residentFleet(t, 1)
-	for mode, set := range map[string]func(*core.Options){
-		"ASTInterp":    func(o *core.Options) { o.ASTInterp = true },
-		"OrTreeGuards": func(o *core.Options) { o.OrTreeGuards = true },
-	} {
-		batch := append([]dist.Job(nil), jobs...)
-		set(&batch[1].Opts)
-		want := fmt.Sprintf("dist: job %q: Options.%s is a reference mode; run it in-process", batch[1].Name, mode)
-		for i, jr := range runVia(t, net, batch, dist.Config{Workers: fleet, WorkersPerProc: 1}) {
-			if jr.Err == nil || jr.Err.Error() != want || jr.Summary != nil {
-				t.Errorf("%s: pool job %d = %+v, want error %q", mode, i, jr, want)
-			}
+	batch := append([]dist.Job(nil), jobs...)
+	batch[1].Opts.ASTInterp = true
+	want := fmt.Sprintf("dist: job %q: Options.ASTInterp is a reference mode; run it in-process", batch[1].Name)
+	for i, jr := range runVia(t, net, batch, dist.Config{Workers: residentFleet(t, 1), WorkersPerProc: 1}) {
+		if jr.Err == nil || jr.Err.Error() != want || jr.Summary != nil {
+			t.Errorf("pool job %d = %+v, want error %q", i, jr, want)
 		}
-		for i, jr := range runVia(t, net, batch, dist.Config{WorkersPerProc: 1}) {
-			if jr.Err != nil || jr.Result == nil || jr.Result.Stats.Delivered != 1 {
-				t.Errorf("%s: in-process job %d = %+v, want one delivered path", mode, i, jr)
-			}
+	}
+	for i, jr := range runVia(t, net, batch, dist.Config{WorkersPerProc: 1}) {
+		if jr.Err != nil || jr.Result == nil || jr.Result.Stats.Delivered != 1 {
+			t.Errorf("in-process job %d = %+v, want one delivered path", i, jr)
 		}
 	}
 }

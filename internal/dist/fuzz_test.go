@@ -59,10 +59,13 @@ func FuzzResultFrame(f *testing.F) {
 
 // sessionStreams is every coordinator-side stream the wire tests serve: the
 // handshake and batch error cases (wrong first frame, wrong versions,
-// garbage, truncations, setups against a worker holding nothing) and the
-// clean three-batch session (hello, full/reuse/delta batch, jobs, end, bye).
+// garbage, truncations, source the member cannot decode, setups against a
+// worker holding nothing), the sessions installing incomplete source, and
+// the clean three-batch session (hello, full/reuse/delta batch, jobs, end,
+// bye).
 func sessionStreams(t testing.TB) []streamCase {
-	return append(append(handshakeErrorCases(t), batchErrorCases(t)...), servedSession(t))
+	out := append(handshakeErrorCases(t), batchErrorCases(t)...)
+	return append(append(out, incompleteSessions(t)...), servedSession(t))
 }
 
 // seedCorpora names each fuzz target's committed seed corpus and the test

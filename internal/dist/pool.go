@@ -132,7 +132,7 @@ func NewPool(cfg Config) (*Pool, error) {
 // Refresh records that the programs behind the given ports changed (the
 // churn service calls it after reconciling a rule delta): the pool bumps its
 // setup generation and the next batch ships workers just those ports'
-// re-compiled IR. No refs is a no-op.
+// source, which they recompile. No refs is a no-op.
 func (p *Pool) Refresh(refs ...core.PortRef) {
 	if len(refs) == 0 {
 		return
@@ -156,7 +156,7 @@ func (p *Pool) Invalidate() {
 // RunBatch runs every job across the fleet, returning results in job order —
 // byte-identical (as summaries) to sched.RunBatch regardless of fleet size or
 // crashes. A batch-wide setup failure — or a job that sets a reference mode
-// (Options.ASTInterp, OrTreeGuards), which runs in-process only —
+// (Options.ASTInterp), which runs in-process only —
 // poisons every job; per-worker failures poison only jobs that exhausted
 // their retry budget.
 //

@@ -68,9 +68,9 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v12: a setup's network is topology only; port
-// code crosses as programs alone).
-const protoVersion = 12
+// frame may carry bumps it (v13: port code crosses as SEFL source, which the
+// member compiles; no compiled program crosses).
+const protoVersion = 13
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.
@@ -118,8 +118,8 @@ type batchFrame struct {
 	Metrics bool
 }
 
-// deltaFrame re-ships only what changed since the last batch: the
-// re-compiled programs of the touched ports, which the worker installs.
+// deltaFrame re-ships only what changed since the last batch: the source of
+// the touched ports, which the worker installs and compiles.
 type deltaFrame struct {
 	Programs []core.WireProgramEntry
 }
@@ -148,9 +148,9 @@ func decodeSetup(raw []byte) (*setupFrame, error) {
 }
 
 // setupFrame carries everything a worker needs before any job: the
-// network's topology (elements and links, no port source) and the
-// coordinator's compiled program for every element-port code entry, which
-// the worker installs as its elements' only code.
+// network's topology (elements and links) and the SEFL source of every
+// element-port code entry, which the worker installs as its elements' only
+// code and compiles.
 // Per-batch configuration (Metrics, queue width) lives on batchFrame — a
 // setup outlives batches in a resident pool.
 type setupFrame struct {

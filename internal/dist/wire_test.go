@@ -14,7 +14,6 @@ import (
 
 	"symnet/internal/core"
 	"symnet/internal/expr"
-	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
 
@@ -71,7 +70,7 @@ func jsonEq(t *testing.T, a, b interface{}) bool {
 
 // TestSessionFramesRoundTrip pushes every session frame through a conn
 // pair and checks the decoded payloads field-for-field — including a real
-// delta (re-encoded programs of one port), the frame a Refresh ships.
+// delta (the source of one port), the frame a Refresh ships.
 func TestSessionFramesRoundTrip(t *testing.T) {
 	net, _ := testFleetNet()
 	progs, err := core.EncodeProgramsFor(net, []core.PortRef{{Elem: "SW", Port: 0, Out: true}})
@@ -156,7 +155,8 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 	// summary slab's For nodes, v6 expects full Summaries in results, v7
 	// expects a reconnect to find the network it installed before, v8
 	// ships table guards for the worker to rebuild as Or-trees, v9 ships
-	// summaries beside the programs and v10 ships sub-segment ops.
+	// summaries beside the programs, v10 ships sub-segment ops, v11 ships
+	// port source beside the programs and v12 ships compiled programs.
 	for v := 3; v < protoVersion; v++ {
 		cases = append(cases, streamCase{
 			name:   fmt.Sprintf("v%d coordinator", v),
@@ -251,29 +251,20 @@ func batchErrorCases(t testing.TB) []streamCase {
 	fullBatch := func(mutate func(*setupFrame)) *frame {
 		return &frame{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: testSetupRaw(t, net, mutate), Workers: 1}}
 	}
-	// broken is ins compiled as SW's input program, its wire form as mutate
-	// damaged it; install puts a program in SW's input program's place.
-	broken := func(ins sefl.Instr, mutate func(*prog.WireProgram)) *prog.WireProgram {
-		w, err := prog.EncodeProgram(prog.Compile(ins, "SW", 0, "SW.in[0]"))
+	// source puts w in SW's input entry's place.
+	source := func(w *sefl.WireInstr) func(*setupFrame) {
+		return func(s *setupFrame) { s.Programs[0].Src = w }
+	}
+	// forWith is a For whose body reference is ref (dist_test.go registers
+	// dist.test.panic).
+	forWith := func(ref string) *sefl.WireInstr {
+		w, err := sefl.EncodeInstr(sefl.NewFor("^x", "dist.test.panic", ""))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mutate(w)
+		w.Ref = ref
 		return w
 	}
-	install := func(w *prog.WireProgram) func(*setupFrame) {
-		return func(s *setupFrame) { s.Programs[0].Prog = w }
-	}
-	dst := sefl.Ref{LV: sefl.EtherDst}
-	isAA, isBB := sefl.Eq(dst, sefl.CW(0xaa, 48)), sefl.Eq(dst, sefl.CW(0xbb, 48))
-	sum := broken(sefl.Assign{LV: sefl.EtherDst, E: sefl.Add{A: dst, B: sefl.CW(1, 48)}},
-		func(w *prog.WireProgram) { w.Ops[0].E.B = nil })
-	not := broken(sefl.Constrain{C: sefl.CNot{C: isAA}}, func(w *prog.WireProgram) { w.CondTab[1].C = -1 })
-	or := broken(sefl.Constrain{C: sefl.COr{Cs: []sefl.Cond{isAA, isBB}}}, func(w *prog.WireProgram) { w.CondTab[1].R = nil })
-	// An If's arms are segments 0 and 1; it is op 2, in the entry segment 2.
-	branch := sefl.If{C: isAA, Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}}
-	twice := broken(branch, func(w *prog.WireProgram) { w.Ops[2].Else = w.Ops[2].Then })
-	entered := broken(branch, func(w *prog.WireProgram) { w.Entry = w.Ops[2].Then })
 	return []streamCase{
 		{
 			name:   "setup without a network",
@@ -287,98 +278,23 @@ func batchErrorCases(t testing.TB) []streamCase {
 			})},
 			want: "decoding setup: core: decode element SW: duplicate name",
 		},
-		{
-			name:   "program entry without a program",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog = nil })},
-			want:   "decoding setup: prog: decode: program entry without a program",
-		},
-		{
-			// An If whose arm is its own segment: installed and run, it
-			// recursed until the stack overflowed, which no recover catches.
-			name: "setup with a cyclic segment",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
-				w := s.Programs[0].Prog
-				op := &w.Ops[w.Segs[w.Entry].Lo]
-				op.Kind, op.Then, op.Else = prog.OpIf, w.Entry, w.Entry
-			})},
-			want: "decoding setup: prog: decode SW.in[0]: op 0 in segment 0 enters segment 0; want an earlier one",
-		},
-		// A segment resumes where the one If entering it says, and the entry
-		// resumes nowhere: two entries, or an entered entry, have no single
-		// place to resume.
-		{
-			name:   "setup with a segment two arms enter",
-			frames: []*frame{hello, fullBatch(install(twice))},
-			want:   "decoding setup: prog: decode SW.in[0]: op 2 enters segment 0, which another If arm enters",
-		},
-		{
-			name:   "setup with an arm entering the entry",
-			frames: []*frame{hello, fullBatch(install(entered))},
-			want:   "decoding setup: prog: decode SW.in[0]: op 2 enters the entry segment 0",
-		},
-		// Ops that lack what their kind reads, each of which panicked once
-		// run, and a kind past the last one.
-		{
-			name: "setup with a condition-less if",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
-				w := s.Programs[0].Prog
-				w.Segs, w.Entry = append([]prog.Seg{{}}, w.Segs...), w.Entry+1
-				op := &w.Ops[0]
-				op.Kind, op.C, op.Then, op.Else = prog.OpIf, -1, 0, 0
-			})},
-			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no condition", prog.OpIf),
-		},
-		{
-			name: "setup with a condition-less constrain",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
-				op := &s.Programs[0].Prog.Ops[0]
-				op.Kind, op.C = prog.OpConstrain, -1
-			})},
-			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no condition", prog.OpConstrain),
-		},
-		{
-			name: "setup with a constrain rendering another instruction",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) {
-				w := s.Programs[0].Prog
-				w.CondTab = append(w.CondTab, prog.WireCCond{C: -1})
-				op := &w.Ops[0]
-				op.Kind, op.C = prog.OpConstrain, int32(len(w.CondTab)-1)
-			})},
-			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no Constrain instruction", prog.OpConstrain),
-		},
+		// Source the member cannot rebuild is refused as it decodes: a For
+		// body crosses by its registry name, and an instruction kind past
+		// the last names no instruction.
 		{
 			name:   "setup with a loop-less for",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog.Ops[0].Kind = prog.OpFor })},
-			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no loop", prog.OpFor),
+			frames: []*frame{hello, fullBatch(source(forWith("")))},
+			want:   `decoding setup: core: install program SW.in[0]: sefl: decode For("^x"): unregistered For body ""`,
 		},
 		{
-			name:   "setup with an expression-less assign",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog.Ops[0].Kind = prog.OpAssign })},
-			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has no expression", prog.OpAssign),
+			name:   "setup with a for naming an unregistered body",
+			frames: []*frame{hello, fullBatch(source(forWith("dist.test.unregistered")))},
+			want:   `decoding setup: core: install program SW.in[0]: sefl: decode For("^x"): unregistered For body "dist.test.unregistered"`,
 		},
 		{
 			name:   "setup with an op kind past the last",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Prog.Ops[0].Kind = prog.OpUnknown + 1 })},
-			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d is past the last kind", prog.OpUnknown+1),
-		},
-		// Ops whose expression or condition tree lacks a node its kind
-		// reads, which the executors read without a check.
-		{
-			name:   "setup with an operand-less sum",
-			frames: []*frame{hello, fullBatch(install(sum))},
-			want:   fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has an incomplete expression: an arithmetic node lacks an operand", prog.OpAssign),
-		},
-		{
-			name:   "setup with a child-less not",
-			frames: []*frame{hello, fullBatch(install(not))},
-			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has an incomplete condition: cond 1 of kind %d has no child",
-				prog.OpConstrain, not.CondTab[1].Kind),
-		},
-		{
-			name:   "setup with an or over an incomplete child",
-			frames: []*frame{hello, fullBatch(install(or))},
-			want: fmt.Sprintf("decoding setup: prog: decode SW.in[0]: op 0 of kind %d has an incomplete condition: cond 1 of kind %d lacks an operand",
-				prog.OpConstrain, or.CondTab[1].Kind),
+			frames: []*frame{hello, fullBatch(source(&sefl.WireInstr{Kind: 255}))},
+			want:   "decoding setup: core: install program SW.in[0]: sefl: unknown wire instruction kind 255",
 		},
 		{
 			// The compiler trusts a table's rows, so the decoder refuses a
@@ -391,17 +307,11 @@ func batchErrorCases(t testing.TB) []streamCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.Programs[0].Prog.Ops[0].Ins = ins
+				s.Programs[0].Src = ins
 			})},
-			want: "decoding setup: prog: decode SW.in[0] op 0: sefl: table row 1: prefix length 49 outside the 48-bit field",
+			want: "decoding setup: core: install program SW.in[0]: sefl: table row 1: prefix length 49 outside the 48-bit field",
 		},
-		// An installed program is a member's only code for its port, so it
-		// must be the element's own and name a port the element has.
-		{
-			name:   "setup installing a program on another element",
-			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Elem = "H0" })},
-			want:   "decoding setup: core: install program H0.in[0]: compiled for SW instance 0, installed on H0 instance 1",
-		},
+		// An entry must name a port the element has.
 		{
 			name:   "setup installing a program on a missing port",
 			frames: []*frame{hello, fullBatch(func(s *setupFrame) { s.Programs[0].Port = 1 })},
@@ -451,6 +361,97 @@ func batchErrorCases(t testing.TB) []streamCase {
 // mismatch on reuse, a corrupt setup blob, and a stream truncated mid-batch.
 func TestWorkerBatchProtocolErrors(t *testing.T) {
 	runStreamCases(t, batchErrorCases(t))
+}
+
+// incompleteSources is SW input code lacking a child its node reads, each
+// under the name of the session that installs it. The wire decodes a missing
+// child as nil, so a coordinator can send such source, and a member installs
+// it: Compile turns it into the failing path an in-process run of the same
+// source takes.
+var incompleteSources = []struct {
+	name string
+	code sefl.Instr
+}{
+	{"program entry without a program", nil},
+	{"setup with a condition-less if", sefl.If{Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}}},
+	{"setup with a condition-less constrain", sefl.Seq(sefl.Constrain{}, sefl.Fork{Ports: []int{0, 1}})},
+	{"setup with an expression-less assign", sefl.Seq(sefl.Assign{LV: sefl.EtherDst}, sefl.Fork{Ports: []int{0, 1}})},
+	{"setup with an operand-less sum", sefl.Seq(sefl.Assign{LV: sefl.EtherDst, E: sefl.Add{A: sefl.Ref{LV: sefl.EtherDst}}}, sefl.Fork{Ports: []int{0, 1}})},
+	{"setup with a child-less not", sefl.Seq(sefl.Constrain{C: sefl.CNot{}}, sefl.Fork{Ports: []int{0, 1}})},
+	{"setup with an or over an incomplete child", sefl.Seq(sefl.Constrain{C: sefl.COr{Cs: []sefl.Cond{
+		sefl.Cmp{Op: expr.Eq, L: sefl.Ref{LV: sefl.EtherDst}}, sefl.Eq(sefl.Ref{LV: sefl.EtherDst}, sefl.CW(0xbb, 48)),
+	}}}, sefl.Fork{Ports: []int{0, 1}})},
+}
+
+// incompleteSession is the clean session that installs code as SW's input
+// code and runs both of testFleetNet's jobs, with the network and jobs the
+// coordinator built it from.
+func incompleteSession(t testing.TB, name string, code sefl.Instr) (streamCase, *core.Network, []Job) {
+	net, jobs := testFleetNet()
+	sw, _ := net.Element("SW")
+	sw.SetInCode(0, code)
+	wire, err := buildShard(jobs, 0, len(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return streamCase{name: name, frames: []*frame{
+		{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion}},
+		{Kind: frameBatch, Batch: &batchFrame{Seq: 1, Gen: 1, SetupRaw: testSetupRaw(t, net, nil), Workers: 1}},
+		{Kind: frameJobs, Jobs: &jobsFrame{Jobs: wire}},
+		{Kind: frameEnd},
+		{Kind: frameBye},
+	}}, net, jobs
+}
+
+// incompleteSessions is every incompleteSession, for the fuzz seeds.
+func incompleteSessions(t testing.TB) []streamCase {
+	var out []streamCase
+	for _, tc := range incompleteSources {
+		sc, _, _ := incompleteSession(t, tc.name, tc.code)
+		out = append(out, sc)
+	}
+	return out
+}
+
+// TestWorkerRunsIncompleteSource pins that a member runs incomplete source
+// as the coordinator does: each session installs it and answers both jobs
+// with summaries byte-identical to the in-process engine's on the
+// coordinator's network, each with a failed path, and no panic.
+func TestWorkerRunsIncompleteSource(t *testing.T) {
+	for _, tc := range incompleteSources {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, net, jobs := incompleteSession(t, tc.name, tc.code)
+			var out bytes.Buffer
+			if err := serveSession(newConn(encodeInput(t, sc.frames, nil), &out), nil); err != nil {
+				t.Fatalf("serveSession: %v", err)
+			}
+			c := newConn(&out, &out)
+			if f, err := c.recv(); err != nil || f.Kind != frameHelloAck {
+				t.Fatalf("first reply: %+v, %v; want the hello ack", f, err)
+			}
+			for range jobs {
+				f, err := c.recv()
+				if err != nil || f.Kind != frameResult || f.Result.Err != "" || f.Result.Summary == nil {
+					t.Fatalf("reply: %+v, %v; want a result", f, err)
+				}
+				j := jobs[f.Result.Index]
+				got, err := f.Result.Summary.unpack(j.Opts.MaxHops, j.Opts.MaxPaths)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := core.Run(net, j.Inject, j.Packet, j.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.Failed == 0 {
+					t.Fatalf("job %s: no path failed in-process", j.Name)
+				}
+				if !jsonEq(t, got, Summarize(res)) {
+					t.Errorf("job %s: the member's summary differs from the in-process run", j.Name)
+				}
+			}
+		})
+	}
 }
 
 // servedSession is a clean session that exercises every frame a coordinator

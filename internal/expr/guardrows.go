@@ -2,9 +2,9 @@ package expr
 
 // Packed guard rows: the shared vocabulary of table guards. A sefl.Table
 // holds its rows as GuardRows, the compiled CIntervalTable node
-// (internal/prog) aliases them, and both the SEFL codec and the IR codec
-// ship them as a flat word stream; keeping the grammar here means it exists
-// — and is bounds-checked — exactly once. Stream grammar, per row:
+// (internal/prog) aliases them, and the SEFL codec ships them as a flat word
+// stream; keeping the grammar here means it is bounds-checked where the rows
+// are defined. Stream grammar, per row:
 //
 //	GuardEq without exclusions:     0 V
 //	GuardPrefix without exclusions: 1 V Len

@@ -128,41 +128,3 @@ func TestInSetHashEqualIntern(t *testing.T) {
 		t.Error("different terms must hash differently")
 	}
 }
-
-// TestInSetCodecRoundTrip: packed ranges survive the wire and decode to a
-// structurally identical condition with an identical fingerprint.
-func TestInSetCodecRoundTrip(t *testing.T) {
-	tab := NewSpanTable(32, []Span{{Lo: 0x0a000000, Hi: 0x0a0000ff}, {Lo: 0x0a000200, Hi: 0x0a0002ff}})
-	orig := InSet{L: Lin{Sym: 11, Add: 3, Width: 32}, T: tab}
-	w, err := EncodeCond(orig)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if len(w.Spans) != 2 {
-		t.Fatalf("wire spans = %v", w.Spans)
-	}
-	dec, err := DecodeCond(w)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(orig, dec) || HashCond(orig) != HashCond(dec) {
-		t.Fatalf("decoded InSet differs: %v vs %v", orig, dec)
-	}
-	// Nested inside a Not and an And, through the same codec.
-	nested := Not{C: And{Cs: []Cond{orig, Bool(true)}}}
-	wn, err := EncodeCond(nested)
-	if err != nil {
-		t.Fatalf("encode nested: %v", err)
-	}
-	dn, err := DecodeCond(wn)
-	if err != nil {
-		t.Fatalf("decode nested: %v", err)
-	}
-	if !reflect.DeepEqual(nested, dn) || HashCond(nested) != HashCond(dn) {
-		t.Fatalf("nested round trip differs: %v vs %v", nested, dn)
-	}
-	// A Not whose operand gob left out is malformed, not a nil condition.
-	if _, err := DecodeCond(&WireExprCond{Kind: wireNot}); err == nil {
-		t.Fatal("a wire Not without an operand decoded")
-	}
-}

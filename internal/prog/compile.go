@@ -3,6 +3,7 @@ package prog
 import (
 	"cmp"
 	"fmt"
+	"regexp"
 	"slices"
 	"time"
 
@@ -24,9 +25,7 @@ func Compile(code sefl.Instr, elem string, instance int, label string) *Program 
 		conds: make(map[expr.Fp][]*cCond),
 	}
 	c.p.Entry = c.compileSeg([]sefl.Instr{code})
-	if err := link(c.p); err != nil {
-		panic("prog: compile " + label + ": " + err.Error()) // compileSeg emits a tree
-	}
+	link(c.p)
 	compileCount.Add(1)
 	compileNs.Add(time.Since(t0).Nanoseconds())
 	return c.p
@@ -148,6 +147,19 @@ func (c *compiler) emit(buf *[]Op, ins sefl.Instr, terminated *bool) {
 	default:
 		*buf = append(*buf, Op{Kind: OpUnknown, Ins: ins, Msg: fmt.Sprintf("unknown instruction %T", ins)})
 	}
+}
+
+// newForOp builds the runtime payload of an OpFor: the pattern compiled
+// once, or the exact bad-pattern failure message the AST interpreter gives.
+func newForOp(pattern string, body func(sefl.Meta) sefl.Instr) *ForOp {
+	f := &ForOp{Pattern: pattern, Body: body}
+	re, err := regexp.Compile(pattern)
+	if err != nil {
+		f.Err = fmt.Sprintf("For: bad pattern %q: %v", pattern, err)
+	} else {
+		f.Re = re
+	}
+	return f
 }
 
 // allocSize applies the AST interpreter's size defaulting: a zero
@@ -345,7 +357,7 @@ func findCond(conds map[expr.Fp][]*cCond, cc *cCond) *cCond {
 }
 
 // finishCond computes a node's static fold, shared between the compiler and
-// the wire decoder's reconstruction of lowered-guard children.
+// the Or-tree view a lowered guard builds of its rows.
 func finishCond(cc *cCond) {
 	if !cc.HasStatic && condStatic(cc) {
 		cond, err := evalCondDynamic(nil, cc)
@@ -458,7 +470,7 @@ func fpPrefix(l expr.Fp, val uint64, plen, pw int) expr.Fp {
 func fpNot(c expr.Fp) expr.Fp { return fpWord(uint64(cNot) + 0x29).Chain(c) }
 
 // fpJunction starts an n-ary And or Or; the children's are chained onto it.
-func fpJunction(kind CondKind, n int) expr.Fp {
+func fpJunction(kind condKind, n int) expr.Fp {
 	return fpWord(uint64(kind) + 0x29).Chain(fpWord(uint64(n)))
 }
 

@@ -30,12 +30,12 @@ import (
 func fingerprint(res *core.Result) string { return fingerprintCtx(res, true) }
 
 // obsFingerprint is fingerprint minus the constraint-fingerprint chain: the
-// comparison surface between interval-table and Or-tree guard evaluation.
-// The two modes hand the solver different (equivalent) condition
-// representations for lowered guards, so the chained Add fingerprints
-// legitimately differ; every observable — results, statuses, messages,
-// histories, traces, memory contents, symbol IDs, pending-disjunction
-// counts, solver statistics — must still be byte-identical.
+// comparison surface between a lowered table guard and the Or-tree it stands
+// for (withOrTreeGuards). The two hand the solver different (equivalent)
+// condition representations, so the chained Add fingerprints legitimately
+// differ; every observable — results, statuses, messages, histories, traces,
+// memory contents, symbol IDs, pending-disjunction counts, solver
+// statistics — must still be byte-identical.
 func obsFingerprint(res *core.Result) string { return fingerprintCtx(res, false) }
 
 // fpTags are the tags the generator and the packets here create, sorted.
@@ -291,9 +291,10 @@ func (g *gen) network() (*core.Network, core.PortRef) {
 // TestDifferentialCompiledVsAST is the core differential property: for many
 // random programs, the compiled engine's Result must be byte-identical to
 // the AST interpreter's, with tracing exercised on a subset of seeds. The
-// Or-tree reference mode must match the AST including constraint
-// fingerprints; the default interval-table mode must match on every
-// observable (the ctx chain may differ on lowered guards).
+// compiled engine on the Or-tree network (withOrTreeGuards) must match the
+// AST including constraint fingerprints; on the network as written, with its
+// table guards lowered, it must match on every observable (the ctx chain may
+// differ on lowered guards).
 func TestDifferentialCompiledVsAST(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -313,20 +314,18 @@ func TestDifferentialCompiledVsAST(t *testing.T) {
 		}
 		want := fingerprint(ast)
 
-		refOpts := opts
-		refOpts.OrTreeGuards = true
-		ref, err := core.Run(net, inj, init, refOpts)
+		ir, err := core.Run(net, inj, init, opts)
+		if err != nil {
+			t.Fatalf("seed %d: compiled run: %v", seed, err)
+		}
+
+		ref, err := core.Run(withOrTreeGuards(net), inj, init, opts)
 		if err != nil {
 			t.Fatalf("seed %d: compiled (Or-tree) run: %v", seed, err)
 		}
 		if got := fingerprint(ref); got != want {
 			t.Fatalf("seed %d: Or-tree compiled result differs from AST:\n--- AST ---\n%s--- compiled ---\n%s",
 				seed, diffHead(want, got), diffHead(got, want))
-		}
-
-		ir, err := core.Run(net, inj, init, opts)
-		if err != nil {
-			t.Fatalf("seed %d: compiled run: %v", seed, err)
 		}
 		if got, wantObs := obsFingerprint(ir), obsFingerprint(ast); got != wantObs {
 			t.Fatalf("seed %d: interval-table compiled result differs from AST:\n--- AST ---\n%s--- compiled ---\n%s",
@@ -388,30 +387,31 @@ func TestDifferentialDatasets(t *testing.T) {
 		packet sefl.Instr
 		opts   core.Options
 	}
-	var ws []workload
-	d := datasets.NewDepartment(datasets.DepartmentConfig{
-		NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
-	ws = append(ws,
-		workload{"department office", d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false), core.Options{MaxHops: 64}},
-		workload{"department inbound", d.Net, core.PortRef{Elem: "exit", Port: 1}, sefl.NewTCPPacket(), core.Options{MaxHops: 64}},
-	)
-	bb := datasets.StanfordBackbone(6, 50)
-	ws = append(ws, workload{"backbone", bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{}})
-	stcp := datasets.NewSplitTCP(datasets.SplitTCPConfig{MTUDrop: true, Tunnel: true, ProxyRewritesMAC: true})
-	ws = append(ws, workload{"splittcp", stcp, core.PortRef{Elem: "client", Port: 0}, datasets.SplitTCPClientPacket(), core.Options{MaxHops: 64}})
-	fh, fhInject := datasets.ForkHeavy(8, 3, 4)
-	ws = append(ws, workload{"forkheavy", fh, fhInject, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12}})
+	build := func() []workload {
+		var ws []workload
+		d := datasets.NewDepartment(datasets.DepartmentConfig{
+			NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
+		ws = append(ws,
+			workload{"department office", d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false), core.Options{MaxHops: 64}},
+			workload{"department inbound", d.Net, core.PortRef{Elem: "exit", Port: 1}, sefl.NewTCPPacket(), core.Options{MaxHops: 64}},
+		)
+		bb := datasets.StanfordBackbone(6, 50)
+		ws = append(ws, workload{"backbone", bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{}})
+		stcp := datasets.NewSplitTCP(datasets.SplitTCPConfig{MTUDrop: true, Tunnel: true, ProxyRewritesMAC: true})
+		ws = append(ws, workload{"splittcp", stcp, core.PortRef{Elem: "client", Port: 0}, datasets.SplitTCPClientPacket(), core.Options{MaxHops: 64}})
+		fh, fhInject := datasets.ForkHeavy(8, 3, 4)
+		return append(ws, workload{"forkheavy", fh, fhInject, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12}})
+	}
+	ws, ors := build(), build()
 
-	for _, w := range ws {
+	for i, w := range ws {
 		astOpts := w.opts
 		astOpts.ASTInterp = true
 		ast, err := core.Run(w.net, w.inject, w.packet, astOpts)
 		if err != nil {
 			t.Fatalf("%s: AST run: %v", w.name, err)
 		}
-		refOpts := w.opts
-		refOpts.OrTreeGuards = true
-		ref, err := core.Run(w.net, w.inject, w.packet, refOpts)
+		ref, err := core.Run(withOrTreeGuards(ors[i].net), w.inject, w.packet, w.opts)
 		if err != nil {
 			t.Fatalf("%s: compiled (Or-tree) run: %v", w.name, err)
 		}
@@ -433,9 +433,9 @@ func TestDifferentialDatasets(t *testing.T) {
 
 // TestDifferentialGuardModesWorkers is the interval-table acceptance
 // property over the real datasets: interval-table execution must match the
-// Or-tree reference on every observable (results, stats, traces, symbol
-// IDs), and each mode must reproduce its own full fingerprint, constraint
-// chain included, when run again.
+// Or-tree reference (the same network through withOrTreeGuards) on every
+// observable (results, stats, traces, symbol IDs), and each must reproduce
+// its own full fingerprint, constraint chain included, when run again.
 func TestDifferentialGuardModesWorkers(t *testing.T) {
 	type workload struct {
 		name   string
@@ -444,23 +444,28 @@ func TestDifferentialGuardModesWorkers(t *testing.T) {
 		packet sefl.Instr
 		opts   core.Options
 	}
-	d := datasets.NewDepartment(datasets.DepartmentConfig{
-		NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
-	bb := datasets.StanfordBackbone(6, 50)
-	fh, fhInject := datasets.ForkHeavy(8, 3, 4)
-	ws := []workload{
-		{"department", d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false), core.Options{MaxHops: 64}},
-		{"backbone", bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{}},
-		{"forkheavy", fh, fhInject, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12}},
+	build := func() []workload {
+		d := datasets.NewDepartment(datasets.DepartmentConfig{
+			NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
+		bb := datasets.StanfordBackbone(6, 50)
+		fh, fhInject := datasets.ForkHeavy(8, 3, 4)
+		return []workload{
+			{"department", d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false), core.Options{MaxHops: 64}},
+			{"backbone", bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{}},
+			{"forkheavy", fh, fhInject, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12}},
+		}
 	}
-	for _, w := range ws {
+	ws, ors := build(), build()
+	for i, w := range ws {
 		var wantObs string
 		for _, orTree := range []bool{true, false} {
-			opts := w.opts
-			opts.OrTreeGuards = orTree
+			net := w.net
+			if orTree {
+				net = withOrTreeGuards(ors[i].net)
+			}
 			var runs [2]*core.Result
 			for i := range runs {
-				res, err := core.Run(w.net, w.inject, w.packet, opts)
+				res, err := core.Run(net, w.inject, w.packet, w.opts)
 				if err != nil {
 					t.Fatalf("%s ortree=%v: %v", w.name, orTree, err)
 				}
@@ -542,27 +547,17 @@ func vlanPacket(vlan sefl.Expr) sefl.Instr {
 }
 
 // TestVLANPairGuardObservables pins what a (VLAN, MAC) pair guard yields,
-// with the VLAN symbolic, concrete, and concrete but in no row, under the
-// split TestDifferentialGuardModesWorkers uses: both guard modes agree on
-// every observable, and those observables match the committed digest.
+// with the VLAN symbolic, concrete, and concrete but in no row: its
+// observables (obsFingerprint) match the committed digest. A pair guard is
+// a hand-written Or over two fields, which stays an Or-tree.
 func TestVLANPairGuardObservables(t *testing.T) {
 	var b strings.Builder
 	for _, vlan := range []sefl.Expr{sefl.Symbolic{W: 16, Name: "VlanID"}, sefl.CW(20, 16), sefl.CW(40, 16)} {
-		var wantObs string
-		for _, orTree := range []bool{true, false} {
-			res, err := core.Run(vlanPairNetwork(), core.PortRef{Elem: "sw0", Port: 0}, vlanPacket(vlan),
-				core.Options{MaxHops: 16, OrTreeGuards: orTree})
-			if err != nil {
-				t.Fatalf("vlan %v ortree=%v: %v", vlan, orTree, err)
-			}
-			got := obsFingerprint(res)
-			if orTree {
-				wantObs = got
-				b.WriteString(got)
-			} else if got != wantObs {
-				t.Errorf("vlan %v: interval-table observables differ from Or-tree reference:\n%s", vlan, diffHead(wantObs, got))
-			}
+		res, err := core.Run(vlanPairNetwork(), core.PortRef{Elem: "sw0", Port: 0}, vlanPacket(vlan), core.Options{MaxHops: 16})
+		if err != nil {
+			t.Fatalf("vlan %v: %v", vlan, err)
 		}
+		b.WriteString(obsFingerprint(res))
 	}
 	sum := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 	if *update {
@@ -578,6 +573,73 @@ func TestVLANPairGuardObservables(t *testing.T) {
 	if strings.TrimSpace(string(want)) != sum {
 		t.Errorf("observable digest %s, committed %s:\n%s", sum, strings.TrimSpace(string(want)), b.String())
 	}
+}
+
+// withOrTreeGuards rewrites, in place, every table guard in the code of
+// net's ports as the Or-tree it stands for (sefl.Table.Or, which renders
+// byte for byte as the table), and returns net: the reference that interval-
+// table lowering is compared against. A hand-written Or compiles as a tree,
+// so the rewritten network runs no span table.
+func withOrTreeGuards(net *core.Network) *core.Network {
+	for _, e := range net.Elements() {
+		for _, out := range []bool{false, true} {
+			n := e.NumIn
+			if out {
+				n = e.NumOut
+			}
+			for p := core.WildcardPort; p < n; p++ {
+				code, ok := e.Code(p, out)
+				if !ok {
+					continue
+				}
+				if out {
+					e.SetOutCode(p, orTreeInstr(code))
+				} else {
+					e.SetInCode(p, orTreeInstr(code))
+				}
+			}
+		}
+	}
+	return net
+}
+
+// orTreeInstr is ins with every table guard written as its Or-tree.
+func orTreeInstr(ins sefl.Instr) sefl.Instr {
+	switch v := ins.(type) {
+	case sefl.Constrain:
+		return sefl.Constrain{C: orTreeCond(v.C)}
+	case sefl.If:
+		return sefl.If{C: orTreeCond(v.C), Then: orTreeInstr(v.Then), Else: orTreeInstr(v.Else)}
+	case sefl.Block:
+		is := make([]sefl.Instr, len(v.Is))
+		for i, sub := range v.Is {
+			is[i] = orTreeInstr(sub)
+		}
+		return sefl.Block{Is: is}
+	}
+	return ins
+}
+
+func orTreeCond(c sefl.Cond) sefl.Cond {
+	switch v := c.(type) {
+	case sefl.Table:
+		return v.Or()
+	case sefl.CAnd:
+		cs := make([]sefl.Cond, len(v.Cs))
+		for i, sub := range v.Cs {
+			cs[i] = orTreeCond(sub)
+		}
+		return sefl.CAnd{Cs: cs}
+	case sefl.COr:
+		cs := make([]sefl.Cond, len(v.Cs))
+		for i, sub := range v.Cs {
+			cs[i] = orTreeCond(sub)
+		}
+		return sefl.COr{Cs: cs}
+	case sefl.CNot:
+		return sefl.CNot{C: orTreeCond(v.C)}
+	}
+	return c
 }
 
 // diffHead returns the first line where a differs from b, for readable

@@ -18,10 +18,6 @@ type Env interface {
 	Tag(name string) (int64, bool)
 	MetaExists(key memory.MetaKey) bool
 	Fresh(width int) expr.Lin
-	// OrTreeGuards selects the reference Or-tree evaluation for lowered
-	// interval-table guards (core.Options.OrTreeGuards). The default, false,
-	// consumes the packed span tables.
-	OrTreeGuards() bool
 }
 
 // evalErrf builds a model-level evaluation failure. Formats are kept in
@@ -152,7 +148,7 @@ func EvalCond(env Env, c *cCond) (expr.Cond, error) {
 		}
 		return c.Static, nil
 	}
-	if c.Kind == cIntervalTable && env != nil && !env.OrTreeGuards() {
+	if c.Kind == cIntervalTable && env != nil {
 		if cond, ok, err := evalTable(env, c.IT); ok {
 			return cond, err
 		}

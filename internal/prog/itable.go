@@ -13,18 +13,17 @@ package prog
 // table arrives with its span table already built (sefl.Table.Spans, from
 // tables.LPMRows's sweep), which the node adopts; buildITable merges one
 // from the rows for every other table — a switch's, a hand-written one, one
-// decoded from the wire. A hand-written Or stays an Or-tree: nothing parses
-// trees back into rows.
+// a fleet member decoded from the wire (the wire carries rows, never spans).
+// A hand-written Or stays an Or-tree: nothing parses trees back into rows.
 //
 // The rows are the guard. Everything a condition node carries — its
 // fingerprint, its fresh-symbol flag, the span table — is computed from
 // them. The Or-tree they stand for is a derived view, not retained state:
 // cCond.children builds it on first use for the readers that want the
-// reference semantics — Env.OrTreeGuards, the fallback evaluation takes when
-// the runtime value shapes are not the ones the table was compiled for, the
-// IR dump — so lowering can never change observable behavior, and a program
-// that stays on the table path never pays for it. The wire carries the rows
-// alone.
+// reference semantics — the fallback evaluation takes when the runtime value
+// shapes are not the ones the table was compiled for, the IR dump — so
+// lowering can never change observable behavior, and a program that stays on
+// the table path never pays for it.
 
 import (
 	"slices"
@@ -82,9 +81,9 @@ func appendRowSpans(dst []expr.Span, r *itRow, w int, scratch *[]expr.Span) []ex
 }
 
 // buildITable computes the merged span table from the rows, for the tables
-// that come without one: the wire decoder's, whose result must equal the
-// table the coordinator adopted or built, and lowerTable's for any table
-// tables.LPMRows did not write. Every row's spans go into one buffer that
+// that come without one: any table tables.LPMRows did not write, and a
+// router's on a fleet member, whose result must equal the table the
+// coordinator adopted (TestLPMSpansMatchBuildITable). Every row's spans go into one buffer that
 // is normalised once, and that buffer is NewSpanTable's scratch. No
 // comparator sorts it: the rows come in table order, and each row's spans
 // ascend, so rows whose heads ascend — a router's of one prefix length, in

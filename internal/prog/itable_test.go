@@ -52,8 +52,7 @@ func guardCond(t *testing.T, c sefl.Cond) *cCond {
 
 // itEnv is a minimal Env whose header reads come from a fixed map.
 type itEnv struct {
-	hdrs   map[int64]expr.Lin
-	orTree bool
+	hdrs map[int64]expr.Lin
 }
 
 func (e *itEnv) ReadHdr(off int64, size int) (expr.Lin, error) {
@@ -68,7 +67,6 @@ func (e *itEnv) ReadMeta(key memory.MetaKey) (expr.Lin, error) {
 func (e *itEnv) Tag(name string) (int64, bool)  { return 0, false }
 func (e *itEnv) MetaExists(memory.MetaKey) bool { return false }
 func (e *itEnv) Fresh(w int) expr.Lin           { return expr.Lin{Sym: 99, Width: w} }
-func (e *itEnv) OrTreeGuards() bool             { return e.orTree }
 
 // TestLoweringDetection: table guards worth a span table lower; small or
 // malformed ones, and every hand-written Or, compile as trees.
@@ -170,25 +168,24 @@ func TestLoweredSpansMerge(t *testing.T) {
 	}
 }
 
-// TestEvalTableModes: table evaluation matches the Or-tree reference on
-// concrete hits/misses, produces InSet on symbolic fields, and falls back on
-// width drift.
+// TestEvalTableModes: table evaluation matches the Or-tree reference (the
+// table's Or compiled as a tree) on concrete hits/misses, produces InSet on
+// symbolic fields, and falls back on width drift.
 func TestEvalTableModes(t *testing.T) {
-	mac := guardCond(t, macGuard(8))
+	mac, ref := guardCond(t, macGuard(8)), guardCond(t, macGuard(8).Or())
 	env := &itEnv{hdrs: map[int64]expr.Lin{0: expr.Const(6, 48)}}
-	ref := &itEnv{hdrs: env.hdrs, orTree: true}
 
 	got, err := EvalCond(env, mac)
 	if err != nil || got != expr.Bool(true) {
 		t.Fatalf("concrete hit = %v, %v", got, err)
 	}
-	want, err := EvalCond(ref, mac)
+	want, err := EvalCond(env, ref)
 	if err != nil || got != want {
 		t.Fatalf("reference disagrees: %v vs %v", got, want)
 	}
 	env.hdrs[0] = expr.Const(5, 48) // odd values are not in the table
 	got, _ = EvalCond(env, mac)
-	want, _ = EvalCond(ref, mac)
+	want, _ = EvalCond(env, ref)
 	if got != expr.Bool(false) || want != got {
 		t.Fatalf("concrete miss = %v, reference %v", got, want)
 	}
@@ -208,7 +205,7 @@ func TestEvalTableModes(t *testing.T) {
 	// field errs identically in both modes via constant coercion).
 	env.hdrs[0] = expr.Lin{Sym: 4, Width: 16}
 	got, gotErr := EvalCond(env, mac)
-	want, wantErr := EvalCond(ref, mac)
+	want, wantErr := EvalCond(env, ref)
 	if !reflect.DeepEqual(got, want) || !errEqual(gotErr, wantErr) {
 		t.Fatalf("width-drift: table (%v, %v) vs reference (%v, %v)", got, gotErr, want, wantErr)
 	}
@@ -216,7 +213,7 @@ func TestEvalTableModes(t *testing.T) {
 	// Missing field read errors identically.
 	delete(env.hdrs, 0)
 	_, gotErr = EvalCond(env, mac)
-	_, wantErr = EvalCond(ref, mac)
+	_, wantErr = EvalCond(env, ref)
 	if gotErr == nil || !errEqual(gotErr, wantErr) {
 		t.Fatalf("read error: %v vs %v", gotErr, wantErr)
 	}
@@ -235,18 +232,18 @@ func TestPairGuardStaysOrTree(t *testing.T) {
 	if its := GuardTables(p); len(its) != 0 {
 		t.Fatalf("GuardTables reports %d tables for a pair guard", len(its))
 	}
-	w, err := sefl.EncodeCond(vl)
+	w, err := sefl.EncodeInstr(sefl.Constrain{C: vl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Cs) != 5 || len(w.Rows) != 0 {
-		t.Fatalf("pair guard shipped %d child nodes and %d row words, want a 5-disjunct tree", len(w.Cs), len(w.Rows))
+	if len(w.C.Cs) != 5 || len(w.C.Rows) != 0 {
+		t.Fatalf("pair guard shipped %d child nodes and %d row words, want a 5-disjunct tree", len(w.C.Cs), len(w.C.Rows))
 	}
-	d, err := sefl.DecodeCond(w)
+	d, err := sefl.DecodeInstr(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(d, vl) {
+	if !reflect.DeepEqual(d, sefl.Constrain{C: vl}) {
 		t.Fatalf("pair guard round trip differs:\n got %v\nwant %v", d, vl)
 	}
 }
@@ -290,29 +287,22 @@ func TestITRowsPackRoundTrip(t *testing.T) {
 }
 
 // TestITableCodecRoundTrip: a program with lowered guards (equalities,
-// prefixes with exclusions) survives the wire with identical fingerprints,
-// tables, children and dump.
+// prefixes with exclusions) compiles, from source that crossed the wire, to
+// identical fingerprints, tables, children and dump.
 func TestITableCodecRoundTrip(t *testing.T) {
-	prog := sefl.Seq(
+	src := sefl.Seq(
 		sefl.Constrain{C: macGuard(8)},
 		sefl.Constrain{C: prefixGuard()},
 		sefl.Constrain{C: macGuard(8)}, // dedup: same node as op 0
 		sefl.Forward{Port: 0},
 	)
-	p := Compile(prog, "e1", 4, "e1.in[0]")
+	p := Compile(src, "e1", 4, "e1.in[0]")
 	if p.Ops[0].C != p.Ops[2].C {
 		t.Fatal("premise: equal lowered guards must share one node")
 	}
-	w, err := EncodeProgram(p)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	q, err := DecodeProgram(w)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	q := viaWire(t, src, "e1", 4, "e1.in[0]")
 	if q.String() != p.String() {
-		t.Fatal("decoded dump differs")
+		t.Fatal("the member's dump differs")
 	}
 	for i := range []int{0, 1} {
 		oc, dc := p.Ops[i].C, q.Ops[i].C
@@ -336,22 +326,6 @@ func TestITableCodecRoundTrip(t *testing.T) {
 		}
 	}
 	if q.Ops[0].C != q.Ops[2].C {
-		t.Fatal("decoded equal guards no longer share one node")
-	}
-}
-
-// TestPackedWireShrinksCondTab: a lowered guard ships as one wire
-// condition-table entry carrying its rows, not one node per disjunct.
-func TestPackedWireShrinksCondTab(t *testing.T) {
-	p := Compile(sefl.Seq(sefl.Constrain{C: macGuard(64)}, sefl.Forward{Port: 0}), "e", 0, "t")
-	w, err := EncodeProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.CondTab) != 1 {
-		t.Fatalf("cond table has %d entries, want 1", len(w.CondTab))
-	}
-	if wc := w.CondTab[0]; len(wc.Cs) != 0 || len(wc.ITRows) == 0 {
-		t.Fatalf("lowered guard shipped %d children and %d row words, want rows only", len(wc.Cs), len(wc.ITRows))
+		t.Fatal("the member's equal guards do not share one node")
 	}
 }

@@ -143,12 +143,12 @@ type CExpr struct {
 	Err string
 }
 
-// CondKind enumerates compiled condition nodes.
-type CondKind uint8
+// condKind enumerates compiled condition nodes.
+type condKind uint8
 
 const (
 	// cBool is a constant condition.
-	cBool CondKind = iota
+	cBool condKind = iota
 	// cCmp compares two expressions.
 	cCmp
 	// cPrefix tests membership of a Value/Len prefix.
@@ -164,11 +164,10 @@ const (
 	// cIntervalTable is a lowered table guard (sefl.Table): equality/prefix
 	// rows over one header field compiled into sorted, merged value ranges.
 	// The node carries the rows and the packed table in IT and no children:
-	// the Or-tree's disjuncts — the reference
-	// semantics, selected by Env.OrTreeGuards and used as the fallback when
-	// runtime value shapes fall outside the table — are a view built from
-	// the rows on first use (children). A lowered node keeps the structural
-	// fingerprint of the Or it stands for.
+	// the Or-tree's disjuncts — the reference semantics, used as the
+	// fallback when runtime value shapes fall outside the table — are a view
+	// built from the rows on first use (children). A lowered node keeps the
+	// structural fingerprint of the Or it stands for.
 	cIntervalTable
 )
 
@@ -179,7 +178,7 @@ const (
 // program share one canonical *cCond (hash-consed on FP), so repeated
 // guards cost one node.
 type cCond struct {
-	Kind      CondKind
+	Kind      condKind
 	FP        expr.Fp
 	HasStatic bool
 	Static    expr.Cond
@@ -198,9 +197,9 @@ type cCond struct {
 
 // ITable is the payload of a cIntervalTable node: the guarded field, the
 // table's rows (aliased, not copied: the exact information the Or-tree view
-// is built from, on either side of the wire), and the precomputed span table
-// evaluation consumes. Tables are immutable after construction and shared
-// by every path visiting the guard.
+// is built from), and the precomputed span table evaluation consumes.
+// Tables are immutable after construction and shared by every path visiting
+// the guard.
 type ITable struct {
 	F    LV  // field l-value (a header field)
 	W    int // field width (== F.Size)
@@ -215,8 +214,7 @@ type ITable struct {
 }
 
 // itRow is one disjunct of a lowered guard, in the shared packed-guard
-// vocabulary of internal/expr (one wire grammar for the SEFL and IR
-// codecs); itEq/itPrefix name the row kinds.
+// vocabulary of internal/expr; itEq/itPrefix name the row kinds.
 type itRow = expr.GuardRow
 
 // Row kinds (see expr.GuardRow).
@@ -247,8 +245,8 @@ type Seg struct {
 	// terminated (failed or set output ports) by its end — the property the
 	// dead-code elimination pass computes and relies on.
 	Terminates bool
-	// cont is where a state that runs off the segment's end resumes. link
-	// derives it from the If ops, so it never crosses the wire.
+	// cont is where a state that runs off the segment's end resumes; link
+	// derives it from the If ops.
 	cont resume
 }
 
@@ -314,22 +312,18 @@ func (p *Program) Cont(id SegID) (seg SegID, idx int32, ok bool) {
 
 // link derives every segment's continuation from the If ops: an arm resumes
 // after its If, or where the If's own segment resumes when the If ends it.
-// Arms lie below the segment holding their If (compileSeg emits them first;
-// checkSegs refuses a shipped program where they do not), so walking the
-// segments from the highest ID down settles a segment's continuation before
-// its arms need it. A continuation doubles as the mark that an If entered
-// the segment, so link allocates nothing: injection code compiles per
-// query. It refuses a segment two If arms enter and an entry segment an If
-// enters. Then every segment has one continuation, and a state runs each op
-// of a program at most once.
-func link(p *Program) error {
-	for i := range p.Segs {
-		p.Segs[i].cont = resume{}
-	}
+// Arms lie below the segment holding their If (compileSeg emits them first),
+// so walking the segments from the highest ID down settles a segment's
+// continuation before its arms need it; a segment no If has entered by then
+// is the entry. The compiler enters each arm from one If and the entry from
+// none, so every segment has one continuation and a state runs each op of a
+// program at most once. link allocates nothing: injection code compiles per
+// query.
+func link(p *Program) {
 	for id := SegID(len(p.Segs)) - 1; id >= 0; id-- {
 		s := &p.Segs[id]
 		if s.cont == (resume{}) {
-			s.cont = resume{seg: -1} // the entry, or a segment no If enters
+			s.cont = resume{seg: -1} // the entry
 		}
 		for i := s.Lo; i < s.Hi; i++ {
 			op := &p.Ops[i]
@@ -340,18 +334,9 @@ func link(p *Program) error {
 			if i+1 == s.Hi {
 				at = s.cont
 			}
-			for _, arm := range [2]SegID{op.Then, op.Else} {
-				switch {
-				case arm == p.Entry:
-					return fmt.Errorf("op %d enters the entry segment %d", i, arm)
-				case p.Segs[arm].cont != (resume{}):
-					return fmt.Errorf("op %d enters segment %d, which another If arm enters", i, arm)
-				}
-				p.Segs[arm].cont = at
-			}
+			p.Segs[op.Then].cont, p.Segs[op.Else].cont = at, at
 		}
 	}
-	return nil
 }
 
 // render returns the string cached in the given slot, calling mk to fill it

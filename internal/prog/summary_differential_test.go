@@ -6,8 +6,9 @@ package prog_test
 // the AST reference interpreter (Options.ASTInterp) on every observable —
 // path IDs, statuses, failure messages, histories, traces, final memory,
 // symbol IDs and run statistics — and on the constraint context's chained
-// fingerprint too where the compiled side evaluates guards as Or-trees
-// (Options.OrTreeGuards), as the AST interpreter does.
+// fingerprint too where the compiled side's table guards are written as
+// Or-trees (withOrTreeGuards), which is how the AST interpreter evaluates
+// them.
 
 import (
 	"testing"
@@ -165,11 +166,69 @@ func TestDifferentialMaskedTooSparse(t *testing.T) {
 	}
 }
 
+// TestIncompleteSourceFailsLikeAST pins what becomes of port source that
+// lacks a child its node reads — what a hostile fleet coordinator can send,
+// since the wire decodes a missing child as nil: the compiled engine runs
+// it, from the source as written and from the source that crossed the wire,
+// byte-identically to the AST interpreter, failing the path, never
+// panicking.
+func TestIncompleteSourceFailsLikeAST(t *testing.T) {
+	dst := sefl.Ref{LV: sefl.TcpDst}
+	for _, tc := range []struct {
+		name string
+		ins  sefl.Instr
+	}{
+		{"if without a condition", sefl.If{Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 0}}},
+		{"if without an arm", sefl.If{C: sefl.Lt(dst, sefl.C(1024))}},
+		{"constrain without a condition", sefl.Constrain{}},
+		{"assign without an expression", sefl.Assign{LV: sefl.TcpDst}},
+		{"assign without an l-value", sefl.Assign{E: sefl.C(80)}},
+		{"create-tag without an expression", sefl.CreateTag{Name: "X"}},
+		{"sum without an operand", sefl.Assign{LV: sefl.TcpDst, E: sefl.Add{A: dst}}},
+		{"not without a child", sefl.Constrain{C: sefl.CNot{}}},
+		{"or over an incomplete child", sefl.Constrain{C: sefl.COr{Cs: []sefl.Cond{sefl.Cmp{Op: expr.Eq, L: dst}, sefl.Eq(dst, sefl.C(80))}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := sefl.EncodeInstr(tc.ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wired, err := sefl.DecodeInstr(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want string
+			for _, run := range []struct {
+				mode string
+				ins  sefl.Instr
+				ast  bool
+			}{{"AST", tc.ins, true}, {"compiled", tc.ins, false}, {"compiled from the wire", wired, false}} {
+				net := core.NewNetwork()
+				net.AddElement("dut", "dut", 1, 1).SetInCode(0, sefl.Seq(run.ins, sefl.Forward{Port: 0}))
+				net.AddElement("sink", "sink", 1, 0).SetInCode(0, sefl.NoOp{})
+				net.MustLink("dut", 0, "sink", 0)
+				res, err := core.Run(net, core.PortRef{Elem: "dut", Port: 0}, sefl.NewTCPPacket(), core.Options{Trace: true, ASTInterp: run.ast})
+				if err != nil {
+					t.Fatalf("%s: %v", run.mode, err)
+				}
+				if res.Stats.Failed == 0 {
+					t.Fatalf("%s: no path failed", run.mode)
+				}
+				if got := fingerprint(res); want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("%s differs from the AST:\n%s", run.mode, diffHead(want, got))
+				}
+			}
+		})
+	}
+}
+
 // TestDifferentialSummariesWorkers is the acceptance property on the real
 // datasets, run with a metrics registry attached: the compiled engine must
-// match the AST reference on every observable, and the Or-tree compiled
-// engine on the constraint chain too. The Or-tree run compiles the ports it
-// visits, so the metered run finds every program in the cache
+// match the AST reference on every observable, and the compiled engine on
+// the Or-tree network on the constraint chain too. The network is warmed
+// (core.Warm), so the metered run finds every program in the cache
 // (core.progcache.hits) and compiles none (core.progcache.misses).
 func TestDifferentialSummariesWorkers(t *testing.T) {
 	type workload struct {
@@ -179,28 +238,32 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 		packet sefl.Instr
 		opts   core.Options
 	}
-	d := datasets.NewDepartment(datasets.DepartmentConfig{
-		NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
-	bb := datasets.StanfordBackbone(6, 50)
-	fh, fhInject := datasets.ForkHeavy(8, 3, 4)
-	sh, shInject := datasets.SatHeavy(24)
-	ws := []workload{
-		{"department", d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false), core.Options{MaxHops: 65}},
-		{"backbone", bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{MaxHops: 65}},
-		{"forkheavy", fh, fhInject, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12}},
-		{"satheavy", sh, shInject, sefl.NewTCPPacket(), core.Options{MaxHops: 65}},
+	build := func() []workload {
+		d := datasets.NewDepartment(datasets.DepartmentConfig{
+			NumAccessSwitches: 3, HostsPerSwitch: 24, Routes: 40, Seed: 5})
+		bb := datasets.StanfordBackbone(6, 50)
+		fh, fhInject := datasets.ForkHeavy(8, 3, 4)
+		sh, shInject := datasets.SatHeavy(24)
+		return []workload{
+			{"department", d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false), core.Options{MaxHops: 65}},
+			{"backbone", bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{MaxHops: 65}},
+			{"forkheavy", fh, fhInject, sefl.NewTCPPacket(), core.Options{MaxHops: 1 << 12}},
+			{"satheavy", sh, shInject, sefl.NewTCPPacket(), core.Options{MaxHops: 65}},
+		}
 	}
-	for _, w := range ws {
-		astOpts, orOpts := w.opts, w.opts
-		astOpts.ASTInterp, orOpts.OrTreeGuards = true, true
+	ws, ors := build(), build()
+	for i, w := range ws {
+		astOpts := w.opts
+		astOpts.ASTInterp = true
 		ast, err := core.Run(w.net, w.inject, w.packet, astOpts)
 		if err != nil {
 			t.Fatalf("%s: AST run: %v", w.name, err)
 		}
-		orTree, err := core.Run(w.net, w.inject, w.packet, orOpts)
+		orTree, err := core.Run(withOrTreeGuards(ors[i].net), w.inject, w.packet, w.opts)
 		if err != nil {
 			t.Fatalf("%s: Or-tree compiled run: %v", w.name, err)
 		}
+		core.Warm(w.net)
 		reg := obs.NewRegistry()
 		opts := w.opts
 		opts.Obs = obs.New(reg, nil)
@@ -219,7 +282,7 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 		}
 		snap := reg.Snapshot()
 		if hits, misses := snap.Counters["core.progcache.hits"], snap.Counters["core.progcache.misses"]; hits < 1 || misses != 0 {
-			t.Errorf("%s: core.progcache.hits = %d, misses = %d; want every visit served by the programs the Or-tree run compiled", w.name, hits, misses)
+			t.Errorf("%s: core.progcache.hits = %d, misses = %d; want every visit served by the warmed programs", w.name, hits, misses)
 		}
 	}
 }

@@ -202,7 +202,7 @@ func EncodeInstr(ins Instr) (*WireInstr, error) {
 	case DestroyTag:
 		return &WireInstr{Kind: wDestroyTag, Name: v.Name}, nil
 	case Constrain:
-		c, err := EncodeCond(v.C)
+		c, err := encodeCond(v.C)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +210,7 @@ func EncodeInstr(ins Instr) (*WireInstr, error) {
 	case Fail:
 		return &WireInstr{Kind: wFail, Name: v.Msg}, nil
 	case If:
-		c, err := EncodeCond(v.C)
+		c, err := encodeCond(v.C)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +290,7 @@ func DecodeInstr(w *WireInstr) (Instr, error) {
 	case wDestroyTag:
 		return DestroyTag{Name: w.Name}, nil
 	case wConstrain:
-		c, err := DecodeCond(w.C)
+		c, err := decodeCond(w.C)
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +298,7 @@ func DecodeInstr(w *WireInstr) (Instr, error) {
 	case wFail:
 		return Fail{Msg: w.Name}, nil
 	case wIf:
-		c, err := DecodeCond(w.C)
+		c, err := decodeCond(w.C)
 		if err != nil {
 			return nil, err
 		}
@@ -407,8 +407,8 @@ func decodeExpr(w *WireExpr) (Expr, error) {
 	return nil, fmt.Errorf("sefl: unknown wire expression kind %d", w.Kind)
 }
 
-// EncodeCond converts a condition to its wire form.
-func EncodeCond(c Cond) (*WireCond, error) {
+// encodeCond converts a condition to its wire form.
+func encodeCond(c Cond) (*WireCond, error) {
 	switch v := c.(type) {
 	case nil:
 		return nil, nil
@@ -455,7 +455,7 @@ func EncodeCond(c Cond) (*WireCond, error) {
 		}
 		return &WireCond{Kind: wCOr, Cs: cs}, nil
 	case CNot:
-		sub, err := EncodeCond(v.C)
+		sub, err := encodeCond(v.C)
 		if err != nil {
 			return nil, err
 		}
@@ -469,7 +469,7 @@ func EncodeCond(c Cond) (*WireCond, error) {
 func encodeConds(cs []Cond) ([]*WireCond, error) {
 	out := make([]*WireCond, len(cs))
 	for i, c := range cs {
-		w, err := EncodeCond(c)
+		w, err := encodeCond(c)
 		if err != nil {
 			return nil, err
 		}
@@ -478,8 +478,8 @@ func encodeConds(cs []Cond) ([]*WireCond, error) {
 	return out, nil
 }
 
-// DecodeCond rebuilds a condition from its wire form.
-func DecodeCond(w *WireCond) (Cond, error) {
+// decodeCond rebuilds a condition from its wire form.
+func decodeCond(w *WireCond) (Cond, error) {
 	if w == nil {
 		return nil, nil
 	}
@@ -519,7 +519,7 @@ func DecodeCond(w *WireCond) (Cond, error) {
 	case wCAnd, wCOr:
 		cs := make([]Cond, len(w.Cs))
 		for i, sub := range w.Cs {
-			d, err := DecodeCond(sub)
+			d, err := decodeCond(sub)
 			if err != nil {
 				return nil, err
 			}
@@ -530,7 +530,7 @@ func DecodeCond(w *WireCond) (Cond, error) {
 		}
 		return COr{Cs: cs}, nil
 	case wCNot:
-		sub, err := DecodeCond(w.C)
+		sub, err := decodeCond(w.C)
 		if err != nil {
 			return nil, err
 		}

@@ -35,11 +35,11 @@ func routeTable() Table {
 // roundTrip encodes and decodes one condition, reporting the wire node.
 func roundTrip(t *testing.T, c Cond) (Cond, *WireCond) {
 	t.Helper()
-	w, err := EncodeCond(c)
+	w, err := encodeCond(c)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	d, err := DecodeCond(w)
+	d, err := decodeCond(w)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -154,11 +154,11 @@ func TestDecodeRejectsMalformedTable(t *testing.T) {
 		{"long exclusion", Table{F: pMAC, Rows: []expr.GuardRow{{Kind: expr.GuardEq, Excl: []expr.GuardExcl{{Len: 48}, {Len: 49}}}}},
 			"table row 0: exclusion 1 length 49 outside the 48-bit field"},
 	} {
-		w, err := EncodeCond(tc.t)
+		w, err := encodeCond(tc.t)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
-		if _, err := DecodeCond(w); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := decodeCond(w); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decode error = %v, want %q", tc.name, err, tc.want)
 		}
 	}
@@ -168,7 +168,7 @@ func TestDecodeRejectsMalformedTable(t *testing.T) {
 		t.Errorf("unknown kind: Check() = %v", err)
 	}
 	// A field that is no header.
-	w, err := EncodeCond(macTable(4))
+	w, err := encodeCond(macTable(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +176,13 @@ func TestDecodeRejectsMalformedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeCond(w); err == nil || !strings.Contains(err.Error(), "is not a header") {
+	if _, err := decodeCond(w); err == nil || !strings.Contains(err.Error(), "is not a header") {
 		t.Errorf("metadata field: decode error = %v", err)
 	}
 	// A truncated row stream.
-	w, _ = EncodeCond(routeTable())
+	w, _ = encodeCond(routeTable())
 	w.Rows = w.Rows[:len(w.Rows)-1]
-	if _, err := DecodeCond(w); err == nil || !strings.Contains(err.Error(), "sefl: table: expr: truncated guard-row stream") {
+	if _, err := decodeCond(w); err == nil || !strings.Contains(err.Error(), "sefl: table: expr: truncated guard-row stream") {
 		t.Errorf("truncated rows: decode error = %v", err)
 	}
 }
