@@ -18,8 +18,9 @@ var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite the committ
 // a resident `symworker -listen` accepts any TCP peer — so whatever arrives,
 // serveSession must return (an error or nil) and never panic. The seed
 // corpus under testdata/fuzz/FuzzServeSession is every stream the wire tests
-// build (see sessionStreams); `go test` replays it on every run, and a
-// crasher the fuzzer finds is committed there beside them.
+// build (see sessionStreams); `go test` replays it on every run. A crasher
+// the fuzzer finds is committed as a case of those tests, since the corpus
+// holds nothing else (TestFuzzSeedCorpusCurrent).
 func FuzzServeSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = serveSession(newConn(bytes.NewReader(data), io.Discard), nil) // any error is an acceptable answer
@@ -81,12 +82,16 @@ var seedCorpora = []struct {
 // TestFuzzSeedCorpusCurrent keeps the committed seeds from rotting: each must
 // be byte-for-byte the stream the current frame set encodes, so a change to
 // the wire (which also wants a protoVersion bump) shows up here as a stale
-// corpus. Regenerate with `go test ./internal/dist -run FuzzSeedCorpus
-// -update-fuzz-seeds`.
+// corpus, and a file no current case names (a deleted case's stream, which
+// after a version bump tests only the version refusal) fails it too.
+// Regenerate with `go test ./internal/dist -run FuzzSeedCorpus
+// -update-fuzz-seeds`, which also removes such files.
 func TestFuzzSeedCorpusCurrent(t *testing.T) {
 	for _, corpus := range seedCorpora {
 		dir := filepath.Join("testdata", "fuzz", corpus.fuzz)
+		named := map[string]bool{}
 		for _, sc := range corpus.cases(t) {
+			named[strings.ReplaceAll(sc.name, " ", "-")] = true
 			path := filepath.Join(dir, strings.ReplaceAll(sc.name, " ", "-"))
 			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", encodeInput(t, sc.frames, sc.trailing).Bytes())
 			if *updateFuzzSeeds {
@@ -103,6 +108,22 @@ func TestFuzzSeedCorpusCurrent(t *testing.T) {
 				t.Errorf("%v (run with -update-fuzz-seeds)", err)
 			} else if string(got) != want {
 				t.Errorf("%s is not the stream %q encodes to today (run with -update-fuzz-seeds)", path, sc.name)
+			}
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			path := filepath.Join(dir, f.Name())
+			switch {
+			case named[f.Name()]:
+			case *updateFuzzSeeds:
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				t.Errorf("%s is no current case's stream (run with -update-fuzz-seeds)", path)
 			}
 		}
 	}

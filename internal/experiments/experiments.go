@@ -5,12 +5,15 @@ import (
 	"time"
 
 	"symnet/internal/asa"
+	"symnet/internal/click"
 	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/hsa"
 	"symnet/internal/memory"
 	"symnet/internal/minic"
+	"symnet/internal/models"
 	"symnet/internal/sefl"
+	"symnet/internal/verify"
 )
 
 // --- Table 1: Klee-style symbolic execution of the options code ---
@@ -433,12 +436,11 @@ func scenarioInvariants() bool {
 	b.SetInCode(0, sefl.NoOp{})
 	net.MustLink("A", 0, "B", 0)
 	res, err := core.Run(net, core.PortRef{Elem: "A", Port: 0}, sefl.NewTCPPacket(), core.Options{})
-	if err != nil {
+	if err != nil || len(res.DeliveredAt("B", 0)) != 1 {
 		return false
 	}
-	p := res.DeliveredAt("B", 0)[0]
-	hist, err := p.Mem.HdrHistory(112+128, 32)
-	return err == nil && len(hist) == 1
+	inv, err := verify.FieldInvariant(res.DeliveredAt("B", 0)[0], sefl.IPDst)
+	return err == nil && inv
 }
 
 func scenarioMemorySafety() bool {
@@ -467,14 +469,111 @@ func scenarioTunnel() bool {
 	return false
 }
 
-func scenarioNAT() bool {
-	// Covered in depth by internal/models tests; rerun the core check.
-	return scenarioReachability()
+func scenarioNAT() bool { return natHolds(models.NAT) }
+
+// natHolds runs the NAT checks of §7 on the NAT install builds: outbound
+// traffic leaves from the public IP on a port of the pool; a server's answer
+// to it is translated back to the inside host's address and port; an answer
+// to a port the NAT never mapped is dropped.
+func natHolds(install func(*core.Element, models.NATConfig)) bool {
+	cfg := models.DefaultNATConfig("141.85.37.2")
+	// run injects a TCP packet on the NAT's inside port, whose answers leave
+	// for the inside host. With no boxes the outside output is a sink and
+	// run returns the paths reaching it; otherwise the packet crosses the
+	// boxes, in order, back into the outside port, and run returns the
+	// paths reaching the host.
+	run := func(boxes ...func(*core.Element)) []*core.Path {
+		net := core.NewNetwork()
+		install(net.AddElement("NAT", "nat", 2, 2), cfg)
+		net.AddElement("HOST", "sink", 1, 0).SetInCode(0, sefl.NoOp{})
+		net.MustLink("NAT", cfg.ToIn, "HOST", 0)
+		prev, port := "NAT", cfg.ToOut
+		for i, box := range boxes {
+			name := fmt.Sprint("SRV", i)
+			box(net.AddElement(name, "server", 1, 1))
+			net.MustLink(prev, port, name, 0)
+			prev, port = name, 0
+		}
+		at := "HOST"
+		if len(boxes) == 0 {
+			at = "WAN"
+			net.AddElement(at, "sink", 1, 0).SetInCode(0, sefl.NoOp{})
+			net.MustLink(prev, port, at, 0)
+		} else {
+			net.MustLink(prev, port, "NAT", cfg.Outside)
+		}
+		res, err := core.Run(net, core.PortRef{Elem: "NAT", Port: cfg.Inside}, sefl.NewTCPPacket(), core.Options{})
+		if err != nil {
+			return nil
+		}
+		return res.DeliveredAt(at, 0)
+	}
+
+	out := run()
+	if len(out) != 1 {
+		return false
+	}
+	src, err := verify.FieldValue(out[0], sefl.IPSrc)
+	if v, ok := src.ConstVal(); err != nil || !ok || v != sefl.IPToNumber(cfg.PublicIP) {
+		return false
+	}
+	ports, err := verify.FieldDomain(out[0], sefl.TcpSrc)
+	if err != nil {
+		return false
+	}
+	lo, ok := ports.Min()
+	hi, _ := ports.Max()
+	if !ok || lo < cfg.PortLo || hi > cfg.PortHi {
+		return false
+	}
+
+	mirror := click.IPMirror().Model
+	back := run(mirror)
+	if len(back) != 1 || !restored(back[0], sefl.IPDst, sefl.IPSrc) || !restored(back[0], sefl.TcpDst, sefl.TcpSrc) {
+		return false
+	}
+	// Port 80 is below the pool, so the NAT mapped no flow to it.
+	toPort80 := func(e *core.Element) {
+		e.SetInCode(0, sefl.Seq(sefl.Assign{LV: sefl.TcpDst, E: sefl.CW(80, 16)}, sefl.Forward{Port: 0}))
+	}
+	return len(run(mirror, toPort80)) == 0
 }
 
-func scenarioEncryption() bool {
-	// Covered in depth by internal/models tests.
-	return scenarioReachability()
+// restored reports whether field h ends a path holding the value field from
+// held when the path was injected.
+func restored(p *core.Path, h, from sefl.Hdr) bool {
+	v, err := verify.FieldValue(p, h)
+	if err != nil {
+		return false
+	}
+	base, ok := p.Mem.Tag(from.Off.Tag)
+	if !ok {
+		return false
+	}
+	hist, err := p.Mem.HdrHistory(base+from.Off.Rel, from.Size)
+	return err == nil && len(hist) > 0 && v.Equal(hist[0])
+}
+
+func scenarioEncryption() bool { return encryptionHolds(0xfeedface, 0xfeedface) }
+
+// encryptionHolds runs the encryption checks of §7: a packet encrypted under
+// one key crosses a box that only forwards it and reaches the host through
+// decryption under the other, with its payload provably the injected one.
+func encryptionHolds(encKey, decKey uint64) bool {
+	net := core.NewNetwork()
+	models.EncryptTunnel(net.AddElement("ENC", "encrypt", 1, 1), encKey)
+	net.AddElement("MID", "forward", 1, 1).SetInCode(0, sefl.Forward{Port: 0})
+	models.DecryptTunnel(net.AddElement("DEC", "decrypt", 1, 1), decKey)
+	net.AddElement("HOST", "sink", 1, 0).SetInCode(0, sefl.NoOp{})
+	net.MustLink("ENC", 0, "MID", 0)
+	net.MustLink("MID", 0, "DEC", 0)
+	net.MustLink("DEC", 0, "HOST", 0)
+	res, err := core.Run(net, core.PortRef{Elem: "ENC", Port: 0}, sefl.NewTCPPacket(), core.Options{})
+	if err != nil || len(res.DeliveredAt("HOST", 0)) != 1 {
+		return false
+	}
+	same, err := verify.FieldEndToEnd(res.DeliveredAt("HOST", 0)[0], sefl.TcpPayload)
+	return err == nil && same
 }
 
 func scenarioTCPOptions() bool {

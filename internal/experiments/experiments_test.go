@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"symnet/internal/core"
 	"symnet/internal/datasets"
+	"symnet/internal/models"
+	"symnet/internal/sefl"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -52,6 +55,45 @@ func TestTable5AllVerified(t *testing.T) {
 		if !r.Verified {
 			t.Errorf("capability %q not verified", r.Capability)
 		}
+	}
+}
+
+// TestTable5ChecksCatchBrokenModels: each NAT and encryption check reads
+// false on a network that breaks what it checks.
+func TestTable5ChecksCatchBrokenModels(t *testing.T) {
+	forward := func(e *core.Element, port, to int) {
+		e.SetInCode(port, sefl.Forward{Port: to})
+	}
+	// The model's own local state, which a broken outside port may skip
+	// checking but not restoring.
+	local := func(name string) sefl.Meta { return sefl.Meta{Name: name, Local: true} }
+	for name, nat := range map[string]func(*core.Element, models.NATConfig){
+		"no rewrite": func(e *core.Element, cfg models.NATConfig) {
+			forward(e, cfg.Inside, cfg.ToOut)
+			forward(e, cfg.Outside, cfg.ToIn)
+		},
+		"no translation back": func(e *core.Element, cfg models.NATConfig) {
+			models.NAT(e, cfg)
+			forward(e, cfg.Outside, cfg.ToIn)
+		},
+		"no mapping check": func(e *core.Element, cfg models.NATConfig) {
+			models.NAT(e, cfg)
+			e.SetInCode(cfg.Outside, sefl.Seq(
+				sefl.Assign{LV: sefl.IPDst, E: sefl.Ref{LV: local("orig-ip")}},
+				sefl.Assign{LV: sefl.TcpDst, E: sefl.Ref{LV: local("orig-port")}},
+				sefl.Forward{Port: cfg.ToIn},
+			))
+		},
+	} {
+		if natHolds(nat) {
+			t.Errorf("NAT with %s passes the NAT checks", name)
+		}
+	}
+	if !natHolds(models.NAT) {
+		t.Error("the NAT model fails the NAT checks")
+	}
+	if encryptionHolds(111, 222) {
+		t.Error("decryption with the wrong key passes the encryption checks")
 	}
 }
 

@@ -337,29 +337,12 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 	}
 	cc.FP = fpCond(cc)
 	c.p.CondsSeen++
-	if cand := findCond(c.conds, cc); cand != nil {
-		return cand
-	}
-	finishCond(cc)
-	c.conds[cc.FP] = append(c.conds[cc.FP], cc)
-	c.p.Conds++
-	return cc
-}
-
-// findCond looks cc up in a hash-consing table (nil on miss).
-func findCond(conds map[expr.Fp][]*cCond, cc *cCond) *cCond {
-	for _, cand := range conds[cc.FP] {
+	for _, cand := range c.conds[cc.FP] {
 		if equalCCond(cand, cc) {
 			return cand
 		}
 	}
-	return nil
-}
-
-// finishCond computes a node's static fold, shared between the compiler and
-// the Or-tree view a lowered guard builds of its rows.
-func finishCond(cc *cCond) {
-	if !cc.HasStatic && condStatic(cc) {
+	if condStatic(cc) {
 		cond, err := evalCondDynamic(nil, cc)
 		cc.HasStatic = true
 		if err != nil {
@@ -368,6 +351,9 @@ func finishCond(cc *cCond) {
 			cc.Static = cond
 		}
 	}
+	c.conds[cc.FP] = append(c.conds[cc.FP], cc)
+	c.p.Conds++
+	return cc
 }
 
 // condStatic reports whether evaluating the condition is a pure function:
@@ -417,7 +403,7 @@ func fpExpr(e *CExpr) expr.Fp {
 	f := fpWord(uint64(e.Kind) + 0x11)
 	switch e.Kind {
 	case eNum:
-		f = fpNum(e.V, e.W)
+		f = f.Chain(fpWord(e.V)).Chain(fpWord(uint64(e.W)))
 	case eSym:
 		f = f.Chain(fpWord(uint64(e.W))).Chain(fpString(e.Name))
 	case eRef:
@@ -436,10 +422,6 @@ func fpExpr(e *CExpr) expr.Fp {
 	return f
 }
 
-func fpNum(v uint64, w int) expr.Fp {
-	return fpWord(uint64(eNum) + 0x11).Chain(fpWord(v)).Chain(fpWord(uint64(w)))
-}
-
 func fpRef(lv LV) expr.Fp { return fpWord(uint64(eRef) + 0x11).Chain(fpLV(lv)) }
 
 func fpLV(lv LV) expr.Fp {
@@ -455,25 +437,6 @@ func fpLV(lv LV) expr.Fp {
 	return f
 }
 
-// The formulas of the node kinds a lowered guard's rows stand for are
-// functions of their own, so ITable.fp applies them without the nodes.
-
-func fpCmp(op expr.CmpOp, l, r expr.Fp) expr.Fp {
-	return fpWord(uint64(cCmp) + 0x29).Chain(fpWord(uint64(op))).Chain(l).Chain(r)
-}
-
-func fpPrefix(l expr.Fp, val uint64, plen, pw int) expr.Fp {
-	return fpWord(uint64(cPrefix) + 0x29).Chain(l).Chain(fpWord(val)).
-		Chain(fpWord(uint64(plen))).Chain(fpWord(uint64(pw)))
-}
-
-func fpNot(c expr.Fp) expr.Fp { return fpWord(uint64(cNot) + 0x29).Chain(c) }
-
-// fpJunction starts an n-ary And or Or; the children's are chained onto it.
-func fpJunction(kind condKind, n int) expr.Fp {
-	return fpWord(uint64(kind) + 0x29).Chain(fpWord(uint64(n)))
-}
-
 func fpCond(cc *cCond) expr.Fp {
 	f := fpWord(uint64(cc.Kind) + 0x29)
 	switch cc.Kind {
@@ -482,23 +445,25 @@ func fpCond(cc *cCond) expr.Fp {
 			f = f.Chain(fpWord(1))
 		}
 	case cCmp:
-		f = fpCmp(cc.Op, fpExpr(cc.L), fpExpr(cc.R))
+		f = f.Chain(fpWord(uint64(cc.Op))).Chain(fpExpr(cc.L)).Chain(fpExpr(cc.R))
 	case cPrefix:
-		f = fpPrefix(fpExpr(cc.L), cc.Val, cc.PLen, cc.PW)
+		f = f.Chain(fpExpr(cc.L)).Chain(fpWord(cc.Val)).
+			Chain(fpWord(uint64(cc.PLen))).Chain(fpWord(uint64(cc.PW)))
 	case cMasked:
 		f = f.Chain(fpExpr(cc.L)).Chain(fpWord(cc.Mask)).Chain(fpWord(cc.Val))
 	case cMetaPresent:
 		f = f.Chain(fpString(cc.Key.Name)).Chain(fpWord(uint64(int64(cc.Key.Instance))))
 	case cAnd, cOr:
-		f = fpJunction(cc.Kind, len(cc.Cs))
+		f = f.Chain(fpWord(uint64(len(cc.Cs))))
 		for _, sub := range cc.Cs {
 			f = f.Chain(sub.FP)
 		}
 	case cIntervalTable:
-		// A lowered guard keeps the fingerprint of the Or-tree it stands for.
-		f = cc.IT.fp()
+		// The span table's fingerprint is precomputed and covers its width;
+		// equalCCond tells apart tables whose rows differ but merge alike.
+		f = f.Chain(fpRef(cc.IT.F)).Chain(cc.IT.Table.Fp())
 	case cNot:
-		f = fpNot(cc.C.FP)
+		f = f.Chain(cc.C.FP)
 	}
 	return f
 }

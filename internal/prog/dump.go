@@ -107,8 +107,9 @@ func exprString(e *CExpr) string {
 	return s
 }
 
-// condString renders a condition compactly; very wide And/Or nodes (egress
-// table guards) are elided to keep dumps readable.
+// condString renders a condition compactly; very wide And/Or nodes and
+// tables (egress guards) are elided to keep dumps readable. A table renders
+// its field, its rows and the size of its span table.
 func condString(c *cCond) string {
 	var s string
 	switch c.Kind {
@@ -122,23 +123,17 @@ func condString(c *cCond) string {
 		s = fmt.Sprintf("(%s & %#x) == %#x", exprString(c.L), c.Mask, c.Val)
 	case cMetaPresent:
 		s = "present(" + c.Key.String() + ")"
-	case cAnd, cOr, cIntervalTable:
+	case cAnd, cOr:
 		sep := " & "
-		if c.Kind != cAnd {
+		if c.Kind == cOr {
 			sep = " | "
 		}
-		if cs := c.children(); len(cs) > 8 {
-			s = fmt.Sprintf("(%s%s... %d terms)", condString(cs[0]), sep, len(cs))
-		} else {
-			parts := make([]string, len(cs))
-			for i, sub := range cs {
-				parts[i] = condString(sub)
-			}
-			s = "(" + strings.Join(parts, sep) + ")"
-		}
-		if it := c.IT; it != nil {
-			s += fmt.Sprintf(" [itable %d rows, %d spans]", len(it.Rows), len(it.Table.Spans()))
-		}
+		s = "(" + elide(len(c.Cs), sep, func(i int) string { return condString(c.Cs[i]) }) + ")"
+	case cIntervalTable:
+		it := c.IT
+		s = fmt.Sprintf("%s in table(%s) [itable %d rows, %d spans]", lvString(it.F),
+			elide(len(it.Rows), " | ", func(i int) string { return rowString(&it.Rows[i]) }),
+			len(it.Rows), len(it.Table.Spans()))
 	case cNot:
 		s = "!(" + condString(c.C) + ")"
 	}
@@ -148,6 +143,32 @@ func condString(c *cCond) string {
 		} else {
 			s += fmt.Sprintf(" [static=%s]", c.Static)
 		}
+	}
+	return s
+}
+
+// elide joins n rendered items with sep, or the first and a count when there
+// are more than eight.
+func elide(n int, sep string, item func(int) string) string {
+	if n > 8 {
+		return fmt.Sprintf("%s%s... %d terms", item(0), sep, n)
+	}
+	parts := make([]string, n)
+	for i := range parts {
+		parts[i] = item(i)
+	}
+	return strings.Join(parts, sep)
+}
+
+// rowString renders one table row: "=V" or "V/Len", then "-V/Len" per
+// exclusion.
+func rowString(r *itRow) string {
+	s := fmt.Sprintf("=%d", r.V)
+	if r.Kind == itPrefix {
+		s = fmt.Sprintf("%d/%d", r.V, r.Len)
+	}
+	for _, e := range r.Excl {
+		s += fmt.Sprintf(" -%d/%d", e.V, e.Len)
 	}
 	return s
 }

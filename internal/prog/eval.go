@@ -148,16 +148,6 @@ func EvalCond(env Env, c *cCond) (expr.Cond, error) {
 		}
 		return c.Static, nil
 	}
-	if c.Kind == cIntervalTable && env != nil {
-		if cond, ok, err := evalTable(env, c.IT); ok {
-			return cond, err
-		}
-		// The runtime value shape is not the one the table was compiled for
-		// (width drift): fall through to the reference Or-tree evaluation,
-		// which handles every case. The atomic is noise next to the tree walk
-		// it precedes.
-		itableFallbacks.Add(1)
-	}
 	return evalCondDynamic(env, c)
 }
 
@@ -209,10 +199,9 @@ func evalCondDynamic(env Env, c *cCond) (expr.Cond, error) {
 			out = append(out, lc)
 		}
 		return expr.NewAnd(out...), nil
-	case cOr, cIntervalTable:
-		cs := c.children()
-		out := make([]expr.Cond, 0, len(cs))
-		for _, sub := range cs {
+	case cOr:
+		out := make([]expr.Cond, 0, len(c.Cs))
+		for _, sub := range c.Cs {
 			lc, err := EvalCond(env, sub)
 			if err != nil {
 				return nil, err
@@ -226,6 +215,8 @@ func evalCondDynamic(env Env, c *cCond) (expr.Cond, error) {
 			return nil, err
 		}
 		return expr.NewNot(lc), nil
+	case cIntervalTable:
+		return evalTable(env, c.IT)
 	}
 	return nil, evalErrf("unknown compiled condition kind %d", c.Kind)
 }
@@ -235,16 +226,17 @@ func evalCondDynamic(env Env, c *cCond) (expr.Cond, error) {
 // yielding the same Bool the folded Or-tree would) or an expr.InSet the
 // solver consumes with a single domain intersection (symbolic field). The
 // read order matches the reference evaluation's first disjunct, so read
-// errors surface identically. ok=false requests the Or-tree fallback.
-func evalTable(env Env, it *ITable) (expr.Cond, bool, error) {
+// errors surface identically. A read at another width than the field's is
+// an error: the engine's header reads return the field's declared size.
+func evalTable(env Env, it *ITable) (expr.Cond, error) {
 	v, err := readLV(env, it.F)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	if v.Width != it.W {
-		return nil, false, nil
+	if v.Width != it.F.Size {
+		return nil, evalErrf("table guard over a %d-bit field read a %d-bit value", it.F.Size, v.Width)
 	}
-	return expr.NewInSet(v, it.Table), true, nil
+	return expr.NewInSet(v, it.Table), nil
 }
 
 // coerceWidths reconciles operand widths exactly as the AST interpreter

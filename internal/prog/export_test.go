@@ -1,5 +1,5 @@
 package prog
 
-// BuildGuardTable is buildGuardTable for the external tests: the span table
-// lowering merges from a row list, through buildITable.
-var BuildGuardTable = buildGuardTable
+// BuildGuardTable is buildITable for the external tests: the span table
+// lowering merges from a row list.
+var BuildGuardTable = buildITable

@@ -13,23 +13,20 @@ import (
 // measurable. RegisterMetrics surfaces the totals as snapshot-time counter
 // funcs, so a registry always reports the live process-wide values.
 var (
-	compileCount    atomic.Int64 // SEFL programs lowered to flat IR
-	compileNs       atomic.Int64 // total wall time spent in Compile
-	itableLowered   atomic.Int64 // Or-guards lowered to interval tables
-	itableFallbacks atomic.Int64 // lowered guards that fell back to the Or-tree at eval time
+	compileCount  atomic.Int64 // SEFL programs lowered to flat IR
+	compileNs     atomic.Int64 // total wall time spent in Compile
+	itableLowered atomic.Int64 // table guards lowered to interval tables
 )
 
 // RegisterMetrics exposes the compiler's process-wide telemetry on reg:
 //
-//	prog.compile.count     programs compiled
-//	prog.compile.ns        total compile wall time (nanoseconds)
-//	prog.itable.lowered    egress guards lowered to interval tables
-//	prog.itable.fallbacks  table evaluations that fell back to the Or-tree
+//	prog.compile.count   programs compiled
+//	prog.compile.ns      total compile wall time (nanoseconds)
+//	prog.itable.lowered  egress guards lowered to interval tables
 //
 // No-op on a nil registry.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("prog.compile.count", compileCount.Load)
 	reg.CounterFunc("prog.compile.ns", compileNs.Load)
 	reg.CounterFunc("prog.itable.lowered", itableLowered.Load)
-	reg.CounterFunc("prog.itable.fallbacks", itableFallbacks.Load)
 }

@@ -11,11 +11,9 @@ package prog
 // program) for the one the new guard lowers to, through the helper Compile
 // lowers through (lowerTable), and recomputes everything the compiler
 // derives from it, so the patched program is indistinguishable from a fresh
-// compile of the new guard by construction: same rows and span table, same
-// node fingerprint and derived state (the Or-tree view of the old rows goes
-// with the old payload and the new one is built if and when somebody asks),
-// and the same lazily-rendered source instruction for traces and failure
-// messages.
+// compile of the new guard by construction: same rows, span table and node
+// fingerprint, and the same lazily-rendered source instruction for traces
+// and failure messages.
 
 import (
 	"symnet/internal/expr"
@@ -61,8 +59,8 @@ func GuardTables(p *Program) []*ITable {
 // returns the number of nodes patched: 0 when none carries oldFp, or when
 // guard is not a table guard that lowers (the caller recompiles instead).
 // The program must not be executing concurrently. Each patched node's
-// fingerprint and derived state are recomputed from the new rows, every
-// OpConstrain it guards renders guard, and the program's cached renders go.
+// fingerprint is recomputed from the new table, every OpConstrain it guards
+// renders guard, and the program's cached renders go.
 func PatchGuard(p *Program, oldFp expr.Fp, guard sefl.Constrain) int {
 	tb, ok := guard.C.(sefl.Table)
 	if !ok {
@@ -79,7 +77,6 @@ func PatchGuard(p *Program, oldFp expr.Fp, guard sefl.Constrain) int {
 		}
 		cc.IT = it
 		cc.FP = fpCond(cc)
-		finishCond(cc)
 		patched[cc] = true
 	})
 	if len(patched) == 0 {

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"symnet/internal/expr"
@@ -68,13 +69,15 @@ func deepEqualCond(a, b *cCond) bool {
 		a.PLen != b.PLen || a.PW != b.PW || a.B != b.B || a.Key != b.Key {
 		return false
 	}
-	// A lowered guard's children are its Or-tree view, built here.
-	ac, bc := a.children(), b.children()
-	if len(ac) != len(bc) {
+	if (a.IT == nil) != (b.IT == nil) || a.IT != nil && (a.IT.F != b.IT.F ||
+		!reflect.DeepEqual(a.IT.Rows, b.IT.Rows) || !tablesEqual(a.IT.Table, b.IT.Table)) {
 		return false
 	}
-	for i := range ac {
-		if !deepEqualCond(ac[i], bc[i]) {
+	if len(a.Cs) != len(b.Cs) {
+		return false
+	}
+	for i := range a.Cs {
+		if !deepEqualCond(a.Cs[i], b.Cs[i]) {
 			return false
 		}
 	}

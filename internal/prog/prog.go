@@ -163,11 +163,8 @@ const (
 	cNot
 	// cIntervalTable is a lowered table guard (sefl.Table): equality/prefix
 	// rows over one header field compiled into sorted, merged value ranges.
-	// The node carries the rows and the packed table in IT and no children:
-	// the Or-tree's disjuncts — the reference semantics, used as the
-	// fallback when runtime value shapes fall outside the table — are a view
-	// built from the rows on first use (children). A lowered node keeps the
-	// structural fingerprint of the Or it stands for.
+	// The node carries the rows and the packed table in IT and no children,
+	// and is fingerprinted by its field and its span table.
 	cIntervalTable
 )
 
@@ -190,27 +187,21 @@ type cCond struct {
 	Val, Mask uint64     // cPrefix value / cMasked pair
 	PLen, PW  int        // cPrefix length and width
 	Key       memory.MetaKey
-	Cs        []*cCond // cAnd/cOr children (see children for cIntervalTable)
+	Cs        []*cCond // cAnd/cOr children
 	C         *cCond   // cNot child
 	IT        *ITable  // cIntervalTable payload
 }
 
 // ITable is the payload of a cIntervalTable node: the guarded field, the
-// table's rows (aliased, not copied: the exact information the Or-tree view
-// is built from), and the precomputed span table evaluation consumes.
-// Tables are immutable after construction and shared by every path visiting
-// the guard.
+// table's rows (aliased, not copied), and the precomputed span table
+// evaluation consumes. Tables are immutable after construction and shared by
+// every path visiting the guard.
 type ITable struct {
-	F    LV  // field l-value (a header field)
-	W    int // field width (== F.Size)
+	F    LV // field l-value (a header field; F.Size is the table's width)
 	Rows []itRow
 	// Table is the rows' merged span table: adopted from the sefl.Table
 	// when it carries one (a router's), built by buildITable otherwise.
 	Table *expr.SpanTable
-
-	// view is the Or-tree the rows stand for; see cCond.children.
-	viewOnce sync.Once
-	view     []*cCond
 }
 
 // itRow is one disjunct of a lowered guard, in the shared packed-guard
@@ -291,8 +282,8 @@ type Program struct {
 	Entry    SegID
 	// Conds is the number of distinct condition nodes after dedup, and
 	// CondsSeen the number before. They are diagnostics for -dump-ir and
-	// tests; a lowered guard counts as one node, whatever the number of
-	// disjuncts its view would have.
+	// tests; a lowered guard counts as one node, whatever its number of
+	// rows.
 	Conds, CondsSeen int
 
 	// renders caches a trace line and a Constrain failure message per op

@@ -1,17 +1,15 @@
 package prog
 
 // Rows versus tree. A lowered guard is compiled from its rows alone; these
-// tests pin everything computed from the rows to what the Or-tree, built the
-// old way, would have given: the span table (against the per-exclusion
-// Subtract the sweep replaced, kept here as the oracle), the node's
-// fingerprint and derived state, the lazily built children, the wire, and
-// PatchGuard.
+// tests pin everything computed from the rows to what the Or-tree would have
+// given: the span table (against the per-exclusion Subtract the sweep
+// replaced, kept here as the oracle), the node's derived state, its value on
+// concrete fields, the wire, and PatchGuard.
 
 import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"symnet/internal/expr"
@@ -120,7 +118,7 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 					topped++
 				}
 			}
-			got, want := buildGuardTable(rows, w), tableBySubtraction(rows, w)
+			got, want := buildITable(rows, w), tableBySubtraction(rows, w)
 			if !tablesEqual(got, want) || got.Fp() != want.Fp() {
 				t.Fatalf("w=%d rows %+v:\n got %v\nwant %v", w, rows, got, want)
 			}
@@ -158,26 +156,11 @@ func rowsGuard(f sefl.Hdr, rows []itRow) []sefl.Cond {
 	return cs
 }
 
-// eagerOr compiles every disjunct the way the compiler compiles an Or it
-// cannot lower and seals the Or over them: the tree a lowered guard used to
-// be built from.
-func eagerOr(cs []sefl.Cond) *cCond {
-	c := &compiler{p: &Program{}, conds: make(map[expr.Fp][]*cCond)}
-	or := &cCond{Kind: cOr, Cs: make([]*cCond, len(cs))}
-	for i, sub := range cs {
-		or.Cs[i] = c.compileCond(sub)
-	}
-	or.FP = fpCond(or)
-	finishCond(or)
-	return or
-}
-
 // TestRowsMatchTree: a lowered table against the Or-tree it stands for,
 // both the hand-written tree (rowsGuard) and the table's own Or: same
-// fingerprint and derived state, the span table the per-exclusion
-// subtraction gives, children equal to the compiled disjuncts, the same
-// rendering, the same guard from source that crossed the wire, and
-// PatchGuard equal to a fresh compile.
+// derived state, the span table the per-exclusion subtraction gives, the
+// same value at every span edge, the same rendering, the same guard from
+// source that crossed the wire, and PatchGuard equal to a fresh compile.
 func TestRowsMatchTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 400; trial++ {
@@ -198,14 +181,16 @@ func TestRowsMatchTree(t *testing.T) {
 			t.Fatalf("trial %d: span table differs from the subtraction oracle", trial)
 		}
 
-		// Fingerprint and derived state against the eagerly compiled
-		// hand-written Or and against the table's Or compiled as a tree.
-		or := eagerOr(rowsGuard(f, rows))
-		tree := Compile(sefl.Seq(sefl.Constrain{C: tb.Or()}, sefl.Forward{Port: 0}), "el", 0, "el.out[1]").Ops[0].C
-		for name, ref := range map[string]*cCond{"hand-written": or, "Or()": tree} {
-			if ref.Kind != cOr || node.FP != ref.FP || node.HasStatic != ref.HasStatic {
-				t.Fatalf("trial %d: from rows fp=%v static=%v\n%s tree kind=%d fp=%v static=%v",
-					trial, node.FP, node.HasStatic, name, ref.Kind, ref.FP, ref.HasStatic)
+		// Derived state against the hand-written Or and against the table's
+		// Or, both compiled as trees.
+		refs := map[string]*cCond{}
+		for name, ref := range map[string]sefl.Cond{"hand-written": sefl.COr{Cs: rowsGuard(f, rows)}, "Or()": tb.Or()} {
+			refs[name] = Compile(sefl.Seq(sefl.Constrain{C: ref}, sefl.Forward{Port: 0}), "el", 0, "el.out[1]").Ops[0].C
+		}
+		for name, ref := range refs {
+			if ref.Kind != cOr || node.HasStatic != ref.HasStatic {
+				t.Fatalf("trial %d: from rows static=%v\n%s tree kind=%d static=%v",
+					trial, node.HasStatic, name, ref.Kind, ref.HasStatic)
 			}
 		}
 		if got, want := guard.String(), (sefl.Constrain{C: tb.Or()}).String(); got != want {
@@ -219,14 +204,20 @@ func TestRowsMatchTree(t *testing.T) {
 			t.Fatalf("trial %d: the guard compiled from the wire differs", trial)
 		}
 
-		// The lazily built children against compiler-built ones.
-		view := node.children()
-		if len(view) != len(or.Cs) || len(view) != len(tree.Cs) {
-			t.Fatalf("trial %d: view has %d children, trees %d and %d", trial, len(view), len(or.Cs), len(tree.Cs))
-		}
-		for i := range view {
-			if !deepEqualCond(view[i], or.Cs[i]) || !deepEqualCond(view[i], tree.Cs[i]) {
-				t.Fatalf("trial %d child %d: view differs from the compiled disjunct", trial, i)
+		// A concrete field at every span edge and just outside it: the
+		// table's membership test against both trees' folded value.
+		for _, sp := range node.IT.Table.Spans() {
+			for _, v := range []uint64{sp.Lo - 1, sp.Lo, sp.Hi, sp.Hi + 1} {
+				env := &itEnv{hdrs: map[int64]expr.Lin{0: expr.Const(v&expr.Mask(w), w)}}
+				got, err := EvalCond(env, node)
+				if err != nil {
+					t.Fatalf("trial %d: table at %#x: %v", trial, v, err)
+				}
+				for name, ref := range refs {
+					if want, err := EvalCond(env, ref); err != nil || got != want {
+						t.Fatalf("trial %d: at %#x the table reads %v, the %s tree %v (%v)", trial, v, got, name, want, err)
+					}
+				}
 			}
 		}
 
@@ -241,55 +232,6 @@ func TestRowsMatchTree(t *testing.T) {
 	}
 }
 
-// TestViewBuiltOnceByConcurrentFallbacks: programs are shared across
-// workers, so eight of them hitting the shape-drift fallback of a fresh
-// program at once must build one view between them and agree on the answer.
-// Run under -race.
-func TestViewBuiltOnceByConcurrentFallbacks(t *testing.T) {
-	// The field arrives 16 bits wide where the table was compiled for 48.
-	drifted := func() *itEnv {
-		return &itEnv{hdrs: map[int64]expr.Lin{0: {Sym: 7, Width: 16}}}
-	}
-	want, err := EvalCond(drifted(), guardCond(t, macGuard(64).Or()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := guardCond(t, macGuard(64))
-	before := itableFallbacks.Load()
-	const workers = 8
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	got := make([]expr.Cond, workers)
-	errs := make([]error, workers)
-	first := make([]*cCond, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			got[i], errs[i] = EvalCond(drifted(), c)
-			first[i] = c.children()[0]
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("worker %d: %v", i, errs[i])
-		}
-		if got[i].String() != want.String() {
-			t.Fatalf("worker %d: fallback built %s, Or-tree reference %s", i, got[i], want)
-		}
-		if first[i] != first[0] {
-			t.Fatalf("worker %d saw a second view", i)
-		}
-	}
-	if n := itableFallbacks.Load() - before; n != workers {
-		t.Fatalf("%d fallbacks counted, want %d", n, workers)
-	}
-}
-
 // TestGuardTableLinear: building a table from a /0 row with k exclusions
 // allocates the same number of times whatever k is — the sweep has no
 // per-exclusion set, where Subtract allocated two per exclusion. A guard on
@@ -301,24 +243,16 @@ func TestGuardTableLinear(t *testing.T) {
 			row.Excl = append(row.Excl, expr.GuardExcl{V: uint64(i) << 9, Len: 24}) // every other /24
 		}
 		rows := []itRow{row}
-		if got := len(buildGuardTable(rows, 32).Spans()); got != k {
+		if got := len(buildITable(rows, 32).Spans()); got != k {
 			t.Fatalf("k=%d: table has %d spans", k, got)
 		}
-		return testing.AllocsPerRun(10, func() { buildGuardTable(rows, 32) })
+		return testing.AllocsPerRun(10, func() { buildITable(rows, 32) })
 	}
 	a, b, c := allocs(512), allocs(2048), allocs(8192)
-	t.Logf("buildGuardTable allocations: %.0f at k=512, %.0f at k=2048, %.0f at k=8192", a, b, c)
+	t.Logf("buildITable allocations: %.0f at k=512, %.0f at k=2048, %.0f at k=8192", a, b, c)
 	if a != b || b != c {
 		t.Fatalf("allocations grow with the number of exclusions: %.0f, %.0f, %.0f", a, b, c)
 	}
-}
-
-// buildGuardTable merges a full row list into its span table, the from-
-// scratch construction lowering performs.
-func buildGuardTable(rows []itRow, w int) *expr.SpanTable {
-	it := &ITable{W: w, Rows: rows}
-	buildITable(it)
-	return it.Table
 }
 
 // tablesEqual reports canonical-form equality of two span tables.

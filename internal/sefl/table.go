@@ -6,11 +6,11 @@ package sefl
 // more-specific routes that win over it. Table is that condition as the
 // models hold it, one row per entry, instead of the Or-tree it stands for.
 // The compiler lowers the rows straight to a span table (internal/prog), or
-// adopts the one a router's table carries (Spans), the wire ships the rows
-// as a flat word stream, and a reader that wants the tree — the AST
+// adopts the one a router's table carries (Spans), the SEFL codec ships the
+// rows as a flat word stream, and a reader that wants the tree — the AST
 // interpreter, a malformed table's compile — builds it with Or. Rows use the
 // packed-guard vocabulary of internal/expr (expr.GuardRow,
-// expr.PackGuardRows), the stream the IR codec ships too.
+// expr.PackGuardRows).
 import (
 	"fmt"
 	"strconv"
