@@ -246,6 +246,8 @@ func TestCompileAdoptsLPMSpans(t *testing.T) {
 			if err := core.InstallPrograms(member, wa); err != nil {
 				t.Fatal(err)
 			}
+			core.Warm(with) // encoding compiles nothing; a member compiles at install
+			core.Warm(without)
 			adopted := 0
 			for _, we := range wa {
 				var progs [3]*prog.Program

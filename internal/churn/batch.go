@@ -14,7 +14,7 @@ import (
 
 // BatchResult reports how one absorbed batch — any number of deltas staged
 // together — was reconciled and re-verified. N deltas to the same table
-// collapse into one guard patch per changed port and one dependency-tracked
+// collapse into one new guard per changed port and one dependency-tracked
 // re-verification pass over the union of their dirty sources.
 type BatchResult struct {
 	// Version is the report version this batch published.
@@ -29,8 +29,10 @@ type BatchResult struct {
 	DirtySources int `json:"dirty_sources"`
 	// CellsReverified counts report cells recomputed by this batch.
 	CellsReverified int `json:"cells_reverified"`
-	// PortsPatched/PortsRecompiled/ElemsRebuilt break the reconcile down by
-	// tier (ports, not deltas: coalesced deltas share a port's single patch).
+	// PortsPatched counts the ports given a new guard (ports, not deltas:
+	// coalesced deltas share a port's one new guard), PortsRecompiled those
+	// of them whose compiled program was resident and dropped, ElemsRebuilt
+	// the elements whose model was regenerated.
 	PortsPatched    int `json:"ports_patched"`
 	PortsRecompiled int `json:"ports_recompiled"`
 	ElemsRebuilt    int `json:"elems_rebuilt"`
@@ -56,7 +58,7 @@ type elemStage struct {
 // delta (unknown element, duplicate insert, delete of a missing rule, or a
 // table the element's model would refuse) leaves the stage unchanged, so a
 // caller can skip it and keep staging. commit reconciles every staged table
-// against the network in one pass: one guard patch per changed port, one
+// against the network in one pass: one new guard per changed port, one
 // re-verification of the union dirty set, one published report version.
 type stage struct {
 	svc    *Service
@@ -179,10 +181,10 @@ func (st *stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
 }
 
 // commit absorbs the staged batch into the resident service: per element,
-// reconcile its changed port guards once (patch in place where possible,
-// recompile or rebuild otherwise), then run one re-verification pass over
-// the union dirty set and publish the next report version. commit on an
-// empty stage publishes nothing and returns an empty result.
+// reconcile its changed port guards once (a new guard per changed port, or
+// a rebuilt model when its port set changed), then run one re-verification
+// pass over the union dirty set and publish the next report version. commit
+// on an empty stage publishes nothing and returns an empty result.
 func (st *stage) commit() (*BatchResult, error) {
 	s := st.svc
 	if s.report == nil {
@@ -227,7 +229,7 @@ func (st *stage) commit() (*BatchResult, error) {
 // model. A changed port set regenerates the whole model (a new fork list);
 // otherwise every port whose Egress guard — as models.Router or
 // models.Switch builds it from the staged table — differs from the
-// installed one gets the new guard.
+// installed one gets the new guard as its code, compiled on its next run.
 func (s *Service) reconcile(elem string, es *elemStage, res *BatchResult) error {
 	e, _ := s.cfg.Net.Element(elem) // Add found it
 	if !slices.Equal(es.was, es.ports) {
@@ -254,9 +256,14 @@ func (s *Service) reconcile(elem string, es *elemStage, res *BatchResult) error 
 			if installed, _ := e.Code(p, true); sameGuard(installed, g) {
 				continue
 			}
-			action := s.reconcilePort(e, p, g)
-			res.Action = worse(res.Action, action)
-			res.countPort(action)
+			if _, ok := e.CachedProgram(p, true); ok {
+				s.recompiledPorts.Inc()
+				res.PortsRecompiled++
+			}
+			e.SetOutCode(p, g)
+			s.patchedPorts.Inc()
+			res.PortsPatched++
+			res.Action = worse(res.Action, actionPatched)
 			ref := core.PortRef{Elem: elem, Port: p, Out: true}
 			s.pendingRefresh = append(s.pendingRefresh, ref)
 			for i := range s.visited[ref] {
@@ -300,20 +307,11 @@ func equalRow(a, b expr.GuardRow) bool {
 	return a.Kind == b.Kind && a.V == b.V && a.Len == b.Len && slices.Equal(a.Excl, b.Excl)
 }
 
-func (r *BatchResult) countPort(a Action) {
-	switch a {
-	case actionPatched:
-		r.PortsPatched++
-	case actionRecompiled:
-		r.PortsRecompiled++
-	}
-}
-
 // applyBatch stages ds in order and commits them as one coalesced batch:
-// table updates collapse per element, changed guards patch once per port,
-// and a single re-verification pass covers the union dirty set. Staging is
-// all-or-nothing — any inapplicable delta fails the whole call before
-// resident state is touched (per-delta skip semantics live in
+// table updates collapse per element, each changed port gets its new guard
+// once, and a single re-verification pass covers the union dirty set.
+// Staging is all-or-nothing — any inapplicable delta fails the whole call
+// before resident state is touched (per-delta skip semantics live in
 // Resident.Submit).
 func (s *Service) applyBatch(ds []Delta) (*BatchResult, error) {
 	st := s.newStage()

@@ -2,11 +2,10 @@
 // churn: a resident Service holds a compiled network plus its all-pairs
 // reachability report, accepts rule-level deltas (FIB route or MAC entry
 // insert/delete/modify), builds each changed output port's guard as the
-// element's Egress model would and patches it into the resident program in
-// place (prog.PatchGuard, which lowers it as Compile does: a router's guard
-// brings its span table, a switch's rows are merged into one) instead of
-// recompiling, and re-runs only the sources whose explorations actually
-// traversed the touched port. The resident report stays byte-identical to a
+// element's Egress model would and installs it as the port's code, which
+// the next run compiles (a router's guard brings its span table, a
+// switch's rows are merged into one), and re-runs only the sources whose
+// explorations actually traversed the touched port. The resident report stays byte-identical to a
 // from-scratch verification of the updated network (pinned by the
 // differential tests in this package).
 package churn
@@ -155,7 +154,7 @@ func DecodeDeltasLenient(r io.Reader) ([]Delta, []LineError, error) {
 // table so every delete/modify references a live route and every insert a
 // fresh (prefix, len); the output ports are drawn from the router's existing
 // port set, so the element's fork list never changes (deltas stay in the
-// patchable tier). Same (fib, carrier, n, seed) always yields the same
+// patched tier). Same (fib, carrier, n, seed) always yields the same
 // stream.
 func GenFIBDeltas(elem string, fib tables.FIB, carrier string, n int, seed int64) ([]Delta, error) {
 	cpfx, clen, err := tables.ParsePrefix(carrier)

@@ -203,7 +203,7 @@ func TestServiceDifferential(t *testing.T) {
 	if last == nil || last.Action != actionRebuilt {
 		t.Fatalf("port-emptying delete did not hit the rebuild tier: %+v", last)
 	}
-	if !seen[actionPatched] || !seen[actionRecompiled] {
-		t.Fatalf("delta stream did not exercise both patch and recompile tiers: %v", seen)
+	if !seen[actionPatched] || !seen[actionRebuilt] {
+		t.Fatalf("delta stream did not exercise both patch and rebuild tiers: %v", seen)
 	}
 }

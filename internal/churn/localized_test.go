@@ -144,15 +144,15 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 	svc, check := starService(t, dist.InProcess(2, nil))
 	check("init")
 
-	// Insert a fresh host MAC on asw2 port 1: its 4-row guard is lowered, so
-	// the delta lands in the patch tier, and only asw2's own source ever
+	// Insert a fresh host MAC on asw2 port 1: the port set holds, so the
+	// delta lands in the patch tier, and only asw2's own source ever
 	// attempted that guard.
 	res, err := svc.apply(Delta{Elem: "asw2", Op: OpInsert, MAC: "06:00:00:00:00:99", Port: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Action != actionPatched {
-		t.Fatalf("insert on lowered guard: action %s, want %s", res.Action, actionPatched)
+		t.Fatalf("insert on a held port set: action %s, want %s", res.Action, actionPatched)
 	}
 	if res.DirtySources != 1 {
 		t.Fatalf("asw2 delta dirtied %d sources, want 1", res.DirtySources)
@@ -163,14 +163,15 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 	check("asw2 insert")
 
 	// Move a host MAC across asw1's ports: the shrinking guard drops below
-	// the lowering threshold (recompile) while the growing one patches; the
-	// dirty set is still just asw1's source.
+	// the lowering threshold (an Or-tree) while the growing one stays a
+	// table; both ports get new code, and the dirty set is still just
+	// asw1's source.
 	res, err = svc.apply(Delta{Elem: "asw1", Op: OpModify, MAC: sefl.NumberToMAC(starHostMAC(1, 0)), Port: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Action != actionRecompiled {
-		t.Fatalf("mixed-tier modify: action %s, want %s", res.Action, actionRecompiled)
+	if res.Action != actionPatched || res.PortsPatched != 2 {
+		t.Fatalf("modify across ports: action %s, %d ports patched; want %s, 2", res.Action, res.PortsPatched, actionPatched)
 	}
 	if res.DirtySources != 1 {
 		t.Fatalf("asw1 delta dirtied %d sources, want 1", res.DirtySources)

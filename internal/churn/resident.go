@@ -65,9 +65,9 @@ type submitReply struct {
 // Resident wraps a Service for concurrent serving: all mutations funnel
 // through a bounded intake queue drained by a single absorber goroutine,
 // which coalesces everything queued into one stage/commit pass — N deltas to
-// the same table collapse into one patch and one re-verification. Reads
-// (Current, Watch, TransitionsSince) go straight to the service's lock-free
-// published snapshots.
+// the same table collapse into one new guard per changed port and one
+// re-verification. Reads (Current, Watch, TransitionsSince) go straight to
+// the service's lock-free published snapshots.
 type Resident struct {
 	svc    *Service
 	cfg    ResidentConfig

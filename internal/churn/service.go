@@ -8,7 +8,6 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/dist"
 	"symnet/internal/obs"
-	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
 	"symnet/internal/tables"
@@ -26,8 +25,8 @@ type Config struct {
 	Opts    core.Options
 	// Runner carries every verification pass — the initial all-pairs run and
 	// each re-verification. Nil selects dist.InProcess at GOMAXPROCS width.
-	// The service keeps a fleet's installed IR current: each absorbed batch
-	// Refreshes the patched or recompiled ports and Invalidates on model
+	// The service keeps a fleet's installed code current: each absorbed
+	// batch Refreshes the ports given new guards and Invalidates on model
 	// rebuilds and restores. Published observables (reachability, path
 	// counts, transitions) are byte-identical across runners; a fleet's
 	// report carries Summaries where an in-process one carries Results.
@@ -41,11 +40,9 @@ type Action string
 const (
 	// actionNoop: the delta changed nothing (e.g. modify to the same port).
 	actionNoop Action = "noop"
-	// actionPatched: every affected guard's span table was patched in place.
+	// actionPatched: the element's port set held, and each port whose guard
+	// changed got the new guard as its code, compiled on its next run.
 	actionPatched Action = "patched"
-	// actionRecompiled: at least one affected port's guard was recompiled
-	// from the rebuilt rule list (guard not lowered, or not yet compiled).
-	actionRecompiled Action = "recompiled"
 	// actionRebuilt: the element's port set changed, forcing a full model
 	// regeneration (new fork list, all guards).
 	actionRebuilt Action = "rebuilt"
@@ -53,7 +50,7 @@ const (
 
 // Service is a resident incremental verifier: Init runs the full all-pairs
 // query once; apply (or a coalescing stage/commit batch) absorbs rule
-// deltas, patching the affected compiled guards in place and re-running only
+// deltas, giving each affected port its new guard and re-running only
 // the sources whose explorations traversed the touched ports. Every
 // absorption publishes a fresh copy-on-write report snapshot under a
 // monotonically increasing version; each published version is byte-identical
@@ -88,11 +85,10 @@ type Service struct {
 	// so its sources stay here and ride the next commit's batch.
 	unverified map[int]bool
 
-	// pendingRefresh collects the output ports whose guards the current
-	// commit patched or recompiled; pendingInvalidate is set by the rebuild
-	// tier. Both flush to the Runner (Refresh/Invalidate) before the commit's
-	// re-verification pass, keeping a fleet's installed IR in lockstep with
-	// the resident model.
+	// pendingRefresh collects the output ports the current commit gave new
+	// guards; pendingInvalidate is set by the rebuild tier. Both flush to the
+	// Runner (Refresh/Invalidate) before the commit's re-verification pass,
+	// keeping a fleet's installed code in lockstep with the resident model.
 	pendingRefresh    []core.PortRef
 	pendingInvalidate bool
 
@@ -105,6 +101,9 @@ type Service struct {
 	cellsReverified *obs.Counter
 	deltasApplied   *obs.Counter
 	batchesApplied  *obs.Counter
+	// patchedPorts counts ports given a new guard; recompiledPorts those of
+	// them whose compiled program was resident and dropped with the old
+	// code (their next run compiles the new guard).
 	patchedPorts    *obs.Counter
 	recompiledPorts *obs.Counter
 	rebuiltElems    *obs.Counter
@@ -201,11 +200,11 @@ func (s *Service) runFull() (*verify.AllPairsReport, error) {
 	return rep, nil
 }
 
-// apply absorbs one rule delta: update the authoritative table, patch or
-// rebuild the affected guards, re-verify exactly the sources whose
-// explorations traversed the touched ports, and publish the next report
-// version. It is a batch of one — see newStage/applyBatch for coalescing
-// several deltas into one re-verification pass.
+// apply absorbs one rule delta: update the authoritative table, replace
+// the changed guards (or rebuild the model), re-verify exactly the sources
+// whose explorations traversed the touched ports, and publish the next
+// report version. It is a batch of one — see newStage/applyBatch for
+// coalescing several deltas into one re-verification pass.
 func (s *Service) apply(d Delta) (*BatchResult, error) {
 	st := s.newStage()
 	if err := st.Add(d); err != nil {
@@ -214,30 +213,10 @@ func (s *Service) apply(d Delta) (*BatchResult, error) {
 	return st.commit()
 }
 
-// reconcilePort installs a changed port guard — the Constrain of a table
-// the models rebuilt — by the cheapest sound means: when the resident
-// compiled program has one lowered guard and the new guard lowers too,
-// patch that guard in place (prog.PatchGuard); otherwise fall back to
-// recompilation.
-func (s *Service) reconcilePort(e *core.Element, port int, guard sefl.Constrain) Action {
-	if cp, ok := e.CachedProgram(port, true); ok {
-		if its := prog.GuardTables(cp); len(its) == 1 && prog.PatchGuard(cp, its[0].Table.Fp(), guard) > 0 {
-			e.PatchedOutCode(port, guard)
-			s.patchedPorts.Inc()
-			return actionPatched
-		}
-	}
-	// Never compiled (or already invalidated), or not patchable: the next
-	// run compiles the new guard lazily.
-	e.SetOutCode(port, guard)
-	s.recompiledPorts.Inc()
-	return actionRecompiled
-}
-
 // flushRunner ships the commit's accumulated guard churn to the Runner —
 // Invalidate when a rebuild regenerated whole models, Refresh with the
-// reconciled ports otherwise — so a fleet's next batch patches its installed
-// IR instead of re-shipping the network. It runs even when the dirty set is
+// reconciled ports otherwise — so a fleet's next batch ships the changed
+// ports' source instead of the network. It runs even when the dirty set is
 // empty: a guard no current path attempts is still stale on the workers and
 // must not survive into a later batch.
 func (s *Service) flushRunner() {
@@ -345,10 +324,8 @@ func tier(a Action) int {
 	switch a {
 	case actionPatched:
 		return 1
-	case actionRecompiled:
-		return 2
 	case actionRebuilt:
-		return 3
+		return 2
 	}
 	return 0 // actionNoop and the unset zero value
 }

@@ -110,21 +110,19 @@ func Warm(n *Network) {
 	}
 }
 
-// EncodePrograms compiles (as needed) every code-table entry of the network
-// and serializes its source, in the order every whole-network encoder
-// shares (codeRefs). The coordinator keeps what it compiles: its own later
-// runs use the programs, and a rule delta patches them in place.
+// EncodePrograms serializes the source of every code-table entry of the
+// network, in the order every whole-network encoder shares (codeRefs). It
+// compiles nothing: the wire carries source, which each member compiles.
 func EncodePrograms(n *Network) ([]WireProgramEntry, error) {
 	return EncodeProgramsFor(n, codeRefs(n.order...))
 }
 
-// EncodeProgramsFor compiles (as needed) and serializes only the sources of
-// the entries covering the named element ports (a port's own, else its
-// wildcard entry), in the order given: after an incremental rule change
-// touches a handful of ports, a resident coordinator re-ships just those
-// entries. An unknown element is an error; a ref with no code attached is
-// skipped. It fails on source that cannot cross the wire (a For body built
-// from a bare closure).
+// EncodeProgramsFor serializes only the sources of the entries covering the
+// named element ports (a port's own, else its wildcard entry), in the order
+// given: after an incremental rule change touches a handful of ports, a
+// resident coordinator re-ships just those entries. An unknown element is
+// an error; a ref with no code attached is skipped. It fails on source that
+// cannot cross the wire (a For body built from a bare closure).
 func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 	out := make([]WireProgramEntry, 0, len(refs))
 	for _, ref := range refs {
@@ -132,10 +130,10 @@ func EncodeProgramsFor(n *Network, refs []PortRef) ([]WireProgramEntry, error) {
 		if !found {
 			return nil, fmt.Errorf("core: encode program: unknown element %q", ref.Elem)
 		}
-		if _, ok, _ := e.codeFor(ref.Port, ref.Out); !ok {
+		at := e.entry(ref.Port, ref.Out)
+		if at.code == nil {
 			continue
 		}
-		at := e.entry(ref.Port, ref.Out)
 		src, err := sefl.EncodeInstr(at.code.src)
 		if err != nil {
 			return nil, fmt.Errorf("core: encode program %s: %w", label(e.Name, at.num, ref.Out), err)

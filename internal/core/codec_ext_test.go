@@ -144,9 +144,10 @@ func TestSetupRoundTripEveryDataset(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// EncodePrograms compiled every entry, so CachedProgram reads the
-			// coordinator's resolution; the label names the entry resolved,
-			// and the member compiled what the coordinator did.
+			// Warm compiles every coordinator entry, so CachedProgram reads
+			// the coordinator's resolution; the label names the entry
+			// resolved, and the member compiled what the coordinator did.
+			core.Warm(ds.net)
 			compared := 0
 			for _, e := range ds.net.Elements() {
 				me, _ := member.Element(e.Name)
@@ -283,7 +284,7 @@ func TestInstallProgramsRefusesForeignEntries(t *testing.T) {
 	}{
 		{func() { a.SetInCode(3, sefl.NoOp{}) }, "core: set code A.in[3]: A has 1 input ports"},
 		{func() { a.SetOutCode(2, sefl.NoOp{}) }, "core: set code A.out[2]: A has 2 output ports"},
-		{func() { a.PatchedOutCode(-2, sefl.NoOp{}) }, "core: set code A.out[-2]: A has 2 output ports"},
+		{func() { a.SetOutCode(-2, sefl.NoOp{}) }, "core: set code A.out[-2]: A has 2 output ports"},
 	} {
 		got := func() (msg any) {
 			defer func() { msg = recover() }()

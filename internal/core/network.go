@@ -114,6 +114,8 @@ func (e *Element) mustAt(port int, out bool) *port {
 
 // portCode is one code-table entry: the source and its compiled program,
 // nil until first use (a fleet member's installed entry compiles at once).
+// An entry is never edited: new code for a port is a new entry, so a
+// compiled program is only ever its own source's.
 type portCode struct {
 	src      sefl.Instr
 	compiled atomic.Pointer[prog.Program]
@@ -131,20 +133,6 @@ func (e *Element) SetInCode(port int, code sefl.Instr) *Element {
 func (e *Element) SetOutCode(port int, code sefl.Instr) *Element {
 	e.mustAt(port, true).code = &portCode{src: code}
 	return e
-}
-
-// PatchedOutCode records that an output port's code was updated by an
-// in-place patch of its already-compiled program (prog.PatchGuard): the
-// entry's source is replaced, so the AST interpreter reads the new rules,
-// but its program is kept, because it is the one that was just patched.
-// Callers must not be executing the element concurrently. It panics on a
-// port the element lacks.
-func (e *Element) PatchedOutCode(port int, code sefl.Instr) {
-	p := e.mustAt(port, true)
-	if p.code == nil {
-		p.code = new(portCode)
-	}
-	p.code.src = code
 }
 
 // Code returns the source attached to exactly this port (WildcardPort for
@@ -168,8 +156,8 @@ func (e *Element) entry(port int, out bool) *port {
 }
 
 // CachedProgram returns the compiled program resident for a port, without
-// compiling on miss — the handle an incremental updater patches in place.
-// The bool reports whether a compiled program was resident.
+// compiling on miss. The bool reports whether a compiled program was
+// resident.
 func (e *Element) CachedProgram(port int, out bool) (*prog.Program, bool) {
 	if c := e.entry(port, out).code; c != nil {
 		if p := c.compiled.Load(); p != nil {

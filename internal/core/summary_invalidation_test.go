@@ -1,18 +1,15 @@
 package core
 
 // Regression tests for the invalidation contract of the code table:
-// SetInCode and SetOutCode drop the port's compiled program, PatchedOutCode
-// keeps it (it is the program prog.PatchGuard just patched, whose renders
-// then print the new guard), and every one of them is scoped to the rebound
-// port — or a stale program would keep executing the old code after a
-// rebind.
+// SetInCode and SetOutCode drop the port's compiled program, and each is
+// scoped to the rebound port — or a stale program would keep executing the
+// old code after a rebind.
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
 
-	"symnet/internal/expr"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
@@ -80,63 +77,7 @@ func TestSetOutCodeInvalidatesProgramAndSummary(t *testing.T) {
 	}
 }
 
-// macGuard is a switch-style egress guard over the listed MAC addresses.
-func macGuard(macs ...uint64) sefl.Constrain {
-	rows := make([]expr.GuardRow, len(macs))
-	for i, m := range macs {
-		rows[i] = expr.GuardRow{Kind: expr.GuardEq, V: m}
-	}
-	return sefl.Constrain{C: sefl.Table{F: sefl.EtherDst, Rows: rows}}
-}
-
-// TestPatchedOutCodeKeepsProgramRebuildsSummary pins the one invalidation
-// that keeps the program: an in-place guard patch (prog.PatchGuard, then
-// PatchedOutCode) keeps the program object, since it is the thing that was
-// patched, and drops its cached renders, so the next traced run that fails
-// the guard prints the new guard in its trace and its failure message.
-func TestPatchedOutCodeKeepsProgramRebuildsSummary(t *testing.T) {
-	net := NewNetwork()
-	e := net.AddElement("dut", "dut", 1, 2)
-	e.SetInCode(0, sefl.Forward{Port: 1})
-	e.SetOutCode(1, macGuard(0x10, 0x20, 0x40, 0x50))
-	inj := PortRef{Elem: "dut", Port: 0}
-	packet := sefl.Seq(sefl.NewTCPPacket(), sefl.Assign{LV: sefl.EtherDst, E: sefl.CW(0x30, sefl.MACWidth)})
-	failing := func(guard sefl.Constrain) {
-		t.Helper()
-		res, err := Run(net, inj, packet, Options{Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Paths) != 1 || res.Paths[0].Status != Failed {
-			t.Fatalf("%d paths, want one failing the guard", len(res.Paths))
-		}
-		p := res.Paths[0]
-		if want := fmt.Sprintf("constraint unsatisfiable: %s", guard.C); p.FailMsg != want {
-			t.Errorf("failure message %q, want %q", p.FailMsg, want)
-		}
-		if want := fmt.Sprintf("dut: %s", guard); p.Trace[len(p.Trace)-1] != want {
-			t.Errorf("last trace line %q, want %q", p.Trace[len(p.Trace)-1], want)
-		}
-	}
-	failing(macGuard(0x10, 0x20, 0x40, 0x50)) // renders the old guard into the program
-
-	p := cached(e, 1, true)
-	guard := macGuard(0x10, 0x20, 0x40, 0x50, 0x60)
-	if n := prog.PatchGuard(p, prog.GuardTables(p)[0].Table.Fp(), guard); n != 1 {
-		t.Fatalf("PatchGuard patched %d guards, want 1", n)
-	}
-	e.PatchedOutCode(1, guard)
-	if cached(e, 1, true) != p {
-		t.Error("PatchedOutCode replaced the compiled program")
-	}
-	if src, _ := e.Code(1, true); fmt.Sprint(src) != fmt.Sprint(guard) {
-		t.Error("PatchedOutCode did not record the new source AST")
-	}
-	failing(guard)
-}
-
-// TestSetCodeInvalidationIsPortScoped pins that rebinding or patching one
-// port leaves the other ports' programs intact, and that ports sharing
+// TestSetCodeInvalidationIsPortScoped pins that rebinding one port leaves the other ports' programs intact, and that ports sharing
 // wildcard code share one program that only a wildcard rebind drops.
 func TestSetCodeInvalidationIsPortScoped(t *testing.T) {
 	_, e := summaryCacheFixture()
@@ -150,12 +91,12 @@ func TestSetCodeInvalidationIsPortScoped(t *testing.T) {
 	}
 
 	e.SetInCode(1, sefl.Forward{Port: 1})
-	e.PatchedOutCode(1, sefl.NoOp{})
+	e.SetOutCode(1, sefl.NoOp{})
 	if cached(e, 0, false) != p0 {
-		t.Error("rebinding in[1] and patching out[1] disturbed in[0]'s program")
+		t.Error("rebinding in[1] and out[1] disturbed in[0]'s program")
 	}
 	if cached(e, WildcardPort, true) != pw {
-		t.Error("rebinding in[1] and patching out[1] disturbed the wildcard program")
+		t.Error("rebinding in[1] and out[1] disturbed the wildcard program")
 	}
 
 	e.SetOutCode(WildcardPort, sefl.Constrain{C: sefl.CBool(true)})

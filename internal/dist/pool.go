@@ -64,7 +64,10 @@ type poolWorker struct {
 
 	// gen is the setup generation the member holds installed on this
 	// connection: the last batch's, or 0 (nothing yet) on a new connection.
+	// net is the network that setup was built from; a batch on another
+	// network ships its full setup.
 	gen uint64
+	net *core.Network
 
 	alive      bool
 	dialed     bool // at least one dial attempted (first dial gets the retry window)
@@ -337,11 +340,11 @@ func seqRange(lo, hi int) []int {
 }
 
 // sendBatch opens the batch on one worker with the cheapest sufficient setup
-// mode. A member holding the last batch's setup gets reuse (nothing changed
-// since) or a delta (only the changed ports' programs); a new
-// connection, or any member after an Invalidate, gets the full blob. Encode
-// failures are batch-fatal; send failures surface through the worker's
-// reader.
+// mode. A member holding the last batch's setup of the same network gets
+// reuse (nothing changed since) or a delta (only the changed ports'
+// programs); a new connection, a batch on another network, or any member
+// after an Invalidate, gets the full blob. Encode failures are batch-fatal;
+// send failures surface through the worker's reader.
 func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 	bf := &batchFrame{
 		Seq: p.seq, Gen: p.gen,
@@ -349,7 +352,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 		Metrics: br.metrics,
 	}
 	mode := "full"
-	if w.gen != 0 && !p.full {
+	if w.gen != 0 && !p.full && w.net == br.net {
 		if len(p.changed) == 0 {
 			mode = "reuse"
 		} else {
@@ -373,7 +376,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 		w.closeTransport()
 		return nil
 	}
-	w.gen = p.gen
+	w.gen, w.net = p.gen, br.net
 	return nil
 }
 

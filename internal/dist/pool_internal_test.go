@@ -190,6 +190,39 @@ func TestDeltaSurvivesEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestPoolRunsTheNetworkItIsSent: a batch on another network than the last
+// one ships that network's full setup, so the members run the network the
+// batch names — not the one they installed for the batch before.
+func TestPoolRunsTheNetworkItIsSent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens TCP sessions")
+	}
+	netA, jobs := testFleetNet()
+	netB, _ := testFleetNet()
+	mutateSW(t, netB, 0xcc)
+	wantA, wantB := inProcessJSON(t, netA, jobs), inProcessJSON(t, netB, jobs)
+	if wantA == wantB {
+		t.Fatal("the two networks give the same results; a stale network would be unobservable")
+	}
+	reg := obs.NewRegistry()
+	p, err := NewPool(Config{Workers: []string{listenWorker(t)}, WorkersPerProc: 1, Obs: obs.New(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i, step := range []struct {
+		net  *core.Network
+		want string
+	}{{netA, wantA}, {netB, wantB}, {netB, wantB}, {netA, wantA}} {
+		if got := resultsJSON(t, p.RunBatch(step.net, jobs)); got != step.want {
+			t.Fatalf("batch %d differs from in-process reference on its own network:\n got %s\nwant %s", i+1, got, step.want)
+		}
+	}
+	if full, reuse := reg.Counter("dist.setup.full").Value(), reg.Counter("dist.setup.reuse").Value(); full != 3 || reuse != 1 {
+		t.Fatalf("setups full/reuse = %d/%d, want 3/1 (each change of network ships it in full)", full, reuse)
+	}
+}
+
 // TestReconnectGetsFullOthersDelta: of two members, one loses its connection
 // while the coordinator refreshes a port. On the next batch the redialed
 // member gets the full setup, the one that stayed connected a delta, and the

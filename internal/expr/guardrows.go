@@ -38,12 +38,10 @@ type GuardExcl struct {
 }
 
 // TableSized reports whether a guard with these rows is worth a table: the
-// one gate the compiler (lowering to a span table) and churn (patching a
-// lowered guard in place) both apply, so they agree on which guards are
-// tables. It counts atoms — rows plus exclusions —
-// not rows: a lone default route excluding hundreds of more-specifics is as
-// table-wide as hundreds of routes, while below four atoms the tree form is
-// just as small and as cheap to assert.
+// gate the compiler applies before lowering one to a span table. It counts
+// atoms — rows plus exclusions — not rows: a lone default route excluding
+// hundreds of more-specifics is as table-wide as hundreds of routes, while
+// below four atoms the tree form is just as small and as cheap to assert.
 func TableSized(rows []GuardRow) bool {
 	atoms := len(rows)
 	for i := range rows {

@@ -309,11 +309,17 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 		}
 		cc = &cCond{Kind: cAnd, Cs: cs}
 	case sefl.Table:
-		// A table guard that does not lower compiles as the Or-tree it
+		// A table guard lowers to its rows, which the node aliases, and the
+		// span table they came with (a router's) or else the one
+		// buildITable merges. A malformed table, or one too small to be
+		// worth a span table (expr.TableSized), compiles as the Or-tree it
 		// stands for.
-		it := lowerTable(v)
-		if it == nil {
+		if v.Check() != nil || !expr.TableSized(v.Rows) {
 			return c.compileCond(v.Or())
+		}
+		it := &ITable{F: hdrLV(v.F), Rows: v.Rows, Table: v.Spans}
+		if it.Table == nil {
+			it.Table = buildITable(v.Rows, v.F.Size)
 		}
 		cc = &cCond{Kind: cIntervalTable, IT: it}
 		itableLowered.Add(1)

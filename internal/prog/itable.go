@@ -26,7 +26,6 @@ import (
 	"slices"
 
 	"symnet/internal/expr"
-	"symnet/internal/sefl"
 )
 
 // --- Span tables ---
@@ -101,19 +100,28 @@ func buildITable(rows []itRow, w int) *expr.SpanTable {
 	return expr.NewSpanTable(w, spans)
 }
 
-// lowerTable returns the payload a table guard lowers to: its rows, which
-// the node aliases, and the span table they came with (a router's) or else
-// the one buildITable merges. It is nil for a table that stays an Or-tree:
-// malformed, or too small to be worth a span table (expr.TableSized).
-// Compile and PatchGuard both lower through it, so a patched node is a
-// fresh compile's.
-func lowerTable(v sefl.Table) *ITable {
-	if v.Check() != nil || !expr.TableSized(v.Rows) {
-		return nil
+// GuardTables returns the payload of every lowered guard node in the
+// program, deduplicated, in op order. Tests read it to compare a port's
+// compiled guard with a fresh build of its rows.
+func GuardTables(p *Program) []*ITable {
+	var out []*ITable
+	seen := make(map[*cCond]bool)
+	var walk func(cc *cCond)
+	walk = func(cc *cCond) {
+		if cc == nil || seen[cc] {
+			return
+		}
+		seen[cc] = true
+		if cc.Kind == cIntervalTable && cc.IT != nil {
+			out = append(out, cc.IT)
+		}
+		for _, sub := range cc.Cs {
+			walk(sub)
+		}
+		walk(cc.C)
 	}
-	it := &ITable{F: hdrLV(v.F), Rows: v.Rows, Table: v.Spans}
-	if it.Table == nil {
-		it.Table = buildITable(v.Rows, v.F.Size)
+	for i := range p.Ops {
+		walk(p.Ops[i].C)
 	}
-	return it
+	return out
 }

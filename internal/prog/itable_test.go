@@ -345,3 +345,14 @@ func TestITableCodecRoundTrip(t *testing.T) {
 		t.Fatal("the member's equal guards do not share one node")
 	}
 }
+
+func TestGuardTables(t *testing.T) {
+	p := Compile(sefl.Seq(sefl.Constrain{C: macGuard(4)}, sefl.Forward{Port: 0}), "el", 0, "el.out[0]")
+	its := GuardTables(p)
+	if len(its) != 1 || its[0].Table == nil {
+		t.Fatalf("GuardTables returned %d tables", len(its))
+	}
+	if its[0] != p.Ops[0].C.IT {
+		t.Fatal("GuardTables returned a different table than the guard node")
+	}
+}

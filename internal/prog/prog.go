@@ -271,8 +271,9 @@ type Op struct {
 }
 
 // Program is one compiled element-port program: a flat op array cut into
-// segments, entered at Entry. Programs are immutable and safe for
-// concurrent execution.
+// segments, entered at Entry. Nothing writes a program after Compile but
+// its lazy caches (renders, the For-body memo), so programs are safe for
+// concurrent execution; a changed port source is a new program.
 type Program struct {
 	Elem     string // element name (baked into trace lines)
 	Instance int    // element instance (baked into metadata keys)
@@ -287,7 +288,7 @@ type Program struct {
 	Conds, CondsSeen int
 
 	// renders caches a trace line and a Constrain failure message per op
-	// (see render); PatchGuard drops it.
+	// (see render).
 	renders atomic.Pointer[[]atomic.Pointer[string]]
 }
 

@@ -4,7 +4,7 @@ package prog
 // tests pin everything computed from the rows to what the Or-tree would have
 // given: the span table (against the per-exclusion Subtract the sweep
 // replaced, kept here as the oracle), the node's derived state, its value on
-// concrete fields, the wire, and PatchGuard.
+// concrete fields and the wire.
 
 import (
 	"math/rand"
@@ -160,7 +160,7 @@ func rowsGuard(f sefl.Hdr, rows []itRow) []sefl.Cond {
 // both the hand-written tree (rowsGuard) and the table's own Or: same
 // derived state, the span table the per-exclusion subtraction gives, the
 // same value at every span edge, the same rendering, the same guard from
-// source that crossed the wire, and PatchGuard equal to a fresh compile.
+// source that crossed the wire.
 func TestRowsMatchTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 400; trial++ {
@@ -220,15 +220,6 @@ func TestRowsMatchTree(t *testing.T) {
 				}
 			}
 		}
-
-		// PatchGuard to another row list == a fresh compile of that list.
-		next := randRows(rng, w, 4+rng.Intn(12))
-		nextGuard := sefl.Constrain{C: sefl.Table{F: f, Rows: next}}
-		patched := Compile(guard, "el", 0, "el.out[1]")
-		if n := PatchGuard(patched, node.IT.Table.Fp(), nextGuard); n != 1 {
-			t.Fatalf("trial %d: PatchGuard patched %d nodes", trial, n)
-		}
-		requireSameAsFresh(t, patched, nextGuard)
 	}
 }
 
@@ -258,4 +249,34 @@ func TestGuardTableLinear(t *testing.T) {
 // tablesEqual reports canonical-form equality of two span tables.
 func tablesEqual(a, b *expr.SpanTable) bool {
 	return a.Width() == b.Width() && slices.Equal(a.Spans(), b.Spans())
+}
+
+// deepEqualCond is structural equality across two programs' hash-consing
+// domains (equalCCond compares children by pointer, which only works within
+// one compile). Node fingerprints cover the leaf expressions.
+func deepEqualCond(a, b *cCond) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Kind != b.Kind || a.FP != b.FP || a.HasStatic != b.HasStatic ||
+		a.StaticErr != b.StaticErr {
+		return false
+	}
+	if a.Op != b.Op || a.Val != b.Val || a.Mask != b.Mask ||
+		a.PLen != b.PLen || a.PW != b.PW || a.B != b.B || a.Key != b.Key {
+		return false
+	}
+	if (a.IT == nil) != (b.IT == nil) || a.IT != nil && (a.IT.F != b.IT.F ||
+		!reflect.DeepEqual(a.IT.Rows, b.IT.Rows) || !tablesEqual(a.IT.Table, b.IT.Table)) {
+		return false
+	}
+	if len(a.Cs) != len(b.Cs) {
+		return false
+	}
+	for i := range a.Cs {
+		if !deepEqualCond(a.Cs[i], b.Cs[i]) {
+			return false
+		}
+	}
+	return deepEqualCond(a.C, b.C)
 }

@@ -52,11 +52,13 @@ type JobResult struct {
 // no mutable state — every run has its own solver contexts, symbol
 // namespace, and statistics.
 //
-// Jobs that bring no Opts.SatMemo share one memo created for the batch:
-// batch queries re-issue near-identical constraint sequences, so later jobs
-// answer most Sat checks from earlier jobs' work. Sharing is safe across
-// workers and does not perturb results — cache hits replay the original
-// computation's statistics (see solver.SatCache).
+// Jobs that bring no Opts.SatMemo share one memo created for the batch, so
+// a Sat check one job repeats from another is answered once. Few guards
+// reach a Sat check at all (Context.Add's domain intersection decides them;
+// solver.sat_checks_per_op reads 0 on every benchmark workload), so the
+// memo is seldom consulted. Sharing is safe across workers and does not
+// perturb results — cache hits replay the original computation's
+// statistics (see solver.SatCache).
 //
 // A job whose exploration panics (a buggy model or engine defect) is
 // reported as that job's error; sibling jobs are unaffected.

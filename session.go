@@ -99,7 +99,8 @@ type Session struct {
 // first-query latency excludes compilation, and concurrent first queries
 // cannot race to do it), and pins the session's run options. A nil
 // Options.SatMemo is replaced with a fresh session-held memo, so repeated
-// queries share solver verdicts by default.
+// queries share the verdicts of the few Sat checks they reach (most guards
+// are decided by domain intersection without one).
 func Compile(net *Network, opts Options) (*Session, error) {
 	if net == nil {
 		return nil, fmt.Errorf("symnet: Compile on nil network")

@@ -83,8 +83,9 @@ type (
 	BatchResult = sched.JobResult
 	// SatMemo is a satisfiability memo cache shared across runs. Every run
 	// uses a fresh one by default; set Options.SatMemo to one value across
-	// runs (repair-and-verify loops, repeated batches) to reuse memoized
-	// solver verdicts. Results are identical with or without sharing.
+	// runs to reuse memoized solver verdicts. It holds only the Sat checks
+	// that domain intersection leaves undecided, which the bundled models
+	// seldom reach. Results are identical with or without sharing.
 	SatMemo = solver.SatCache
 )
 
