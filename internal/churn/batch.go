@@ -243,7 +243,7 @@ func (s *Service) reconcile(elem string, es *elemStage, res *BatchResult) error 
 			return err
 		}
 		s.rebuiltElems.Inc()
-		s.pendingInvalidate = true
+		s.refreshModel(elem, es.ports)
 		res.ElemsRebuilt++
 		res.Action = worse(res.Action, actionRebuilt)
 		for i := range s.visitedElem[elem] {

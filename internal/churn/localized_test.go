@@ -189,7 +189,7 @@ func TestServiceLocalizedDeltas(t *testing.T) {
 	}
 	check("agg insert")
 
-	snap := svc.registry().Snapshot()
+	snap := svc.reg.Snapshot()
 	reverified := snap.Counters["churn.cells.reverified"]
 	total := snap.Gauges["churn.cells.total"]
 	if total == 0 || reverified == 0 {

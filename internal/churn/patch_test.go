@@ -67,7 +67,7 @@ func TestDeltaPatchesEqualFreshCompile(t *testing.T) {
 						continue
 					}
 					got, want := its[0].Table, prog.GuardTables(fresh)[0].Table
-					if !slices.Equal(got.Spans(), want.Spans()) || got.Fp() != want.Fp() {
+					if got.Width() != want.Width() || !slices.Equal(got.Spans(), want.Spans()) {
 						t.Fatalf("delta %d (%s) port %d: resident table %v, a fresh build %v", di, d, p, got, want)
 					}
 					if isFIB && code.(sefl.Constrain).C.(sefl.Table).Spans != got {
@@ -130,7 +130,7 @@ func TestDeltaPortCounts(t *testing.T) {
 				tc.elem, res.Action, res.PortsPatched, res.PortsRecompiled, actionPatched, tc.patched, tc.recompiled)
 		}
 	}
-	snap := svc.registry().Snapshot()
+	snap := svc.reg.Snapshot()
 	if p, r := snap.Counters["churn.ports.patched"], snap.Counters["churn.ports.recompiled"]; p != 2 || r != 1 {
 		t.Fatalf("churn.ports.patched = %d, .recompiled = %d; want 2 and 1", p, r)
 	}
@@ -155,14 +155,14 @@ func freshRows(svc *Service, elem string, nout int, isFIB bool) ([][]expr.GuardR
 }
 
 // programImage renders everything a run reads of a program: its IR dump,
-// each lowered guard's span table and fingerprint, and every op's trace line
-// and Constrain failure message. Two programs with equal images run
-// identically.
+// each lowered guard's span table (width and spans, which fix its
+// fingerprint), and every op's trace line and Constrain failure message. Two
+// programs with equal images run identically.
 func programImage(p *prog.Program) string {
 	var b strings.Builder
 	b.WriteString(p.String())
 	for _, it := range prog.GuardTables(p) {
-		fmt.Fprintf(&b, "table %v %v\n", it.Table.Fp(), it.Table.Spans())
+		fmt.Fprintf(&b, "table w%d %v\n", it.Table.Width(), it.Table.Spans())
 	}
 	for i := range p.Ops {
 		fmt.Fprintf(&b, "%d: %s\n", i, p.TraceLine(int32(i)))

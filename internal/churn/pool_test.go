@@ -4,7 +4,8 @@ package churn
 // dist.Pool (TCP fleet) must publish exactly the observables of the
 // in-process service on the same delta stream — same reachability matrix,
 // path counts, absorption tiers and dirty sets — with the fleet's installed
-// IR kept current purely through Refresh deltas and Invalidate barriers.
+// code kept current purely through Refresh deltas, model rebuilds and
+// restores included.
 
 import (
 	"fmt"
@@ -73,6 +74,7 @@ func TestServiceDifferentialPool(t *testing.T) {
 		}
 	}
 	check("init")
+	snap := local.exportState()
 	if reg.Counter("dist.setup.full").Value() != 1 {
 		t.Fatalf("init: dist.setup.full = %d, want 1", reg.Counter("dist.setup.full").Value())
 	}
@@ -103,18 +105,22 @@ func TestServiceDifferentialPool(t *testing.T) {
 		}
 		check(fmt.Sprintf("delta %d (%s)", di, d))
 	}
-	// Every post-init re-verification must have ridden a delta or reuse setup;
-	// a second full setup would mean the Refresh plumbing silently degraded to
-	// re-shipping the network.
-	if reg.Counter("dist.setup.full").Value() != 1 {
-		t.Fatalf("delta stream re-shipped a full setup (full = %d)", reg.Counter("dist.setup.full").Value())
+	// Every post-init re-verification must ride a delta or reuse setup, the
+	// rebuild and the restore below included; a second full setup would mean
+	// the Refresh plumbing silently degraded to re-shipping the network.
+	full := func(step string) {
+		t.Helper()
+		if n := reg.Counter("dist.setup.full").Value(); n != 1 {
+			t.Fatalf("%s re-shipped a full setup (full = %d)", step, n)
+		}
 	}
+	full("delta stream")
 	if reg.Counter("dist.setup.delta").Value() == 0 {
 		t.Fatal("delta stream never exercised the delta setup path")
 	}
 
 	// Empty port 2 of the router: the fork list shrinks, the element model is
-	// rebuilt, and the pool must take the Invalidate barrier (full re-ship).
+	// rebuilt, and the fleet gets the rebuilt model's entries as a delta.
 	fib := slices.Clone(pooled.routers["rt"])
 	var rebuilt bool
 	for _, r := range fib {
@@ -135,7 +141,20 @@ func TestServiceDifferentialPool(t *testing.T) {
 	if !rebuilt {
 		t.Fatal("port-emptying deletes never hit the rebuild tier")
 	}
-	if reg.Counter("dist.setup.full").Value() < 2 {
-		t.Fatal("rebuild did not force a full re-ship to the fleet")
+	full("the rebuild")
+
+	// Restore the initial tables: every model is regenerated (the router's
+	// port 2 comes back), and the fleet again gets a delta.
+	deltas0 := reg.Counter("dist.setup.delta").Value()
+	if _, err := pooled.restoreState(snap); err != nil {
+		t.Fatalf("restore pool: %v", err)
+	}
+	if _, err := local.restoreState(snap); err != nil {
+		t.Fatalf("restore local: %v", err)
+	}
+	check("restore")
+	full("the restore")
+	if reg.Counter("dist.setup.delta").Value() == deltas0 {
+		t.Fatal("the restore reached the fleet without a delta")
 	}
 }

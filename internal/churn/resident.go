@@ -91,7 +91,7 @@ func NewResident(svc *Service, cfg ResidentConfig) *Resident {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 128
 	}
-	reg := svc.registry()
+	reg := svc.reg
 	return &Resident{
 		svc:        svc,
 		cfg:        cfg,

@@ -69,7 +69,7 @@ func TestResidentCoalesces(t *testing.T) {
 	if b := results[0].Batch; b.Deltas != len(fds) || b.Elems != 1 {
 		t.Fatalf("batch absorbed %d deltas over %d elems, want %d/1", b.Deltas, b.Elems, len(fds))
 	}
-	snap := svc.registry().Snapshot()
+	snap := svc.reg.Snapshot()
 	if got := snap.Gauges["churn.batch.max_size"]; got != int64(len(fds)) {
 		t.Fatalf("churn.batch.max_size = %d, want %d", got, len(fds))
 	}
@@ -93,12 +93,12 @@ func waitGauge(t *testing.T, svc *Service, name string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if svc.registry().Snapshot().Gauges[name] == want {
+		if svc.reg.Snapshot().Gauges[name] == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("gauge %s never reached %d (now %d)", name, want, svc.registry().Snapshot().Gauges[name])
+	t.Fatalf("gauge %s never reached %d (now %d)", name, want, svc.reg.Snapshot().Gauges[name])
 }
 
 // TestResidentMixedSuccess: one submission carrying both applicable and

@@ -26,10 +26,11 @@ type Config struct {
 	// Runner carries every verification pass — the initial all-pairs run and
 	// each re-verification. Nil selects dist.InProcess at GOMAXPROCS width.
 	// The service keeps a fleet's installed code current: each absorbed
-	// batch Refreshes the ports given new guards and Invalidates on model
-	// rebuilds and restores. Published observables (reachability, path
-	// counts, transitions) are byte-identical across runners; a fleet's
-	// report carries Summaries where an in-process one carries Results.
+	// batch Refreshes the ports given new guards, and a model rebuild or a
+	// restore Refreshes every entry the model wrote. Published observables
+	// (reachability, path counts, transitions) are byte-identical across
+	// runners; a fleet's report carries Summaries where an in-process one
+	// carries Results.
 	// The caller owns the runner and closes it after the service is done.
 	Runner dist.Runner
 }
@@ -85,12 +86,12 @@ type Service struct {
 	// so its sources stay here and ride the next commit's batch.
 	unverified map[int]bool
 
-	// pendingRefresh collects the output ports the current commit gave new
-	// guards; pendingInvalidate is set by the rebuild tier. Both flush to the
-	// Runner (Refresh/Invalidate) before the commit's re-verification pass,
-	// keeping a fleet's installed code in lockstep with the resident model.
-	pendingRefresh    []core.PortRef
-	pendingInvalidate bool
+	// pendingRefresh collects the code-table entries the current commit
+	// rewrote: the output ports given new guards, and every entry of a
+	// rebuilt model. It flushes to the Runner (Refresh) before the commit's
+	// re-verification pass, keeping a fleet's installed code in lockstep
+	// with the resident model.
+	pendingRefresh []core.PortRef
 
 	deltaNs         *obs.Histogram
 	batchNs         *obs.Histogram
@@ -164,10 +165,6 @@ func (s *Service) RegisterSwitch(elem string, tbl tables.MACTable) {
 	s.switches[elem] = append(tables.MACTable(nil), tbl...)
 }
 
-// registry returns the registry carrying the churn.* and solver.satcache.*
-// instruments (Opts.Obs's, or the private fallback).
-func (s *Service) registry() *obs.Registry { return s.reg }
-
 // totalCells returns the report's (source, target) pair count.
 func (s *Service) totalCells() int { return len(s.cfg.Sources) * len(s.cfg.Targets) }
 
@@ -213,19 +210,22 @@ func (s *Service) apply(d Delta) (*BatchResult, error) {
 	return st.commit()
 }
 
-// flushRunner ships the commit's accumulated guard churn to the Runner —
-// Invalidate when a rebuild regenerated whole models, Refresh with the
-// reconciled ports otherwise — so a fleet's next batch ships the changed
-// ports' source instead of the network. It runs even when the dirty set is
-// empty: a guard no current path attempts is still stale on the workers and
-// must not survive into a later batch.
-func (s *Service) flushRunner() {
-	if s.pendingInvalidate {
-		s.cfg.Runner.Invalidate()
-	} else {
-		s.cfg.Runner.Refresh(s.pendingRefresh...)
+// refreshModel queues for the Runner the code models.Router and
+// models.Switch (Egress) write: the element's in[*] entry and out[p] for each
+// port of its table.
+func (s *Service) refreshModel(elem string, ports []int) {
+	s.pendingRefresh = append(s.pendingRefresh, core.PortRef{Elem: elem, Port: core.WildcardPort})
+	for _, p := range ports {
+		s.pendingRefresh = append(s.pendingRefresh, core.PortRef{Elem: elem, Port: p, Out: true})
 	}
-	s.pendingInvalidate = false
+}
+
+// flushRunner ships the commit's rewritten entries to the Runner, so a
+// fleet's next batch ships their source instead of the network. It runs even
+// when the dirty set is empty: a guard no current path attempts is still
+// stale on the workers and must not survive into a later batch.
+func (s *Service) flushRunner() {
+	s.cfg.Runner.Refresh(s.pendingRefresh...)
 	s.pendingRefresh = nil
 }
 

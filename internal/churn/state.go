@@ -130,13 +130,15 @@ func (s *Service) restoreState(st *State) (*PublishedReport, error) {
 			return nil, err
 		}
 	}
-	// Regenerate every model from the snapshot tables.
+	// Regenerate every model from the snapshot tables, and ship a fleet
+	// what each one wrote.
 	for name, fib := range st.Routers {
 		e, _ := s.cfg.Net.Element(name)
 		if err := models.Router(e, fib, models.Egress); err != nil {
 			return nil, err
 		}
 		s.routers[name] = append(tables.FIB(nil), fib...)
+		s.refreshModel(name, fib.Ports())
 	}
 	for name, tbl := range st.Switches {
 		e, _ := s.cfg.Net.Element(name)
@@ -144,9 +146,8 @@ func (s *Service) restoreState(st *State) (*PublishedReport, error) {
 			return nil, err
 		}
 		s.switches[name] = append(tables.MACTable(nil), tbl...)
+		s.refreshModel(name, tbl.Ports())
 	}
-	// The regenerated models orphan whatever IR a fleet holds.
-	s.pendingInvalidate = true
 	s.flushRunner()
 	rep, err := s.runFull()
 	if err != nil {

@@ -85,14 +85,14 @@ func TestNetworkCodecRoundTripDepartment(t *testing.T) {
 }
 
 // programImage renders everything a run reads of a program: its IR dump,
-// each lowered guard's span table and fingerprint, and every op's trace line
-// and Constrain failure message. Two programs with equal images run
-// identically.
+// each lowered guard's span table (width and spans, which fix its
+// fingerprint), and every op's trace line and Constrain failure message. Two
+// programs with equal images run identically.
 func programImage(p *prog.Program) string {
 	var b strings.Builder
 	b.WriteString(p.String())
 	for _, it := range prog.GuardTables(p) {
-		fmt.Fprintf(&b, "table %v %v\n", it.Table.Fp(), it.Table.Spans())
+		fmt.Fprintf(&b, "table w%d %v\n", it.Table.Width(), it.Table.Spans())
 	}
 	for i := range p.Ops {
 		fmt.Fprintf(&b, "%d: %s\n", i, p.TraceLine(int32(i)))

@@ -149,12 +149,11 @@ type Runner interface {
 	// RunBatch runs every job against the network and returns results in job
 	// order.
 	RunBatch(net *core.Network, jobs []Job) []JobResult
-	// Refresh marks the named port programs changed since the last batch, so
-	// a fleet's next RunBatch ships workers just those ports' source.
+	// Refresh marks the named code-table entries changed since the last
+	// batch, so a fleet's next RunBatch ships workers just those entries'
+	// source. It is the one way a fleet hears about code changes: a model
+	// rebuild names every entry the model wrote.
 	Refresh(refs ...core.PortRef)
-	// Invalidate marks everything changed (model rebuilds, restores); a
-	// fleet's next RunBatch ships workers a full setup.
-	Invalidate()
 	// Close releases the runner's workers. The runner is unusable afterwards.
 	Close() error
 }
@@ -162,8 +161,7 @@ type Runner interface {
 var _ Runner = (*Pool)(nil)
 
 // inProcess is the Runner over the in-process scheduler. It reads the network
-// it is handed on every batch, so Refresh, Invalidate and Close have nothing
-// to do.
+// it is handed on every batch, so Refresh and Close have nothing to do.
 type inProcess struct {
 	workers int
 	o       *obs.Obs
@@ -183,7 +181,6 @@ func (r inProcess) RunBatch(net *core.Network, jobs []Job) []JobResult {
 }
 
 func (inProcess) Refresh(...core.PortRef) {}
-func (inProcess) Invalidate()             {}
 func (inProcess) Close() error            { return nil }
 
 // NewRunner is where the pool-or-in-process decision lives: a Config that

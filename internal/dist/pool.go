@@ -40,13 +40,12 @@ type Pool struct {
 	seq uint64
 
 	// gen is the setup generation of the coordinator's network, bumped by
-	// every Refresh and Invalidate. Every live member is sent every batch, so
-	// a member that held the last batch's setup needs only what changed
-	// since: changed lists the ports refreshed since the last batch shipped
-	// (first-change order, no repeats), and full records an Invalidate.
+	// every Refresh. Every live member is sent every batch, so a member that
+	// held the last batch's setup needs only what changed since: changed
+	// lists the entries refreshed since the last batch shipped (first-change
+	// order, no repeats).
 	gen     uint64
 	changed []core.PortRef
-	full    bool
 
 	workers []*poolWorker
 	events  chan wEvent
@@ -132,10 +131,11 @@ func NewPool(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Refresh records that the programs behind the given ports changed (the
-// churn service calls it after reconciling a rule delta): the pool bumps its
-// setup generation and the next batch ships workers just those ports'
-// source, which they recompile. No refs is a no-op.
+// Refresh records that the code behind the given ports changed (the churn
+// service calls it after reconciling a rule delta, naming every entry a
+// rebuilt or restored model wrote): the pool bumps its setup generation and
+// the next batch ships workers just those entries' source, which they
+// recompile. No refs is a no-op.
 func (p *Pool) Refresh(refs ...core.PortRef) {
 	if len(refs) == 0 {
 		return
@@ -146,14 +146,6 @@ func (p *Pool) Refresh(refs ...core.PortRef) {
 			p.changed = append(p.changed, r)
 		}
 	}
-}
-
-// Invalidate records a change too broad to describe port-by-port (element
-// rebuilt, state restored): the next batch re-ships the full setup to every
-// worker.
-func (p *Pool) Invalidate() {
-	p.gen++
-	p.full = true
 }
 
 // RunBatch runs every job across the fleet, returning results in job order —
@@ -263,7 +255,7 @@ func (p *Pool) runBatch(network *core.Network, jobs []Job, out []JobResult) erro
 	}
 	// Every live member now holds generation gen; a member that joins later
 	// is a new connection and gets the full setup.
-	p.changed, p.full = nil, false
+	p.changed = nil
 	// The shard map: contiguous, over the members alive now. A batch smaller
 	// than the fleet leaves some shards empty; those members still opened the
 	// batch and answer its end with done.
@@ -341,10 +333,10 @@ func seqRange(lo, hi int) []int {
 
 // sendBatch opens the batch on one worker with the cheapest sufficient setup
 // mode. A member holding the last batch's setup of the same network gets
-// reuse (nothing changed since) or a delta (only the changed ports'
-// programs); a new connection, a batch on another network, or any member
-// after an Invalidate, gets the full blob. Encode failures are batch-fatal;
-// send failures surface through the worker's reader.
+// reuse (nothing changed since) or a delta (only the changed entries'
+// source); a new connection, or a batch on another network, gets the full
+// blob. Encode failures are batch-fatal; send failures surface through the
+// worker's reader.
 func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 	bf := &batchFrame{
 		Seq: p.seq, Gen: p.gen,
@@ -352,7 +344,7 @@ func (p *Pool) sendBatch(w *poolWorker, br *batchRun) error {
 		Metrics: br.metrics,
 	}
 	mode := "full"
-	if w.gen != 0 && !p.full && w.net == br.net {
+	if w.gen != 0 && w.net == br.net {
 		if len(p.changed) == 0 {
 			mode = "reuse"
 		} else {

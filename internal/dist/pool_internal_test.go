@@ -2,9 +2,8 @@ package dist
 
 // Pool lifecycle tests that reach into coordinator internals: setup-mode
 // accounting across batches (full once, then reuse), delta shipping after
-// Refresh, full re-ship after Invalidate, and the reconnect path — a TCP
-// connection dropped under the pool redials, and the new connection starts
-// from the full setup.
+// Refresh, and the reconnect path — a TCP connection dropped under the pool
+// redials, and the new connection starts from the full setup.
 
 import (
 	"encoding/json"
@@ -121,16 +120,8 @@ func TestPoolSetupModesAndReconnect(t *testing.T) {
 		t.Fatalf("post-Refresh: dist.setup.delta = %d, want 1", count("dist.setup.delta"))
 	}
 
-	// Invalidate forces the full blob again.
-	p.Invalidate()
-	if got := resultsJSON(t, p.RunBatch(network, jobs)); got != mutated {
-		t.Fatalf("post-Invalidate batch differs from in-process reference")
-	}
-	if count("dist.setup.full") != 3 {
-		t.Fatalf("post-Invalidate: dist.setup.full = %d, want 3", count("dist.setup.full"))
-	}
-	if count("dist.pool.batches") != 5 {
-		t.Fatalf("dist.pool.batches = %d, want 5", count("dist.pool.batches"))
+	if count("dist.pool.batches") != 4 {
+		t.Fatalf("dist.pool.batches = %d, want 4", count("dist.pool.batches"))
 	}
 }
 

@@ -21,7 +21,7 @@ package dist
 // a new connection's first batch carries the full setup.
 //
 // Every type that crosses the wire is a concrete struct of exported fields
-// (the sefl/prog/core wire codecs strip interfaces and closures first), so
+// (the sefl and core wire codecs strip interfaces and closures first), so
 // gob needs no type registration.
 
 import (

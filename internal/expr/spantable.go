@@ -152,9 +152,6 @@ func (t *SpanTable) Width() int { return t.width }
 // Spans returns the canonical spans (shared; do not mutate).
 func (t *SpanTable) Spans() []Span { return t.spans }
 
-// Fp returns the precomputed structural fingerprint of the table.
-func (t *SpanTable) Fp() Fp { return t.fp }
-
 // Contains reports membership of v by binary search.
 func (t *SpanTable) Contains(v uint64) bool {
 	lo, hi := 0, len(t.spans)-1

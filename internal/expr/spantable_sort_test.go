@@ -33,16 +33,16 @@ func checkAgainstSort(t *testing.T, name string, width int, in []Span) {
 	t.Helper()
 	want := newSpanTableBySort(width, in)
 	got := NewSpanTable(width, slices.Clone(in))
-	if !spansEqual(got.Spans(), want.Spans()) || got.Fp() != want.Fp() || got.Width() != width {
+	if !spansEqual(got.Spans(), want.Spans()) || got.fp != want.fp || got.Width() != width {
 		t.Fatalf("%s (width %d, %d spans): got %v, want %v", name, width, len(in), got.Spans(), want.Spans())
 	}
 	scratch := slices.Clone(in)
 	kept := NewSpanTable(width, scratch)
-	spans, fp := slices.Clone(kept.Spans()), kept.Fp()
+	spans, fp := slices.Clone(kept.Spans()), kept.fp
 	for i := range scratch {
 		scratch[i] = Span{Lo: 1, Hi: 0}
 	}
-	if !spansEqual(kept.Spans(), spans) || kept.Fp() != fp {
+	if !spansEqual(kept.Spans(), spans) || kept.fp != fp {
 		t.Fatalf("%s (width %d): the table changed with its input", name, width)
 	}
 }

@@ -74,15 +74,15 @@ func TestSpanTableContains(t *testing.T) {
 func TestSpanTableFingerprint(t *testing.T) {
 	a := NewSpanTable(16, []Span{{Lo: 0, Hi: 4}, {Lo: 5, Hi: 9}})
 	b := NewSpanTable(16, []Span{{Lo: 0, Hi: 9}})
-	if a.Fp() != b.Fp() || !tablesEqual(a, b) {
+	if a.fp != b.fp || !tablesEqual(a, b) {
 		t.Error("equal canonical tables must share a fingerprint")
 	}
 	c := NewSpanTable(16, []Span{{Lo: 0, Hi: 10}})
-	if a.Fp() == c.Fp() || tablesEqual(a, c) {
+	if a.fp == c.fp || tablesEqual(a, c) {
 		t.Error("different tables must not share a fingerprint")
 	}
 	d := NewSpanTable(32, []Span{{Lo: 0, Hi: 9}})
-	if a.Fp() == d.Fp() {
+	if a.fp == d.fp {
 		t.Error("width must be part of the fingerprint")
 	}
 }

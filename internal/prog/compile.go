@@ -4,12 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"regexp"
-	"slices"
 	"time"
 
 	"symnet/internal/expr"
 	"symnet/internal/memory"
-	"symnet/internal/persist"
 	"symnet/internal/sefl"
 )
 
@@ -20,10 +18,7 @@ import (
 // the AST interpreter's runtime failure exactly.
 func Compile(code sefl.Instr, elem string, instance int, label string) *Program {
 	t0 := time.Now()
-	c := &compiler{
-		p:     &Program{Elem: elem, Instance: instance, Label: label},
-		conds: make(map[expr.Fp][]*cCond),
-	}
+	c := &compiler{p: &Program{Elem: elem, Instance: instance, Label: label}}
 	c.p.Entry = c.compileSeg([]sefl.Instr{code})
 	link(c.p)
 	compileCount.Add(1)
@@ -32,8 +27,7 @@ func Compile(code sefl.Instr, elem string, instance int, label string) *Program 
 }
 
 type compiler struct {
-	p     *Program
-	conds map[expr.Fp][]*cCond // hash-consing table for guard dedup
+	p *Program
 }
 
 // compileSeg compiles an instruction sequence into a new segment. Child
@@ -262,8 +256,7 @@ func (c *compiler) compileArith(a, b sefl.Expr, minus bool) *CExpr {
 
 // foldWithHint folds a hint-dependent static expression once the context's
 // width hint is statically known (header assignments, tag creation). Only
-// the root node is annotated: it is private to its op, while subtrees could
-// in principle be shared.
+// the root node is annotated: the hint is the root's.
 func (c *compiler) foldWithHint(e *CExpr, hint int) {
 	if e.Folded != nil || !exprStatic(e) {
 		return
@@ -285,9 +278,9 @@ func exprStatic(e *CExpr) bool {
 	return false
 }
 
-// compileCond lowers a condition bottom-up, hash-consing structurally equal
-// nodes (guard dedup) and precomputing the value — or the exact evaluation
-// error — of nodes whose evaluation is static.
+// compileCond lowers a condition bottom-up into a tree of its own nodes,
+// precomputing the value — or the exact evaluation error — of nodes whose
+// evaluation is static.
 func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 	var cc *cCond
 	switch v := sc.(type) {
@@ -338,15 +331,7 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 			Kind: cBool, HasStatic: true,
 			StaticErr: fmt.Sprintf("unknown condition %T", sc),
 		}
-		cc.FP = fpString(cc.StaticErr)
 		return cc
-	}
-	cc.FP = fpCond(cc)
-	c.p.CondsSeen++
-	for _, cand := range c.conds[cc.FP] {
-		if equalCCond(cand, cc) {
-			return cand
-		}
 	}
 	if condStatic(cc) {
 		cond, err := evalCondDynamic(nil, cc)
@@ -357,8 +342,6 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 			cc.Static = cond
 		}
 	}
-	c.conds[cc.FP] = append(c.conds[cc.FP], cc)
-	c.p.Conds++
 	return cc
 }
 
@@ -387,144 +370,4 @@ func condStatic(cc *cCond) bool {
 		return cc.C.HasStatic
 	}
 	return false
-}
-
-// --- Structural fingerprints (guard dedup) ---
-
-// The dedup table is keyed by 128-bit structural fingerprints built with
-// the expr package's chained-fingerprint combinator, with a structural
-// equality check on collisions (equality is cheap: children are already
-// hash-consed, so deep comparison bottoms out in pointer equality).
-
-func fpWord(x uint64) expr.Fp {
-	return expr.Fp{Hi: x, Lo: x * 0x9e3779b97f4a7c15}
-}
-
-func fpString(s string) expr.Fp {
-	h := persist.HashString(s)
-	return expr.Fp{Hi: h, Lo: persist.Mix64(h)}
-}
-
-func fpExpr(e *CExpr) expr.Fp {
-	f := fpWord(uint64(e.Kind) + 0x11)
-	switch e.Kind {
-	case eNum:
-		f = f.Chain(fpWord(e.V)).Chain(fpWord(uint64(e.W)))
-	case eSym:
-		f = f.Chain(fpWord(uint64(e.W))).Chain(fpString(e.Name))
-	case eRef:
-		f = fpRef(e.LV)
-	case eTagVal:
-		f = f.Chain(fpString(e.Tag)).Chain(fpWord(uint64(e.Rel)))
-	case eArith:
-		if e.Minus {
-			f = f.Chain(fpWord(1))
-		}
-		f = f.Chain(fpExpr(e.A)).Chain(fpExpr(e.B))
-	}
-	if e.Err != "" {
-		f = f.Chain(fpString(e.Err))
-	}
-	return f
-}
-
-func fpRef(lv LV) expr.Fp { return fpWord(uint64(eRef) + 0x11).Chain(fpLV(lv)) }
-
-func fpLV(lv LV) expr.Fp {
-	f := fpWord(uint64(lv.Rel))
-	if lv.IsHdr {
-		f = f.Chain(fpWord(uint64(lv.Size) + 1)).Chain(fpString(lv.Tag))
-	} else {
-		f = f.Chain(fpString(lv.Key.Name)).Chain(fpWord(uint64(int64(lv.Key.Instance))))
-	}
-	if lv.Err != "" {
-		f = f.Chain(fpString(lv.Err))
-	}
-	return f
-}
-
-func fpCond(cc *cCond) expr.Fp {
-	f := fpWord(uint64(cc.Kind) + 0x29)
-	switch cc.Kind {
-	case cBool:
-		if cc.B {
-			f = f.Chain(fpWord(1))
-		}
-	case cCmp:
-		f = f.Chain(fpWord(uint64(cc.Op))).Chain(fpExpr(cc.L)).Chain(fpExpr(cc.R))
-	case cPrefix:
-		f = f.Chain(fpExpr(cc.L)).Chain(fpWord(cc.Val)).
-			Chain(fpWord(uint64(cc.PLen))).Chain(fpWord(uint64(cc.PW)))
-	case cMasked:
-		f = f.Chain(fpExpr(cc.L)).Chain(fpWord(cc.Mask)).Chain(fpWord(cc.Val))
-	case cMetaPresent:
-		f = f.Chain(fpString(cc.Key.Name)).Chain(fpWord(uint64(int64(cc.Key.Instance))))
-	case cAnd, cOr:
-		f = f.Chain(fpWord(uint64(len(cc.Cs))))
-		for _, sub := range cc.Cs {
-			f = f.Chain(sub.FP)
-		}
-	case cIntervalTable:
-		// The span table's fingerprint is precomputed and covers its width;
-		// equalCCond tells apart tables whose rows differ but merge alike.
-		f = f.Chain(fpRef(cc.IT.F)).Chain(cc.IT.Table.Fp())
-	case cNot:
-		f = f.Chain(cc.C.FP)
-	}
-	return f
-}
-
-func equalCCond(a, b *cCond) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	switch a.Kind {
-	case cBool:
-		return a.B == b.B && a.StaticErr == b.StaticErr
-	case cCmp:
-		return a.Op == b.Op && equalCExpr(a.L, b.L) && equalCExpr(a.R, b.R)
-	case cPrefix:
-		return a.Val == b.Val && a.PLen == b.PLen && a.PW == b.PW && equalCExpr(a.L, b.L)
-	case cMasked:
-		return a.Mask == b.Mask && a.Val == b.Val && equalCExpr(a.L, b.L)
-	case cMetaPresent:
-		return a.Key == b.Key
-	case cIntervalTable:
-		return a.IT.F == b.IT.F && slices.EqualFunc(a.IT.Rows, b.IT.Rows, func(x, y itRow) bool {
-			return x.Kind == y.Kind && x.V == y.V && x.Len == y.Len && slices.Equal(x.Excl, y.Excl)
-		})
-	case cAnd, cOr:
-		if len(a.Cs) != len(b.Cs) {
-			return false
-		}
-		for i := range a.Cs {
-			// Children are hash-consed: identity is equality.
-			if a.Cs[i] != b.Cs[i] {
-				return false
-			}
-		}
-		return true
-	case cNot:
-		return a.C == b.C
-	}
-	return false
-}
-
-func equalCExpr(a, b *CExpr) bool {
-	if a.Kind != b.Kind || a.Err != b.Err {
-		return false
-	}
-	switch a.Kind {
-	case eNum:
-		return a.V == b.V && a.W == b.W
-	case eSym:
-		return a.W == b.W && a.Name == b.Name
-	case eRef:
-		return a.LV == b.LV
-	case eTagVal:
-		return a.Tag == b.Tag && a.Rel == b.Rel
-	case eArith:
-		return a.Minus == b.Minus && equalCExpr(a.A, b.A) && equalCExpr(a.B, b.B)
-	}
-	return true
 }

@@ -57,41 +57,6 @@ func TestDeadCodeAfterTerminators(t *testing.T) {
 	}
 }
 
-// TestGuardDedup: structurally equal conditions compile to one shared node.
-func TestGuardDedup(t *testing.T) {
-	guard := func() sefl.Cond {
-		return sefl.AndC(
-			sefl.Eq(sefl.Ref{LV: sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32}}, sefl.C(5)),
-			sefl.Lt(sefl.Ref{LV: sefl.Meta{Name: "m"}}, sefl.C(9)),
-		)
-	}
-	p := Compile(sefl.Seq(
-		sefl.Constrain{C: guard()},
-		sefl.Constrain{C: guard()},
-		sefl.Constrain{C: sefl.NotC(guard())},
-		sefl.Forward{Port: 0},
-	), "e", 0, "t")
-	var consts []*cCond
-	for i := range p.Ops {
-		if p.Ops[i].Kind == OpConstrain {
-			consts = append(consts, p.Ops[i].C)
-		}
-	}
-	if len(consts) != 3 {
-		t.Fatalf("want 3 constrain ops, got %d", len(consts))
-	}
-	if consts[0] != consts[1] {
-		t.Fatal("equal guards were not deduplicated to one node")
-	}
-	if consts[2].Kind != cNot || consts[2].C != consts[0] {
-		t.Fatal("negated guard does not share the inner node")
-	}
-	// Dedup stats: 2 And roots seen, 1 kept (plus leaves and the Not).
-	if p.Conds >= p.CondsSeen {
-		t.Fatalf("dedup had no effect: %d/%d", p.Conds, p.CondsSeen)
-	}
-}
-
 // TestStaticFolding: conditions and expressions without packet reads fold
 // at compile time to exactly what runtime evaluation would produce.
 func TestStaticFolding(t *testing.T) {

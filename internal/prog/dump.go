@@ -7,12 +7,12 @@ import (
 
 // String renders the program's IR for inspection (cmd/symnet -dump-ir):
 // one line per op, segments in emission order, branch targets as segment
-// ids. Conditions render their original SEFL form, with fold/dedup
+// ids. Conditions render their compiled form, with static-fold
 // annotations.
 func (p *Program) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "program %s (elem %s, instance %d): %d ops, %d segs, %d/%d conds after dedup, entry seg%d\n",
-		p.Label, p.Elem, p.Instance, len(p.Ops), len(p.Segs), p.Conds, p.CondsSeen, p.Entry)
+	fmt.Fprintf(&b, "program %s (elem %s, instance %d): %d ops, %d segs, entry seg%d\n",
+		p.Label, p.Elem, p.Instance, len(p.Ops), len(p.Segs), p.Entry)
 	for id, seg := range p.Segs {
 		term := ""
 		if seg.Terminates {

@@ -17,10 +17,9 @@ package prog
 // A hand-written Or stays an Or-tree: nothing parses trees back into rows.
 //
 // The rows and the span table are the whole node: evaluation reads the span
-// table, the IR dump prints both, and the node's fingerprint is its field
-// and the span table's. The Or-tree the rows stand for (Table.Or) is the
-// reference semantics the AST interpreter and the differential suites
-// evaluate; the compiled program never builds it.
+// table, and the IR dump prints both. The Or-tree the rows stand for
+// (Table.Or) is the reference semantics the AST interpreter and the
+// differential suites evaluate; the compiled program never builds it.
 
 import (
 	"slices"
@@ -101,17 +100,16 @@ func buildITable(rows []itRow, w int) *expr.SpanTable {
 }
 
 // GuardTables returns the payload of every lowered guard node in the
-// program, deduplicated, in op order. Tests read it to compare a port's
-// compiled guard with a fresh build of its rows.
+// program, in op order: one per occurrence, since no two ops share a node.
+// Tests read it to compare a port's compiled guard with a fresh build of its
+// rows.
 func GuardTables(p *Program) []*ITable {
 	var out []*ITable
-	seen := make(map[*cCond]bool)
 	var walk func(cc *cCond)
 	walk = func(cc *cCond) {
-		if cc == nil || seen[cc] {
+		if cc == nil {
 			return
 		}
-		seen[cc] = true
 		if cc.Kind == cIntervalTable && cc.IT != nil {
 			out = append(out, cc.IT)
 		}

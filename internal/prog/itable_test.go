@@ -111,7 +111,7 @@ func TestLoweringDetection(t *testing.T) {
 	// compiles to.
 	long := prefixGuard()
 	long.Rows = append(long.Rows, itRow{Kind: itPrefix, Len: 40})
-	if c := guardCond(t, long); c.Kind != cOr || c.FP != guardCond(t, long.Or()).FP {
+	if c := guardCond(t, long); c.Kind != cOr || !deepEqualCond(c, guardCond(t, long.Or())) {
 		t.Fatalf("malformed table: kind=%d, want its Or-tree", c.Kind)
 	}
 
@@ -228,22 +228,6 @@ func TestDriftedTableReadErrs(t *testing.T) {
 	}
 }
 
-// TestTableAndItsOrShareNoNode: a program asserting a lowered table and that
-// table's Or-tree holds both, one table node beside the tree's nodes:
-// hash-consing compares kinds before anything else, so no fingerprint could
-// make a table share the Or-tree's node.
-func TestTableAndItsOrShareNoNode(t *testing.T) {
-	tb := macGuard(8)
-	tree := Compile(sefl.Constrain{C: tb.Or()}, "e", 0, "t")
-	p := Compile(sefl.Seq(sefl.Constrain{C: tb}, sefl.Constrain{C: tb.Or()}, sefl.Forward{Port: 0}), "e", 0, "t")
-	if a, b := p.Ops[0].C, p.Ops[1].C; a.Kind != cIntervalTable || b.Kind != cOr || a == b {
-		t.Fatalf("kinds %d and %d, shared %v", a.Kind, b.Kind, a == b)
-	}
-	if p.Conds != tree.Conds+1 {
-		t.Fatalf("%d condition nodes, want the tree's %d plus the table", p.Conds, tree.Conds)
-	}
-}
-
 // TestPairGuardStaysOrTree: a (VLAN, MAC) pair Or constrains two fields per
 // disjunct, so it is no interval table: it compiles to an Or-tree that
 // GuardTables does not report, and the SEFL codec ships it as a tree that
@@ -313,25 +297,21 @@ func TestITRowsPackRoundTrip(t *testing.T) {
 
 // TestITableCodecRoundTrip: a program with lowered guards (equalities,
 // prefixes with exclusions) compiles, from source that crossed the wire, to
-// identical fingerprints, rows, span tables and dump.
+// identical nodes, rows, span tables and dump.
 func TestITableCodecRoundTrip(t *testing.T) {
 	src := sefl.Seq(
 		sefl.Constrain{C: macGuard(8)},
 		sefl.Constrain{C: prefixGuard()},
-		sefl.Constrain{C: macGuard(8)}, // dedup: same node as op 0
 		sefl.Forward{Port: 0},
 	)
 	p := Compile(src, "e1", 4, "e1.in[0]")
-	if p.Ops[0].C != p.Ops[2].C {
-		t.Fatal("premise: equal lowered guards must share one node")
-	}
 	q := viaWire(t, src, "e1", 4, "e1.in[0]")
 	if q.String() != p.String() {
 		t.Fatal("the member's dump differs")
 	}
 	for i := range []int{0, 1} {
 		oc, dc := p.Ops[i].C, q.Ops[i].C
-		if dc.Kind != cIntervalTable || dc.FP != oc.FP {
+		if dc.Kind != cIntervalTable || !deepEqualCond(dc, oc) {
 			t.Fatalf("op %d: node drifted: %+v", i, dc)
 		}
 		if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {
@@ -340,9 +320,6 @@ func TestITableCodecRoundTrip(t *testing.T) {
 		if !tablesEqual(dc.IT.Table, oc.IT.Table) {
 			t.Fatalf("op %d: span table drifted", i)
 		}
-	}
-	if q.Ops[0].C != q.Ops[2].C {
-		t.Fatal("the member's equal guards do not share one node")
 	}
 }
 

@@ -18,9 +18,6 @@
 //     evaluation would fail);
 //   - ops after an op that terminates every path (Fail, Forward, Fork, an
 //     If whose branches all terminate) are dead code and dropped;
-//   - structurally equal guard conditions are deduplicated via 128-bit
-//     structural fingerprints (expr.Fp), so a guard repeated across a
-//     program compiles to one shared node;
 //   - For-loop patterns are compiled to regexps once (trace lines and
 //     failure messages stay lazy, rendered only when the AST interpreter
 //     would render them).
@@ -163,20 +160,18 @@ const (
 	cNot
 	// cIntervalTable is a lowered table guard (sefl.Table): equality/prefix
 	// rows over one header field compiled into sorted, merged value ranges.
-	// The node carries the rows and the packed table in IT and no children,
-	// and is fingerprinted by its field and its span table.
+	// The node carries the rows and the packed table in IT and no children.
 	cIntervalTable
 )
 
 // cCond is a compiled condition. Conditions whose evaluation cannot touch
 // the packet are evaluated once at compile time: HasStatic marks them, and
 // Static/StaticErr replay the exact value (or the exact evaluation error)
-// the AST interpreter would produce. Structurally equal conditions within a
-// program share one canonical *cCond (hash-consed on FP), so repeated
-// guards cost one node.
+// the AST interpreter would produce. Each node belongs to the one op whose
+// condition it compiles: a guard the program repeats compiles once per
+// occurrence.
 type cCond struct {
 	Kind      condKind
-	FP        expr.Fp
 	HasStatic bool
 	Static    expr.Cond
 	StaticErr string
@@ -281,11 +276,6 @@ type Program struct {
 	Ops      []Op
 	Segs     []Seg
 	Entry    SegID
-	// Conds is the number of distinct condition nodes after dedup, and
-	// CondsSeen the number before. They are diagnostics for -dump-ir and
-	// tests; a lowered guard counts as one node, whatever its number of
-	// rows.
-	Conds, CondsSeen int
 
 	// renders caches a trace line and a Constrain failure message per op
 	// (see render).

@@ -3,10 +3,11 @@ package prog
 // A fleet member is sent each port's SEFL source and compiles it as the
 // coordinator did. These tests pin that the program compiled from source
 // that crossed the wire (sefl.EncodeInstr, sefl.DecodeInstr) is the
-// coordinator's: same dump, guard sharing, static folds and For failure
-// messages.
+// coordinator's: same dump, same ops and conditions, static folds and For
+// failure messages.
 
 import (
+	"reflect"
 	"testing"
 
 	"symnet/internal/expr"
@@ -24,8 +25,8 @@ func init() {
 	})
 }
 
-// codecProgram exercises every op kind, guard dedup, static folding, and a
-// registered For.
+// codecProgram exercises every op kind, a repeated guard, static folding,
+// and a registered For.
 func codecProgram() sefl.Instr {
 	guard := sefl.Prefix{E: sefl.Ref{LV: sefl.IPDst}, Value: 0x0a000000, Len: 8, Width: 32}
 	return sefl.Seq(
@@ -34,7 +35,7 @@ func codecProgram() sefl.Instr {
 		sefl.CreateTag{Name: "X", E: sefl.C(400)},
 		sefl.DestroyTag{Name: "X"},
 		sefl.Constrain{C: guard},
-		sefl.Constrain{C: guard}, // dedup: same node must be shared
+		sefl.Constrain{C: guard},
 		sefl.NewFor(`^OPT\d+$`, "prog.test.strip", ""),
 		sefl.If{
 			C:    sefl.Lt(sefl.Ref{LV: sefl.TcpDst}, sefl.C(1024)),
@@ -68,34 +69,17 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 	if got, want := q.String(), p.String(); got != want {
 		t.Fatalf("the member's program dump differs:\n--- coordinator\n%s\n--- member\n%s", want, got)
 	}
-	if q.Conds != p.Conds || q.CondsSeen != p.CondsSeen {
-		t.Fatalf("cond counts differ: %d/%d != %d/%d", q.Conds, q.CondsSeen, p.Conds, p.CondsSeen)
+	if len(q.Ops) != len(p.Ops) || !reflect.DeepEqual(q.Segs, p.Segs) {
+		t.Fatalf("the member's program has %d ops in %d segments, the coordinator's %d in %d", len(q.Ops), len(q.Segs), len(p.Ops), len(p.Segs))
 	}
-}
-
-// TestProgramCodecPreservesCondSharing pins that structurally equal guards,
-// hash-consed to one node at compile time, share one node in the member's
-// program too, under the coordinator's fingerprint.
-func TestProgramCodecPreservesCondSharing(t *testing.T) {
-	guards := func(p *Program) []*cCond {
-		var out []*cCond
-		for i := range p.Ops {
-			if p.Ops[i].Kind == OpConstrain && !p.Ops[i].C.HasStatic {
-				out = append(out, p.Ops[i].C)
-			}
+	for i := range p.Ops {
+		a, b := &p.Ops[i], &q.Ops[i]
+		if a.Kind != b.Kind || a.LV != b.LV || a.Size != b.Size || a.Msg != b.Msg || a.Tag != b.Tag ||
+			a.Port != b.Port || !reflect.DeepEqual(a.Ports, b.Ports) || a.Then != b.Then || a.Else != b.Else ||
+			!equalCExpr(a.E, b.E) || !deepEqualCond(a.C, b.C) || (a.For == nil) != (b.For == nil) ||
+			a.For != nil && (a.For.Pattern != b.For.Pattern || a.For.Err != b.For.Err) {
+			t.Fatalf("op %d differs:\n--- coordinator\n%s\n--- member\n%s", i, p.opString(a), q.opString(b))
 		}
-		return out
-	}
-	orig := guards(Compile(codecProgram(), "e1", 4, "t"))
-	if len(orig) < 2 || orig[0] != orig[1] {
-		t.Fatalf("test premise: compiled guards should share one node, got %v", orig)
-	}
-	dec := guards(viaWire(t, codecProgram(), "e1", 4, "t"))
-	if len(dec) != len(orig) || dec[0] != dec[1] {
-		t.Fatal("the member's guards do not share one node")
-	}
-	if dec[0].FP != orig[0].FP {
-		t.Fatalf("fingerprint changed across the wire: %v != %v", dec[0].FP, orig[0].FP)
 	}
 }
 

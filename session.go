@@ -187,9 +187,10 @@ type ServeConfig struct {
 	// non-empty, every verification pass (the initial all-pairs run and each
 	// churn re-verification) shards across that fleet instead of the
 	// in-process scheduler. The pool outlives batches: workers keep the
-	// compiled network installed, and rule churn reaches them as per-port
-	// program deltas. Published observables are byte-identical to in-process
-	// serving.
+	// topology and each port's SEFL source installed, compiling the source
+	// as they install it, and rule churn reaches them as deltas carrying the
+	// changed ports' source. Published observables are byte-identical to
+	// in-process serving.
 	DistWorkers []string
 }
 
