@@ -26,11 +26,19 @@ const (
 	LoopAddrOnly
 )
 
+// DefaultMaxHops and DefaultMaxPaths are a run's budgets when Options
+// leaves MaxHops or MaxPaths 0.
+const (
+	DefaultMaxHops  = 4096
+	DefaultMaxPaths = 1 << 20
+)
+
 // Options configures a run. The zero value gives sensible defaults.
 type Options struct {
-	// MaxHops bounds the number of port visits per path (default 4096).
+	// MaxHops bounds the number of port visits per path (default
+	// DefaultMaxHops).
 	MaxHops int
-	// MaxPaths aborts runs that explode (default 1 << 20).
+	// MaxPaths aborts runs that explode (default DefaultMaxPaths).
 	MaxPaths int
 	// Loop selects loop detection; default LoopOff.
 	Loop LoopMode
@@ -67,10 +75,10 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxHops == 0 {
-		o.MaxHops = 4096
+		o.MaxHops = DefaultMaxHops
 	}
 	if o.MaxPaths == 0 {
-		o.MaxPaths = 1 << 20
+		o.MaxPaths = DefaultMaxPaths
 	}
 	return o
 }

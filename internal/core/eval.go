@@ -178,15 +178,6 @@ func (r *run) evalCond(st *state, elem *Element, c sefl.Cond) (expr.Cond, error)
 			return nil, err
 		}
 		return expr.NewPrefix(l, v.Value, v.Len), nil
-	case sefl.Masked:
-		l, err := r.evalExpr(st, elem, v.E, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := expr.CheckMatch(l, v.Mask); err != nil {
-			return nil, err
-		}
-		return expr.NewMatch(l, v.Mask, v.Val), nil
 	case sefl.MetaPresent:
 		loc, err := r.resolveLV(st, elem, v.M)
 		if err != nil {

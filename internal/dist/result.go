@@ -86,20 +86,13 @@ func packSummary(res *core.Result) *wireSummary {
 // asking the allocator for the impossible.
 const maxUnpackedPorts = 1 << 28
 
-// defaultMaxHops and defaultMaxPaths are core.Options' MaxHops and MaxPaths
-// when a job leaves them 0.
-const (
-	defaultMaxHops  = 4096
-	defaultMaxPaths = 1 << 20
-)
-
 // historyBudget is the most port visits one path of a job run at maxHops can
 // record: each of its hops pushes the input port and at most one output port
 // (core's step and depart), and the hop that trips the budget pushes its
 // input port and fails, so a path ends with at most 2×maxHops+1 visits.
 func historyBudget(maxHops int) int {
 	if maxHops == 0 {
-		maxHops = defaultMaxHops
+		maxHops = core.DefaultMaxHops
 	}
 	return 2*max(maxHops, 0) + 1
 }
@@ -114,7 +107,7 @@ func historyBudget(maxHops int) int {
 // at its own length so an append to one cannot reach its neighbour.
 func (w *wireSummary) unpack(maxHops, maxPaths int) (*Summary, error) {
 	if maxPaths == 0 {
-		maxPaths = defaultMaxPaths
+		maxPaths = core.DefaultMaxPaths
 	}
 	if len(w.Paths) > maxPaths {
 		return nil, fmt.Errorf("%d paths exceed the job's budget of %d", len(w.Paths), maxPaths)

@@ -11,7 +11,6 @@ package expr
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -198,8 +197,9 @@ type Cmp struct {
 	L, R Lin
 }
 
-// Match is the atomic masked-equality constraint (L & Mask) == Val, the
-// building block of IP-prefix and MAC matching.
+// Match is the atomic prefix constraint (L & Mask) == Val: Mask selects the
+// top bits of L's width (PrefixMask), so L lies in one range. NewPrefix is
+// its one constructor; the solver refuses any other mask.
 type Match struct {
 	L    Lin
 	Mask uint64
@@ -253,40 +253,6 @@ func NewCmp(op CmpOp, l, r Lin) Cond {
 		}
 	}
 	return Cmp{Op: op, L: l, R: r}
-}
-
-// NewMatch builds a masked-equality constraint, constant-folding concretes.
-func NewMatch(l Lin, mask, val uint64) Cond {
-	val &= mask
-	if lv, ok := l.ConstVal(); ok {
-		return Bool(lv&mask == val)
-	}
-	if mask == Mask(l.Width) {
-		return NewCmp(Eq, l, Const(val, l.Width))
-	}
-	return Match{L: l, Mask: mask, Val: val}
-}
-
-// MaxMatchFreeBits bounds how sparse the mask of a symbolic masked match may
-// be: the solver expands x & mask == val into one interval per combination
-// of the free bits above the mask's lowest free run (solver.FromMask), 2^n
-// intervals for n such bits.
-const MaxMatchFreeBits = 20
-
-// CheckMatch refuses a masked match on a symbolic value whose mask leaves
-// more than MaxMatchFreeBits free bits above its lowest free run. Every
-// evaluator calls it before NewMatch, so such a match fails the path with
-// the same message in every engine instead of reaching the solver.
-func CheckMatch(l Lin, mask uint64) error {
-	if l.IsConst() {
-		return nil
-	}
-	free := Mask(l.Width) &^ mask
-	lowRun := free &^ (free + 1) // the free run starting at bit 0, if any
-	if n := bits.OnesCount64(free &^ lowRun); n > MaxMatchFreeBits {
-		return fmt.Errorf("masked match too sparse: mask %#x leaves %d free high bits of a %d-bit value (limit %d)", mask, n, l.Width, MaxMatchFreeBits)
-	}
-	return nil
 }
 
 // NewAnd flattens nested Ands and folds constants.
@@ -363,7 +329,16 @@ func PrefixMask(plen, width int) uint64 {
 	return Mask(width) &^ Mask(width-plen)
 }
 
-// NewPrefix constrains l to lie inside value/plen (an IP-style prefix).
+// NewPrefix constrains l to lie inside value/plen (an IP-style prefix),
+// constant-folding concretes; a full-length prefix is an equality.
 func NewPrefix(l Lin, value uint64, plen int) Cond {
-	return NewMatch(l, PrefixMask(plen, l.Width), value)
+	mask := PrefixMask(plen, l.Width)
+	value &= mask
+	if lv, ok := l.ConstVal(); ok {
+		return Bool(lv&mask == value)
+	}
+	if mask == Mask(l.Width) {
+		return NewCmp(Eq, l, Const(value, l.Width))
+	}
+	return Match{L: l, Mask: mask, Val: value}
 }

@@ -39,7 +39,7 @@ func TestConstFolding(t *testing.T) {
 	if c := NewCmp(Lt, Const(5, 8), Const(3, 8)); c != Bool(false) {
 		t.Fatalf("5<3 folded to %v", c)
 	}
-	if c := NewMatch(Const(0x0a000001, 32), PrefixMask(8, 32), 0x0a000000); c != Bool(true) {
+	if c := NewPrefix(Const(0x0a000001, 32), 0x0a000000, 8); c != Bool(true) {
 		t.Fatalf("prefix fold: %v", c)
 	}
 }

@@ -15,8 +15,8 @@ func TestHashCondStableAndDiscriminating(t *testing.T) {
 		NewCmp(Eq, x, Const(6, 32)),
 		NewCmp(Ne, x, Const(5, 32)),
 		NewCmp(Eq, y, Const(5, 32)),
-		NewMatch(x, 0xff00, 0x1200),
-		NewNot(NewMatch(x, 0xff00, 0x1200)),
+		NewPrefix(x, 0x12000000, 8),
+		NewNot(NewPrefix(x, 0x12000000, 8)),
 		And{Cs: []Cond{a, NewCmp(Lt, y, Const(9, 32))}},
 		Or{Cs: []Cond{a, NewCmp(Lt, y, Const(9, 32))}},
 		Bool(true),

@@ -290,8 +290,6 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 		cc = &cCond{Kind: cCmp, Op: v.Op, L: c.compileExpr(v.L), R: c.compileExpr(v.R)}
 	case sefl.Prefix:
 		cc = &cCond{Kind: cPrefix, L: c.compileExpr(v.E), Val: v.Value, PLen: v.Len, PW: cmp.Or(v.Width, 32)}
-	case sefl.Masked:
-		cc = &cCond{Kind: cMasked, L: c.compileExpr(v.E), Mask: v.Mask, Val: v.Val}
 	case sefl.MetaPresent:
 		lv := c.compileLV(v.M)
 		cc = &cCond{Kind: cMetaPresent, Key: lv.Key}
@@ -354,7 +352,7 @@ func condStatic(cc *cCond) bool {
 		return true
 	case cCmp:
 		return exprStatic(cc.L) && exprStatic(cc.R)
-	case cPrefix, cMasked:
+	case cPrefix:
 		return exprStatic(cc.L)
 	case cMetaPresent, cIntervalTable:
 		// Every row of a table reads its field.

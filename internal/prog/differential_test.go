@@ -159,7 +159,8 @@ func (g *gen) cond(depth int) sefl.Cond {
 		case 1:
 			return sefl.Prefix{E: sefl.Ref{LV: g.hdrs[0]}, Value: uint64(g.intn(256)) << 24, Len: 8 + g.intn(8)}
 		case 2:
-			return sefl.Masked{E: sefl.Ref{LV: g.hdrs[g.intn(2)]}, Mask: uint64(0xff) << uint(g.intn(3)*4), Val: uint64(g.intn(256))}
+			h := g.hdrs[g.intn(2)]
+			return sefl.Prefix{E: sefl.Ref{LV: h}, Value: uint64(g.intn(256)) << uint(h.Size-8), Len: g.intn(h.Size + 1), Width: h.Size}
 		case 3:
 			return sefl.MetaPresent{M: g.meta[g.intn(len(g.meta))]}
 		default:

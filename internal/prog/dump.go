@@ -119,8 +119,6 @@ func condString(c *cCond) string {
 		s = exprString(c.L) + " " + c.Op.String() + " " + exprString(c.R)
 	case cPrefix:
 		s = fmt.Sprintf("%s in %d/%d", exprString(c.L), c.Val, c.PLen)
-	case cMasked:
-		s = fmt.Sprintf("(%s & %#x) == %#x", exprString(c.L), c.Mask, c.Val)
 	case cMetaPresent:
 		s = "present(" + c.Key.String() + ")"
 	case cAnd, cOr:

@@ -178,15 +178,6 @@ func evalCondDynamic(env Env, c *cCond) (expr.Cond, error) {
 			return nil, err
 		}
 		return expr.NewPrefix(l, c.Val, c.PLen), nil
-	case cMasked:
-		l, err := EvalExpr(env, c.L, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := expr.CheckMatch(l, c.Mask); err != nil {
-			return nil, err
-		}
-		return expr.NewMatch(l, c.Mask, c.Val), nil
 	case cMetaPresent:
 		return expr.Bool(env.MetaExists(c.Key)), nil
 	case cAnd:

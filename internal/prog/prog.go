@@ -150,8 +150,6 @@ const (
 	cCmp
 	// cPrefix tests membership of a Value/Len prefix.
 	cPrefix
-	// cMasked tests (E & Mask) == Val.
-	cMasked
 	// cMetaPresent tests existence of a (pre-resolved) metadata entry.
 	cMetaPresent
 	// cAnd, cOr, cNot combine conditions.
@@ -176,15 +174,15 @@ type cCond struct {
 	Static    expr.Cond
 	StaticErr string
 
-	B         bool       // cBool value
-	Op        expr.CmpOp // cCmp operator
-	L, R      *CExpr     // cCmp operands / cPrefix, cMasked subject (L)
-	Val, Mask uint64     // cPrefix value / cMasked pair
-	PLen, PW  int        // cPrefix length and width
-	Key       memory.MetaKey
-	Cs        []*cCond // cAnd/cOr children
-	C         *cCond   // cNot child
-	IT        *ITable  // cIntervalTable payload
+	B        bool       // cBool value
+	Op       expr.CmpOp // cCmp operator
+	L, R     *CExpr     // cCmp operands / cPrefix subject (L)
+	Val      uint64     // cPrefix value
+	PLen, PW int        // cPrefix length and width
+	Key      memory.MetaKey
+	Cs       []*cCond // cAnd/cOr children
+	C        *cCond   // cNot child
+	IT       *ITable  // cIntervalTable payload
 }
 
 // ITable is the payload of a cIntervalTable node: the guarded field, the

@@ -25,12 +25,22 @@ func rowSetBySubtraction(r itRow, w int) *solver.IntervalSet {
 	case itEq:
 		s = solver.Singleton(r.V, w)
 	case itPrefix:
-		s = solver.FromMask(expr.PrefixMask(r.Len, w), r.V, w)
+		s = prefixSet(r.V, r.Len, w)
 	}
 	for _, e := range r.Excl {
-		s = s.Subtract(solver.FromMask(expr.PrefixMask(e.Len, w), e.V, w))
+		s = s.Subtract(prefixSet(e.V, e.Len, w))
 	}
 	return s
+}
+
+// prefixSet is the solution set of the prefix v/plen over w bits: the domain
+// the solver narrows a fresh symbol to.
+func prefixSet(v uint64, plen, w int) *solver.IntervalSet {
+	var a expr.Alloc
+	x := a.Fresh(w)
+	c := solver.NewContext(nil)
+	c.Add(expr.NewPrefix(x, v, plen))
+	return c.Domain(x)
 }
 
 // tableBySubtraction is buildITable as it was.
@@ -258,8 +268,8 @@ func deepEqualCond(a, b *cCond) bool {
 	if a.Kind != b.Kind || a.HasStatic != b.HasStatic || a.StaticErr != b.StaticErr {
 		return false
 	}
-	if a.Op != b.Op || a.Val != b.Val || a.Mask != b.Mask ||
-		a.PLen != b.PLen || a.PW != b.PW || a.B != b.B || a.Key != b.Key ||
+	if a.Op != b.Op || a.Val != b.Val || a.PLen != b.PLen || a.PW != b.PW ||
+		a.B != b.B || a.Key != b.Key ||
 		!equalCExpr(a.L, b.L) || !equalCExpr(a.R, b.R) {
 		return false
 	}

@@ -134,38 +134,6 @@ func TestSiblingsRunStateMajor(t *testing.T) {
 	}
 }
 
-// TestDifferentialMaskedTooSparse pins the refusal of a masked match the
-// solver cannot expand (mask 0xff on a 32-bit symbolic field leaves 24 free
-// high bits; solver.FromMask would panic): the path fails with one pointed
-// message, byte-identical in the compiled and AST engines.
-func TestDifferentialMaskedTooSparse(t *testing.T) {
-	f := sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: 32, Name: "F"}
-	net := core.NewNetwork()
-	net.AddElement("dut", "dut", 1, 1).SetInCode(0, sefl.Seq(
-		sefl.Constrain{C: sefl.Masked{E: sefl.Ref{LV: f}, Mask: 0xff, Val: 1}},
-		sefl.Forward{Port: 0},
-	))
-	inj := core.PortRef{Elem: "dut", Port: 0}
-	packet := sefl.Seq(sefl.Allocate{LV: f, Size: 32}, sefl.Assign{LV: f, E: sefl.Symbolic{W: 32, Name: "F"}})
-	const msg = "masked match too sparse: mask 0xff leaves 24 free high bits of a 32-bit value (limit 20)"
-	var want string
-	for _, mode := range []string{"compiled", "AST"} {
-		opts := core.Options{Trace: true, ASTInterp: mode == "AST"}
-		res, err := core.Run(net, inj, packet, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if len(res.Paths) != 1 || res.Paths[0].Status != core.Failed || res.Paths[0].FailMsg != msg {
-			t.Fatalf("%s: paths %d, first %+v; want one path failed with %q", mode, len(res.Paths), res.Paths[0], msg)
-		}
-		if got := fingerprint(res); want == "" {
-			want = got
-		} else if got != want {
-			t.Errorf("%s differs from compiled:\n%s", mode, diffHead(want, got))
-		}
-	}
-}
-
 // TestIncompleteSourceFailsLikeAST pins what becomes of port source that
 // lacks a child its node reads — what a hostile fleet coordinator can send,
 // since the wire decodes a missing child as nil: the compiled engine runs

@@ -168,12 +168,6 @@ type Prefix struct {
 	Width int
 }
 
-// Masked tests (E & Mask) == Val.
-type Masked struct {
-	E         Expr
-	Mask, Val uint64
-}
-
 // MetaPresent tests whether a metadata entry currently exists.
 type MetaPresent struct{ M Meta }
 
@@ -187,7 +181,6 @@ type (
 
 func (Cmp) isCond()         {}
 func (Prefix) isCond()      {}
-func (Masked) isCond()      {}
 func (MetaPresent) isCond() {}
 func (CAnd) isCond()        {}
 func (COr) isCond()         {}
@@ -197,9 +190,6 @@ func (CBool) isCond()       {}
 func (c Cmp) String() string { return c.L.String() + " " + c.Op.String() + " " + c.R.String() }
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s in %d/%d", p.E, p.Value, p.Len)
-}
-func (m Masked) String() string {
-	return fmt.Sprintf("(%s & %#x) == %#x", m.E, m.Mask, m.Val)
 }
 func (m MetaPresent) String() string { return "present(" + m.M.String() + ")" }
 func (b CBool) String() string {

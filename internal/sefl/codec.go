@@ -85,7 +85,6 @@ const (
 
 	wCmp
 	wPrefix
-	wMasked
 	wMetaPresent
 	wCAnd
 	wCOr
@@ -135,9 +134,8 @@ type WireExpr struct {
 type WireCond struct {
 	Kind uint8
 	Op   uint8       // Cmp operator
-	L, R *WireExpr   // Cmp operands; Prefix/Masked subject (L); Table field (L)
-	Val  uint64      // Prefix value / Masked value
-	Mask uint64      // Masked mask
+	L, R *WireExpr   // Cmp operands; Prefix subject (L); Table field (L)
+	Val  uint64      // Prefix value
 	Len  int         // Prefix length
 	W    int         // Prefix width; Table equality-constant width
 	M    *WireLValue // MetaPresent
@@ -428,12 +426,6 @@ func encodeCond(c Cond) (*WireCond, error) {
 			return nil, err
 		}
 		return &WireCond{Kind: wPrefix, L: e, Val: v.Value, Len: v.Len, W: v.Width}, nil
-	case Masked:
-		e, err := encodeExpr(v.E)
-		if err != nil {
-			return nil, err
-		}
-		return &WireCond{Kind: wMasked, L: e, Mask: v.Mask, Val: v.Val}, nil
 	case MetaPresent:
 		lv, err := encodeLValue(v.M)
 		if err != nil {
@@ -500,12 +492,6 @@ func decodeCond(w *WireCond) (Cond, error) {
 			return nil, err
 		}
 		return Prefix{E: e, Value: w.Val, Len: w.Len, Width: w.W}, nil
-	case wMasked:
-		e, err := decodeExpr(w.L)
-		if err != nil {
-			return nil, err
-		}
-		return Masked{E: e, Mask: w.Mask, Val: w.Val}, nil
 	case wMetaPresent:
 		lv, err := decodeLValue(w.M)
 		if err != nil {

@@ -28,7 +28,7 @@ func codecSample() Instr {
 		Constrain{C: AndC(
 			Eq(Ref{LV: IPSrc}, C(10)),
 			OrC(Prefix{E: Ref{LV: IPDst}, Value: 0x0a000000, Len: 8, Width: 32},
-				Masked{E: Ref{LV: IPDst}, Mask: 0xff, Val: 0x2a}),
+				Prefix{E: Ref{LV: IPSrc}, Value: 0xc0a80100, Len: 24}),
 			NotC(MetaPresent{M: Meta{Name: "nat", Local: true}}),
 			CBool(true),
 		)},

@@ -11,7 +11,7 @@ import (
 
 // randCond builds a random condition over a small symbol universe, shaped
 // like the conditions network models emit: comparisons against constants,
-// symbol-symbol (dis)equalities, masked matches, and small disjunctions.
+// symbol-symbol (dis)equalities, prefix matches, and small disjunctions.
 func randCond(rng *rand.Rand) expr.Cond {
 	const w = 8
 	sym := func() expr.Lin {
@@ -27,7 +27,7 @@ func randCond(rng *rand.Rand) expr.Cond {
 		case 2:
 			return expr.NewCmp(expr.Ne, sym(), sym())
 		default:
-			return expr.NewMatch(sym(), uint64(rng.Intn(1<<w)), uint64(rng.Intn(1<<w)))
+			return expr.NewPrefix(sym(), uint64(rng.Intn(1<<w)), rng.Intn(w+1))
 		}
 	}
 	switch rng.Intn(5) {

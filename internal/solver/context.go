@@ -467,15 +467,12 @@ func (c *Context) assert(cond expr.Cond, neg bool) {
 		// A prefix match is a range, and its negation the rest of the
 		// cycle; single-symbol either way, so it folds into the domain
 		// directly.
-		if lo, hi, ok := prefixArc(v.Mask, v.Val, v.L.Width); ok && !v.L.IsConst() {
-			c.assertArc(v.L, lo, hi, neg)
+		lo, hi := prefixArc(v.Mask, v.Val, v.L.Width)
+		if v.L.IsConst() {
+			c.assertTermInSet(v.L, fromArc(lo, hi, 0, neg, v.L.Width))
 			return
 		}
-		set := FromMask(v.Mask, v.Val, v.L.Width)
-		if neg {
-			set = set.complement()
-		}
-		c.assertTermInSet(v.L, set)
+		c.assertArc(v.L, lo, hi, neg)
 	case expr.InSet:
 		// A compiled interval-table guard: the disjuncts' solution sets were
 		// merged once at compile time, so the whole table-wide guard is one
@@ -656,7 +653,7 @@ func (c *Context) assertOr(cs []expr.Cond) {
 }
 
 // atomSet expresses a condition as "symbol ∈ set" when it constrains a
-// single symbolic term: comparisons against constants, masked matches,
+// single symbolic term: comparisons against constants, prefix matches,
 // their negations, and single-symbol And/Or combinations thereof.
 func atomSet(cond expr.Cond) (expr.Lin, *IntervalSet, bool) {
 	switch v := cond.(type) {
@@ -674,7 +671,8 @@ func atomSet(cond expr.Cond) (expr.Lin, *IntervalSet, bool) {
 		if v.L.IsConst() {
 			return expr.Lin{}, nil, false
 		}
-		return bare(v.L), FromMask(v.Mask, v.Val, v.L.Width).shift(-v.L.Add), true
+		lo, hi := prefixArc(v.Mask, v.Val, v.L.Width)
+		return bare(v.L), fromRange(lo, hi, v.L.Width).shift(-v.L.Add), true
 	case expr.InSet:
 		return bare(v.L), fromSpanTable(v.T).shift(-v.L.Add), true
 	case expr.Not:

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"strings"
 	"testing"
 
 	"symnet/internal/expr"
@@ -227,6 +228,31 @@ func TestContextPrefixMatch(t *testing.T) {
 	}
 	if v>>8 == (base|1<<8)>>8 {
 		t.Fatalf("model %#x inside excluded /24", v)
+	}
+}
+
+// TestNonPrefixMatchPanics: every expr.Match is a prefix (NewPrefix is its
+// one constructor). A hand-built Match with another mask is refused on every
+// path into the solver, with the mask in the message.
+func TestNonPrefixMatchPanics(t *testing.T) {
+	var a expr.Alloc
+	x := a.Fresh(8)
+	m := expr.Match{L: x, Mask: 0xa0, Val: 0x80}
+	for name, cond := range map[string]expr.Cond{
+		"match":          m,
+		"negated match":  expr.NewNot(m),
+		"constant match": expr.Match{L: expr.Const(0x80, 8), Mask: 0xa0, Val: 0x80},
+		"set of an Or":   expr.NewNot(expr.NewOr(m, expr.NewCmp(expr.Eq, x, expr.Const(3, 8)))),
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "mask 0xa0 is not a prefix mask") {
+					t.Errorf("%s: panic %q, want one naming mask 0xa0", name, msg)
+				}
+			}()
+			NewContext(nil).Add(cond)
+		}()
 	}
 }
 

@@ -17,7 +17,6 @@ package solver
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -334,46 +333,6 @@ func fromArc(lo, hi, k uint64, out bool, width int) *IntervalSet {
 	return &IntervalSet{Width: width, ivs: append([]interval(nil), arcIntervals(&buf, lo, hi, k, out, width)...)}
 }
 
-// FromMask returns the solution set {x : x & mask == val} over width bits.
-// Prefix (top-contiguous) masks yield a single interval; general masks are
-// expanded by enumerating the free bits above the lowest free run, which is
-// exact but exponential in that bit count — callers should prefer prefix
-// masks (the paper's models only need them).
-func FromMask(mask, val uint64, width int) *IntervalSet {
-	m := expr.Mask(width)
-	mask &= m
-	val &= mask
-	if lo, hi, ok := prefixArc(mask, val, width); ok {
-		return fromRange(lo, hi, width)
-	}
-	// General mask: enumerate combinations of free bits above the low run.
-	free := m &^ mask
-	lowRun := lowContiguous(free)
-	highFree := free &^ lowRun
-	n := bits.OnesCount64(highFree)
-	if n > expr.MaxMatchFreeBits {
-		// The evaluators refuse such matches (expr.CheckMatch).
-		panic(fmt.Sprintf("solver: mask %#x too sparse to expand (%d free high bits)", mask, n))
-	}
-	// Collect the positions of high free bits.
-	var pos []uint
-	for b := highFree; b != 0; b &= b - 1 {
-		pos = append(pos, uint(bits.TrailingZeros64(b)))
-	}
-	total := 1 << uint(n)
-	out := make([]interval, 0, total)
-	for i := 0; i < total; i++ {
-		v := val
-		for j, p := range pos {
-			if i&(1<<uint(j)) != 0 {
-				v |= 1 << p
-			}
-		}
-		out = append(out, interval{Lo: v, Hi: v | lowRun})
-	}
-	return normalize(width, out)
-}
-
 // cmpArc returns the solutions of x op c over width bits as an arc of the
 // value cycle: x ∈ [lo, hi], or x ∉ [lo, hi] when out is set, with
 // lo <= hi <= Mask(width); no solution at all is out of the whole
@@ -411,19 +370,18 @@ func cmpArc(op expr.CmpOp, c uint64, width int) (lo, hi uint64, out bool) {
 	panic("solver: unknown CmpOp")
 }
 
-// prefixArc returns the solutions of x & mask == val over width bits as the
-// range [lo, hi] when the mask is a prefix mask (its free bits one low run,
-// or none); ok is false for a sparser mask, whose solutions FromMask
-// enumerates.
-func prefixArc(mask, val uint64, width int) (lo, hi uint64, ok bool) {
+// prefixArc returns the solutions of x & mask == val over width bits, the
+// range [lo, hi]. The mask must be a prefix mask (its free bits one low run,
+// or none), as every expr.Match's is; any other mask panics, naming it.
+func prefixArc(mask, val uint64, width int) (lo, hi uint64) {
 	m := expr.Mask(width)
 	mask &= m
 	val &= mask
 	free := m &^ mask
 	if free != lowContiguous(free) {
-		return 0, 0, false
+		panic(fmt.Sprintf("solver: match mask %#x is not a prefix mask of a %d-bit value", mask, width))
 	}
-	return val, val | free, true
+	return val, val | free
 }
 
 // arcIntervals writes the canonical intervals of the arc [lo, hi] shifted by

@@ -115,9 +115,10 @@ func TestFromCmp(t *testing.T) {
 	}
 }
 
-func TestFromMaskPrefix(t *testing.T) {
+func TestPrefixArc(t *testing.T) {
 	// 10.0.0.0/8 over 32-bit values.
-	set := FromMask(expr.PrefixMask(8, 32), 10<<24, 32)
+	lo, hi := prefixArc(expr.PrefixMask(8, 32), 10<<24, 32)
+	set := fromRange(lo, hi, 32)
 	if !set.Contains(10<<24) || !set.Contains(10<<24|0xffffff) {
 		t.Fatal("prefix must include network and broadcast addresses")
 	}
@@ -129,17 +130,6 @@ func TestFromMaskPrefix(t *testing.T) {
 	}
 	if len(set.Intervals()) != 1 {
 		t.Fatalf("prefix mask must yield a single interval, got %d", len(set.Intervals()))
-	}
-}
-
-func TestFromMaskGeneral(t *testing.T) {
-	// Non-contiguous mask 0b1010: val 0b1000 -> x matches iff bit3=1, bit1=0.
-	set := FromMask(0b1010, 0b1000, 4)
-	want := map[uint64]bool{8: true, 9: true, 12: true, 13: true}
-	for v := uint64(0); v < 16; v++ {
-		if set.Contains(v) != want[v] {
-			t.Errorf("mask 0b1010 val 0b1000: Contains(%d)=%v want %v", v, set.Contains(v), want[v])
-		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // The exhaustive small-width check of domain narrowing. At widths 3 to 6,
 // every single-symbol atom the solver narrows a domain with — the six
 // comparisons against constants inside and outside the universe, from
-// either side; masked matches over every mask, prefix or not; span-table
+// either side; prefix matches of every length and value; span-table
 // membership; each negated too — is asserted on terms whose offsets wrap,
 // over untracked and tracked prior domains and over symbols unioned with an
 // offset. Every context is compared with brute-force enumeration of its
@@ -68,7 +68,7 @@ func enumSet(width int, admits func(uint64) bool) *IntervalSet {
 }
 
 // addViaSets asserts cond as Add does, except that every single-symbol
-// comparison against a constant and every masked match is narrowed through
+// comparison against a constant and every prefix match is narrowed through
 // its solution set, enumerated and handed to assertTermInSet, and every
 // table membership through fromSpanTable: the set-building path the direct
 // narrowing (assertArc, assertInTable) replaces.
@@ -265,11 +265,10 @@ func narrowAtoms(w int, l expr.Lin) []expr.Cond {
 			out = append(out, expr.Cmp{Op: op, L: l, R: k}, expr.Cmp{Op: op, L: k, R: l})
 		}
 	}
-	for mask := uint64(0); mask <= m; mask++ {
+	for plen := 0; plen <= w; plen++ {
 		for val := uint64(0); val <= m; val++ {
-			if val&^mask == 0 {
-				out = append(out, expr.Match{L: l, Mask: mask, Val: val})
-				out = append(out, expr.NewNot(expr.Match{L: l, Mask: mask, Val: val}))
+			if val&^expr.PrefixMask(plen, w) == 0 {
+				out = append(out, expr.NewPrefix(l, val, plen), expr.NewNot(expr.NewPrefix(l, val, plen)))
 			}
 		}
 	}
@@ -335,12 +334,9 @@ func byArc(atom expr.Cond) bool {
 	if n, ok := atom.(expr.Not); ok {
 		atom = n.C
 	}
-	switch v := atom.(type) {
-	case expr.Cmp:
+	switch atom.(type) {
+	case expr.Cmp, expr.Match:
 		return true
-	case expr.Match:
-		_, _, ok := prefixArc(v.Mask, v.Val, v.L.Width)
-		return ok
 	}
 	return false
 }
@@ -371,11 +367,7 @@ func TestNarrowRandomSequences(t *testing.T) {
 					k := expr.Const(uint64(rng.Intn(int(m)+3)), w+2)
 					cond = expr.Cmp{Op: ops[rng.Intn(len(ops))], L: term(), R: k}
 				case 2:
-					mask := expr.PrefixMask(rng.Intn(w+1), w)
-					if rng.Intn(4) == 0 {
-						mask = uint64(rng.Intn(int(m) + 1))
-					}
-					cond = expr.Match{L: term(), Mask: mask, Val: uint64(rng.Intn(int(m)+1)) & mask}
+					cond = expr.NewPrefix(term(), uint64(rng.Intn(int(m)+1)), rng.Intn(w+1))
 				default:
 					cond = expr.InSet{L: term(), T: tables[rng.Intn(len(tables))]}
 				}

@@ -21,7 +21,7 @@ type AllPairsReport struct {
 	// PathCount[s][t] is the number of such paths.
 	PathCount [][]int
 	// Results holds the per-source run results, aligned with Sources, for
-	// follow-up queries (ConcretePacket, FieldEndToEnd, ...). An entry is
+	// follow-up queries (FieldDomain, FieldEndToEnd, ...). An entry is
 	// nil when the source ran on a fleet: live paths (solver contexts,
 	// packet memory) stay in the worker processes.
 	Results []*core.Result

@@ -80,8 +80,8 @@ func TestAllPairsAgreesWithSingleRuns(t *testing.T) {
 	}
 }
 
-// TestSolverQueriesOnParallelPaths exercises ConcretePacket and
-// FieldEndToEnd on the paths of one run: each path's solver context must
+// TestSolverQueriesOnParallelPaths exercises the solver's model, FieldDomain
+// and FieldEndToEnd on the paths of one run: each path's solver context must
 // remain independent of its siblings' and satisfiable.
 func TestSolverQueriesOnParallelPaths(t *testing.T) {
 	net := datasets.NewSplitTCP(datasets.SplitTCPConfig{ProxyRewritesMAC: true})
@@ -94,16 +94,20 @@ func TestSolverQueriesOnParallelPaths(t *testing.T) {
 	if len(delivered) == 0 {
 		t.Fatal("no delivered paths")
 	}
-	fields := []sefl.Hdr{sefl.IPSrc, sefl.IPDst, sefl.TcpSrc, sefl.TcpDst, sefl.IPLen}
 	for _, p := range delivered {
-		pkt, err := verify.ConcretePacket(p, fields)
-		if err != nil {
-			t.Fatalf("path %d: ConcretePacket: %v", p.ID, err)
+		if _, ok := p.Ctx.Model(); !ok {
+			t.Fatalf("path %d: constraints unsatisfiable", p.ID)
 		}
-		// The client packet constrains 40 <= IPLen <= 9000; any concrete
-		// witness must honor it.
-		if l := pkt["IPLen"]; l < 40 || l > 9000 {
-			t.Errorf("path %d: concrete IPLen %d outside [40,9000]", p.ID, l)
+		// The client packet constrains 40 <= IPLen <= 9000; every path's
+		// domain must honor it.
+		d, err := verify.FieldDomain(p, sefl.IPLen)
+		if err != nil {
+			t.Fatalf("path %d: FieldDomain(IPLen): %v", p.ID, err)
+		}
+		lo, okLo := d.Min()
+		hi, okHi := d.Max()
+		if !okLo || !okHi || lo < 40 || hi > 9000 {
+			t.Errorf("path %d: IPLen domain %s outside [40,9000]", p.ID, d)
 		}
 		// The round trip crosses the mirror exactly once, which swaps the
 		// IP addresses: IPSrc must NOT be end-to-end invariant, while

@@ -1,7 +1,7 @@
 // Package verify provides the network-verification queries of §6 of the
 // paper on top of the core engine: the all-pairs reachability report, and
 // per-path field queries (final value, domain, invariance, end-to-end
-// equality, a concrete test packet).
+// equality).
 package verify
 
 import (
@@ -95,29 +95,4 @@ func FieldEndToEnd(p *core.Path, h sefl.Hdr) (bool, error) {
 		return true, nil
 	}
 	return !ctx.Sat(), nil
-}
-
-// ConcretePacket solves a path's constraints into concrete values for the
-// listed header fields (the ATPG-style test-packet generation of §8.3).
-func ConcretePacket(p *core.Path, fields []sefl.Hdr) (map[string]uint64, error) {
-	model, ok := p.Ctx.Model()
-	if !ok {
-		return nil, fmt.Errorf("verify: path %d constraints unsatisfiable", p.ID)
-	}
-	out := make(map[string]uint64, len(fields))
-	for _, h := range fields {
-		v, err := FieldValue(p, h)
-		if err != nil {
-			return nil, err
-		}
-		if c, ok := v.ConstVal(); ok {
-			out[h.Name] = c
-			continue
-		}
-		// Symbols the solver never saw are unconstrained: any value
-		// satisfies the path, so default to zero.
-		base := model[v.Sym]
-		out[h.Name] = (base + v.Add) & expr.Mask(v.Width)
-	}
-	return out, nil
 }

@@ -115,19 +115,6 @@ func TestFieldEndToEndForcedEqual(t *testing.T) {
 	}
 }
 
-func TestConcretePacket(t *testing.T) {
-	vals, err := ConcretePacket(passthroughPath(t), []sefl.Hdr{sefl.TcpDst, sefl.IPSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals["TcpDst"] != 80 {
-		t.Fatalf("concrete TcpDst = %d", vals["TcpDst"])
-	}
-	if _, ok := vals["IPSrc"]; !ok {
-		t.Fatal("IPSrc missing from concrete packet")
-	}
-}
-
 func TestLoopsAndFailures(t *testing.T) {
 	net := core.NewNetwork()
 	for _, n := range []string{"A", "B"} {
