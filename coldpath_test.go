@@ -104,8 +104,10 @@ func TestDefaultRouteRunFlat(t *testing.T) {
 // and the solver narrowed domains without building a set per assertion.
 // 24.6 once a branch or an egress port whose guard the domains refute
 // cloned nothing (solver.Context.Refutes decides first) and a departure's
-// refuted ports shared one sealed memory.
-const deptAllocsPerHop = 30
+// refuted ports shared one sealed memory. 19.0 once every table guard, one
+// entry long included, lowered to its span table and so asserted as one
+// expr.InSet the solver refutes without cloning.
+const deptAllocsPerHop = 22
 
 // TestDepartmentRunAllocsPerHop keeps the hot path lean without reading a
 // clock: one warm Session.Run of the office packet from asw0.in[1] must stay

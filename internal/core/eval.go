@@ -177,6 +177,9 @@ func (r *run) evalCond(st *state, elem *Element, c sefl.Cond) (expr.Cond, error)
 		if err != nil {
 			return nil, err
 		}
+		if l.Width != w {
+			return nil, evalErrf("%d-bit prefix read a %d-bit value", w, l.Width)
+		}
 		return expr.NewPrefix(l, v.Value, v.Len), nil
 	case sefl.MetaPresent:
 		loc, err := r.resolveLV(st, elem, v.M)
@@ -205,6 +208,9 @@ func (r *run) evalCond(st *state, elem *Element, c sefl.Cond) (expr.Cond, error)
 		}
 		return expr.NewOr(out...), nil
 	case sefl.Table:
+		if err := v.Check(); err != nil {
+			return nil, evalErrf("%v", err)
+		}
 		return r.evalCond(st, elem, v.Or())
 	case sefl.CNot:
 		lc, err := r.evalCond(st, elem, v.C)

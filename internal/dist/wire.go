@@ -68,10 +68,11 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v14: a condition's wire kinds no longer include
+// frame may carry bumps it (v15: a table condition carries its field and
+// rows only, no tree widths; v14: a condition's wire kinds no longer include
 // a masked match; v13: port code crosses as SEFL source, which the member
 // compiles; no compiled program crosses).
-const protoVersion = 14
+const protoVersion = 15
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.

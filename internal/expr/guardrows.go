@@ -1,10 +1,10 @@
 package expr
 
 // Packed guard rows: the shared vocabulary of table guards. A sefl.Table
-// holds its rows as GuardRows, the compiled CIntervalTable node
-// (internal/prog) aliases them, and the SEFL codec ships them as a flat word
-// stream; keeping the grammar here means it is bounds-checked where the rows
-// are defined. Stream grammar, per row:
+// holds its rows as GuardRows, the compiler (internal/prog) merges them into
+// a span table, and the SEFL codec ships them as a flat word stream; keeping
+// the grammar here means it is bounds-checked where the rows are defined.
+// Stream grammar, per row:
 //
 //	GuardEq without exclusions:     0 V
 //	GuardPrefix without exclusions: 1 V Len
@@ -35,19 +35,6 @@ type GuardRow struct {
 type GuardExcl struct {
 	V   uint64
 	Len int
-}
-
-// TableSized reports whether a guard with these rows is worth a table: the
-// gate the compiler applies before lowering one to a span table. It counts
-// atoms — rows plus exclusions — not rows: a lone default route excluding
-// hundreds of more-specifics is as table-wide as hundreds of routes, while
-// below four atoms the tree form is just as small and as cheap to assert.
-func TableSized(rows []GuardRow) bool {
-	atoms := len(rows)
-	for i := range rows {
-		atoms += len(rows[i].Excl)
-	}
-	return atoms >= 4
 }
 
 // stream word tags.

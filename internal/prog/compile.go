@@ -300,15 +300,14 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 		}
 		cc = &cCond{Kind: cAnd, Cs: cs}
 	case sefl.Table:
-		// A table guard lowers to its rows, which the node aliases, and the
-		// span table they came with (a router's) or else the one
-		// buildITable merges. A malformed table, or one too small to be
-		// worth a span table (expr.TableSized), compiles as the Or-tree it
-		// stands for.
-		if v.Check() != nil || !expr.TableSized(v.Rows) {
-			return c.compileCond(v.Or())
+		// A table guard lowers to its span table: the one it came with (a
+		// router's) or else the one buildITable merges from its rows. A
+		// malformed table fails at evaluation, as the AST interpreter's Check
+		// does.
+		if err := v.Check(); err != nil {
+			return &cCond{Kind: cBool, HasStatic: true, StaticErr: err.Error()}
 		}
-		it := &ITable{F: hdrLV(v.F), Rows: v.Rows, Table: v.Spans}
+		it := &ITable{F: hdrLV(v.F), Table: v.Spans}
 		if it.Table == nil {
 			it.Table = buildITable(v.Rows, v.F.Size)
 		}

@@ -7,7 +7,7 @@ package prog_test
 // Symbolic allocations after forks (global allocation order), nested blocks
 // behind Ifs (splice analysis), dead code behind terminators, error paths
 // (unset tags, unallocated reads, unsatisfiable constraints), For loops,
-// table guards (lowered, too small, malformed), and tracing.
+// table guards (of any size, malformed), and tracing.
 
 import (
 	"crypto/sha256"
@@ -177,10 +177,10 @@ func (g *gen) cond(depth int) sefl.Cond {
 	}
 }
 
-// table draws a table guard on one header field: equality or prefix rows
-// with up to two exclusions, sometimes too small to lower and now and then
-// malformed (a prefix one bit longer than the field), which compiles as its
-// Or-tree.
+// table draws a table guard on one header field: one to six equality or
+// prefix rows with up to two exclusions, now and then malformed (a prefix
+// one bit longer than the field), which fails the path in both executors
+// with Check's message.
 func (g *gen) table() sefl.Table {
 	f := g.hdrs[g.intn(len(g.hdrs))]
 	high := func() uint64 { return uint64(g.intn(256)) << (f.Size - 8) }
@@ -580,7 +580,8 @@ func TestVLANPairGuardObservables(t *testing.T) {
 // net's ports as the Or-tree it stands for (sefl.Table.Or, which renders
 // byte for byte as the table), and returns net: the reference that interval-
 // table lowering is compared against. A hand-written Or compiles as a tree,
-// so the rewritten network runs no span table.
+// so the rewritten network runs no span table. A malformed table stays as it
+// is: it fails the path in every executor.
 func withOrTreeGuards(net *core.Network) *core.Network {
 	for _, e := range net.Elements() {
 		for _, out := range []bool{false, true} {
@@ -624,6 +625,9 @@ func orTreeInstr(ins sefl.Instr) sefl.Instr {
 func orTreeCond(c sefl.Cond) sefl.Cond {
 	switch v := c.(type) {
 	case sefl.Table:
+		if v.Check() != nil {
+			return v
+		}
 		return v.Or()
 	case sefl.CAnd:
 		cs := make([]sefl.Cond, len(v.Cs))

@@ -109,7 +109,8 @@ func exprString(e *CExpr) string {
 
 // condString renders a condition compactly; very wide And/Or nodes and
 // tables (egress guards) are elided to keep dumps readable. A table renders
-// its field, its rows and the size of its span table.
+// its field and its span table (the first four spans and a count when there
+// are more than five).
 func condString(c *cCond) string {
 	var s string
 	switch c.Kind {
@@ -128,10 +129,7 @@ func condString(c *cCond) string {
 		}
 		s = "(" + elide(len(c.Cs), sep, func(i int) string { return condString(c.Cs[i]) }) + ")"
 	case cIntervalTable:
-		it := c.IT
-		s = fmt.Sprintf("%s in table(%s) [itable %d rows, %d spans]", lvString(it.F),
-			elide(len(it.Rows), " | ", func(i int) string { return rowString(&it.Rows[i]) }),
-			len(it.Rows), len(it.Table.Spans()))
+		s = lvString(c.IT.F) + " in table" + c.IT.Table.String()
 	case cNot:
 		s = "!(" + condString(c.C) + ")"
 	}
@@ -156,17 +154,4 @@ func elide(n int, sep string, item func(int) string) string {
 		parts[i] = item(i)
 	}
 	return strings.Join(parts, sep)
-}
-
-// rowString renders one table row: "=V" or "V/Len", then "-V/Len" per
-// exclusion.
-func rowString(r *itRow) string {
-	s := fmt.Sprintf("=%d", r.V)
-	if r.Kind == itPrefix {
-		s = fmt.Sprintf("%d/%d", r.V, r.Len)
-	}
-	for _, e := range r.Excl {
-		s += fmt.Sprintf(" -%d/%d", e.V, e.Len)
-	}
-	return s
 }

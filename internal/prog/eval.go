@@ -177,6 +177,9 @@ func evalCondDynamic(env Env, c *cCond) (expr.Cond, error) {
 		if err != nil {
 			return nil, err
 		}
+		if l.Width != c.PW {
+			return nil, evalErrf("%d-bit prefix read a %d-bit value", c.PW, l.Width)
+		}
 		return expr.NewPrefix(l, c.Val, c.PLen), nil
 	case cMetaPresent:
 		return expr.Bool(env.MetaExists(c.Key)), nil

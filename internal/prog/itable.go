@@ -5,19 +5,20 @@ package prog
 // The egress switch/router models of the paper re-assert, at every output
 // port, a guard spanning the whole forwarding table: "EtherDst == MAC1 |
 // MAC2 | ..." or "IPDst in P1 | (P2 & !more-specific) | ...". The models
-// write it as a sefl.Table, one row per entry, and the compiler lowers a
-// well-formed table worth one (expr.TableSized) to a cIntervalTable node
-// holding those rows plus their merged span table, so each visit costs one
-// field read plus one packed-set assertion (expr.InSet) instead of an
-// Or-tree the solver compresses to the same set on every visit. A router's
-// table arrives with its span table already built (sefl.Table.Spans, from
+// write it as a sefl.Table, one row per entry, and the compiler lowers every
+// well-formed table, whatever its size, to a cIntervalTable node holding the
+// field and the rows' merged span table, so each visit costs one field read
+// plus one packed-set assertion (expr.InSet) instead of an Or-tree the
+// solver compresses to the same set on every visit. A router's table
+// arrives with its span table already built (sefl.Table.Spans, from
 // tables.LPMRows's sweep), which the node adopts; buildITable merges one
 // from the rows for every other table — a switch's, a hand-written one, one
 // a fleet member decoded from the wire (the wire carries rows, never spans).
-// A hand-written Or stays an Or-tree: nothing parses trees back into rows.
+// A malformed table compiles to a static error. A hand-written Or stays an
+// Or-tree: nothing parses trees back into rows.
 //
-// The rows and the span table are the whole node: evaluation reads the span
-// table, and the IR dump prints both. The Or-tree the rows stand for
+// The field and the span table are the whole node: evaluation reads the
+// span table, and the IR dump prints it. The Or-tree the rows stand for
 // (Table.Or) is the reference semantics the AST interpreter and the
 // differential suites evaluate; the compiled program never builds it.
 
@@ -38,10 +39,10 @@ import (
 // earlier one already covers and emits the gaps. They come in CompileLPM
 // order, a few ascending runs, which expr.SortSpans merges through dst's
 // free capacity; scratch is reused between rows.
-func appendRowSpans(dst []expr.Span, r *itRow, w int, scratch *[]expr.Span) []expr.Span {
+func appendRowSpans(dst []expr.Span, r *expr.GuardRow, w int, scratch *[]expr.Span) []expr.Span {
 	m := expr.Mask(w)
 	lo, hi := r.V&m, r.V&m
-	if r.Kind == itPrefix {
+	if r.Kind == expr.GuardPrefix {
 		mask := expr.PrefixMask(r.Len, w)
 		lo, hi = r.V&mask, r.V&mask|m&^mask
 	}
@@ -85,7 +86,7 @@ func appendRowSpans(dst []expr.Span, r *itRow, w int, scratch *[]expr.Span) []ex
 // length, in CompileLPM order, or a switch's sorted MACs — make one ascending
 // run, and expr.SortSpans merges the few runs there are (at most 33 for a
 // router's port, one for a switch's).
-func buildITable(rows []itRow, w int) *expr.SpanTable {
+func buildITable(rows []expr.GuardRow, w int) *expr.SpanTable {
 	total, deepest := len(rows), 0
 	for i := range rows {
 		total += len(rows[i].Excl)

@@ -18,9 +18,9 @@ var (
 )
 
 func macGuard(n int) sefl.Table {
-	rows := make([]itRow, n)
+	rows := make([]expr.GuardRow, n)
 	for i := range rows {
-		rows[i] = itRow{Kind: itEq, V: uint64(i * 2)}
+		rows[i] = expr.GuardRow{Kind: expr.GuardEq, V: uint64(i * 2)}
 	}
 	return sefl.Table{F: itMAC, Rows: rows}
 }
@@ -37,11 +37,11 @@ func vlanGuard(pairs [][2]uint64) sefl.Cond {
 }
 
 func prefixGuard() sefl.Table {
-	return sefl.Table{F: itIP, Rows: []itRow{
-		{Kind: itPrefix, V: 0x0a000000, Len: 24},
-		{Kind: itPrefix, V: 0x0a000100, Len: 24},
-		{Kind: itPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}}},
-		{Kind: itPrefix, V: 0x0b000000, Len: 8},
+	return sefl.Table{F: itIP, Rows: []expr.GuardRow{
+		{Kind: expr.GuardPrefix, V: 0x0a000000, Len: 24},
+		{Kind: expr.GuardPrefix, V: 0x0a000100, Len: 24},
+		{Kind: expr.GuardPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}}},
+		{Kind: expr.GuardPrefix, V: 0x0b000000, Len: 8},
 	}}
 }
 
@@ -69,50 +69,47 @@ func (e *itEnv) Tag(name string) (int64, bool)  { return 0, false }
 func (e *itEnv) MetaExists(memory.MetaKey) bool { return false }
 func (e *itEnv) Fresh(w int) expr.Lin           { return expr.Lin{Sym: 99, Width: w} }
 
-// TestLoweringDetection: table guards worth a span table lower; small or
-// malformed ones, and every hand-written Or, compile as trees.
+// TestLoweringDetection: every well-formed table guard lowers to its span
+// table, however small — one equality, one route with or without exclusions;
+// a malformed one compiles to a static error carrying Check's message (the
+// AST interpreter fails with the same one, TestMalformedTableFails in
+// internal/core); every hand-written Or compiles as a tree.
 func TestLoweringDetection(t *testing.T) {
-	if c := guardCond(t, macGuard(8)); c.Kind != cIntervalTable || c.IT == nil {
-		t.Fatalf("mac guard not lowered: kind=%d", c.Kind)
-	}
-	if c := guardCond(t, prefixGuard()); c.Kind != cIntervalTable {
-		t.Fatalf("prefix guard not lowered: kind=%d", c.Kind)
-	}
-	// The node aliases the table's rows.
-	g := macGuard(8)
-	if c := guardCond(t, g); &c.IT.Rows[0] != &g.Rows[0] {
-		t.Fatal("lowered guard copied the table's rows")
-	}
-
-	// Below the atom threshold (expr.TableSized): the Or-tree.
-	if c := guardCond(t, macGuard(3)); c.Kind != cOr {
-		t.Fatalf("tiny guard lowered: kind=%d", c.Kind)
-	}
-	if c := guardCond(t, macGuard(1)); c.Kind != cCmp {
-		t.Fatalf("one-row guard: kind=%d, want the bare atom", c.Kind)
-	}
-	// The gate counts atoms, not rows: one route with three exclusions is a
-	// table, one with two is not.
 	oneRoute := func(k int) sefl.Table {
-		row := itRow{Kind: itPrefix}
+		row := expr.GuardRow{Kind: expr.GuardPrefix}
 		for i := 0; i < k; i++ {
 			row.Excl = append(row.Excl, expr.GuardExcl{V: uint64(10+i) << 24, Len: 8})
 		}
-		return sefl.Table{F: itIP, Rows: []itRow{row}}
+		return sefl.Table{F: itIP, Rows: []expr.GuardRow{row}}
 	}
-	if c := guardCond(t, oneRoute(3)); c.Kind != cIntervalTable || len(c.IT.Rows) != 1 {
-		t.Fatalf("one route, three exclusions not lowered: kind=%d", c.Kind)
+	for name, tb := range map[string]sefl.Table{
+		"mac 8": macGuard(8), "mac 3": macGuard(3), "mac 1": macGuard(1),
+		"prefixes": prefixGuard(), "route": oneRoute(0), "route, 2 exclusions": oneRoute(2),
+		"route, 3 exclusions": oneRoute(3),
+	} {
+		c := guardCond(t, tb)
+		if c.Kind != cIntervalTable || c.IT == nil {
+			t.Fatalf("%s: not lowered: kind=%d", name, c.Kind)
+		}
+		if !tablesEqual(c.IT.Table, buildITable(tb.Rows, tb.F.Size)) {
+			t.Fatalf("%s: span table %v, want the rows' %v", name, c.IT.Table, buildITable(tb.Rows, tb.F.Size))
+		}
 	}
-	if c := guardCond(t, oneRoute(2)); c.Kind != cOr {
-		t.Fatalf("one route, two exclusions lowered: kind=%d", c.Kind)
+	// A table that carries its span table hands it to the node.
+	g := macGuard(2)
+	g.Spans = buildITable(g.Rows, g.F.Size)
+	if c := guardCond(t, g); c.IT.Table != g.Spans {
+		t.Fatal("lowered guard rebuilt the span table its table carried")
 	}
 
-	// A malformed table compiles as its Or-tree, to the node the tree
-	// compiles to.
 	long := prefixGuard()
-	long.Rows = append(long.Rows, itRow{Kind: itPrefix, Len: 40})
-	if c := guardCond(t, long); c.Kind != cOr || !deepEqualCond(c, guardCond(t, long.Or())) {
-		t.Fatalf("malformed table: kind=%d, want its Or-tree", c.Kind)
+	long.Rows = append(long.Rows, expr.GuardRow{Kind: expr.GuardPrefix, Len: 40})
+	c := guardCond(t, long)
+	if c.Kind != cBool || !c.HasStatic || c.StaticErr != long.Check().Error() {
+		t.Fatalf("malformed table: kind=%d static=%v err=%q, want the static error %q", c.Kind, c.HasStatic, c.StaticErr, long.Check())
+	}
+	if _, err := EvalCond(&itEnv{}, c); err == nil || err.Error() != long.Check().Error() {
+		t.Fatalf("malformed table evaluates to error %v, want %q", err, long.Check())
 	}
 
 	// Hand-written Ors are trees whatever their shape — the tree a table
@@ -163,7 +160,7 @@ func TestLoweredSpansMerge(t *testing.T) {
 	}
 
 	// Duplicate equalities collapse.
-	dup := sefl.Table{F: itMAC, Rows: []itRow{{Kind: itEq, V: 5}, {Kind: itEq, V: 5}, {Kind: itEq, V: 6}, {Kind: itEq, V: 7}}}
+	dup := sefl.Table{F: itMAC, Rows: []expr.GuardRow{{Kind: expr.GuardEq, V: 5}, {Kind: expr.GuardEq, V: 5}, {Kind: expr.GuardEq, V: 6}, {Kind: expr.GuardEq, V: 7}}}
 	if c := guardCond(t, dup); len(c.IT.Table.Spans()) != 1 || !c.IT.Table.Contains(5) || !c.IT.Table.Contains(7) {
 		t.Fatalf("duplicate/adjacent spans = %v", c.IT.Table)
 	}
@@ -267,11 +264,11 @@ func errEqual(a, b error) bool {
 // TestITRowsPackRoundTrip: the flat row stream is the exact inverse of the
 // row list, including exclusions.
 func TestITRowsPackRoundTrip(t *testing.T) {
-	rows := []itRow{
-		{Kind: itEq, V: 42},
-		{Kind: itPrefix, V: 0x0a000000, Len: 24},
-		{Kind: itPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}, {V: 0x0a010300, Len: 24}}},
-		{Kind: itEq, V: 7, Excl: []expr.GuardExcl{{V: 0x0a, Len: 8}}},
+	rows := []expr.GuardRow{
+		{Kind: expr.GuardEq, V: 42},
+		{Kind: expr.GuardPrefix, V: 0x0a000000, Len: 24},
+		{Kind: expr.GuardPrefix, V: 0x0a010000, Len: 16, Excl: []expr.GuardExcl{{V: 0x0a010200, Len: 24}, {V: 0x0a010300, Len: 24}}},
+		{Kind: expr.GuardEq, V: 7, Excl: []expr.GuardExcl{{V: 0x0a, Len: 8}}},
 	}
 	got, err := expr.UnpackGuardRows(expr.PackGuardRows(rows))
 	if err != nil {
@@ -297,7 +294,7 @@ func TestITRowsPackRoundTrip(t *testing.T) {
 
 // TestITableCodecRoundTrip: a program with lowered guards (equalities,
 // prefixes with exclusions) compiles, from source that crossed the wire, to
-// identical nodes, rows, span tables and dump.
+// identical nodes, span tables and dump.
 func TestITableCodecRoundTrip(t *testing.T) {
 	src := sefl.Seq(
 		sefl.Constrain{C: macGuard(8)},
@@ -313,9 +310,6 @@ func TestITableCodecRoundTrip(t *testing.T) {
 		oc, dc := p.Ops[i].C, q.Ops[i].C
 		if dc.Kind != cIntervalTable || !deepEqualCond(dc, oc) {
 			t.Fatalf("op %d: node drifted: %+v", i, dc)
-		}
-		if !reflect.DeepEqual(dc.IT.Rows, oc.IT.Rows) {
-			t.Fatalf("op %d: rows drifted", i)
 		}
 		if !tablesEqual(dc.IT.Table, oc.IT.Table) {
 			t.Fatalf("op %d: span table drifted", i)

@@ -158,7 +158,7 @@ const (
 	cNot
 	// cIntervalTable is a lowered table guard (sefl.Table): equality/prefix
 	// rows over one header field compiled into sorted, merged value ranges.
-	// The node carries the rows and the packed table in IT and no children.
+	// The node carries the field and the span table in IT and no children.
 	cIntervalTable
 )
 
@@ -185,27 +185,15 @@ type cCond struct {
 	IT       *ITable  // cIntervalTable payload
 }
 
-// ITable is the payload of a cIntervalTable node: the guarded field, the
-// table's rows (aliased, not copied), and the precomputed span table
-// evaluation consumes. Tables are immutable after construction and shared by
-// every path visiting the guard.
+// ITable is the payload of a cIntervalTable node: the guarded field and the
+// merged span table evaluation consumes. Tables are immutable after
+// construction and shared by every path visiting the guard.
 type ITable struct {
-	F    LV // field l-value (a header field; F.Size is the table's width)
-	Rows []itRow
+	F LV // field l-value (a header field; F.Size is the table's width)
 	// Table is the rows' merged span table: adopted from the sefl.Table
 	// when it carries one (a router's), built by buildITable otherwise.
 	Table *expr.SpanTable
 }
-
-// itRow is one disjunct of a lowered guard, in the shared packed-guard
-// vocabulary of internal/expr; itEq/itPrefix name the row kinds.
-type itRow = expr.GuardRow
-
-// Row kinds (see expr.GuardRow).
-const (
-	itEq     = expr.GuardEq
-	itPrefix = expr.GuardPrefix
-)
 
 // ForOp is the payload of an OpFor: the pattern compiled once, the body
 // constructor, and a concurrency-safe memo of compiled body programs keyed

@@ -137,15 +137,12 @@ type WireCond struct {
 	L, R *WireExpr   // Cmp operands; Prefix subject (L); Table field (L)
 	Val  uint64      // Prefix value
 	Len  int         // Prefix length
-	W    int         // Prefix width; Table equality-constant width
+	W    int         // Prefix width
 	M    *WireLValue // MetaPresent
 	Cs   []*WireCond // CAnd, COr
 	C    *WireCond   // CNot
 	B    bool        // CBool
-	// Table payload (Kind == wCTable): PW is the Prefix width of its tree
-	// (0 for the 32-bit default), Rows the flat row stream.
-	PW   int
-	Rows []uint64
+	Rows []uint64    // Table row stream (Kind == wCTable)
 }
 
 // WireLValue is the concrete form of one LValue.

@@ -5,10 +5,10 @@ package sefl
 // the port's MACs, IPDst lies in one of its routes but in none of the
 // more-specific routes that win over it. Table is that condition as the
 // models hold it, one row per entry, instead of the Or-tree it stands for.
-// The compiler lowers the rows straight to a span table (internal/prog), or
-// adopts the one a router's table carries (Spans), the SEFL codec ships the
-// rows as a flat word stream, and a reader that wants the tree — the AST
-// interpreter, a malformed table's compile — builds it with Or. Rows use the
+// The compiler lowers every well-formed table to a span table
+// (internal/prog), or adopts the one a router's table carries (Spans), the
+// SEFL codec ships the rows as a flat word stream, and the AST interpreter,
+// the one reader that wants the tree, builds it with Or. Rows use the
 // packed-guard vocabulary of internal/expr (expr.GuardRow,
 // expr.PackGuardRows).
 import (
@@ -47,7 +47,8 @@ func (t Table) prefixWidth() int {
 // Or returns the Or-tree the table stands for: per row its head atom, or
 // "head & !excl..." when it has exclusions (the conjunctions are slices of
 // one array). A lone row without exclusions is returned bare. A row of
-// unknown kind matches nothing.
+// unknown kind matches nothing. The AST interpreter evaluates this tree once
+// Check passes; the compiler never builds it.
 func (t Table) Or() Cond {
 	ref := Ref{LV: t.F}
 	prefix := func(v uint64, plen int) Cond {
@@ -129,7 +130,8 @@ func appendAtom(b []byte, name string, kind uint8, v uint64, plen int) []byte {
 // needs to lower it to a span table and what the wire decoder demands of a
 // shipped one: the field is 1 to 64 bits wide, every row is an equality or a
 // prefix, and no prefix or exclusion length lies outside [0, width]. The
-// error names the first offending row.
+// error names the first offending row; both executors fail a path on a
+// malformed table with it.
 func (t Table) Check() error {
 	w := t.F.Size
 	if w < 1 || w > 64 {
@@ -151,25 +153,13 @@ func (t Table) Check() error {
 	return nil
 }
 
-// encodeTable ships the field and the rows as they are. W and PW carry the
-// widths of the tree's equality constants and prefixes, as the packed Or-tree
-// this node replaced did, so a table costs the wire the same bytes; the
-// decoder takes both from the field.
+// encodeTable ships the field and the rows as they are.
 func encodeTable(t Table) (*WireCond, error) {
 	f, err := encodeExpr(Ref{LV: t.F})
 	if err != nil {
 		return nil, err
 	}
-	w := &WireCond{Kind: wCTable, L: f, Rows: expr.PackGuardRows(t.Rows)}
-	for _, r := range t.Rows {
-		if r.Kind == expr.GuardEq {
-			w.W = t.F.Size
-		}
-		if r.Kind == expr.GuardPrefix || len(r.Excl) > 0 {
-			w.PW = t.prefixWidth()
-		}
-	}
-	return w, nil
+	return &WireCond{Kind: wCTable, L: f, Rows: expr.PackGuardRows(t.Rows)}, nil
 }
 
 // decodeTable rebuilds a shipped table, refusing a malformed one: the
