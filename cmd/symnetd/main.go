@@ -210,8 +210,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7080", "HTTP listen address")
 	debugAddr := flag.String("debug-addr", "", "serve expvar metrics and pprof on this address")
 	stateFile := flag.String("state", "", "snapshot file: restored at startup if present, written on shutdown")
-	queueDepth := flag.Int("queue-depth", 256, "bound on queued delta submissions")
-	maxBatch := flag.Int("max-batch", 128, "max deltas coalesced into one absorption pass")
 	flag.Parse()
 
 	var o *obs.Obs
@@ -230,7 +228,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "symnetd:", err)
 		os.Exit(2)
 	}
-	cfg.QueueDepth, cfg.MaxBatch = *queueDepth, *maxBatch
 	if *distWorkers != "" {
 		cfg.DistWorkers = strings.Split(*distWorkers, ",")
 	}

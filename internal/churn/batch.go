@@ -30,9 +30,9 @@ type BatchResult struct {
 	// CellsReverified counts report cells recomputed by this batch.
 	CellsReverified int `json:"cells_reverified"`
 	// PortsPatched counts the ports given a new guard (ports, not deltas:
-	// coalesced deltas share a port's one new guard), PortsRecompiled those
-	// of them whose compiled program was resident and dropped, ElemsRebuilt
-	// the elements whose model was regenerated.
+	// coalesced deltas share a port's one new guard), rebuilt elements' ports
+	// included; PortsRecompiled those of them whose compiled program was
+	// resident and dropped; ElemsRebuilt the elements given a new Fork.
 	PortsPatched    int `json:"ports_patched"`
 	PortsRecompiled int `json:"ports_recompiled"`
 	ElemsRebuilt    int `json:"elems_rebuilt"`
@@ -43,14 +43,12 @@ type BatchResult struct {
 }
 
 // elemStage is one element's staged table — a router's FIB or a switch's
-// MAC table — with the sorted output ports of the resident table it was
-// copied from and of the staged one.
+// MAC table — and, once reconcile builds it, the table's Egress code.
 type elemStage struct {
 	isFIB bool
 	fib   tables.FIB
 	mac   tables.MACTable
-	was   []int // the resident table's ports
-	ports []int // the staged table's ports
+	code  models.EgressCode
 }
 
 // stage accumulates rule deltas against copies of the authoritative tables
@@ -91,28 +89,31 @@ func (st *stage) Add(d Delta) error {
 	if err != nil {
 		return err
 	}
-	var ports []int
 	if es.isFIB {
 		pfx, plen, _ := tables.ParsePrefix(d.Prefix) // Validate parsed it
 		i := slices.IndexFunc(es.fib, func(r tables.Route) bool { return r.Prefix == pfx && r.Len == plen })
-		ports, err = edit(e, "router", &es.fib, i, d, "route "+d.Prefix,
+		err = edit(e, "router", &es.fib, i, d, "route "+d.Prefix,
 			tables.Route{Prefix: pfx, Len: plen, Port: d.Port}, func(r *tables.Route) *int { return &r.Port })
 	} else {
 		mac, _ := tables.ParseMAC(d.MAC) // Validate parsed it
 		i := slices.IndexFunc(es.mac, func(m tables.MACEntry) bool { return m.MAC == mac })
-		ports, err = edit(e, "switch", &es.mac, i, d, "MAC "+d.MAC,
+		err = edit(e, "switch", &es.mac, i, d, "MAC "+d.MAC,
 			tables.MACEntry{MAC: mac, Port: d.Port}, func(m *tables.MACEntry) *int { return &m.Port })
 	}
 	if err != nil {
 		return err
 	}
 	if _, ok := st.elems[d.Elem]; !ok {
-		st.elems[d.Elem] = es
-		st.order = append(st.order, d.Elem)
+		st.put(d.Elem, es)
 	}
-	es.ports = ports
 	st.deltas++
 	return nil
+}
+
+// put registers an element's staged table, in reconcile order.
+func (st *stage) put(elem string, es *elemStage) {
+	st.elems[elem] = es
+	st.order = append(st.order, elem)
 }
 
 // ruleTable is a forwarding table churn stages: a FIB or a MAC table.
@@ -122,18 +123,18 @@ type ruleTable[R any] interface {
 }
 
 // edit applies d to *tbl, whose row i is the rule d names (i < 0: it has
-// none) and to which an insert appends ins, and returns the edited table's
-// ports. It refuses a duplicate insert, a missing rule, and an edited table
-// e's model would refuse (models.CheckTable), leaving *tbl's rows as they
-// were: an insert appends past their end, a delete copies them, and a
-// refused modify puts the port back.
-func edit[T ruleTable[R], R any](e *core.Element, kind string, tbl *T, i int, d Delta, rule string, ins R, port func(*R) *int) ([]int, error) {
+// none) and to which an insert appends ins. It refuses a duplicate insert,
+// a missing rule, and an edited table e's model would refuse
+// (models.CheckTable), leaving *tbl's rows as they were: an insert appends
+// past their end, a delete copies them, and a refused modify puts the port
+// back.
+func edit[T ruleTable[R], R any](e *core.Element, kind string, tbl *T, i int, d Delta, rule string, ins R, port func(*R) *int) error {
 	t, was := *tbl, 0
 	switch {
 	case d.Op == OpInsert && i >= 0:
-		return nil, fmt.Errorf("churn: %s already has %s", d.Elem, rule)
+		return fmt.Errorf("churn: %s already has %s", d.Elem, rule)
 	case d.Op != OpInsert && i < 0:
-		return nil, fmt.Errorf("churn: %s has no %s", d.Elem, rule)
+		return fmt.Errorf("churn: %s has no %s", d.Elem, rule)
 	case d.Op == OpInsert:
 		t = append(t, ins)
 	case d.Op == OpDelete:
@@ -141,15 +142,14 @@ func edit[T ruleTable[R], R any](e *core.Element, kind string, tbl *T, i int, d 
 	default:
 		was, *port(&t[i]) = *port(&t[i]), d.Port
 	}
-	ports := t.Ports()
-	if err := models.CheckTable(e, kind, ports); err != nil {
+	if err := models.CheckTable(e, kind, t.Ports()); err != nil {
 		if d.Op == OpModify {
 			*port(&t[i]) = was
 		}
-		return nil, err
+		return err
 	}
 	*tbl = t
-	return ports, nil
+	return nil
 }
 
 // elemFor returns the element's stage, creating an unregistered one from the
@@ -169,22 +169,22 @@ func (st *stage) elemFor(elem string, isFIB bool) (*elemStage, error) {
 		if !ok {
 			return nil, fmt.Errorf("churn: element %q is not a registered router", elem)
 		}
-		es.fib, es.was = slices.Clone(fib), fib.Ports()
+		es.fib = slices.Clone(fib)
 	} else {
 		tbl, ok := st.svc.switches[elem]
 		if !ok {
 			return nil, fmt.Errorf("churn: element %q is not a registered switch", elem)
 		}
-		es.mac, es.was = slices.Clone(tbl), tbl.Ports()
+		es.mac = slices.Clone(tbl)
 	}
 	return es, nil
 }
 
-// commit absorbs the staged batch into the resident service: per element,
-// reconcile its changed port guards once (a new guard per changed port, or
-// a rebuilt model when its port set changed), then run one re-verification
-// pass over the union dirty set and publish the next report version. commit
-// on an empty stage publishes nothing and returns an empty result.
+// commit absorbs the staged batch into the resident service: reconcile
+// every staged table once (a new guard per changed port, and a new Fork
+// where the port set changed), then run one re-verification pass over the
+// union dirty set and publish the next report version. commit on an empty
+// stage publishes nothing and returns an empty result.
 func (st *stage) commit() (*BatchResult, error) {
 	s := st.svc
 	if s.report == nil {
@@ -195,11 +195,12 @@ func (st *stage) commit() (*BatchResult, error) {
 	if st.deltas == 0 {
 		return res, nil
 	}
-	for _, elem := range st.order {
-		if err := s.reconcile(elem, st.elems[elem], res); err != nil {
-			return nil, err
-		}
+	if err := st.reconcile(res); err != nil {
+		return nil, err
 	}
+	s.patchedPorts.Add(int64(res.PortsPatched))
+	s.recompiledPorts.Add(int64(res.PortsRecompiled))
+	s.rebuiltElems.Add(int64(res.ElemsRebuilt))
 	if res.Action == "" {
 		res.Action = actionNoop
 	}
@@ -225,70 +226,82 @@ func (st *stage) commit() (*BatchResult, error) {
 	return res, nil
 }
 
-// reconcile reconciles one element's staged table against the resident
-// model. A changed port set regenerates the whole model (a new fork list);
-// otherwise every port whose Egress guard — as models.Router or
-// models.Switch builds it from the staged table — differs from the
-// installed one gets the new guard as its code, compiled on its next run.
-func (s *Service) reconcile(elem string, es *elemStage, res *BatchResult) error {
-	e, _ := s.cfg.Net.Element(elem) // Add found it
-	if !slices.Equal(es.was, es.ports) {
+// reconcile builds every staged table's Egress code (models.RouterEgress or
+// SwitchEgress), installs what differs from each element's code, and makes
+// the staged tables resident. It is all or nothing: every element's code is
+// built before any is installed, so a table the model refuses leaves the
+// network and the tables as they were.
+func (st *stage) reconcile(res *BatchResult) error {
+	s := st.svc
+	for _, name := range st.order {
+		e, ok := s.cfg.Net.Element(name)
+		if !ok {
+			return fmt.Errorf("churn: unknown element %q", name)
+		}
+		es := st.elems[name]
 		var err error
 		if es.isFIB {
-			err = models.Router(e, es.fib, models.Egress)
+			es.code, err = models.RouterEgress(e, es.fib)
 		} else {
-			err = models.Switch(e, es.mac, models.Egress)
+			es.code, err = models.SwitchEgress(e, es.mac)
 		}
 		if err != nil {
 			return err
 		}
-		s.rebuiltElems.Inc()
-		s.refreshModel(elem, es.ports)
-		res.ElemsRebuilt++
-		res.Action = worse(res.Action, actionRebuilt)
-		for i := range s.visitedElem[elem] {
-			s.unverified[i] = true
-		}
-	} else {
-		guard := es.egressGuards(e)
-		for _, p := range es.ports {
-			g := guard(p)
-			if installed, _ := e.Code(p, true); sameGuard(installed, g) {
-				continue
-			}
-			if _, ok := e.CachedProgram(p, true); ok {
-				s.recompiledPorts.Inc()
-				res.PortsRecompiled++
-			}
-			e.SetOutCode(p, g)
-			s.patchedPorts.Inc()
-			res.PortsPatched++
-			res.Action = worse(res.Action, actionPatched)
-			ref := core.PortRef{Elem: elem, Port: p, Out: true}
-			s.pendingRefresh = append(s.pendingRefresh, ref)
-			for i := range s.visited[ref] {
-				s.unverified[i] = true
-			}
-		}
 	}
-	if es.isFIB {
-		s.routers[elem] = es.fib
-	} else {
-		s.switches[elem] = es.mac
+	for _, name := range st.order {
+		e, _ := s.cfg.Net.Element(name)
+		es := st.elems[name]
+		s.install(e, &es.code, res)
+		if es.isFIB {
+			s.routers[name] = es.fib
+		} else {
+			s.switches[name] = es.mac
+		}
 	}
 	return nil
 }
 
-// egressGuards returns the staged table's per-port guards as the Egress
-// style of models.Router (one tables.LPMRows sweep) or models.Switch builds
-// them.
-func (es *elemStage) egressGuards(e *core.Element) func(port int) sefl.Constrain {
-	if es.isFIB {
-		rows, spans := tables.LPMRows(es.fib, e.NumOut)
-		return func(p int) sefl.Constrain { return models.RouterEgressGuard(rows[p], spans[p]) }
+// install writes onto e what differs between its installed code and its
+// Egress code c, counts it in res, queues each written entry for the Runner
+// and marks the sources it may change unverified. A changed port set
+// installs the new Fork — the rebuilt tier, which dirties every source that
+// visited e — and each port whose guard differs from the installed one gets
+// the new guard as its code, compiled on its next run, dirtying the sources
+// that visited that port.
+func (s *Service) install(e *core.Element, c *models.EgressCode, res *BatchResult) {
+	if installed, _ := e.Code(core.WildcardPort, false); !sameFork(installed, c.Fork) {
+		e.SetInCode(core.WildcardPort, c.Fork)
+		res.ElemsRebuilt++
+		res.Action = worse(res.Action, actionRebuilt)
+		s.pendingRefresh = append(s.pendingRefresh, core.PortRef{Elem: e.Name, Port: core.WildcardPort})
+		for i := range s.visitedElem[e.Name] {
+			s.unverified[i] = true
+		}
 	}
-	by := es.mac.ByPort()
-	return func(p int) sefl.Constrain { return models.SwitchEgressGuard(by[p]) }
+	for i, p := range c.Fork.Ports {
+		g := c.Guards[i]
+		if installed, _ := e.Code(p, true); sameGuard(installed, g) {
+			continue
+		}
+		if _, ok := e.CachedProgram(p, true); ok {
+			res.PortsRecompiled++
+		}
+		e.SetOutCode(p, g)
+		res.PortsPatched++
+		res.Action = worse(res.Action, actionPatched)
+		ref := core.PortRef{Elem: e.Name, Port: p, Out: true}
+		s.pendingRefresh = append(s.pendingRefresh, ref)
+		for i := range s.visited[ref] {
+			s.unverified[i] = true
+		}
+	}
+}
+
+// sameFork reports whether the installed in[*] code is the Fork f.
+func sameFork(installed sefl.Instr, f sefl.Fork) bool {
+	was, ok := installed.(sefl.Fork)
+	return ok && slices.Equal(was.Ports, f.Ports)
 }
 
 // sameGuard reports whether the installed port code is the table guard g,
@@ -312,7 +325,7 @@ func equalRow(a, b expr.GuardRow) bool {
 // once, and a single re-verification pass covers the union dirty set.
 // Staging is all-or-nothing — any inapplicable delta fails the whole call
 // before resident state is touched (per-delta skip semantics live in
-// Resident.Submit).
+// Resident.Apply).
 func (s *Service) applyBatch(ds []Delta) (*BatchResult, error) {
 	st := s.newStage()
 	for i, d := range ds {

@@ -158,3 +158,39 @@ func TestServiceDifferentialPool(t *testing.T) {
 		t.Fatal("the restore reached the fleet without a delta")
 	}
 }
+
+// TestResidentCloseClosesPool: a resident owns its service's Runner, so
+// closing it dismisses the fleet: the pool refuses the next batch.
+func TestResidentCloseClosesPool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens TCP sessions")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go dist.ServeListener(ln)
+	pool, err := dist.NewPool(dist.Config{Workers: []string{ln.Addr().String()}, WorkersPerProc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := core.PortRef{Elem: "sw", Port: 1}
+	svc := NewService(Config{
+		Net:     buildDiffNet(t, diffFIB(), diffMACs()),
+		Sources: []core.PortRef{src},
+		Targets: []string{"hosts", "net0"},
+		Packet:  sefl.NewTCPPacket(),
+		Runner:  pool,
+	})
+	svc.RegisterRouter("rt", diffFIB())
+	svc.RegisterSwitch("sw", diffMACs())
+	if err := svc.Init(); err != nil {
+		t.Fatal(err)
+	}
+	NewResident(svc).Close()
+	res := pool.RunBatch(svc.cfg.Net, []dist.Job{{Name: "after close", Inject: src, Packet: sefl.NewTCPPacket()}})
+	if len(res) != 1 || res[0].Err == nil {
+		t.Fatalf("the pool ran a batch after its resident closed: %+v", res)
+	}
+}

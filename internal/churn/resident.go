@@ -8,17 +8,15 @@ import (
 	"symnet/internal/obs"
 )
 
-// ResidentConfig bounds the concurrent serving wrapper.
-type ResidentConfig struct {
-	// QueueDepth bounds the intake queue (pending submissions); a full
-	// queue back-pressures Submit. Default 256.
-	QueueDepth int
-	// MaxBatch caps how many deltas one absorption pass coalesces.
-	// Default 128.
-	MaxBatch int
-}
+const (
+	// queueDepth bounds the intake queue (pending submissions); a full
+	// queue back-pressures Apply.
+	queueDepth = 256
+	// maxBatch caps how many deltas one absorption pass coalesces.
+	maxBatch = 128
+)
 
-// DeltaStatus is the per-delta outcome of a Submit: either applied as part
+// DeltaStatus is the per-delta outcome of an Apply: either applied as part
 // of the submission's batch or rejected with the staging error (the rest of
 // the submission still applies).
 type DeltaStatus struct {
@@ -27,8 +25,8 @@ type DeltaStatus struct {
 	Err     string `json:"error,omitempty"`
 }
 
-// SubmitResult reports one submission's absorption.
-type SubmitResult struct {
+// ApplyReport reports one Apply call's absorption.
+type ApplyReport struct {
 	// Batch is the absorption pass this submission rode in; it may cover
 	// deltas from other submissions coalesced into the same pass. Nil when
 	// every delta in the submission was rejected at staging.
@@ -45,7 +43,6 @@ const (
 	kindDeltas submitKind = iota
 	kindRestore
 	kindExport
-	kindBarrier
 )
 
 type submission struct {
@@ -56,21 +53,25 @@ type submission struct {
 }
 
 type submitReply struct {
-	res   *SubmitResult
+	res   *ApplyReport
 	state *State
 	pub   *PublishedReport
 	err   error
 }
 
-// Resident wraps a Service for concurrent serving: all mutations funnel
-// through a bounded intake queue drained by a single absorber goroutine,
-// which coalesces everything queued into one stage/commit pass — N deltas to
-// the same table collapse into one new guard per changed port and one
-// re-verification. Reads (Current, Watch, TransitionsSince) go straight to
-// the service's lock-free published snapshots.
+// Resident is a live churn-serving handle (symnet.Serving): a resident
+// verification of the configured all-pairs query that absorbs rule deltas
+// incrementally and publishes versioned report snapshots. All mutations
+// funnel through a bounded intake queue (queueDepth submissions) drained by
+// a single absorber goroutine, which coalesces everything queued, up to
+// maxBatch deltas, into one stage/commit pass — N deltas to the same table
+// collapse into one new guard per changed port and one re-verification.
+// Reads (Current, Watch, TransitionsSince) go straight to the service's
+// lock-free published snapshots. Every published report is byte-identical
+// to a from-scratch verification of the same rules (pinned by the
+// differential tests in this package).
 type Resident struct {
 	svc    *Service
-	cfg    ResidentConfig
 	intake chan *submission
 	done   chan struct{}
 	wg     sync.WaitGroup
@@ -83,19 +84,21 @@ type Resident struct {
 	coalesced  *obs.Counter
 }
 
-// NewResident wraps an initialized service. Call Start to begin absorbing.
-func NewResident(svc *Service, cfg ResidentConfig) *Resident {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 128
-	}
+// NewResident wraps an Init'ed service and starts its absorber. The
+// resident owns the service's Runner from here on: Close closes it.
+func NewResident(svc *Service) *Resident {
+	r := newResident(svc)
+	r.start()
+	return r
+}
+
+// newResident wraps svc without starting the absorber, so submissions
+// queue until start.
+func newResident(svc *Service) *Resident {
 	reg := svc.reg
 	return &Resident{
 		svc:        svc,
-		cfg:        cfg,
-		intake:     make(chan *submission, cfg.QueueDepth),
+		intake:     make(chan *submission, queueDepth),
 		done:       make(chan struct{}),
 		queueDepth: reg.Gauge("churn.queue.depth"),
 		queueMax:   reg.Gauge("churn.queue.max_depth"),
@@ -104,45 +107,47 @@ func NewResident(svc *Service, cfg ResidentConfig) *Resident {
 	}
 }
 
-// Current returns the latest published report version, lock-free.
+// Current returns the latest published report snapshot, lock-free.
 func (r *Resident) Current() *PublishedReport { return r.svc.current() }
 
-// Watch subscribes to published versions (see Service.watch).
+// Watch subscribes to published versions. Events carry the reachability
+// transitions vs the previous version; a subscriber that falls more than
+// buffer events behind is dropped (its channel closes) and must re-sync via
+// Current or TransitionsSince.
 func (r *Resident) Watch(buffer int) *Subscription { return r.svc.watch(buffer) }
 
-// TransitionsSince replays retained events (see Service.transitionsSince).
+// TransitionsSince replays retained events with Version > since, oldest
+// first. A false second return means since is beyond the replay ring and the
+// caller must re-read Current instead.
 func (r *Resident) TransitionsSince(since uint64) ([]VersionEvent, bool) {
 	return r.svc.transitionsSince(since)
 }
 
-// Start launches the absorber goroutine. The service must be Init'ed.
-func (r *Resident) Start() error {
-	if r.svc.current() == nil {
-		return fmt.Errorf("churn: Resident.Start before Service.Init")
-	}
+// start launches the absorber goroutine.
+func (r *Resident) start() {
 	r.wg.Add(1)
 	go r.absorber()
-	return nil
 }
 
-// Close stops the absorber after the current pass; queued submissions are
-// failed. Watch subscriptions are closed.
+// Close stops the absorber after the current pass, fails queued
+// submissions, closes watch subscriptions and closes the service's Runner,
+// dismissing a fleet's workers.
 func (r *Resident) Close() {
 	r.closeOnce.Do(func() { close(r.done) })
 	r.wg.Wait()
 	// Drain anything that raced into the queue around shutdown (or
-	// everything, if Start was never called).
+	// everything, if the absorber never started).
 	r.failPending()
 	r.svc.hub.close()
+	r.svc.cfg.Runner.Close()
 }
 
-// Submit enqueues deltas for absorption and blocks until their pass commits
-// (or ctx is done / the resident closes). Deltas are staged in order;
-// an inapplicable delta is rejected in its Statuses entry and the rest of
-// the submission still applies. Concurrently queued submissions coalesce
-// into the same pass, so the returned Batch may cover more deltas than this
-// submission's.
-func (r *Resident) Submit(ctx context.Context, ds []Delta) (*SubmitResult, error) {
+// Apply enqueues deltas for absorption and blocks until their pass commits
+// (or ctx is done / the resident closes). Deltas are staged in order; an
+// inapplicable delta is rejected in its Statuses entry and the rest still
+// applies. Concurrent Apply calls coalesce into the same pass, so the
+// returned Batch may cover more deltas than this call's.
+func (r *Resident) Apply(ctx context.Context, ds ...Delta) (*ApplyReport, error) {
 	rep, err := r.roundTrip(ctx, &submission{kind: kindDeltas, ds: ds})
 	if err != nil {
 		return nil, err
@@ -150,10 +155,11 @@ func (r *Resident) Submit(ctx context.Context, ds []Delta) (*SubmitResult, error
 	return rep.res, nil
 }
 
-// Restore replaces the resident tables with the snapshot state and re-runs
-// the full verification, publishing the restored report as the next version
-// (versions stay monotone even when the snapshot is older). It waits its
-// turn behind queued deltas.
+// Restore replaces the resident tables with the snapshot's, installs only
+// the code that differs from theirs, and re-runs the full verification,
+// publishing the restored report as the next version (versions stay
+// monotone even when the snapshot is older). It waits its turn behind
+// queued deltas.
 func (r *Resident) Restore(ctx context.Context, st *State) (*PublishedReport, error) {
 	rep, err := r.roundTrip(ctx, &submission{kind: kindRestore, state: st})
 	if err != nil {
@@ -164,19 +170,13 @@ func (r *Resident) Restore(ctx context.Context, st *State) (*PublishedReport, er
 
 // Export captures a consistent snapshot of the resident state (tables plus
 // version), serialized with absorption so it never sees a half-applied
-// batch.
+// batch: it returns once every Apply queued before it has been absorbed.
 func (r *Resident) Export(ctx context.Context) (*State, error) {
 	rep, err := r.roundTrip(ctx, &submission{kind: kindExport})
 	if err != nil {
 		return nil, err
 	}
 	return rep.state, nil
-}
-
-// Barrier waits until every submission queued before it has been absorbed.
-func (r *Resident) Barrier(ctx context.Context) error {
-	_, err := r.roundTrip(ctx, &submission{kind: kindBarrier})
-	return err
 }
 
 func (r *Resident) roundTrip(ctx context.Context, sub *submission) (submitReply, error) {
@@ -221,12 +221,12 @@ func (r *Resident) absorber() {
 		case first := <-r.intake:
 			batch := []*submission{first}
 			deltas := len(first.ds)
-			// Coalesce whatever else is already queued, up to MaxBatch
-			// deltas; control submissions (restore/export/barrier) cut the
-			// batch so they observe a fully committed state.
+			// Coalesce whatever else is already queued, up to maxBatch
+			// deltas; control submissions (restore/export) cut the batch
+			// so they observe a fully committed state.
 			if first.kind == kindDeltas {
 			drain:
-				for deltas < r.cfg.MaxBatch {
+				for deltas < maxBatch {
 					select {
 					case next := <-r.intake:
 						batch = append(batch, next)
@@ -256,9 +256,9 @@ func (r *Resident) absorb(batch []*submission) {
 	}
 	if len(batch) > 0 {
 		st := r.svc.newStage()
-		results := make([]*SubmitResult, len(batch))
+		results := make([]*ApplyReport, len(batch))
 		for i, sub := range batch {
-			res := &SubmitResult{Statuses: make([]DeltaStatus, len(sub.ds))}
+			res := &ApplyReport{Statuses: make([]DeltaStatus, len(sub.ds))}
 			for j, d := range sub.ds {
 				ds := DeltaStatus{Delta: d}
 				if err := st.Add(d); err != nil {
@@ -300,8 +300,6 @@ func (r *Resident) handleControl(sub *submission) {
 		sub.reply <- submitReply{pub: pub, err: err}
 	case kindExport:
 		sub.reply <- submitReply{state: r.svc.exportState()}
-	case kindBarrier:
-		sub.reply <- submitReply{}
 	case kindDeltas:
 		// Unreachable: deltas are never routed here.
 		sub.reply <- submitReply{err: fmt.Errorf("churn: internal: delta submission as control")}

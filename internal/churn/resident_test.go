@@ -21,7 +21,7 @@ import (
 // (batch_size > 1) and that every submitter rode a committed batch.
 func TestResidentCoalesces(t *testing.T) {
 	svc := newDiffService(t, 2)
-	r := NewResident(svc, ResidentConfig{QueueDepth: 64, MaxBatch: 64})
+	r := newResident(svc)
 
 	fds, err := GenFIBDeltas("rt", diffFIB(), "10.128.0.0/9", 10, 21)
 	if err != nil {
@@ -31,20 +31,18 @@ func TestResidentCoalesces(t *testing.T) {
 	// Enqueue all submissions while the absorber is not yet running, so the
 	// first pass finds a full queue to coalesce.
 	var wg sync.WaitGroup
-	results := make([]*SubmitResult, len(fds))
+	results := make([]*ApplyReport, len(fds))
 	errs := make([]error, len(fds))
 	for i, d := range fds {
 		wg.Add(1)
 		go func(i int, d Delta) {
 			defer wg.Done()
-			results[i], errs[i] = r.Submit(context.Background(), []Delta{d})
+			results[i], errs[i] = r.Apply(context.Background(), d)
 		}(i, d)
 	}
 	waitGauge(t, svc, "churn.queue.depth", int64(len(fds)))
 
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
+	r.start()
 	wg.Wait()
 	defer r.Close()
 
@@ -105,18 +103,15 @@ func waitGauge(t *testing.T, svc *Service, name string, want int64) {
 // inapplicable deltas applies the good ones and reports the bad per-delta.
 func TestResidentMixedSuccess(t *testing.T) {
 	svc := newDiffService(t, 1)
-	r := NewResident(svc, ResidentConfig{})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
+	r := NewResident(svc)
 	defer r.Close()
 
-	res, err := r.Submit(context.Background(), []Delta{
-		{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1},
-		{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"}, // not present
-		{Elem: "nosuch", Op: OpInsert, Prefix: "5.0.0.0/8", Port: 0},
-		{Elem: "rt", Op: OpInsert, Prefix: "98.0.0.0/8", Port: 0},
-	})
+	res, err := r.Apply(context.Background(),
+		Delta{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 1},
+		Delta{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"}, // not present
+		Delta{Elem: "nosuch", Op: OpInsert, Prefix: "5.0.0.0/8", Port: 0},
+		Delta{Elem: "rt", Op: OpInsert, Prefix: "98.0.0.0/8", Port: 0},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +130,7 @@ func TestResidentMixedSuccess(t *testing.T) {
 
 	// All-rejected submission: no commit, nil Batch, no version bump.
 	before := svc.current().Version
-	res, err = r.Submit(context.Background(), []Delta{
-		{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"},
-	})
+	res, err = r.Apply(context.Background(), Delta{Elem: "rt", Op: OpDelete, Prefix: "1.2.3.0/24"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +150,15 @@ func TestResidentMixedSuccess(t *testing.T) {
 // no source unverified.
 func TestResidentRefusesModelErrorsPerDelta(t *testing.T) {
 	svc := newDiffService(t, 1)
-	r := NewResident(svc, ResidentConfig{})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
+	r := NewResident(svc)
 	defer r.Close()
 
-	res, err := r.Submit(context.Background(), []Delta{
-		{Elem: "sw", Op: OpModify, MAC: sefl.NumberToMAC(0x020000000100), Port: 2},
-		{Elem: "rt", Op: OpInsert, Prefix: "98.0.0.0/8", Port: 0},
-		{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 7},
-		{Elem: "rt", Op: OpModify, Prefix: "20.0.0.0/8", Port: 7},
-	})
+	res, err := r.Apply(context.Background(),
+		Delta{Elem: "sw", Op: OpModify, MAC: sefl.NumberToMAC(0x020000000100), Port: 2},
+		Delta{Elem: "rt", Op: OpInsert, Prefix: "98.0.0.0/8", Port: 0},
+		Delta{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 7},
+		Delta{Elem: "rt", Op: OpModify, Prefix: "20.0.0.0/8", Port: 7},
+	)
 	if err != nil {
 		t.Fatalf("submission failed as a whole: %v", err)
 	}
@@ -197,10 +187,7 @@ func TestResidentRefusesModelErrorsPerDelta(t *testing.T) {
 // internally consistent snapshots (same version ⇒ same matrices).
 func TestResidentConcurrentReaders(t *testing.T) {
 	svc := newDiffService(t, 2)
-	r := NewResident(svc, ResidentConfig{})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
+	r := NewResident(svc)
 
 	fds, err := GenFIBDeltas("rt", diffFIB(), "10.128.0.0/9", 16, 5)
 	if err != nil {
@@ -284,7 +271,7 @@ func TestResidentConcurrentReaders(t *testing.T) {
 		go func(ds []Delta) {
 			defer writers.Done()
 			for _, d := range ds {
-				if _, err := r.Submit(context.Background(), []Delta{d}); err != nil {
+				if _, err := r.Apply(context.Background(), d); err != nil {
 					fail <- fmt.Sprintf("submit %s: %v", d, err)
 					return
 				}
@@ -292,7 +279,7 @@ func TestResidentConcurrentReaders(t *testing.T) {
 		}(stream)
 	}
 	writers.Wait()
-	if err := r.Barrier(context.Background()); err != nil {
+	if _, err := r.Export(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	finalV := r.Current().Version
@@ -322,14 +309,14 @@ func TestResidentConcurrentReaders(t *testing.T) {
 }
 
 // TestResidentCloseFailsPending: submissions still queued at Close are
-// answered with an error, and Submit after Close fails fast.
+// answered with an error, and Apply after Close fails fast.
 func TestResidentCloseFailsPending(t *testing.T) {
 	svc := newDiffService(t, 1)
-	r := NewResident(svc, ResidentConfig{QueueDepth: 8})
+	r := newResident(svc)
 	// Never started: queue a submission, then close.
 	errc := make(chan error, 1)
 	go func() {
-		_, err := r.Submit(context.Background(), []Delta{{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 0}})
+		_, err := r.Apply(context.Background(), Delta{Elem: "rt", Op: OpInsert, Prefix: "99.0.0.0/8", Port: 0})
 		errc <- err
 	}()
 	waitGauge(t, svc, "churn.queue.depth", 1)
@@ -337,14 +324,14 @@ func TestResidentCloseFailsPending(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("queued submission survived Close without error")
 	}
-	if _, err := r.Submit(context.Background(), nil); err == nil {
-		t.Fatal("Submit after Close succeeded")
+	if _, err := r.Apply(context.Background()); err == nil {
+		t.Fatal("Apply after Close succeeded")
 	}
 	// Context cancellation also unblocks.
-	r2 := NewResident(newDiffService(t, 1), ResidentConfig{QueueDepth: 1})
+	r2 := newResident(newDiffService(t, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := r2.Barrier(ctx); err == nil {
-		t.Fatal("Barrier ignored cancelled context")
+	if _, err := r2.Export(ctx); err == nil {
+		t.Fatal("Export ignored cancelled context")
 	}
 }

@@ -26,12 +26,12 @@ type Config struct {
 	// Runner carries every verification pass — the initial all-pairs run and
 	// each re-verification. Nil selects dist.InProcess at GOMAXPROCS width.
 	// The service keeps a fleet's installed code current: each absorbed
-	// batch Refreshes the ports given new guards, and a model rebuild or a
-	// restore Refreshes every entry the model wrote. Published observables
-	// (reachability, path counts, transitions) are byte-identical across
-	// runners; a fleet's report carries Summaries where an in-process one
-	// carries Results.
-	// The caller owns the runner and closes it after the service is done.
+	// batch and each restore Refreshes the entries it wrote (a new Fork, the
+	// ports given new guards). Published observables (reachability, path
+	// counts, transitions) are byte-identical across runners; a fleet's
+	// report carries Summaries where an in-process one carries Results.
+	// A Resident wrapping the service owns the runner and closes it on
+	// Close; a caller driving the Service alone closes it itself.
 	Runner dist.Runner
 }
 
@@ -44,8 +44,8 @@ const (
 	// actionPatched: the element's port set held, and each port whose guard
 	// changed got the new guard as its code, compiled on its next run.
 	actionPatched Action = "patched"
-	// actionRebuilt: the element's port set changed, forcing a full model
-	// regeneration (new fork list, all guards).
+	// actionRebuilt: the element's port set changed: it got a new Fork, and
+	// each port whose guard changed its new guard.
 	actionRebuilt Action = "rebuilt"
 )
 
@@ -74,8 +74,7 @@ type Service struct {
 	// output-port p in some path history — exactly the sources whose results
 	// can depend on p's guard, since the set of paths attempting a guard is
 	// decided by the upstream fork, not by the guard's content. visitedElem
-	// is the coarser per-element set used when a port-set change forces a
-	// model rebuild.
+	// is the coarser per-element set a new Fork dirties.
 	visited     map[core.PortRef]map[int]bool
 	visitedElem map[string]map[int]bool
 
@@ -86,11 +85,11 @@ type Service struct {
 	// so its sources stay here and ride the next commit's batch.
 	unverified map[int]bool
 
-	// pendingRefresh collects the code-table entries the current commit
-	// rewrote: the output ports given new guards, and every entry of a
-	// rebuilt model. It flushes to the Runner (Refresh) before the commit's
-	// re-verification pass, keeping a fleet's installed code in lockstep
-	// with the resident model.
+	// pendingRefresh collects the code-table entries the current commit or
+	// restore rewrote: the output ports given new guards and the in[*] entry
+	// of an element given a new Fork. It flushes to the Runner (Refresh)
+	// before the re-verification pass, keeping a fleet's installed code in
+	// lockstep with the resident model.
 	pendingRefresh []core.PortRef
 
 	deltaNs         *obs.Histogram
@@ -197,8 +196,8 @@ func (s *Service) runFull() (*verify.AllPairsReport, error) {
 	return rep, nil
 }
 
-// apply absorbs one rule delta: update the authoritative table, replace
-// the changed guards (or rebuild the model), re-verify exactly the sources
+// apply absorbs one rule delta: update the authoritative table, install
+// the changed guards (and a changed Fork), re-verify exactly the sources
 // whose explorations traversed the touched ports, and publish the next
 // report version. It is a batch of one — see newStage/applyBatch for
 // coalescing several deltas into one re-verification pass.
@@ -208,16 +207,6 @@ func (s *Service) apply(d Delta) (*BatchResult, error) {
 		return nil, err
 	}
 	return st.commit()
-}
-
-// refreshModel queues for the Runner the code models.Router and
-// models.Switch (Egress) write: the element's in[*] entry and out[p] for each
-// port of its table.
-func (s *Service) refreshModel(elem string, ports []int) {
-	s.pendingRefresh = append(s.pendingRefresh, core.PortRef{Elem: elem, Port: core.WildcardPort})
-	for _, p := range ports {
-		s.pendingRefresh = append(s.pendingRefresh, core.PortRef{Elem: elem, Port: p, Out: true})
-	}
 }
 
 // flushRunner ships the commit's rewritten entries to the Runner, so a

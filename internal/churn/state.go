@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 
-	"symnet/internal/models"
 	"symnet/internal/tables"
 )
 
@@ -100,13 +99,15 @@ func (st *State) validate() error {
 	return nil
 }
 
-// restoreState replaces the resident tables with the snapshot's, regenerates
-// every affected element model, re-runs the full verification, and publishes
-// the restored report as the next version. The snapshot must cover exactly
-// the elements registered with the service (same topology, different rules).
-// Versions stay monotone: the published version is one past the maximum of
-// the current and snapshot versions, and watchers see the real transitions
-// between the pre- and post-restore reports.
+// restoreState replaces the resident tables with the snapshot's, installs
+// what differs between each element's code and the Egress code of its
+// snapshot table (as a commit reconciles a staged table), re-runs the full
+// verification, and publishes the restored report as the next version. The
+// snapshot must cover exactly the elements registered with the service
+// (same topology, different rules). Versions stay monotone: the published
+// version is one past the maximum of the current and snapshot versions, and
+// watchers see the real transitions between the pre- and post-restore
+// reports.
 func (s *Service) restoreState(st *State) (*PublishedReport, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
@@ -117,36 +118,18 @@ func (s *Service) restoreState(st *State) (*PublishedReport, error) {
 	if err := keySetsMatch("switch", s.switches, st.Switches); err != nil {
 		return nil, err
 	}
-	// Refuse what the models would refuse before touching any element, so a
-	// refused snapshot leaves the tables, the models and the version as they
-	// were.
-	for name, fib := range st.Routers {
-		if err := s.checkTable("router", name, fib.Ports()); err != nil {
-			return nil, err
-		}
+	// reconcile builds every element's code before it installs any, so a
+	// snapshot the models refuse leaves the tables, the models and the
+	// version as they were.
+	stg := s.newStage()
+	for _, name := range slices.Sorted(maps.Keys(st.Routers)) {
+		stg.put(name, &elemStage{isFIB: true, fib: slices.Clone(st.Routers[name])})
 	}
-	for name, tbl := range st.Switches {
-		if err := s.checkTable("switch", name, tbl.Ports()); err != nil {
-			return nil, err
-		}
+	for _, name := range slices.Sorted(maps.Keys(st.Switches)) {
+		stg.put(name, &elemStage{mac: slices.Clone(st.Switches[name])})
 	}
-	// Regenerate every model from the snapshot tables, and ship a fleet
-	// what each one wrote.
-	for name, fib := range st.Routers {
-		e, _ := s.cfg.Net.Element(name)
-		if err := models.Router(e, fib, models.Egress); err != nil {
-			return nil, err
-		}
-		s.routers[name] = append(tables.FIB(nil), fib...)
-		s.refreshModel(name, fib.Ports())
-	}
-	for name, tbl := range st.Switches {
-		e, _ := s.cfg.Net.Element(name)
-		if err := models.Switch(e, tbl, models.Egress); err != nil {
-			return nil, err
-		}
-		s.switches[name] = append(tables.MACTable(nil), tbl...)
-		s.refreshModel(name, tbl.Ports())
+	if err := stg.reconcile(&BatchResult{}); err != nil {
+		return nil, fmt.Errorf("churn: snapshot: %w", err)
 	}
 	s.flushRunner()
 	rep, err := s.runFull()
@@ -161,19 +144,6 @@ func (s *Service) restoreState(st *State) (*PublishedReport, error) {
 		ver = cur.Version + 1
 	}
 	return s.publishAs(rep, ver, st.DeltasApplied), nil
-}
-
-// checkTable refuses a snapshot table for an unknown element, or one
-// models.Router or models.Switch would refuse (ports sorted ascending).
-func (s *Service) checkTable(kind, name string, ports []int) error {
-	e, ok := s.cfg.Net.Element(name)
-	if !ok {
-		return fmt.Errorf("churn: unknown element %q in snapshot", name)
-	}
-	if err := models.CheckTable(e, kind, ports); err != nil {
-		return fmt.Errorf("churn: snapshot: %w", err)
-	}
-	return nil
 }
 
 // keySetsMatch checks that a snapshot covers exactly the registered elements

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"symnet/internal/core"
 	"symnet/internal/dist"
+	"symnet/internal/prog"
+	"symnet/internal/sefl"
 	"symnet/internal/tables"
 	"symnet/internal/verify"
 )
@@ -171,4 +174,90 @@ func TestStateValidation(t *testing.T) {
 		}
 		compareReports(t, tc.name+": live models after a refused restore", live, pub.Report)
 	}
+}
+
+// refreshRecorder is a Runner that records every entry it is sent to
+// Refresh.
+type refreshRecorder struct {
+	dist.Runner
+	refs []core.PortRef
+}
+
+func (r *refreshRecorder) Refresh(refs ...core.PortRef) {
+	r.refs = append(r.refs, refs...)
+	r.Runner.Refresh(refs...)
+}
+
+// TestRestoreInstallsOnlyWhatDiffers: restoring the state just exported
+// finds every element's code equal to its snapshot table's, so it installs
+// nothing: every router and switch entry keeps its compiled program, the
+// runner is sent no entry to refresh, and the restored report equals the
+// exported version's.
+func TestRestoreInstallsOnlyWhatDiffers(t *testing.T) {
+	runner := &refreshRecorder{Runner: dist.InProcess(2, nil)}
+	svc := NewService(Config{
+		Net:     buildDiffNet(t, diffFIB(), diffMACs()),
+		Sources: []core.PortRef{{Elem: "sw", Port: 1}, {Elem: "sw", Port: 2}},
+		Targets: []string{"hosts", "net0", "net1", "net2"},
+		Packet:  sefl.NewTCPPacket(),
+		Opts:    core.Options{Trace: true},
+		Runner:  runner,
+	})
+	svc.RegisterRouter("rt", diffFIB())
+	svc.RegisterSwitch("sw", diffMACs())
+	if err := svc.Init(); err != nil {
+		t.Fatal(err)
+	}
+	fds, err := GenFIBDeltas("rt", diffFIB(), "10.128.0.0/9", 6, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mds, err := GenMACDeltas("sw", diffMACs(), 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.applyBatch(append(fds, mds...)); err != nil {
+		t.Fatal(err)
+	}
+	core.Warm(svc.cfg.Net)
+
+	type entry struct {
+		elem string
+		port int
+		out  bool
+	}
+	programs := map[entry]*prog.Program{}
+	for _, name := range []string{"rt", "sw"} {
+		e, _ := svc.cfg.Net.Element(name)
+		for _, out := range []bool{false, true} {
+			n := e.NumIn
+			if out {
+				n = e.NumOut
+			}
+			for p := core.WildcardPort; p < n; p++ {
+				if pr, ok := e.CachedProgram(p, out); ok {
+					programs[entry{name, p, out}] = pr
+				}
+			}
+		}
+	}
+	if len(programs) == 0 {
+		t.Fatal("no compiled program to keep")
+	}
+	runner.refs = nil
+	exported := svc.current().Report
+	pub, err := svc.restoreState(svc.exportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range programs {
+		e, _ := svc.cfg.Net.Element(k.elem)
+		if got, ok := e.CachedProgram(k.port, k.out); !ok || got != want {
+			t.Errorf("%s port %d (out %v): compiled program replaced by the restore", k.elem, k.port, k.out)
+		}
+	}
+	if len(runner.refs) != 0 {
+		t.Errorf("restore sent the runner %d entries to refresh: %v", len(runner.refs), runner.refs)
+	}
+	compareReports(t, "restored vs exported", pub.Report, exported)
 }

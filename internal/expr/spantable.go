@@ -13,7 +13,9 @@ package expr
 // analysis, which the SymNet paper compares against).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -49,9 +51,8 @@ func NewSpanTable(width int, spans []Span) *SpanTable {
 		n++
 	}
 	ivs := make([]Span, n)
-	if sorted := SortSpans(spans[:n], ivs); n > 0 && &sorted[0] != &ivs[0] {
-		copy(ivs, sorted)
-	}
+	copy(ivs, spans)
+	SortSpans(ivs)
 	return canonSorted(width, ivs)
 }
 
@@ -63,56 +64,10 @@ func NewSortedSpanTable(width int, spans []Span) *SpanTable {
 	return canonSorted(width, spans)
 }
 
-// SortSpans sorts a by Lo and returns the sorted spans: a itself, or buf
-// (which must be at least as long) when the last merge pass wrote there.
-// Both slices are scratch and neither is retained. It merges a's maximal
-// runs ascending by Lo pairwise, bottom-up, ping-ponging between a and buf,
-// so input made of r runs costs O(n log r): the rows of a router's port
-// come in CompileLPM order and make at most 33 runs, a switch's make one.
-// The order of spans with equal Lo is unspecified; canonSorted's result does
-// not depend on it.
-func SortSpans(a, buf []Span) []Span {
-	if runEnd(a, 0) >= len(a) {
-		return a
-	}
-	src, dst := a, buf[:len(a)]
-	for mergePass(dst, src) > 1 {
-		src, dst = dst, src
-	}
-	return dst
-}
-
-// runEnd returns the end of the run of s ascending by Lo that starts at i.
-func runEnd(s []Span, i int) int {
-	for i++; i < len(s) && s[i].Lo >= s[i-1].Lo; i++ {
-	}
-	return i
-}
-
-// mergePass merges the runs of src pairwise into dst, a run without a
-// partner copied over, and returns the number of runs it wrote.
-func mergePass(dst, src []Span) int {
-	runs := 0
-	for lo := 0; lo < len(src); runs++ {
-		mid := runEnd(src, lo)
-		hi := mid
-		if mid < len(src) {
-			hi = runEnd(src, mid)
-		}
-		a, b, k := src[lo:mid], src[mid:hi], lo
-		for len(a) > 0 && len(b) > 0 {
-			if b[0].Lo < a[0].Lo {
-				dst[k], b = b[0], b[1:]
-			} else {
-				dst[k], a = a[0], a[1:]
-			}
-			k++
-		}
-		k += copy(dst[k:], a)
-		copy(dst[k:], b)
-		lo = hi
-	}
-	return runs
+// SortSpans sorts a by Lo in place. The order of spans with equal Lo is
+// unspecified; canonSorted's result does not depend on it.
+func SortSpans(a []Span) {
+	slices.SortFunc(a, func(x, y Span) int { return cmp.Compare(x.Lo, y.Lo) })
 }
 
 // canonSorted finishes table construction from spans already clipped to the

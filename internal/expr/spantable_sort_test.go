@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// newSpanTableBySort is NewSpanTable as it was before it merged runs: clip
-// into a fresh slice, one comparator sort by Lo, then canonSorted. It is the
-// reference the merge must agree with, span for span and in fingerprint.
+// newSpanTableBySort is NewSpanTable written out as its reference: clip into
+// a fresh slice, a stable comparator sort by Lo, then canonSorted. The table
+// must agree with it span for span and in fingerprint, whatever the order of
+// equal Lo the sort leaves.
 func newSpanTableBySort(width int, spans []Span) *SpanTable {
 	m := Mask(width)
 	ivs := make([]Span, 0, len(spans))
@@ -23,7 +24,7 @@ func newSpanTableBySort(width int, spans []Span) *SpanTable {
 		}
 		ivs = append(ivs, s)
 	}
-	slices.SortFunc(ivs, func(a, b Span) int { return cmp.Compare(a.Lo, b.Lo) })
+	slices.SortStableFunc(ivs, func(a, b Span) int { return cmp.Compare(a.Lo, b.Lo) })
 	return canonSorted(width, ivs)
 }
 
@@ -104,36 +105,8 @@ func TestNewSpanTableMatchesSort(t *testing.T) {
 	}
 }
 
-// TestSortSpansRuns pins the cost claim: r runs take ⌈log₂ r⌉ merge passes,
-// so at most 33 runs are sorted in six, and sorted input is returned as it
-// is without a pass.
-func TestSortSpansRuns(t *testing.T) {
-	sorted := make([]Span, 99)
-	for i := range sorted {
-		sorted[i] = Span{Lo: uint64(i), Hi: uint64(i)}
-	}
-	buf := make([]Span, len(sorted))
-	if got := SortSpans(sorted, buf); &got[0] != &sorted[0] {
-		t.Fatal("one run was copied")
-	}
-	for _, k := range []int{2, 3, 33} {
-		in := interleave(sorted, k)
-		got := SortSpans(in, buf)
-		if !spansEqual(got, sorted) {
-			t.Fatalf("%d runs: %v", k, got)
-		}
-		passes := 0
-		for k := k; k > 1; k = (k + 1) / 2 {
-			passes++
-		}
-		if wantBuf := passes%2 == 1; (&got[0] == &buf[0]) != wantBuf {
-			t.Fatalf("%d runs: result in the buffer = %v after %d passes", k, !wantBuf, passes)
-		}
-	}
-}
-
-// FuzzNewSpanTable: arbitrary bytes as a width and a span list; the merge
-// must agree with the comparator sort and must not keep its input. The first
+// FuzzNewSpanTable: arbitrary bytes as a width and a span list; the table
+// must agree with the reference and must not keep its input. The first
 // byte picks the width, each 16 further bytes a span; values are cut to one
 // bit past the universe, so most land near it.
 func FuzzNewSpanTable(f *testing.F) {

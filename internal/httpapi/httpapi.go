@@ -56,9 +56,10 @@ func newServer(sv *symnet.Serving) *server {
 	return &server{sv: sv, maxWait: 25 * time.Second, maxDelta: maxDeltaBody, maxSnapshot: maxSnapshotBody}
 }
 
-// Input bounds. A delta stream is a few hundred bytes per line and one
-// absorption pass takes at most ServeConfig.MaxBatch of them; a snapshot is every
-// resident table (the heavy backbone's is ~1 MB).
+// Input bounds. A delta stream is a few hundred bytes per line, and one
+// POST is one Apply, absorbed in one pass however many deltas it carries,
+// so the cap bounds that pass; a snapshot is every resident table (the
+// heavy backbone's is ~1 MB).
 const (
 	maxDeltaBody    = 8 << 20
 	maxSnapshotBody = 64 << 20

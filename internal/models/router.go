@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"symnet/internal/core"
-	"symnet/internal/expr"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -20,21 +19,12 @@ import (
 //
 // Egress: fork to all used ports, with each output port constraining the
 // disjunction of its routes (optimal branching AND minimal constraints —
-// Table 2's winner).
+// Table 2's winner). RouterEgress builds that code.
 //
 // Ingress and Egress write each port's disjunction as a sefl.Table on IPDst,
 // whose rows and span table are tables.LPMRows' for that port.
 func Router(e *core.Element, fib tables.FIB, style Style) error {
-	if len(fib) > tables.MaxRoutes {
-		return fmt.Errorf("models: router %s: %d routes, more than the %d CompileLPM takes", e.Name, len(fib), tables.MaxRoutes)
-	}
-	for i, r := range fib {
-		if !r.Valid() {
-			return fmt.Errorf("models: router %s: route %d (prefix %#x, len %d, port %d) is not a masked IPv4 prefix to a port",
-				e.Name, i, r.Prefix, r.Len, r.Port)
-		}
-	}
-	ports, err := usedPorts(e, "router", len(fib), func(i int) int { return fib[i].Port })
+	c, err := RouterEgress(e, fib)
 	if err != nil {
 		return err
 	}
@@ -55,33 +45,36 @@ func Router(e *core.Element, fib tables.FIB, style Style) error {
 		}
 		e.SetInCode(core.WildcardPort, code)
 	case Ingress:
-		rows, spans := tables.LPMRows(fib, e.NumOut)
-		code := sefl.Instr(sefl.Fail{Msg: "no route"})
-		for i := len(ports) - 1; i >= 0; i-- {
-			p := ports[i]
-			code = sefl.If{
-				C:    sefl.Table{F: sefl.IPDst, Rows: rows[p], Spans: spans[p]},
-				Then: sefl.Forward{Port: p},
-				Else: code,
-			}
-		}
-		e.SetInCode(core.WildcardPort, code)
+		e.SetInCode(core.WildcardPort, c.ifChain("no route"))
 	case Egress:
-		rows, spans := tables.LPMRows(fib, e.NumOut)
-		e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
-		for _, p := range ports {
-			e.SetOutCode(p, RouterEgressGuard(rows[p], spans[p]))
-		}
+		c.Install(e)
 	default:
 		return fmt.Errorf("models: unknown router style %v", style)
 	}
 	return nil
 }
 
-// RouterEgressGuard returns the output-port guard instruction the Egress
-// router style installs for one port's tables.LPMRows rows and span table —
-// exported so an incremental updater rebuilds a single port's guard after a
-// FIB delta as the whole model construction would.
-func RouterEgressGuard(rows []expr.GuardRow, spans *expr.SpanTable) sefl.Constrain {
-	return sefl.Constrain{C: sefl.Table{F: sefl.IPDst, Rows: rows, Spans: spans}}
+// RouterEgress builds the Egress router code for fib on e, refusing a FIB
+// Router cannot model: too many routes, a row that is not a masked IPv4
+// prefix to a port, or a table CheckTable refuses. Each used port's guard is
+// a sefl.Table on IPDst whose rows and span table are tables.LPMRows' for
+// that port (one sweep of the FIB).
+func RouterEgress(e *core.Element, fib tables.FIB) (EgressCode, error) {
+	if len(fib) > tables.MaxRoutes {
+		return EgressCode{}, fmt.Errorf("models: router %s: %d routes, more than the %d CompileLPM takes", e.Name, len(fib), tables.MaxRoutes)
+	}
+	for i, r := range fib {
+		if !r.Valid() {
+			return EgressCode{}, fmt.Errorf("models: router %s: route %d (prefix %#x, len %d, port %d) is not a masked IPv4 prefix to a port",
+				e.Name, i, r.Prefix, r.Len, r.Port)
+		}
+	}
+	ports, err := usedPorts(e, "router", len(fib), func(i int) int { return fib[i].Port })
+	if err != nil {
+		return EgressCode{}, err
+	}
+	rows, spans := tables.LPMRows(fib, e.NumOut)
+	return egressCode(ports, func(p int) sefl.Table {
+		return sefl.Table{F: sefl.IPDst, Rows: rows[p], Spans: spans[p]}
+	}), nil
 }

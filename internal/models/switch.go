@@ -44,19 +44,12 @@ func (s Style) String() string {
 
 // Switch installs a MAC-learning switch model onto e using the given style.
 // The element forwards on EtherDst; unknown MACs fail ("Mac unknown"), as in
-// the paper's ingress model.
+// the paper's ingress model. SwitchEgress builds the Egress style's code.
 func Switch(e *core.Element, t tables.MACTable, style Style) error {
-	for i, m := range t {
-		if !m.Valid() {
-			return fmt.Errorf("models: switch %s: entry %d (mac %#x, vlan %d, port %d) is not a 48-bit MAC to a port",
-				e.Name, i, m.MAC, m.VLAN, m.Port)
-		}
-	}
-	ports, err := usedPorts(e, "switch", len(t), func(i int) int { return t[i].Port })
+	c, err := SwitchEgress(e, t)
 	if err != nil {
 		return err
 	}
-	byPort := t.ByPort()
 	switch style {
 	case Basic:
 		ref := sefl.Ref{LV: sefl.EtherDst}
@@ -72,25 +65,71 @@ func Switch(e *core.Element, t tables.MACTable, style Style) error {
 		}
 		e.SetInCode(core.WildcardPort, code)
 	case Ingress:
-		code := sefl.Instr(sefl.Fail{Msg: "Mac unknown"})
-		for i := len(ports) - 1; i >= 0; i-- {
-			p := ports[i]
-			code = sefl.If{
-				C:    macTable(byPort[p]),
-				Then: sefl.Forward{Port: p},
-				Else: code,
-			}
-		}
-		e.SetInCode(core.WildcardPort, code)
+		e.SetInCode(core.WildcardPort, c.ifChain("Mac unknown"))
 	case Egress:
-		e.SetInCode(core.WildcardPort, sefl.Fork{Ports: ports})
-		for _, p := range ports {
-			e.SetOutCode(p, sefl.Constrain{C: macTable(byPort[p])})
-		}
+		c.Install(e)
 	default:
 		return fmt.Errorf("models: unknown switch style %v", style)
 	}
 	return nil
+}
+
+// SwitchEgress builds the Egress switch code for t on e, refusing a table
+// Switch cannot model: an entry that is not a 48-bit MAC to a port, or a
+// table CheckTable refuses. Each used port's guard is a table on EtherDst
+// with an equality row per MAC the port learned, in ascending order.
+func SwitchEgress(e *core.Element, t tables.MACTable) (EgressCode, error) {
+	for i, m := range t {
+		if !m.Valid() {
+			return EgressCode{}, fmt.Errorf("models: switch %s: entry %d (mac %#x, vlan %d, port %d) is not a 48-bit MAC to a port",
+				e.Name, i, m.MAC, m.VLAN, m.Port)
+		}
+	}
+	ports, err := usedPorts(e, "switch", len(t), func(i int) int { return t[i].Port })
+	if err != nil {
+		return EgressCode{}, err
+	}
+	byPort := t.ByPort()
+	return egressCode(ports, func(p int) sefl.Table { return macTable(byPort[p]) }), nil
+}
+
+// EgressCode is the code the Egress style writes on a router or switch: a
+// Fork on in[*] to the table's sorted output ports and, on each of those
+// ports, a table guard (Guards[i] is out[Fork.Ports[i]]'s). RouterEgress and
+// SwitchEgress are the one place it is built: Router and Switch install it
+// whole, and an incremental updater installs the parts that differ from the
+// element's code.
+type EgressCode struct {
+	Fork   sefl.Fork
+	Guards []sefl.Constrain
+}
+
+// egressCode is the Egress code over ports whose guards are table(p).
+func egressCode(ports []int, table func(p int) sefl.Table) EgressCode {
+	c := EgressCode{Fork: sefl.Fork{Ports: ports}, Guards: make([]sefl.Constrain, len(ports))}
+	for i, p := range ports {
+		c.Guards[i] = sefl.Constrain{C: table(p)}
+	}
+	return c
+}
+
+// ifChain is the Ingress style's in[*] code over the same guards: an If per
+// port, in port order, forwarding where its guard holds, and failing with
+// msg past the last.
+func (c *EgressCode) ifChain(msg string) sefl.Instr {
+	code := sefl.Instr(sefl.Fail{Msg: msg})
+	for i := len(c.Guards) - 1; i >= 0; i-- {
+		code = sefl.If{C: c.Guards[i].C, Then: sefl.Forward{Port: c.Fork.Ports[i]}, Else: code}
+	}
+	return code
+}
+
+// Install writes the code onto e: the Fork on in[*], each guard on its port.
+func (c *EgressCode) Install(e *core.Element) {
+	e.SetInCode(core.WildcardPort, c.Fork)
+	for i, p := range c.Fork.Ports {
+		e.SetOutCode(p, c.Guards[i])
+	}
 }
 
 // CheckTable returns the error Router or Switch gives for a table whose
@@ -131,14 +170,6 @@ func usedPorts(e *core.Element, kind string, n int, port func(int) int) ([]int, 
 		ports = append(ports, top)
 	}
 	return ports, CheckTable(e, kind, ports)
-}
-
-// SwitchEgressGuard returns the output-port guard instruction the Egress
-// switch style installs for one port's sorted MAC list — exported so an
-// incremental updater can rebuild a single port's guard after a MAC-table
-// delta without re-running the whole model construction.
-func SwitchEgressGuard(macs []uint64) sefl.Constrain {
-	return sefl.Constrain{C: macTable(macs)}
 }
 
 // macTable is one port's sorted MACs as a table on EtherDst, an equality

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,9 +178,10 @@ func (g *gen) cond(depth int) sefl.Cond {
 	}
 }
 
-// table draws a table guard on one header field: one to six equality or
-// prefix rows with up to two exclusions, now and then malformed (a prefix
-// one bit longer than the field), which fails the path in both executors
+// table draws a table guard on one of the header fields inject allocated
+// and assigned, at that field's width: one to six equality or prefix rows
+// with up to two exclusions. One table in six is malformed — a row's prefix
+// one bit longer than the field — which fails the path in both executors
 // with Check's message.
 func (g *gen) table() sefl.Table {
 	f := g.hdrs[g.intn(len(g.hdrs))]
@@ -188,18 +190,30 @@ func (g *gen) table() sefl.Table {
 	for n := 1 + g.intn(6); n > 0; n-- {
 		r := expr.GuardRow{Kind: expr.GuardEq, V: uint64(g.intn(200))}
 		if g.intn(2) == 0 {
-			r = expr.GuardRow{Kind: expr.GuardPrefix, V: high(), Len: g.intn(f.Size + 2)}
+			r = expr.GuardRow{Kind: expr.GuardPrefix, V: high(), Len: g.intn(f.Size + 1)}
 		}
 		for k := g.intn(3); k > 0; k-- {
 			r.Excl = append(r.Excl, expr.GuardExcl{V: high(), Len: 8 + g.intn(f.Size-7)})
 		}
 		t.Rows = append(t.Rows, r)
 	}
+	if g.intn(6) == 0 {
+		r := &t.Rows[g.intn(len(t.Rows))]
+		r.Kind, r.Len = expr.GuardPrefix, f.Size+1
+	}
 	return t
 }
 
+// tableGuard is a Constrain or, with depth left, an If on a table.
+func (g *gen) tableGuard(depth int, numOut int) sefl.Instr {
+	if depth > 0 && g.intn(2) == 0 {
+		return sefl.If{C: g.table(), Then: g.instr(depth-1, numOut), Else: g.instr(depth-1, numOut)}
+	}
+	return sefl.Constrain{C: g.table()}
+}
+
 func (g *gen) instr(depth int, numOut int) sefl.Instr {
-	switch r := g.intn(14); {
+	switch r := g.intn(15); {
 	case r < 4:
 		return sefl.Assign{LV: g.lv(), E: g.expr(2)}
 	case r < 6:
@@ -231,15 +245,22 @@ func (g *gen) instr(depth int, numOut int) sefl.Instr {
 	case r == 12:
 		// Error-path fodder: read through a possibly-unset tag.
 		return sefl.Assign{LV: sefl.Hdr{Off: sefl.FromTag("U", 0), Size: 8}, E: sefl.C(1)}
+	case r == 13:
+		return g.tableGuard(depth, numOut)
 	default:
 		return sefl.NoOp{}
 	}
 }
 
-// portCode generates input-port code ending in Forward or Fork.
+// portCode generates input-port code ending in Forward or Fork. Half of it
+// starts with a table guard, before the random instructions' error paths
+// can end the path.
 func (g *gen) portCode(numOut int) sefl.Instr {
 	n := 1 + g.intn(4)
-	is := make([]sefl.Instr, 0, n+1)
+	is := make([]sefl.Instr, 0, n+2)
+	if g.intn(2) == 0 {
+		is = append(is, g.tableGuard(1, numOut))
+	}
 	for i := 0; i < n; i++ {
 		is = append(is, g.instr(2, numOut))
 	}
@@ -295,12 +316,15 @@ func (g *gen) network() (*core.Network, core.PortRef) {
 // compiled engine on the Or-tree network (withOrTreeGuards) must match the
 // AST including constraint fingerprints; on the network as written, with its
 // table guards lowered, it must match on every observable (the ctx chain may
-// differ on lowered guards).
+// differ on lowered guards). The programs must reach their tables: the
+// paths that evaluate a table guard stay at the count the seeds give today,
+// and at least one path fails on a malformed table in both executors.
 func TestDifferentialCompiledVsAST(t *testing.T) {
-	seeds := 60
+	seeds, minTablePaths := 60, 64
 	if testing.Short() {
-		seeds = 15
+		seeds, minTablePaths = 15, 18
 	}
+	tablePaths, malformedAST, malformedIR := 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		g := newGen(int64(seed))
 		net, inj := g.network()
@@ -314,6 +338,14 @@ func TestDifferentialCompiledVsAST(t *testing.T) {
 			t.Fatalf("seed %d: AST run: %v", seed, err)
 		}
 		want := fingerprint(ast)
+		traced := ast
+		if !opts.Trace {
+			astOpts.Trace = true
+			if traced, err = core.Run(net, inj, init, astOpts); err != nil {
+				t.Fatalf("seed %d: traced AST run: %v", seed, err)
+			}
+		}
+		tablePaths += evaluatingTables(traced, tableGuards(net))
 
 		ir, err := core.Run(net, inj, init, opts)
 		if err != nil {
@@ -335,7 +367,83 @@ func TestDifferentialCompiledVsAST(t *testing.T) {
 		if ast.Stats.Paths == 0 {
 			t.Fatalf("seed %d: no paths explored", seed)
 		}
+		malformedAST += failingOnMalformedTables(ast)
+		malformedIR += failingOnMalformedTables(ir)
 	}
+	t.Logf("%d paths evaluate a table guard; %d (AST) and %d (compiled) fail on a malformed table", tablePaths, malformedAST, malformedIR)
+	if tablePaths < minTablePaths {
+		t.Errorf("%d paths evaluate a table guard, want at least %d", tablePaths, minTablePaths)
+	}
+	if malformedAST == 0 || malformedIR == 0 {
+		t.Errorf("paths failing on a malformed table: %d (AST), %d (compiled); want at least one in each", malformedAST, malformedIR)
+	}
+}
+
+// tableGuards renders every Constrain and If in net's port code whose
+// condition is a table, as a trace line renders the instruction.
+func tableGuards(net *core.Network) map[string]bool {
+	guards := map[string]bool{}
+	var walk func(ins sefl.Instr)
+	walk = func(ins sefl.Instr) {
+		switch v := ins.(type) {
+		case sefl.Block:
+			for _, sub := range v.Is {
+				walk(sub)
+			}
+		case sefl.If:
+			if _, ok := v.C.(sefl.Table); ok {
+				guards[v.String()] = true
+			}
+			walk(v.Then)
+			walk(v.Else)
+		case sefl.Constrain:
+			if _, ok := v.C.(sefl.Table); ok {
+				guards[v.String()] = true
+			}
+		}
+	}
+	for _, e := range net.Elements() {
+		for _, out := range []bool{false, true} {
+			n := e.NumIn
+			if out {
+				n = e.NumOut
+			}
+			for p := core.WildcardPort; p < n; p++ {
+				if code, ok := e.Code(p, out); ok {
+					walk(code)
+				}
+			}
+		}
+	}
+	return guards
+}
+
+// evaluatingTables counts the paths of a traced run whose trace names one of
+// the table guards: the table's field is allocated and assigned before any
+// generated code runs, so a path that reaches such a guard evaluates it.
+func evaluatingTables(res *core.Result, guards map[string]bool) int {
+	n := 0
+	for _, p := range res.Paths {
+		if slices.ContainsFunc(p.Trace, func(line string) bool {
+			_, ins, _ := strings.Cut(line, ": ")
+			return guards[ins]
+		}) {
+			n++
+		}
+	}
+	return n
+}
+
+// failingOnMalformedTables counts the paths that failed with Table.Check's
+// message.
+func failingOnMalformedTables(res *core.Result) int {
+	n := 0
+	for _, p := range res.Paths {
+		if strings.HasPrefix(p.FailMsg, "sefl: table ") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDifferentialWorkers runs a second seed set of random programs without

@@ -22,11 +22,7 @@ package prog
 // (Table.Or) is the reference semantics the AST interpreter and the
 // differential suites evaluate; the compiled program never builds it.
 
-import (
-	"slices"
-
-	"symnet/internal/expr"
-)
+import "symnet/internal/expr"
 
 // --- Span tables ---
 
@@ -37,8 +33,7 @@ import (
 // reference-mode assertion would have produced. Exclusions are prefix
 // ranges, so ordered by address one sweep visits them, skips the ones an
 // earlier one already covers and emits the gaps. They come in CompileLPM
-// order, a few ascending runs, which expr.SortSpans merges through dst's
-// free capacity; scratch is reused between rows.
+// order and are sorted in scratch, which is reused between rows.
 func appendRowSpans(dst []expr.Span, r *expr.GuardRow, w int, scratch *[]expr.Span) []expr.Span {
 	m := expr.Mask(w)
 	lo, hi := r.V&m, r.V&m
@@ -52,12 +47,7 @@ func appendRowSpans(dst []expr.Span, r *expr.GuardRow, w int, scratch *[]expr.Sp
 		ex = append(ex, expr.Span{Lo: e.V & mask, Hi: e.V&mask | m&^mask})
 	}
 	*scratch = ex
-	// The row emits at most one span per exclusion plus one, so dst's free
-	// capacity holds them. Should the sorted exclusions land there, the sweep
-	// still reads each one before an append can reach it: it has appended at
-	// most one span per exclusion read.
-	dst = slices.Grow(dst, len(ex)+1)
-	ex = expr.SortSpans(ex, dst[len(dst):len(dst)+len(ex)])
+	expr.SortSpans(ex)
 	for _, e := range ex {
 		if e.Hi < lo {
 			continue
@@ -81,11 +71,7 @@ func appendRowSpans(dst []expr.Span, r *expr.GuardRow, w int, scratch *[]expr.Sp
 // a router's on a fleet member, whose result must equal the table the
 // coordinator adopted (TestLPMSpansMatchBuildITable). Every row's spans go
 // into one buffer that is normalised once, and that buffer is NewSpanTable's
-// scratch. No comparator sorts it: the rows come in table order, and each
-// row's spans ascend, so rows whose heads ascend — a router's of one prefix
-// length, in CompileLPM order, or a switch's sorted MACs — make one ascending
-// run, and expr.SortSpans merges the few runs there are (at most 33 for a
-// router's port, one for a switch's).
+// scratch.
 func buildITable(rows []expr.GuardRow, w int) *expr.SpanTable {
 	total, deepest := len(rows), 0
 	for i := range rows {

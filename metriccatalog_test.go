@@ -19,11 +19,13 @@ import (
 var metricRegistrars = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true, "CounterFunc": true}
 
 // TestMetricCatalog holds the README's metric catalog to what the code
-// registers: every name passed to Counter, Gauge, Histogram or CounterFunc
-// in non-test Go outside benchmark/ must have a catalog entry. A name built
-// by fmt.Sprintf reads each %d as <k>; a name built as "x." + y is the
-// family x., which any entry starting with x. covers. A name held in a
-// variable (the registry replaying an absorbed snapshot) is not read.
+// registers, both ways: every name passed to Counter, Gauge, Histogram or
+// CounterFunc in non-test Go outside benchmark/ must have a catalog entry,
+// and every catalog entry must be such a name, so a metric deleted without
+// its row fails too. A name built by fmt.Sprintf reads each %d as <k>; a
+// name built as "x." + y is the family x., which covers any entry starting
+// with x. and is covered by one. A name held in a variable (the registry
+// replaying an absorbed snapshot) is not read.
 func TestMetricCatalog(t *testing.T) {
 	names, err := registeredMetrics(".")
 	if err != nil {
@@ -47,6 +49,16 @@ func TestMetricCatalog(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("metrics registered but missing from README.md's metric catalog:\n%s", strings.Join(missing, "\n"))
 	}
+	var stale []string
+	for entry := range catalog {
+		if !registers(names, entry) {
+			stale = append(stale, entry)
+		}
+	}
+	sort.Strings(stale)
+	if len(stale) > 0 {
+		t.Errorf("README.md's metric catalog lists metrics no code outside benchmark/ registers:\n%s", strings.Join(stale, "\n"))
+	}
 	t.Logf("%d registered names, %d catalog entries", len(names), len(catalog))
 }
 
@@ -58,6 +70,20 @@ func catalogCovers(catalog map[string]bool, name string) bool {
 	}
 	for e := range catalog {
 		if strings.HasPrefix(e, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// registers reports whether the registered names cover a catalog entry: by
+// name, or as a family (a name ending in ".") the entry starts with.
+func registers(names map[string]string, entry string) bool {
+	if _, ok := names[entry]; ok {
+		return true
+	}
+	for name := range names {
+		if strings.HasSuffix(name, ".") && strings.HasPrefix(entry, name) {
 			return true
 		}
 	}

@@ -1,7 +1,6 @@
 package symnet
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -44,7 +43,7 @@ type (
 	DeltaStatus = churn.DeltaStatus
 	// ApplyReport reports one Apply call's absorption: the (possibly
 	// coalesced) batch it rode in plus per-delta statuses.
-	ApplyReport = churn.SubmitResult
+	ApplyReport = churn.ApplyReport
 	// BatchReport describes one absorbed batch: reconcile tier, dirty-set
 	// size, cells re-verified, reachability transitions, elapsed time.
 	BatchReport = churn.BatchResult
@@ -56,6 +55,9 @@ type (
 	Transition = churn.Transition
 	// Subscription is a live feed of VersionEvents (see Serving.Watch).
 	Subscription = churn.Subscription
+	// Serving is a live churn-serving handle, the one Serve returns: Apply,
+	// Current, Watch, TransitionsSince, Export, Restore and Close.
+	Serving = churn.Resident
 	// ServingState is a serializable snapshot of resident tables + version.
 	ServingState = churn.State
 )
@@ -164,8 +166,8 @@ func (s *Session) AllPairs(sources []PortRef, packet sefl.Instr, targets []strin
 
 // ServeConfig describes a resident churn-serving workload: the monitored
 // all-pairs query plus the authoritative forwarding tables of the elements
-// that will receive deltas. Serve (re)models each listed element from its
-// table — Egress style, the patchable tier — so the caller only builds the
+// that will receive deltas. Serve models each listed element from its table
+// — Egress style, the patchable tier — so the caller only builds the
 // topology (AddElement + Link) and hands over the tables.
 type ServeConfig struct {
 	// Sources and Targets define the monitored reachability matrix.
@@ -176,12 +178,6 @@ type ServeConfig struct {
 	// Routers and Switches map element names to their authoritative tables.
 	Routers  map[string]FIB
 	Switches map[string]MACTable
-	// QueueDepth bounds the intake queue (default 256); a full queue
-	// back-pressures Apply.
-	QueueDepth int
-	// MaxBatch caps how many deltas one absorption pass coalesces
-	// (default 128).
-	MaxBatch int
 	// DistWorkers lists resident TCP worker addresses (host:port of
 	// `symworker -listen` processes, possibly on other machines). When
 	// non-empty, every verification pass (the initial all-pairs run and each
@@ -194,41 +190,42 @@ type ServeConfig struct {
 	DistWorkers []string
 }
 
-// Serving is a live churn-serving handle: a resident verification of the
-// configured all-pairs query that absorbs rule deltas incrementally and
-// publishes versioned report snapshots. Reads (Current, Watch,
-// TransitionsSince) are lock-free; all mutations funnel through Apply's
-// single-writer absorber, which coalesces concurrent submissions. Every
-// published report is byte-identical to a from-scratch verification of the
-// same rules (pinned by the differential tests in internal/churn).
-type Serving struct {
-	res    *churn.Resident
-	runner dist.Runner
-}
-
 // Serve models the configured elements from their tables, runs the initial
 // all-pairs verification (published as version 1), and starts the absorber.
+// It builds every listed element's code before it installs any, so a config
+// naming an unknown element or a table its model refuses changes nothing.
 // Verification passes fan across the session's worker pool (see the type
 // comment for Workers) — in-process, or per fleet member when the config
-// names a fleet. Close the handle when done.
+// names a fleet. Reads on the handle are lock-free; all mutations funnel
+// through Apply's single-writer absorber, which coalesces concurrent calls.
+// Close the handle when done: it also dismisses the fleet.
 func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
+	var elems []*Element
+	var codes []models.EgressCode
 	for name, fib := range cfg.Routers {
 		e, ok := s.net.Element(name)
 		if !ok {
 			return nil, fmt.Errorf("symnet: serve: unknown router element %q", name)
 		}
-		if err := models.Router(e, fib, models.Egress); err != nil {
+		c, err := models.RouterEgress(e, fib)
+		if err != nil {
 			return nil, fmt.Errorf("symnet: serve: model router %q: %w", name, err)
 		}
+		elems, codes = append(elems, e), append(codes, c)
 	}
 	for name, tbl := range cfg.Switches {
 		e, ok := s.net.Element(name)
 		if !ok {
 			return nil, fmt.Errorf("symnet: serve: unknown switch element %q", name)
 		}
-		if err := models.Switch(e, tbl, models.Egress); err != nil {
+		c, err := models.SwitchEgress(e, tbl)
+		if err != nil {
 			return nil, fmt.Errorf("symnet: serve: model switch %q: %w", name, err)
 		}
+		elems, codes = append(elems, e), append(codes, c)
+	}
+	for i, e := range elems {
+		codes[i].Install(e)
 	}
 	core.Warm(s.net) // the re-modeled elements' programs
 	runner, err := dist.NewRunner(dist.Config{
@@ -257,60 +254,5 @@ func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
 		runner.Close()
 		return nil, fmt.Errorf("symnet: serve: initial verification: %w", err)
 	}
-	res := churn.NewResident(svc, churn.ResidentConfig{
-		QueueDepth: cfg.QueueDepth,
-		MaxBatch:   cfg.MaxBatch,
-	})
-	if err := res.Start(); err != nil {
-		runner.Close()
-		return nil, err
-	}
-	return &Serving{res: res, runner: runner}, nil
-}
-
-// Apply submits deltas for absorption and blocks until their pass commits
-// (or ctx is done). Deltas are staged in order; an inapplicable delta is
-// rejected in its DeltaStatus and the rest still applies. Concurrent Apply
-// calls coalesce into one absorption pass.
-func (v *Serving) Apply(ctx context.Context, ds ...Delta) (*ApplyReport, error) {
-	return v.res.Submit(ctx, ds)
-}
-
-// Current returns the latest published report snapshot, lock-free.
-func (v *Serving) Current() *PublishedReport { return v.res.Current() }
-
-// Watch subscribes to published versions. Events carry the reachability
-// transitions vs the previous version; a subscriber that falls more than
-// buffer events behind is dropped (its channel closes) and must re-sync
-// via Current or TransitionsSince.
-func (v *Serving) Watch(buffer int) *Subscription { return v.res.Watch(buffer) }
-
-// TransitionsSince replays retained events with Version > since, oldest
-// first. A false second return means since is beyond the replay ring and
-// the caller must re-read Current instead.
-func (v *Serving) TransitionsSince(since uint64) ([]VersionEvent, bool) {
-	return v.res.TransitionsSince(since)
-}
-
-// Export captures a consistent snapshot of the resident tables + version,
-// serialized with absorption (never a half-applied batch).
-func (v *Serving) Export(ctx context.Context) (*ServingState, error) {
-	return v.res.Export(ctx)
-}
-
-// Restore replaces the resident tables with the snapshot's and re-runs the
-// full verification, publishing the result as the next version (versions
-// stay monotone even when the snapshot is older).
-func (v *Serving) Restore(ctx context.Context, st *ServingState) (*PublishedReport, error) {
-	return v.res.Restore(ctx, st)
-}
-
-// Barrier waits until every Apply queued before it has been absorbed.
-func (v *Serving) Barrier(ctx context.Context) error { return v.res.Barrier(ctx) }
-
-// Close stops the absorber, closes watch subscriptions, and dismisses the
-// runner's workers. Queued Apply calls are failed.
-func (v *Serving) Close() {
-	v.res.Close()
-	v.runner.Close()
+	return churn.NewResident(svc), nil
 }

@@ -357,6 +357,61 @@ func TestSessionServeErrors(t *testing.T) {
 	}
 }
 
+// TestServeRefusesBeforeModeling: a config Serve refuses changes nothing.
+// On the default department, a Serve call that changes one route and names
+// an unknown switch fails, and every router entry keeps its code and its
+// compiled program.
+func TestServeRefusesBeforeModeling(t *testing.T) {
+	d := datasets.NewDepartment(datasets.DefaultDepartment())
+	sess, err := Compile(d.Net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		code sefl.Instr
+		prog any
+	}
+	snapshot := func() map[string]entry {
+		m := map[string]entry{}
+		for name := range d.FIBs {
+			e, _ := d.Net.Element(name)
+			for _, out := range []bool{false, true} {
+				n := e.NumIn
+				if out {
+					n = e.NumOut
+				}
+				for p := WildcardPort; p < n; p++ {
+					code, _ := e.Code(p, out)
+					pr, _ := e.CachedProgram(p, out)
+					m[fmt.Sprintf("%s %d %v", name, p, out)] = entry{code, pr}
+				}
+			}
+		}
+		return m
+	}
+	before := snapshot()
+	routers := map[string]FIB{}
+	for name, fib := range d.FIBs {
+		routers[name] = append(FIB(nil), fib...)
+	}
+	m1, _ := d.Net.Element("m1")
+	routers["m1"][0].Port = (routers["m1"][0].Port + 1) % m1.NumOut
+	switches := map[string]MACTable{"nosuch": sessionMACs()}
+	for name, tbl := range d.MACTables {
+		switches[name] = tbl
+	}
+	src, tgt := d.AllPairs()
+	if _, err := sess.Serve(ServeConfig{Sources: src, Targets: tgt, Packet: sefl.NewTCPPacket(), Routers: routers, Switches: switches}); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("Serve naming an unknown switch: %v, want an error naming it", err)
+	}
+	after := snapshot()
+	for k, was := range before {
+		if now := after[k]; !reflect.DeepEqual(now.code, was.code) || now.prog != was.prog {
+			t.Errorf("%s: a refused Serve replaced the code or its compiled program", k)
+		}
+	}
+}
+
 // TestCompileWarmsProgramsAndSummaries pins what Compile leaves for the
 // first query to do: nothing. Every element-port program is compiled (and,
 // being its element's summary, is all the engine walks), so the first Run

@@ -35,9 +35,11 @@
 // A Session pins the run options, warms compiled programs, and shares a
 // satisfiability memo across queries; Session.Serve starts a resident
 // churn-serving handle (versioned reports, delta batching, watch feed).
-// Compile is the only way in: there are no package-level run functions, and
-// Serve is the only place the serving stack is assembled — cmd/symnetd is
-// Compile -> Serve -> httpapi.Handler plus process lifecycle.
+// That handle, Serving, is internal/churn's Resident itself: Apply, the
+// lock-free reads, Export and Restore, and Close, which also dismisses the
+// fleet. Compile is the only way in: there are no package-level run
+// functions, and Serve is the only place the serving stack is assembled —
+// cmd/symnetd is Compile -> Serve -> httpapi.Handler plus process lifecycle.
 package symnet
 
 import (
