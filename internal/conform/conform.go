@@ -134,8 +134,13 @@ func tcpSet(s func(*click.TCPHdr, uint64)) func(*click.Packet, uint64) {
 
 // Run executes the full conformance procedure with nRandom fuzz packets.
 func Run(h Harness, nRandom int, seed int64) (*Report, error) {
+	return run(h, nRandom, seed, core.Options{})
+}
+
+// run is Run with the model explored under opts.
+func run(h Harness, nRandom int, seed int64, opts core.Options) (*Report, error) {
 	rep := &Report{}
-	res, err := core.Run(h.Net, h.Inject, sefl.NewTCPPacket(), core.Options{Loop: core.LoopFull})
+	res, err := core.Run(h.Net, h.Inject, sefl.NewTCPPacket(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -148,13 +153,21 @@ func Run(h Harness, nRandom int, seed int64) (*Report, error) {
 		// Two concrete packets per path: a boundary model (minimum values —
 		// catches wrap-around bugs like DecIPTTL) and a diversified model
 		// (distinct values per field — catches aliasing bugs like the
-		// ports-not-mirrored IPMirror model).
-		boundary, ok := p.Ctx.Model()
+		// ports-not-mirrored IPMirror model). Both cover every symbol a
+		// template field starts or ends the path with, constrained or not.
+		ctx := p.Ctx.CloneInto(new(solver.Context))
+		for _, f := range fields {
+			if hist, err := p.Mem.HdrHistory(f.off, f.size); err == nil && len(hist) > 0 {
+				ctx.Mention(hist[0])
+				ctx.Mention(hist[len(hist)-1])
+			}
+		}
+		boundary, ok := ctx.Model()
 		if !ok {
 			rep.Mismatches = append(rep.Mismatches, Mismatch{PathID: p.ID, Reason: "delivered path has unsatisfiable constraints"})
 			continue
 		}
-		diverse, _ := p.Ctx.ModelDiverse(uint64(p.ID))
+		diverse, _ := ctx.ModelDiverse(uint64(p.ID))
 		rep.PathsTested++
 		for _, model := range []map[expr.SymID]uint64{boundary, diverse} {
 			if model == nil {

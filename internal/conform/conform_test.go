@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,11 +27,27 @@ func pipeline(t *testing.T, def click.Def) Harness {
 	}
 }
 
-func TestConformCorrectMirror(t *testing.T) {
-	rep, err := Run(pipeline(t, click.IPMirror()), 50, 1)
+// runModes runs the procedure as Run does, under full loop detection, and
+// again with loop detection off, and demands equal reports: the paths it
+// solves must not depend on what the loop check reads of them.
+func runModes(t *testing.T, h Harness, nRandom int, seed int64) *Report {
+	t.Helper()
+	rep, err := Run(h, nRandom, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	off, err := run(h, nRandom, seed, core.Options{Loop: core.LoopOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, off) {
+		t.Fatalf("reports differ by loop mode:\nfull %+v\noff  %+v", rep, off)
+	}
+	return rep
+}
+
+func TestConformCorrectMirror(t *testing.T) {
+	rep := runModes(t, pipeline(t, click.IPMirror()), 50, 1)
 	if !rep.OK() {
 		t.Fatalf("correct IPMirror must conform: %v", rep.Mismatches)
 	}
@@ -42,10 +59,7 @@ func TestConformCorrectMirror(t *testing.T) {
 // TestConformCatchesIPMirrorBug reproduces §8.3: "Our model was incomplete:
 // it only mirrored the IP addresses and not ports."
 func TestConformCatchesIPMirrorBug(t *testing.T) {
-	rep, err := Run(pipeline(t, click.IPMirrorBuggy()), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runModes(t, pipeline(t, click.IPMirrorBuggy()), 0, 1)
 	if rep.OK() {
 		t.Fatal("buggy IPMirror model must be caught")
 	}
@@ -64,20 +78,14 @@ func TestConformCatchesIPMirrorBug(t *testing.T) {
 // buggy model forwards TTL-0 packets (as TTL 255); the implementation
 // drops them.
 func TestConformCatchesDecIPTTLBug(t *testing.T) {
-	rep, err := Run(pipeline(t, click.DecIPTTLBuggy()), 200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runModes(t, pipeline(t, click.DecIPTTLBuggy()), 200, 2)
 	if rep.OK() {
 		t.Fatal("buggy DecIPTTL model must be caught")
 	}
 }
 
 func TestConformCorrectDecIPTTL(t *testing.T) {
-	rep, err := Run(pipeline(t, click.DecIPTTL()), 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runModes(t, pipeline(t, click.DecIPTTL()), 200, 3)
 	if !rep.OK() {
 		t.Fatalf("correct DecIPTTL must conform: %v", rep.Mismatches)
 	}
@@ -92,20 +100,14 @@ func TestConformCatchesHostEtherFilterBug(t *testing.T) {
 	h.Dictionary = map[string][]uint64{
 		"EtherDst": {sefl.MACToNumber("00:aa:00:aa:00:aa")},
 	}
-	rep, err := Run(h, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runModes(t, h, 100, 4)
 	if rep.OK() {
 		t.Fatal("buggy HostEtherFilter model must be caught")
 	}
 }
 
 func TestConformCorrectHostEtherFilter(t *testing.T) {
-	rep, err := Run(pipeline(t, click.HostEtherFilter("00:aa:00:aa:00:aa")), 100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runModes(t, pipeline(t, click.HostEtherFilter("00:aa:00:aa:00:aa")), 100, 5)
 	if !rep.OK() {
 		t.Fatalf("correct HostEtherFilter must conform: %v", rep.Mismatches)
 	}
@@ -131,10 +133,7 @@ func TestConformIPClassifierSolverZeros(t *testing.T) {
 			return c.Process(in, p)
 		})
 	}
-	rep, err := Run(pipeline(t, def), 0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runModes(t, pipeline(t, def), 0, 6)
 	if rep.OK() {
 		t.Fatal("port-0 dropping implementation must disagree with the unconstrained model")
 	}

@@ -12,15 +12,17 @@ import (
 	"symnet/internal/solver"
 )
 
-// LoopMode selects the loop-detection strategy (§6 of the paper).
+// LoopMode selects the loop-detection strategy (§6 of the paper). The zero
+// value is LoopFull, so a run that names no mode, here or on a fleet
+// member, detects loops in full.
 type LoopMode uint8
 
 const (
-	// LoopOff disables loop detection (a hop budget still bounds paths).
-	LoopOff LoopMode = iota
 	// LoopFull compares the domains of all header fields and metadata; TTL
 	// decrements therefore defeat it, as the paper notes.
-	LoopFull
+	LoopFull LoopMode = iota
+	// LoopOff disables loop detection (a hop budget still bounds paths).
+	LoopOff
 	// LoopAddrOnly compares only the IP source and destination addresses,
 	// catching traditional forwarding loops.
 	LoopAddrOnly
@@ -40,7 +42,7 @@ type Options struct {
 	MaxHops int
 	// MaxPaths aborts runs that explode (default DefaultMaxPaths).
 	MaxPaths int
-	// Loop selects loop detection; default LoopOff.
+	// Loop selects loop detection; default (the zero value) LoopFull.
 	Loop LoopMode
 	// Trace records executed instructions on each path (costly; default off).
 	Trace bool
@@ -116,12 +118,10 @@ func (r *run) step(next []*state, st *state) []*state {
 		r.finish(failWith(st, fmt.Sprintf("hop budget exceeded (%d)", r.opts.MaxHops)))
 		return next
 	}
-	if r.opts.Loop != LoopOff {
-		if looped := r.loopCheck(st); looped {
-			st.Status = Looped
-			r.finish(st)
-			return next
-		}
+	if r.loopCheck(st) {
+		st.Status = Looped
+		r.finish(st)
+		return next
 	}
 
 	// The visit's successors live only until they depart (a visit rarely
@@ -474,72 +474,75 @@ func (r *run) cont(out []*state, st *state, elem *Element, k *astFrame) []*state
 
 // --- Loop detection (§6, Fig. 5) ---
 
-// loopCheck records the state snapshot at the current input port and
-// reports whether an earlier snapshot is contained in the current one
-// ("a loop exists only when the new state contains all possible values in
-// the old state").
+// loopCheck reports whether the state at an input port contains an earlier
+// visit's state there ("a loop exists only when the new state contains all
+// possible values in the old state"), and otherwise records this visit. A
+// port no cycle of the network enters (Network.onCycle) is never entered
+// twice by one path, so it records nothing.
+//
+// A visit's record is a snapshot: the path's memory, sealed so its later
+// writes copy what they touch, and its context's domain stores, which are
+// never written in place. So recording copies two headers, and the domains
+// are read only when a later visit to the same port compares against them,
+// without writing the path's context.
 func (r *run) loopCheck(st *state) bool {
-	snap := r.takeSnapshot(st)
-	old, _ := st.seen.Get(st.Here.id)
-	for _, o := range old {
-		if snapshotSubsumed(o, snap) {
+	if int(st.Here.id) >= len(r.onCycle) || !r.onCycle[st.Here.id] {
+		return false
+	}
+	doms := st.Ctx.Domains()
+	vars := -1 // st's assigned variables, counted on the first comparison
+	for s := st.seen; s != nil; s = s.prev {
+		if s.at == st.Here && r.subsumed(s, st.Mem, &doms, &vars) {
 			return true
 		}
 	}
-	// Copy-on-append keeps snapshot slices shareable across clones; the
-	// seen store itself is persistent, so forks share it lazily.
-	updated := make([]snapshot, len(old), len(old)+1)
-	copy(updated, old)
-	st.seen = st.seen.Set(st.Here.id, append(updated, snap))
+	snap := &snapshot{at: st.Here, prev: st.seen, doms: doms}
+	st.Mem.CloneInto(&snap.mem)
+	st.seen = snap
 	return false
 }
 
-// takeSnapshot projects the current domains of the tracked variables.
-func (r *run) takeSnapshot(st *state) snapshot {
-	snap := make(snapshot)
-	switch r.opts.Loop {
-	case LoopAddrOnly:
-		// Track IP source and destination through the current L3 tag.
-		if base, ok := st.Mem.Tag(sefl.TagL3); ok {
-			for _, rel := range []int64{96, 128} {
-				off := base + rel
-				if v, err := st.Mem.ReadHdr(off, 32); err == nil {
-					snap[fieldKey{hdr: true, off: rel, size: 32}] = st.Ctx.Domain(v)
-				}
+// subsumed reports old ⊆ new for the earlier visit s and the packet mem
+// under doms: every variable tracked at s is tracked in mem, and no other
+// is, with a domain that contains its domain at s. vars caches the number
+// of variables mem tracks (-1: not yet counted).
+func (r *run) subsumed(s *snapshot, mem *memory.Mem, doms *solver.Domains, vars *int) bool {
+	if r.opts.Loop == LoopAddrOnly {
+		old, oldOK := addrs(&s.mem)
+		cur, curOK := addrs(mem)
+		for i := range old {
+			if oldOK[i] != curOK[i] || oldOK[i] && !s.doms.Within(old[i], doms, cur[i]) {
+				return false
 			}
 		}
-	default: // LoopFull
-		for _, f := range st.Mem.Fields() {
-			if !f.Set {
-				continue
-			}
-			snap[fieldKey{hdr: true, off: f.Off, size: f.Size}] = st.Ctx.Domain(f.Val)
-		}
-		for _, me := range st.Mem.MetaEntries() {
-			if !me.Set {
-				continue
-			}
-			snap[fieldKey{meta: me.Key}] = st.Ctx.Domain(me.Val)
-		}
+		return true
 	}
-	return snap
+	if *vars < 0 {
+		*vars = 0
+		mem.Vars(func(memory.Var, expr.Lin) bool {
+			*vars++
+			return true
+		})
+	}
+	n, ok := 0, true
+	s.mem.Vars(func(v memory.Var, old expr.Lin) bool {
+		cur, found := mem.Value(v)
+		ok = found && s.doms.Within(old, doms, cur)
+		n++
+		return ok
+	})
+	return ok && n == *vars
 }
 
-// snapshotSubsumed reports old ⊆ new: every variable tracked in the old
-// snapshot exists in the new one with a superset domain, and the variable
-// sets agree.
-func snapshotSubsumed(old, new snapshot) bool {
-	if len(old) != len(new) {
-		return false
+// addrs reads the IP source and destination addresses through the current
+// L3 tag: the variables LoopAddrOnly tracks, each with whether it is set.
+func addrs(mem *memory.Mem) (vals [2]expr.Lin, ok [2]bool) {
+	base, tagged := mem.Tag(sefl.TagL3)
+	if !tagged {
+		return vals, ok
 	}
-	for k, od := range old {
-		nd, ok := new[k]
-		if !ok {
-			return false
-		}
-		if !od.SubsetOf(nd) {
-			return false
-		}
+	for i, rel := range [2]int64{96, 128} {
+		vals[i], ok[i] = mem.Value(memory.Var{Off: base + rel, Size: 32})
 	}
-	return true
+	return vals, ok
 }

@@ -273,46 +273,6 @@ func TestLoopDetection(t *testing.T) {
 	}
 }
 
-func TestTTLDefeatsFullLoopDetection(t *testing.T) {
-	// With a TTL decrement in the cycle, full-state comparison sees a new
-	// state each time (paper: "the TTL field will always decrease"), so the
-	// path only stops via TTL exhaustion or hop budget; AddrOnly mode
-	// catches it immediately.
-	build := func() *Network {
-		net := NewNetwork()
-		a := net.AddElement("A", "r", 1, 1)
-		a.SetInCode(0, sefl.Seq(
-			sefl.Constrain{C: sefl.Ge(sefl.Ref{LV: sefl.IPTTL}, sefl.C(1))},
-			sefl.Assign{LV: sefl.IPTTL, E: sefl.Sub{A: sefl.Ref{LV: sefl.IPTTL}, B: sefl.C(1)}},
-			sefl.Forward{Port: 0},
-		))
-		b := net.AddElement("B", "r", 1, 1)
-		b.SetInCode(0, sefl.Forward{Port: 0})
-		net.MustLink("A", 0, "B", 0)
-		net.MustLink("B", 0, "A", 0)
-		return net
-	}
-	res, err := Run(build(), PortRef{Elem: "A", Port: 0}, sefl.NewIPPacket(), Options{Loop: LoopAddrOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Looped != 1 {
-		t.Fatalf("AddrOnly must catch the loop: %+v", res.Stats)
-	}
-	resFull, err := Run(build(), PortRef{Elem: "A", Port: 0}, sefl.NewIPPacket(), Options{Loop: LoopFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full mode: the path circulates until the TTL constraint fails
-	// (256 TTL values), not via loop detection.
-	if resFull.Stats.Looped != 0 {
-		t.Fatalf("Full mode should not flag the TTL loop: %+v", resFull.Stats)
-	}
-	if resFull.Stats.Failed != 1 {
-		t.Fatalf("TTL exhaustion must eventually fail the path: %+v", resFull.Stats)
-	}
-}
-
 func TestMetadataNAT(t *testing.T) {
 	// The paper's NAT model (§7): outgoing mapping saved in local metadata;
 	// return traffic restored only when it matches.

@@ -6,7 +6,6 @@ import (
 	"symnet/internal/expr"
 	"symnet/internal/memory"
 	"symnet/internal/obs"
-	"symnet/internal/persist"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
@@ -36,6 +35,9 @@ type run struct {
 	memo        *solver.SatCache
 	inst        instruments
 	stack       []*state // states waiting at an input port; the top is next
+	// onCycle marks, by port ID, the input ports loopCheck records visits
+	// at (empty when loop detection is off or the network has no cycle).
+	onCycle []bool
 	// visit holds the successors of the input-port visit step is settling,
 	// cleared once they depart. It lives here, not on step's stack: the
 	// program walk recurses through runFor, which would move a stack
@@ -76,6 +78,9 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 	r := &run{net: net, opts: opts, init: init,
 		alloc: &expr.Alloc{}, solverStats: &solver.Stats{}, memo: memo}
 	r.env.r = r
+	if opts.Loop != LoopOff {
+		r.onCycle = net.onCycle()
+	}
 	if opts.Obs != nil && opts.Obs.Reg != nil {
 		reg := opts.Obs.Reg
 		r.inst = instruments{
@@ -97,7 +102,6 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 	r.stack = []*state{{
 		Mem:     memory.New(),
 		Here:    elem.at(inject.Port, false),
-		seen:    persist.NewMap[portID, []snapshot](portID.hash),
 		traceOn: opts.Trace,
 	}}
 	return r, nil

@@ -29,3 +29,18 @@ func PortIDOf(n *Network, ref PortRef) int {
 	}
 	return -1
 }
+
+// CyclePorts lists the ports loop detection records visits at (see
+// Network.onCycle), by ID.
+func CyclePorts(n *Network) []PortRef {
+	marks := n.onCycle()
+	var out []PortRef
+	for _, e := range n.order {
+		for i := range e.ports {
+			if p := &e.ports[i]; int(p.id) < len(marks) && marks[p.id] {
+				out = append(out, p.ref())
+			}
+		}
+	}
+	return out
+}

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"symnet/internal/persist"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
@@ -47,8 +46,6 @@ type Element struct {
 // portID numbers a record densely within its network: elements in instance
 // order, each one's records in table order.
 type portID int32
-
-func (id portID) hash() uint64 { return persist.Mix64(uint64(id)) }
 
 // port is the record of one (element, port, direction) and its code-table
 // entry. States and history nodes point at it; PortRefs are rendered from
@@ -234,6 +231,8 @@ type Network struct {
 	elems map[string]*Element
 	order []*Element // by instance
 	links []*port    // by output port ID; nil where unlinked
+	// cycles caches onCycle's marks; AddElement and Link reset it.
+	cycles atomic.Pointer[[]bool]
 }
 
 // NewNetwork returns an empty network.
@@ -263,6 +262,7 @@ func (n *Network) AddElement(name, kind string, numIn, numOut int) *Element {
 		}
 	}
 	n.links = append(n.links, make([]*port, len(e.ports))...)
+	n.cycles.Store(nil)
 	n.order = append(n.order, e)
 	n.elems[name] = e
 	return e
@@ -302,7 +302,95 @@ func (n *Network) Link(fromElem string, fromPort int, toElem string, toPort int)
 		return fmt.Errorf("core: output port %s already linked", from.ref())
 	}
 	n.links[from.id] = te.at(toPort, false)
+	n.cycles.Store(nil)
 	return nil
+}
+
+// acyclic is onCycle's answer for every network without a cycle.
+var acyclic []bool
+
+// onCycle returns, by port ID, whether one path can enter the port twice:
+// whether it is an input port that a link from an element of its own
+// element's strongly connected component enters, taking every input of an
+// element to reach every output. A network without a cycle gets an empty
+// slice. The marks are computed once per topology (Tarjan over the
+// elements); concurrent first calls compute equal marks.
+func (n *Network) onCycle() []bool {
+	if m := n.cycles.Load(); m != nil {
+		return *m
+	}
+	m := &acyclic
+	if marks := n.cycleMarks(); marks != nil {
+		m = new([]bool)
+		*m = marks
+	}
+	n.cycles.Store(m)
+	return *m
+}
+
+// cycleMarks computes onCycle's marks, nil when no port has one.
+func (n *Network) cycleMarks() []bool {
+	if !slices.ContainsFunc(n.links, func(p *port) bool { return p != nil }) {
+		return nil
+	}
+	// comp[i] names the component of the element of instance i: the index
+	// its root was visited at. index[i] is 0 until i is visited.
+	count := len(n.order)
+	index, low, comp := make([]int32, count), make([]int32, count), make([]int32, count)
+	onStack := make([]bool, count)
+	var stack []int32
+	var next int32
+	var visit func(v int32)
+	visit = func(v int32) {
+		next++
+		index[v], low[v] = next, next
+		stack = append(stack, v)
+		onStack[v] = true
+		e := n.order[v]
+		for i := range e.NumOut {
+			to := n.links[e.at(i, true).id]
+			if to == nil {
+				continue
+			}
+			w := int32(to.elem.Instance)
+			if index[w] == 0 {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] == index[v] {
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				comp[w] = index[v]
+				if w == v {
+					break
+				}
+			}
+		}
+	}
+	for v := range int32(count) {
+		if index[v] == 0 {
+			visit(v)
+		}
+	}
+	var marks []bool
+	for _, e := range n.order {
+		for i := range e.NumOut {
+			to := n.links[e.at(i, true).id]
+			if to == nil || comp[e.Instance] != comp[to.elem.Instance] {
+				continue
+			}
+			if marks == nil {
+				marks = make([]bool, len(n.links))
+			}
+			marks[to.id] = true
+		}
+	}
+	return marks
 }
 
 // MustLink is Link that panics on error, for statically-known topologies.

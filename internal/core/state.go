@@ -5,7 +5,6 @@ import (
 
 	"symnet/internal/expr"
 	"symnet/internal/memory"
-	"symnet/internal/persist"
 	"symnet/internal/solver"
 )
 
@@ -39,17 +38,16 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// fieldKey identifies one tracked variable in a loop-detection snapshot.
-type fieldKey struct {
-	hdr  bool
-	off  int64
-	size int
-	meta memory.MetaKey
+// snapshot is the loop detector's record of one visit to an input port on
+// a cycle: the packet's memory (sealed) and the context's domain stores as
+// they stood, both frozen. prev is the path's previous snapshot, so a
+// path's snapshots are a list, newest first, that its forks share.
+type snapshot struct {
+	at   *port
+	prev *snapshot
+	mem  memory.Mem
+	doms solver.Domains
 }
-
-// snapshot is the per-port state record used by the loop detector: the
-// domain of every tracked variable at the moment the port was visited.
-type snapshot map[fieldKey]*solver.IntervalSet
 
 // trail is an immutable singly-linked list holding an append-only sequence
 // newest-first. Appending is O(1) and clones share the whole prefix, so
@@ -110,9 +108,8 @@ type state struct {
 	// the output ports the packet leaves through.
 	outPorts []int
 
-	// seen maps input ports to prior snapshots along this path
-	// (persistent: snapshots are lazily shared across forks).
-	seen persist.Map[portID, []snapshot]
+	// seen is the newest of the path's loop-detection snapshots.
+	seen *snapshot
 
 	hops int
 }

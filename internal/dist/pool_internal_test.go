@@ -384,11 +384,12 @@ func TestMalformedResultFailsItsJob(t *testing.T) {
 
 // TestOverBudgetResultFailsItsJob pins that the pool holds a result to the
 // job it answers: a member that follows a looping packet for more hops than
-// the job's MaxHops allows has that job failed with the budget error.
+// the job's MaxHops allows has that job failed with the budget error. Loop
+// detection is off, so the hop budget is what stops the packet.
 func TestOverBudgetResultFailsItsJob(t *testing.T) {
 	network, inject := loopNet()
-	jobs := []Job{{Name: "loop", Inject: inject, Packet: sefl.NewTCPPacket(), Opts: core.Options{MaxHops: 2}}}
-	deeper := packSummary(mustRun(t, network, inject, sefl.NewTCPPacket(), core.Options{MaxHops: 3}))
+	jobs := []Job{{Name: "loop", Inject: inject, Packet: sefl.NewTCPPacket(), Opts: core.Options{MaxHops: 2, Loop: core.LoopOff}}}
+	deeper := packSummary(mustRun(t, network, inject, sefl.NewTCPPacket(), core.Options{MaxHops: 3, Loop: core.LoopOff}))
 	member := scriptedMember(t, func(c *conn, f *frame) bool {
 		switch f.Kind {
 		case frameJobs:

@@ -306,15 +306,16 @@ func loopNet() (*core.Network, core.PortRef) {
 }
 
 // TestHopBudgetPathUnpacks pins historyBudget to the engine: a packet caught
-// in a forwarding loop runs until the engine stops it for exceeding its hop
-// budget, which is the longest history a job can record. That path has
+// in a forwarding loop, with loop detection off, runs until the engine stops
+// it for exceeding its hop budget, which is the longest history a job can
+// record. That path has
 // exactly historyBudget(MaxHops) port visits and unpacks — at an explicit
 // MaxHops and at core's default (MaxHops 0) — and one hop less of budget
 // refuses it.
 func TestHopBudgetPathUnpacks(t *testing.T) {
 	net, inject := loopNet()
 	for _, maxHops := range []int{5, 0} {
-		res := mustRun(t, net, inject, sefl.NewTCPPacket(), core.Options{MaxHops: maxHops})
+		res := mustRun(t, net, inject, sefl.NewTCPPacket(), core.Options{MaxHops: maxHops, Loop: core.LoopOff})
 		if len(res.Paths) != 1 || !strings.HasPrefix(res.Paths[0].FailMsg, "hop budget exceeded") {
 			t.Fatalf("MaxHops %d: want one path stopped by the hop budget, got %d paths, first %q", maxHops, len(res.Paths), res.Paths[0].FailMsg)
 		}

@@ -68,11 +68,12 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v15: a table condition carries its field and
-// rows only, no tree widths; v14: a condition's wire kinds no longer include
+// frame may carry bumps it (v16: a job's Loop zero value is LoopFull, and
+// LoopOff has a value of its own; v15: a table condition carries its field
+// and rows only, no tree widths; v14: a condition's wire kinds no longer include
 // a masked match; v13: port code crosses as SEFL source, which the member
 // compiles; no compiled program crosses).
-const protoVersion = 15
+const protoVersion = 16
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.

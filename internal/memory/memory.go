@@ -416,6 +416,51 @@ func (m *Mem) MetaKeysMatching(re *regexp.Regexp, instance int) []MetaKey {
 	return out
 }
 
+// Var names one variable of a packet: the header field at (Off, Size), or,
+// when Meta is set, the metadata entry Key.
+type Var struct {
+	Meta bool
+	Off  int64
+	Size int
+	Key  MetaKey
+}
+
+// Vars calls f with every assigned variable and its value, header fields
+// first, each store in its own order, until f returns false. It sorts
+// nothing and allocates nothing.
+func (m *Mem) Vars(f func(Var, expr.Lin) bool) {
+	more := true
+	m.hdr.Range(func(off int64, l *layer) bool {
+		if l.set {
+			more = f(Var{Off: off, Size: l.size}, l.val)
+		}
+		return more
+	})
+	if !more {
+		return
+	}
+	m.meta.Range(func(k MetaKey, l *layer) bool {
+		return !l.set || f(Var{Meta: true, Key: k}, l.val)
+	})
+}
+
+// Value returns the value of v. ok is false when v is unallocated or
+// unassigned, or is a header field allocated at another size: where
+// ReadHdr and ReadMeta return an error, Value allocates nothing.
+func (m *Mem) Value(v Var) (expr.Lin, bool) {
+	var l *layer
+	var ok bool
+	if v.Meta {
+		l, ok = m.meta.Get(v.Key)
+	} else if l, ok = m.hdr.Get(v.Off); ok && l.size != v.Size {
+		return expr.Lin{}, false
+	}
+	if !ok || !l.set {
+		return expr.Lin{}, false
+	}
+	return l.val, true
+}
+
 // MetaEntry describes one live metadata binding.
 type MetaEntry struct {
 	Key MetaKey

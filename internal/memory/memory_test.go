@@ -252,6 +252,56 @@ func TestFieldsEnumeration(t *testing.T) {
 	}
 }
 
+// TestVarsAndValue: Vars visits each assigned variable once, header fields
+// and metadata, and stops when asked; Value reads each back, and refuses an
+// unassigned or missing variable and a header field at another size. Neither
+// allocates.
+func TestVarsAndValue(t *testing.T) {
+	m := New()
+	m.AllocateHdr(0, 48)
+	m.AssignHdr(0, 48, lin(0xa, 48))
+	m.AllocateHdr(48, 16) // allocated, never assigned
+	key := MetaKey{Name: "t", Instance: GlobalScope}
+	m.AllocateMeta(key, 32)
+	m.AssignMeta(key, lin(7, 32))
+	got := map[Var]expr.Lin{}
+	m.Vars(func(v Var, l expr.Lin) bool {
+		got[v] = l
+		return true
+	})
+	hdr, meta := Var{Off: 0, Size: 48}, Var{Meta: true, Key: key}
+	if want := map[Var]expr.Lin{hdr: lin(0xa, 48), meta: lin(7, 32)}; len(got) != len(want) || got[hdr] != want[hdr] || got[meta] != want[meta] {
+		t.Fatalf("Vars visited %v, want %v", got, want)
+	}
+	visits := 0
+	m.Vars(func(Var, expr.Lin) bool {
+		visits++
+		return false
+	})
+	if visits != 1 {
+		t.Fatalf("Vars went on for %d visits after f returned false", visits)
+	}
+	for v, want := range got {
+		if l, ok := m.Value(v); !ok || l != want {
+			t.Fatalf("Value(%+v) = %v, %v; want %v", v, l, ok, want)
+		}
+	}
+	for _, v := range []Var{{Off: 48, Size: 16}, {Off: 0, Size: 32}, {Off: 96, Size: 8}, {Meta: true, Key: MetaKey{Name: "u"}}} {
+		if l, ok := m.Value(v); ok {
+			t.Fatalf("Value(%+v) = %v, want none", v, l)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		m.Vars(func(v Var, _ expr.Lin) bool {
+			_, ok := m.Value(v)
+			return ok
+		})
+		m.Value(Var{Off: 0, Size: 32})
+	}); n != 0 {
+		t.Fatalf("Vars and Value allocate %.0f objects", n)
+	}
+}
+
 // hdrAllocated reports whether a field is allocated exactly at (off, size).
 func hdrAllocated(m *Mem, off int64, size int) bool {
 	l, ok := m.hdr.Get(off)

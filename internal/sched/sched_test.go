@@ -203,11 +203,14 @@ func TestRunDeterministicStanford(t *testing.T) {
 		bb.Net, core.PortRef{Elem: bb.Zones[0], Port: 2}, sefl.NewIPPacket(), core.Options{})
 }
 
+// TestRunDeterministicWithLoopDetection pins the walk without loop
+// detection: "department office" runs at the default, LoopFull, and here
+// the same query runs its two forwarding loops out to the hop budget.
 func TestRunDeterministicWithLoopDetection(t *testing.T) {
 	d := smallDepartment(false)
-	checkGolden(t, "department loop-full",
+	checkGolden(t, "department loop-off",
 		d.Net, core.PortRef{Elem: "asw0", Port: 1}, d.OfficePacket(false),
-		core.Options{MaxHops: 64, Loop: core.LoopFull})
+		core.Options{MaxHops: 64, Loop: core.LoopOff})
 }
 
 // TestRunDeterministicWideFrontier drives a Basic-style switch whose single

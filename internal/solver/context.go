@@ -304,6 +304,15 @@ func (c *Context) Domain(l expr.Lin) *IntervalSet {
 	return c.domainOf(root, l.Width).shift(off + l.Add)
 }
 
+// Mention makes the term's symbol one the context has seen, a class of its
+// own when nothing constrains it, so Model and ModelDiverse give it a value
+// (ModelDiverse one apart from other free symbols'). No domain changes.
+func (c *Context) Mention(l expr.Lin) {
+	if !l.IsConst() {
+		c.find(l.Sym, l.Width)
+	}
+}
+
 // Add asserts cond. It returns false when the context became definitely
 // unsatisfiable. A true return means "not yet refuted": if disjunctions are
 // pending, call Sat for the authoritative answer.
@@ -382,16 +391,88 @@ func (c *Context) refutes(cond expr.Cond, neg bool) bool {
 // root is find without its writes: the root of s and the offset with
 // value(s) = value(root) + off, walking the chain without compressing it.
 // An unseen symbol is its own root.
-func (c *Context) root(s expr.SymID) (expr.SymID, uint64) {
+func (c *Context) root(s expr.SymID) (expr.SymID, uint64) { return rootIn(c.uf, s) }
+
+func rootIn(uf persist.Map[expr.SymID, ufEntry], s expr.SymID) (expr.SymID, uint64) {
 	var off uint64
 	for {
-		e, ok := c.uf.Get(s)
+		e, ok := uf.Get(s)
 		if !ok || e.parent == s {
 			return s, off
 		}
 		off = (off + e.off) & expr.Mask(e.width)
 		s = e.parent
 	}
+}
+
+// Domains is a read-only view of a context's union-find and domain stores
+// as they stood when Context.Domains took it. A context writes those stores
+// by path copying only, never in place, so the view stays as it was while
+// the context goes on, and reading it writes nothing to either.
+type Domains struct {
+	uf      persist.Map[expr.SymID, ufEntry]
+	domains persist.Map[expr.SymID, *IntervalSet]
+}
+
+// Domains returns the view of c's stores as they stand now.
+func (c *Context) Domains() Domains { return Domains{uf: c.uf, domains: c.domains} }
+
+// Within reports that every value the term l can take under d is one the
+// term ol can take under o, each read as Context.Domain reads it. It walks
+// each domain shifted in place, so it allocates nothing. Terms of different
+// widths are never within each other.
+func (d *Domains) Within(l expr.Lin, o *Domains, ol expr.Lin) bool {
+	if l.Width != ol.Width {
+		return false
+	}
+	var ab, bb [1]interval
+	a, ka := d.term(&ab, l)
+	b, kb := o.term(&bb, ol)
+	m := expr.Mask(l.Width)
+	k := (ka - kb) & m
+	for _, iv := range a {
+		lo, hi := (iv.Lo+k)&m, (iv.Hi+k)&m
+		if lo <= hi {
+			if !covers(b, lo, hi) {
+				return false
+			}
+		} else if !covers(b, lo, m) || !covers(b, 0, hi) { // wrapped
+			return false
+		}
+	}
+	return true
+}
+
+// term returns l's domain under d as intervals ivs and a shift k: the
+// values are {(x + k) mod 2^width : x ∈ ivs}. A constant or an untracked
+// root is one interval, written to buf.
+func (d *Domains) term(buf *[1]interval, l expr.Lin) ([]interval, uint64) {
+	if v, ok := l.ConstVal(); ok {
+		v &= expr.Mask(l.Width)
+		buf[0] = interval{Lo: v, Hi: v}
+		return buf[:], 0
+	}
+	root, off := rootIn(d.uf, l.Sym)
+	if dom, ok := d.domains.Get(root); ok {
+		return dom.ivs, off + l.Add
+	}
+	buf[0] = interval{Lo: 0, Hi: expr.Mask(l.Width)}
+	return buf[:], 0
+}
+
+// covers reports [lo, hi] ⊆ ivs for canonical intervals (sorted, disjoint
+// and non-adjacent), where one interval must hold the whole range.
+func covers(ivs []interval, lo, hi uint64) bool {
+	i, j := 0, len(ivs)
+	for i < j { // the first interval ending at or past lo
+		h := int(uint(i+j) >> 1)
+		if ivs[h].Hi < lo {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i < len(ivs) && ivs[i].Lo <= lo && hi <= ivs[i].Hi
 }
 
 // misses reports that narrowing the root's domain to the canonical

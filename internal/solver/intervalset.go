@@ -293,8 +293,8 @@ func (s *IntervalSet) shift(k uint64) *IntervalSet {
 	return normalize(s.Width, out)
 }
 
-// SubsetOf reports whether s ⊆ o.
-func (s *IntervalSet) SubsetOf(o *IntervalSet) bool {
+// subsetOf reports whether s ⊆ o.
+func (s *IntervalSet) subsetOf(o *IntervalSet) bool {
 	return s.Subtract(o).isEmpty()
 }
 

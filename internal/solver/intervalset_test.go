@@ -330,8 +330,8 @@ func TestSetAlgebraBruteForce(t *testing.T) {
 			beforeB := slices.Clone(sb.ivs)
 			check("UnionAll", UnionAll(sa.Width, []*IntervalSet{sa, sb}), a|b)
 			check("Subtract", sa.Subtract(sb), a&^b)
-			if sa.SubsetOf(sb) != (a&^b == 0) {
-				t.Fatalf("%v ⊆ %v = %v", sa, sb, sa.SubsetOf(sb))
+			if sa.subsetOf(sb) != (a&^b == 0) {
+				t.Fatalf("%v ⊆ %v = %v", sa, sb, sa.subsetOf(sb))
 			}
 			if setsEqual(sa, sb) != (a == b) {
 				t.Fatalf("%v == %v = %v", sa, sb, setsEqual(sa, sb))
@@ -383,3 +383,43 @@ func TestPrefixMask(t *testing.T) {
 // setsEqual reports set equality: canonical sets are equal exactly when
 // their interval lists are.
 func setsEqual(a, b *IntervalSet) bool { return slices.Equal(a.ivs, b.ivs) }
+
+// TestDomainsWithin checks Domains.Within, which walks shifted domains in
+// place, against Context.Domain's shifted sets and subsetOf: a symbol's
+// own domain, one reached through a union with an offset, an untracked
+// symbol (the universe) and a constant, on either side, at 64 values.
+func TestDomainsWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	masks := setAlgebraMasks(rng)
+	// view returns a context where symbol 1 has the domain of mask m and
+	// symbol 2 = symbol 1 + k, and the terms Within is asked about.
+	view := func(m, k, add uint64) (*Context, []expr.Lin) {
+		c := NewContext(nil)
+		s1, s2 := expr.Lin{Sym: 1, Width: 6}, expr.Lin{Sym: 2, Width: 6}
+		c.assertTermInSet(s1, fromBits(m))
+		c.Add(expr.NewCmp(expr.Eq, s2, s1.AddConst(k)))
+		return c, []expr.Lin{s1.AddConst(add), s2.AddConst(add), {Sym: 3, Add: add, Width: 6}, expr.Const(add, 6)}
+	}
+	for i := 0; i < 400; i++ {
+		a, b := masks[rng.Intn(len(masks))], masks[rng.Intn(len(masks))]
+		if i%3 == 0 {
+			b |= a // a subset, so the answer is not always no
+		}
+		ca, as := view(a, rng.Uint64(), rng.Uint64())
+		cb, bs := view(b, rng.Uint64(), rng.Uint64())
+		da, db := ca.Domains(), cb.Domains()
+		for _, l := range as {
+			for _, ol := range bs {
+				want := ca.Domain(l).subsetOf(cb.Domain(ol))
+				if got := da.Within(l, &db, ol); got != want {
+					t.Fatalf("%s ⊆ %s: Within says %v, Domain %v ⊆ %v says %v", l, ol, got, ca.Domain(l), cb.Domain(ol), want)
+				}
+			}
+		}
+	}
+	c := NewContext(nil)
+	d := c.Domains()
+	if d.Within(expr.Lin{Sym: 1, Width: 6}, &d, expr.Lin{Sym: 1, Width: 7}) {
+		t.Fatal("a 6-bit term is within a 7-bit one")
+	}
+}
