@@ -88,6 +88,11 @@ func (o Options) withDefaults() Options {
 // Run injects a packet built by init at the given input port and explores
 // all execution paths. init executes before the packet enters the port (it
 // is the paper's "code to create a symbolic packet of the given type").
+// The network keeps init's program for the next run, which reuses it when
+// its init is equal (sefl.Equal): at the element it was compiled for, and at
+// any other unless the code reads its element (a Local metadata key, a
+// For). It keeps its own copy of init, so the caller may edit init once Run
+// returns.
 //
 // Run explores depth-first on the calling goroutine, from one stack of
 // states and one symbol allocator: a path's ID is the order it finished in
@@ -504,8 +509,11 @@ func (r *run) loopCheck(st *state) bool {
 
 // subsumed reports old ⊆ new for the earlier visit s and the packet mem
 // under doms: every variable tracked at s is tracked in mem, and no other
-// is, with a domain that contains its domain at s. vars caches the number
-// of variables mem tracks (-1: not yet counted).
+// is, with a domain that contains its domain at s. The test is a
+// conjunction, so the order of its terms cannot change the verdict; it
+// reads the run's last refuting variable first, then the rest, and counts
+// mem's variables only when every one of s's has passed. vars caches that
+// count (-1: not yet counted).
 func (r *run) subsumed(s *snapshot, mem *memory.Mem, doms *solver.Domains, vars *int) bool {
 	if r.opts.Loop == LoopAddrOnly {
 		old, oldOK := addrs(&s.mem)
@@ -517,6 +525,30 @@ func (r *run) subsumed(s *snapshot, mem *memory.Mem, doms *solver.Domains, vars 
 		}
 		return true
 	}
+	passed := false // r.refuter is tracked at s and passed the test
+	if r.hasRefuter {
+		if old, ok := s.mem.Value(r.refuter); ok {
+			if cur, found := mem.Value(r.refuter); !found || !s.doms.Within(old, doms, cur) {
+				return false
+			}
+			passed = true
+		}
+	}
+	n, ok := 0, true
+	s.mem.Vars(func(v memory.Var, old expr.Lin) bool {
+		n++
+		if passed && v == r.refuter {
+			return true
+		}
+		cur, found := mem.Value(v)
+		if ok = found && s.doms.Within(old, doms, cur); !ok {
+			r.refuter, r.hasRefuter = v, true
+		}
+		return ok
+	})
+	if !ok {
+		return false
+	}
 	if *vars < 0 {
 		*vars = 0
 		mem.Vars(func(memory.Var, expr.Lin) bool {
@@ -524,14 +556,7 @@ func (r *run) subsumed(s *snapshot, mem *memory.Mem, doms *solver.Domains, vars 
 			return true
 		})
 	}
-	n, ok := 0, true
-	s.mem.Vars(func(v memory.Var, old expr.Lin) bool {
-		cur, found := mem.Value(v)
-		ok = found && s.doms.Within(old, doms, cur)
-		n++
-		return ok
-	})
-	return ok && n == *vars
+	return n == *vars
 }
 
 // addrs reads the IP source and destination addresses through the current

@@ -38,6 +38,12 @@ type run struct {
 	// onCycle marks, by port ID, the input ports loopCheck records visits
 	// at (empty when loop detection is off or the network has no cycle).
 	onCycle []bool
+	// refuter is the variable that refuted the run's last failed
+	// subsumption test (when hasRefuter), which the next test reads first:
+	// what a path changes on one lap of a cycle it tends to change on the
+	// next.
+	refuter    memory.Var
+	hasRefuter bool
 	// visit holds the successors of the input-port visit step is settling,
 	// cleared once they depart. It lives here, not on step's stack: the
 	// program walk recurses through runFor, which would move a stack
@@ -92,10 +98,9 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 		}
 	}
 	if !opts.ASTInterp && init != nil {
-		// Injection code runs once per run but compiles in microseconds;
-		// compiling keeps every instruction on the one (compiled) execution
-		// path.
-		r.injProg = prog.Compile(init, elem.Name, elem.Instance, elem.Name+".inject")
+		// Compiling keeps every instruction on the one (compiled) execution
+		// path; the network keeps the program for the next run.
+		r.injProg = net.injectProgram(init, elem)
 	}
 	// The stack starts as the bare packet at the injection port; explore
 	// runs the injection code on it before it steps anything.

@@ -1,5 +1,7 @@
 package core
 
+import "symnet/internal/sefl"
+
 // PortTable renders the ports n minted, indexed by ID, and its link table:
 // links[id] is the ID of the input port linked to output port id, or -1.
 func PortTable(n *Network) (ports []PortRef, links []int) {
@@ -43,4 +45,43 @@ func CyclePorts(n *Network) []PortRef {
 		}
 	}
 	return out
+}
+
+// LoopCheckReplay runs the walk Run would from inject, keeping each state
+// as step takes it, with the loop-detection snapshots it then carried. The
+// returned replay runs loopCheck on every kept state again, from those
+// snapshots, and counts the visits it recorded and those it compared with
+// an earlier snapshot at the same port.
+func LoopCheckReplay(net *Network, inject PortRef, init sefl.Instr, opts Options) (replay func() (recorded, compared int), err error) {
+	r, err := newRun(net, inject, init, opts)
+	if err != nil {
+		return nil, err
+	}
+	type visit struct {
+		st   *state
+		seen *snapshot
+	}
+	var visits []visit
+	r.stack = r.runInjection(r.stack[:0], r.stack[0])
+	for len(r.stack) > 0 {
+		st := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
+		visits = append(visits, visit{st.clone(), st.seen})
+		r.stack = r.step(r.stack, st)
+	}
+	return func() (recorded, compared int) {
+		for _, v := range visits {
+			for s := v.seen; s != nil; s = s.prev {
+				if s.at == v.st.Here {
+					compared++
+					break
+				}
+			}
+			v.st.seen = v.seen
+			if !r.loopCheck(v.st) && v.st.seen != v.seen {
+				recorded++
+			}
+		}
+		return recorded, compared
+	}, nil
 }

@@ -247,3 +247,38 @@ func BenchmarkLoopFullTTL(b *testing.B) {
 		}
 	}
 }
+
+// TestDepartmentLoopCheckAllocatesOnlySnapshots replays every loop check of
+// the default department's all-pairs: a check allocates the one snapshot a
+// visit it records keeps, and nothing for comparing a visit with the
+// snapshots before it. AllocsPerRun counts the whole process, so the
+// runtime's own few allocations are let through.
+func TestDepartmentLoopCheckAllocatesOnlySnapshots(t *testing.T) {
+	d := datasets.NewDepartment(datasets.DefaultDepartment())
+	sources, _ := d.AllPairs()
+	var replays []func() (int, int)
+	for _, src := range sources {
+		replay, err := core.LoopCheckReplay(d.Net, src, sefl.NewTCPPacket(), core.Options{MaxHops: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replays = append(replays, replay)
+	}
+	recorded, compared := 0, 0
+	all := func() {
+		recorded, compared = 0, 0
+		for _, replay := range replays {
+			r, c := replay()
+			recorded += r
+			compared += c
+		}
+	}
+	allocs := testing.AllocsPerRun(5, all)
+	t.Logf("%d visits recorded, %d compared with an earlier snapshot: %.0f allocations", recorded, compared, allocs)
+	if recorded == 0 || compared == 0 {
+		t.Fatal("the department's walk recorded or compared nothing")
+	}
+	if allocs < float64(recorded) || allocs > float64(recorded)+2 {
+		t.Fatalf("replaying the loop checks allocates %.0f objects, want one per recorded visit (%d)", allocs, recorded)
+	}
+}

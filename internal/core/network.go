@@ -233,6 +233,40 @@ type Network struct {
 	links []*port    // by output port ID; nil where unlinked
 	// cycles caches onCycle's marks; AddElement and Link reset it.
 	cycles atomic.Pointer[[]bool]
+	// injected is the last injection code a run compiled (see
+	// injectProgram).
+	injected atomic.Pointer[injection]
+}
+
+// injection is a network's cached injection program: the program and a
+// private copy of the source it was compiled from.
+type injection struct {
+	src  sefl.Instr
+	prog *prog.Program
+}
+
+// injectProgram returns the compiled injection code init for element e.
+// Every source of an all-pairs query injects the same packet, so the
+// network keeps one slot, the last code compiled: code equal to it
+// (sefl.Equal) reuses its program, rebound to e (prog.Program.Rebind),
+// and other code compiles and takes the slot. The slot compiles from its
+// own copy of the code, so a caller that edits init after the run never
+// meets a program of the old code. Concurrent runs may each compile; the
+// last store takes the slot, and each run keeps the program it was handed.
+func (n *Network) injectProgram(init sefl.Instr, e *Element) *prog.Program {
+	label := func() string { return e.Name + ".inject" }
+	if c := n.injected.Load(); c != nil && sefl.Equal(init, c.src) {
+		if c.prog.Elem == e.Name && c.prog.Instance == e.Instance {
+			return c.prog
+		}
+		if p, ok := c.prog.Rebind(e.Name, e.Instance, label()); ok {
+			return p
+		}
+	}
+	src := sefl.Clone(init)
+	p := prog.Compile(src, e.Name, e.Instance, label())
+	n.injected.Store(&injection{src: src, prog: p})
+	return p
 }
 
 // NewNetwork returns an empty network.

@@ -7,8 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"symnet/internal/core"
+	"symnet/internal/sefl"
 )
 
 var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite the committed seeds under testdata/fuzz from the streams the wire and result tests build")
@@ -126,5 +130,84 @@ func TestFuzzSeedCorpusCurrent(t *testing.T) {
 				t.Errorf("%s is no current case's stream (run with -update-fuzz-seeds)", path)
 			}
 		}
+	}
+}
+
+// TestSeedSEFLEqualsItself: every SEFL the committed seeds carry — the
+// port source of each setup and delta, and each job's packet — that
+// decodes is equal to itself and to its own trip through the wire codec
+// (sefl.Equal, the key of a network's cached injection program).
+func TestSeedSEFLEqualsItself(t *testing.T) {
+	var srcs []*sefl.WireInstr
+	for _, corpus := range seedCorpora {
+		dir := filepath.Join("testdata", "fuzz", corpus.fuzz)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+			if !ok {
+				t.Fatalf("%s: not a fuzz seed", f.Name())
+			}
+			data, err := strconv.Unquote(strings.TrimSuffix(lit, ")\n"))
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name(), err)
+			}
+			c := newConn(strings.NewReader(data), io.Discard)
+			for {
+				fr, err := c.recv()
+				if err != nil {
+					break
+				}
+				if fr.Jobs != nil {
+					for _, j := range fr.Jobs.Jobs {
+						srcs = append(srcs, j.Packet)
+					}
+				}
+				if b := fr.Batch; b != nil {
+					var entries []core.WireProgramEntry
+					if b.Delta != nil {
+						entries = b.Delta.Programs
+					}
+					if s, err := decodeSetup(b.SetupRaw); err == nil {
+						entries = append(entries, s.Programs...)
+					}
+					for _, e := range entries {
+						srcs = append(srcs, e.Src)
+					}
+				}
+			}
+		}
+	}
+	n := 0
+	for _, w := range srcs {
+		x, err := sefl.DecodeInstr(w)
+		if err != nil {
+			continue // the seeds of malformed source
+		}
+		n++
+		if !sefl.Equal(x, x) {
+			t.Fatalf("%s is not equal to itself", x)
+		}
+		w2, err := sefl.EncodeInstr(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := sefl.DecodeInstr(w2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sefl.Equal(x, back) {
+			t.Fatalf("%s is not equal to its trip through the codec", x)
+		}
+	}
+	t.Logf("%d decodable SEFL trees in the seeds", n)
+	if n == 0 {
+		t.Fatal("the seeds carry no SEFL")
 	}
 }

@@ -38,7 +38,11 @@ func (c *compiler) compileSeg(is []sefl.Instr) SegID {
 	terminated := false // every state reaching this point has terminated
 	c.emitList(&buf, is, &terminated)
 	lo := int32(len(c.p.Ops))
-	c.p.Ops = append(c.p.Ops, buf...)
+	if c.p.Ops == nil {
+		c.p.Ops = buf // the first segment compiled keeps its buffer, uncopied
+	} else {
+		c.p.Ops = append(c.p.Ops, buf...)
+	}
 	id := SegID(len(c.p.Segs))
 	c.p.Segs = append(c.p.Segs, Seg{Lo: lo, Hi: int32(len(c.p.Ops)), Terminates: terminated})
 	return id
@@ -128,6 +132,9 @@ func (c *compiler) emit(buf *[]Op, ins sefl.Instr, terminated *bool) {
 		}
 
 	case sefl.For:
+		// The loop reads the element's instance, and its bodies compile
+		// for the element.
+		c.p.readsElem = true
 		*buf = append(*buf, Op{Kind: OpFor, Ins: ins, For: newForOp(v.Pattern, v.Body)})
 
 	case sefl.Forward:
@@ -180,6 +187,7 @@ func (c *compiler) compileLV(lv sefl.LValue) LV {
 			inst = v.Instance
 		} else if v.Local {
 			inst = c.p.Instance
+			c.p.readsElem = true
 		}
 		return LV{Key: memory.MetaKey{Name: v.Name, Instance: inst}}
 	}

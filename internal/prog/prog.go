@@ -263,9 +263,25 @@ type Program struct {
 	Segs     []Seg
 	Entry    SegID
 
+	// readsElem marks a program whose ops depend on Elem or Instance beyond
+	// its trace lines: it resolves a Local metadata key or holds a For.
+	readsElem bool
+
 	// renders caches a trace line and a Constrain failure message per op
 	// (see render).
 	renders atomic.Pointer[[]atomic.Pointer[string]]
+}
+
+// Rebind returns p for the element elem of the given instance under label:
+// a new header sharing p's ops and segments, with the element's name and
+// instance and render slots of its own, so its trace lines name elem. ok is
+// false when p reads its element beyond its trace lines (readsElem): such
+// code compiles for each element.
+func (p *Program) Rebind(elem string, instance int, label string) (rp *Program, ok bool) {
+	if p.readsElem {
+		return nil, false
+	}
+	return &Program{Elem: elem, Instance: instance, Label: label, Ops: p.Ops, Segs: p.Segs, Entry: p.Entry}, true
 }
 
 // Seg returns the segment with the given id.
@@ -285,8 +301,8 @@ func (p *Program) Cont(id SegID) (seg SegID, idx int32, ok bool) {
 // continuation before its arms need it; a segment no If has entered by then
 // is the entry. The compiler enters each arm from one If and the entry from
 // none, so every segment has one continuation and a state runs each op of a
-// program at most once. link allocates nothing: injection code compiles per
-// query.
+// program at most once. link allocates nothing: a query compiles the
+// injection code new to its network and For bodies.
 func link(p *Program) {
 	for id := SegID(len(p.Segs)) - 1; id >= 0; id-- {
 		s := &p.Segs[id]

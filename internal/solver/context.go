@@ -294,13 +294,16 @@ func (c *Context) setDomain(root expr.SymID, old *IntervalSet, tracked bool, d *
 
 // Domain returns the set of values the term can take under the deterministic
 // part of the context (pending disjunctions are ignored, which makes the
-// result an over-approximation — exactly what loop detection needs for its
-// old ⊆ new check to stay sound).
+// result an over-approximation). It only reads: the term's root is found by
+// walking the union-find, as Domains.Within does, without inserting an
+// unseen symbol or compressing a chain, so a finished path's context may be
+// read from any number of goroutines, and a symbol Domain was asked about
+// is no more seen by Model than before (Mention makes it so).
 func (c *Context) Domain(l expr.Lin) *IntervalSet {
 	if v, ok := l.ConstVal(); ok {
 		return Singleton(v, l.Width)
 	}
-	root, off := c.find(l.Sym, l.Width)
+	root, off := rootIn(c.uf, l.Sym)
 	return c.domainOf(root, l.Width).shift(off + l.Add)
 }
 

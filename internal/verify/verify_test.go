@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"sync"
 	"testing"
 
 	"symnet/internal/core"
@@ -129,5 +130,75 @@ func TestLoopsAndFailures(t *testing.T) {
 	}
 	if loops, failures := res.ByStatus(core.Looped), res.ByStatus(core.Failed); len(loops) != 1 || len(failures) != 0 {
 		t.Fatalf("loops=%d failures=%d", len(loops), len(failures))
+	}
+}
+
+// lonePath injects a TCP packet at a host with no code and returns its one
+// delivered path: nothing constrains its fields, so its context has seen
+// none of their symbols.
+func lonePath(t *testing.T) *core.Path {
+	t.Helper()
+	net := core.NewNetwork()
+	net.AddElement("h", "host", 1, 0)
+	res, err := core.Run(net, core.PortRef{Elem: "h"}, sefl.NewTCPPacket(), core.Options{})
+	if err != nil || len(res.Paths) != 1 || res.Paths[0].Status != core.Delivered {
+		t.Fatalf("%+v, %v; want one delivered path", res, err)
+	}
+	return res.Paths[0]
+}
+
+// TestFieldDomainWritesNothing: reading a field's domain leaves the path's
+// context as it was, so the symbols its model covers do not change.
+func TestFieldDomainWritesNothing(t *testing.T) {
+	p := lonePath(t)
+	before, _ := p.Ctx.Model()
+	for _, f := range []sefl.Hdr{sefl.TcpSrc, sefl.TcpDst, sefl.IPSrc, sefl.IPDst} {
+		d, err := FieldDomain(p, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Size() != 1<<f.Size {
+			t.Fatalf("%s: domain %s, want every value", f, d)
+		}
+	}
+	if after, _ := p.Ctx.Model(); len(after) != len(before) {
+		t.Fatalf("FieldDomain changed the model from %v to %v", before, after)
+	}
+}
+
+// TestFieldDomainConcurrentReaders: readers of a resident report share its
+// paths, so many goroutines may ask one path for its domains at once (the
+// race detector checks that none writes).
+func TestFieldDomainConcurrentReaders(t *testing.T) {
+	p := passthroughPath(t)
+	want, err := FieldDomain(p, sefl.TcpDst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				for _, f := range []sefl.Hdr{sefl.TcpSrc, sefl.TcpDst, sefl.IPSrc, sefl.IPDst, sefl.IPTTL} {
+					d, err := FieldDomain(p, f)
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if f == sefl.TcpDst && d.String() != want.String() {
+						errs <- "TcpDst domain " + d.String() + ", want " + want.String()
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

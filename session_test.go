@@ -416,8 +416,9 @@ func TestServeRefusesBeforeModeling(t *testing.T) {
 // first query to do: nothing. Every element-port program is compiled (and,
 // being its element's summary, is all the engine walks), so the first Run
 // serves every port visit from the program cache and compiles none. (The
-// compiler still runs in it: injection code is per query and For bodies are
-// keyed by runtime metadata, so prog.compile.count is not zero.)
+// compiler still runs in it: the network compiles injection code on the
+// first query that injects it, and For bodies are keyed by runtime
+// metadata, so prog.compile.count is not zero.)
 func TestCompileWarmsProgramsAndSummaries(t *testing.T) {
 	d := datasets.NewDepartment(datasets.DepartmentConfig{NumAccessSwitches: 3, HostsPerSwitch: 8, Routes: 12, Seed: 5})
 	reg := obs.NewRegistry()
