@@ -8,13 +8,16 @@
 //	symbench -run table3      # HSA vs SymNet on the Stanford-like backbone
 //	symbench -run table4      # options-code property coverage
 //	symbench -run table5      # capability matrix
+//	symbench -run conform     # §8.3 model vs implementation, from Click text
 //	symbench -run splittcp    # §8.4 middlebox scenarios
 //	symbench -run dept        # §8.5 department network
 //	symbench -run all
 //
-// A Table 5 capability or a §8.4/§8.5 scenario that does not reproduce
-// prints FAILED, and symbench then exits 1. The times in the rows are the
-// paper's columns, for reading; measuring is ./benchmark's job.
+// A Table 5 capability, a §8.3 conformance row (a correct element model that
+// disagrees with its implementation, or a buggy one that passes) or a
+// §8.4/§8.5 scenario that does not reproduce prints FAILED, and symbench then
+// exits 1. The times in the rows are the paper's columns, for reading;
+// measuring is ./benchmark's job.
 package main
 
 import (
@@ -41,6 +44,7 @@ var experimentTable = []struct {
 	{"table3", table3},
 	{"table4", table4},
 	{"table5", table5},
+	{"conform", conformance},
 	{"splittcp", splittcp},
 	{"dept", dept},
 }
@@ -204,6 +208,20 @@ func table5(bool) int {
 			failed++
 		}
 		fmt.Printf("%-26s %-6s %-6s %s\n", r.Capability, r.HSA, r.NOD, r.SymNet)
+	}
+	fmt.Printf("\n")
+	return failed
+}
+
+func conformance(bool) int {
+	failed := 0
+	fmt.Printf("== §8.3: SEFL models vs their Click implementations ==\n")
+	rows, err := experiments.Conformance()
+	if err != nil {
+		fail(err)
+	}
+	for _, r := range rows {
+		fmt.Printf("%-28s %-56s %s\n", r.Class, r.Detail, status(r.OK, &failed))
 	}
 	fmt.Printf("\n")
 	return failed

@@ -9,10 +9,10 @@
 //
 // The output always ends with a "solver" block (solver call counters plus
 // the satisfiability-cache hit/miss totals). -metrics adds a schema-versioned
-// "metrics" block (the obs registry snapshot), -trace-out writes phase spans
-// as JSONL, and -debug-addr serves expvar (live metrics) plus net/http/pprof
-// for the duration of the run. All three are observational: enabling them
-// changes no path, status, or solver counter.
+// "metrics" block (the obs registry snapshot), -trace-out writes the query's
+// "explore" span as JSONL, and -debug-addr serves expvar (live metrics) plus
+// net/http/pprof for the duration of the run. All three are observational:
+// enabling them changes no path, status, or solver counter.
 package main
 
 import (
@@ -141,7 +141,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The query is the run's one span: -trace-out writes it, -metrics
+	// folds it into phase.explore_ns.
+	finish := opts.Obs.Span("explore", *inject, -1)
 	res, err := sess.Run(core.PortRef{Elem: elem, Port: port}, tmpl)
+	finish()
 	if err != nil {
 		fatal(err)
 	}

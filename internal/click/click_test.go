@@ -71,12 +71,12 @@ func TestParseFilter(t *testing.T) {
 }
 
 func TestIPClassifierModelAndConcreteAgree(t *testing.T) {
-	filters := []Filter{
-		{Proto: U(6), DstPort: U(80)},
-		{Proto: U(6)},
+	filters := []filter{
+		{Proto: u(6), DstPort: u(80)},
+		{Proto: u(6)},
 	}
 	net := core.NewNetwork()
-	_, conc := Instantiate(net, "cls", IPClassifier(filters))
+	_, conc := instantiate(net, "cls", ipClassifier(filters))
 	res, err := core.Run(net, core.PortRef{Elem: "cls", Port: 0}, sefl.NewTCPPacket(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +104,8 @@ func TestIPClassifierModelAndConcreteAgree(t *testing.T) {
 func TestFig9RewriterLoop(t *testing.T) {
 	build := func() *core.Network {
 		net := core.NewNetwork()
-		Instantiate(net, "rw", ipRewriter())
-		Instantiate(net, "mirror", IPMirror())
+		instantiate(net, "rw", ipRewriter())
+		instantiate(net, "mirror", IPMirror())
 		sink := net.AddElement("src", "sink", 1, 0)
 		sink.SetInCode(0, sefl.NoOp{})
 		net.MustLink("rw", 0, "mirror", 0)
@@ -159,8 +159,8 @@ func TestFig9RewriterLoop(t *testing.T) {
 
 func TestTunnelElementsRoundTrip(t *testing.T) {
 	net := core.NewNetwork()
-	_, encC := Instantiate(net, "enc", ipEncap("1.0.0.1", "2.0.0.1"))
-	_, decC := Instantiate(net, "dec", ipDecap())
+	_, encC := instantiate(net, "enc", ipEncap("1.0.0.1", "2.0.0.1"))
+	_, decC := instantiate(net, "dec", ipDecap())
 	sink := net.AddElement("out", "sink", 1, 0)
 	sink.SetInCode(0, sefl.NoOp{})
 	net.MustLink("enc", 0, "dec", 0)
@@ -179,7 +179,7 @@ func TestTunnelElementsRoundTrip(t *testing.T) {
 		t.Fatalf("concrete encap: %v ok=%v", mid, ok)
 	}
 	_, out, ok := decC.Process(0, mid)
-	if !ok || len(out.IP) != 1 || out.InnerIP().Src != 1 {
+	if !ok || len(out.IP) != 1 || out.innerIP().Src != 1 {
 		t.Fatalf("concrete decap: %v ok=%v", out, ok)
 	}
 }

@@ -71,8 +71,8 @@ func (p *Packet) Clone() *Packet {
 	return n
 }
 
-// InnerIP returns the innermost IP header.
-func (p *Packet) InnerIP() *IPHdr {
+// innerIP returns the innermost IP header.
+func (p *Packet) innerIP() *IPHdr {
 	if len(p.IP) == 0 {
 		return nil
 	}
@@ -113,10 +113,10 @@ type Concrete interface {
 	Process(inPort int, p *Packet) (outPort int, out *Packet, ok bool)
 }
 
-// ConcreteFunc adapts a function to the Concrete interface.
-type ConcreteFunc func(inPort int, p *Packet) (int, *Packet, bool)
+// concreteFunc adapts a function to the Concrete interface.
+type concreteFunc func(inPort int, p *Packet) (int, *Packet, bool)
 
 // Process implements Concrete.
-func (f ConcreteFunc) Process(inPort int, p *Packet) (int, *Packet, bool) {
+func (f concreteFunc) Process(inPort int, p *Packet) (int, *Packet, bool) {
 	return f(inPort, p)
 }

@@ -24,12 +24,9 @@ func ref(h sefl.Hdr) sefl.Expr { return sefl.Ref{LV: h} }
 // --- IPMirror ---
 
 // IPMirror swaps IP source/destination and transport ports. The paper's
-// model bug ("it only mirrored the IP addresses and not ports") is
-// available as IPMirrorBuggy for the §8.3 conformance experiments.
+// model bug ("it only mirrored the IP addresses and not ports") is the
+// IPMirrorBuggy class of the §8.3 conformance experiments.
 func IPMirror() Def { return ipMirror(false) }
-
-// IPMirrorBuggy is the incomplete model documented in §8.3.
-func IPMirrorBuggy() Def { return ipMirror(true) }
 
 func swapFields(a, b sefl.Hdr, tmp string) []sefl.Instr {
 	return []sefl.Instr{
@@ -60,9 +57,9 @@ func ipMirror(buggy bool) Def {
 		NewConcrete: func() Concrete {
 			// The concrete implementation is always the real one: mirrors
 			// both addresses and ports.
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				q := p.Clone()
-				ip := q.InnerIP()
+				ip := q.innerIP()
 				if ip == nil {
 					return 0, nil, false
 				}
@@ -78,14 +75,9 @@ func ipMirror(buggy bool) Def {
 
 // --- DecIPTTL ---
 
-// DecIPTTL decrements the IP TTL and drops packets whose TTL would reach
-// zero. DecIPTTLBuggy reproduces the wrap-around bug of §8.3 (decrement
-// before the check).
-func DecIPTTL() Def { return decIPTTL(false) }
-
-// DecIPTTLBuggy is the wrap-around variant documented in §8.3.
-func DecIPTTLBuggy() Def { return decIPTTL(true) }
-
+// decIPTTL decrements the IP TTL and drops packets whose TTL would reach
+// zero. The buggy variant (class DecIPTTLBuggy) reproduces the wrap-around
+// bug of §8.3: decrement before the check.
 func decIPTTL(buggy bool) Def {
 	kind := "DecIPTTL"
 	if buggy {
@@ -114,9 +106,9 @@ func decIPTTL(buggy bool) Def {
 			))
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				q := p.Clone()
-				ip := q.InnerIP()
+				ip := q.innerIP()
 				if ip == nil {
 					return 0, nil, false
 				}
@@ -132,14 +124,9 @@ func decIPTTL(buggy bool) Def {
 
 // --- HostEtherFilter ---
 
-// HostEtherFilter passes only frames destined to the host's MAC address.
-// HostEtherFilterBuggy checks the ethertype field instead, the bug from
-// §8.3.
-func HostEtherFilter(mac string) Def { return hostEtherFilter(mac, false) }
-
-// HostEtherFilterBuggy is the wrong-field variant documented in §8.3.
-func HostEtherFilterBuggy(mac string) Def { return hostEtherFilter(mac, true) }
-
+// hostEtherFilter passes only frames destined to the host's MAC address.
+// The buggy variant (class HostEtherFilterBuggy) checks the ethertype field
+// instead, the bug from §8.3.
 func hostEtherFilter(mac string, buggy bool) Def {
 	kind := "HostEtherFilter"
 	if buggy {
@@ -160,7 +147,7 @@ func hostEtherFilter(mac string, buggy bool) Def {
 			))
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				if p.Ether == nil || p.Ether.Dst != macVal {
 					return 0, nil, false
 				}
@@ -172,9 +159,9 @@ func hostEtherFilter(mac string, buggy bool) Def {
 
 // --- IPClassifier ---
 
-// Filter is one IPClassifier/IPFilter pattern, a conjunction of primitive
+// filter is one IPClassifier/IPFilter pattern, a conjunction of primitive
 // tests.
-type Filter struct {
+type filter struct {
 	Proto   *uint64 // IP protocol
 	SrcHost *uint64
 	DstHost *uint64
@@ -183,7 +170,7 @@ type Filter struct {
 }
 
 // cond lowers the filter to a SEFL condition.
-func (f Filter) cond() sefl.Cond {
+func (f filter) cond() sefl.Cond {
 	var cs []sefl.Cond
 	if f.Proto != nil {
 		cs = append(cs, sefl.Eq(ref(sefl.IPProto), sefl.CW(*f.Proto, 8)))
@@ -207,8 +194,8 @@ func (f Filter) cond() sefl.Cond {
 }
 
 // matches evaluates the filter on a concrete packet.
-func (f Filter) matches(p *Packet) bool {
-	ip := p.InnerIP()
+func (f filter) matches(p *Packet) bool {
+	ip := p.innerIP()
 	if ip == nil {
 		return false
 	}
@@ -230,9 +217,9 @@ func (f Filter) matches(p *Packet) bool {
 	return true
 }
 
-// IPClassifier sends a packet to the output of the first filter it matches;
+// ipClassifier sends a packet to the output of the first filter it matches;
 // non-matching packets are dropped (Click semantics when no trailing "-").
-func IPClassifier(filters []Filter) Def {
+func ipClassifier(filters []filter) Def {
 	return Def{
 		Kind: "IPClassifier", NumIn: 1, NumOut: len(filters),
 		Model: func(e *core.Element) {
@@ -247,7 +234,7 @@ func IPClassifier(filters []Filter) Def {
 			e.SetInCode(core.WildcardPort, code)
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				for i, f := range filters {
 					if f.matches(p) {
 						return i, p.Clone(), true
@@ -321,7 +308,7 @@ type concreteRewriter struct {
 }
 
 func (r *concreteRewriter) Process(in int, p *Packet) (int, *Packet, bool) {
-	ip := p.InnerIP()
+	ip := p.innerIP()
 	if ip == nil || p.TCP == nil {
 		return 0, nil, false
 	}
@@ -357,7 +344,7 @@ func etherEncap(etherType uint64, src, dst string) Def {
 		},
 		NewConcrete: func() Concrete {
 			s, d := sefl.MACToNumber(src), sefl.MACToNumber(dst)
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				q := p.Clone()
 				q.Ether = &EtherHdr{Dst: d, Src: s, Proto: etherType}
 				return 0, q, true
@@ -378,7 +365,7 @@ func stripEther() Def {
 			))
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				q := p.Clone()
 				q.Ether = nil
 				return 0, q, true
@@ -399,8 +386,8 @@ func checkIPHeader() Def {
 			))
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
-				ip := p.InnerIP()
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+				ip := p.innerIP()
 				if ip == nil || ip.Len < 20 {
 					return 0, nil, false
 				}
@@ -418,7 +405,7 @@ func discard() Def {
 			e.SetInCode(core.WildcardPort, sefl.Fail{Msg: "discarded"})
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				return 0, nil, false
 			})
 		},
@@ -433,7 +420,7 @@ func queue() Def {
 			e.SetInCode(core.WildcardPort, sefl.Forward{Port: 0})
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				return 0, p.Clone(), true
 			})
 		},
@@ -458,12 +445,12 @@ func ipEncap(src, dst string) Def {
 		},
 		NewConcrete: func() Concrete {
 			s, d := sefl.IPToNumber(src), sefl.IPToNumber(dst)
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
-				if p.InnerIP() == nil {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+				if p.innerIP() == nil {
 					return 0, nil, false
 				}
 				q := p.Clone()
-				outer := &IPHdr{Len: q.InnerIP().Len + 20, TTL: 64, Proto: models.ProtoIPIP, Src: s, Dst: d}
+				outer := &IPHdr{Len: q.innerIP().Len + 20, TTL: 64, Proto: models.ProtoIPIP, Src: s, Dst: d}
 				q.IP = append([]*IPHdr{outer}, q.IP...)
 				q.Ether = &EtherHdr{
 					Src:   sefl.MACToNumber(tunnelMACSrc),
@@ -485,7 +472,7 @@ func ipDecap() Def {
 			models.TunnelExit(e, tunnelMACSrc, tunnelMACDst)
 		},
 		NewConcrete: func() Concrete {
-			return ConcreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
+			return concreteFunc(func(in int, p *Packet) (int, *Packet, bool) {
 				if len(p.IP) < 2 || p.outerIP().Proto != models.ProtoIPIP {
 					return 0, nil, false
 				}
@@ -502,9 +489,9 @@ func ipDecap() Def {
 	}
 }
 
-// Instantiate registers a Def as a named element in a network and returns
+// instantiate registers a Def as a named element in a network and returns
 // its concrete twin.
-func Instantiate(net *core.Network, name string, d Def) (*core.Element, Concrete) {
+func instantiate(net *core.Network, name string, d Def) (*core.Element, Concrete) {
 	e := net.AddElement(name, d.Kind, d.NumIn, d.NumOut)
 	d.Model(e)
 	var c Concrete
@@ -513,6 +500,3 @@ func Instantiate(net *core.Network, name string, d Def) (*core.Element, Concrete
 	}
 	return e, c
 }
-
-// U is a helper for optional filter fields.
-func U(v uint64) *uint64 { return &v }

@@ -89,7 +89,7 @@ func (cfg *Config) parseDecl(line string) error {
 	if err != nil {
 		return err
 	}
-	_, conc := Instantiate(cfg.Net, name, def)
+	_, conc := instantiate(cfg.Net, name, def)
 	if conc != nil {
 		cfg.Concrete[name] = conc
 	}
@@ -101,32 +101,20 @@ func (cfg *Config) parseDecl(line string) error {
 func buildElement(class, args string) (Def, error) {
 	argList := splitArgs(args)
 	switch class {
-	case "IPMirror":
-		return IPMirror(), nil
-	case "IPMirrorBuggy":
-		return IPMirrorBuggy(), nil
-	case "DecIPTTL":
-		return DecIPTTL(), nil
-	case "DecIPTTLBuggy":
-		return DecIPTTLBuggy(), nil
-	case "HostEtherFilter":
+	case "IPMirror", "IPMirrorBuggy":
+		return ipMirror(class == "IPMirrorBuggy"), nil
+	case "DecIPTTL", "DecIPTTLBuggy":
+		return decIPTTL(class == "DecIPTTLBuggy"), nil
+	case "HostEtherFilter", "HostEtherFilterBuggy":
 		if len(argList) != 1 {
-			return Def{}, fmt.Errorf("HostEtherFilter needs 1 argument")
+			return Def{}, fmt.Errorf("%s needs 1 argument", class)
 		}
 		if err := checkAddrs(class, tables.ParseMAC[string], argList...); err != nil {
 			return Def{}, err
 		}
-		return HostEtherFilter(argList[0]), nil
-	case "HostEtherFilterBuggy":
-		if len(argList) != 1 {
-			return Def{}, fmt.Errorf("HostEtherFilterBuggy needs 1 argument")
-		}
-		if err := checkAddrs(class, tables.ParseMAC[string], argList...); err != nil {
-			return Def{}, err
-		}
-		return HostEtherFilterBuggy(argList[0]), nil
+		return hostEtherFilter(argList[0], class == "HostEtherFilterBuggy"), nil
 	case "IPClassifier":
-		var filters []Filter
+		var filters []filter
 		for _, a := range argList {
 			f, err := parseFilter(a)
 			if err != nil {
@@ -137,7 +125,7 @@ func buildElement(class, args string) (Def, error) {
 		if len(filters) == 0 {
 			return Def{}, fmt.Errorf("IPClassifier needs at least one filter")
 		}
-		return IPClassifier(filters), nil
+		return ipClassifier(filters), nil
 	case "IPRewriter":
 		return ipRewriter(), nil
 	case "EtherEncap":
@@ -190,8 +178,8 @@ func checkAddrs(class string, parse func(string) (uint64, error), args ...string
 // parseFilter parses a tcpdump-flavored classifier pattern: a conjunction
 // of "tcp", "udp", "ip proto N", "src host A.B.C.D", "dst host A.B.C.D",
 // "src port N", "dst port N".
-func parseFilter(s string) (Filter, error) {
-	var f Filter
+func parseFilter(s string) (filter, error) {
+	var f filter
 	tok := strings.Fields(s)
 	i := 0
 	next := func() (string, bool) {
@@ -209,11 +197,11 @@ func parseFilter(s string) (Filter, error) {
 		}
 		switch t {
 		case "tcp":
-			f.Proto = U(uint64(sefl.ProtoTCP))
+			f.Proto = u(uint64(sefl.ProtoTCP))
 		case "udp":
-			f.Proto = U(uint64(sefl.ProtoUDP))
+			f.Proto = u(uint64(sefl.ProtoUDP))
 		case "icmp":
-			f.Proto = U(uint64(sefl.ProtoICMP))
+			f.Proto = u(uint64(sefl.ProtoICMP))
 		case "ip":
 			kw, _ := next()
 			if kw != "proto" {
@@ -227,7 +215,7 @@ func parseFilter(s string) (Filter, error) {
 			if err != nil {
 				return f, fmt.Errorf("filter %q: %v", s, err)
 			}
-			f.Proto = U(n)
+			f.Proto = u(n)
 		case "src", "dst":
 			kw, ok := next()
 			if !ok {
@@ -244,9 +232,9 @@ func parseFilter(s string) (Filter, error) {
 					return f, fmt.Errorf("filter %q: %w", s, err)
 				}
 				if t == "src" {
-					f.SrcHost = U(addr)
+					f.SrcHost = u(addr)
 				} else {
-					f.DstHost = U(addr)
+					f.DstHost = u(addr)
 				}
 			case "port":
 				v, ok := next()
@@ -258,9 +246,9 @@ func parseFilter(s string) (Filter, error) {
 					return f, fmt.Errorf("filter %q: %v", s, err)
 				}
 				if t == "src" {
-					f.SrcPort = U(n)
+					f.SrcPort = u(n)
 				} else {
-					f.DstPort = U(n)
+					f.DstPort = u(n)
 				}
 			default:
 				return f, fmt.Errorf("filter %q: unknown keyword %q", s, kw)
@@ -272,6 +260,9 @@ func parseFilter(s string) (Filter, error) {
 		}
 	}
 }
+
+// u boxes an optional filter field.
+func u(v uint64) *uint64 { return &v }
 
 // splitArgs splits a Click argument list on top-level commas.
 func splitArgs(s string) []string {

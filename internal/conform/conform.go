@@ -18,11 +18,14 @@ import (
 	"symnet/internal/click"
 	"symnet/internal/core"
 	"symnet/internal/expr"
+	"symnet/internal/memory"
 	"symnet/internal/sefl"
 	"symnet/internal/solver"
+	"symnet/internal/verify"
 )
 
-// Harness couples a model network with its concrete twin.
+// Harness couples a model network with its concrete twin, both from one
+// parsed Click configuration (click.ParseConfig's Net and Concrete).
 type Harness struct {
 	Net      *core.Network
 	Concrete map[string]click.Concrete
@@ -57,79 +60,80 @@ type Report struct {
 // OK reports whether model and implementation agreed everywhere.
 func (r *Report) OK() bool { return len(r.Mismatches) == 0 }
 
-// templField describes one template header field by absolute offset (the
-// standard NewTCPPacket layout: L2@0, L3@112, L4@272, payload@432).
+// templField is one field of the TCP template (sefl.NewTCPPacket) and where
+// a concrete packet keeps it: at returns nil when the packet lacks the
+// field's layer. IP fields are the outermost IP header's, the one a model's
+// L3 tag names.
 type templField struct {
-	name string
-	off  int64
-	size int
-	get  func(p *click.Packet) (uint64, bool)
-	set  func(p *click.Packet, v uint64)
+	hdr sefl.Hdr
+	at  func(p *click.Packet) *uint64
 }
 
 func tcpTemplate() []templField {
+	ether := func(f func(*click.EtherHdr) *uint64) func(*click.Packet) *uint64 {
+		return func(p *click.Packet) *uint64 {
+			if p.Ether == nil {
+				return nil
+			}
+			return f(p.Ether)
+		}
+	}
+	ip := func(f func(*click.IPHdr) *uint64) func(*click.Packet) *uint64 {
+		return func(p *click.Packet) *uint64 {
+			if len(p.IP) == 0 {
+				return nil
+			}
+			return f(p.IP[0])
+		}
+	}
+	tcp := func(f func(*click.TCPHdr) *uint64) func(*click.Packet) *uint64 {
+		return func(p *click.Packet) *uint64 {
+			if p.TCP == nil {
+				return nil
+			}
+			return f(p.TCP)
+		}
+	}
+	l4 := func(rel int64, name string) sefl.Hdr {
+		return sefl.Hdr{Off: sefl.FromTag(sefl.TagL4, rel), Size: 16, Name: name}
+	}
 	return []templField{
-		{"EtherDst", 0, 48, func(p *click.Packet) (uint64, bool) {
-			if p.Ether == nil {
-				return 0, false
-			}
-			return p.Ether.Dst, true
-		}, func(p *click.Packet, v uint64) { p.Ether.Dst = v }},
-		{"EtherSrc", 48, 48, func(p *click.Packet) (uint64, bool) {
-			if p.Ether == nil {
-				return 0, false
-			}
-			return p.Ether.Src, true
-		}, func(p *click.Packet, v uint64) { p.Ether.Src = v }},
-		{"EtherProto", 96, 16, func(p *click.Packet) (uint64, bool) {
-			if p.Ether == nil {
-				return 0, false
-			}
-			return p.Ether.Proto, true
-		}, func(p *click.Packet, v uint64) { p.Ether.Proto = v }},
-		{"IPLen", 112 + 16, 16, ipGet(func(h *click.IPHdr) uint64 { return h.Len }), ipSet(func(h *click.IPHdr, v uint64) { h.Len = v })},
-		{"IPID", 112 + 32, 16, ipGet(func(h *click.IPHdr) uint64 { return h.ID }), ipSet(func(h *click.IPHdr, v uint64) { h.ID = v })},
-		{"IPFlags", 112 + 48, 16, ipGet(func(h *click.IPHdr) uint64 { return h.Flags }), ipSet(func(h *click.IPHdr, v uint64) { h.Flags = v })},
-		{"IPTTL", 112 + 64, 8, ipGet(func(h *click.IPHdr) uint64 { return h.TTL }), ipSet(func(h *click.IPHdr, v uint64) { h.TTL = v })},
-		{"IPProto", 112 + 72, 8, ipGet(func(h *click.IPHdr) uint64 { return h.Proto }), ipSet(func(h *click.IPHdr, v uint64) { h.Proto = v })},
-		{"IPChksum", 112 + 80, 16, ipGet(func(h *click.IPHdr) uint64 { return h.Chksum }), ipSet(func(h *click.IPHdr, v uint64) { h.Chksum = v })},
-		{"IPSrc", 112 + 96, 32, ipGet(func(h *click.IPHdr) uint64 { return h.Src }), ipSet(func(h *click.IPHdr, v uint64) { h.Src = v })},
-		{"IPDst", 112 + 128, 32, ipGet(func(h *click.IPHdr) uint64 { return h.Dst }), ipSet(func(h *click.IPHdr, v uint64) { h.Dst = v })},
-		{"TcpSrc", 272 + 0, 16, tcpGet(func(h *click.TCPHdr) uint64 { return h.Src }), tcpSet(func(h *click.TCPHdr, v uint64) { h.Src = v })},
-		{"TcpDst", 272 + 16, 16, tcpGet(func(h *click.TCPHdr) uint64 { return h.Dst }), tcpSet(func(h *click.TCPHdr, v uint64) { h.Dst = v })},
-		{"TcpSeq", 272 + 32, 32, tcpGet(func(h *click.TCPHdr) uint64 { return h.Seq }), tcpSet(func(h *click.TCPHdr, v uint64) { h.Seq = v })},
-		{"TcpAck", 272 + 64, 32, tcpGet(func(h *click.TCPHdr) uint64 { return h.Ack }), tcpSet(func(h *click.TCPHdr, v uint64) { h.Ack = v })},
-		{"TcpFlags", 272 + 96, 16, tcpGet(func(h *click.TCPHdr) uint64 { return h.Flags }), tcpSet(func(h *click.TCPHdr, v uint64) { h.Flags = v })},
-		{"TcpWin", 272 + 112, 16, tcpGet(func(h *click.TCPHdr) uint64 { return h.Win }), tcpSet(func(h *click.TCPHdr, v uint64) { h.Win = v })},
-		{"TcpPayload", 432, 64, func(p *click.Packet) (uint64, bool) { return p.Payload, true }, func(p *click.Packet, v uint64) { p.Payload = v }},
+		{sefl.EtherDst, ether(func(h *click.EtherHdr) *uint64 { return &h.Dst })},
+		{sefl.EtherSrc, ether(func(h *click.EtherHdr) *uint64 { return &h.Src })},
+		{sefl.EtherProto, ether(func(h *click.EtherHdr) *uint64 { return &h.Proto })},
+		{sefl.IPLen, ip(func(h *click.IPHdr) *uint64 { return &h.Len })},
+		{sefl.IPID, ip(func(h *click.IPHdr) *uint64 { return &h.ID })},
+		{sefl.IPFlags, ip(func(h *click.IPHdr) *uint64 { return &h.Flags })},
+		{sefl.IPTTL, ip(func(h *click.IPHdr) *uint64 { return &h.TTL })},
+		{sefl.IPProto, ip(func(h *click.IPHdr) *uint64 { return &h.Proto })},
+		{sefl.IPChksum, ip(func(h *click.IPHdr) *uint64 { return &h.Chksum })},
+		{sefl.IPSrc, ip(func(h *click.IPHdr) *uint64 { return &h.Src })},
+		{sefl.IPDst, ip(func(h *click.IPHdr) *uint64 { return &h.Dst })},
+		{sefl.TcpSrc, tcp(func(h *click.TCPHdr) *uint64 { return &h.Src })},
+		{sefl.TcpDst, tcp(func(h *click.TCPHdr) *uint64 { return &h.Dst })},
+		{sefl.TcpSeq, tcp(func(h *click.TCPHdr) *uint64 { return &h.Seq })},
+		{sefl.TcpAck, tcp(func(h *click.TCPHdr) *uint64 { return &h.Ack })},
+		{l4(96, "TcpFlags"), tcp(func(h *click.TCPHdr) *uint64 { return &h.Flags })},
+		{l4(112, "TcpWin"), tcp(func(h *click.TCPHdr) *uint64 { return &h.Win })},
+		{sefl.TcpPayload, func(p *click.Packet) *uint64 { return &p.Payload }},
 	}
 }
 
-func ipGet(g func(*click.IPHdr) uint64) func(*click.Packet) (uint64, bool) {
-	return func(p *click.Packet) (uint64, bool) {
-		ip := p.InnerIP()
-		if ip == nil {
-			return 0, false
-		}
-		return g(ip), true
+// injection is the TCP template followed by a copy of every field into
+// global metadata ("conform.<field>"): a model may strip, push or re-stack
+// headers, and the copy still names what was injected.
+func injection(fields []templField) sefl.Instr {
+	is := []sefl.Instr{sefl.NewTCPPacket()}
+	for _, f := range fields {
+		m := sefl.Meta{Name: "conform." + f.hdr.Name}
+		is = append(is, sefl.Allocate{LV: m, Size: f.hdr.Size}, sefl.Assign{LV: m, E: sefl.Ref{LV: f.hdr}})
 	}
+	return sefl.Seq(is...)
 }
 
-func ipSet(s func(*click.IPHdr, uint64)) func(*click.Packet, uint64) {
-	return func(p *click.Packet, v uint64) { s(p.InnerIP(), v) }
-}
-
-func tcpGet(g func(*click.TCPHdr) uint64) func(*click.Packet) (uint64, bool) {
-	return func(p *click.Packet) (uint64, bool) {
-		if p.TCP == nil {
-			return 0, false
-		}
-		return g(p.TCP), true
-	}
-}
-
-func tcpSet(s func(*click.TCPHdr, uint64)) func(*click.Packet, uint64) {
-	return func(p *click.Packet, v uint64) { s(p.TCP, v) }
+// injected returns the term a field held when the path was injected.
+func injected(p *core.Path, f templField) (expr.Lin, error) {
+	return p.Mem.ReadMeta(memory.MetaKey{Name: "conform." + f.hdr.Name, Instance: memory.GlobalScope})
 }
 
 // Run executes the full conformance procedure with nRandom fuzz packets.
@@ -140,12 +144,12 @@ func Run(h Harness, nRandom int, seed int64) (*Report, error) {
 // run is Run with the model explored under opts.
 func run(h Harness, nRandom int, seed int64, opts core.Options) (*Report, error) {
 	rep := &Report{}
-	res, err := core.Run(h.Net, h.Inject, sefl.NewTCPPacket(), opts)
+	fields := tcpTemplate()
+	res, err := core.Run(h.Net, h.Inject, injection(fields), opts)
 	if err != nil {
 		return nil, err
 	}
 	rep.Loops = res.Stats.Looped
-	fields := tcpTemplate()
 	for _, p := range res.Paths {
 		if p.Status != core.Delivered {
 			continue
@@ -154,12 +158,15 @@ func run(h Harness, nRandom int, seed int64, opts core.Options) (*Report, error)
 		// catches wrap-around bugs like DecIPTTL) and a diversified model
 		// (distinct values per field — catches aliasing bugs like the
 		// ports-not-mirrored IPMirror model). Both cover every symbol a
-		// template field starts or ends the path with, constrained or not.
+		// template field was injected with or ends the path with,
+		// constrained or not.
 		ctx := p.Ctx.CloneInto(new(solver.Context))
 		for _, f := range fields {
-			if hist, err := p.Mem.HdrHistory(f.off, f.size); err == nil && len(hist) > 0 {
-				ctx.Mention(hist[0])
-				ctx.Mention(hist[len(hist)-1])
+			if v, err := injected(p, f); err == nil {
+				ctx.Mention(v)
+			}
+			if v, err := verify.FieldValue(p, f.hdr); err == nil {
+				ctx.Mention(v)
 			}
 		}
 		boundary, ok := ctx.Model()
@@ -197,16 +204,16 @@ func (h Harness) applyDictionary(rng *rand.Rand, pkt *click.Packet, fields []tem
 		return
 	}
 	for _, f := range fields {
-		vals := h.Dictionary[f.name]
+		vals := h.Dictionary[f.hdr.Name]
 		if len(vals) == 0 || rng.Intn(2) == 0 {
 			continue
 		}
-		f.set(pkt, vals[rng.Intn(len(vals))])
+		*f.at(pkt) = vals[rng.Intn(len(vals))]
 	}
 }
 
 // buildPacket reconstructs the injected packet of a path from a model: each
-// template field's *first* recorded value evaluated under the assignment.
+// template field's injected value evaluated under the assignment.
 func buildPacket(p *core.Path, model map[expr.SymID]uint64, fields []templField) (*click.Packet, error) {
 	pkt := &click.Packet{
 		Ether: &click.EtherHdr{},
@@ -214,15 +221,15 @@ func buildPacket(p *core.Path, model map[expr.SymID]uint64, fields []templField)
 		TCP:   &click.TCPHdr{},
 	}
 	for _, f := range fields {
-		hist, err := p.Mem.HdrHistory(f.off, f.size)
-		if err != nil || len(hist) == 0 {
-			return nil, fmt.Errorf("field %s has no history: %v", f.name, err)
-		}
-		v, err := evalLin(hist[0], model)
+		in, err := injected(p, f)
 		if err != nil {
-			return nil, fmt.Errorf("field %s: %w", f.name, err)
+			return nil, fmt.Errorf("field %s: %w", f.hdr.Name, err)
 		}
-		f.set(pkt, v)
+		v, err := evalLin(in, model)
+		if err != nil {
+			return nil, fmt.Errorf("field %s: %w", f.hdr.Name, err)
+		}
+		*f.at(pkt) = v
 	}
 	return pkt, nil
 }
@@ -285,26 +292,36 @@ func (h Harness) testPacketAgainstPath(rep *Report, p *core.Path, model map[expr
 			Reason: fmt.Sprintf("model delivers at %s, implementation at %s", want, finalRef)})
 		return
 	}
-	// Compare final header fields (§8.3 step 4: captured header values are
-	// added as constraints and checked — here the solver assignment is the
-	// evaluation).
+	// §8.3 step 4: the injected and the captured header values are added to
+	// the path's constraints, which must stay satisfiable. A field the model
+	// leaves free (IPinIPEncap's outer IP ID) admits what the implementation
+	// writes there.
+	ctx := p.Ctx.CloneInto(new(solver.Context))
+	pin(ctx, p, pkt, fields)
 	for _, f := range fields {
-		got, ok := f.get(out)
-		if !ok {
-			continue // layer absent in the concrete packet
-		}
-		v, err := p.Mem.ReadHdr(f.off, f.size)
-		if err != nil {
-			continue // field gone in the model (encap/strip)
-		}
-		want, err := evalLin(v, model)
-		if err != nil {
-			continue
-		}
-		if got != want {
+		got := f.at(out)
+		v, err := verify.FieldValue(p, f.hdr)
+		if (got == nil) != (err != nil) {
 			rep.Mismatches = append(rep.Mismatches, Mismatch{PathID: p.ID, Packet: pkt,
-				Reason: fmt.Sprintf("field %s: implementation %#x, model %#x", f.name, got, want)})
+				Reason: fmt.Sprintf("field %s: in only one of implementation and model output", f.hdr.Name)})
+			return
 		}
+		if got == nil {
+			continue // layer absent on both sides
+		}
+		if !ctx.Add(expr.NewCmp(expr.Eq, v, expr.Const(*got, v.Width))) {
+			want := v.String()
+			if w, err := evalLin(v, model); err == nil {
+				want = fmt.Sprintf("%#x", w)
+			}
+			rep.Mismatches = append(rep.Mismatches, Mismatch{PathID: p.ID, Packet: pkt,
+				Reason: fmt.Sprintf("field %s: implementation %#x, model %s", f.hdr.Name, *got, want)})
+			return
+		}
+	}
+	if !ctx.Sat() {
+		rep.Mismatches = append(rep.Mismatches, Mismatch{PathID: p.ID, Packet: pkt,
+			Reason: "captured header values contradict the path's constraints"})
 	}
 }
 
@@ -316,13 +333,13 @@ func (h Harness) testRandomPacket(rep *Report, res *core.Result, pkt *click.Pack
 		return // loops are reported by the symbolic side
 	}
 	// Find the symbolic path this packet takes: the delivered path whose
-	// constraints admit the packet's initial field values.
+	// constraints admit the packet's injected field values.
 	var match *core.Path
 	for _, p := range res.Paths {
 		if p.Status != core.Delivered {
 			continue
 		}
-		if pathAdmits(p, pkt, fields) {
+		if ctx := p.Ctx.CloneInto(new(solver.Context)); pin(ctx, p, pkt, fields) && ctx.Sat() {
 			match = p
 			break
 		}
@@ -340,24 +357,16 @@ func (h Harness) testRandomPacket(rep *Report, res *core.Result, pkt *click.Pack
 	}
 }
 
-// pathAdmits checks whether a path's constraints are consistent with the
-// packet's initial field values.
-func pathAdmits(p *core.Path, pkt *click.Packet, fields []templField) bool {
-	ctx := p.Ctx.CloneInto(new(solver.Context))
+// pin adds to ctx that every field was injected with the packet's value,
+// and reports false once that is refuted.
+func pin(ctx *solver.Context, p *core.Path, pkt *click.Packet, fields []templField) bool {
 	for _, f := range fields {
-		v, ok := f.get(pkt)
-		if !ok {
-			continue
-		}
-		hist, err := p.Mem.HdrHistory(f.off, f.size)
-		if err != nil || len(hist) == 0 {
-			return false
-		}
-		if !ctx.Add(expr.NewCmp(expr.Eq, hist[0], expr.Const(v, hist[0].Width))) {
+		in, err := injected(p, f)
+		if err != nil || !ctx.Add(expr.NewCmp(expr.Eq, in, expr.Const(*f.at(pkt), in.Width))) {
 			return false
 		}
 	}
-	return ctx.Sat()
+	return true
 }
 
 // randomPacket draws a concrete TCP packet.

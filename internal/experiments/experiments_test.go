@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"symnet/internal/conform"
 	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/models"
@@ -110,6 +113,51 @@ func TestSplitTCPFindings(t *testing.T) {
 		if !f.OK {
 			t.Errorf("scenario %q failed", f.Scenario)
 		}
+	}
+}
+
+// TestConformanceRows pins the §8.3 row: every correct class conforms, on
+// at least one solved path except Discard (which delivers none), and each
+// buggy model is caught for the paper's reason.
+func TestConformanceRows(t *testing.T) {
+	rows, err := Conformance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	because := map[string]func(conform.Mismatch) bool{
+		// "it only mirrored the IP addresses and not ports"
+		"IPMirrorBuggy": func(m conform.Mismatch) bool {
+			return strings.Contains(m.Reason, "field TcpSrc") || strings.Contains(m.Reason, "field TcpDst")
+		},
+		// TTL 0 wraps to 255 in the model; the implementation drops it.
+		"DecIPTTLBuggy": func(m conform.Mismatch) bool {
+			return m.Packet.IP[0].TTL == 0 && strings.Contains(m.Reason, "implementation drops")
+		},
+		// The model checks the ethertype, so only a random packet to the
+		// host's MAC shows the implementation delivering.
+		"HostEtherFilterBuggy": func(m conform.Mismatch) bool {
+			return m.PathID == -1 && strings.Contains(m.Reason, "implementation delivers")
+		},
+	}
+	caught := 0
+	for _, r := range rows {
+		t.Logf("%-22s %s ok=%v", r.Class, r.Detail, r.OK)
+		if !r.OK {
+			t.Errorf("%s: row FAILED: %s", r.Class, r.Detail)
+		}
+		if why, buggy := because[r.Class]; buggy {
+			caught++
+			if !slices.ContainsFunc(r.Report.Mismatches, why) {
+				t.Errorf("%s not caught for the paper's reason: %v", r.Class, r.Report.Mismatches)
+			}
+			continue
+		}
+		if !r.Report.OK() || r.Report.PathsTested == 0 && r.Class != "Discard" {
+			t.Errorf("%s: report %+v", r.Class, r.Report)
+		}
+	}
+	if len(rows) != 14 || caught != 3 {
+		t.Fatalf("%d rows, %d buggy; want 11 classes and 3 buggy models", len(rows), caught)
 	}
 }
 

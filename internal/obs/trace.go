@@ -7,17 +7,17 @@ import (
 	"time"
 )
 
-// Span is one completed phase of work: a compile, one verification job, one
-// distributed shard, a worker process's lifetime. Spans are written as one
-// JSON object per line (JSONL), the shape flame-graph and trace-viewer
-// tooling ingests directly: sort by Start, group by Worker/Shard, stack by
-// Phase.
+// Span is one completed phase of work: one verification job, one fleet
+// batch, a fleet member's connection. Spans are written as one JSON object
+// per line (JSONL), the shape flame-graph and trace-viewer tooling ingests
+// directly: sort by Start, group by Worker/Shard, stack by Phase.
 type Span struct {
-	// Phase names the kind of work: compile, explore, solve, encode,
-	// dispatch, merge, job, shard, worker.
+	// Phase names the kind of work: job (one sched job), dispatch (one
+	// fleet batch), solve (one all-pairs run), worker (a fleet member's
+	// connection) or explore (symnet's query).
 	Phase string `json:"phase"`
-	// Name identifies the unit within the phase (job name, element.port,
-	// worker id), when one exists.
+	// Name identifies the unit within the phase (job name, injection
+	// point, member status), when one exists.
 	Name string `json:"name,omitempty"`
 	// Worker is the executing pool worker slot, -1 when not applicable.
 	Worker int `json:"worker"`

@@ -7,11 +7,14 @@
 # Universe  every function of every package: go test -cover -coverpkg=./...
 #           with no test selected registers each package at zero, including
 #           packages no binary links.
-# Union     ./benchmark, ./cmd/symbench, ./cmd/symnetd, ./cmd/symnet and
-#           ./examples/* built with -cover -coverpkg=./..., then run: every
-#           BENCHMARK.json workload for 1 s traced, symbench -run all -quick,
-#           every example, the symnetd liveness cycle (scripts/symnetd-smoke.sh)
-#           and symnet on cmd/symnet/testdata/pipeline.click.
+# Union     ./benchmark, ./cmd/symbench, ./cmd/symnetd, ./cmd/symnet,
+#           ./cmd/symgen and ./examples/* built with -cover -coverpkg=./...,
+#           then run: every BENCHMARK.json workload for 1 s traced, symbench
+#           -run all -quick, every example, the symnetd liveness cycle
+#           (scripts/symnetd-smoke.sh), symnet on
+#           cmd/symnet/testdata/pipeline.click (plain, as IR, and traced over
+#           a UDP packet) and a symgen round trip (a MAC table, a FIB and a
+#           churn script generated, the first two read back).
 # Unreached a universe function that reads 0% or is absent in the union,
 #           outside benchmark/ and examples/, other than the marker methods
 #           isExpr, isCond, isInstr, isStmt, isLValue and String/Error.
@@ -35,7 +38,7 @@ echo "coverfloor: universe" >&2
 go test -count=1 -cover -coverpkg=./... -run '^$' ./... -args -test.gocoverdir="$work/universe" >/dev/null
 
 echo "coverfloor: union" >&2
-for pkg in ./benchmark ./cmd/symbench ./cmd/symnetd ./cmd/symnet ./examples/*/; do
+for pkg in ./benchmark ./cmd/symbench ./cmd/symnetd ./cmd/symnet ./cmd/symgen ./examples/*/; do
 	go build -cover -coverpkg=./... -o "$work/bin/$(basename "$pkg")" "$pkg"
 done
 export GOCOVERDIR="$work/union"
@@ -50,6 +53,12 @@ done
 scripts/symnetd-smoke.sh "$work/bin/symnetd" "$work" >/dev/null
 "$work/bin/symnet" -config cmd/symnet/testdata/pipeline.click -inject cls:0 >/dev/null
 "$work/bin/symnet" -config cmd/symnet/testdata/pipeline.click -dump-ir >/dev/null
+"$work/bin/symnet" -config cmd/symnet/testdata/pipeline.click -inject cls:0 -trace -trace-out "$work/spans.jsonl" -packet udp >/dev/null
+"$work/bin/symgen" -gen mac -entries 200 >"$work/mac.txt"
+"$work/bin/symgen" -gen fib -entries 200 >"$work/fib.txt"
+"$work/bin/symgen" -gen churn -fib "$work/fib.txt" -entries 20 >/dev/null
+"$work/bin/symgen" -mac "$work/mac.txt" >/dev/null
+"$work/bin/symgen" -fib "$work/fib.txt" >/dev/null
 unset GOCOVERDIR
 
 # funcs DIR: "path:line<TAB>func<TAB>percent" for every function, the path
