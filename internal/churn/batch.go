@@ -8,6 +8,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/expr"
 	"symnet/internal/models"
+	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -267,8 +268,11 @@ func (st *stage) reconcile(res *BatchResult) error {
 // and marks the sources it may change unverified. A changed port set
 // installs the new Fork — the rebuilt tier, which dirties every source that
 // visited e — and each port whose guard differs from the installed one gets
-// the new guard as its code, compiled on its next run, dirtying the sources
-// that visited that port.
+// the new guard as its code, compiled on its next run. That dirties the
+// sources that visited the port, unless the port's address set did not move:
+// a guard with other rows but an equal span table (sameSpans) changes no
+// observable of a run whose options see tables only through their spans
+// (core.Options.TablesObservedBySpans). Restore installs through here too.
 func (s *Service) install(e *core.Element, c *models.EgressCode, res *BatchResult) {
 	if installed, _ := e.Code(core.WildcardPort, false); !sameFork(installed, c.Fork) {
 		e.SetInCode(core.WildcardPort, c.Fork)
@@ -279,10 +283,17 @@ func (s *Service) install(e *core.Element, c *models.EgressCode, res *BatchResul
 			s.unverified[i] = true
 		}
 	}
+	bySpans := s.cfg.Opts.TablesObservedBySpans()
 	for i, p := range c.Fork.Ports {
 		g := c.Guards[i]
-		if installed, _ := e.Code(p, true); sameGuard(installed, g) {
+		installed, _ := e.Code(p, true)
+		if sameGuard(installed, g) {
 			continue
+		}
+		ref := core.PortRef{Elem: e.Name, Port: p, Out: true}
+		visitors := s.visited[ref]
+		if len(visitors) > 0 && bySpans && sameSpans(installed, &g) {
+			visitors = nil
 		}
 		if _, ok := e.CachedProgram(p, true); ok {
 			res.PortsRecompiled++
@@ -290,9 +301,8 @@ func (s *Service) install(e *core.Element, c *models.EgressCode, res *BatchResul
 		e.SetOutCode(p, g)
 		res.PortsPatched++
 		res.Action = worse(res.Action, actionPatched)
-		ref := core.PortRef{Elem: e.Name, Port: p, Out: true}
 		s.pendingRefresh = append(s.pendingRefresh, ref)
-		for i := range s.visited[ref] {
+		for i := range visitors {
 			s.unverified[i] = true
 		}
 	}
@@ -305,14 +315,34 @@ func sameFork(installed sefl.Instr, f sefl.Fork) bool {
 }
 
 // sameGuard reports whether the installed port code is the table guard g,
-// row for row.
+// row for row: the port needs no new code. It is install's first test;
+// sameSpans, which costs a span table, runs only when it fails.
 func sameGuard(installed sefl.Instr, g sefl.Constrain) bool {
+	was, ok := installedTable(installed)
+	return ok && slices.EqualFunc(was.Rows, g.C.(sefl.Table).Rows, equalRow)
+}
+
+// sameSpans reports whether the installed port code is a table guard on g's
+// field with g's span table: other rows, perhaps, but the same address set.
+// It stores g's span table in g, which the port's next compile adopts
+// instead of merging it again.
+func sameSpans(installed sefl.Instr, g *sefl.Constrain) bool {
+	t := g.C.(sefl.Table)
+	t.Spans = prog.TableSpans(t)
+	g.C = t
+	was, ok := installedTable(installed)
+	return ok && was.F == t.F && prog.TableSpans(was).Equal(t.Spans)
+}
+
+// installedTable returns the table of installed port code that is a table
+// guard.
+func installedTable(installed sefl.Instr) (sefl.Table, bool) {
 	c, ok := installed.(sefl.Constrain)
 	if !ok {
-		return false
+		return sefl.Table{}, false
 	}
-	was, ok := c.C.(sefl.Table)
-	return ok && slices.EqualFunc(was.Rows, g.C.(sefl.Table).Rows, equalRow)
+	t, ok := c.C.(sefl.Table)
+	return t, ok
 }
 
 // equalRow reports whether two guard rows are the same row.

@@ -108,8 +108,18 @@ func compareReports(t *testing.T, label string, got, want *verify.AllPairsReport
 // after every delta in a mixed FIB/MAC stream, the resident report must be
 // byte-identical — results, traces, histories, and full run statistics — to
 // a from-scratch all-pairs verification of a freshly built network holding
-// the same rules, at every worker count.
+// the same rules, at every worker count. It runs traced, where every port
+// given new rows dirties its visitors, and untraced, where a port whose
+// span table held dirties none.
 func TestServiceDifferential(t *testing.T) {
+	for _, trace := range []bool{true, false} {
+		t.Run(fmt.Sprintf("trace=%v", trace), func(t *testing.T) {
+			serviceDifferential(t, core.Options{Trace: trace})
+		})
+	}
+}
+
+func serviceDifferential(t *testing.T, opts core.Options) {
 	fds, err := GenFIBDeltas("rt", diffFIB(), "10.128.0.0/9", 10, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +136,6 @@ func TestServiceDifferential(t *testing.T) {
 	sources := []core.PortRef{{Elem: "sw", Port: 1}, {Elem: "sw", Port: 2}}
 	targets := []string{"hosts", "net0", "net1", "net2"}
 	packet := sefl.NewTCPPacket()
-	opts := core.Options{Trace: true}
 
 	workerCounts := []int{1, 2, 8}
 	svcs := make([]*Service, len(workerCounts))

@@ -168,7 +168,7 @@ func TestIndexMatchesHistories(t *testing.T) {
 			svcs := []*Service{fx.build(t, dist.InProcess(2, nil))}
 			if !testing.Short() {
 				// A pool holds one network installed, so each fixture gets its own.
-				svcs = append(svcs, fx.build(t, loopbackPool(t)))
+				svcs = append(svcs, fx.build(t, loopbackPool(t, 1, dist.Config{WorkersPerProc: 2})))
 			}
 			check := func(step string) {
 				t.Helper()
@@ -219,16 +219,20 @@ func TestIndexMatchesHistories(t *testing.T) {
 	}
 }
 
-// loopbackPool is a one-member fleet on a loopback listener, closed with
-// the test.
-func loopbackPool(t *testing.T) *dist.Pool {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// loopbackPool is a fleet of members loopback listeners, configured by cfg
+// (its Workers are the listeners'), and closed with the test.
+func loopbackPool(t *testing.T, members int, cfg dist.Config) *dist.Pool {
+	t.Helper()
+	for range members {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go dist.ServeListener(ln)
+		cfg.Workers = append(cfg.Workers, ln.Addr().String())
 	}
-	t.Cleanup(func() { ln.Close() })
-	go dist.ServeListener(ln)
-	pool, err := dist.NewPool(dist.Config{Workers: []string{ln.Addr().String()}, WorkersPerProc: 2})
+	pool, err := dist.NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package churn
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"slices"
 	"testing"
@@ -24,27 +23,21 @@ func TestServiceDifferentialPool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// Untraced, a route delta that moves no address re-verifies nothing, on
+	// the fleet as in process.
+	for _, trace := range []bool{true, false} {
+		t.Run(fmt.Sprintf("trace=%v", trace), func(t *testing.T) { serviceDifferentialPool(t, trace) })
 	}
-	defer ln.Close()
-	go dist.ServeListener(ln)
+}
 
+func serviceDifferentialPool(t *testing.T, trace bool) {
 	reg := obs.NewRegistry()
-	pool, err := dist.NewPool(dist.Config{
-		Workers: []string{ln.Addr().String()}, WorkersPerProc: 2,
-		Obs: obs.New(reg, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	pool := loopbackPool(t, 1, dist.Config{WorkersPerProc: 2, Obs: obs.New(reg, nil)})
 
 	sources := []core.PortRef{{Elem: "sw", Port: 1}, {Elem: "sw", Port: 2}}
 	targets := []string{"hosts", "net0", "net1", "net2"}
 	packet := sefl.NewTCPPacket()
-	opts := core.Options{Trace: true}
+	opts := core.Options{Trace: trace}
 
 	mk := func(runner dist.Runner) *Service {
 		svc := NewService(Config{
@@ -165,16 +158,7 @@ func TestResidentCloseClosesPool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go dist.ServeListener(ln)
-	pool, err := dist.NewPool(dist.Config{Workers: []string{ln.Addr().String()}, WorkersPerProc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := loopbackPool(t, 1, dist.Config{WorkersPerProc: 1})
 	src := core.PortRef{Elem: "sw", Port: 1}
 	svc := NewService(Config{
 		Net:     buildDiffNet(t, diffFIB(), diffMACs()),

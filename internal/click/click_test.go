@@ -33,13 +33,28 @@ cls[1] -> [0]q;
 	if len(cfg.Concrete) != 3 {
 		t.Fatalf("concrete twins = %d", len(cfg.Concrete))
 	}
-	// Second connection must conflict: q input 0 already linked.
-	if _, err := ParseConfig(strings.NewReader(`
+	// The second connection must conflict: a's output 0 is already linked.
+	_, err = ParseConfig(strings.NewReader(`
 a :: Queue(); b :: Queue();
 a -> b;
 a -> b;
-`)); err == nil {
-		t.Fatal("duplicate output link must error")
+`))
+	if err == nil || !strings.Contains(err.Error(), "line 4: core: output port a.out[0] already linked") {
+		t.Fatalf("duplicate output link: error %v, want line 4's output port a.out[0] already linked", err)
+	}
+	// Two declarations on one line are two elements, however the
+	// parentheses and semicolons sit.
+	cfg, err = ParseConfig(strings.NewReader("a :: Queue(); b :: Queue() ;c::Discard;\na -> b; b -> c\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, ok := cfg.Net.Element(name); !ok {
+			t.Errorf("element %s not declared", name)
+		}
+	}
+	if _, ok := cfg.Net.Follow(core.PortRef{Elem: "b", Port: 0, Out: true}); !ok {
+		t.Error("b -> c link missing")
 	}
 }
 

@@ -435,8 +435,10 @@ const (
 )
 
 // ipEncap performs IP-in-IP encapsulation with the given endpoints. Like
-// real tunnel ingress, the element re-frames the packet: the old Ethernet
-// header is stripped and a fresh one pushed below the new outer IP header.
+// real tunnel ingress, the element re-frames a framed packet: the old
+// Ethernet header is stripped and a fresh one pushed below the new outer IP
+// header. A packet with no Ethernet header (after a Strip) leaves without
+// one, in the model (models.TunnelEntry) and the implementation alike.
 func ipEncap(src, dst string) Def {
 	return Def{
 		Kind: "IPEncap", NumIn: 1, NumOut: 1,
@@ -452,10 +454,12 @@ func ipEncap(src, dst string) Def {
 				q := p.Clone()
 				outer := &IPHdr{Len: q.innerIP().Len + 20, TTL: 64, Proto: models.ProtoIPIP, Src: s, Dst: d}
 				q.IP = append([]*IPHdr{outer}, q.IP...)
-				q.Ether = &EtherHdr{
-					Src:   sefl.MACToNumber(tunnelMACSrc),
-					Dst:   sefl.MACToNumber(tunnelMACDst),
-					Proto: sefl.EtherTypeIPv4,
+				if q.Ether != nil {
+					q.Ether = &EtherHdr{
+						Src:   sefl.MACToNumber(tunnelMACSrc),
+						Dst:   sefl.MACToNumber(tunnelMACDst),
+						Proto: sefl.EtherTypeIPv4,
+					}
 				}
 				return 0, q, true
 			})
@@ -478,10 +482,12 @@ func ipDecap() Def {
 				}
 				q := p.Clone()
 				q.IP = q.IP[1:]
-				q.Ether = &EtherHdr{
-					Src:   sefl.MACToNumber(tunnelMACSrc),
-					Dst:   sefl.MACToNumber(tunnelMACDst),
-					Proto: sefl.EtherTypeIPv4,
+				if q.Ether != nil {
+					q.Ether = &EtherHdr{
+						Src:   sefl.MACToNumber(tunnelMACSrc),
+						Dst:   sefl.MACToNumber(tunnelMACDst),
+						Proto: sefl.EtherTypeIPv4,
+					}
 				}
 				return 0, q, true
 			})

@@ -46,21 +46,19 @@ func ParseConfig(r io.Reader) (*Config, error) {
 		if i := strings.Index(line, "//"); i >= 0 {
 			line = strings.TrimSpace(line[:i])
 		}
-		if line == "" {
-			continue
-		}
-		line = strings.TrimSuffix(line, ";")
-		switch {
-		case strings.Contains(line, "::"):
-			if err := cfg.parseDecl(line); err != nil {
-				return nil, fmt.Errorf("click: line %d: %w", lineNo, err)
+		for _, stmt := range splitStatements(line) {
+			switch {
+			case strings.Contains(stmt, "::"):
+				if err := cfg.parseDecl(stmt); err != nil {
+					return nil, fmt.Errorf("click: line %d: %w", lineNo, err)
+				}
+			case strings.Contains(stmt, "->"):
+				if err := cfg.parseConns(stmt); err != nil {
+					return nil, fmt.Errorf("click: line %d: %w", lineNo, err)
+				}
+			default:
+				return nil, fmt.Errorf("click: line %d: cannot parse %q", lineNo, stmt)
 			}
-		case strings.Contains(line, "->"):
-			if err := cfg.parseConns(line); err != nil {
-				return nil, fmt.Errorf("click: line %d: %w", lineNo, err)
-			}
-		default:
-			return nil, fmt.Errorf("click: line %d: cannot parse %q", lineNo, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -287,6 +285,29 @@ func splitArgs(s string) []string {
 		}
 	}
 	out = append(out, strings.TrimSpace(s[start:]))
+	return out
+}
+
+// splitStatements splits a line into its statements: the pieces between
+// semicolons outside parentheses, trimmed, empty ones dropped.
+func splitStatements(line string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i, r := range line + ";" {
+		switch r {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ';':
+			if depth == 0 {
+				if stmt := strings.TrimSpace(line[start:i]); stmt != "" {
+					out = append(out, stmt)
+				}
+				start = i + 1
+			}
+		}
+	}
 	return out
 }
 

@@ -131,3 +131,19 @@ func TestConformIPClassifierSolverZeros(t *testing.T) {
 		t.Fatal("port-0 dropping implementation must disagree with the unconstrained model")
 	}
 }
+
+// TestConformTunnelWithoutL2: after a Strip the packet has no Ethernet
+// header, and the tunnel elements' models and implementations agree on
+// re-framing only a framed packet, on either side of the Strip.
+func TestConformTunnelWithoutL2(t *testing.T) {
+	for _, config := range []string{
+		"dut :: Strip(14); enc :: IPEncap(1.0.0.1, 2.0.0.1); dut -> enc",
+		"dut :: Strip(14); enc :: IPEncap(1.0.0.1, 2.0.0.1); dec :: IPDecap(); dut -> enc -> dec",
+		"dut :: IPEncap(1.0.0.1, 2.0.0.1); s :: Strip(14); dec :: IPDecap(); dut -> s -> dec",
+	} {
+		rep := runModes(t, pipeline(t, config), 20, 1)
+		if !rep.OK() || rep.PathsTested == 0 {
+			t.Errorf("%q: %d paths tested, mismatches %v", config, rep.PathsTested, rep.Mismatches)
+		}
+	}
+}

@@ -101,3 +101,42 @@ func TestConstantBranchMatchesClone(t *testing.T) {
 		}
 	}
 }
+
+// TestTagPresentBranch: an If on a tag's presence takes the Then side on a
+// packet with the tag and the Else side on one without it, with
+// byte-identical results under the compiled program and the AST
+// interpreter.
+func TestTagPresentBranch(t *testing.T) {
+	code := sefl.If{C: sefl.TagPresent{Tag: sefl.TagL2}, Then: sefl.Forward{Port: 0}, Else: sefl.Forward{Port: 1}}
+	for _, tc := range []struct {
+		name   string
+		inject sefl.Instr
+		want   string
+	}{
+		{"with L2", sefl.NewTCPPacket(), "s0"},
+		{"without L2", sefl.Seq(sefl.NewTCPPacket(), sefl.DestroyTag{Name: sefl.TagL2}), "s1"},
+	} {
+		net := NewNetwork()
+		net.AddElement("dut", "dut", 1, 2).SetInCode(0, code)
+		sink(net, "s0")
+		sink(net, "s1")
+		net.MustLink("dut", 0, "s0", 0)
+		net.MustLink("dut", 1, "s1", 0)
+		var results []*Result
+		for _, opts := range []Options{{}, {ASTInterp: true}} {
+			opts.Trace = true
+			res, err := Run(net, PortRef{Elem: "dut", Port: 0}, tc.inject, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			results = append(results, res)
+		}
+		if got, want := resultBytes(results[0]), resultBytes(results[1]); got != want {
+			t.Errorf("%s: compiled program differs from the AST interpreter:\n%s\nwant\n%s", tc.name, got, want)
+		}
+		res := results[0]
+		if res.Stats.Delivered != 1 || len(res.Paths) != 1 || res.Paths[0].History()[len(res.Paths[0].History())-1].Elem != tc.want {
+			t.Errorf("%s: want one path delivered at %s:\n%s", tc.name, tc.want, resultBytes(res))
+		}
+	}
+}

@@ -45,6 +45,7 @@ type Options struct {
 	// Loop selects loop detection; default (the zero value) LoopFull.
 	Loop LoopMode
 	// Trace records executed instructions on each path (costly; default off).
+	// Trace lines render a table guard's rows (see TablesObservedBySpans).
 	Trace bool
 	// SatMemo is the satisfiability memo cache shared by every path of the
 	// run. Nil selects a fresh per-run cache; passing one in shares memoized
@@ -64,7 +65,8 @@ type Options struct {
 	// bugs, not a mode to run in. Results, statistics, traces and symbol
 	// allocation are byte-identical with it set (pinned by the property
 	// tests in internal/prog). It runs in-process only: a fleet (dist.Pool)
-	// refuses a job that sets it.
+	// refuses a job that sets it. It chains a table guard's Or-tree into the
+	// path's condition fingerprint (see TablesObservedBySpans).
 	ASTInterp bool
 	// Obs attaches observability sinks (metrics registry, span tracer; see
 	// internal/obs). Telemetry is strictly observational: results, traces
@@ -73,6 +75,16 @@ type Options struct {
 	// instrumentation at one-branch cost. Obs never crosses the distributed
 	// wire — worker processes attach their own and ship snapshots back.
 	Obs *obs.Obs
+}
+
+// TablesObservedBySpans reports whether a run under o observes a table
+// guard only through its span table: its failure message renders the spans
+// (prog.UnsatMsg), so two guards with other rows but equal span tables give
+// the same results. Trace lines render the rows, and the AST interpreter
+// fingerprints the Or-tree, so either option makes the rows observable. An
+// option that adds another rendering of a table's rows belongs here.
+func (o Options) TablesObservedBySpans() bool {
+	return !o.Trace && !o.ASTInterp
 }
 
 func (o Options) withDefaults() Options {
@@ -410,7 +422,7 @@ func (r *run) exec(out []*state, st *state, elem *Element, ins sefl.Instr, k *as
 			return append(out, failWith(st, err.Error()))
 		}
 		if !st.Ctx.Add(cond) || (st.Ctx.PendingOrs() > 0 && !st.Ctx.Sat()) {
-			return append(out, failWith(st, fmt.Sprintf("constraint unsatisfiable: %s", v.C)))
+			return append(out, failWith(st, prog.UnsatMsg(v.C)))
 		}
 		return r.cont(out, st, elem, k)
 

@@ -187,6 +187,9 @@ func (r *run) evalCond(st *state, elem *Element, c sefl.Cond) (expr.Cond, error)
 			return nil, err
 		}
 		return expr.Bool(st.Mem.MetaExists(loc.key)), nil
+	case sefl.TagPresent:
+		_, ok := st.Mem.Tag(v.Tag)
+		return expr.Bool(ok), nil
 	case sefl.CAnd:
 		out := make([]expr.Cond, 0, len(v.Cs))
 		for _, sub := range v.Cs {

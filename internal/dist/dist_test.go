@@ -13,6 +13,7 @@ import (
 	"symnet/internal/dist"
 	"symnet/internal/expr"
 	"symnet/internal/obs"
+	"symnet/internal/prog"
 	"symnet/internal/sched"
 	"symnet/internal/sefl"
 )
@@ -225,7 +226,8 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 	ors := batchCases(t)
 	for i, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			wantObs := canonicalNoCtx(t, runGrid(t, withOrTreeGuards(ors[i].net), tc.jobs, 0, 2))
+			orTree := runGrid(t, withOrTreeGuards(ors[i].net), tc.jobs, 0, 2)
+			wantObs := canonicalNoCtx(t, renameOrTreeMsgs(orTree, orTreeMsgs(tc.net)))
 			local := runGrid(t, tc.net, tc.jobs, 0, 2)
 			if got := canonicalNoCtx(t, local); string(got) != string(wantObs) {
 				t.Errorf("interval-table observables differ from the Or-tree reference")
@@ -241,7 +243,9 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 // net's ports as the Or-tree it stands for (sefl.Table.Or, which renders
 // byte for byte as the table), and returns net: the reference that interval-
 // table lowering is compared against. A hand-written Or compiles as a tree,
-// so the rewritten network runs no span table.
+// so the rewritten network runs no span table. A refuted table fails with its
+// span table and its Or-tree with the tree, so the suites rename the
+// reference's messages (orTreeMsgs, renameOrTreeMsgs) before comparing.
 func withOrTreeGuards(net *core.Network) *core.Network {
 	for _, e := range net.Elements() {
 		for _, out := range []bool{false, true} {
@@ -302,6 +306,64 @@ func orTreeCond(c sefl.Cond) sefl.Cond {
 		return sefl.CNot{C: orTreeCond(v.C)}
 	}
 	return c
+}
+
+// orTreeMsgs maps the failure message of each well-formed table Constrain in
+// net's port code, as the Or-tree withOrTreeGuards writes for it renders, to
+// the message the table itself fails with (prog.UnsatMsg). Read it before
+// the rewrite. It is the rule of internal/prog's orTreeMsgs, so both
+// reference suites rename the same messages: a malformed table fails with
+// Table.Check's error, which no rename touches, and an If's guard never
+// fails.
+func orTreeMsgs(net *core.Network) map[string]string {
+	msgs := map[string]string{}
+	var walk func(ins sefl.Instr)
+	walk = func(ins sefl.Instr) {
+		switch v := ins.(type) {
+		case sefl.Constrain:
+			if t, ok := v.C.(sefl.Table); ok && t.Check() == nil {
+				msgs[fmt.Sprintf("constraint unsatisfiable: %s", t.Or())] = prog.UnsatMsg(t)
+			}
+		case sefl.If:
+			walk(v.Then)
+			walk(v.Else)
+		case sefl.Block:
+			for _, sub := range v.Is {
+				walk(sub)
+			}
+		}
+	}
+	for _, e := range net.Elements() {
+		for _, out := range []bool{false, true} {
+			n := e.NumIn
+			if out {
+				n = e.NumOut
+			}
+			for p := core.WildcardPort; p < n; p++ {
+				if code, ok := e.Code(p, out); ok {
+					walk(code)
+				}
+			}
+		}
+	}
+	return msgs
+}
+
+// renameOrTreeMsgs rewrites in place each failure message of the in-process
+// results that msgs names, and returns results: the Or-tree reference's
+// messages renamed to the ones its tables fail with.
+func renameOrTreeMsgs(results []dist.JobResult, msgs map[string]string) []dist.JobResult {
+	for _, r := range results {
+		if r.Result == nil {
+			continue
+		}
+		for _, p := range r.Result.Paths {
+			if m, ok := msgs[p.FailMsg]; ok {
+				p.FailMsg = m
+			}
+		}
+	}
+	return results
 }
 
 // withOpts returns a copy of jobs with set applied to each job's Options.
@@ -493,7 +555,8 @@ func TestSummariesDistByteIdentical(t *testing.T) {
 	for i, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			ast := runGrid(t, tc.net, withOpts(tc.jobs, func(o *core.Options) { o.ASTInterp = true }), 0, 2)
-			if got, want := canonical(t, runGrid(t, withOrTreeGuards(ors[i].net), tc.jobs, 0, 2)), canonical(t, ast); string(got) != string(want) {
+			orTree := renameOrTreeMsgs(runGrid(t, withOrTreeGuards(ors[i].net), tc.jobs, 0, 2), orTreeMsgs(tc.net))
+			if got, want := canonical(t, orTree), canonical(t, ast); string(got) != string(want) {
 				t.Errorf("Or-tree compiled results differ from the AST reference in-process")
 			}
 			wantObs := canonicalNoCtx(t, ast)

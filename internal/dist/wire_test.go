@@ -156,7 +156,8 @@ func handshakeErrorCases(t testing.TB) []streamCase {
 	// expects a reconnect to find the network it installed before, v8
 	// ships table guards for the worker to rebuild as Or-trees, v9 ships
 	// summaries beside the programs, v10 ships sub-segment ops, v11 ships
-	// port source beside the programs and v12 ships compiled programs.
+	// port source beside the programs, v12 ships compiled programs and v16
+	// renders a refuted table guard's message as its Or-tree.
 	for v := 3; v < protoVersion; v++ {
 		cases = append(cases, streamCase{
 			name:   fmt.Sprintf("v%d coordinator", v),

@@ -41,6 +41,7 @@ var conformConfigs = []struct{ class, config string }{
 	{"Discard", "dut :: Discard()"},
 	{"Queue", "dut :: Queue()"},
 	{"IPEncap -> IPDecap", "dut :: IPEncap(1.0.0.1, 2.0.0.1)\ndec :: IPDecap()\ndut -> dec"},
+	{"Strip -> IPEncap", "dut :: Strip(14)\nenc :: IPEncap(1.0.0.1, 2.0.0.1)\ndut -> enc"},
 	{"IPMirrorBuggy", "dut :: IPMirrorBuggy()"},
 	{"DecIPTTLBuggy", "dut :: DecIPTTLBuggy()"},
 	{"HostEtherFilterBuggy", "dut :: HostEtherFilterBuggy(" + hostMAC + ")"},

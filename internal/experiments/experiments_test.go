@@ -156,8 +156,8 @@ func TestConformanceRows(t *testing.T) {
 			t.Errorf("%s: report %+v", r.Class, r.Report)
 		}
 	}
-	if len(rows) != 14 || caught != 3 {
-		t.Fatalf("%d rows, %d buggy; want 11 classes and 3 buggy models", len(rows), caught)
+	if len(rows) != 15 || caught != 3 {
+		t.Fatalf("%d rows, %d buggy; want 12 correct configurations and 3 buggy models", len(rows), caught)
 	}
 }
 

@@ -107,6 +107,13 @@ func (t *SpanTable) Width() int { return t.width }
 // Spans returns the canonical spans (shared; do not mutate).
 func (t *SpanTable) Spans() []Span { return t.spans }
 
+// Equal reports whether t and u are the same value set over the same
+// universe. Tables are canonical, so equal sets have equal spans; the
+// fingerprints compare first.
+func (t *SpanTable) Equal(u *SpanTable) bool {
+	return t.width == u.width && t.fp == u.fp && slices.Equal(t.spans, u.spans)
+}
+
 // Contains reports membership of v by binary search.
 func (t *SpanTable) Contains(v uint64) bool {
 	lo, hi := 0, len(t.spans)-1

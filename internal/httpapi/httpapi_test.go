@@ -92,8 +92,9 @@ func deptServer(t *testing.T) (*server, *httptest.Server) {
 }
 
 // TestDaemonDeltaRoundTrip drives the HTTP API end to end on the quick
-// backbone: health, a localized route delta on a non-monitored zone, and the
-// resident report afterwards.
+// backbone: health, a localized route delta on a non-monitored zone, a
+// coalesced pair of route deltas that move no address, and the resident
+// report afterwards.
 func TestDaemonDeltaRoundTrip(t *testing.T) {
 	s, reg := newTestServer(t, "backbone")
 	ts := httptest.NewServer(s.mux())
@@ -108,37 +109,39 @@ func TestDaemonDeltaRoundTrip(t *testing.T) {
 		t.Fatalf("/healthz: %d", resp.StatusCode)
 	}
 
-	// zone1 owns 10.1.0.0/16 with /24s for .0 to .23; .77 is free. The
-	// monitored packet targets zone0's /16, so only zone1's own source
-	// attempts zone1's changed egress guard.
-	deltas := `{"elem":"zone1","op":"insert","prefix":"10.1.77.0/24","port":2}
-{"elem":"zone1","op":"delete","prefix":"10.1.3.0/24"}
-`
-	resp, err = http.Post(ts.URL+"/v1/delta", "application/json", strings.NewReader(deltas))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/delta: %d", resp.StatusCode)
-	}
-	var out deltaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Applied != 2 || out.Rejected != 0 || out.Malformed != 0 {
-		t.Fatalf("applied=%d rejected=%d malformed=%d, want 2/0/0", out.Applied, out.Rejected, out.Malformed)
+	// zone1 owns 10.1.0.0/16 on its host port 2, with /24s for .0 to .23
+	// there too; .77 and .78 are free. The monitored packet targets zone0's
+	// /16, so only zone1's own source attempts zone1's egress guards.
+	//
+	// Moving 10.1.77.0/24 onto the backbone port 0 changes the address sets
+	// of ports 0 and 2: localized to a single source, re-verifying a strict
+	// subset of the matrix.
+	out := postDeltas(t, ts, `{"elem":"zone1","op":"insert","prefix":"10.1.77.0/24","port":0}
+`)
+	if out.Applied != 1 || out.Rejected != 0 || out.Malformed != 0 {
+		t.Fatalf("applied=%d rejected=%d malformed=%d, want 1/0/0", out.Applied, out.Rejected, out.Malformed)
 	}
 	if out.Version < 2 || out.Batch == nil || out.Version != out.Batch.Version {
 		t.Fatalf("version=%d batch=%v; want the batch's own version", out.Version, out.Batch)
 	}
-	// Both deltas rode one submission, hence one coalesced batch: localized
-	// to a single source, re-verifying a strict subset of the matrix.
 	if out.Batch.DirtySources != 1 {
 		t.Fatalf("batch dirtied %d sources, want 1 (localized)", out.Batch.DirtySources)
 	}
 	if cur := s.sv.Current().Report; out.Batch.CellsReverified >= len(cur.Sources)*len(cur.Targets) {
 		t.Fatalf("batch reverified %d cells, want < %d", out.Batch.CellsReverified, len(cur.Sources)*len(cur.Targets))
+	}
+
+	// A /24 inserted under the /16 on the same port and a /24 deleted from
+	// under it ride one submission, hence one coalesced batch. Port 2's rows
+	// change but its address set does not, so no source is re-verified.
+	out = postDeltas(t, ts, `{"elem":"zone1","op":"insert","prefix":"10.1.78.0/24","port":2}
+{"elem":"zone1","op":"delete","prefix":"10.1.3.0/24"}
+`)
+	if out.Applied != 2 || out.Rejected != 0 || out.Malformed != 0 {
+		t.Fatalf("applied=%d rejected=%d malformed=%d, want 2/0/0", out.Applied, out.Rejected, out.Malformed)
+	}
+	if out.Batch == nil || out.Batch.PortsPatched == 0 || out.Batch.DirtySources != 0 || out.Batch.CellsReverified != 0 {
+		t.Fatalf("batch %+v; want a patched port and no source dirtied", out.Batch)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/report")
@@ -153,17 +156,36 @@ func TestDaemonDeltaRoundTrip(t *testing.T) {
 	if len(rep.Sources) == 0 || len(rep.Reachable) != len(rep.Sources) || rep.Cells != len(rep.Sources)*len(rep.Targets) {
 		t.Fatalf("malformed report: %+v", rep)
 	}
-	if rep.Version != out.Version || rep.DeltasApplied != 2 {
-		t.Fatalf("report version=%d deltas=%d, want %d/2", rep.Version, rep.DeltasApplied, out.Version)
+	if rep.Version != out.Version || rep.DeltasApplied != 3 {
+		t.Fatalf("report version=%d deltas=%d, want %d/3", rep.Version, rep.DeltasApplied, out.Version)
 	}
 
 	snap := reg.Snapshot()
-	if snap.Counters["churn.deltas.applied"] != 2 || snap.Counters["churn.cells.reverified"] == 0 {
+	if snap.Counters["churn.deltas.applied"] != 3 || snap.Counters["churn.cells.reverified"] == 0 {
 		t.Fatalf("churn metrics not exported: %v", snap.Counters)
 	}
-	if snap.Counters["churn.batches.applied"] != 1 {
-		t.Fatalf("churn.batches.applied = %d, want 1", snap.Counters["churn.batches.applied"])
+	if snap.Counters["churn.batches.applied"] != 2 {
+		t.Fatalf("churn.batches.applied = %d, want 2", snap.Counters["churn.batches.applied"])
 	}
+}
+
+// postDeltas posts a delta stream to /v1/delta, demands 200 and decodes the
+// response.
+func postDeltas(t *testing.T, ts *httptest.Server, body string) deltaResponse {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/delta", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/delta: %d", resp.StatusCode)
+	}
+	var out deltaResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestDaemonDeltaStatuses is the mixed-success contract for POST /v1/delta:

@@ -109,23 +109,34 @@ func IPinIPDecap() sefl.Instr {
 	return sefl.Seq(is...)
 }
 
-// TunnelEntry installs an IP-in-IP tunnel-entry element: Ethernet is
-// stripped, the outer IP header pushed, and a fresh Ethernet header added.
+// TunnelEntry installs an IP-in-IP tunnel-entry element: the outer IP
+// header is pushed, and a packet that came framed (an L2 tag) is re-framed:
+// its Ethernet header is stripped first and a fresh one added after. A
+// packet with no L2 header (after a Click Strip, say) leaves without one.
 func TunnelEntry(e *core.Element, tunnelSrc, tunnelDst, macSrc, macDst string) {
 	e.SetInCode(core.WildcardPort, sefl.Seq(
-		StripEthernet(),
-		IPinIPEncap(tunnelSrc, tunnelDst),
-		PushEthernet(macSrc, macDst, sefl.EtherTypeIPv4),
+		sefl.If{
+			C: sefl.TagPresent{Tag: sefl.TagL2},
+			Then: sefl.Seq(
+				StripEthernet(),
+				IPinIPEncap(tunnelSrc, tunnelDst),
+				PushEthernet(macSrc, macDst, sefl.EtherTypeIPv4),
+			),
+			Else: IPinIPEncap(tunnelSrc, tunnelDst),
+		},
 		sefl.Forward{Port: 0},
 	))
 }
 
-// TunnelExit installs the matching tunnel-exit element.
+// TunnelExit installs the matching tunnel-exit element, which re-frames
+// only a packet that came framed, as TunnelEntry does.
 func TunnelExit(e *core.Element, macSrc, macDst string) {
 	e.SetInCode(core.WildcardPort, sefl.Seq(
-		StripEthernet(),
-		IPinIPDecap(),
-		PushEthernet(macSrc, macDst, sefl.EtherTypeIPv4),
+		sefl.If{
+			C:    sefl.TagPresent{Tag: sefl.TagL2},
+			Then: sefl.Seq(StripEthernet(), IPinIPDecap(), PushEthernet(macSrc, macDst, sefl.EtherTypeIPv4)),
+			Else: IPinIPDecap(),
+		},
 		sefl.Forward{Port: 0},
 	))
 }

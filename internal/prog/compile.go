@@ -301,6 +301,8 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 	case sefl.MetaPresent:
 		lv := c.compileLV(v.M)
 		cc = &cCond{Kind: cMetaPresent, Key: lv.Key}
+	case sefl.TagPresent:
+		cc = &cCond{Kind: cTagPresent, Tag: v.Tag}
 	case sefl.CAnd:
 		cs := make([]*cCond, len(v.Cs))
 		for i, sub := range v.Cs {
@@ -308,18 +310,13 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 		}
 		cc = &cCond{Kind: cAnd, Cs: cs}
 	case sefl.Table:
-		// A table guard lowers to its span table: the one it came with (a
-		// router's) or else the one buildITable merges from its rows. A
+		// A table guard lowers to its span table (TableSpans). A
 		// malformed table fails at evaluation, as the AST interpreter's Check
 		// does.
 		if err := v.Check(); err != nil {
 			return &cCond{Kind: cBool, HasStatic: true, StaticErr: err.Error()}
 		}
-		it := &ITable{F: hdrLV(v.F), Table: v.Spans}
-		if it.Table == nil {
-			it.Table = buildITable(v.Rows, v.F.Size)
-		}
-		cc = &cCond{Kind: cIntervalTable, IT: it}
+		cc = &cCond{Kind: cIntervalTable, IT: &ITable{F: hdrLV(v.F), Table: TableSpans(v)}}
 		itableLowered.Add(1)
 	case sefl.COr:
 		cs := make([]*cCond, len(v.Cs))
@@ -361,8 +358,8 @@ func condStatic(cc *cCond) bool {
 		return exprStatic(cc.L) && exprStatic(cc.R)
 	case cPrefix:
 		return exprStatic(cc.L)
-	case cMetaPresent, cIntervalTable:
-		// Every row of a table reads its field.
+	case cMetaPresent, cTagPresent, cIntervalTable:
+		// Presence is the packet's; every row of a table reads its field.
 		return false
 	case cAnd, cOr:
 		for _, sub := range cc.Cs {

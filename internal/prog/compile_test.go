@@ -202,10 +202,16 @@ func TestSegmentContinuations(t *testing.T) {
 
 // TestProgramRenderCacheIsLazy pins the resident-size design: trace lines
 // and failure messages are cached per program, but the cache only exists
-// once something rendered.
+// once something rendered. A table guard's message renders the span table
+// its node asserts, any other condition as written.
 func TestProgramRenderCacheIsLazy(t *testing.T) {
+	tbl := sefl.Table{F: sefl.IPDst, Rows: []expr.GuardRow{
+		{Kind: expr.GuardPrefix, V: 0x0A000000, Len: 8},
+		{Kind: expr.GuardPrefix, V: 0x0A050000, Len: 16},
+	}}
 	p := Compile(sefl.Seq(
 		sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.IPDst}, sefl.C(1))},
+		sefl.Constrain{C: tbl},
 		sefl.Forward{Port: 0},
 	), "e", 0, "e.in[0]")
 	if p.renders.Load() != nil {
@@ -215,7 +221,10 @@ func TestProgramRenderCacheIsLazy(t *testing.T) {
 	if want := fmt.Sprintf("constraint unsatisfiable: %s", p.Ops[0].Ins.(sefl.Constrain).C); msg != want {
 		t.Fatalf("fail message %q, want %q", msg, want)
 	}
-	if line, want := p.TraceLine(1), fmt.Sprintf("e: %s", p.Ops[1].Ins); line != want {
+	if got, want := p.ConstrainFailMsg(1), "constraint unsatisfiable: IPDst in {167772160-184549375}:w32"; got != want || UnsatMsg(tbl) != want {
+		t.Fatalf("table fail message %q (UnsatMsg %q), want %q", got, UnsatMsg(tbl), want)
+	}
+	if line, want := p.TraceLine(2), fmt.Sprintf("e: %s", p.Ops[2].Ins); line != want {
 		t.Fatalf("trace line %q, want %q", line, want)
 	}
 	if p.ConstrainFailMsg(0) != msg || p.renders.Load() == nil {

@@ -22,6 +22,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/datasets"
 	"symnet/internal/expr"
+	"symnet/internal/prog"
 	"symnet/internal/sefl"
 )
 
@@ -352,11 +353,12 @@ func TestDifferentialCompiledVsAST(t *testing.T) {
 			t.Fatalf("seed %d: compiled run: %v", seed, err)
 		}
 
+		msgs := orTreeMsgs(net)
 		ref, err := core.Run(withOrTreeGuards(net), inj, init, opts)
 		if err != nil {
 			t.Fatalf("seed %d: compiled (Or-tree) run: %v", seed, err)
 		}
-		if got := fingerprint(ref); got != want {
+		if got := fingerprint(renameOrTreeMsgs(ref, msgs)); got != want {
 			t.Fatalf("seed %d: Or-tree compiled result differs from AST:\n--- AST ---\n%s--- compiled ---\n%s",
 				seed, diffHead(want, got), diffHead(got, want))
 		}
@@ -383,6 +385,42 @@ func TestDifferentialCompiledVsAST(t *testing.T) {
 // condition is a table, as a trace line renders the instruction.
 func tableGuards(net *core.Network) map[string]bool {
 	guards := map[string]bool{}
+	eachTableGuard(net, func(ins sefl.Instr, _ sefl.Table) { guards[fmt.Sprint(ins)] = true })
+	return guards
+}
+
+// orTreeMsgs maps the failure message of each well-formed table Constrain in
+// net's port code, as the Or-tree withOrTreeGuards writes for it renders, to
+// the message the table itself fails with (prog.UnsatMsg). Read it before
+// the rewrite. internal/dist's orTreeMsgs keeps the same rule, so both
+// reference suites rename the same messages: a malformed table fails with
+// Table.Check's error, which no rename touches, and an If's guard never
+// fails.
+func orTreeMsgs(net *core.Network) map[string]string {
+	msgs := map[string]string{}
+	eachTableGuard(net, func(ins sefl.Instr, t sefl.Table) {
+		if _, ok := ins.(sefl.Constrain); ok && t.Check() == nil {
+			msgs[fmt.Sprintf("constraint unsatisfiable: %s", t.Or())] = prog.UnsatMsg(t)
+		}
+	})
+	return msgs
+}
+
+// renameOrTreeMsgs rewrites in place each failure message of res that msgs
+// names, and returns res: the Or-tree reference's messages renamed to the
+// ones its tables fail with, so it compares with the tables' runs.
+func renameOrTreeMsgs(res *core.Result, msgs map[string]string) *core.Result {
+	for _, p := range res.Paths {
+		if m, ok := msgs[p.FailMsg]; ok {
+			p.FailMsg = m
+		}
+	}
+	return res
+}
+
+// eachTableGuard calls fn on every Constrain and If in net's port code whose
+// condition is a table.
+func eachTableGuard(net *core.Network, fn func(ins sefl.Instr, t sefl.Table)) {
 	var walk func(ins sefl.Instr)
 	walk = func(ins sefl.Instr) {
 		switch v := ins.(type) {
@@ -391,14 +429,14 @@ func tableGuards(net *core.Network) map[string]bool {
 				walk(sub)
 			}
 		case sefl.If:
-			if _, ok := v.C.(sefl.Table); ok {
-				guards[v.String()] = true
+			if t, ok := v.C.(sefl.Table); ok {
+				fn(v, t)
 			}
 			walk(v.Then)
 			walk(v.Else)
 		case sefl.Constrain:
-			if _, ok := v.C.(sefl.Table); ok {
-				guards[v.String()] = true
+			if t, ok := v.C.(sefl.Table); ok {
+				fn(v, t)
 			}
 		}
 	}
@@ -415,7 +453,6 @@ func tableGuards(net *core.Network) map[string]bool {
 			}
 		}
 	}
-	return guards
 }
 
 // evaluatingTables counts the paths of a traced run whose trace names one of
@@ -531,7 +568,7 @@ func TestDifferentialDatasets(t *testing.T) {
 		if ast.Stats.Paths == 0 {
 			t.Fatalf("%s: no paths explored", w.name)
 		}
-		if want, got := fingerprint(ast), fingerprint(ref); want != got {
+		if want, got := fingerprint(ast), fingerprint(renameOrTreeMsgs(ref, orTreeMsgs(w.net))); want != got {
 			t.Errorf("%s: Or-tree compiled result differs from AST:\n%s", w.name, diffHead(want, got))
 		}
 		if want, got := obsFingerprint(ast), obsFingerprint(ir); want != got {
@@ -580,14 +617,14 @@ func TestDifferentialGuardModesWorkers(t *testing.T) {
 				}
 				runs[i] = res
 			}
+			if want, got := fingerprint(runs[0]), fingerprint(runs[1]); got != want {
+				t.Errorf("%s ortree=%v: repeated run's full fingerprint differs:\n%s", w.name, orTree, diffHead(want, got))
+			}
 			if orTree {
-				wantObs = obsFingerprint(runs[0])
+				wantObs = obsFingerprint(renameOrTreeMsgs(runs[0], orTreeMsgs(w.net)))
 			} else if got := obsFingerprint(runs[0]); got != wantObs {
 				t.Errorf("%s: interval-table observables differ from Or-tree reference:\n%s",
 					w.name, diffHead(wantObs, got))
-			}
-			if want, got := fingerprint(runs[0]), fingerprint(runs[1]); got != want {
-				t.Errorf("%s ortree=%v: repeated run's full fingerprint differs:\n%s", w.name, orTree, diffHead(want, got))
 			}
 		}
 	}
@@ -689,7 +726,9 @@ func TestVLANPairGuardObservables(t *testing.T) {
 // byte for byte as the table), and returns net: the reference that interval-
 // table lowering is compared against. A hand-written Or compiles as a tree,
 // so the rewritten network runs no span table. A malformed table stays as it
-// is: it fails the path in every executor.
+// is: it fails the path in every executor. A refuted table fails with its
+// span table and its Or-tree with the tree, so the suites rename the
+// reference's messages (orTreeMsgs, renameOrTreeMsgs) before comparing.
 func withOrTreeGuards(net *core.Network) *core.Network {
 	for _, e := range net.Elements() {
 		for _, out := range []bool{false, true} {

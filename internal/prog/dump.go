@@ -122,6 +122,8 @@ func condString(c *cCond) string {
 		s = fmt.Sprintf("%s in %d/%d", exprString(c.L), c.Val, c.PLen)
 	case cMetaPresent:
 		s = "present(" + c.Key.String() + ")"
+	case cTagPresent:
+		s = "present(" + c.Tag + ")"
 	case cAnd, cOr:
 		sep := " & "
 		if c.Kind == cOr {

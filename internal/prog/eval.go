@@ -183,6 +183,9 @@ func evalCondDynamic(env Env, c *cCond) (expr.Cond, error) {
 		return expr.NewPrefix(l, c.Val, c.PLen), nil
 	case cMetaPresent:
 		return expr.Bool(env.MetaExists(c.Key)), nil
+	case cTagPresent:
+		_, ok := env.Tag(c.Tag)
+		return expr.Bool(ok), nil
 	case cAnd:
 		out := make([]expr.Cond, 0, len(c.Cs))
 		for _, sub := range c.Cs {

@@ -18,11 +18,41 @@ package prog
 // Or-tree: nothing parses trees back into rows.
 //
 // The field and the span table are the whole node: evaluation reads the
-// span table, and the IR dump prints it. The Or-tree the rows stand for
-// (Table.Or) is the reference semantics the AST interpreter and the
-// differential suites evaluate; the compiled program never builds it.
+// span table, and the IR dump and a refuted guard's failure message
+// (UnsatMsg) print it. The Or-tree the rows stand for (Table.Or) is the
+// reference semantics the AST interpreter and the differential suites
+// evaluate; the compiled program never builds it.
 
-import "symnet/internal/expr"
+import (
+	"fmt"
+
+	"symnet/internal/expr"
+	"symnet/internal/sefl"
+)
+
+// TableSpans returns the span table of the well-formed table t: the one it
+// carries (a router's) or else the one buildITable merges from its rows.
+// Two tables on one field with equal span tables admit the same values,
+// however their rows spell them.
+func TableSpans(t sefl.Table) *expr.SpanTable {
+	if t.Spans != nil {
+		return t.Spans
+	}
+	return buildITable(t.Rows, t.F.Size)
+}
+
+// UnsatMsg is the failure message of a Constrain on c that the path's
+// context refutes, in both executors. A table guard renders as its field and
+// its span table (TableSpans), which is the value set the guard means:
+// tables with equal span tables fail with one message, and SpanTable.String
+// bounds its length. Any other condition renders as written. A malformed
+// table never gets here: it fails with Table.Check's error.
+func UnsatMsg(c sefl.Cond) string {
+	if t, ok := c.(sefl.Table); ok {
+		return fmt.Sprintf("constraint unsatisfiable: %s in %s", t.F, TableSpans(t))
+	}
+	return fmt.Sprintf("constraint unsatisfiable: %s", c)
+}
 
 // --- Span tables ---
 

@@ -152,6 +152,8 @@ const (
 	cPrefix
 	// cMetaPresent tests existence of a (pre-resolved) metadata entry.
 	cMetaPresent
+	// cTagPresent tests existence of a tag.
+	cTagPresent
 	// cAnd, cOr, cNot combine conditions.
 	cAnd
 	cOr
@@ -180,6 +182,7 @@ type cCond struct {
 	Val      uint64     // cPrefix value
 	PLen, PW int        // cPrefix length and width
 	Key      memory.MetaKey
+	Tag      string   // cTagPresent tag
 	Cs       []*cCond // cAnd/cOr children
 	C        *cCond   // cNot child
 	IT       *ITable  // cIntervalTable payload
@@ -352,11 +355,17 @@ func (p *Program) TraceLine(i int32) string {
 }
 
 // ConstrainFailMsg returns the failure message of the OpConstrain at index
-// i, rendered once: for a table-wide egress guard it prints the whole
-// forwarding table, which no visit should pay for again.
+// i (UnsatMsg), rendered once and shared by every visit. A lowered table
+// guard renders the span table its node asserts, so a port whose rows
+// changed but whose span table did not fails with the same message.
 func (p *Program) ConstrainFailMsg(i int32) string {
 	return p.render(2*int(i)+1, func() string {
-		return fmt.Sprintf("constraint unsatisfiable: %s", p.Ops[i].Ins.(sefl.Constrain).C)
+		c := p.Ops[i].Ins.(sefl.Constrain).C
+		if t, ok := c.(sefl.Table); ok && p.Ops[i].C.Kind == cIntervalTable {
+			t.Spans = p.Ops[i].C.IT.Table
+			c = t
+		}
+		return UnsatMsg(c)
 	})
 }
 

@@ -245,7 +245,7 @@ func TestDifferentialSummariesWorkers(t *testing.T) {
 		if want, got := obsFingerprint(ast), obsFingerprint(res); got != want {
 			t.Errorf("%s: compiled result differs from AST:\n%s", w.name, diffHead(want, got))
 		}
-		if want, got := fingerprint(ast), fingerprint(orTree); got != want {
+		if want, got := fingerprint(ast), fingerprint(renameOrTreeMsgs(orTree, orTreeMsgs(w.net))); got != want {
 			t.Errorf("%s: Or-tree compiled result differs from AST:\n%s", w.name, diffHead(want, got))
 		}
 		snap := reg.Snapshot()

@@ -171,6 +171,10 @@ type Prefix struct {
 // MetaPresent tests whether a metadata entry currently exists.
 type MetaPresent struct{ M Meta }
 
+// TagPresent tests whether a tag currently exists: whether the packet
+// carries the header the tag marks (no TagL2 after a Strip, say).
+type TagPresent struct{ Tag string }
+
 // And, Or, Not combine conditions; True and False are constants.
 type (
 	CAnd  struct{ Cs []Cond }
@@ -182,6 +186,7 @@ type (
 func (Cmp) isCond()         {}
 func (Prefix) isCond()      {}
 func (MetaPresent) isCond() {}
+func (TagPresent) isCond()  {}
 func (CAnd) isCond()        {}
 func (COr) isCond()         {}
 func (CNot) isCond()        {}
@@ -192,6 +197,7 @@ func (p Prefix) String() string {
 	return fmt.Sprintf("%s in %d/%d", p.E, p.Value, p.Len)
 }
 func (m MetaPresent) String() string { return "present(" + m.M.String() + ")" }
+func (t TagPresent) String() string  { return "present(" + t.Tag + ")" }
 func (b CBool) String() string {
 	if b {
 		return "true"

@@ -98,6 +98,8 @@ const (
 	// its rows (see table.go). Table guards dominate the distributed setup
 	// frame for table-heavy networks.
 	wCTable
+	// wTagPresent is a TagPresent: L is the TagVal of its tag.
+	wTagPresent
 )
 
 // WireInstr is the concrete form of one Instr (a tagged union; the fields
@@ -429,6 +431,8 @@ func encodeCond(c Cond) (*WireCond, error) {
 			return nil, err
 		}
 		return &WireCond{Kind: wMetaPresent, M: lv}, nil
+	case TagPresent:
+		return &WireCond{Kind: wTagPresent, L: &WireExpr{Kind: wTagVal, Name: v.Tag}}, nil
 	case CAnd:
 		cs, err := encodeConds(v.Cs)
 		if err != nil {
@@ -499,6 +503,11 @@ func decodeCond(w *WireCond) (Cond, error) {
 			return nil, fmt.Errorf("sefl: MetaPresent wire node carries a non-Meta l-value")
 		}
 		return MetaPresent{M: m}, nil
+	case wTagPresent:
+		if w.L == nil || w.L.Kind != wTagVal {
+			return nil, fmt.Errorf("sefl: TagPresent wire node carries no tag")
+		}
+		return TagPresent{Tag: w.L.Name}, nil
 	case wCAnd, wCOr:
 		cs := make([]Cond, len(w.Cs))
 		for i, sub := range w.Cs {

@@ -30,6 +30,7 @@ func codecSample() Instr {
 			OrC(Prefix{E: Ref{LV: IPDst}, Value: 0x0a000000, Len: 8, Width: 32},
 				Prefix{E: Ref{LV: IPSrc}, Value: 0xc0a80100, Len: 24}),
 			NotC(MetaPresent{M: Meta{Name: "nat", Local: true}}),
+			TagPresent{Tag: "L2"},
 			CBool(true),
 		)},
 		If{C: Lt(Ref{LV: TcpDst}, C(1024)),

@@ -54,7 +54,7 @@ func condEqual(a, b Cond) bool {
 	case Table:
 		y, ok := b.(Table)
 		return ok && x.F == y.F && slices.EqualFunc(x.Rows, y.Rows, rowEqual)
-	case nil, CBool, Cmp, Prefix, MetaPresent:
+	case nil, CBool, Cmp, Prefix, MetaPresent, TagPresent:
 		return a == b
 	}
 	return false

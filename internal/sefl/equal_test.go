@@ -123,6 +123,7 @@ func TestEqualSeesEveryField(t *testing.T) {
 			Constrain{C: Prefix{E: Ref{LV: h}, Value: 10, Len: 8}},
 		}},
 		{"MetaPresent", Constrain{C: MetaPresent{M: m}}, []Instr{Constrain{C: MetaPresent{M: Meta{Name: "m"}}}}},
+		{"TagPresent", Constrain{C: TagPresent{Tag: "L2"}}, []Instr{Constrain{C: TagPresent{Tag: "L3"}}, Constrain{C: MetaPresent{M: m}}}},
 		{"CBool", Constrain{C: CBool(true)}, []Instr{Constrain{C: CBool(false)}}},
 		{"CNot", Constrain{C: CNot{C: pfx}}, []Instr{Constrain{C: CNot{C: cmp}}, Constrain{C: pfx}}},
 		{"CAnd", Constrain{C: CAnd{Cs: []Cond{pfx, cmp}}}, []Instr{

@@ -26,9 +26,10 @@ type Table struct {
 	Rows []expr.GuardRow
 	// Spans, when not nil, is the rows' merged span table over F — exactly
 	// the canonical table the compiler would merge from them — which the
-	// compiler then adopts instead. It is derived: only tables.LPMRows's
-	// output sets it, the wire never carries it (a decoded table has none),
-	// and Or, String and Check ignore it.
+	// compiler then adopts instead. It is derived: tables.LPMRows's output
+	// sets it, as does the churn service on a guard whose span table it
+	// compared; the wire never carries it (a decoded table has none), and
+	// Or, String and Check ignore it.
 	Spans *expr.SpanTable
 }
 
