@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -109,9 +110,16 @@ func TestDefaultRouteRunFlat(t *testing.T) {
 // expr.InSet the solver refutes without cloning.
 const deptAllocsPerHop = 22
 
+// deptBytesPerHop is the byte budget of TestDepartmentRunAllocsPerHop. The
+// warm department Run allocated 1 860 bytes per hop while a path's solver
+// context inserted every symbol it constrained into its union-find, a fork
+// copied 416 bytes of headers and each refuted port's path kept a context
+// of its own; 1 455 once none of that was left (1 481 under -race).
+const deptBytesPerHop = 1600
+
 // TestDepartmentRunAllocsPerHop keeps the hot path lean without reading a
 // clock: one warm Session.Run of the office packet from asw0.in[1] must stay
-// under a fixed number of allocations per port visit. A visit that goes back
+// under a fixed number of allocations and of bytes per port visit. A visit that goes back
 // to allocating scaffolding — an IR fallback, a per-visit evaluator, a
 // successor slice per hop, a history node per write — shows here.
 func TestDepartmentRunAllocsPerHop(t *testing.T) {
@@ -131,10 +139,29 @@ func TestDepartmentRunAllocsPerHop(t *testing.T) {
 	}
 	run() // compile the injection-time For bodies outside the count
 	perHop := testing.AllocsPerRun(5, run) / float64(hops)
-	t.Logf("warm department Run: %.1f allocations per hop over %d hops (budget %d)", perHop, hops, deptAllocsPerHop)
+	bytesPerHop := bytesPerRun(5, run) / float64(hops)
+	t.Logf("warm department Run: %.1f allocations and %.0f bytes per hop over %d hops (budgets %d and %d)", perHop, bytesPerHop, hops, deptAllocsPerHop, deptBytesPerHop)
 	if perHop > deptAllocsPerHop {
 		t.Fatalf("%.1f allocations per hop, budget %d", perHop, deptAllocsPerHop)
 	}
+	if bytesPerHop > deptBytesPerHop {
+		t.Fatalf("%.0f bytes per hop, budget %d", bytesPerHop, deptBytesPerHop)
+	}
+}
+
+// bytesPerRun returns the bytes f allocates per call, averaged over runs
+// calls after a warm-up call, with GOMAXPROCS at 1 as testing.AllocsPerRun
+// counts allocations.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // forkAllocsPerPath is the committed budget of TestForkHeavyAllocsPerPath. A
@@ -143,9 +170,15 @@ func TestDepartmentRunAllocsPerHop(t *testing.T) {
 // 7.0 once a fork was a State and one box.
 const forkAllocsPerPath = 9
 
+// forkBytesPerPath is the byte budget of TestForkHeavyAllocsPerPath. A warm
+// fork-heavy Run allocated 978 bytes per delivered path while a fork's box
+// was 416 bytes; 850 once it was 288.
+const forkBytesPerPath = 920
+
 // TestForkHeavyAllocsPerPath keeps forking cheap without reading a clock: one
 // warm Session.Run over the fork-heavy network (64 bindings, 4 forks of fan
-// 8) must stay under a fixed number of allocations per delivered path. A fork
+// 8) must stay under a fixed number of allocations and of bytes per
+// delivered path. A fork
 // that goes back to allocating its headers one by one, or a step that goes
 // back to allocating its own scaffolding, shows here.
 func TestForkHeavyAllocsPerPath(t *testing.T) {
@@ -167,9 +200,13 @@ func TestForkHeavyAllocsPerPath(t *testing.T) {
 		t.Fatalf("%d delivered paths, want 4096", delivered)
 	}
 	perPath := testing.AllocsPerRun(5, run) / float64(delivered)
-	t.Logf("warm fork-heavy Run: %.1f allocations per delivered path over %d paths (budget %d)", perPath, delivered, forkAllocsPerPath)
+	bytesPerPath := bytesPerRun(5, run) / float64(delivered)
+	t.Logf("warm fork-heavy Run: %.1f allocations and %.0f bytes per delivered path over %d paths (budgets %d and %d)", perPath, bytesPerPath, delivered, forkAllocsPerPath, forkBytesPerPath)
 	if perPath > forkAllocsPerPath {
 		t.Fatalf("%.1f allocations per delivered path, budget %d", perPath, forkAllocsPerPath)
+	}
+	if bytesPerPath > forkBytesPerPath {
+		t.Fatalf("%.0f bytes per delivered path, budget %d", bytesPerPath, forkBytesPerPath)
 	}
 }
 

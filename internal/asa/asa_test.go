@@ -70,7 +70,7 @@ func TestMSSAlwaysAdded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dom := p.Ctx.Domain(val)
+		dom := p.Ctx().Domain(val)
 		if mx, _ := dom.Max(); mx > 1380 {
 			t.Fatalf("VAL2 domain %v exceeds clamp", dom)
 		}
@@ -100,7 +100,7 @@ func TestSackStrippedForHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Ctx.Domain(v).Contains(1) {
+		if p.Ctx().Domain(v).Contains(1) {
 			kept = true
 		}
 	}
@@ -119,7 +119,7 @@ func TestAllowedCombinations(t *testing.T) {
 	// Some delivered path must admit all four options simultaneously.
 	found := false
 	for _, p := range res.ByStatus(core.Delivered) {
-		ctx := p.Ctx.CloneInto(new(solver.Context))
+		ctx := p.Ctx().CloneInto(new(solver.Context))
 		sat := true
 		for _, name := range []string{"OPT2", "OPT3", "OPT4", "OPT8"} {
 			v, err := metaVal(p, name)
@@ -320,7 +320,7 @@ tcp-options allow mss,wscale,sackok,sack,timestamp
 		}
 		// Admission required port 80.
 		tdst, _ := p.Mem.ReadHdr(272+16, 16)
-		dom := p.Ctx.Domain(tdst)
+		dom := p.Ctx().Domain(tdst)
 		if dom.Size() != 1 || !dom.Contains(80) {
 			t.Fatalf("TcpDst domain %v, want {80}", dom)
 		}

@@ -145,7 +145,7 @@ func TestFig9RewriterLoop(t *testing.T) {
 			break
 		}
 	}
-	ctx := loopPath.Ctx.CloneInto(new(solver.Context))
+	ctx := loopPath.Ctx().CloneInto(new(solver.Context))
 	src, err1 := verify.FieldValue(loopPath, sefl.IPSrc)
 	dst, err2 := verify.FieldValue(loopPath, sefl.IPDst)
 	if err1 != nil || err2 != nil {

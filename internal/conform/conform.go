@@ -160,7 +160,7 @@ func run(h Harness, nRandom int, seed int64, opts core.Options) (*Report, error)
 		// ports-not-mirrored IPMirror model). Both cover every symbol a
 		// template field was injected with or ends the path with,
 		// constrained or not.
-		ctx := p.Ctx.CloneInto(new(solver.Context))
+		ctx := p.Ctx().CloneInto(new(solver.Context))
 		for _, f := range fields {
 			if v, err := injected(p, f); err == nil {
 				ctx.Mention(v)
@@ -296,7 +296,7 @@ func (h Harness) testPacketAgainstPath(rep *Report, p *core.Path, model map[expr
 	// the path's constraints, which must stay satisfiable. A field the model
 	// leaves free (IPinIPEncap's outer IP ID) admits what the implementation
 	// writes there.
-	ctx := p.Ctx.CloneInto(new(solver.Context))
+	ctx := p.Ctx().CloneInto(new(solver.Context))
 	pin(ctx, p, pkt, fields)
 	for _, f := range fields {
 		got := f.at(out)
@@ -339,7 +339,7 @@ func (h Harness) testRandomPacket(rep *Report, res *core.Result, pkt *click.Pack
 		if p.Status != core.Delivered {
 			continue
 		}
-		if ctx := p.Ctx.CloneInto(new(solver.Context)); pin(ctx, p, pkt, fields) && ctx.Sat() {
+		if ctx := p.Ctx().CloneInto(new(solver.Context)); pin(ctx, p, pkt, fields) && ctx.Sat() {
 			match = p
 			break
 		}

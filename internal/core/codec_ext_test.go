@@ -27,7 +27,7 @@ func runFingerprint(t *testing.T, res *core.Result) string {
 	s := fmt.Sprintf("stats=%+v\n", res.Stats)
 	for _, p := range res.Paths {
 		s += fmt.Sprintf("path %d %s %q ctx=%v hist=%v trace=%d\n",
-			p.ID, p.Status, p.FailMsg, p.Ctx.Fingerprint(), p.History(), len(p.Trace))
+			p.ID, p.Status, p.FailMsg, p.Ctx().Fingerprint(), p.History(), len(p.Trace))
 	}
 	return s
 }

@@ -371,7 +371,7 @@ func (r *run) forKeys(out []*state, p *prog.Program, op *prog.Op, keys []memory.
 // the live side.
 func (r *run) oneSided(s *state, live expr.Cond) bool {
 	if !s.Ctx.Unsat() {
-		s.Ctx.Stats().Adds++ // the dead side's Add, refuted on its own context
+		r.solverStats.Adds++ // the dead side's Add, refuted on its own context
 	}
 	r.stats.Pruned++
 	return r.assume(s, live)

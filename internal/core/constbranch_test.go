@@ -28,8 +28,8 @@ func resultBytes(res *Result) string {
 		for _, me := range p.Mem.MetaEntries() {
 			fmt.Fprintf(&b, " m[%s]=%v:%v", me.Key, me.Val, me.Set)
 		}
-		fp := p.Ctx.Fingerprint()
-		fmt.Fprintf(&b, " ctx=%x.%x pend=%d\n", fp.Hi, fp.Lo, p.Ctx.PendingOrs())
+		fp := p.Ctx().Fingerprint()
+		fmt.Fprintf(&b, " ctx=%x.%x pend=%d\n", fp.Hi, fp.Lo, p.Ctx().PendingOrs())
 	}
 	fmt.Fprintf(&b, "stats %+v\n", res.Stats)
 	return b.String()

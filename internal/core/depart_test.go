@@ -31,9 +31,10 @@ func guardedFork(t *testing.T) (*Network, PortRef, sefl.Instr) {
 // TestRefutedPortsShareSealedMem pins the departure that clones nothing for
 // a port whose guard the domains refute: the result is byte-identical to
 // the AST interpreter's, which clones every port and refutes the guard on
-// the clone; the refuted ports' paths share one sealed memory, distinct from
-// the surviving path's; and a write through a clone of that memory leaves
-// both siblings' fields as they were.
+// the clone; the refuted ports' paths share one sealed memory and one
+// frozen context, distinct from the surviving path's, and each read of
+// their context builds its own; and a write through a clone of that memory
+// leaves both siblings' fields as they were.
 func TestRefutedPortsShareSealedMem(t *testing.T) {
 	net, inj, inject := guardedFork(t)
 	res, err := Run(net, inj, inject, Options{})
@@ -57,8 +58,12 @@ func TestRefutedPortsShareSealedMem(t *testing.T) {
 		t.Fatal("the refuted siblings of one departure have a memory each")
 	case a.Mem == delivered[0].Mem:
 		t.Fatal("a refuted path shares the memory of the path that left")
-	case a.Ctx == b.Ctx:
-		t.Fatal("the refuted siblings share a solver context")
+	case a.ctx != b.ctx:
+		t.Fatal("the refuted siblings of one departure keep a context each")
+	case a.ctx == delivered[0].ctx:
+		t.Fatal("a refuted path shares the context of the path that left")
+	case a.Ctx() == b.Ctx() || a.Ctx() == a.Ctx():
+		t.Fatal("two reads of refuted paths' contexts share one")
 	}
 
 	l3, ok := a.Mem.Tag(sefl.TagL3)
@@ -85,27 +90,25 @@ func TestRefutedPortsShareSealedMem(t *testing.T) {
 }
 
 // TestRefutedPathDoesNotPinState keeps the departing state out of what a
-// refuted port's path keeps: the Path, its solver context and its last
-// history node are one allocation that lives as long as the Path, and with
-// the state reachable from it every resident refuted path would keep a
-// state it no longer needs.
+// refuted port's path keeps: the Path and its last history node are one
+// allocation, and the departure's memory and context one more, that live as
+// long as the Path, and with the state reachable from them every resident
+// refuted path would keep a state it no longer needs.
 func TestRefutedPathDoesNotPinState(t *testing.T) {
 	r := &run{}
 	e := NewNetwork().AddElement("R", "router", 1, 2)
 	freed := make(chan struct{})
 	func() {
-		st := &state{Mem: memory.New(), Ctx: solver.NewContext(nil)}
+		st := &state{Mem: new(memory.Mem), Ctx: solver.NewContext(nil)}
 		st.pushHistory(e.at(0, false))
 		runtime.SetFinalizer(st, func(*state) { close(freed) })
-		mem := st.Mem.CloneInto(new(memory.Mem))
-		mem.Seal()
-		r.departRefuted(st, mem, e.at(1, true), expr.Bool(false), "refuted")
+		r.departRefuted(st, st.box(), e.at(1, true), expr.Bool(false), "refuted")
 	}()
 	if !collected(freed) {
 		t.Fatal("a departing State is still reachable from its refuted port's Path")
 	}
 	p := r.paths[0]
-	if p.Status != Failed || r.stats.Failed != 1 || len(p.History()) != 2 || p.Ctx.Fingerprint() == (expr.Fp{}) {
+	if p.Status != Failed || r.stats.Failed != 1 || len(p.History()) != 2 || p.CtxFp() == (expr.Fp{}) {
 		t.Fatalf("refuted path %+v, history %v, stats %+v", p, p.History(), r.stats)
 	}
 }

@@ -184,7 +184,7 @@ func (r *run) step(next []*state, st *state) []*state {
 func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 	ports := st.outPorts
 	st.outPorts = nil
-	var refutedMem *memory.Mem // sealed, shared by every refuted port's path
+	var frozen *forkBox // st's, shared by every refuted port's path
 	for i, port := range ports {
 		last := i == len(ports)-1
 		if port < 0 || port >= elem.NumOut {
@@ -204,11 +204,10 @@ func (r *run) depart(next []*state, st *state, elem *Element) []*state {
 			r.env.st = st
 			cond, err := prog.EvalCond(&r.env, p.Ops[g].C)
 			if err == nil && !last && st.Ctx.Refutes(cond) {
-				if refutedMem == nil {
-					refutedMem = st.Mem.CloneInto(new(memory.Mem))
-					refutedMem.Seal()
+				if frozen == nil {
+					frozen = st.box()
 				}
-				r.departRefuted(st, refutedMem, outPort, cond, p.ConstrainFailMsg(g))
+				r.departRefuted(st, frozen, outPort, cond, p.ConstrainFailMsg(g))
 				t.Stop()
 				continue
 			}
@@ -248,27 +247,25 @@ func entryGuard(p *prog.Program) (int32, bool) {
 }
 
 // refutedPath is what a departure whose port guard its domains refute
-// leaves behind: the Path, its solver context and its last history node,
-// allocated together because the Path keeps all three.
+// leaves behind: the Path and its last history node, allocated together
+// because the Path keeps both.
 type refutedPath struct {
 	path Path
-	ctx  solver.Context
 	hist trail[*port]
 }
 
 // departRefuted finishes the path that would leave st through out, whose
 // guard cond Refutes refuted, without cloning st: the Path is st's as the
-// clone's refuted Constrain would have left it. Its context is st's after a
-// real Add(cond), so its Adds, fingerprint and domains are the clone's; its
-// memory is mem, st's memory sealed once per departure and shared by every
-// refuted port's path (sealed memory is read-only, so they cannot see each
-// other's writes).
-func (r *run) departRefuted(st *state, mem *memory.Mem, out *port, cond expr.Cond, msg string) {
+// clone's refuted Constrain would have left it. It keeps frozen, st's
+// memory and context boxed once per departure, and cond, which Path.Ctx
+// adds on read; the Add skipped here is counted as the clone's would be.
+func (r *run) departRefuted(st *state, frozen *forkBox, out *port, cond expr.Cond, msg string) {
+	if !st.Ctx.Unsat() {
+		r.solverStats.Adds++
+	}
 	b := new(refutedPath)
-	ctx := st.Ctx.CloneInto(&b.ctx)
-	ctx.Add(cond)
 	b.hist = trail[*port]{v: out, prev: st.hist, n: st.hist.len() + 1}
-	b.path = Path{Status: Failed, FailMsg: msg, Mem: mem, Ctx: ctx, hist: &b.hist}
+	b.path = Path{Status: Failed, FailMsg: msg, Mem: &frozen.mem, ctx: &frozen.ctx, guard: cond, hist: &b.hist}
 	r.record(&b.path)
 }
 

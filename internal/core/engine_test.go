@@ -70,12 +70,12 @@ func TestFig4PortForwarding(t *testing.T) {
 	// Path via out 2: TcpDst must exclude 123, IPDst pinned to 141.85.37.1.
 	p2 := at2[0]
 	tcpDst2, _ := p2.Mem.ReadHdr(l4+16, 16)
-	dom := p2.Ctx.Domain(tcpDst2)
+	dom := p2.Ctx().Domain(tcpDst2)
 	if dom.Contains(123) {
 		t.Fatal("else-branch TcpDst domain must exclude 123")
 	}
 	ipDst2, _ := p2.Mem.ReadHdr(l3+128, 32)
-	dom2 := p2.Ctx.Domain(ipDst2)
+	dom2 := p2.Ctx().Domain(ipDst2)
 	if sz := dom2.Size(); sz != 1 || !dom2.Contains(sefl.IPToNumber("141.85.37.1")) {
 		t.Fatalf("else-branch IPDst domain %v", dom2)
 	}
@@ -101,7 +101,7 @@ func TestConstrainFailsPathWithoutBranching(t *testing.T) {
 	p := res.Paths[0]
 	l4, _ := p.Mem.Tag(sefl.TagL4)
 	v, _ := p.Mem.ReadHdr(l4+16, 16)
-	dom := p.Ctx.Domain(v)
+	dom := p.Ctx().Domain(v)
 	if dom.Size() != 1 || !dom.Contains(80) {
 		t.Fatalf("TcpDst domain %v, want {80}", dom)
 	}
@@ -165,7 +165,7 @@ func TestEgressConstraintsIndependent(t *testing.T) {
 	}
 	h0 := res.DeliveredAt("H0", 0)[0]
 	v, _ := h0.Mem.ReadHdr(0, 48)
-	if d := h0.Ctx.Domain(v); d.Size() != 1 || !d.Contains(0xaa) {
+	if d := h0.Ctx().Domain(v); d.Size() != 1 || !d.Contains(0xaa) {
 		t.Fatalf("H0 EtherDst domain %v", d)
 	}
 }
@@ -249,7 +249,7 @@ func TestTTLWraparound(t *testing.T) {
 	p := res2.Paths[0]
 	l3, _ := p.Mem.Tag(sefl.TagL3)
 	ttl, _ := p.Mem.ReadHdr(l3+64, 8)
-	if d := p.Ctx.Domain(ttl); d.Contains(255) {
+	if d := p.Ctx().Domain(ttl); d.Contains(255) {
 		t.Fatalf("fixed model TTL domain %v must not contain 255", d)
 	}
 }

@@ -26,12 +26,12 @@ type run struct {
 	opts    Options
 	init    sefl.Instr    // injection code
 	injProg *prog.Program // compiled injection code (nil under ASTInterp)
-	// alloc and solverStats are allocated on their own because a Result
-	// keeps them: its Alloc continues the run's allocator, and every path's
-	// solver context counts into solverStats. As fields of the run they
-	// would keep the stack and the run reachable from the Result.
+	// alloc is allocated on its own because a Result keeps it: its Alloc
+	// continues the run's allocator. As a field of the run it would keep
+	// the stack and the run reachable from the Result. solverStats is
+	// counted into until the run ends (EndRun), so no Result keeps it.
 	alloc       *expr.Alloc
-	solverStats *solver.Stats
+	solverStats solver.Stats
 	memo        *solver.SatCache
 	inst        instruments
 	stack       []*state // states waiting at an input port; the top is next
@@ -82,7 +82,7 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 		memo = solver.NewSatCache()
 	}
 	r := &run{net: net, opts: opts, init: init,
-		alloc: &expr.Alloc{}, solverStats: &solver.Stats{}, memo: memo}
+		alloc: &expr.Alloc{}, memo: memo}
 	r.env.r = r
 	if opts.Loop != LoopOff {
 		r.onCycle = net.onCycle()
@@ -105,17 +105,18 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 	// The stack starts as the bare packet at the injection port; explore
 	// runs the injection code on it before it steps anything.
 	r.stack = []*state{{
-		Mem:     memory.New(),
+		Mem:     new(memory.Mem),
 		Here:    elem.at(inject.Port, false),
 		traceOn: opts.Trace,
 	}}
 	return r, nil
 }
 
-// explore runs the injection, then steps states until the stack is empty.
-// A path count past MaxPaths aborts the run.
+// explore runs the injection, then steps states until the stack is empty,
+// and ends the solver run. A path count past MaxPaths aborts the run.
 func (r *run) explore() (*Result, error) {
-	r.stack = r.runInjection(r.stack[:0], r.stack[0])
+	root := r.stack[0]
+	r.stack = r.runInjection(r.stack[:0], root)
 	for len(r.stack) > 0 {
 		r.inst.queueDepth.SetMax(int64(len(r.stack)))
 		st := r.stack[len(r.stack)-1]
@@ -127,7 +128,8 @@ func (r *run) explore() (*Result, error) {
 		}
 	}
 	r.stats.Symbols = r.alloc.Count()
-	r.stats.Solver = *r.solverStats
+	r.stats.Solver = r.solverStats
+	root.Ctx.EndRun()
 	return &Result{Paths: r.paths, Stats: r.stats, Alloc: r.alloc}, nil
 }
 
@@ -135,7 +137,7 @@ func (r *run) explore() (*Result, error) {
 // context of the target element (so local metadata in templates scopes
 // sensibly) before the packet enters the port.
 func (r *run) runInjection(next []*state, st *state) []*state {
-	st.Ctx = solver.NewContext(r.solverStats)
+	st.Ctx = solver.NewContext(&r.solverStats)
 	st.Ctx.SetCache(r.memo)
 	// Clones inherit the histogram, so every path of the run reports its Sat
 	// latencies (no-op when telemetry is off).
@@ -171,7 +173,7 @@ func (r *run) finish(st *state) {
 		hist:    st.hist,
 		Trace:   render(st.trace, func(line string) string { return line }),
 		Mem:     st.Mem,
-		Ctx:     st.Ctx,
+		ctx:     st.Ctx,
 	})
 }
 

@@ -72,7 +72,7 @@ func TestResultDoesNotPinExploration(t *testing.T) {
 // headers, so the box lives as long as the Path; with the state inside it,
 // every resident Path would also keep a state it no longer needs.
 func TestForkBoxDoesNotPinState(t *testing.T) {
-	st := &state{Mem: memory.New(), Ctx: solver.NewContext(nil)}
+	st := &state{Mem: new(memory.Mem), Ctx: solver.NewContext(nil)}
 	freed := make(chan struct{})
 	mem, ctx := func() (*memory.Mem, *solver.Context) {
 		n := st.clone()
@@ -151,6 +151,29 @@ func TestHistoryNodeSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(*st.hist); n != 24 {
 		t.Errorf("a history node is %d bytes, want 24", n)
+	}
+}
+
+// TestForkHeaderSizes pins the headers a fork copies and a finished path
+// keeps: a solver context is its two stores, one pointer to the rare
+// constraints (nil without any) and one to its run; a packet memory its
+// three stores, whose hash is a type, and an edit token; a Path keeps a
+// refuted departure's frozen context and guard instead of a context of
+// its own. A fork's box is a context and a memory.
+func TestForkHeaderSizes(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		got, max uintptr
+	}{
+		{"solver.Context", unsafe.Sizeof(solver.Context{}), 136},
+		{"memory.Mem", unsafe.Sizeof(memory.Mem{}), 152},
+		{"core.Path", unsafe.Sizeof(Path{}), 96},
+		{"fork box", unsafe.Sizeof(forkBox{}), 288},
+	} {
+		t.Logf("%s: %d bytes (at most %d)", c.name, c.got, c.max)
+		if c.got > c.max {
+			t.Errorf("%s is %d bytes, more than %d", c.name, c.got, c.max)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "symnet/internal/sefl"
+import (
+	"symnet/internal/sefl"
+	"symnet/internal/solver"
+)
 
 // PortTable renders the ports n minted, indexed by ID, and its link table:
 // links[id] is the ID of the input port linked to output port id, or -1.
@@ -85,3 +88,8 @@ func LoopCheckReplay(net *Network, inject PortRef, init sefl.Instr, opts Options
 		return recorded, compared
 	}, nil
 }
+
+// Kept returns the solver context p keeps: its own, or, when its output
+// port's guard refuted its departure (refuted), the departing context it
+// shares with that departure's other refuted ports.
+func Kept(p *Path) (ctx *solver.Context, refuted bool) { return p.ctx, p.guard != nil }

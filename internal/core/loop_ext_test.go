@@ -111,14 +111,14 @@ func TestCycleGateFollowsTopology(t *testing.T) {
 func resultImage(t *testing.T, res *core.Result) string {
 	s := runFingerprint(t, res)
 	for _, p := range res.Paths {
-		model, _ := p.Ctx.Model()
+		model, _ := p.Ctx().Model()
 		syms := slices.Sorted(maps.Keys(model))
 		for _, sym := range syms {
 			s += fmt.Sprintf(" s%d=%d", sym, model[sym])
 		}
 		for _, f := range p.Mem.Fields() {
 			if f.Set {
-				s += fmt.Sprintf(" @%d/%d=%s:%s", f.Off, f.Size, f.Val, p.Ctx.Domain(f.Val))
+				s += fmt.Sprintf(" @%d/%d=%s:%s", f.Off, f.Size, f.Val, p.Ctx().Domain(f.Val))
 			}
 		}
 		s += "\n"

@@ -127,10 +127,19 @@ func (st *state) pushTrace(line string) {
 // forkBox is the storage one fork allocates for the two headers it copies.
 // A finished Path keeps both, so one box costs it nothing extra. The state
 // stays outside: it dies when its path finishes, and inside the box it would
-// live on as long as the Path.
+// live on as long as the Path. A departure whose port guards refute the
+// packet boxes its memory and context once for every refuted port's path.
 type forkBox struct {
 	mem memory.Mem
 	ctx solver.Context
+}
+
+// box copies st's memory and context into a new box.
+func (st *state) box() *forkBox {
+	b := new(forkBox)
+	st.Mem.CloneInto(&b.mem)
+	st.Ctx.CloneInto(&b.ctx)
+	return b
 }
 
 // clone duplicates the path state: a constant-size header copy, since every
@@ -139,9 +148,8 @@ type forkBox struct {
 // refuted one is counted (and, at a port, recorded) without a state.
 func (st *state) clone() *state {
 	n := *st
-	b := new(forkBox)
-	n.Mem = st.Mem.CloneInto(&b.mem)
-	n.Ctx = st.Ctx.CloneInto(&b.ctx)
+	b := st.box()
+	n.Mem, n.Ctx = &b.mem, &b.ctx
 	if st.outPorts != nil {
 		n.outPorts = append([]int(nil), st.outPorts...)
 	}
@@ -182,13 +190,37 @@ type Path struct {
 	// The failed paths of output ports whose guards refuted one departure
 	// share one Mem; nothing outside core writes it.
 	Mem *memory.Mem
-	Ctx *solver.Context
+	// ctx is the path's solver context, or, when guard is set, that of the
+	// departure guard refuted, shared by its refuted ports' paths (see Ctx).
+	ctx   *solver.Context
+	guard expr.Cond
 
 	// hist is the port-visit trail, newest-first and shared-prefix with
 	// sibling paths. It is materialized on demand: most callers (batch
 	// reachability, benchmarks) never read full histories, and eager
 	// materialization was ~25% of fork-heavy runtime.
 	hist *trail[*port]
+}
+
+// Ctx returns the path's solver context. For a path whose output-port guard
+// refuted its departure it is built on each call, as the departing context
+// plus Add(guard), whose count goes to nothing shared: the run has ended.
+func (p *Path) Ctx() *solver.Context {
+	if p.guard == nil {
+		return p.ctx
+	}
+	c := p.ctx.CloneInto(new(solver.Context))
+	c.Add(p.guard)
+	return c
+}
+
+// CtxFp returns Ctx().Fingerprint() without building the context.
+func (p *Path) CtxFp() expr.Fp {
+	fp := p.ctx.Fingerprint()
+	if p.guard != nil && !p.ctx.Unsat() {
+		fp = fp.Chain(expr.HashCond(p.guard))
+	}
+	return fp
 }
 
 // History returns the port-visit history, oldest first, rendered from the

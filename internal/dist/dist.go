@@ -209,7 +209,7 @@ func Summarize(res *core.Result) *Summary {
 			FailMsg: p.FailMsg,
 			Ports:   p.History(),
 			Trace:   p.Trace,
-			CtxFp:   p.Ctx.Fingerprint(),
+			CtxFp:   p.CtxFp(),
 		}
 	}
 	return s

@@ -69,7 +69,7 @@ func packSummary(res *core.Result) *wireSummary {
 		w.Hops[k] = wireHop{Parent: parent[k], Elem: intern(r.Elem), Port: r.Port, Out: r.Out}
 	}
 	for i, p := range res.Paths {
-		wp := wirePath{ID: p.ID, Status: p.Status, Fail: intern(p.FailMsg), Leaf: leaf[i], CtxFp: p.Ctx.Fingerprint()}
+		wp := wirePath{ID: p.ID, Status: p.Status, Fail: intern(p.FailMsg), Leaf: leaf[i], CtxFp: p.CtxFp()}
 		wp.Trace = make([]int32, len(p.Trace))
 		for j, line := range p.Trace {
 			wp.Trace[j] = intern(line)

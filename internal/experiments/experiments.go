@@ -334,7 +334,7 @@ func splitTCPMTULimit(cfg datasets.SplitTCPConfig) (uint64, error) {
 		if err != nil {
 			continue
 		}
-		if mx, ok := p.Ctx.Domain(v).Max(); ok && mx > max {
+		if mx, ok := p.Ctx().Domain(v).Max(); ok && mx > max {
 			max = mx
 		}
 	}

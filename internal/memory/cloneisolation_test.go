@@ -189,7 +189,7 @@ func TestMemCloneIsolationRandomized(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			m := New()
+			m := new(Mem)
 			s := newShadow()
 			for i := 0; i < 30; i++ {
 				if err := step("build", rng, m, s); err != nil {

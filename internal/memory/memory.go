@@ -87,7 +87,8 @@ func (l *layer) history() []expr.Lin {
 	return out
 }
 
-// Mem is the symbolic packet state. The zero value is not usable; call New.
+// Mem is the symbolic packet state. The zero value is the "initial empty
+// packet, with no header fields or metadata" the engine starts from.
 //
 // All three stores are persistent structure-sharing maps, so Clone is a
 // constant-size header copy regardless of how many fields, metadata entries
@@ -96,33 +97,30 @@ func (l *layer) history() []expr.Lin {
 // (persist.Map.SetOwned under the Mem's edit token), so a run of writes
 // copies each touched slice or trie spine once, not once per write.
 type Mem struct {
-	hdr  persist.Map[int64, *layer]
-	meta persist.Map[MetaKey, *layer]
-	tags persist.Map[string, *tagNode]
+	hdr  persist.Map[int64, *layer, offHash]
+	meta persist.Map[MetaKey, *layer, metaHash]
+	tags persist.Map[string, *tagNode, tagHash]
 	// edit is the token the stores' in-place edits are stamped with; 0
-	// until the first write after New, Clone or Seal.
+	// until the first write after creation, Clone or Seal.
 	edit uint64
 }
 
-func hashOff(o int64) uint64 { return persist.Mix64(uint64(o)) }
+// offHash, metaHash and tagHash hash the keys of the three stores.
+type offHash struct{}
+type metaHash struct{}
+type tagHash struct{}
 
-func hashMetaKey(k MetaKey) uint64 {
+func (offHash) Hash(o int64) uint64 { return persist.Mix64(uint64(o)) }
+
+func (metaHash) Hash(k MetaKey) uint64 {
 	return persist.Mix64(persist.HashString(k.Name) ^ persist.Mix64(uint64(int64(k.Instance))))
 }
+
+func (tagHash) Hash(name string) uint64 { return persist.HashString(name) }
 
 type tagNode struct {
 	val  int64
 	prev *tagNode
-}
-
-// New returns an empty packet state (the "initial empty packet, with no
-// header fields or metadata" the engine starts from).
-func New() *Mem {
-	return &Mem{
-		hdr:  persist.NewMap[int64, *layer](hashOff),
-		meta: persist.NewMap[MetaKey, *layer](hashMetaKey),
-		tags: persist.NewMap[string, *tagNode](persist.HashString),
-	}
 }
 
 // CloneInto makes n an independent copy of m in O(1) and returns n: the
@@ -133,9 +131,7 @@ func New() *Mem {
 // are race-free. The caller owns n's storage, so a fork can place the copy
 // beside the rest of its path state (core's State.clone does).
 func (m *Mem) CloneInto(n *Mem) *Mem {
-	if m.edit != 0 {
-		m.edit = 0
-	}
+	m.Seal()
 	*n = *m
 	return n
 }
@@ -149,8 +145,8 @@ func (m *Mem) Seal() {
 	}
 }
 
-// owner returns m's edit token, minting one on the first write since New,
-// Clone or Seal.
+// owner returns m's edit token, minting one on the first write since
+// creation, Clone or Seal.
 func (m *Mem) owner() uint64 {
 	if m.edit == 0 {
 		m.edit = persist.NewOwner()

@@ -10,7 +10,7 @@ import (
 func lin(v uint64, w int) expr.Lin { return expr.Const(v, w) }
 
 func TestHdrAllocateAssignRead(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	if err := m.AllocateHdr(96, 32); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestHdrAllocateAssignRead(t *testing.T) {
 }
 
 func TestHdrUnalignedAccess(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(96, 32)
 	m.AssignHdr(96, 32, lin(1, 32))
 	if _, err := m.ReadHdr(100, 32); err == nil {
@@ -45,7 +45,7 @@ func TestHdrUnalignedAccess(t *testing.T) {
 }
 
 func TestHdrOverlapRejected(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(0, 48)
 	if err := m.AllocateHdr(32, 48); err == nil {
 		t.Fatal("overlapping allocation must fail")
@@ -61,7 +61,7 @@ func TestHdrOverlapRejected(t *testing.T) {
 func TestHdrStacking(t *testing.T) {
 	// The paper's encryption model: re-allocating TcpPayload masks the
 	// original value; deallocation restores it.
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(320, 64)
 	m.AssignHdr(320, 64, lin(0xdead, 64))
 	if err := m.AllocateHdr(320, 64); err != nil {
@@ -85,7 +85,7 @@ func TestHdrStacking(t *testing.T) {
 }
 
 func TestHdrDeallocateSizeCheck(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(0, 32)
 	if err := m.DeallocateHdr(0, 16); err == nil {
 		t.Fatal("deallocate size mismatch must fail")
@@ -102,7 +102,7 @@ func TestHdrDeallocateSizeCheck(t *testing.T) {
 }
 
 func TestHdrHistory(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(0, 8)
 	m.AssignHdr(0, 8, lin(1, 8))
 	m.AssignHdr(0, 8, lin(2, 8))
@@ -122,7 +122,7 @@ func TestHdrHistory(t *testing.T) {
 }
 
 func TestCloneIsolation(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(0, 8)
 	m.AssignHdr(0, 8, lin(1, 8))
 	m.CreateTag("L3", 112)
@@ -158,7 +158,7 @@ func TestCloneIsolation(t *testing.T) {
 }
 
 func TestTagStacking(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.CreateTag("L3", 112)
 	m.CreateTag("L3", -48) // encapsulation pushes a new L3
 	if v, _ := m.Tag("L3"); v != -48 {
@@ -180,7 +180,7 @@ func TestTagStacking(t *testing.T) {
 }
 
 func TestMetaScoping(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	g := MetaKey{Name: "orig-ip", Instance: GlobalScope}
 	l1 := MetaKey{Name: "orig-ip", Instance: 1}
 	l2 := MetaKey{Name: "orig-ip", Instance: 2}
@@ -207,7 +207,7 @@ func TestMetaScoping(t *testing.T) {
 }
 
 func TestMetaStacking(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	k := MetaKey{Name: "Key", Instance: GlobalScope}
 	m.AllocateMeta(k, 16)
 	m.AssignMeta(k, lin(7, 16))
@@ -225,7 +225,7 @@ func TestMetaStacking(t *testing.T) {
 }
 
 func TestMetaKeysSnapshotSorted(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	for _, name := range []string{"OPT9", "OPT2", "OPT30", "SIZE2"} {
 		m.AllocateMeta(MetaKey{Name: name, Instance: GlobalScope}, 8)
 	}
@@ -239,7 +239,7 @@ func TestMetaKeysSnapshotSorted(t *testing.T) {
 }
 
 func TestFieldsEnumeration(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(48, 48)
 	m.AllocateHdr(0, 48)
 	m.AssignHdr(0, 48, lin(0xa, 48))
@@ -257,7 +257,7 @@ func TestFieldsEnumeration(t *testing.T) {
 // unassigned or missing variable and a header field at another size. Neither
 // allocates.
 func TestVarsAndValue(t *testing.T) {
-	m := New()
+	m := new(Mem)
 	m.AllocateHdr(0, 48)
 	m.AssignHdr(0, 48, lin(0xa, 48))
 	m.AllocateHdr(48, 16) // allocated, never assigned

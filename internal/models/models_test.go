@@ -289,7 +289,7 @@ func TestNATForwardAndReverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapped := dstHist[len(dstHist)-2] // value before the final restoration
-	mdom := p.Ctx.Domain(mapped)
+	mdom := p.Ctx().Domain(mapped)
 	if mdom.Contains(100) {
 		t.Fatalf("mapped port domain %v must exclude ports < 1024", mdom)
 	}
@@ -340,7 +340,7 @@ func TestTunnelPayloadInvariance(t *testing.T) {
 	}
 	// Exactly two encapsulation layers were added and removed: the (inner)
 	// IPSrc offset holds one allocation, so one deallocation empties it.
-	m := p.Mem.CloneInto(memory.New())
+	m := p.Mem.CloneInto(new(memory.Mem))
 	if err := m.DeallocateHdr(112+96, 32); err != nil {
 		t.Fatalf("inner IPSrc: %v", err)
 	}

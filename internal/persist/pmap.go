@@ -6,10 +6,11 @@
 // original. This is what makes forking a symbolic-execution path O(1) in the
 // size of accumulated state.
 //
-// Hash functions are supplied by the caller and must be deterministic across
-// processes (no per-process seeding): trie shape — and with it iteration
-// order — is a pure function of the key set, which the engine's determinism
-// contract (byte-identical results at any worker count) relies on.
+// A map's hash is a type, whose Hash method the map calls, so a Map header
+// carries no function. Hashes must be deterministic across processes (no
+// per-process seeding): trie shape — and with it iteration order — is a
+// pure function of the key set, which the engine's determinism contract
+// (byte-identical results at any worker count) relies on.
 package persist
 
 import (
@@ -60,8 +61,11 @@ type node[K comparable, V any] struct {
 	coll    []kv[K, V]
 }
 
-// Map is an immutable hash map. The zero value is NOT usable; construct with
-// NewMap. Map values are freely copyable headers: Set and Delete return new
+// hasher hashes a Map's keys, called on its zero value (a struct{} type).
+type hasher[K any] interface{ Hash(K) uint64 }
+
+// Map is an immutable hash map whose keys H hashes. The zero value is an
+// empty map. Map values are freely copyable headers: Set and Delete return new
 // Maps sharing structure with the receiver, which remains valid and
 // unchanged. SetOwned is the one exception, for a single writer that holds
 // an edit token (see NewOwner).
@@ -72,13 +76,14 @@ type node[K comparable, V any] struct {
 // the HAMT — both pure functions of the key set for a map that has stayed in
 // one representation (keys whose full 64-bit hashes collide tie-break by
 // insertion order in the inline form, as in a trie collision bucket).
-type Map[K comparable, V any] struct {
+type Map[K comparable, V any, H hasher[K]] struct {
 	root  *node[K, V]
 	small []entry[K, V] // inline form: hash-sorted, child fields unused
 	edit  uint64        // token of the writer that built small (0: none)
 	size  int
-	hash  func(K) uint64
 }
+
+func (m Map[K, V, H]) hash(k K) uint64 { return (*new(H)).Hash(k) }
 
 // owners mints edit tokens; 0 is never handed out, so it owns nothing.
 var owners atomic.Uint64
@@ -87,16 +92,11 @@ var owners atomic.Uint64
 // nothing, and no two calls in a process return the same token.
 func NewOwner() uint64 { return owners.Add(1) }
 
-// NewMap returns an empty map using the given deterministic hash function.
-func NewMap[K comparable, V any](hash func(K) uint64) Map[K, V] {
-	return Map[K, V]{hash: hash}
-}
-
 // Len reports the number of keys.
-func (m Map[K, V]) Len() int { return m.size }
+func (m Map[K, V, H]) Len() int { return m.size }
 
 // Get returns the value for k.
-func (m Map[K, V]) Get(k K) (V, bool) {
+func (m Map[K, V, H]) Get(k K) (V, bool) {
 	var zero V
 	n := m.root
 	if n == nil {
@@ -137,7 +137,7 @@ func (m Map[K, V]) Get(k K) (V, bool) {
 }
 
 // Set returns a map with k bound to v; the receiver is unchanged.
-func (m Map[K, V]) Set(k K, v V) Map[K, V] { return m.set(k, v, 0) }
+func (m Map[K, V, H]) Set(k K, v V) Map[K, V, H] { return m.set(k, v, 0) }
 
 // SetOwned is Set for a writer holding the edit token owner (from NewOwner):
 // structure stamped with owner — built by an earlier SetOwned with the same
@@ -148,10 +148,10 @@ func (m Map[K, V]) Set(k K, v V) Map[K, V] { return m.set(k, v, 0) }
 // one) before another copy of the map may be read or written independently,
 // as a snapshot or a fork. Structure stamped with a token nobody holds is
 // immutable again.
-func (m Map[K, V]) SetOwned(k K, v V, owner uint64) Map[K, V] { return m.set(k, v, owner) }
+func (m Map[K, V, H]) SetOwned(k K, v V, owner uint64) Map[K, V, H] { return m.set(k, v, owner) }
 
 // set is Set (owner 0) and SetOwned.
-func (m Map[K, V]) set(k K, v V, owner uint64) Map[K, V] {
+func (m Map[K, V, H]) set(k K, v V, owner uint64) Map[K, V, H] {
 	h := m.hash(k)
 	if m.root == nil {
 		return m.setSmall(h, kv[K, V]{key: k, val: v}, owner)
@@ -162,7 +162,7 @@ func (m Map[K, V]) set(k K, v V, owner uint64) Map[K, V] {
 	if added {
 		size++
 	}
-	return Map[K, V]{root: root, size: size, hash: m.hash}
+	return Map[K, V, H]{root: root, size: size}
 }
 
 // owns reports whether structure stamped edit may be updated in place by the
@@ -172,7 +172,7 @@ func owns(edit, owner uint64) bool { return owner != 0 && edit == owner }
 // setSmall is set on the inline form: replace (in place when owned, else
 // in a copy), insert in hash order, or promote to a trie when the bound is
 // exceeded.
-func (m Map[K, V]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V] {
+func (m Map[K, V, H]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V, H] {
 	for i := range m.small {
 		if m.small[i].hash == h && m.small[i].kv.key == p.key {
 			if owns(m.edit, owner) {
@@ -182,7 +182,7 @@ func (m Map[K, V]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V] {
 			out := make([]entry[K, V], len(m.small))
 			copy(out, m.small)
 			out[i].kv = p
-			return Map[K, V]{small: out, edit: owner, size: m.size, hash: m.hash}
+			return Map[K, V, H]{small: out, edit: owner, size: m.size}
 		}
 	}
 	if m.size < smallMax {
@@ -199,7 +199,7 @@ func (m Map[K, V]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V] {
 		copy(out, m.small[:pos])
 		out[pos] = entry[K, V]{hash: h, kv: p}
 		copy(out[pos+1:], m.small[pos:])
-		return Map[K, V]{small: out, edit: owner, size: m.size + 1, hash: m.hash}
+		return Map[K, V, H]{small: out, edit: owner, size: m.size + 1}
 	}
 	// Promote: build the canonical trie from the inline entries plus the
 	// new pair in one pass (grouping by hash chunk), so crossing the
@@ -211,7 +211,7 @@ func (m Map[K, V]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V] {
 	all := make([]entry[K, V], len(m.small)+1)
 	copy(all, m.small)
 	all[len(m.small)] = entry[K, V]{hash: h, kv: p}
-	return Map[K, V]{root: buildNode(all, 0, owner), size: m.size + 1, hash: m.hash}
+	return Map[K, V, H]{root: buildNode(all, 0, owner), size: m.size + 1}
 }
 
 // buildNode builds the canonical trie node for a set of entries in one
@@ -340,7 +340,7 @@ func mergeLeaves[K comparable, V any](shift uint, a, b entry[K, V], edit uint64)
 }
 
 // Delete returns a map without k; the receiver is unchanged.
-func (m Map[K, V]) Delete(k K) Map[K, V] {
+func (m Map[K, V, H]) Delete(k K) Map[K, V, H] {
 	if m.root == nil {
 		h := m.hash(k)
 		for i := range m.small {
@@ -351,7 +351,7 @@ func (m Map[K, V]) Delete(k K) Map[K, V] {
 				if len(out) == 0 {
 					out = nil
 				}
-				return Map[K, V]{small: out, size: m.size - 1, hash: m.hash}
+				return Map[K, V, H]{small: out, size: m.size - 1}
 			}
 		}
 		return m
@@ -361,7 +361,7 @@ func (m Map[K, V]) Delete(k K) Map[K, V] {
 	if !removed {
 		return m
 	}
-	return Map[K, V]{root: root, size: m.size - 1, hash: m.hash}
+	return Map[K, V, H]{root: root, size: m.size - 1}
 }
 
 func delNode[K comparable, V any](n *node[K, V], shift uint, h uint64, k K, removed *bool) *node[K, V] {
@@ -425,7 +425,7 @@ func removeSlot[K comparable, V any](n *node[K, V], bit uint32, pos int) *node[K
 // order is hash order (inline form) or trie order (HAMT) — deterministic for
 // a given key set and hash function, but not sorted; callers needing a
 // specific order must sort.
-func (m Map[K, V]) Range(f func(K, V) bool) {
+func (m Map[K, V, H]) Range(f func(K, V) bool) {
 	if m.root != nil {
 		rangeNode(m.root, f)
 		return

@@ -12,10 +12,10 @@ import (
 func TestMapMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewMap[uint64, int](Mix64)
+		m := Map[uint64, int, mix]{}
 		ref := map[uint64]int{}
 		type forkPair struct {
-			m   Map[uint64, int]
+			m   Map[uint64, int, mix]
 			ref map[uint64]int
 		}
 		var forks []forkPair
@@ -42,7 +42,7 @@ func TestMapMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d op %d: Len=%d want %d", seed, op, m.Len(), len(ref))
 			}
 		}
-		check := func(m Map[uint64, int], ref map[uint64]int) {
+		check := func(m Map[uint64, int, mix], ref map[uint64]int) {
 			t.Helper()
 			for k := uint64(0); k < 300; k++ {
 				got, ok := m.Get(k)
@@ -78,10 +78,10 @@ func TestMapMatchesReference(t *testing.T) {
 func TestMapSmallBoundary(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
-		m := NewMap[uint64, int](Mix64)
+		m := Map[uint64, int, mix]{}
 		ref := map[uint64]int{}
 		type forkPair struct {
-			m   Map[uint64, int]
+			m   Map[uint64, int, mix]
 			ref map[uint64]int
 		}
 		var forks []forkPair
@@ -138,11 +138,11 @@ func TestMapSmallBoundary(t *testing.T) {
 // kept in hash order, not insertion order).
 func TestMapSmallIterationDeterministic(t *testing.T) {
 	keys := []uint64{9, 3, 250, 17, 42, 1, 77}
-	a := NewMap[uint64, int](Mix64)
+	a := Map[uint64, int, mix]{}
 	for _, k := range keys {
 		a = a.Set(k, int(k))
 	}
-	b := NewMap[uint64, int](Mix64)
+	b := Map[uint64, int, mix]{}
 	for i := len(keys) - 1; i >= 0; i-- {
 		b = b.Set(keys[i], int(keys[i]))
 	}
@@ -165,7 +165,7 @@ func TestMapSmallIterationDeterministic(t *testing.T) {
 // TestMapPromotionKeepsSnapshots pins a snapshot at exactly smallMax
 // entries, grows the map through the promotion, and checks both forms.
 func TestMapPromotionKeepsSnapshots(t *testing.T) {
-	m := NewMap[uint64, int](Mix64)
+	m := Map[uint64, int, mix]{}
 	for i := uint64(0); i < smallMax; i++ {
 		m = m.Set(i, int(i))
 	}
@@ -190,12 +190,19 @@ func TestMapPromotionKeepsSnapshots(t *testing.T) {
 	}
 }
 
-// collideHash forces every key into one 64-bit hash bucket, exercising the
+// mix hashes a key with Mix64.
+type mix struct{}
+
+func (mix) Hash(k uint64) uint64 { return Mix64(k) }
+
+// collide forces every key into one 64-bit hash bucket, exercising the
 // collision-bucket path end to end.
-func collideHash(uint64) uint64 { return 42 }
+type collide struct{}
+
+func (collide) Hash(uint64) uint64 { return 42 }
 
 func TestMapCollisionBuckets(t *testing.T) {
-	m := NewMap[uint64, string](collideHash)
+	m := Map[uint64, string, collide]{}
 	for i := uint64(0); i < 20; i++ {
 		m = m.Set(i, "v")
 	}
@@ -224,11 +231,11 @@ func TestMapCollisionBuckets(t *testing.T) {
 // identical Range order (trie shape is a pure function of the key set).
 func TestMapIterationDeterministic(t *testing.T) {
 	keys := rand.New(rand.NewSource(7)).Perm(500)
-	a := NewMap[uint64, int](Mix64)
+	a := Map[uint64, int, mix]{}
 	for _, k := range keys {
 		a = a.Set(uint64(k), k)
 	}
-	b := NewMap[uint64, int](Mix64)
+	b := Map[uint64, int, mix]{}
 	for i := len(keys) - 1; i >= 0; i-- {
 		b = b.Set(uint64(keys[i]), keys[i])
 	}
@@ -253,68 +260,75 @@ func TestMapIterationDeterministic(t *testing.T) {
 // ever change, in the inline form, the trie, across promotion, or in
 // collision buckets.
 func TestMapSetOwnedKeepsSnapshots(t *testing.T) {
-	hashes := []struct {
-		name string
-		hash func(uint64) uint64
-	}{{"mix", Mix64}, {"colliding", func(k uint64) uint64 { return Mix64(k % 3) }}}
-	for _, h := range hashes {
-		for _, keySpace := range []int{smallMax - 2, smallMax + 4, 300} {
-			for seed := int64(0); seed < 20; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				type snapshot struct {
-					m   Map[uint64, int]
-					ref map[uint64]int
+	setOwnedKeepsSnapshots[mix](t, "mix")
+	setOwnedKeepsSnapshots[mod3](t, "colliding")
+}
+
+// mod3 hashes every key to one of three values.
+type mod3 struct{}
+
+func (mod3) Hash(k uint64) uint64 { return Mix64(k % 3) }
+
+// setOwnedKeepsSnapshots is TestMapSetOwnedKeepsSnapshots for maps hashed
+// by H.
+func setOwnedKeepsSnapshots[H hasher[uint64]](t *testing.T, name string) {
+	t.Helper()
+	for _, keySpace := range []int{smallMax - 2, smallMax + 4, 300} {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			type snapshot struct {
+				m   Map[uint64, int, H]
+				ref map[uint64]int
+			}
+			copyRef := func(ref map[uint64]int) map[uint64]int {
+				out := make(map[uint64]int, len(ref))
+				for k, v := range ref {
+					out[k] = v
 				}
-				copyRef := func(ref map[uint64]int) map[uint64]int {
-					out := make(map[uint64]int, len(ref))
-					for k, v := range ref {
-						out[k] = v
+				return out
+			}
+			check := func(when string, m Map[uint64, int, H], ref map[uint64]int) {
+				t.Helper()
+				if m.Len() != len(ref) {
+					t.Fatalf("%s keys=%d seed %d %s: Len=%d want %d", name, keySpace, seed, when, m.Len(), len(ref))
+				}
+				for k := uint64(0); k < uint64(keySpace); k++ {
+					got, ok := m.Get(k)
+					want, wantOK := ref[k]
+					if ok != wantOK || (ok && got != want) {
+						t.Fatalf("%s keys=%d seed %d %s: Get(%d)=%d,%v want %d,%v", name, keySpace, seed, when, k, got, ok, want, wantOK)
 					}
-					return out
 				}
-				check := func(when string, m Map[uint64, int], ref map[uint64]int) {
-					t.Helper()
-					if m.Len() != len(ref) {
-						t.Fatalf("%s keys=%d seed %d %s: Len=%d want %d", h.name, keySpace, seed, when, m.Len(), len(ref))
+			}
+			m, ref := Map[uint64, int, H]{}, map[uint64]int{}
+			var owner uint64
+			var snaps []snapshot
+			for op := 0; op < 600; op++ {
+				k := uint64(rng.Intn(keySpace))
+				switch r := rng.Intn(20); {
+				case r < 14:
+					if owner == 0 {
+						owner = NewOwner()
 					}
-					for k := uint64(0); k < uint64(keySpace); k++ {
-						got, ok := m.Get(k)
-						want, wantOK := ref[k]
-						if ok != wantOK || (ok && got != want) {
-							t.Fatalf("%s keys=%d seed %d %s: Get(%d)=%d,%v want %d,%v", h.name, keySpace, seed, when, k, got, ok, want, wantOK)
-						}
+					v := rng.Int()
+					m = m.SetOwned(k, v, owner)
+					ref[k] = v
+				case r < 16:
+					m = m.Delete(k)
+					delete(ref, k)
+				case r < 19:
+					snaps = append(snaps, snapshot{m: m, ref: copyRef(ref)})
+					owner = 0
+				default:
+					if len(snaps) > 0 {
+						s := snaps[rng.Intn(len(snaps))]
+						m, ref, owner = s.m, copyRef(s.ref), 0
 					}
 				}
-				m, ref := NewMap[uint64, int](h.hash), map[uint64]int{}
-				var owner uint64
-				var snaps []snapshot
-				for op := 0; op < 600; op++ {
-					k := uint64(rng.Intn(keySpace))
-					switch r := rng.Intn(20); {
-					case r < 14:
-						if owner == 0 {
-							owner = NewOwner()
-						}
-						v := rng.Int()
-						m = m.SetOwned(k, v, owner)
-						ref[k] = v
-					case r < 16:
-						m = m.Delete(k)
-						delete(ref, k)
-					case r < 19:
-						snaps = append(snaps, snapshot{m: m, ref: copyRef(ref)})
-						owner = 0
-					default:
-						if len(snaps) > 0 {
-							s := snaps[rng.Intn(len(snaps))]
-							m, ref, owner = s.m, copyRef(s.ref), 0
-						}
-					}
-					check("live", m, ref)
-				}
-				for i, s := range snaps {
-					check(fmt.Sprintf("snapshot %d", i), s.m, s.ref)
-				}
+				check("live", m, ref)
+			}
+			for i, s := range snaps {
+				check(fmt.Sprintf("snapshot %d", i), s.m, s.ref)
 			}
 		}
 	}
@@ -325,7 +339,7 @@ func TestMapSetOwnedKeepsSnapshots(t *testing.T) {
 // inline and in the trie — and a plain Set still copies.
 func TestMapSetOwnedEditsInPlace(t *testing.T) {
 	for _, n := range []uint64{smallMax, 100} {
-		m := NewMap[uint64, int](Mix64)
+		m := Map[uint64, int, mix]{}
 		for i := uint64(0); i < n; i++ {
 			m = m.Set(i, int(i))
 		}

@@ -65,10 +65,10 @@ func fingerprintCtx(res *core.Result, withCtx bool) string {
 			}
 		}
 		if withCtx {
-			fp := p.Ctx.Fingerprint()
+			fp := p.Ctx().Fingerprint()
 			fmt.Fprintf(&b, " ctx=%x.%x", fp.Hi, fp.Lo)
 		}
-		fmt.Fprintf(&b, " pend=%d\n", p.Ctx.PendingOrs())
+		fmt.Fprintf(&b, " pend=%d\n", p.Ctx().PendingOrs())
 	}
 	fmt.Fprintf(&b, "stats %+v\n", res.Stats)
 	return b.String()

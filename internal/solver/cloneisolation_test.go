@@ -96,8 +96,9 @@ func TestCloneIsolationRandomized(t *testing.T) {
 				}
 			}
 			ctxA, ctxB := base.CloneInto(new(Context)), base.CloneInto(new(Context))
-			// Branches run concurrently: give each its own stats collector.
-			ctxA.stats, ctxB.stats = &Stats{}, &Stats{}
+			// Branches run concurrently: give each a run of its own.
+			ownRun(ctxA)
+			ownRun(ctxB)
 			condsA := append([]expr.Cond(nil), prefix...)
 			condsB := append([]expr.Cond(nil), prefix...)
 			// Pre-generate per-branch scripts so goroutines share no RNG.
@@ -142,6 +143,15 @@ func TestCloneIsolationRandomized(t *testing.T) {
 			sameVerdict(t, "base", base, prefix)
 		})
 	}
+}
+
+// ownRun gives c a run block of its own, keeping its cache, so it counts
+// into a stats collector of its own: setting the stats of the block c
+// shares would move its siblings' too.
+func ownRun(c *Context) {
+	r := *c.run
+	r.stats = &Stats{}
+	c.run = &r
 }
 
 // condsUpTo trims the recorded sequence to the number of Adds the context

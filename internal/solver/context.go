@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"symnet/internal/expr"
@@ -78,79 +79,86 @@ type classInfo struct {
 	diseqs []diseq // canonicalized on roots
 }
 
-// ownership bits for the context's slice-backed stores. The owns bit for a
-// store means this context is the only context that will ever append to the
-// backing array in place. Clones are created without ownership, so their
-// first append copies (copy-on-append); the parent keeps its bit and may
-// keep appending in place, which is safe because every clone's slice length
-// was fixed at clone time and in-place appends only write past it. Forking
-// stays O(1) and clones never observe each other's writes.
-const (
-	ownDiseqs uint8 = 1 << iota
-	ownRels
-	ownPending
-)
+// symHash hashes the keys of the union-find and domain stores.
+type symHash struct{}
 
-func symHash(s expr.SymID) uint64 { return persist.Mix64(uint64(s)) }
+func (symHash) Hash(s expr.SymID) uint64 { return persist.Mix64(uint64(s)) }
+
+// residue holds the constraints network models rarely make, nil when there
+// are none. It is never written once built (an append builds a new one, see
+// grow), so clones share it freely.
+type residue struct {
+	diseqs  []diseq
+	rels    []relCmp
+	pending []expr.Cond
+}
+
+// runInfo is what every context of one run shares, allocated once by
+// NewContext. stats and satNs are nil once the run ended (EndRun). satNs
+// observes the wall time of every full Sat decision (a hit's is the
+// lookup); nil, the default, costs one branch and reads no clock.
+type runInfo struct {
+	stats *Stats
+	cache *SatCache
+	satNs *obs.Histogram
+}
 
 // Context is an incrementally-built conjunction of conditions. Add asserts a
 // condition and eagerly propagates everything deterministic; residual
 // disjunctions are kept pending and resolved by Sat via DPLL branching.
 //
 // The representation is persistent: the union-find and domain stores are
-// structure-sharing tries and the slice stores are copy-on-append, so Clone
-// copies a constant-size header no matter how much constraint state has
-// accumulated — the engine forks paths in O(1). Mutating operations copy
-// only the touched spine.
+// structure-sharing tries and the residue is never written in place, so
+// Clone copies a constant-size header no matter how much constraint state
+// has accumulated. Mutating operations copy only the touched spine. A
+// symbol the context has seen is a key of either store: the union-find
+// holds unions only (and symbols seen unconstrained), the domain store
+// every constrained root, whose IntervalSet carries its width.
 //
 // Context is not safe for concurrent use, but distinct clones may be used
-// from distinct goroutines: mutation never writes through shared structure.
+// from distinct goroutines: mutation never writes through shared structure
+// (SetCache, SetSatHistogram and EndRun write the run, which clones share).
 type Context struct {
-	uf      persist.Map[expr.SymID, ufEntry]
-	domains persist.Map[expr.SymID, *IntervalSet] // keyed by union-find root
-	diseqs  []diseq
-	rels    []relCmp
-	pending []expr.Cond // unresolved Or conditions
-	owns    uint8
-	unsat   bool
+	uf      persist.Map[expr.SymID, ufEntry, symHash]
+	domains persist.Map[expr.SymID, *IntervalSet, symHash] // keyed by union-find root
+	res     *residue
+	run     *runInfo
 	fp      expr.Fp // chained fingerprint of the Add sequence
 	nAdds   int32   // conditions chained into fp
-	stats   *Stats
-	cache   *SatCache
-	// satNs, when attached, observes the wall time of every full Sat
-	// decision (hits and misses alike — a hit's latency is the lookup).
-	// It is telemetry only and nil by default: the disabled path costs one
-	// branch and never reads the clock. Clones inherit it.
-	satNs *obs.Histogram
+	unsat   bool
 }
 
-// NewContext returns an empty, satisfiable context sharing the given stats
-// collector (which may be nil).
+// NewContext returns an empty, satisfiable context that, with its clones,
+// counts into the given stats collector (a fresh one when nil) until EndRun.
 func NewContext(stats *Stats) *Context {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	return &Context{
-		uf:      persist.NewMap[expr.SymID, ufEntry](symHash),
-		domains: persist.NewMap[expr.SymID, *IntervalSet](symHash),
-		stats:   stats,
-	}
+	return &Context{run: &runInfo{stats: stats}}
 }
 
-// Stats returns the shared stats collector.
-func (c *Context) Stats() *Stats { return c.stats }
+// counters returns the run's collector, or, once the run ended, a fresh one.
+func (c *Context) counters() *Stats {
+	if s := c.run.stats; s != nil {
+		return s
+	}
+	return new(Stats)
+}
 
-// SetCache attaches a satisfiability memo cache (nil disables memoization).
-// Clones inherit the cache, so attaching it once after NewContext covers
-// every path forked from this context.
-func (c *Context) SetCache(sc *SatCache) { c.cache = sc }
+// SetCache attaches a satisfiability memo cache (nil disables memoization)
+// to c's run: every clone of its first context, before or after, uses it.
+func (c *Context) SetCache(sc *SatCache) { c.run.cache = sc }
 
 // SetSatHistogram attaches a latency histogram observing every full Sat
-// decision (nil disables, the default). Clones inherit it, so attaching it
-// once after NewContext covers every path forked from this context.
-// Purely observational: it never affects verdicts, statistics, or
+// decision (nil disables, the default) to c's run, as SetCache attaches a
+// cache. Purely observational: it never affects verdicts, statistics, or
 // fingerprints.
-func (c *Context) SetSatHistogram(h *obs.Histogram) { c.satNs = h }
+func (c *Context) SetSatHistogram(h *obs.Histogram) { c.run.satNs = h }
+
+// EndRun ends c's run: no context of it counts into its stats collector or
+// histogram any more, so its contexts may be read (Sat, Model, ModelDiverse)
+// and cloned from any number of goroutines.
+func (c *Context) EndRun() { c.run.stats, c.run.satNs = nil, nil }
 
 // Fingerprint returns the chained structural fingerprint of the conditions
 // asserted so far; equal fingerprints identify identical Add sequences.
@@ -161,64 +169,42 @@ func (c *Context) Unsat() bool { return c.unsat }
 
 // PendingOrs reports the number of unresolved disjunctions (for tests and
 // diagnostics).
-func (c *Context) PendingOrs() int { return len(c.pending) }
+func (c *Context) PendingOrs() int { return len(c.residue().pending) }
 
-// CloneInto makes n an independent copy of c in O(1) and returns n; the
-// stats collector and memo cache stay shared. It is a pure read of the
-// receiver (concurrent clones of a frozen context are safe); the clone
-// starts without backing ownership, so its first append to any slice-backed
-// store copies. The caller owns n's storage, so a fork can place the copy
-// beside the rest of its path state (core's State.clone does).
+// residue returns c's residue, empty when it has none.
+func (c *Context) residue() residue {
+	if c.res == nil {
+		return residue{}
+	}
+	return *c.res
+}
+
+// grow gives c a copy of its residue, with slices clipped so that an append
+// copies, and returns it.
+func (c *Context) grow() *residue {
+	r := c.residue()
+	c.res = &residue{diseqs: slices.Clip(r.diseqs), rels: slices.Clip(r.rels), pending: slices.Clip(r.pending)}
+	return c.res
+}
+
+// CloneInto makes n an independent copy of c in O(1), sharing c's run, and
+// returns n. It is a pure read of the receiver. The caller owns n's
+// storage, so a fork can place the copy beside the rest of its path state
+// (core's State.clone does).
 func (c *Context) CloneInto(n *Context) *Context {
 	*n = *c
-	n.owns = 0
 	return n
 }
 
-// appendDiseq appends with copy-on-append semantics (see owns).
-func (c *Context) appendDiseq(d diseq) {
-	if c.owns&ownDiseqs == 0 {
-		nd := make([]diseq, len(c.diseqs), len(c.diseqs)+4)
-		copy(nd, c.diseqs)
-		c.diseqs = nd
-		c.owns |= ownDiseqs
-	}
-	c.diseqs = append(c.diseqs, d)
-}
-
-func (c *Context) appendRel(r relCmp) {
-	if c.owns&ownRels == 0 {
-		nr := make([]relCmp, len(c.rels), len(c.rels)+4)
-		copy(nr, c.rels)
-		c.rels = nr
-		c.owns |= ownRels
-	}
-	c.rels = append(c.rels, r)
-}
-
-func (c *Context) appendPending(cond expr.Cond) {
-	if c.owns&ownPending == 0 {
-		np := make([]expr.Cond, len(c.pending), len(c.pending)+4)
-		copy(np, c.pending)
-		c.pending = np
-		c.owns |= ownPending
-	}
-	c.pending = append(c.pending, cond)
-}
-
 // find returns the root of s and the offset such that
-// value(s) = value(root) + off. Unseen symbols become their own root with
-// the given width. find is iterative and performs full path compression:
-// after a lookup every symbol on the walked chain points directly at the
-// root, so long union chains are paid for once, not per lookup, and no
-// chain length can overflow the stack.
-func (c *Context) find(s expr.SymID, width int) (expr.SymID, uint64) {
+// value(s) = value(root) + off; an unseen symbol is its own root, and stays
+// unseen. find is iterative and performs full path compression: after a
+// lookup every symbol on the walked chain points directly at the root, so
+// long union chains are paid for once, not per lookup, and no chain length
+// can overflow the stack.
+func (c *Context) find(s expr.SymID) (expr.SymID, uint64) {
 	e, ok := c.uf.Get(s)
-	if !ok {
-		c.uf = c.uf.Set(s, ufEntry{parent: s, off: 0, width: width})
-		return s, 0
-	}
-	if e.parent == s {
+	if !ok || e.parent == s {
 		return s, 0
 	}
 	// Fast path: parent is already the root (the common post-compression
@@ -254,9 +240,21 @@ func (c *Context) find(s expr.SymID, width int) (expr.SymID, uint64) {
 	return root, total
 }
 
+// see records s as seen, a root of the given width, when neither store
+// holds it, so Model gives it a value.
+func (c *Context) see(s expr.SymID, width int) {
+	_, inUF := c.uf.Get(s)
+	if _, inDom := c.domains.Get(s); !inUF && !inDom {
+		c.uf = c.uf.Set(s, ufEntry{parent: s, width: width})
+	}
+}
+
 func (c *Context) widthOf(s expr.SymID) int {
-	e, _ := c.uf.Get(s)
-	return e.width
+	if e, ok := c.uf.Get(s); ok {
+		return e.width
+	}
+	d, _ := c.domains.Get(s)
+	return d.Width
 }
 
 // domainOf returns the current domain of a root (full if untracked).
@@ -312,7 +310,7 @@ func (c *Context) Domain(l expr.Lin) *IntervalSet {
 // (ModelDiverse one apart from other free symbols'). No domain changes.
 func (c *Context) Mention(l expr.Lin) {
 	if !l.IsConst() {
-		c.find(l.Sym, l.Width)
+		c.see(l.Sym, l.Width)
 	}
 }
 
@@ -326,7 +324,7 @@ func (c *Context) Add(cond expr.Cond) bool {
 	if c.unsat {
 		return false
 	}
-	c.stats.Adds++
+	c.counters().Adds++
 	c.fp = c.fp.Chain(expr.HashCond(cond))
 	c.nAdds++
 	c.assert(cond, false)
@@ -344,7 +342,8 @@ func (c *Context) Add(cond expr.Cond) bool {
 // It makes no union-find insert and no path compression and allocates
 // nothing, so the engine asks it before cloning a state for a branch:
 // a refuted branch needs no clone. A caller that skips the Add counts it
-// itself (Stats.Adds counts Adds on contexts not yet refuted).
+// itself in the run's stats (Stats.Adds counts Adds on contexts not yet
+// refuted).
 func (c *Context) Refutes(cond expr.Cond) bool {
 	return c.unsat || c.refutes(cond, false)
 }
@@ -396,7 +395,7 @@ func (c *Context) refutes(cond expr.Cond, neg bool) bool {
 // An unseen symbol is its own root.
 func (c *Context) root(s expr.SymID) (expr.SymID, uint64) { return rootIn(c.uf, s) }
 
-func rootIn(uf persist.Map[expr.SymID, ufEntry], s expr.SymID) (expr.SymID, uint64) {
+func rootIn(uf persist.Map[expr.SymID, ufEntry, symHash], s expr.SymID) (expr.SymID, uint64) {
 	var off uint64
 	for {
 		e, ok := uf.Get(s)
@@ -413,8 +412,8 @@ func rootIn(uf persist.Map[expr.SymID, ufEntry], s expr.SymID) (expr.SymID, uint
 // by path copying only, never in place, so the view stays as it was while
 // the context goes on, and reading it writes nothing to either.
 type Domains struct {
-	uf      persist.Map[expr.SymID, ufEntry]
-	domains persist.Map[expr.SymID, *IntervalSet]
+	uf      persist.Map[expr.SymID, ufEntry, symHash]
+	domains persist.Map[expr.SymID, *IntervalSet, symHash]
 }
 
 // Domains returns the view of c's stores as they stand now.
@@ -583,7 +582,7 @@ func (c *Context) assertTermInSet(l expr.Lin, set *IntervalSet) {
 		}
 		return
 	}
-	root, off := c.find(l.Sym, l.Width)
+	root, off := c.find(l.Sym)
 	// value(l) = value(root) + off + l.Add must be in set
 	// => value(root) ∈ set shifted by -(off + l.Add).
 	c.constrainRoot(root, set.shift(-(off + l.Add)))
@@ -595,7 +594,7 @@ func (c *Context) assertTermInSet(l expr.Lin, set *IntervalSet) {
 // domain is intersected with the shifted arc's intervals straight from the
 // stack. Only an untracked root allocates, for the set it is given.
 func (c *Context) assertArc(l expr.Lin, lo, hi uint64, out bool) {
-	root, off := c.find(l.Sym, l.Width)
+	root, off := c.find(l.Sym)
 	k := -(off + l.Add)
 	old, tracked := c.domains.Get(root)
 	if !tracked {
@@ -612,7 +611,7 @@ func (c *Context) assertArc(l expr.Lin, lo, hi uint64, out bool) {
 // with the table's spans without a set wrapping them. A full domain becomes
 // the table itself, so that case takes the wrapper.
 func (c *Context) assertInTable(l expr.Lin, t *expr.SpanTable) {
-	root, off := c.find(l.Sym, l.Width)
+	root, off := c.find(l.Sym)
 	k := -(off + l.Add) & expr.Mask(l.Width)
 	if old, tracked := c.domains.Get(root); tracked && k == 0 && !old.isFull() {
 		c.setDomain(root, old, true, old.intersectIntervals(t.Spans()))
@@ -649,11 +648,15 @@ func (c *Context) assertSymSym(op expr.CmpOp, l, r expr.Lin) {
 		panic(fmt.Sprintf("solver: width mismatch %d vs %d in %s %s %s", l.Width, r.Width, l, op, r))
 	}
 	m := expr.Mask(w)
-	lr, lo := c.find(l.Sym, w)
-	rr, ro := c.find(r.Sym, w)
+	lr, lo := c.find(l.Sym)
+	rr, ro := c.find(r.Sym)
 	// value(l) = value(lr) + lAdd ; value(r) = value(rr) + rAdd
 	lAdd := (lo + l.Add) & m
 	rAdd := (ro + r.Add) & m
+	if op != expr.Eq || lr == rr { // a union records both roots itself
+		c.see(lr, w)
+		c.see(rr, w)
+	}
 	switch op {
 	case expr.Eq:
 		// value(lr) + lAdd == value(rr) + rAdd
@@ -666,9 +669,11 @@ func (c *Context) assertSymSym(op expr.CmpOp, l, r expr.Lin) {
 			}
 			return // offsets differ: always distinct
 		}
-		c.appendDiseq(diseq{a: lr, b: rr, off: (rAdd - lAdd) & m})
+		res := c.grow()
+		res.diseqs = append(res.diseqs, diseq{a: lr, b: rr, off: (rAdd - lAdd) & m})
 	default:
-		c.appendRel(relCmp{op: op, a: lr, b: rr, aAdd: lAdd, bAdd: rAdd, width: w})
+		res := c.grow()
+		res.rels = append(res.rels, relCmp{op: op, a: lr, b: rr, aAdd: lAdd, bAdd: rAdd, width: w})
 	}
 }
 
@@ -695,10 +700,10 @@ func (c *Context) union(a, b expr.SymID, off uint64, width int) {
 // checkDiseqs flags unsat when any disequality now relates a class to itself
 // with matching offset.
 func (c *Context) checkDiseqs() {
-	for _, d := range c.diseqs {
+	for _, d := range c.residue().diseqs {
 		w := c.widthOf(d.a)
-		ra, oa := c.find(d.a, w)
-		rb, ob := c.find(d.b, w)
+		ra, oa := c.find(d.a)
+		rb, ob := c.find(d.b)
 		if ra == rb && oa == (ob+d.off)&expr.Mask(w) {
 			c.unsat = true
 			return
@@ -729,11 +734,12 @@ func (c *Context) assertOr(cs []expr.Cond) {
 		c.assert(live[0], false)
 		return
 	}
-	if set, l, ok := c.compressOr(live); ok {
+	if l, set, ok := combineAtoms(live, false); ok {
 		c.assertTermInSet(l, set)
 		return
 	}
-	c.appendPending(expr.Or{Cs: live})
+	res := c.grow()
+	res.pending = append(res.pending, expr.Or{Cs: live})
 }
 
 // atomSet expresses a condition as "symbol ∈ set" when it constrains a
@@ -813,40 +819,32 @@ func combineAtoms(cs []expr.Cond, and bool) (expr.Lin, *IntervalSet, bool) {
 	return term, acc, true
 }
 
-// compressOr attempts to express the disjunction as "symbol ∈ set" for a
-// single symbol. Returns the set, the bare-symbol term, and success.
-func (c *Context) compressOr(cs []expr.Cond) (*IntervalSet, expr.Lin, bool) {
-	term, acc, ok := combineAtoms(cs, false)
-	if !ok {
-		return nil, expr.Lin{}, false
-	}
-	return acc, term, true
-}
-
 // Sat decides satisfiability of the full context, branching over pending
 // disjunctions and deciding residual symbolic comparisons. When a memo
 // cache is attached, previously decided Add sequences are answered from the
 // cache with their original branch count replayed into the stats, so the
 // statistics trail is identical whether a check hit or missed.
 func (c *Context) Sat() bool {
-	c.stats.SatChecks++
+	st := c.counters()
+	st.SatChecks++
 	if c.unsat {
 		return false
 	}
-	t := c.satNs.Start() // zero Timer (no clock read) when no histogram is attached
+	t := c.run.satNs.Start() // zero Timer (no clock read) when no histogram is attached
 	defer t.Stop()
-	if c.cache == nil {
-		_, ok := c.solve(false, 0)
+	cache := c.run.cache
+	if cache == nil {
+		_, ok := c.solve(st, false, 0)
 		return ok
 	}
 	key := satKey{Fp: c.fp, N: c.nAdds}
-	if e, ok := c.cache.lookup(key); ok {
-		c.stats.Branches += e.Branches
+	if e, ok := cache.lookup(key); ok {
+		st.Branches += e.Branches
 		return e.Sat
 	}
-	before := c.stats.Branches
-	_, ok := c.solve(false, 0)
-	c.cache.store(key, satVerdict{Sat: ok, Branches: c.stats.Branches - before})
+	before := st.Branches
+	_, ok := c.solve(st, false, 0)
+	cache.store(key, satVerdict{Sat: ok, Branches: st.Branches - before})
 	return ok
 }
 
@@ -869,33 +867,37 @@ func (c *Context) ModelDiverse(salt uint64) (map[expr.SymID]uint64, bool) {
 }
 
 func (c *Context) modelSalted(salt uint64) (map[expr.SymID]uint64, bool) {
-	c.stats.SatChecks++
-	m, ok := c.solve(true, salt)
+	st := c.counters()
+	st.SatChecks++
+	m, ok := c.solve(st, true, salt)
 	if ok {
-		c.stats.Models++
+		st.Models++
 	}
 	return m, ok
 }
 
 // solve is the DPLL core: resolve pending disjunctions by branching, then
-// decide the deterministic residue by model construction.
-func (c *Context) solve(wantModel bool, salt uint64) (map[expr.SymID]uint64, bool) {
+// decide the deterministic residue by model construction. It counts its
+// branches into st and writes nothing c shares.
+func (c *Context) solve(st *Stats, wantModel bool, salt uint64) (map[expr.SymID]uint64, bool) {
 	if c.unsat {
 		return nil, false
 	}
-	if len(c.pending) == 0 {
+	res := c.residue()
+	if len(res.pending) == 0 {
 		return c.solveGround(wantModel, salt)
 	}
-	or := c.pending[0].(expr.Or)
+	or, rest := res.pending[0].(expr.Or), res
+	rest.pending = rest.pending[1:]
 	for _, choice := range or.Cs {
-		c.stats.Branches++
+		st.Branches++
 		br := c.CloneInto(new(Context))
-		br.pending = br.pending[1:]
+		br.res = &rest
 		br.assert(choice, false)
 		if br.unsat {
 			continue
 		}
-		if m, ok := br.solve(wantModel, salt); ok {
+		if m, ok := br.solve(st, wantModel, salt); ok {
 			return m, true
 		}
 	}
@@ -909,30 +911,37 @@ func (c *Context) solve(wantModel bool, salt uint64) (map[expr.SymID]uint64, boo
 // principle exceed the budget and be reported unsatisfiable).
 func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint64, bool) {
 	roots := make(map[expr.SymID]*classInfo)
-	// Materialize all classes (iterate deterministic order for stable models).
-	syms := make([]expr.SymID, 0, c.uf.Len())
+	// Materialize all classes (iterate deterministic order for stable
+	// models): every symbol seen is a union-find key, a domain key or both.
+	syms := make([]expr.SymID, 0, c.uf.Len()+c.domains.Len())
 	c.uf.Range(func(s expr.SymID, _ ufEntry) bool {
 		syms = append(syms, s)
 		return true
 	})
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+	c.domains.Range(func(s expr.SymID, _ *IntervalSet) bool {
+		syms = append(syms, s)
+		return true
+	})
+	slices.Sort(syms)
+	syms = slices.Compact(syms)
 	for _, s := range syms {
-		w := c.widthOf(s)
-		r, _ := c.find(s, w)
+		r, _ := c.root(s)
 		if _, ok := roots[r]; !ok {
-			d := c.domainOf(r, c.widthOf(r))
+			w := c.widthOf(r)
+			d := c.domainOf(r, w)
 			if d.isEmpty() {
 				return nil, false
 			}
-			roots[r] = &classInfo{root: r, width: c.widthOf(r), dom: d}
+			roots[r] = &classInfo{root: r, width: w, dom: d}
 		}
 	}
+	res := c.residue()
 	// Canonicalize disequalities onto roots.
-	for _, d := range c.diseqs {
+	for _, d := range res.diseqs {
 		w := c.widthOf(d.a)
 		m := expr.Mask(w)
-		ra, oa := c.find(d.a, w)
-		rb, ob := c.find(d.b, w)
+		ra, oa := c.root(d.a)
+		rb, ob := c.root(d.b)
 		off := (ob + d.off - oa) & m // value(ra) != value(rb) + off
 		if ra == rb {
 			if off == 0 {
@@ -945,7 +954,7 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 		roots[rb].diseqs = append(roots[rb].diseqs, cd)
 	}
 	// Residual ordering comparisons: prune via interval hulls.
-	for _, rel := range c.rels {
+	for _, rel := range res.rels {
 		if !c.applyRel(roots, rel) {
 			return nil, false
 		}
@@ -974,9 +983,8 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 	}
 	model := make(map[expr.SymID]uint64, len(syms))
 	for _, s := range syms {
-		w := c.widthOf(s)
-		r, off := c.find(s, w)
-		model[s] = (assign[r] + off) & expr.Mask(w)
+		r, off := c.root(s)
+		model[s] = (assign[r] + off) & expr.Mask(c.widthOf(s))
 	}
 	return model, true
 }
@@ -985,10 +993,10 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 // assignment; hull pruning in applyRel makes violations essentially
 // impossible in practice, but we never report SAT with a bad model.
 func (c *Context) verifyRels(assign map[expr.SymID]uint64) bool {
-	for _, rel := range c.rels {
+	for _, rel := range c.residue().rels {
 		m := expr.Mask(rel.width)
-		ra, oa := c.find(rel.a, rel.width)
-		rb, ob := c.find(rel.b, rel.width)
+		ra, oa := c.root(rel.a)
+		rb, ob := c.root(rel.b)
 		av := (assign[ra] + oa + rel.aAdd) & m
 		bv := (assign[rb] + ob + rel.bAdd) & m
 		if !expr.EvalCmp(rel.op, av, bv) {
@@ -1073,8 +1081,8 @@ func valueAtRank(s *IntervalSet, rank uint64) (uint64, bool) {
 func (c *Context) applyRel(roots map[expr.SymID]*classInfo, rel relCmp) bool {
 	w := rel.width
 	m := expr.Mask(w)
-	ra, oa := c.find(rel.a, w)
-	rb, ob := c.find(rel.b, w)
+	ra, oa := c.root(rel.a)
+	rb, ob := c.root(rel.b)
 	aAdd := (oa + rel.aAdd) & m
 	bAdd := (ob + rel.bAdd) & m
 	if ra == rb {

@@ -76,7 +76,7 @@ func addViaSets(c *Context, cond expr.Cond) bool {
 	if c.unsat {
 		return false
 	}
-	c.stats.Adds++
+	c.run.stats.Adds++
 	c.fp = c.fp.Chain(expr.HashCond(cond))
 	c.nAdds++
 	assertViaSets(c, cond, false)

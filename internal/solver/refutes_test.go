@@ -31,7 +31,7 @@ func refutesCovered(c *Context, cond expr.Cond) bool {
 		if v.L.IsConst() {
 			return false
 		}
-		_, off := c.CloneInto(new(Context)).find(v.L.Sym, v.L.Width)
+		_, off := c.root(v.L.Sym)
 		return -(off+v.L.Add)&expr.Mask(v.L.Width) == 0
 	}
 	return false
@@ -101,7 +101,7 @@ func TestRefutesAgreesWithAdd(t *testing.T) {
 			for _, c := range p.conds {
 				base.Add(c)
 			}
-			uf, stats := ufEntries(base), *base.Stats()
+			uf, stats := ufEntries(base), *base.run.stats
 			covered, refuted := 0, 0
 			for _, cond := range conds {
 				got := base.Refutes(cond)
@@ -120,7 +120,7 @@ func TestRefutesAgreesWithAdd(t *testing.T) {
 				}
 			}
 			// Add counted into the shared collector; Refutes must not have.
-			*base.Stats() = stats
+			*base.run.stats = stats
 			before := *base
 			allocs := testing.AllocsPerRun(1, func() {
 				for _, cond := range conds {
@@ -142,7 +142,7 @@ func TestRefutesAgreesWithAdd(t *testing.T) {
 					t.Fatalf("w=%d %s: Refutes rewrote the union-find entry of s%d", w, p.name, s)
 				}
 			}
-			if *base.Stats() != stats || base.Fingerprint() != before.Fingerprint() {
+			if *base.run.stats != stats || base.Fingerprint() != before.Fingerprint() {
 				t.Fatalf("w=%d %s: Refutes counted or chained an Add", w, p.name)
 			}
 			if w == 3 {

@@ -25,7 +25,7 @@ func TestFindLongChainCompresses(t *testing.T) {
 			t.Fatalf("chain link %d refuted", i)
 		}
 	}
-	root, off := c.find(0, w)
+	root, off := c.find(0)
 	if root != expr.SymID(n) {
 		t.Fatalf("find(0) root = %d, want %d", root, n)
 	}
@@ -71,11 +71,11 @@ func TestFindChainClonesIndependent(t *testing.T) {
 	a := c.CloneInto(new(Context))
 	b := c.CloneInto(new(Context))
 	// Compress on a only.
-	if r, _ := a.find(0, w); r != expr.SymID(n) {
+	if r, _ := a.find(0); r != expr.SymID(n) {
 		t.Fatalf("clone a root = %d", r)
 	}
 	// b, untouched, still resolves correctly.
-	if r, off := b.find(0, w); r != expr.SymID(n) || off != n {
+	if r, off := b.find(0); r != expr.SymID(n) || off != n {
 		t.Fatalf("clone b find(0) = (%d,%d), want (%d,%d)", r, off, n, n)
 	}
 	// Diverge the clones and check isolation end to end.

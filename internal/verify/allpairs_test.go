@@ -95,7 +95,7 @@ func TestSolverQueriesOnParallelPaths(t *testing.T) {
 		t.Fatal("no delivered paths")
 	}
 	for _, p := range delivered {
-		if _, ok := p.Ctx.Model(); !ok {
+		if _, ok := p.Ctx().Model(); !ok {
 			t.Fatalf("path %d: constraints unsatisfiable", p.ID)
 		}
 		// The client packet constrains 40 <= IPLen <= 9000; every path's

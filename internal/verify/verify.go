@@ -41,7 +41,7 @@ func FieldDomain(p *core.Path, h sefl.Hdr) (*solver.IntervalSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Ctx.Domain(v), nil
+	return p.Ctx().Domain(v), nil
 }
 
 // FieldInvariant reports whether a header field was never modified along the
@@ -90,7 +90,7 @@ func FieldEndToEnd(p *core.Path, h sefl.Hdr) (bool, error) {
 	}
 	// Ask the solver whether first != last is satisfiable under the path
 	// constraints; if not, the values are provably equal end to end.
-	ctx := p.Ctx.CloneInto(new(solver.Context))
+	ctx := p.Ctx().CloneInto(new(solver.Context))
 	if !ctx.Add(expr.NewCmp(expr.Ne, first, last)) {
 		return true, nil
 	}

@@ -151,7 +151,7 @@ func lonePath(t *testing.T) *core.Path {
 // context as it was, so the symbols its model covers do not change.
 func TestFieldDomainWritesNothing(t *testing.T) {
 	p := lonePath(t)
-	before, _ := p.Ctx.Model()
+	before, _ := p.Ctx().Model()
 	for _, f := range []sefl.Hdr{sefl.TcpSrc, sefl.TcpDst, sefl.IPSrc, sefl.IPDst} {
 		d, err := FieldDomain(p, f)
 		if err != nil {
@@ -161,7 +161,7 @@ func TestFieldDomainWritesNothing(t *testing.T) {
 			t.Fatalf("%s: domain %s, want every value", f, d)
 		}
 	}
-	if after, _ := p.Ctx.Model(); len(after) != len(before) {
+	if after, _ := p.Ctx().Model(); len(after) != len(before) {
 		t.Fatalf("FieldDomain changed the model from %v to %v", before, after)
 	}
 }
