@@ -8,7 +8,6 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/expr"
 	"symnet/internal/models"
-	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
@@ -271,8 +270,9 @@ func (st *stage) reconcile(res *BatchResult) error {
 // the new guard as its code, compiled on its next run. That dirties the
 // sources that visited the port, unless the port's address set did not move:
 // a guard with other rows but an equal span table (sameSpans) changes no
-// observable of a run whose options see tables only through their spans
-// (core.Options.TablesObservedBySpans). Restore installs through here too.
+// observable of a run, since a run sees a table only through its span table
+// (its trace lines and failure messages print it). Restore installs through
+// here too.
 func (s *Service) install(e *core.Element, c *models.EgressCode, res *BatchResult) {
 	if installed, _ := e.Code(core.WildcardPort, false); !sameFork(installed, c.Fork) {
 		e.SetInCode(core.WildcardPort, c.Fork)
@@ -283,7 +283,6 @@ func (s *Service) install(e *core.Element, c *models.EgressCode, res *BatchResul
 			s.unverified[i] = true
 		}
 	}
-	bySpans := s.cfg.Opts.TablesObservedBySpans()
 	for i, p := range c.Fork.Ports {
 		g := c.Guards[i]
 		installed, _ := e.Code(p, true)
@@ -292,7 +291,7 @@ func (s *Service) install(e *core.Element, c *models.EgressCode, res *BatchResul
 		}
 		ref := core.PortRef{Elem: e.Name, Port: p, Out: true}
 		visitors := s.visited[ref]
-		if len(visitors) > 0 && bySpans && sameSpans(installed, &g) {
+		if len(visitors) > 0 && sameSpans(installed, &g) {
 			visitors = nil
 		}
 		if _, ok := e.CachedProgram(p, true); ok {
@@ -328,10 +327,10 @@ func sameGuard(installed sefl.Instr, g sefl.Constrain) bool {
 // instead of merging it again.
 func sameSpans(installed sefl.Instr, g *sefl.Constrain) bool {
 	t := g.C.(sefl.Table)
-	t.Spans = prog.TableSpans(t)
+	t.Spans = t.SpanTable()
 	g.C = t
 	was, ok := installedTable(installed)
-	return ok && was.F == t.F && prog.TableSpans(was).Equal(t.Spans)
+	return ok && was.F == t.F && was.SpanTable().Equal(t.Spans)
 }
 
 // installedTable returns the table of installed port code that is a table

@@ -2,8 +2,8 @@ package churn
 
 // Route deltas that move no address: a route inserted inside (or deleted
 // from inside) a less-specific route to the same port gives ports new rows
-// but the same span tables, so an untraced compiled service installs the
-// new guards and re-verifies no source.
+// but the same span tables, so a compiled service, traced or not, installs
+// the new guards and re-verifies no source.
 
 import (
 	"fmt"
@@ -47,56 +47,62 @@ func coveredStream(t *testing.T) []coveredStep {
 	}
 }
 
-// TestCoveredRouteDeltasDirtyNothing: on an untraced service, in process
-// and on a two-member fleet, every covered delta patches its ports and
-// dirties no source, every other route delta dirties both, and the report
-// stays byte-identical to a from-scratch verification after each delta.
+// TestCoveredRouteDeltasDirtyNothing: traced and untraced, in process and
+// on a two-member fleet, every covered delta patches its ports and dirties
+// no source, every other route delta dirties both, and the report stays
+// byte-identical to a from-scratch verification after each delta. A trace
+// line renders a table as its span table, so a trace shows no covered
+// delta.
 func TestCoveredRouteDeltasDirtyNothing(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fleet=%v", fleet), func(t *testing.T) {
-			runner := dist.InProcess(2, nil)
-			if fleet {
-				if testing.Short() {
-					t.Skip("opens TCP sessions")
-				}
-				runner = loopbackPool(t, 2, dist.Config{WorkersPerProc: 1})
+			if fleet && testing.Short() {
+				t.Skip("opens TCP sessions")
 			}
-			svc := coveredService(t, core.Options{}, runner)
-			for i, step := range coveredStream(t) {
-				res, err := svc.apply(step.d)
-				if err != nil {
-					t.Fatalf("delta %d (%s): %v", i, step.d, err)
-				}
-				switch {
-				case step.covered && (res.DirtySources != 0 || res.PortsPatched != step.patched):
-					t.Fatalf("covered delta %d (%s): %d ports patched, %d sources dirty; want %d and 0", i, step.d, res.PortsPatched, res.DirtySources, step.patched)
-				case !step.covered && step.d.Prefix != "" && res.DirtySources != 2:
-					t.Fatalf("delta %d (%s) moves addresses but dirtied %d sources, want 2", i, step.d, res.DirtySources)
-				}
-				checkFresh(t, fmt.Sprintf("delta %d (%s)", i, step.d), svc, fleet)
+			for _, trace := range []bool{false, true} {
+				t.Run(fmt.Sprintf("trace=%v", trace), func(t *testing.T) {
+					runner := dist.InProcess(2, nil)
+					if fleet {
+						runner = loopbackPool(t, 2, dist.Config{WorkersPerProc: 1})
+					}
+					svc := coveredService(t, core.Options{Trace: trace}, runner)
+					for i, step := range coveredStream(t) {
+						res, err := svc.apply(step.d)
+						if err != nil {
+							t.Fatalf("delta %d (%s): %v", i, step.d, err)
+						}
+						switch {
+						case step.covered && (res.DirtySources != 0 || res.PortsPatched != step.patched):
+							t.Fatalf("covered delta %d (%s): %d ports patched, %d sources dirty; want %d and 0", i, step.d, res.PortsPatched, res.DirtySources, step.patched)
+						case !step.covered && step.d.Prefix != "" && res.DirtySources != 2:
+							t.Fatalf("delta %d (%s) moves addresses but dirtied %d sources, want 2", i, step.d, res.DirtySources)
+						}
+						checkFresh(t, fmt.Sprintf("delta %d (%s)", i, step.d), svc, fleet)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestCoveredRouteDeltaDirtiesWhenRowsShow: with traces on (a trace line
-// renders the rows) or the AST interpreter (it chains the Or-tree's
-// conditions into the constraint fingerprint), the same covered delta
-// dirties every visitor of the ports it patches.
-func TestCoveredRouteDeltaDirtiesWhenRowsShow(t *testing.T) {
-	for _, opts := range []core.Options{{Trace: true}, {ASTInterp: true}} {
-		t.Run(fmt.Sprintf("trace=%v,ast=%v", opts.Trace, opts.ASTInterp), func(t *testing.T) {
-			svc := coveredService(t, opts, dist.InProcess(2, nil))
-			step := coveredStream(t)[0]
-			res, err := svc.apply(step.d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.PortsPatched != step.patched || res.DirtySources != 2 {
-				t.Fatalf("%d ports patched, %d sources dirty; want %d and 2", res.PortsPatched, res.DirtySources, step.patched)
-			}
-			checkFresh(t, step.d.String(), svc, false)
-		})
+// TestServeRefusesASTInterp: the AST interpreter chains a table's Or-tree
+// into the constraint fingerprint, so a covered delta would move its
+// visitors' results; a service under it refuses to initialize, before it
+// verifies anything.
+func TestServeRefusesASTInterp(t *testing.T) {
+	svc := NewService(Config{
+		Net:     buildDiffNet(t, diffFIB(), diffMACs()),
+		Sources: coveredSources,
+		Targets: coveredTargets,
+		Packet:  coveredPacket(),
+		Opts:    core.Options{ASTInterp: true},
+		Runner:  dist.InProcess(2, nil),
+	})
+	if err := svc.Init(); err == nil || !strings.Contains(err.Error(), "ASTInterp") {
+		t.Fatalf("Init under ASTInterp: %v, want a refusal naming it", err)
+	}
+	if svc.current() != nil {
+		t.Fatal("a refused Init published a report")
 	}
 }
 

@@ -23,8 +23,8 @@ func TestServiceDifferentialPool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens TCP sessions")
 	}
-	// Untraced, a route delta that moves no address re-verifies nothing, on
-	// the fleet as in process.
+	// A route delta that moves no address re-verifies nothing, on the fleet
+	// as in process, traced or not.
 	for _, trace := range []bool{true, false} {
 		t.Run(fmt.Sprintf("trace=%v", trace), func(t *testing.T) { serviceDifferentialPool(t, trace) })
 	}

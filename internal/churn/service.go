@@ -168,8 +168,13 @@ func (s *Service) RegisterSwitch(elem string, tbl tables.MACTable) {
 func (s *Service) totalCells() int { return len(s.cfg.Sources) * len(s.cfg.Targets) }
 
 // Init runs the full all-pairs verification, builds the dependency index, and
-// publishes report version 1.
+// publishes report version 1. It refuses options that set ASTInterp: the
+// reference interpreter fingerprints a table's Or-tree, so a delta that
+// keeps a port's span table would still move its visitors' results.
 func (s *Service) Init() error {
+	if s.cfg.Opts.ASTInterp {
+		return fmt.Errorf("churn: Options.ASTInterp is a reference mode; serve compiled programs")
+	}
 	rep, err := s.runFull()
 	if err != nil {
 		return err

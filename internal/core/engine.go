@@ -45,7 +45,8 @@ type Options struct {
 	// Loop selects loop detection; default (the zero value) LoopFull.
 	Loop LoopMode
 	// Trace records executed instructions on each path (costly; default off).
-	// Trace lines render a table guard's rows (see TablesObservedBySpans).
+	// A trace line renders a table guard as its span table, as its failure
+	// message does, so tables with equal span tables trace alike.
 	Trace bool
 	// SatMemo is the satisfiability memo cache shared by every path of the
 	// run. Nil selects a fresh per-run cache; passing one in shares memoized
@@ -65,8 +66,11 @@ type Options struct {
 	// bugs, not a mode to run in. Results, statistics, traces and symbol
 	// allocation are byte-identical with it set (pinned by the property
 	// tests in internal/prog). It runs in-process only: a fleet (dist.Pool)
-	// refuses a job that sets it. It chains a table guard's Or-tree into the
-	// path's condition fingerprint (see TablesObservedBySpans).
+	// refuses a job that sets it, and serving (churn.Service.Init,
+	// symnet.Session.Serve) refuses it too: it chains a table guard's
+	// Or-tree into the path's condition fingerprint, so the rows, not just
+	// the span table, are observable, and a delta that keeps a port's span
+	// table could not skip its visitors.
 	ASTInterp bool
 	// Obs attaches observability sinks (metrics registry, span tracer; see
 	// internal/obs). Telemetry is strictly observational: results, traces
@@ -75,16 +79,6 @@ type Options struct {
 	// instrumentation at one-branch cost. Obs never crosses the distributed
 	// wire — worker processes attach their own and ship snapshots back.
 	Obs *obs.Obs
-}
-
-// TablesObservedBySpans reports whether a run under o observes a table
-// guard only through its span table: its failure message renders the spans
-// (prog.UnsatMsg), so two guards with other rows but equal span tables give
-// the same results. Trace lines render the rows, and the AST interpreter
-// fingerprints the Or-tree, so either option makes the rows observable. An
-// option that adds another rendering of a table's rows belongs here.
-func (o Options) TablesObservedBySpans() bool {
-	return !o.Trace && !o.ASTInterp
 }
 
 func (o Options) withDefaults() Options {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,9 +11,10 @@ import (
 )
 
 // runBoth runs inject through one element whose input code is code, linked
-// to a sink, under the compiled program and the AST interpreter, and returns
-// both results after checking they agree on every observable.
-func runBoth(t *testing.T, code, inject sefl.Instr) *Result {
+// to a sink, under the compiled program and the AST interpreter, traced when
+// trace is set, and returns the compiled result after checking that both
+// agree on every observable.
+func runBoth(t *testing.T, code, inject sefl.Instr, trace bool) *Result {
 	t.Helper()
 	net := NewNetwork()
 	net.AddElement("dut", "dut", 1, 1).SetInCode(0, sefl.Seq(code, sefl.Forward{Port: 0}))
@@ -19,7 +22,7 @@ func runBoth(t *testing.T, code, inject sefl.Instr) *Result {
 	net.MustLink("dut", 0, "s", 0)
 	var res [2]*Result
 	for i, ast := range []bool{false, true} {
-		r, err := Run(net, PortRef{Elem: "dut", Port: 0}, inject, Options{ASTInterp: ast})
+		r, err := Run(net, PortRef{Elem: "dut", Port: 0}, inject, Options{ASTInterp: ast, Trace: trace})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,25 +48,37 @@ func wantFailed(t *testing.T, what string, res *Result, msg string) {
 // width does — 10.0.0.0/8 on the 16-bit TcpDst is no match on its low byte.
 func TestPrefixAtItsOwnWidth(t *testing.T) {
 	dport := sefl.Ref{LV: sefl.TcpDst}
-	res := runBoth(t, sefl.Constrain{C: sefl.Prefix{E: dport, Value: 0x0a000000, Len: 8}}, sefl.NewTCPPacket())
+	res := runBoth(t, sefl.Constrain{C: sefl.Prefix{E: dport, Value: 0x0a000000, Len: 8}}, sefl.NewTCPPacket(), false)
 	wantFailed(t, "32-bit prefix on TcpDst", res, "32-bit prefix read a 16-bit value")
 
-	res = runBoth(t, sefl.Constrain{C: sefl.Prefix{E: dport, Value: 0x0a00, Len: 8, Width: 16}}, sefl.NewTCPPacket())
+	res = runBoth(t, sefl.Constrain{C: sefl.Prefix{E: dport, Value: 0x0a00, Len: 8, Width: 16}}, sefl.NewTCPPacket(), false)
 	if res.Stats.Delivered != 1 {
 		t.Fatalf("16-bit prefix on TcpDst: stats %+v, want one delivery", res.Stats)
 	}
-	res = runBoth(t, sefl.Constrain{C: sefl.Prefix{E: sefl.CW(5, 8), Value: 0, Len: 4}}, sefl.NewTCPPacket())
+	res = runBoth(t, sefl.Constrain{C: sefl.Prefix{E: sefl.CW(5, 8), Value: 0, Len: 4}}, sefl.NewTCPPacket(), false)
 	wantFailed(t, "32-bit prefix on an 8-bit constant", res, "32-bit prefix read a 8-bit value")
 }
 
 // TestMalformedTableFails: a table with a row longer than its field fails
-// the path with Check's message in either executor; neither evaluates the
-// Or-tree it would stand for.
+// the path with Check's message in either executor, as a Constrain and as
+// an If's guard; neither evaluates the Or-tree it would stand for. Traced,
+// its trace line renders the field and Check's message in place of a span
+// table.
 func TestMalformedTableFails(t *testing.T) {
 	tb := sefl.Table{F: sefl.IPDst, Rows: []expr.GuardRow{
 		{Kind: expr.GuardPrefix, V: 0x0a000000, Len: 8},
 		{Kind: expr.GuardPrefix, V: 0x0b000000, Len: 40},
 	}}
-	res := runBoth(t, sefl.Constrain{C: tb}, sefl.NewTCPPacket())
-	wantFailed(t, "malformed table", res, tb.Check().Error())
+	for _, code := range []sefl.Instr{sefl.Constrain{C: tb}, sefl.If{C: tb, Then: sefl.NoOp{}, Else: sefl.NoOp{}}} {
+		for _, trace := range []bool{false, true} {
+			res := runBoth(t, code, sefl.NewTCPPacket(), trace)
+			wantFailed(t, fmt.Sprintf("malformed table in %T, trace=%v", code, trace), res, tb.Check().Error())
+			if line := "dut: " + code.String(); trace && !slices.Contains(res.Paths[0].Trace, line) {
+				t.Fatalf("traced %T: trace %q lacks %q", code, res.Paths[0].Trace, line)
+			}
+		}
+	}
+	if got, want := tb.String(), "IPDst in malformed("+tb.Check().Error()+")"; got != want {
+		t.Fatalf("malformed table renders %q, want %q", got, want)
+	}
 }

@@ -240,12 +240,12 @@ func TestGuardModesDistByteIdentical(t *testing.T) {
 }
 
 // withOrTreeGuards rewrites, in place, every table guard in the code of
-// net's ports as the Or-tree it stands for (sefl.Table.Or, which renders
-// byte for byte as the table), and returns net: the reference that interval-
-// table lowering is compared against. A hand-written Or compiles as a tree,
-// so the rewritten network runs no span table. A refuted table fails with its
-// span table and its Or-tree with the tree, so the suites rename the
-// reference's messages (orTreeMsgs, renameOrTreeMsgs) before comparing.
+// net's ports as the Or-tree it stands for (sefl.Table.Or), and returns
+// net: the reference that interval-table lowering is compared against. A
+// hand-written Or compiles as a tree, so the rewritten network runs no span
+// table. A table renders as its span table and its Or-tree as the tree, in
+// trace lines and failure messages, so the suites rename the reference's
+// renderings (orTreeMsgs, renameOrTreeMsgs) before comparing.
 func withOrTreeGuards(net *core.Network) *core.Network {
 	for _, e := range net.Elements() {
 		for _, out := range []bool{false, true} {
@@ -308,28 +308,33 @@ func orTreeCond(c sefl.Cond) sefl.Cond {
 	return c
 }
 
-// orTreeMsgs maps the failure message of each well-formed table Constrain in
-// net's port code, as the Or-tree withOrTreeGuards writes for it renders, to
-// the message the table itself fails with (prog.UnsatMsg). Read it before
-// the rewrite. It is the rule of internal/prog's orTreeMsgs, so both
-// reference suites rename the same messages: a malformed table fails with
-// Table.Check's error, which no rename touches, and an If's guard never
-// fails.
+// orTreeMsgs maps each rendering that the Or-tree withOrTreeGuards writes
+// for net's tables moves to the rendering of the tables themselves: the
+// trace line of every instruction with a table in it, and the failure
+// message (prog.UnsatMsg) of every such Constrain. Read it before the
+// rewrite. It is the rule of internal/prog's orTreeMsgs, so both reference
+// suites rename the same lines.
 func orTreeMsgs(net *core.Network) map[string]string {
 	msgs := map[string]string{}
-	var walk func(ins sefl.Instr)
-	walk = func(ins sefl.Instr) {
+	var walk func(elem string, ins sefl.Instr)
+	walk = func(elem string, ins sefl.Instr) {
 		switch v := ins.(type) {
-		case sefl.Constrain:
-			if t, ok := v.C.(sefl.Table); ok && t.Check() == nil {
-				msgs[fmt.Sprintf("constraint unsatisfiable: %s", t.Or())] = prog.UnsatMsg(t)
-			}
-		case sefl.If:
-			walk(v.Then)
-			walk(v.Else)
 		case sefl.Block:
 			for _, sub := range v.Is {
-				walk(sub)
+				walk(elem, sub)
+			}
+			return
+		case sefl.If:
+			walk(elem, v.Then)
+			walk(elem, v.Else)
+		}
+		tree := orTreeInstr(ins)
+		if line, treeLine := fmt.Sprintf("%s: %s", elem, ins), fmt.Sprintf("%s: %s", elem, tree); line != treeLine {
+			msgs[treeLine] = line
+		}
+		if c, ok := ins.(sefl.Constrain); ok {
+			if msg, treeMsg := prog.UnsatMsg(c.C), prog.UnsatMsg(tree.(sefl.Constrain).C); msg != treeMsg {
+				msgs[treeMsg] = msg
 			}
 		}
 	}
@@ -341,7 +346,7 @@ func orTreeMsgs(net *core.Network) map[string]string {
 			}
 			for p := core.WildcardPort; p < n; p++ {
 				if code, ok := e.Code(p, out); ok {
-					walk(code)
+					walk(e.Name, code)
 				}
 			}
 		}
@@ -349,9 +354,9 @@ func orTreeMsgs(net *core.Network) map[string]string {
 	return msgs
 }
 
-// renameOrTreeMsgs rewrites in place each failure message of the in-process
-// results that msgs names, and returns results: the Or-tree reference's
-// messages renamed to the ones its tables fail with.
+// renameOrTreeMsgs rewrites in place each failure message and trace line of
+// the in-process results that msgs names, and returns results: the Or-tree
+// reference's renderings renamed to its tables'.
 func renameOrTreeMsgs(results []dist.JobResult, msgs map[string]string) []dist.JobResult {
 	for _, r := range results {
 		if r.Result == nil {
@@ -360,6 +365,11 @@ func renameOrTreeMsgs(results []dist.JobResult, msgs map[string]string) []dist.J
 		for _, p := range r.Result.Paths {
 			if m, ok := msgs[p.FailMsg]; ok {
 				p.FailMsg = m
+			}
+			for i, line := range p.Trace {
+				if m, ok := msgs[line]; ok {
+					p.Trace[i] = m
+				}
 			}
 		}
 	}

@@ -68,14 +68,15 @@ const (
 
 // protoVersion guards against mixed coordinator/worker builds across the
 // TCP boundary. Any change to the frame set, the kind numbering or what a
-// frame may carry bumps it (v17: a refuted table guard's message renders
-// its span table, and conditions gain TagPresent; v16: a job's Loop zero
+// frame may carry bumps it (v18: a trace line renders a table guard as its
+// span table; v17: a refuted table guard's message renders its span table,
+// and conditions gain TagPresent; v16: a job's Loop zero
 // value is LoopFull, and LoopOff has a value of its own; v15: a table
 // condition carries its field and rows only, no tree widths; v14: a
 // condition's wire kinds no longer include a masked match; v13: port code
 // crosses as SEFL source, which the member compiles; no compiled program
 // crosses).
-const protoVersion = 17
+const protoVersion = 18
 
 // frame is the single message envelope; Kind selects the payload field.
 // frameEnd and frameBye are kind-only.

@@ -310,13 +310,13 @@ func (c *compiler) compileCond(sc sefl.Cond) *cCond {
 		}
 		cc = &cCond{Kind: cAnd, Cs: cs}
 	case sefl.Table:
-		// A table guard lowers to its span table (TableSpans). A
+		// A table guard lowers to its span table (Table.SpanTable). A
 		// malformed table fails at evaluation, as the AST interpreter's Check
 		// does.
 		if err := v.Check(); err != nil {
 			return &cCond{Kind: cBool, HasStatic: true, StaticErr: err.Error()}
 		}
-		cc = &cCond{Kind: cIntervalTable, IT: &ITable{F: hdrLV(v.F), Table: TableSpans(v)}}
+		cc = &cCond{Kind: cIntervalTable, IT: &ITable{F: hdrLV(v.F), Table: v.SpanTable()}}
 		itableLowered.Add(1)
 	case sefl.COr:
 		cs := make([]*cCond, len(v.Cs))

@@ -314,8 +314,9 @@ func (g *gen) network() (*core.Network, core.PortRef) {
 // TestDifferentialCompiledVsAST is the core differential property: for many
 // random programs, the compiled engine's Result must be byte-identical to
 // the AST interpreter's, with tracing exercised on a subset of seeds. The
-// compiled engine on the Or-tree network (withOrTreeGuards) must match the
-// AST including constraint fingerprints; on the network as written, with its
+// compiled engine on the Or-tree network (withOrTreeGuards), its tables'
+// renderings renamed (orTreeMsgs), must match the AST including constraint
+// fingerprints; on the network as written, with its
 // table guards lowered, it must match on every observable (the ctx chain may
 // differ on lowered guards). The programs must reach their tables: the
 // paths that evaluate a table guard stay at the count the seeds give today,
@@ -385,60 +386,79 @@ func TestDifferentialCompiledVsAST(t *testing.T) {
 // condition is a table, as a trace line renders the instruction.
 func tableGuards(net *core.Network) map[string]bool {
 	guards := map[string]bool{}
-	eachTableGuard(net, func(ins sefl.Instr, _ sefl.Table) { guards[fmt.Sprint(ins)] = true })
+	eachInstr(net, func(_ string, ins sefl.Instr) {
+		var c sefl.Cond
+		switch v := ins.(type) {
+		case sefl.Constrain:
+			c = v.C
+		case sefl.If:
+			c = v.C
+		}
+		if _, ok := c.(sefl.Table); ok {
+			guards[fmt.Sprint(ins)] = true
+		}
+	})
 	return guards
 }
 
-// orTreeMsgs maps the failure message of each well-formed table Constrain in
-// net's port code, as the Or-tree withOrTreeGuards writes for it renders, to
-// the message the table itself fails with (prog.UnsatMsg). Read it before
-// the rewrite. internal/dist's orTreeMsgs keeps the same rule, so both
-// reference suites rename the same messages: a malformed table fails with
-// Table.Check's error, which no rename touches, and an If's guard never
-// fails.
+// orTreeMsgs maps each rendering that the Or-tree withOrTreeGuards writes
+// for net's tables moves to the rendering of the tables themselves: the
+// trace line of every instruction with a table in it, and the failure
+// message (prog.UnsatMsg) of every such Constrain. A table renders as its
+// span table and its Or-tree as the tree, so only the text differs. Read
+// it before the rewrite. internal/dist's orTreeMsgs keeps the same rule,
+// so both reference suites rename the same lines: a malformed table stays
+// a table in the reference and fails with Table.Check's error, which no
+// rename touches.
 func orTreeMsgs(net *core.Network) map[string]string {
 	msgs := map[string]string{}
-	eachTableGuard(net, func(ins sefl.Instr, t sefl.Table) {
-		if _, ok := ins.(sefl.Constrain); ok && t.Check() == nil {
-			msgs[fmt.Sprintf("constraint unsatisfiable: %s", t.Or())] = prog.UnsatMsg(t)
+	eachInstr(net, func(elem string, ins sefl.Instr) {
+		tree := orTreeInstr(ins)
+		if line, treeLine := fmt.Sprintf("%s: %s", elem, ins), fmt.Sprintf("%s: %s", elem, tree); line != treeLine {
+			msgs[treeLine] = line
+		}
+		if c, ok := ins.(sefl.Constrain); ok {
+			if msg, treeMsg := prog.UnsatMsg(c.C), prog.UnsatMsg(tree.(sefl.Constrain).C); msg != treeMsg {
+				msgs[treeMsg] = msg
+			}
 		}
 	})
 	return msgs
 }
 
-// renameOrTreeMsgs rewrites in place each failure message of res that msgs
-// names, and returns res: the Or-tree reference's messages renamed to the
-// ones its tables fail with, so it compares with the tables' runs.
+// renameOrTreeMsgs rewrites in place each failure message and trace line of
+// res that msgs names, and returns res: the Or-tree reference's renderings
+// renamed to its tables', so it compares with the tables' runs.
 func renameOrTreeMsgs(res *core.Result, msgs map[string]string) *core.Result {
 	for _, p := range res.Paths {
 		if m, ok := msgs[p.FailMsg]; ok {
 			p.FailMsg = m
 		}
+		for i, line := range p.Trace {
+			if m, ok := msgs[line]; ok {
+				p.Trace[i] = m
+			}
+		}
 	}
 	return res
 }
 
-// eachTableGuard calls fn on every Constrain and If in net's port code whose
-// condition is a table.
-func eachTableGuard(net *core.Network, fn func(ins sefl.Instr, t sefl.Table)) {
-	var walk func(ins sefl.Instr)
-	walk = func(ins sefl.Instr) {
+// eachInstr calls fn on every instruction but a Block in net's port code,
+// with its element's name: each one a trace line can render.
+func eachInstr(net *core.Network, fn func(elem string, ins sefl.Instr)) {
+	var walk func(elem string, ins sefl.Instr)
+	walk = func(elem string, ins sefl.Instr) {
 		switch v := ins.(type) {
 		case sefl.Block:
 			for _, sub := range v.Is {
-				walk(sub)
+				walk(elem, sub)
 			}
+			return
 		case sefl.If:
-			if t, ok := v.C.(sefl.Table); ok {
-				fn(v, t)
-			}
-			walk(v.Then)
-			walk(v.Else)
-		case sefl.Constrain:
-			if t, ok := v.C.(sefl.Table); ok {
-				fn(v, t)
-			}
+			walk(elem, v.Then)
+			walk(elem, v.Else)
 		}
+		fn(elem, ins)
 	}
 	for _, e := range net.Elements() {
 		for _, out := range []bool{false, true} {
@@ -448,7 +468,7 @@ func eachTableGuard(net *core.Network, fn func(ins sefl.Instr, t sefl.Table)) {
 			}
 			for p := core.WildcardPort; p < n; p++ {
 				if code, ok := e.Code(p, out); ok {
-					walk(code)
+					walk(e.Name, code)
 				}
 			}
 		}
@@ -722,13 +742,13 @@ func TestVLANPairGuardObservables(t *testing.T) {
 }
 
 // withOrTreeGuards rewrites, in place, every table guard in the code of
-// net's ports as the Or-tree it stands for (sefl.Table.Or, which renders
-// byte for byte as the table), and returns net: the reference that interval-
-// table lowering is compared against. A hand-written Or compiles as a tree,
-// so the rewritten network runs no span table. A malformed table stays as it
-// is: it fails the path in every executor. A refuted table fails with its
-// span table and its Or-tree with the tree, so the suites rename the
-// reference's messages (orTreeMsgs, renameOrTreeMsgs) before comparing.
+// net's ports as the Or-tree it stands for (sefl.Table.Or), and returns
+// net: the reference that interval-table lowering is compared against. A
+// hand-written Or compiles as a tree, so the rewritten network runs no span
+// table. A malformed table stays as it is: it fails the path in every
+// executor. A table renders as its span table and its Or-tree as the tree,
+// in trace lines and failure messages, so the suites rename the reference's
+// renderings (orTreeMsgs, renameOrTreeMsgs) before comparing.
 func withOrTreeGuards(net *core.Network) *core.Network {
 	for _, e := range net.Elements() {
 		for _, out := range []bool{false, true} {

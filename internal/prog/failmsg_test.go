@@ -7,22 +7,24 @@ import (
 	"testing"
 
 	"symnet/internal/core"
+	"symnet/internal/datasets"
 	"symnet/internal/models"
 	"symnet/internal/prog"
 	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
 
-// routerNet is a router whose FIB routes to two sinks, with the packet
-// injected at its input.
+// routerNet is a router whose FIB routes to one sink per port, with the
+// packet injected at its input.
 func routerNet(t *testing.T, fib tables.FIB) *core.Network {
 	t.Helper()
 	n := core.NewNetwork()
-	rt := n.AddElement("rt", "router", 1, 2)
+	ports := slices.Max(fib.Ports()) + 1
+	rt := n.AddElement("rt", "router", 1, ports)
 	if err := models.Router(rt, fib, models.Egress); err != nil {
 		t.Fatal(err)
 	}
-	for p := range 2 {
+	for p := range ports {
 		sink := n.AddElement(fmt.Sprintf("net%d", p), "sink", 1, 0)
 		sink.SetInCode(0, sefl.NoOp{})
 		n.MustLink("rt", p, sink.Name, 0)
@@ -93,7 +95,7 @@ func TestTableFailMsgIsItsSpanTable(t *testing.T) {
 		{{Prefix: 0x0A000000, Len: 8, Port: 0}, {Prefix: 0x0A050000, Len: 16, Port: 0}, {Prefix: 0, Len: 0, Port: 1}},
 	}
 	a, b := portTable(t, routerNet(t, fibs[0]), 0), portTable(t, routerNet(t, fibs[1]), 0)
-	if len(a.Rows) == len(b.Rows) || !prog.TableSpans(a).Equal(prog.TableSpans(b)) {
+	if len(a.Rows) == len(b.Rows) || !a.SpanTable().Equal(b.SpanTable()) {
 		t.Fatalf("test premise: want other rows and one span table:\n%v\n%v", a, b)
 	}
 	want := "constraint unsatisfiable: IPDst in {167772160-184549375}:w32"
@@ -145,5 +147,45 @@ func TestTableFailMsgIsBounded(t *testing.T) {
 	c := sefl.Eq(sefl.Ref{LV: sefl.IPDst}, sefl.C(1))
 	if got, want := prog.UnsatMsg(c), fmt.Sprintf("constraint unsatisfiable: %s", c); got != want {
 		t.Errorf("UnsatMsg(%v) = %q, want %q", c, got, want)
+	}
+}
+
+// TestTableTraceLineIsBounded: traced, a port of a 62 500-route core FIB
+// spread over 16 ports, whose table holds thousands of rows, traces as its
+// field and span table, which SpanTable.String bounds: four spans, then the
+// count.
+func TestTableTraceLineIsBounded(t *testing.T) {
+	const port = 3
+	net := routerNet(t, datasets.CoreFIB(62500, 16, 1))
+	tbl := portTable(t, net, port)
+	if len(tbl.Rows) < 1000 {
+		t.Fatalf("test premise: rt.out[%d] has %d rows, want thousands", port, len(tbl.Rows))
+	}
+	// A packet bound for the port's first span reaches the port's guard
+	// and passes it.
+	first := tbl.SpanTable().Spans()[0]
+	packet := sefl.Seq(sefl.NewTCPPacket(),
+		sefl.Constrain{C: sefl.Eq(sefl.Ref{LV: sefl.IPDst}, sefl.C(first.Lo))})
+	res, err := core.Run(net, core.PortRef{Elem: "rt", Port: 0}, packet, core.Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("rt: Constrain(IPDst in %s)", tbl.SpanTable())
+	if !strings.Contains(want, "spans}:w32") || len(want) > 160 {
+		t.Fatalf("span table renders unbounded: %q", want)
+	}
+	traced := 0
+	for _, p := range res.Paths {
+		for _, line := range p.Trace {
+			if len(line) > 160 {
+				t.Fatalf("path %d: trace line of %d bytes: %.200s…", p.ID, len(line), line)
+			}
+			if line == want {
+				traced++
+			}
+		}
+	}
+	if traced != 1 {
+		t.Fatalf("%d paths trace rt.out[%d]'s guard as %q, want 1", traced, port, want)
 	}
 }

@@ -91,13 +91,13 @@ func TestLoweringDetection(t *testing.T) {
 		if c.Kind != cIntervalTable || c.IT == nil {
 			t.Fatalf("%s: not lowered: kind=%d", name, c.Kind)
 		}
-		if !tablesEqual(c.IT.Table, buildITable(tb.Rows, tb.F.Size)) {
-			t.Fatalf("%s: span table %v, want the rows' %v", name, c.IT.Table, buildITable(tb.Rows, tb.F.Size))
+		if !tablesEqual(c.IT.Table, tb.SpanTable()) {
+			t.Fatalf("%s: span table %v, want the rows' %v", name, c.IT.Table, tb.SpanTable())
 		}
 	}
 	// A table that carries its span table hands it to the node.
 	g := macGuard(2)
-	g.Spans = buildITable(g.Rows, g.F.Size)
+	g.Spans = g.SpanTable()
 	if c := guardCond(t, g); c.IT.Table != g.Spans {
 		t.Fatal("lowered guard rebuilt the span table its table carried")
 	}

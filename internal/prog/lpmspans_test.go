@@ -7,7 +7,7 @@ import (
 
 	"symnet/internal/datasets"
 	"symnet/internal/expr"
-	"symnet/internal/prog"
+	"symnet/internal/sefl"
 	"symnet/internal/tables"
 )
 
@@ -55,7 +55,7 @@ func nestedFIB(rng *rand.Rand) tables.FIB {
 
 // TestLPMSpansMatchBuildITable: the span table tables.LPMRows's sweep
 // writes for each port — used ports and unused ones alike — is the one
-// lowering merges from that port's rows (buildITable), span for span and
+// lowering merges from that port's rows (Table.SpanTable), span for span and
 // fingerprint for fingerprint, on an empty FIB, a default-only FIB, 2 000
 // nested ones and the cold-path core FIB. And the sweep coalesced each
 // port's spans itself: no table holds room its construction merged away.
@@ -79,7 +79,7 @@ func TestLPMSpansMatchBuildITable(t *testing.T) {
 		}
 		covered := uint64(0)
 		for p := range n {
-			got, want := spans[p], prog.BuildGuardTable(rows[p], 32)
+			got, want := spans[p], (sefl.Table{F: sefl.IPDst, Rows: rows[p]}).SpanTable()
 			if got.Width() != 32 || !slices.Equal(got.Spans(), want.Spans()) {
 				t.Fatalf("trial %d port %d: fib %v\nsweep  %v\nmerged %v", trial, p, f, got.Spans(), want.Spans())
 			}

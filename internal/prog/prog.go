@@ -193,8 +193,8 @@ type cCond struct {
 // construction and shared by every path visiting the guard.
 type ITable struct {
 	F LV // field l-value (a header field; F.Size is the table's width)
-	// Table is the rows' merged span table: adopted from the sefl.Table
-	// when it carries one (a router's), built by buildITable otherwise.
+	// Table is the guard's span table (sefl.Table.SpanTable): the one a
+	// router's table carries, or its rows merged.
 	Table *expr.SpanTable
 }
 

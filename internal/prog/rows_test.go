@@ -7,6 +7,7 @@ package prog
 // concrete fields and the wire.
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -42,7 +43,7 @@ func prefixSet(v uint64, plen, w int) *solver.IntervalSet {
 	return c.Domain(x)
 }
 
-// tableBySubtraction is buildITable as it was.
+// tableBySubtraction is Table.SpanTable as it was.
 func tableBySubtraction(rows []expr.GuardRow, w int) *expr.SpanTable {
 	sets := make([]*solver.IntervalSet, len(rows))
 	for i, r := range rows {
@@ -109,6 +110,11 @@ func randRows(rng *rand.Rand, w, n int) []expr.GuardRow {
 	return rows
 }
 
+// fieldTable is the table of rows on a w-bit header field.
+func fieldTable(w int, rows ...expr.GuardRow) sefl.Table {
+	return sefl.Table{F: sefl.Hdr{Off: sefl.Off{Rel: 0}, Size: w, Name: "F"}, Rows: rows}
+}
+
 func TestRowSweepMatchesSubtraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, w := range []int{8, 32, 48, 64} {
@@ -116,8 +122,7 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 		for trial := 0; trial < 3000; trial++ {
 			rows := randRows(rng, w, 1+rng.Intn(6))
 			for _, r := range rows {
-				var scratch []expr.Span
-				got, want := appendRowSpans(nil, &r, w, &scratch), rowSetBySubtraction(r, w).Intervals()
+				got, want := fieldTable(w, r).SpanTable().Spans(), rowSetBySubtraction(r, w).Intervals()
 				if !slices.Equal(got, want) {
 					t.Fatalf("w=%d row %+v:\n got %v\nwant %v", w, r, got, want)
 				}
@@ -127,7 +132,7 @@ func TestRowSweepMatchesSubtraction(t *testing.T) {
 					topped++
 				}
 			}
-			got, want := buildITable(rows, w), tableBySubtraction(rows, w)
+			got, want := fieldTable(w, rows...).SpanTable(), tableBySubtraction(rows, w)
 			if !tablesEqual(got, want) {
 				t.Fatalf("w=%d rows %+v:\n got %v\nwant %v", w, rows, got, want)
 			}
@@ -168,8 +173,8 @@ func rowsGuard(f sefl.Hdr, rows []expr.GuardRow) []sefl.Cond {
 // TestRowsMatchTree: a lowered table against the Or-tree it stands for,
 // both the hand-written tree (rowsGuard) and the table's own Or: same
 // derived state, the span table the per-exclusion subtraction gives, the
-// same value at every span edge, the same rendering, the same guard from
-// source that crossed the wire.
+// same value at every span edge, the same guard from source that crossed the
+// wire. The table renders as its field and span table, not as the tree.
 func TestRowsMatchTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 400; trial++ {
@@ -199,8 +204,8 @@ func TestRowsMatchTree(t *testing.T) {
 					trial, node.HasStatic, name, ref.Kind, ref.HasStatic)
 			}
 		}
-		if got, want := guard.String(), (sefl.Constrain{C: tb.Or()}).String(); got != want {
-			t.Fatalf("trial %d: the table renders\n %s\nits tree\n %s", trial, got, want)
+		if got, want := guard.String(), fmt.Sprintf("Constrain(F in %s)", tableBySubtraction(rows, w)); got != want {
+			t.Fatalf("trial %d: the table renders\n %s\nwant\n %s", trial, got, want)
 		}
 
 		// The wire, before anything has asked for the view: the source
@@ -239,14 +244,14 @@ func TestGuardTableLinear(t *testing.T) {
 		for i := 0; i < k; i++ {
 			row.Excl = append(row.Excl, expr.GuardExcl{V: uint64(i) << 9, Len: 24}) // every other /24
 		}
-		rows := []expr.GuardRow{row}
-		if got := len(buildITable(rows, 32).Spans()); got != k {
+		tb := fieldTable(32, row)
+		if got := len(tb.SpanTable().Spans()); got != k {
 			t.Fatalf("k=%d: table has %d spans", k, got)
 		}
-		return testing.AllocsPerRun(10, func() { buildITable(rows, 32) })
+		return testing.AllocsPerRun(10, func() { tb.SpanTable() })
 	}
 	a, b, c := allocs(512), allocs(2048), allocs(8192)
-	t.Logf("buildITable allocations: %.0f at k=512, %.0f at k=2048, %.0f at k=8192", a, b, c)
+	t.Logf("SpanTable allocations: %.0f at k=512, %.0f at k=2048, %.0f at k=8192", a, b, c)
 	if a != b || b != c {
 		t.Fatalf("allocations grow with the number of exclusions: %.0f, %.0f, %.0f", a, b, c)
 	}

@@ -5,31 +5,31 @@ package sefl
 // the port's MACs, IPDst lies in one of its routes but in none of the
 // more-specific routes that win over it. Table is that condition as the
 // models hold it, one row per entry, instead of the Or-tree it stands for.
-// The compiler lowers every well-formed table to a span table
-// (internal/prog), or adopts the one a router's table carries (Spans), the
-// SEFL codec ships the rows as a flat word stream, and the AST interpreter,
-// the one reader that wants the tree, builds it with Or. Rows use the
-// packed-guard vocabulary of internal/expr (expr.GuardRow,
-// expr.PackGuardRows).
+// A table has one value set, its span table (SpanTable: the one a router's
+// table carries, or the rows merged), and one rendering, that span table:
+// the compiler lowers every well-formed table to it (internal/prog), and a
+// trace line and a refuted guard's failure message print it. The SEFL codec
+// ships the rows as a flat word stream, and the AST interpreter, the one
+// reader that wants the tree, builds it with Or. Rows use the packed-guard
+// vocabulary of internal/expr (expr.GuardRow, expr.PackGuardRows).
 import (
 	"fmt"
-	"strconv"
 
 	"symnet/internal/expr"
 )
 
 // Table is the condition "F matches one of Rows": a row is an equality
 // (F == V) or a prefix (F in V/Len), minus its prefix exclusions. It means
-// exactly the Or-tree Or returns and renders as that tree does.
+// exactly the Or-tree Or returns, and renders as its span table.
 type Table struct {
 	F    Hdr
 	Rows []expr.GuardRow
 	// Spans, when not nil, is the rows' merged span table over F — exactly
-	// the canonical table the compiler would merge from them — which the
-	// compiler then adopts instead. It is derived: tables.LPMRows's output
-	// sets it, as does the churn service on a guard whose span table it
-	// compared; the wire never carries it (a decoded table has none), and
-	// Or, String and Check ignore it.
+	// the canonical table SpanTable would merge from them — which SpanTable
+	// then returns instead. It is derived: tables.LPMRows's output sets it,
+	// as does the churn service on a guard whose span table it compared;
+	// the wire never carries it (a decoded table has none), and Or and
+	// Check ignore it.
 	Spans *expr.SpanTable
 }
 
@@ -87,44 +87,82 @@ func (t Table) Or() Cond {
 	return COr{Cs: cs}
 }
 
-// String renders the table byte for byte as its Or-tree renders, without
-// building the tree.
+// String renders the table as "F in <span table>": the value set it
+// admits, which SpanTable.String bounds in length however many rows spell
+// it, so tables with equal span tables render alike. A malformed table has
+// no span table and renders as its field and Check's error.
 func (t Table) String() string {
-	name := t.F.String()
-	if len(t.Rows) == 1 && len(t.Rows[0].Excl) == 0 {
-		return string(appendAtom(nil, name, t.Rows[0].Kind, t.Rows[0].V, t.Rows[0].Len))
+	if t.Spans == nil {
+		if err := t.Check(); err != nil {
+			return fmt.Sprintf("%s in malformed(%v)", t.F, err)
+		}
 	}
-	b := []byte{'('}
-	for i, r := range t.Rows {
-		if i > 0 {
-			b = append(b, " | "...)
-		}
-		if len(r.Excl) == 0 {
-			b = appendAtom(b, name, r.Kind, r.V, r.Len)
-			continue
-		}
-		b = appendAtom(append(b, '('), name, r.Kind, r.V, r.Len)
-		for _, e := range r.Excl {
-			b = append(appendAtom(append(b, " & !("...), name, expr.GuardPrefix, e.V, e.Len), ')')
-		}
-		b = append(b, ')')
-	}
-	return string(append(b, ')'))
+	return fmt.Sprintf("%s in %s", t.F, t.SpanTable())
 }
 
-// appendAtom renders one head or exclusion atom on the field called name as
-// Cmp, Prefix or CBool do.
-func appendAtom(b []byte, name string, kind uint8, v uint64, plen int) []byte {
-	switch kind {
-	case expr.GuardEq:
-		b = append(append(b, name...), " == "...)
-		return strconv.AppendUint(b, v, 10)
-	case expr.GuardPrefix:
-		b = append(append(b, name...), " in "...)
-		b = append(strconv.AppendUint(b, v, 10), '/')
-		return strconv.AppendInt(b, int64(plen), 10)
+// SpanTable returns the span table of the well-formed table t: the one it
+// carries (a router's) or else the one its rows merge to. Two tables on one
+// field with equal span tables admit the same values, however their rows
+// spell them. The compiler lowers a table to it, a refuted guard's failure
+// message and a trace line print it, and the churn service compares it.
+func (t Table) SpanTable() *expr.SpanTable {
+	if t.Spans != nil {
+		return t.Spans
 	}
-	return append(b, "false"...)
+	rows, w := t.Rows, t.F.Size
+	total, deepest := len(rows), 0
+	for i := range rows {
+		total += len(rows[i].Excl)
+		deepest = max(deepest, len(rows[i].Excl))
+	}
+	// Every row's spans go into one buffer that is normalised once, and
+	// that buffer is NewSpanTable's scratch.
+	spans := make([]expr.Span, 0, total)
+	scratch := make([]expr.Span, 0, deepest)
+	for i := range rows {
+		spans = appendRowSpans(spans, &rows[i], w, &scratch)
+	}
+	return expr.NewSpanTable(w, spans)
+}
+
+// appendRowSpans appends one row's solution set over a w-bit field — the
+// head range minus its exclusions — as ascending disjoint spans: the set the
+// solver's disjunction compression reaches by subtracting the exclusions
+// from the head one at a time, so the merged table is exactly what the
+// Or-tree's assertion would have produced. Exclusions are prefix ranges, so
+// ordered by address one sweep visits them, skips the ones an earlier one
+// already covers and emits the gaps. They come in CompileLPM order and are
+// sorted in scratch, which is reused between rows.
+func appendRowSpans(dst []expr.Span, r *expr.GuardRow, w int, scratch *[]expr.Span) []expr.Span {
+	m := expr.Mask(w)
+	lo, hi := r.V&m, r.V&m
+	if r.Kind == expr.GuardPrefix {
+		mask := expr.PrefixMask(r.Len, w)
+		lo, hi = r.V&mask, r.V&mask|m&^mask
+	}
+	ex := (*scratch)[:0]
+	for _, e := range r.Excl {
+		mask := expr.PrefixMask(e.Len, w)
+		ex = append(ex, expr.Span{Lo: e.V & mask, Hi: e.V&mask | m&^mask})
+	}
+	*scratch = ex
+	expr.SortSpans(ex)
+	for _, e := range ex {
+		if e.Hi < lo {
+			continue
+		}
+		if e.Lo > hi {
+			break
+		}
+		if e.Lo > lo {
+			dst = append(dst, expr.Span{Lo: lo, Hi: e.Lo - 1})
+		}
+		if e.Hi >= hi {
+			return dst
+		}
+		lo = e.Hi + 1
+	}
+	return append(dst, expr.Span{Lo: lo, Hi: hi})
 }
 
 // Check reports whether the table is well formed, which is what the compiler

@@ -108,16 +108,20 @@ func randTable(rng *rand.Rand) Table {
 	return t
 }
 
-// TestTableStringAndCodec: over random tables, String renders the tree's
-// bytes and the codec ships the rows as a wCTable that decodes to the same
+// TestTableStringAndCodec: over random tables, String renders the field
+// and the span table, whether the table carries that span table or merges
+// it, and the codec ships the rows as a wCTable that decodes to the same
 // table.
 func TestTableStringAndCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bare, excl := 0, 0
 	for trial := 0; trial < 500; trial++ {
 		tb := randTable(rng)
-		if got, want := tb.String(), tb.Or().String(); got != want {
-			t.Fatalf("trial %d: String() =\n %s\nOr().String() =\n %s", trial, got, want)
+		want := tb.F.String() + " in " + tb.SpanTable().String()
+		carried := tb
+		carried.Spans = tb.SpanTable()
+		if got, gotCarried := tb.String(), carried.String(); got != want || gotCarried != want {
+			t.Fatalf("trial %d: String() =\n %s\nwith its span table\n %s\nwant\n %s", trial, got, gotCarried, want)
 		}
 		d, w := roundTrip(t, tb)
 		if w.Kind != wCTable || len(w.Cs) != 0 {
@@ -161,11 +165,17 @@ func TestDecodeRejectsMalformedTable(t *testing.T) {
 		if _, err := decodeCond(w); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decode error = %v, want %q", tc.name, err, tc.want)
 		}
+		if got, want := tc.t.String(), tc.t.F.String()+" in malformed("+tc.t.Check().Error()+")"; got != want {
+			t.Errorf("%s: String() = %q, want %q", tc.name, got, want)
+		}
 	}
 	// No stream carries an unknown row kind; Check still names it.
 	bad := Table{F: pMAC, Rows: []expr.GuardRow{{Kind: expr.GuardEq}, {Kind: 7}}}
 	if err := bad.Check(); err == nil || !strings.Contains(err.Error(), "table row 1: unknown kind 7") {
 		t.Errorf("unknown kind: Check() = %v", err)
+	}
+	if got, want := bad.String(), "EtherDst in malformed(sefl: table row 1: unknown kind 7)"; got != want {
+		t.Errorf("unknown kind: String() = %q, want %q", got, want)
 	}
 	// A field that is no header.
 	w, err := encodeCond(macTable(4))
@@ -212,7 +222,8 @@ func TestHandWrittenOrStaysTree(t *testing.T) {
 }
 
 // TestTableInsideInstruction: tables cross the instruction codec (the path
-// distributed setup frames take) and render in instructions as their trees.
+// distributed setup frames take) and render in instructions as their span
+// tables.
 func TestTableInsideInstruction(t *testing.T) {
 	ins := Seq(
 		Constrain{C: routeTable()},
@@ -229,11 +240,8 @@ func TestTableInsideInstruction(t *testing.T) {
 	if !reflect.DeepEqual(d, ins) {
 		t.Fatal("instruction round trip differs")
 	}
-	tree := Seq(
-		Constrain{C: routeTable().Or()},
-		If{C: macTable(8).Or(), Then: Forward{Port: 0}, Else: Fail{Msg: "no"}},
-	)
-	if ins.String() != tree.String() {
-		t.Fatalf("instruction renders\n %s\nwant\n %s", ins, tree)
+	want := `{Constrain(IpDst in {0-4294967295}:w32); If(EtherDst in {1,4,7,10,… 8 spans}:w48,Forward(0),Fail("no"))}`
+	if ins.String() != want {
+		t.Fatalf("instruction renders\n %s\nwant\n %s", ins, want)
 	}
 }

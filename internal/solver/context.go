@@ -63,7 +63,7 @@ type diseq struct {
 // relCmp is a residual ordering comparison between two symbolic terms:
 // value(a) + aAdd  op  value(b) + bAdd. These are rare in network models
 // (none of the paper's models need them) and are decided during Sat with
-// hull reasoning plus post-verification.
+// hull reasoning, then checked exactly as the model assigns both ends.
 type relCmp struct {
 	op         expr.CmpOp
 	a, b       expr.SymID
@@ -76,7 +76,8 @@ type classInfo struct {
 	root   expr.SymID
 	width  int
 	dom    *IntervalSet
-	diseqs []diseq // canonicalized on roots
+	diseqs []diseq  // canonicalized on roots
+	rels   []relCmp // cross-class orderings, canonicalized on roots
 }
 
 // symHash hashes the keys of the union-find and domain stores.
@@ -953,11 +954,21 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 		roots[ra].diseqs = append(roots[ra].diseqs, cd)
 		roots[rb].diseqs = append(roots[rb].diseqs, cd)
 	}
-	// Residual ordering comparisons: prune via interval hulls.
+	// Residual ordering comparisons: prune via interval hulls, and hand
+	// each cross-class one to its classes for the exact check (a same-class
+	// one applyRel decides exactly).
 	for _, rel := range res.rels {
 		if !c.applyRel(roots, rel) {
 			return nil, false
 		}
+		ra, oa := c.root(rel.a)
+		rb, ob := c.root(rel.b)
+		if ra == rb {
+			continue
+		}
+		cr := relCmp{op: rel.op, a: ra, b: rb, aAdd: oa + rel.aAdd, bAdd: ob + rel.bAdd, width: rel.width}
+		roots[ra].rels = append(roots[ra].rels, cr)
+		roots[rb].rels = append(roots[rb].rels, cr)
 	}
 	order := make([]*classInfo, 0, len(roots))
 	for _, ci := range roots {
@@ -973,10 +984,17 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 	assign := make(map[expr.SymID]uint64, len(order))
 	budget := 4096
 	if !assignClasses(order, 0, assign, &budget, salt) {
-		return nil, false
-	}
-	if !c.verifyRels(assign) {
-		return nil, false
+		// Salted ranks can spend the budget on values minimum-first never
+		// tries (an ordering between two classes that an unrelated class
+		// sits between), so a diverse model falls back to the minimum-first
+		// one: it answers as Sat does.
+		if salt == 0 {
+			return nil, false
+		}
+		budget = 4096
+		if !assignClasses(order, 0, assign, &budget, 0) {
+			return nil, false
+		}
 	}
 	if !wantModel {
 		return nil, true
@@ -989,17 +1007,14 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 	return model, true
 }
 
-// verifyRels checks residual ordering comparisons against the constructed
-// assignment; hull pruning in applyRel makes violations essentially
-// impossible in practice, but we never report SAT with a bad model.
-func (c *Context) verifyRels(assign map[expr.SymID]uint64) bool {
-	for _, rel := range c.residue().rels {
-		m := expr.Mask(rel.width)
-		ra, oa := c.root(rel.a)
-		rb, ob := c.root(rel.b)
-		av := (assign[ra] + oa + rel.aAdd) & m
-		bv := (assign[rb] + ob + rel.bAdd) & m
-		if !expr.EvalCmp(rel.op, av, bv) {
+// relsHold reports whether every ordering of ci whose two classes are
+// assigned holds under assign.
+func (ci *classInfo) relsHold(assign map[expr.SymID]uint64) bool {
+	for _, r := range ci.rels {
+		av, okA := assign[r.a]
+		bv, okB := assign[r.b]
+		m := expr.Mask(r.width)
+		if okA && okB && !expr.EvalCmp(r.op, (av+r.aAdd)&m, (bv+r.bAdd)&m) {
 			return false
 		}
 	}
@@ -1007,9 +1022,11 @@ func (c *Context) verifyRels(assign map[expr.SymID]uint64) bool {
 }
 
 // assignClasses assigns values to classes[idx:], backtracking on diseq
-// conflicts within a global budget. With salt == 0 candidates are tried
-// minimum-first (boundary values); a nonzero salt starts each class at a
-// per-class rank so unrelated classes receive distinct values.
+// conflicts and on an ordering that a value breaks (relsHold, checked as a
+// relation's second class is assigned) within a global budget. With salt ==
+// 0 candidates are tried minimum-first (boundary values); a nonzero salt
+// starts each class at a per-class rank so unrelated classes receive
+// distinct values.
 func assignClasses(classes []*classInfo, idx int, assign map[expr.SymID]uint64, budget *int, salt uint64) bool {
 	if idx == len(classes) {
 		return true
@@ -1032,7 +1049,7 @@ func assignClasses(classes []*classInfo, idx int, assign map[expr.SymID]uint64, 
 	if salt != 0 {
 		if v, ok := valueAtRank(dom, (uint64(ci.root)*2654435761+salt)%dom.Size()); ok {
 			assign[ci.root] = v
-			if assignClasses(classes, idx+1, assign, budget, salt) {
+			if ci.relsHold(assign) && assignClasses(classes, idx+1, assign, budget, salt) {
 				return true
 			}
 			*budget--
@@ -1045,7 +1062,7 @@ func assignClasses(classes []*classInfo, idx int, assign map[expr.SymID]uint64, 
 	for _, iv := range dom.Intervals() {
 		for v := iv.Lo; ; v++ {
 			assign[ci.root] = v
-			if assignClasses(classes, idx+1, assign, budget, salt) {
+			if ci.relsHold(assign) && assignClasses(classes, idx+1, assign, budget, salt) {
 				return true
 			}
 			*budget--

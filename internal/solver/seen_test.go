@@ -112,9 +112,7 @@ func checkSeen(t *testing.T, tag string, script []seenStep) {
 // nothing else holds (x==x, x!=y on fresh symbols, a Mention of an
 // unconstrained symbol), a Mention of a constrained one, and union chains;
 // random scripts over comparisons, prefix matches and tables at widths 3
-// to 5 cover the rest. The random comparisons between two symbols are Eq
-// and Ne only, the fragment the solver decides exactly: ModelDiverse may
-// miss a model an ordering between symbols admits.
+// to 5 cover the rest, orderings between two symbols among them.
 func TestModelCoversNamedSymbols(t *testing.T) {
 	const w = 4
 	x, y, z, u := expr.Lin{Sym: 0, Width: w}, expr.Lin{Sym: 1, Width: w}, expr.Lin{Sym: 2, Width: w}, expr.Lin{Sym: 3, Width: w}
@@ -158,8 +156,8 @@ func TestModelCoversNamedSymbols(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0, 1:
 				return expr.Cmp{Op: expr.CmpOp(rng.Intn(6)), L: sym(), R: expr.Const(uint64(rng.Intn(int(m)+1)), w)}
-			case 2: // Eq and Ne: ordering between symbols is decided by hulls
-				return expr.Cmp{Op: []expr.CmpOp{expr.Eq, expr.Eq, expr.Ne}[rng.Intn(3)], L: sym(), R: sym()}
+			case 2:
+				return expr.Cmp{Op: expr.CmpOp(rng.Intn(6)), L: sym(), R: sym()}
 			case 3:
 				return expr.NewPrefix(sym(), uint64(rng.Intn(int(m)+1)), 1+rng.Intn(w-1))
 			}
@@ -225,4 +223,18 @@ func TestEndedRunReadsConcurrently(t *testing.T) {
 	if *st != before || c.Fingerprint() != fp || c.run.stats != nil {
 		t.Fatalf("reads moved the run: stats %+v (were %+v), fingerprint moved %v", *st, before, c.Fingerprint() != fp)
 	}
+}
+
+// TestModelDiverseHonorsOrderings: a salted assignment that breaks an
+// ordering between two symbols backtracks instead of giving up. At width 5,
+// !(x+2 < y+2), y != 4 and (z+2 & 0x1c) == 0x8 admit a model, which Model
+// finds minimum-first and ModelDiverse must find from its salted ranks.
+func TestModelDiverseHonorsOrderings(t *testing.T) {
+	const w = 5
+	x, y, z := expr.Lin{Sym: 2, Width: w}, expr.Lin{Sym: 3, Width: w}, expr.Lin{Sym: 0, Width: w}
+	checkSeen(t, "ordering", []seenStep{
+		{cond: expr.Not{C: expr.Cmp{Op: expr.Lt, L: x.AddConst(2), R: y.AddConst(2)}}},
+		{cond: expr.Cmp{Op: expr.Ne, L: y, R: expr.Const(4, w)}},
+		{cond: expr.Match{L: z.AddConst(2), Mask: 0x1c, Val: 0x8}},
+	})
 }

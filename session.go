@@ -198,8 +198,12 @@ type ServeConfig struct {
 // comment for Workers) — in-process, or per fleet member when the config
 // names a fleet. Reads on the handle are lock-free; all mutations funnel
 // through Apply's single-writer absorber, which coalesces concurrent calls.
-// Close the handle when done: it also dismisses the fleet.
+// Close the handle when done: it also dismisses the fleet. A session whose
+// options set ASTInterp, the reference interpreter, cannot serve.
 func (s *Session) Serve(cfg ServeConfig) (*Serving, error) {
+	if s.opts.ASTInterp {
+		return nil, fmt.Errorf("symnet: serve: Options.ASTInterp is a reference mode; serve compiled programs")
+	}
 	var elems []*Element
 	var codes []models.EgressCode
 	for name, fib := range cfg.Routers {

@@ -338,7 +338,8 @@ func TestSessionServeChurn(t *testing.T) {
 	compareAllPairs(t, "post-churn vs from-scratch", srv.Current().Report, srv2.Current().Report)
 }
 
-// TestSessionServeErrors pins the facade's error surface.
+// TestSessionServeErrors pins the facade's error surface: an unknown
+// element, and a session under the AST interpreter, which cannot serve.
 func TestSessionServeErrors(t *testing.T) {
 	if _, err := Compile(nil, Options{}); err == nil {
 		t.Fatal("Compile(nil) succeeded")
@@ -354,6 +355,17 @@ func TestSessionServeErrors(t *testing.T) {
 		Routers: map[string]FIB{"nosuch": sessionFIB()},
 	}); err == nil {
 		t.Fatal("Serve with unknown router element succeeded")
+	}
+	ast, err := Compile(buildSessionNet(t), Options{ASTInterp: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ast.Serve(ServeConfig{
+		Sources: []PortRef{{Elem: "sw", Port: 1}},
+		Targets: []string{"hosts"},
+		Packet:  sefl.NewTCPPacket(),
+	}); err == nil || !strings.Contains(err.Error(), "ASTInterp") {
+		t.Fatalf("Serve under the AST interpreter: %v, want a refusal naming it", err)
 	}
 }
 
