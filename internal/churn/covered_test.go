@@ -14,6 +14,7 @@ import (
 	"symnet/internal/core"
 	"symnet/internal/dist"
 	"symnet/internal/sefl"
+	"symnet/internal/tables"
 	"symnet/internal/verify"
 )
 
@@ -83,6 +84,46 @@ func TestCoveredRouteDeltasDirtyNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoveredRouteDeltaDirtiesWhenRowsShow: under the AST interpreter, which
+// chains a table's Or-tree (its rows) into the constraint fingerprint, the
+// first covered delta moves every source's result, though the compiled
+// results hold: a service would have to re-verify every visitor of the
+// ports it patches, which is why it refuses ASTInterp. (A trace line shows
+// span tables, so the traced case is TestCoveredRouteDeltasDirtyNothing's.)
+func TestCoveredRouteDeltaDirtiesWhenRowsShow(t *testing.T) {
+	opts := core.Options{ASTInterp: true}
+	t.Run(fmt.Sprintf("trace=%v,ast=%v", opts.Trace, opts.ASTInterp), func(t *testing.T) {
+		step := coveredStream(t)[0]
+		pfx, plen, err := tables.ParsePrefix(step.d.Prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := append(diffFIB(), tables.Route{Prefix: pfx, Len: plen, Port: step.d.Port})
+		verifyFIB := func(fib tables.FIB, opts core.Options) []string {
+			net := buildDiffNet(t, fib, diffMACs())
+			rep, err := verify.AllPairsReachability(net, coveredSources, coveredPacket(), coveredTargets, opts, dist.InProcess(2, nil))
+			if err != nil {
+				t.Fatalf("%s: %v", step.d, err)
+			}
+			out := make([]string, len(rep.Results))
+			for i, r := range rep.Results {
+				out[i] = summaryText(dist.Summarize(r))
+			}
+			return out
+		}
+		ast0, ast1 := verifyFIB(diffFIB(), opts), verifyFIB(after, opts)
+		comp0, comp1 := verifyFIB(diffFIB(), core.Options{}), verifyFIB(after, core.Options{})
+		for i := range coveredSources {
+			if ast0[i] == ast1[i] {
+				t.Errorf("%s: source %d's AST-interpreted result did not move", step.d, i)
+			}
+			if comp0[i] != comp1[i] {
+				t.Errorf("%s: source %d's compiled result moved:\n before %s\n after %s", step.d, i, comp0[i], comp1[i])
+			}
+		}
+	})
 }
 
 // TestServeRefusesASTInterp: the AST interpreter chains a table's Or-tree
