@@ -107,15 +107,18 @@ func TestDefaultRouteRunFlat(t *testing.T) {
 // cloned nothing (solver.Context.Refutes decides first) and a departure's
 // refuted ports shared one sealed memory. 19.0 once every table guard, one
 // entry long included, lowered to its span table and so asserted as one
-// expr.InSet the solver refutes without cloning.
-const deptAllocsPerHop = 22
+// expr.InSet the solver refutes without cloning. 13.7 once the network
+// kept the packet its injection code builds and a run cloned it.
+const deptAllocsPerHop = 16
 
 // deptBytesPerHop is the byte budget of TestDepartmentRunAllocsPerHop. The
 // warm department Run allocated 1 860 bytes per hop while a path's solver
 // context inserted every symbol it constrained into its union-find, a fork
 // copied 416 bytes of headers and each refuted port's path kept a context
-// of its own; 1 455 once none of that was left (1 481 under -race).
-const deptBytesPerHop = 1600
+// of its own; 1 455 once none of that was left (1 481 under -race). 1 251
+// (1 281 under -race) once a run cloned the network's injected packet, a
+// fork copied 248 bytes of headers and a write's layer fit 48 bytes.
+const deptBytesPerHop = 1350
 
 // TestDepartmentRunAllocsPerHop keeps the hot path lean without reading a
 // clock: one warm Session.Run of the office packet from asw0.in[1] must stay
@@ -172,8 +175,9 @@ const forkAllocsPerPath = 9
 
 // forkBytesPerPath is the byte budget of TestForkHeavyAllocsPerPath. A warm
 // fork-heavy Run allocated 978 bytes per delivered path while a fork's box
-// was 416 bytes; 850 once it was 288.
-const forkBytesPerPath = 920
+// was 416 bytes; 850 once it was 288; 813 once it was 248 and a write's
+// layer fit 48 bytes.
+const forkBytesPerPath = 850
 
 // TestForkHeavyAllocsPerPath keeps forking cheap without reading a clock: one
 // warm Session.Run over the fork-heavy network (64 bindings, 4 forks of fan

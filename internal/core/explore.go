@@ -26,6 +26,9 @@ type run struct {
 	opts    Options
 	init    sefl.Instr    // injection code
 	injProg *prog.Program // compiled injection code (nil under ASTInterp)
+	// slot is the network's injection slot when the run may share its
+	// packet: compiled, untraced code that does not read its element.
+	slot *injection
 	// alloc is allocated on its own because a Result keeps it: its Alloc
 	// continues the run's allocator. As a field of the run it would keep
 	// the stack and the run reachable from the Result. solverStats is
@@ -99,13 +102,16 @@ func newRun(net *Network, inject PortRef, init sefl.Instr, opts Options) (*run, 
 	}
 	if !opts.ASTInterp && init != nil {
 		// Compiling keeps every instruction on the one (compiled) execution
-		// path; the network keeps the program for the next run.
-		r.injProg = net.injectProgram(init, elem)
+		// path; the network keeps the program, and the packet it builds,
+		// for the next run. A traced packet's trace names its element.
+		r.injProg, r.slot = net.injectProgram(init, elem)
+		if opts.Trace {
+			r.slot = nil
+		}
 	}
-	// The stack starts as the bare packet at the injection port; explore
-	// runs the injection code on it before it steps anything.
+	// The stack starts as the state at the injection port; explore builds
+	// its packet before it steps anything.
 	r.stack = []*state{{
-		Mem:     new(memory.Mem),
 		Here:    elem.at(inject.Port, false),
 		traceOn: opts.Trace,
 	}}
@@ -135,18 +141,25 @@ func (r *run) explore() (*Result, error) {
 
 // runInjection builds the symbolic packet: injection code runs in the
 // context of the target element (so local metadata in templates scopes
-// sensibly) before the packet enters the port.
+// sensibly) before the packet enters the port. A packet an earlier run of
+// the same code left in the network's slot is cloned instead.
 func (r *run) runInjection(next []*state, st *state) []*state {
-	st.Ctx = solver.NewContext(&r.solverStats)
-	st.Ctx.SetCache(r.memo)
-	// Clones inherit the histogram, so every path of the run reports its Sat
-	// latencies (no-op when telemetry is off).
-	st.Ctx.SetSatHistogram(r.inst.satNs)
+	if r.slot != nil {
+		if pkt := r.slot.pkt.Load(); pkt != nil {
+			r.startFrom(st, pkt)
+			return append(next, st)
+		}
+	}
+	st.Mem = new(memory.Mem)
+	st.Ctx = r.attach(solver.NewContext(&r.solverStats))
 	var states []*state
 	if r.injProg != nil {
 		states = r.runProgram(nil, st, r.injProg)
 	} else {
 		states = r.exec(nil, st, st.Here.elem, r.init, nil)
+	}
+	if len(states) == 1 {
+		r.keepPacket(states[0])
 	}
 	for _, s := range states {
 		if s.Status == Failed {
@@ -160,6 +173,55 @@ func (r *run) runInjection(next []*state, st *state) []*state {
 		next = append(next, s)
 	}
 	return next
+}
+
+// packet is the state injection code leaves, frozen: its sealed memory, its
+// context in a run that has ended, and what the run had counted by then —
+// the symbols it minted, the solver's counts and its own. A run that starts
+// from a clone of it (startFrom) gives the Result running the code gives.
+type packet struct {
+	mem    memory.Mem
+	ctx    solver.Context
+	alloc  expr.Alloc
+	solver solver.Stats
+	stats  RunStats
+}
+
+// keepPacket stores st, the one state the injection left, as the slot's
+// packet when it may be shared: the slot is set, st is live and not
+// forwarding, and the injection made no Sat check (a later run would skip
+// the check's cache lookup and its latency sample). The first run to
+// qualify stores it.
+func (r *run) keepPacket(st *state) {
+	if r.slot == nil || st.Status != active || st.forwarding() ||
+		r.solverStats.SatChecks != 0 || r.slot.pkt.Load() != nil {
+		return
+	}
+	pkt := &packet{alloc: *r.alloc, solver: r.solverStats, stats: r.stats}
+	st.Mem.CloneInto(&pkt.mem)
+	st.Ctx.CloneIntoRun(&pkt.ctx, nil)
+	r.slot.pkt.Store(pkt)
+}
+
+// startFrom puts st at the start of pkt: clones of its memory and its
+// context, the context in this run, and the run's counts where the
+// injection left them.
+func (r *run) startFrom(st *state, pkt *packet) {
+	b := new(forkBox)
+	st.Mem = pkt.mem.CloneInto(&b.mem)
+	st.Ctx = r.attach(pkt.ctx.CloneIntoRun(&b.ctx, &r.solverStats))
+	*r.alloc = pkt.alloc
+	r.solverStats = pkt.solver
+	r.stats = pkt.stats
+}
+
+// attach gives c, the run's first context, the run's Sat cache and latency
+// histogram, and returns it. Clones inherit both, so every path of the run
+// reports its Sat latencies (no-op when telemetry is off).
+func (r *run) attach(c *solver.Context) *solver.Context {
+	c.SetCache(r.memo)
+	c.SetSatHistogram(r.inst.satNs)
+	return c
 }
 
 // finish records a completed state as the run's next path. The path's

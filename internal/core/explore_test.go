@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -157,18 +158,30 @@ func TestHistoryNodeSize(t *testing.T) {
 // TestForkHeaderSizes pins the headers a fork copies and a finished path
 // keeps: a solver context is its two stores, one pointer to the rare
 // constraints (nil without any) and one to its run; a packet memory its
-// three stores, whose hash is a type, and an edit token; a Path keeps a
-// refuted departure's frozen context and guard instead of a context of
-// its own. A fork's box is a context and a memory.
+// three stores, whose hash is a type, and an edit token; a store header
+// keeps no count. A Path keeps a refuted departure's frozen context and
+// guard instead of a context of its own. A fork's box is a context and a
+// memory, 248 bytes in the 256-byte size class; a loop snapshot is a memory
+// and the context's domain stores. A header or metadata write allocates one
+// memory layer, which fits the 48-byte size class.
 func TestForkHeaderSizes(t *testing.T) {
+	// The layer type is memory's own: reach it as the value type of the
+	// header store's inline entries.
+	hdr, _ := reflect.TypeOf(memory.Mem{}).FieldByName("hdr")
+	small, _ := hdr.Type.FieldByName("small")
+	kv, _ := small.Type.Elem().FieldByName("kv")
+	val, _ := kv.Type.FieldByName("val")
+	layer := val.Type.Elem()
 	for _, c := range []struct {
 		name     string
 		got, max uintptr
 	}{
-		{"solver.Context", unsafe.Sizeof(solver.Context{}), 136},
-		{"memory.Mem", unsafe.Sizeof(memory.Mem{}), 152},
+		{"solver.Context", unsafe.Sizeof(solver.Context{}), 120},
+		{"memory.Mem", unsafe.Sizeof(memory.Mem{}), 128},
 		{"core.Path", unsafe.Sizeof(Path{}), 96},
-		{"fork box", unsafe.Sizeof(forkBox{}), 288},
+		{"fork box", unsafe.Sizeof(forkBox{}), 248},
+		{"loop snapshot", unsafe.Sizeof(snapshot{}), 224},
+		{layer.String(), layer.Size(), 48},
 	} {
 		t.Logf("%s: %d bytes (at most %d)", c.name, c.got, c.max)
 		if c.got > c.max {

@@ -93,3 +93,13 @@ func LoopCheckReplay(net *Network, inject PortRef, init sefl.Instr, opts Options
 // port's guard refuted its departure (refuted), the departing context it
 // shares with that departure's other refuted ports.
 func Kept(p *Path) (ctx *solver.Context, refuted bool) { return p.ctx, p.guard != nil }
+
+// InjectedPacket reports the code in n's injection slot and whether the slot
+// holds the packet that code builds (nil, false: the slot is empty).
+func InjectedPacket(n *Network) (src sefl.Instr, shared bool) {
+	c := n.injected.Load()
+	if c == nil {
+		return nil, false
+	}
+	return c.src, c.pkt.Load() != nil
+}

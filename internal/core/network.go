@@ -233,40 +233,55 @@ type Network struct {
 	links []*port    // by output port ID; nil where unlinked
 	// cycles caches onCycle's marks; AddElement and Link reset it.
 	cycles atomic.Pointer[[]bool]
-	// injected is the last injection code a run compiled (see
-	// injectProgram).
+	// injected is the network's injection slot: the last injection code a
+	// run compiled, and the packet it builds (see injectProgram).
 	injected atomic.Pointer[injection]
 }
 
-// injection is a network's cached injection program: the program and a
-// private copy of the source it was compiled from.
+// injection is a network's injection slot: the compiled program, a private
+// copy of the source it was compiled from, and the packet the code builds.
 type injection struct {
 	src  sefl.Instr
 	prog *prog.Program
+	// pkt is the packet the code builds, stored by the first run that may
+	// share it (run.keepPacket) and nil until then.
+	pkt atomic.Pointer[packet]
 }
 
-// injectProgram returns the compiled injection code init for element e.
+// injectProgram returns the compiled injection code init for element e, and
+// the slot whose packet a run may share: nil when the code reads its
+// element (prog.Program.ReadsElem), whose packet is its element's own.
 // Every source of an all-pairs query injects the same packet, so the
 // network keeps one slot, the last code compiled: code equal to it
-// (sefl.Equal) reuses its program, rebound to e (prog.Program.Rebind),
-// and other code compiles and takes the slot. The slot compiles from its
-// own copy of the code, so a caller that edits init after the run never
-// meets a program of the old code. Concurrent runs may each compile; the
-// last store takes the slot, and each run keeps the program it was handed.
-func (n *Network) injectProgram(init sefl.Instr, e *Element) *prog.Program {
+// (sefl.Equal) reuses its program, rebound to e (prog.Program.Rebind), and
+// its packet; other code compiles and takes the slot, so new code replaces
+// the program and the packet together. The slot compiles from its own copy
+// of the code, so a caller that edits init after the run never meets a
+// program or a packet of the old code. Concurrent runs may each compile;
+// the last store takes the slot, and each run keeps the program it was
+// handed.
+func (n *Network) injectProgram(init sefl.Instr, e *Element) (*prog.Program, *injection) {
 	label := func() string { return e.Name + ".inject" }
 	if c := n.injected.Load(); c != nil && sefl.Equal(init, c.src) {
 		if c.prog.Elem == e.Name && c.prog.Instance == e.Instance {
-			return c.prog
+			return c.prog, shareable(c)
 		}
 		if p, ok := c.prog.Rebind(e.Name, e.Instance, label()); ok {
-			return p
+			return p, c
 		}
 	}
 	src := sefl.Clone(init)
-	p := prog.Compile(src, e.Name, e.Instance, label())
-	n.injected.Store(&injection{src: src, prog: p})
-	return p
+	c := &injection{src: src, prog: prog.Compile(src, e.Name, e.Instance, label())}
+	n.injected.Store(c)
+	return c.prog, shareable(c)
+}
+
+// shareable returns slot c, or nil when its code reads its element.
+func shareable(c *injection) *injection {
+	if c.prog.ReadsElem() {
+		return nil
+	}
+	return c
 }
 
 // NewNetwork returns an empty network.

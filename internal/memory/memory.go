@@ -60,12 +60,16 @@ func accessErr(op, format string, args ...any) *accessError {
 // new value and pointing at the layer it replaced, so a write is one
 // allocation and the chain of set layers down to the allocation is the
 // field's assignment history.
+//
+// A layer is 48 bytes, the allocator's 48-byte size class: the width sits
+// after the pointers as an int32, beside set, where an int before the value
+// would take a layer to 56 bytes and the 64-byte class.
 type layer struct {
-	size  int      // width in bits
 	val   expr.Lin // current value (valid when set)
+	older *layer   // the layer this assignment replaced (history), nil for an allocation
+	prev  *layer   // masked layer beneath this allocation
+	size  int32    // width in bits
 	set   bool
-	older *layer // the layer this assignment replaced (history), nil for an allocation
-	prev  *layer // masked layer beneath this allocation
 }
 
 // assign returns the layer holding v on top of l's allocation.
@@ -164,16 +168,16 @@ func (m *Mem) AllocateHdr(off int64, size int) error {
 		return accessErr("allocate", "invalid field size %d at offset %d", size, off)
 	}
 	if l, ok := m.hdr.Get(off); ok {
-		if l.size != size {
+		if int(l.size) != size {
 			return accessErr("allocate", "field at offset %d re-allocated with size %d, existing size %d", off, size, l.size)
 		}
-		m.hdr = m.hdr.SetOwned(off, &layer{size: size, prev: l}, m.owner())
+		m.hdr = m.hdr.SetOwned(off, &layer{size: int32(size), prev: l}, m.owner())
 		return nil
 	}
 	if err := m.checkOverlap(off, size); err != nil {
 		return err
 	}
-	m.hdr = m.hdr.SetOwned(off, &layer{size: size}, m.owner())
+	m.hdr = m.hdr.SetOwned(off, &layer{size: int32(size)}, m.owner())
 	return nil
 }
 
@@ -203,7 +207,7 @@ func (m *Mem) DeallocateHdr(off int64, size int) error {
 	if !ok {
 		return accessErr("deallocate", "no field allocated at offset %d", off)
 	}
-	if size >= 0 && l.size != size {
+	if size >= 0 && int(l.size) != size {
 		return accessErr("deallocate", "field at offset %d has size %d, deallocation declared %d", off, l.size, size)
 	}
 	if l.prev == nil {
@@ -233,7 +237,7 @@ func (m *Mem) lookupHdr(op string, off int64, size int) (*layer, error) {
 		}
 		return nil, accessErr(op, "access to unallocated offset %d", off)
 	}
-	if l.size != size {
+	if int(l.size) != size {
 		return nil, accessErr(op, "size mismatch at offset %d: field is %d bits, access is %d bits", off, l.size, size)
 	}
 	return l, nil
@@ -283,7 +287,7 @@ type HdrField struct {
 func (m *Mem) Fields() []HdrField {
 	out := make([]HdrField, 0, m.hdr.Len())
 	m.hdr.Range(func(off int64, l *layer) bool {
-		out = append(out, HdrField{Off: off, Size: l.size, Val: l.val, Set: l.set})
+		out = append(out, HdrField{Off: off, Size: int(l.size), Val: l.val, Set: l.set})
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
@@ -330,7 +334,7 @@ func (m *Mem) AllocateMeta(key MetaKey, width int) error {
 		return accessErr("allocate", "invalid metadata width %d for %s", width, key)
 	}
 	prev, _ := m.meta.Get(key)
-	m.meta = m.meta.SetOwned(key, &layer{size: width, prev: prev}, m.owner())
+	m.meta = m.meta.SetOwned(key, &layer{size: int32(width), prev: prev}, m.owner())
 	return nil
 }
 
@@ -341,7 +345,7 @@ func (m *Mem) DeallocateMeta(key MetaKey, width int) error {
 	if !ok {
 		return accessErr("deallocate", "no metadata %s", key)
 	}
-	if width >= 0 && l.size != width {
+	if width >= 0 && int(l.size) != width {
 		return accessErr("deallocate", "metadata %s has width %d, deallocation declared %d", key, l.size, width)
 	}
 	if l.prev == nil {
@@ -386,7 +390,7 @@ func (m *Mem) MetaWidth(key MetaKey) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return l.size, true
+	return int(l.size), true
 }
 
 // MetaKeysMatching returns a sorted snapshot of metadata names visible to
@@ -428,7 +432,7 @@ func (m *Mem) Vars(f func(Var, expr.Lin) bool) {
 	more := true
 	m.hdr.Range(func(off int64, l *layer) bool {
 		if l.set {
-			more = f(Var{Off: off, Size: l.size}, l.val)
+			more = f(Var{Off: off, Size: int(l.size)}, l.val)
 		}
 		return more
 	})
@@ -448,7 +452,7 @@ func (m *Mem) Value(v Var) (expr.Lin, bool) {
 	var ok bool
 	if v.Meta {
 		l, ok = m.meta.Get(v.Key)
-	} else if l, ok = m.hdr.Get(v.Off); ok && l.size != v.Size {
+	} else if l, ok = m.hdr.Get(v.Off); ok && int(l.size) != v.Size {
 		return expr.Lin{}, false
 	}
 	if !ok || !l.set {

@@ -305,7 +305,7 @@ func TestVarsAndValue(t *testing.T) {
 // hdrAllocated reports whether a field is allocated exactly at (off, size).
 func hdrAllocated(m *Mem, off int64, size int) bool {
 	l, ok := m.hdr.Get(off)
-	return ok && l.size == size
+	return ok && int(l.size) == size
 }
 
 // hdrStackDepth returns how many allocations are stacked at off (0 if none).

@@ -6,6 +6,11 @@
 // original. This is what makes forking a symbolic-execution path O(1) in the
 // size of accumulated state.
 //
+// A Map header is 40 bytes on a 64-bit machine: the trie root, the inline
+// slice and an edit token. It keeps no count of its keys, because every fork
+// copies the headers of the stores it carries: Len reads the inline slice's
+// length or walks the trie, and only capacity hints call it.
+//
 // A map's hash is a type, whose Hash method the map calls, so a Map header
 // carries no function. Hashes must be deterministic across processes (no
 // per-process seeding): trie shape — and with it iteration order — is a
@@ -80,7 +85,6 @@ type Map[K comparable, V any, H hasher[K]] struct {
 	root  *node[K, V]
 	small []entry[K, V] // inline form: hash-sorted, child fields unused
 	edit  uint64        // token of the writer that built small (0: none)
-	size  int
 }
 
 func (m Map[K, V, H]) hash(k K) uint64 { return (*new(H)).Hash(k) }
@@ -92,8 +96,17 @@ var owners atomic.Uint64
 // nothing, and no two calls in a process return the same token.
 func NewOwner() uint64 { return owners.Add(1) }
 
-// Len reports the number of keys.
-func (m Map[K, V, H]) Len() int { return m.size }
+// Len reports the number of keys: the inline slice's length, or a walk of
+// the trie. A header keeps no count, so a fork copies one word less; only
+// capacity hints ask.
+func (m Map[K, V, H]) Len() int {
+	if m.root == nil {
+		return len(m.small)
+	}
+	n := 0
+	rangeNode(m.root, func(K, V) bool { n++; return true })
+	return n
+}
 
 // Get returns the value for k.
 func (m Map[K, V, H]) Get(k K) (V, bool) {
@@ -156,13 +169,7 @@ func (m Map[K, V, H]) set(k K, v V, owner uint64) Map[K, V, H] {
 	if m.root == nil {
 		return m.setSmall(h, kv[K, V]{key: k, val: v}, owner)
 	}
-	added := false
-	root := setNode(m.root, 0, h, kv[K, V]{key: k, val: v}, &added, owner)
-	size := m.size
-	if added {
-		size++
-	}
-	return Map[K, V, H]{root: root, size: size}
+	return Map[K, V, H]{root: setNode(m.root, 0, h, kv[K, V]{key: k, val: v}, owner)}
 }
 
 // owns reports whether structure stamped edit may be updated in place by the
@@ -182,10 +189,10 @@ func (m Map[K, V, H]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V, H] 
 			out := make([]entry[K, V], len(m.small))
 			copy(out, m.small)
 			out[i].kv = p
-			return Map[K, V, H]{small: out, edit: owner, size: m.size}
+			return Map[K, V, H]{small: out, edit: owner}
 		}
 	}
-	if m.size < smallMax {
+	if len(m.small) < smallMax {
 		// Insert after any entries with the same or smaller hash, so the
 		// slice stays hash-sorted and equal hashes keep insertion order.
 		pos := len(m.small)
@@ -199,7 +206,7 @@ func (m Map[K, V, H]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V, H] 
 		copy(out, m.small[:pos])
 		out[pos] = entry[K, V]{hash: h, kv: p}
 		copy(out[pos+1:], m.small[pos:])
-		return Map[K, V, H]{small: out, edit: owner, size: m.size + 1}
+		return Map[K, V, H]{small: out, edit: owner}
 	}
 	// Promote: build the canonical trie from the inline entries plus the
 	// new pair in one pass (grouping by hash chunk), so crossing the
@@ -211,7 +218,7 @@ func (m Map[K, V, H]) setSmall(h uint64, p kv[K, V], owner uint64) Map[K, V, H] 
 	all := make([]entry[K, V], len(m.small)+1)
 	copy(all, m.small)
 	all[len(m.small)] = entry[K, V]{hash: h, kv: p}
-	return Map[K, V, H]{root: buildNode(all, 0, owner), size: m.size + 1}
+	return Map[K, V, H]{root: buildNode(all, 0, owner)}
 }
 
 // buildNode builds the canonical trie node for a set of entries in one
@@ -257,9 +264,8 @@ func buildNode[K comparable, V any](entries []entry[K, V], shift uint, edit uint
 // setNode binds p below n, returning the node to store in n's place: n
 // itself, updated in place, when owner owns it; otherwise a copy stamped
 // owner.
-func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V], added *bool, owner uint64) *node[K, V] {
+func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V], owner uint64) *node[K, V] {
 	if n == nil {
-		*added = true
 		bit := uint32(1) << (uint32(h>>shift) & levelMask)
 		return &node[K, V]{bitmap: bit, entries: []entry[K, V]{{hash: h, kv: p}}, edit: owner}
 	}
@@ -276,7 +282,6 @@ func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V
 				return &node[K, V]{coll: out, edit: owner}
 			}
 		}
-		*added = true
 		out := make([]kv[K, V], len(n.coll), len(n.coll)+1)
 		copy(out, n.coll)
 		return &node[K, V]{coll: append(out, p), edit: owner}
@@ -284,7 +289,6 @@ func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V
 	bit := uint32(1) << (uint32(h>>shift) & levelMask)
 	pos := bits.OnesCount32(n.bitmap & (bit - 1))
 	if n.bitmap&bit == 0 {
-		*added = true
 		out := make([]entry[K, V], len(n.entries)+1)
 		copy(out, n.entries[:pos])
 		out[pos] = entry[K, V]{hash: h, kv: p}
@@ -305,14 +309,13 @@ func setNode[K comparable, V any](n *node[K, V], shift uint, h uint64, p kv[K, V
 	e := &nn.entries[pos]
 	switch {
 	case e.child != nil:
-		e.child = setNode(e.child, shift+bitsPerLevel, h, p, added, owner)
+		e.child = setNode(e.child, shift+bitsPerLevel, h, p, owner)
 	case e.hash == h && e.kv.key == p.key:
 		e.kv.val = p.val
 	default:
 		e.child = mergeLeaves(shift+bitsPerLevel, *e, entry[K, V]{hash: h, kv: p}, owner)
 		e.kv = kv[K, V]{}
 		e.hash = 0
-		*added = true
 	}
 	return nn
 }
@@ -351,7 +354,7 @@ func (m Map[K, V, H]) Delete(k K) Map[K, V, H] {
 				if len(out) == 0 {
 					out = nil
 				}
-				return Map[K, V, H]{small: out, size: m.size - 1}
+				return Map[K, V, H]{small: out}
 			}
 		}
 		return m
@@ -361,7 +364,7 @@ func (m Map[K, V, H]) Delete(k K) Map[K, V, H] {
 	if !removed {
 		return m
 	}
-	return Map[K, V, H]{root: root, size: m.size - 1}
+	return Map[K, V, H]{root: root}
 }
 
 func delNode[K comparable, V any](n *node[K, V], shift uint, h uint64, k K, removed *bool) *node[K, V] {

@@ -287,6 +287,11 @@ func (p *Program) Rebind(elem string, instance int, label string) (rp *Program, 
 	return &Program{Elem: elem, Instance: instance, Label: label, Ops: p.Ops, Segs: p.Segs, Entry: p.Entry}, true
 }
 
+// ReadsElem reports whether p's ops depend on its element beyond its trace
+// lines: it resolves a Local metadata key or holds a For. Code that does
+// not builds the same packet at every element.
+func (p *Program) ReadsElem() bool { return p.readsElem }
+
 // Seg returns the segment with the given id.
 func (p *Program) Seg(id SegID) Seg { return p.Segs[id] }
 

@@ -197,6 +197,17 @@ func (c *Context) CloneInto(n *Context) *Context {
 	return n
 }
 
+// CloneIntoRun is CloneInto for a copy that starts a run of its own, as
+// NewContext's context does: n and its clones count into stats (none, as
+// after EndRun, when stats is nil) and use no cache or histogram until
+// SetCache and SetSatHistogram attach them. It is a pure read of the
+// receiver, so one frozen context may seed any number of concurrent runs.
+func (c *Context) CloneIntoRun(n *Context, stats *Stats) *Context {
+	*n = *c
+	n.run = &runInfo{stats: stats}
+	return n
+}
+
 // find returns the root of s and the offset such that
 // value(s) = value(root) + off; an unseen symbol is its own root, and stays
 // unseen. find is iterative and performs full path compression: after a
@@ -954,13 +965,23 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 		roots[ra].diseqs = append(roots[ra].diseqs, cd)
 		roots[rb].diseqs = append(roots[rb].diseqs, cd)
 	}
-	// Residual ordering comparisons: prune via interval hulls, and hand
-	// each cross-class one to its classes for the exact check (a same-class
-	// one applyRel decides exactly).
-	for _, rel := range res.rels {
-		if !c.applyRel(roots, rel) {
-			return nil, false
+	// Residual ordering comparisons: prune via interval hulls until no
+	// domain moves, so a chain of orderings narrows each class it crosses;
+	// the passes are bounded, as tightening around a cycle of orderings may
+	// move a bound by one value a pass. Then hand each cross-class one to
+	// its classes for the search (a same-class one applyRel decides
+	// exactly).
+	for pass, moved := 0, true; moved && pass < maxRelPasses; pass++ {
+		moved = false
+		for _, rel := range res.rels {
+			ok, m := c.applyRel(roots, rel)
+			if !ok {
+				return nil, false
+			}
+			moved = moved || m
 		}
+	}
+	for _, rel := range res.rels {
 		ra, oa := c.root(rel.a)
 		rb, ob := c.root(rel.b)
 		if ra == rb {
@@ -983,7 +1004,7 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 	})
 	assign := make(map[expr.SymID]uint64, len(order))
 	budget := 4096
-	if !assignClasses(order, 0, assign, &budget, salt) {
+	if !assignClasses(order, roots, 0, assign, &budget, salt) {
 		// Salted ranks can spend the budget on values minimum-first never
 		// tries (an ordering between two classes that an unrelated class
 		// sits between), so a diverse model falls back to the minimum-first
@@ -992,7 +1013,7 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 			return nil, false
 		}
 		budget = 4096
-		if !assignClasses(order, 0, assign, &budget, 0) {
+		if !assignClasses(order, roots, 0, assign, &budget, 0) {
 			return nil, false
 		}
 	}
@@ -1007,31 +1028,73 @@ func (c *Context) solveGround(wantModel bool, salt uint64) (map[expr.SymID]uint6
 	return model, true
 }
 
-// relsHold reports whether every ordering of ci whose two classes are
-// assigned holds under assign.
-func (ci *classInfo) relsHold(assign map[expr.SymID]uint64) bool {
+// maxRelPasses bounds solveGround's passes of hull pruning over the
+// orderings.
+const maxRelPasses = 64
+
+// forward prunes, for the value v just assigned to ci, the domain of each
+// unassigned class an ordering of ci relates it to, to the values that
+// ordering allows with v (forward checking). It returns the domains it
+// replaced, newest last, and false when one became empty: no value of that
+// class fits the assignment.
+func (ci *classInfo) forward(roots map[expr.SymID]*classInfo, assign map[expr.SymID]uint64, v uint64, saved []prunedDom) ([]prunedDom, bool) {
 	for _, r := range ci.rels {
-		av, okA := assign[r.a]
-		bv, okB := assign[r.b]
 		m := expr.Mask(r.width)
-		if okA && okB && !expr.EvalCmp(r.op, (av+r.aAdd)&m, (bv+r.bAdd)&m) {
-			return false
+		// With ci on one side at value v, the other side's term must stand
+		// in op (flipped when ci is on the left) to c.
+		other, op, add, c := r.b, r.op.Flip(), r.bAdd, (v+r.aAdd)&m
+		if r.b == ci.root {
+			other, op, add, c = r.a, r.op, r.aAdd, (v+r.bAdd)&m
+		}
+		if _, ok := assign[other]; ok {
+			continue
+		}
+		o := roots[other]
+		saved = append(saved, prunedDom{o, o.dom})
+		o.dom = o.dom.intersect(fromCmp(op, c, r.width).shift(-add))
+		if o.dom.isEmpty() {
+			return saved, false
 		}
 	}
-	return true
+	return saved, true
+}
+
+// prunedDom is a class's domain as it stood before forward pruned it.
+type prunedDom struct {
+	ci  *classInfo
+	dom *IntervalSet
 }
 
 // assignClasses assigns values to classes[idx:], backtracking on diseq
-// conflicts and on an ordering that a value breaks (relsHold, checked as a
-// relation's second class is assigned) within a global budget. With salt ==
-// 0 candidates are tried minimum-first (boundary values); a nonzero salt
-// starts each class at a per-class rank so unrelated classes receive
+// conflicts within a global budget. Each assignment forward-checks the
+// class's orderings (forward), so a later class only ever tries values
+// that keep every ordering with the classes assigned before it. With salt
+// == 0 candidates are tried minimum-first (boundary values); a nonzero
+// salt starts each class at a per-class rank so unrelated classes receive
 // distinct values.
-func assignClasses(classes []*classInfo, idx int, assign map[expr.SymID]uint64, budget *int, salt uint64) bool {
+func assignClasses(classes []*classInfo, roots map[expr.SymID]*classInfo, idx int, assign map[expr.SymID]uint64, budget *int, salt uint64) bool {
 	if idx == len(classes) {
 		return true
 	}
-	ci := classes[idx]
+	// The class with the fewest values left goes next (the first in
+	// classes' order on a tie): forward pruning can leave one class a
+	// single value, and trying it first spares the search every
+	// combination of the unrelated classes in between. Only a class with
+	// orderings is ever pruned; the others keep solveGround's order by
+	// size, so classes[idx] is the smallest of them.
+	next := idx
+	for j := idx + 1; j < len(classes); j++ {
+		if len(classes[j].rels) > 0 && classes[j].dom.Size() < classes[next].dom.Size() {
+			next = j
+		}
+	}
+	ci := classes[next]
+	copy(classes[idx+1:next+1], classes[idx:next])
+	classes[idx] = ci
+	defer func() {
+		copy(classes[idx:next], classes[idx+1:next+1])
+		classes[next] = ci
+	}()
 	dom := ci.dom
 	m := expr.Mask(ci.width)
 	// Remove values conflicting with already-assigned neighbors.
@@ -1046,13 +1109,27 @@ func assignClasses(classes []*classInfo, idx int, assign map[expr.SymID]uint64, 
 			}
 		}
 	}
+	var saved []prunedDom
+	// try assigns v and searches on; false with the budget spent or v
+	// leading nowhere, the pruning undone either way.
+	try := func(v uint64) bool {
+		assign[ci.root] = v
+		var ok bool
+		saved, ok = ci.forward(roots, assign, v, saved[:0])
+		if ok && assignClasses(classes, roots, idx+1, assign, budget, salt) {
+			return true
+		}
+		for i := len(saved) - 1; i >= 0; i-- {
+			saved[i].ci.dom = saved[i].dom
+		}
+		*budget--
+		return false
+	}
 	if salt != 0 {
 		if v, ok := valueAtRank(dom, (uint64(ci.root)*2654435761+salt)%dom.Size()); ok {
-			assign[ci.root] = v
-			if ci.relsHold(assign) && assignClasses(classes, idx+1, assign, budget, salt) {
+			if try(v) {
 				return true
 			}
-			*budget--
 			if *budget <= 0 {
 				delete(assign, ci.root)
 				return false
@@ -1061,11 +1138,9 @@ func assignClasses(classes []*classInfo, idx int, assign map[expr.SymID]uint64, 
 	}
 	for _, iv := range dom.Intervals() {
 		for v := iv.Lo; ; v++ {
-			assign[ci.root] = v
-			if ci.relsHold(assign) && assignClasses(classes, idx+1, assign, budget, salt) {
+			if try(v) {
 				return true
 			}
-			*budget--
 			if *budget <= 0 {
 				delete(assign, ci.root)
 				return false
@@ -1091,11 +1166,11 @@ func valueAtRank(s *IntervalSet, rank uint64) (uint64, bool) {
 	return 0, false
 }
 
-// applyRel prunes class domains using an ordering relation; returns false
-// when the relation is plainly unsatisfiable. Same-class relations are
-// decided exactly; cross-class relations use hull checks and directional
-// tightening.
-func (c *Context) applyRel(roots map[expr.SymID]*classInfo, rel relCmp) bool {
+// applyRel prunes class domains using an ordering relation; ok is false
+// when the relation is plainly unsatisfiable, and moved reports whether a
+// domain shrank. Same-class relations are decided exactly; cross-class
+// relations use hull checks and directional tightening.
+func (c *Context) applyRel(roots map[expr.SymID]*classInfo, rel relCmp) (ok, moved bool) {
 	w := rel.width
 	m := expr.Mask(w)
 	ra, oa := c.root(rel.a)
@@ -1104,11 +1179,9 @@ func (c *Context) applyRel(roots map[expr.SymID]*classInfo, rel relCmp) bool {
 	bAdd := (ob + rel.bAdd) & m
 	if ra == rb {
 		sol := solveSelfRel(rel.op, aAdd, bAdd, roots[ra].dom, w)
-		if sol.isEmpty() {
-			return false
-		}
+		moved = !slices.Equal(sol.ivs, roots[ra].dom.ivs)
 		roots[ra].dom = sol
-		return true
+		return !sol.isEmpty(), moved
 	}
 	da := roots[ra].dom.shift(aAdd)
 	db := roots[rb].dom.shift(bAdd)
@@ -1116,37 +1189,37 @@ func (c *Context) applyRel(roots map[expr.SymID]*classInfo, rel relCmp) bool {
 	aMax, _ := da.Max()
 	bMin, _ := db.Min()
 	bMax, _ := db.Max()
+	// Unless the hulls refute the ordering, tighten each side against the
+	// other's hull: a aOp aBound and b bOp bBound.
+	var aOp, bOp expr.CmpOp
+	var aBound, bBound uint64
 	switch rel.op {
 	case expr.Lt:
 		if aMin >= bMax {
-			return false
+			return false, false
 		}
-		// Tighten: a < bMax and b > aMin.
-		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Lt, bMax, w).shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Gt, aMin, w).shift(-bAdd))
+		aOp, aBound, bOp, bBound = expr.Lt, bMax, expr.Gt, aMin
 	case expr.Le:
 		if aMin > bMax {
-			return false
+			return false, false
 		}
-		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Le, bMax, w).shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Ge, aMin, w).shift(-bAdd))
+		aOp, aBound, bOp, bBound = expr.Le, bMax, expr.Ge, aMin
 	case expr.Gt:
 		if aMax <= bMin {
-			return false
+			return false, false
 		}
-		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Gt, bMin, w).shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Lt, aMax, w).shift(-bAdd))
+		aOp, aBound, bOp, bBound = expr.Gt, bMin, expr.Lt, aMax
 	case expr.Ge:
 		if aMax < bMin {
-			return false
+			return false, false
 		}
-		roots[ra].dom = roots[ra].dom.intersect(fromCmp(expr.Ge, bMin, w).shift(-aAdd))
-		roots[rb].dom = roots[rb].dom.intersect(fromCmp(expr.Le, aMax, w).shift(-bAdd))
+		aOp, aBound, bOp, bBound = expr.Ge, bMin, expr.Le, aMax
 	}
-	if roots[ra].dom.isEmpty() || roots[rb].dom.isEmpty() {
-		return false
-	}
-	return true
+	na := roots[ra].dom.intersect(fromCmp(aOp, aBound, w).shift(-aAdd))
+	nb := roots[rb].dom.intersect(fromCmp(bOp, bBound, w).shift(-bAdd))
+	moved = !slices.Equal(na.ivs, roots[ra].dom.ivs) || !slices.Equal(nb.ivs, roots[rb].dom.ivs)
+	roots[ra].dom, roots[rb].dom = na, nb
+	return !na.isEmpty() && !nb.isEmpty(), moved
 }
 
 // solveSelfRel returns {x ∈ dom : (x+aAdd) op (x+bAdd)} under mod-2^w
